@@ -1,8 +1,11 @@
 # Tier-1 verification: everything a change must keep green.
 #   make tier1      vet + build + full test suite + race suite
 #   make test       fast inner loop (build + tests, no race)
-#   make bench      the paper-table benches
-#   make bench-par  parallel-kernel / pooled-transfer benches (BENCH_PR1.json)
+#   make bench      the end-to-end benchmark declared by BENCHMARK.json
+#                   (bash benchmark/run.sh: all four workloads, full report;
+#                   pass flags with ARGS='--workload wire-codec --seconds 5')
+#   make benchmark-tests  the benchmark module's own tests (a nested Go
+#                   module, so tier-1 `go test ./...` does not reach them)
 #   make bench-json regenerate BENCH_PR6.json from the codec benches
 #   make bench-gate regenerate the codec benches to a temp file and diff
 #                   the machine-independent metrics (allocs/op, B/op,
@@ -44,11 +47,10 @@
 #                   independent re-run, every spec cell fetchable with
 #                   correct conditional/immutable GET semantics, and a
 #                   250-viewer fleet with zero errors under a p99 bound
-#   make bench-json9 regenerate BENCH_PR9.json from the serve benches
 
 GO ?= go
 
-.PHONY: tier1 vet build test race bench bench-par bench-json bench-json9 bench-gate fuzz-smoke chaos brownout crashmatrix tenants fmt doccheck configs obs-check serve
+.PHONY: tier1 vet build test race bench benchmark-tests bench-json bench-gate fuzz-smoke chaos brownout crashmatrix tenants fmt doccheck configs obs-check serve
 
 tier1: fmt vet build test race doccheck
 
@@ -84,17 +86,13 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -run xxx -bench . -benchmem .
+	bash benchmark/run.sh $(ARGS)
 
-bench-par:
-	$(GO) test -run xxx -bench 'Codec|Parallel|Pooled|Unpooled' -benchmem .
+benchmark-tests:
+	cd benchmark && $(GO) test ./...
 
 bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_PR6.json
-
-bench-json9:
-	$(GO) run ./cmd/benchjson -bench Serve -benchtime 10x -o BENCH_PR9.json \
-		-pr "Cinema-style image store + HTTP serving tier with load-generated latency benchmarks"
 
 bench-gate:
 	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \

@@ -1,8 +1,8 @@
 // Parallel-kernel and pooled-transfer benches: each BenchmarkParallel*
 // measures the worker-pool variant of an in-situ kernel and reports its
 // speedup over a serial reference timed in the same process, so
-// `go test -bench Parallel -benchmem` regenerates the numbers recorded
-// in BENCH_PR1.json on any machine. On a single-CPU host the pool
+// `go test -bench Parallel -benchmem` measures the parallel gain on any
+// machine. On a single-CPU host the pool
 // collapses to one worker and the speedup metric hovers around 1.0;
 // the interesting readings need GOMAXPROCS >= 4.
 package insitu

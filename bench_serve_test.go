@@ -1,8 +1,7 @@
 // Serving-tier benches: BenchmarkServe* load the image store and its
 // HTTP tier with the deterministic viewer fleet and report the fleet's
 // observed latency percentiles and bytes served alongside the usual
-// timing numbers, so `go test -bench Serve` regenerates the serve-tier
-// columns recorded in BENCH_PR9.json on any machine.
+// timing numbers.
 package insitu
 
 import (

@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 
 	"insitu/internal/core"
@@ -35,7 +34,9 @@ import (
 	"insitu/internal/render"
 	"insitu/internal/serve"
 	"insitu/internal/trace"
-	"insitu/internal/workload"
+	// Registers the "poison" drill analysis that
+	// examples/configs/tenants.json names.
+	_ "insitu/internal/workload"
 )
 
 func main() {
@@ -63,8 +64,6 @@ func main() {
 		imgOut     = flag.String("images", "", "directory to write final-step renders to")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		timeline   = flag.Bool("timeline", false, "print the execution Gantt chart (temporal multiplexing)")
-		overload   = flag.Bool("overload", false, "run the fixed-seed staging-brownout scenario and print the overload/resilience summary")
-		tenants    = flag.Bool("tenants", false, "run the fixed-seed multi-tenant noisy-neighbor scenario and print the per-tenant fabric summary")
 		obsAddr    = flag.String("obs", "", "serve the live observability endpoint (/metrics, /trace.json, /events.jsonl, /status, /debug/pprof) on this address, e.g. :6060")
 		obsDump    = flag.String("obs-dump", "", "directory to write trace.json, events.jsonl, and metrics.prom to after the run")
 		hold       = flag.Bool("hold", false, "with -obs: keep serving after the run until SIGINT/SIGTERM")
@@ -76,18 +75,6 @@ func main() {
 		cameras    = flag.Int("cameras", 0, "render each viz step from an orbit of N camera directions (the image database's camera axis; 0/1 = the single default view)")
 	)
 	flag.Parse()
-
-	if *configPath != "" && (*overload || *tenants) {
-		fail(fmt.Errorf("-config cannot be combined with the -overload/-tenants scenario flags; use the checked-in scenario configs instead"))
-	}
-	if *overload {
-		runBrownout(*obsAddr, *obsDump, *hold)
-		return
-	}
-	if *tenants {
-		runTenants(*obsAddr, *obsDump, *hold)
-		return
-	}
 
 	var cfg *registry.Config
 	var err error
@@ -155,7 +142,8 @@ func explicitSteps() int {
 
 // runSingle runs a single-tenant topology and prints the classic
 // s3dpipe report: recovery summary, timeline, store info, the Table II
-// cost breakdown, and the final-step topology/render artifacts.
+// cost breakdown, the overload-control summary when the config arms an
+// overload block, and the final-step topology/render artifacts.
 func runSingle(b *registry.Built, steps int, resume, timeline bool, imgOut, obsAddr, obsDump string, hold bool, serveAddr string) {
 	p := b.Pipeline
 	t := &b.Config.Tenants[0]
@@ -167,7 +155,7 @@ func runSingle(b *registry.Built, steps int, resume, timeline bool, imgOut, obsA
 	if timeline {
 		tl = p.EnableTrace()
 	}
-	pl, stop := setupObs(p, obsAddr, obsDump)
+	pl, stop := setupObs(p.EnableObs, func() any { return p.Status() }, obsAddr, obsDump)
 	if b.Store != nil && pl != nil {
 		b.Store.PublishTo(pl.Registry())
 	}
@@ -249,6 +237,9 @@ func runSingle(b *registry.Built, steps int, resume, timeline bool, imgOut, obsA
 	fmt.Println(rep.Metrics.TableII())
 	fmt.Printf("network: %d transfers, %.3f MB moved, %v modeled busy\n",
 		rep.Net.Transfers, float64(rep.Net.BytesMoved)/1e6, rep.Net.ModeledBusy.Round(1e3))
+	if t.Overload != nil {
+		printOverload(p, rep, b.Tenants[0].Routes, steps)
+	}
 
 	for _, a := range b.Tenants[0].Analyses {
 		if a.Name() != "hybrid topology" {
@@ -291,37 +282,23 @@ func runSingle(b *registry.Built, steps int, resume, timeline bool, imgOut, obsA
 }
 
 // runMulti runs a multi-tenant config topology and prints the
-// per-tenant fabric summary — the generic sibling of the -tenants
-// scenario output, driven entirely by the config's tenant list.
+// per-tenant fabric summary, driven entirely by the config's tenant
+// list.
 func runMulti(b *registry.Built, steps int, obsAddr, obsDump string, hold bool) {
 	s := b.Scheduler
 	fmt.Printf("s3dpipe: multi-tenant fabric %q, %d tenants, %d buckets, %d steps\n\n",
 		b.Config.Name, len(b.Tenants), b.Config.TransitBuckets(), steps)
 
-	var pl *obs.Plane
-	var stop func()
-	if obsAddr != "" || obsDump != "" {
-		pl = s.EnableObs()
-		if obsAddr != "" {
-			ln, err := net.Listen("tcp", obsAddr)
-			if err != nil {
-				fail(err)
-			}
-			names := make([]string, 0, len(b.Tenants))
-			for _, t := range b.Tenants {
-				names = append(names, t.Name)
-			}
-			srv := &http.Server{Handler: obs.Handler(pl, func() any {
-				return map[string]any{
-					"tenants":        names,
-					"active_buckets": s.Staging().ActiveBuckets(),
-				}
-			})}
-			go srv.Serve(ln)
-			fmt.Printf("observability endpoint on http://%s/\n\n", ln.Addr())
-			stop = func() { srv.Close() }
-		}
+	names := make([]string, 0, len(b.Tenants))
+	for _, t := range b.Tenants {
+		names = append(names, t.Name)
 	}
+	pl, stop := setupObs(s.EnableObs, func() any {
+		return map[string]any{
+			"tenants":        names,
+			"active_buckets": s.Staging().ActiveBuckets(),
+		}
+	}, obsAddr, obsDump)
 
 	reps, err := s.Run(steps)
 	if err != nil {
@@ -364,47 +341,18 @@ func runMulti(b *registry.Built, steps int, obsAddr, obsDump string, hold bool) 
 
 	fmt.Println("\nrecovery:")
 	for _, t := range b.Tenants {
-		rep := reps[t.Name]
-		if rep == nil {
-			continue
-		}
-		for _, route := range t.Routes {
-			lastDegraded := 0
-			for step := 1; step <= steps; step++ {
-				if _, ok := rep.Result(route, step).(core.Degraded); ok {
-					lastDegraded = step
-				}
-			}
-			if lastDegraded == 0 {
-				fmt.Printf("  %s/%-28s never degraded\n", t.Name, route)
-			} else {
-				fmt.Printf("  %s/%-28s full hybrid again from step %d/%d\n",
-					t.Name, route, lastDegraded+1, steps)
-			}
+		if rep := reps[t.Name]; rep != nil {
+			printRouteRecovery(rep, t.Name+"/", t.Routes, steps)
 		}
 	}
 }
 
-// runBrownout runs the fixed-seed slow-consumer brownout (the same
-// configuration the TestBrownoutSoak acceptance soak uses) and prints
-// the overload-control summary: what was shaped, shed, or run in-situ,
-// how the breakers cycled, and when each route recovered full hybrid.
-func runBrownout(obsAddr, obsDump string, hold bool) {
-	fmt.Printf("s3dpipe: staging brownout, %d steps, slowdown x%d over decisions [%d,%d), seed %d\n\n",
-		workload.BrownoutSteps, workload.BrownoutFactor, workload.BrownoutFrom, workload.BrownoutUntil, workload.BrownoutSeed)
-	p, routes, err := workload.NewBrownoutPipeline(true)
-	if err != nil {
-		fail(err)
-	}
-	pl, stop := setupObs(p, obsAddr, obsDump)
-	rep, err := p.Run(workload.BrownoutSteps)
-	if err != nil {
-		fail(err)
-	}
-	defer finishObs(pl, stop, obsDump, hold && obsAddr != "")
-
+// printOverload prints a single-tenant run's overload-control summary:
+// what was shaped, shed, or run in-situ, how the breakers cycled, and
+// when each route recovered full hybrid.
+func printOverload(p *core.Pipeline, rep *core.Report, routes []string, steps int) {
 	o := rep.Overload
-	fmt.Println("overload control:")
+	fmt.Println("\noverload control:")
 	fmt.Printf("  credits denied       %d\n", o.CreditsDenied)
 	fmt.Printf("  steps shaped         %d\n", o.StepsShaped)
 	fmt.Printf("  steps shed           %d\n", o.StepsShed)
@@ -420,20 +368,7 @@ func runBrownout(obsAddr, obsDump string, hold bool) {
 	fmt.Printf("  degraded steps       %d\n", r.DegradedSteps)
 
 	fmt.Println("\nrecovery:")
-	for _, name := range routes {
-		lastDegraded := 0
-		for step := 1; step <= workload.BrownoutSteps; step++ {
-			if _, ok := rep.Result(name, step).(core.Degraded); ok {
-				lastDegraded = step
-			}
-		}
-		if lastDegraded == 0 {
-			fmt.Printf("  %-28s never degraded\n", name)
-		} else {
-			fmt.Printf("  %-28s full hybrid again from step %d/%d\n",
-				name, lastDegraded+1, workload.BrownoutSteps)
-		}
-	}
+	printRouteRecovery(rep, "", routes, steps)
 	for name, st := range p.BreakerStates() {
 		fmt.Printf("  %-28s breaker %v\n", name, st)
 	}
@@ -443,110 +378,34 @@ func runBrownout(obsAddr, obsDump string, hold bool) {
 	fmt.Printf("  worst step wall: %v\n", rep.Metrics.MaxStepWall().Round(1e3))
 }
 
-// runTenants runs the fixed-seed multi-tenant noisy-neighbor scenario
-// (the same configuration the TestNoisyNeighborSoak acceptance soak
-// uses) and prints the per-tenant fabric summary: how each tenant's
-// admission plane behaved, what the quarantine did to the poison
-// route, how the autoscaler moved the shared bucket pool, and what
-// transfer noise each tenant's endpoints generated.
-func runTenants(obsAddr, obsDump string, hold bool) {
-	fmt.Printf("s3dpipe: multi-tenant fabric, %d steps, tenants %v + %s (noisy), slowdown x%d over decisions [%d,%d), seed %d\n\n",
-		workload.TenantSteps, workload.TenantVictims, workload.TenantNoisy,
-		workload.TenantSlowFactor, workload.TenantSlowFrom, workload.TenantSlowUntil, workload.TenantSeed)
-	s, routes, err := workload.NewTenantScheduler(true)
-	if err != nil {
-		fail(err)
-	}
-	var pl *obs.Plane
-	var stop func()
-	if obsAddr != "" || obsDump != "" {
-		pl = s.EnableObs()
-		if obsAddr != "" {
-			ln, err := net.Listen("tcp", obsAddr)
-			if err != nil {
-				fail(err)
+// printRouteRecovery prints, per hybrid route, the step from which the
+// route ran full hybrid again after its last degraded step.
+func printRouteRecovery(rep *core.Report, prefix string, routes []string, steps int) {
+	for _, route := range routes {
+		lastDegraded := 0
+		for step := 1; step <= steps; step++ {
+			if _, ok := rep.Result(route, step).(core.Degraded); ok {
+				lastDegraded = step
 			}
-			srv := &http.Server{Handler: obs.Handler(pl, func() any {
-				return map[string]any{
-					"tenants":        append(append([]string(nil), workload.TenantVictims...), workload.TenantNoisy),
-					"active_buckets": s.Staging().ActiveBuckets(),
-				}
-			})}
-			go srv.Serve(ln)
-			fmt.Printf("observability endpoint on http://%s/\n\n", ln.Addr())
-			stop = func() { srv.Close() }
 		}
-	}
-	reps, err := s.Run(workload.TenantSteps)
-	if err != nil {
-		// The poison route's early handler crashes are the scenario
-		// working as designed; anything else is fatal.
-		if !strings.Contains(err.Error(), "poison: handler crash") {
-			fail(err)
-		}
-		fmt.Printf("expected poison-route failures: %v\n\n", err)
-	}
-	defer finishObs(pl, stop, obsDump, hold && obsAddr != "")
-
-	names := append(append([]string(nil), workload.TenantVictims...), workload.TenantNoisy)
-	for _, name := range names {
-		rep := reps[name]
-		o := rep.Overload
-		r := rep.Resilience
-		fmt.Printf("tenant %s:\n", name)
-		fmt.Printf("  worst step wall      %v\n", rep.Metrics.MaxStepWall().Round(1e3))
-		fmt.Printf("  steps shaped/shed    %d/%d\n", o.StepsShaped, o.StepsShed)
-		fmt.Printf("  in-situ fallbacks    %d\n", o.StepsFallback)
-		fmt.Printf("  breaker opens        %d\n", o.BreakerOpens)
-		fmt.Printf("  retries/dead letters %d/%d\n", r.Retries, r.DeadLetters)
-		for _, ep := range s.TenantEndpoints(name) {
-			st := ep.Stats()
-			fmt.Printf("  endpoint %-16s %d retries, %d crc failures, %.3f MB moved\n",
-				ep.Name(), st.Retries, st.ChecksumFailures, float64(ep.TransferBytes())/1e6)
-		}
-	}
-
-	fmt.Println("\nshared fabric:")
-	q := s.Quarantine()
-	fmt.Printf("  quarantine           %d opens, %d releases, %s/%s now %v\n",
-		q.Opens(), q.Releases(), workload.TenantNoisy, workload.PoisonRouteName,
-		q.State(workload.TenantNoisy, workload.PoisonRouteName))
-	if a := s.Autoscaler(); a != nil {
-		fmt.Printf("  bucket pool          %d grows, %d shrinks, %d active\n",
-			a.Grows(), a.Shrinks(), s.Staging().ActiveBuckets())
-	}
-	out, avail, total := s.Credits().Snapshot()
-	fmt.Printf("  credits              %d/%d available, %d outstanding\n", avail, total, out)
-
-	fmt.Println("\nrecovery:")
-	for _, name := range workload.TenantVictims {
-		rep := reps[name]
-		for _, route := range routes {
-			lastDegraded := 0
-			for step := 1; step <= workload.TenantSteps; step++ {
-				if _, ok := rep.Result(route, step).(core.Degraded); ok {
-					lastDegraded = step
-				}
-			}
-			if lastDegraded == 0 {
-				fmt.Printf("  %s/%-28s never degraded\n", name, route)
-			} else {
-				fmt.Printf("  %s/%-28s full hybrid again from step %d/%d\n",
-					name, route, lastDegraded+1, workload.TenantSteps)
-			}
+		if lastDegraded == 0 {
+			fmt.Printf("  %s%-28s never degraded\n", prefix, route)
+		} else {
+			fmt.Printf("  %s%-28s full hybrid again from step %d/%d\n",
+				prefix, route, lastDegraded+1, steps)
 		}
 	}
 }
 
 // setupObs enables the observability plane when -obs or -obs-dump was
-// given and, for -obs, starts the live HTTP endpoint. It returns the
-// plane (nil when observability is off) and a server stop function
-// (nil when no endpoint was started).
-func setupObs(p *core.Pipeline, addr, dump string) (*obs.Plane, func()) {
+// given and, for -obs, starts the live HTTP endpoint with status as its
+// /status document. It returns the plane (nil when observability is
+// off) and a server stop function (nil when no endpoint was started).
+func setupObs(enable func() *obs.Plane, status func() any, addr, dump string) (*obs.Plane, func()) {
 	if addr == "" && dump == "" {
 		return nil, nil
 	}
-	pl := p.EnableObs()
+	pl := enable()
 	if addr == "" {
 		return pl, nil
 	}
@@ -554,7 +413,7 @@ func setupObs(p *core.Pipeline, addr, dump string) (*obs.Plane, func()) {
 	if err != nil {
 		fail(err)
 	}
-	srv := &http.Server{Handler: obs.Handler(pl, func() any { return p.Status() })}
+	srv := &http.Server{Handler: obs.Handler(pl, status)}
 	go srv.Serve(ln)
 	fmt.Printf("observability endpoint on http://%s/\n\n", ln.Addr())
 	return pl, func() { srv.Close() }

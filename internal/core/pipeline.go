@@ -74,19 +74,17 @@ func DefaultConfig(simCfg sim.Config) Config {
 	return Config{Sim: simCfg, DSServers: 4, Buckets: 4, Net: netsim.Gemini()}
 }
 
-// Pipeline wires the simulation, the transport and coordination
-// layers, the staging area, and the registered analyses into one
-// runnable system (the paper's Fig. 5).
+// Pipeline is one tenant of a transit fabric: a simulation, the
+// analyses registered on it, its admission and recovery planes, and its
+// results (the producer half of the paper's Fig. 5). Built standalone
+// by NewPipeline it owns its fabric and runs itself; built by
+// Scheduler.AddTenant it shares the scheduler's.
 type Pipeline struct {
 	cfg Config
+	fab *fabric
 
-	sim    *sim.Sim
-	net    *netsim.Network
-	fabric *dart.Fabric
-	ds     *dataspaces.Service
-	area   *staging.Area
-	col    *metrics.Collector
-	codecs *codec.Registry
+	sim *sim.Sim
+	col *metrics.Collector
 
 	analyses []Analysis
 
@@ -103,15 +101,14 @@ type Pipeline struct {
 	rec *recState
 
 	// Multi-tenant plane (zero/nil outside a Scheduler). tenant is the
-	// pipeline's tenant name, sched the owning scheduler, preEps the
-	// rank endpoints the scheduler pre-registered (rank id → endpoint),
-	// quar the shared poison-route quarantine, and curLevel the worst
-	// ladder level of the latest admission pass, exported for the
-	// autoscaler. A tenant-less pipeline (tenant == "", sched == nil)
-	// behaves byte-for-byte as before.
+	// pipeline's tenant name, labels the tenant=<name> attribute its
+	// metric families and admission events carry, quar the shared
+	// poison-route quarantine, weight the deficit-round-robin share, and
+	// curLevel the worst ladder level of the latest admission pass,
+	// exported for the autoscaler. tenant == "" is what marks a
+	// standalone pipeline.
 	tenant   string
-	sched    *Scheduler
-	preEps   map[int]*dart.Endpoint
+	labels   []obs.Attr
 	quar     *overload.Quarantine
 	weight   int
 	curLevel atomic.Int64
@@ -120,13 +117,10 @@ type Pipeline struct {
 	results map[string]map[int]any // analysis -> step -> output
 	runErrs []error
 	warns   []error
-	eps     map[int]*dart.Endpoint // endpoint id -> endpoint (for release)
-	ran     bool
-	tl      *trace.Timeline
+	rankEps []*dart.Endpoint // this tenant's rank endpoints, by rank
 
-	// Observability plane (nil until EnableObs/EnableTrace). admitCtr
-	// holds the pre-resolved admission counters, one per ladder level.
-	plane    *obs.Plane
+	// admitCtr holds the pre-resolved admission counters, one per ladder
+	// level (nil until the plane is attached).
 	admitCtr map[overload.Level]*obs.Counter
 
 	// Drain accounting: the queue closes once the simulation has
@@ -162,43 +156,13 @@ type admitDecision struct {
 
 // NewPipeline validates the configuration and builds all subsystems.
 func NewPipeline(cfg Config) (*Pipeline, error) {
-	if cfg.DSServers < 1 {
-		return nil, fmt.Errorf("core: need at least one DataSpaces server")
-	}
-	if cfg.Buckets < 1 {
-		return nil, fmt.Errorf("core: need at least one staging bucket")
-	}
-	s, err := sim.New(cfg.Sim)
+	f, err := newFabric(cfg.Net, cfg.DSServers, cfg.Buckets, cfg.MaxTaskAttempts)
 	if err != nil {
 		return nil, err
 	}
-	net := netsim.New(cfg.Net)
-	fabric := dart.NewFabric(net)
-	ds, err := dataspaces.New(fabric, cfg.DSServers)
+	p, err := newTenant(f, "", cfg)
 	if err != nil {
 		return nil, err
-	}
-	p := &Pipeline{
-		cfg:       cfg,
-		sim:       s,
-		net:       net,
-		fabric:    fabric,
-		ds:        ds,
-		col:       metrics.NewCollector(),
-		codecs:    codec.NewRegistry(),
-		results:   make(map[string]map[int]any),
-		eps:       make(map[int]*dart.Endpoint),
-		frameVars: make(map[string]string),
-	}
-	// The registry is attached unconditionally: with no Codecs config
-	// every registration resolves to the identity spec, which pins raw
-	// bytes exactly as RegisterMem did.
-	ds.SetCodecs(p.codecs)
-	if cfg.Overload != nil {
-		ov := cfg.Overload.WithDefaults()
-		p.ov = &ov
-		p.est = overload.NewEstimator(ov.LatencyAlpha, ov.QueueAlpha)
-		p.routes = make(map[string]*routeState)
 	}
 	if cfg.Recovery != nil {
 		if cfg.Recovery.Dir == "" {
@@ -214,24 +178,42 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		}
 		p.rec = &recState{j: j, every: every, kill: cfg.Recovery.Kill, nextCommit: 1}
 	}
-	// Pooled buffers are safe here because every in-transit handler in
-	// core decodes its payloads into private structures (Unmarshal*)
-	// and retains no input slice past its return.
-	opts := []staging.Option{staging.WithRelease(p.releaseHandle), staging.WithPooledBuffers()}
-	if cfg.MaxTaskAttempts > 0 {
-		opts = append(opts, staging.WithMaxAttempts(cfg.MaxTaskAttempts))
-	}
-	area, err := staging.New(fabric, ds, cfg.Buckets, opts...)
+	f.tenants = []*Pipeline{p}
+	return p, nil
+}
+
+// newTenant builds the per-tenant state of a pipeline over fabric f:
+// its simulation, collector, result maps and, when cfg.Overload is set,
+// its admission plane.
+func newTenant(f *fabric, name string, cfg Config) (*Pipeline, error) {
+	s, err := sim.New(cfg.Sim)
 	if err != nil {
 		return nil, err
 	}
-	p.area = area
+	p := &Pipeline{
+		cfg:       cfg,
+		fab:       f,
+		sim:       s,
+		col:       metrics.NewCollector(),
+		tenant:    name,
+		results:   make(map[string]map[int]any),
+		frameVars: make(map[string]string),
+	}
+	if name != "" {
+		p.labels = []obs.Attr{obs.Str("tenant", name)}
+	}
+	if cfg.Overload != nil {
+		ov := cfg.Overload.WithDefaults()
+		p.ov = &ov
+		p.est = overload.NewEstimator(ov.LatencyAlpha, ov.QueueAlpha)
+		p.routes = make(map[string]*routeState)
+	}
 	return p, nil
 }
 
 // Staging returns the staging area, exposing bucket crash injection
 // and resilience counters to chaos tests.
-func (p *Pipeline) Staging() *staging.Area { return p.area }
+func (p *Pipeline) Staging() *staging.Area { return p.fab.area }
 
 // Register adds an analysis; all registrations must happen before Run.
 func (p *Pipeline) Register(a Analysis) {
@@ -248,7 +230,7 @@ func (p *Pipeline) Sim() *sim.Sim { return p.sim }
 func (p *Pipeline) Metrics() *metrics.Collector { return p.col }
 
 // Network returns the simulated interconnect, for byte accounting.
-func (p *Pipeline) Network() *netsim.Network { return p.net }
+func (p *Pipeline) Network() *netsim.Network { return p.fab.net }
 
 // EnableTrace attaches an execution timeline: simulation steps and
 // per-bucket in-transit tasks are recorded as spans, so the temporal
@@ -257,37 +239,22 @@ func (p *Pipeline) Network() *netsim.Network { return p.net }
 // EnableObs and returns the plane's timeline. Call before Run.
 func (p *Pipeline) EnableTrace() *trace.Timeline {
 	p.EnableObs()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tl
+	return p.fab.tl
 }
 
 // EnableObs attaches the observability plane: one span recorder shared
 // by the legacy timeline, the DART transport, the task lifecycle, and
 // the admission plane, plus a metrics registry every subsystem
-// publishes into. Idempotent; call before Run. The returned plane's
-// exporters (Chrome trace, JSONL, Prometheus text) and the obs.Handler
-// HTTP endpoint render it live or after the run.
-func (p *Pipeline) EnableObs() *obs.Plane {
-	p.mu.Lock()
-	if p.plane != nil {
-		pl := p.plane
-		p.mu.Unlock()
-		return pl
-	}
-	pl := obs.NewPlane()
-	p.plane = pl
-	p.tl = trace.Over(pl.Recorder())
-	p.mu.Unlock()
+// publishes into. The plane belongs to the fabric: a scheduler tenant
+// gets the scheduler's plane. Idempotent; call before Run. The returned
+// plane's exporters (Chrome trace, JSONL, Prometheus text) and the
+// obs.Handler HTTP endpoint render it live or after the run.
+func (p *Pipeline) EnableObs() *obs.Plane { return p.fab.enableObs() }
 
-	// Registration happens outside p.mu: several of the functions below
-	// take p.mu when sampled, so holding it here would invert the lock
-	// order against a concurrent scrape.
-	p.fabric.SetPlane(pl)
-	p.ds.SetPlane(pl)
-	p.area.SetPlane(pl)
-	reg := pl.Registry()
-	p.col.PublishTo(reg)
+// publish registers this tenant's metric families: unlabelled for a
+// standalone pipeline, under tenant=<name> in a scheduler.
+func (p *Pipeline) publish(reg *obs.Registry) {
+	p.col.PublishToLabeled(reg, p.labels...)
 	// Admission counters are registered for every ladder level up front
 	// — even runs without overload control expose the same families.
 	admitCtr := make(map[overload.Level]*obs.Counter, 6)
@@ -295,80 +262,44 @@ func (p *Pipeline) EnableObs() *obs.Plane {
 		overload.LevelFull, overload.LevelDelta, overload.LevelQuantized,
 		overload.LevelShaped, overload.LevelInSitu, overload.LevelShed,
 	} {
-		admitCtr[lv] = reg.Counter("admission_decisions_total",
-			"admission ladder verdicts by level", obs.Str("level", lv.String()))
+		admitCtr[lv] = reg.Counter("admission_decisions_total", "admission ladder verdicts by level",
+			append([]obs.Attr{obs.Str("level", lv.String())}, p.labels...)...)
 	}
 	p.mu.Lock()
 	p.admitCtr = admitCtr
 	p.mu.Unlock()
-	reg.CounterFunc("net_transfers_total", "transfers accounted on the simulated interconnect",
-		func() float64 { return float64(p.net.Stats().Transfers) })
-	reg.CounterFunc("net_bytes_moved_total", "bytes moved over the simulated interconnect",
-		func() float64 { return float64(p.net.Stats().BytesMoved) })
-	reg.CounterFunc("net_faults_total", "transfer attempts perturbed by the fault injector",
-		func() float64 { return float64(p.net.Stats().Faulted) })
-	reg.CounterFunc("breaker_opens_total", "circuit-breaker trips across hybrid routes",
-		func() float64 {
+	// locked samples a p.mu-guarded quantity at scrape time.
+	locked := func(name, help string, sample func() int64) {
+		reg.CounterFunc(name, help, func() float64 {
 			p.mu.Lock()
 			defer p.mu.Unlock()
-			var n int64
-			for _, rs := range p.routes {
-				n += rs.breaker.Opens()
-			}
-			return float64(n)
-		})
-	reg.CounterFunc("breaker_transitions_total", "circuit-breaker state transitions across hybrid routes",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			var n int64
-			for _, rs := range p.routes {
-				n += rs.breaker.Transitions()
-			}
-			return float64(n)
-		})
-	reg.CounterFunc("pipeline_tasks_submitted_total", "in-transit tasks successfully submitted",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(p.submitted)
-		})
-	reg.CounterFunc("pipeline_tasks_completed_total", "in-transit tasks drained to a final result",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(p.completed)
-		})
+			return float64(sample())
+		}, p.labels...)
+	}
+	locked("breaker_opens_total", "circuit-breaker trips across hybrid routes",
+		func() int64 { opens, _ := p.breakerTotals(); return opens })
+	locked("breaker_transitions_total", "circuit-breaker state transitions across hybrid routes",
+		func() int64 { _, transitions := p.breakerTotals(); return transitions })
+	locked("pipeline_tasks_submitted_total", "in-transit tasks successfully submitted", func() int64 { return p.submitted })
+	locked("pipeline_tasks_completed_total", "in-transit tasks drained to a final result", func() int64 { return p.completed })
 	// Recovery families are registered unconditionally (zero without a
 	// journal) so scrapes see a stable schema across configurations.
-	reg.CounterFunc("recovery_replayed_tasks_total", "resubmissions of journaled-but-uncommitted tasks after resume",
-		func() float64 {
+	recCounter := func(name, help string, sample func(*recState) int64) {
+		reg.CounterFunc(name, help, func() float64 {
 			if p.rec == nil {
 				return 0
 			}
-			return float64(p.rec.replayed.Load())
-		})
-	reg.CounterFunc("recovery_commits_total", "step commit records appended to the journal",
-		func() float64 {
-			if p.rec == nil {
-				return 0
-			}
-			return float64(p.rec.commits.Load())
-		})
-	reg.CounterFunc("recovery_checkpoints_total", "checkpoint records appended to the journal",
-		func() float64 {
-			if p.rec == nil {
-				return 0
-			}
-			return float64(p.rec.ckpts.Load())
-		})
-	reg.CounterFunc("recovery_journal_fsyncs_total", "fsync calls issued by the step journal",
-		func() float64 {
-			if p.rec == nil {
-				return 0
-			}
-			return float64(p.rec.j.Fsyncs())
-		})
+			return float64(sample(p.rec))
+		}, p.labels...)
+	}
+	recCounter("recovery_replayed_tasks_total", "resubmissions of journaled-but-uncommitted tasks after resume",
+		func(rec *recState) int64 { return rec.replayed.Load() })
+	recCounter("recovery_commits_total", "step commit records appended to the journal",
+		func(rec *recState) int64 { return rec.commits.Load() })
+	recCounter("recovery_checkpoints_total", "checkpoint records appended to the journal",
+		func(rec *recState) int64 { return rec.ckpts.Load() })
+	recCounter("recovery_journal_fsyncs_total", "fsync calls issued by the step journal",
+		func(rec *recState) int64 { return rec.j.Fsyncs() })
 	reg.GaugeFunc("recovery_resume_seconds", "wall time from Resume to the first live step",
 		func() float64 {
 			if p.rec == nil {
@@ -377,17 +308,12 @@ func (p *Pipeline) EnableObs() *obs.Plane {
 			p.rec.mu.Lock()
 			defer p.rec.mu.Unlock()
 			return p.rec.resumeSeconds
-		})
-	return pl
+		}, p.labels...)
 }
 
 // Obs returns the observability plane, or nil if EnableObs was not
 // called.
-func (p *Pipeline) Obs() *obs.Plane {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.plane
-}
+func (p *Pipeline) Obs() *obs.Plane { return p.fab.obs() }
 
 // Status snapshots the pipeline's live state for the /status endpoint:
 // drain accounting, queue and bucket occupancy, breaker positions,
@@ -402,11 +328,11 @@ func (p *Pipeline) Status() map[string]any {
 		"completed":    completed,
 		"sim_done":     simDone,
 		"done":         simDone && submitted == completed,
-		"queue_depth":  p.ds.QueueDepth(),
-		"free_buckets": p.ds.FreeBuckets(),
+		"queue_depth":  p.fab.ds.QueueDepth(),
+		"free_buckets": p.fab.ds.FreeBuckets(),
 		"resilience":   p.resilience(),
 	}
-	if cs := p.fabric.CodecStats(); cs.RawBytes > 0 {
+	if cs := p.fab.dart.CodecStats(); cs.RawBytes > 0 {
 		st["codec"] = map[string]any{
 			"raw_bytes":     cs.RawBytes,
 			"encoded_bytes": cs.EncodedBytes,
@@ -421,7 +347,7 @@ func (p *Pipeline) Status() map[string]any {
 		}
 		st["breakers"] = m
 	}
-	if c := p.ds.Credits(); c != nil {
+	if c := p.fab.ds.Credits(); c != nil {
 		st["credits"] = map[string]any{
 			"total":       c.Total(),
 			"available":   c.Available(),
@@ -440,26 +366,10 @@ func (p *Pipeline) PinnedRegions() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := 0
-	for _, ep := range p.eps {
+	for _, ep := range p.rankEps {
 		total += ep.Regions()
 	}
 	return total
-}
-
-// releaseHandle frees a pinned intermediate region once the staging
-// bucket has pulled it and recycles the producer's marshal buffer, so
-// steady-state timesteps reuse the same intermediate-data buffers
-// instead of allocating fresh ones. Safe because in-situ stages build
-// each payload from scratch and never touch it after RegisterMem.
-func (p *Pipeline) releaseHandle(d dataspaces.Descriptor) {
-	p.mu.Lock()
-	ep := p.eps[d.Handle.Endpoint]
-	p.mu.Unlock()
-	if ep != nil {
-		if buf, err := ep.Reclaim(d.Handle); err == nil {
-			bufpool.Put(buf)
-		}
-	}
 }
 
 func (p *Pipeline) recordErr(err error) {
@@ -536,16 +446,13 @@ func (p *Pipeline) run(steps int, resume bool) (*Report, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("core: steps must be >= 1")
 	}
-	if p.sched != nil {
+	if p.tenant != "" {
 		return nil, fmt.Errorf("core: tenant %q belongs to a scheduler; call Scheduler.Run", p.tenant)
 	}
-	p.mu.Lock()
-	if p.ran {
-		p.mu.Unlock()
+	tenants, ok := p.fab.begin()
+	if !ok {
 		return nil, fmt.Errorf("core: a pipeline runs once; build a new one to run again")
 	}
-	p.ran = true
-	p.mu.Unlock()
 
 	if p.rec != nil {
 		p.rec.resume = resume
@@ -562,7 +469,7 @@ func (p *Pipeline) run(steps int, resume bool) (*Report, error) {
 	// a full queue), reserve a floor per hybrid analysis, and give each
 	// route its breaker and ladder.
 	if p.ov != nil {
-		p.ds.SetQueueBound(p.ov.QueueBound)
+		p.fab.ds.SetQueueBound(p.ov.QueueBound)
 		reservations := make(map[string]int)
 		for _, name := range p.buildRoutes() {
 			reservations[name] = p.ov.Reserve
@@ -577,38 +484,12 @@ func (p *Pipeline) run(steps int, resume bool) (*Report, error) {
 		if p.ov.Reserve*len(reservations) >= total {
 			reservations = nil
 		}
-		if err := p.ds.EnableCredits(total, reservations); err != nil {
+		if err := p.fab.ds.EnableCredits(total, reservations); err != nil {
 			return nil, err
 		}
 	}
 
-	// Install staging handlers and start the buckets.
-	p.installHandlers()
-	p.area.Start()
-
-	// Drain results concurrently with the simulation.
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for res := range p.area.Results() {
-			p.handleResult(res)
-		}
-	}()
-
-	// The SPMD simulation + in-situ loop.
-	comm.Run(p.sim.Ranks(), func(r *comm.Rank) {
-		if err := p.rankLoop(r, steps); err != nil {
-			p.recordErr(err)
-		}
-	})
-
-	p.mu.Lock()
-	p.simDone = true
-	p.mu.Unlock()
-	p.maybeCloseDS()
-	p.area.Wait()
-	<-drained
-
+	p.fab.run(tenants, steps, nil)
 	return p.finishReport(steps)
 }
 
@@ -619,13 +500,10 @@ func (p *Pipeline) finishReport(steps int) (*Report, error) {
 	p.col.RecordResilience(p.resilience())
 	if p.ov != nil {
 		var o metrics.Overload
-		if c := p.ds.Credits(); c != nil {
+		if c := p.fab.ds.Credits(); c != nil {
 			o.CreditsDenied = c.Denied()
 		}
-		for _, rs := range p.routes {
-			o.BreakerOpens += rs.breaker.Opens()
-			o.BreakerTransitions += rs.breaker.Transitions()
-		}
+		o.BreakerOpens, o.BreakerTransitions = p.breakerTotals()
 		p.col.RecordOverload(o)
 	}
 
@@ -645,10 +523,10 @@ func (p *Pipeline) finishReport(steps int) (*Report, error) {
 		Steps:      steps,
 		Results:    p.results,
 		Metrics:    p.col,
-		Net:        p.net.Stats(),
+		Net:        p.fab.net.Stats(),
 		Resilience: p.col.Resilience(),
 		Overload:   p.col.Overload(),
-		Codec:      p.fabric.CodecStats(),
+		Codec:      p.fab.dart.CodecStats(),
 		Recovery:   recRep,
 		Warnings:   append([]error{}, p.warns...),
 		Errs:       append([]error{}, p.runErrs...),
@@ -666,16 +544,14 @@ func (p *Pipeline) finishReport(steps int) (*Report, error) {
 func (p *Pipeline) installHandlers() {
 	for _, a := range p.analyses {
 		if sh, ok := a.(StreamingHybridAnalysis); ok {
-			shh := sh
-			p.area.HandleStreamT(p.tenant, sh.Name(), func(task dataspaces.Task, in <-chan staging.StreamInput) (any, error) {
-				return shh.InTransitStream(task.Step, in)
+			p.fab.area.HandleStreamT(p.tenant, sh.Name(), func(task dataspaces.Task, in <-chan staging.StreamInput) (any, error) {
+				return sh.InTransitStream(task.Step, in)
 			})
 			continue
 		}
 		if h, ok := a.(HybridAnalysis); ok {
-			hh := h
-			p.area.HandleT(p.tenant, h.Name(), func(task dataspaces.Task, data [][]byte) (any, error) {
-				return hh.InTransit(task.Step, data)
+			p.fab.area.HandleT(p.tenant, h.Name(), func(task dataspaces.Task, data [][]byte) (any, error) {
+				return h.InTransit(task.Step, data)
 			})
 		}
 	}
@@ -683,12 +559,12 @@ func (p *Pipeline) installHandlers() {
 
 // handleResult folds one final in-transit result into the pipeline:
 // trace spans, breaker/quarantine bookkeeping, result storage, transit
-// metrics, and drain accounting. Exactly one goroutine per pipeline
-// calls it — the pipeline's own drain loop, or the scheduler's shared
-// one dispatching by tenant.
+// metrics, and drain accounting. Only the fabric's drain goroutine
+// calls it.
 func (p *Pipeline) handleResult(res staging.Result) {
-	if p.tl != nil {
-		p.tl.Add(fmt.Sprintf("bucket-%d", res.Bucket),
+	tl := p.fab.tl
+	if tl != nil {
+		tl.Add(fmt.Sprintf("bucket-%d", res.Bucket),
 			fmt.Sprintf("%s@%d", res.Task.Analysis, res.Task.Step),
 			res.Start, res.End)
 	}
@@ -708,8 +584,8 @@ func (p *Pipeline) handleResult(res staging.Result) {
 		p.storeResult(res.Task.Analysis, res.Task.Step,
 			Degraded{Reason: res.Err.Error()})
 		p.col.AddDegradedStep()
-		if p.tl != nil {
-			p.tl.Mark(fmt.Sprintf("bucket-%d", res.Bucket),
+		if tl != nil {
+			tl.Mark(fmt.Sprintf("bucket-%d", res.Bucket),
 				fmt.Sprintf("dead-letter %s@%d", res.Task.Analysis, res.Task.Step), res.End)
 		}
 	case res.Err != nil:
@@ -735,24 +611,15 @@ func (p *Pipeline) handleResult(res staging.Result) {
 	p.completed++
 	p.mu.Unlock()
 	p.maybeCommitSteps()
-	p.maybeCloseDS()
 }
 
-// maybeCloseDS closes the task queue once the simulation has finished
-// and every submitted task has drained to its final Result. Close is
-// idempotent, so racing calls are harmless. Under a scheduler, the
-// queue is shared: the close decision aggregates every tenant.
-func (p *Pipeline) maybeCloseDS() {
-	if p.sched != nil {
-		p.sched.maybeClose()
-		return
-	}
+// drained reports whether the tenant is finished with the task queue:
+// its simulation has stepped to the end and every task it submitted has
+// come back as a final Result.
+func (p *Pipeline) drained() bool {
 	p.mu.Lock()
-	done := p.simDone && p.completed == p.submitted
-	p.mu.Unlock()
-	if done {
-		p.ds.Close()
-	}
+	defer p.mu.Unlock()
+	return p.simDone && p.completed == p.submitted
 }
 
 // buildRoutes gives every hybrid analysis its breaker and ladder and
@@ -775,17 +642,27 @@ func (p *Pipeline) buildRoutes() []string {
 	return names
 }
 
+// breakerTotals sums breaker trips and state transitions over the
+// tenant's routes. The caller holds p.mu or runs after the run.
+func (p *Pipeline) breakerTotals() (opens, transitions int64) {
+	for _, rs := range p.routes {
+		opens += rs.breaker.Opens()
+		transitions += rs.breaker.Transitions()
+	}
+	return opens, transitions
+}
+
 // resilience snapshots the failure counters across all layers. Under a
 // scheduler the transport counters come from the tenant's own rank
 // endpoints (owner-attributed), while queue/bucket counters stay
 // fabric-wide: buckets are shared, so requeues and crashes are not a
 // per-tenant quantity.
 func (p *Pipeline) resilience() metrics.Resilience {
-	fs := p.fabric.Stats()
+	fs := p.fab.dart.Stats()
 	if p.tenant != "" {
 		var retries, crc int64
 		p.mu.Lock()
-		for _, ep := range p.eps {
+		for _, ep := range p.rankEps {
 			s := ep.Stats()
 			retries += s.Retries
 			crc += s.ChecksumFailures
@@ -793,9 +670,9 @@ func (p *Pipeline) resilience() metrics.Resilience {
 		p.mu.Unlock()
 		fs.Retries, fs.ChecksumFailures = retries, crc
 	}
-	as := p.area.Resilience()
+	as := p.fab.area.Resilience()
 	return metrics.Resilience{
-		Faults:           p.net.Stats().Faulted,
+		Faults:           p.fab.net.Stats().Faulted,
 		Retries:          fs.Retries,
 		ChecksumFailures: fs.ChecksumFailures,
 		Requeues:         as.Requeues,
@@ -834,43 +711,36 @@ func (p *Pipeline) markBreaker(name string, prev, cur overload.BreakerState, ste
 	if prev == cur {
 		return
 	}
-	if p.tl != nil {
-		p.tl.Mark("overload", fmt.Sprintf("%s breaker %s→%s@%d", name, prev, cur, step), time.Now())
-	}
-	if p.plane != nil {
-		attrs := []obs.Attr{
+	if pl := p.fab.plane; pl != nil {
+		p.fab.tl.Mark("overload", fmt.Sprintf("%s breaker %s→%s@%d", name, prev, cur, step), time.Now())
+		attrs := append([]obs.Attr{
 			obs.Str("analysis", name),
 			obs.Str("from", prev.String()),
 			obs.Str("to", cur.String()),
 			obs.Int("step", step),
-		}
-		if p.tenant != "" {
-			attrs = append(attrs, obs.Str("tenant", p.tenant))
-		}
-		p.plane.Recorder().Event(0, obs.CatAdmit, "overload", "breaker.transition", time.Now(), attrs...)
+		}, p.labels...)
+		pl.Recorder().Event(0, obs.CatAdmit, "overload", "breaker.transition", time.Now(), attrs...)
 	}
 }
 
 // observeAdmit records one admission verdict: the per-level counter
 // plus an admission event carrying the ladder's reasoning.
 func (p *Pipeline) observeAdmit(step int, d admitDecision) {
-	if p.plane == nil {
+	pl := p.fab.plane
+	if pl == nil {
 		return
 	}
 	if c := p.admitCtr[d.Level]; c != nil {
 		c.Inc()
 	}
-	attrs := []obs.Attr{
+	attrs := append([]obs.Attr{
 		obs.Str("analysis", d.Name),
 		obs.Str("level", d.Level.String()),
 		obs.Int("step", step),
 		obs.Bool("credited", d.Credited),
 		obs.Str("reason", d.Reason),
-	}
-	if p.tenant != "" {
-		attrs = append(attrs, obs.Str("tenant", p.tenant))
-	}
-	p.plane.Recorder().Event(0, obs.CatAdmit, "overload", "admit", time.Now(), attrs...)
+	}, p.labels...)
+	pl.Recorder().Event(0, obs.CatAdmit, "overload", "admit", time.Now(), attrs...)
 }
 
 // probeRoute runs the half-open health probe: a tiny Get against the
@@ -881,7 +751,7 @@ func (p *Pipeline) observeAdmit(step int, d admitDecision) {
 // by a real deadline so a stalled fabric cannot block admission.
 func (p *Pipeline) probeRoute(ep *dart.Endpoint) bool {
 	deadline := time.Now().Add(p.ov.ProbeLatencyMax + 50*time.Millisecond)
-	data, modeled, err := ep.GetDeadline(p.area.ProbeHandle(), deadline)
+	data, modeled, err := ep.GetDeadline(p.fab.area.ProbeHandle(), deadline)
 	if err != nil {
 		return false
 	}
@@ -898,7 +768,7 @@ func (p *Pipeline) probeRoute(ep *dart.Endpoint) bool {
 func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
 	var out []admitDecision
 	stepMax := overload.LevelFull
-	credits := p.ds.Credits()
+	credits := p.fab.ds.Credits()
 	p.est.ObserveQueue(float64(p.queueDepth()))
 	for _, a := range p.analyses {
 		an, ok := a.(hybridStage)
@@ -918,7 +788,7 @@ func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
 					Reason: "in-situ: route quarantined"}
 				p.observeAdmit(step, d)
 				out = append(out, d)
-				stepMax = maxLevel(stepMax, d.Level)
+				stepMax = max(stepMax, d.Level)
 				continue
 			case overload.QProbe:
 				d := admitDecision{Name: name, Level: overload.LevelFull,
@@ -934,7 +804,7 @@ func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
 				}
 				p.observeAdmit(step, d)
 				out = append(out, d)
-				stepMax = maxLevel(stepMax, d.Level)
+				stepMax = max(stepMax, d.Level)
 				continue
 			}
 		}
@@ -982,27 +852,19 @@ func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
 				reason = "in-situ: no transit credit; " + reason
 			}
 		}
-		if p.tl != nil && level != rs.lastLevel {
-			p.tl.Mark("overload", fmt.Sprintf("%s ladder %s→%s@%d", name, rs.lastLevel, level, step), time.Now())
+		if tl := p.fab.tl; tl != nil && level != rs.lastLevel {
+			tl.Mark("overload", fmt.Sprintf("%s ladder %s→%s@%d", name, rs.lastLevel, level, step), time.Now())
 		}
 		rs.lastLevel = level
 		d := admitDecision{Name: name, Level: level, Reason: reason, Credited: credited}
 		p.observeAdmit(step, d)
 		out = append(out, d)
-		stepMax = maxLevel(stepMax, level)
+		stepMax = max(stepMax, level)
 	}
 	// The worst level of this pass is the tenant's pressure signal for
 	// the scheduler's autoscaler (atomic: the drain goroutine reads it).
 	p.curLevel.Store(int64(stepMax))
 	return out
-}
-
-// maxLevel returns the more degraded of two ladder levels.
-func maxLevel(a, b overload.Level) overload.Level {
-	if b > a {
-		return b
-	}
-	return a
 }
 
 // creditAccount maps a route to its flow-control account: under a
@@ -1019,14 +881,14 @@ func (p *Pipeline) creditAccount(name string) string {
 // scheduler, the global queue otherwise.
 func (p *Pipeline) queueDepth() int {
 	if p.tenant != "" {
-		return p.ds.QueueDepthT(p.tenant)
+		return p.fab.ds.QueueDepthT(p.tenant)
 	}
-	return p.ds.QueueDepth()
+	return p.fab.ds.QueueDepth()
 }
 
 // Credits returns the transit tier's credit account (nil unless
 // overload control is enabled).
-func (p *Pipeline) Credits() *dataspaces.Credits { return p.ds.Credits() }
+func (p *Pipeline) Credits() *dataspaces.Credits { return p.fab.ds.Credits() }
 
 // BreakerStates returns each hybrid route's current breaker position
 // (empty unless overload control is enabled).
@@ -1038,309 +900,6 @@ func (p *Pipeline) BreakerStates() map[string]overload.BreakerState {
 		out[name] = rs.breaker.State()
 	}
 	return out
-}
-
-// rankLoop is one rank's simulation + in-situ schedule.
-func (p *Pipeline) rankLoop(r *comm.Rank, steps int) error {
-	rk, err := p.sim.NewRank(r)
-	if err != nil {
-		return err
-	}
-	ep := p.preEps[r.ID()]
-	if ep == nil {
-		ep = p.fabric.Register(fmt.Sprintf("sim-%d", r.ID()))
-	}
-	p.mu.Lock()
-	p.eps[ep.ID()] = ep
-	p.mu.Unlock()
-
-	ctx := &Ctx{
-		Comm:   r,
-		Sim:    rk,
-		Global: p.cfg.Sim.Global,
-		Owned:  rk.OwnedBox(),
-		Decomp: p.sim.Decomp(),
-		State:  make(map[string]any),
-	}
-
-	// Per-route codec keys (analysis × rank — one producer stream
-	// each), precomputed so the hot loop does not build strings. Under
-	// a scheduler the key is tenant-qualified: the codec registry is
-	// shared, and two tenants running the same analysis must not chain
-	// their delta streams.
-	codecKeys := make(map[string]string, len(p.analyses))
-	for _, a := range p.analyses {
-		if _, ok := a.(hybridStage); ok {
-			route := a.Name()
-			if p.tenant != "" {
-				route = p.tenant + "/" + a.Name()
-			}
-			codecKeys[a.Name()] = codec.Key(route, r.ID())
-		}
-	}
-
-	// Resume: rehydrate simulation state from the restored checkpoint,
-	// replay the gap up to the last committed step silently (committed
-	// steps' tasks are deduped, so nothing is re-submitted), re-seed the
-	// delta codec's base state with the payloads the committed boundary
-	// step produced, and start live stepping just past the commit line.
-	start := 1
-	if p.rec != nil && p.rec.resume {
-		if p.rec.ckptStep > 0 {
-			if err := rk.Restore(p.rec.ckptStep, p.rec.ckptFields[r.ID()]); err != nil {
-				return fmt.Errorf("core: resume restore rank %d: %w", r.ID(), err)
-			}
-		}
-		for s := p.rec.ckptStep + 1; s <= p.rec.resumeFrom; s++ {
-			rk.Step()
-		}
-		if p.rec.resumeFrom >= 1 {
-			ctx.Step = p.rec.resumeFrom
-			for _, a := range p.analyses {
-				an, ok := a.(hybridStage)
-				if !ok || !due(a, p.rec.resumeFrom) {
-					continue
-				}
-				payload, err := an.InSituStage(ctx)
-				if err != nil {
-					p.recordErr(fmt.Errorf("core: resume reseed %s rank %d: %w", a.Name(), r.ID(), err))
-					continue
-				}
-				p.codecs.SeedBase(codecKeys[a.Name()], p.rec.resumeFrom, payload)
-				bufpool.Put(payload)
-			}
-		}
-		start = p.rec.resumeFrom + 1
-		if r.ID() == 0 {
-			p.rec.markResumed()
-		}
-	}
-
-	for step := start; step <= steps; step++ {
-		// Journal phase boundary: a kill injected here (or left behind
-		// by the drain goroutine's post-commit boundary) stops every
-		// rank together before the step runs — ranks never diverge on
-		// collectives.
-		if p.rec != nil {
-			if r.ID() == 0 {
-				p.recKill(recovery.PhasePreAdmit, step)
-			}
-			if r.Broadcast(0, p.rec.isKilled()).(bool) {
-				return nil
-			}
-			if r.ID() == 0 {
-				if err := p.rec.j.Append(recovery.Record{Kind: recovery.KindAdmit, Step: step}); err != nil && !errors.Is(err, recovery.ErrKilled) {
-					p.recordErr(fmt.Errorf("core: journal admit step %d: %w", step, err))
-				}
-			}
-		}
-		stepStart := time.Now()
-		rk.Step()
-		p.col.RecordSimStep(step, time.Since(stepStart))
-		if p.tl != nil && r.ID() == 0 {
-			p.tl.Add("sim", fmt.Sprintf("step %d", step), stepStart, time.Now())
-		}
-		ctx.Step = step
-
-		// Admission. With overload control enabled, rank 0 runs the
-		// breaker + ladder admission pass and broadcasts the verdicts so
-		// every rank takes the same branch (the in-situ fallbacks use
-		// collectives). Without it, the legacy transit-health check
-		// applies: when a step budget is configured and hybrid work is
-		// due, rank 0 probes the staging area within the budget and a
-		// failed probe degrades the whole step to in-situ fallbacks.
-		var decisions map[string]admitDecision
-		degradeReason := ""
-		if p.ov != nil {
-			if p.hybridDue(step) {
-				var decs []admitDecision
-				if r.ID() == 0 {
-					decs = p.admitStep(ep, step)
-				}
-				decs = r.Broadcast(0, decs).([]admitDecision)
-				decisions = make(map[string]admitDecision, len(decs))
-				for _, d := range decs {
-					decisions[d.Name] = d
-				}
-			}
-		} else if p.cfg.StepBudget > 0 && p.hybridDue(step) {
-			if r.ID() == 0 {
-				if err := p.probeTransit(ep); err != nil {
-					degradeReason = fmt.Sprintf("transit probe: %v", err)
-					p.col.AddDegradedStep()
-					if p.tl != nil {
-						p.tl.Mark("sim", fmt.Sprintf("degraded@%d", step), time.Now())
-					}
-				}
-			}
-			degradeReason = r.Broadcast(0, degradeReason).(string)
-		}
-
-		// Analysis errors are recorded but never abort the rank: a rank
-		// that stops stepping would deadlock the others' collectives,
-		// so the loop always keeps participating.
-		anyHybrid := false
-		for _, a := range p.analyses {
-			if !due(a, step) {
-				continue
-			}
-			switch an := a.(type) {
-			case InSituAnalysis:
-				t := time.Now()
-				out, err := an.RunInSitu(ctx)
-				p.col.RecordInSitu(an.Name(), step, time.Since(t))
-				if err != nil {
-					p.recordErr(fmt.Errorf("core: in-situ %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
-					continue
-				}
-				if r.ID() == 0 && out != nil {
-					p.storeResult(an.Name(), step, out)
-				}
-			case hybridStage:
-				if degradeReason != "" {
-					p.runFallback(ctx, r, an, step, degradeReason)
-					continue
-				}
-				shaped := 0
-				if dec, ok := decisions[an.Name()]; ok {
-					switch dec.Level {
-					case overload.LevelShed:
-						// Shed: no work at all this step, only an explicit
-						// marker so the step is never silently missing.
-						if r.ID() == 0 {
-							p.storeResult(an.Name(), step, Degraded{Reason: dec.Reason})
-							p.col.AddShedStep()
-						}
-						continue
-					case overload.LevelInSitu:
-						if r.ID() == 0 {
-							p.col.AddOverloadFallback()
-							p.col.AddDegradedStep()
-						}
-						p.runFallback(ctx, r, an, step, dec.Reason)
-						continue
-					case overload.LevelShaped:
-						shaped = 1
-						if r.ID() == 0 {
-							p.col.AddShapedStep()
-						}
-					case overload.LevelDelta:
-						if r.ID() == 0 {
-							p.col.AddDeltaStep()
-						}
-					case overload.LevelQuantized:
-						if r.ID() == 0 {
-							p.col.AddQuantizedStep()
-						}
-					}
-				}
-				anyHybrid = true
-				t := time.Now()
-				var payload []byte
-				var err error
-				if shaped > 0 {
-					payload, err = an.(ShapedStage).InSituStageShaped(ctx, shaped)
-				} else {
-					payload, err = an.InSituStage(ctx)
-				}
-				p.col.RecordInSitu(an.Name(), step, time.Since(t))
-				if err != nil {
-					p.recordErr(fmt.Errorf("core: in-situ stage %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
-					continue
-				}
-				spec := p.codecSpec(an.Name())
-				if dec, ok := decisions[an.Name()]; ok {
-					spec = ladderSpec(dec.Level, spec)
-				}
-				h, err := p.registerPayload(ep, an, spec, codecKeys[an.Name()], step, payload)
-				if err != nil {
-					p.recordErr(fmt.Errorf("core: register %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
-					continue
-				}
-				p.ds.Put(dataspaces.Descriptor{
-					Tenant:  p.tenant,
-					Name:    an.Name(),
-					Version: step,
-					Box:     rk.OwnedBox(),
-					Rank:    r.ID(),
-					Handle:  h,
-				})
-			default:
-				p.recordErr(fmt.Errorf("core: analysis %s implements neither InSituAnalysis nor HybridAnalysis", a.Name()))
-			}
-		}
-
-		// Data-ready: once every rank has registered its block, rank 0
-		// creates the in-transit task(s) for this step.
-		if anyHybrid {
-			r.Barrier()
-			if r.ID() == 0 {
-				var deadline time.Time
-				if p.cfg.StepBudget > 0 {
-					deadline = time.Now().Add(p.cfg.StepBudget)
-				}
-				for _, a := range p.analyses {
-					if _, ok := a.(hybridStage); !ok || !due(a, step) {
-						continue
-					}
-					dec, admitted := decisions[a.Name()]
-					if admitted && dec.Level > overload.LevelShaped {
-						continue // shed or fell back in-situ: nothing staged
-					}
-					inputs := p.ds.QueryT(p.tenant, a.Name(), step)
-					sortByRank(inputs)
-					spec := dataspaces.TaskSpec{
-						Tenant: p.tenant, Analysis: a.Name(), Step: step, Inputs: inputs, Deadline: deadline,
-					}
-					if admitted {
-						if dec.Level == overload.LevelShaped {
-							spec.Shaped = 1
-						}
-						spec.Credited = dec.Credited
-						spec.Probe = dec.Probe
-					}
-					if _, err := p.ds.SubmitSpec(spec); err != nil {
-						if errors.Is(err, dataspaces.ErrDuplicateTask) {
-							// Already durably submitted and committed in a
-							// previous life: release the pinned inputs and
-							// the credit exactly once, store nothing.
-							p.skipDuplicate(a.Name(), inputs, dec)
-						} else {
-							p.shedSubmitted(a.Name(), step, inputs, dec, err)
-						}
-					} else {
-						p.mu.Lock()
-						p.submitted++
-						p.mu.Unlock()
-						if p.rec != nil {
-							if p.rec.countReplay(a.Name(), step) {
-								p.rec.replayed.Add(1)
-							}
-							if err := p.rec.j.Append(recovery.Record{Kind: recovery.KindSubmit, Step: step, Analysis: a.Name()}); err != nil && !errors.Is(err, recovery.ErrKilled) {
-								p.recordErr(fmt.Errorf("core: journal submit %s step %d: %w", a.Name(), step, err))
-							}
-							p.recKill(recovery.PhaseMidSubmit, step)
-						}
-					}
-					p.ds.RemoveT(p.tenant, a.Name(), step)
-				}
-			}
-		}
-		// Checkpoint cadence and the commit cursor: the checkpoint is a
-		// collective write (every rank's bp file, then one journal
-		// record); the commit advance is rank 0's alone and also fires
-		// from the drain goroutine as in-transit results land.
-		if p.rec != nil {
-			if step%p.rec.every == 0 {
-				p.writeCheckpoint(r, rk, step)
-			}
-			if r.ID() == 0 {
-				p.noteStepped(step)
-			}
-		}
-		p.col.RecordStepWall(step, time.Since(stepStart))
-	}
-	return nil
 }
 
 // codecSpec resolves the configured transfer-path codec for a route:
@@ -1406,22 +965,28 @@ func (p *Pipeline) registerPayload(ep *dart.Endpoint, an hybridStage, spec codec
 	return er.Handle, nil
 }
 
-// shedSubmitted disposes of a step whose intermediate payloads were
-// already produced and pinned when submission failed: the transit tier
-// refused the task (bounded queue full) or the service was gone. The
+// discardStaged disposes of a task the transit tier did not take: the
 // pinned regions are reclaimed and their buffers recycled exactly once
-// — the same linear-ownership rule as the dead-letter path — the
-// flow-control credit is returned, and the step is stored as an
-// explicit shed marker instead of leaking regions and vanishing.
-func (p *Pipeline) shedSubmitted(name string, step int, inputs []dataspaces.Descriptor, dec admitDecision, cause error) {
+// — the same linear-ownership rule as the dead-letter path — and the
+// flow-control credit is returned.
+func (p *Pipeline) discardStaged(name string, inputs []dataspaces.Descriptor, dec admitDecision) {
 	for _, in := range inputs {
-		p.releaseHandle(in)
+		p.fab.releaseHandle(in)
 	}
 	if dec.Credited {
-		if c := p.ds.Credits(); c != nil {
+		if c := p.fab.ds.Credits(); c != nil {
 			c.Release(p.creditAccount(name))
 		}
 	}
+}
+
+// shedSubmitted disposes of a step whose intermediate payloads were
+// already produced and pinned when submission failed: the transit tier
+// refused the task (bounded queue full) or the service was gone. The
+// staged inputs are discarded and the step is stored as an explicit
+// shed marker instead of leaking regions and vanishing.
+func (p *Pipeline) shedSubmitted(name string, step int, inputs []dataspaces.Descriptor, dec admitDecision, cause error) {
+	p.discardStaged(name, inputs, dec)
 	// A credited quarantine probe that never reached the queue is a
 	// failed probe: the route stays quarantined until the next window.
 	if dec.Probe && p.quar != nil {
@@ -1429,8 +994,8 @@ func (p *Pipeline) shedSubmitted(name string, step int, inputs []dataspaces.Desc
 	}
 	p.storeResult(name, step, Degraded{Reason: fmt.Sprintf("shed: %v", cause)})
 	p.col.AddShedStep()
-	if p.tl != nil {
-		p.tl.Mark("overload", fmt.Sprintf("%s shed at submit@%d", name, step), time.Now())
+	if tl := p.fab.tl; tl != nil {
+		tl.Mark("overload", fmt.Sprintf("%s shed at submit@%d", name, step), time.Now())
 	}
 	if !errors.Is(cause, dataspaces.ErrQueueFull) && !errors.Is(cause, overload.ErrQuarantined) {
 		// Backpressure and the quarantine guard are expected; anything
@@ -1454,7 +1019,7 @@ func (p *Pipeline) hybridDue(step int) bool {
 // or saturated one fails (after DART's retries), which degrades the
 // step before any intermediate data is produced or pinned.
 func (p *Pipeline) probeTransit(ep *dart.Endpoint) error {
-	data, _, err := ep.GetDeadline(p.area.ProbeHandle(), time.Now().Add(p.cfg.StepBudget))
+	data, _, err := ep.GetDeadline(p.fab.area.ProbeHandle(), time.Now().Add(p.cfg.StepBudget))
 	if err == nil {
 		bufpool.Put(data)
 	}
@@ -1479,15 +1044,5 @@ func (p *Pipeline) runFallback(ctx *Ctx, r *comm.Rank, an hybridStage, step int,
 	}
 	if r.ID() == 0 {
 		p.storeResult(an.Name(), step, Degraded{Reason: reason, Value: out})
-	}
-}
-
-// sortByRank orders descriptors by producing rank so in-transit
-// payload slices are deterministic.
-func sortByRank(ds []dataspaces.Descriptor) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j].Rank < ds[j-1].Rank; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
 	}
 }

@@ -1,0 +1,447 @@
+package core
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"slices"
+	"time"
+
+	"insitu/internal/bp"
+	"insitu/internal/bufpool"
+	"insitu/internal/codec"
+	"insitu/internal/comm"
+	"insitu/internal/dart"
+	"insitu/internal/dataspaces"
+	"insitu/internal/overload"
+	"insitu/internal/recovery"
+	"insitu/internal/sim"
+)
+
+// rankRun is one simulation rank's pass through the Fig. 5 stages: the
+// state that lives across steps — the rank's block of the simulation,
+// its DART endpoint, the analysis context, the per-route codec keys —
+// plus the admission verdicts of the step in flight.
+type rankRun struct {
+	p   *Pipeline
+	r   *comm.Rank
+	rk  *sim.Rank
+	ep  *dart.Endpoint
+	ctx *Ctx
+	// codecKeys holds one key per hybrid route (analysis × rank — one
+	// producer stream each), precomputed so the hot loop does not build
+	// strings. Under a scheduler the key is tenant-qualified: the codec
+	// registry is shared, and two tenants running the same analysis
+	// must not chain their delta streams.
+	codecKeys map[string]string
+
+	// Set by admit, read by the stages after it.
+	decisions     map[string]admitDecision
+	degradeReason string
+}
+
+// rankLoop is one rank's simulation + in-situ schedule: the stages of
+// Fig. 5, once per step.
+func (p *Pipeline) rankLoop(r *comm.Rank, steps int) error {
+	rr, err := p.newRankRun(r)
+	if err != nil {
+		return err
+	}
+	start, err := rr.resumePrologue()
+	if err != nil {
+		return err
+	}
+	for step := start; step <= steps; step++ {
+		if killed := rr.journalAdmit(step); killed {
+			return nil
+		}
+		stepStart := rr.simStep(step)
+		rr.admit(step)
+		if staged := rr.inSitu(step); staged {
+			rr.submit(step)
+		}
+		rr.checkpointCommit(step)
+		p.col.RecordStepWall(step, time.Since(stepStart))
+	}
+	return nil
+}
+
+func (p *Pipeline) newRankRun(r *comm.Rank) (*rankRun, error) {
+	rk, err := p.sim.NewRank(r)
+	if err != nil {
+		return nil, err
+	}
+	rr := &rankRun{
+		p: p, r: r, rk: rk,
+		ep: p.rankEps[r.ID()],
+		ctx: &Ctx{
+			Comm:   r,
+			Sim:    rk,
+			Global: p.cfg.Sim.Global,
+			Owned:  rk.OwnedBox(),
+			Decomp: p.sim.Decomp(),
+			State:  make(map[string]any),
+		},
+		codecKeys: make(map[string]string, len(p.analyses)),
+	}
+	for _, a := range p.analyses {
+		if _, ok := a.(hybridStage); ok {
+			route := a.Name()
+			if p.tenant != "" {
+				route = p.tenant + "/" + a.Name()
+			}
+			rr.codecKeys[a.Name()] = codec.Key(route, r.ID())
+		}
+	}
+	return rr, nil
+}
+
+// resumePrologue returns the first live step. On Resume it first
+// rehydrates simulation state from the restored checkpoint, replays the
+// gap up to the last committed step silently (committed steps' tasks
+// are deduped, so nothing is re-submitted) and re-seeds the delta
+// codec's base state with the payloads the committed boundary step
+// produced, so live stepping starts just past the commit line.
+func (rr *rankRun) resumePrologue() (start int, err error) {
+	p, rec := rr.p, rr.p.rec
+	if rec == nil || !rec.resume {
+		return 1, nil
+	}
+	if rec.ckptStep > 0 {
+		if err := rr.rk.Restore(rec.ckptStep, rec.ckptFields[rr.r.ID()]); err != nil {
+			return 0, fmt.Errorf("core: resume restore rank %d: %w", rr.r.ID(), err)
+		}
+	}
+	for s := rec.ckptStep + 1; s <= rec.resumeFrom; s++ {
+		rr.rk.Step()
+	}
+	if rec.resumeFrom >= 1 {
+		rr.ctx.Step = rec.resumeFrom
+		for _, a := range p.analyses {
+			an, ok := a.(hybridStage)
+			if !ok || !due(a, rec.resumeFrom) {
+				continue
+			}
+			payload, err := an.InSituStage(rr.ctx)
+			if err != nil {
+				p.recordErr(fmt.Errorf("core: resume reseed %s rank %d: %w", a.Name(), rr.r.ID(), err))
+				continue
+			}
+			p.fab.codecs.SeedBase(rr.codecKeys[a.Name()], rec.resumeFrom, payload)
+			bufpool.Put(payload)
+		}
+	}
+	if rr.r.ID() == 0 {
+		rec.markResumed()
+	}
+	return rec.resumeFrom + 1, nil
+}
+
+// journalAdmit is the journal phase boundary at the top of a step. A
+// kill injected here (or left behind by the drain goroutine's
+// post-commit boundary) stops every rank together before the step runs
+// — ranks never diverge on collectives; otherwise rank 0 journals the
+// step as admitted.
+func (rr *rankRun) journalAdmit(step int) (killed bool) {
+	p := rr.p
+	if p.rec == nil {
+		return false
+	}
+	if rr.r.ID() == 0 {
+		p.recKill(recovery.PhasePreAdmit, step)
+	}
+	if rr.r.Broadcast(0, p.rec.isKilled()).(bool) {
+		return true
+	}
+	if rr.r.ID() == 0 {
+		if err := p.rec.j.Append(recovery.Record{Kind: recovery.KindAdmit, Step: step}); err != nil && !errors.Is(err, recovery.ErrKilled) {
+			p.recordErr(fmt.Errorf("core: journal admit step %d: %w", step, err))
+		}
+	}
+	return false
+}
+
+// simStep advances the simulation one step and returns when it began.
+func (rr *rankRun) simStep(step int) time.Time {
+	p := rr.p
+	stepStart := time.Now()
+	rr.rk.Step()
+	p.col.RecordSimStep(step, time.Since(stepStart))
+	if tl := p.fab.tl; tl != nil && rr.r.ID() == 0 {
+		tl.Add("sim", fmt.Sprintf("step %d", step), stepStart, time.Now())
+	}
+	rr.ctx.Step = step
+	return stepStart
+}
+
+// admit decides how this step's hybrid work may use the transit tier.
+// With overload control enabled, rank 0 runs the breaker + ladder
+// admission pass and broadcasts the verdicts so every rank takes the
+// same branch (the in-situ fallbacks use collectives). Without it, the
+// legacy transit-health check applies: when a step budget is configured
+// and hybrid work is due, rank 0 probes the staging area within the
+// budget and a failed probe degrades the whole step to in-situ
+// fallbacks.
+func (rr *rankRun) admit(step int) {
+	p, r := rr.p, rr.r
+	rr.decisions, rr.degradeReason = nil, ""
+	if p.ov != nil {
+		if p.hybridDue(step) {
+			var decs []admitDecision
+			if r.ID() == 0 {
+				decs = p.admitStep(rr.ep, step)
+			}
+			decs = r.Broadcast(0, decs).([]admitDecision)
+			rr.decisions = make(map[string]admitDecision, len(decs))
+			for _, d := range decs {
+				rr.decisions[d.Name] = d
+			}
+		}
+	} else if p.cfg.StepBudget > 0 && p.hybridDue(step) {
+		reason := ""
+		if r.ID() == 0 {
+			if err := p.probeTransit(rr.ep); err != nil {
+				reason = fmt.Sprintf("transit probe: %v", err)
+				p.col.AddDegradedStep()
+				if tl := p.fab.tl; tl != nil {
+					tl.Mark("sim", fmt.Sprintf("degraded@%d", step), time.Now())
+				}
+			}
+		}
+		rr.degradeReason = r.Broadcast(0, reason).(string)
+	}
+}
+
+// inSitu runs every analysis due at this step on the rank: in-situ
+// analyses to completion, hybrid ones through reduceEncodeRegister. It
+// reports whether any hybrid route staged data for the transit tier.
+// Analysis errors are recorded but never abort the rank: a rank that
+// stops stepping would deadlock the others' collectives, so the loop
+// always keeps participating.
+func (rr *rankRun) inSitu(step int) (staged bool) {
+	p, r := rr.p, rr.r
+	for _, a := range p.analyses {
+		if !due(a, step) {
+			continue
+		}
+		switch an := a.(type) {
+		case InSituAnalysis:
+			t := time.Now()
+			out, err := an.RunInSitu(rr.ctx)
+			p.col.RecordInSitu(an.Name(), step, time.Since(t))
+			if err != nil {
+				p.recordErr(fmt.Errorf("core: in-situ %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
+				continue
+			}
+			if r.ID() == 0 && out != nil {
+				p.storeResult(an.Name(), step, out)
+			}
+		case hybridStage:
+			if rr.reduceEncodeRegister(an, step) {
+				staged = true
+			}
+		default:
+			p.recordErr(fmt.Errorf("core: analysis %s implements neither InSituAnalysis nor HybridAnalysis", a.Name()))
+		}
+	}
+	return staged
+}
+
+// reduceEncodeRegister is one hybrid route's in-situ half for a step:
+// apply the admission verdict (shed, fall back in-situ, or pick the
+// shaped stage and the rung's codec), run the in-situ reduction, encode
+// the payload, pin it on the rank's endpoint and announce it to
+// DataSpaces. It reports whether the route heads for the transit tier —
+// true even when the stage then fails, because the other ranks still
+// meet at the data-ready barrier.
+func (rr *rankRun) reduceEncodeRegister(an hybridStage, step int) bool {
+	p, r := rr.p, rr.r
+	if rr.degradeReason != "" {
+		p.runFallback(rr.ctx, r, an, step, rr.degradeReason)
+		return false
+	}
+	dec, admitted := rr.decisions[an.Name()]
+	if admitted {
+		switch dec.Level {
+		case overload.LevelShed:
+			// Shed: no work at all this step, only an explicit
+			// marker so the step is never silently missing.
+			if r.ID() == 0 {
+				p.storeResult(an.Name(), step, Degraded{Reason: dec.Reason})
+				p.col.AddShedStep()
+			}
+			return false
+		case overload.LevelInSitu:
+			if r.ID() == 0 {
+				p.col.AddOverloadFallback()
+				p.col.AddDegradedStep()
+			}
+			p.runFallback(rr.ctx, r, an, step, dec.Reason)
+			return false
+		case overload.LevelShaped:
+			if r.ID() == 0 {
+				p.col.AddShapedStep()
+			}
+		case overload.LevelDelta:
+			if r.ID() == 0 {
+				p.col.AddDeltaStep()
+			}
+		case overload.LevelQuantized:
+			if r.ID() == 0 {
+				p.col.AddQuantizedStep()
+			}
+		}
+	}
+	t := time.Now()
+	var payload []byte
+	var err error
+	if admitted && dec.Level == overload.LevelShaped {
+		payload, err = an.(ShapedStage).InSituStageShaped(rr.ctx, 1)
+	} else {
+		payload, err = an.InSituStage(rr.ctx)
+	}
+	p.col.RecordInSitu(an.Name(), step, time.Since(t))
+	if err != nil {
+		p.recordErr(fmt.Errorf("core: in-situ stage %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
+		return true
+	}
+	spec := p.codecSpec(an.Name())
+	if admitted {
+		spec = ladderSpec(dec.Level, spec)
+	}
+	h, err := p.registerPayload(rr.ep, an, spec, rr.codecKeys[an.Name()], step, payload)
+	if err != nil {
+		p.recordErr(fmt.Errorf("core: register %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
+		return true
+	}
+	p.fab.ds.Put(dataspaces.Descriptor{
+		Tenant:  p.tenant,
+		Name:    an.Name(),
+		Version: step,
+		Box:     rr.rk.OwnedBox(),
+		Rank:    r.ID(),
+		Handle:  h,
+	})
+	return true
+}
+
+// submit is the data-ready announcement: once every rank has registered
+// its block, rank 0 creates the in-transit task of each staged route.
+func (rr *rankRun) submit(step int) {
+	p := rr.p
+	rr.r.Barrier()
+	if rr.r.ID() != 0 {
+		return
+	}
+	var deadline time.Time
+	if p.cfg.StepBudget > 0 {
+		deadline = time.Now().Add(p.cfg.StepBudget)
+	}
+	for _, a := range p.analyses {
+		if _, ok := a.(hybridStage); !ok || !due(a, step) {
+			continue
+		}
+		dec, admitted := rr.decisions[a.Name()]
+		if admitted && dec.Level > overload.LevelShaped {
+			continue // shed or fell back in-situ: nothing staged
+		}
+		rr.submitTask(a.Name(), step, dec, admitted, deadline)
+	}
+}
+
+// submitTask hands one route's registered blocks to the transit tier
+// as a task and journals the submission. A refused task is disposed of
+// on the spot: its inputs are unpinned, its credit returned, and the
+// step stored as shed (or nothing stored, when the journal proves the
+// task already committed in a previous life).
+func (rr *rankRun) submitTask(name string, step int, dec admitDecision, admitted bool, deadline time.Time) {
+	p := rr.p
+	// Ordered by producing rank, so in-transit payload slices are
+	// deterministic.
+	inputs := p.fab.ds.QueryT(p.tenant, name, step)
+	slices.SortStableFunc(inputs, func(a, b dataspaces.Descriptor) int { return cmp.Compare(a.Rank, b.Rank) })
+	spec := dataspaces.TaskSpec{
+		Tenant: p.tenant, Analysis: name, Step: step, Inputs: inputs, Deadline: deadline,
+	}
+	if admitted {
+		if dec.Level == overload.LevelShaped {
+			spec.Shaped = 1
+		}
+		spec.Credited = dec.Credited
+		spec.Probe = dec.Probe
+	}
+	if _, err := p.fab.ds.SubmitSpec(spec); err != nil {
+		if errors.Is(err, dataspaces.ErrDuplicateTask) {
+			// Already durably submitted and committed in a previous
+			// life: the committed digest covers it, store nothing.
+			p.discardStaged(name, inputs, dec)
+		} else {
+			p.shedSubmitted(name, step, inputs, dec, err)
+		}
+	} else {
+		p.mu.Lock()
+		p.submitted++
+		p.mu.Unlock()
+		if p.rec != nil {
+			if p.rec.countReplay(name, step) {
+				p.rec.replayed.Add(1)
+			}
+			if err := p.rec.j.Append(recovery.Record{Kind: recovery.KindSubmit, Step: step, Analysis: name}); err != nil && !errors.Is(err, recovery.ErrKilled) {
+				p.recordErr(fmt.Errorf("core: journal submit %s step %d: %w", name, step, err))
+			}
+			p.recKill(recovery.PhaseMidSubmit, step)
+		}
+	}
+	p.fab.ds.RemoveT(p.tenant, name, step)
+}
+
+// checkpointCommit closes the step on the recovery plane: the
+// checkpoint, on its cadence, is a collective write (every rank's bp
+// file, then one journal record); the commit advance is rank 0's alone
+// and also fires from the drain goroutine as in-transit results land.
+func (rr *rankRun) checkpointCommit(step int) {
+	p := rr.p
+	if p.rec == nil {
+		return
+	}
+	if step%p.rec.every == 0 {
+		rr.writeCheckpoint(step)
+	}
+	if rr.r.ID() == 0 {
+		p.noteStepped(step)
+	}
+}
+
+// writeCheckpoint writes this rank's bp checkpoint file for step and,
+// on rank 0 after the barrier, journals the checkpoint record (which
+// also refreshes the manifest). A dead journal writes nothing: a crash
+// earlier in the step must not leave newer durable state behind it.
+func (rr *rankRun) writeCheckpoint(step int) {
+	p, r, rec := rr.p, rr.r, rr.p.rec
+	if !rec.j.Killed() {
+		path := filepath.Join(rec.j.Dir(), recovery.CheckpointFile(step, r.ID()))
+		if _, err := bp.WriteFile(path, rr.rk.CheckpointFields()); err != nil {
+			p.recordErr(fmt.Errorf("core: checkpoint step %d rank %d: %w", step, r.ID(), err))
+		}
+	}
+	r.Barrier()
+	if r.ID() != 0 {
+		return
+	}
+	p.recKill(recovery.PhaseMidCheckpoint, step)
+	files := make([]string, r.Size())
+	for i := range files {
+		files[i] = recovery.CheckpointFile(step, i)
+	}
+	ckpt := recovery.Record{Kind: recovery.KindCheckpoint, Step: step, CkptStep: step, Epoch: step, Files: files}
+	if err := rec.j.Append(ckpt); err != nil {
+		return
+	}
+	rec.ckpts.Add(1)
+	rec.mu.Lock()
+	if step > rec.lastCkpt {
+		rec.lastCkpt = step
+	}
+	rec.mu.Unlock()
+}

@@ -12,6 +12,7 @@ import (
 	"insitu/internal/bp"
 	"insitu/internal/dataspaces"
 	"insitu/internal/grid"
+	"insitu/internal/mergetree"
 	"insitu/internal/recovery"
 )
 
@@ -93,8 +94,8 @@ func (p *Pipeline) recKill(phase recovery.Phase, step int) {
 	}
 	if rec.kill(phase, step) {
 		rec.j.Kill()
-		if p.tl != nil {
-			p.tl.Mark("recovery", fmt.Sprintf("killed %s@%d", phase, step), time.Now())
+		if tl := p.fab.tl; tl != nil {
+			tl.Mark("recovery", fmt.Sprintf("killed %s@%d", phase, step), time.Now())
 		}
 	}
 }
@@ -152,7 +153,7 @@ func (p *Pipeline) planResume(steps int) error {
 			}
 		}
 	}
-	p.ds.EnableDedup(seed)
+	p.fab.ds.EnableDedup(seed)
 	return nil
 }
 
@@ -248,8 +249,17 @@ func ResultDigest(v any) string { return resultDigest(v) }
 // resultDigest hashes a stored analysis result into a short stable
 // token. %v formatting is deterministic for the value shapes analyses
 // store (fmt sorts map keys); top-level pointers are dereferenced so
-// the digest covers the pointee, not the address.
+// the digest covers the pointee, not the address. A topology result is
+// digested by value too: its tree is a graph of node pointers, which %v
+// would print as heap addresses, so the sorted arc list stands in.
 func resultDigest(v any) string {
+	if t, ok := v.(*TopologyResult); ok && t != nil && t.Tree != nil {
+		v = struct {
+			Arcs     []mergetree.Arc
+			Stream   mergetree.StreamStats
+			Features []mergetree.Feature
+		}{t.Tree.Arcs(), t.Stream, t.Features}
+	}
 	rv := reflect.ValueOf(v)
 	if rv.Kind() == reflect.Pointer && !rv.IsNil() {
 		v = rv.Elem().Interface()
@@ -257,66 +267,6 @@ func resultDigest(v any) string {
 	h := crc64.New(crc64.MakeTable(crc64.ECMA))
 	fmt.Fprintf(h, "%v", v)
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// writeCheckpoint writes this rank's bp checkpoint file for step and,
-// on rank 0 after the barrier, journals the checkpoint record (which
-// also refreshes the manifest). A dead journal writes nothing: a crash
-// earlier in the step must not leave newer durable state behind it.
-func (p *Pipeline) writeCheckpoint(r rankish, rk checkpointer, step int) {
-	rec := p.rec
-	if !rec.j.Killed() {
-		path := filepath.Join(rec.j.Dir(), recovery.CheckpointFile(step, r.ID()))
-		if _, err := bp.WriteFile(path, rk.CheckpointFields()); err != nil {
-			p.recordErr(fmt.Errorf("core: checkpoint step %d rank %d: %w", step, r.ID(), err))
-		}
-	}
-	r.Barrier()
-	if r.ID() != 0 {
-		return
-	}
-	p.recKill(recovery.PhaseMidCheckpoint, step)
-	files := make([]string, r.Size())
-	for i := range files {
-		files[i] = recovery.CheckpointFile(step, i)
-	}
-	rec2 := recovery.Record{Kind: recovery.KindCheckpoint, Step: step, CkptStep: step, Epoch: step, Files: files}
-	if err := rec.j.Append(rec2); err != nil {
-		return
-	}
-	rec.ckpts.Add(1)
-	rec.mu.Lock()
-	if step > rec.lastCkpt {
-		rec.lastCkpt = step
-	}
-	rec.mu.Unlock()
-}
-
-// rankish and checkpointer are the slices of comm.Rank and sim.Rank
-// writeCheckpoint needs; narrowing them keeps it unit-testable.
-type rankish interface {
-	ID() int
-	Size() int
-	Barrier()
-}
-
-type checkpointer interface {
-	CheckpointFields() []*grid.Field
-}
-
-// skipDuplicate disposes of a step whose task the journal proves was
-// already submitted and committed: the freshly produced payloads are
-// unpinned and recycled, the admission credit is returned, and no
-// result is stored (the committed digest already covers it).
-func (p *Pipeline) skipDuplicate(name string, inputs []dataspaces.Descriptor, dec admitDecision) {
-	for _, in := range inputs {
-		p.releaseHandle(in)
-	}
-	if dec.Credited {
-		if c := p.ds.Credits(); c != nil {
-			c.Release(name)
-		}
-	}
 }
 
 // countReplay reports whether a live submission of (analysis, step)

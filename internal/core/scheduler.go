@@ -3,21 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
-	"insitu/internal/bufpool"
 	"insitu/internal/codec"
-	"insitu/internal/comm"
 	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
-	"insitu/internal/metrics"
 	"insitu/internal/netsim"
 	"insitu/internal/obs"
 	"insitu/internal/overload"
 	"insitu/internal/sim"
 	"insitu/internal/staging"
-	"insitu/internal/trace"
 )
 
 // SchedulerConfig sizes the shared staging fabric a Scheduler owns:
@@ -69,84 +64,40 @@ type TenantConfig struct {
 	Weight int
 }
 
-// Scheduler owns a staging fabric shared by multiple tenant pipelines:
-// per-tenant credit bulkheads over one account, deficit-round-robin
-// dequeue across tenant queues, a shared poison-route quarantine, and
-// an optional bucket-pool autoscaler. Build with NewScheduler, add
-// tenants with AddTenant, register analyses on the returned pipelines,
-// then Run once.
+// Scheduler is the policy over a transit fabric shared by multiple
+// tenant pipelines: per-tenant credit bulkheads over one account,
+// deficit-round-robin dequeue across tenant queues, a shared
+// poison-route quarantine, and an optional bucket-pool autoscaler. The
+// fabric and the run engine are the ones a standalone Pipeline uses.
+// Build with NewScheduler, add tenants with AddTenant, register
+// analyses on the returned pipelines, then Run once.
 type Scheduler struct {
 	cfg    SchedulerConfig
-	net    *netsim.Network
-	fabric *dart.Fabric
-	ds     *dataspaces.Service
-	area   *staging.Area
-	codecs *codec.Registry
+	fab    *fabric
 	quar   *overload.Quarantine
 	scaler *overload.Autoscaler
-
-	mu      sync.Mutex
-	tenants []*Pipeline
-	byName  map[string]*Pipeline
-	eps     map[int]*dart.Endpoint // all pre-registered rank endpoints
-	plane   *obs.Plane
-	ran     bool
-	closed  bool
 }
 
 // NewScheduler validates the configuration and builds the shared
 // subsystems. Tenants are added afterwards with AddTenant.
 func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
-	if cfg.DSServers < 1 {
-		return nil, fmt.Errorf("core: need at least one DataSpaces server")
-	}
-	if cfg.Buckets < 1 {
-		return nil, fmt.Errorf("core: need at least one staging bucket")
+	f, err := newFabric(cfg.Net, cfg.DSServers, cfg.Buckets, cfg.MaxTaskAttempts)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.MaxBuckets != 0 && cfg.MaxBuckets < cfg.Buckets {
 		return nil, fmt.Errorf("core: MaxBuckets %d below initial Buckets %d", cfg.MaxBuckets, cfg.Buckets)
 	}
-	net := netsim.New(cfg.Net)
-	fabric := dart.NewFabric(net)
-	ds, err := dataspaces.New(fabric, cfg.DSServers)
-	if err != nil {
-		return nil, err
-	}
-	s := &Scheduler{
-		cfg:    cfg,
-		net:    net,
-		fabric: fabric,
-		ds:     ds,
-		codecs: codec.NewRegistry(),
-		quar:   overload.NewQuarantine(cfg.Quarantine),
-		byName: make(map[string]*Pipeline),
-		eps:    make(map[int]*dart.Endpoint),
-	}
-	ds.SetCodecs(s.codecs)
+	s := &Scheduler{cfg: cfg, fab: f, quar: overload.NewQuarantine(cfg.Quarantine)}
+	f.publishPolicy = s.publish
 	if cfg.Autoscale != nil {
 		asc := *cfg.Autoscale
 		if asc.Max == 0 {
-			asc.Max = s.maxBuckets()
+			asc.Max = max(cfg.MaxBuckets, cfg.Buckets)
 		}
 		s.scaler = overload.NewAutoscaler(asc)
 	}
-	opts := []staging.Option{staging.WithRelease(s.releaseHandle), staging.WithPooledBuffers()}
-	if cfg.MaxTaskAttempts > 0 {
-		opts = append(opts, staging.WithMaxAttempts(cfg.MaxTaskAttempts))
-	}
-	area, err := staging.New(fabric, ds, cfg.Buckets, opts...)
-	if err != nil {
-		return nil, err
-	}
-	s.area = area
 	return s, nil
-}
-
-func (s *Scheduler) maxBuckets() int {
-	if s.cfg.MaxBuckets > s.cfg.Buckets {
-		return s.cfg.MaxBuckets
-	}
-	return s.cfg.Buckets
 }
 
 // AddTenant builds a tenant pipeline over the shared fabric and
@@ -157,88 +108,47 @@ func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) 
 	if name == "" {
 		return nil, fmt.Errorf("core: tenant name must be non-empty")
 	}
-	sm, err := sim.New(cfg.Sim)
+	ov := cfg.Overload
+	if ov == nil {
+		ov = &overload.Config{}
+	}
+	p, err := newTenant(s.fab, name, Config{
+		Sim: cfg.Sim, StepBudget: cfg.StepBudget, Codecs: cfg.Codecs, Overload: ov,
+	})
 	if err != nil {
 		return nil, err
 	}
-	ovCfg := overload.Config{}
-	if cfg.Overload != nil {
-		ovCfg = *cfg.Overload
+	p.quar, p.weight = s.quar, max(cfg.Weight, 1)
+	if err := s.fab.attach(p); err != nil {
+		return nil, err
 	}
-	ov := ovCfg.WithDefaults()
-	weight := cfg.Weight
-	if weight < 1 {
-		weight = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ran {
-		return nil, fmt.Errorf("core: scheduler already ran; tenants must be added before Run")
-	}
-	if _, dup := s.byName[name]; dup {
-		return nil, fmt.Errorf("core: tenant %q already added", name)
-	}
-	p := &Pipeline{
-		cfg: Config{
-			Sim: cfg.Sim, DSServers: s.cfg.DSServers, Buckets: s.cfg.Buckets,
-			Net: s.cfg.Net, StepBudget: cfg.StepBudget,
-			MaxTaskAttempts: s.cfg.MaxTaskAttempts,
-			Codecs:          cfg.Codecs, Overload: &ov,
-		},
-		sim: sm, net: s.net, fabric: s.fabric, ds: s.ds, area: s.area,
-		col: metrics.NewCollector(), codecs: s.codecs,
-		results:   make(map[string]map[int]any),
-		eps:       make(map[int]*dart.Endpoint),
-		frameVars: make(map[string]string),
-		ov:        &ov, est: overload.NewEstimator(ov.LatencyAlpha, ov.QueueAlpha),
-		routes: make(map[string]*routeState),
-		tenant: name, sched: s, quar: s.quar, weight: weight,
-		preEps: make(map[int]*dart.Endpoint),
-	}
-	for r := 0; r < sm.Ranks(); r++ {
-		ep := s.fabric.RegisterT(fmt.Sprintf("%s/sim-%d", name, r), name)
-		p.preEps[r] = ep
-		s.eps[ep.ID()] = ep
-	}
-	s.tenants = append(s.tenants, p)
-	s.byName[name] = p
-	if s.plane != nil {
-		s.publishTenant(s.plane.Registry(), p)
-	}
+	s.fab.registerRanks(p)
 	return p, nil
 }
 
 // Tenant returns a tenant's pipeline, or nil if the name is unknown.
-func (s *Scheduler) Tenant(name string) *Pipeline {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byName[name]
-}
+func (s *Scheduler) Tenant(name string) *Pipeline { return s.fab.tenant(name) }
 
 // TenantEndpoints returns a tenant's pre-registered rank endpoints in
 // rank order — the handles chaos tests scope fault injection to.
 func (s *Scheduler) TenantEndpoints(name string) []*dart.Endpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.byName[name]
+	p := s.fab.tenant(name)
 	if p == nil {
 		return nil
 	}
-	out := make([]*dart.Endpoint, len(p.preEps))
-	for r := range out {
-		out[r] = p.preEps[r]
-	}
-	return out
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]*dart.Endpoint(nil), p.rankEps...)
 }
 
 // Network returns the shared simulated interconnect.
-func (s *Scheduler) Network() *netsim.Network { return s.net }
+func (s *Scheduler) Network() *netsim.Network { return s.fab.net }
 
 // Staging returns the shared staging area.
-func (s *Scheduler) Staging() *staging.Area { return s.area }
+func (s *Scheduler) Staging() *staging.Area { return s.fab.area }
 
 // Credits returns the shared transit credit account (nil before Run).
-func (s *Scheduler) Credits() *dataspaces.Credits { return s.ds.Credits() }
+func (s *Scheduler) Credits() *dataspaces.Credits { return s.fab.ds.Credits() }
 
 // Quarantine returns the shared poison-route quarantine.
 func (s *Scheduler) Quarantine() *overload.Quarantine { return s.quar }
@@ -247,48 +157,17 @@ func (s *Scheduler) Quarantine() *overload.Quarantine { return s.quar }
 // SchedulerConfig.Autoscale was set).
 func (s *Scheduler) Autoscaler() *overload.Autoscaler { return s.scaler }
 
-// releaseHandle frees a pinned intermediate region once a bucket has
-// pulled it — the scheduler-wide twin of Pipeline.releaseHandle, since
-// the shared area sees descriptors from every tenant.
-func (s *Scheduler) releaseHandle(d dataspaces.Descriptor) {
-	s.mu.Lock()
-	ep := s.eps[d.Handle.Endpoint]
-	s.mu.Unlock()
-	if ep != nil {
-		if buf, err := ep.Reclaim(d.Handle); err == nil {
-			bufpool.Put(buf)
-		}
-	}
-}
-
 // EnableObs attaches one observability plane to the shared subsystems
 // and publishes each tenant's families under a tenant label. Tenants
 // added later are published as they arrive. Idempotent; call before
 // Run.
-func (s *Scheduler) EnableObs() *obs.Plane {
-	s.mu.Lock()
-	if s.plane != nil {
-		pl := s.plane
-		s.mu.Unlock()
-		return pl
-	}
-	pl := obs.NewPlane()
-	s.plane = pl
-	tenants := append([]*Pipeline(nil), s.tenants...)
-	s.mu.Unlock()
+func (s *Scheduler) EnableObs() *obs.Plane { return s.fab.enableObs() }
 
-	s.fabric.SetPlane(pl)
-	s.ds.SetPlane(pl)
-	s.area.SetPlane(pl)
-	reg := pl.Registry()
-	reg.CounterFunc("net_transfers_total", "transfers accounted on the simulated interconnect",
-		func() float64 { return float64(s.net.Stats().Transfers) })
-	reg.CounterFunc("net_bytes_moved_total", "bytes moved over the simulated interconnect",
-		func() float64 { return float64(s.net.Stats().BytesMoved) })
-	reg.CounterFunc("net_faults_total", "transfer attempts perturbed by the fault injector",
-		func() float64 { return float64(s.net.Stats().Faulted) })
+// publish registers the scheduler's own policy families; the fabric
+// calls it once, when the plane comes up.
+func (s *Scheduler) publish(reg *obs.Registry) {
 	reg.GaugeFunc("staging_active_buckets", "staging buckets currently serving the shared pool",
-		func() float64 { return float64(s.area.ActiveBuckets()) })
+		func() float64 { return float64(s.fab.area.ActiveBuckets()) })
 	reg.CounterFunc("scheduler_bucket_grows_total", "bucket-pool grow decisions applied by the autoscaler",
 		func() float64 {
 			if s.scaler == nil {
@@ -307,61 +186,10 @@ func (s *Scheduler) EnableObs() *obs.Plane {
 		func() float64 { return float64(s.quar.Opens()) })
 	reg.CounterFunc("quarantine_releases_total", "quarantined routes released by a successful probe",
 		func() float64 { return float64(s.quar.Releases()) })
-	for _, p := range tenants {
-		s.publishTenant(reg, p)
-	}
-	return pl
-}
-
-// publishTenant registers one tenant's metric families under its
-// tenant label and hands the tenant the plane for admission events and
-// trace spans (all tenants share the recorder).
-func (s *Scheduler) publishTenant(reg *obs.Registry, p *Pipeline) {
-	label := obs.Str("tenant", p.tenant)
-	p.col.PublishToLabeled(reg, label)
-	admitCtr := make(map[overload.Level]*obs.Counter, 6)
-	for _, lv := range []overload.Level{
-		overload.LevelFull, overload.LevelDelta, overload.LevelQuantized,
-		overload.LevelShaped, overload.LevelInSitu, overload.LevelShed,
-	} {
-		admitCtr[lv] = reg.Counter("admission_decisions_total",
-			"admission ladder verdicts by level", obs.Str("level", lv.String()), label)
-	}
-	reg.CounterFunc("breaker_opens_total", "circuit-breaker trips across hybrid routes",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			var n int64
-			for _, rs := range p.routes {
-				n += rs.breaker.Opens()
-			}
-			return float64(n)
-		}, label)
-	reg.CounterFunc("pipeline_tasks_submitted_total", "in-transit tasks successfully submitted",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(p.submitted)
-		}, label)
-	reg.CounterFunc("pipeline_tasks_completed_total", "in-transit tasks drained to a final result",
-		func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return float64(p.completed)
-		}, label)
-	p.mu.Lock()
-	p.plane = s.plane
-	p.tl = trace.Over(s.plane.Recorder())
-	p.admitCtr = admitCtr
-	p.mu.Unlock()
 }
 
 // Obs returns the shared observability plane, or nil before EnableObs.
-func (s *Scheduler) Obs() *obs.Plane {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.plane
-}
+func (s *Scheduler) Obs() *obs.Plane { return s.fab.obs() }
 
 // Run executes every tenant's simulation concurrently over the shared
 // staging fabric for the given number of steps and blocks until all
@@ -371,18 +199,10 @@ func (s *Scheduler) Run(steps int) (map[string]*Report, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("core: steps must be >= 1")
 	}
-	s.mu.Lock()
-	if s.ran {
-		s.mu.Unlock()
+	tenants, ok := s.fab.begin()
+	if !ok {
 		return nil, fmt.Errorf("core: a scheduler runs once; build a new one to run again")
 	}
-	s.ran = true
-	tenants := append([]*Pipeline(nil), s.tenants...)
-	byName := make(map[string]*Pipeline, len(s.byName))
-	for n, p := range s.byName {
-		byName[n] = p
-	}
-	s.mu.Unlock()
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("core: scheduler has no tenants")
 	}
@@ -390,14 +210,14 @@ func (s *Scheduler) Run(steps int) (map[string]*Report, error) {
 	// Shared admission plane: per-tenant queue bounds, DRR weights, one
 	// credit account with per-tenant bulkhead floors, and the
 	// quarantine's submit-time guard (a half-open probe always passes).
-	s.ds.SetQueueBound(s.cfg.QueueBound)
+	ds := s.fab.ds
+	ds.SetQueueBound(s.cfg.QueueBound)
 	weights := make(map[string]int, len(tenants))
 	reservations := make(map[string]int, len(tenants))
 	for _, p := range tenants {
 		weights[p.tenant] = p.weight
 		reservations[p.tenant] = s.cfg.TenantReserve
 		p.buildRoutes()
-		p.installHandlers()
 	}
 	total := s.cfg.Credits
 	if total <= 0 {
@@ -405,60 +225,27 @@ func (s *Scheduler) Run(steps int) (map[string]*Report, error) {
 		if qb <= 0 {
 			qb = 2
 		}
-		total = s.maxBuckets() + len(tenants)*qb
+		total = max(s.cfg.MaxBuckets, s.cfg.Buckets) + len(tenants)*qb
 	}
 	if s.cfg.TenantReserve*len(tenants) >= total {
 		reservations = nil
 	}
-	if err := s.ds.EnableCredits(total, reservations); err != nil {
+	if err := ds.EnableCredits(total, reservations); err != nil {
 		return nil, err
 	}
-	s.ds.EnableFairDequeue(weights)
+	ds.EnableFairDequeue(weights)
 	quar := s.quar
-	s.ds.SetAdmissionGuard(func(tenant, analysis string, probe bool) error {
+	ds.SetAdmissionGuard(func(tenant, analysis string, probe bool) error {
 		if probe || !quar.Barred(tenant, analysis) {
 			return nil
 		}
 		return fmt.Errorf("dataspaces: submit %s/%s: %w", tenant, analysis, overload.ErrQuarantined)
 	})
-	s.area.Start()
 
-	// One shared drain: dispatch each final result to its tenant, then
-	// let the autoscaler act on the post-result pressure signals. The
-	// drain goroutine is the only pool mutator, so grow/shrink need no
-	// extra synchronization.
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for res := range s.area.Results() {
-			if p := byName[res.Task.Tenant]; p != nil {
-				p.handleResult(res)
-			}
-			s.autoscaleTick(tenants)
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for _, p := range tenants {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			comm.Run(p.sim.Ranks(), func(r *comm.Rank) {
-				if err := p.rankLoop(r, steps); err != nil {
-					p.recordErr(err)
-				}
-			})
-			p.mu.Lock()
-			p.simDone = true
-			p.mu.Unlock()
-			s.maybeClose()
-		}()
-	}
-	wg.Wait()
-	s.maybeClose()
-	s.area.Wait()
-	<-drained
+	// The autoscaler acts on the post-result pressure signals from the
+	// engine's drain goroutine, the only pool mutator, so grow/shrink
+	// need no extra synchronization.
+	s.fab.run(tenants, steps, func() { s.autoscaleTick(tenants) })
 
 	reports := make(map[string]*Report, len(tenants))
 	var errs []error
@@ -470,35 +257,6 @@ func (s *Scheduler) Run(steps int) (map[string]*Report, error) {
 		}
 	}
 	return reports, errors.Join(errs...)
-}
-
-// maybeClose closes the shared task queue once every tenant's
-// simulation has finished and every submitted task (summed across
-// tenants) has drained to its final Result.
-func (s *Scheduler) maybeClose() {
-	s.mu.Lock()
-	if !s.ran || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	allDone := true
-	var sub, comp int64
-	for _, p := range s.tenants {
-		p.mu.Lock()
-		if !p.simDone {
-			allDone = false
-		}
-		sub += p.submitted
-		comp += p.completed
-		p.mu.Unlock()
-	}
-	if !allDone || sub != comp {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.ds.Close()
 }
 
 // autoscaleTick folds the current pressure signals into the autoscaler
@@ -515,15 +273,15 @@ func (s *Scheduler) autoscaleTick(tenants []*Pipeline) {
 		}
 	}
 	sig := overload.AutoscaleSignals{
-		QueueDepth:  s.ds.QueueDepth(),
-		FreeBuckets: s.ds.FreeBuckets(),
-		Active:      s.area.ActiveBuckets(),
+		QueueDepth:  s.fab.ds.QueueDepth(),
+		FreeBuckets: s.fab.ds.FreeBuckets(),
+		Active:      s.fab.area.ActiveBuckets(),
 		MaxLevel:    ml,
 	}
 	switch s.scaler.Observe(sig) {
 	case 1:
-		s.area.AddBucket()
+		s.fab.area.AddBucket()
 	case -1:
-		s.area.RetireBucket()
+		s.fab.area.RetireBucket()
 	}
 }

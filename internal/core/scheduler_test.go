@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -251,5 +252,68 @@ func TestSchedulerQuarantineOpensAndReleases(t *testing.T) {
 	}
 	if got := p.PinnedRegions(); got != 0 {
 		t.Fatalf("%d pinned regions leaked", got)
+	}
+}
+
+// TestTenantEnableObsSharesSchedulerPlane: the observability plane
+// belongs to the fabric, so EnableObs on a tenant pipeline and on its
+// scheduler return the one plane, idempotently, whichever is called
+// first. A tenant used to build a private plane and re-point the shared
+// transport at it, hijacking the other tenants' spans and registering
+// unlabelled families.
+func TestTenantEnableObsSharesSchedulerPlane(t *testing.T) {
+	for _, tenantFirst := range []bool{false, true} {
+		s, err := NewScheduler(testSchedCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants := make(map[string]*Pipeline)
+		for _, name := range []string{"alpha", "beta"} {
+			p, err := s.AddTenant(name, TenantConfig{Sim: testSimConfig(2, 1, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Register(&StatsHybrid{})
+			tenants[name] = p
+		}
+		var fromTenant, fromSched = tenants["alpha"].EnableObs, s.EnableObs
+		first, second := fromSched, fromTenant
+		if tenantFirst {
+			first, second = fromTenant, fromSched
+		}
+		pl := first()
+		if pl == nil || second() != pl {
+			t.Fatalf("tenantFirst=%v: tenant and scheduler EnableObs returned different planes", tenantFirst)
+		}
+		if s.EnableObs() != pl || tenants["alpha"].EnableObs() != pl || tenants["beta"].EnableObs() != pl {
+			t.Fatalf("tenantFirst=%v: EnableObs is not idempotent", tenantFirst)
+		}
+		if s.Obs() != pl || tenants["beta"].Obs() != pl {
+			t.Fatalf("tenantFirst=%v: Obs() does not return the shared plane", tenantFirst)
+		}
+		if _, err := s.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := pl.Registry().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.String()
+		for _, want := range []string{
+			`pipeline_tasks_completed_total{tenant="alpha"} 3`,
+			`pipeline_tasks_completed_total{tenant="beta"} 3`,
+			`breaker_transitions_total{tenant="alpha"} 0`,
+			`breaker_transitions_total{tenant="beta"} 0`,
+			"quarantine_opens_total 0",
+		} {
+			if !strings.Contains(text, want+"\n") {
+				t.Errorf("tenantFirst=%v: /metrics lacks %q", tenantFirst, want)
+			}
+		}
+		for _, unlabelled := range []string{"pipeline_tasks_completed_total ", "breaker_opens_total ", "admission_decisions_total{level=\"full\"} "} {
+			if strings.Contains(text, "\n"+unlabelled) {
+				t.Errorf("tenantFirst=%v: /metrics has an unlabelled tenant family %q", tenantFirst, unlabelled)
+			}
+		}
 	}
 }

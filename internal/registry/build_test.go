@@ -52,9 +52,10 @@ func runDigests(t *testing.T, cfg *registry.Config) map[string]string {
 // The analysis set is restricted to those whose results are value
 // types (stats, viz, assess) — the same restriction the crash matrix
 // applies — because ResultDigest formats nested pointers inside
-// results (topology's *mergetree.Tree, contingency's
-// *stats.Contingency) as addresses, which differ between any two
-// runs regardless of construction path.
+// results (contingency's *stats.Contingency) as addresses, which
+// differ between any two runs regardless of construction path.
+// Topology results are digested by value; see
+// TestTopologyDigestsStableAcrossRuns.
 func TestLegacyFlagAndConfigFileRunsMatch(t *testing.T) {
 	opts := registry.LegacyOptions{
 		NX: 16, NY: 12, NZ: 8,
@@ -100,6 +101,38 @@ func TestLegacyFlagAndConfigFileRunsMatch(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("digest mismatch at %s: flags %s, file %s", key, want, got)
+		}
+	}
+}
+
+// TestTopologyDigestsStableAcrossRuns: a topology result is digested by
+// value (sorted arcs, stream stats, features), not by the heap
+// addresses of its tree nodes, so two independent runs of the same
+// config agree digest for digest — what lets the journal's commit
+// digests and the golden files cover topology at all.
+func TestTopologyDigestsStableAcrossRuns(t *testing.T) {
+	cfg := func() *registry.Config {
+		c, err := registry.LegacyOptions{
+			NX: 16, NY: 12, NZ: 8,
+			PX: 2, PY: 1, PZ: 1,
+			Steps: 3, Every: 1, SubSteps: 1,
+			Buckets: 2, Servers: 2,
+			StatsMode: "off", VizMode: "off",
+			Topology: true,
+			Seed:     1,
+		}.Config()
+		if err != nil {
+			t.Fatalf("LegacyOptions.Config: %v", err)
+		}
+		return c
+	}
+	first, second := runDigests(t, cfg()), runDigests(t, cfg())
+	if len(first) != 3 {
+		t.Fatalf("want 3 topology results, got %d: %v", len(first), first)
+	}
+	for key, want := range first {
+		if got := second[key]; got != want {
+			t.Errorf("digest of %s differs between two runs: %s vs %s", key, want, got)
 		}
 	}
 }

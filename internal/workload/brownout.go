@@ -14,8 +14,9 @@ import (
 // closes the half-open probes re-close the breakers and the ladder
 // climbs back to full hybrid, rung by rung.
 //
-// All constants are exported so the soak test and the s3dpipe
-// -overload scenario run the identical configuration.
+// All constants are exported so the soak test and BrownoutConfig —
+// which examples/configs/brownout.json pins byte for byte — describe
+// the identical configuration.
 const (
 	// BrownoutSteps is the length of the soak in simulation steps.
 	BrownoutSteps = 60

@@ -3,8 +3,8 @@
 // source of truth the checked-in examples/configs files pin byte for
 // byte) and as the constructors the soaks call (NewBrownoutPipeline,
 // NewTenantScheduler) — which since the registry refactor just Build
-// the config, so the flag path, the config path, and the soak tests
-// are literally the same construction code.
+// the config, so `s3dpipe -config` and the soak tests are literally
+// the same construction code.
 package workload
 
 import (

@@ -1,0 +1,157 @@
+package workload
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"insitu/internal/core"
+	"insitu/internal/grid"
+	"insitu/internal/netsim"
+	"insitu/internal/overload"
+	"insitu/internal/registry"
+	"insitu/internal/sim"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from this run's result digests")
+
+// reportDigests reduces a run to one "analysis@step digest" line per
+// stored result, sorted — the form the golden files hold.
+func reportDigests(analyses []core.Analysis, rep *core.Report, steps int) string {
+	var lines []string
+	for _, a := range analyses {
+		every := max(a.Every(), 1)
+		for s := every; s <= steps; s += every {
+			if v := rep.Result(a.Name(), s); v != nil {
+				lines = append(lines, fmt.Sprintf("%s@%d %s\n", a.Name(), s, core.ResultDigest(v)))
+			}
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "")
+}
+
+// TestExampleConfigDigestsGolden pins the full result-digest map of the
+// single-tenant example configs: every analysis result at every step
+// must hash to what testdata/<config>.golden records. The goldens were
+// generated before the fabric/engine refactor, so they prove the
+// refactor moved code without changing what runs. Only the store and
+// journal directories are substituted (with temp dirs).
+func TestExampleConfigDigestsGolden(t *testing.T) {
+	for _, name := range []string{"quickstart", "store-serve", "recovery"} {
+		t.Run(name, func(t *testing.T) {
+			cfg, err := registry.LoadConfig(filepath.Join(configsDir, name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Store != nil {
+				cfg.Store.Dir, cfg.Store.Serve = t.TempDir(), ""
+			}
+			if cfg.Recovery != nil {
+				cfg.Recovery.Dir = t.TempDir()
+			}
+			b, err := registry.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			steps := b.Steps(0, 4)
+			rep, err := b.Pipeline.Run(steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := reportDigests(b.Tenants[0].Analyses, rep, steps)
+
+			golden := filepath.Join("testdata", name+".golden")
+			if *updateGolden {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("result digests drifted from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+			}
+		})
+	}
+}
+
+// TestSoloTenantUnderSchedulerMatchesPipeline: one tenant declared
+// alone under core.Scheduler produces the same result digests as the
+// same simulation and analyses under core.Pipeline with the same
+// overload block — the two entry points share one fabric and one run
+// engine. Thresholds are raised as in
+// benchmark/configs/tenants-shared.json so the armed overload plane
+// never trips and every step runs at full fidelity.
+func TestSoloTenantUnderSchedulerMatchesPipeline(t *testing.T) {
+	const steps = 12
+	sc := scenarioSim()
+	simCfg := sim.DefaultConfig(grid.NewBox(sc.NX, sc.NY, sc.NZ), sc.PX, sc.PY, sc.PZ)
+	simCfg.SubSteps = sc.SubSteps
+	ov := &overload.Config{
+		Breaker: overload.BreakerConfig{
+			FailureThreshold: 3, LatencyThreshold: time.Second,
+			LatencyAlpha: 0.5, Cooldown: 2 * time.Millisecond,
+		},
+		Ladder:          overload.LadderConfig{QueueHigh: 48, QueueLow: 16, DegradeAfter: 1, RecoverAfter: 2},
+		QueueBound:      64,
+		ProbeLatencyMax: 50 * time.Microsecond,
+	}
+	analyses := func(reg func(core.Analysis)) []core.Analysis {
+		var out []core.Analysis
+		for _, ac := range scenarioAnalyses() {
+			a, err := registry.New(ac.Analysis, ac.Params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg(a)
+			out = append(out, a)
+		}
+		return out
+	}
+
+	p, err := core.NewPipeline(core.Config{
+		Sim: simCfg, DSServers: 2, Buckets: 2, Net: netsim.Gemini(), Overload: ov,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa := analyses(p.Register)
+	prep, err := p.Run(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := core.NewScheduler(core.SchedulerConfig{
+		DSServers: 2, Buckets: 2, Net: netsim.Gemini(), QueueBound: 64, TenantReserve: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := s.AddTenant("solo", core.TenantConfig{Sim: simCfg, Overload: ov})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa := analyses(tp.Register)
+	reps, err := s.Run(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want, got := reportDigests(pa, prep, steps), reportDigests(sa, reps["solo"], steps)
+	if want == "" {
+		t.Fatal("pipeline run stored no results")
+	}
+	if got != want {
+		t.Errorf("scheduler-run digests differ from the pipeline's\n--- pipeline ---\n%s--- scheduler ---\n%s", want, got)
+	}
+}

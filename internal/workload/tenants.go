@@ -21,8 +21,9 @@ import (
 // quarantined and later released by a half-open probe, the autoscaler
 // widens the bucket pool under pressure, and nothing leaks.
 //
-// All constants are exported so the soak test and the s3dpipe -tenants
-// scenario run the identical configuration.
+// All constants are exported so the soak test and TenantsConfig —
+// which examples/configs/tenants.json pins byte for byte — describe the
+// identical configuration.
 const (
 	// TenantSteps is the length of the soak in simulation steps.
 	TenantSteps = 40
