@@ -32,13 +32,14 @@
 #   make fmt        gofmt gate: fails if any file needs reformatting
 #   make doccheck   godoc lint (cmd/doccheck): every exported symbol in
 #                   the public-surface packages must carry a doc comment
-#   make configs    declarative-config gate (cmd/pipecheck): every
-#                   examples/configs/*.json must strictly decode and
-#                   validate, and the quickstart config must build and
-#                   run end-to-end with every analysis producing its
-#                   final result and zero pinned staging regions
-#   make obs-check  end-to-end observability gate: builds s3dpipe, runs it
-#                   with the live endpoint, and validates /metrics,
+#   make configs    declarative-config gate (internal/workload tests): every
+#                   examples/configs/*.json must strictly decode, validate
+#                   and be in canonical form; the single-tenant ones must
+#                   run end-to-end to their golden result digests; and
+#                   every registered analysis x placement must be declared
+#                   by some example
+#   make obs-check  end-to-end observability gate: builds s3dpipe, runs the
+#                   quickstart config with the live endpoint, and validates /metrics,
 #                   /trace.json, /events.jsonl (submit/done reconciliation),
 #                   and /debug/pprof via cmd/obscheck
 #   make serve      end-to-end image-serving gate (cmd/servecheck): a
@@ -65,8 +66,7 @@ doccheck:
 	$(GO) run ./cmd/doccheck ./internal/registry ./internal/core
 
 configs:
-	$(GO) run ./cmd/pipecheck -dir examples/configs
-	$(GO) run ./cmd/pipecheck -run examples/configs/quickstart.json
+	$(GO) test -count=1 -run 'TestExampleConfig|TestEveryAnalysisPlacementHasAnExample' ./internal/workload/
 
 obs-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \

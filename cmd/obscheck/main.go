@@ -1,7 +1,7 @@
 // Command obscheck is the CI gate for the observability endpoint: it
-// launches a built s3dpipe binary with -obs and -hold, waits for the
-// run to drain via /status, then validates every export the endpoint
-// serves:
+// launches a built s3dpipe binary on the quickstart config with -obs
+// and -hold, waits for the run to drain via /status, then validates
+// every export the endpoint serves:
 //
 //   - /metrics contains the transfer, retry, credit, and admission
 //     series and parses as Prometheus text exposition,
@@ -11,7 +11,8 @@
 //     reconciles: every task.submit id has exactly one task.done,
 //   - /debug/pprof/ answers.
 //
-// It exits non-zero on the first violation. Usage:
+// It exits non-zero on the first violation. Usage, from the repository
+// root (the driven config is a relative path):
 //
 //	obscheck -bin /path/to/s3dpipe
 package main
@@ -29,6 +30,9 @@ import (
 	"time"
 )
 
+// config is the run the gate drives: the smallest checked-in example.
+const config = "examples/configs/quickstart.json"
+
 func main() {
 	bin := flag.String("bin", "", "path to the s3dpipe binary to drive")
 	addr := flag.String("addr", "127.0.0.1:17710", "address the endpoint listens on")
@@ -38,11 +42,7 @@ func main() {
 		fatal("obscheck: -bin is required")
 	}
 
-	cmd := exec.Command(*bin,
-		"-nx", "16", "-ny", "8", "-nz", "8",
-		"-px", "2", "-py", "1", "-pz", "1",
-		"-steps", "3",
-		"-obs", *addr, "-hold")
+	cmd := exec.Command(*bin, "-config", config, "-obs", *addr, "-hold")
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

@@ -22,6 +22,7 @@ import (
 	"insitu/internal/render"
 	"insitu/internal/sim"
 	"insitu/internal/stats"
+	"insitu/internal/trace"
 )
 
 func main() {
@@ -39,7 +40,7 @@ func main() {
 	track := &core.TrackingHybrid{Threshold: 0.05}
 	viz := core.NewVizHybrid(240, 160, 2)
 	viz.AutoRange = true
-	tl := p.EnableTrace()
+	tl := trace.Over(p.EnableObs().Recorder())
 
 	p.Register(statsH)
 	p.Register(assess)

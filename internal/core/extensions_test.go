@@ -8,6 +8,7 @@ import (
 	"insitu/internal/mergetree"
 	"insitu/internal/render"
 	"insitu/internal/stats"
+	"insitu/internal/trace"
 )
 
 // TestStreamingTopologyMatchesBuffered: the streaming in-transit
@@ -233,7 +234,7 @@ func TestPipelineTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Register(&StatsHybrid{})
-	tl := p.EnableTrace()
+	tl := trace.Over(p.EnableObs().Recorder())
 	if _, err := p.Run(3); err != nil {
 		t.Fatal(err)
 	}

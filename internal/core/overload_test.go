@@ -58,7 +58,10 @@ func TestShedAtSubmitRecyclesInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Register(&slowTransitAnalysis{delay: 20 * time.Millisecond})
+	// The bucket must stay busy for three simulation steps (one task
+	// running, one queued, one refused); 100ms leaves room for -race on a
+	// loaded host, where a step of this tiny grid can take ~10ms.
+	p.Register(&slowTransitAnalysis{delay: 100 * time.Millisecond})
 
 	const steps = 8
 	rep, err := p.Run(steps)

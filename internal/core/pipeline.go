@@ -19,7 +19,6 @@ import (
 	"insitu/internal/recovery"
 	"insitu/internal/sim"
 	"insitu/internal/staging"
-	"insitu/internal/trace"
 )
 
 // Config sizes the secondary resource, mirroring the paper's Table I
@@ -231,16 +230,6 @@ func (p *Pipeline) Metrics() *metrics.Collector { return p.col }
 
 // Network returns the simulated interconnect, for byte accounting.
 func (p *Pipeline) Network() *netsim.Network { return p.fab.net }
-
-// EnableTrace attaches an execution timeline: simulation steps and
-// per-bucket in-transit tasks are recorded as spans, so the temporal
-// multiplexing can be rendered as a Gantt chart after the run. It is a
-// legacy view over the full observability plane — EnableTrace enables
-// EnableObs and returns the plane's timeline. Call before Run.
-func (p *Pipeline) EnableTrace() *trace.Timeline {
-	p.EnableObs()
-	return p.fab.tl
-}
 
 // EnableObs attaches the observability plane: one span recorder shared
 // by the legacy timeline, the DART transport, the task lifecycle, and

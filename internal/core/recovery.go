@@ -14,6 +14,8 @@ import (
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 	"insitu/internal/recovery"
+	"insitu/internal/render"
+	"insitu/internal/stats"
 )
 
 // RecoveryConfig enables durable run recovery: every step passes
@@ -241,32 +243,67 @@ func (p *Pipeline) commitDigests(s int) (map[string]string, bool) {
 }
 
 // ResultDigest hashes an analysis result into the short stable token
-// the recovery journal commits — exported so equivalence tests (e.g.
-// legacy-flag path vs config path) can compare whole runs result by
-// result without depending on the journal.
+// the recovery journal commits — exported so equivalence tests can
+// compare whole runs result by result without depending on the journal.
 func ResultDigest(v any) string { return resultDigest(v) }
 
 // resultDigest hashes a stored analysis result into a short stable
-// token. %v formatting is deterministic for the value shapes analyses
-// store (fmt sorts map keys); top-level pointers are dereferenced so
-// the digest covers the pointee, not the address. A topology result is
-// digested by value too: its tree is a graph of node pointers, which %v
-// would print as heap addresses, so the sorted arc list stands in.
+// token: two runs of one config agree digest for digest. %v formatting
+// is deterministic for the value shapes analyses store (fmt sorts map
+// keys), and byValue first replaces what %v would print as a heap
+// address. One field stays out of the digest because it is not a
+// function of the config: the streaming topology incorporates subtrees
+// in payload arrival order, so its Stream.SpliceOps work counter
+// differs from run to run while the tree it builds does not.
 func resultDigest(v any) string {
-	if t, ok := v.(*TopologyResult); ok && t != nil && t.Tree != nil {
-		v = struct {
-			Arcs     []mergetree.Arc
-			Stream   mergetree.StreamStats
-			Features []mergetree.Feature
-		}{t.Tree.Arcs(), t.Stream, t.Features}
-	}
-	rv := reflect.ValueOf(v)
-	if rv.Kind() == reflect.Pointer && !rv.IsNil() {
-		v = rv.Elem().Interface()
-	}
 	h := crc64.New(crc64.MakeTable(crc64.ECMA))
-	fmt.Fprintf(h, "%v", v)
+	fmt.Fprintf(h, "%v", byValue(v))
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// byValue returns the form of a result that %v prints without heap
+// addresses: a top-level pointer is dereferenced, a topology result's
+// tree (a graph of node pointers) is stood in for by its sorted arc
+// list, a contingency result's table by its encoding, a multi-camera
+// frame set by its frames, and a Degraded wrapper by its value's form.
+func byValue(v any) any {
+	switch r := v.(type) {
+	case Degraded:
+		r.Value = byValue(r.Value)
+		return r
+	case *TopologyResult:
+		if r != nil && r.Tree != nil {
+			stream := r.Stream
+			if r.arrivalOrdered {
+				stream.SpliceOps = 0
+			}
+			return struct {
+				Arcs     []mergetree.Arc
+				Stream   mergetree.StreamStats
+				Features []mergetree.Feature
+			}{r.Tree.Arcs(), stream, r.Features}
+		}
+	case *ContingencyResult:
+		if r != nil && r.Table != nil {
+			return struct {
+				VarX, VarY string
+				Derived    stats.ContingencyDerived
+				Table      []byte
+			}{r.VarX, r.VarY, r.Derived, r.Table.Marshal()}
+		}
+	case *render.FrameSet:
+		if r != nil {
+			frames := make([]any, 0, 2*len(r.Frames))
+			for _, fr := range r.Frames {
+				frames = append(frames, fr.Cam, byValue(fr.Img))
+			}
+			return frames
+		}
+	}
+	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Pointer && !rv.IsNil() {
+		return rv.Elem().Interface()
+	}
+	return v
 }
 
 // countReplay reports whether a live submission of (analysis, step)

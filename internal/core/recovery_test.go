@@ -8,6 +8,8 @@ import (
 
 	"insitu/internal/codec"
 	"insitu/internal/recovery"
+	"insitu/internal/render"
+	"insitu/internal/stats"
 )
 
 // recoveryTestPipeline builds a small recovery-enabled hybrid pipeline
@@ -200,6 +202,39 @@ func TestResumeEquivalence(t *testing.T) {
 	for s := 1; s <= steps; s++ {
 		if !reflect.DeepEqual(sg.Commits[s].Digests, sr.Commits[s].Digests) {
 			t.Errorf("step %d: digests diverge: %v vs %v", s, sr.Commits[s].Digests, sg.Commits[s].Digests)
+		}
+	}
+}
+
+// TestResultDigestByValue: results that hold pointers digest by what
+// they point at — two separately allocated, equal results agree, bare
+// or wrapped in Degraded, and a different value still digests
+// differently.
+func TestResultDigestByValue(t *testing.T) {
+	table := func(n int64) *ContingencyResult {
+		tab, err := stats.NewContingency(0, 1, 2, 0, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab.N, tab.Counts[3] = n, n
+		return &ContingencyResult{VarX: "T", VarY: "Y_OH", Table: tab}
+	}
+	frames := func(px float64) *render.FrameSet {
+		img := render.NewImage(2, 1)
+		img.Pix[0] = px
+		return &render.FrameSet{Frames: []render.Frame{{Cam: "cam0", Img: img}}}
+	}
+	for name, mk := range map[string]func(x int) any{
+		"contingency":          func(x int) any { return table(int64(x)) },
+		"frame set":            func(x int) any { return frames(float64(x)) },
+		"degraded contingency": func(x int) any { return Degraded{Reason: "shed", Value: table(int64(x))} },
+		"degraded frame set":   func(x int) any { return Degraded{Reason: "shed", Value: frames(float64(x))} },
+	} {
+		if a, b := ResultDigest(mk(1)), ResultDigest(mk(1)); a != b {
+			t.Errorf("%s: equal results digest differently: %s vs %s", name, a, b)
+		}
+		if a, b := ResultDigest(mk(1)), ResultDigest(mk(2)); a == b {
+			t.Errorf("%s: different results share digest %s", name, a)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func (t *TopologyStreaming) InTransitStream(step int, inputs <-chan StreamInput)
 	if err != nil {
 		return nil, err
 	}
-	res := &TopologyResult{Tree: tree, Stream: stream}
+	res := &TopologyResult{Tree: tree, Stream: stream, arrivalOrdered: true}
 	work := tree
 	if t.SimplifyEps > 0 {
 		work = mergetree.Simplify(tree, t.SimplifyEps)

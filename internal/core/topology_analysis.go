@@ -15,6 +15,10 @@ type TopologyResult struct {
 	Tree     *mergetree.Tree
 	Stream   mergetree.StreamStats
 	Features []mergetree.Feature
+	// arrivalOrdered marks a result whose subtrees were incorporated in
+	// payload arrival order (TopologyStreaming): its tree is the same
+	// every run, its Stream.SpliceOps work counter is not.
+	arrivalOrdered bool
 }
 
 // TopologyHybrid is the hybrid merge-tree analysis: each rank computes

@@ -58,23 +58,31 @@ func LocalFeatureStats(segVar, cond *grid.Field, global, owned grid.Box, thresho
 			repVal[label] = v
 		}
 	}
-	// Owned-voxel moments per component.
+	// Owned-voxel moments per component, accumulated in grid order and
+	// emitted in first-seen order — never map order — so the
+	// floating-point sums and the payload bytes are the same every run.
 	acc := make(map[int64]*stats.Moments)
-	for id, label := range s.Labels {
-		i, j, k := grid.GlobalPoint(global, id)
-		if !owned.Contains(i, j, k) {
-			continue
+	var order []int64
+	for k := owned.Lo[2]; k < owned.Hi[2]; k++ {
+		for j := owned.Lo[1]; j < owned.Hi[1]; j++ {
+			for i := owned.Lo[0]; i < owned.Hi[0]; i++ {
+				label, ok := s.Labels[grid.GlobalIndex(global, i, j, k)]
+				if !ok {
+					continue
+				}
+				m, seen := acc[label]
+				if !seen {
+					m = stats.NewMoments()
+					acc[label] = m
+					order = append(order, label)
+				}
+				m.Update(cond.At(i, j, k))
+			}
 		}
-		m, ok := acc[label]
-		if !ok {
-			m = stats.NewMoments()
-			acc[label] = m
-		}
-		m.Update(cond.At(i, j, k))
 	}
-	out := make([]FeaturePartial, 0, len(acc))
-	for label, m := range acc {
-		out = append(out, FeaturePartial{Rep: rep[label], Moments: *m})
+	out := make([]FeaturePartial, 0, len(order))
+	for _, label := range order {
+		out = append(out, FeaturePartial{Rep: rep[label], Moments: *acc[label]})
 	}
 	return out, nil
 }

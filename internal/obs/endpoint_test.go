@@ -14,6 +14,7 @@ import (
 	"insitu/internal/netsim"
 	"insitu/internal/obs"
 	"insitu/internal/sim"
+	"insitu/internal/trace"
 )
 
 // runInstrumented runs a small pipeline with the observability plane
@@ -160,7 +161,7 @@ func TestTaskLifecycleReconciles(t *testing.T) {
 // recorder renders exactly the timeline-category spans.
 func TestLegacyViewsUnchanged(t *testing.T) {
 	pl, p := runInstrumented(t)
-	tl := p.EnableTrace() // idempotent; returns the plane's timeline
+	tl := trace.Over(p.EnableObs().Recorder()) // EnableObs is idempotent: the same plane
 	if tl.Recorder() != pl.Recorder() {
 		t.Fatal("timeline does not share the plane's recorder")
 	}

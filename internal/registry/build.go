@@ -66,10 +66,31 @@ func (b *Built) Steps(explicit, def int) int {
 	return def
 }
 
+// Run runs the topology once and returns one report per tenant keyed
+// by tenant name; a single-tenant pipeline's lone report goes under its
+// tenant's (possibly empty) name, so callers need not care which of
+// Pipeline and Scheduler was built. resume continues an interrupted
+// journaled run (single-tenant configs with a recovery block). A
+// non-nil error beside non-empty reports means analysis routes failed
+// while the run itself completed.
+func (b *Built) Run(steps int, resume bool) (map[string]*core.Report, error) {
+	if b.Scheduler != nil {
+		return b.Scheduler.Run(steps)
+	}
+	run := b.Pipeline.Run
+	if resume {
+		run = b.Pipeline.Resume
+	}
+	rep, err := run(steps)
+	if rep == nil {
+		return nil, err
+	}
+	return map[string]*core.Report{b.Tenants[0].Name: rep}, err
+}
+
 // Build validates cfg and constructs the declared topology, routing
 // every analysis through the registry. It is the single construction
-// path for config-declared runs — the legacy flag path and the
-// -config path both end here, which is what makes them byte-identical.
+// path for config-declared runs.
 func Build(cfg *Config) (*Built, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -11,9 +11,9 @@ import (
 	"insitu/internal/registry"
 )
 
-// runDigests builds the config, runs it, and digests every stored
-// analysis result keyed by "name@step" — a whole run reduced to a
-// comparable map.
+// runDigests builds the single-tenant config, runs it, and digests
+// every stored analysis result keyed by "name@step" — a whole run
+// reduced to a comparable map.
 func runDigests(t *testing.T, cfg *registry.Config) map[string]string {
 	t.Helper()
 	b, err := registry.Build(cfg)
@@ -22,16 +22,14 @@ func runDigests(t *testing.T, cfg *registry.Config) map[string]string {
 	}
 	defer b.Close()
 	steps := b.Steps(0, 4)
-	rep, err := b.Pipeline.Run(steps)
+	reps, err := b.Run(steps, false)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	rep := reps[b.Tenants[0].Name]
 	out := make(map[string]string)
 	for _, a := range b.Tenants[0].Analyses {
-		every := a.Every()
-		if every < 1 {
-			every = 1
-		}
+		every := max(a.Every(), 1)
 		for s := every; s <= steps; s += every {
 			if v := rep.Result(a.Name(), s); v != nil {
 				out[fmt.Sprintf("%s@%d", a.Name(), s)] = core.ResultDigest(v)
@@ -44,41 +42,55 @@ func runDigests(t *testing.T, cfg *registry.Config) map[string]string {
 	return out
 }
 
-// TestLegacyFlagAndConfigFileRunsMatch is the equivalence acceptance
-// test: the legacy flag path (LegacyOptions → Config) and the -config
-// file path (Marshal → LoadConfig) must build pipelines whose runs
-// produce identical result digests for every analysis at every step.
-//
-// The analysis set is restricted to those whose results are value
-// types (stats, viz, assess) — the same restriction the crash matrix
-// applies — because ResultDigest formats nested pointers inside
-// results (contingency's *stats.Contingency) as addresses, which
-// differ between any two runs regardless of construction path.
-// Topology results are digested by value; see
-// TestTopologyDigestsStableAcrossRuns.
-func TestLegacyFlagAndConfigFileRunsMatch(t *testing.T) {
-	opts := registry.LegacyOptions{
-		NX: 16, NY: 12, NZ: 8,
-		PX: 2, PY: 1, PZ: 1,
-		Steps: 4, Every: 1, SubSteps: 1,
-		Buckets: 2, Servers: 2,
-		StatsMode: "both", VizMode: "both",
-		Assess: true,
-		Factor: 4,
-		Seed:   1,
+// smallConfig declares a quick single-tenant run of the given analyses.
+func smallConfig(analyses ...registry.AnalysisConfig) *registry.Config {
+	buckets := 2
+	return &registry.Config{
+		Steps:  3,
+		Fabric: registry.FabricConfig{DSServers: 2, Buckets: &buckets, Net: registry.NetConfig{Profile: "gemini"}},
+		Tenants: []registry.TenantConfig{{
+			Sim:      registry.SimConfig{NX: 16, NY: 12, NZ: 8, PX: 2, PY: 1, PZ: 1, Seed: 1},
+			Analyses: analyses,
+		}},
 	}
-	fromFlags, err := opts.Config()
-	if err != nil {
-		t.Fatalf("LegacyOptions.Config: %v", err)
-	}
+}
 
-	// Round-trip through the file format, exactly like -dump-config
-	// followed by -config.
-	data, err := fromFlags.Marshal()
+// sameDigests fails the test for every key whose digest differs between
+// the two runs, or that only one of them has.
+func sameDigests(t *testing.T, what string, first, second map[string]string) {
+	t.Helper()
+	if len(first) != len(second) {
+		t.Errorf("%s: result counts differ: %d vs %d", what, len(first), len(second))
+	}
+	for key, want := range first {
+		if got, ok := second[key]; !ok || got != want {
+			t.Errorf("%s: digest of %s differs: %s vs %q", what, key, want, got)
+		}
+	}
+}
+
+// TestConfigFileRoundTripRunsMatch: a config written in Go and the same
+// config after Marshal → file → LoadConfig build pipelines whose runs
+// produce identical result digests for every analysis at every step —
+// the file format loses nothing a run depends on.
+func TestConfigFileRoundTripRunsMatch(t *testing.T) {
+	an := func(name string, p registry.Params) registry.AnalysisConfig {
+		return registry.AnalysisConfig{Analysis: name, Params: p}
+	}
+	inGo := smallConfig(
+		an("stats", registry.Params{Placement: registry.PlaceInSitu, Every: 1}),
+		an("stats", registry.Params{Placement: registry.PlaceHybrid, Vars: []string{"T", "Y_OH"}}),
+		an("viz", registry.Params{Placement: registry.PlaceInSitu, Width: 40, Height: 30, Cameras: 2}),
+		an("viz", registry.Params{Placement: registry.PlaceHybrid, Width: 40, Height: 30, Factor: 4}),
+		an("assess", registry.Params{Sigma: 2.5}),
+		an("contingency", registry.Params{XBins: 6, YBins: 5}),
+		an("autocorr", registry.Params{Lags: []int{1, 2}}),
+	)
+	data, err := inGo.Marshal()
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "legacy.json")
+	path := filepath.Join(t.TempDir(), "run.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -86,53 +98,39 @@ func TestLegacyFlagAndConfigFileRunsMatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadConfig: %v", err)
 	}
-
-	flagRun := runDigests(t, fromFlags)
-	fileRun := runDigests(t, fromFile)
-
-	if len(flagRun) != len(fileRun) {
-		t.Fatalf("result counts differ: flags %d, file %d", len(flagRun), len(fileRun))
-	}
-	for key, want := range flagRun {
-		got, ok := fileRun[key]
-		if !ok {
-			t.Errorf("config-file run missing result %s", key)
-			continue
-		}
-		if got != want {
-			t.Errorf("digest mismatch at %s: flags %s, file %s", key, want, got)
-		}
-	}
+	sameDigests(t, "in-Go vs file", runDigests(t, inGo), runDigests(t, fromFile))
 }
 
-// TestTopologyDigestsStableAcrossRuns: a topology result is digested by
-// value (sorted arcs, stream stats, features), not by the heap
-// addresses of its tree nodes, so two independent runs of the same
-// config agree digest for digest — what lets the journal's commit
-// digests and the golden files cover topology at all.
-func TestTopologyDigestsStableAcrossRuns(t *testing.T) {
-	cfg := func() *registry.Config {
-		c, err := registry.LegacyOptions{
-			NX: 16, NY: 12, NZ: 8,
-			PX: 2, PY: 1, PZ: 1,
-			Steps: 3, Every: 1, SubSteps: 1,
-			Buckets: 2, Servers: 2,
-			StatsMode: "off", VizMode: "off",
-			Topology: true,
-			Seed:     1,
-		}.Config()
-		if err != nil {
-			t.Fatalf("LegacyOptions.Config: %v", err)
-		}
-		return c
+// TestResultDigestsStableAcrossRuns: for every registered analysis at
+// every placement it supports, two independent runs of the same config
+// agree digest for digest. Results are digested by value (a topology
+// result by its sorted arcs, a contingency result by its encoded
+// table), never by heap address — what lets the journal's commit
+// digests and the golden files cover every analysis.
+func TestResultDigestsStableAcrossRuns(t *testing.T) {
+	// The parameters without which an analysis's default run is slow or
+	// has nothing to find on this small grid.
+	params := map[string]registry.Params{
+		"viz":          {Width: 40, Height: 30},
+		"topology":     {SimplifyEps: 0.05, FeatureThreshold: 1},
+		"featurestats": {Threshold: 1},
+		"tracking":     {Threshold: 0.05},
 	}
-	first, second := runDigests(t, cfg()), runDigests(t, cfg())
-	if len(first) != 3 {
-		t.Fatalf("want 3 topology results, got %d: %v", len(first), first)
-	}
-	for key, want := range first {
-		if got := second[key]; got != want {
-			t.Errorf("digest of %s differs between two runs: %s vs %s", key, want, got)
+	for _, name := range registry.Names() {
+		info, _ := registry.Lookup(name)
+		for _, placement := range info.Placements {
+			t.Run(name+"/"+string(placement), func(t *testing.T) {
+				p := params[name]
+				p.Placement = placement
+				cfg := func() *registry.Config {
+					return smallConfig(registry.AnalysisConfig{Analysis: name, Params: p})
+				}
+				first, second := runDigests(t, cfg()), runDigests(t, cfg())
+				if len(first) != 3 {
+					t.Fatalf("want 3 results, got %d: %v", len(first), first)
+				}
+				sameDigests(t, "two runs", first, second)
+			})
 		}
 	}
 }
@@ -213,9 +211,9 @@ func TestBuildMultiTenantShape(t *testing.T) {
 		t.Fatalf("Tenants = %+v, want a then b", b.Tenants)
 	}
 
-	reps, err := b.Scheduler.Run(b.Steps(0, 2))
+	reps, err := b.Run(b.Steps(0, 2), false)
 	if err != nil {
-		t.Fatalf("Scheduler.Run: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	for _, name := range []string{"a", "b"} {
 		rep := reps[name]

@@ -123,8 +123,7 @@ type Factory func(p Params) (core.Analysis, error)
 // extra range check, and the factory. Registrations are process-wide
 // and permanent; Info values must not be mutated after Register.
 type Info struct {
-	// Doc is a one-line description surfaced by tooling (pipecheck
-	// -list, PIPELINES.md).
+	// Doc is a one-line description (s3dpipe -list prints it).
 	Doc string
 	// Placements lists the supported placements. When exactly one is
 	// supported it is also the default for configs that omit placement.

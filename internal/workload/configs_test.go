@@ -2,8 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"cmp"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"insitu/internal/registry"
@@ -13,9 +15,9 @@ import (
 // this package (tests run in the package directory).
 const configsDir = "../../examples/configs"
 
-// TestExampleConfigsLoad: every checked-in example must strictly
-// decode and validate — the same gate `make configs` runs in CI.
-func TestExampleConfigsLoad(t *testing.T) {
+// examplePaths lists the checked-in example configs.
+func examplePaths(t *testing.T) []string {
+	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(configsDir, "*.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -23,18 +25,42 @@ func TestExampleConfigsLoad(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatalf("no example configs under %s", configsDir)
 	}
-	for _, path := range paths {
-		if _, err := registry.LoadConfig(path); err != nil {
-			t.Errorf("%s: %v", path, err)
+	return paths
+}
+
+// TestEveryAnalysisPlacementHasAnExample: every registered analysis, at
+// every placement it supports, is declared by at least one checked-in
+// example — so each is reachable from a config (there is no other way
+// in), runs in TestExampleConfigDigestsGolden or a soak, and a newly
+// registered analysis fails CI until an example names it.
+func TestEveryAnalysisPlacementHasAnExample(t *testing.T) {
+	declared := map[string]bool{}
+	for _, path := range examplePaths(t) {
+		cfg, err := registry.LoadConfig(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, tn := range cfg.Tenants {
+			for _, ac := range tn.Analyses {
+				pl := cmp.Or(ac.Params.Placement, tn.Placement, registry.DefaultPlacement(ac.Analysis))
+				declared[ac.Analysis+" / "+string(pl)] = true
+			}
+		}
+	}
+	for _, name := range registry.Names() {
+		info, _ := registry.Lookup(name)
+		for _, pl := range info.Placements {
+			if key := name + " / " + string(pl); !declared[key] {
+				t.Errorf("no config under %s declares %s", configsDir, key)
+			}
 		}
 	}
 }
 
-// pinned asserts a checked-in example file is byte-identical to its
-// code-generated source config. This is what makes the examples
-// executable documentation: drift in either direction fails CI, and
-// (for the scenario configs) it proves the -config path loads the
-// exact pipeline the flag path builds.
+// pinned asserts a checked-in example file is byte-identical to the
+// scenario config the soak tests build in Go, so `s3dpipe -config` runs
+// exactly what `make tenants` / `make brownout` gate; drift in either
+// direction fails CI.
 func pinned(t *testing.T, file string, cfg *registry.Config) {
 	t.Helper()
 	want, err := cfg.Marshal()
@@ -59,37 +85,35 @@ func TestBrownoutExamplePinned(t *testing.T) {
 	pinned(t, "brownout.json", BrownoutConfig(true))
 }
 
-func TestStoreServeExamplePinned(t *testing.T) {
-	cfg, err := registry.LegacyOptions{
-		NX: 32, NY: 24, NZ: 8, PX: 2, PY: 2, PZ: 1,
-		Steps: 6, Every: 1, SubSteps: 1,
-		Buckets: 2, Servers: 2,
-		StatsMode: "off", VizMode: "hybrid",
-		Factor: 4, Cameras: 4, Seed: 1,
-		StoreDir: "out/s3d-store",
-	}.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Name = "store-serve"
-	cfg.Store.Serve = ":8080"
-	pinned(t, "store-serve.json", cfg)
-}
+// wholeFloat matches a whole-valued number a hand-written example
+// spells with a trailing ".0" (quickstart.json's feature_threshold),
+// which Marshal spells without.
+var wholeFloat = regexp.MustCompile(`(\d)\.0(\D)`)
 
-func TestRecoveryExamplePinned(t *testing.T) {
-	cfg, err := registry.LegacyOptions{
-		NX: 32, NY: 24, NZ: 8, PX: 2, PY: 2, PZ: 1,
-		Steps: 8, Every: 1, SubSteps: 1,
-		Buckets: 2, Servers: 2,
-		StatsMode: "hybrid", VizMode: "off",
-		Topology: true, Seed: 1,
-		Journal: "out/s3d-journal", CkptEvery: 4,
-	}.Config()
-	if err != nil {
-		t.Fatal(err)
+// TestExampleConfigsCanonical: every checked-in example strictly decodes
+// and validates, and is its own canonical form — LoadConfig then Marshal
+// reproduces the file byte for byte (up to that one number spelling), so
+// the file states everything the loaded config holds, in the schema's
+// order and spelling, and a hand edit that drifts from it fails CI.
+func TestExampleConfigsCanonical(t *testing.T) {
+	for _, path := range examplePaths(t) {
+		cfg, err := registry.LoadConfig(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		got, err := cfg.Marshal()
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", path, err)
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wholeFloat.ReplaceAll(want, []byte("$1$2"))) {
+			t.Errorf("%s is not in canonical form.\n--- file ---\n%s--- LoadConfig → Marshal ---\n%s", path, want, got)
+		}
 	}
-	cfg.Name = "recovery"
-	pinned(t, "recovery.json", cfg)
 }
 
 // TestScenarioConfigsRoundTrip: the scenario configs survive a

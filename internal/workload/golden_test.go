@@ -38,12 +38,13 @@ func reportDigests(analyses []core.Analysis, rep *core.Report, steps int) string
 
 // TestExampleConfigDigestsGolden pins the full result-digest map of the
 // single-tenant example configs: every analysis result at every step
-// must hash to what testdata/<config>.golden records. The goldens were
-// generated before the fabric/engine refactor, so they prove the
-// refactor moved code without changing what runs. Only the store and
-// journal directories are substituted (with temp dirs).
+// must hash to what testdata/<config>.golden records, so a change that
+// is meant to move code proves it changed nothing that runs.
+// all-analyses covers every registered analysis at every placement
+// (TestEveryAnalysisPlacementHasAnExample). Only the store and journal
+// directories are substituted (with temp dirs).
 func TestExampleConfigDigestsGolden(t *testing.T) {
-	for _, name := range []string{"quickstart", "store-serve", "recovery"} {
+	for _, name := range []string{"quickstart", "store-serve", "recovery", "all-analyses"} {
 		t.Run(name, func(t *testing.T) {
 			cfg, err := registry.LoadConfig(filepath.Join(configsDir, name+".json"))
 			if err != nil {
