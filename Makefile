@@ -6,11 +6,6 @@
 #                   pass flags with ARGS='--workload wire-codec --seconds 5')
 #   make benchmark-tests  the benchmark module's own tests (a nested Go
 #                   module, so tier-1 `go test ./...` does not reach them)
-#   make bench-json regenerate BENCH_PR6.json from the codec benches
-#   make bench-gate regenerate the codec benches to a temp file and diff
-#                   the machine-independent metrics (allocs/op, B/op,
-#                   x-compression, max-err) against the committed
-#                   BENCH_PR6.json with a 10% tolerance
 #   make fuzz-smoke 10s coverage-guided fuzz of the codec frame decoder
 #                   (typed errors only, never a panic)
 #   make chaos      race-enabled chaos suite: fixed-seed soak (50 steps
@@ -51,7 +46,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet build test race bench benchmark-tests bench-json bench-gate fuzz-smoke chaos brownout crashmatrix tenants fmt doccheck configs obs-check serve
+.PHONY: tier1 vet build test race bench benchmark-tests fuzz-smoke chaos brownout crashmatrix tenants fmt doccheck configs obs-check serve
 
 tier1: fmt vet build test race doccheck
 
@@ -90,14 +85,6 @@ bench:
 
 benchmark-tests:
 	cd benchmark && $(GO) test ./...
-
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_PR6.json
-
-bench-gate:
-	@tmp="$$(mktemp)"; trap 'rm -f "$$tmp"' EXIT; \
-	$(GO) run ./cmd/benchjson -o "$$tmp" && \
-	$(GO) run ./cmd/benchjson -diff BENCH_PR6.json "$$tmp"
 
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/codec/

@@ -1,8 +1,8 @@
 // Transfer-path codec benches: each BenchmarkCodec* reports the
 // machine-independent byte economy of one codec on a representative
 // payload alongside the usual timing numbers, so
-// `go test -bench Codec -benchmem` regenerates the x-compression and
-// max-err columns recorded in BENCH_PR6.json on any machine.
+// `go test -bench Codec -benchmem` reports the x-compression and
+// max-err columns EXPERIMENTS.md quotes on any machine.
 package insitu
 
 import (

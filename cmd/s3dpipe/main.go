@@ -30,7 +30,6 @@ import (
 	"insitu/internal/registry"
 	"insitu/internal/render"
 	"insitu/internal/serve"
-	"insitu/internal/trace"
 	// Registers the "poison" drill analysis that
 	// examples/configs/tenants.json names.
 	_ "insitu/internal/workload"
@@ -148,11 +147,10 @@ func launch(o options, out io.Writer) error {
 	}
 
 	if o.timeline {
-		tl := trace.Over(pl.Recorder())
-		fmt.Fprintln(out, tl.Gantt(100))
-		util := tl.Utilization()
+		fmt.Fprintln(out, obs.Gantt(pl.Recorder(), 100))
+		util := obs.Utilization(pl.Recorder())
 		fmt.Fprint(out, "lane utilization:")
-		for _, lane := range tl.Lanes() {
+		for _, lane := range obs.TimelineLanes(pl.Recorder()) {
 			fmt.Fprintf(out, " %s=%.0f%%", lane, 100*util[lane])
 		}
 		fmt.Fprint(out, "\n\n")

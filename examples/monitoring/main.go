@@ -19,10 +19,10 @@ import (
 	"insitu/internal/core"
 	"insitu/internal/grid"
 	"insitu/internal/netsim"
+	"insitu/internal/obs"
 	"insitu/internal/render"
 	"insitu/internal/sim"
 	"insitu/internal/stats"
-	"insitu/internal/trace"
 )
 
 func main() {
@@ -40,7 +40,7 @@ func main() {
 	track := &core.TrackingHybrid{Threshold: 0.05}
 	viz := core.NewVizHybrid(240, 160, 2)
 	viz.AutoRange = true
-	tl := trace.Over(p.EnableObs().Recorder())
+	rec := p.EnableObs().Recorder()
 
 	p.Register(statsH)
 	p.Register(assess)
@@ -87,5 +87,5 @@ func main() {
 
 	// The run's execution timeline: simulation vs staging buckets.
 	fmt.Println()
-	fmt.Println(tl.Gantt(90))
+	fmt.Println(obs.Gantt(rec, 90))
 }

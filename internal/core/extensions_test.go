@@ -6,9 +6,9 @@ import (
 
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
+	"insitu/internal/obs"
 	"insitu/internal/render"
 	"insitu/internal/stats"
-	"insitu/internal/trace"
 )
 
 // TestStreamingTopologyMatchesBuffered: the streaming in-transit
@@ -234,17 +234,17 @@ func TestPipelineTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Register(&StatsHybrid{})
-	tl := trace.Over(p.EnableObs().Recorder())
+	rec := p.EnableObs().Recorder()
 	if _, err := p.Run(3); err != nil {
 		t.Fatal(err)
 	}
-	lanes := tl.Lanes()
+	lanes := obs.TimelineLanes(rec)
 	if len(lanes) < 2 || lanes[0] != "sim" {
 		t.Fatalf("timeline lanes wrong: %v", lanes)
 	}
 	simSpans := 0
 	taskSpans := 0
-	for _, s := range tl.Spans() {
+	for _, s := range rec.SpansCat(obs.CatTimeline) {
 		if s.Lane == "sim" {
 			simSpans++
 		} else {
@@ -254,7 +254,7 @@ func TestPipelineTrace(t *testing.T) {
 	if simSpans != 3 || taskSpans != 3 {
 		t.Fatalf("want 3 sim + 3 task spans, got %d + %d", simSpans, taskSpans)
 	}
-	if tl.Gantt(60) == "" {
+	if obs.Gantt(rec, 60) == "" {
 		t.Fatal("gantt rendering empty")
 	}
 }

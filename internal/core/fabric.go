@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"insitu/internal/bufpool"
 	"insitu/internal/codec"
@@ -12,7 +13,6 @@ import (
 	"insitu/internal/netsim"
 	"insitu/internal/obs"
 	"insitu/internal/staging"
-	"insitu/internal/trace"
 )
 
 // fabric is the transit substrate of the paper's Fig. 5 that every
@@ -41,7 +41,6 @@ type fabric struct {
 	// Observability plane (nil until enableObs). Written once, before
 	// run; the step loops and the drain read it unlocked.
 	plane *obs.Plane
-	tl    *trace.Timeline
 }
 
 // newFabric validates the sizing and builds the shared subsystems.
@@ -154,8 +153,8 @@ func (f *fabric) releaseHandle(d dataspaces.Descriptor) {
 }
 
 // enableObs attaches the one observability plane: a span recorder
-// shared by the legacy timeline, the DART transport, the task lifecycle
-// and every tenant's admission plane, plus a metrics registry holding
+// shared by the timeline, the DART transport, the task lifecycle and
+// every tenant's admission plane, plus a metrics registry holding
 // the fabric's families once and each tenant's families under its
 // label. Idempotent; call before run.
 func (f *fabric) enableObs() *obs.Plane {
@@ -166,7 +165,6 @@ func (f *fabric) enableObs() *obs.Plane {
 	}
 	pl := obs.NewPlane()
 	f.plane = pl
-	f.tl = trace.Over(pl.Recorder())
 	tenants := append([]*Pipeline(nil), f.tenants...)
 	f.mu.Unlock()
 
@@ -197,6 +195,21 @@ func (f *fabric) obs() *obs.Plane {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.plane
+}
+
+// timeline records one Gantt span (obs.CatTimeline; start == end for a
+// mark) named by format and args. Without a plane it does nothing, so
+// call sites need no guard and the name is never formatted.
+func (f *fabric) timeline(lane string, start, end time.Time, format string, args ...any) {
+	if f.plane != nil {
+		f.plane.Recorder().Record(0, obs.CatTimeline, lane, fmt.Sprintf(format, args...), start, end)
+	}
+}
+
+// mark records an instantaneous timeline event — a degradation, a
+// dead-letter, a breaker or ladder move.
+func (f *fabric) mark(lane string, at time.Time, format string, args ...any) {
+	f.timeline(lane, at, at, format, args...)
 }
 
 // begin claims the fabric's single run and returns the tenants it will

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +45,9 @@ type Config struct {
 	// plane: credit-based admission, a per-analysis-route circuit
 	// breaker, and the admission ladder (full → delta → quantized →
 	// shaped → in-situ → shed) replace the single StepBudget probe as
-	// the degradation trigger. Nil keeps the legacy binary
-	// probe-and-fallback behavior.
+	// the degradation trigger. Nil leaves the probe as the only
+	// trigger: the same per-route verdicts with two rungs, full and
+	// in-situ.
 	Overload *overload.Config
 	// Codecs selects the default transfer-path codec per hybrid route:
 	// the key is an analysis name, with "*" as the fallback for routes
@@ -119,8 +121,10 @@ type Pipeline struct {
 	rankEps []*dart.Endpoint // this tenant's rank endpoints, by rank
 
 	// admitCtr holds the pre-resolved admission counters, one per ladder
-	// level (nil until the plane is attached).
+	// level, and stepWall the per-step wall-latency histogram (both nil
+	// until the plane is attached).
 	admitCtr map[overload.Level]*obs.Counter
+	stepWall *obs.Histogram
 
 	// Drain accounting: the queue closes once the simulation has
 	// finished AND every successfully submitted task has produced its
@@ -134,7 +138,7 @@ type Pipeline struct {
 
 // routeState is one hybrid analysis route's overload-control state:
 // its circuit breaker, its admission ladder, and the last ladder level
-// marked on the trace (rank-0 admission only).
+// marked on the timeline (rank-0 admission only).
 type routeState struct {
 	breaker   *overload.Breaker
 	ladder    *overload.Ladder
@@ -232,7 +236,7 @@ func (p *Pipeline) Metrics() *metrics.Collector { return p.col }
 func (p *Pipeline) Network() *netsim.Network { return p.fab.net }
 
 // EnableObs attaches the observability plane: one span recorder shared
-// by the legacy timeline, the DART transport, the task lifecycle, and
+// by the timeline, the DART transport, the task lifecycle, and
 // the admission plane, plus a metrics registry every subsystem
 // publishes into. The plane belongs to the fabric: a scheduler tenant
 // gets the scheduler's plane. Idempotent; call before Run. The returned
@@ -243,7 +247,45 @@ func (p *Pipeline) EnableObs() *obs.Plane { return p.fab.enableObs() }
 // publish registers this tenant's metric families: unlabelled for a
 // standalone pipeline, under tenant=<name> in a scheduler.
 func (p *Pipeline) publish(reg *obs.Registry) {
-	p.col.PublishToLabeled(reg, p.labels...)
+	// The Table II ledger's aggregates: monotonic totals sampled at
+	// export time, and the per-step wall latency as a histogram that
+	// rankLoop feeds beside RecordStepWall.
+	col := p.col
+	ledger := func(name, help string, sample func() float64) {
+		reg.CounterFunc(name, help, sample, p.labels...)
+	}
+	ledger("pipeline_sim_seconds_total", "total simulation time, summed over per-step maxima across ranks",
+		func() float64 { total, _, _ := col.SimTime(); return total.Seconds() })
+	ledger("pipeline_degraded_steps_total", "analysis steps that fell back fully in-situ or dead-lettered",
+		func() float64 { return float64(col.Resilience().DegradedSteps) })
+	ledger("pipeline_delta_steps_total", "analysis steps admitted with delta-encoded payloads",
+		func() float64 { return float64(col.Overload().StepsDelta) })
+	ledger("pipeline_quantized_steps_total", "analysis steps admitted with quantized payloads",
+		func() float64 { return float64(col.Overload().StepsQuantized) })
+	ledger("pipeline_shaped_steps_total", "analysis steps admitted at a reduced (shaped) payload level",
+		func() float64 { return float64(col.Overload().StepsShaped) })
+	ledger("pipeline_shed_steps_total", "analysis steps dropped with an explicit shed marker",
+		func() float64 { return float64(col.Overload().StepsShed) })
+	ledger("pipeline_fallback_steps_total", "analysis steps the admission ladder forced in-situ",
+		func() float64 { return float64(col.Overload().StepsFallback) })
+	ledger("pipeline_transit_bytes_total", "intermediate bytes moved to the staging tier, all analyses",
+		func() float64 {
+			var n int64
+			for _, name := range col.Analyses() {
+				n += col.Total(name).MoveBytes
+			}
+			return float64(n)
+		})
+	ledger("pipeline_transit_seconds_total", "in-transit compute wall time, all analyses",
+		func() float64 {
+			var d time.Duration
+			for _, name := range col.Analyses() {
+				d += col.Total(name).InTransit
+			}
+			return d.Seconds()
+		})
+	stepWall := reg.Histogram("pipeline_step_wall_seconds",
+		"per-step simulation-side wall time (max over ranks per sample)", obs.LatencyBuckets, p.labels...)
 	// Admission counters are registered for every ladder level up front
 	// — even runs without overload control expose the same families.
 	admitCtr := make(map[overload.Level]*obs.Counter, 6)
@@ -255,7 +297,7 @@ func (p *Pipeline) publish(reg *obs.Registry) {
 			append([]obs.Attr{obs.Str("level", lv.String())}, p.labels...)...)
 	}
 	p.mu.Lock()
-	p.admitCtr = admitCtr
+	p.admitCtr, p.stepWall = admitCtr, stepWall
 	p.mu.Unlock()
 	// locked samples a p.mu-guarded quantity at scrape time.
 	locked := func(name, help string, sample func() int64) {
@@ -547,16 +589,11 @@ func (p *Pipeline) installHandlers() {
 }
 
 // handleResult folds one final in-transit result into the pipeline:
-// trace spans, breaker/quarantine bookkeeping, result storage, transit
+// timeline spans, breaker/quarantine bookkeeping, result storage, transit
 // metrics, and drain accounting. Only the fabric's drain goroutine
 // calls it.
 func (p *Pipeline) handleResult(res staging.Result) {
-	tl := p.fab.tl
-	if tl != nil {
-		tl.Add(fmt.Sprintf("bucket-%d", res.Bucket),
-			fmt.Sprintf("%s@%d", res.Task.Analysis, res.Task.Step),
-			res.Start, res.End)
-	}
+	p.fab.timeline(bucketLane(res.Bucket), res.Start, res.End, "%s@%d", res.Task.Analysis, res.Task.Step)
 	p.observeResult(res)
 	if p.quar != nil {
 		if res.Task.Probe {
@@ -573,10 +610,7 @@ func (p *Pipeline) handleResult(res staging.Result) {
 		p.storeResult(res.Task.Analysis, res.Task.Step,
 			Degraded{Reason: res.Err.Error()})
 		p.col.AddDegradedStep()
-		if tl != nil {
-			tl.Mark(fmt.Sprintf("bucket-%d", res.Bucket),
-				fmt.Sprintf("dead-letter %s@%d", res.Task.Analysis, res.Task.Step), res.End)
-		}
+		p.fab.mark(bucketLane(res.Bucket), res.End, "dead-letter %s@%d", res.Task.Analysis, res.Task.Step)
 	case res.Err != nil:
 		p.recordErr(fmt.Errorf("core: in-transit %s step %d: %w",
 			res.Task.Analysis, res.Task.Step, res.Err))
@@ -601,6 +635,9 @@ func (p *Pipeline) handleResult(res staging.Result) {
 	p.mu.Unlock()
 	p.maybeCommitSteps()
 }
+
+// bucketLane names a staging bucket's timeline lane.
+func bucketLane(id int) string { return "bucket-" + strconv.Itoa(id) }
 
 // drained reports whether the tenant is finished with the task queue:
 // its simulation has stepped to the end and every task it submitted has
@@ -694,14 +731,14 @@ func (p *Pipeline) observeResult(res staging.Result) {
 	p.markBreaker(res.Task.Analysis, prev, rs.breaker.State(), res.Task.Step)
 }
 
-// markBreaker records a route's breaker transition on the trace and,
-// when the plane is attached, as an admission-category event.
+// markBreaker records a route's breaker transition on the timeline and
+// as an admission-category event (nothing without a plane).
 func (p *Pipeline) markBreaker(name string, prev, cur overload.BreakerState, step int) {
 	if prev == cur {
 		return
 	}
 	if pl := p.fab.plane; pl != nil {
-		p.fab.tl.Mark("overload", fmt.Sprintf("%s breaker %s→%s@%d", name, prev, cur, step), time.Now())
+		p.fab.mark("overload", time.Now(), "%s breaker %s→%s@%d", name, prev, cur, step)
 		attrs := append([]obs.Attr{
 			obs.Str("analysis", name),
 			obs.Str("from", prev.String()),
@@ -841,8 +878,8 @@ func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
 				reason = "in-situ: no transit credit; " + reason
 			}
 		}
-		if tl := p.fab.tl; tl != nil && level != rs.lastLevel {
-			tl.Mark("overload", fmt.Sprintf("%s ladder %s→%s@%d", name, rs.lastLevel, level, step), time.Now())
+		if level != rs.lastLevel {
+			p.fab.mark("overload", time.Now(), "%s ladder %s→%s@%d", name, rs.lastLevel, level, step)
 		}
 		rs.lastLevel = level
 		d := admitDecision{Name: name, Level: level, Reason: reason, Credited: credited}
@@ -983,9 +1020,7 @@ func (p *Pipeline) shedSubmitted(name string, step int, inputs []dataspaces.Desc
 	}
 	p.storeResult(name, step, Degraded{Reason: fmt.Sprintf("shed: %v", cause)})
 	p.col.AddShedStep()
-	if tl := p.fab.tl; tl != nil {
-		tl.Mark("overload", fmt.Sprintf("%s shed at submit@%d", name, step), time.Now())
-	}
+	p.fab.mark("overload", time.Now(), "%s shed at submit@%d", name, step)
 	if !errors.Is(cause, dataspaces.ErrQueueFull) && !errors.Is(cause, overload.ErrQuarantined) {
 		// Backpressure and the quarantine guard are expected; anything
 		// else is a real error too.
@@ -1003,16 +1038,30 @@ func (p *Pipeline) hybridDue(step int) bool {
 	return false
 }
 
-// probeTransit pulls the staging area's tiny probe region under the
-// step budget. A healthy path answers in microseconds; a partitioned
-// or saturated one fails (after DART's retries), which degrades the
-// step before any intermediate data is produced or pinned.
-func (p *Pipeline) probeTransit(ep *dart.Endpoint) error {
+// probeStep is rank 0's admission pass without overload control: one
+// pull of the staging area's tiny probe region under the step budget
+// decides every due hybrid route together. A healthy path answers in
+// microseconds; a partitioned or saturated one fails (after DART's
+// retries), which floors the routes at the in-situ rung before any
+// intermediate data is produced or pinned.
+func (p *Pipeline) probeStep(ep *dart.Endpoint, step int) []admitDecision {
+	level, reason := overload.LevelFull, ""
 	data, _, err := ep.GetDeadline(p.fab.area.ProbeHandle(), time.Now().Add(p.cfg.StepBudget))
-	if err == nil {
+	if err != nil {
+		level, reason = overload.LevelInSitu, fmt.Sprintf("transit probe: %v", err)
+		p.fab.mark("sim", time.Now(), "degraded@%d", step)
+	} else {
 		bufpool.Put(data)
 	}
-	return err
+	var out []admitDecision
+	for _, a := range p.analyses {
+		if _, ok := a.(hybridStage); ok && due(a, step) {
+			d := admitDecision{Name: a.Name(), Level: level, Reason: reason}
+			p.observeAdmit(step, d)
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // runFallback executes one degraded hybrid analysis step fully

@@ -37,8 +37,7 @@ type rankRun struct {
 	codecKeys map[string]string
 
 	// Set by admit, read by the stages after it.
-	decisions     map[string]admitDecision
-	degradeReason string
+	decisions map[string]admitDecision
 }
 
 // rankLoop is one rank's simulation + in-situ schedule: the stages of
@@ -62,7 +61,11 @@ func (p *Pipeline) rankLoop(r *comm.Rank, steps int) error {
 			rr.submit(step)
 		}
 		rr.checkpointCommit(step)
-		p.col.RecordStepWall(step, time.Since(stepStart))
+		wall := time.Since(stepStart)
+		p.col.RecordStepWall(step, wall)
+		if p.stepWall != nil {
+			p.stepWall.Observe(wall.Seconds())
+		}
 	}
 	return nil
 }
@@ -168,48 +171,37 @@ func (rr *rankRun) simStep(step int) time.Time {
 	stepStart := time.Now()
 	rr.rk.Step()
 	p.col.RecordSimStep(step, time.Since(stepStart))
-	if tl := p.fab.tl; tl != nil && rr.r.ID() == 0 {
-		tl.Add("sim", fmt.Sprintf("step %d", step), stepStart, time.Now())
+	if rr.r.ID() == 0 {
+		p.fab.timeline("sim", stepStart, time.Now(), "step %d", step)
 	}
 	rr.ctx.Step = step
 	return stepStart
 }
 
 // admit decides how this step's hybrid work may use the transit tier.
-// With overload control enabled, rank 0 runs the breaker + ladder
-// admission pass and broadcasts the verdicts so every rank takes the
-// same branch (the in-situ fallbacks use collectives). Without it, the
-// legacy transit-health check applies: when a step budget is configured
-// and hybrid work is due, rank 0 probes the staging area within the
-// budget and a failed probe degrades the whole step to in-situ
-// fallbacks.
+// Rank 0 reaches one verdict per due hybrid route — the breaker + ladder
+// admission pass with overload control enabled, the single StepBudget
+// probe without it — and broadcasts them so every rank takes the same
+// branch (the in-situ fallbacks use collectives). With neither trigger
+// configured every route is simply submitted.
 func (rr *rankRun) admit(step int) {
 	p, r := rr.p, rr.r
-	rr.decisions, rr.degradeReason = nil, ""
-	if p.ov != nil {
-		if p.hybridDue(step) {
-			var decs []admitDecision
-			if r.ID() == 0 {
-				decs = p.admitStep(rr.ep, step)
-			}
-			decs = r.Broadcast(0, decs).([]admitDecision)
-			rr.decisions = make(map[string]admitDecision, len(decs))
-			for _, d := range decs {
-				rr.decisions[d.Name] = d
-			}
+	rr.decisions = nil
+	if !p.hybridDue(step) || (p.ov == nil && p.cfg.StepBudget <= 0) {
+		return
+	}
+	var decs []admitDecision
+	if r.ID() == 0 {
+		if p.ov != nil {
+			decs = p.admitStep(rr.ep, step)
+		} else {
+			decs = p.probeStep(rr.ep, step)
 		}
-	} else if p.cfg.StepBudget > 0 && p.hybridDue(step) {
-		reason := ""
-		if r.ID() == 0 {
-			if err := p.probeTransit(rr.ep); err != nil {
-				reason = fmt.Sprintf("transit probe: %v", err)
-				p.col.AddDegradedStep()
-				if tl := p.fab.tl; tl != nil {
-					tl.Mark("sim", fmt.Sprintf("degraded@%d", step), time.Now())
-				}
-			}
-		}
-		rr.degradeReason = r.Broadcast(0, reason).(string)
+	}
+	decs = r.Broadcast(0, decs).([]admitDecision)
+	rr.decisions = make(map[string]admitDecision, len(decs))
+	for _, d := range decs {
+		rr.decisions[d.Name] = d
 	}
 }
 
@@ -257,10 +249,6 @@ func (rr *rankRun) inSitu(step int) (staged bool) {
 // meet at the data-ready barrier.
 func (rr *rankRun) reduceEncodeRegister(an hybridStage, step int) bool {
 	p, r := rr.p, rr.r
-	if rr.degradeReason != "" {
-		p.runFallback(rr.ctx, r, an, step, rr.degradeReason)
-		return false
-	}
 	dec, admitted := rr.decisions[an.Name()]
 	if admitted {
 		switch dec.Level {
@@ -414,9 +402,9 @@ func (rr *rankRun) checkpointCommit(step int) {
 }
 
 // writeCheckpoint writes this rank's bp checkpoint file for step and,
-// on rank 0 after the barrier, journals the checkpoint record (which
-// also refreshes the manifest). A dead journal writes nothing: a crash
-// earlier in the step must not leave newer durable state behind it.
+// on rank 0 after the barrier, journals the checkpoint record. A dead
+// journal writes nothing: a crash earlier in the step must not leave
+// newer durable state behind it.
 func (rr *rankRun) writeCheckpoint(step int) {
 	p, r, rec := rr.p, rr.r, rr.p.rec
 	if !rec.j.Killed() {

@@ -24,8 +24,7 @@ import (
 // a crashed run can be continued with Resume from the last committed
 // step, bit-identically to the uninterrupted run.
 type RecoveryConfig struct {
-	// Dir holds the journal, the checkpoint manifest, and the per-rank
-	// checkpoint files.
+	// Dir holds the journal and the per-rank checkpoint files.
 	Dir string
 	// Every is the checkpoint cadence in steps (default 5).
 	Every int
@@ -96,9 +95,7 @@ func (p *Pipeline) recKill(phase recovery.Phase, step int) {
 	}
 	if rec.kill(phase, step) {
 		rec.j.Kill()
-		if tl := p.fab.tl; tl != nil {
-			tl.Mark("recovery", fmt.Sprintf("killed %s@%d", phase, step), time.Now())
-		}
+		p.fab.mark("recovery", time.Now(), "killed %s@%d", phase, step)
 	}
 }
 

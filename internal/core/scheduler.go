@@ -233,7 +233,7 @@ func (s *Scheduler) Run(steps int) (map[string]*Report, error) {
 	if err := ds.EnableCredits(total, reservations); err != nil {
 		return nil, err
 	}
-	ds.EnableFairDequeue(weights)
+	ds.SetTenantWeights(weights)
 	quar := s.quar
 	ds.SetAdmissionGuard(func(tenant, analysis string, probe bool) error {
 		if probe || !quar.Barred(tenant, analysis) {

@@ -127,13 +127,12 @@ type Service struct {
 
 	mu      sync.Mutex
 	nextID  int64
-	queue   []Task    // pending tasks, FIFO (single-tenant FCFS mode)
 	waiting []*waiter // free buckets, FIFO
 	closed  bool
-	bound   int // max queued (unassigned) tasks; 0 = unbounded
+	bound   int // max queued (unassigned) tasks per tenant; 0 = unbounded
 
-	// Fair-dequeue (deficit round robin) state; nil/false = FCFS.
-	fair    bool
+	// The task queue: deficit round robin over per-tenant FIFO queues.
+	// A single-tenant run is a one-tenant ring, which is plain FCFS.
 	tq      map[string][]Task // per-tenant FIFO queues
 	order   []string          // sorted tenant names, the DRR ring
 	weights map[string]int    // DRR quantum per tenant (default 1)
@@ -167,7 +166,11 @@ func New(fabric *dart.Fabric, servers int) (*Service, error) {
 	if servers < 1 {
 		return nil, fmt.Errorf("dataspaces: need at least one server, got %d", servers)
 	}
-	s := &Service{fabric: fabric, servers: make([]*server, servers)}
+	s := &Service{
+		fabric: fabric, servers: make([]*server, servers),
+		tq: make(map[string][]Task), weights: make(map[string]int), deficit: make(map[string]int),
+		newTurn: true,
+	}
 	for i := range s.servers {
 		s.servers[i] = &server{index: make(map[key][]Descriptor)}
 	}
@@ -309,39 +312,36 @@ func (s *Service) EnableDedup(seed []TaskKey) {
 }
 
 // SetQueueBound bounds the number of *queued* (submitted but not yet
-// assigned) tasks; submissions beyond it fail with ErrQueueFull. Zero
-// removes the bound. Tasks handed directly to a waiting bucket never
-// count against it, and Requeue is exempt: a requeued task already
-// held queue occupancy once and must not be lost to backpressure.
+// assigned) tasks of each tenant; submissions beyond it fail with
+// ErrQueueFull. Zero removes the bound. Tasks handed directly to a
+// waiting bucket never count against it, and Requeue is exempt: a
+// requeued task already held queue occupancy once and must not be lost
+// to backpressure.
 func (s *Service) SetQueueBound(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bound = n
 }
 
-// EnableFairDequeue replaces the global FCFS task queue with
-// deficit-round-robin fair scheduling over per-tenant queues: each
-// tenant earns `weight` dequeue credits per ring turn (default 1), so
-// a tenant flooding the queue cannot starve the others. Head-requeues
-// stay exempt — a requeued task already held queue occupancy once and
-// is served before any tenant queue, preserving the at-most-once
-// in-flight guarantee of the crash path. With a queue bound set, the
-// bound applies per tenant (each tenant owns its bulkhead's depth)
-// instead of globally. Call before traffic starts.
-func (s *Service) EnableFairDequeue(weights map[string]int) {
+// SetTenantWeights sets the deficit-round-robin quantum of the named
+// tenants and enters them in the ring. Tasks are dequeued by DRR over
+// per-tenant queues: each tenant earns `weight` dequeue credits per
+// ring turn (default 1), so a tenant flooding the queue cannot starve
+// the others. Head-requeues stay exempt — a requeued task already held
+// queue occupancy once and is served before any tenant queue,
+// preserving the at-most-once in-flight guarantee of the crash path. A
+// queue bound applies per tenant (each tenant owns its bulkhead's
+// depth). Call before traffic starts.
+func (s *Service) SetTenantWeights(weights map[string]int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.fair = true
-	s.tq = make(map[string][]Task)
-	s.weights = make(map[string]int, len(weights))
-	s.deficit = make(map[string]int)
-	s.order = s.order[:0]
 	for name, w := range weights {
 		s.weights[name] = w
 		s.ensureTenantLocked(name)
 	}
+	// The ring starts at its first tenant whatever order the map was
+	// walked in.
 	s.rr = 0
-	s.newTurn = true
 }
 
 // ensureTenantLocked adds a tenant to the DRR ring, keeping the ring
@@ -377,20 +377,12 @@ func (s *Service) advanceLocked() {
 	s.newTurn = true
 }
 
-// nextTaskLocked pops the next task to assign, honouring head-requeues
-// first, then FCFS or DRR order depending on mode.
+// nextTaskLocked pops the next task to assign: head-requeues first,
+// then DRR order over the tenant queues.
 func (s *Service) nextTaskLocked() (Task, bool) {
 	if len(s.head) > 0 {
 		t := s.head[0]
 		s.head = s.head[1:]
-		return t, true
-	}
-	if !s.fair {
-		if len(s.queue) == 0 {
-			return Task{}, false
-		}
-		t := s.queue[0]
-		s.queue = s.queue[1:]
 		return t, true
 	}
 	total := 0
@@ -615,7 +607,7 @@ func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s@%d", ErrDuplicateTask, spec.Analysis, spec.Step)
 	}
-	if len(s.waiting) == 0 && s.bound > 0 && s.boundDepthLocked(spec.Tenant) >= s.bound {
+	if len(s.waiting) == 0 && s.bound > 0 && len(s.tq[spec.Tenant]) >= s.bound {
 		s.mu.Unlock()
 		return 0, ErrQueueFull
 	}
@@ -643,25 +635,11 @@ func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 		w.ch <- t
 		return t.ID, nil
 	}
-	if s.fair {
-		s.ensureTenantLocked(t.Tenant)
-		s.tq[t.Tenant] = append(s.tq[t.Tenant], t)
-	} else {
-		s.queue = append(s.queue, t)
-	}
+	s.ensureTenantLocked(t.Tenant)
+	s.tq[t.Tenant] = append(s.tq[t.Tenant], t)
 	s.mu.Unlock()
 	s.observeSubmit(t)
 	return t.ID, nil
-}
-
-// boundDepthLocked is the queue depth the bound applies to: the
-// submitting tenant's own queue in fair mode (per-tenant bulkhead),
-// the global queue otherwise.
-func (s *Service) boundDepthLocked(tenant string) int {
-	if s.fair {
-		return len(s.tq[tenant])
-	}
-	return len(s.queue)
 }
 
 // Requeue puts a failed task back at the head of the queue — it was
@@ -687,13 +665,9 @@ func (s *Service) Requeue(t Task) error {
 		w.ch <- t
 		return nil
 	}
-	if s.fair {
-		// Fair mode keeps a dedicated head lane so a requeue neither
-		// jumps another tenant's DRR turn nor waits behind it.
-		s.head = append(s.head, t)
-	} else {
-		s.queue = append([]Task{t}, s.queue...)
-	}
+	// A dedicated head lane, so a requeue neither jumps another tenant's
+	// DRR turn nor waits behind it.
+	s.head = append(s.head, t)
 	s.mu.Unlock()
 	s.observeRequeue(t)
 	return nil
@@ -766,31 +740,26 @@ func (s *Service) BucketReadyCancel(cancel <-chan struct{}) (Task, error) {
 	}
 }
 
-// QueueDepth returns the number of tasks waiting for a bucket.
+// QueueDepth returns the number of tasks waiting for a bucket, all
+// tenants and the requeue head lane together.
 func (s *Service) QueueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fair {
-		n := len(s.head)
-		for _, q := range s.tq {
-			n += len(q)
-		}
-		return n
+	n := len(s.head)
+	for _, q := range s.tq {
+		n += len(q)
 	}
-	return len(s.queue)
+	return n
 }
 
 // QueueDepthT returns one tenant's queued (unassigned, non-requeue)
 // task count — the per-bulkhead pressure signal each tenant's
 // admission ladder consumes so one tenant's backlog does not degrade
-// the others. In FCFS mode it falls back to the global depth.
+// the others.
 func (s *Service) QueueDepthT(tenant string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fair {
-		return len(s.tq[tenant])
-	}
-	return len(s.queue)
+	return len(s.tq[tenant])
 }
 
 // FreeBuckets returns the number of buckets currently waiting for work.

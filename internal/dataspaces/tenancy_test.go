@@ -44,7 +44,7 @@ func drainOrder(t *testing.T, s *Service, n int) []string {
 
 func TestFairDequeueRoundRobin(t *testing.T) {
 	s := newTestService(t, 1)
-	s.EnableFairDequeue(map[string]int{"a": 1, "b": 1, "c": 1})
+	s.SetTenantWeights(map[string]int{"a": 1, "b": 1, "c": 1})
 
 	// Tenant a floods; b and c each submit two.
 	for i := 0; i < 6; i++ {
@@ -71,7 +71,7 @@ func TestFairDequeueRoundRobin(t *testing.T) {
 
 func TestFairDequeueWeights(t *testing.T) {
 	s := newTestService(t, 1)
-	s.EnableFairDequeue(map[string]int{"heavy": 2, "light": 1})
+	s.SetTenantWeights(map[string]int{"heavy": 2, "light": 1})
 	for i := 0; i < 6; i++ {
 		submitT(t, s, "heavy", "viz", i)
 	}
@@ -89,7 +89,7 @@ func TestFairDequeueWeights(t *testing.T) {
 
 func TestFairDequeueHeadRequeueJumpsRing(t *testing.T) {
 	s := newTestService(t, 1)
-	s.EnableFairDequeue(map[string]int{"a": 1, "b": 1})
+	s.SetTenantWeights(map[string]int{"a": 1, "b": 1})
 	for i := 0; i < 3; i++ {
 		submitT(t, s, "a", "viz", i)
 		submitT(t, s, "b", "viz", i)
@@ -117,7 +117,7 @@ func TestFairDequeueHeadRequeueJumpsRing(t *testing.T) {
 
 func TestFairDequeuePerTenantBound(t *testing.T) {
 	s := newTestService(t, 1)
-	s.EnableFairDequeue(map[string]int{"a": 1, "b": 1})
+	s.SetTenantWeights(map[string]int{"a": 1, "b": 1})
 	s.SetQueueBound(2)
 	// Tenant a fills its own bulkhead...
 	submitT(t, s, "a", "viz", 0)
@@ -141,7 +141,7 @@ func TestFairDequeuePerTenantBound(t *testing.T) {
 
 func TestFairDequeueUnknownTenantJoinsRing(t *testing.T) {
 	s := newTestService(t, 1)
-	s.EnableFairDequeue(map[string]int{"b": 1})
+	s.SetTenantWeights(map[string]int{"b": 1})
 	submitT(t, s, "b", "viz", 0)
 	// A tenant never named in the weights map sorts into the ring with
 	// weight 1 instead of being dropped.

@@ -8,9 +8,10 @@
 // Collection is thread-safe; simulation ranks and staging buckets
 // record concurrently.
 //
-// The Collector can publish its aggregates into an obs.Registry
-// (PublishTo) so the same run is scrapeable in Prometheus text form;
-// TableII remains the human-facing view and its output is unchanged.
+// The package is a plain ledger behind core.Report and knows nothing of
+// the observability plane: core.Pipeline samples a Collector's
+// aggregates into the run's obs.Registry, and TableII is the
+// human-facing view.
 package metrics
 
 import (
@@ -19,8 +20,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"insitu/internal/obs"
 )
 
 // Breakdown aggregates the cost of one analysis over a run.
@@ -70,7 +69,7 @@ type Overload struct {
 	StepsQuantized     int64 // analysis steps admitted with quantized payload
 	StepsShaped        int64 // analysis steps admitted at reduced payload
 	StepsShed          int64 // analysis steps dropped with a shed marker
-	StepsFallback      int64 // analysis steps forced in-situ by the ladder
+	StepsFallback      int64 // analysis steps forced in-situ by an admission verdict
 	BreakerOpens       int64 // closed->open trips across all routes
 	BreakerTransitions int64 // all breaker state transitions
 }
@@ -79,17 +78,12 @@ type Overload struct {
 type Collector struct {
 	mu sync.Mutex
 
-	simSteps []time.Duration // per-step simulation time (max over ranks)
-	simMax   map[int]time.Duration
+	simMax map[int]time.Duration // step -> simulation time, max over ranks
 
 	inSituMax map[string]map[int]time.Duration // analysis -> step -> max over ranks
 	move      map[string]*Breakdown            // movement + in-transit accumulation
 
 	stepWall map[int]time.Duration // step -> max simulation-side wall time over ranks
-
-	// stepWallHist mirrors RecordStepWall samples into the published
-	// per-step wall-latency histogram (nil until PublishTo).
-	stepWallHist *obs.Histogram
 
 	res  Resilience
 	over Overload
@@ -186,8 +180,8 @@ func (c *Collector) AddShedStep() {
 	c.over.StepsShed++
 }
 
-// AddOverloadFallback counts one analysis step the admission ladder
-// forced fully in-situ.
+// AddOverloadFallback counts one analysis step an admission verdict
+// (the ladder's, or the StepBudget probe's) forced fully in-situ.
 func (c *Collector) AddOverloadFallback() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -224,9 +218,6 @@ func (c *Collector) RecordStepWall(step int, d time.Duration) {
 	defer c.mu.Unlock()
 	if d > c.stepWall[step] {
 		c.stepWall[step] = d
-	}
-	if c.stepWallHist != nil {
-		c.stepWallHist.Observe(d.Seconds())
 	}
 }
 
@@ -342,64 +333,6 @@ func (c *Collector) TableII() string {
 			name, fmtDur(b.InSitu), fmtDur(b.MoveModeled), mb, fmtDur(b.InTransit))
 	}
 	return sb.String()
-}
-
-// PublishTo registers the collector's aggregates as live instruments
-// in an obs.Registry: monotonic totals as counter funcs sampled at
-// export time, and the per-step simulation-side wall latency as a
-// fixed-bucket histogram fed by RecordStepWall. Call once, before the
-// run records samples.
-func (c *Collector) PublishTo(reg *obs.Registry) { c.PublishToLabeled(reg) }
-
-// PublishToLabeled is PublishTo with a fixed label set stamped onto
-// every family, so multiple collectors (one per tenant) can publish
-// into one registry without their series aliasing each other.
-func (c *Collector) PublishToLabeled(reg *obs.Registry, labels ...obs.Attr) {
-	reg.CounterFunc("pipeline_sim_seconds_total",
-		"total simulation time, summed over per-step maxima across ranks",
-		func() float64 { total, _, _ := c.SimTime(); return total.Seconds() }, labels...)
-	reg.CounterFunc("pipeline_degraded_steps_total",
-		"analysis steps that fell back fully in-situ or dead-lettered",
-		func() float64 { return float64(c.Resilience().DegradedSteps) }, labels...)
-	reg.CounterFunc("pipeline_delta_steps_total",
-		"analysis steps admitted with delta-encoded payloads",
-		func() float64 { return float64(c.Overload().StepsDelta) }, labels...)
-	reg.CounterFunc("pipeline_quantized_steps_total",
-		"analysis steps admitted with quantized payloads",
-		func() float64 { return float64(c.Overload().StepsQuantized) }, labels...)
-	reg.CounterFunc("pipeline_shaped_steps_total",
-		"analysis steps admitted at a reduced (shaped) payload level",
-		func() float64 { return float64(c.Overload().StepsShaped) }, labels...)
-	reg.CounterFunc("pipeline_shed_steps_total",
-		"analysis steps dropped with an explicit shed marker",
-		func() float64 { return float64(c.Overload().StepsShed) }, labels...)
-	reg.CounterFunc("pipeline_fallback_steps_total",
-		"analysis steps the admission ladder forced in-situ",
-		func() float64 { return float64(c.Overload().StepsFallback) }, labels...)
-	reg.CounterFunc("pipeline_transit_bytes_total",
-		"intermediate bytes moved to the staging tier, all analyses",
-		func() float64 {
-			var n int64
-			for _, name := range c.Analyses() {
-				n += c.Total(name).MoveBytes
-			}
-			return float64(n)
-		}, labels...)
-	reg.CounterFunc("pipeline_transit_seconds_total",
-		"in-transit compute wall time, all analyses",
-		func() float64 {
-			var d time.Duration
-			for _, name := range c.Analyses() {
-				d += c.Total(name).InTransit
-			}
-			return d.Seconds()
-		}, labels...)
-	h := reg.Histogram("pipeline_step_wall_seconds",
-		"per-step simulation-side wall time (max over ranks per sample)",
-		obs.LatencyBuckets, labels...)
-	c.mu.Lock()
-	c.stepWallHist = h
-	c.mu.Unlock()
 }
 
 // fmtDur renders a duration for a fixed-width table column. Precision

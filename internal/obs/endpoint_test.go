@@ -14,7 +14,6 @@ import (
 	"insitu/internal/netsim"
 	"insitu/internal/obs"
 	"insitu/internal/sim"
-	"insitu/internal/trace"
 )
 
 // runInstrumented runs a small pipeline with the observability plane
@@ -161,18 +160,18 @@ func TestTaskLifecycleReconciles(t *testing.T) {
 // recorder renders exactly the timeline-category spans.
 func TestLegacyViewsUnchanged(t *testing.T) {
 	pl, p := runInstrumented(t)
-	tl := trace.Over(p.EnableObs().Recorder()) // EnableObs is idempotent: the same plane
-	if tl.Recorder() != pl.Recorder() {
+	rec := p.EnableObs().Recorder() // EnableObs is idempotent: the same plane
+	if rec != pl.Recorder() {
 		t.Fatal("timeline does not share the plane's recorder")
 	}
-	for _, s := range tl.Spans() {
+	for _, s := range rec.SpansCat(obs.CatTimeline) {
 		for _, lane := range []string{"queue"} {
 			if s.Lane == lane {
 				t.Fatalf("non-timeline lane %q leaked into the Gantt view", lane)
 			}
 		}
 	}
-	gantt := tl.Gantt(80)
+	gantt := obs.Gantt(rec, 80)
 	if !strings.Contains(gantt, "sim") {
 		t.Fatalf("gantt missing sim lane:\n%s", gantt)
 	}

@@ -4,11 +4,11 @@
 // and a Prometheus-style text dump, plus a live HTTP endpoint serving
 // all three alongside net/http/pprof.
 //
-// The plane is the system of record that the legacy views render from:
-// trace.Timeline records its Gantt spans into a Recorder under the
-// "timeline" category, and metrics.Collector publishes its counters
-// into a Registry, so the paper-facing text outputs (the Gantt chart,
-// TableII) are unchanged while the same run becomes machine-consumable.
+// The plane is the system of record the paper-facing text views render
+// from: the pipeline records its Gantt spans into a Recorder under the
+// "timeline" category (Gantt and Utilization draw them), and samples
+// its Table II ledger into a Registry, so those outputs are unchanged
+// while the same run becomes machine-consumable.
 //
 // Span identity is deterministic per run: IDs are a sequence number
 // assigned in recording order, never random or time-derived, so two
@@ -27,8 +27,8 @@ import (
 // category through (Chrome "cat", JSONL "cat"), so consumers can
 // filter one subsystem's events out of a full-run trace.
 const (
-	// CatTimeline holds the legacy Gantt spans: simulation steps,
-	// per-bucket in-transit task occupancy, and trace marks.
+	// CatTimeline holds the Gantt spans: simulation steps, per-bucket
+	// in-transit task occupancy, and zero-length marks.
 	CatTimeline = "timeline"
 	// CatDart holds transport-layer spans and events: one span per
 	// Get/Put (attrs: bytes, attempts, modeled time) and one event per

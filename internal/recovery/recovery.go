@@ -1,8 +1,7 @@
 // Package recovery implements the durable run-recovery substrate: a
-// CRC-framed write-ahead step journal plus a checkpoint manifest, both
-// written with atomic temp-file+rename so a crash at any instant
-// leaves either the old durable state or the new one, never a torn
-// file. The journal records the step commit protocol — step admitted →
+// CRC-framed write-ahead step journal written with atomic
+// temp-file+rename, so a crash at any instant leaves either the old
+// durable state or the new one, never a torn file. The journal records the step commit protocol — step admitted →
 // tasks submitted → checkpoint bound → step committed — and a resumed
 // pipeline replays it to find the last committed step, the checkpoint
 // files that cover it, and the codec base-state epoch to re-seed.
@@ -118,20 +117,7 @@ type Record struct {
 	Digests map[string]string `json:"digests,omitempty"`
 }
 
-// Manifest is the latest checkpoint binding, mirrored to
-// MANIFEST.json in the journal directory whenever a ckpt record
-// lands — a single-file summary external tools can read without
-// parsing the journal.
-type Manifest struct {
-	Step  int      `json:"step"`
-	Epoch int      `json:"epoch"`
-	Files []string `json:"files"`
-}
-
-const (
-	journalFile  = "journal.wal"
-	manifestFile = "MANIFEST.json"
-)
+const journalFile = "journal.wal"
 
 // CheckpointFile returns the canonical per-rank checkpoint file name
 // for a step, relative to the journal directory.
@@ -210,8 +196,7 @@ func (j *Journal) Appends() int64 { return j.appends.Load() }
 
 // Append durably appends one record: the journal (plus the new
 // record) is rewritten to a temp file, fsynced, and renamed into
-// place. A ckpt record additionally refreshes MANIFEST.json. Returns
-// ErrKilled without touching disk after Kill.
+// place. Returns ErrKilled without touching disk after Kill.
 func (j *Journal) Append(rec Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -227,33 +212,9 @@ func (j *Journal) Append(rec Record) error {
 		return fmt.Errorf("recovery: append journal: %w", err)
 	}
 	j.fsyncs.Add(2) // WriteFileAtomic syncs the file and its directory
-	if rec.Kind == KindCheckpoint {
-		m, err := json.MarshalIndent(Manifest{Step: rec.Step, Epoch: rec.Epoch, Files: rec.Files}, "", "  ")
-		if err == nil {
-			m = append(m, '\n')
-			if err := WriteFileAtomic(filepath.Join(j.dir, manifestFile), m, 0o644); err != nil {
-				return fmt.Errorf("recovery: write manifest: %w", err)
-			}
-			j.fsyncs.Add(2)
-		}
-	}
 	j.records = next
 	j.appends.Add(1)
 	return nil
-}
-
-// ReadManifest loads the latest checkpoint manifest from a journal
-// directory.
-func ReadManifest(dir string) (Manifest, error) {
-	var m Manifest
-	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("recovery: parse manifest: %w", err)
-	}
-	return m, nil
 }
 
 // encodeRecords frames records as [uint32 length | uint32 crc32(IEEE)

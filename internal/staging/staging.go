@@ -119,12 +119,6 @@ func WithRelease(fn func(dataspaces.Descriptor)) Option {
 	return func(a *Area) { a.release = fn }
 }
 
-// WithResultBuffer sets the capacity of the results channel
-// (default 1024).
-func WithResultBuffer(n int) Option {
-	return func(a *Area) { a.resultCap = n }
-}
-
 // WithMaxAttempts bounds how many times a task may be handed to a
 // bucket before it is dead-lettered (default 3). Attempts are consumed
 // by bucket crashes and by failed pulls; handler errors and panics do
@@ -171,10 +165,9 @@ type Area struct {
 	release  func(dataspaces.Descriptor)
 	busy     []int64 // per-bucket completed-task counts
 
-	resultCap int
-	pooled    bool
-	results   chan Result
-	wg        sync.WaitGroup
+	pooled  bool
+	results chan Result
+	wg      sync.WaitGroup
 
 	maxAttempts int
 
@@ -311,7 +304,6 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, opts ...Opti
 		nbkt:        nbuckets,
 		handlers:    make(map[routeKey]Handler),
 		streams:     make(map[routeKey]StreamHandler),
-		resultCap:   1024,
 		busy:        make([]int64, nbuckets),
 		maxAttempts: 3,
 		kill:        make([]chan struct{}, nbuckets),
@@ -321,7 +313,8 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, opts ...Opti
 	for _, o := range opts {
 		o(a)
 	}
-	a.results = make(chan Result, a.resultCap)
+	// Deep enough that buckets rarely stall on a slow drain.
+	a.results = make(chan Result, 1024)
 	for i := 0; i < nbuckets; i++ {
 		a.points = append(a.points, fabric.Register(fmt.Sprintf("bucket-%d", i)))
 		a.kill[i] = make(chan struct{})

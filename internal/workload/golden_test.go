@@ -156,3 +156,79 @@ func TestSoloTenantUnderSchedulerMatchesPipeline(t *testing.T) {
 		t.Errorf("scheduler-run digests differ from the pipeline's\n--- pipeline ---\n%s--- scheduler ---\n%s", want, got)
 	}
 }
+
+// metricFamilies reduces a Prometheus text dump to its schema: one
+// "# TYPE" line per family and one "name{label keys}" line per distinct
+// sample shape, sorted. Values and label values are dropped.
+func metricFamilies(dump string) string {
+	seen := map[string]bool{}
+	for _, line := range strings.Split(dump, "\n") {
+		switch {
+		case line == "" || strings.HasPrefix(line, "# HELP"):
+			continue
+		case strings.HasPrefix(line, "# TYPE"):
+			seen[line] = true
+			continue
+		}
+		sample, _, _ := strings.Cut(line, " ")
+		name, labels, _ := strings.Cut(sample, "{")
+		var keys []string
+		for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), `",`) {
+			if k, _, ok := strings.Cut(kv, "="); ok {
+				keys = append(keys, k)
+			}
+		}
+		seen[name+"{"+strings.Join(keys, ",")+"}"] = true
+	}
+	lines := make([]string, 0, len(seen))
+	for l := range seen {
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// TestMetricFamiliesGolden pins the /metrics schema of one standalone
+// and one scheduler run: every family name, its type and the label keys
+// of its samples. Dashboards and the benchmark key on these names, so a
+// change that moves where families are registered proves here that it
+// renamed nothing.
+func TestMetricFamiliesGolden(t *testing.T) {
+	for _, name := range []string{"quickstart", "tenants"} {
+		t.Run(name, func(t *testing.T) {
+			cfg, err := registry.LoadConfig(filepath.Join(configsDir, name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := registry.Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			pl := b.Tenants[0].Pipeline.EnableObs()
+			// The tenants drill ends with its poison route's errors; the
+			// schema is what is pinned here, not the run's outcome.
+			b.Run(4, false)
+			var sb strings.Builder
+			if err := pl.Registry().WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			got := metricFamilies(sb.String())
+
+			golden := filepath.Join("testdata", name+".metrics.golden")
+			if *updateGolden {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("/metrics schema drifted from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+			}
+		})
+	}
+}
