@@ -1,19 +1,17 @@
-// Benchmark harness: one bench per table and figure of the paper's
-// evaluation, plus ablations of the design choices DESIGN.md calls
-// out. Custom metrics (bytes moved, peak resident vertices, makespan)
-// are attached with b.ReportMetric so `go test -bench . -benchmem`
-// regenerates the quantities the paper reports alongside ns/op.
+// Ablation benches of the design choices DESIGN.md calls out. Custom
+// metrics (bytes moved, peak resident vertices, makespan) are attached
+// with b.ReportMetric so `go test -bench Ablation -benchmem` reports
+// them alongside ns/op. The paper's tables and figures are measured by
+// the end-to-end benchmark (benchmark/, BENCHMARK.json) and regenerated
+// by cmd/experiments.
 package insitu
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"insitu/internal/bp"
-	"insitu/internal/core"
 	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
 	"insitu/internal/grid"
@@ -22,19 +20,16 @@ import (
 	"insitu/internal/render"
 	"insitu/internal/sim"
 	"insitu/internal/staging"
-	"insitu/internal/stats"
-	"insitu/internal/workload"
 )
 
-// benchField builds a steady-state flame field for the analysis-stage
-// benches (one sim spin-up shared across benches via sync.Once).
+// benchSetup builds a steady-state flame field for the benches (one sim
+// spin-up shared across them via sync.Once).
 var (
 	benchOnce    sync.Once
 	benchGlobal  grid.Box
 	benchDecomp  *grid.Decomp
 	benchGhosted []*grid.Field // per-rank ghosted temperature blocks
 	benchField   *grid.Field   // stitched global temperature
-	benchOH      *grid.Field   // stitched global OH
 )
 
 func benchSetup(b *testing.B) {
@@ -50,7 +45,6 @@ func benchSetup(b *testing.B) {
 		benchDecomp = s.Decomp()
 		benchGhosted = make([]*grid.Field, s.Ranks())
 		benchField = grid.NewField("T", benchGlobal)
-		benchOH = grid.NewField("Y_OH", benchGlobal)
 		var mu sync.Mutex
 		err = sim.RunAll(s, func(rk *sim.Rank) error {
 			rk.RunSteps(15)
@@ -58,7 +52,6 @@ func benchSetup(b *testing.B) {
 			mu.Lock()
 			benchGhosted[rk.Comm().ID()] = g
 			benchField.Paste(rk.Field("T"))
-			benchOH.Paste(rk.Field("Y_OH"))
 			mu.Unlock()
 			return nil
 		})
@@ -66,138 +59,6 @@ func benchSetup(b *testing.B) {
 			panic(err)
 		}
 	})
-}
-
-// --- Table I ------------------------------------------------------------
-
-// BenchmarkTableI_SimStep4896 measures the per-step simulation cost of
-// the 4896-core scenario (32 scaled ranks).
-func BenchmarkTableI_SimStep4896(b *testing.B) {
-	benchTableISim(b, workload.Scenario4896())
-}
-
-// BenchmarkTableI_SimStep9440 doubles the x split; per-step time
-// should drop (the paper halves 16.85 s -> 8.42 s with real cores; on
-// one CPU the drop reflects smaller blocks only).
-func BenchmarkTableI_SimStep9440(b *testing.B) {
-	benchTableISim(b, workload.Scenario9440())
-}
-
-func benchTableISim(b *testing.B, sc workload.Scenario) {
-	cfg := sc.Sim
-	cfg.SubSteps = 1 // keep bench iterations fast
-	s, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	err = sim.RunAll(s, func(rk *sim.Rank) error {
-		for i := 0; i < b.N; i++ {
-			rk.Step()
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(sc.RawStepBytes()), "stateBytes")
-}
-
-// BenchmarkTableI_CheckpointWrite measures the file-per-process BP
-// write of one timestep's full state.
-func BenchmarkTableI_CheckpointWrite(b *testing.B) {
-	benchSetup(b)
-	dir := b.TempDir()
-	fields := make([][]*grid.Field, benchDecomp.Ranks())
-	for r := range fields {
-		for _, name := range []string{"T", "u", "P"} {
-			f := grid.NewField(name, benchDecomp.Block(r))
-			f.Paste(benchField) // reuse temperature data for all vars
-			fields[r] = append(fields[r], f)
-		}
-	}
-	var total int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		total = 0
-		for r := range fields {
-			n, err := bp.WriteFile(filepath.Join(dir, fmt.Sprintf("r%04d.bp", r)), fields[r])
-			if err != nil {
-				b.Fatal(err)
-			}
-			total += n
-		}
-	}
-	b.ReportMetric(float64(total), "checkpointBytes")
-}
-
-// --- Table II: per-stage costs of the five analyses ---------------------
-
-// BenchmarkTableII_StatsLearnInSitu is the in-situ learn stage over
-// one rank's block (all 14 variables are proportional; one suffices
-// for ns/point).
-func BenchmarkTableII_StatsLearnInSitu(b *testing.B) {
-	benchSetup(b)
-	block := benchField.Extract(benchDecomp.Block(0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := stats.NewModel()
-		m.LearnField(block)
-	}
-}
-
-// BenchmarkTableII_StatsDeriveInTransit is the hybrid variant's serial
-// in-transit stage: aggregate all ranks' partial models and derive.
-// Its cost is microscopic — the paper reports 0.01 s vs 1.69 s learn.
-func BenchmarkTableII_StatsDeriveInTransit(b *testing.B) {
-	benchSetup(b)
-	var partials [][]byte
-	var moved int
-	for r := 0; r < benchDecomp.Ranks(); r++ {
-		m := stats.NewModel()
-		m.LearnField(benchField.Extract(benchDecomp.Block(r)))
-		p := m.Marshal()
-		moved += len(p)
-		partials = append(partials, p)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := stats.AggregateSerial(partials)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = g.DeriveAll()
-	}
-	b.ReportMetric(float64(moved), "movedBytes")
-}
-
-// BenchmarkTableII_TopologySubtreeInSitu is the per-rank in-situ merge
-// subtree computation (the paper's 2.72 s row).
-func BenchmarkTableII_TopologySubtreeInSitu(b *testing.B) {
-	benchSetup(b)
-	ghosted := benchGhosted[0]
-	owned := benchDecomp.Block(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mergetree.LocalSubtree(ghosted, benchGlobal, owned, 0, mergetree.KeepSharedBoundary); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTableII_TopologyGlueInTransit is the serial in-transit
-// streaming aggregation (the paper's 119.81 s row — the stage that
-// must be decoupled from the simulation by temporal multiplexing).
-func BenchmarkTableII_TopologyGlueInTransit(b *testing.B) {
-	benchSetup(b)
-	subtrees, moved := benchSubtrees(b, mergetree.KeepSharedBoundary)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(moved), "movedBytes")
 }
 
 func benchSubtrees(b *testing.B, policy mergetree.BoundaryPolicy) ([]*mergetree.Subtree, int) {
@@ -215,53 +76,6 @@ func benchSubtrees(b *testing.B, policy mergetree.BoundaryPolicy) ([]*mergetree.
 	return subtrees, moved
 }
 
-// BenchmarkTableII_VizInSituBlock is one rank's full-resolution block
-// render (the paper's 0.73 s row).
-func BenchmarkTableII_VizInSituBlock(b *testing.B) {
-	benchSetup(b)
-	r := benchRenderer(b, benchGlobal, 0.4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RenderBlock(benchGhosted[0], benchDecomp.Block(0))
-	}
-}
-
-// BenchmarkTableII_VizHybridDownsample is the hybrid in-situ stage
-// (the paper's 0.08 s row: 8x down-sample only).
-func BenchmarkTableII_VizHybridDownsample(b *testing.B) {
-	benchSetup(b)
-	var moved int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		moved = 0
-		for r := 0; r < benchDecomp.Ranks(); r++ {
-			_, n := render.DownsampleForTransit(benchGhosted[r], benchDecomp.Block(r), 8)
-			moved += n
-		}
-	}
-	b.ReportMetric(float64(moved), "movedBytes")
-}
-
-// BenchmarkTableII_VizHybridRenderInTransit is the serial in-transit
-// render over the block lookup table (the paper's 5.06 s row).
-func BenchmarkTableII_VizHybridRenderInTransit(b *testing.B) {
-	benchSetup(b)
-	bt := render.NewBlockTable()
-	for r := 0; r < benchDecomp.Ranks(); r++ {
-		p, _ := render.DownsampleForTransit(benchGhosted[r], benchDecomp.Block(r), 2)
-		if err := bt.AddMarshalled(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	r := benchRenderer(b, bt.Bounds(), 0.2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.RenderTable(bt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchRenderer(b *testing.B, g grid.Box, step float64) *render.Renderer {
 	b.Helper()
 	r, err := render.NewRenderer(160, 120, render.HotMetal(0.3, 2.2),
@@ -270,54 +84,6 @@ func benchRenderer(b *testing.B, g grid.Box, step float64) *render.Renderer {
 		b.Fatal(err)
 	}
 	return r
-}
-
-// --- Figures -------------------------------------------------------------
-
-// BenchmarkFig1_SegmentAndTrack is the per-step cost of the Fig. 1
-// tracking analysis: threshold segmentation plus overlap matching.
-func BenchmarkFig1_SegmentAndTrack(b *testing.B) {
-	benchSetup(b)
-	prev := mergetree.SegmentField(benchOH, benchGlobal, 0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		next := mergetree.SegmentField(benchOH, benchGlobal, 0.1)
-		mergetree.Track(prev, next)
-	}
-}
-
-// BenchmarkFig2_SerialReference is the post-processing baseline: a
-// full-resolution serial render of the global field.
-func BenchmarkFig2_SerialReference(b *testing.B) {
-	benchSetup(b)
-	r := benchRenderer(b, benchGlobal, 0.4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RenderSerial(benchField)
-	}
-}
-
-// BenchmarkFig6_FullPipelineStep runs one end-to-end pipeline step
-// with all five paper analyses attached — the whole of Fig. 6 in one
-// number.
-func BenchmarkFig6_FullPipelineStep(b *testing.B) {
-	simCfg := sim.DefaultConfig(grid.NewBox(32, 24, 12), 2, 2, 2)
-	p, err := core.NewPipeline(core.Config{Sim: simCfg, DSServers: 2, Buckets: 2, Net: netsim.Gemini()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	topo := core.NewTopologyHybrid()
-	p.Register(&core.StatsInSitu{})
-	p.Register(&core.StatsHybrid{})
-	p.Register(core.NewVizInSitu(64, 48))
-	p.Register(core.NewVizHybrid(64, 48, 8))
-	p.Register(topo)
-	b.ResetTimer()
-	rep, err := p.Run(b.N)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(rep.Net.BytesMoved)/float64(b.N), "movedBytes/step")
 }
 
 // --- Ablations -----------------------------------------------------------

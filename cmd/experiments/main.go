@@ -25,6 +25,7 @@ import (
 
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
+	"insitu/internal/registry"
 	"insitu/internal/render"
 	"insitu/internal/sim"
 	"insitu/internal/workload"
@@ -166,8 +167,16 @@ func runTable1(steps int, outdir string) {
 	fmt.Println(workload.FormatTableI(rows))
 }
 
+// table2Config declares the Table II / Fig. 6 pipeline; the path is
+// relative to the repository root, where the binary is run from.
+const table2Config = "examples/configs/table2-4896.json"
+
 func runTable2(steps int, print bool) *workload.TableIIResult {
-	res, err := workload.RunTableII(workload.Scenario4896(), steps, true)
+	cfg, err := registry.LoadConfig(table2Config)
+	if err != nil {
+		fatal(fmt.Errorf("%w (run experiments from the repository root)", err))
+	}
+	res, err := workload.RunTableII(cfg, steps)
 	if err != nil {
 		fatal(err)
 	}

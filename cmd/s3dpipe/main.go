@@ -171,9 +171,12 @@ func launch(o options, out io.Writer) error {
 		}
 	}
 	if o.hold && (o.obsAddr != "" || o.serveAddr != "") {
-		fmt.Fprintln(out, "holding endpoints open; SIGINT/SIGTERM to exit")
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
+		defer signal.Stop(ch)
+		// Announced once the signals are caught: whoever reads this line
+		// may send one.
+		fmt.Fprintln(out, "holding endpoints open; SIGINT/SIGTERM to exit")
 		<-ch
 	}
 	return nil

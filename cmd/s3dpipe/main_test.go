@@ -2,8 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"insitu/internal/registry"
 )
@@ -110,5 +119,98 @@ func TestListPrintsEveryRegisteredAnalysis(t *testing.T) {
 		if rows(stdout, name+" ") != 1 {
 			t.Errorf("-list does not print %q:\n%s", name, stdout)
 		}
+	}
+}
+
+// liveOutput is a stdout the test reads while run is still writing it.
+type liveOutput struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (o *liveOutput) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.Write(p)
+}
+
+func (o *liveOutput) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.String()
+}
+
+// TestObsEndpointAndDump drives the launcher's own observability wiring
+// (obs.Handler(pl, statusDoc(b)) behind -obs, dumpObs behind -obs-dump)
+// on the quickstart config: the endpoint answers on the address
+// serveHTTP prints, /status reports the drained run, every export is
+// served, and the dump leaves its three files. What the exports must
+// contain is internal/obs's TestObsEndpoint and
+// TestTaskLifecycleReconciles.
+func TestObsEndpointAndDump(t *testing.T) {
+	dump := t.TempDir()
+	var out liveOutput
+	var errb bytes.Buffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"-config", examples + "quickstart.json",
+			"-obs", "127.0.0.1:0", "-obs-dump", dump, "-hold"}, &out, &errb)
+	}()
+	// -hold keeps the endpoint up after the run; the hold line comes
+	// after the dump and once SIGTERM is caught rather than fatal.
+	deadline := time.Now().Add(time.Minute)
+	for !strings.Contains(out.String(), "holding endpoints open") {
+		select {
+		case code := <-exit:
+			t.Fatalf("exit %d before holding: %s\n%s", code, errb.String(), out.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("run never reached -hold:\n%s", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	m := regexp.MustCompile(`observability endpoint on (http://[^/]+)/`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no endpoint address in:\n%s", out.String())
+	}
+	fetch := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(m[1] + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Fatalf("GET %s: status %s, %d bytes, err %v", path, resp.Status, len(body), err)
+		}
+		return body
+	}
+	var st struct {
+		Done bool `json:"done"`
+	}
+	if err := json.Unmarshal(fetch("/status"), &st); err != nil || !st.Done {
+		t.Errorf("/status after the run: done=%v, err %v", st.Done, err)
+	}
+	for _, path := range []string{"/metrics", "/trace.json", "/events.jsonl", "/debug/pprof/"} {
+		fetch(path)
+	}
+	for _, name := range []string{"trace.json", "events.jsonl", "metrics.prom"} {
+		if fi, err := os.Stat(filepath.Join(dump, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("-obs-dump left no %s: %v", name, err)
+		}
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Errorf("exit %d: %s", code, errb.String())
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("run did not return after SIGTERM")
 	}
 }

@@ -11,6 +11,8 @@
 // See README.md for the architecture overview, DESIGN.md for the
 // system inventory and per-experiment index, and EXPERIMENTS.md for
 // the paper-vs-measured comparison. The root package holds the
-// benchmark harness (bench_test.go) that regenerates every table and
-// figure of the paper's evaluation.
+// ablation and codec micro-benches (bench_test.go, bench_codec_test.go)
+// and the godoc lint over the public-surface packages; the end-to-end
+// benchmark is benchmark/ and cmd/experiments regenerates the paper's
+// tables and figures.
 package insitu

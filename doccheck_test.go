@@ -1,22 +1,6 @@
-// Command doccheck is the godoc lint behind `make doccheck`: it parses
-// the packages named on the command line and fails when any exported
-// package-level symbol — function, method on an exported receiver,
-// type, or const/var declaration — lacks a doc comment. It is the
-// registry's ownership/lifecycle contract made enforceable: an
-// analysis or config knob nobody documented is an analysis or config
-// knob nobody can select from a pipeline config.
-//
-// Usage:
-//
-//	doccheck ./internal/registry ./internal/core
-//
-// Directories are walked non-recursively (each argument is one
-// package directory, matching the go tool's ./pkg path form). Test
-// files are skipped.
-package main
+package insitu
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -25,39 +9,32 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"testing"
 )
 
-func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: doccheck DIR [DIR...]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	bad := 0
-	for _, dir := range flag.Args() {
-		missing, err := checkDir(dir)
+// TestExportedSymbolsDocumented is the godoc lint over the
+// public-surface packages: every exported package-level symbol —
+// function, method on an exported receiver, type, or const/var
+// declaration — must carry a doc comment. It is the registry's
+// ownership/lifecycle contract made enforceable: an analysis or config
+// knob nobody documented is one nobody can select from a pipeline
+// config.
+func TestExportedSymbolsDocumented(t *testing.T) {
+	for _, dir := range []string{"internal/registry", "internal/core"} {
+		missing, err := undocumented(dir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doccheck:", err)
-			os.Exit(1)
+			t.Fatal(err)
 		}
 		for _, m := range missing {
-			fmt.Println(m)
-			bad++
+			t.Error(m)
 		}
-	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %d exported symbol(s) missing doc comments\n", bad)
-		os.Exit(1)
 	}
 }
 
-// checkDir parses one package directory and returns a sorted list of
-// "file:line: symbol" strings for undocumented exported symbols.
-func checkDir(dir string) ([]string, error) {
+// undocumented parses one package directory (test files skipped) and
+// returns a sorted list of "file:line: symbol" strings for exported
+// symbols without a doc comment.
+func undocumented(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")

@@ -141,7 +141,6 @@ const (
 	tagReduce
 	tagBcast
 	tagGather
-	tagAllToAll
 )
 
 // Barrier blocks until every rank in the world has entered it. It is
@@ -199,36 +198,6 @@ func (r *Rank) Gather(root int, value any) []any {
 		return out
 	}
 	return nil
-}
-
-// AllGather collects each rank's value on every rank, ordered by rank.
-func (r *Rank) AllGather(value any) []any {
-	g := r.Gather(0, value)
-	res := r.Broadcast(0, g)
-	return res.([]any)
-}
-
-// AllToAll delivers send[j] from this rank to rank j and returns the
-// slice of values received, indexed by source rank. len(send) must
-// equal the world size.
-func (r *Rank) AllToAll(send []any) []any {
-	if len(send) != r.w.size {
-		panic(fmt.Sprintf("comm: AllToAll send length %d != world size %d", len(send), r.w.size))
-	}
-	for j := 0; j < r.w.size; j++ {
-		if j == r.id {
-			continue
-		}
-		r.Send(j, tagAllToAll, send[j])
-	}
-	recv := make([]any, r.w.size)
-	recv[r.id] = send[r.id]
-	for n := 0; n < r.w.size-1; n++ {
-		data, src := r.Recv(AnySource, tagAllToAll)
-		recv[src] = data
-	}
-	r.Barrier()
-	return recv
 }
 
 // relRank maps the absolute rank to a position in a tree rooted at

@@ -145,33 +145,6 @@ func TestGatherOrdering(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	Run(5, func(r *Rank) {
-		got := r.AllGather(r.ID() * r.ID())
-		for i, v := range got {
-			if v.(int) != i*i {
-				t.Errorf("allgather[%d] = %v", i, v)
-			}
-		}
-	})
-}
-
-func TestAllToAll(t *testing.T) {
-	n := 4
-	Run(n, func(r *Rank) {
-		send := make([]any, n)
-		for j := range send {
-			send[j] = r.ID()*100 + j
-		}
-		recv := r.AllToAll(send)
-		for src, v := range recv {
-			if v.(int) != src*100+r.ID() {
-				t.Errorf("rank %d: recv[%d] = %v, want %d", r.ID(), src, v, src*100+r.ID())
-			}
-		}
-	})
-}
-
 // TestAllreduceDeterminism checks the reduction tree is fixed: a
 // non-commutative operation must give identical results across
 // repeats.

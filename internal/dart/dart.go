@@ -1,10 +1,12 @@
 // Package dart implements an asynchronous communication and data
 // transport substrate modeled on DART (Docan et al., HPDC'08), the
-// layer DataSpaces builds on. It provides the services the paper lists:
-// node registration/unregistration, one-sided data transfer (RDMA Get
-// and Put over registered memory regions), small-message passing, and
+// layer DataSpaces builds on. It provides the services the paper lists
+// that the pipeline uses: node registration/unregistration, one-sided
+// data transfer (RDMA Get and Put over registered memory regions), and
 // event notification at both the source and destination of a completed
-// transaction.
+// transaction. (DART's small-message passing is not modeled: the
+// pipeline announces data-ready through dataspaces.Put and the rank
+// barrier.)
 //
 // Transfers move real bytes through a netsim.Network, which selects the
 // SMSG/FMA/BTE mechanism by message size and accounts modeled cost, so
@@ -441,7 +443,6 @@ type Endpoint struct {
 	bytes     atomic.Int64
 
 	events chan Event
-	msgs   chan Message
 }
 
 // Tenant returns the tenant label the endpoint was registered under
@@ -463,15 +464,8 @@ func (ep *Endpoint) Stats() Stats {
 // into regions this endpoint owns.
 func (ep *Endpoint) TransferBytes() int64 { return ep.bytes.Load() }
 
-// Message is a small control message delivered over the SMSG path.
-type Message struct {
-	From    int
-	Kind    string
-	Payload []byte
-}
-
 // Register attaches a new endpoint to the fabric. The returned
-// endpoint buffers up to 1024 pending events and messages.
+// endpoint buffers up to 1024 pending events.
 func (f *Fabric) Register(name string) *Endpoint {
 	return f.RegisterT(name, "")
 }
@@ -488,7 +482,6 @@ func (f *Fabric) RegisterT(name, tenant string) *Endpoint {
 		tenant:  tenant,
 		regions: make(map[int]*region),
 		events:  make(chan Event, 1024),
-		msgs:    make(chan Message, 1024),
 	}
 	f.next++
 	f.eps[ep.id] = ep
@@ -564,9 +557,6 @@ func (ep *Endpoint) Name() string { return ep.name }
 
 // Events returns the endpoint's completion-event stream.
 func (ep *Endpoint) Events() <-chan Event { return ep.events }
-
-// Messages returns the endpoint's incoming small-message stream.
-func (ep *Endpoint) Messages() <-chan Message { return ep.msgs }
 
 // RegisterMem pins data for remote one-sided access and returns its
 // handle. No private copy is taken: the caller must keep the buffer
@@ -860,15 +850,11 @@ type GetResult struct {
 	Err      error
 }
 
-// GetAsync launches a one-sided read and returns a channel that yields
-// the result when the transaction completes. This is the primitive the
+// GetAsyncDeadline launches a one-sided read under a caller deadline
+// (the zero time means none) and returns a channel that yields the
+// result when the transaction completes. This is the primitive the
 // staging buckets use to pull in-transit data while the simulation
 // proceeds.
-func (ep *Endpoint) GetAsync(h MemHandle) <-chan GetResult {
-	return ep.GetAsyncDeadline(h, time.Time{})
-}
-
-// GetAsyncDeadline is GetAsync under a caller deadline.
 func (ep *Endpoint) GetAsyncDeadline(h MemHandle, deadline time.Time) <-chan GetResult {
 	ch := make(chan GetResult, 1)
 	go func() {
@@ -988,17 +974,4 @@ func (ep *Endpoint) putOnce(h MemHandle, data []byte) (time.Duration, error) {
 	evDst.Peer = ep.id
 	owner.post(evDst)
 	return d, nil
-}
-
-// SendMsg delivers a small control message to the endpoint with id
-// `to` over the SMSG path. It blocks if the receiver's message queue
-// is full, providing natural backpressure for RPC traffic.
-func (ep *Endpoint) SendMsg(to int, kind string, payload []byte) error {
-	peer, err := ep.f.lookup(to)
-	if err != nil {
-		return err
-	}
-	moved, _ := ep.f.net.Transfer(payload)
-	peer.msgs <- Message{From: ep.id, Kind: kind, Payload: moved}
-	return nil
 }

@@ -131,17 +131,6 @@ func TestUnregisterEndpoint(t *testing.T) {
 	}
 }
 
-func TestGetAsync(t *testing.T) {
-	f := newFabric()
-	p := f.Register("p")
-	c := f.Register("c")
-	h := p.RegisterMem([]byte("async"))
-	res := <-c.GetAsync(h)
-	if res.Err != nil || string(res.Data) != "async" {
-		t.Fatalf("async get failed: %+v", res)
-	}
-}
-
 func TestConcurrentPulls(t *testing.T) {
 	f := newFabric()
 	prod := f.Register("sim")
@@ -184,22 +173,6 @@ var errMismatch = &mismatchError{}
 type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "data mismatch" }
-
-func TestSendMsg(t *testing.T) {
-	f := newFabric()
-	a := f.Register("a")
-	b := f.Register("b")
-	if err := a.SendMsg(b.ID(), "data-ready", []byte("step-7")); err != nil {
-		t.Fatal(err)
-	}
-	m := <-b.Messages()
-	if m.From != a.ID() || m.Kind != "data-ready" || string(m.Payload) != "step-7" {
-		t.Fatalf("message wrong: %+v", m)
-	}
-	if err := a.SendMsg(123, "x", nil); err == nil {
-		t.Fatal("message to unknown endpoint must error")
-	}
-}
 
 func TestEventOverflowDropsOldest(t *testing.T) {
 	f := newFabric()

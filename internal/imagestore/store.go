@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,7 +98,14 @@ type indexFile struct {
 const (
 	segmentFile = "frames.seg"
 	indexName   = "index.json"
+	// indexVersion is the only index format this code reads or writes.
+	indexVersion = 1
 )
+
+// ErrCorruptIndex is what Open returns (wrapped) for an index.json it
+// must not trust: undecodable JSON, or a format version other than the
+// one this code writes.
+var ErrCorruptIndex = errors.New("imagestore: corrupt index")
 
 // Store is the image database. All methods are safe for concurrent
 // use; reads proceed under a shared lock while appends serialize.
@@ -156,7 +164,11 @@ func Open(dir string) (*Store, error) {
 	var idx indexFile
 	if err := json.Unmarshal(raw, &idx); err != nil {
 		seg.Close()
-		return nil, fmt.Errorf("imagestore: corrupt %s: %w", indexName, err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptIndex, indexName, err)
+	}
+	if idx.Version != indexVersion {
+		seg.Close()
+		return nil, fmt.Errorf("%w: %s has format version %d, want %d", ErrCorruptIndex, indexName, idx.Version, indexVersion)
 	}
 	for digest, ref := range idx.Blobs {
 		if ref.Off < 0 || ref.Len <= 0 || ref.Off+ref.Len > fi.Size() {
@@ -250,7 +262,7 @@ func (s *Store) Put(sp Spec, png []byte) (string, error) {
 // writeIndexLocked lands the index atomically. Callers hold s.mu.
 func (s *Store) writeIndexLocked() error {
 	idx := indexFile{
-		Version:      1,
+		Version:      indexVersion,
 		SegmentBytes: s.segSize,
 		LatestStep:   s.latest,
 		Frames:       make(map[string]string, len(s.frames)),

@@ -2,6 +2,7 @@ package imagestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -134,6 +135,32 @@ func TestReopenRestoresIndex(t *testing.T) {
 		}
 		if _, d, err := r.Frame(sp); err != nil || d != want[i] {
 			t.Fatalf("%s after reopen: digest %s want %s, err %v", key, d, want[i], err)
+		}
+	}
+
+	// An index that does not decode, or one written by another format
+	// version, fails the open with the typed sentinel: it is never
+	// silently trusted.
+	index := filepath.Join(dir, indexName)
+	good, err := os.ReadFile(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"undecodable":    good[:len(good)/2],
+		"future version": bytes.Replace(good, []byte(`"version": 1`), []byte(`"version": 2`), 1),
+	} {
+		if bytes.Equal(bad, good) {
+			t.Fatalf("%s: the index was not altered", name)
+		}
+		if err := os.WriteFile(index, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if bs, err := Open(dir); !errors.Is(err, ErrCorruptIndex) {
+			if bs != nil {
+				bs.Close()
+			}
+			t.Errorf("%s index: Open err = %v, want ErrCorruptIndex", name, err)
 		}
 	}
 }

@@ -10,28 +10,29 @@ import (
 	"testing"
 
 	"insitu/internal/core"
-	"insitu/internal/grid"
-	"insitu/internal/netsim"
 	"insitu/internal/obs"
-	"insitu/internal/sim"
+	"insitu/internal/registry"
 )
 
-// runInstrumented runs a small pipeline with the observability plane
-// attached and returns the plane plus the pipeline for /status.
+// runInstrumented runs examples/configs/quickstart.json with the
+// observability plane attached and returns the plane plus the pipeline
+// for /status.
 func runInstrumented(t *testing.T) (*obs.Plane, *core.Pipeline) {
 	t.Helper()
-	simCfg := sim.DefaultConfig(grid.NewBox(16, 8, 8), 2, 1, 1)
-	cfg := core.Config{Sim: simCfg, DSServers: 2, Buckets: 2, Net: netsim.Gemini()}
-	p, err := core.NewPipeline(cfg)
+	cfg, err := registry.LoadConfig("../../examples/configs/quickstart.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Register(&core.StatsHybrid{EveryN: 1})
-	pl := p.EnableObs()
-	if _, err := p.Run(3); err != nil {
+	b, err := registry.Build(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pl, p
+	t.Cleanup(func() { b.Close() })
+	pl := b.Pipeline.EnableObs()
+	if _, err := b.Pipeline.Run(cfg.Steps); err != nil {
+		t.Fatal(err)
+	}
+	return pl, b.Pipeline
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) []byte {
@@ -63,6 +64,7 @@ func TestObsEndpoint(t *testing.T) {
 		"dart_transfer_bytes_total",
 		"dart_retries_total",
 		"credits_available",
+		"credits_total",
 		"admission_decisions_total",
 		"dataspaces_queue_depth",
 		"pipeline_tasks_submitted_total",
@@ -70,6 +72,16 @@ func TestObsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// Every sample line is `name value`: the dump parses as Prometheus
+	// text exposition.
+	for i, line := range strings.Split(strings.TrimRight(metrics, "\n"), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if len(strings.Fields(line)) != 2 {
+			t.Errorf("/metrics line %d not 'name value': %q", i+1, line)
 		}
 	}
 
@@ -86,6 +98,9 @@ func TestObsEndpoint(t *testing.T) {
 	cats := map[string]bool{}
 	for _, ev := range doc.TraceEvents {
 		cats[ev.Cat] = true
+		if ev.Ph == "" {
+			t.Errorf("/trace.json event %q has no phase", ev.Name)
+		}
 	}
 	for _, want := range []string{obs.CatTimeline, obs.CatDart, obs.CatTask} {
 		if !cats[want] {

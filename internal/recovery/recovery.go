@@ -1,8 +1,10 @@
 // Package recovery implements the durable run-recovery substrate: a
 // CRC-framed write-ahead step journal written with atomic
 // temp-file+rename, so a crash at any instant leaves either the old
-// durable state or the new one, never a torn file. The journal records the step commit protocol — step admitted →
-// tasks submitted → checkpoint bound → step committed — and a resumed
+// durable state or the new one, never a torn file.
+//
+// The journal records the step commit protocol — step admitted → tasks
+// submitted → checkpoint bound → step committed — and a resumed
 // pipeline replays it to find the last committed step, the checkpoint
 // files that cover it, and the codec base-state epoch to re-seed.
 //

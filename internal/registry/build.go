@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -111,8 +112,8 @@ func buildSingle(cfg *Config) (*Built, error) {
 
 	ccfg := core.Config{
 		Sim:             simConfig(t.Sim),
-		DSServers:       defaultInt(cfg.Fabric.DSServers, 2),
-		Buckets:         maxInt(1, cfg.TransitBuckets()),
+		DSServers:       cmp.Or(cfg.Fabric.DSServers, 2),
+		Buckets:         max(1, cfg.TransitBuckets()),
 		Net:             netConfig(cfg.Fabric.Net),
 		StepBudget:      time.Duration(t.StepBudgetMS) * time.Millisecond,
 		MaxTaskAttempts: cfg.Fabric.MaxTaskAttempts,
@@ -120,7 +121,7 @@ func buildSingle(cfg *Config) (*Built, error) {
 		Codecs:          codecs,
 	}
 	if cfg.Recovery != nil {
-		ccfg.Recovery = &core.RecoveryConfig{Dir: cfg.Recovery.Dir, Every: cfg.Recovery.EverySteps}
+		ccfg.Recovery = &core.RecoveryConfig{Dir: cfg.Recovery.Dir, Every: cfg.Recovery.EverySteps, Kill: cfg.Recovery.Kill}
 	}
 	var store *imagestore.Store
 	if cfg.Store != nil {
@@ -157,8 +158,8 @@ func buildSingle(cfg *Config) (*Built, error) {
 // AddTenant per config tenant, in order.
 func buildMulti(cfg *Config) (*Built, error) {
 	scfg := core.SchedulerConfig{
-		DSServers:       defaultInt(cfg.Fabric.DSServers, 2),
-		Buckets:         maxInt(1, cfg.TransitBuckets()),
+		DSServers:       cmp.Or(cfg.Fabric.DSServers, 2),
+		Buckets:         max(1, cfg.TransitBuckets()),
 		MaxBuckets:      cfg.Fabric.MaxBuckets,
 		Net:             netConfig(cfg.Fabric.Net),
 		Credits:         cfg.Fabric.Credits,
@@ -297,21 +298,4 @@ func simConfig(s SimConfig) sim.Config {
 		c.Seed = s.Seed
 	}
 	return c
-}
-
-// defaultInt returns v, or def when v is zero.
-func defaultInt(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-// maxInt is the two-arg integer max (avoids requiring go1.21 builtins
-// in older toolchains).
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -11,6 +11,7 @@ import (
 	"insitu/internal/codec"
 	"insitu/internal/netsim"
 	"insitu/internal/overload"
+	"insitu/internal/recovery"
 )
 
 // Config is one declarative pipeline run: a shared fabric, one or more
@@ -121,6 +122,10 @@ type RecoveryConfig struct {
 	Dir string `json:"dir"`
 	// EverySteps is the checkpoint cadence (0 = 5).
 	EverySteps int `json:"every_steps,omitempty"`
+	// Kill is the injected crash handed to core.RecoveryConfig.Kill. It
+	// is not a config key — no file can set it; the crash matrix sets it
+	// on the loaded examples/configs/crashmatrix.json.
+	Kill recovery.KillFunc `json:"-"`
 }
 
 // StoreConfig declares the Cinema-style image database sink.

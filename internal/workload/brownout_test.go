@@ -9,20 +9,50 @@ import (
 	"insitu/internal/overload"
 )
 
-// TestBrownoutSoak is the overload-control acceptance soak: a seeded
-// slow-consumer window collapses staging bandwidth mid-run, and the
-// control plane must (1) keep every simulation step's wall time within
-// 2x the unloaded baseline, (2) mark every shaped and shed step with a
-// ladder reason, (3) trip each route's breaker open and re-close it
-// through the half-open probe, (4) return to full hybrid before the
+// TestBrownoutSoak is the overload-control acceptance soak, run on
+// examples/configs/brownout.json — what `s3dpipe -config` runs: a
+// seeded slow-consumer window collapses staging bandwidth mid-run, and
+// the control plane must (1) keep every simulation step's wall time
+// within 2x the unloaded baseline, (2) mark every shaped and shed step
+// with a ladder reason, (3) trip each route's breaker open and re-close
+// it through the half-open probe, (4) return to full hybrid before the
 // run ends, and (5) leak neither credits nor pinned regions.
+//
+// The assertions lean on the file's tuning, so the reasons live here:
+//
+//   - faults.slowdowns [16, 48) x400 is in decision-index space: roughly
+//     four healthy steps' worth of pulls run first, then the window
+//     stays open until backlog pulls and failed half-open probes have
+//     consumed it. The six-rung ladder (full → delta → quantized →
+//     shaped → in-situ → shed) needs that long a window: the
+//     byte-shrinking rungs still submit tasks, so each extra descent
+//     costs several pull decisions before pressure reaches the shed
+//     rung. The x400 factor is the "slow consumer"; the seed only pins
+//     the injector's decision sequence (the schedule is pure window).
+//   - net.time_scale 0.1 turns modeled durations into real sleeps, so
+//     the collapse shows up as wall-clock staging latency the breaker
+//     and the estimator can observe.
+//   - breaker: latency_threshold_us 5000 at latency_alpha 0.5 means two
+//     browned-out completions push the success-latency EWMA over the
+//     threshold and trip the route; cooldown_us 2000 is short against
+//     the step cadence, so a half-open probe runs nearly every step
+//     while open.
+//   - probe_latency_max_us 50 is compared with the *modeled* probe
+//     duration: healthy ~1.5us, browned-out ~400x that. 50us separates
+//     the two deterministically, independent of scheduler noise.
+//   - ladder: the latency watermarks stay off. The latency EWMA only
+//     moves when tasks complete, so a shedding route would pin it high
+//     and never observe recovery; breaker state, credit availability
+//     and queue depth (queue_high 3 / queue_low 1) are the live signals.
 func TestBrownoutSoak(t *testing.T) {
-	// Unloaded twin first: its slowest step is the baseline.
-	base, routes, err := NewBrownoutPipeline(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRep, err := base.Run(BrownoutSteps)
+	cfg := loadExample(t, "brownout")
+	steps := cfg.Steps
+
+	// Unloaded twin first — the identical pipeline without the fault
+	// schedule: its slowest step is the baseline.
+	healthy := *cfg
+	healthy.Faults = nil
+	baseRep, err := buildExample(t, &healthy).Pipeline.Run(steps)
 	if err != nil {
 		t.Fatalf("baseline run failed: %v", err)
 	}
@@ -31,11 +61,9 @@ func TestBrownoutSoak(t *testing.T) {
 		t.Fatal("baseline recorded no step wall times")
 	}
 
-	p, _, err := NewBrownoutPipeline(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := p.Run(BrownoutSteps)
+	b := buildExample(t, cfg)
+	p, routes := b.Pipeline, b.Tenants[0].Routes
+	rep, err := p.Run(steps)
 	if err != nil {
 		t.Fatalf("brownout run failed: %v", err)
 	}
@@ -64,7 +92,7 @@ func TestBrownoutSoak(t *testing.T) {
 	t.Logf("resilience: %+v", rep.Resilience)
 	degradedTail := 0
 	for _, name := range routes {
-		for step := 1; step <= BrownoutSteps; step++ {
+		for step := 1; step <= steps; step++ {
 			out := rep.Result(name, step)
 			if out == nil {
 				t.Fatalf("%s step %d has no stored result", name, step)
@@ -73,7 +101,7 @@ func TestBrownoutSoak(t *testing.T) {
 				if d.Reason == "" {
 					t.Fatalf("%s step %d degraded without a reason", name, step)
 				}
-				if step > BrownoutSteps-5 {
+				if step > steps-5 {
 					degradedTail++
 					t.Errorf("%s step %d still degraded at run end: %s", name, step, d.Reason)
 				}
@@ -108,7 +136,7 @@ func TestBrownoutSoak(t *testing.T) {
 	// Shed markers carry the ladder reason.
 	shedMarked := 0
 	for _, name := range routes {
-		for step := 1; step <= BrownoutSteps; step++ {
+		for step := 1; step <= steps; step++ {
 			if d, ok := rep.Result(name, step).(core.Degraded); ok &&
 				strings.HasPrefix(d.Reason, "shed") {
 				shedMarked++

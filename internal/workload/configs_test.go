@@ -28,6 +28,33 @@ func examplePaths(t *testing.T) []string {
 	return paths
 }
 
+// loadExample loads one checked-in example config. Every scenario
+// exists once, as that file: a test that needs a variant edits the
+// loaded value before building it — a healthy twin is the config with
+// Faults = nil (and fail_attempts = 0 on a poison route), a crash cell
+// sets Recovery.Kill, a run that must not write under out/ points
+// Store.Dir or Recovery.Dir at a temp directory.
+func loadExample(t *testing.T, name string) *registry.Config {
+	t.Helper()
+	cfg, err := registry.LoadConfig(filepath.Join(configsDir, name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// buildExample builds a (possibly edited) example config through the
+// one construction path and closes it with the test.
+func buildExample(t *testing.T, cfg *registry.Config) *registry.Built {
+	t.Helper()
+	b, err := registry.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
 // TestEveryAnalysisPlacementHasAnExample: every registered analysis, at
 // every placement it supports, is declared by at least one checked-in
 // example — so each is reachable from a config (there is no other way
@@ -57,34 +84,6 @@ func TestEveryAnalysisPlacementHasAnExample(t *testing.T) {
 	}
 }
 
-// pinned asserts a checked-in example file is byte-identical to the
-// scenario config the soak tests build in Go, so `s3dpipe -config` runs
-// exactly what `make tenants` / `make brownout` gate; drift in either
-// direction fails CI.
-func pinned(t *testing.T, file string, cfg *registry.Config) {
-	t.Helper()
-	want, err := cfg.Marshal()
-	if err != nil {
-		t.Fatalf("%s: marshal source config: %v", file, err)
-	}
-	got, err := os.ReadFile(filepath.Join(configsDir, file))
-	if err != nil {
-		t.Fatalf("%s: %v", file, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from its code-generated source config.\nRegenerate it from Config.Marshal().\n--- file ---\n%s--- source ---\n%s",
-			file, got, want)
-	}
-}
-
-func TestTenantsExamplePinned(t *testing.T) {
-	pinned(t, "tenants.json", TenantsConfig(true))
-}
-
-func TestBrownoutExamplePinned(t *testing.T) {
-	pinned(t, "brownout.json", BrownoutConfig(true))
-}
-
 // wholeFloat matches a whole-valued number a hand-written example
 // spells with a trailing ".0" (quickstart.json's feature_threshold),
 // which Marshal spells without.
@@ -112,32 +111,6 @@ func TestExampleConfigsCanonical(t *testing.T) {
 		}
 		if !bytes.Equal(got, wholeFloat.ReplaceAll(want, []byte("$1$2"))) {
 			t.Errorf("%s is not in canonical form.\n--- file ---\n%s--- LoadConfig → Marshal ---\n%s", path, want, got)
-		}
-	}
-}
-
-// TestScenarioConfigsRoundTrip: the scenario configs survive a
-// marshal/parse round trip unchanged — what guarantees a user can dump
-// them, edit, and reload without surprises.
-func TestScenarioConfigsRoundTrip(t *testing.T) {
-	for _, cfg := range []*registry.Config{
-		TenantsConfig(true), TenantsConfig(false),
-		BrownoutConfig(true), BrownoutConfig(false),
-	} {
-		data, err := cfg.Marshal()
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		back, err := registry.ParseConfig(data)
-		if err != nil {
-			t.Fatalf("%s: re-parse: %v", cfg.Name, err)
-		}
-		data2, err := back.Marshal()
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		if !bytes.Equal(data, data2) {
-			t.Errorf("%s does not round-trip:\n%s\nvs\n%s", cfg.Name, data, data2)
 		}
 	}
 }

@@ -11,10 +11,22 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/recovery"
+	"insitu/internal/registry"
 )
+
+// crashMatrixRun builds examples/configs/crashmatrix.json journaling into
+// dir, with kill as the injected crash (nil for the golden run and for
+// resumes).
+func crashMatrixRun(t *testing.T, dir string, kill recovery.KillFunc) *registry.Built {
+	t.Helper()
+	cfg := loadExample(t, "crashmatrix")
+	cfg.Recovery.Dir, cfg.Recovery.Kill = dir, kill
+	return buildExample(t, cfg)
+}
 
 // cmGolden is the uninterrupted run every crash cell must converge to.
 type cmGolden struct {
+	steps   int
 	rep     *core.Report
 	digests map[int]map[string]string // step -> analysis -> result digest
 	ckpts   map[string][]byte         // final-step checkpoint file -> bytes
@@ -23,18 +35,17 @@ type cmGolden struct {
 func goldenCrashRun(t *testing.T) *cmGolden {
 	t.Helper()
 	dir := t.TempDir()
-	p, _, err := NewCrashMatrixPipeline(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := p.Run(CrashMatrixSteps)
+	b := crashMatrixRun(t, dir, nil)
+	p, steps := b.Pipeline, b.Config.Steps
+	rep, err := p.Run(steps)
 	if err != nil {
 		t.Fatalf("golden run: %v", err)
 	}
-	if rep.Recovery == nil || rep.Recovery.Commits != CrashMatrixSteps {
-		t.Fatalf("golden run: recovery = %+v, want %d commits", rep.Recovery, CrashMatrixSteps)
+	if rep.Recovery == nil || rep.Recovery.Commits != int64(steps) {
+		t.Fatalf("golden run: recovery = %+v, want %d commits", rep.Recovery, steps)
 	}
 	g := &cmGolden{
+		steps:   steps,
 		rep:     rep,
 		digests: make(map[int]map[string]string),
 		ckpts:   make(map[string][]byte),
@@ -44,14 +55,14 @@ func goldenCrashRun(t *testing.T) *cmGolden {
 		t.Fatal(err)
 	}
 	st := recovery.Analyze(j.Records())
-	if st.LastCommit != CrashMatrixSteps {
-		t.Fatalf("golden journal: last commit %d, want %d", st.LastCommit, CrashMatrixSteps)
+	if st.LastCommit != steps {
+		t.Fatalf("golden journal: last commit %d, want %d", st.LastCommit, steps)
 	}
 	for s, c := range st.Commits {
 		g.digests[s] = c.Digests
 	}
 	for rank := 0; rank < p.Sim().Ranks(); rank++ {
-		name := recovery.CheckpointFile(CrashMatrixSteps, rank)
+		name := recovery.CheckpointFile(steps, rank)
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("golden checkpoint: %v", err)
@@ -88,10 +99,10 @@ func assertConverged(t *testing.T, g *cmGolden, dir string, p2 *core.Pipeline, r
 		t.Fatalf("reopen journal: %v", err)
 	}
 	st := recovery.Analyze(j.Records())
-	if st.LastCommit != CrashMatrixSteps {
-		t.Errorf("journal: last commit %d, want %d", st.LastCommit, CrashMatrixSteps)
+	if st.LastCommit != g.steps {
+		t.Errorf("journal: last commit %d, want %d", st.LastCommit, g.steps)
 	}
-	for s := 1; s <= CrashMatrixSteps; s++ {
+	for s := 1; s <= g.steps; s++ {
 		c, ok := st.Commits[s]
 		if !ok {
 			t.Errorf("step %d never committed", s)
@@ -125,11 +136,24 @@ func assertConverged(t *testing.T, g *cmGolden, dir string, p2 *core.Pipeline, r
 	assertClean(t, "resumed", p2)
 }
 
-// TestCrashMatrix is the chaos gate: kill the run at every journal
-// phase boundary at early, middle, and final steps, resume, and
-// require bit-identical convergence to the golden run plus zero
-// resource leaks — and, for the corruption cell, a clean fallback to
-// the next older checkpoint when the newest one fails its CRCs.
+// TestCrashMatrix is the recovery plane's chaos gate, run on
+// examples/configs/crashmatrix.json: the journaled, checkpointing hybrid
+// run is killed at every journal phase boundary — before the step's
+// admit record, between the per-route submit records, after the
+// checkpoint files but before their journal record, and right after a
+// commit — at early, middle, and final steps, then resumed, and must
+// converge bit-identically to the golden run (per-step commit digests,
+// live results, final checkpoint files) with zero resource leaks — and,
+// for the corruption cell, fall back cleanly to the next older
+// checkpoint when the newest one fails its CRCs.
+//
+// Why the file is tuned as it is: the delta codec covers every route, so
+// a resume must re-anchor base state correctly; and overload control is
+// armed with thresholds nothing can reach, so the admission ladder
+// deterministically holds every step at the full rung while the credit
+// account stays live — the matrix can then assert that credits
+// re-settle exactly once across a crash/resume pair. The cells' steps
+// assume the file's 10 steps and checkpoint cadence of 2.
 func TestCrashMatrix(t *testing.T) {
 	g := goldenCrashRun(t)
 
@@ -150,21 +174,15 @@ func TestCrashMatrix(t *testing.T) {
 			// the 13-cell matrix inside a tolerable wall-clock budget.
 			t.Parallel()
 			dir := t.TempDir()
-			p1, _, err := NewCrashMatrixPipeline(dir, recovery.KillAt(cell.phase, cell.step))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = p1.Run(CrashMatrixSteps)
+			p1 := crashMatrixRun(t, dir, recovery.KillAt(cell.phase, cell.step)).Pipeline
+			_, err := p1.Run(g.steps)
 			if !errors.Is(err, recovery.ErrKilled) {
 				t.Fatalf("crashed run: err = %v, want ErrKilled", err)
 			}
 			assertClean(t, "crashed", p1)
 
-			p2, _, err := NewCrashMatrixPipeline(dir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep2, err := p2.Resume(CrashMatrixSteps)
+			p2 := crashMatrixRun(t, dir, nil).Pipeline
+			rep2, err := p2.Resume(g.steps)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -178,11 +196,8 @@ func TestCrashMatrix(t *testing.T) {
 	t.Run("corrupt-checkpoint-fallback", func(t *testing.T) {
 		t.Parallel()
 		dir := t.TempDir()
-		p1, _, err := NewCrashMatrixPipeline(dir, recovery.KillAt(recovery.PhasePostCommit, 6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = p1.Run(CrashMatrixSteps)
+		p1 := crashMatrixRun(t, dir, recovery.KillAt(recovery.PhasePostCommit, 6)).Pipeline
+		_, err := p1.Run(g.steps)
 		if !errors.Is(err, recovery.ErrKilled) {
 			t.Fatalf("crashed run: err = %v, want ErrKilled", err)
 		}
@@ -198,11 +213,8 @@ func TestCrashMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		p2, _, err := NewCrashMatrixPipeline(dir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep2, err := p2.Resume(CrashMatrixSteps)
+		p2 := crashMatrixRun(t, dir, nil).Pipeline
+		rep2, err := p2.Resume(g.steps)
 		if err != nil {
 			t.Fatalf("resume: %v", err)
 		}

@@ -44,23 +44,16 @@ func reportDigests(analyses []core.Analysis, rep *core.Report, steps int) string
 // (TestEveryAnalysisPlacementHasAnExample). Only the store and journal
 // directories are substituted (with temp dirs).
 func TestExampleConfigDigestsGolden(t *testing.T) {
-	for _, name := range []string{"quickstart", "store-serve", "recovery", "all-analyses"} {
+	for _, name := range []string{"quickstart", "store-serve", "recovery", "all-analyses", "crashmatrix"} {
 		t.Run(name, func(t *testing.T) {
-			cfg, err := registry.LoadConfig(filepath.Join(configsDir, name+".json"))
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := loadExample(t, name)
 			if cfg.Store != nil {
 				cfg.Store.Dir, cfg.Store.Serve = t.TempDir(), ""
 			}
 			if cfg.Recovery != nil {
 				cfg.Recovery.Dir = t.TempDir()
 			}
-			b, err := registry.Build(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
+			b := buildExample(t, cfg)
 			steps := b.Steps(0, 4)
 			rep, err := b.Pipeline.Run(steps)
 			if err != nil {
@@ -90,12 +83,16 @@ func TestExampleConfigDigestsGolden(t *testing.T) {
 // alone under core.Scheduler produces the same result digests as the
 // same simulation and analyses under core.Pipeline with the same
 // overload block — the two entry points share one fabric and one run
-// engine. Thresholds are raised as in
-// benchmark/configs/tenants-shared.json so the armed overload plane
-// never trips and every step runs at full fidelity.
+// engine. The simulation and the two hybrid routes are brownout.json's;
+// thresholds are raised as in benchmark/configs/tenants-shared.json so
+// the armed overload plane never trips and every step runs at full
+// fidelity. A config cannot declare a lone tenant under the scheduler
+// (registry.Build gives one tenant a Pipeline), which is why this one
+// workload test calls core's constructors itself.
 func TestSoloTenantUnderSchedulerMatchesPipeline(t *testing.T) {
 	const steps = 12
-	sc := scenarioSim()
+	tenant := loadExample(t, "brownout").Tenants[0]
+	sc := tenant.Sim
 	simCfg := sim.DefaultConfig(grid.NewBox(sc.NX, sc.NY, sc.NZ), sc.PX, sc.PY, sc.PZ)
 	simCfg.SubSteps = sc.SubSteps
 	ov := &overload.Config{
@@ -109,7 +106,7 @@ func TestSoloTenantUnderSchedulerMatchesPipeline(t *testing.T) {
 	}
 	analyses := func(reg func(core.Analysis)) []core.Analysis {
 		var out []core.Analysis
-		for _, ac := range scenarioAnalyses() {
+		for _, ac := range tenant.Analyses {
 			a, err := registry.New(ac.Analysis, ac.Params)
 			if err != nil {
 				t.Fatal(err)
@@ -196,15 +193,7 @@ func metricFamilies(dump string) string {
 func TestMetricFamiliesGolden(t *testing.T) {
 	for _, name := range []string{"quickstart", "tenants"} {
 		t.Run(name, func(t *testing.T) {
-			cfg, err := registry.LoadConfig(filepath.Join(configsDir, name+".json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := registry.Build(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
+			b := buildExample(t, loadExample(t, name))
 			pl := b.Tenants[0].Pipeline.EnableObs()
 			// The tenants drill ends with its poison route's errors; the
 			// schema is what is pinned here, not the run's outcome.

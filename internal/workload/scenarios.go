@@ -15,9 +15,7 @@ package workload
 import (
 	"time"
 
-	"insitu/internal/core"
 	"insitu/internal/grid"
-	"insitu/internal/netsim"
 	"insitu/internal/sim"
 )
 
@@ -35,8 +33,9 @@ type PaperRef struct {
 	IOWrite      time.Duration
 }
 
-// Scenario is one experiment configuration: a laptop-scale pipeline
-// whose shape mirrors one of the paper's runs.
+// Scenario is one Table I configuration: a laptop-scale simulation
+// whose shape mirrors one of the paper's runs. (Table II's pipeline is
+// declared by examples/configs/table2-4896.json.)
 type Scenario struct {
 	Name      string
 	Sim       sim.Config
@@ -100,22 +99,6 @@ func Scenario9440() Scenario {
 		Buckets:   2,
 		Paper:     paper9440,
 	}
-}
-
-// PipelineConfig assembles a core.Config for a scenario.
-func (s Scenario) PipelineConfig() core.Config {
-	return core.Config{
-		Sim:       s.Sim,
-		DSServers: s.DSServers,
-		Buckets:   s.Buckets,
-		Net:       netsim.Gemini(),
-	}
-}
-
-// RawStepBytes returns the size of one timestep's full state (all
-// variables, 8 bytes per point).
-func (s Scenario) RawStepBytes() int64 {
-	return int64(s.Sim.Global.Size()) * 8 * int64(len(sim.VarNames))
 }
 
 // PaperTableII holds the published Table II rows (4896 cores, per

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"time"
 
-	"insitu/internal/core"
 	"insitu/internal/metrics"
+	"insitu/internal/registry"
 )
 
 // TableIIRow is one analysis row of Table II: measured per-step
@@ -22,49 +22,28 @@ type TableIIRow struct {
 // percent-of-simulation figures (Fig. 6's headline claims) can be
 // derived.
 type TableIIResult struct {
-	Rows        []TableIIRow
-	SimPerStep  time.Duration
-	Steps       int
-	PaperSim    time.Duration
-	RawStepByte int64
+	Rows       []TableIIRow
+	SimPerStep time.Duration
+	Steps      int
+	PaperSim   time.Duration
 }
 
-// analysisSet builds the five paper analyses plus the two extensions.
-func analysisSet(withExtensions bool) []core.Analysis {
-	topo := core.NewTopologyHybrid()
-	topo.SimplifyEps = 0.05
-	as := []core.Analysis{
-		&core.StatsInSitu{},
-		&core.StatsHybrid{},
-		core.NewVizInSitu(64, 48),
-		core.NewVizHybrid(64, 48, 8),
-		topo,
-	}
-	if withExtensions {
-		as = append(as,
-			&core.AutoCorrHybrid{Lags: []int{1, 5, 10}},
-			&core.FeatureStatsHybrid{Threshold: 1.0},
-			&core.ContingencyHybrid{},
-		)
-	}
-	return as
-}
-
-// RunTableII runs the full pipeline with every analysis for the given
-// number of steps and collects the Table II breakdown.
-func RunTableII(sc Scenario, steps int, withExtensions bool) (*TableIIResult, error) {
-	p, err := core.NewPipeline(sc.PipelineConfig())
+// RunTableII runs the loaded examples/configs/table2-4896.json — the
+// five paper analyses plus the three extensions on the 4896-core
+// scenario's decomposition — for the given number of steps and collects
+// the Table II breakdown of its first tenant.
+func RunTableII(cfg *registry.Config, steps int) (*TableIIResult, error) {
+	b, err := registry.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range analysisSet(withExtensions) {
-		p.Register(a)
-	}
-	rep, err := p.Run(steps)
+	defer b.Close()
+	reps, err := b.Run(steps, false)
 	if err != nil {
 		return nil, err
 	}
-	res := &TableIIResult{Steps: steps, PaperSim: sc.Paper.SimTime, RawStepByte: sc.RawStepBytes()}
+	rep := reps[b.Tenants[0].Name]
+	res := &TableIIResult{Steps: steps, PaperSim: paper4896.SimTime}
 	_, res.SimPerStep, _ = rep.Metrics.SimTime()
 	paper := PaperTableIIRows()
 	for _, name := range rep.Metrics.Analyses() {

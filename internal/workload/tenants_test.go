@@ -28,19 +28,55 @@ import (
 //     pressure and drains back down after it closes;
 //  5. leaks: the shared credit account settles to its full supply and
 //     no tenant leaves a pinned producer region behind.
+//
+// The scenario is examples/configs/tenants.json — what `s3dpipe -config`
+// runs. alpha and beta, the victims, run the two healthy hybrid routes;
+// gamma, named by the slowdown window, is the noisy neighbor. The
+// assertions lean on the file's tuning, so the reasons live here:
+//
+//   - faults.slowdowns [100, 300) x400 on gamma: a full noisy run
+//     consumes roughly 500 injector decisions (three tenants' pulls
+//     share one counter), so the window opens after the fabric has
+//     warmed up and closes with a comfortable tail for recovery —
+//     ladders climb back to full, the autoscaler observes idleness, the
+//     quarantine probe heals. The factor is the brownout soak's ~400x
+//     collapse, scoped to gamma's rank endpoints; net.time_scale 0.1
+//     makes it wall-clock staging latency.
+//   - poison fail_attempts 2 equals quarantine.strikes, so the route
+//     opens on exactly the strike budget and the first half-open probe
+//     (probe_after 2) heals it.
+//   - each tenant's overload block is the brownout soak's (see
+//     TestBrownoutSoak for the breaker, probe and ladder reasons).
+//
+// The healthy twin is the same file with no fault schedule and a poison
+// handler that never crashes: it isolates the injected noise from the
+// mere CPU cost of co-tenancy, which the bulkheads do not (and cannot)
+// remove.
 func TestNoisyNeighborSoak(t *testing.T) {
-	// Healthy twin first: the identical three-tenant scheduler without
-	// the fault schedule. Its victims' slowest step is the baseline.
-	twin, routes, err := NewTenantScheduler(false)
-	if err != nil {
-		t.Fatal(err)
+	cfg := loadExample(t, "tenants")
+	steps := cfg.Steps
+	noisy := cfg.Faults.Slowdowns[0].Tenant
+	var victims []string
+	for _, tn := range cfg.Tenants {
+		if tn.Name != noisy {
+			victims = append(victims, tn.Name)
+		}
 	}
-	twinReps, err := twin.Run(TenantSteps)
+
+	// Healthy twin first. Its victims' slowest step is the baseline.
+	healthy := loadExample(t, "tenants")
+	healthy.Faults = nil
+	for ti := range healthy.Tenants {
+		for ai := range healthy.Tenants[ti].Analyses {
+			healthy.Tenants[ti].Analyses[ai].FailAttempts = 0
+		}
+	}
+	twinReps, err := buildExample(t, healthy).Scheduler.Run(steps)
 	if err != nil {
 		t.Fatalf("baseline twin run failed: %v", err)
 	}
 	baseline := time.Duration(0)
-	for _, name := range TenantVictims {
+	for _, name := range victims {
 		if w := twinReps[name].Metrics.MaxStepWall(); w > baseline {
 			baseline = w
 		}
@@ -49,13 +85,12 @@ func TestNoisyNeighborSoak(t *testing.T) {
 		t.Fatal("baseline twin recorded no step wall times")
 	}
 
-	s, _, err := NewTenantScheduler(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := buildExample(t, cfg)
+	// The victims come first in the file; theirs are the routes checked.
+	s, routes := b.Scheduler, b.Tenants[0].Routes
 	// The poison handler's early crashes surface in the run error by
 	// design; anything else (a victim failure) is a real failure.
-	reps, err := s.Run(TenantSteps)
+	reps, err := s.Run(steps)
 	if err != nil && !strings.Contains(err.Error(), "poison: handler crash") {
 		t.Fatalf("noisy run failed: %v", err)
 	}
@@ -68,7 +103,7 @@ func TestNoisyNeighborSoak(t *testing.T) {
 	// scheduler noise (max-vs-max across separate runs carries additive
 	// jitter, and `go test ./...` runs sibling soaks concurrently).
 	bound := baseline + baseline/2 + 50*time.Millisecond
-	for _, name := range TenantVictims {
+	for _, name := range victims {
 		worst := reps[name].Metrics.MaxStepWall()
 		t.Logf("victim %s: twin baseline max %v, noisy max %v (bound %v)", name, baseline, worst, bound)
 		if worst > bound {
@@ -78,9 +113,9 @@ func TestNoisyNeighborSoak(t *testing.T) {
 
 	// (2) Every step of every victim route accounted for, with a named
 	// reason on anything that was not full hybrid.
-	for _, name := range TenantVictims {
+	for _, name := range victims {
 		for _, route := range routes {
-			for step := 1; step <= TenantSteps; step++ {
+			for step := 1; step <= steps; step++ {
 				out := reps[name].Result(route, step)
 				if out == nil {
 					t.Fatalf("victim %s: %s step %d has no stored result", name, route, step)
@@ -95,20 +130,20 @@ func TestNoisyNeighborSoak(t *testing.T) {
 	// (3) The poison route was quarantined, failed fast with explicit
 	// markers, and was released by a half-open probe once healed.
 	q := s.Quarantine()
-	noisyRep := reps[TenantNoisy]
+	noisyRep := reps[noisy]
 	if q.Opens() < 1 {
 		t.Error("poison route never tripped the quarantine")
 	}
 	if q.Releases() < 1 {
 		t.Error("healed poison route was never released by a probe")
 	}
-	if got := q.State(TenantNoisy, PoisonRouteName); got != overload.QClosed {
+	if got := q.State(noisy, PoisonRouteName); got != overload.QClosed {
 		t.Errorf("poison route finished %v, want closed", got)
 	}
 	// Early poison steps whose handler crashed have no stored result —
 	// their failures live in Errs — so only non-nil results are walked.
 	markers := 0
-	for step := 1; step <= TenantSteps; step++ {
+	for step := 1; step <= steps; step++ {
 		if d, ok := noisyRep.Result(PoisonRouteName, step).(core.Degraded); ok &&
 			strings.Contains(d.Reason, "quarantined") {
 			markers++
@@ -118,9 +153,9 @@ func TestNoisyNeighborSoak(t *testing.T) {
 		t.Error("no poison step carries a quarantine fail-fast marker")
 	}
 	// Recovery: the final poison step flows full transit again.
-	if out, ok := noisyRep.Result(PoisonRouteName, TenantSteps).(int); !ok || out != TenantSteps {
+	if out, ok := noisyRep.Result(PoisonRouteName, steps).(int); !ok || out != steps {
 		t.Errorf("final poison step result = %v, want full-transit %d",
-			noisyRep.Result(PoisonRouteName, TenantSteps), TenantSteps)
+			noisyRep.Result(PoisonRouteName, steps), steps)
 	}
 
 	// (4) The autoscaler widened the shared pool under the window's
@@ -142,7 +177,7 @@ func TestNoisyNeighborSoak(t *testing.T) {
 	if out, avail, total := s.Credits().Snapshot(); out != 0 || avail != total {
 		t.Errorf("credits leaked: outstanding=%d avail=%d total=%d", out, avail, total)
 	}
-	for _, name := range append(append([]string(nil), TenantVictims...), TenantNoisy) {
+	for _, name := range append(victims, noisy) {
 		if got := s.Tenant(name).PinnedRegions(); got != 0 {
 			t.Errorf("tenant %s leaked %d pinned regions", name, got)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"insitu/internal/grid"
+	"insitu/internal/registry"
 	"insitu/internal/sim"
 )
 
@@ -21,9 +22,6 @@ func TestScenarioShapes(t *testing.T) {
 	}
 	if a.Paper.SimTime <= b.Paper.SimTime {
 		t.Fatal("paper reference: doubling cores must halve sim time")
-	}
-	if a.RawStepBytes() != int64(a.Sim.Global.Size()*8*len(sim.VarNames)) {
-		t.Fatal("raw step bytes wrong")
 	}
 }
 
@@ -60,10 +58,10 @@ func TestRunTableI(t *testing.T) {
 }
 
 func TestRunTableIIAndFig6(t *testing.T) {
-	sc := Scenario4896()
+	cfg := loadExample(t, "table2-4896")
 	// Shrink for test speed.
-	sc.Sim = sim.DefaultConfig(grid.NewBox(20, 12, 8), 2, 2, 1)
-	res, err := RunTableII(sc, 2, true)
+	cfg.Tenants[0].Sim = registry.SimConfig{NX: 20, NY: 12, NZ: 8, PX: 2, PY: 2, PZ: 1}
+	res, err := RunTableII(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
