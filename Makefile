@@ -9,8 +9,9 @@
 #                   pass flags with ARGS='--workload wire-codec --seconds 5')
 #   make benchmark-tests  the benchmark module's own tests (a nested Go
 #                   module, so tier-1 `go test ./...` does not reach them)
-#   make fuzz-smoke 10s coverage-guided fuzz of the codec frame decoder
-#                   (typed errors only, never a panic)
+#   make fuzz-smoke 10s coverage-guided fuzz of each decoder that reads
+#                   outside bytes: the codec frame decoder and the BP-lite
+#                   checkpoint reader (typed errors only, never a panic)
 #   make chaos      the randomized-seed chaos smoke under -race (env-gated,
 #                   so `race` skips it; the fixed-seed soak runs there)
 
@@ -44,6 +45,7 @@ benchmark-tests:
 
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/codec/
+	$(GO) test -run xxx -fuzz FuzzReadFile -fuzztime 10s ./internal/bp/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

@@ -48,7 +48,8 @@ func benchSetup(b *testing.B) {
 		var mu sync.Mutex
 		err = sim.RunAll(s, func(rk *sim.Rank) error {
 			rk.RunSteps(15)
-			g := rk.GhostedField("T").Clone()
+			g := rk.GhostedField("T")
+			g = g.Extract(g.Box)
 			mu.Lock()
 			benchGhosted[rk.Comm().ID()] = g
 			benchField.Paste(rk.Field("T"))
@@ -173,7 +174,7 @@ func BenchmarkAblationBuckets(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			area.Handle("slow", func(task dataspaces.Task, data [][]byte) (any, error) {
+			area.HandleT("", "slow", func(task dataspaces.Task, data [][]byte) (any, error) {
 				time.Sleep(2 * time.Millisecond) // in-transit ~4x the step time
 				return nil, nil
 			})
@@ -194,7 +195,7 @@ func BenchmarkAblationBuckets(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				time.Sleep(500 * time.Microsecond) // the simulation step
 				h := prod.RegisterMem(payload)
-				ds.SubmitTask("slow", i, []dataspaces.Descriptor{{Name: "slow", Version: i, Handle: h}})
+				ds.SubmitSpec(dataspaces.TaskSpec{Analysis: "slow", Step: i, Inputs: []dataspaces.Descriptor{{Name: "slow", Version: i, Handle: h}}})
 			}
 			for i := 0; i < b.N; i++ {
 				<-completed
@@ -341,14 +342,14 @@ func BenchmarkAblationStreamingInTransit(b *testing.B) {
 		}
 		work := func() { time.Sleep(2 * time.Millisecond) }
 		if streamMode {
-			area.HandleStream("x", func(task dataspaces.Task, in <-chan staging.StreamInput) (any, error) {
+			area.HandleStreamT("", "x", func(task dataspaces.Task, in <-chan staging.StreamInput) (any, error) {
 				for range in {
 					work()
 				}
 				return nil, nil
 			})
 		} else {
-			area.Handle("x", func(task dataspaces.Task, data [][]byte) (any, error) {
+			area.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) {
 				for range data {
 					work()
 				}
@@ -366,7 +367,7 @@ func BenchmarkAblationStreamingInTransit(b *testing.B) {
 					Name: "x", Version: i, Rank: j, Handle: prod.RegisterMem(payload),
 				})
 			}
-			if _, err := ds.SubmitTask("x", i, descs); err != nil {
+			if _, err := ds.SubmitSpec(dataspaces.TaskSpec{Analysis: "x", Step: i, Inputs: descs}); err != nil {
 				b.Fatal(err)
 			}
 			res := <-results

@@ -38,8 +38,9 @@ const (
 
 // ErrCorruptCheckpoint is returned when a variable's payload fails its
 // recorded CRC32 — the on-disk analogue of the transport's in-flight
-// CRC framing. Structural damage (torn index, bad magic) also wraps
-// it, so callers can treat any bit-flipped checkpoint uniformly.
+// CRC framing. Structural damage (torn index, bad magic, unknown
+// version, a payload that does not decode) also wraps it, so callers
+// can treat any bit-flipped checkpoint uniformly.
 var ErrCorruptCheckpoint = errors.New("bp: corrupt checkpoint")
 
 // WriteFile writes the fields to path and returns the byte count. The
@@ -125,7 +126,7 @@ func readIndex(data []byte) (map[string]idxEntry, []string, error) {
 	}
 	v := binary.LittleEndian.Uint32(data[4:8])
 	if v != version1 && v != version {
-		return nil, nil, fmt.Errorf("bp: unsupported version %d", v)
+		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptCheckpoint, v)
 	}
 	entrySize := 16
 	if v == version {
@@ -133,12 +134,17 @@ func readIndex(data []byte) (map[string]idxEntry, []string, error) {
 	}
 	nvars := int(binary.LittleEndian.Uint32(data[8:12]))
 	footerOff := binary.LittleEndian.Uint64(data[len(data)-12 : len(data)-4])
-	if footerOff > uint64(len(data)) {
+	if footerOff < 12 || footerOff > uint64(len(data)-12) {
 		return nil, nil, fmt.Errorf("%w: bad footer offset", ErrCorruptCheckpoint)
+	}
+	p := data[footerOff : len(data)-12]
+	// An entry is at least its name length and its fixed part, so the
+	// footer bounds the count: nvars never sizes the map on its own.
+	if nvars > len(p)/(4+entrySize) {
+		return nil, nil, fmt.Errorf("%w: %d variables cannot fit a %d-byte index", ErrCorruptCheckpoint, nvars, len(p))
 	}
 	idx := make(map[string]idxEntry, nvars)
 	var order []string
-	p := data[footerOff : len(data)-12]
 	for vi := 0; vi < nvars; vi++ {
 		if len(p) < 4 {
 			return nil, nil, fmt.Errorf("%w: truncated index entry %d", ErrCorruptCheckpoint, vi)
@@ -159,7 +165,7 @@ func readIndex(data []byte) (map[string]idxEntry, []string, error) {
 			e.hasSum = true
 		}
 		p = p[entrySize:]
-		if e.off+e.length > uint64(len(data)) {
+		if e.off > uint64(len(data)) || e.length > uint64(len(data))-e.off {
 			return nil, nil, fmt.Errorf("%w: variable %q extends past end of file", ErrCorruptCheckpoint, name)
 		}
 		idx[name] = e
@@ -197,7 +203,7 @@ func ReadFile(path string) ([]*grid.Field, error) {
 		}
 		f, err := grid.UnmarshalField(b)
 		if err != nil {
-			return nil, fmt.Errorf("bp: %s variable %q: %w", path, name, err)
+			return nil, fmt.Errorf("bp: %s variable %q: %w: %v", path, name, ErrCorruptCheckpoint, err)
 		}
 		out = append(out, f)
 	}

@@ -189,31 +189,29 @@ func TestBitFlipCaught(t *testing.T) {
 	}
 }
 
+// v1File lays one variable's payload out as a version-1 file (index
+// entries without the per-variable CRC32), which WriteFile no longer
+// produces.
+func v1File(name string, payload []byte) []byte {
+	buf := append([]byte(nil), magic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, version1)
+	buf = binary.LittleEndian.AppendUint32(buf, 1)
+	off := len(buf)
+	buf = append(buf, payload...)
+	footerOff := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
+	buf = append(buf, name...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(footerOff-off))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(footerOff))
+	return append(buf, magic[:]...)
+}
+
 // TestReadVersion1 keeps backward compatibility: a hand-built version-1
 // file (16-byte index entries, no CRC) still loads.
 func TestReadVersion1(t *testing.T) {
 	f := sampleFields(rand.New(rand.NewSource(6)))[0]
-	var buf []byte
-	buf = append(buf, magic[:]...)
-	var b4 [4]byte
-	var b8 [8]byte
-	binary.LittleEndian.PutUint32(b4[:], version1)
-	buf = append(buf, b4[:]...)
-	binary.LittleEndian.PutUint32(b4[:], 1)
-	buf = append(buf, b4[:]...)
-	off := len(buf)
-	buf = f.AppendMarshal(buf)
-	footerOff := len(buf)
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(f.Name)))
-	buf = append(buf, b4[:]...)
-	buf = append(buf, f.Name...)
-	binary.LittleEndian.PutUint64(b8[:], uint64(off))
-	buf = append(buf, b8[:]...)
-	binary.LittleEndian.PutUint64(b8[:], uint64(footerOff-off))
-	buf = append(buf, b8[:]...)
-	binary.LittleEndian.PutUint64(b8[:], uint64(footerOff))
-	buf = append(buf, b8[:]...)
-	buf = append(buf, magic[:]...)
+	buf := v1File(f.Name, f.Marshal())
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "v1.bp")

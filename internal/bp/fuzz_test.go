@@ -1,0 +1,77 @@
+package bp
+
+import (
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// FuzzReadFile asserts the checkpoint reader's contract on arbitrary
+// bytes: ReadFile returns the fields or an error wrapping
+// ErrCorruptCheckpoint — it never panics and never sizes an allocation
+// from a count the file merely claims. Resume's fallback to an older
+// checkpoint depends on exactly that.
+func FuzzReadFile(f *testing.F) {
+	fields := sampleFields(rand.New(rand.NewSource(11)))
+
+	// Seed with one valid file per format version...
+	dir := f.TempDir()
+	path := filepath.Join(dir, "seed.bp")
+	if _, err := WriteFile(path, fields); err != nil {
+		f.Fatal(err)
+	}
+	v2, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+	f.Add(v1File(fields[0].Name, fields[0].Marshal()))
+
+	// ...and with the shapes that used to get past readIndex: a footer
+	// offset inside the trailer,
+	inTrailer := make([]byte, 40)
+	copy(inTrailer, magic[:])
+	binary.LittleEndian.PutUint32(inTrailer[4:], version)
+	binary.LittleEndian.PutUint64(inTrailer[28:], 36)
+	copy(inTrailer[36:], magic[:])
+	f.Add(inTrailer)
+	// an entry whose offset and length wrap past the file-size check,
+	wrapped := append([]byte(nil), v2...)
+	entry := binary.LittleEndian.Uint64(wrapped[len(wrapped)-12:]) + 4 + uint64(len(fields[0].Name))
+	binary.LittleEndian.PutUint64(wrapped[entry:], ^uint64(0)-7)
+	binary.LittleEndian.PutUint64(wrapped[entry+8:], 16)
+	f.Add(wrapped)
+	// a variable count the footer cannot hold,
+	manyVars := append([]byte(nil), v2...)
+	binary.LittleEndian.PutUint32(manyVars[8:], ^uint32(0))
+	f.Add(manyVars)
+	// and a field whose point count overflows its byte length.
+	hugeField := binary.LittleEndian.AppendUint32(nil, 1)
+	hugeField = append(hugeField, 'T')
+	for _, v := range []uint64{0, 0, 0, 1 << 61, 1, 1, 1 << 61} {
+		hugeField = binary.LittleEndian.AppendUint64(hugeField, v)
+	}
+	f.Add(v1File("T", hugeField))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "fuzz.bp")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("untyped read error: %v", err)
+			}
+			return
+		}
+		for _, fl := range got {
+			if fl == nil || len(fl.Data) != fl.Box.Size() {
+				t.Fatalf("read succeeded with a malformed field: %+v", fl)
+			}
+		}
+	})
+}

@@ -1,6 +1,6 @@
 // Package bufpool is the size-classed, sync.Pool-backed byte-buffer
 // pool threaded through the hybrid framework's transfer path: field
-// and model marshaling, BP packing, DART Get/Put staging copies, and
+// and model marshaling, BP packing, DART Get staging copies, and
 // the staging buckets' input fills. Every hop of the in-situ →
 // in-transit path used to allocate a fresh buffer per timestep; with
 // the pool, steady-state timesteps recycle the same few buffers.
@@ -16,7 +16,6 @@ package bufpool
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // Size classes are powers of two from 1<<minShift up to 1<<maxShift.
@@ -27,12 +26,7 @@ const (
 	maxShift = 26 // 64 MiB
 )
 
-var (
-	classes [maxShift - minShift + 1]sync.Pool
-
-	gets   atomic.Int64 // total Get calls
-	misses atomic.Int64 // Gets served by a fresh allocation
-)
+var classes [maxShift - minShift + 1]sync.Pool
 
 // classFor returns the class index whose buffers have capacity >= n,
 // or -1 when n exceeds the largest class.
@@ -51,10 +45,8 @@ func classFor(n int) int {
 // capacity may exceed n. Small and huge requests are still served;
 // only classes within [256 B, 64 MiB] actually recycle.
 func Get(n int) []byte {
-	gets.Add(1)
 	c := classFor(n)
 	if c < 0 {
-		misses.Add(1)
 		return make([]byte, n)
 	}
 	if v := classes[c].Get(); v != nil {
@@ -64,7 +56,6 @@ func Get(n int) []byte {
 		wrapPool.Put(w)
 		return b[:n]
 	}
-	misses.Add(1)
 	return make([]byte, n, 1<<(c+minShift))
 }
 
@@ -90,10 +81,4 @@ func Put(b []byte) {
 	w := wrapPool.Get().(*buf)
 	w.b = b[:0:c]
 	classes[s-minShift].Put(w)
-}
-
-// Stats reports cumulative Get calls and how many were served by a
-// fresh allocation, for tests asserting the pool actually recycles.
-func Stats() (getCalls, missCount int64) {
-	return gets.Load(), misses.Load()
 }

@@ -81,12 +81,3 @@ func TestConcurrentDistinctBuffers(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestStatsMove(t *testing.T) {
-	g0, _ := Stats()
-	Put(Get(512))
-	g1, _ := Stats()
-	if g1 <= g0 {
-		t.Fatal("Stats gets did not advance")
-	}
-}

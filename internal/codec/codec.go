@@ -19,9 +19,8 @@
 //   - Quantize: bounded-error bit packing of the payload's float64
 //     tail under a per-field max-error knob; bytes before the tail
 //     travel verbatim. Falls back to literal on non-finite values.
-//   - Subsample: every Stride-th float of the tail travels now
-//     (decode reconstructs by sample-and-hold); the exact payload is
-//     retained as a refinement block applied on demand.
+//   - Subsample: every Stride-th float of the tail travels (decode
+//     reconstructs by sample-and-hold).
 //
 // All scratch, frame, and decode buffers come from internal/bufpool so
 // the steady-state encode/decode path allocates nothing.
@@ -47,7 +46,7 @@ const (
 	Delta
 	// Quantize bit-packs the float64 tail under an error bound.
 	Quantize
-	// Subsample ships a coarse float tail; refinement is on demand.
+	// Subsample ships a coarse float tail, held between samples on decode.
 	Subsample
 
 	// NumIDs is the number of codec IDs, for per-codec instrument
@@ -88,9 +87,9 @@ const (
 	DefaultRelError = 1e-4
 	// DefaultStride is Subsample's default coarsening stride.
 	DefaultStride = 4
-	// baseRetention bounds how many versions per key the base and
-	// refinement stores retain — enough to cover every task the transit
-	// tier can hold in flight, small enough not to hoard buffers.
+	// baseRetention bounds how many versions per key the base store
+	// retains — enough to cover every task the transit tier can hold in
+	// flight, small enough not to hoard buffers.
 	baseRetention = 32
 )
 
@@ -114,9 +113,6 @@ var (
 	// ErrNoBase is returned when a delta frame's base version is no
 	// longer resident in the registry.
 	ErrNoBase = errors.New("codec: delta base unavailable")
-	// ErrNoRefinement is returned by ApplyRefinement when no refinement
-	// block is retained for the key/version.
-	ErrNoRefinement = errors.New("codec: refinement unavailable")
 	// ErrBadInput is returned by Encode for an impossible float-tail
 	// offset or payload shape.
 	ErrBadInput = errors.New("codec: bad encode input")
@@ -156,20 +152,16 @@ type Result struct {
 }
 
 // Registry holds the codec state shared between producers and
-// consumers: the previous-version base store delta encodes against and
-// the refinement blocks Subsample retains. One registry is shared by
-// the DataSpaces service and the DART fabric of a pipeline.
+// consumers: the previous-version base store delta encodes against.
+// One registry is shared by the DataSpaces service and the DART fabric
+// of a pipeline.
 type Registry struct {
-	bases   store
-	refines store
+	bases store
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		bases:   store{m: make(map[string][]storeEntry)},
-		refines: store{m: make(map[string][]storeEntry)},
-	}
+	return &Registry{bases: store{m: make(map[string][]storeEntry)}}
 }
 
 // Encode encodes raw under spec for the producer stream key at the
@@ -215,13 +207,6 @@ func (r *Registry) Decode(frame []byte) ([]byte, ID, error) {
 	return raw, id, nil
 }
 
-// Inspect parses a frame header without decoding, returning the codec
-// ID and declared raw size.
-func Inspect(frame []byte) (ID, int, error) {
-	id, rawSize, _, _, err := splitFrame(frame)
-	return id, rawSize, err
-}
-
 // SeedBase retains raw as the base payload for (key, version) — the
 // resume path's re-anchoring of the delta codec: after a restart the
 // in-memory base store is empty, so the pipeline recomputes the last
@@ -231,37 +216,6 @@ func Inspect(frame []byte) (ID, int, error) {
 // keeps ownership.
 func (r *Registry) SeedBase(key string, version int, raw []byte) {
 	r.bases.put(key, version, raw)
-}
-
-// PrevVersion invokes fn with the retained payload for (key, version),
-// returning false when it is not resident. The slice is only valid
-// inside fn — the registry may recycle it afterwards. This is the
-// previous-version lookup the delta codec builds on, exposed for the
-// coordination layer.
-func (r *Registry) PrevVersion(key string, version int, fn func(raw []byte)) bool {
-	return r.bases.with(key, version, fn)
-}
-
-// ApplyRefinement exactly reconstructs a subsampled payload in place:
-// approx must be the decoder's sample-and-hold output for (key,
-// version), and is overwritten with the retained exact payload — the
-// on-demand refinement transfer of the subsample-then-refine scheme.
-func (r *Registry) ApplyRefinement(key string, version int, approx []byte) error {
-	mismatch := false
-	ok := r.refines.with(key, version, func(exact []byte) {
-		if len(exact) != len(approx) {
-			mismatch = true
-			return
-		}
-		copy(approx, exact)
-	})
-	if !ok {
-		return fmt.Errorf("%w: %s@%d", ErrNoRefinement, key, version)
-	}
-	if mismatch {
-		return fmt.Errorf("%w: refinement size differs from payload", ErrSizeMismatch)
-	}
-	return nil
 }
 
 // splitFrame validates the header and returns (id, rawSize, meta,

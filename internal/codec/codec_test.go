@@ -38,7 +38,7 @@ func evolve(rng *rand.Rand, p []byte, header int) []byte {
 
 func decodeOK(t *testing.T, r *Registry, res Result, wantID ID) []byte {
 	t.Helper()
-	id, rawSize, err := Inspect(res.Frame)
+	id, rawSize, _, _, err := splitFrame(res.Frame)
 	if err != nil {
 		t.Fatalf("inspect: %v", err)
 	}
@@ -304,8 +304,7 @@ func TestQuantizeConstantField(t *testing.T) {
 }
 
 // TestSubsampleRefine: the coarse frame reconstructs by sample-and-
-// hold within the reported error, and ApplyRefinement restores the
-// exact payload on demand.
+// hold within the reported error.
 func TestSubsampleRefine(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	r := NewRegistry()
@@ -329,15 +328,6 @@ func TestSubsampleRefine(t *testing.T) {
 	}
 	if worst > res.MaxError {
 		t.Fatalf("sample-and-hold error %g exceeds reported %g", worst, res.MaxError)
-	}
-	if err := r.ApplyRefinement(key, 7, got); err != nil {
-		t.Fatalf("refine: %v", err)
-	}
-	if !bytes.Equal(got, p) {
-		t.Fatal("refined payload must be bit-exact")
-	}
-	if err := r.ApplyRefinement(key, 99, got); !errors.Is(err, ErrNoRefinement) {
-		t.Fatalf("missing refinement: %v, want ErrNoRefinement", err)
 	}
 }
 

@@ -66,9 +66,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			t.Fatalf("untyped decode error: %v", err)
 		}
-		_, rawSize, ierr := Inspect(frame)
+		_, rawSize, _, _, ierr := splitFrame(frame)
 		if ierr != nil {
-			t.Fatalf("decode succeeded but Inspect failed: %v", ierr)
+			t.Fatalf("decode succeeded but splitFrame failed: %v", ierr)
 		}
 		if len(raw) != rawSize {
 			t.Fatalf("decode returned %d bytes, header declares %d", len(raw), rawSize)

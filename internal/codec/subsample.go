@@ -8,14 +8,11 @@ import (
 	"insitu/internal/bufpool"
 )
 
-// The subsample codec ships a coarse version of the float tail now —
-// every Stride-th value, reconstructed by sample-and-hold — and
-// retains the exact payload as a refinement block the consumer can
-// request on demand (Registry.ApplyRefinement), modeling the paper's
-// progressive coarse-grid-first transfer: the time-critical pull moves
-// 1/Stride of the floats, and full fidelity arrives only when an
-// analysis actually asks for it. The encode reports the sample-and-
-// hold reconstruction error so the fidelity loss is observable.
+// The subsample codec ships a coarse version of the float tail —
+// every Stride-th value, reconstructed by sample-and-hold — so the
+// time-critical pull moves 1/Stride of the floats. The encode reports
+// the sample-and-hold reconstruction error so the fidelity loss is
+// observable.
 //
 // Subsample metadata:
 //
@@ -65,7 +62,6 @@ func (r *Registry) encodeSubsample(spec Spec, key string, version int, raw []byt
 			maxErr = e
 		}
 	}
-	r.refines.put(key, version, raw)
 	return Result{Frame: frame[:headerSize+metaLen+floatOff+8*coarse], MaxError: maxErr}, nil
 }
 

@@ -55,9 +55,6 @@ func NewWorld(n int) *World {
 	return w
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
 // Rank is the per-goroutine handle for one SPMD process.
 type Rank struct {
 	w  *World
@@ -149,19 +146,6 @@ const (
 func (r *Rank) Barrier() {
 	r.reduceUp(tagBarrier, nil, func(a, b any) any { return nil })
 	r.bcastDown(tagBarrier, nil)
-}
-
-// Reduce combines the per-rank values with op on a deterministic
-// binomial tree and returns the result on rank root (nil elsewhere).
-// op must be associative; child results are always combined in
-// increasing-rank order so the evaluation tree is fixed.
-func (r *Rank) Reduce(root int, value any, op func(a, b any) any) any {
-	// Rotate ranks so root behaves as rank 0.
-	v := r.reduceUpRooted(tagReduce, root, value, op)
-	if r.id == root {
-		return v
-	}
-	return nil
 }
 
 // Allreduce combines per-rank values with op and returns the combined

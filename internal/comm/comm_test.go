@@ -86,23 +86,6 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
-func TestReduceToNonZeroRoot(t *testing.T) {
-	for _, n := range worldSizes {
-		root := n - 1
-		want := n * (n - 1) / 2
-		Run(n, func(r *Rank) {
-			got := r.Reduce(root, r.ID(), func(a, b any) any { return a.(int) + b.(int) })
-			if r.ID() == root {
-				if got.(int) != want {
-					t.Errorf("n=%d: reduce at root want %d, got %v", n, want, got)
-				}
-			} else if got != nil {
-				t.Errorf("non-root rank %d received %v", r.ID(), got)
-			}
-		})
-	}
-}
-
 func TestBroadcast(t *testing.T) {
 	for _, n := range worldSizes {
 		for _, root := range []int{0, n / 2, n - 1} {

@@ -190,13 +190,6 @@ func (f *fabric) enableObs() *obs.Plane {
 	return pl
 }
 
-// obs returns the plane, or nil before enableObs.
-func (f *fabric) obs() *obs.Plane {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.plane
-}
-
 // timeline records one Gantt span (obs.CatTimeline; start == end for a
 // mark) named by format and args. Without a plane it does nothing, so
 // call sites need no guard and the name is never formatted.

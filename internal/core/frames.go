@@ -30,11 +30,6 @@ type FrameRef struct {
 	Digest string
 }
 
-// Spec returns the frame's store key, "var/step/cam".
-func (f FrameRef) Spec() string {
-	return fmt.Sprintf("%s/%d/%s", f.Var, f.Step, f.Cam)
-}
-
 // FrameAnalysis marks an analysis whose results are rendered frames
 // (*render.Image or *render.FrameSet) and names the store variable they
 // are filed under. Analyses that do not implement it pass through the

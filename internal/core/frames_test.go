@@ -77,7 +77,7 @@ func TestFrameLifecycleNoLeak(t *testing.T) {
 				t.Fatalf("%s step %d: %d refs, want %d", a.Name(), step, len(refs), cams)
 			}
 			for _, ref := range refs {
-				if got := sink.frames[ref.Spec()]; got != ref.Digest {
+				if got := sink.frames[fmt.Sprintf("%s/%d/%s", ref.Var, ref.Step, ref.Cam)]; got != ref.Digest {
 					t.Fatalf("ref %v not backed by the sink (got %q)", ref, got)
 				}
 			}
@@ -116,7 +116,7 @@ func TestFrameLifecycleSingleCamera(t *testing.T) {
 	if ref.Cam != render.CameraName(0) || ref.Var != "T.insitu" {
 		t.Fatalf("unexpected ref %+v", ref)
 	}
-	if sink.frames[ref.Spec()] != ref.Digest {
+	if sink.frames[fmt.Sprintf("%s/%d/%s", ref.Var, ref.Step, ref.Cam)] != ref.Digest {
 		t.Fatal("ref not backed by the sink")
 	}
 }

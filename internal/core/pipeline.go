@@ -229,9 +229,6 @@ func (p *Pipeline) Register(a Analysis) {
 // Sim returns the simulation description.
 func (p *Pipeline) Sim() *sim.Sim { return p.sim }
 
-// Metrics returns the run's metrics collector.
-func (p *Pipeline) Metrics() *metrics.Collector { return p.col }
-
 // Network returns the simulated interconnect, for byte accounting.
 func (p *Pipeline) Network() *netsim.Network { return p.fab.net }
 
@@ -341,10 +338,6 @@ func (p *Pipeline) publish(reg *obs.Registry) {
 			return p.rec.resumeSeconds
 		}, p.labels...)
 }
-
-// Obs returns the observability plane, or nil if EnableObs was not
-// called.
-func (p *Pipeline) Obs() *obs.Plane { return p.fab.obs() }
 
 // Status snapshots the pipeline's live state for the /status endpoint:
 // drain accounting, queue and bucket occupancy, breaker positions,

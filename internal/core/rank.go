@@ -249,42 +249,42 @@ func (rr *rankRun) inSitu(step int) (staged bool) {
 // meet at the data-ready barrier.
 func (rr *rankRun) reduceEncodeRegister(an hybridStage, step int) bool {
 	p, r := rr.p, rr.r
-	dec, admitted := rr.decisions[an.Name()]
-	if admitted {
-		switch dec.Level {
-		case overload.LevelShed:
-			// Shed: no work at all this step, only an explicit
-			// marker so the step is never silently missing.
-			if r.ID() == 0 {
-				p.storeResult(an.Name(), step, Degraded{Reason: dec.Reason})
-				p.col.AddShedStep()
-			}
-			return false
-		case overload.LevelInSitu:
-			if r.ID() == 0 {
-				p.col.AddOverloadFallback()
-				p.col.AddDegradedStep()
-			}
-			p.runFallback(rr.ctx, r, an, step, dec.Reason)
-			return false
-		case overload.LevelShaped:
-			if r.ID() == 0 {
-				p.col.AddShapedStep()
-			}
-		case overload.LevelDelta:
-			if r.ID() == 0 {
-				p.col.AddDeltaStep()
-			}
-		case overload.LevelQuantized:
-			if r.ID() == 0 {
-				p.col.AddQuantizedStep()
-			}
+	// A route with no verdict reads as the zero decision: full level,
+	// not credited, not a probe.
+	dec := rr.decisions[an.Name()]
+	switch dec.Level {
+	case overload.LevelShed:
+		// Shed: no work at all this step, only an explicit
+		// marker so the step is never silently missing.
+		if r.ID() == 0 {
+			p.storeResult(an.Name(), step, Degraded{Reason: dec.Reason})
+			p.col.AddShedStep()
+		}
+		return false
+	case overload.LevelInSitu:
+		if r.ID() == 0 {
+			p.col.AddOverloadFallback()
+			p.col.AddDegradedStep()
+		}
+		p.runFallback(rr.ctx, r, an, step, dec.Reason)
+		return false
+	case overload.LevelShaped:
+		if r.ID() == 0 {
+			p.col.AddShapedStep()
+		}
+	case overload.LevelDelta:
+		if r.ID() == 0 {
+			p.col.AddDeltaStep()
+		}
+	case overload.LevelQuantized:
+		if r.ID() == 0 {
+			p.col.AddQuantizedStep()
 		}
 	}
 	t := time.Now()
 	var payload []byte
 	var err error
-	if admitted && dec.Level == overload.LevelShaped {
+	if dec.Level == overload.LevelShaped {
 		payload, err = an.(ShapedStage).InSituStageShaped(rr.ctx, 1)
 	} else {
 		payload, err = an.InSituStage(rr.ctx)
@@ -294,10 +294,7 @@ func (rr *rankRun) reduceEncodeRegister(an hybridStage, step int) bool {
 		p.recordErr(fmt.Errorf("core: in-situ stage %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
 		return true
 	}
-	spec := p.codecSpec(an.Name())
-	if admitted {
-		spec = ladderSpec(dec.Level, spec)
-	}
+	spec := ladderSpec(dec.Level, p.codecSpec(an.Name()))
 	h, err := p.registerPayload(rr.ep, an, spec, rr.codecKeys[an.Name()], step, payload)
 	if err != nil {
 		p.recordErr(fmt.Errorf("core: register %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
@@ -330,11 +327,11 @@ func (rr *rankRun) submit(step int) {
 		if _, ok := a.(hybridStage); !ok || !due(a, step) {
 			continue
 		}
-		dec, admitted := rr.decisions[a.Name()]
-		if admitted && dec.Level > overload.LevelShaped {
+		dec := rr.decisions[a.Name()]
+		if dec.Level > overload.LevelShaped {
 			continue // shed or fell back in-situ: nothing staged
 		}
-		rr.submitTask(a.Name(), step, dec, admitted, deadline)
+		rr.submitTask(a.Name(), step, dec, deadline)
 	}
 }
 
@@ -343,7 +340,7 @@ func (rr *rankRun) submit(step int) {
 // on the spot: its inputs are unpinned, its credit returned, and the
 // step stored as shed (or nothing stored, when the journal proves the
 // task already committed in a previous life).
-func (rr *rankRun) submitTask(name string, step int, dec admitDecision, admitted bool, deadline time.Time) {
+func (rr *rankRun) submitTask(name string, step int, dec admitDecision, deadline time.Time) {
 	p := rr.p
 	// Ordered by producing rank, so in-transit payload slices are
 	// deterministic.
@@ -351,13 +348,10 @@ func (rr *rankRun) submitTask(name string, step int, dec admitDecision, admitted
 	slices.SortStableFunc(inputs, func(a, b dataspaces.Descriptor) int { return cmp.Compare(a.Rank, b.Rank) })
 	spec := dataspaces.TaskSpec{
 		Tenant: p.tenant, Analysis: name, Step: step, Inputs: inputs, Deadline: deadline,
+		Credited: dec.Credited, Probe: dec.Probe,
 	}
-	if admitted {
-		if dec.Level == overload.LevelShaped {
-			spec.Shaped = 1
-		}
-		spec.Credited = dec.Credited
-		spec.Probe = dec.Probe
+	if dec.Level == overload.LevelShaped {
+		spec.Shaped = 1
 	}
 	if _, err := p.fab.ds.SubmitSpec(spec); err != nil {
 		if errors.Is(err, dataspaces.ErrDuplicateTask) {

@@ -188,9 +188,6 @@ func (s *Scheduler) publish(reg *obs.Registry) {
 		func() float64 { return float64(s.quar.Releases()) })
 }
 
-// Obs returns the shared observability plane, or nil before EnableObs.
-func (s *Scheduler) Obs() *obs.Plane { return s.fab.obs() }
-
 // Run executes every tenant's simulation concurrently over the shared
 // staging fabric for the given number of steps and blocks until all
 // simulations have finished and every in-transit task has drained.

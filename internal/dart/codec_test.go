@@ -147,26 +147,6 @@ func TestRegisterMemEncodedNoRegistry(t *testing.T) {
 	}
 }
 
-// TestPutIntoFramedRegionRejected: frames are immutable; Put returns
-// the typed non-retriable error.
-func TestPutIntoFramedRegionRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	f := codecFabric()
-	p := f.Register("producer")
-	w := f.Register("writer")
-	payload := floatPayload(rng, 8, 256)
-	er, err := p.RegisterMemEncoded(codec.Spec{ID: codec.Quantize}, "k", 1, payload, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Put(er.Handle, []byte{1}); !errors.Is(err, ErrFramedRegion) {
-		t.Fatalf("put into framed region: %v, want ErrFramedRegion", err)
-	}
-	if Retriable(err) {
-		t.Fatal("ErrFramedRegion must not be retriable")
-	}
-}
-
 // TestCorruptedFramesCaughtBeforeDecode is the chaos-interaction
 // property: with injected wire corruption on encoded frames, CRC32
 // catches every corrupt transfer before the decoder runs, retries pull

@@ -1,12 +1,12 @@
 // Package dart implements an asynchronous communication and data
 // transport substrate modeled on DART (Docan et al., HPDC'08), the
 // layer DataSpaces builds on. It provides the services the paper lists
-// that the pipeline uses: node registration/unregistration, one-sided
-// data transfer (RDMA Get and Put over registered memory regions), and
-// event notification at both the source and destination of a completed
-// transaction. (DART's small-message passing is not modeled: the
-// pipeline announces data-ready through dataspaces.Put and the rank
-// barrier.)
+// that the pipeline uses: node registration/unregistration and
+// one-sided data transfer (RDMA Get over registered memory regions).
+// The transport is pull-only, as in the paper: producers pin reduced
+// data and consumers fetch it. (DART's Put, completion events and
+// small-message passing are not modeled: the pipeline announces
+// data-ready through dataspaces.Put and the rank barrier.)
 //
 // Transfers move real bytes through a netsim.Network, which selects the
 // SMSG/FMA/BTE mechanism by message size and accounts modeled cost, so
@@ -14,7 +14,7 @@
 // shape as DART on Gemini.
 //
 // The transport is resilient: every registered region carries a CRC32
-// checksum, every Get/Put verifies the payload after the wire copy,
+// checksum, every Get verifies the payload after the wire copy,
 // and transient fabric faults (drops, timeouts, corruption, partition
 // windows — see internal/faults) are absorbed by capped exponential
 // backoff with jitter under an optional caller deadline. Errors are
@@ -51,19 +51,12 @@ var (
 	// ErrForeignHandle is returned when a handle is released on an
 	// endpoint that does not own it.
 	ErrForeignHandle = errors.New("dart: foreign handle")
-	// ErrChecksum is returned when a pulled or pushed payload fails
+	// ErrChecksum is returned when a pulled payload fails
 	// CRC32 verification — an in-flight corruption was caught.
 	ErrChecksum = errors.New("dart: payload checksum mismatch")
 	// ErrDeadline is returned when retries could not complete a
 	// transaction before the caller's deadline.
 	ErrDeadline = errors.New("dart: deadline exceeded")
-	// ErrRegionOverflow is returned by Put when the payload exceeds
-	// the destination region.
-	ErrRegionOverflow = errors.New("dart: payload exceeds region size")
-	// ErrFramedRegion is returned by Put against a codec-framed region:
-	// frames are immutable once registered (a write would desynchronize
-	// the frame from the codec state it references).
-	ErrFramedRegion = errors.New("dart: region holds an encoded frame")
 	// ErrNoCodecs is returned when a codec operation is needed but no
 	// codec registry is attached to the fabric.
 	ErrNoCodecs = errors.New("dart: no codec registry attached")
@@ -73,7 +66,7 @@ var (
 // worth retrying: wire drops, timeouts, partition windows (which may
 // close), and checksum mismatches (a clean retransmit usually
 // succeeds). Lifecycle errors — unregistered endpoints, missing
-// regions, overflows — are permanent.
+// regions — are permanent.
 func Retriable(err error) bool {
 	return errors.Is(err, netsim.ErrDropped) ||
 		errors.Is(err, netsim.ErrTimeout) ||
@@ -82,7 +75,7 @@ func Retriable(err error) bool {
 }
 
 // RetryPolicy is the capped-exponential-backoff schedule applied to
-// retriable Get/Put failures.
+// retriable Get failures.
 type RetryPolicy struct {
 	// MaxAttempts bounds the attempts per operation (including the
 	// first). Values < 1 mean a single attempt.
@@ -134,31 +127,9 @@ type MemHandle struct {
 	Size     int // region size in bytes
 }
 
-// EventType classifies completion events.
-type EventType int
-
-const (
-	// EventGetDone fires at both ends when a Get transaction completes.
-	EventGetDone EventType = iota
-	// EventPutDone fires at both ends when a Put transaction completes.
-	EventPutDone
-	// EventUnregistered fires at the owner when a region is released.
-	EventUnregistered
-)
-
-// Event is a transaction completion notification.
-type Event struct {
-	Type     EventType
-	Handle   MemHandle
-	Peer     int // the other endpoint of the transaction
-	Bytes    int
-	Duration time.Duration // modeled transfer duration
-	Path     netsim.Path
-}
-
 // Stats counts the fabric's resilience activity.
 type Stats struct {
-	// Retries is the number of retried Get/Put attempts.
+	// Retries is the number of retried Get attempts.
 	Retries int64
 	// ChecksumFailures is the number of corrupted payloads caught by
 	// CRC32 verification.
@@ -199,16 +170,13 @@ type fabricObs struct {
 	plane   *obs.Plane
 	getOK   *obs.Counter
 	getErr  *obs.Counter
-	putOK   *obs.Counter
-	putErr  *obs.Counter
 	getByte *obs.Counter
-	putByte *obs.Counter
 	modeled *obs.Histogram
 	encSec  [codec.NumIDs]*obs.Histogram
 	decSec  [codec.NumIDs]*obs.Histogram
 }
 
-// SetPlane attaches the observability plane: every Get/Put records a
+// SetPlane attaches the observability plane: every Get records a
 // span in the transport category (attrs: region, bytes, attempts,
 // modeled duration, error), every retry records an event, and the
 // fabric's counters are published as live metric series. Call before
@@ -222,12 +190,14 @@ func (f *Fabric) SetPlane(pl *obs.Plane) {
 		plane:   pl,
 		getOK:   reg.Counter("dart_gets_total", "completed one-sided reads by result", obs.Str("result", "ok")),
 		getErr:  reg.Counter("dart_gets_total", "completed one-sided reads by result", obs.Str("result", "error")),
-		putOK:   reg.Counter("dart_puts_total", "completed one-sided writes by result", obs.Str("result", "ok")),
-		putErr:  reg.Counter("dart_puts_total", "completed one-sided writes by result", obs.Str("result", "error")),
 		getByte: reg.Counter("dart_transfer_bytes_total", "payload bytes moved by one-sided transfers", obs.Str("op", "get")),
-		putByte: reg.Counter("dart_transfer_bytes_total", "payload bytes moved by one-sided transfers", obs.Str("op", "put")),
 		modeled: reg.Histogram("dart_transfer_modeled_seconds",
 			"modeled transfer duration of successful Get/Put operations", obs.LatencyBuckets),
+	}
+	// The transport is pull-only, so dart_puts_total reads zero; the
+	// family stays because the exported /metrics set is pinned.
+	for _, result := range []string{"ok", "error"} {
+		reg.Counter("dart_puts_total", "completed one-sided writes by result", obs.Str("result", result))
 	}
 	reg.CounterFunc("dart_retries_total", "retried Get/Put attempts",
 		func() float64 { return float64(f.retries.Load()) })
@@ -270,7 +240,7 @@ func (f *Fabric) SetPlane(pl *obs.Plane) {
 	}
 }
 
-// observeOp records one finished Get/Put: a span on the calling
+// observeOp records one finished Get: a span on the calling
 // endpoint's lane plus the operation counters.
 func (f *Fabric) observeOp(op string, ep *Endpoint, h MemHandle, start time.Time, modeled time.Duration, attempts, bytes int, err error) {
 	fo := f.obs.Load()
@@ -283,18 +253,12 @@ func (f *Fabric) observeOp(op string, ep *Endpoint, h MemHandle, start time.Time
 		obs.Int("attempts", attempts),
 		obs.Dur("modeled", modeled),
 		obs.Error(err))
-	var okC, errC, byteC *obs.Counter
-	if op == "get" {
-		okC, errC, byteC = fo.getOK, fo.getErr, fo.getByte
-	} else {
-		okC, errC, byteC = fo.putOK, fo.putErr, fo.putByte
-	}
 	if err != nil {
-		errC.Inc()
+		fo.getErr.Inc()
 		return
 	}
-	okC.Inc()
-	byteC.Add(int64(bytes))
+	fo.getOK.Inc()
+	fo.getByte.Add(int64(bytes))
 	fo.modeled.Observe(modeled.Seconds())
 }
 
@@ -352,9 +316,6 @@ func (f *Fabric) Stats() Stats {
 // same fabric share one registry (it holds the delta base store). Call
 // before traffic starts; a nil registry detaches codecs.
 func (f *Fabric) SetCodecs(r *codec.Registry) { f.codecs.Store(r) }
-
-// Codecs returns the attached codec registry, or nil.
-func (f *Fabric) Codecs() *codec.Registry { return f.codecs.Load() }
 
 // CodecStats is a snapshot of the fabric's transfer-path codec
 // economy.
@@ -441,13 +402,7 @@ type Endpoint struct {
 	crcFails  atomic.Int64
 	deadlines atomic.Int64
 	bytes     atomic.Int64
-
-	events chan Event
 }
-
-// Tenant returns the tenant label the endpoint was registered under
-// (empty for single-tenant fabrics).
-func (ep *Endpoint) Tenant() string { return ep.tenant }
 
 // Stats returns the endpoint's owner-attributed resilience counters:
 // retries, checksum failures, and deadline abandons charged against
@@ -460,12 +415,7 @@ func (ep *Endpoint) Stats() Stats {
 	}
 }
 
-// TransferBytes returns the payload bytes successfully moved out of or
-// into regions this endpoint owns.
-func (ep *Endpoint) TransferBytes() int64 { return ep.bytes.Load() }
-
-// Register attaches a new endpoint to the fabric. The returned
-// endpoint buffers up to 1024 pending events.
+// Register attaches a new endpoint to the fabric.
 func (f *Fabric) Register(name string) *Endpoint {
 	return f.RegisterT(name, "")
 }
@@ -481,7 +431,6 @@ func (f *Fabric) RegisterT(name, tenant string) *Endpoint {
 		name:    name,
 		tenant:  tenant,
 		regions: make(map[int]*region),
-		events:  make(chan Event, 1024),
 	}
 	f.next++
 	f.eps[ep.id] = ep
@@ -552,15 +501,9 @@ func (f *Fabric) lookup(id int) (*Endpoint, error) {
 // ID returns the endpoint's fabric-unique id.
 func (ep *Endpoint) ID() int { return ep.id }
 
-// Name returns the human-readable endpoint name.
-func (ep *Endpoint) Name() string { return ep.name }
-
-// Events returns the endpoint's completion-event stream.
-func (ep *Endpoint) Events() <-chan Event { return ep.events }
-
 // RegisterMem pins data for remote one-sided access and returns its
 // handle. No private copy is taken: the caller must keep the buffer
-// stable until Release, exactly as with RDMA-pinned memory. The
+// stable until Reclaim, exactly as with RDMA-pinned memory. The
 // region's CRC32 is computed here, so mutating the buffer while pinned
 // makes subsequent pulls fail checksum verification — by design.
 func (ep *Endpoint) RegisterMem(data []byte) MemHandle {
@@ -600,9 +543,9 @@ type EncodedRegion struct {
 // an exact codec).
 //
 // Ownership: when the returned Codec is Identity, raw itself is pinned
-// and must stay stable until Release, exactly as with RegisterMem.
+// and must stay stable until Reclaim, exactly as with RegisterMem.
 // Otherwise the pinned bytes are a pooled frame owned by the fabric
-// (reclaimed on Release/Reclaim) and raw may be reused or recycled by
+// (handed back by Reclaim) and raw may be reused or recycled by
 // the caller immediately.
 func (ep *Endpoint) RegisterMemEncoded(spec codec.Spec, key string, version int, raw []byte, floatOff int) (EncodedRegion, error) {
 	cs := ep.f.codecs.Load()
@@ -642,12 +585,6 @@ func (ep *Endpoint) Regions() int {
 	return len(ep.regions)
 }
 
-// Release unpins a region previously registered on this endpoint.
-func (ep *Endpoint) Release(h MemHandle) error {
-	_, err := ep.Reclaim(h)
-	return err
-}
-
 // Reclaim unpins a region and returns its backing buffer, so the
 // owner can recycle it (typically into bufpool) once the consumer has
 // pulled the data. After Reclaim the buffer is no longer reachable
@@ -663,7 +600,6 @@ func (ep *Endpoint) Reclaim(h MemHandle) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dart: region %d on endpoint %d: %w", h.Region, ep.id, ErrRegionNotFound)
 	}
-	ep.post(Event{Type: EventUnregistered, Handle: h, Peer: ep.id})
 	return r.data, nil
 }
 
@@ -682,28 +618,10 @@ func (ep *Endpoint) region(id int) ([]byte, uint32, bool, error) {
 	return r.data, r.crc, r.framed, nil
 }
 
-// post delivers an event without ever blocking the transport: if the
-// consumer is too slow the oldest event is dropped, mirroring
-// fixed-depth hardware completion queues.
-func (ep *Endpoint) post(ev Event) {
-	select {
-	case ep.events <- ev:
-	default:
-		select {
-		case <-ep.events:
-		default:
-		}
-		select {
-		case ep.events <- ev:
-		default:
-		}
-	}
-}
-
 // Get performs a blocking one-sided read of the remote region named by
-// h into a pool-recycled buffer, posting completion events at both
-// endpoints. It returns the data and the total modeled transfer
-// duration across attempts. Transient fabric faults are retried under
+// h into a pool-recycled buffer. It returns the data and the total
+// modeled transfer duration across attempts. Transient fabric faults
+// are retried under
 // the fabric's retry policy; the pulled payload is CRC32-verified
 // against the region's registration checksum, so a corrupted transfer
 // is never returned to the caller.
@@ -833,13 +751,6 @@ func (ep *Endpoint) getOnce(h MemHandle) ([]byte, time.Duration, error) {
 		data = raw
 	}
 	owner.bytes.Add(int64(len(src)))
-	ev := Event{Type: EventGetDone, Handle: h, Bytes: len(src), Duration: d, Path: ep.f.net.Select(len(src))}
-	evSrc := ev
-	evSrc.Peer = ep.id
-	owner.post(evSrc)
-	evDst := ev
-	evDst.Peer = owner.id
-	ep.post(evDst)
 	return data, d, nil
 }
 
@@ -862,116 +773,4 @@ func (ep *Endpoint) GetAsyncDeadline(h MemHandle, deadline time.Time) <-chan Get
 		ch <- GetResult{Data: data, Duration: d, Err: err}
 	}()
 	return ch
-}
-
-// Put performs a blocking one-sided write into the remote region named
-// by h. len(data) must not exceed the region size. Like Get, transient
-// faults are retried and the payload is CRC32-verified after the wire
-// copy, before it is committed into the destination region.
-func (ep *Endpoint) Put(h MemHandle, data []byte) (time.Duration, error) {
-	return ep.PutDeadline(h, data, time.Time{})
-}
-
-// PutDeadline is Put under a caller deadline.
-func (ep *Endpoint) PutDeadline(h MemHandle, data []byte, deadline time.Time) (time.Duration, error) {
-	start := time.Now()
-	total, attempts, err := ep.putDeadline(h, data, deadline)
-	ep.f.observeOp("put", ep, h, start, total, attempts, len(data), err)
-	return total, err
-}
-
-// putDeadline is the retry loop behind PutDeadline; it additionally
-// reports how many attempts ran, for the observability span.
-func (ep *Endpoint) putDeadline(h MemHandle, data []byte, deadline time.Time) (time.Duration, int, error) {
-	pol := ep.f.RetryPolicy()
-	var total time.Duration
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			ep.f.chargeDeadline(h)
-			return total, attempt, deadlineErr("put", h, lastErr)
-		}
-		d, err := ep.putOnce(h, data)
-		total += d
-		if err == nil {
-			return total, attempt, nil
-		}
-		lastErr = err
-		if !Retriable(err) {
-			return total, attempt, err
-		}
-		if attempt >= max(pol.MaxAttempts, 1) {
-			return total, attempt, fmt.Errorf("dart: put %+v failed after %d attempts: %w", h, attempt, err)
-		}
-		ep.f.chargeRetry(h)
-		ep.f.observeRetry("put", ep, attempt, err)
-		back := pol.backoff(attempt, ep.f.jitter)
-		if !deadline.IsZero() && time.Now().Add(back).After(deadline) {
-			ep.f.chargeDeadline(h)
-			return total, attempt, deadlineErr("put", h, lastErr)
-		}
-		time.Sleep(back)
-	}
-}
-
-// putOnce is a single push attempt. The pooled scratch buffer is
-// recycled here on every path; the caller's payload is never adopted
-// into the pool.
-func (ep *Endpoint) putOnce(h MemHandle, data []byte) (time.Duration, error) {
-	owner, err := ep.f.lookup(h.Endpoint)
-	if err != nil {
-		return 0, err
-	}
-	dst, _, framed, err := owner.region(h.Region)
-	if err != nil {
-		return 0, err
-	}
-	if framed {
-		return 0, fmt.Errorf("dart: put into region %d on endpoint %d: %w", h.Region, h.Endpoint, ErrFramedRegion)
-	}
-	if len(data) > len(dst) {
-		return 0, fmt.Errorf("dart: put of %d bytes into region of %d bytes: %w", len(data), len(dst), ErrRegionOverflow)
-	}
-	sum := crc32.ChecksumIEEE(data)
-	// Stage through pooled scratch so the wire copy (and any modeled
-	// sleep inside the transfer) happens outside the owner's lock, then
-	// recycle the scratch: the put path allocates nothing.
-	scratch := bufpool.Get(len(data))
-	d, terr := ep.f.net.TransferBetween(scratch, data, ep.id, h.Endpoint)
-	if terr != nil {
-		bufpool.Put(scratch)
-		return d, fmt.Errorf("dart: put %+v: %w", h, terr)
-	}
-	if crc32.ChecksumIEEE(scratch) != sum {
-		bufpool.Put(scratch)
-		ep.f.crcFails.Add(1)
-		owner.crcFails.Add(1)
-		return d, fmt.Errorf("dart: put %+v: %w", h, ErrChecksum)
-	}
-	owner.mu.Lock()
-	if owner.closed {
-		owner.mu.Unlock()
-		bufpool.Put(scratch)
-		return d, fmt.Errorf("dart: endpoint %d: %w", owner.id, ErrUnregistered)
-	}
-	r, ok := owner.regions[h.Region]
-	if !ok {
-		owner.mu.Unlock()
-		bufpool.Put(scratch)
-		return d, fmt.Errorf("dart: region %d on endpoint %d: %w", h.Region, owner.id, ErrRegionNotFound)
-	}
-	copy(r.data, scratch)
-	r.crc = crc32.ChecksumIEEE(r.data)
-	owner.mu.Unlock()
-	bufpool.Put(scratch)
-	owner.bytes.Add(int64(len(data)))
-	path := ep.f.net.Select(len(data))
-	ev := Event{Type: EventPutDone, Handle: h, Bytes: len(data), Duration: d, Path: path}
-	evSrc := ev
-	evSrc.Peer = owner.id
-	ep.post(evSrc)
-	evDst := ev
-	evDst.Peer = ep.id
-	owner.post(evDst)
-	return d, nil
 }

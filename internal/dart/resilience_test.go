@@ -103,39 +103,6 @@ func TestChecksumCatchesEveryCorruption(t *testing.T) {
 	}
 }
 
-// TestPutChecksumAndRetry: the push path verifies payloads before
-// committing them into the destination region.
-func TestPutChecksumAndRetry(t *testing.T) {
-	f := faultyFabric(faults.Config{Seed: 5, Default: faults.Rates{Corrupt: 0.5, Drop: 0.2}}, 64)
-	a := f.Register("a")
-	b := f.Register("b")
-	dst := make([]byte, 512)
-	h := b.RegisterMem(dst)
-	payload := make([]byte, 512)
-	for i := range payload {
-		payload[i] = byte(255 - i)
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := a.Put(h, payload); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-		if !bytes.Equal(dst, payload) {
-			t.Fatalf("put %d committed corrupted data", i)
-		}
-	}
-	inj := f.Network().Faults().Counters()
-	if caught := f.Stats().ChecksumFailures; caught != inj.ByKind[faults.Corrupt] {
-		t.Fatalf("checksum caught %d of %d injected corruptions", caught, inj.ByKind[faults.Corrupt])
-	}
-	// After a successful Put the region's stored checksum matches the
-	// new contents, so a follow-up Get verifies cleanly.
-	f.Network().SetFaults(nil)
-	got, _, err := a.Get(h)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("get after put: %v", err)
-	}
-}
-
 // TestDeadlineExceededTyped: a permanently faulty link under a tight
 // deadline yields ErrDeadline instead of spinning.
 func TestDeadlineExceededTyped(t *testing.T) {
@@ -147,11 +114,8 @@ func TestDeadlineExceededTyped(t *testing.T) {
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}
-	if _, err := c.PutDeadline(h, make([]byte, 64), time.Now().Add(2*time.Millisecond)); !errors.Is(err, ErrDeadline) {
-		t.Fatalf("put: want ErrDeadline, got %v", err)
-	}
-	if f.Stats().DeadlineExceeded < 2 {
-		t.Fatalf("deadline counter %d, want >= 2", f.Stats().DeadlineExceeded)
+	if f.Stats().DeadlineExceeded < 1 {
+		t.Fatalf("deadline counter %d, want >= 1", f.Stats().DeadlineExceeded)
 	}
 }
 
@@ -240,40 +204,6 @@ func TestGetErrorNoDoubleRecycle(t *testing.T) {
 	bufpool.Put(b2)
 }
 
-// TestPutErrorKeepsCallerBuffer: a failed Put must not adopt the
-// caller's payload into the pool nor corrupt it.
-func TestPutErrorKeepsCallerBuffer(t *testing.T) {
-	f := faultyFabric(faults.Config{Seed: 6, Default: faults.Rates{Drop: 1}}, 3)
-	a := f.Register("a")
-	b := f.Register("b")
-	h := b.RegisterMem(make([]byte, 512))
-	payload := make([]byte, 512)
-	for i := range payload {
-		payload[i] = 0xC3
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := a.Put(h, payload); err == nil {
-			t.Fatal("fully lossy link must fail")
-		}
-	}
-	var bufs [][]byte
-	for i := 0; i < 16; i++ {
-		buf := bufpool.Get(len(payload))
-		for j := range buf {
-			buf[j] = 0x3C
-		}
-		bufs = append(bufs, buf)
-	}
-	for _, v := range payload {
-		if v != 0xC3 {
-			t.Fatal("caller payload was adopted into the pool on a failed Put")
-		}
-	}
-	for _, buf := range bufs {
-		bufpool.Put(buf)
-	}
-}
-
 // --- Satellite: endpoint lifecycle races ---
 
 // TestUnregisterDuringGetTyped hammers register/pull/unregister
@@ -320,38 +250,5 @@ func TestUnregisterDuringGetTyped(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatalf("untyped error escaped the lifecycle race: %v", err)
-	}
-}
-
-// TestUnregisterDuringPutTyped: a Put racing the destination's
-// Unregister returns a typed error and never commits into freed
-// regions.
-func TestUnregisterDuringPutTyped(t *testing.T) {
-	f := NewFabric(netsim.New(netsim.Gemini()))
-	f.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond})
-	a := f.Register("src")
-	const rounds = 200
-	var wg sync.WaitGroup
-	errCh := make(chan error, rounds)
-	for r := 0; r < rounds; r++ {
-		b := f.Register("dst")
-		h := b.RegisterMem(make([]byte, 64))
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			_, err := a.Put(h, []byte("payload"))
-			if err != nil && !errors.Is(err, ErrUnregistered) && !errors.Is(err, ErrRegionNotFound) {
-				errCh <- err
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			f.Unregister(b)
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatalf("untyped error escaped the put lifecycle race: %v", err)
 	}
 }

@@ -115,7 +115,7 @@ func TestQueueBoundRejectsSubmissions(t *testing.T) {
 	s := newService(t, 1)
 	s.SetQueueBound(2)
 	for i := 0; i < 2; i++ {
-		if _, err := s.SubmitTask("a", i, nil); err != nil {
+		if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,14 +123,14 @@ func TestQueueBoundRejectsSubmissions(t *testing.T) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
 	// A waiting bucket bypasses the bound: hand-off does not queue.
-	if _, err := s.BucketReady(); err != nil {
+	if _, err := s.BucketReadyCancel(nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 3}); err != nil {
 		t.Fatalf("submit after drain must succeed, got %v", err)
 	}
 	// Requeue is exempt from the bound.
-	full, err := s.BucketReady()
+	full, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSubmitSpecThreadsShapedAndCredited(t *testing.T) {
 	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Shaped: 2, Credited: true}); err != nil {
 		t.Fatal(err)
 	}
-	task, err := s.BucketReady()
+	task, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

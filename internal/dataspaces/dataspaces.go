@@ -54,7 +54,6 @@ type key struct {
 type server struct {
 	mu    sync.Mutex
 	index map[key][]Descriptor
-	rpcs  int64
 }
 
 // Task describes one unit of in-transit work: run the named analysis
@@ -184,9 +183,6 @@ func New(fabric *dart.Fabric, servers int) (*Service, error) {
 // registry serves both sides of every route. Call before traffic
 // starts.
 func (s *Service) SetCodecs(r *codec.Registry) { s.fabric.SetCodecs(r) }
-
-// Codecs returns the fabric's attached codec registry, or nil.
-func (s *Service) Codecs() *codec.Registry { return s.fabric.Codecs() }
 
 // SetPlane attaches the observability plane: task submissions and
 // requeues record lifecycle events on the "queue" lane, and the
@@ -519,14 +515,7 @@ func (s *Service) Put(d Descriptor) {
 	if !replaced {
 		sv.index[k] = append(sv.index[k], d)
 	}
-	sv.rpcs++
 	sv.mu.Unlock()
-}
-
-// Query returns all descriptors registered under (name, version) in
-// the tenant-less namespace.
-func (s *Service) Query(name string, version int) []Descriptor {
-	return s.QueryT("", name, version)
 }
 
 // QueryT returns all descriptors registered under (tenant, name,
@@ -536,60 +525,27 @@ func (s *Service) QueryT(tenant, name string, version int) []Descriptor {
 	sv := s.shard(k)
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	sv.rpcs++
 	out := make([]Descriptor, len(sv.index[k]))
 	copy(out, sv.index[k])
 	return out
 }
 
-// QueryBox returns the descriptors under (name, version) whose boxes
-// intersect the query box — DataSpaces' flexible spatial query.
-func (s *Service) QueryBox(name string, version int, box grid.Box) []Descriptor {
-	all := s.Query(name, version)
-	out := all[:0]
-	for _, d := range all {
-		if d.Box.Overlaps(box) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Remove deletes all descriptors under (name, version) in the
-// tenant-less namespace, typically after the consuming in-transit task
-// has pulled the data and released the regions.
-func (s *Service) Remove(name string, version int) {
-	s.RemoveT("", name, version)
-}
-
-// RemoveT deletes all descriptors under (tenant, name, version).
+// RemoveT deletes all descriptors under (tenant, name, version),
+// typically after the consuming in-transit task has pulled the data
+// and released the regions.
 func (s *Service) RemoveT(tenant, name string, version int) {
 	k := key{tenant, name, version}
 	sv := s.shard(k)
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	sv.rpcs++
 	delete(sv.index, k)
 }
 
-// SubmitTask records a data-ready event: the in-transit task and its
+// SubmitSpec records a data-ready event: the in-transit task and its
 // data descriptors are pushed into the task queue. If a bucket is
 // already waiting, the task is handed over immediately (FCFS on both
-// sides). The assigned task id is returned.
-func (s *Service) SubmitTask(analysis string, step int, inputs []Descriptor) (int64, error) {
-	return s.SubmitTaskDeadline(analysis, step, inputs, time.Time{})
-}
-
-// SubmitTaskDeadline is SubmitTask with a data-movement deadline
-// attached to the task (zero means none).
-func (s *Service) SubmitTaskDeadline(analysis string, step int, inputs []Descriptor, deadline time.Time) (int64, error) {
-	return s.SubmitSpec(TaskSpec{Analysis: analysis, Step: step, Inputs: inputs, Deadline: deadline})
-}
-
-// SubmitSpec records a data-ready event from a full task spec. If a
-// bucket is already waiting, the task is handed over immediately;
-// otherwise it joins the queue, failing with ErrQueueFull when a
-// queue bound is set and reached.
+// sides); otherwise it joins the queue, failing with ErrQueueFull when
+// a queue bound is set and reached. The assigned task id is returned.
 func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -680,19 +636,13 @@ func (s *Service) Requeues() int64 {
 	return s.requeues
 }
 
-// BucketReady records a bucket-ready event and blocks until a task is
-// assigned or the service closes. Buckets are served strictly in the
-// order their requests arrived.
-func (s *Service) BucketReady() (Task, error) {
-	return s.BucketReadyCancel(nil)
-}
-
-// BucketReadyCancel is BucketReady with a cancellation channel: when
-// `cancel` fires before a task is assigned the wait unwinds with
-// ErrCancelled, the path a retiring bucket takes out of the pool. If
-// an assignment races the cancel, the task wins — it was already
-// committed to this bucket and must not be lost. A nil cancel channel
-// behaves exactly like BucketReady.
+// BucketReadyCancel records a bucket-ready event and blocks until a
+// task is assigned or the service closes. Buckets are served strictly
+// in the order their requests arrived. When `cancel` fires before a
+// task is assigned the wait unwinds with ErrCancelled, the path a
+// retiring bucket takes out of the pool. If an assignment races the
+// cancel, the task wins — it was already committed to this bucket and
+// must not be lost. A nil cancel channel never cancels.
 func (s *Service) BucketReadyCancel(cancel <-chan struct{}) (Task, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -789,16 +739,4 @@ func (s *Service) Close() {
 		close(w.ch)
 	}
 	s.waiting = nil
-}
-
-// ServerRPCs returns the per-shard RPC counts, exposing the hash
-// balance across servers.
-func (s *Service) ServerRPCs() []int64 {
-	out := make([]int64, len(s.servers))
-	for i, sv := range s.servers {
-		sv.mu.Lock()
-		out[i] = sv.rpcs
-		sv.mu.Unlock()
-	}
-	return out
 }

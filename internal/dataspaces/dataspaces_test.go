@@ -29,35 +29,23 @@ func TestPutQuery(t *testing.T) {
 		Box: grid.Box{Lo: [3]int{4, 0, 0}, Hi: [3]int{8, 4, 4}}}
 	s.Put(d1)
 	s.Put(d2)
-	got := s.Query("subtree", 3)
+	got := s.QueryT("", "subtree", 3)
 	if len(got) != 2 {
 		t.Fatalf("want 2 descriptors, got %d", len(got))
 	}
-	if len(s.Query("subtree", 4)) != 0 {
+	if len(s.QueryT("", "subtree", 4)) != 0 {
 		t.Fatal("wrong version must return nothing")
 	}
-	if len(s.Query("other", 3)) != 0 {
+	if len(s.QueryT("", "other", 3)) != 0 {
 		t.Fatal("wrong name must return nothing")
-	}
-}
-
-func TestQueryBox(t *testing.T) {
-	s := newService(t, 2)
-	for i := 0; i < 4; i++ {
-		s.Put(Descriptor{Name: "T", Version: 1, Rank: i,
-			Box: grid.Box{Lo: [3]int{4 * i, 0, 0}, Hi: [3]int{4 * (i + 1), 4, 4}}})
-	}
-	hits := s.QueryBox("T", 1, grid.Box{Lo: [3]int{6, 0, 0}, Hi: [3]int{10, 4, 4}})
-	if len(hits) != 2 {
-		t.Fatalf("spatial query: want 2 hits, got %d", len(hits))
 	}
 }
 
 func TestRemove(t *testing.T) {
 	s := newService(t, 2)
 	s.Put(Descriptor{Name: "T", Version: 1})
-	s.Remove("T", 1)
-	if len(s.Query("T", 1)) != 0 {
+	s.RemoveT("", "T", 1)
+	if len(s.QueryT("", "T", 1)) != 0 {
 		t.Fatal("descriptors must be gone after remove")
 	}
 }
@@ -66,7 +54,7 @@ func TestTaskQueueFCFS(t *testing.T) {
 	s := newService(t, 1)
 	// Submit three tasks with no buckets waiting.
 	for step := 1; step <= 3; step++ {
-		if _, err := s.SubmitTask("topology", step, nil); err != nil {
+		if _, err := s.SubmitSpec(TaskSpec{Analysis: "topology", Step: step}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +63,7 @@ func TestTaskQueueFCFS(t *testing.T) {
 	}
 	// Tasks come out in submission order.
 	for step := 1; step <= 3; step++ {
-		task, err := s.BucketReady()
+		task, err := s.BucketReadyCancel(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +80,7 @@ func TestBucketReadyBlocksUntilTask(t *testing.T) {
 	s := newService(t, 1)
 	got := make(chan Task, 1)
 	go func() {
-		task, err := s.BucketReady()
+		task, err := s.BucketReadyCancel(nil)
 		if err == nil {
 			got <- task
 		}
@@ -104,7 +92,7 @@ func TestBucketReadyBlocksUntilTask(t *testing.T) {
 	if s.FreeBuckets() != 1 {
 		t.Fatal("bucket should be on the free list")
 	}
-	if _, err := s.SubmitTask("stats", 9, nil); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "stats", Step: 9}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -125,7 +113,7 @@ func TestCloseUnblocksBuckets(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := s.BucketReady()
+			_, err := s.BucketReadyCancel(nil)
 			errs <- err
 		}()
 	}
@@ -140,10 +128,10 @@ func TestCloseUnblocksBuckets(t *testing.T) {
 			t.Fatalf("want ErrClosed, got %v", err)
 		}
 	}
-	if _, err := s.SubmitTask("x", 1, nil); err != ErrClosed {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "x", Step: 1}); err != ErrClosed {
 		t.Fatalf("submit after close: want ErrClosed, got %v", err)
 	}
-	if _, err := s.BucketReady(); err != ErrClosed {
+	if _, err := s.BucketReadyCancel(nil); err != ErrClosed {
 		t.Fatalf("bucket-ready after close: want ErrClosed, got %v", err)
 	}
 	s.Close() // idempotent
@@ -155,25 +143,23 @@ func TestServerSharding(t *testing.T) {
 	for v := 0; v < 400; v++ {
 		s.Put(Descriptor{Name: fmt.Sprintf("var-%d", v%10), Version: v})
 	}
-	rpcs := s.ServerRPCs()
-	nonEmpty := 0
-	var total int64
-	for _, c := range rpcs {
-		if c > 0 {
+	nonEmpty, total := 0, 0
+	for _, sv := range s.servers {
+		if len(sv.index) > 0 {
 			nonEmpty++
 		}
-		total += c
+		total += len(sv.index)
 	}
 	if total != 400 {
-		t.Fatalf("rpc total: want 400, got %d", total)
+		t.Fatalf("key total: want 400, got %d", total)
 	}
 	if nonEmpty < 6 {
 		t.Fatalf("hashing should spread load over most of 8 servers, hit %d", nonEmpty)
 	}
-	// Balance: no server should hold more than half the traffic.
-	for i, c := range rpcs {
-		if c > 200 {
-			t.Fatalf("server %d is a hotspot with %d of 400 rpcs", i, c)
+	// Balance: no server should hold more than half the keys.
+	for i, sv := range s.servers {
+		if len(sv.index) > 200 {
+			t.Fatalf("server %d is a hotspot with %d of 400 keys", i, len(sv.index))
 		}
 	}
 }
@@ -183,7 +169,7 @@ func TestSameKeySameShard(t *testing.T) {
 	s.Put(Descriptor{Name: "T", Version: 5, Rank: 0})
 	s.Put(Descriptor{Name: "T", Version: 5, Rank: 1})
 	// Both descriptors must be retrievable together (same shard).
-	if got := s.Query("T", 5); len(got) != 2 {
+	if got := s.QueryT("", "T", 5); len(got) != 2 {
 		t.Fatalf("want 2, got %d", len(got))
 	}
 }
@@ -201,7 +187,7 @@ func TestNilFabricAllowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Put(Descriptor{Name: "x", Version: 1}) // must not panic on rpcCost
-	if len(s.Query("x", 1)) != 1 {
+	if len(s.QueryT("", "x", 1)) != 1 {
 		t.Fatal("query failed without fabric")
 	}
 }
@@ -216,7 +202,7 @@ func TestConcurrentSubmitAndPull(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				task, err := s.BucketReady()
+				task, err := s.BucketReadyCancel(nil)
 				if err != nil {
 					return
 				}
@@ -225,7 +211,7 @@ func TestConcurrentSubmitAndPull(t *testing.T) {
 		}()
 	}
 	for i := 0; i < tasks; i++ {
-		if _, err := s.SubmitTask("a", i, nil); err != nil {
+		if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: i}); err != nil {
 			t.Fatal(err)
 		}
 	}

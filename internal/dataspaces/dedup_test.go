@@ -16,7 +16,7 @@ func TestPutReplacesSameRank(t *testing.T) {
 	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 1, Box: grid.NewBox(4, 4, 4)})
 	// Replay of rank 0's registration with a new handle.
 	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 0, Box: grid.NewBox(8, 4, 4)})
-	got := s.Query("viz", 7)
+	got := s.QueryT("", "viz", 7)
 	if len(got) != 2 {
 		t.Fatalf("want 2 descriptors after replayed Put, got %d", len(got))
 	}
@@ -34,16 +34,16 @@ func TestSubmitDedup(t *testing.T) {
 	s := newService(t, 1)
 	s.EnableDedup([]TaskKey{{Analysis: "stats", Step: 2}})
 
-	if _, err := s.SubmitTask("stats", 3, nil); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "stats", Step: 3}); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
-	if _, err := s.SubmitTask("stats", 3, nil); !errors.Is(err, ErrDuplicateTask) {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "stats", Step: 3}); !errors.Is(err, ErrDuplicateTask) {
 		t.Fatalf("duplicate submit: err = %v, want ErrDuplicateTask", err)
 	}
-	if _, err := s.SubmitTask("stats", 2, nil); !errors.Is(err, ErrDuplicateTask) {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "stats", Step: 2}); !errors.Is(err, ErrDuplicateTask) {
 		t.Fatalf("seeded-committed submit: err = %v, want ErrDuplicateTask", err)
 	}
-	if _, err := s.SubmitTask("viz", 3, nil); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "viz", Step: 3}); err != nil {
 		t.Fatalf("different analysis, same step: %v", err)
 	}
 	if d := s.QueueDepth(); d != 2 {
@@ -57,14 +57,14 @@ func TestSubmitDedupQueueFull(t *testing.T) {
 	s := newService(t, 1)
 	s.EnableDedup(nil)
 	s.SetQueueBound(1)
-	if _, err := s.SubmitTask("stats", 1, nil); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "stats", Step: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitTask("stats", 2, nil); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "stats", Step: 2}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("bounded submit: err = %v, want ErrQueueFull", err)
 	}
 	s.SetQueueBound(0)
-	if _, err := s.SubmitTask("stats", 2, nil); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "stats", Step: 2}); err != nil {
 		t.Fatalf("resubmit after backpressure: %v", err)
 	}
 }

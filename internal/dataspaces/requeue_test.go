@@ -11,13 +11,13 @@ import (
 // incremented.
 func TestRequeuePreservesFCFS(t *testing.T) {
 	s := newService(t, 1)
-	if _, err := s.SubmitTask("a", 1, nil); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitTask("a", 2, nil); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 2}); err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.BucketReady()
+	first, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRequeuePreservesFCFS(t *testing.T) {
 	if err := s.Requeue(first); err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.BucketReady()
+	again, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRequeuePreservesFCFS(t *testing.T) {
 	if again.Attempts != 1 {
 		t.Fatalf("requeue must increment attempts, got %d", again.Attempts)
 	}
-	next, err := s.BucketReady()
+	next, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestRequeueHandsToWaitingBucket(t *testing.T) {
 	s := newService(t, 1)
 	got := make(chan Task, 1)
 	go func() {
-		task, err := s.BucketReady()
+		task, err := s.BucketReadyCancel(nil)
 		if err == nil {
 			got <- task
 		}
@@ -98,13 +98,13 @@ func TestConcurrentRequeueOrdering(t *testing.T) {
 	const old, young = 4, 3
 	s := newService(t, 1)
 	for i := 0; i < old; i++ {
-		if _, err := s.SubmitTask("a", i, nil); err != nil {
+		if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	assigned := make([]Task, old)
 	for i := range assigned {
-		task, err := s.BucketReady()
+		task, err := s.BucketReadyCancel(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestConcurrentRequeueOrdering(t *testing.T) {
 	}
 	// Younger work arrives while the old tasks are in flight.
 	for i := 0; i < young; i++ {
-		if _, err := s.SubmitTask("a", 100+i, nil); err != nil {
+		if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 100 + i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func TestConcurrentRequeueOrdering(t *testing.T) {
 	}
 	seen := make(map[int]bool)
 	for i := 0; i < old; i++ {
-		task, err := s.BucketReady()
+		task, err := s.BucketReadyCancel(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestConcurrentRequeueOrdering(t *testing.T) {
 		seen[task.Step] = true
 	}
 	for i := 0; i < young; i++ {
-		task, err := s.BucketReady()
+		task, err := s.BucketReadyCancel(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestRequeueKeepsCredit(t *testing.T) {
 	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Credited: true}); err != nil {
 		t.Fatal(err)
 	}
-	task, err := s.BucketReady()
+	task, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRequeueKeepsCredit(t *testing.T) {
 	if got := s.Credits().Outstanding(); got != 1 {
 		t.Fatalf("requeue must not settle the credit, outstanding=%d", got)
 	}
-	task, err = s.BucketReady()
+	task, err = s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +199,10 @@ func TestRequeueKeepsCredit(t *testing.T) {
 func TestSubmitTaskDeadline(t *testing.T) {
 	s := newService(t, 1)
 	dl := time.Now().Add(time.Hour)
-	if _, err := s.SubmitTaskDeadline("a", 1, nil, dl); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Deadline: dl}); err != nil {
 		t.Fatal(err)
 	}
-	task, err := s.BucketReady()
+	task, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func drainOrder(t *testing.T, s *Service, n int) []string {
 	t.Helper()
 	out := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		task, err := s.BucketReady()
+		task, err := s.BucketReadyCancel(nil)
 		if err != nil {
 			t.Fatalf("bucket ready %d: %v", i, err)
 		}
@@ -94,7 +94,7 @@ func TestFairDequeueHeadRequeueJumpsRing(t *testing.T) {
 		submitT(t, s, "a", "viz", i)
 		submitT(t, s, "b", "viz", i)
 	}
-	first, err := s.BucketReady()
+	first, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFairDequeueHeadRequeueJumpsRing(t *testing.T) {
 	if err := s.Requeue(first); err != nil {
 		t.Fatal(err)
 	}
-	back, err := s.BucketReady()
+	back, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestBucketReadyCancel(t *testing.T) {
 	}
 	// The service still assigns normally afterwards.
 	submitT(t, s, "", "viz", 0)
-	if task, err := s.BucketReady(); err != nil || task.Analysis != "viz" {
+	if task, err := s.BucketReadyCancel(nil); err != nil || task.Analysis != "viz" {
 		t.Fatalf("post-cancel assignment = %v task %+v", err, task)
 	}
 }
@@ -208,7 +208,7 @@ func TestBucketReadyCancelAssignmentWins(t *testing.T) {
 			// Task delivered to the cancelled waiter: nothing queued.
 		case errors.Is(err, ErrCancelled):
 			// Waiter unwound first: the task must be in the queue.
-			task, rerr := s.BucketReady()
+			task, rerr := s.BucketReadyCancel(nil)
 			if rerr != nil || task.Step != round {
 				t.Fatalf("round %d: task lost after cancel (err %v, task %+v)", round, rerr, task)
 			}
@@ -251,7 +251,7 @@ func TestTenantDescriptorNamespaces(t *testing.T) {
 		t.Fatalf("QueryT(a) = %d descriptors, want 1", got)
 	}
 	// Tenant-less namespace is untouched by tenant puts.
-	if got := len(s.Query("viz", 3)); got != 0 {
+	if got := len(s.QueryT("", "viz", 3)); got != 0 {
 		t.Fatalf("Query(tenantless) = %d descriptors, want 0", got)
 	}
 	s.RemoveT("a", "viz", 3)

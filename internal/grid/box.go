@@ -93,9 +93,6 @@ func (b Box) Union(o Box) Box {
 	return r
 }
 
-// Overlaps reports whether the two boxes share at least one point.
-func (b Box) Overlaps(o Box) bool { return !b.Intersect(o).Empty() }
-
 // Grow expands the box by g points in every direction (negative g
 // shrinks it).
 func (b Box) Grow(g int) Box {
@@ -103,17 +100,6 @@ func (b Box) Grow(g int) Box {
 		b.Lo[d] -= g
 		b.Hi[d] += g
 	}
-	return b
-}
-
-// Translate shifts the box by (di,dj,dk).
-func (b Box) Translate(di, dj, dk int) Box {
-	b.Lo[0] += di
-	b.Hi[0] += di
-	b.Lo[1] += dj
-	b.Hi[1] += dj
-	b.Lo[2] += dk
-	b.Hi[2] += dk
 	return b
 }
 

@@ -61,49 +61,6 @@ func (dc *Decomp) Block(rank int) Box {
 	return b
 }
 
-// Owner returns the rank owning global point (i,j,k), or -1 when the
-// point is outside the global box.
-func (dc *Decomp) Owner(i, j, k int) int {
-	if !dc.Global.Contains(i, j, k) {
-		return -1
-	}
-	p := [3]int{i, j, k}
-	var c [3]int
-	for d := 0; d < 3; d++ {
-		n := dc.Global.Hi[d] - dc.Global.Lo[d]
-		q, r := n/dc.P[d], n%dc.P[d]
-		x := p[d] - dc.Global.Lo[d]
-		// First r blocks have size q+1.
-		if x < r*(q+1) {
-			c[d] = x / (q + 1)
-		} else {
-			c[d] = r + (x-r*(q+1))/q
-		}
-	}
-	return dc.Rank(c[0], c[1], c[2])
-}
-
-// Neighbors returns the ranks of the up-to-26 face/edge/corner
-// neighbors of rank (6 in each axis direction plus diagonals),
-// excluding out-of-range blocks.
-func (dc *Decomp) Neighbors(rank int) []int {
-	c := dc.Coords(rank)
-	var out []int
-	for dz := -1; dz <= 1; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				if n := dc.Rank(c[0]+dx, c[1]+dy, c[2]+dz); n >= 0 {
-					out = append(out, n)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // FaceNeighbor returns the rank adjacent across the given axis
 // (0,1,2) in direction dir (-1 or +1), or -1 at the domain boundary.
 func (dc *Decomp) FaceNeighbor(rank, axis, dir int) int {

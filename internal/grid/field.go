@@ -27,20 +27,6 @@ func (f *Field) At(i, j, k int) float64 { return f.Data[f.Box.Index(i, j, k)] }
 // Set stores v at global point (i,j,k).
 func (f *Field) Set(i, j, k int, v float64) { f.Data[f.Box.Index(i, j, k)] = v }
 
-// Fill sets every point to v.
-func (f *Field) Fill(v float64) {
-	for i := range f.Data {
-		f.Data[i] = v
-	}
-}
-
-// Clone returns a deep copy of the field.
-func (f *Field) Clone() *Field {
-	g := &Field{Name: f.Name, Box: f.Box, Data: make([]float64, len(f.Data))}
-	copy(g.Data, f.Data)
-	return g
-}
-
 // Extract copies the sub-box sub (which must be contained in f.Box)
 // into a newly allocated field.
 func (f *Field) Extract(sub Box) *Field {
@@ -225,10 +211,6 @@ func (f *Field) Sample(x, y, z float64) float64 {
 	return c0 + fz*(c1-c0)
 }
 
-// Bytes returns the in-memory size of the field payload in bytes
-// (8 bytes per point), used for data-movement accounting.
-func (f *Field) Bytes() int { return 8 * len(f.Data) }
-
 // MarshalSize returns the exact encoded size of the field, so callers
 // can size destination buffers (typically from bufpool) up front.
 func (f *Field) MarshalSize() int {
@@ -323,8 +305,8 @@ func UnmarshalField(p []byte) (*Field, error) {
 	if n != box.Size() {
 		return nil, fmt.Errorf("grid: field payload count %d does not match box %v", n, box)
 	}
-	if len(p) < 8*n {
-		return nil, fmt.Errorf("grid: truncated field data: want %d bytes, have %d", 8*n, len(p))
+	if n < 0 || n > len(p)/8 {
+		return nil, fmt.Errorf("grid: truncated field data: want %d values, have %d bytes", n, len(p))
 	}
 	f := &Field{Name: name, Box: box, Data: make([]float64, n)}
 	for i := 0; i < n; i++ {

@@ -171,7 +171,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("%w: %s has format version %d, want %d", ErrCorruptIndex, indexName, idx.Version, indexVersion)
 	}
 	for digest, ref := range idx.Blobs {
-		if ref.Off < 0 || ref.Len <= 0 || ref.Off+ref.Len > fi.Size() {
+		if ref.Off < 0 || ref.Len <= 0 || ref.Len > fi.Size()-ref.Off {
 			s.dropped.Add(1)
 			continue
 		}
@@ -194,9 +194,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // SetCacheBytes resizes the in-memory LRU read cache (default 64 MiB).
 func (s *Store) SetCacheBytes(n int64) { s.cache.resize(n) }

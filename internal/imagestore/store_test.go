@@ -2,8 +2,10 @@ package imagestore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -162,6 +164,33 @@ func TestReopenRestoresIndex(t *testing.T) {
 			}
 			t.Errorf("%s index: Open err = %v, want ErrCorruptIndex", name, err)
 		}
+	}
+
+	// A blob ref whose offset and length sum past int64 is out of the
+	// segment like any other: dropped at open with the frames naming
+	// it, never handed to a read as a length.
+	var idx indexFile
+	if err := json.Unmarshal(good, &idx); err != nil {
+		t.Fatal(err)
+	}
+	idx.Blobs[want[0]] = blobRef{Off: math.MaxInt64, Len: math.MaxInt64}
+	wrapped, err := json.Marshal(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(index, wrapped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := Open(dir)
+	if err != nil {
+		t.Fatalf("wrapping blob ref: Open err = %v", err)
+	}
+	defer ws.Close()
+	if got := ws.Stats().Dropped; got != 3 {
+		t.Errorf("wrapping blob ref: dropped %d index entries, want 3 (the blob and step 1's two frames)", got)
+	}
+	if _, err := ws.Blob(want[0]); err == nil {
+		t.Error("wrapping blob ref: the blob is still served")
 	}
 }
 

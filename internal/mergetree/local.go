@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"insitu/internal/grid"
-	"insitu/internal/parallel"
 )
 
 // FromField computes the augmented merge tree of a scalar field over
@@ -94,30 +93,6 @@ type SubtreeVert struct {
 	ID     int64
 	Value  float64
 	Degree int
-}
-
-// LocalSubtrees runs the in-situ stage for every rank's ghosted block
-// concurrently on the shared worker pool: fields[i] must cover
-// blocks[i] grown by one ghost layer (clipped to global). Each block's
-// sweep is independent, so the returned subtrees are bitwise identical
-// to rank-by-rank LocalSubtree calls at any pool width; the slice is
-// ordered by rank. This is the driver used when one OS process hosts
-// many ranks (benches, offline tools, post-hoc reconstruction).
-func LocalSubtrees(fields []*grid.Field, global grid.Box, blocks []grid.Box, policy BoundaryPolicy) ([]*Subtree, error) {
-	if len(fields) != len(blocks) {
-		return nil, fmt.Errorf("mergetree: %d fields for %d blocks", len(fields), len(blocks))
-	}
-	subtrees := make([]*Subtree, len(fields))
-	errs := make([]error, len(fields))
-	parallel.For(len(fields), func(r int) {
-		subtrees[r], errs[r] = LocalSubtree(fields[r], global, blocks[r], r, policy)
-	})
-	for r, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mergetree: rank %d: %w", r, err)
-		}
-	}
-	return subtrees, nil
 }
 
 // LocalSubtree runs the full in-situ stage for one rank: extract the

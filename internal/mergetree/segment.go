@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"insitu/internal/grid"
-	"insitu/internal/stats"
 )
 
 // Segmentation labels each vertex of an augmented merge tree with the
@@ -221,26 +220,4 @@ func TrackChain(segs []*Segmentation, start int64) []int64 {
 		cur = next
 	}
 	return chain
-}
-
-// FeatureMoments computes per-feature descriptive statistics of a
-// second variable over each segmented component — the feature-based
-// statistics the paper's conclusion proposes combining with the merge
-// tree computation. The field must cover the segmented region; ids are
-// global indices within `global`.
-func FeatureMoments(seg *Segmentation, f *grid.Field, global grid.Box) map[int64]*stats.Moments {
-	out := make(map[int64]*stats.Moments)
-	for id, label := range seg.Labels {
-		i, j, k := grid.GlobalPoint(global, id)
-		if !f.Box.Contains(i, j, k) {
-			continue
-		}
-		m, ok := out[label]
-		if !ok {
-			m = stats.NewMoments()
-			out[label] = m
-		}
-		m.Update(f.At(i, j, k))
-	}
-	return out
 }

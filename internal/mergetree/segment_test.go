@@ -116,31 +116,6 @@ func firstLabel(s *Segmentation) int64 {
 	return -1
 }
 
-func TestFeatureMoments(t *testing.T) {
-	f, b := threePeakField()
-	tr := FromField(f, b)
-	seg := Segment(tr, 1.5) // two components: {0..5-ish} and peak 5
-	// Second variable: value = 10 * index.
-	g := grid.NewField("w", b)
-	for i := 0; i < 8; i++ {
-		g.Set(i, 0, 0, float64(10*i))
-	}
-	fm := FeatureMoments(seg, g, b)
-	if len(fm) != 2 {
-		t.Fatalf("want stats for 2 features, got %d", len(fm))
-	}
-	total := int64(0)
-	for _, m := range fm {
-		total += m.N
-	}
-	if total != int64(len(seg.Labels)) {
-		t.Fatalf("feature stats cover %d points, segmentation has %d", total, len(seg.Labels))
-	}
-}
-
-// TestSegmentationPartitionProperty checks with testing/quick that the
-// tree segmentation always partitions exactly the vertices at or above
-// the threshold.
 func TestSegmentationPartitionProperty(t *testing.T) {
 	prop := func(seed int64, t8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))

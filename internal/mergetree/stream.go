@@ -46,11 +46,10 @@ type StreamStats struct {
 type Builder struct {
 	nodes map[int64]*bnode
 	log   []EvictRecord
-	sink  func(EvictRecord) // optional external log consumer
 
 	// watermark is the sweep position at or below which all future
-	// edge lower-endpoints are guaranteed to lie. It advances via
-	// SetWatermark (or automatically under sorted feeding in Glue).
+	// edge lower-endpoints are guaranteed to lie. It advances under
+	// sorted feeding in Glue.
 	wmVal   float64
 	wmID    int64
 	wmSet   bool
@@ -62,17 +61,10 @@ type Builder struct {
 // BuilderOption configures a Builder.
 type BuilderOption func(*Builder)
 
-// WithEviction enables eviction of finalized vertices. The caller must
-// then advance the watermark truthfully via SetWatermark.
+// WithEviction enables eviction of finalized vertices: Glue advances
+// the watermark as it feeds edges in sorted order.
 func WithEviction() BuilderOption {
 	return func(b *Builder) { b.evictOn = true }
-}
-
-// WithSink streams eviction records to fn instead of the internal log;
-// Finish then cannot reconstruct the full augmented tree, only the
-// resident part (matching the paper's write-to-disk behaviour).
-func WithSink(fn func(EvictRecord)) BuilderOption {
-	return func(b *Builder) { b.sink = fn }
 }
 
 // NewBuilder creates an empty streaming builder.
@@ -158,16 +150,6 @@ func (b *Builder) AddEdge(hi, lo int64) error {
 	}
 }
 
-// SetWatermark promises that every edge processed from now on has a
-// lower endpoint at or below sweep position (val, id). It triggers an
-// eviction sweep when eviction is enabled.
-func (b *Builder) SetWatermark(val float64, id int64) {
-	b.wmVal, b.wmID, b.wmSet = val, id, true
-	if b.evictOn {
-		b.sweep()
-	}
-}
-
 // evictable reports whether vertex n can no longer change: all its
 // edges are processed, and its downward arc ends at or above the
 // watermark, so no future edge can splice between them.
@@ -191,27 +173,15 @@ func (b *Builder) sweep() {
 		if !b.evictable(n) {
 			continue
 		}
-		rec := EvictRecord{ID: n.id, Value: n.val, Down: n.down.id}
-		if b.sink != nil {
-			b.sink(rec)
-		} else {
-			b.log = append(b.log, rec)
-		}
+		b.log = append(b.log, EvictRecord{ID: n.id, Value: n.val, Down: n.down.id})
 		n.evicted = true
 		delete(b.nodes, id)
 		b.stats.Evicted++
 	}
 }
 
-// Live returns the number of currently resident vertices.
-func (b *Builder) Live() int { return len(b.nodes) }
-
-// Stats returns a snapshot of the builder's counters.
-func (b *Builder) Stats() StreamStats { return b.stats }
-
 // Finish assembles the final merge tree from the resident vertices
-// plus the eviction log. If a WithSink option diverted the log, only
-// the resident part is returned.
+// plus the eviction log.
 func (b *Builder) Finish() (*Tree, StreamStats, error) {
 	for id, n := range b.nodes {
 		if n.pending != 0 {
@@ -245,11 +215,6 @@ func (b *Builder) Finish() (*Tree, StreamStats, error) {
 		hi := t.Nodes[l.hi]
 		lo, ok := t.Nodes[l.lo]
 		if !ok {
-			if b.sink != nil {
-				// The target was evicted to the external sink; the
-				// arc is restored by MergeSunk with the sink records.
-				continue
-			}
 			return nil, b.stats, fmt.Errorf("mergetree: eviction log references missing vertex %d", l.lo)
 		}
 		hi.Down = lo

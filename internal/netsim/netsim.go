@@ -128,9 +128,6 @@ func New(cfg Config) *Network {
 	return &Network{cfg: cfg, perPath: make(map[Path]int64)}
 }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // SetFaults attaches (or, with nil, detaches) a fault injector. Every
 // endpoint-attributed transfer then consults the injector; plain
 // Transfer/TransferInto control traffic stays fault-free so the
@@ -185,7 +182,7 @@ func (n *Network) Transfer(src []byte) ([]byte, time.Duration) {
 // TransferInto copies src into the caller-provided dst (whose length
 // must be at least len(src)), accounts the modeled cost, optionally
 // sleeps the scaled duration, and returns the modeled duration. This
-// is the zero-allocation variant DART's pooled Get/Put path uses: the
+// is the zero-allocation variant DART's pooled Get path uses: the
 // destination comes from the byte-buffer pool instead of a fresh
 // allocation per transfer.
 func (n *Network) TransferInto(dst, src []byte) time.Duration {
@@ -300,15 +297,4 @@ func (n *Network) Stats() Stats {
 		PerPath:     pp,
 		Faulted:     n.faulted.Load(),
 	}
-}
-
-// Reset clears all counters.
-func (n *Network) Reset() {
-	n.bytesMoved.Store(0)
-	n.transfers.Store(0)
-	n.faulted.Store(0)
-	n.mu.Lock()
-	n.modeledBusy = 0
-	n.perPath = make(map[Path]int64)
-	n.mu.Unlock()
 }

@@ -34,7 +34,7 @@ func TestCostModel(t *testing.T) {
 	if p != SMSG {
 		t.Fatalf("8-byte message should ride SMSG, got %v", p)
 	}
-	if d < n.Config().SMSG.Latency {
+	if d < n.cfg.SMSG.Latency {
 		t.Fatalf("cost below latency floor: %v", d)
 	}
 	// Bulk message: bandwidth dominated; 60 MB at 6 GB/s ~ 10 ms.
@@ -73,10 +73,6 @@ func TestTransferCopiesAndAccounts(t *testing.T) {
 	}
 	if st.PerPath[SMSG] != 5 {
 		t.Fatalf("per-path accounting wrong: %+v", st.PerPath)
-	}
-	n.Reset()
-	if st2 := n.Stats(); st2.BytesMoved != 0 || st2.Transfers != 0 {
-		t.Fatal("reset must clear counters")
 	}
 }
 

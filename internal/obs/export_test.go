@@ -38,7 +38,7 @@ func fixturePlane() *Plane {
 	reg := pl.Registry()
 	reg.Counter("dart_gets_total", "completed one-sided reads by result", Str("result", "ok")).Add(3)
 	reg.Counter("dart_gets_total", "completed one-sided reads by result", Str("result", "error")).Inc()
-	reg.Gauge("dataspaces_queue_depth", "tasks waiting for a bucket").Set(2)
+	reg.GaugeFunc("dataspaces_queue_depth", "tasks waiting for a bucket", func() float64 { return 2 })
 	reg.GaugeFunc("credits_available", "flow-control credits currently grantable", func() float64 { return 7 })
 	h := reg.Histogram("dart_transfer_modeled_seconds", "modeled transfer duration", []float64{1e-6, 1e-3, 1})
 	h.Observe(5e-4)

@@ -35,7 +35,6 @@ type family struct {
 type series struct {
 	labels string
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() float64
 }
@@ -120,15 +119,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...A
 	r.register(name, help, "counter", labels, func() *series { return &series{fn: fn} })
 }
 
-// Gauge registers (or finds) a float64 gauge.
-func (r *Registry) Gauge(name, help string, labels ...Attr) *Gauge {
-	s := r.register(name, help, "gauge", labels, func() *series { return &series{g: &Gauge{}} })
-	if s.g == nil {
-		panic(fmt.Sprintf("obs: metric %q%s is not an owned gauge", name, renderLabels(labels)))
-	}
-	return s.g
-}
-
 // GaugeFunc registers a gauge series whose value is read from fn at
 // export time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Attr) {
@@ -161,25 +151,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a float64 gauge, safe for concurrent use.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram, safe for concurrent use.
 type Histogram struct {
@@ -231,10 +202,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // in powers of 4.
 var LatencyBuckets = ExpBuckets(1e-6, 4, 12)
 
-// SizeBuckets is the default payload-size histogram layout: 256B to
-// ~64MB in powers of 4.
-var SizeBuckets = ExpBuckets(256, 4, 10)
-
 // fmtFloat renders a sample value the way Prometheus text format does.
 func fmtFloat(v float64) string {
 	switch {
@@ -281,8 +248,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch {
 			case s.c != nil:
 				fmt.Fprintf(&sb, "%s%s %d\n", f.name, s.labels, s.c.Value())
-			case s.g != nil:
-				fmt.Fprintf(&sb, "%s%s %s\n", f.name, s.labels, fmtFloat(s.g.Value()))
 			case s.fn != nil:
 				fmt.Fprintf(&sb, "%s%s %s\n", f.name, s.labels, fmtFloat(s.fn()))
 			case s.h != nil:

@@ -31,7 +31,7 @@ const (
 	// in-transit task occupancy, and zero-length marks.
 	CatTimeline = "timeline"
 	// CatDart holds transport-layer spans and events: one span per
-	// Get/Put (attrs: bytes, attempts, modeled time) and one event per
+	// Get (attrs: bytes, attempts, modeled time) and one event per
 	// retry.
 	CatDart = "dart"
 	// CatTask holds the in-transit task lifecycle: submit and requeue
@@ -228,20 +228,6 @@ func (r *Recorder) SpansCat(cat string) []Span {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-// Lanes returns the distinct lane names across all spans, sorted.
-func (r *Recorder) Lanes() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range r.Spans() {
-		if !seen[s.Lane] {
-			seen[s.Lane] = true
-			out = append(out, s.Lane)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -215,13 +215,6 @@ func (b *Breaker) Opens() int64 {
 	return b.opens
 }
 
-// Latency returns the success-latency EWMA.
-func (b *Breaker) Latency() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return time.Duration(b.lat.Value() * float64(time.Second))
-}
-
 func (b *Breaker) toLocked(s BreakerState, now time.Time) {
 	if b.state == s {
 		return
@@ -509,26 +502,6 @@ type Config struct {
 	// LatencyAlpha and QueueAlpha smooth the shared estimator
 	// (defaults 0.5 / 0.5).
 	LatencyAlpha, QueueAlpha float64
-}
-
-// DefaultConfig returns conservative overload-control tuning.
-func DefaultConfig() Config {
-	return Config{
-		Breaker: BreakerConfig{
-			FailureThreshold: 3,
-			LatencyThreshold: 50 * time.Millisecond,
-			Cooldown:         50 * time.Millisecond,
-		},
-		Ladder: LadderConfig{
-			QueueHigh: 3, QueueLow: 1,
-			LatencyHigh:  25 * time.Millisecond,
-			LatencyLow:   10 * time.Millisecond,
-			RecoverAfter: 2,
-		},
-		QueueBound:      8,
-		Reserve:         1,
-		ProbeLatencyMax: 5 * time.Millisecond,
-	}
 }
 
 // WithDefaults fills zero fields with the defaults used by

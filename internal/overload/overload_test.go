@@ -210,8 +210,4 @@ func TestConfigDefaults(t *testing.T) {
 	if c.QueueBound != 8 || c.Reserve != 1 || c.ProbeLatencyMax <= 0 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
-	d := DefaultConfig()
-	if d.Breaker.FailureThreshold != 3 || d.Ladder.QueueHigh != 3 {
-		t.Fatalf("DefaultConfig unexpected: %+v", d)
-	}
 }

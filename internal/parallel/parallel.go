@@ -38,9 +38,6 @@ func New(workers int) *Pool {
 // initialization. Kernels that take no explicit pool use it.
 var Default = New(0)
 
-// Workers returns the pool width.
-func (p *Pool) Workers() int { return p.workers }
-
 // Blocks returns the number of contiguous blocks ForBlocks will split
 // n items into: min(workers, n), and 0 for n <= 0.
 func (p *Pool) Blocks(n int) int {
@@ -93,19 +90,9 @@ func (p *Pool) ForBlocks(n int, fn func(b, lo, hi int)) {
 	wg.Wait()
 }
 
-// For calls fn(i) for every i in [0, n), partitioned across the pool
-// as in ForBlocks. Iterations must be independent.
-func (p *Pool) For(n int, fn func(i int)) {
-	p.ForBlocks(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // ForChunks splits [0, n) into fixed-width chunks of the given size
-// and calls fn(c, lo, hi) for each, running at most Workers() chunks
-// concurrently. Unlike ForBlocks, the partition depends only on
+// and calls fn(c, lo, hi) for each, running at most one chunk per
+// worker concurrently. Unlike ForBlocks, the partition depends only on
 // (n, chunk) — not on the pool width — so per-chunk partial results
 // combined in chunk order are bitwise reproducible across machines
 // with different core counts. This is the shape the statistics
@@ -164,12 +151,6 @@ func (p *Pool) ForChunks(n, chunk int, fn func(c, lo, hi int)) {
 	work()
 	wg.Wait()
 }
-
-// ForBlocks runs Default.ForBlocks.
-func ForBlocks(n int, fn func(b, lo, hi int)) { Default.ForBlocks(n, fn) }
-
-// For runs Default.For.
-func For(n int, fn func(i int)) { Default.For(n, fn) }
 
 // ForChunks runs Default.ForChunks.
 func ForChunks(n, chunk int, fn func(c, lo, hi int)) { Default.ForChunks(n, chunk, fn) }

@@ -141,8 +141,7 @@ type Journal struct {
 	records []Record
 	dead    bool
 
-	fsyncs  atomic.Int64
-	appends atomic.Int64
+	fsyncs atomic.Int64
 }
 
 // Open creates the journal directory if needed and loads any existing
@@ -193,9 +192,6 @@ func (j *Journal) Killed() bool {
 // (file + directory syncs of its atomic writes).
 func (j *Journal) Fsyncs() int64 { return j.fsyncs.Load() }
 
-// Appends returns the number of records durably appended.
-func (j *Journal) Appends() int64 { return j.appends.Load() }
-
 // Append durably appends one record: the journal (plus the new
 // record) is rewritten to a temp file, fsynced, and renamed into
 // place. Returns ErrKilled without touching disk after Kill.
@@ -215,7 +211,6 @@ func (j *Journal) Append(rec Record) error {
 	}
 	j.fsyncs.Add(2) // WriteFileAtomic syncs the file and its directory
 	j.records = next
-	j.appends.Add(1)
 	return nil
 }
 

@@ -25,9 +25,6 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if j.Appends() != int64(len(recs)) {
-		t.Fatalf("appends = %d, want %d", j.Appends(), len(recs))
-	}
 	if j.Fsyncs() == 0 {
 		t.Fatal("no fsyncs counted")
 	}

@@ -197,7 +197,7 @@ func TestDataReductionFromDownsampling(t *testing.T) {
 	if n != len(payload) {
 		t.Fatal("size mismatch")
 	}
-	raw := f.Bytes()
+	raw := 8 * len(f.Data)
 	// 8x downsampling in 3-D is a ~512x data reduction.
 	if n*256 > raw {
 		t.Fatalf("8x downsample moved %d of %d raw bytes; expected ~512x reduction", n, raw)
@@ -207,7 +207,9 @@ func TestDataReductionFromDownsampling(t *testing.T) {
 func TestBlockTableSampleOutside(t *testing.T) {
 	bt := NewBlockTable()
 	f := grid.NewField("T", grid.NewBox(4, 4, 4))
-	f.Fill(0.5)
+	for i := range f.Data {
+		f.Data[i] = 0.5
+	}
 	bt.Add(f)
 	if v := bt.Sample(100, 0, 0); !math.IsInf(v, -1) {
 		t.Fatalf("outside sample must be -Inf, got %g", v)

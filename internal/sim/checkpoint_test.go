@@ -46,8 +46,8 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if rk.StepCount() != ckptAt {
-			t.Errorf("rank %d: StepCount = %d after restore, want %d", r.ID(), rk.StepCount(), ckptAt)
+		if rk.step != ckptAt {
+			t.Errorf("rank %d: step = %d after restore, want %d", r.ID(), rk.step, ckptAt)
 		}
 		rk.RunSteps(total - ckptAt)
 		restored[r.ID()] = rk.CheckpointFields()

@@ -70,7 +70,7 @@ func TestInflowReplenishesFuel(t *testing.T) {
 		if h2 < 0.5 {
 			t.Errorf("inlet jet core fuel depleted: Y_H2=%g", h2)
 		}
-		if got := rk.StepCount(); got != 40 {
+		if got := rk.step; got != 40 {
 			t.Errorf("step count: want 40, got %d", got)
 		}
 		if rk.Comm() == nil || rk.Comm().Size() != 1 {

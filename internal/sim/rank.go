@@ -52,9 +52,6 @@ func (s *Sim) NewRank(r *comm.Rank) (*Rank, error) {
 // OwnedBox returns the rank's block (without ghosts).
 func (rk *Rank) OwnedBox() grid.Box { return rk.owned }
 
-// Step returns the number of completed time steps.
-func (rk *Rank) StepCount() int { return rk.step }
-
 // Field returns a copy of the named variable restricted to the owned
 // block.
 func (rk *Rank) Field(name string) *grid.Field {

@@ -28,7 +28,7 @@ func TestCreditSettledOnRequeueThenDeadLetter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Handle("work", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "work", func(task dataspaces.Task, data [][]byte) (any, error) {
 		return nil, nil
 	})
 	a.Start()
@@ -76,7 +76,7 @@ func TestCreditSettledOnSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Handle("work", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "work", func(task dataspaces.Task, data [][]byte) (any, error) {
 		return string(data[0]), nil
 	})
 	a.Start()

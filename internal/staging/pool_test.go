@@ -26,7 +26,7 @@ func TestAddAndRetireBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Handle("echo", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "echo", func(task dataspaces.Task, data [][]byte) (any, error) {
 		return task.Step, nil
 	})
 	a.Start()
@@ -93,7 +93,7 @@ func TestRetireMidTaskFinishesAndSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	a.Handle("slow", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "slow", func(task dataspaces.Task, data [][]byte) (any, error) {
 		<-gate
 		return "done", nil
 	})
@@ -188,7 +188,7 @@ func TestDeadLetterErrorCarriesTenantAndHistory(t *testing.T) {
 	// A task whose inputs reference an unregistered handle fails its
 	// pulls on every attempt and dead-letters.
 	bad := r.prod.RegisterMem([]byte("x"))
-	if err := r.prod.Release(bad); err != nil {
+	if _, err := r.prod.Reclaim(bad); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.ds.SubmitSpec(dataspaces.TaskSpec{

@@ -21,7 +21,7 @@ func TestCrashedBucketRequeuesTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Handle("work", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "work", func(task dataspaces.Task, data [][]byte) (any, error) {
 		return string(data[0]), nil
 	})
 	a.Start()
@@ -68,7 +68,7 @@ func TestDeadLetterAfterMaxAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Handle("work", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "work", func(task dataspaces.Task, data [][]byte) (any, error) {
 		return nil, nil
 	})
 	a.Start()
@@ -106,7 +106,7 @@ func TestPullFailureRequeuesThenDeadLetters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Handle("work", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "work", func(task dataspaces.Task, data [][]byte) (any, error) {
 		return nil, nil
 	})
 	a.Start()
@@ -137,7 +137,7 @@ func TestHandlerErrorFreesBucket(t *testing.T) {
 	r := newRig(t)
 	a, _ := New(r.fabric, r.ds, 1)
 	calls := 0
-	a.Handle("flaky", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "flaky", func(task dataspaces.Task, data [][]byte) (any, error) {
 		calls++
 		if calls == 1 {
 			return nil, errors.New("bad statistics")
@@ -172,7 +172,7 @@ func TestStreamHandlerErrorFreesBucket(t *testing.T) {
 	r := newRig(t)
 	a, _ := New(r.fabric, r.ds, 1)
 	calls := 0
-	a.HandleStream("stream", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+	a.HandleStreamT("", "stream", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		calls++
 		for range in {
 		}
@@ -204,7 +204,7 @@ func TestStreamPullErrorPropagates(t *testing.T) {
 	net := r.fabric.Network()
 	r.fabric.SetRetryPolicy(dart.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond})
 	a, _ := New(r.fabric, r.ds, 1)
-	a.HandleStream("stream", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+	a.HandleStreamT("", "stream", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		n := 0
 		for range in {
 			n++

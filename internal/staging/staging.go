@@ -153,9 +153,8 @@ type routeKey struct {
 
 // Area is a running staging area.
 type Area struct {
-	svc  *dart.Fabric
-	ds   *dataspaces.Service
-	nbkt int
+	svc *dart.Fabric
+	ds  *dataspaces.Service
 
 	mu       sync.Mutex
 	points   []*dart.Endpoint // grows under AddBucket
@@ -301,7 +300,6 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, opts ...Opti
 	a := &Area{
 		svc:         fabric,
 		ds:          ds,
-		nbkt:        nbuckets,
 		handlers:    make(map[routeKey]Handler),
 		streams:     make(map[routeKey]StreamHandler),
 		busy:        make([]int64, nbuckets),
@@ -332,35 +330,23 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, opts ...Opti
 // bucket 0's endpoint, used by pipelines as a transit-health probe.
 func (a *Area) ProbeHandle() dart.MemHandle { return a.probe }
 
-// Handle registers the in-transit stage for the named analysis in the
-// tenant-less namespace. Handlers must be registered before Start.
-func (a *Area) Handle(analysis string, h Handler) { a.HandleT("", analysis, h) }
-
 // HandleT registers the in-transit stage for one (tenant, analysis)
 // route, so two tenants running the same analysis name dispatch to
-// their own handlers.
+// their own handlers. Handlers must be registered before Start.
 func (a *Area) HandleT(tenant, analysis string, h Handler) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.handlers[routeKey{tenant, analysis}] = h
 }
 
-// HandleStream registers a streaming in-transit stage for the named
-// analysis in the tenant-less namespace. A streaming handler takes
-// precedence over a buffered one registered under the same route.
-func (a *Area) HandleStream(analysis string, h StreamHandler) { a.HandleStreamT("", analysis, h) }
-
 // HandleStreamT registers a streaming in-transit stage for one
-// (tenant, analysis) route.
+// (tenant, analysis) route. A streaming handler takes precedence over
+// a buffered one registered under the same route.
 func (a *Area) HandleStreamT(tenant, analysis string, h StreamHandler) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.streams[routeKey{tenant, analysis}] = h
 }
-
-// Buckets returns the number of bucket cores the area started with;
-// ActiveBuckets tracks the live pool under autoscaling.
-func (a *Area) Buckets() int { return a.nbkt }
 
 // ActiveBuckets returns the current bucket-pool size: started buckets
 // plus added ones, minus retired ones. A crashed bucket still counts —

@@ -38,7 +38,7 @@ func (r *rig) publish(t *testing.T, analysis string, step int, payloads ...[]byt
 			Name: analysis, Version: step, Rank: i, Handle: h,
 		})
 	}
-	if _, err := r.ds.SubmitTask(analysis, step, inputs); err != nil {
+	if _, err := r.ds.SubmitSpec(dataspaces.TaskSpec{Analysis: analysis, Step: step, Inputs: inputs}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,7 +49,7 @@ func TestSingleTaskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Handle("concat", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "concat", func(task dataspaces.Task, data [][]byte) (any, error) {
 		var sb strings.Builder
 		for _, d := range data {
 			sb.Write(d)
@@ -91,12 +91,12 @@ func TestMissingHandler(t *testing.T) {
 func TestPullErrorSurfaces(t *testing.T) {
 	r := newRig(t)
 	a, _ := New(r.fabric, r.ds, 1)
-	a.Handle("x", func(task dataspaces.Task, data [][]byte) (any, error) { return nil, nil })
+	a.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) { return nil, nil })
 	a.Start()
 	// Submit a task whose handle points nowhere.
-	r.ds.SubmitTask("x", 1, []dataspaces.Descriptor{{
+	r.ds.SubmitSpec(dataspaces.TaskSpec{Analysis: "x", Step: 1, Inputs: []dataspaces.Descriptor{{
 		Name: "x", Handle: dart.MemHandle{Endpoint: 999},
-	}})
+	}}})
 	res := <-a.Results()
 	if res.Err == nil {
 		t.Fatal("broken handle must surface an error")
@@ -113,9 +113,9 @@ func TestReleaseCallback(t *testing.T) {
 		mu.Lock()
 		released++
 		mu.Unlock()
-		r.prod.Release(d.Handle)
+		r.prod.Reclaim(d.Handle)
 	}))
-	a.Handle("x", func(task dataspaces.Task, data [][]byte) (any, error) { return nil, nil })
+	a.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) { return nil, nil })
 	a.Start()
 	r.publish(t, "x", 1, []byte("a"), []byte("b"))
 	<-a.Results()
@@ -140,7 +140,7 @@ func TestTemporalMultiplexing(t *testing.T) {
 	a, _ := New(r.fabric, r.ds, buckets)
 	var mu sync.Mutex
 	bucketSeen := map[int]bool{}
-	a.Handle("slow", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "slow", func(task dataspaces.Task, data [][]byte) (any, error) {
 		time.Sleep(workT)
 		return task.Step, nil
 	})
@@ -202,7 +202,7 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	r := newRig(t)
 	a, _ := New(r.fabric, r.ds, 1)
 	calls := 0
-	a.Handle("flaky", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("", "flaky", func(task dataspaces.Task, data [][]byte) (any, error) {
 		calls++
 		if calls == 1 {
 			panic("analysis bug")
@@ -229,7 +229,7 @@ func TestHandlerPanicIsolated(t *testing.T) {
 func TestStreamHandlerPanicIsolated(t *testing.T) {
 	r := newRig(t)
 	a, _ := New(r.fabric, r.ds, 1)
-	a.HandleStream("boom", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+	a.HandleStreamT("", "boom", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		<-in
 		panic("mid-stream bug")
 	})

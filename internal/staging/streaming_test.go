@@ -32,7 +32,7 @@ func TestStreamHandlerReceivesAllInputs(t *testing.T) {
 	r := newRig(t)
 	a, _ := New(r.fabric, r.ds, 1)
 	seen := map[int]string{}
-	a.HandleStream("s", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+	a.HandleStreamT("", "s", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		for i := range in {
 			seen[i.Index] = string(i.Data)
 		}
@@ -69,14 +69,14 @@ func TestStreamingHandlerOverlap(t *testing.T) {
 		a, _ := New(r.fabric, r.ds, 1)
 		work := func() { time.Sleep(perInputWork) }
 		if streaming {
-			a.HandleStream("x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+			a.HandleStreamT("", "x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 				for range in {
 					work()
 				}
 				return nil, nil
 			})
 		} else {
-			a.Handle("x", func(task dataspaces.Task, data [][]byte) (any, error) {
+			a.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) {
 				for range data {
 					work()
 				}
@@ -111,7 +111,7 @@ func TestStreamingHandlerOverlap(t *testing.T) {
 func TestStreamHandlerPullError(t *testing.T) {
 	r := newRig(t)
 	a, _ := New(r.fabric, r.ds, 1)
-	a.HandleStream("x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+	a.HandleStreamT("", "x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		n := 0
 		for range in {
 			n++
@@ -122,10 +122,10 @@ func TestStreamHandlerPullError(t *testing.T) {
 	// One good input, one broken handle: the handler still gets the
 	// good one and the error is surfaced.
 	good := r.prod.RegisterMem([]byte("ok"))
-	r.ds.SubmitTask("x", 1, []dataspaces.Descriptor{
+	r.ds.SubmitSpec(dataspaces.TaskSpec{Analysis: "x", Step: 1, Inputs: []dataspaces.Descriptor{
 		{Name: "x", Rank: 0, Handle: good},
 		{Name: "x", Rank: 1, Handle: dart.MemHandle{Endpoint: 999}},
-	})
+	}})
 	res := <-a.Results()
 	if res.Err == nil {
 		t.Fatal("broken handle must surface an error")
@@ -142,8 +142,8 @@ func TestStreamHandlerPullError(t *testing.T) {
 func TestStreamPrecedence(t *testing.T) {
 	r := newRig(t)
 	a, _ := New(r.fabric, r.ds, 1)
-	a.Handle("x", func(task dataspaces.Task, data [][]byte) (any, error) { return "buffered", nil })
-	a.HandleStream("x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+	a.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) { return "buffered", nil })
+	a.HandleStreamT("", "x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		for range in {
 		}
 		return "streaming", nil

@@ -59,14 +59,6 @@ func (c *Covariance) Combine(o *Covariance) {
 	c.N += o.N
 }
 
-// Cov returns the unbiased sample covariance.
-func (c *Covariance) Cov() float64 {
-	if c.N < 2 {
-		return 0
-	}
-	return c.CXY / float64(c.N-1)
-}
-
 // Corr returns the Pearson correlation coefficient, 0 when either
 // variance vanishes.
 func (c *Covariance) Corr() float64 {

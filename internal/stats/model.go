@@ -55,13 +55,6 @@ func (mo *Model) LearnFieldParallel(f *grid.Field) {
 	mo.Var(f.Name).UpdateBatchParallel(f.Data)
 }
 
-// LearnFields folds a set of fields.
-func (mo *Model) LearnFields(fs []*grid.Field) {
-	for _, f := range fs {
-		mo.LearnField(f)
-	}
-}
-
 // Combine merges another multi-variable model into mo.
 func (mo *Model) Combine(o *Model) {
 	for _, name := range o.Names() {

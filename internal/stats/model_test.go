@@ -20,10 +20,8 @@ func fieldOf(name string, b grid.Box, fn func(i, j, k int) float64) *grid.Field 
 func TestModelLearnFields(t *testing.T) {
 	b := grid.NewBox(4, 4, 4)
 	mo := NewModel()
-	mo.LearnFields([]*grid.Field{
-		fieldOf("T", b, func(i, j, k int) float64 { return float64(i) }),
-		fieldOf("P", b, func(i, j, k int) float64 { return 2 }),
-	})
+	mo.LearnField(fieldOf("T", b, func(i, j, k int) float64 { return float64(i) }))
+	mo.LearnField(fieldOf("P", b, func(i, j, k int) float64 { return 2 }))
 	if got := mo.Var("T").N; got != 64 {
 		t.Fatalf("T count: want 64, got %d", got)
 	}

@@ -140,12 +140,6 @@ func (m *Moments) Combine(o *Moments) {
 	}
 }
 
-// Clone returns a copy of the model.
-func (m *Moments) Clone() *Moments {
-	c := *m
-	return &c
-}
-
 // String implements fmt.Stringer with a compact summary.
 func (m *Moments) String() string {
 	return fmt.Sprintf("n=%d min=%.6g max=%.6g mean=%.6g M2=%.6g", m.N, m.Min, m.Max, m.Mean, m.M2)

@@ -131,14 +131,14 @@ func TestCombineAssociativityProperty(t *testing.T) {
 		c := NewMoments()
 		c.UpdateBatch(sample(rng, 1+rng.Intn(50)))
 
-		left := a.Clone()
+		left := *a
 		left.Combine(b)
 		left.Combine(c)
 
-		bc := b.Clone()
+		bc := *b
 		bc.Combine(c)
-		right := a.Clone()
-		right.Combine(bc)
+		right := *a
+		right.Combine(&bc)
 
 		return left.N == right.N &&
 			approxEq(left.Mean, right.Mean, 1e-10) &&
