@@ -74,10 +74,11 @@ func (rk *Rank) initialize() {
 	b := rk.ghost
 	for k := b.Lo[2]; k < b.Hi[2]; k++ {
 		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			prof := rk.sim.inflowProfile(float64(j), float64(k))
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				for name, v := range prof {
-					rk.fields[name].Set(i, j, k, v)
+			jet := rk.sim.inflowJet(float64(j), float64(k))
+			for _, name := range advected {
+				f, v := rk.fields[name], rk.sim.inflow(name, jet)
+				for i := b.Lo[0]; i < b.Hi[0]; i++ {
+					f.Set(i, j, k, v)
 				}
 			}
 		}
@@ -201,7 +202,7 @@ func (rk *Rank) fillBoundaryPlane(name string, axis int) {
 			for j := plane.Lo[1]; j < plane.Hi[1]; j++ {
 				for i := plane.Lo[0]; i < plane.Hi[0]; i++ {
 					if inflow {
-						f.Set(i, j, k, rk.sim.inflowProfile(float64(j), float64(k))[name])
+						f.Set(i, j, k, rk.sim.inflow(name, rk.sim.inflowJet(float64(j), float64(k))))
 						continue
 					}
 					ci := clampI(i, g.Lo[0], g.Hi[0]-1)

@@ -256,22 +256,27 @@ func (s *Sim) velocity(x, y, z, t float64) (u, v, w float64) {
 	return
 }
 
-// inflowProfile returns the inlet (x=0) values for each advected
-// variable at (y,z): a cold fuel jet in a heated air coflow.
-func (s *Sim) inflowProfile(y, z float64) map[string]float64 {
+// inflowJet returns the inlet (x=0) jet weight at (y,z): 1 in the cold
+// fuel jet's core, 0 in the heated air coflow.
+func (s *Sim) inflowJet(y, z float64) float64 {
 	d := s.cfg.Global.Dims()
 	cy, cz := float64(d[1])/2, float64(d[2])/2
 	r2 := ((y-cy)*(y-cy) + (z-cz)*(z-cz)) / (s.cfg.JetRadius * s.cfg.JetRadius)
-	jet := math.Exp(-r2) // 1 in the jet core, 0 in the coflow
-	return map[string]float64{
-		"T":      s.cfg.FuelT*jet + s.cfg.CoflowT*(1-jet),
-		"Y_H2":   0.9 * jet,
-		"Y_O2":   0.22 * (1 - jet),
-		"Y_H2O":  0.005,
-		"Y_OH":   0,
-		"Y_HO2":  0,
-		"Y_H2O2": 0,
-		"Y_H":    0,
-		"Y_O":    0,
+	return math.Exp(-r2)
+}
+
+// inflow returns the inlet value of one advected variable where the
+// jet weight is jet.
+func (s *Sim) inflow(name string, jet float64) float64 {
+	switch name {
+	case "T":
+		return s.cfg.FuelT*jet + s.cfg.CoflowT*(1-jet)
+	case "Y_H2":
+		return 0.9 * jet
+	case "Y_O2":
+		return 0.22 * (1 - jet)
+	case "Y_H2O":
+		return 0.005
 	}
+	return 0 // the radicals enter at zero
 }
