@@ -10,8 +10,11 @@
 #   make benchmark-tests  the benchmark module's own tests (a nested Go
 #                   module, so tier-1 `go test ./...` does not reach them)
 #   make fuzz-smoke 10s coverage-guided fuzz of each decoder that reads
-#                   outside bytes: the codec frame decoder and the BP-lite
-#                   checkpoint reader (typed errors only, never a panic)
+#                   outside bytes: the codec frame decoder, the BP-lite
+#                   checkpoint reader, the append-only frame log under
+#                   journal.wal and index.log, and the image index replay
+#                   (typed errors only, never a panic; the log stays
+#                   appendable, the store serves no ref outside its segment)
 #   make chaos      the randomized-seed chaos smoke under -race (env-gated,
 #                   so `race` skips it; the fixed-seed soak runs there)
 
@@ -46,6 +49,8 @@ benchmark-tests:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/codec/
 	$(GO) test -run xxx -fuzz FuzzReadFile -fuzztime 10s ./internal/bp/
+	$(GO) test -run xxx -fuzz FuzzOpenLog -fuzztime 10s ./internal/recovery/
+	$(GO) test -run xxx -fuzz FuzzOpenIndex -fuzztime 10s ./internal/imagestore/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

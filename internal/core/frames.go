@@ -12,11 +12,13 @@ import (
 // so the pipeline builds without the store and a nil sink keeps the
 // legacy in-memory result path byte for byte.
 //
-// PutFrame must be safe for concurrent use: the simulation loop (rank 0
-// in-situ results) and the drain goroutine (in-transit results) both
-// persist frames.
+// PutFrames files one step's frames of one variable — a single image
+// or a whole multi-camera set — as one commit, all or none, and
+// returns their content digests in frame order. It must be safe for
+// concurrent use: the simulation loop (rank 0 in-situ results) and the
+// drain goroutine (in-transit results) both persist frames.
 type FrameSink interface {
-	PutFrame(variable string, step int, cam string, img *render.Image) (string, error)
+	PutFrames(variable string, step int, frames []render.Frame) ([]string, error)
 }
 
 // FrameRef is what replaces a raw framebuffer in Report.Results when a
@@ -59,30 +61,13 @@ func (p *Pipeline) persistFrames(name string, step int, out any) any {
 	}
 	switch v := out.(type) {
 	case *render.Image:
-		cam := render.CameraName(0)
-		digest, err := p.cfg.Store.PutFrame(variable, step, cam, v)
-		if err != nil {
-			p.recordErr(fmt.Errorf("core: store frame %s step %d: %w", name, step, err))
-			return out
+		if refs := p.putFrames(name, variable, step, []render.Frame{{Cam: render.CameraName(0), Img: v}}); refs != nil {
+			return refs[0]
 		}
-		render.PutImage(v)
-		return FrameRef{Var: variable, Step: step, Cam: cam, Digest: digest}
 	case *render.FrameSet:
-		refs := make([]FrameRef, 0, len(v.Frames))
-		for _, fr := range v.Frames {
-			digest, err := p.cfg.Store.PutFrame(variable, step, fr.Cam, fr.Img)
-			if err != nil {
-				p.recordErr(fmt.Errorf("core: store frame %s step %d %s: %w", name, step, fr.Cam, err))
-				return out
-			}
-			refs = append(refs, FrameRef{Var: variable, Step: step, Cam: fr.Cam, Digest: digest})
+		if refs := p.putFrames(name, variable, step, v.Frames); refs != nil {
+			return refs
 		}
-		// Recycle only after every frame persisted: the early-return
-		// error path above must leave the whole set alive.
-		for _, fr := range v.Frames {
-			render.PutImage(fr.Img)
-		}
-		return refs
 	case Degraded:
 		if v.Value == nil {
 			return out
@@ -91,4 +76,21 @@ func (p *Pipeline) persistFrames(name string, step int, out any) any {
 		return v
 	}
 	return out
+}
+
+// putFrames files one result's frames as a single store commit and
+// recycles them — only after the whole set persisted: on an error (nil
+// return, recorded on the run) every frame stays alive.
+func (p *Pipeline) putFrames(name, variable string, step int, frames []render.Frame) []FrameRef {
+	digests, err := p.cfg.Store.PutFrames(variable, step, frames)
+	if err != nil {
+		p.recordErr(fmt.Errorf("core: store frames %s step %d: %w", name, step, err))
+		return nil
+	}
+	refs := make([]FrameRef, len(frames))
+	for i, fr := range frames {
+		refs[i] = FrameRef{Var: variable, Step: step, Cam: fr.Cam, Digest: digests[i]}
+		render.PutImage(fr.Img)
+	}
+	return refs
 }

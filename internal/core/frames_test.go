@@ -19,19 +19,22 @@ type memSink struct {
 
 func newMemSink() *memSink { return &memSink{frames: map[string]string{}} }
 
-func (m *memSink) PutFrame(variable string, step int, cam string, img *render.Image) (string, error) {
+func (m *memSink) PutFrames(variable string, step int, frames []render.Frame) ([]string, error) {
 	if m.fail {
-		return "", fmt.Errorf("memSink: injected failure")
+		return nil, fmt.Errorf("memSink: injected failure")
 	}
-	png, err := img.PNG()
-	if err != nil {
-		return "", err
+	digests := make([]string, len(frames))
+	for i, fr := range frames {
+		png, err := fr.Img.PNG()
+		if err != nil {
+			return nil, err
+		}
+		digests[i] = fmt.Sprintf("%x-%d", len(png), step)
+		m.mu.Lock()
+		m.frames[fmt.Sprintf("%s/%d/%s", variable, step, fr.Cam)] = digests[i]
+		m.mu.Unlock()
 	}
-	digest := fmt.Sprintf("%x-%d", len(png), step)
-	m.mu.Lock()
-	m.frames[fmt.Sprintf("%s/%d/%s", variable, step, cam)] = digest
-	m.mu.Unlock()
-	return digest, nil
+	return digests, nil
 }
 
 // TestFrameLifecycleNoLeak is the viz frame lifecycle regression gate:

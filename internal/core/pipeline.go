@@ -479,6 +479,9 @@ func (p *Pipeline) run(steps int, resume bool) (*Report, error) {
 	}
 
 	if p.rec != nil {
+		// Every record was fsynced by its Append; Close only releases
+		// journal.wal's descriptor, so its error changes nothing.
+		defer p.rec.j.Close()
 		p.rec.resume = resume
 		p.rec.t0 = time.Now()
 		if resume {

@@ -8,23 +8,28 @@
 // Layout on disk:
 //
 //	frames.seg   append-only blob segment (raw PNG bytes, framing in the index)
-//	index.json   atomic JSON index: spec → digest, digest → (offset, length)
+//	index.log    append-only recovery.Log: a version header record, then one
+//	             record per put (spec key, digest, offset, length); replayed
+//	             into memory at Open, the later record for a spec winning
 //
-// Durability follows the recovery package's discipline: a blob is
-// appended and fsynced to the segment before the index referencing it
-// is rewritten via recovery.WriteFileAtomic, so a crash at any instant
-// leaves a consistent store — at worst an orphan blob tail the index
-// never mentions, which reopening skips over. Blobs are addressed by
-// the SHA-256 of their bytes; identical frames (a steady-state field
-// rendering identically two steps running) are stored once and indexed
-// many times.
+// Durability order: a put's new blobs are appended and fsynced to the
+// segment before the index records naming them are appended and fsynced
+// to the log, and only then is anything published to readers. A crash
+// at any instant leaves a consistent store — at worst an orphan blob
+// tail no record mentions, which reopening skips over, or a torn last
+// log frame, which reopening stops at. A multi-camera frame set is one
+// group commit (one segment fsync, one log fsync), and both fsyncs
+// happen outside the lock readers take, so a viewer never waits on a
+// disk flush. Open creates neither file; the first put does. Blobs are
+// addressed by the SHA-256 of their bytes; identical frames (a
+// steady-state field rendering identically two steps running) are
+// stored once and indexed many times.
 package imagestore
 
 import (
-	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -82,35 +87,54 @@ func (sp Spec) validate() error {
 
 // blobRef locates one content-addressed blob inside the segment.
 type blobRef struct {
-	Off int64 `json:"off"`
-	Len int64 `json:"len"`
-}
-
-// indexFile is the on-disk index shape.
-type indexFile struct {
-	Version      int                `json:"version"`
-	SegmentBytes int64              `json:"segment_bytes"`
-	LatestStep   int                `json:"latest_step"`
-	Frames       map[string]string  `json:"frames"` // spec key -> digest
-	Blobs        map[string]blobRef `json:"blobs"`  // digest -> location
+	Off int64
+	Len int64
 }
 
 const (
 	segmentFile = "frames.seg"
-	indexName   = "index.json"
-	// indexVersion is the only index format this code reads or writes.
-	indexVersion = 1
+	indexName   = "index.log"
+	// indexHeader is index.log's first record, naming the only index
+	// format this code reads or writes.
+	indexHeader = "imagestore index v2"
 )
 
-// ErrCorruptIndex is what Open returns (wrapped) for an index.json it
-// must not trust: undecodable JSON, or a format version other than the
-// one this code writes.
+// ErrCorruptIndex is what Open returns (wrapped) for an index.log it
+// must not trust: a first record that is not this format version's
+// header, or an intact frame that does not decode as a put record.
 var ErrCorruptIndex = errors.New("imagestore: corrupt index")
 
+// A put record is [32-byte digest | uint64 offset | uint64 length | spec key],
+// little-endian; the key runs to the end of the frame.
+const putRecordFixed = sha256.Size + 16
+
+func appendPutRecord(dst []byte, sp Spec, sum [sha256.Size]byte, ref blobRef) []byte {
+	dst = append(dst, sum[:]...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(ref.Off))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(ref.Len))
+	return append(dst, sp.Key()...)
+}
+
+func decodePutRecord(p []byte) (sp Spec, digest string, ref blobRef, err error) {
+	if len(p) <= putRecordFixed {
+		return sp, "", ref, fmt.Errorf("imagestore: %d-byte put record", len(p))
+	}
+	ref.Off = int64(binary.LittleEndian.Uint64(p[sha256.Size:]))
+	ref.Len = int64(binary.LittleEndian.Uint64(p[sha256.Size+8:]))
+	sp, err = ParseSpec(string(p[putRecordFixed:]))
+	return sp, hex.EncodeToString(p[:sha256.Size]), ref, err
+}
+
 // Store is the image database. All methods are safe for concurrent
-// use; reads proceed under a shared lock while appends serialize.
+// use. Writers serialise on wmu and make a put durable before taking
+// mu, which they hold only to publish the new map entries; readers
+// share mu and so never wait behind an fsync.
 type Store struct {
 	dir string
+
+	wmu    sync.Mutex    // one put (or frame-set commit) at a time; guards idx and segBuf
+	idx    *recovery.Log // index.log
+	segBuf []byte        // a commit's new blobs, gathered for one segment write
 
 	mu      sync.RWMutex
 	seg     *os.File
@@ -128,66 +152,66 @@ type Store struct {
 	cacheMiss atomic.Int64
 }
 
-// Open opens (or creates) the store rooted at dir, validating every
-// index entry against the segment: entries pointing past the segment's
-// end (an externally truncated file) are dropped rather than served
-// torn.
+// Open opens (or creates) the store rooted at dir, replaying index.log
+// and validating every entry against the segment: entries pointing
+// past the segment's end (an externally truncated file) are dropped
+// rather than served torn. Neither file is created here: both appear
+// with the first put.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("imagestore: %w", err)
 	}
-	seg, err := os.OpenFile(filepath.Join(dir, segmentFile), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("imagestore: %w", err)
-	}
-	fi, err := seg.Stat()
-	if err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("imagestore: %w", err)
-	}
 	s := &Store{
-		dir:     dir,
-		seg:     seg,
-		segSize: fi.Size(),
-		frames:  make(map[Spec]string),
-		blobs:   make(map[string]blobRef),
-		cache:   newLRUCache(64 << 20),
+		dir:    dir,
+		frames: make(map[Spec]string),
+		blobs:  make(map[string]blobRef),
+		cache:  newLRUCache(64 << 20),
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, indexName))
-	if os.IsNotExist(err) {
-		return s, nil
-	}
-	if err != nil {
-		seg.Close()
+	switch seg, err := os.OpenFile(filepath.Join(dir, segmentFile), os.O_RDWR, 0o644); {
+	case err == nil:
+		fi, err := seg.Stat()
+		if err != nil {
+			seg.Close()
+			return nil, fmt.Errorf("imagestore: %w", err)
+		}
+		s.seg, s.segSize = seg, fi.Size()
+	case !errors.Is(err, os.ErrNotExist):
 		return nil, fmt.Errorf("imagestore: %w", err)
 	}
-	var idx indexFile
-	if err := json.Unmarshal(raw, &idx); err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorruptIndex, indexName, err)
-	}
-	if idx.Version != indexVersion {
-		seg.Close()
-		return nil, fmt.Errorf("%w: %s has format version %d, want %d", ErrCorruptIndex, indexName, idx.Version, indexVersion)
-	}
-	for digest, ref := range idx.Blobs {
-		if ref.Off < 0 || ref.Len <= 0 || ref.Len > fi.Size()-ref.Off {
-			s.dropped.Add(1)
-			continue
+	var bad, err error
+	header := true
+	s.idx, err = recovery.OpenLog(filepath.Join(dir, indexName), func(p []byte) bool {
+		if header {
+			header = false
+			if string(p) != indexHeader {
+				bad = fmt.Errorf("first record is not the %q header", indexHeader)
+			}
+		} else if sp, digest, ref, err := decodePutRecord(p); err != nil {
+			bad = err
+		} else {
+			s.blobs[digest], s.frames[sp] = ref, digest
 		}
-		s.blobs[digest] = ref
+		return bad == nil
+	})
+	if bad != nil {
+		err = fmt.Errorf("%w: %s: %v", ErrCorruptIndex, indexName, bad)
 	}
-	for key, digest := range idx.Frames {
-		sp, err := ParseSpec(key)
-		if err != nil {
+	if err != nil {
+		s.seg.Close()
+		return nil, err
+	}
+	for digest, ref := range s.blobs {
+		if ref.Off < 0 || ref.Len <= 0 || ref.Len > s.segSize-ref.Off {
 			s.dropped.Add(1)
-			continue
+			delete(s.blobs, digest)
 		}
+	}
+	for sp, digest := range s.frames {
 		if _, ok := s.blobs[digest]; !ok {
 			s.dropped.Add(1)
+			delete(s.frames, sp)
 			continue
 		}
-		s.frames[sp] = digest
 		if sp.Step > s.latest {
 			s.latest = sp.Step
 		}
@@ -198,15 +222,26 @@ func Open(dir string) (*Store, error) {
 // SetCacheBytes resizes the in-memory LRU read cache (default 64 MiB).
 func (s *Store) SetCacheBytes(n int64) { s.cache.resize(n) }
 
-// PutFrame encodes a rendered frame to PNG and stores it under
-// (variable, step, camera), returning the content digest. The frame's
-// pixels are read but not retained; the caller keeps ownership of img.
-func (s *Store) PutFrame(variable string, step int, cam string, img *render.Image) (string, error) {
-	var buf bytes.Buffer
-	if err := img.EncodePNG(&buf); err != nil {
-		return "", err
+// PutFrames encodes one step's rendered frames to PNG and stores each
+// under (variable, step, its camera) as one group commit, returning the
+// content digests in frame order. The frames' pixels are read but not
+// retained; the caller keeps ownership of the images.
+func (s *Store) PutFrames(variable string, step int, frames []render.Frame) ([]string, error) {
+	specs := make([]Spec, len(frames))
+	pngs := make([][]byte, len(frames))
+	for i, fr := range frames {
+		png, err := fr.Img.PNG()
+		if err != nil {
+			return nil, err
+		}
+		specs[i], pngs[i] = Spec{Var: variable, Step: step, Cam: fr.Cam}, png
 	}
-	return s.Put(Spec{Var: variable, Step: step, Cam: cam}, buf.Bytes())
+	return s.commit(specs, pngs)
+}
+
+// PutFrame is PutFrames for a single camera.
+func (s *Store) PutFrame(variable string, step int, cam string, img *render.Image) (string, error) {
+	return only(s.PutFrames(variable, step, []render.Frame{{Cam: cam, Img: img}}))
 }
 
 // Put stores png under sp and returns its content digest. The store
@@ -215,68 +250,123 @@ func (s *Store) PutFrame(variable string, step int, cam string, img *render.Imag
 // present (same digest) is indexed without a second append; re-putting
 // an identical frame under the same spec is an idempotent no-op.
 func (s *Store) Put(sp Spec, png []byte) (string, error) {
-	if err := sp.validate(); err != nil {
-		return "", err
-	}
-	if len(png) == 0 {
-		return "", fmt.Errorf("imagestore: empty frame for %s", sp.Key())
-	}
-	sum := sha256.Sum256(png)
-	digest := hex.EncodeToString(sum[:])
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.frames[sp]; ok && prev == digest {
-		s.dedups.Add(1)
-		return digest, nil
-	}
-	if _, ok := s.blobs[digest]; !ok {
-		// Durability order: blob bytes reach the segment (fsynced)
-		// before any index references them.
-		if _, err := s.seg.WriteAt(png, s.segSize); err != nil {
-			return "", fmt.Errorf("imagestore: append %s: %w", sp.Key(), err)
-		}
-		if err := s.seg.Sync(); err != nil {
-			return "", fmt.Errorf("imagestore: sync segment: %w", err)
-		}
-		s.blobs[digest] = blobRef{Off: s.segSize, Len: int64(len(png))}
-		s.segSize += int64(len(png))
-		s.cache.add(digest, png)
-	} else {
-		s.dedups.Add(1)
-	}
-	s.frames[sp] = digest
-	if sp.Step > s.latest {
-		s.latest = sp.Step
-	}
-	s.puts.Add(1)
-	if err := s.writeIndexLocked(); err != nil {
-		return "", err
-	}
-	return digest, nil
+	return only(s.commit([]Spec{sp}, [][]byte{png}))
 }
 
-// writeIndexLocked lands the index atomically. Callers hold s.mu.
-func (s *Store) writeIndexLocked() error {
-	idx := indexFile{
-		Version:      indexVersion,
-		SegmentBytes: s.segSize,
-		LatestStep:   s.latest,
-		Frames:       make(map[string]string, len(s.frames)),
-		Blobs:        s.blobs,
-	}
-	for sp, digest := range s.frames {
-		idx.Frames[sp.Key()] = digest
-	}
-	raw, err := json.MarshalIndent(&idx, "", " ")
+// only unwraps the digest of a one-frame commit.
+func only(digests []string, err error) (string, error) {
 	if err != nil {
-		return err
+		return "", err
 	}
-	raw = append(raw, '\n')
-	if err := recovery.WriteFileAtomic(filepath.Join(s.dir, indexName), raw, 0o644); err != nil {
-		return fmt.Errorf("imagestore: write index: %w", err)
+	return digests[0], nil
+}
+
+// commit is the one write path: it makes pngs[i] the frame under
+// specs[i], all or none. New blobs go to the segment in one write and
+// one fsync, then the index records in one log append and one fsync,
+// and only then — every byte durable — are the frames published to the
+// maps, the cache, Latest and the counters. On an error nothing was
+// published and the segment offset did not advance, so the call can be
+// retried as is.
+func (s *Store) commit(specs []Spec, pngs [][]byte) ([]string, error) {
+	sums := make([][sha256.Size]byte, len(specs))
+	digests := make([]string, len(specs))
+	for i, sp := range specs {
+		if err := sp.validate(); err != nil {
+			return nil, err
+		}
+		if len(pngs[i]) == 0 {
+			return nil, fmt.Errorf("imagestore: empty frame for %s", sp.Key())
+		}
+		sums[i] = sha256.Sum256(pngs[i])
+		digests[i] = hex.EncodeToString(sums[i][:])
 	}
-	return nil
+
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	// What this commit adds on top of the published maps. Only writers
+	// change those and wmu admits one writer, so they are read here
+	// without mu and stay as read until the publish below.
+	newFrames := make(map[Spec]string, len(specs))
+	newBlobs := make(map[string]blobRef)
+	var records [][]byte
+	var puts, dedups int64
+	segEnd := s.segSize
+	s.segBuf = s.segBuf[:0]
+	for i, sp := range specs {
+		prev, ok := newFrames[sp]
+		if !ok {
+			prev, ok = s.frames[sp]
+		}
+		if ok && prev == digests[i] {
+			dedups++
+			continue
+		}
+		ref, ok := newBlobs[digests[i]]
+		if !ok {
+			ref, ok = s.blobs[digests[i]]
+		}
+		if ok {
+			dedups++
+		} else {
+			ref = blobRef{Off: segEnd, Len: int64(len(pngs[i]))}
+			newBlobs[digests[i]] = ref
+			s.segBuf = append(s.segBuf, pngs[i]...)
+			segEnd += ref.Len
+		}
+		puts++
+		newFrames[sp] = digests[i]
+		records = append(records, appendPutRecord(nil, sp, sums[i], ref))
+	}
+
+	if len(s.segBuf) > 0 {
+		if s.seg == nil {
+			// The first blob creates the segment; index.log's creation,
+			// next, fsyncs the directory entry of both.
+			seg, err := os.OpenFile(filepath.Join(s.dir, segmentFile), os.O_CREATE|os.O_RDWR, 0o644)
+			if err != nil {
+				return nil, fmt.Errorf("imagestore: %w", err)
+			}
+			s.mu.Lock()
+			s.seg = seg
+			s.mu.Unlock()
+		}
+		if _, err := s.seg.WriteAt(s.segBuf, s.segSize); err != nil {
+			return nil, fmt.Errorf("imagestore: append segment: %w", err)
+		}
+		if err := s.seg.Sync(); err != nil {
+			return nil, fmt.Errorf("imagestore: sync segment: %w", err)
+		}
+	}
+	if len(records) > 0 {
+		if s.idx.Size() == 0 {
+			records = append([][]byte{[]byte(indexHeader)}, records...)
+		}
+		if err := s.idx.Append(records...); err != nil {
+			return nil, fmt.Errorf("imagestore: append index: %w", err)
+		}
+	}
+
+	s.mu.Lock()
+	for digest, ref := range newBlobs {
+		s.blobs[digest] = ref
+	}
+	for sp, digest := range newFrames {
+		s.frames[sp] = digest
+		if sp.Step > s.latest {
+			s.latest = sp.Step
+		}
+	}
+	s.segSize = segEnd
+	s.mu.Unlock()
+	for i, digest := range digests {
+		if _, ok := newBlobs[digest]; ok {
+			s.cache.add(digest, pngs[i])
+		}
+	}
+	s.puts.Add(puts)
+	s.dedups.Add(dedups)
+	return digests, nil
 }
 
 // Frame returns the PNG bytes and content digest stored under sp. The
@@ -440,9 +530,11 @@ func (s *Store) PublishTo(reg *obs.Registry) {
 		func() float64 { s.mu.RLock(); defer s.mu.RUnlock(); return float64(len(s.blobs)) })
 }
 
-// Close syncs and closes the segment. The index is already durable
-// (rewritten atomically on every Put).
+// Close syncs and closes the segment and releases index.log's
+// descriptor. Every put was durable when it returned.
 func (s *Store) Close() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seg == nil {
@@ -450,6 +542,9 @@ func (s *Store) Close() error {
 	}
 	err := s.seg.Sync()
 	if cerr := s.seg.Close(); err == nil {
+		err = cerr
+	}
+	if cerr := s.idx.Close(); err == nil {
 		err = cerr
 	}
 	s.seg = nil

@@ -2,7 +2,7 @@ package imagestore
 
 import (
 	"bytes"
-	"encoding/json"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"insitu/internal/recovery"
 	"insitu/internal/render"
 )
 
@@ -140,47 +141,40 @@ func TestReopenRestoresIndex(t *testing.T) {
 		}
 	}
 
-	// An index that does not decode, or one written by another format
-	// version, fails the open with the typed sentinel: it is never
-	// silently trusted.
+	// An index whose first record is not this format's header, or is
+	// the header of another format version, fails the open with the
+	// typed sentinel: it is never silently trusted.
 	index := filepath.Join(dir, indexName)
-	good, err := os.ReadFile(index)
-	if err != nil {
-		t.Fatal(err)
+	records := logPayloads(t, index)
+	if len(records) != 7 || string(records[0]) != indexHeader {
+		t.Fatalf("index.log holds %d records, want the header + one per put", len(records))
 	}
-	for name, bad := range map[string][]byte{
-		"undecodable":    good[:len(good)/2],
-		"future version": bytes.Replace(good, []byte(`"version": 1`), []byte(`"version": 2`), 1),
+	for name, header := range map[string][]byte{
+		"undecodable":    {0xff, 0x00, 0x7f},
+		"future version": []byte("imagestore index v3"),
 	} {
-		if bytes.Equal(bad, good) {
-			t.Fatalf("%s: the index was not altered", name)
-		}
-		if err := os.WriteFile(index, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeLog(t, index, append([][]byte{header}, records[1:]...)...)
 		if bs, err := Open(dir); !errors.Is(err, ErrCorruptIndex) {
 			if bs != nil {
 				bs.Close()
 			}
-			t.Errorf("%s index: Open err = %v, want ErrCorruptIndex", name, err)
+			t.Errorf("%s header: Open err = %v, want ErrCorruptIndex", name, err)
 		}
 	}
 
 	// A blob ref whose offset and length sum past int64 is out of the
 	// segment like any other: dropped at open with the frames naming
 	// it, never handed to a read as a length.
-	var idx indexFile
-	if err := json.Unmarshal(good, &idx); err != nil {
-		t.Fatal(err)
+	wrapped := append([][]byte(nil), records...)
+	for i, rec := range wrapped[1:] {
+		if sp, digest, _, err := decodePutRecord(rec); err != nil {
+			t.Fatal(err)
+		} else if digest == want[0] {
+			sum := [sha256.Size]byte(rec[:sha256.Size])
+			wrapped[1+i] = appendPutRecord(nil, sp, sum, blobRef{Off: math.MaxInt64, Len: math.MaxInt64})
+		}
 	}
-	idx.Blobs[want[0]] = blobRef{Off: math.MaxInt64, Len: math.MaxInt64}
-	wrapped, err := json.Marshal(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(index, wrapped, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeLog(t, index, wrapped...)
 	ws, err := Open(dir)
 	if err != nil {
 		t.Fatalf("wrapping blob ref: Open err = %v", err)
@@ -191,6 +185,38 @@ func TestReopenRestoresIndex(t *testing.T) {
 	}
 	if _, err := ws.Blob(want[0]); err == nil {
 		t.Error("wrapping blob ref: the blob is still served")
+	}
+	if info := ws.Info(); info.Frames != 4 || info.LatestStep != 3 {
+		t.Errorf("wrapping blob ref: %d frames up to step %d survive, want steps 2 and 3's four", info.Frames, info.LatestStep)
+	}
+}
+
+// logPayloads returns every record of the log at path.
+func logPayloads(t testing.TB, path string) [][]byte {
+	t.Helper()
+	var out [][]byte
+	if _, err := recovery.OpenLog(path, func(p []byte) bool {
+		out = append(out, append([]byte(nil), p...))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// writeLog replaces the log at path with one holding payloads.
+func writeLog(t testing.TB, path string, payloads ...[]byte) {
+	t.Helper()
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	l, err := recovery.OpenLog(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(payloads...); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -79,6 +79,17 @@ func TestJournalTornTail(t *testing.T) {
 	if n := len(j2.Records()); n != 2 {
 		t.Fatalf("truncated journal yielded %d records, want 2", n)
 	}
+	// ...and the torn bytes do not shadow what is appended next.
+	if err := j2.Append(Record{Kind: KindCommit, Step: 2}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	if j2, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if recs := j2.Records(); len(recs) != 3 || recs[2].Kind != KindCommit {
+		t.Fatalf("append after a torn reopen: reread %+v, want 2 admits + the commit", recs)
+	}
 
 	// A bit flip in the middle stops parsing at the corrupt frame.
 	bad := append([]byte(nil), data...)

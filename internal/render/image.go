@@ -76,19 +76,24 @@ func CompositeFrontToBack(parts []*Image) (*Image, error) {
 // ToNRGBA converts to an 8-bit image over a background color.
 func (im *Image) ToNRGBA(bg color.NRGBA) *image.NRGBA {
 	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
+	for y := 0; y < im.H; y++ {
+		im.nrgbaRow(out.Pix[y*out.Stride:], y, bg)
+	}
+	return out
+}
+
+// nrgbaRow writes row y as opaque 8-bit RGBA over bg into dst[:4*im.W].
+func (im *Image) nrgbaRow(dst []byte, y int, bg color.NRGBA) {
 	br := float64(bg.R) / 255
 	bgc := float64(bg.G) / 255
 	bb := float64(bg.B) / 255
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b, a := im.At(x, y)
-			r += (1 - a) * br
-			g += (1 - a) * bgc
-			b += (1 - a) * bb
-			out.SetNRGBA(x, y, color.NRGBA{R: to8(r), G: to8(g), B: to8(b), A: 255})
-		}
+	for x := 0; x < im.W; x++ {
+		r, g, b, a := im.At(x, y)
+		r += (1 - a) * br
+		g += (1 - a) * bgc
+		b += (1 - a) * bb
+		dst[4*x], dst[4*x+1], dst[4*x+2], dst[4*x+3] = to8(r), to8(g), to8(b), 255
 	}
-	return out
 }
 
 func to8(v float64) uint8 {

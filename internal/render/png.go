@@ -1,103 +1,86 @@
 package render
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/adler32"
 	"hash/crc32"
 	"image/color"
-	"io"
 )
 
-// EncodePNG writes the image as a PNG (8-bit RGBA over a black
-// background, like SavePNG) with a fully deterministic byte layout:
-// filter type None on every scanline and a zlib stream of stored
-// (uncompressed) deflate blocks. Unlike image/png, whose compressed
-// output may change between Go releases, this encoder's bytes depend
-// only on the pixel values — so the content digests the image store
-// derives from encoded frames are stable across builds, re-encodes,
-// and machines, and a re-run of a deterministic pipeline reproduces
-// them bit for bit.
-func (im *Image) EncodePNG(w io.Writer) error {
-	if im.W < 1 || im.H < 1 {
-		return fmt.Errorf("render: cannot encode empty %dx%d image", im.W, im.H)
-	}
-	if _, err := w.Write([]byte{137, 'P', 'N', 'G', '\r', '\n', 26, '\n'}); err != nil {
-		return err
-	}
-	var ihdr [13]byte
-	binary.BigEndian.PutUint32(ihdr[0:], uint32(im.W))
-	binary.BigEndian.PutUint32(ihdr[4:], uint32(im.H))
-	ihdr[8] = 8 // bit depth
-	ihdr[9] = 6 // color type RGBA
-	// ihdr[10:13]: compression 0, filter 0, interlace 0
-	if err := writeChunk(w, "IHDR", ihdr[:]); err != nil {
-		return err
-	}
-	if err := writeChunk(w, "IDAT", im.idat()); err != nil {
-		return err
-	}
-	return writeChunk(w, "IEND", nil)
-}
+// maxStored is the most bytes one stored (uncompressed) deflate block
+// holds.
+const maxStored = 0xffff
 
-// PNG returns the deterministic PNG encoding as a byte slice.
+// PNG returns the image as a PNG (8-bit RGBA over a black background,
+// like SavePNG) with a fully deterministic byte layout: filter type
+// None on every scanline and a zlib stream of stored (uncompressed)
+// deflate blocks. Unlike image/png, whose compressed output may change
+// between Go releases, this encoder's bytes depend only on the pixel
+// values — so the content digests the image store derives from encoded
+// frames are stable across builds, re-encodes, and machines, and a
+// re-run of a deterministic pipeline reproduces them bit for bit.
+//
+// Nothing is compressed, so the size is known up front and the file is
+// written straight into the one exact-size slice returned — the slice
+// the image store keeps.
 func (im *Image) PNG() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := im.EncodePNG(&buf); err != nil {
-		return nil, err
+	if im.W < 1 || im.H < 1 {
+		return nil, fmt.Errorf("render: cannot encode empty %dx%d image", im.W, im.H)
 	}
-	return buf.Bytes(), nil
-}
-
-// idat builds the single IDAT payload: a zlib stream (header, stored
-// deflate blocks, adler32 trailer) over the filtered scanlines.
-func (im *Image) idat() []byte {
-	nr := im.ToNRGBA(color.NRGBA{A: 255})
 	stride := 1 + 4*im.W // filter byte + RGBA
-	raw := make([]byte, im.H*stride)
-	for y := 0; y < im.H; y++ {
-		row := raw[y*stride:]
-		row[0] = 0 // filter None
-		copy(row[1:stride], nr.Pix[y*nr.Stride:y*nr.Stride+4*im.W])
-	}
-	// Stored deflate blocks hold at most 65535 bytes each.
-	nBlocks := (len(raw) + 0xffff - 1) / 0xffff
-	out := make([]byte, 0, 2+len(raw)+5*nBlocks+4)
+	raw := im.H * stride
+	nBlocks := (raw + maxStored - 1) / maxStored
+	idat := 2 + 5*nBlocks + raw + 4 // zlib header, block headers, scanlines, adler32
+	out := make([]byte, 0, 8+(12+13)+(12+idat)+12)
+
+	out = append(out, 137, 'P', 'N', 'G', '\r', '\n', 26, '\n')
+	out, ihdr := beginChunk(out, "IHDR", 13)
+	out = binary.BigEndian.AppendUint32(out, uint32(im.W))
+	out = binary.BigEndian.AppendUint32(out, uint32(im.H))
+	out = append(out, 8, 6, 0, 0, 0) // bit depth 8, color type RGBA, compression/filter/interlace 0
+	out = endChunk(out, ihdr)
+
+	out, data := beginChunk(out, "IDAT", idat)
 	out = append(out, 0x78, 0x01) // zlib header: deflate, 32K window, no dict
-	for off := 0; off < len(raw); off += 0xffff {
-		end := off + 0xffff
+	// The scanlines go down contiguously where the last block's data
+	// ends, so one call checksums them; each earlier block is then moved
+	// left to open the 5 bytes of the block header that follows it. A
+	// frame under 64 KiB is one block and nothing moves.
+	blocks := len(out)
+	out = out[:blocks+5*nBlocks+raw]
+	lines := out[blocks+5*nBlocks:]
+	for y := 0; y < im.H; y++ {
+		row := lines[y*stride : (y+1)*stride]
+		row[0] = 0 // filter None
+		im.nrgbaRow(row[1:], y, color.NRGBA{A: 255})
+	}
+	sum := adler32.Checksum(lines)
+	for b := 0; b < nBlocks; b++ {
+		n := min(maxStored, raw-b*maxStored)
+		hdr := out[blocks+b*(5+maxStored):]
+		copy(hdr[5:5+n], lines[b*maxStored:])
 		final := byte(0)
-		if end >= len(raw) {
-			end = len(raw)
+		if b == nBlocks-1 {
 			final = 1
 		}
-		n := end - off
-		out = append(out, final, byte(n), byte(n>>8), byte(^n), byte(^n>>8))
-		out = append(out, raw[off:end]...)
+		hdr[0], hdr[1], hdr[2], hdr[3], hdr[4] = final, byte(n), byte(n>>8), byte(^n), byte(^n>>8)
 	}
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], adler32.Checksum(raw))
-	return append(out, sum[:]...)
+	out = binary.BigEndian.AppendUint32(out, sum)
+	out = endChunk(out, data)
+
+	out, iend := beginChunk(out, "IEND", 0)
+	return endChunk(out, iend), nil
 }
 
-// writeChunk writes one PNG chunk: length, type, data, CRC32 over
-// type+data.
-func writeChunk(w io.Writer, typ string, data []byte) error {
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(data)))
-	copy(hdr[4:], typ)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return err
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[4:])
-	crc.Write(data)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
+// beginChunk appends a PNG chunk's length and type and returns where
+// the type starts — what endChunk's CRC covers from.
+func beginChunk(out []byte, typ string, n int) ([]byte, int) {
+	out = binary.BigEndian.AppendUint32(out, uint32(n))
+	return append(out, typ...), len(out)
+}
+
+// endChunk appends the CRC32 over the chunk's type and data.
+func endChunk(out []byte, typeStart int) []byte {
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out[typeStart:]))
 }

@@ -78,29 +78,36 @@ func TestEncodePNGDeterministic(t *testing.T) {
 }
 
 // TestEncodePNGDecodes: the hand-rolled stream must be a valid PNG
-// whose pixels match ToNRGBA — decoded by the stdlib as a cross-check.
+// whose pixels match ToNRGBA — decoded by the stdlib as a cross-check,
+// for one stored block, for two, and for scanlines that fill their
+// blocks exactly — in one slice with no spare capacity.
 func TestEncodePNGDecodes(t *testing.T) {
-	im := testImage(33, 9)
-	raw, err := im.PNG()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := png.Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("stdlib decode: %v", err)
-	}
-	b := dec.Bounds()
-	if b.Dx() != im.W || b.Dy() != im.H {
-		t.Fatalf("decoded size %dx%d, want %dx%d", b.Dx(), b.Dy(), im.W, im.H)
-	}
-	want := im.ToNRGBA(color.NRGBA{A: 255})
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r1, g1, b1, a1 := dec.At(x, y).RGBA()
-			r2, g2, b2, a2 := want.At(x, y).RGBA()
-			if r1 != r2 || g1 != g2 || b1 != b2 || a1 != a2 {
-				t.Fatalf("pixel (%d,%d): got %v,%v,%v,%v want %v,%v,%v,%v",
-					x, y, r1, g1, b1, a1, r2, g2, b2, a2)
+	for _, size := range [][2]int{{33, 9}, {200, 100}, {1 + maxStored/4, 3}, {1, 2 * maxStored / 5}} {
+		im := testImage(size[0], size[1])
+		raw, err := im.PNG()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(raw) != len(raw) {
+			t.Errorf("%dx%d: encoded into cap %d, len %d: the size was not exact", im.W, im.H, cap(raw), len(raw))
+		}
+		dec, err := png.Decode(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%dx%d: stdlib decode: %v", im.W, im.H, err)
+		}
+		b := dec.Bounds()
+		if b.Dx() != im.W || b.Dy() != im.H {
+			t.Fatalf("decoded size %dx%d, want %dx%d", b.Dx(), b.Dy(), im.W, im.H)
+		}
+		want := im.ToNRGBA(color.NRGBA{A: 255})
+		for y := 0; y < im.H; y++ {
+			for x := 0; x < im.W; x++ {
+				r1, g1, b1, a1 := dec.At(x, y).RGBA()
+				r2, g2, b2, a2 := want.At(x, y).RGBA()
+				if r1 != r2 || g1 != g2 || b1 != b2 || a1 != a2 {
+					t.Fatalf("%dx%d pixel (%d,%d): got %v,%v,%v,%v want %v,%v,%v,%v",
+						im.W, im.H, x, y, r1, g1, b1, a1, r2, g2, b2, a2)
+				}
 			}
 		}
 	}
@@ -108,7 +115,7 @@ func TestEncodePNGDecodes(t *testing.T) {
 
 func TestEncodePNGEmpty(t *testing.T) {
 	im := &Image{}
-	if err := im.EncodePNG(&bytes.Buffer{}); err == nil {
+	if _, err := im.PNG(); err == nil {
 		t.Fatal("expected error for empty image")
 	}
 }
