@@ -12,9 +12,10 @@
 #   make fuzz-smoke 10s coverage-guided fuzz of each decoder that reads
 #                   outside bytes: the codec frame decoder, the BP-lite
 #                   checkpoint reader, the append-only frame log under
-#                   journal.wal and index.log, and the image index replay
-#                   (typed errors only, never a panic; the log stays
-#                   appendable, the store serves no ref outside its segment)
+#                   journal.wal and index.log, the image index replay, and
+#                   the pipeline config parser (typed errors only, never a
+#                   panic; the log stays appendable, the store serves no ref
+#                   outside its segment, an accepted config survives Build)
 #   make chaos      the randomized-seed chaos smoke under -race (env-gated,
 #                   so `race` skips it; the fixed-seed soak runs there)
 
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadFile -fuzztime 10s ./internal/bp/
 	$(GO) test -run xxx -fuzz FuzzOpenLog -fuzztime 10s ./internal/recovery/
 	$(GO) test -run xxx -fuzz FuzzOpenIndex -fuzztime 10s ./internal/imagestore/
+	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 10s ./internal/registry/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

@@ -108,16 +108,15 @@ func launch(o options, out io.Writer) error {
 	}
 	steps := b.Steps(o.steps, 5)
 
-	// The plane belongs to the fabric: any tenant's pipeline enables it.
 	var pl *obs.Plane
 	if o.timeline || o.obsAddr != "" || o.obsDump != "" {
-		pl = b.Tenants[0].Pipeline.EnableObs()
+		pl = b.Scheduler.EnableObs()
 		if b.Store != nil {
 			b.Store.PublishTo(pl.Registry())
 		}
 	}
 	if o.obsAddr != "" {
-		stop, err := serveHTTP(out, "observability endpoint", o.obsAddr, obs.Handler(pl, statusDoc(b)))
+		stop, err := serveHTTP(out, "observability endpoint", o.obsAddr, obs.Handler(pl, func() any { return b.Scheduler.Status() }))
 		if err != nil {
 			return err
 		}
@@ -182,21 +181,6 @@ func launch(o options, out io.Writer) error {
 	return nil
 }
 
-// statusDoc returns the /status callback: the pipeline's own snapshot
-// for one tenant, the tenant list and live bucket count for several.
-func statusDoc(b *registry.Built) func() any {
-	if b.Scheduler == nil {
-		return func() any { return b.Pipeline.Status() }
-	}
-	names := make([]string, len(b.Tenants))
-	for i, t := range b.Tenants {
-		names[i] = t.Name
-	}
-	return func() any {
-		return map[string]any{"tenants": names, "active_buckets": b.Scheduler.Staging().ActiveBuckets()}
-	}
-}
-
 // renderTenant prints one tenant's block: Table II, the recovery and
 // overload/resilience summaries when the config arms those planes, when
 // each hybrid route last ran degraded, and the final-step topology.
@@ -247,22 +231,21 @@ func renderTenant(out io.Writer, t registry.BuiltTenant, tc *registry.TenantConf
 }
 
 // renderFabric prints what the tenants share: network, credit account,
-// the scheduler's quarantine and autoscaler, and the image store.
+// the quarantine, the autoscaler when the config arms one, and the
+// image store.
 func renderFabric(out io.Writer, b *registry.Built) {
-	p := b.Tenants[0].Pipeline
-	ns := p.Network().Stats()
+	s := b.Scheduler
+	ns := s.Network().Stats()
 	fmt.Fprintln(out, "fabric:")
 	fmt.Fprintf(out, "  network      %d transfers, %.3f MB moved, %v modeled busy\n",
 		ns.Transfers, float64(ns.BytesMoved)/1e6, ns.ModeledBusy.Round(1e3))
-	if c := p.Credits(); c != nil {
+	if c := s.Credits(); c != nil {
 		outstanding, avail, total := c.Snapshot()
 		fmt.Fprintf(out, "  credits      %d/%d available, %d outstanding\n", avail, total, outstanding)
 	}
-	if s := b.Scheduler; s != nil {
-		fmt.Fprintf(out, "  quarantine   %d opens, %d releases\n", s.Quarantine().Opens(), s.Quarantine().Releases())
-		if a := s.Autoscaler(); a != nil {
-			fmt.Fprintf(out, "  bucket pool  %d grows, %d shrinks, %d active\n", a.Grows(), a.Shrinks(), s.Staging().ActiveBuckets())
-		}
+	fmt.Fprintf(out, "  quarantine   %d opens, %d releases\n", s.Quarantine().Opens(), s.Quarantine().Releases())
+	if a := s.Autoscaler(); a != nil {
+		fmt.Fprintf(out, "  bucket pool  %d grows, %d shrinks, %d active\n", a.Grows(), a.Shrinks(), s.Staging().ActiveBuckets())
 	}
 	if b.Store != nil {
 		info := b.Store.Info()

@@ -141,7 +141,7 @@ func (o *liveOutput) String() string {
 }
 
 // TestObsEndpointAndDump drives the launcher's own observability wiring
-// (obs.Handler(pl, statusDoc(b)) behind -obs, dumpObs behind -obs-dump)
+// (obs.Handler over Scheduler.Status behind -obs, dumpObs behind -obs-dump)
 // on the quickstart config: the endpoint answers on the address
 // serveHTTP prints, /status reports the drained run, every export is
 // served, and the dump leaves its three files. What the exports must

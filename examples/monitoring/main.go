@@ -18,7 +18,6 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/grid"
-	"insitu/internal/netsim"
 	"insitu/internal/obs"
 	"insitu/internal/render"
 	"insitu/internal/sim"
@@ -28,9 +27,9 @@ import (
 func main() {
 	simCfg := sim.DefaultConfig(grid.NewBox(40, 24, 12), 2, 2, 1)
 	simCfg.KernelRate = 0.9
-	p, err := core.NewPipeline(core.Config{
-		Sim: simCfg, DSServers: 2, Buckets: 3, Net: netsim.Gemini(),
-	})
+	cfg := core.DefaultConfig(simCfg)
+	cfg.DSServers, cfg.Buckets = 2, 3
+	p, err := core.NewPipeline(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

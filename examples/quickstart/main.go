@@ -15,7 +15,6 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/grid"
-	"insitu/internal/netsim"
 	"insitu/internal/sim"
 	"insitu/internal/stats"
 )
@@ -27,12 +26,9 @@ func main() {
 
 	// 2. Build the pipeline: DataSpaces shards + staging buckets form
 	//    the secondary resource.
-	p, err := core.NewPipeline(core.Config{
-		Sim:       simCfg,
-		DSServers: 2,
-		Buckets:   2,
-		Net:       netsim.Gemini(),
-	})
+	cfg := core.DefaultConfig(simCfg)
+	cfg.DSServers, cfg.Buckets = 2, 2
+	p, err := core.NewPipeline(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

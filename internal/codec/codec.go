@@ -177,7 +177,7 @@ func (r *Registry) Encode(spec Spec, key string, version int, raw []byte, floatO
 	case Quantize:
 		return encodeQuantize(spec, raw, floatOff)
 	case Subsample:
-		return r.encodeSubsample(spec, key, version, raw, floatOff)
+		return encodeSubsample(spec, key, version, raw, floatOff)
 	}
 	return Result{}, fmt.Errorf("%w: %d", ErrUnknownCodec, spec.ID)
 }

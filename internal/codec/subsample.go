@@ -22,7 +22,7 @@ import (
 //	[7:]   key bytes
 func subMetaLen(key string) int { return 1 + 4 + 2 + len(key) }
 
-func (r *Registry) encodeSubsample(spec Spec, key string, version int, raw []byte, floatOff int) (Result, error) {
+func encodeSubsample(spec Spec, key string, version int, raw []byte, floatOff int) (Result, error) {
 	count, err := checkTail(raw, floatOff)
 	if err != nil {
 		return Result{}, err

@@ -34,7 +34,6 @@ type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []message
-	closed  bool
 }
 
 func newMailbox() *mailbox {

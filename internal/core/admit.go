@@ -1,0 +1,238 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"time"
+
+	"insitu/internal/bufpool"
+	"insitu/internal/codec"
+	"insitu/internal/dart"
+	"insitu/internal/obs"
+	"insitu/internal/overload"
+)
+
+// routeState is one hybrid analysis route's overload-control state:
+// its circuit breaker, its admission ladder, and the last ladder level
+// marked on the timeline (rank-0 admission only).
+type routeState struct {
+	breaker   *overload.Breaker
+	ladder    *overload.Ladder
+	lastLevel overload.Level
+}
+
+// admitDecision is rank 0's per-analysis admission verdict for one
+// step, broadcast so every rank takes the same branch (the in-situ
+// fallbacks use collectives). Probe marks the single task a quarantined
+// route is allowed to send while half-open.
+type admitDecision struct {
+	Name   string
+	Level  overload.Level
+	Reason string
+	// Account is the credit account the route's transit credit was
+	// drawn from; empty when the step holds none.
+	Account string
+	Probe   bool
+}
+
+// admitStep is rank 0's admission pass for one step: for every hybrid
+// analysis due, consult the route's breaker (running the half-open
+// probe when asked), fold the pressure signals into the admission
+// ladder, and acquire a transit credit for levels that will submit.
+// A route that cannot get a credit floors at the in-situ rung for the
+// step — admission never blocks and never over-commits the tier.
+func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
+	var out []admitDecision
+	stepMax := overload.LevelFull
+	decide := func(d admitDecision) {
+		p.observeAdmit(step, d)
+		out = append(out, d)
+		stepMax = max(stepMax, d.Level)
+	}
+	credits := p.sched.ds.Credits()
+	p.est.ObserveQueue(float64(p.sched.ds.QueueDepthT(p.tenant)))
+	for _, a := range p.analyses {
+		an, ok := a.(hybridStage)
+		if !ok || !due(a, step) {
+			continue
+		}
+		name := an.Name()
+		// Every route of a named tenant draws on the tenant's account (the
+		// bulkhead); the unnamed tenant's routes each have their own.
+		account := cmp.Or(p.tenant, name)
+		// Quarantine outranks the breaker: a poisoned (tenant, analysis)
+		// route fails in the handler, not in transit, so transit-health
+		// probing cannot clear it. A rejected route floors at the
+		// in-situ rung without touching breaker, ladder, or credits; a
+		// half-open route sends exactly one full-fidelity probe task.
+		switch p.quar.Allow(p.tenant, name) {
+		case overload.QReject:
+			decide(admitDecision{Name: name, Level: overload.LevelInSitu,
+				Reason: "in-situ: route quarantined"})
+			continue
+		case overload.QProbe:
+			d := admitDecision{Name: name, Level: overload.LevelFull,
+				Reason: "full: quarantine half-open probe", Account: account, Probe: true}
+			if !credits.Acquire(account) {
+				// No capacity to probe with: the attempt is spent, the
+				// route stays quarantined until the next probe window.
+				p.quar.RecordProbe(p.tenant, name, false)
+				d = admitDecision{Name: name, Level: overload.LevelInSitu,
+					Reason: "in-situ: quarantine probe denied credit"}
+			}
+			decide(d)
+			continue
+		}
+		rs := p.routes[name]
+		now := time.Now()
+		prev := rs.breaker.State()
+		if rs.breaker.Allow(now) == overload.Probe {
+			ok := p.probeRoute(ep)
+			rs.breaker.RecordProbe(time.Now(), ok)
+		}
+		cur := rs.breaker.State()
+		p.markBreaker(name, prev, cur, step)
+
+		sig := overload.Signals{
+			BreakerOpen:      cur != overload.Closed,
+			CreditsExhausted: credits.Exhausted(account),
+			QueueDepth:       p.est.Queue(),
+			Latency:          p.est.Latency(),
+		}
+		level := rs.ladder.Observe(sig)
+		reason := fmt.Sprintf("%s: breaker %s, queue %.1f, latency %s",
+			level, cur, sig.QueueDepth, sig.Latency.Round(time.Microsecond))
+		// Analyses whose payload exposes no float tail skip the
+		// quantized rung (the delta rung applies to every route: delta
+		// frames are exact and self-contained).
+		if level == overload.LevelQuantized {
+			if _, quantizes := a.(QuantizableStage); !quantizes {
+				level = overload.LevelShaped
+				reason = "shaped: no quantizable stage; " + reason
+			}
+		}
+		// Analyses without a shaped stage skip that rung.
+		if level == overload.LevelShaped {
+			if _, shapes := a.(ShapedStage); !shapes {
+				level = overload.LevelInSitu
+				reason = "in-situ: no shaped stage; " + reason
+			}
+		}
+		credited := ""
+		if level <= overload.LevelShaped {
+			if credits.Acquire(account) {
+				credited = account
+			} else {
+				level = overload.LevelInSitu
+				reason = "in-situ: no transit credit; " + reason
+			}
+		}
+		if level != rs.lastLevel {
+			p.sched.mark("overload", time.Now(), "%s ladder %s→%s@%d", name, rs.lastLevel, level, step)
+		}
+		rs.lastLevel = level
+		decide(admitDecision{Name: name, Level: level, Reason: reason, Account: credited})
+	}
+	// The worst level of this pass is the tenant's pressure signal for
+	// the scheduler's autoscaler (atomic: the drain goroutine reads it).
+	p.curLevel.Store(int64(stepMax))
+	return out
+}
+
+// probeRoute runs the half-open health probe: a tiny Get against the
+// staging area's probe region. The verdict uses the *modeled* transfer
+// duration against ProbeLatencyMax, so a browned-out tier — slow but
+// delivering — fails the probe even though the wall time of a 16-byte
+// pull is negligible either way. The wall time is additionally bounded
+// by a real deadline so a stalled fabric cannot block admission.
+func (p *Pipeline) probeRoute(ep *dart.Endpoint) bool {
+	deadline := time.Now().Add(p.ov.ProbeLatencyMax + 50*time.Millisecond)
+	data, modeled, err := ep.GetDeadline(p.sched.area.ProbeHandle(), deadline)
+	if err != nil {
+		return false
+	}
+	bufpool.Put(data)
+	return modeled <= p.ov.ProbeLatencyMax
+}
+
+// probeStep is rank 0's admission pass without overload control: one
+// pull of the staging area's tiny probe region under the step budget
+// decides every due hybrid route together. A healthy path answers in
+// microseconds; a partitioned or saturated one fails (after DART's
+// retries), which floors the routes at the in-situ rung before any
+// intermediate data is produced or pinned.
+func (p *Pipeline) probeStep(ep *dart.Endpoint, step int) []admitDecision {
+	level, reason := overload.LevelFull, ""
+	data, _, err := ep.GetDeadline(p.sched.area.ProbeHandle(), time.Now().Add(p.cfg.StepBudget))
+	if err != nil {
+		level, reason = overload.LevelInSitu, fmt.Sprintf("transit probe: %v", err)
+		p.sched.mark("sim", time.Now(), "degraded@%d", step)
+	} else {
+		bufpool.Put(data)
+	}
+	var out []admitDecision
+	for _, a := range p.analyses {
+		if _, ok := a.(hybridStage); ok && due(a, step) {
+			d := admitDecision{Name: a.Name(), Level: level, Reason: reason}
+			p.observeAdmit(step, d)
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// observeAdmit records one admission verdict: the per-level counter
+// plus an admission event carrying the ladder's reasoning.
+func (p *Pipeline) observeAdmit(step int, d admitDecision) {
+	pl := p.sched.plane
+	if pl == nil {
+		return
+	}
+	if c := p.admitCtr[d.Level]; c != nil {
+		c.Inc()
+	}
+	attrs := append([]obs.Attr{
+		obs.Str("analysis", d.Name),
+		obs.Str("level", d.Level.String()),
+		obs.Int("step", step),
+		obs.Bool("credited", d.Account != ""),
+		obs.Str("reason", d.Reason),
+	}, p.labels...)
+	pl.Recorder().Event(0, obs.CatAdmit, "overload", "admit", time.Now(), attrs...)
+}
+
+// markBreaker records a route's breaker transition on the timeline and
+// as an admission-category event (nothing without a plane).
+func (p *Pipeline) markBreaker(name string, prev, cur overload.BreakerState, step int) {
+	if prev == cur {
+		return
+	}
+	if pl := p.sched.plane; pl != nil {
+		p.sched.mark("overload", time.Now(), "%s breaker %s→%s@%d", name, prev, cur, step)
+		attrs := append([]obs.Attr{
+			obs.Str("analysis", name),
+			obs.Str("from", prev.String()),
+			obs.Str("to", cur.String()),
+			obs.Int("step", step),
+		}, p.labels...)
+		pl.Recorder().Event(0, obs.CatAdmit, "overload", "breaker.transition", time.Now(), attrs...)
+	}
+}
+
+// ladderSpec maps an admission level onto the codec spec for the step:
+// the delta and quantized rungs override the configured codec, other
+// levels keep it. A quantized rung inherits the route's configured
+// error bound when the config already selects quantize.
+func ladderSpec(level overload.Level, cfg codec.Spec) codec.Spec {
+	switch level {
+	case overload.LevelDelta:
+		return codec.Spec{ID: codec.Delta}
+	case overload.LevelQuantized:
+		q := codec.Spec{ID: codec.Quantize}
+		if cfg.ID == codec.Quantize {
+			q.MaxError = cfg.MaxError
+		}
+		return q
+	}
+	return cfg
+}

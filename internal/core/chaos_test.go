@@ -51,7 +51,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 			{From: steps, Until: steps + 40, Endpoints: []int{0, 1}},
 		},
 	})
-	p.Network().SetFaults(inj)
+	p.sched.net.SetFaults(inj)
 
 	sa := &StatsHybrid{Vars: []string{"T"}, EveryN: 1}
 	p.Register(sa)
@@ -59,7 +59,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 	// One deterministic bucket crash: the closed kill channel fires at
 	// bucket 0's first task assignment, requeueing the task and
 	// respawning the bucket.
-	p.Staging().CrashBucket(0)
+	p.sched.area.CrashBucket(0)
 
 	type outcome struct {
 		rep *Report
@@ -173,7 +173,7 @@ func TestDegradedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Network().SetFaults(faults.New(faults.Config{
+	p.sched.net.SetFaults(faults.New(faults.Config{
 		Seed:       7,
 		Partitions: []faults.Window{{From: 0, Until: 1 << 30, Endpoints: []int{0, 1}}},
 	}))

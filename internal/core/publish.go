@@ -1,0 +1,214 @@
+package core
+
+import (
+	"time"
+
+	"insitu/internal/obs"
+	"insitu/internal/overload"
+)
+
+// EnableObs attaches the one observability plane: a span recorder
+// shared by the timeline, the DART transport, the task lifecycle and
+// every tenant's admission plane, plus a metrics registry holding the
+// fabric's and the scheduler's families once and each tenant's families
+// under its label. Tenants added later are published as they arrive.
+// Idempotent; call before Run. The returned plane's exporters (Chrome
+// trace, JSONL, Prometheus text) and the obs.Handler HTTP endpoint
+// render it live or after the run.
+func (s *Scheduler) EnableObs() *obs.Plane {
+	s.mu.Lock()
+	if s.plane != nil {
+		defer s.mu.Unlock()
+		return s.plane
+	}
+	pl := obs.NewPlane()
+	s.plane = pl
+	tenants := append([]*Pipeline(nil), s.tenants...)
+	s.mu.Unlock()
+
+	// Registration happens outside s.mu: the sampled functions take
+	// tenant locks, so holding it here would invert the lock order
+	// against a concurrent scrape.
+	s.dart.SetPlane(pl)
+	s.ds.SetPlane(pl)
+	s.area.SetPlane(pl)
+	reg := pl.Registry()
+	reg.CounterFunc("net_transfers_total", "transfers accounted on the simulated interconnect",
+		func() float64 { return float64(s.net.Stats().Transfers) })
+	reg.CounterFunc("net_bytes_moved_total", "bytes moved over the simulated interconnect",
+		func() float64 { return float64(s.net.Stats().BytesMoved) })
+	reg.CounterFunc("net_faults_total", "transfer attempts perturbed by the fault injector",
+		func() float64 { return float64(s.net.Stats().Faulted) })
+	reg.GaugeFunc("staging_active_buckets", "staging buckets currently serving the shared pool",
+		func() float64 { return float64(s.area.ActiveBuckets()) })
+	// The autoscaler families read zero on a fixed pool.
+	scaled := func(name, help string, sample func(*overload.Autoscaler) int64) {
+		reg.CounterFunc(name, help, func() float64 {
+			if s.scaler == nil {
+				return 0
+			}
+			return float64(sample(s.scaler))
+		})
+	}
+	scaled("scheduler_bucket_grows_total", "bucket-pool grow decisions applied by the autoscaler", (*overload.Autoscaler).Grows)
+	scaled("scheduler_bucket_shrinks_total", "bucket-pool shrink decisions applied by the autoscaler", (*overload.Autoscaler).Shrinks)
+	reg.CounterFunc("quarantine_opens_total", "poison-route quarantine trips across all tenants",
+		func() float64 { return float64(s.quar.Opens()) })
+	reg.CounterFunc("quarantine_releases_total", "quarantined routes released by a successful probe",
+		func() float64 { return float64(s.quar.Releases()) })
+	for _, p := range tenants {
+		p.publish(reg)
+	}
+	return pl
+}
+
+// EnableObs is the scheduler's: the plane belongs to the fabric.
+func (p *Pipeline) EnableObs() *obs.Plane { return p.sched.EnableObs() }
+
+// publish registers this tenant's metric families: unlabelled for the
+// unnamed tenant, under tenant=<name> otherwise.
+func (p *Pipeline) publish(reg *obs.Registry) {
+	// The Table II ledger's aggregates: monotonic totals sampled at
+	// export time, and the per-step wall latency as a histogram that
+	// rankLoop feeds beside RecordStepWall.
+	col := p.col
+	ledger := func(name, help string, sample func() float64) {
+		reg.CounterFunc(name, help, sample, p.labels...)
+	}
+	ledger("pipeline_sim_seconds_total", "total simulation time, summed over per-step maxima across ranks",
+		func() float64 { total, _, _ := col.SimTime(); return total.Seconds() })
+	ledger("pipeline_degraded_steps_total", "analysis steps that fell back fully in-situ or dead-lettered",
+		func() float64 { return float64(col.Resilience().DegradedSteps) })
+	ledger("pipeline_delta_steps_total", "analysis steps admitted with delta-encoded payloads",
+		func() float64 { return float64(col.Overload().StepsDelta) })
+	ledger("pipeline_quantized_steps_total", "analysis steps admitted with quantized payloads",
+		func() float64 { return float64(col.Overload().StepsQuantized) })
+	ledger("pipeline_shaped_steps_total", "analysis steps admitted at a reduced (shaped) payload level",
+		func() float64 { return float64(col.Overload().StepsShaped) })
+	ledger("pipeline_shed_steps_total", "analysis steps dropped with an explicit shed marker",
+		func() float64 { return float64(col.Overload().StepsShed) })
+	ledger("pipeline_fallback_steps_total", "analysis steps the admission ladder forced in-situ",
+		func() float64 { return float64(col.Overload().StepsFallback) })
+	ledger("pipeline_transit_bytes_total", "intermediate bytes moved to the staging tier, all analyses",
+		func() float64 {
+			var n int64
+			for _, name := range col.Analyses() {
+				n += col.Total(name).MoveBytes
+			}
+			return float64(n)
+		})
+	ledger("pipeline_transit_seconds_total", "in-transit compute wall time, all analyses",
+		func() float64 {
+			var d time.Duration
+			for _, name := range col.Analyses() {
+				d += col.Total(name).InTransit
+			}
+			return d.Seconds()
+		})
+	stepWall := reg.Histogram("pipeline_step_wall_seconds",
+		"per-step simulation-side wall time (max over ranks per sample)", obs.LatencyBuckets, p.labels...)
+	// Admission counters are registered for every ladder level up front
+	// — even runs without overload control expose the same families.
+	admitCtr := make(map[overload.Level]*obs.Counter, 6)
+	for _, lv := range []overload.Level{
+		overload.LevelFull, overload.LevelDelta, overload.LevelQuantized,
+		overload.LevelShaped, overload.LevelInSitu, overload.LevelShed,
+	} {
+		admitCtr[lv] = reg.Counter("admission_decisions_total", "admission ladder verdicts by level",
+			append([]obs.Attr{obs.Str("level", lv.String())}, p.labels...)...)
+	}
+	p.mu.Lock()
+	p.admitCtr, p.stepWall = admitCtr, stepWall
+	p.mu.Unlock()
+	// locked samples a p.mu-guarded quantity at scrape time.
+	locked := func(name, help string, sample func() int64) {
+		reg.CounterFunc(name, help, func() float64 {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return float64(sample())
+		}, p.labels...)
+	}
+	locked("breaker_opens_total", "circuit-breaker trips across hybrid routes",
+		func() int64 { opens, _ := p.breakerTotals(); return opens })
+	locked("breaker_transitions_total", "circuit-breaker state transitions across hybrid routes",
+		func() int64 { _, transitions := p.breakerTotals(); return transitions })
+	locked("pipeline_tasks_submitted_total", "in-transit tasks successfully submitted", func() int64 { return p.submitted })
+	locked("pipeline_tasks_completed_total", "in-transit tasks drained to a final result", func() int64 { return p.completed })
+	// Recovery families are registered unconditionally (zero without a
+	// journal) so scrapes see a stable schema across configurations.
+	recCounter := func(name, help string, sample func(*recState) int64) {
+		reg.CounterFunc(name, help, func() float64 {
+			if p.rec == nil {
+				return 0
+			}
+			return float64(sample(p.rec))
+		}, p.labels...)
+	}
+	recCounter("recovery_replayed_tasks_total", "resubmissions of journaled-but-uncommitted tasks after resume",
+		func(rec *recState) int64 { return rec.replayed.Load() })
+	recCounter("recovery_commits_total", "step commit records appended to the journal",
+		func(rec *recState) int64 { return rec.commits.Load() })
+	recCounter("recovery_checkpoints_total", "checkpoint records appended to the journal",
+		func(rec *recState) int64 { return rec.ckpts.Load() })
+	recCounter("recovery_journal_fsyncs_total", "fsync calls issued by the step journal",
+		func(rec *recState) int64 { return rec.j.Fsyncs() })
+	reg.GaugeFunc("recovery_resume_seconds", "wall time from Resume to the first live step",
+		func() float64 {
+			if p.rec == nil {
+				return 0
+			}
+			p.rec.mu.Lock()
+			defer p.rec.mu.Unlock()
+			return p.rec.resumeSeconds
+		}, p.labels...)
+}
+
+// Status snapshots the fabric's live state for the /status endpoint:
+// drain accounting summed over the tenants, queue and bucket occupancy,
+// breaker positions, the codec economy and the credit account, with
+// "done" once every simulation has finished and every submitted task
+// has drained. Safe to call from any goroutine while Run is in flight.
+func (s *Scheduler) Status() map[string]any {
+	s.mu.Lock()
+	tenants := append([]*Pipeline(nil), s.tenants...)
+	s.mu.Unlock()
+	var submitted, completed int64
+	simDone := true
+	names := make([]string, len(tenants))
+	breakers := map[string]string{}
+	for i, p := range tenants {
+		names[i] = p.tenant
+		p.mu.Lock()
+		submitted, completed, simDone = submitted+p.submitted, completed+p.completed, simDone && p.simDone
+		for route, rs := range p.routes {
+			breakers[p.prefix+route] = rs.breaker.State().String()
+		}
+		p.mu.Unlock()
+	}
+	st := map[string]any{
+		"tenants":        names,
+		"submitted":      submitted,
+		"completed":      completed,
+		"sim_done":       simDone,
+		"done":           simDone && submitted == completed,
+		"queue_depth":    s.ds.QueueDepth(),
+		"free_buckets":   s.ds.FreeBuckets(),
+		"active_buckets": s.area.ActiveBuckets(),
+		"breakers":       breakers,
+	}
+	if cs := s.dart.CodecStats(); cs.RawBytes > 0 {
+		st["codec"] = map[string]any{
+			"raw_bytes":     cs.RawBytes,
+			"encoded_bytes": cs.EncodedBytes,
+			"ratio":         cs.Ratio(),
+			"max_error":     cs.MaxError,
+		}
+	}
+	if c := s.ds.Credits(); c != nil {
+		outstanding, available, total := c.Snapshot()
+		st["credits"] = map[string]any{
+			"total": total, "available": available, "outstanding": outstanding, "denied": c.Denied(),
+		}
+	}
+	return st
+}

@@ -31,9 +31,9 @@ type rankRun struct {
 	ctx *Ctx
 	// codecKeys holds one key per hybrid route (analysis × rank — one
 	// producer stream each), precomputed so the hot loop does not build
-	// strings. Under a scheduler the key is tenant-qualified: the codec
-	// registry is shared, and two tenants running the same analysis
-	// must not chain their delta streams.
+	// strings. The key carries the tenant's prefix: the codec registry
+	// is shared, and two tenants running the same analysis must not
+	// chain their delta streams.
 	codecKeys map[string]string
 
 	// Set by admit, read by the stages after it.
@@ -90,11 +90,7 @@ func (p *Pipeline) newRankRun(r *comm.Rank) (*rankRun, error) {
 	}
 	for _, a := range p.analyses {
 		if _, ok := a.(hybridStage); ok {
-			route := a.Name()
-			if p.tenant != "" {
-				route = p.tenant + "/" + a.Name()
-			}
-			rr.codecKeys[a.Name()] = codec.Key(route, r.ID())
+			rr.codecKeys[a.Name()] = codec.Key(p.prefix+a.Name(), r.ID())
 		}
 	}
 	return rr, nil
@@ -131,7 +127,7 @@ func (rr *rankRun) resumePrologue() (start int, err error) {
 				p.recordErr(fmt.Errorf("core: resume reseed %s rank %d: %w", a.Name(), rr.r.ID(), err))
 				continue
 			}
-			p.fab.codecs.SeedBase(rr.codecKeys[a.Name()], rec.resumeFrom, payload)
+			p.sched.codecs.SeedBase(rr.codecKeys[a.Name()], rec.resumeFrom, payload)
 			bufpool.Put(payload)
 		}
 	}
@@ -172,7 +168,7 @@ func (rr *rankRun) simStep(step int) time.Time {
 	rr.rk.Step()
 	p.col.RecordSimStep(step, time.Since(stepStart))
 	if rr.r.ID() == 0 {
-		p.fab.timeline("sim", stepStart, time.Now(), "step %d", step)
+		p.sched.timeline("sim", stepStart, time.Now(), "step %d", step)
 	}
 	rr.ctx.Step = step
 	return stepStart
@@ -300,7 +296,7 @@ func (rr *rankRun) reduceEncodeRegister(an hybridStage, step int) bool {
 		p.recordErr(fmt.Errorf("core: register %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
 		return true
 	}
-	p.fab.ds.Put(dataspaces.Descriptor{
+	p.sched.ds.Put(dataspaces.Descriptor{
 		Tenant:  p.tenant,
 		Name:    an.Name(),
 		Version: step,
@@ -344,20 +340,20 @@ func (rr *rankRun) submitTask(name string, step int, dec admitDecision, deadline
 	p := rr.p
 	// Ordered by producing rank, so in-transit payload slices are
 	// deterministic.
-	inputs := p.fab.ds.QueryT(p.tenant, name, step)
+	inputs := p.sched.ds.QueryT(p.tenant, name, step)
 	slices.SortStableFunc(inputs, func(a, b dataspaces.Descriptor) int { return cmp.Compare(a.Rank, b.Rank) })
 	spec := dataspaces.TaskSpec{
 		Tenant: p.tenant, Analysis: name, Step: step, Inputs: inputs, Deadline: deadline,
-		Credited: dec.Credited, Probe: dec.Probe,
+		Account: dec.Account, Probe: dec.Probe,
 	}
 	if dec.Level == overload.LevelShaped {
 		spec.Shaped = 1
 	}
-	if _, err := p.fab.ds.SubmitSpec(spec); err != nil {
+	if _, err := p.sched.ds.SubmitSpec(spec); err != nil {
 		if errors.Is(err, dataspaces.ErrDuplicateTask) {
 			// Already durably submitted and committed in a previous
 			// life: the committed digest covers it, store nothing.
-			p.discardStaged(name, inputs, dec)
+			p.discardStaged(inputs, dec)
 		} else {
 			p.shedSubmitted(name, step, inputs, dec, err)
 		}
@@ -375,7 +371,7 @@ func (rr *rankRun) submitTask(name string, step int, dec admitDecision, deadline
 			p.recKill(recovery.PhaseMidSubmit, step)
 		}
 	}
-	p.fab.ds.RemoveT(p.tenant, name, step)
+	p.sched.ds.RemoveT(p.tenant, name, step)
 }
 
 // checkpointCommit closes the step on the recovery plane: the

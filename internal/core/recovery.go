@@ -95,7 +95,7 @@ func (p *Pipeline) recKill(phase recovery.Phase, step int) {
 	}
 	if rec.kill(phase, step) {
 		rec.j.Kill()
-		p.fab.mark("recovery", time.Now(), "killed %s@%d", phase, step)
+		p.sched.mark("recovery", time.Now(), "killed %s@%d", phase, step)
 	}
 }
 
@@ -105,7 +105,7 @@ func (p *Pipeline) recKill(phase recovery.Phase, step int) {
 // fall back to the next older checkpoint), the dedup seed for already
 // committed tasks, and the set of journaled-but-uncommitted submits
 // whose resubmission is counted as a replay.
-func (p *Pipeline) planResume(steps int) error {
+func (p *Pipeline) planResume(steps int) {
 	rec := p.rec
 	st := recovery.Analyze(rec.j.Records())
 	rec.resumeFrom = st.LastCommit
@@ -152,8 +152,7 @@ func (p *Pipeline) planResume(steps int) error {
 			}
 		}
 	}
-	p.fab.ds.EnableDedup(seed)
-	return nil
+	p.sched.ds.EnableDedup(seed)
 }
 
 // recordWarn files a non-fatal condition the report should surface.

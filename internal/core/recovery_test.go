@@ -44,7 +44,7 @@ func TestBucketRespawnDeltaCodec(t *testing.T) {
 	run := func(crash bool) *Report {
 		p, sa := recoveryTestPipeline(t, "", nil)
 		if crash {
-			p.Staging().CrashBucket(0)
+			p.sched.area.CrashBucket(0)
 		}
 		rep, err := p.Run(steps)
 		if err != nil {

@@ -1,0 +1,228 @@
+package core
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"insitu/internal/comm"
+	"insitu/internal/overload"
+)
+
+// Run executes every tenant's simulation concurrently over the shared
+// staging fabric for the given number of steps and blocks until all
+// simulations have finished and every in-transit task has drained.
+// Steps are numbered 1..steps. Returns one Report per tenant, keyed by
+// tenant name. A tenant with recovery enabled must be alone and its
+// journal empty (a fresh run); its pipeline's Resume continues an
+// interrupted one.
+func (s *Scheduler) Run(steps int) (map[string]*Report, error) { return s.run(steps, nil, false) }
+
+// run is the single run function. lone, when non-nil, is the tenant
+// whose Pipeline.Run or Resume called: it must have the fabric to
+// itself.
+func (s *Scheduler) run(steps int, lone *Pipeline, resume bool) (map[string]*Report, error) {
+	if steps < 1 {
+		return nil, fmt.Errorf("core: steps must be >= 1")
+	}
+	s.mu.Lock()
+	tenants := append([]*Pipeline(nil), s.tenants...)
+	err := s.admitRun(tenants, lone, resume)
+	s.ran = s.ran || err == nil
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	// admitRun left a journal only to a lone tenant.
+	if rec := tenants[0].rec; rec != nil {
+		// Every record was fsynced by its Append; Close only releases
+		// journal.wal's descriptor, so its error changes nothing.
+		defer rec.j.Close()
+		rec.resume, rec.t0 = resume, time.Now()
+		if resume {
+			tenants[0].planResume(steps)
+		}
+	}
+
+	if err := s.start(tenants); err != nil {
+		return nil, err
+	}
+	s.drain(tenants, steps)
+
+	reports := make(map[string]*Report, len(tenants))
+	shared := len(tenants) > 1
+	var errs []error
+	for _, p := range tenants {
+		rep := p.finishReport(steps, shared)
+		reports[p.tenant] = rep
+		if len(rep.Errs) > 0 {
+			err := rep.Errs[0]
+			if shared {
+				err = fmt.Errorf("tenant %s: %w", p.tenant, err)
+			}
+			errs = append(errs, err)
+		}
+	}
+	return reports, errors.Join(errs...)
+}
+
+// admitRun decides whether this run may claim the scheduler's single
+// run. The caller holds s.mu.
+func (s *Scheduler) admitRun(tenants []*Pipeline, lone *Pipeline, resume bool) error {
+	switch {
+	case s.ran:
+		return fmt.Errorf("core: a scheduler runs once; build a new one to run again")
+	case len(tenants) == 0:
+		return fmt.Errorf("core: scheduler has no tenants")
+	case lone != nil && len(tenants) > 1:
+		return fmt.Errorf("core: tenant %q shares its fabric with %d others; call Scheduler.Run", lone.tenant, len(tenants)-1)
+	case resume && lone.rec == nil:
+		return fmt.Errorf("core: Resume requires Config.Recovery")
+	}
+	for _, p := range tenants {
+		switch {
+		case p.rec == nil:
+		case len(tenants) > 1:
+			return fmt.Errorf("core: tenant %q has a journal, which must own the task queue; recovery needs a lone tenant", p.tenant)
+		case !resume && len(p.rec.j.Records()) > 0:
+			return fmt.Errorf("core: journal %s is not empty; use Resume to continue the interrupted run", p.rec.j.Dir())
+		}
+	}
+	return nil
+}
+
+// start arms the admission policy and starts the staging buckets: the
+// one place the queue bound, the credit total, the reservations, the
+// DRR weights and the admission guard are sized, from the scheduler's
+// config for named tenants and from the unnamed tenant's own overload
+// block (AddTenant has the rule). The total defaults to the most work
+// the transit tier can hold, buckets draining plus every queue full. A
+// supply the floors would consume degrades to one shared pool rather
+// than failing or starving every account, and without any admission
+// plane there is no credit account at all.
+func (s *Scheduler) start(tenants []*Pipeline) error {
+	s.registerRanks()
+	bound, total, floor := s.cfg.QueueBound, s.cfg.Credits, s.cfg.TenantReserve
+	weights := make(map[string]int, len(tenants))
+	var accounts []string
+	armed := false
+	for _, p := range tenants {
+		p.installHandlers()
+		weights[p.tenant] = max(p.cfg.Weight, 1)
+		if p.ov == nil {
+			continue
+		}
+		armed = true
+		routes := p.buildRoutes()
+		if p.tenant != "" {
+			accounts = append(accounts, p.tenant)
+		} else {
+			accounts = routes
+			bound, total, floor = p.ov.QueueBound, p.ov.Credits, p.ov.Reserve
+		}
+	}
+	s.ds.SetQueueBound(bound)
+	s.ds.SetTenantWeights(weights)
+	// The quarantine's submit-time guard; a half-open probe always
+	// passes.
+	s.ds.SetAdmissionGuard(func(tenant, analysis string, probe bool) error {
+		if probe || !s.quar.Barred(tenant, analysis) {
+			return nil
+		}
+		return fmt.Errorf("dataspaces: submit %s/%s: %w", tenant, analysis, overload.ErrQuarantined)
+	})
+	if armed {
+		if total <= 0 {
+			total = max(s.cfg.MaxBuckets, s.cfg.Buckets) + len(tenants)*cmp.Or(max(bound, 0), 2)
+		}
+		reservations := make(map[string]int, len(accounts))
+		if floor*len(accounts) < total {
+			for _, a := range accounts {
+				reservations[a] = floor
+			}
+		}
+		if err := s.ds.EnableCredits(total, reservations); err != nil {
+			return err
+		}
+	}
+	s.area.Start()
+	return nil
+}
+
+// drain is the loop of Fig. 5 once the buckets are up: final results
+// are folded in on a single goroutine that dispatches by tenant and
+// then ticks the autoscaler (so that goroutine is the only mutator of
+// the bucket pool and grow/shrink need no extra synchronization), every
+// tenant's SPMD simulation + in-situ loop runs concurrently, the task
+// queue closes once every tenant has finished stepping and drained, and
+// the call returns when the tier is empty.
+func (s *Scheduler) drain(tenants []*Pipeline, steps int) {
+	// Close is idempotent, so racing calls are harmless.
+	closeWhenDrained := func() {
+		for _, p := range tenants {
+			if !p.drained() {
+				return
+			}
+		}
+		s.ds.Close()
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for res := range s.area.Results() {
+			if p := s.Tenant(res.Task.Tenant); p != nil {
+				p.handleResult(res)
+			}
+			closeWhenDrained()
+			s.autoscaleTick(tenants)
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for _, p := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			comm.Run(p.sim.Ranks(), func(r *comm.Rank) {
+				if err := p.rankLoop(r, steps); err != nil {
+					p.recordErr(err)
+				}
+			})
+			p.mu.Lock()
+			p.simDone = true
+			p.mu.Unlock()
+			closeWhenDrained()
+		}()
+	}
+	wg.Wait()
+	s.area.Wait()
+	<-done
+}
+
+// autoscaleTick folds the current pressure signals into the autoscaler
+// and applies its verdict to the bucket pool. Only the drain goroutine
+// calls it.
+func (s *Scheduler) autoscaleTick(tenants []*Pipeline) {
+	if s.scaler == nil {
+		return
+	}
+	ml := overload.LevelFull
+	for _, p := range tenants {
+		ml = max(ml, overload.Level(p.curLevel.Load()))
+	}
+	sig := overload.AutoscaleSignals{
+		QueueDepth:  s.ds.QueueDepth(),
+		FreeBuckets: s.ds.FreeBuckets(),
+		Active:      s.area.ActiveBuckets(),
+		MaxLevel:    ml,
+	}
+	switch s.scaler.Observe(sig) {
+	case 1:
+		s.area.AddBucket()
+	case -1:
+		s.area.RetireBucket()
+	}
+}

@@ -1,23 +1,29 @@
 package core
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
+	"math"
+	"sync"
 	"time"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/codec"
 	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
+	"insitu/internal/metrics"
 	"insitu/internal/netsim"
 	"insitu/internal/obs"
 	"insitu/internal/overload"
+	"insitu/internal/recovery"
 	"insitu/internal/sim"
 	"insitu/internal/staging"
 )
 
-// SchedulerConfig sizes the shared staging fabric a Scheduler owns:
-// one DataSpaces service, one bucket pool, and one interconnect, time-
-// multiplexed across tenants.
+// SchedulerConfig sizes the secondary resource of the paper's Table I
+// (simulation/in-situ cores come from each tenant's sim decomposition):
+// one DataSpaces service, one bucket pool and one interconnect, time-
+// multiplexed across whoever produces data.
 type SchedulerConfig struct {
 	DSServers int // DataSpaces service shards, shared by all tenants
 	Buckets   int // initial in-transit staging buckets
@@ -26,16 +32,18 @@ type SchedulerConfig struct {
 	MaxBuckets int
 	Net        netsim.Config
 	// Credits is the shared transit credit total. 0 derives
-	// MaxBuckets + tenants×QueueBound, mirroring the single-tenant
-	// sizing rule per tenant queue.
+	// MaxBuckets + tenants×QueueBound: the most work the transit tier
+	// can hold, buckets draining plus every queue full.
 	Credits int
 	// TenantReserve is each tenant's guaranteed credit floor — the
-	// bulkhead. Like the per-analysis Reserve, reservations degrade to
-	// one shared pool when the floors would consume the whole account.
+	// bulkhead. Reservations degrade to one shared pool when the floors
+	// would consume the whole account.
 	TenantReserve int
 	// QueueBound bounds each tenant's task queue independently
 	// (0 = unbounded).
-	QueueBound      int
+	QueueBound int
+	// MaxTaskAttempts bounds how many times a task is handed to a
+	// bucket before it is dead-lettered (0 = staging default of 3).
 	MaxTaskAttempts int
 	// Autoscale, when non-nil, lets the scheduler grow and shrink the
 	// bucket pool between Buckets-ish floors and MaxBuckets from live
@@ -46,50 +54,137 @@ type SchedulerConfig struct {
 	Quarantine overload.QuarantineConfig
 }
 
-// TenantConfig is one tenant's slice of the shared fabric: its own
-// simulation, admission plane, and codecs; everything downstream of
-// submission is shared. Recovery is deliberately absent — the journal
-// assumes it owns the task queue, which is no longer true here.
+// TenantConfig is everything one tenant brings to the fabric: its
+// simulation, admission plane, codecs, journal and frame sink.
+// Everything downstream of submission is shared.
 type TenantConfig struct {
 	Sim sim.Config
-	// Overload tunes the tenant's admission plane (breaker, ladder,
-	// estimator). Nil uses defaults: under a scheduler every tenant has
-	// an admission plane, because the scheduler's bulkheads are built
-	// from credits the plane acquires.
-	Overload   *overload.Config
-	Codecs     map[string]codec.Spec
+	// Overload tunes the tenant's admission plane: credit-based
+	// admission, a per-route circuit breaker, and the admission ladder
+	// (full → delta → quantized → shaped → in-situ → shed). Nil means
+	// defaults for a named tenant; the unnamed tenant then has no plane
+	// and the StepBudget probe is its only degradation trigger — the
+	// same per-route verdicts with two rungs, full and in-situ. Its
+	// QueueBound, Credits and Reserve are read for the unnamed tenant
+	// only (see AddTenant).
+	Overload *overload.Config
+	// Codecs selects the default transfer-path codec per hybrid route:
+	// the key is an analysis name, with "*" as the fallback for routes
+	// not named. Unlisted routes (and a nil map) use the identity
+	// codec, which registers raw payloads byte-for-byte. The admission
+	// ladder's delta/quantized rungs override the configured spec for
+	// the steps they govern.
+	Codecs map[string]codec.Spec
+	// StepBudget bounds each step's hybrid transit path. When set
+	// without Overload, rank 0 probes staging health within the budget
+	// before submitting hybrid work — a failed probe degrades the step
+	// to the analyses' in-situ fallbacks. Every submitted task carries
+	// the budget as its data-movement deadline. Zero disables probing
+	// and deadlines: steps never degrade on time.
 	StepBudget time.Duration
 	// Weight is the tenant's deficit-round-robin share (default 1): a
 	// weight-2 tenant is served twice per ring turn.
 	Weight int
+	// Recovery, when non-nil, enables durable run recovery: a
+	// write-ahead step journal, periodic bp checkpoints, and a Resume
+	// path that continues a crashed run bit-identically from its last
+	// committed step. The journal assumes it owns the task queue, so
+	// Run refuses it when the tenant has siblings.
+	Recovery *RecoveryConfig
+	// Store, when non-nil, files every rendered frame a FrameAnalysis
+	// produces into the Cinema-style image database as the run goes:
+	// Report.Results holds FrameRefs instead of raw framebuffers, and
+	// the pooled image buffers are recycled once their pixels are
+	// encoded.
+	Store FrameSink
 }
 
-// Scheduler is the policy over a transit fabric shared by multiple
-// tenant pipelines: per-tenant credit bulkheads over one account,
-// deficit-round-robin dequeue across tenant queues, a shared
-// poison-route quarantine, and an optional bucket-pool autoscaler. The
-// fabric and the run engine are the ones a standalone Pipeline uses.
-// Build with NewScheduler, add tenants with AddTenant, register
-// analyses on the returned pipelines, then Run once.
-type Scheduler struct {
-	cfg    SchedulerConfig
-	fab    *fabric
-	quar   *overload.Quarantine
-	scaler *overload.Autoscaler
+// Config declares a standalone pipeline: a fabric and the one unnamed
+// tenant that has it to itself.
+type Config struct {
+	SchedulerConfig
+	TenantConfig
 }
 
-// NewScheduler validates the configuration and builds the shared
-// subsystems. Tenants are added afterwards with AddTenant.
-func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
-	f, err := newFabric(cfg.Net, cfg.DSServers, cfg.Buckets, cfg.MaxTaskAttempts)
+// DefaultConfig mirrors the paper's resource ratios at laptop scale.
+func DefaultConfig(simCfg sim.Config) Config {
+	return Config{
+		SchedulerConfig: SchedulerConfig{DSServers: 4, Buckets: 4, Net: netsim.Gemini()},
+		TenantConfig:    TenantConfig{Sim: simCfg},
+	}
+}
+
+// NewPipeline builds a scheduler whose lone tenant is the returned
+// pipeline; its Run and Resume are the scheduler's.
+func NewPipeline(cfg Config) (*Pipeline, error) {
+	s, err := NewScheduler(cfg.SchedulerConfig)
 	if err != nil {
 		return nil, err
 	}
+	return s.AddTenant("", cfg.TenantConfig)
+}
+
+// Scheduler owns the transit substrate of the paper's Fig. 5 — the
+// simulated interconnect, the DART transport, the DataSpaces service,
+// the staging area, the codec registry, the rank-endpoint table and the
+// observability plane — and the policy over it: credit bulkheads over
+// one account, deficit-round-robin dequeue across tenant queues, the
+// poison-route quarantine, and an optional bucket-pool autoscaler.
+// Everything downstream of submission exists once, here, and it is the
+// only thing that runs: a standalone pipeline is a scheduler with one
+// unnamed tenant. Build with NewScheduler, add tenants with AddTenant,
+// register analyses on the returned pipelines, then Run once.
+type Scheduler struct {
+	cfg SchedulerConfig
+
+	net    *netsim.Network
+	dart   *dart.Fabric
+	ds     *dataspaces.Service
+	area   *staging.Area
+	codecs *codec.Registry
+
+	quar   *overload.Quarantine
+	scaler *overload.Autoscaler
+
+	mu      sync.Mutex
+	tenants []*Pipeline
+	eps     map[int]*dart.Endpoint // endpoint id -> rank endpoint, every tenant (for release)
+	ran     bool
+
+	// Observability plane (nil until EnableObs). Written once, before
+	// run; the step loops and the drain read it unlocked.
+	plane *obs.Plane
+}
+
+// NewScheduler validates the sizing and builds the shared subsystems.
+// Tenants are added afterwards with AddTenant.
+func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.MaxBuckets != 0 && cfg.MaxBuckets < cfg.Buckets {
 		return nil, fmt.Errorf("core: MaxBuckets %d below initial Buckets %d", cfg.MaxBuckets, cfg.Buckets)
 	}
-	s := &Scheduler{cfg: cfg, fab: f, quar: overload.NewQuarantine(cfg.Quarantine)}
-	f.publishPolicy = s.publish
+	net := netsim.New(cfg.Net)
+	d := dart.NewFabric(net)
+	ds, err := dataspaces.New(d, cfg.DSServers)
+	if err != nil {
+		return nil, err
+	}
+	s := &Scheduler{
+		cfg: cfg, net: net, dart: d, ds: ds, codecs: codec.NewRegistry(),
+		quar: overload.NewQuarantine(cfg.Quarantine),
+		eps:  make(map[int]*dart.Endpoint),
+	}
+	// The registry is attached unconditionally: with no Codecs config
+	// every registration resolves to the identity spec, which pins raw
+	// bytes exactly as RegisterMem did.
+	ds.SetCodecs(s.codecs)
+	// Pooled buffers are safe here because every in-transit handler in
+	// core decodes its payloads into private structures (Unmarshal*)
+	// and retains no input slice past its return.
+	s.area, err = staging.New(d, ds, cfg.Buckets, staging.WithRelease(s.releaseHandle),
+		staging.WithPooledBuffers(), staging.WithMaxAttempts(cfg.MaxTaskAttempts))
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Autoscale != nil {
 		asc := *cfg.Autoscale
 		if asc.Max == 0 {
@@ -100,55 +195,153 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	return s, nil
 }
 
-// AddTenant builds a tenant pipeline over the shared fabric and
-// pre-registers its rank endpoints (named "<tenant>/sim-<rank>" and
-// tagged with the tenant, so transfer noise is attributed to it).
-// Register analyses on the returned pipeline before Run.
+// AddTenant builds a tenant pipeline over the fabric; it is the one
+// place a Pipeline is made. Register analyses on it before Run.
+//
+// The name carries the one rule of tenancy. A named tenant has
+// shared-fabric semantics: its endpoints, codec streams and metric
+// families are qualified by the name, all its routes draw on one credit
+// account (the bulkhead) sized by SchedulerConfig, the poison-route
+// quarantine watches it, and it always has an admission plane. The
+// unnamed tenant must be alone: bare names, one credit account per
+// route sized by its own overload block, and no quarantine — a poison
+// route there burns nobody else's buckets.
 func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) {
-	if name == "" {
-		return nil, fmt.Errorf("core: tenant name must be non-empty")
-	}
-	ov := cfg.Overload
-	if ov == nil {
-		ov = &overload.Config{}
-	}
-	p, err := newTenant(s.fab, name, Config{
-		Sim: cfg.Sim, StepBudget: cfg.StepBudget, Codecs: cfg.Codecs, Overload: ov,
-	})
+	sm, err := sim.New(cfg.Sim)
 	if err != nil {
 		return nil, err
 	}
-	p.quar, p.weight = s.quar, max(cfg.Weight, 1)
-	if err := s.fab.attach(p); err != nil {
-		return nil, err
+	p := &Pipeline{
+		cfg:       cfg,
+		sched:     s,
+		sim:       sm,
+		col:       metrics.NewCollector(),
+		tenant:    name,
+		results:   make(map[string]map[int]any),
+		frameVars: make(map[string]string),
 	}
-	s.fab.registerRanks(p)
+	ov := cfg.Overload
+	if name != "" {
+		p.prefix = name + "/"
+		p.labels = []obs.Attr{obs.Str("tenant", name)}
+		p.quar = s.quar
+		if ov == nil {
+			ov = &overload.Config{}
+		}
+	} else {
+		p.quar = overload.NewQuarantine(overload.QuarantineConfig{Strikes: math.MaxInt})
+	}
+	if ov != nil {
+		d := ov.WithDefaults()
+		p.ov = &d
+		p.est = overload.NewEstimator(d.LatencyAlpha, d.QueueAlpha)
+		p.routes = make(map[string]*routeState)
+	}
+	if rc := cfg.Recovery; rc != nil {
+		if rc.Dir == "" {
+			return nil, fmt.Errorf("core: Recovery.Dir must be set")
+		}
+		j, err := recovery.Open(rc.Dir)
+		if err != nil {
+			return nil, err
+		}
+		p.rec = &recState{j: j, every: cmp.Or(max(rc.Every, 0), 5), kill: rc.Kill, nextCommit: 1}
+	}
+
+	s.mu.Lock()
+	if s.ran {
+		s.mu.Unlock()
+		return nil, fmt.Errorf("core: scheduler already ran; tenants must be added before Run")
+	}
+	for _, q := range s.tenants {
+		if q.tenant == name || q.tenant == "" || name == "" {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("core: tenant %q cannot join tenant %q: tenants sharing a fabric need distinct, non-empty names", name, q.tenant)
+		}
+	}
+	s.tenants = append(s.tenants, p)
+	pl := s.plane
+	s.mu.Unlock()
+	if pl != nil {
+		p.publish(pl.Registry())
+	}
 	return p, nil
 }
 
 // Tenant returns a tenant's pipeline, or nil if the name is unknown.
-func (s *Scheduler) Tenant(name string) *Pipeline { return s.fab.tenant(name) }
+func (s *Scheduler) Tenant(name string) *Pipeline {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.tenants {
+		if p.tenant == name {
+			return p
+		}
+	}
+	return nil
+}
 
-// TenantEndpoints returns a tenant's pre-registered rank endpoints in
-// rank order — the handles chaos tests scope fault injection to.
+// TenantEndpoints returns a tenant's rank endpoints in rank order — the
+// handles fault injection is scoped to.
 func (s *Scheduler) TenantEndpoints(name string) []*dart.Endpoint {
-	p := s.fab.tenant(name)
+	p := s.Tenant(name)
 	if p == nil {
 		return nil
 	}
+	s.registerRanks()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]*dart.Endpoint(nil), p.rankEps...)
 }
 
+// registerRanks gives every tenant that has none yet one endpoint per
+// simulation rank — "<prefix>sim-<rank>", tagged with the tenant so
+// transfer noise is attributed to it — and enters them in the release
+// table. Endpoints are registered on first use, TenantEndpoints or
+// run, in AddTenant order whichever tenant was asked for, so endpoint
+// ids do not depend on who asked and construction stays cheap.
+func (s *Scheduler) registerRanks() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.tenants {
+		if p.rankEps != nil {
+			continue
+		}
+		eps := make([]*dart.Endpoint, p.sim.Ranks())
+		for r := range eps {
+			eps[r] = s.dart.RegisterT(fmt.Sprintf("%ssim-%d", p.prefix, r), p.tenant)
+			s.eps[eps[r].ID()] = eps[r]
+		}
+		p.mu.Lock()
+		p.rankEps = eps
+		p.mu.Unlock()
+	}
+}
+
+// releaseHandle frees a pinned intermediate region once the staging
+// bucket has pulled it and recycles the producer's marshal buffer, so
+// steady-state timesteps reuse the same intermediate-data buffers
+// instead of allocating fresh ones. Safe because in-situ stages build
+// each payload from scratch and never touch it after RegisterMem.
+func (s *Scheduler) releaseHandle(d dataspaces.Descriptor) {
+	s.mu.Lock()
+	ep := s.eps[d.Handle.Endpoint]
+	s.mu.Unlock()
+	if ep != nil {
+		if buf, err := ep.Reclaim(d.Handle); err == nil {
+			bufpool.Put(buf)
+		}
+	}
+}
+
 // Network returns the shared simulated interconnect.
-func (s *Scheduler) Network() *netsim.Network { return s.fab.net }
+func (s *Scheduler) Network() *netsim.Network { return s.net }
 
 // Staging returns the shared staging area.
-func (s *Scheduler) Staging() *staging.Area { return s.fab.area }
+func (s *Scheduler) Staging() *staging.Area { return s.area }
 
-// Credits returns the shared transit credit account (nil before Run).
-func (s *Scheduler) Credits() *dataspaces.Credits { return s.fab.ds.Credits() }
+// Credits returns the shared transit credit account (nil before Run,
+// and for an unnamed tenant without overload control).
+func (s *Scheduler) Credits() *dataspaces.Credits { return s.ds.Credits() }
 
 // Quarantine returns the shared poison-route quarantine.
 func (s *Scheduler) Quarantine() *overload.Quarantine { return s.quar }
@@ -157,128 +350,17 @@ func (s *Scheduler) Quarantine() *overload.Quarantine { return s.quar }
 // SchedulerConfig.Autoscale was set).
 func (s *Scheduler) Autoscaler() *overload.Autoscaler { return s.scaler }
 
-// EnableObs attaches one observability plane to the shared subsystems
-// and publishes each tenant's families under a tenant label. Tenants
-// added later are published as they arrive. Idempotent; call before
-// Run.
-func (s *Scheduler) EnableObs() *obs.Plane { return s.fab.enableObs() }
-
-// publish registers the scheduler's own policy families; the fabric
-// calls it once, when the plane comes up.
-func (s *Scheduler) publish(reg *obs.Registry) {
-	reg.GaugeFunc("staging_active_buckets", "staging buckets currently serving the shared pool",
-		func() float64 { return float64(s.fab.area.ActiveBuckets()) })
-	reg.CounterFunc("scheduler_bucket_grows_total", "bucket-pool grow decisions applied by the autoscaler",
-		func() float64 {
-			if s.scaler == nil {
-				return 0
-			}
-			return float64(s.scaler.Grows())
-		})
-	reg.CounterFunc("scheduler_bucket_shrinks_total", "bucket-pool shrink decisions applied by the autoscaler",
-		func() float64 {
-			if s.scaler == nil {
-				return 0
-			}
-			return float64(s.scaler.Shrinks())
-		})
-	reg.CounterFunc("quarantine_opens_total", "poison-route quarantine trips across all tenants",
-		func() float64 { return float64(s.quar.Opens()) })
-	reg.CounterFunc("quarantine_releases_total", "quarantined routes released by a successful probe",
-		func() float64 { return float64(s.quar.Releases()) })
+// timeline records one Gantt span (obs.CatTimeline; start == end for a
+// mark) named by format and args. Without a plane it does nothing, so
+// call sites need no guard and the name is never formatted.
+func (s *Scheduler) timeline(lane string, start, end time.Time, format string, args ...any) {
+	if s.plane != nil {
+		s.plane.Recorder().Record(0, obs.CatTimeline, lane, fmt.Sprintf(format, args...), start, end)
+	}
 }
 
-// Run executes every tenant's simulation concurrently over the shared
-// staging fabric for the given number of steps and blocks until all
-// simulations have finished and every in-transit task has drained.
-// Returns one Report per tenant.
-func (s *Scheduler) Run(steps int) (map[string]*Report, error) {
-	if steps < 1 {
-		return nil, fmt.Errorf("core: steps must be >= 1")
-	}
-	tenants, ok := s.fab.begin()
-	if !ok {
-		return nil, fmt.Errorf("core: a scheduler runs once; build a new one to run again")
-	}
-	if len(tenants) == 0 {
-		return nil, fmt.Errorf("core: scheduler has no tenants")
-	}
-
-	// Shared admission plane: per-tenant queue bounds, DRR weights, one
-	// credit account with per-tenant bulkhead floors, and the
-	// quarantine's submit-time guard (a half-open probe always passes).
-	ds := s.fab.ds
-	ds.SetQueueBound(s.cfg.QueueBound)
-	weights := make(map[string]int, len(tenants))
-	reservations := make(map[string]int, len(tenants))
-	for _, p := range tenants {
-		weights[p.tenant] = p.weight
-		reservations[p.tenant] = s.cfg.TenantReserve
-		p.buildRoutes()
-	}
-	total := s.cfg.Credits
-	if total <= 0 {
-		qb := s.cfg.QueueBound
-		if qb <= 0 {
-			qb = 2
-		}
-		total = max(s.cfg.MaxBuckets, s.cfg.Buckets) + len(tenants)*qb
-	}
-	if s.cfg.TenantReserve*len(tenants) >= total {
-		reservations = nil
-	}
-	if err := ds.EnableCredits(total, reservations); err != nil {
-		return nil, err
-	}
-	ds.SetTenantWeights(weights)
-	quar := s.quar
-	ds.SetAdmissionGuard(func(tenant, analysis string, probe bool) error {
-		if probe || !quar.Barred(tenant, analysis) {
-			return nil
-		}
-		return fmt.Errorf("dataspaces: submit %s/%s: %w", tenant, analysis, overload.ErrQuarantined)
-	})
-
-	// The autoscaler acts on the post-result pressure signals from the
-	// engine's drain goroutine, the only pool mutator, so grow/shrink
-	// need no extra synchronization.
-	s.fab.run(tenants, steps, func() { s.autoscaleTick(tenants) })
-
-	reports := make(map[string]*Report, len(tenants))
-	var errs []error
-	for _, p := range tenants {
-		rep, err := p.finishReport(steps)
-		reports[p.tenant] = rep
-		if err != nil {
-			errs = append(errs, fmt.Errorf("tenant %s: %w", p.tenant, err))
-		}
-	}
-	return reports, errors.Join(errs...)
-}
-
-// autoscaleTick folds the current pressure signals into the autoscaler
-// and applies its verdict to the bucket pool. Only the drain goroutine
-// calls it.
-func (s *Scheduler) autoscaleTick(tenants []*Pipeline) {
-	if s.scaler == nil {
-		return
-	}
-	ml := overload.LevelFull
-	for _, p := range tenants {
-		if l := overload.Level(p.curLevel.Load()); l > ml {
-			ml = l
-		}
-	}
-	sig := overload.AutoscaleSignals{
-		QueueDepth:  s.fab.ds.QueueDepth(),
-		FreeBuckets: s.fab.ds.FreeBuckets(),
-		Active:      s.fab.area.ActiveBuckets(),
-		MaxLevel:    ml,
-	}
-	switch s.scaler.Observe(sig) {
-	case 1:
-		s.fab.area.AddBucket()
-	case -1:
-		s.fab.area.RetireBucket()
-	}
+// mark records an instantaneous timeline event — a degradation, a
+// dead-letter, a breaker or ladder move.
+func (s *Scheduler) mark(lane string, at time.Time, format string, args ...any) {
+	s.timeline(lane, at, at, format, args...)
 }

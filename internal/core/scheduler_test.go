@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"insitu/internal/codec"
 	"insitu/internal/netsim"
 	"insitu/internal/overload"
 	"insitu/internal/sim"
@@ -47,18 +51,75 @@ func TestSchedulerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddTenant("", TenantConfig{Sim: testSimConfig(2, 1, 1)}); err == nil {
-		t.Fatal("empty tenant name must error")
-	}
 	if _, err := s.AddTenant("a", TenantConfig{Sim: testSimConfig(2, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddTenant("a", TenantConfig{Sim: testSimConfig(2, 1, 1)}); err == nil {
 		t.Fatal("duplicate tenant must error")
 	}
-	// A scheduler-owned pipeline refuses a standalone Run.
+	if _, err := s.AddTenant("", TenantConfig{Sim: testSimConfig(2, 1, 1)}); err == nil {
+		t.Fatal("an unnamed tenant must not join a named one")
+	}
+
+	// The unnamed tenant is accepted alone, and stays alone.
+	s, err = NewScheduler(testSchedCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddTenant("", TenantConfig{Sim: testSimConfig(2, 1, 1)}); err != nil {
+		t.Fatalf("lone unnamed tenant: %v", err)
+	}
+	if _, err := s.AddTenant("b", TenantConfig{Sim: testSimConfig(2, 1, 1)}); err == nil {
+		t.Fatal("a named tenant must not join the unnamed one")
+	}
+}
+
+// TestPipelineRunRefusesSiblings: Pipeline.Run and Resume are the
+// scheduler's run for a tenant that has the fabric to itself; with a
+// sibling they return an error and leave the scheduler runnable.
+func TestPipelineRunRefusesSiblings(t *testing.T) {
+	s, err := NewScheduler(testSchedCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		p, err := s.AddTenant(name, TenantConfig{Sim: testSimConfig(2, 1, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Register(&StatsHybrid{})
+	}
 	if _, err := s.Tenant("a").Run(2); err == nil {
-		t.Fatal("tenant pipeline must refuse standalone Run")
+		t.Fatal("Pipeline.Run on a tenant with a sibling must error")
+	}
+	if _, err := s.Tenant("b").Resume(2); err == nil {
+		t.Fatal("Pipeline.Resume on a tenant with a sibling must error")
+	}
+	if _, err := s.Run(2); err != nil {
+		t.Fatalf("Scheduler.Run after the refusals: %v", err)
+	}
+}
+
+// TestJournalRefusedWithSiblings: the step journal dedups and commits
+// by (analysis, step), so it must own the task queue: Run refuses a
+// tenant with Recovery once it has a sibling, before anything runs.
+func TestJournalRefusedWithSiblings(t *testing.T) {
+	s, err := NewScheduler(testSchedCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := s.AddTenant("a", TenantConfig{Sim: testSimConfig(2, 1, 1), Recovery: &RecoveryConfig{Dir: dir}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddTenant("b", TenantConfig{Sim: testSimConfig(2, 1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(2); err == nil || !strings.Contains(err.Error(), "journal") {
+		t.Fatalf("Run = %v, want the journal refusal", err)
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 0 {
+		t.Fatalf("refused run left %d files in the journal directory", len(names))
 	}
 }
 
@@ -131,45 +192,64 @@ func TestSchedulerMultiTenantEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSchedulerSingleTenantMatchesPipeline: one tenant under a
-// scheduler computes the same analysis results as the standalone
-// pipeline over the same simulation.
-func TestSchedulerSingleTenantMatchesPipeline(t *testing.T) {
-	const steps = 3
-	simCfg := testSimConfig(2, 1, 1)
-
-	p1, err := NewPipeline(DefaultConfig(simCfg))
-	if err != nil {
-		t.Fatal(err)
+// TestNamedLoneTenantMatchesUnnamed pins the one rule of tenancy: the
+// name changes how a lone tenant is accounted — endpoint and codec-key
+// prefix, metric label, one tenant-level credit account instead of one
+// per route, the quarantine — and nothing it computes. The same
+// simulation and hybrid routes, with the same armed overload plane
+// (thresholds high enough that it never trips), produce equal result
+// digests as NewPipeline's unnamed tenant and as a scheduler's named
+// one.
+func TestNamedLoneTenantMatchesUnnamed(t *testing.T) {
+	const steps = 6
+	tcfg := TenantConfig{
+		Sim: testSimConfig(2, 1, 1),
+		Overload: &overload.Config{
+			Breaker: overload.BreakerConfig{
+				FailureThreshold: 3, LatencyThreshold: time.Second,
+				LatencyAlpha: 0.5, Cooldown: 2 * time.Millisecond,
+			},
+			Ladder:     overload.LadderConfig{QueueHigh: 48, QueueLow: 16, DegradeAfter: 1, RecoverAfter: 2},
+			QueueBound: 64,
+		},
+		Codecs: map[string]codec.Spec{"*": {ID: codec.Delta}},
 	}
-	p1.Register(&StatsHybrid{})
-	repA, err := p1.Run(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := NewScheduler(testSchedCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := s.AddTenant("solo", TenantConfig{Sim: simCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2.Register(&StatsHybrid{})
-	reps, err := s.Run(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repB := reps["solo"]
-	for step := 1; step <= steps; step++ {
-		a := repA.Result("hybrid descriptive statistics", step).(map[string]stats.Derived)
-		b := repB.Result("hybrid descriptive statistics", step).(map[string]stats.Derived)
-		for _, v := range sim.VarNames {
-			if a[v] != b[v] {
-				t.Fatalf("step %d var %s: standalone %+v != scheduled %+v", step, v, a[v], b[v])
+	scfg := testSchedCfg()
+	scfg.QueueBound, scfg.TenantReserve = 64, 2
+	digests := func(name string) string {
+		s, err := NewScheduler(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.AddTenant(name, tcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analyses := []Analysis{&StatsHybrid{}, NewVizHybrid(20, 16, 2), NewTopologyHybrid()}
+		for _, a := range analyses {
+			p.Register(a)
+		}
+		rep, err := p.Run(steps)
+		if err != nil {
+			t.Fatalf("tenant %q: %v", name, err)
+		}
+		if out, _, _ := s.Credits().Snapshot(); out != 0 {
+			t.Fatalf("tenant %q: %d credits outstanding", name, out)
+		}
+		var b strings.Builder
+		for _, a := range analyses {
+			for step := 1; step <= steps; step++ {
+				res := rep.Result(a.Name(), step)
+				if _, bad := res.(Degraded); bad || res == nil {
+					t.Fatalf("tenant %q: %s step %d = %v, want a full-fidelity result", name, a.Name(), step, res)
+				}
+				fmt.Fprintf(&b, "%s@%d %s\n", a.Name(), step, ResultDigest(res))
 			}
 		}
+		return b.String()
+	}
+	if unnamed, named := digests(""), digests("solo"); named != unnamed {
+		t.Errorf("a named lone tenant's digests differ from the unnamed one's\n--- unnamed ---\n%s--- named ---\n%s", unnamed, named)
 	}
 }
 

@@ -30,7 +30,7 @@ func (t *TopologyStreaming) Name() string { return "hybrid topology (streaming)"
 // InTransitStream implements StreamingHybridAnalysis: incorporate each
 // subtree the moment it arrives.
 func (t *TopologyStreaming) InTransitStream(step int, inputs <-chan StreamInput) (any, error) {
-	b := mergetree.NewBuilder()
+	b := mergetree.NewBuilder(false)
 	for in := range inputs {
 		st, err := mergetree.UnmarshalSubtree(in.Data)
 		if err != nil {

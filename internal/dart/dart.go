@@ -194,11 +194,6 @@ func (f *Fabric) SetPlane(pl *obs.Plane) {
 		modeled: reg.Histogram("dart_transfer_modeled_seconds",
 			"modeled transfer duration of successful Get/Put operations", obs.LatencyBuckets),
 	}
-	// The transport is pull-only, so dart_puts_total reads zero; the
-	// family stays because the exported /metrics set is pinned.
-	for _, result := range []string{"ok", "error"} {
-		reg.Counter("dart_puts_total", "completed one-sided writes by result", obs.Str("result", result))
-	}
 	reg.CounterFunc("dart_retries_total", "retried Get/Put attempts",
 		func() float64 { return float64(f.retries.Load()) })
 	reg.CounterFunc("dart_checksum_failures_total", "corrupted payloads caught by CRC32 verification",
@@ -240,14 +235,14 @@ func (f *Fabric) SetPlane(pl *obs.Plane) {
 	}
 }
 
-// observeOp records one finished Get: a span on the calling
+// observeGet records one finished Get: a span on the calling
 // endpoint's lane plus the operation counters.
-func (f *Fabric) observeOp(op string, ep *Endpoint, h MemHandle, start time.Time, modeled time.Duration, attempts, bytes int, err error) {
+func (f *Fabric) observeGet(ep *Endpoint, h MemHandle, start time.Time, modeled time.Duration, attempts, bytes int, err error) {
 	fo := f.obs.Load()
 	if fo == nil {
 		return
 	}
-	fo.plane.Recorder().Record(0, obs.CatDart, ep.name, "dart."+op, start, time.Now(),
+	fo.plane.Recorder().Record(0, obs.CatDart, ep.name, "dart.get", start, time.Now(),
 		obs.Str("region", fmt.Sprintf("%d/%d", h.Endpoint, h.Region)),
 		obs.Int("bytes", bytes),
 		obs.Int("attempts", attempts),
@@ -264,13 +259,13 @@ func (f *Fabric) observeOp(op string, ep *Endpoint, h MemHandle, start time.Time
 
 // observeRetry records one retry as an instantaneous event on the
 // calling endpoint's lane.
-func (f *Fabric) observeRetry(op string, ep *Endpoint, attempt int, cause error) {
+func (f *Fabric) observeRetry(ep *Endpoint, attempt int, cause error) {
 	fo := f.obs.Load()
 	if fo == nil {
 		return
 	}
 	fo.plane.Recorder().Event(0, obs.CatDart, ep.name, "dart.retry", time.Now(),
-		obs.Str("op", op), obs.Int("attempt", attempt), obs.Error(cause))
+		obs.Str("op", "get"), obs.Int("attempt", attempt), obs.Error(cause))
 }
 
 // NewFabric creates a transport fabric over the given network with the
@@ -641,7 +636,7 @@ func (ep *Endpoint) Get(h MemHandle) ([]byte, time.Duration, error) {
 func (ep *Endpoint) GetDeadline(h MemHandle, deadline time.Time) ([]byte, time.Duration, error) {
 	start := time.Now()
 	data, total, attempts, err := ep.getDeadline(h, deadline)
-	ep.f.observeOp("get", ep, h, start, total, attempts, len(data), err)
+	ep.f.observeGet(ep, h, start, total, attempts, len(data), err)
 	return data, total, err
 }
 
@@ -654,7 +649,7 @@ func (ep *Endpoint) getDeadline(h MemHandle, deadline time.Time) ([]byte, time.D
 	for attempt := 1; ; attempt++ {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			ep.f.chargeDeadline(h)
-			return nil, total, attempt, deadlineErr("get", h, lastErr)
+			return nil, total, attempt, deadlineErr(h, lastErr)
 		}
 		data, d, err := ep.getOnce(h)
 		total += d
@@ -669,11 +664,11 @@ func (ep *Endpoint) getDeadline(h MemHandle, deadline time.Time) ([]byte, time.D
 			return nil, total, attempt, fmt.Errorf("dart: get %+v failed after %d attempts: %w", h, attempt, err)
 		}
 		ep.f.chargeRetry(h)
-		ep.f.observeRetry("get", ep, attempt, err)
+		ep.f.observeRetry(ep, attempt, err)
 		back := pol.backoff(attempt, ep.f.jitter)
 		if !deadline.IsZero() && time.Now().Add(back).After(deadline) {
 			ep.f.chargeDeadline(h)
-			return nil, total, attempt, deadlineErr("get", h, lastErr)
+			return nil, total, attempt, deadlineErr(h, lastErr)
 		}
 		time.Sleep(back)
 	}
@@ -698,11 +693,11 @@ func (f *Fabric) chargeDeadline(h MemHandle) {
 	}
 }
 
-func deadlineErr(op string, h MemHandle, last error) error {
+func deadlineErr(h MemHandle, last error) error {
 	if last != nil {
-		return fmt.Errorf("dart: %s %+v: %w (last attempt: %v)", op, h, ErrDeadline, last)
+		return fmt.Errorf("dart: get %+v: %w (last attempt: %v)", h, ErrDeadline, last)
 	}
-	return fmt.Errorf("dart: %s %+v: %w", op, h, ErrDeadline)
+	return fmt.Errorf("dart: get %+v: %w", h, ErrDeadline)
 }
 
 // getOnce is a single pull attempt. Ownership: the destination buffer

@@ -153,14 +153,14 @@ func TestSubmitSpecThreadsShapedAndCredited(t *testing.T) {
 	if !s.Credits().Acquire("a") {
 		t.Fatal("acquire must succeed")
 	}
-	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Shaped: 2, Credited: true}); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Shaped: 2, Account: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	task, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if task.Shaped != 2 || !task.Credited {
+	if task.Shaped != 2 || task.Account != "a" {
 		t.Fatalf("spec fields lost: %+v", task)
 	}
 	s.FinishTask(task)

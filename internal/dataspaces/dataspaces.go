@@ -76,14 +76,14 @@ type Task struct {
 	// was produced at (0 = full payload). The transit tier carries it
 	// through so results can be marked as reduced-fidelity.
 	Shaped int
-	// Credited records that the producer holds a flow-control credit
-	// for this task; FinishTask releases it exactly once when the
-	// task's final result settles. It survives requeues.
-	Credited bool
+	// Account names the credit account the producer drew this task's
+	// flow-control credit from (empty: the task holds none); FinishTask
+	// releases it exactly once when the task's final result settles. It
+	// survives requeues.
+	Account string
 	// Tenant names the submitting pipeline in a multi-tenant fabric;
-	// empty for single-tenant runs. It selects the credit account the
-	// task settles against and the per-tenant queue it is scheduled
-	// from.
+	// empty for single-tenant runs. It selects the per-tenant queue the
+	// task is scheduled from.
 	Tenant string
 	// Probe marks a quarantine half-open probe: the one task a
 	// quarantined (tenant, analysis) route is allowed to submit so its
@@ -96,16 +96,6 @@ type Task struct {
 	History []string
 }
 
-// CreditAccount returns the account the task's credit settles against:
-// the tenant in a multi-tenant fabric, the analysis (the legacy
-// per-analysis reservation key) otherwise.
-func (t Task) CreditAccount() string {
-	if t.Tenant != "" {
-		return t.Tenant
-	}
-	return t.Analysis
-}
-
 // TaskSpec describes a task submission.
 type TaskSpec struct {
 	Analysis string
@@ -113,7 +103,7 @@ type TaskSpec struct {
 	Inputs   []Descriptor
 	Deadline time.Time
 	Shaped   int
-	Credited bool
+	Account  string
 	Tenant   string
 	Probe    bool
 }
@@ -248,7 +238,7 @@ func (s *Service) observeSubmit(t Task) {
 		obs.Str("analysis", t.Analysis),
 		obs.Int("step", t.Step),
 		obs.Int("shaped", t.Shaped),
-		obs.Bool("credited", t.Credited),
+		obs.Bool("credited", t.Account != ""),
 	}
 	if t.Tenant != "" {
 		attrs = append(attrs, obs.Str("tenant", t.Tenant))
@@ -460,14 +450,8 @@ func (s *Service) Credits() *Credits {
 // that callers must invoke it exactly once per final result — the
 // staging tier does so at its single result-emission point.
 func (s *Service) FinishTask(t Task) {
-	if !t.Credited {
-		return
-	}
-	s.mu.Lock()
-	c := s.credits
-	s.mu.Unlock()
-	if c != nil {
-		c.Release(t.CreditAccount())
+	if c := s.Credits(); t.Account != "" && c != nil {
+		c.Release(t.Account)
 	}
 }
 
@@ -578,7 +562,7 @@ func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 		Inputs:   spec.Inputs,
 		Deadline: spec.Deadline,
 		Shaped:   spec.Shaped,
-		Credited: spec.Credited,
+		Account:  spec.Account,
 		Tenant:   spec.Tenant,
 		Probe:    spec.Probe,
 	}

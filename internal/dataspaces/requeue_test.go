@@ -169,7 +169,7 @@ func TestRequeueKeepsCredit(t *testing.T) {
 	if !s.Credits().Acquire("a") {
 		t.Fatal("acquire must succeed")
 	}
-	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Credited: true}); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Account: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	task, err := s.BucketReadyCancel(nil)
@@ -186,8 +186,8 @@ func TestRequeueKeepsCredit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !task.Credited {
-		t.Fatal("Credited flag lost across requeue")
+	if task.Account != "a" {
+		t.Fatal("credit account lost across requeue")
 	}
 	s.FinishTask(task)
 	if got := s.Credits().Outstanding(); got != 0 {

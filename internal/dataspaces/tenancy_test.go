@@ -272,9 +272,9 @@ func TestTenantCreditAccountSettlement(t *testing.T) {
 	if !c.Acquire("a") {
 		t.Fatal("acquire a")
 	}
-	// A credited tenant task settles against the tenant account, not
-	// the analysis name.
-	s.FinishTask(Task{Tenant: "a", Analysis: "viz", Credited: true})
+	// A credited task settles against the account it names, whatever
+	// its tenant and analysis.
+	s.FinishTask(Task{Tenant: "a", Analysis: "viz", Account: "a"})
 	out, avail, total := c.Snapshot()
 	if out != 0 || avail != total {
 		t.Fatalf("after settle: outstanding %d available %d total %d", out, avail, total)

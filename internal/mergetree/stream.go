@@ -58,22 +58,11 @@ type Builder struct {
 	stats StreamStats
 }
 
-// BuilderOption configures a Builder.
-type BuilderOption func(*Builder)
-
-// WithEviction enables eviction of finalized vertices: Glue advances
-// the watermark as it feeds edges in sorted order.
-func WithEviction() BuilderOption {
-	return func(b *Builder) { b.evictOn = true }
-}
-
-// NewBuilder creates an empty streaming builder.
-func NewBuilder(opts ...BuilderOption) *Builder {
-	b := &Builder{nodes: make(map[int64]*bnode)}
-	for _, o := range opts {
-		o(b)
-	}
-	return b
+// NewBuilder creates an empty streaming builder. evict enables
+// eviction of finalized vertices: Glue advances the watermark as it
+// feeds edges in sorted order.
+func NewBuilder(evict bool) *Builder {
+	return &Builder{nodes: make(map[int64]*bnode), evictOn: evict}
 }
 
 // DeclareVertex announces a vertex with `degree` incident edges in
@@ -247,11 +236,7 @@ type GlueOptions struct {
 // builder can evict finalized vertices and keep its resident set
 // small.
 func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
-	var bopts []BuilderOption
-	if opts.Evict {
-		bopts = append(bopts, WithEviction())
-	}
-	b := NewBuilder(bopts...)
+	b := NewBuilder(opts.Evict)
 
 	if !opts.Evict {
 		// Arbitrary-order mode: declare everything, then feed edges in

@@ -335,7 +335,7 @@ func TestUnmarshalSubtreeErrors(t *testing.T) {
 }
 
 func TestBuilderErrors(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilder(false)
 	if err := b.DeclareVertex(1, 2.0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestBuilderErrors(t *testing.T) {
 }
 
 func TestBuilderUnfinishedEdges(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilder(false)
 	if err := b.DeclareVertex(1, 2.0, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // runInstrumented runs examples/configs/quickstart.json with the
 // observability plane attached and returns the plane plus the pipeline
 // for /status.
-func runInstrumented(t *testing.T) (*obs.Plane, *core.Pipeline) {
+func runInstrumented(t *testing.T) (*obs.Plane, *core.Scheduler) {
 	t.Helper()
 	cfg, err := registry.LoadConfig("../../examples/configs/quickstart.json")
 	if err != nil {
@@ -28,11 +28,11 @@ func runInstrumented(t *testing.T) (*obs.Plane, *core.Pipeline) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { b.Close() })
-	pl := b.Pipeline.EnableObs()
-	if _, err := b.Pipeline.Run(cfg.Steps); err != nil {
+	pl := b.Scheduler.EnableObs()
+	if _, err := b.Run(cfg.Steps, false); err != nil {
 		t.Fatal(err)
 	}
-	return pl, b.Pipeline
+	return pl, b.Scheduler
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) []byte {
@@ -53,8 +53,8 @@ func get(t *testing.T, srv *httptest.Server, path string) []byte {
 }
 
 func TestObsEndpoint(t *testing.T) {
-	pl, p := runInstrumented(t)
-	srv := httptest.NewServer(obs.Handler(pl, func() any { return p.Status() }))
+	pl, s := runInstrumented(t)
+	srv := httptest.NewServer(obs.Handler(pl, func() any { return s.Status() }))
 	defer srv.Close()
 
 	// /metrics carries the acceptance series even on an un-faulted,

@@ -14,17 +14,17 @@ import (
 	"insitu/internal/sim"
 )
 
-// Built is one constructed, ready-to-Run pipeline topology. Exactly
-// one of Pipeline and Scheduler is non-nil: single-tenant configs
-// build a core.Pipeline, multi-tenant configs a core.Scheduler. The
-// caller owns the lifecycle — Run once, then Close.
+// Built is one constructed, ready-to-Run pipeline topology: a
+// core.Scheduler with one tenant pipeline per config tenant. The caller
+// owns the lifecycle — Run once, then Close.
 type Built struct {
 	// Config is the validated config this topology was built from.
 	Config *Config
-	// Pipeline is the single-tenant pipeline (nil for multi-tenant).
-	Pipeline *core.Pipeline
-	// Scheduler is the multi-tenant scheduler (nil for single-tenant).
+	// Scheduler owns the fabric and runs every tenant.
 	Scheduler *core.Scheduler
+	// Pipeline is the lone tenant's pipeline (nil when the config
+	// declares several): its Run and Resume are the scheduler's.
+	Pipeline *core.Pipeline
 	// Store is the opened image store, when the config declared one.
 	Store *imagestore.Store
 	// Tenants holds each tenant's pipeline and constructed analyses,
@@ -68,95 +68,32 @@ func (b *Built) Steps(explicit, def int) int {
 }
 
 // Run runs the topology once and returns one report per tenant keyed
-// by tenant name; a single-tenant pipeline's lone report goes under its
-// tenant's (possibly empty) name, so callers need not care which of
-// Pipeline and Scheduler was built. resume continues an interrupted
-// journaled run (single-tenant configs with a recovery block). A
-// non-nil error beside non-empty reports means analysis routes failed
-// while the run itself completed.
+// by tenant name (the empty name for an unnamed lone tenant). resume
+// continues an interrupted journaled run (single-tenant configs with a
+// recovery block). A non-nil error beside non-empty reports means
+// analysis routes failed while the run itself completed.
 func (b *Built) Run(steps int, resume bool) (map[string]*core.Report, error) {
-	if b.Scheduler != nil {
+	if !resume {
 		return b.Scheduler.Run(steps)
 	}
-	run := b.Pipeline.Run
-	if resume {
-		run = b.Pipeline.Resume
-	}
-	rep, err := run(steps)
+	t := b.Tenants[0]
+	rep, err := t.Pipeline.Resume(steps)
 	if rep == nil {
 		return nil, err
 	}
-	return map[string]*core.Report{b.Tenants[0].Name: rep}, err
+	return map[string]*core.Report{t.Name: rep}, err
 }
 
 // Build validates cfg and constructs the declared topology, routing
 // every analysis through the registry. It is the single construction
-// path for config-declared runs.
+// path for config-declared runs: one scheduler, one AddTenant per
+// config tenant, in order. Validate has already confined the
+// scheduler's keys to multi-tenant configs and recovery and the store
+// to single-tenant ones.
 func Build(cfg *Config) (*Built, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(cfg.Tenants) == 1 {
-		return buildSingle(cfg)
-	}
-	return buildMulti(cfg)
-}
-
-// buildSingle constructs a single-tenant core.Pipeline.
-func buildSingle(cfg *Config) (*Built, error) {
-	t := &cfg.Tenants[0]
-	analyses, routes, codecs, err := buildAnalyses(t)
-	if err != nil {
-		return nil, err
-	}
-
-	ccfg := core.Config{
-		Sim:             simConfig(t.Sim),
-		DSServers:       cmp.Or(cfg.Fabric.DSServers, 2),
-		Buckets:         max(1, cfg.TransitBuckets()),
-		Net:             netConfig(cfg.Fabric.Net),
-		StepBudget:      time.Duration(t.StepBudgetMS) * time.Millisecond,
-		MaxTaskAttempts: cfg.Fabric.MaxTaskAttempts,
-		Overload:        overloadConfig(t.Overload),
-		Codecs:          codecs,
-	}
-	if cfg.Recovery != nil {
-		ccfg.Recovery = &core.RecoveryConfig{Dir: cfg.Recovery.Dir, Every: cfg.Recovery.EverySteps, Kill: cfg.Recovery.Kill}
-	}
-	var store *imagestore.Store
-	if cfg.Store != nil {
-		store, err = imagestore.Open(cfg.Store.Dir)
-		if err != nil {
-			return nil, err
-		}
-		ccfg.Store = store
-	}
-
-	p, err := core.NewPipeline(ccfg)
-	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return nil, err
-	}
-	for _, a := range analyses {
-		p.Register(a)
-	}
-	installFaults(cfg, p.Network().SetFaults, nil)
-
-	return &Built{
-		Config:   cfg,
-		Pipeline: p,
-		Store:    store,
-		Tenants: []BuiltTenant{{
-			Name: t.Name, Pipeline: p, Analyses: analyses, Routes: routes,
-		}},
-	}, nil
-}
-
-// buildMulti constructs a multi-tenant core.Scheduler with one
-// AddTenant per config tenant, in order.
-func buildMulti(cfg *Config) (*Built, error) {
 	scfg := core.SchedulerConfig{
 		DSServers:       cmp.Or(cfg.Fabric.DSServers, 2),
 		Buckets:         max(1, cfg.TransitBuckets()),
@@ -184,21 +121,37 @@ func buildMulti(cfg *Config) (*Built, error) {
 	}
 
 	built := &Built{Config: cfg, Scheduler: s}
+	fail := func(err error) (*Built, error) {
+		built.Close()
+		return nil, err
+	}
+	if cfg.Store != nil {
+		if built.Store, err = imagestore.Open(cfg.Store.Dir); err != nil {
+			return nil, err
+		}
+	}
 	for ti := range cfg.Tenants {
 		t := &cfg.Tenants[ti]
 		analyses, routes, codecs, err := buildAnalyses(t)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		p, err := s.AddTenant(t.Name, core.TenantConfig{
+		tcfg := core.TenantConfig{
 			Sim:        simConfig(t.Sim),
 			Overload:   overloadConfig(t.Overload),
 			Codecs:     codecs,
 			StepBudget: time.Duration(t.StepBudgetMS) * time.Millisecond,
 			Weight:     t.Weight,
-		})
+		}
+		if r := cfg.Recovery; r != nil {
+			tcfg.Recovery = &core.RecoveryConfig{Dir: r.Dir, Every: r.EverySteps, Kill: r.Kill}
+		}
+		if built.Store != nil {
+			tcfg.Store = built.Store
+		}
+		p, err := s.AddTenant(t.Name, tcfg)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		for _, a := range analyses {
 			p.Register(a)
@@ -207,14 +160,10 @@ func buildMulti(cfg *Config) (*Built, error) {
 			Name: t.Name, Pipeline: p, Analyses: analyses, Routes: routes,
 		})
 	}
-
-	installFaults(cfg, s.Network().SetFaults, func(tenant string) []int {
-		var ids []int
-		for _, ep := range s.TenantEndpoints(tenant) {
-			ids = append(ids, ep.ID())
-		}
-		return ids
-	})
+	if len(built.Tenants) == 1 {
+		built.Pipeline = built.Tenants[0].Pipeline
+	}
+	installFaults(cfg, s)
 	return built, nil
 }
 
@@ -270,21 +219,24 @@ func isHybridRoute(a core.Analysis) bool {
 }
 
 // installFaults converts the config's fault schedule and installs it
-// on the modeled network. resolve maps a tenant name to its endpoint
-// IDs (nil for single-tenant configs, whose windows are unscoped).
-func installFaults(cfg *Config, set func(*faults.Injector), resolve func(string) []int) {
+// on the modeled network. A tenant-scoped window resolves to that
+// tenant's rank endpoint ids, which registers the fabric's rank
+// endpoints now; unscoped schedules leave that to Run.
+func installFaults(cfg *Config, s *core.Scheduler) {
 	if cfg.Faults == nil {
 		return
 	}
 	fc := faults.Config{Seed: cfg.Faults.Seed}
-	for _, s := range cfg.Faults.Slowdowns {
-		w := faults.SlowdownWindow{From: s.From, Until: s.Until, Factor: s.Factor}
-		if s.Tenant != "" && resolve != nil {
-			w.Endpoints = resolve(s.Tenant)
+	for _, sd := range cfg.Faults.Slowdowns {
+		w := faults.SlowdownWindow{From: sd.From, Until: sd.Until, Factor: sd.Factor}
+		if sd.Tenant != "" {
+			for _, ep := range s.TenantEndpoints(sd.Tenant) {
+				w.Endpoints = append(w.Endpoints, ep.ID())
+			}
 		}
 		fc.Slowdowns = append(fc.Slowdowns, w)
 	}
-	set(faults.New(fc))
+	s.Network().SetFaults(faults.New(fc))
 }
 
 // simConfig converts a validated SimConfig to the proxy simulation's

@@ -5,10 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"insitu/internal/core"
+	"insitu/internal/faults"
 	"insitu/internal/registry"
+	// Registers the "poison" drill analysis that
+	// examples/configs/tenants.json names.
+	_ "insitu/internal/workload"
 )
 
 // runDigests builds the single-tenant config, runs it, and digests
@@ -136,8 +141,8 @@ func TestResultDigestsStableAcrossRuns(t *testing.T) {
 }
 
 // TestBuildSingleTenantShape pins what Build wires up for one tenant:
-// a Pipeline (no Scheduler), analyses in config order, and the hybrid
-// route list.
+// a Scheduler whose lone tenant is Built.Pipeline, analyses in config
+// order, and the hybrid route list.
 func TestBuildSingleTenantShape(t *testing.T) {
 	buckets := 2
 	cfg := &registry.Config{
@@ -159,13 +164,13 @@ func TestBuildSingleTenantShape(t *testing.T) {
 	}
 	defer b.Close()
 
-	if b.Pipeline == nil || b.Scheduler != nil {
-		t.Fatalf("single-tenant build: Pipeline=%v Scheduler=%v", b.Pipeline, b.Scheduler)
-	}
 	if len(b.Tenants) != 1 {
 		t.Fatalf("len(Tenants) = %d, want 1", len(b.Tenants))
 	}
 	tn := b.Tenants[0]
+	if b.Scheduler == nil || b.Pipeline == nil || b.Pipeline != tn.Pipeline {
+		t.Fatalf("single-tenant build: Scheduler=%p Pipeline=%p, tenant's %p", b.Scheduler, b.Pipeline, tn.Pipeline)
+	}
 	if len(tn.Analyses) != 3 {
 		t.Fatalf("len(Analyses) = %d, want 3", len(tn.Analyses))
 	}
@@ -205,7 +210,7 @@ func TestBuildMultiTenantShape(t *testing.T) {
 	defer b.Close()
 
 	if b.Scheduler == nil || b.Pipeline != nil {
-		t.Fatalf("multi-tenant build: Pipeline=%v Scheduler=%v", b.Pipeline, b.Scheduler)
+		t.Fatalf("multi-tenant build: Scheduler=%p Pipeline=%p, want a scheduler and no lone pipeline", b.Scheduler, b.Pipeline)
 	}
 	if len(b.Tenants) != 2 || b.Tenants[0].Name != "a" || b.Tenants[1].Name != "b" {
 		t.Fatalf("Tenants = %+v, want a then b", b.Tenants)
@@ -222,6 +227,99 @@ func TestBuildMultiTenantShape(t *testing.T) {
 		}
 		if rep.Result(b.Tenants[0].Analyses[0].Name(), 2) == nil {
 			t.Errorf("tenant %q has no stats result at step 2", name)
+		}
+	}
+}
+
+// exampleConfig loads one of examples/configs.
+func exampleConfig(t *testing.T, name string) *registry.Config {
+	t.Helper()
+	cfg, err := registry.LoadConfig(filepath.Join("..", "..", "examples", "configs", name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// TestBuildRegistersNoRankEndpoint: construction is lazy for every
+// tenant alike — Build registers no simulation-rank endpoint (each one
+// exports its own dart_endpoint_* series, so /metrics shows them); Run
+// does, on first use. A tenant-scoped fault window is such a use, so
+// tenants.json is built without its schedule.
+func TestBuildRegistersNoRankEndpoint(t *testing.T) {
+	for _, name := range []string{"quickstart", "tenants"} {
+		cfg := exampleConfig(t, name)
+		cfg.Faults = nil
+		b, err := registry.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		rankSeries := func() (n int) {
+			var sb strings.Builder
+			if err := b.Scheduler.EnableObs().Registry().WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(sb.String(), "\n") {
+				if strings.HasPrefix(line, "dart_endpoint_transfer_bytes_total{") && strings.Contains(line, "sim-") {
+					n++
+				}
+			}
+			return n
+		}
+		if n := rankSeries(); n != 0 {
+			t.Fatalf("%s: Build registered %d rank endpoints before Run", name, n)
+		}
+		b.Run(1, false) // the tenants drill's poison route fails by design
+		want := 0
+		for _, tn := range b.Tenants {
+			want += tn.Pipeline.Sim().Ranks()
+		}
+		if n := rankSeries(); n != want {
+			t.Fatalf("%s: Run registered %d rank endpoints, want %d", name, n, want)
+		}
+	}
+}
+
+// TestTenantScopedSlowdownResolves: tenants.json scopes its slowdown
+// window to gamma, which Build resolves to gamma's rank endpoint ids
+// (registering the fabric's rank endpoints on that first use). Inside
+// the window the injector slows a transfer exactly when it touches one
+// of them.
+func TestTenantScopedSlowdownResolves(t *testing.T) {
+	cfg := exampleConfig(t, "tenants")
+	b, err := registry.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	w := cfg.Faults.Slowdowns[0]
+	scoped := map[int]bool{}
+	for _, ep := range b.Scheduler.TenantEndpoints(w.Tenant) {
+		scoped[ep.ID()] = true
+	}
+	if want := b.Scheduler.Tenant(w.Tenant).Sim().Ranks(); len(scoped) != want {
+		t.Fatalf("tenant %s has %d endpoint ids, want %d", w.Tenant, len(scoped), want)
+	}
+	maxID := 0
+	for _, tn := range cfg.Tenants {
+		for _, ep := range b.Scheduler.TenantEndpoints(tn.Name) {
+			if tn.Name != w.Tenant && scoped[ep.ID()] {
+				t.Fatalf("endpoint %d belongs to both %s and %s", ep.ID(), tn.Name, w.Tenant)
+			}
+			maxID = max(maxID, ep.ID())
+		}
+	}
+	inj := b.Scheduler.Network().Faults()
+	for i := 0; i < w.From; i++ {
+		inj.Decide(-1, -1, 0, 0)
+	}
+	if maxID >= w.Until-w.From {
+		t.Fatalf("window [%d, %d) too short to probe %d endpoint ids", w.From, w.Until, maxID+1)
+	}
+	for id := 0; id <= maxID; id++ {
+		if slowed := inj.Decide(id, -1, 0, 0).Kind == faults.Slowdown; slowed != scoped[id] {
+			t.Errorf("endpoint %d: slowed=%v, want %v (%s's ids: %v)", id, slowed, scoped[id], w.Tenant, scoped)
 		}
 	}
 }

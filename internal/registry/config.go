@@ -32,9 +32,9 @@ type Config struct {
 	// staging buckets, the modeled interconnect, and the scheduler-
 	// level knobs for multi-tenant runs.
 	Fabric FabricConfig `json:"fabric"`
-	// Tenants declares the pipelines sharing the fabric. Exactly one
-	// tenant means a single-tenant core.Pipeline; names are required
-	// (and must be unique) once there are several.
+	// Tenants declares the pipelines sharing the fabric, each a tenant
+	// of the one core.Scheduler; names are required (and must be
+	// unique) once there are several.
 	Tenants []TenantConfig `json:"tenants"`
 	// Recovery, when non-nil, enables the durable step journal and
 	// checkpoint/restart plane (single-tenant only).
@@ -88,8 +88,9 @@ type NetConfig struct {
 	// "gemini" (the Cray XK6 Gemini profile from the paper's Titan
 	// runs).
 	Profile string `json:"profile,omitempty"`
-	// TimeScale multiplies every modeled duration (0 = 1.0; the soak
-	// scenarios use 0.1 to compress wall time).
+	// TimeScale turns modeled transfer time into wall time: a transfer
+	// modeled at d sleeps d/TimeScale (0 = never sleep; the soak
+	// scenarios' 0.1 stretches every transfer 10x).
 	TimeScale float64 `json:"time_scale,omitempty"`
 }
 
@@ -177,8 +178,9 @@ type TenantConfig struct {
 	// Weight is the deficit-round-robin share (multi-tenant only;
 	// 0 = 1).
 	Weight int `json:"weight,omitempty"`
-	// Overload, when non-nil, enables (single-tenant) or tunes
-	// (multi-tenant) the graded admission plane.
+	// Overload is the graded admission plane: an unnamed tenant has
+	// one only when this is non-nil, a named tenant always, tuned by
+	// it.
 	Overload *OverloadConfig `json:"overload,omitempty"`
 	// Codec is the default transfer-path codec for every hybrid route
 	// ("*" in core terms); per-analysis codecs override it.
@@ -223,12 +225,14 @@ type OverloadConfig struct {
 	Breaker BreakerConfig `json:"breaker,omitempty"`
 	// Ladder tunes the admission ladder.
 	Ladder LadderConfig `json:"ladder,omitempty"`
-	// QueueBound bounds the task-queue depth (0 = 8).
+	// QueueBound bounds the task-queue depth (0 = 8), Reserve is the
+	// per-analysis credit floor (0 = 1) and Credits overrides the
+	// credit supply (0 = buckets + QueueBound). All three are read only
+	// for an unnamed lone tenant; named tenants are sized by the
+	// fabric's queue_bound, tenant_reserve and credits.
 	QueueBound int `json:"queue_bound,omitempty"`
-	// Reserve is the per-analysis credit floor (0 = 1).
-	Reserve int `json:"reserve,omitempty"`
-	// Credits overrides the credit supply (0 = buckets + QueueBound).
-	Credits int `json:"credits,omitempty"`
+	Reserve    int `json:"reserve,omitempty"`
+	Credits    int `json:"credits,omitempty"`
 	// ProbeLatencyMaxUS fails slow half-open probes (µs; 0 = 5000).
 	ProbeLatencyMaxUS int `json:"probe_latency_max_us,omitempty"`
 	// LatencyAlpha and QueueAlpha smooth the estimator (0 = 0.5).

@@ -42,7 +42,7 @@ func TestCreditSettledOnRequeueThenDeadLetter(t *testing.T) {
 		Analysis: "work",
 		Step:     1,
 		Inputs:   []dataspaces.Descriptor{{Name: "work", Version: 1, Handle: h}},
-		Credited: true,
+		Account:  "work",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestCreditSettledOnSuccess(t *testing.T) {
 		Analysis: "work",
 		Step:     1,
 		Inputs:   []dataspaces.Descriptor{{Name: "work", Version: 1, Handle: h}},
-		Credited: true,
+		Account:  "work",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -108,7 +108,7 @@ func TestRetireMidTaskFinishesAndSettles(t *testing.T) {
 		}
 		h := r.prod.RegisterMem([]byte("payload"))
 		if _, err := r.ds.SubmitSpec(dataspaces.TaskSpec{
-			Analysis: "slow", Step: s, Credited: true,
+			Analysis: "slow", Step: s, Account: "slow",
 			Inputs: []dataspaces.Descriptor{{Name: "slow", Version: s, Rank: 0, Handle: h}},
 		}); err != nil {
 			t.Fatal(err)

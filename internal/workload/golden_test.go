@@ -5,17 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"insitu/internal/core"
-	"insitu/internal/grid"
-	"insitu/internal/netsim"
-	"insitu/internal/overload"
-	"insitu/internal/registry"
-	"insitu/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from this run's result digests")
@@ -79,85 +74,11 @@ func TestExampleConfigDigestsGolden(t *testing.T) {
 	}
 }
 
-// TestSoloTenantUnderSchedulerMatchesPipeline: one tenant declared
-// alone under core.Scheduler produces the same result digests as the
-// same simulation and analyses under core.Pipeline with the same
-// overload block — the two entry points share one fabric and one run
-// engine. The simulation and the two hybrid routes are brownout.json's;
-// thresholds are raised as in benchmark/configs/tenants-shared.json so
-// the armed overload plane never trips and every step runs at full
-// fidelity. A config cannot declare a lone tenant under the scheduler
-// (registry.Build gives one tenant a Pipeline), which is why this one
-// workload test calls core's constructors itself.
-func TestSoloTenantUnderSchedulerMatchesPipeline(t *testing.T) {
-	const steps = 12
-	tenant := loadExample(t, "brownout").Tenants[0]
-	sc := tenant.Sim
-	simCfg := sim.DefaultConfig(grid.NewBox(sc.NX, sc.NY, sc.NZ), sc.PX, sc.PY, sc.PZ)
-	simCfg.SubSteps = sc.SubSteps
-	ov := &overload.Config{
-		Breaker: overload.BreakerConfig{
-			FailureThreshold: 3, LatencyThreshold: time.Second,
-			LatencyAlpha: 0.5, Cooldown: 2 * time.Millisecond,
-		},
-		Ladder:          overload.LadderConfig{QueueHigh: 48, QueueLow: 16, DegradeAfter: 1, RecoverAfter: 2},
-		QueueBound:      64,
-		ProbeLatencyMax: 50 * time.Microsecond,
-	}
-	analyses := func(reg func(core.Analysis)) []core.Analysis {
-		var out []core.Analysis
-		for _, ac := range tenant.Analyses {
-			a, err := registry.New(ac.Analysis, ac.Params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg(a)
-			out = append(out, a)
-		}
-		return out
-	}
-
-	p, err := core.NewPipeline(core.Config{
-		Sim: simCfg, DSServers: 2, Buckets: 2, Net: netsim.Gemini(), Overload: ov,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa := analyses(p.Register)
-	prep, err := p.Run(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := core.NewScheduler(core.SchedulerConfig{
-		DSServers: 2, Buckets: 2, Net: netsim.Gemini(), QueueBound: 64, TenantReserve: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := s.AddTenant("solo", core.TenantConfig{Sim: simCfg, Overload: ov})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa := analyses(tp.Register)
-	reps, err := s.Run(steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want, got := reportDigests(pa, prep, steps), reportDigests(sa, reps["solo"], steps)
-	if want == "" {
-		t.Fatal("pipeline run stored no results")
-	}
-	if got != want {
-		t.Errorf("scheduler-run digests differ from the pipeline's\n--- pipeline ---\n%s--- scheduler ---\n%s", want, got)
-	}
-}
-
 // metricFamilies reduces a Prometheus text dump to its schema: one
 // "# TYPE" line per family and one "name{label keys}" line per distinct
-// sample shape, sorted. Values and label values are dropped.
-func metricFamilies(dump string) string {
+// sample shape, sorted. Values, label values and the label keys named
+// in drop are left out.
+func metricFamilies(dump string, drop ...string) string {
 	seen := map[string]bool{}
 	for _, line := range strings.Split(dump, "\n") {
 		switch {
@@ -171,7 +92,7 @@ func metricFamilies(dump string) string {
 		name, labels, _ := strings.Cut(sample, "{")
 		var keys []string
 		for _, kv := range strings.Split(strings.TrimSuffix(labels, "}"), `",`) {
-			if k, _, ok := strings.Cut(kv, "="); ok {
+			if k, _, ok := strings.Cut(kv, "="); ok && !slices.Contains(drop, k) {
 				keys = append(keys, k)
 			}
 		}
@@ -185,16 +106,19 @@ func metricFamilies(dump string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// TestMetricFamiliesGolden pins the /metrics schema of one standalone
-// and one scheduler run: every family name, its type and the label keys
-// of its samples. Dashboards and the benchmark key on these names, so a
+// TestMetricFamiliesGolden pins the /metrics schema of a one-tenant and
+// a three-tenant run: every family name, its type and the label keys of
+// its samples. Dashboards and the benchmark key on these names, so a
 // change that moves where families are registered proves here that it
-// renamed nothing.
+// renamed nothing. The schema is stable across configurations: both
+// runs export the same families, and their label keys differ only by
+// the `tenant` key a named tenant's families carry.
 func TestMetricFamiliesGolden(t *testing.T) {
+	untenanted := map[string]string{}
 	for _, name := range []string{"quickstart", "tenants"} {
 		t.Run(name, func(t *testing.T) {
 			b := buildExample(t, loadExample(t, name))
-			pl := b.Tenants[0].Pipeline.EnableObs()
+			pl := b.Scheduler.EnableObs()
 			// The tenants drill ends with its poison route's errors; the
 			// schema is what is pinned here, not the run's outcome.
 			b.Run(4, false)
@@ -203,6 +127,7 @@ func TestMetricFamiliesGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := metricFamilies(sb.String())
+			untenanted[name] = metricFamilies(sb.String(), "tenant")
 
 			golden := filepath.Join("testdata", name+".metrics.golden")
 			if *updateGolden {
@@ -219,5 +144,10 @@ func TestMetricFamiliesGolden(t *testing.T) {
 				t.Errorf("/metrics schema drifted from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
 			}
 		})
+	}
+	// Dropping the tenant key from every sample shape must make the two
+	// schemas identical.
+	if one, many := untenanted["quickstart"], untenanted["tenants"]; one != many {
+		t.Errorf("the one-tenant and three-tenant /metrics schemas differ by more than the tenant label\n--- quickstart ---\n%s--- tenants ---\n%s", one, many)
 	}
 }
