@@ -18,9 +18,13 @@ import (
 // declaration — must carry a doc comment. It is the registry's
 // ownership/lifecycle contract made enforceable: an analysis or config
 // knob nobody documented is one nobody can select from a pipeline
-// config.
+// config. The four transit packages core drives were clean when they
+// joined the list; it pins them there.
 func TestExportedSymbolsDocumented(t *testing.T) {
-	for _, dir := range []string{"internal/registry", "internal/core"} {
+	for _, dir := range []string{
+		"internal/registry", "internal/core", "internal/overload",
+		"internal/dataspaces", "internal/staging", "internal/dart",
+	} {
 		missing, err := undocumented(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -8,25 +8,17 @@ import (
 	"insitu/internal/bufpool"
 	"insitu/internal/codec"
 	"insitu/internal/dart"
+	"insitu/internal/dataspaces"
 	"insitu/internal/obs"
 	"insitu/internal/overload"
 )
 
-// routeState is one hybrid analysis route's overload-control state:
-// its circuit breaker, its admission ladder, and the last ladder level
-// marked on the timeline (rank-0 admission only).
-type routeState struct {
-	breaker   *overload.Breaker
-	ladder    *overload.Ladder
-	lastLevel overload.Level
-}
-
-// admitDecision is rank 0's per-analysis admission verdict for one
-// step, broadcast so every rank takes the same branch (the in-situ
-// fallbacks use collectives). Probe marks the single task a quarantined
-// route is allowed to send while half-open.
+// admitDecision is rank 0's admission verdict on one route for one
+// step, broadcast (as a slice indexed like Pipeline.routes) so every
+// rank takes the same branch (the in-situ fallbacks use collectives).
+// Probe marks the single task a quarantined route is allowed to send
+// while half-open.
 type admitDecision struct {
-	Name   string
 	Level  overload.Level
 	Reason string
 	// Account is the credit account the route's transit credit was
@@ -42,101 +34,91 @@ type admitDecision struct {
 // A route that cannot get a credit floors at the in-situ rung for the
 // step — admission never blocks and never over-commits the tier.
 func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
-	var out []admitDecision
+	out := make([]admitDecision, len(p.routes))
 	stepMax := overload.LevelFull
-	decide := func(d admitDecision) {
-		p.observeAdmit(step, d)
-		out = append(out, d)
-		stepMax = max(stepMax, d.Level)
-	}
 	credits := p.sched.ds.Credits()
 	p.est.ObserveQueue(float64(p.sched.ds.QueueDepthT(p.tenant)))
-	for _, a := range p.analyses {
-		an, ok := a.(hybridStage)
-		if !ok || !due(a, step) {
+	for i, rt := range p.routes {
+		if rt.stage == nil || !rt.due(step) {
 			continue
 		}
-		name := an.Name()
-		// Every route of a named tenant draws on the tenant's account (the
-		// bulkhead); the unnamed tenant's routes each have their own.
-		account := cmp.Or(p.tenant, name)
-		// Quarantine outranks the breaker: a poisoned (tenant, analysis)
-		// route fails in the handler, not in transit, so transit-health
-		// probing cannot clear it. A rejected route floors at the
-		// in-situ rung without touching breaker, ladder, or credits; a
-		// half-open route sends exactly one full-fidelity probe task.
-		switch p.quar.Allow(p.tenant, name) {
-		case overload.QReject:
-			decide(admitDecision{Name: name, Level: overload.LevelInSitu,
-				Reason: "in-situ: route quarantined"})
-			continue
-		case overload.QProbe:
-			d := admitDecision{Name: name, Level: overload.LevelFull,
-				Reason: "full: quarantine half-open probe", Account: account, Probe: true}
-			if !credits.Acquire(account) {
-				// No capacity to probe with: the attempt is spent, the
-				// route stays quarantined until the next probe window.
-				p.quar.RecordProbe(p.tenant, name, false)
-				d = admitDecision{Name: name, Level: overload.LevelInSitu,
-					Reason: "in-situ: quarantine probe denied credit"}
-			}
-			decide(d)
-			continue
-		}
-		rs := p.routes[name]
-		now := time.Now()
-		prev := rs.breaker.State()
-		if rs.breaker.Allow(now) == overload.Probe {
-			ok := p.probeRoute(ep)
-			rs.breaker.RecordProbe(time.Now(), ok)
-		}
-		cur := rs.breaker.State()
-		p.markBreaker(name, prev, cur, step)
-
-		sig := overload.Signals{
-			BreakerOpen:      cur != overload.Closed,
-			CreditsExhausted: credits.Exhausted(account),
-			QueueDepth:       p.est.Queue(),
-			Latency:          p.est.Latency(),
-		}
-		level := rs.ladder.Observe(sig)
-		reason := fmt.Sprintf("%s: breaker %s, queue %.1f, latency %s",
-			level, cur, sig.QueueDepth, sig.Latency.Round(time.Microsecond))
-		// Analyses whose payload exposes no float tail skip the
-		// quantized rung (the delta rung applies to every route: delta
-		// frames are exact and self-contained).
-		if level == overload.LevelQuantized {
-			if _, quantizes := a.(QuantizableStage); !quantizes {
-				level = overload.LevelShaped
-				reason = "shaped: no quantizable stage; " + reason
-			}
-		}
-		// Analyses without a shaped stage skip that rung.
-		if level == overload.LevelShaped {
-			if _, shapes := a.(ShapedStage); !shapes {
-				level = overload.LevelInSitu
-				reason = "in-situ: no shaped stage; " + reason
-			}
-		}
-		credited := ""
-		if level <= overload.LevelShaped {
-			if credits.Acquire(account) {
-				credited = account
-			} else {
-				level = overload.LevelInSitu
-				reason = "in-situ: no transit credit; " + reason
-			}
-		}
-		if level != rs.lastLevel {
-			p.sched.mark("overload", time.Now(), "%s ladder %s→%s@%d", name, rs.lastLevel, level, step)
-		}
-		rs.lastLevel = level
-		decide(admitDecision{Name: name, Level: level, Reason: reason, Account: credited})
+		out[i] = p.admitRoute(ep, rt, credits, step)
+		p.observeAdmit(step, rt.name, out[i])
+		stepMax = max(stepMax, out[i].Level)
 	}
 	// The worst level of this pass is the tenant's pressure signal for
 	// the scheduler's autoscaler (atomic: the drain goroutine reads it).
 	p.curLevel.Store(int64(stepMax))
 	return out
+}
+
+// admitRoute reaches one due hybrid route's verdict for the step.
+func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.Credits, step int) admitDecision {
+	name := rt.name
+	// Every route of a named tenant draws on the tenant's account (the
+	// bulkhead); the unnamed tenant's routes each have their own.
+	account := cmp.Or(p.tenant, name)
+	// Quarantine outranks the breaker: a poisoned (tenant, analysis)
+	// route fails in the handler, not in transit, so transit-health
+	// probing cannot clear it. A rejected route floors at the
+	// in-situ rung without touching breaker, ladder, or credits; a
+	// half-open route sends exactly one full-fidelity probe task.
+	switch p.quar.Allow(p.tenant, name) {
+	case overload.Reject:
+		return admitDecision{Level: overload.LevelInSitu, Reason: "in-situ: route quarantined"}
+	case overload.Probe:
+		if !credits.Acquire(account) {
+			// No capacity to probe with: the attempt is spent, the
+			// route stays quarantined until the next probe window.
+			p.quar.RecordProbe(p.tenant, name, false)
+			return admitDecision{Level: overload.LevelInSitu, Reason: "in-situ: quarantine probe denied credit"}
+		}
+		return admitDecision{Level: overload.LevelFull,
+			Reason: "full: quarantine half-open probe", Account: account, Probe: true}
+	}
+	prev := rt.breaker.State()
+	if rt.breaker.Allow(time.Now()) == overload.Probe {
+		ok := p.probeRoute(ep)
+		rt.breaker.RecordProbe(time.Now(), ok)
+	}
+	cur := rt.breaker.State()
+	p.markBreaker(name, prev, cur, step)
+
+	sig := overload.Signals{
+		BreakerOpen:      cur != overload.Closed,
+		CreditsExhausted: credits.Exhausted(account),
+		QueueDepth:       p.est.Queue(),
+		Latency:          p.est.Latency(),
+	}
+	level := rt.ladder.Observe(sig)
+	reason := fmt.Sprintf("%s: breaker %s, queue %.1f, latency %s",
+		level, cur, sig.QueueDepth, sig.Latency.Round(time.Microsecond))
+	// Analyses whose payload exposes no float tail skip the
+	// quantized rung (the delta rung applies to every route: delta
+	// frames are exact and self-contained).
+	if level == overload.LevelQuantized && rt.quant == nil {
+		level = overload.LevelShaped
+		reason = "shaped: no quantizable stage; " + reason
+	}
+	// Analyses without a shaped stage skip that rung.
+	if level == overload.LevelShaped && rt.shaped == nil {
+		level = overload.LevelInSitu
+		reason = "in-situ: no shaped stage; " + reason
+	}
+	credited := ""
+	if level <= overload.LevelShaped {
+		if credits.Acquire(account) {
+			credited = account
+		} else {
+			level = overload.LevelInSitu
+			reason = "in-situ: no transit credit; " + reason
+		}
+	}
+	if level != rt.lastLevel {
+		p.sched.mark("overload", time.Now(), "%s ladder %s→%s@%d", name, rt.lastLevel, level, step)
+	}
+	rt.lastLevel = level
+	return admitDecision{Level: level, Reason: reason, Account: credited}
 }
 
 // probeRoute runs the half-open health probe: a tiny Get against the
@@ -170,12 +152,11 @@ func (p *Pipeline) probeStep(ep *dart.Endpoint, step int) []admitDecision {
 	} else {
 		bufpool.Put(data)
 	}
-	var out []admitDecision
-	for _, a := range p.analyses {
-		if _, ok := a.(hybridStage); ok && due(a, step) {
-			d := admitDecision{Name: a.Name(), Level: level, Reason: reason}
-			p.observeAdmit(step, d)
-			out = append(out, d)
+	out := make([]admitDecision, len(p.routes))
+	for i, rt := range p.routes {
+		if rt.stage != nil && rt.due(step) {
+			out[i] = admitDecision{Level: level, Reason: reason}
+			p.observeAdmit(step, rt.name, out[i])
 		}
 	}
 	return out
@@ -183,7 +164,7 @@ func (p *Pipeline) probeStep(ep *dart.Endpoint, step int) []admitDecision {
 
 // observeAdmit records one admission verdict: the per-level counter
 // plus an admission event carrying the ladder's reasoning.
-func (p *Pipeline) observeAdmit(step int, d admitDecision) {
+func (p *Pipeline) observeAdmit(step int, name string, d admitDecision) {
 	pl := p.sched.plane
 	if pl == nil {
 		return
@@ -192,7 +173,7 @@ func (p *Pipeline) observeAdmit(step int, d admitDecision) {
 		c.Inc()
 	}
 	attrs := append([]obs.Attr{
-		obs.Str("analysis", d.Name),
+		obs.Str("analysis", name),
 		obs.Str("level", d.Level.String()),
 		obs.Int("step", step),
 		obs.Bool("credited", d.Account != ""),

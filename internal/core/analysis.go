@@ -120,13 +120,3 @@ type Degraded struct {
 	Reason string
 	Value  any
 }
-
-// due reports whether an analysis runs at a step (steps are 1-based;
-// cadence n means steps n, 2n, ...).
-func due(a Analysis, step int) bool {
-	n := a.Every()
-	if n <= 0 {
-		n = 1
-	}
-	return step%n == 0
-}

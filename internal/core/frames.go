@@ -51,28 +51,24 @@ type FrameAnalysis interface {
 // On a store error the original output is returned untouched and
 // nothing is recycled: the frame stays live in Results rather than
 // risking a recycled buffer someone still references.
-func (p *Pipeline) persistFrames(name string, step int, out any) any {
-	if p.cfg.Store == nil {
-		return out
-	}
-	variable, ok := p.frameVars[name]
-	if !ok {
+func (p *Pipeline) persistFrames(rt *route, step int, out any) any {
+	if p.cfg.Store == nil || rt.frameVar == "" {
 		return out
 	}
 	switch v := out.(type) {
 	case *render.Image:
-		if refs := p.putFrames(name, variable, step, []render.Frame{{Cam: render.CameraName(0), Img: v}}); refs != nil {
+		if refs := p.putFrames(rt, step, []render.Frame{{Cam: render.CameraName(0), Img: v}}); refs != nil {
 			return refs[0]
 		}
 	case *render.FrameSet:
-		if refs := p.putFrames(name, variable, step, v.Frames); refs != nil {
+		if refs := p.putFrames(rt, step, v.Frames); refs != nil {
 			return refs
 		}
 	case Degraded:
 		if v.Value == nil {
 			return out
 		}
-		v.Value = p.persistFrames(name, step, v.Value)
+		v.Value = p.persistFrames(rt, step, v.Value)
 		return v
 	}
 	return out
@@ -81,15 +77,15 @@ func (p *Pipeline) persistFrames(name string, step int, out any) any {
 // putFrames files one result's frames as a single store commit and
 // recycles them — only after the whole set persisted: on an error (nil
 // return, recorded on the run) every frame stays alive.
-func (p *Pipeline) putFrames(name, variable string, step int, frames []render.Frame) []FrameRef {
-	digests, err := p.cfg.Store.PutFrames(variable, step, frames)
+func (p *Pipeline) putFrames(rt *route, step int, frames []render.Frame) []FrameRef {
+	digests, err := p.cfg.Store.PutFrames(rt.frameVar, step, frames)
 	if err != nil {
-		p.recordErr(fmt.Errorf("core: store frames %s step %d: %w", name, step, err))
+		p.recordErr(fmt.Errorf("core: store frames %s step %d: %w", rt.name, step, err))
 		return nil
 	}
 	refs := make([]FrameRef, len(frames))
 	for i, fr := range frames {
-		refs[i] = FrameRef{Var: variable, Step: step, Cam: fr.Cam, Digest: digests[i]}
+		refs[i] = FrameRef{Var: rt.frameVar, Step: step, Cam: fr.Cam, Digest: digests[i]}
 		render.PutImage(fr.Img)
 	}
 	return refs

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,17 +31,16 @@ type Pipeline struct {
 	sim *sim.Sim
 	col *metrics.Collector
 
-	analyses []Analysis
+	// routes holds the registered analyses in registration order and
+	// byName indexes them for the drain goroutine, whose results arrive
+	// keyed by analysis name. Written only by Register (before Run).
+	routes []*route
+	byName map[string]*route
 
-	// frameVars maps a FrameAnalysis name to its store variable.
-	// Written only by Register (before Run), read by persistFrames.
-	frameVars map[string]string
-
-	// Overload-control plane (nil/empty for an unnamed tenant whose
+	// Overload-control plane (nil for an unnamed tenant whose
 	// TenantConfig.Overload is nil).
-	ov     *overload.Config
-	est    *overload.Estimator
-	routes map[string]*routeState
+	ov  *overload.Config
+	est *overload.Estimator
 
 	// Recovery plane (nil when TenantConfig.Recovery is nil).
 	rec *recState
@@ -61,7 +59,6 @@ type Pipeline struct {
 	curLevel atomic.Int64
 
 	mu      sync.Mutex
-	results map[string]map[int]any // analysis -> step -> output
 	runErrs []error
 	warns   []error
 	rankEps []*dart.Endpoint // this tenant's rank endpoints, by rank
@@ -82,12 +79,98 @@ type Pipeline struct {
 	simDone   bool
 }
 
+// route is one registered analysis as the pipeline runs it — the
+// paper's unit of work, an in-situ stage and (for a hybrid route) an
+// in-transit stage joined by DART/DataSpaces. Register resolves
+// everything the Analysis value and the tenant's config say about it
+// once, so the Fig. 5 stages are loops over routes with no name lookup
+// and no type assertion. A route is in-situ (insitu set) or hybrid
+// (stage set, plus whichever optional faces the analysis implements).
+type route struct {
+	name  string
+	every int // cadence in steps, >= 1
+
+	insitu   InSituAnalysis   // completes on the ranks; nil for a hybrid route
+	stage    hybridStage      // the in-situ half of a hybrid route
+	shaped   ShapedStage      // the ladder's shaped rung, when implemented
+	quant    QuantizableStage // lossy codecs and the quantized rung, when implemented
+	fallback InSituFallback   // the in-situ rung, when implemented
+
+	frameVar string     // store variable of a FrameAnalysis ("": results are not frames)
+	spec     codec.Spec // configured transfer-path codec: own entry, then "*", then identity
+
+	// Admission state of a hybrid route whose tenant has a plane (nil
+	// otherwise); lastLevel is the last ladder level marked on the
+	// timeline (rank-0 admission only).
+	breaker   *overload.Breaker
+	ladder    *overload.Ladder
+	lastLevel overload.Level
+
+	// results holds the stored outputs by step (nil until the first);
+	// guarded by Pipeline.mu.
+	results map[int]any
+}
+
+// due reports whether the route runs at a step (steps are 1-based;
+// cadence n means steps n, 2n, ...).
+func (rt *route) due(step int) bool { return step%rt.every == 0 }
+
 // Register adds an analysis; all registrations must happen before Run.
-func (p *Pipeline) Register(a Analysis) {
-	p.analyses = append(p.analyses, a)
-	if fa, ok := a.(FrameAnalysis); ok {
-		p.frameVars[a.Name()] = fa.FrameVar()
+// It resolves the analysis into the pipeline's route record and installs
+// a hybrid analysis's in-transit handler on the staging area (the
+// streaming stage when it implements both kinds). The name keys the
+// route's results, descriptors, tasks and codec streams, so a second
+// analysis with the same Name() is refused, as is one that is neither
+// in-situ nor hybrid. The error is returned and also filed on the run:
+// a caller that drops it still sees Run fail.
+func (p *Pipeline) Register(a Analysis) error {
+	rt := &route{name: a.Name(), every: max(a.Every(), 1)}
+	if _, dup := p.byName[rt.name]; dup {
+		return p.refuse(fmt.Errorf("core: analysis %q is already registered; route names must be unique within a tenant", rt.name))
 	}
+	switch an := a.(type) {
+	case InSituAnalysis:
+		rt.insitu = an
+	case hybridStage:
+		rt.stage = an
+		rt.shaped, _ = a.(ShapedStage)
+		rt.quant, _ = a.(QuantizableStage)
+		rt.fallback, _ = a.(InSituFallback)
+		var ok bool
+		if rt.spec, ok = p.cfg.Codecs[rt.name]; !ok {
+			rt.spec = p.cfg.Codecs["*"]
+		}
+		if p.ov != nil {
+			rt.breaker = overload.NewBreaker(p.ov.Breaker)
+			rt.ladder = overload.NewLadder(p.ov.Ladder)
+		}
+		if sh, ok := a.(StreamingHybridAnalysis); ok {
+			p.sched.area.HandleStreamT(p.tenant, rt.name, func(task dataspaces.Task, in <-chan staging.StreamInput) (any, error) {
+				return sh.InTransitStream(task.Step, in)
+			})
+		} else if h, ok := a.(HybridAnalysis); ok {
+			p.sched.area.HandleT(p.tenant, rt.name, func(task dataspaces.Task, data [][]byte) (any, error) {
+				return h.InTransit(task.Step, data)
+			})
+		}
+	default:
+		return p.refuse(fmt.Errorf("core: analysis %s implements neither InSituAnalysis nor HybridAnalysis", rt.name))
+	}
+	if fa, ok := a.(FrameAnalysis); ok {
+		rt.frameVar = fa.FrameVar()
+	}
+	// Scrape-time metric functions iterate p.routes under p.mu.
+	p.mu.Lock()
+	p.routes = append(p.routes, rt)
+	p.byName[rt.name] = rt
+	p.mu.Unlock()
+	return nil
+}
+
+// refuse files a Register error on the run and returns it.
+func (p *Pipeline) refuse(err error) error {
+	p.recordErr(err)
+	return err
 }
 
 // Sim returns the simulation description.
@@ -135,89 +218,64 @@ func (p *Pipeline) recordErr(err error) {
 	p.runErrs = append(p.runErrs, err)
 }
 
-func (p *Pipeline) storeResult(name string, step int, out any) {
+func (p *Pipeline) storeResult(rt *route, step int, out any) {
 	// Frames leave the process here: encoded into the image store and
 	// replaced by references before the result map ever sees them.
 	// persistFrames runs outside p.mu (the store has its own lock).
-	out = p.persistFrames(name, step, out)
+	out = p.persistFrames(rt, step, out)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	m, ok := p.results[name]
-	if !ok {
-		m = make(map[int]any)
-		p.results[name] = m
+	if rt.results == nil {
+		rt.results = make(map[int]any)
 	}
-	m[step] = out
+	rt.results[step] = out
 }
 
-// installHandlers registers the analyses' in-transit handlers on the
-// staging area under this pipeline's tenant ("" outside a scheduler).
-// Streaming stages take precedence when an analysis implements both
-// kinds.
-func (p *Pipeline) installHandlers() {
-	for _, a := range p.analyses {
-		if sh, ok := a.(StreamingHybridAnalysis); ok {
-			p.sched.area.HandleStreamT(p.tenant, sh.Name(), func(task dataspaces.Task, in <-chan staging.StreamInput) (any, error) {
-				return sh.InTransitStream(task.Step, in)
-			})
-			continue
-		}
-		if h, ok := a.(HybridAnalysis); ok {
-			p.sched.area.HandleT(p.tenant, h.Name(), func(task dataspaces.Task, data [][]byte) (any, error) {
-				return h.InTransit(task.Step, data)
-			})
-		}
-	}
-}
-
-// handleResult folds one final in-transit result into the pipeline:
+// handleResult folds one final in-transit result into its route:
 // timeline spans, breaker/quarantine bookkeeping, result storage, transit
 // metrics, and drain accounting. Only the fabric's drain goroutine
 // calls it.
 func (p *Pipeline) handleResult(res staging.Result) {
-	p.sched.timeline(bucketLane(res.Bucket), res.Start, res.End, "%s@%d", res.Task.Analysis, res.Task.Step)
-	p.observeResult(res)
-	if res.Task.Probe {
-		p.quar.RecordProbe(p.tenant, res.Task.Analysis, res.Err == nil)
+	rt, task := p.byName[res.Task.Analysis], res.Task
+	lane := staging.Lane(res.Bucket)
+	p.sched.timeline(lane, res.Start, res.End, "%s@%d", rt.name, task.Step)
+	p.observeResult(rt, res)
+	if task.Probe {
+		p.quar.RecordProbe(p.tenant, rt.name, res.Err == nil)
 	} else {
-		p.quar.Settle(p.tenant, res.Task.Analysis, res.Err == nil)
+		p.quar.Settle(p.tenant, rt.name, res.Err == nil)
 	}
 	switch {
 	case res.DeadLetter:
 		// The task's data already left the ranks, so no in-situ
 		// fallback is possible; the step is explicitly degraded
 		// rather than silently missing or a hard failure.
-		p.storeResult(res.Task.Analysis, res.Task.Step,
-			Degraded{Reason: res.Err.Error()})
+		p.storeResult(rt, task.Step, Degraded{Reason: res.Err.Error()})
 		p.col.AddDegradedStep()
-		p.sched.mark(bucketLane(res.Bucket), res.End, "dead-letter %s@%d", res.Task.Analysis, res.Task.Step)
+		p.sched.mark(lane, res.End, "dead-letter %s@%d", rt.name, task.Step)
 	case res.Err != nil:
-		p.recordErr(fmt.Errorf("core: in-transit %s step %d: %w",
-			res.Task.Analysis, res.Task.Step, res.Err))
-	case res.Task.Shaped > 0:
+		p.recordErr(fmt.Errorf("core: in-transit %s step %d: %w", rt.name, task.Step, res.Err))
+	case task.Shaped > 0:
 		// A shaped step completed on the transit path, but at
 		// reduced fidelity: mark it so consumers can tell it from
 		// a full-quality result.
-		p.storeResult(res.Task.Analysis, res.Task.Step, Degraded{
-			Reason: fmt.Sprintf("shaped: coarser payload (level %d)", res.Task.Shaped),
+		p.storeResult(rt, task.Step, Degraded{
+			Reason: fmt.Sprintf("shaped: coarser payload (level %d)", task.Shaped),
 			Value:  res.Output,
 		})
 	default:
-		p.storeResult(res.Task.Analysis, res.Task.Step, res.Output)
+		p.storeResult(rt, task.Step, res.Output)
 	}
 	// The serialized (sum) modeled pull time is the right
 	// "data movement time": a single bucket's ingress link
 	// admits one RDMA stream's worth of bandwidth at a time.
-	p.col.RecordTransit(res.Task.Analysis, res.MoveModeledSum, res.MoveWall,
+	p.col.RecordTransit(rt.name, res.MoveModeledSum, res.MoveWall,
 		res.BytesMoved, res.ComputeWall)
 	p.mu.Lock()
 	p.completed++
 	p.mu.Unlock()
 	p.maybeCommitSteps()
 }
-
-// bucketLane names a staging bucket's timeline lane.
-func bucketLane(id int) string { return "bucket-" + strconv.Itoa(id) }
 
 // drained reports whether the tenant is finished with the task queue:
 // its simulation has stepped to the end and every task it submitted has
@@ -228,32 +286,14 @@ func (p *Pipeline) drained() bool {
 	return p.simDone && p.completed == p.submitted
 }
 
-// buildRoutes gives every hybrid analysis its breaker and ladder and
-// returns the route names, in registration order. Requires p.ov.
-func (p *Pipeline) buildRoutes() []string {
-	var names []string
-	for _, a := range p.analyses {
-		if _, ok := a.(hybridStage); ok {
-			names = append(names, a.Name())
-			// Route insertion is p.mu-guarded because scrape-time
-			// metric functions iterate p.routes concurrently.
-			p.mu.Lock()
-			p.routes[a.Name()] = &routeState{
-				breaker: overload.NewBreaker(p.ov.Breaker),
-				ladder:  overload.NewLadder(p.ov.Ladder),
-			}
-			p.mu.Unlock()
-		}
-	}
-	return names
-}
-
 // breakerTotals sums breaker trips and state transitions over the
 // tenant's routes. The caller holds p.mu or runs after the run.
 func (p *Pipeline) breakerTotals() (opens, transitions int64) {
-	for _, rs := range p.routes {
-		opens += rs.breaker.Opens()
-		transitions += rs.breaker.Transitions()
+	for _, rt := range p.routes {
+		if rt.breaker != nil {
+			opens += rt.breaker.Opens()
+			transitions += rt.breaker.Transitions()
+		}
 	}
 	return opens, transitions
 }
@@ -292,21 +332,20 @@ func (p *Pipeline) resilience(siblings bool) metrics.Resilience {
 // breaker and the shared latency estimator. Only the drain goroutine
 // calls it. Task outcomes move a breaker out of Closed only — a stale
 // in-flight result cannot flip a route the prober is recovering.
-func (p *Pipeline) observeResult(res staging.Result) {
-	rs := p.routes[res.Task.Analysis] // none without an admission plane
-	if rs == nil {
+func (p *Pipeline) observeResult(rt *route, res staging.Result) {
+	if rt.breaker == nil { // no admission plane
 		return
 	}
 	now := time.Now()
-	prev := rs.breaker.State()
+	prev := rt.breaker.State()
 	if res.Err != nil {
-		rs.breaker.RecordFailure(now)
+		rt.breaker.RecordFailure(now)
 	} else {
 		lat := res.End.Sub(res.Start)
-		rs.breaker.RecordSuccess(now, lat)
+		rt.breaker.RecordSuccess(now, lat)
 		p.est.ObserveLatency(lat)
 	}
-	p.markBreaker(res.Task.Analysis, prev, rs.breaker.State(), res.Task.Step)
+	p.markBreaker(rt.name, prev, rt.breaker.State(), res.Task.Step)
 }
 
 // Credits returns the transit tier's credit account (nil unless
@@ -319,22 +358,12 @@ func (p *Pipeline) BreakerStates() map[string]overload.BreakerState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[string]overload.BreakerState, len(p.routes))
-	for name, rs := range p.routes {
-		out[name] = rs.breaker.State()
+	for _, rt := range p.routes {
+		if rt.breaker != nil {
+			out[rt.name] = rt.breaker.State()
+		}
 	}
 	return out
-}
-
-// codecSpec resolves the configured transfer-path codec for a route:
-// the route's own entry, then the "*" fallback, then identity.
-func (p *Pipeline) codecSpec(name string) codec.Spec {
-	if s, ok := p.cfg.Codecs[name]; ok {
-		return s
-	}
-	if s, ok := p.cfg.Codecs["*"]; ok {
-		return s
-	}
-	return codec.Spec{}
 }
 
 // registerPayload encodes one intermediate payload under spec and pins
@@ -345,19 +374,15 @@ func (p *Pipeline) codecSpec(name string) codec.Spec {
 // as floats. When the encode produced a frame, the producer's marshal
 // buffer is recycled immediately (the frame is what stays pinned);
 // identity registrations keep the payload pinned exactly as before.
-func (p *Pipeline) registerPayload(ep *dart.Endpoint, an hybridStage, spec codec.Spec, key string, step int, payload []byte) (dart.MemHandle, error) {
+func (p *Pipeline) registerPayload(ep *dart.Endpoint, rt *route, spec codec.Spec, key string, step int, payload []byte) (dart.MemHandle, error) {
 	floatOff := 0
 	if spec.ID == codec.Quantize || spec.ID == codec.Subsample {
-		off := -1
-		if qa, ok := an.(QuantizableStage); ok {
-			if o, ok2 := qa.PayloadFloatTail(payload); ok2 {
-				off = o
-			}
+		ok := false
+		if rt.quant != nil {
+			floatOff, ok = rt.quant.PayloadFloatTail(payload)
 		}
-		if off < 0 {
-			spec = codec.Spec{ID: codec.Delta}
-		} else {
-			floatOff = off
+		if !ok {
+			spec, floatOff = codec.Spec{ID: codec.Delta}, 0
 		}
 	}
 	er, err := ep.RegisterMemEncoded(spec, key, step, payload, floatOff)
@@ -388,50 +413,39 @@ func (p *Pipeline) discardStaged(inputs []dataspaces.Descriptor, dec admitDecisi
 // refused the task (bounded queue full) or the service was gone. The
 // staged inputs are discarded and the step is stored as an explicit
 // shed marker instead of leaking regions and vanishing.
-func (p *Pipeline) shedSubmitted(name string, step int, inputs []dataspaces.Descriptor, dec admitDecision, cause error) {
+func (p *Pipeline) shedSubmitted(rt *route, step int, inputs []dataspaces.Descriptor, dec admitDecision, cause error) {
 	p.discardStaged(inputs, dec)
 	// A credited quarantine probe that never reached the queue is a
 	// failed probe: the route stays quarantined until the next window.
 	if dec.Probe {
-		p.quar.RecordProbe(p.tenant, name, false)
+		p.quar.RecordProbe(p.tenant, rt.name, false)
 	}
-	p.storeResult(name, step, Degraded{Reason: fmt.Sprintf("shed: %v", cause)})
+	p.storeResult(rt, step, Degraded{Reason: fmt.Sprintf("shed: %v", cause)})
 	p.col.AddShedStep()
-	p.sched.mark("overload", time.Now(), "%s shed at submit@%d", name, step)
+	p.sched.mark("overload", time.Now(), "%s shed at submit@%d", rt.name, step)
 	if !errors.Is(cause, dataspaces.ErrQueueFull) && !errors.Is(cause, overload.ErrQuarantined) {
 		// Backpressure and the quarantine guard are expected; anything
 		// else is a real error too.
-		p.recordErr(fmt.Errorf("core: submit %s step %d: %w", name, step, cause))
+		p.recordErr(fmt.Errorf("core: submit %s step %d: %w", rt.name, step, cause))
 	}
-}
-
-// hybridDue reports whether any hybrid analysis runs at this step.
-func (p *Pipeline) hybridDue(step int) bool {
-	for _, a := range p.analyses {
-		if _, ok := a.(hybridStage); ok && due(a, step) {
-			return true
-		}
-	}
-	return false
 }
 
 // runFallback executes one degraded hybrid analysis step fully
 // in-situ. Analyses without a fallback still get an explicit Degraded
 // marker so the step is never silently lost.
-func (p *Pipeline) runFallback(ctx *Ctx, r *comm.Rank, an hybridStage, step int, reason string) {
+func (p *Pipeline) runFallback(ctx *Ctx, r *comm.Rank, rt *route, step int, reason string) {
 	var out any
 	var err error
-	fb, hasFB := an.(InSituFallback)
 	t := time.Now()
-	if hasFB {
-		out, err = fb.RunFallback(ctx)
+	if rt.fallback != nil {
+		out, err = rt.fallback.RunFallback(ctx)
 	}
-	p.col.RecordInSitu(an.Name(), step, time.Since(t))
+	p.col.RecordInSitu(rt.name, step, time.Since(t))
 	if err != nil {
-		p.recordErr(fmt.Errorf("core: in-situ fallback %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
+		p.recordErr(fmt.Errorf("core: in-situ fallback %s step %d rank %d: %w", rt.name, step, r.ID(), err))
 		return
 	}
 	if r.ID() == 0 {
-		p.storeResult(an.Name(), step, Degraded{Reason: reason, Value: out})
+		p.storeResult(rt, step, Degraded{Reason: reason, Value: out})
 	}
 }

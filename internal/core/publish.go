@@ -180,10 +180,10 @@ func (s *Scheduler) Status() map[string]any {
 		names[i] = p.tenant
 		p.mu.Lock()
 		submitted, completed, simDone = submitted+p.submitted, completed+p.completed, simDone && p.simDone
-		for route, rs := range p.routes {
-			breakers[p.prefix+route] = rs.breaker.State().String()
-		}
 		p.mu.Unlock()
+		for route, st := range p.BreakerStates() {
+			breakers[p.prefix+route] = st.String()
+		}
 	}
 	st := map[string]any{
 		"tenants":        names,

@@ -22,7 +22,8 @@ import (
 // rankRun is one simulation rank's pass through the Fig. 5 stages: the
 // state that lives across steps — the rank's block of the simulation,
 // its DART endpoint, the analysis context, the per-route codec keys —
-// plus the admission verdicts of the step in flight.
+// plus the admission verdicts of the step in flight. Both slices are
+// indexed like Pipeline.routes.
 type rankRun struct {
 	p   *Pipeline
 	r   *comm.Rank
@@ -34,10 +35,12 @@ type rankRun struct {
 	// strings. The key carries the tenant's prefix: the codec registry
 	// is shared, and two tenants running the same analysis must not
 	// chain their delta streams.
-	codecKeys map[string]string
+	codecKeys []string
 
-	// Set by admit, read by the stages after it.
-	decisions map[string]admitDecision
+	// Set by admit, read by the stages after it. A route with no
+	// verdict holds the zero decision: full level, not credited, not a
+	// probe.
+	decisions []admitDecision
 }
 
 // rankLoop is one rank's simulation + in-situ schedule: the stages of
@@ -86,11 +89,12 @@ func (p *Pipeline) newRankRun(r *comm.Rank) (*rankRun, error) {
 			Decomp: p.sim.Decomp(),
 			State:  make(map[string]any),
 		},
-		codecKeys: make(map[string]string, len(p.analyses)),
+		codecKeys: make([]string, len(p.routes)),
+		decisions: make([]admitDecision, len(p.routes)),
 	}
-	for _, a := range p.analyses {
-		if _, ok := a.(hybridStage); ok {
-			rr.codecKeys[a.Name()] = codec.Key(p.prefix+a.Name(), r.ID())
+	for i, rt := range p.routes {
+		if rt.stage != nil {
+			rr.codecKeys[i] = codec.Key(p.prefix+rt.name, r.ID())
 		}
 	}
 	return rr, nil
@@ -117,17 +121,16 @@ func (rr *rankRun) resumePrologue() (start int, err error) {
 	}
 	if rec.resumeFrom >= 1 {
 		rr.ctx.Step = rec.resumeFrom
-		for _, a := range p.analyses {
-			an, ok := a.(hybridStage)
-			if !ok || !due(a, rec.resumeFrom) {
+		for i, rt := range p.routes {
+			if rt.stage == nil || !rt.due(rec.resumeFrom) {
 				continue
 			}
-			payload, err := an.InSituStage(rr.ctx)
+			payload, err := rt.stage.InSituStage(rr.ctx)
 			if err != nil {
-				p.recordErr(fmt.Errorf("core: resume reseed %s rank %d: %w", a.Name(), rr.r.ID(), err))
+				p.recordErr(fmt.Errorf("core: resume reseed %s rank %d: %w", rt.name, rr.r.ID(), err))
 				continue
 			}
-			p.sched.codecs.SeedBase(rr.codecKeys[a.Name()], rec.resumeFrom, payload)
+			p.sched.codecs.SeedBase(rr.codecKeys[i], rec.resumeFrom, payload)
 			bufpool.Put(payload)
 		}
 	}
@@ -150,7 +153,7 @@ func (rr *rankRun) journalAdmit(step int) (killed bool) {
 	if rr.r.ID() == 0 {
 		p.recKill(recovery.PhasePreAdmit, step)
 	}
-	if rr.r.Broadcast(0, p.rec.isKilled()).(bool) {
+	if rr.r.Broadcast(0, p.rec.j.Killed()).(bool) {
 		return true
 	}
 	if rr.r.ID() == 0 {
@@ -182,8 +185,9 @@ func (rr *rankRun) simStep(step int) time.Time {
 // configured every route is simply submitted.
 func (rr *rankRun) admit(step int) {
 	p, r := rr.p, rr.r
-	rr.decisions = nil
-	if !p.hybridDue(step) || (p.ov == nil && p.cfg.StepBudget <= 0) {
+	clear(rr.decisions)
+	hybridDue := slices.ContainsFunc(p.routes, func(rt *route) bool { return rt.stage != nil && rt.due(step) })
+	if !hybridDue || (p.ov == nil && p.cfg.StepBudget <= 0) {
 		return
 	}
 	var decs []admitDecision
@@ -194,11 +198,7 @@ func (rr *rankRun) admit(step int) {
 			decs = p.probeStep(rr.ep, step)
 		}
 	}
-	decs = r.Broadcast(0, decs).([]admitDecision)
-	rr.decisions = make(map[string]admitDecision, len(decs))
-	for _, d := range decs {
-		rr.decisions[d.Name] = d
-	}
+	copy(rr.decisions, r.Broadcast(0, decs).([]admitDecision))
 }
 
 // inSitu runs every analysis due at this step on the rank: in-situ
@@ -209,28 +209,25 @@ func (rr *rankRun) admit(step int) {
 // always keeps participating.
 func (rr *rankRun) inSitu(step int) (staged bool) {
 	p, r := rr.p, rr.r
-	for _, a := range p.analyses {
-		if !due(a, step) {
+	for i, rt := range p.routes {
+		if !rt.due(step) {
 			continue
 		}
-		switch an := a.(type) {
-		case InSituAnalysis:
-			t := time.Now()
-			out, err := an.RunInSitu(rr.ctx)
-			p.col.RecordInSitu(an.Name(), step, time.Since(t))
-			if err != nil {
-				p.recordErr(fmt.Errorf("core: in-situ %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
-				continue
-			}
-			if r.ID() == 0 && out != nil {
-				p.storeResult(an.Name(), step, out)
-			}
-		case hybridStage:
-			if rr.reduceEncodeRegister(an, step) {
+		if rt.stage != nil {
+			if rr.reduceEncodeRegister(i, step) {
 				staged = true
 			}
-		default:
-			p.recordErr(fmt.Errorf("core: analysis %s implements neither InSituAnalysis nor HybridAnalysis", a.Name()))
+			continue
+		}
+		t := time.Now()
+		out, err := rt.insitu.RunInSitu(rr.ctx)
+		p.col.RecordInSitu(rt.name, step, time.Since(t))
+		if err != nil {
+			p.recordErr(fmt.Errorf("core: in-situ %s step %d rank %d: %w", rt.name, step, r.ID(), err))
+			continue
+		}
+		if r.ID() == 0 && out != nil {
+			p.storeResult(rt, step, out)
 		}
 	}
 	return staged
@@ -243,17 +240,15 @@ func (rr *rankRun) inSitu(step int) (staged bool) {
 // DataSpaces. It reports whether the route heads for the transit tier —
 // true even when the stage then fails, because the other ranks still
 // meet at the data-ready barrier.
-func (rr *rankRun) reduceEncodeRegister(an hybridStage, step int) bool {
+func (rr *rankRun) reduceEncodeRegister(i, step int) bool {
 	p, r := rr.p, rr.r
-	// A route with no verdict reads as the zero decision: full level,
-	// not credited, not a probe.
-	dec := rr.decisions[an.Name()]
+	rt, dec := p.routes[i], rr.decisions[i]
 	switch dec.Level {
 	case overload.LevelShed:
 		// Shed: no work at all this step, only an explicit
 		// marker so the step is never silently missing.
 		if r.ID() == 0 {
-			p.storeResult(an.Name(), step, Degraded{Reason: dec.Reason})
+			p.storeResult(rt, step, Degraded{Reason: dec.Reason})
 			p.col.AddShedStep()
 		}
 		return false
@@ -262,7 +257,7 @@ func (rr *rankRun) reduceEncodeRegister(an hybridStage, step int) bool {
 			p.col.AddOverloadFallback()
 			p.col.AddDegradedStep()
 		}
-		p.runFallback(rr.ctx, r, an, step, dec.Reason)
+		p.runFallback(rr.ctx, r, rt, step, dec.Reason)
 		return false
 	case overload.LevelShaped:
 		if r.ID() == 0 {
@@ -281,24 +276,23 @@ func (rr *rankRun) reduceEncodeRegister(an hybridStage, step int) bool {
 	var payload []byte
 	var err error
 	if dec.Level == overload.LevelShaped {
-		payload, err = an.(ShapedStage).InSituStageShaped(rr.ctx, 1)
+		payload, err = rt.shaped.InSituStageShaped(rr.ctx, 1)
 	} else {
-		payload, err = an.InSituStage(rr.ctx)
+		payload, err = rt.stage.InSituStage(rr.ctx)
 	}
-	p.col.RecordInSitu(an.Name(), step, time.Since(t))
+	p.col.RecordInSitu(rt.name, step, time.Since(t))
 	if err != nil {
-		p.recordErr(fmt.Errorf("core: in-situ stage %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
+		p.recordErr(fmt.Errorf("core: in-situ stage %s step %d rank %d: %w", rt.name, step, r.ID(), err))
 		return true
 	}
-	spec := ladderSpec(dec.Level, p.codecSpec(an.Name()))
-	h, err := p.registerPayload(rr.ep, an, spec, rr.codecKeys[an.Name()], step, payload)
+	h, err := p.registerPayload(rr.ep, rt, ladderSpec(dec.Level, rt.spec), rr.codecKeys[i], step, payload)
 	if err != nil {
-		p.recordErr(fmt.Errorf("core: register %s step %d rank %d: %w", an.Name(), step, r.ID(), err))
+		p.recordErr(fmt.Errorf("core: register %s step %d rank %d: %w", rt.name, step, r.ID(), err))
 		return true
 	}
 	p.sched.ds.Put(dataspaces.Descriptor{
 		Tenant:  p.tenant,
-		Name:    an.Name(),
+		Name:    rt.name,
 		Version: step,
 		Box:     rr.rk.OwnedBox(),
 		Rank:    r.ID(),
@@ -319,15 +313,11 @@ func (rr *rankRun) submit(step int) {
 	if p.cfg.StepBudget > 0 {
 		deadline = time.Now().Add(p.cfg.StepBudget)
 	}
-	for _, a := range p.analyses {
-		if _, ok := a.(hybridStage); !ok || !due(a, step) {
-			continue
+	for i, rt := range p.routes {
+		if rt.stage == nil || !rt.due(step) || rr.decisions[i].Level > overload.LevelShaped {
+			continue // not a hybrid route's step, or shed or fell back in-situ: nothing staged
 		}
-		dec := rr.decisions[a.Name()]
-		if dec.Level > overload.LevelShaped {
-			continue // shed or fell back in-situ: nothing staged
-		}
-		rr.submitTask(a.Name(), step, dec, deadline)
+		rr.submitTask(rt, step, rr.decisions[i], deadline)
 	}
 }
 
@@ -336,8 +326,8 @@ func (rr *rankRun) submit(step int) {
 // on the spot: its inputs are unpinned, its credit returned, and the
 // step stored as shed (or nothing stored, when the journal proves the
 // task already committed in a previous life).
-func (rr *rankRun) submitTask(name string, step int, dec admitDecision, deadline time.Time) {
-	p := rr.p
+func (rr *rankRun) submitTask(rt *route, step int, dec admitDecision, deadline time.Time) {
+	p, name := rr.p, rt.name
 	// Ordered by producing rank, so in-transit payload slices are
 	// deterministic.
 	inputs := p.sched.ds.QueryT(p.tenant, name, step)
@@ -355,14 +345,15 @@ func (rr *rankRun) submitTask(name string, step int, dec admitDecision, deadline
 			// life: the committed digest covers it, store nothing.
 			p.discardStaged(inputs, dec)
 		} else {
-			p.shedSubmitted(name, step, inputs, dec, err)
+			p.shedSubmitted(rt, step, inputs, dec, err)
 		}
 	} else {
 		p.mu.Lock()
 		p.submitted++
 		p.mu.Unlock()
 		if p.rec != nil {
-			if p.rec.countReplay(name, step) {
+			// A submit the dead process journaled but never committed.
+			if p.rec.prevSubmitted[step][name] {
 				p.rec.replayed.Add(1)
 			}
 			if err := p.rec.j.Append(recovery.Record{Kind: recovery.KindSubmit, Step: step, Analysis: name}); err != nil && !errors.Is(err, recovery.ErrKilled) {

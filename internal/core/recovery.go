@@ -59,9 +59,9 @@ type recState struct {
 	resumeFrom int                   // last contiguously committed step (≤ steps)
 	ckptStep   int                   // checkpoint the ranks restore at (0 = from scratch)
 	ckptFields map[int][]*grid.Field // rank -> restored fields
-	// prevSubmitted holds (step, analysis) pairs the dead process
-	// journaled a submit for beyond resumeFrom; resubmitting one counts
-	// as a replayed task.
+	// prevSubmitted holds the (step, analysis) pairs the dead process
+	// journaled a submit for. Live steps start beyond resumeFrom, so
+	// submitting one of them again is a replayed task.
 	prevSubmitted map[int]map[string]bool
 	t0            time.Time
 
@@ -81,8 +81,6 @@ type recState struct {
 	commits  atomic.Int64
 	ckpts    atomic.Int64
 }
-
-func (rec *recState) isKilled() bool { return rec.j.Killed() }
 
 // recKill consults the injected kill function at one phase boundary
 // and, on a hit, freezes the journal — everything before this call is
@@ -135,21 +133,14 @@ func (p *Pipeline) planResume(steps int) {
 	}
 	rec.lastCkpt = rec.ckptStep
 	rec.nextCommit = rec.resumeFrom + 1
-	rec.prevSubmitted = make(map[int]map[string]bool)
-	for step, names := range st.Submitted {
-		if step > rec.resumeFrom {
-			rec.prevSubmitted[step] = names
-		}
-	}
+	rec.prevSubmitted = st.Submitted
 	var seed []dataspaces.TaskKey
-	for _, a := range p.analyses {
-		if _, ok := a.(hybridStage); !ok {
+	for _, rt := range p.routes {
+		if rt.stage == nil {
 			continue
 		}
-		for s := 1; s <= rec.resumeFrom; s++ {
-			if due(a, s) {
-				seed = append(seed, dataspaces.TaskKey{Analysis: a.Name(), Step: s})
-			}
+		for s := rt.every; s <= rec.resumeFrom; s += rt.every {
+			seed = append(seed, dataspaces.TaskKey{Analysis: rt.name, Step: s})
 		}
 	}
 	p.sched.ds.EnableDedup(seed)
@@ -223,35 +214,32 @@ func (p *Pipeline) commitDigests(s int) (map[string]string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	digests := make(map[string]string)
-	for _, a := range p.analyses {
-		if !due(a, s) {
+	for _, rt := range p.routes {
+		if !rt.due(s) {
 			continue
 		}
-		out, ok := p.results[a.Name()][s]
-		if _, hybrid := a.(hybridStage); hybrid && !ok {
+		out, ok := rt.results[s]
+		if rt.stage != nil && !ok {
 			return nil, false
 		}
 		if ok {
-			digests[a.Name()] = resultDigest(out)
+			digests[rt.name] = ResultDigest(out)
 		}
 	}
 	return digests, true
 }
 
-// ResultDigest hashes an analysis result into the short stable token
-// the recovery journal commits — exported so equivalence tests can
-// compare whole runs result by result without depending on the journal.
-func ResultDigest(v any) string { return resultDigest(v) }
-
-// resultDigest hashes a stored analysis result into a short stable
-// token: two runs of one config agree digest for digest. %v formatting
+// ResultDigest hashes a stored analysis result into the short stable
+// token the recovery journal commits — exported so equivalence tests can
+// compare whole runs result by result without depending on the journal:
+// two runs of one config agree digest for digest. %v formatting
 // is deterministic for the value shapes analyses store (fmt sorts map
 // keys), and byValue first replaces what %v would print as a heap
 // address. One field stays out of the digest because it is not a
 // function of the config: the streaming topology incorporates subtrees
 // in payload arrival order, so its Stream.SpliceOps work counter
 // differs from run to run while the tree it builds does not.
-func resultDigest(v any) string {
+func ResultDigest(v any) string {
 	h := crc64.New(crc64.MakeTable(crc64.ECMA))
 	fmt.Fprintf(h, "%v", byValue(v))
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -300,12 +288,6 @@ func byValue(v any) any {
 		return rv.Elem().Interface()
 	}
 	return v
-}
-
-// countReplay reports whether a live submission of (analysis, step)
-// replays a submit the dead process had journaled but never committed.
-func (rec *recState) countReplay(analysis string, step int) bool {
-	return rec.prevSubmitted[step][analysis]
 }
 
 // recoveryReport snapshots the plane for the run report.

@@ -52,9 +52,15 @@ func (p *Pipeline) finishReport(steps int, siblings bool) *Report {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	results := make(map[string]map[int]any, len(p.routes))
+	for _, rt := range p.routes {
+		if rt.results != nil {
+			results[rt.name] = rt.results
+		}
+	}
 	return &Report{
 		Steps:      steps,
-		Results:    p.results,
+		Results:    results,
 		Metrics:    p.col,
 		Net:        p.sched.net.Stats(),
 		Resilience: p.col.Resilience(),

@@ -109,19 +109,21 @@ func (s *Scheduler) start(tenants []*Pipeline) error {
 	var accounts []string
 	armed := false
 	for _, p := range tenants {
-		p.installHandlers()
 		weights[p.tenant] = max(p.cfg.Weight, 1)
 		if p.ov == nil {
 			continue
 		}
 		armed = true
-		routes := p.buildRoutes()
 		if p.tenant != "" {
 			accounts = append(accounts, p.tenant)
-		} else {
-			accounts = routes
-			bound, total, floor = p.ov.QueueBound, p.ov.Credits, p.ov.Reserve
+			continue
 		}
+		for _, rt := range p.routes {
+			if rt.stage != nil {
+				accounts = append(accounts, rt.name)
+			}
+		}
+		bound, total, floor = p.ov.QueueBound, p.ov.Credits, p.ov.Reserve
 	}
 	s.ds.SetQueueBound(bound)
 	s.ds.SetTenantWeights(weights)

@@ -212,13 +212,12 @@ func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) 
 		return nil, err
 	}
 	p := &Pipeline{
-		cfg:       cfg,
-		sched:     s,
-		sim:       sm,
-		col:       metrics.NewCollector(),
-		tenant:    name,
-		results:   make(map[string]map[int]any),
-		frameVars: make(map[string]string),
+		cfg:    cfg,
+		sched:  s,
+		sim:    sm,
+		col:    metrics.NewCollector(),
+		tenant: name,
+		byName: make(map[string]*route),
 	}
 	ov := cfg.Overload
 	if name != "" {
@@ -235,7 +234,6 @@ func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) 
 		d := ov.WithDefaults()
 		p.ov = &d
 		p.est = overload.NewEstimator(d.LatencyAlpha, d.QueueAlpha)
-		p.routes = make(map[string]*routeState)
 	}
 	if rc := cfg.Recovery; rc != nil {
 		if rc.Dir == "" {

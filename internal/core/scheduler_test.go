@@ -308,7 +308,7 @@ func TestSchedulerQuarantineOpensAndReleases(t *testing.T) {
 	if q.Releases() == 0 {
 		t.Fatal("a healed route must be released by a half-open probe")
 	}
-	if got := q.State("noisy", "poison"); got != overload.QClosed {
+	if got := q.State("noisy", "poison"); got != overload.Closed {
 		t.Fatalf("route must end closed, got %v", got)
 	}
 	// The tail of the run flows at full fidelity again.

@@ -168,7 +168,7 @@ func TestSubmitSpecThreadsShapedAndCredited(t *testing.T) {
 		t.Fatalf("FinishTask must settle the credit, outstanding=%d", got)
 	}
 	// FinishTask on an uncredited task is a no-op.
-	s.FinishTask(Task{Analysis: "a"})
+	s.FinishTask(Task{TaskSpec: TaskSpec{Analysis: "a"}})
 	if s.Credits().Available() != s.Credits().Total() {
 		t.Fatal("uncredited FinishTask must not mint credits")
 	}

@@ -58,16 +58,27 @@ type server struct {
 
 // Task describes one unit of in-transit work: run the named analysis
 // for one timestep over the given input blocks. Tasks are created by
-// data-ready events and drained by bucket-ready requests.
+// data-ready events and drained by bucket-ready requests. It is the
+// submitted TaskSpec plus what the service adds: the id, and the
+// attempt ledger that survives requeues.
 type Task struct {
-	ID       int64
-	Analysis string
-	Step     int
-	Inputs   []Descriptor
+	ID int64
+	TaskSpec
 	// Attempts counts how many times the task has been handed to a
 	// bucket and failed (bucket crash or transfer failure); it starts
 	// at 0 and is incremented by Requeue.
 	Attempts int
+	// History accumulates one line per failed attempt (cause summaries)
+	// so a dead-letter report can show how the task died, not just that
+	// it did. It survives requeues.
+	History []string
+}
+
+// TaskSpec describes a task submission.
+type TaskSpec struct {
+	Analysis string
+	Step     int
+	Inputs   []Descriptor
 	// Deadline, when non-zero, bounds the task's data movement: pulls
 	// past it fail and the task is eventually dead-lettered. It is set
 	// from the submitting step's deadline budget.
@@ -90,22 +101,6 @@ type Task struct {
 	// disposition can decide between release and re-open. Probes pass
 	// the admission guard.
 	Probe bool
-	// History accumulates one line per failed attempt (cause summaries)
-	// so a dead-letter report can show how the task died, not just that
-	// it did. It survives requeues.
-	History []string
-}
-
-// TaskSpec describes a task submission.
-type TaskSpec struct {
-	Analysis string
-	Step     int
-	Inputs   []Descriptor
-	Deadline time.Time
-	Shaped   int
-	Account  string
-	Tenant   string
-	Probe    bool
 }
 
 // Service is the coordination service: a sharded descriptor index plus
@@ -555,17 +550,7 @@ func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 		s.dedup[dk] = true
 	}
 	s.nextID++
-	t := Task{
-		ID:       s.nextID,
-		Analysis: spec.Analysis,
-		Step:     spec.Step,
-		Inputs:   spec.Inputs,
-		Deadline: spec.Deadline,
-		Shaped:   spec.Shaped,
-		Account:  spec.Account,
-		Tenant:   spec.Tenant,
-		Probe:    spec.Probe,
-	}
+	t := Task{ID: s.nextID, TaskSpec: spec}
 	if len(s.waiting) > 0 {
 		w := s.waiting[0]
 		s.waiting = s.waiting[1:]

@@ -65,7 +65,7 @@ func TestRequeueHandsToWaitingBucket(t *testing.T) {
 	for i := 0; i < 100 && s.FreeBuckets() == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if err := s.Requeue(Task{ID: 7, Analysis: "a", Step: 3, Attempts: 1}); err != nil {
+	if err := s.Requeue(Task{ID: 7, TaskSpec: TaskSpec{Analysis: "a", Step: 3}, Attempts: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -274,7 +274,7 @@ func TestTenantCreditAccountSettlement(t *testing.T) {
 	}
 	// A credited task settles against the account it names, whatever
 	// its tenant and analysis.
-	s.FinishTask(Task{Tenant: "a", Analysis: "viz", Account: "a"})
+	s.FinishTask(Task{TaskSpec: TaskSpec{Tenant: "a", Analysis: "viz", Account: "a"}})
 	out, avail, total := c.Snapshot()
 	if out != 0 || avail != total {
 		t.Fatalf("after settle: outstanding %d available %d total %d", out, avail, total)

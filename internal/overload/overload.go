@@ -12,7 +12,8 @@
 //   - Breaker: a per-analysis-route circuit breaker (closed → open on
 //     consecutive failures or a latency-EWMA threshold → half-open
 //     probe → closed), gating whether the route may touch the transit
-//     tier at all.
+//     tier at all. Quarantine is a set of the same breakers keyed by
+//     (tenant, analysis) and fed task dispositions.
 //   - Ladder: the admission ladder, a hysteretic policy that maps the
 //     pressure signals onto graded degradation levels — full hybrid,
 //     shaped (reduced payload), in-situ fallback, shed — dropping fast
@@ -175,12 +176,24 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // it out of Closed; only probe outcomes (RecordProbe) move it out of
 // Open/HalfOpen, so stale in-flight results cannot flip a recovering
 // route behind the prober's back.
+//
+// It has two cooldowns. A route's transit-health breaker waits
+// BreakerConfig.Cooldown of wall time and then asks for a probe on every
+// step until an outcome arrives. A Quarantine's breaker counts denials
+// instead of reading a clock, so chaos gates replay exactly, and admits
+// one probe at a time, because its probe is a real task.
 type Breaker struct {
 	cfg BreakerConfig
+	// Set by Quarantine only: probeAfter > 0 makes the cooldown that many
+	// denied Allow calls, oneProbe makes a half-open breaker reject until
+	// its single outstanding probe is recorded.
+	probeAfter int
+	oneProbe   bool
 
 	mu       sync.Mutex
 	state    BreakerState
 	fails    int
+	denials  int
 	lat      EWMA
 	openedAt time.Time
 
@@ -225,6 +238,7 @@ func (b *Breaker) toLocked(s BreakerState, now time.Time) {
 	case Open:
 		b.opens++
 		b.openedAt = now
+		b.denials = 0
 	case Closed:
 		b.fails = 0
 		// A fresh start: the latency EWMA accumulated during the
@@ -236,7 +250,8 @@ func (b *Breaker) toLocked(s BreakerState, now time.Time) {
 // Allow answers an admission request at `now`: Admit while closed,
 // Reject while open inside the cooldown, Probe once the cooldown has
 // elapsed (transitioning to half-open) and on every half-open step
-// until a probe outcome arrives.
+// until a probe outcome arrives — or, for a single-probe breaker,
+// Reject until the outstanding probe's outcome arrives.
 func (b *Breaker) Allow(now time.Time) Verdict {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -244,12 +259,20 @@ func (b *Breaker) Allow(now time.Time) Verdict {
 	case Closed:
 		return Admit
 	case Open:
-		if now.Sub(b.openedAt) >= b.cfg.Cooldown {
-			b.toLocked(HalfOpen, now)
-			return Probe
+		cooled := now.Sub(b.openedAt) >= b.cfg.Cooldown
+		if b.probeAfter > 0 { // count this denial instead of reading the clock
+			b.denials++
+			cooled = b.denials >= b.probeAfter
 		}
-		return Reject
+		if !cooled {
+			return Reject
+		}
+		b.toLocked(HalfOpen, now)
+		return Probe
 	default: // HalfOpen
+		if b.oneProbe {
+			return Reject
+		}
 		return Probe
 	}
 }

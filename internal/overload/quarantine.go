@@ -2,8 +2,8 @@ package overload
 
 import (
 	"errors"
-	"fmt"
 	"sync"
+	"time"
 )
 
 // ErrQuarantined is the typed fail-fast returned (wrapped) when a
@@ -12,62 +12,6 @@ import (
 // enough that admitting more of them would burn shared staging
 // capacity (bucket respawns, retries, credits) for every tenant.
 var ErrQuarantined = errors.New("overload: route quarantined")
-
-// QState is a quarantined route's position, mirroring BreakerState but
-// driven by *task disposition* (dead-letter / handler error) rather
-// than transit health, and advanced by deterministic denial counting
-// rather than wall-clock cooldowns so chaos gates replay exactly.
-type QState int
-
-const (
-	// QClosed admits the route; strikes are being counted.
-	QClosed QState = iota
-	// QOpen rejects the route until enough denials have accumulated to
-	// justify a probe.
-	QOpen
-	// QProbing admits exactly one probe task at a time; its disposition
-	// decides between release (QClosed) and re-open (QOpen).
-	QProbing
-)
-
-// String implements fmt.Stringer.
-func (s QState) String() string {
-	switch s {
-	case QClosed:
-		return "closed"
-	case QOpen:
-		return "open"
-	case QProbing:
-		return "probing"
-	}
-	return fmt.Sprintf("QState(%d)", int(s))
-}
-
-// QVerdict is the quarantine's answer to an admission request.
-type QVerdict int
-
-const (
-	// QAdmit lets the route submit normally.
-	QAdmit QVerdict = iota
-	// QProbe asks the caller to submit one probe-marked task and report
-	// its disposition via RecordProbe.
-	QProbe
-	// QReject refuses the route for this step.
-	QReject
-)
-
-// String implements fmt.Stringer.
-func (v QVerdict) String() string {
-	switch v {
-	case QAdmit:
-		return "admit"
-	case QProbe:
-		return "probe"
-	case QReject:
-		return "reject"
-	}
-	return fmt.Sprintf("QVerdict(%d)", int(v))
-}
 
 // QuarantineConfig tunes the poison-route quarantine.
 type QuarantineConfig struct {
@@ -91,24 +35,19 @@ func (c QuarantineConfig) withDefaults() QuarantineConfig {
 	return c
 }
 
-type qroute struct {
-	state    QState
-	strikes  int
-	denials  int
-	inflight bool // QProbing: one probe task outstanding
-}
-
 type qkey struct{ tenant, analysis string }
 
 // Quarantine tracks poison (tenant, analysis) routes across a shared
-// staging fabric. It is pure policy — no clock, no goroutines — and is
-// safe for concurrent use by the admission pass and the drain
-// goroutine.
+// staging fabric: one Breaker per route, driven by *task disposition*
+// (dead-letter / handler error) rather than transit health, and cooled
+// down by deterministic denial counting rather than a wall clock. It is
+// pure policy — no clock, no goroutines — and is safe for concurrent
+// use by the admission pass and the drain goroutine.
 type Quarantine struct {
 	cfg QuarantineConfig
 
 	mu     sync.Mutex
-	routes map[qkey]*qroute
+	routes map[qkey]*Breaker
 
 	opens    int64
 	releases int64
@@ -116,113 +55,82 @@ type Quarantine struct {
 
 // NewQuarantine returns an empty quarantine ledger.
 func NewQuarantine(cfg QuarantineConfig) *Quarantine {
-	return &Quarantine{cfg: cfg.withDefaults(), routes: make(map[qkey]*qroute)}
+	return &Quarantine{cfg: cfg.withDefaults(), routes: make(map[qkey]*Breaker)}
 }
 
-func (q *Quarantine) route(tenant, analysis string) *qroute {
+// route returns the route's breaker, making it on first use: Strikes
+// failures open it, ProbeAfter denials cool it down, and it admits one
+// probe at a time. The caller holds q.mu.
+func (q *Quarantine) route(tenant, analysis string) *Breaker {
 	k := qkey{tenant, analysis}
-	r := q.routes[k]
-	if r == nil {
-		r = &qroute{}
-		q.routes[k] = r
+	b := q.routes[k]
+	if b == nil {
+		b = NewBreaker(BreakerConfig{FailureThreshold: q.cfg.Strikes})
+		b.probeAfter, b.oneProbe = q.cfg.ProbeAfter, true
+		q.routes[k] = b
 	}
-	return r
+	return b
 }
 
-// Allow answers an admission request for the route. QClosed admits;
-// QOpen counts the denial and, once ProbeAfter denials have
-// accumulated, transitions to QProbing and returns QProbe; QProbing
-// returns QProbe while no probe is outstanding and QReject otherwise.
-func (q *Quarantine) Allow(tenant, analysis string) QVerdict {
+// Allow answers an admission request for the route. Closed admits;
+// Open counts the denial and, once ProbeAfter denials have accumulated,
+// transitions to HalfOpen and returns Probe; HalfOpen rejects while its
+// one probe task is outstanding.
+func (q *Quarantine) Allow(tenant, analysis string) Verdict {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	r := q.route(tenant, analysis)
-	switch r.state {
-	case QClosed:
-		return QAdmit
-	case QOpen:
-		r.denials++
-		if r.denials >= q.cfg.ProbeAfter {
-			r.state = QProbing
-			r.denials = 0
-			r.inflight = true
-			return QProbe
-		}
-		return QReject
-	default: // QProbing
-		if r.inflight {
-			return QReject
-		}
-		r.inflight = true
-		return QProbe
-	}
+	return q.route(tenant, analysis).Allow(time.Time{})
 }
 
 // Settle reports a normally admitted task's final disposition: ok
 // resets the strike streak, a poison disposition (dead-letter or
 // errored final result) counts a strike and quarantines the route at
-// the threshold. It only acts in QClosed — stale results from before a
+// the threshold. It only acts in Closed — stale results from before a
 // quarantine opened must not disturb the probe protocol.
 func (q *Quarantine) Settle(tenant, analysis string, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	r := q.route(tenant, analysis)
-	if r.state != QClosed {
-		return
-	}
+	b := q.route(tenant, analysis)
 	if ok {
-		r.strikes = 0
+		b.RecordSuccess(time.Time{}, 0)
 		return
 	}
-	r.strikes++
-	if r.strikes >= q.cfg.Strikes {
-		r.state = QOpen
-		r.strikes = 0
-		r.denials = 0
-		q.opens++
-	}
+	// Only a first trip happens here, which is what Opens counts; the
+	// breaker's own count also includes a failed probe's re-open.
+	before := b.Opens()
+	b.RecordFailure(time.Time{})
+	q.opens += b.Opens() - before
 }
 
 // RecordProbe reports a probe task's disposition: success releases the
-// route back to QClosed, failure re-opens it and restarts the denial
-// count. It only acts in QProbing.
+// route back to Closed, failure re-opens it and restarts the denial
+// count. It only acts in HalfOpen.
 func (q *Quarantine) RecordProbe(tenant, analysis string, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	r := q.route(tenant, analysis)
-	if r.state != QProbing {
-		return
-	}
-	r.inflight = false
-	if ok {
-		r.state = QClosed
-		r.strikes = 0
+	b := q.route(tenant, analysis)
+	if ok && b.State() == HalfOpen {
 		q.releases++
-	} else {
-		r.state = QOpen
-		r.denials = 0
 	}
+	b.RecordProbe(time.Time{}, ok)
 }
 
 // Barred reports whether the route is currently quarantined (open or
-// probing) — the cheap check dataspaces' admission guard uses to
+// half-open) — the cheap check dataspaces' admission guard uses to
 // fail-fast submissions that bypassed the admission pass.
 func (q *Quarantine) Barred(tenant, analysis string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	r := q.routes[qkey{tenant, analysis}]
-	return r != nil && r.state != QClosed
+	return q.State(tenant, analysis) != Closed
 }
 
 // State returns the route's current position.
-func (q *Quarantine) State(tenant, analysis string) QState {
+func (q *Quarantine) State(tenant, analysis string) BreakerState {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	r := q.routes[qkey{tenant, analysis}]
-	if r == nil {
-		return QClosed
+	b := q.routes[qkey{tenant, analysis}]
+	if b == nil {
+		return Closed
 	}
-	return r.state
+	return b.State()
 }
 
 // Opens returns how many times any route entered quarantine.

@@ -153,8 +153,10 @@ func Build(cfg *Config) (*Built, error) {
 		if err != nil {
 			return fail(err)
 		}
-		for _, a := range analyses {
-			p.Register(a)
+		for ai, a := range analyses {
+			if err := p.Register(a); err != nil {
+				return fail(fmt.Errorf("tenants[%d].analyses[%d]: %w", ti, ai, err))
+			}
 		}
 		built.Tenants = append(built.Tenants, BuiltTenant{
 			Name: t.Name, Pipeline: p, Analyses: analyses, Routes: routes,
@@ -186,14 +188,7 @@ func buildAnalyses(t *TenantConfig) ([]core.Analysis, []string, map[string]codec
 	}
 	for ai := range t.Analyses {
 		ac := &t.Analyses[ai]
-		p := ac.Params
-		if p.Placement == "" {
-			p.Placement = t.Placement
-		}
-		if p.Placement == "" {
-			p.Placement = DefaultPlacement(ac.Analysis)
-		}
-		a, err := New(ac.Analysis, p)
+		a, err := New(ac.Analysis, t.params(ac))
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("analysis %q: %w", ac.Analysis, err)
 		}

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -334,7 +335,8 @@ func (c *Config) Marshal() ([]byte, error) {
 
 // Validate checks the whole config without executing or mutating
 // anything: every analysis resolves through the registry with its
-// placement and params, tenant names are unique, scheduler-only knobs
+// placement and params (it is constructed, to learn its route name),
+// tenant names and each tenant's route names are unique, scheduler-only knobs
 // appear only in multi-tenant configs, and every cross-reference
 // (slowdown tenant scopes, codec IDs) lands. Errors are
 // *ValidationError values aggregated with errors.Join; match them
@@ -429,19 +431,20 @@ func (c *Config) Validate() error {
 		if len(t.Analyses) == 0 {
 			fail(path+".analyses", ErrNoAnalyses)
 		}
+		routes := make(map[string]int, len(t.Analyses))
 		for ai := range t.Analyses {
 			a := &t.Analyses[ai]
 			apath := fmt.Sprintf("%s.analyses[%d]", path, ai)
-			p := a.Params
-			if p.Placement == "" {
-				p.Placement = t.Placement
-			}
-			if p.Placement == "" {
-				p.Placement = DefaultPlacement(a.Analysis)
-			}
-			if err := Check(a.Analysis, p); err != nil {
+			p := t.params(a)
+			an, err := New(a.Analysis, p)
+			if err != nil {
 				fail(apath, err)
 				continue
+			}
+			if first, dup := routes[an.Name()]; dup {
+				fail(apath, fmt.Errorf("%w: %q is already the route of analyses[%d]; set a \"tag\" where the analysis takes one, or drop it", ErrDuplicateRoute, an.Name(), first))
+			} else {
+				routes[an.Name()] = ai
 			}
 			if !hasTransit && p.Placement != PlaceInSitu {
 				fail(apath, fmt.Errorf("%w: %q placed %q but fabric.buckets is 0", ErrNoTransitFabric, a.Analysis, p.Placement))
@@ -472,6 +475,14 @@ func (c *Config) Validate() error {
 	}
 
 	return errors.Join(errs...)
+}
+
+// params resolves one analysis entry's placement: its own, else the
+// tenant's, else the only one the analysis supports.
+func (t *TenantConfig) params(a *AnalysisConfig) Params {
+	p := a.Params
+	p.Placement = cmp.Or(p.Placement, t.Placement, DefaultPlacement(a.Analysis))
+	return p
 }
 
 // TransitBuckets resolves the fabric's bucket count: omitted = the

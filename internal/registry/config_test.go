@@ -186,6 +186,43 @@ func TestValidationErrorPaths(t *testing.T) {
 	}
 }
 
+// TestDuplicateRouteRejected: two analyses of one tenant that resolve to
+// the same route name used to be accepted and then share one results
+// slot, one DataSpaces key and one codec stream. The second one fails
+// with ErrDuplicateRoute at its own path; the same analysis in another
+// tenant, or a second viz view under its own tag, is a different route.
+func TestDuplicateRouteRejected(t *testing.T) {
+	const sim = `"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1}`
+	_, err := registry.ParseConfig([]byte(`{"tenants": [
+		{"name": "a", ` + sim + `, "analyses": [{"analysis": "stats", "placement": "hybrid"}]},
+		{"name": "b", ` + sim + `, "analyses": [
+			{"analysis": "stats", "placement": "hybrid"},
+			{"analysis": "viz", "placement": "hybrid"},
+			{"analysis": "stats", "placement": "hybrid", "every": 2}]}]}`))
+	var verr *registry.ValidationError
+	if !errors.As(err, &verr) || !errors.Is(err, registry.ErrDuplicateRoute) {
+		t.Fatalf("error = %v, want a ValidationError wrapping ErrDuplicateRoute", err)
+	}
+	if verr.Path != "tenants[1].analyses[2]" {
+		t.Errorf("ValidationError.Path = %q, want tenants[1].analyses[2]", verr.Path)
+	}
+
+	cfg, err := registry.ParseConfig([]byte(`{"tenants": [{` + sim + `, "analyses": [
+		{"analysis": "viz", "placement": "hybrid"},
+		{"analysis": "viz", "placement": "hybrid", "tag": "side"}]}]}`))
+	if err != nil {
+		t.Fatalf("two viz views under distinct tags rejected: %v", err)
+	}
+	b, err := registry.Build(cfg)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	defer b.Close()
+	if r := b.Tenants[0].Routes; len(r) != 2 || r[0] == r[1] {
+		t.Errorf("Routes = %q, want two distinct route names", r)
+	}
+}
+
 // TestValidateJoinsAllErrors: validation reports every problem at
 // once, not just the first.
 func TestValidateJoinsAllErrors(t *testing.T) {

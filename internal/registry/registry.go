@@ -159,6 +159,10 @@ var (
 	ErrBadParam = errors.New("registry: bad param")
 	// ErrDuplicateTenant means two tenants share a name.
 	ErrDuplicateTenant = errors.New("registry: duplicate tenant")
+	// ErrDuplicateRoute means two analyses of one tenant resolve to the
+	// same route name, which keys the route's results, its DataSpaces
+	// descriptors and its codec stream.
+	ErrDuplicateRoute = errors.New("registry: duplicate route")
 	// ErrNoTransitFabric means a hybrid or in-transit analysis is
 	// declared in a config whose fabric has zero staging buckets.
 	ErrNoTransitFabric = errors.New("registry: hybrid analysis without transit fabric")

@@ -14,6 +14,7 @@ package staging
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,6 +207,10 @@ func (a *Area) SetPlane(pl *obs.Plane) {
 	a.plane.Store(pl)
 }
 
+// Lane names a staging bucket: its DART endpoint, and the lane its
+// task spans and the pipeline's timeline spans are drawn on.
+func Lane(id int) string { return "bucket-" + strconv.Itoa(id) }
+
 // attempt is the open task.attempt span for one assigned task; a nil
 // attempt (observability disabled) swallows all recording.
 type attempt struct {
@@ -221,7 +226,7 @@ func (a *Area) beginAttempt(id int, task dataspaces.Task) *attempt {
 		return nil
 	}
 	rec := pl.Recorder()
-	lane := fmt.Sprintf("bucket-%d", id)
+	lane := Lane(id)
 	act := rec.Begin(0, obs.CatTask, lane, "task.attempt",
 		obs.Int64("task", task.ID),
 		obs.Str("analysis", task.Analysis),
@@ -273,7 +278,7 @@ func (a *Area) observeDone(id int, res *Result) {
 	case res.Err != nil:
 		outcome = "error"
 	}
-	pl.Recorder().Event(0, obs.CatTask, fmt.Sprintf("bucket-%d", id), "task.done", time.Now(),
+	pl.Recorder().Event(0, obs.CatTask, Lane(id), "task.done", time.Now(),
 		obs.Int64("task", res.Task.ID),
 		obs.Str("analysis", res.Task.Analysis),
 		obs.Int("step", res.Task.Step),
@@ -287,7 +292,7 @@ func (a *Area) observeCrash(id int) {
 	if pl == nil {
 		return
 	}
-	pl.Recorder().Event(0, obs.CatTask, fmt.Sprintf("bucket-%d", id), "bucket.crash", time.Now())
+	pl.Recorder().Event(0, obs.CatTask, Lane(id), "bucket.crash", time.Now())
 }
 
 // New creates a staging area with nbuckets bucket cores attached to
@@ -314,7 +319,7 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, opts ...Opti
 	// Deep enough that buckets rarely stall on a slow drain.
 	a.results = make(chan Result, 1024)
 	for i := 0; i < nbuckets; i++ {
-		a.points = append(a.points, fabric.Register(fmt.Sprintf("bucket-%d", i)))
+		a.points = append(a.points, fabric.Register(Lane(i)))
 		a.kill[i] = make(chan struct{})
 		a.retire[i] = make(chan struct{})
 	}
@@ -376,7 +381,7 @@ func (a *Area) Start() {
 func (a *Area) AddBucket() int {
 	a.mu.Lock()
 	id := len(a.points)
-	a.points = append(a.points, a.svc.Register(fmt.Sprintf("bucket-%d", id)))
+	a.points = append(a.points, a.svc.Register(Lane(id)))
 	a.busy = append(a.busy, 0)
 	started := a.started
 	a.mu.Unlock()

@@ -137,7 +137,7 @@ func TestNoisyNeighborSoak(t *testing.T) {
 	if q.Releases() < 1 {
 		t.Error("healed poison route was never released by a probe")
 	}
-	if got := q.State(noisy, PoisonRouteName); got != overload.QClosed {
+	if got := q.State(noisy, PoisonRouteName); got != overload.Closed {
 		t.Errorf("poison route finished %v, want closed", got)
 	}
 	// Early poison steps whose handler crashed have no stored result —
