@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"insitu/internal/comm"
 	"insitu/internal/grid"
@@ -22,6 +23,11 @@ type Rank struct {
 	fields  map[string]*grid.Field // storage over the ghost box
 	scratch map[string]*grid.Field
 	step    int
+
+	// The ignition-kernel generator and its output buffer. They belong
+	// to the rank, not the Sim: every rank goroutine shares one Sim.
+	rng     *rand.Rand
+	kernels []Kernel
 }
 
 // NewRank creates the state for comm rank r. The comm world size must
@@ -38,6 +44,7 @@ func (s *Sim) NewRank(r *comm.Rank) (*Rank, error) {
 		ghost:   owned.Grow(1),
 		fields:  make(map[string]*grid.Field, len(VarNames)),
 		scratch: make(map[string]*grid.Field, len(advected)),
+		rng:     rand.New(rand.NewSource(0)),
 	}
 	for _, name := range VarNames {
 		rk.fields[name] = grid.NewField(name, rk.ghost)
@@ -326,7 +333,8 @@ func (rk *Rank) react(dt float64) {
 // injectKernels adds the active ignition kernels' temperature and
 // radical sources on the owned block.
 func (rk *Rank) injectKernels(step int) {
-	for _, kn := range rk.sim.ActiveKernels(step) {
+	rk.kernels = rk.sim.appendActiveKernels(rk.kernels[:0], rk.rng, step)
+	for _, kn := range rk.kernels {
 		rk.injectOne(kn, step)
 	}
 }

@@ -192,10 +192,13 @@ type Kernel struct {
 	Radius  float64
 }
 
-// kernelsBorn deterministically generates the kernels born at a step
-// (Poisson arrivals; positions in the flame-base region).
-func (s *Sim) kernelsBorn(step int) []Kernel {
-	rng := rand.New(rand.NewSource(s.cfg.Seed*1000003 + int64(step)))
+// appendKernelsBorn deterministically generates the kernels born at a
+// step (Poisson arrivals; positions in the flame-base region) and
+// appends them to out. The stream depends only on the run seed and the
+// step: rng is reseeded on entry, so any generator yields the same
+// kernels.
+func (s *Sim) appendKernelsBorn(out []Kernel, rng *rand.Rand, step int) []Kernel {
+	rng.Seed(s.cfg.Seed*1000003 + int64(step))
 	// Knuth Poisson sampler.
 	l := math.Exp(-s.cfg.KernelRate)
 	k := 0
@@ -208,7 +211,6 @@ func (s *Sim) kernelsBorn(step int) []Kernel {
 		k++
 	}
 	d := s.cfg.Global.Dims()
-	var out []Kernel
 	for i := 0; i < k; i++ {
 		out = append(out, Kernel{
 			Birth: step,
@@ -226,12 +228,15 @@ func (s *Sim) kernelsBorn(step int) []Kernel {
 
 // ActiveKernels returns all kernels alive at a step.
 func (s *Sim) ActiveKernels(step int) []Kernel {
-	var out []Kernel
-	for b := step - s.cfg.KernelLifetime + 1; b <= step; b++ {
-		if b < 0 {
-			continue
-		}
-		out = append(out, s.kernelsBorn(b)...)
+	return s.appendActiveKernels(nil, rand.New(rand.NewSource(0)), step)
+}
+
+// appendActiveKernels appends every kernel alive at a step to out,
+// drawing them from rng (reseeded per birth step). A rank passes its
+// own generator and buffer, so a step builds neither.
+func (s *Sim) appendActiveKernels(out []Kernel, rng *rand.Rand, step int) []Kernel {
+	for b := max(step-s.cfg.KernelLifetime+1, 0); b <= step; b++ {
+		out = s.appendKernelsBorn(out, rng, b)
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"insitu/internal/comm"
@@ -151,13 +153,30 @@ func TestKernelDeterminism(t *testing.T) {
 	}
 }
 
+// TestKernelsIgnoreGeneratorHistory: a rank reuses one generator for
+// every birth step of every step, so what it drew before must not
+// show in the kernels of a step.
+func TestKernelsIgnoreGeneratorHistory(t *testing.T) {
+	cfg := smallConfig(1, 1, 1)
+	cfg.KernelRate = 2
+	s, _ := New(cfg)
+	used := rand.New(rand.NewSource(99))
+	var buf []Kernel
+	for step := 0; step < 30; step++ {
+		buf = s.appendActiveKernels(buf[:0], used, step)
+		if want := s.ActiveKernels(step); !slices.Equal(buf, want) {
+			t.Fatalf("step %d: a reused generator drew %v, a fresh one %v", step, buf, want)
+		}
+	}
+}
+
 func TestKernelLifetimeWindow(t *testing.T) {
 	cfg := smallConfig(1, 1, 1)
 	cfg.KernelRate = 2
 	s, _ := New(cfg)
 	// A kernel born at step b must be active exactly for steps
 	// [b, b+lifetime).
-	born := s.kernelsBorn(5)
+	born := s.appendKernelsBorn(nil, rand.New(rand.NewSource(0)), 5)
 	if len(born) == 0 {
 		t.Skip("no kernel born at step 5 with this seed")
 	}
