@@ -2,7 +2,9 @@
 # comment (TestChaosSoak, TestBrownoutSoak, TestCrashMatrix,
 # TestNoisyNeighborSoak, TestStoreServeGate, the TestExampleConfig* set),
 # and all of them run in `test` and `race`.
-#   make tier1      fmt + vet + build + full test suite + race suite (the CI gate)
+#   make tier1      fmt + vet + build + full test suite + race suite (the CI gate);
+#                   vet also vets the nested benchmark module, so an internal/
+#                   signature change that breaks it fails here
 #   make test       fast inner loop (tests, no race)
 #   make bench      the end-to-end benchmark declared by BENCHMARK.json
 #                   (bash benchmark/run.sh: all four workloads, full report;
@@ -12,10 +14,12 @@
 #   make fuzz-smoke 10s coverage-guided fuzz of each decoder that reads
 #                   outside bytes: the codec frame decoder, the BP-lite
 #                   checkpoint reader, the append-only frame log under
-#                   journal.wal and index.log, the image index replay, and
-#                   the pipeline config parser (typed errors only, never a
-#                   panic; the log stays appendable, the store serves no ref
-#                   outside its segment, an accepted config survives Build)
+#                   journal.wal and index.log, the image index replay, the
+#                   pipeline config parser, and the subtree payload decoder a
+#                   staging bucket runs (typed errors only, never a panic; the
+#                   log stays appendable, the store serves no ref outside its
+#                   segment, an accepted config survives Build, a decoded
+#                   subtree marshals back to the bytes it was read from)
 #   make chaos      the randomized-seed chaos smoke under -race (env-gated,
 #                   so `race` skips it; the fixed-seed soak runs there)
 
@@ -27,6 +31,7 @@ tier1: fmt vet build test race
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -53,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzOpenLog -fuzztime 10s ./internal/recovery/
 	$(GO) test -run xxx -fuzz FuzzOpenIndex -fuzztime 10s ./internal/imagestore/
 	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 10s ./internal/registry/
+	$(GO) test -run xxx -fuzz FuzzUnmarshalSubtree -fuzztime 10s ./internal/mergetree/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

@@ -57,8 +57,8 @@ func (c *ContingencyHybrid) params() (string, string, int, int, [2]float64, [2]f
 // InSituStage implements HybridAnalysis: the communication-free learn.
 func (c *ContingencyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	vx, vy, xb, yb, xr, yr := c.params()
-	fx := ctx.Sim.Field(vx)
-	fy := ctx.Sim.Field(vy)
+	fx := ctx.Sim.GhostedField(vx)
+	fy := ctx.Sim.GhostedField(vy)
 	if fx == nil || fy == nil {
 		return nil, fmt.Errorf("contingency: unknown variable %q or %q", vx, vy)
 	}
@@ -66,7 +66,7 @@ func (c *ContingencyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tab.UpdateBatchParallel(fx.Data, fy.Data); err != nil {
+	if err := tab.UpdateBoxParallel(fx, fy, ctx.Owned); err != nil {
 		return nil, err
 	}
 	return tab.Marshal(), nil

@@ -56,7 +56,7 @@ func (f *FeatureStatsHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	if segF == nil || condF == nil {
 		return nil, fmt.Errorf("featurestats: unknown variable %q or %q", f.segVar(), f.condVar())
 	}
-	st, err := mergetree.LocalSubtree(segF, ctx.Global, ctx.Owned, ctx.Comm.ID(), f.Policy)
+	st, err := subtreeScratch(ctx).Subtree(segF, ctx.Global, ctx.Owned, ctx.Comm.ID(), f.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -64,11 +64,10 @@ func (f *FeatureStatsHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := st.Marshal()
 	par := mergetree.MarshalFeaturePartials(partials)
-	out := make([]byte, 4, 4+len(sub)+len(par))
-	binary.LittleEndian.PutUint32(out, uint32(len(sub)))
-	out = append(out, sub...)
+	out := make([]byte, 4, 4+st.MarshalSize()+len(par))
+	binary.LittleEndian.PutUint32(out, uint32(st.MarshalSize()))
+	out = st.AppendMarshal(out)
 	out = append(out, par...)
 	return out, nil
 }

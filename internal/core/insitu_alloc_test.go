@@ -1,0 +1,132 @@
+package core
+
+import (
+	"bytes"
+	"runtime"
+	"slices"
+	"testing"
+
+	"insitu/internal/bufpool"
+	"insitu/internal/grid"
+	"insitu/internal/mergetree"
+	"insitu/internal/sim"
+	"insitu/internal/stats"
+)
+
+// driveInSitu steps a 2-rank simulation and calls each(ctx, step) on
+// every rank after every step, between two barriers — the in-situ slot
+// of the rank loop, without the transit tier behind it. before and
+// after run on rank 0 alone, outside the slot.
+func driveInSitu(t *testing.T, steps int, before, after func(step int), each func(ctx *Ctx, step int)) {
+	t.Helper()
+	cfg := sim.DefaultConfig(grid.NewBox(32, 16, 12), 2, 1, 1)
+	cfg.KernelRate = 0.6
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sim.RunAll(s, func(rk *sim.Rank) error {
+		r := rk.Comm()
+		ctx := &Ctx{Comm: r, Sim: rk, Global: cfg.Global, Owned: rk.OwnedBox(), Decomp: s.Decomp(), State: make(map[string]any)}
+		for step := 1; step <= steps; step++ {
+			rk.Step()
+			ctx.Step = step
+			r.Barrier()
+			if r.ID() == 0 && before != nil {
+				before(step)
+			}
+			r.Barrier()
+			each(ctx, step)
+			r.Barrier()
+			if r.ID() == 0 && after != nil {
+				after(step)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInSituStagesAllocateFlat is the O(1) guard of the in-situ read
+// path: the hybrid stats and topology stages of both ranks together
+// allocate no more at step 30 than at step 5, and less than one copy
+// of one rank's block — they read the simulation's memory, they do not
+// extract it. Before, the statistics stage alone copied 14 blocks per
+// rank per step and the subtree sweep built a node and a map entry per
+// cell. Payloads go back to the pool as the DART reclaim returns them.
+func TestInSituStagesAllocateFlat(t *testing.T) {
+	const steps = 32
+	st, topo := &StatsHybrid{}, NewTopologyHybrid()
+	deltas := make([]uint64, steps+1)
+	var blockBytes uint64
+	var m0, m1 runtime.MemStats
+	driveInSitu(t, steps,
+		func(int) { runtime.ReadMemStats(&m0) },
+		func(step int) {
+			runtime.ReadMemStats(&m1)
+			deltas[step] = m1.TotalAlloc - m0.TotalAlloc
+		},
+		func(ctx *Ctx, step int) {
+			if ctx.Comm.ID() == 0 {
+				blockBytes = uint64(8 * ctx.Owned.Size())
+			}
+			for _, stage := range []hybridStage{st, topo} {
+				payload, err := stage.InSituStage(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				bufpool.Put(payload)
+			}
+		})
+	// The cheapest step of a window, not one step: a buffer-pool refill
+	// after a collection (or after the race detector's sync.Pool drops
+	// a Put, as it does at random) lands on single steps and is not
+	// what the guard is about.
+	early, late := slices.Min(deltas[3:13]), slices.Min(deltas[23:33])
+	if float64(late) > 1.25*float64(early) {
+		t.Errorf("in-situ stages allocate %d B around step 30, %d B around step 5: the cost of a step grows", late, early)
+	}
+	if late >= blockBytes {
+		t.Errorf("in-situ stages allocate %d B a step, a copy of one rank's block is %d B: they are copying what they only read", late, blockBytes)
+	}
+}
+
+// TestInSituStagesMatchCopies: what the stages learn and sweep in place
+// is, byte for byte, what they produced from rk.Field copies and a
+// fresh tree per step.
+func TestInSituStagesMatchCopies(t *testing.T) {
+	st, cont, topo := &StatsHybrid{}, &ContingencyHybrid{}, NewTopologyHybrid()
+	driveInSitu(t, 4, nil, nil, func(ctx *Ctx, step int) {
+		model := stats.NewModel()
+		for _, v := range sim.VarNames {
+			model.LearnFieldParallel(ctx.Sim.Field(v))
+		}
+		table, _ := stats.NewContingency(0, 2.5, 16, 0, 0.3, 16)
+		if err := table.UpdateBatch(ctx.Sim.Field("T").Data, ctx.Sim.Field("Y_OH").Data); err != nil {
+			t.Error(err)
+		}
+		ext := ctx.Owned.Grow(1).Intersect(ctx.Global)
+		subtree, err := mergetree.LocalSubtree(ctx.Sim.GhostedField("T").Extract(ext), ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepSharedBoundary)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, c := range []struct {
+			stage hybridStage
+			want  []byte
+		}{{st, model.Marshal()}, {cont, table.Marshal()}, {topo, subtree.Marshal()}} {
+			got, err := c.stage.InSituStage(ctx)
+			if err != nil {
+				t.Error(err)
+				continue
+			}
+			if !bytes.Equal(got, c.want) {
+				t.Errorf("step %d rank %d: %s payload differs from the one built from copies", step, ctx.Comm.ID(), c.stage.Name())
+			}
+			bufpool.Put(got)
+		}
+	})
+}

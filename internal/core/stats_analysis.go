@@ -25,23 +25,31 @@ func (s *StatsInSitu) Every() int { return s.EveryN }
 
 // RunInSitu implements InSituAnalysis.
 func (s *StatsInSitu) RunInSitu(ctx *Ctx) (any, error) {
-	local := stats.NewModel()
-	for _, v := range s.vars(ctx) {
-		f := ctx.Sim.Field(v)
-		if f == nil {
-			return nil, fmt.Errorf("stats: unknown variable %q", v)
-		}
-		local.LearnFieldParallel(f)
+	local, err := learnOwned(ctx, s.Vars)
+	if err != nil {
+		return nil, err
 	}
 	global := stats.ParallelLearn(ctx.Comm, local)
 	return global.DeriveAll(), nil
 }
 
-func (s *StatsInSitu) vars(ctx *Ctx) []string {
-	if len(s.Vars) > 0 {
-		return s.Vars
+// learnOwned is the learn stage of both statistics variants: the
+// rank's partial model of the named variables (default: all 14), read
+// from the simulation's ghosted fields restricted to the owned block —
+// the analysis shares the simulation's memory, it copies nothing.
+func learnOwned(ctx *Ctx, vars []string) (*stats.Model, error) {
+	if len(vars) == 0 {
+		vars = allVarNames()
 	}
-	return allVarNames()
+	local := stats.NewModel()
+	for _, v := range vars {
+		f := ctx.Sim.GhostedField(v)
+		if f == nil {
+			return nil, fmt.Errorf("stats: unknown variable %q", v)
+		}
+		local.LearnBoxParallel(f, ctx.Owned)
+	}
+	return local, nil
 }
 
 // StatsHybrid is the hybrid variant: learn runs in-situ per rank with
@@ -61,17 +69,9 @@ func (s *StatsHybrid) Every() int { return s.EveryN }
 
 // InSituStage implements HybridAnalysis: the learn stage.
 func (s *StatsHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
-	local := stats.NewModel()
-	vars := s.Vars
-	if len(vars) == 0 {
-		vars = allVarNames()
-	}
-	for _, v := range vars {
-		f := ctx.Sim.Field(v)
-		if f == nil {
-			return nil, fmt.Errorf("stats: unknown variable %q", v)
-		}
-		local.LearnFieldParallel(f)
+	local, err := learnOwned(ctx, s.Vars)
+	if err != nil {
+		return nil, err
 	}
 	return local.Marshal(), nil
 }
@@ -135,21 +135,26 @@ func (a *AssessTestInSitu) RunInSitu(ctx *Ctx) (any, error) {
 	if sigma <= 0 {
 		sigma = 3
 	}
-	f := ctx.Sim.Field(name)
+	f := ctx.Sim.GhostedField(name)
 	if f == nil {
 		return nil, fmt.Errorf("assess: unknown variable %q", name)
 	}
 	// Learn + derive.
 	local := stats.NewModel()
-	local.LearnFieldParallel(f)
+	local.LearnBoxParallel(f, ctx.Owned)
 	global := stats.ParallelLearn(ctx.Comm, local)
 	derived := stats.Derive(global.Var(name))
-	// Assess locally; reduce the outlier count for the report.
+	// Assess locally, row by row of the owned block; reduce the
+	// outlier count for the report.
 	extremes := int64(0)
-	for _, as := range stats.Assess(f.Data, derived, sigma) {
-		if as.Extreme {
-			extremes++
+	for at, n := 0, ctx.Owned.Size(); at < n; {
+		row := f.Row(ctx.Owned, at, n)
+		for _, x := range row {
+			if stats.AssessOne(x, derived, sigma).Extreme {
+				extremes++
+			}
 		}
+		at += len(row)
 	}
 	total := ctx.Comm.Allreduce(extremes, func(x, y any) any { return x.(int64) + y.(int64) }).(int64)
 	if ctx.Comm.ID() != 0 {

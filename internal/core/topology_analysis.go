@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 	"insitu/internal/sim"
@@ -68,17 +69,34 @@ func (t *TopologyHybrid) varName() string {
 }
 
 // InSituStage implements HybridAnalysis: compute the local subtree of
-// the rank's extended block and pack it for transfer.
+// the rank's extended block where it lies in the simulation's ghosted
+// field and pack it into a pooled buffer for transfer.
 func (t *TopologyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	f := ctx.Sim.GhostedField(t.varName())
 	if f == nil {
 		return nil, fmt.Errorf("topology: unknown variable %q", t.varName())
 	}
-	st, err := mergetree.LocalSubtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), t.Policy)
+	st, err := subtreeScratch(ctx).Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), t.Policy)
 	if err != nil {
 		return nil, err
 	}
-	return st.Marshal(), nil
+	return st.AppendMarshal(bufpool.Get(st.MarshalSize())[:0]), nil
+}
+
+const subtreeScratchKey = "mergetree.scratch"
+
+// subtreeScratch returns the rank's merge-tree sweep scratch, created
+// by the first in-situ stage that asks for it. The rank goroutine runs
+// its routes one after another, so every route that sweeps a subtree
+// shares the one scratch; the subtree a sweep returns lives in it, and
+// a stage packs it into its payload before it returns.
+func subtreeScratch(ctx *Ctx) *mergetree.Scratch {
+	s, ok := ctx.State[subtreeScratchKey].(*mergetree.Scratch)
+	if !ok {
+		s = new(mergetree.Scratch)
+		ctx.State[subtreeScratchKey] = s
+	}
+	return s
 }
 
 // InTransit implements HybridAnalysis: glue the subtrees into the

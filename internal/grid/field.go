@@ -73,6 +73,25 @@ func (f *Field) ExtractInto(sub Box, dst *Field) *Field {
 	return dst
 }
 
+// Row returns, without copying, the longest run of f's data that
+// starts at cell `at` of sub's x-fastest linearization, stays inside
+// one x-row of sub and ends before cell `end`. Walking a sub-box, or
+// any linear range [lo, hi) of it, where it lies in a larger field is
+//
+//	for at := lo; at < hi; at += len(row) { row = f.Row(sub, at, hi); ... }
+//
+// which visits exactly the values Extract(sub).Data[lo:hi] holds, in
+// the same order. sub must be contained in f.Box.
+func (f *Field) Row(sub Box, at, end int) []float64 {
+	if !f.Box.ContainsBox(sub) {
+		panic(fmt.Sprintf("grid: row of %v outside field box %v", sub, f.Box))
+	}
+	d := sub.Dims()
+	i, jk := at%d[0], at/d[0]
+	off := f.Box.Index(sub.Lo[0]+i, sub.Lo[1]+jk%d[1], sub.Lo[2]+jk/d[1])
+	return f.Data[off : off+min(d[0]-i, end-at)]
+}
+
 // Paste copies the overlap of src into f. As in ExtractInto, the row
 // loop carries running offsets rather than calling Box.Index per row.
 func (f *Field) Paste(src *Field) {

@@ -108,3 +108,45 @@ func TestAppendMarshalExactSizeAndPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestRowWalksSubBoxInExtractOrder: walking any linear range of a
+// sub-box through Row visits Extract(sub).Data[lo:hi], value for value,
+// without copying, and cuts a run at the range's end mid-row.
+func TestRowWalksSubBoxInExtractOrder(t *testing.T) {
+	box := Box{Lo: [3]int{-1, 2, 0}, Hi: [3]int{6, 9, 5}}
+	f := NewField("f", box)
+	for i := range f.Data {
+		f.Data[i] = float64(i)
+	}
+	sub := Box{Lo: [3]int{0, 3, 1}, Hi: [3]int{5, 8, 4}}
+	want := f.Extract(sub).Data
+	for _, r := range [][2]int{{0, len(want)}, {3, 4}, {7, 31}, {12, 12}} {
+		var got []float64
+		for at := r[0]; at < r[1]; {
+			row := f.Row(sub, at, r[1])
+			if len(row) == 0 || len(row) > 5 {
+				t.Fatalf("range %v: a run of %d cells at cell %d", r, len(row), at)
+			}
+			got = append(got, row...)
+			at += len(row)
+		}
+		if len(got) != r[1]-r[0] {
+			t.Fatalf("range %v: walked %d cells", r, len(got))
+		}
+		for i, v := range got {
+			if v != want[r[0]+i] {
+				t.Fatalf("range %v: cell %d is %g, want %g", r, r[0]+i, v, want[r[0]+i])
+			}
+		}
+	}
+	f.Row(sub, 0, 5)[2] = -1
+	if f.At(2, 3, 1) != -1 {
+		t.Fatal("Row must alias the field's data, not copy it")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a sub-box outside the field must panic")
+		}
+	}()
+	f.Row(box.Grow(1), 0, 1)
+}

@@ -171,14 +171,15 @@ func MarshalFeaturePartials(ps []FeaturePartial) []byte {
 // UnmarshalFeaturePartials reverses MarshalFeaturePartials.
 func UnmarshalFeaturePartials(p []byte) ([]FeaturePartial, error) {
 	if len(p) < 4 {
-		return nil, fmt.Errorf("mergetree: feature partials payload too short")
+		return nil, fmt.Errorf("%w: feature partials too short (%d bytes)", ErrCorruptPayload, len(p))
 	}
-	n := int(binary.LittleEndian.Uint32(p[:4]))
+	count := binary.LittleEndian.Uint32(p[:4])
 	p = p[4:]
 	const rec = 8 * 8
-	if len(p) < n*rec {
-		return nil, fmt.Errorf("mergetree: truncated feature partials")
+	if uint64(count) > uint64(len(p))/rec {
+		return nil, fmt.Errorf("%w: %d feature partials in %d bytes", ErrCorruptPayload, count, len(p))
 	}
+	n := int(count)
 	out := make([]FeaturePartial, n)
 	for i := 0; i < n; i++ {
 		out[i].Rep = int64(binary.LittleEndian.Uint64(p[:8]))

@@ -2,6 +2,7 @@ package mergetree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"insitu/internal/grid"
@@ -10,43 +11,93 @@ import (
 // FromField computes the augmented merge tree of a scalar field over
 // its box using 6-neighbor (face) adjacency. Vertex ids are global
 // indices within the `global` box, so trees from different blocks of
-// one domain share ids on shared vertices. This is the low-overhead
-// in-core sweep run in-situ on each block.
+// one domain share ids on shared vertices. It is the block sweep the
+// in-situ stage runs (Scratch.Subtree), materialized as a Tree for
+// callers that want every vertex.
 func FromField(f *grid.Field, global grid.Box) *Tree {
-	b := f.Box
-	d := b.Dims()
-	n := b.Size()
-	verts := make([]vertexRef, n)
-	for idx := 0; idx < n; idx++ {
-		i, j, k := b.Point(idx)
-		verts[idx] = vertexRef{id: grid.GlobalIndex(global, i, j, k), val: f.Data[idx]}
+	var s Scratch
+	if err := s.sweepBlock(f, f.Box); err != nil {
+		panic(err) // a field of more than 2^31 points
 	}
-	// Face adjacency expressed in local linear offsets.
-	var nbuf [6]int
-	neighbors := func(idx int) []int {
-		i, j, k := b.Point(idx)
-		out := nbuf[:0]
-		if i > b.Lo[0] {
-			out = append(out, idx-1)
-		}
-		if i < b.Hi[0]-1 {
-			out = append(out, idx+1)
-		}
-		if j > b.Lo[1] {
-			out = append(out, idx-d[0])
-		}
-		if j < b.Hi[1]-1 {
-			out = append(out, idx+d[0])
-		}
-		if k > b.Lo[2] {
-			out = append(out, idx-d[0]*d[1])
-		}
-		if k < b.Hi[2]-1 {
-			out = append(out, idx+d[0]*d[1])
-		}
-		return out
+	return s.tree(f.Data, func(v int32) int64 {
+		i, j, k := f.Box.Point(int(v))
+		return grid.GlobalIndex(global, i, j, k)
+	})
+}
+
+// Neighbor-mask bits of Scratch.flags: the face neighbors of a cell
+// that lie inside the swept block. retainedBit is set by Subtree.
+const (
+	xLoBit uint8 = 1 << iota
+	xHiBit
+	yLoBit
+	yHiBit
+	zLoBit
+	zHiBit
+	retainedBit
+)
+
+// sweepBlock sweeps the cells of block, a sub-box of f.Box, where they
+// lie: a vertex is a cell's offset into f.Data, its neighbors are
+// strides away, and nothing is copied. Offsets ascend with global ids,
+// so the sweep order is Above's. The scratch arrays span the field, so
+// it should not be much larger than the block (a rank's ghosted field
+// is its extended block, or a ghost plane more at a domain face).
+func (s *Scratch) sweepBlock(f *grid.Field, block grid.Box) error {
+	if err := s.grow(len(f.Data)); err != nil {
+		return err
 	}
-	return build(verts, neighbors)
+	fd := f.Box.Dims()
+	sy, sz := int32(fd[0]), int32(fd[0]*fd[1])
+	for k := block.Lo[2]; k < block.Hi[2]; k++ {
+		var plane uint8
+		if k > block.Lo[2] {
+			plane |= zLoBit
+		}
+		if k < block.Hi[2]-1 {
+			plane |= zHiBit
+		}
+		for j := block.Lo[1]; j < block.Hi[1]; j++ {
+			row := plane | xLoBit | xHiBit
+			if j > block.Lo[1] {
+				row |= yLoBit
+			}
+			if j < block.Hi[1]-1 {
+				row |= yHiBit
+			}
+			first := int32(f.Box.Index(block.Lo[0], j, k))
+			last := first + int32(block.Hi[0]-block.Lo[0]) - 1
+			for v := first; v <= last; v++ {
+				s.flags[v] = row
+				s.admit(v)
+			}
+			s.flags[first] &^= xLoBit
+			s.flags[last] &^= xHiBit
+		}
+	}
+	s.sweep(f.Data, func(v int32, buf []int32) []int32 {
+		m := s.flags[v]
+		if m&xLoBit != 0 {
+			buf = append(buf, v-1)
+		}
+		if m&xHiBit != 0 {
+			buf = append(buf, v+1)
+		}
+		if m&yLoBit != 0 {
+			buf = append(buf, v-sy)
+		}
+		if m&yHiBit != 0 {
+			buf = append(buf, v+sy)
+		}
+		if m&zLoBit != 0 {
+			buf = append(buf, v-sz)
+		}
+		if m&zHiBit != 0 {
+			buf = append(buf, v+sz)
+		}
+		return buf
+	})
+	return nil
 }
 
 // BoundaryPolicy selects which vertices, besides critical points, a
@@ -95,74 +146,135 @@ type SubtreeVert struct {
 	Degree int
 }
 
-// LocalSubtree runs the full in-situ stage for one rank: extract the
-// extended block (owned block grown by one ghost layer, clipped to the
-// global domain) from the rank's field, sweep it, reduce it under the
-// policy, and package the result. The field must cover the extended
-// block; typically it is the rank's ghosted field.
+// LocalSubtree runs the full in-situ stage for one rank on a scratch
+// of its own; see Scratch.Subtree, which a caller that sweeps every
+// step uses directly.
 func LocalSubtree(f *grid.Field, global, owned grid.Box, rank int, policy BoundaryPolicy) (*Subtree, error) {
+	st, err := new(Scratch).Subtree(f, global, owned, rank, policy)
+	if err != nil {
+		return nil, err
+	}
+	out := *st // detach from the scratch, so the result does not pin its arrays
+	return &out, nil
+}
+
+// Subtree runs the full in-situ stage for one rank: sweep the extended
+// block (owned block grown by one ghost layer, clipped to the global
+// domain) where it lies in the rank's field, contract the regular
+// vertices the policy does not retain, and package the result. The
+// field must cover the extended block; typically it is the rank's
+// ghosted field, and is only read.
+//
+// The result lives in the scratch: it is valid until the next call on
+// s, and a caller that keeps it copies it (or marshals it) first.
+// Edges with the same lower endpoint are ordered by descending sweep
+// position of the upper one, so the encoding is the same every run.
+func (s *Scratch) Subtree(f *grid.Field, global, owned grid.Box, rank int, policy BoundaryPolicy) (*Subtree, error) {
 	ext := owned.Grow(1).Intersect(global)
 	if !f.Box.ContainsBox(ext) {
 		return nil, fmt.Errorf("mergetree: field box %v does not cover extended block %v", f.Box, ext)
 	}
-	blockField := f
-	if f.Box != ext {
-		blockField = f.Extract(ext)
+	if err := s.sweepBlock(f, ext); err != nil {
+		return nil, err
 	}
-	t := FromField(blockField, global)
 
-	keep := keepFunc(t, global, owned, ext, policy)
-	red := Reduce(t, keep)
-	return packSubtree(red, rank, owned), nil
+	// Retained vertices, still in sweep order, move to the front of
+	// order. The union-find is done with, so parent becomes each
+	// retained vertex's count of edges arriving from above.
+	keep := keeper{policy: policy, f: f, owned: owned, interior: owned.Grow(-1), ext: ext}
+	m := 0
+	for _, v := range s.order {
+		if s.ups[v] == 1 && s.down[v] >= 0 && !keep.retains(v) {
+			continue // regular and not kept: contracted
+		}
+		s.flags[v] |= retainedBit
+		s.parent[v] = 0
+		s.order[m] = v
+		m++
+	}
+	retained := s.order[:m]
+	// Each retained vertex's arc ends at the next retained vertex
+	// below it. Walks only cross contracted vertices, whose down
+	// pointers are left alone.
+	edges := 0
+	for _, v := range retained {
+		d := s.down[v]
+		for d >= 0 && s.flags[d]&retainedBit == 0 {
+			d = s.down[d]
+		}
+		s.down[v] = d
+		if d >= 0 {
+			s.parent[d]++
+			edges++
+		}
+	}
+
+	st := &s.st
+	st.Rank, st.Block = rank, owned
+	st.Verts = slices.Grow(st.Verts[:0], m)[:m]
+	st.Edges = slices.Grow(st.Edges[:0], edges)[:edges]
+	// Vertices go out in sweep order, and each claims the run of Edges
+	// its arriving arcs fill: parent turns from a count into the run's
+	// cursor, ups into the vertex's position in Verts.
+	next := int32(0)
+	for p, v := range retained {
+		i, j, k := f.Box.Point(int(v))
+		deg := int(s.parent[v])
+		if s.down[v] >= 0 {
+			deg++
+		}
+		st.Verts[p] = SubtreeVert{ID: grid.GlobalIndex(global, i, j, k), Value: f.Data[v], Degree: deg}
+		s.ups[v] = int32(p)
+		s.parent[v], next = next, next+s.parent[v]
+	}
+	for p, v := range retained {
+		if d := s.down[v]; d >= 0 {
+			st.Edges[s.parent[d]] = Arc{Hi: st.Verts[p].ID, Lo: st.Verts[s.ups[d]].ID}
+			s.parent[d]++
+		}
+	}
+	return st, nil
 }
 
-// keepFunc returns the vertex-retention predicate for a policy.
-func keepFunc(t *Tree, global, owned, ext grid.Box, policy BoundaryPolicy) func(n *Node) bool {
-	switch policy {
+// keeper evaluates a BoundaryPolicy on the cells of one swept block.
+type keeper struct {
+	policy               BoundaryPolicy
+	f                    *grid.Field
+	owned, interior, ext grid.Box
+}
+
+// retains reports whether the policy keeps the vertex at offset v of
+// the field although it is regular.
+func (kp *keeper) retains(v int32) bool {
+	i, j, k := kp.f.Box.Point(int(v))
+	switch kp.policy {
 	case KeepNone:
-		return func(n *Node) bool { return false }
+		return false
 	case KeepCornersAndBoundaryMaxima:
-		corners := map[int64]bool{}
-		for _, c := range owned.Corners() {
-			corners[grid.GlobalIndex(global, c[0], c[1], c[2])] = true
+		o := kp.owned
+		if (i == o.Lo[0] || i == o.Hi[0]-1) && (j == o.Lo[1] || j == o.Hi[1]-1) && (k == o.Lo[2] || k == o.Hi[2]-1) {
+			return true
 		}
-		return func(n *Node) bool {
-			if corners[n.ID] {
-				return true
-			}
-			// Maxima restricted to boundary components: boundary
-			// vertices all of whose boundary neighbors are lower.
-			i, j, k := grid.GlobalPoint(global, n.ID)
-			if !ext.OnBoundary(i, j, k) {
-				return false
-			}
-			return boundaryRestrictedMax(t, global, ext, n)
-		}
-	default: // KeepSharedBoundary
-		interior := owned.Grow(-1)
-		return func(n *Node) bool {
-			i, j, k := grid.GlobalPoint(global, n.ID)
-			return !interior.Contains(i, j, k)
-		}
-	}
-}
-
-// boundaryRestrictedMax reports whether node n, lying on the boundary
-// of box ext, is a local maximum of the field restricted to that
-// boundary.
-func boundaryRestrictedMax(t *Tree, global, ext grid.Box, n *Node) bool {
-	i, j, k := grid.GlobalPoint(global, n.ID)
-	for _, d := range [][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
-		ni, nj, nk := i+d[0], j+d[1], k+d[2]
-		if !ext.Contains(ni, nj, nk) || !ext.OnBoundary(ni, nj, nk) {
-			continue
-		}
-		u := t.Nodes[grid.GlobalIndex(global, ni, nj, nk)]
-		if u != nil && Above(u.Value, u.ID, n.Value, n.ID) {
+		// Maxima restricted to boundary components: boundary vertices
+		// all of whose boundary neighbors are lower.
+		if !kp.ext.OnBoundary(i, j, k) {
 			return false
 		}
+		val := kp.f.Data[v]
+		for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
+			ni, nj, nk := i+d[0], j+d[1], k+d[2]
+			if !kp.ext.OnBoundary(ni, nj, nk) {
+				continue
+			}
+			u := kp.f.Box.Index(ni, nj, nk)
+			if Above(kp.f.Data[u], int64(u), val, int64(v)) {
+				return false
+			}
+		}
+		return true
+	default: // KeepSharedBoundary
+		return !kp.interior.Contains(i, j, k)
 	}
-	return true
 }
 
 // Reduce contracts every regular node for which keep returns false,
@@ -224,7 +336,10 @@ func packSubtree(t *Tree, rank int, block grid.Box) *Subtree {
 	})
 	sort.Slice(st.Edges, func(i, j int) bool {
 		a, b := st.Edges[i], st.Edges[j]
-		return Above(vals[a.Lo], a.Lo, vals[b.Lo], b.Lo)
+		if a.Lo != b.Lo {
+			return Above(vals[a.Lo], a.Lo, vals[b.Lo], b.Lo)
+		}
+		return Above(vals[a.Hi], a.Hi, vals[b.Hi], b.Hi)
 	})
 	return st
 }

@@ -2,6 +2,7 @@ package mergetree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -71,10 +72,18 @@ func (st *Subtree) Marshal() []byte {
 	return st.AppendMarshal(make([]byte, 0, st.MarshalSize()))
 }
 
-// UnmarshalSubtree reconstructs a subtree from Marshal's output.
+// ErrCorruptPayload is wrapped by every error the payload decoders
+// (UnmarshalSubtree, UnmarshalFeaturePartials) return: the bytes are
+// not an encoding this package produced.
+var ErrCorruptPayload = errors.New("mergetree: corrupt payload")
+
+// UnmarshalSubtree reconstructs a subtree from Marshal's output. The
+// counts in the payload are bounded against the bytes that follow them
+// by division, so a hostile count cannot overflow into a huge
+// allocation.
 func UnmarshalSubtree(p []byte) (*Subtree, error) {
 	if len(p) < 4+7*8 {
-		return nil, fmt.Errorf("mergetree: subtree payload too short (%d bytes)", len(p))
+		return nil, fmt.Errorf("%w: subtree too short (%d bytes)", ErrCorruptPayload, len(p))
 	}
 	st := &Subtree{}
 	st.Rank = int(binary.LittleEndian.Uint32(p[:4]))
@@ -89,11 +98,12 @@ func UnmarshalSubtree(p []byte) (*Subtree, error) {
 		p = p[8:]
 	}
 	st.Block = box
-	nv := int(binary.LittleEndian.Uint64(p[:8]))
+	count := binary.LittleEndian.Uint64(p[:8])
 	p = p[8:]
-	if len(p) < 20*nv+8 {
-		return nil, fmt.Errorf("mergetree: truncated subtree vertices")
+	if len(p) < 8 || count > uint64(len(p)-8)/20 {
+		return nil, fmt.Errorf("%w: %d subtree vertices in %d bytes", ErrCorruptPayload, count, len(p))
 	}
+	nv := int(count)
 	st.Verts = make([]SubtreeVert, nv)
 	for i := 0; i < nv; i++ {
 		st.Verts[i].ID = int64(binary.LittleEndian.Uint64(p[:8]))
@@ -101,11 +111,12 @@ func UnmarshalSubtree(p []byte) (*Subtree, error) {
 		st.Verts[i].Degree = int(binary.LittleEndian.Uint32(p[16:20]))
 		p = p[20:]
 	}
-	ne := int(binary.LittleEndian.Uint64(p[:8]))
+	count = binary.LittleEndian.Uint64(p[:8])
 	p = p[8:]
-	if len(p) < 16*ne {
-		return nil, fmt.Errorf("mergetree: truncated subtree edges")
+	if count > uint64(len(p))/16 {
+		return nil, fmt.Errorf("%w: %d subtree edges in %d bytes", ErrCorruptPayload, count, len(p))
 	}
+	ne := int(count)
 	st.Edges = make([]Arc, ne)
 	for i := 0; i < ne; i++ {
 		st.Edges[i].Hi = int64(binary.LittleEndian.Uint64(p[:8]))

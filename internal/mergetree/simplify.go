@@ -18,9 +18,16 @@ type Branch struct {
 // BranchDecomposition pairs every maximum with its death saddle.
 // Branches are returned in decreasing persistence order.
 func BranchDecomposition(t *Tree) []Branch {
-	// branchMax[n] = the highest maximum above n (inclusive).
-	branchMax := make(map[*Node]*Node, len(t.Nodes))
-	order := make([]*Node, 0, len(t.Nodes))
+	_, _, branches := decompose(t)
+	return branches
+}
+
+// decompose is the one pass behind BranchDecomposition and Simplify:
+// the nodes in descending sweep order, the highest maximum above each
+// node (inclusive), and the branches in decreasing persistence order.
+func decompose(t *Tree) (order []*Node, branchMax map[*Node]*Node, branches []Branch) {
+	branchMax = make(map[*Node]*Node, len(t.Nodes))
+	order = make([]*Node, 0, len(t.Nodes))
 	for _, n := range t.Nodes {
 		order = append(order, n)
 	}
@@ -40,7 +47,6 @@ func BranchDecomposition(t *Tree) []Branch {
 		branchMax[n] = best
 	}
 
-	var out []Branch
 	for _, n := range order {
 		if !n.IsSaddle() {
 			continue
@@ -51,7 +57,7 @@ func BranchDecomposition(t *Tree) []Branch {
 			if um == winner {
 				continue
 			}
-			out = append(out, Branch{Max: um, Saddle: n, Persistence: um.Value - n.Value})
+			branches = append(branches, Branch{Max: um, Saddle: n, Persistence: um.Value - n.Value})
 		}
 		// If several ups carry the winner (possible only with
 		// duplicate branchMax pointers), the first keeps it; the sweep
@@ -59,22 +65,22 @@ func BranchDecomposition(t *Tree) []Branch {
 		// each non-winning up dies exactly once.
 	}
 	// Root branches: unpaired maxima.
-	paired := make(map[*Node]bool, len(out))
-	for _, br := range out {
+	paired := make(map[*Node]bool, len(branches))
+	for _, br := range branches {
 		paired[br.Max] = true
 	}
 	for _, n := range order {
 		if n.IsMax() && !paired[n] {
-			out = append(out, Branch{Max: n, Persistence: math.Inf(1)})
+			branches = append(branches, Branch{Max: n, Persistence: math.Inf(1)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Persistence != out[j].Persistence {
-			return out[i].Persistence > out[j].Persistence
+	sort.Slice(branches, func(i, j int) bool {
+		if branches[i].Persistence != branches[j].Persistence {
+			return branches[i].Persistence > branches[j].Persistence
 		}
-		return Above(out[i].Max.Value, out[i].Max.ID, out[j].Max.Value, out[j].Max.ID)
+		return Above(branches[i].Max.Value, branches[i].Max.ID, branches[j].Max.Value, branches[j].Max.ID)
 	})
-	return out
+	return order, branchMax, branches
 }
 
 // Persistence returns the persistence of every maximum, keyed by node
@@ -92,46 +98,27 @@ func Persistence(t *Tree) map[int64]float64 {
 // retained; apply Reduce to contract them. The input tree is not
 // modified.
 func Simplify(t *Tree, eps float64) *Tree {
-	pers := Persistence(t)
-
-	// A node survives iff the highest maximum above it survives.
-	branchMax := make(map[*Node]*Node, len(t.Nodes))
-	order := make([]*Node, 0, len(t.Nodes))
-	for _, n := range t.Nodes {
-		order = append(order, n)
-	}
-	sortNodes(order)
-	alive := make(map[*Node]bool, len(t.Nodes))
-	for _, n := range order {
-		if n.IsMax() {
-			branchMax[n] = n
-			alive[n] = pers[n.ID] >= eps
-			continue
+	order, branchMax, branches := decompose(t)
+	// A node survives iff the highest maximum above it does.
+	dead := make(map[*Node]bool)
+	for _, br := range branches {
+		if !(br.Persistence >= eps) {
+			dead[br.Max] = true
 		}
-		var best *Node
-		for _, u := range n.Ups {
-			um := branchMax[u]
-			if best == nil || Above(um.Value, um.ID, best.Value, best.ID) {
-				best = um
-			}
-		}
-		branchMax[n] = best
-		alive[n] = alive[best]
 	}
 
 	out := &Tree{Nodes: make(map[int64]*Node)}
 	for _, n := range order {
-		if !alive[n] {
+		if dead[branchMax[n]] {
 			continue
 		}
-		m := &Node{ID: n.ID, Value: n.Value}
-		out.Nodes[n.ID] = m
+		out.Nodes[n.ID] = &Node{ID: n.ID, Value: n.Value}
 	}
 	for _, n := range order {
-		if !alive[n] {
+		m, alive := out.Nodes[n.ID]
+		if !alive {
 			continue
 		}
-		m := out.Nodes[n.ID]
 		if n.Down != nil {
 			// A live node's down is always live: its branch continues
 			// through or merges below.

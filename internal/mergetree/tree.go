@@ -15,6 +15,7 @@ package mergetree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -114,119 +115,27 @@ func (t *Tree) Arcs() []Arc {
 	return out
 }
 
-// vertexRef is an input vertex for the sweep constructors.
-type vertexRef struct {
-	id  int64
-	val float64
-}
-
-// build runs the descending sweep over the given vertices, where
-// neighbors(i) yields indices (into verts) of vertices adjacent to
-// verts[i]. It returns the fully augmented merge tree.
-func build(verts []vertexRef, neighbors func(i int) []int) *Tree {
-	n := len(verts)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := verts[order[a]], verts[order[b]]
-		return Above(va.val, va.id, vb.val, vb.id)
-	})
-
-	// Union-find over vertex indices; lowest[root] is the current
-	// lowest tree node of that superlevel component.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1 // unprocessed
-	}
-	var find func(x int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	lowest := make([]*Node, n)
-
-	t := &Tree{Nodes: make(map[int64]*Node, n)}
-	nodes := make([]*Node, n)
-
-	var roots []int // component representatives, refreshed at the end
-	for _, vi := range order {
-		v := verts[vi]
-		node := &Node{ID: v.id, Value: v.val}
-		t.Nodes[v.id] = node
-		nodes[vi] = node
-
-		// Distinct components among already-processed neighbors.
-		var comps []int
-		for _, ui := range neighbors(vi) {
-			if parent[ui] < 0 {
-				continue // not yet swept (below v)
-			}
-			r := find(ui)
-			dup := false
-			for _, c := range comps {
-				if c == r {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				comps = append(comps, r)
-			}
-		}
-		// Deterministic merge order.
-		sort.Ints(comps)
-
-		parent[vi] = vi
-		if len(comps) == 0 {
-			// Local maximum: new component.
-			lowest[vi] = node
-			roots = append(roots, vi)
-			continue
-		}
-		// Attach each component's current lowest node to v, then merge.
-		for _, c := range comps {
-			lo := lowest[c]
-			lo.Down = node
-			node.Ups = append(node.Ups, lo)
-			parent[c] = vi
-		}
-		lowest[vi] = node
-	}
-
-	// Collect the surviving roots.
-	seen := map[int]bool{}
-	for _, r := range roots {
-		rr := find(r)
-		if !seen[rr] {
-			seen[rr] = true
-			t.Roots = append(t.Roots, lowest[rr])
-		}
-	}
-	sortNodes(t.Roots)
-	return t
-}
-
 // FromGraph computes the augmented merge tree of an arbitrary graph
 // given vertex values and undirected edges. It is the reference
 // construction the distributed pipeline is validated against.
 func FromGraph(values map[int64]float64, edges [][2]int64) (*Tree, error) {
-	verts := make([]vertexRef, 0, len(values))
-	index := make(map[int64]int, len(values))
 	ids := make([]int64, 0, len(values))
 	for id := range values {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		index[id] = len(verts)
-		verts = append(verts, vertexRef{id: id, val: values[id]})
+	slices.Sort(ids)
+	var s Scratch
+	if err := s.grow(len(ids)); err != nil {
+		return nil, err
 	}
-	adj := make([][]int, len(verts))
+	vals := make([]float64, len(ids))
+	index := make(map[int64]int32, len(ids))
+	for i, id := range ids {
+		index[id] = int32(i)
+		vals[i] = values[id]
+		s.admit(int32(i))
+	}
+	adj := make([][]int32, len(ids))
 	for _, e := range edges {
 		a, oka := index[e[0]]
 		b, okb := index[e[1]]
@@ -239,7 +148,8 @@ func FromGraph(values map[int64]float64, edges [][2]int64) (*Tree, error) {
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
-	return build(verts, func(i int) []int { return adj[i] }), nil
+	s.sweep(vals, func(v int32, _ []int32) []int32 { return adj[v] })
+	return s.tree(vals, func(v int32) int64 { return ids[v] }), nil
 }
 
 // Equal reports whether two trees have identical node sets, values and

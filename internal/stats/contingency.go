@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"insitu/internal/grid"
 	"insitu/internal/parallel"
 )
 
@@ -71,28 +72,28 @@ func (c *Contingency) UpdateBatch(xs, ys []float64) error {
 	return nil
 }
 
-// UpdateBatchParallel bins paired slices across the shared worker
-// pool: each fixed-width chunk fills a private table, and the tables
-// merge by cellwise addition in chunk order. Counts are integers, so
-// the result is bitwise identical to UpdateBatch at any pool width.
-func (c *Contingency) UpdateBatchParallel(xs, ys []float64) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("stats: contingency batch length mismatch %d vs %d", len(xs), len(ys))
+// UpdateBoxParallel bins the paired points of fx and fy inside sub,
+// reading both fields where they lie (typically two ghosted fields
+// restricted to the rank's owned block). Above updateChunk points each
+// fixed-width chunk of the linearized sub-box fills a private table on
+// the shared worker pool, and the tables merge by cellwise addition in
+// chunk order. Counts are integers, so the result is bitwise identical
+// to UpdateBatch over the extracted blocks at any pool width.
+func (c *Contingency) UpdateBoxParallel(fx, fy *grid.Field, sub grid.Box) error {
+	n := sub.Size()
+	if n <= updateChunk {
+		c.updateRows(fx, fy, sub, 0, n)
+		return nil
 	}
-	if len(xs) <= updateChunk {
-		return c.UpdateBatch(xs, ys)
-	}
-	nc := (len(xs) + updateChunk - 1) / updateChunk
+	nc := (n + updateChunk - 1) / updateChunk
 	parts := make([]*Contingency, nc)
-	parallel.ForChunks(len(xs), updateChunk, func(ch, lo, hi int) {
+	parallel.ForChunks(n, updateChunk, func(ch, lo, hi int) {
 		p := &Contingency{
 			XLo: c.XLo, XHi: c.XHi, YLo: c.YLo, YHi: c.YHi,
 			XBins: c.XBins, YBins: c.YBins,
 			Counts: make([]int64, c.XBins*c.YBins),
 		}
-		for i := lo; i < hi; i++ {
-			p.Update(xs[i], ys[i])
-		}
+		p.updateRows(fx, fy, sub, lo, hi)
 		parts[ch] = p
 	})
 	for _, p := range parts {
@@ -101,6 +102,17 @@ func (c *Contingency) UpdateBatchParallel(xs, ys []float64) error {
 		}
 	}
 	return nil
+}
+
+// updateRows bins cells [lo, hi) of sub's linearization, row by row.
+func (c *Contingency) updateRows(fx, fy *grid.Field, sub grid.Box, lo, hi int) {
+	for at := lo; at < hi; {
+		xs, ys := fx.Row(sub, at, hi), fy.Row(sub, at, hi)
+		for i := range xs {
+			c.Update(xs[i], ys[i])
+		}
+		at += len(xs)
+	}
 }
 
 // compatible reports whether two tables share a binning.

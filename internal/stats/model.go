@@ -46,13 +46,20 @@ func (mo *Model) LearnField(f *grid.Field) {
 	mo.Var(f.Name).UpdateBatch(f.Data)
 }
 
-// LearnFieldParallel folds every point of a field into the variable
-// named by the field using the chunk-parallel moment kernel. The
-// result is width-independent (fixed chunk partition, ordered
-// Combine) and matches LearnField bitwise for fields smaller than one
-// chunk; larger fields agree to floating-point reassociation.
+// LearnBoxParallel folds the points of a field inside sub into the
+// variable named by the field, in place, using the chunk-parallel
+// moment kernel (Moments.UpdateBoxParallel). An in-situ stage learns
+// the rank's ghosted field restricted to its owned block this way.
+func (mo *Model) LearnBoxParallel(f *grid.Field, sub grid.Box) {
+	mo.Var(f.Name).UpdateBoxParallel(f, sub)
+}
+
+// LearnFieldParallel folds every point of a field: LearnBoxParallel
+// over the field's whole box. It matches LearnField bitwise for fields
+// of at most one chunk; larger fields agree to floating-point
+// reassociation.
 func (mo *Model) LearnFieldParallel(f *grid.Field) {
-	mo.Var(f.Name).UpdateBatchParallel(f.Data)
+	mo.LearnBoxParallel(f, f.Box)
 }
 
 // Combine merges another multi-variable model into mo.

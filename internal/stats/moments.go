@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"insitu/internal/grid"
 	"insitu/internal/parallel"
 )
 
@@ -77,26 +78,40 @@ func (m *Moments) UpdateBatch(xs []float64) {
 // inter-process communication"; Combine is its pairwise update).
 const updateChunk = 1 << 14
 
-// UpdateBatchParallel folds a slice of observations into the model
-// using the shared worker pool: each fixed-width chunk accumulates an
+// UpdateBoxParallel folds the points of f inside sub into the model,
+// reading them where they lie in f (typically a rank's ghosted field
+// restricted to its owned block): the observations are those of
+// f.Extract(sub).Data, in that x-fastest order, and nothing is copied.
+// Above updateChunk points the shared worker pool takes over: each
+// fixed-width chunk of the linearized sub-box accumulates an
 // independent partial model, and the partials fold into m in chunk
 // order via Combine. The result is deterministic (width-independent)
-// and agrees with UpdateBatch to floating-point reassociation — the
-// acceptance bound is 1e-12 on derived moments. Inputs shorter than
-// one chunk take the serial path and match UpdateBatch bitwise.
-func (m *Moments) UpdateBatchParallel(xs []float64) {
-	if len(xs) <= updateChunk {
-		m.UpdateBatch(xs)
+// and agrees with the serial fold to floating-point reassociation —
+// the acceptance bound is 1e-12 on derived moments. Sub-boxes of at
+// most one chunk take the serial path and match UpdateBatch bitwise.
+func (m *Moments) UpdateBoxParallel(f *grid.Field, sub grid.Box) {
+	n := sub.Size()
+	if n <= updateChunk {
+		m.updateRows(f, sub, 0, n)
 		return
 	}
-	nc := (len(xs) + updateChunk - 1) / updateChunk
+	nc := (n + updateChunk - 1) / updateChunk
 	parts := make([]Moments, nc)
-	parallel.ForChunks(len(xs), updateChunk, func(c, lo, hi int) {
+	parallel.ForChunks(n, updateChunk, func(c, lo, hi int) {
 		parts[c] = Moments{Min: math.Inf(1), Max: math.Inf(-1)}
-		parts[c].UpdateBatch(xs[lo:hi])
+		parts[c].updateRows(f, sub, lo, hi)
 	})
 	for c := range parts {
 		m.Combine(&parts[c])
+	}
+}
+
+// updateRows folds cells [lo, hi) of sub's linearization, row by row.
+func (m *Moments) updateRows(f *grid.Field, sub grid.Box, lo, hi int) {
+	for at := lo; at < hi; {
+		row := f.Row(sub, at, hi)
+		m.UpdateBatch(row)
+		at += len(row)
 	}
 }
 
@@ -189,14 +204,20 @@ type Assessment struct {
 func Assess(xs []float64, d Derived, extremeSigma float64) []Assessment {
 	out := make([]Assessment, len(xs))
 	for i, x := range xs {
-		a := Assessment{Value: x}
-		if d.StdDev > 0 {
-			a.Deviation = (x - d.Mean) / d.StdDev
-			a.Extreme = math.Abs(a.Deviation) > extremeSigma
-		}
-		out[i] = a
+		out[i] = AssessOne(x, d, extremeSigma)
 	}
 	return out
+}
+
+// AssessOne annotates a single observation, for callers that assess
+// data in place and keep a count, not the annotations.
+func AssessOne(x float64, d Derived, extremeSigma float64) Assessment {
+	a := Assessment{Value: x}
+	if d.StdDev > 0 {
+		a.Deviation = (x - d.Mean) / d.StdDev
+		a.Extreme = math.Abs(a.Deviation) > extremeSigma
+	}
+	return a
 }
 
 // TestResult is the output of the test stage.
