@@ -15,11 +15,12 @@
 #                   outside bytes: the codec frame decoder, the BP-lite
 #                   checkpoint reader, the append-only frame log under
 #                   journal.wal and index.log, the image index replay, the
-#                   pipeline config parser, and the subtree payload decoder a
-#                   staging bucket runs (typed errors only, never a panic; the
-#                   log stays appendable, the store serves no ref outside its
-#                   segment, an accepted config survives Build, a decoded
-#                   subtree marshals back to the bytes it was read from)
+#                   pipeline config parser, and the subtree and feature-partial
+#                   payload decoders a staging bucket runs (typed errors only,
+#                   never a panic; the log stays appendable, the store serves no
+#                   ref outside its segment, an accepted config survives Build,
+#                   a decoded payload marshals back to the bytes it was read
+#                   from)
 #   make chaos      the randomized-seed chaos smoke under -race (env-gated,
 #                   so `race` skips it; the fixed-seed soak runs there)
 
@@ -59,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzOpenIndex -fuzztime 10s ./internal/imagestore/
 	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 10s ./internal/registry/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalSubtree -fuzztime 10s ./internal/mergetree/
+	$(GO) test -run xxx -fuzz FuzzUnmarshalFeaturePartials -fuzztime 10s ./internal/mergetree/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

@@ -90,22 +90,23 @@ func runFig3() {
 		f.Data[idx] = h
 	}
 	tr := mergetree.FromField(f, b)
-	branches := mergetree.BranchDecomposition(mergetree.Reduce(tr, func(n *mergetree.Node) bool { return false }))
+	red := mergetree.Reduce(tr, nil)
+	branches := mergetree.BranchDecomposition(red)
 	fmt.Printf("merge tree: %d maxima, %d saddles\n", len(tr.Maxima()), len(tr.Saddles()))
 	for _, br := range branches {
-		x, y, _ := grid.GlobalPoint(b, br.Max.ID)
-		if br.Saddle != nil {
+		x, y, _ := grid.GlobalPoint(b, red.IDs[br.Max])
+		if br.Saddle >= 0 {
 			fmt.Printf("  branch: max %.3f at (%d,%d) merges at saddle %.3f (persistence %.3f)\n",
-				br.Max.Value, x, y, br.Saddle.Value, br.Persistence)
+				red.Values[br.Max], x, y, red.Values[br.Saddle], br.Persistence)
 		} else {
 			fmt.Printf("  branch: max %.3f at (%d,%d) — root branch (infinite persistence)\n",
-				br.Max.Value, x, y)
+				red.Values[br.Max], x, y)
 		}
 	}
 	// The correspondence: sweep three isovalues, show the segmentation.
 	for _, iso := range []float64{0.8, 0.5, 0.2} {
 		seg := mergetree.Segment(tr, iso)
-		feats := seg.Features(tr)
+		feats := mergetree.Features(tr, iso)
 		fmt.Printf("\nisovalue %.2f: %d contour component(s)\n", iso, len(feats))
 		printSegRow(f, seg, b)
 	}

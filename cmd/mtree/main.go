@@ -45,8 +45,7 @@ func main() {
 
 	var tree *mergetree.Tree
 	if len(fields) == 1 {
-		tree = mergetree.FromField(fields[0], global)
-		tree = mergetree.Reduce(tree, func(n *mergetree.Node) bool { return false })
+		tree = mergetree.Reduce(mergetree.FromField(fields[0], global), nil)
 	} else {
 		// Multi-block: stitch the global field, then run the hybrid
 		// decomposition offline — per-block boundary-augmented
@@ -74,14 +73,14 @@ func main() {
 		}
 		fmt.Printf("streamed %d vertices, peak resident %d, evicted %d\n",
 			stats.Declared, stats.PeakLive, stats.Evicted)
-		tree = mergetree.Reduce(tree, func(n *mergetree.Node) bool { return false })
+		tree = mergetree.Reduce(tree, nil)
 	}
 
 	if *simplify > 0 {
 		tree = mergetree.Simplify(tree, *simplify)
 	}
 	fmt.Printf("variable %s over %v: %d nodes, %d maxima, %d saddles, %d roots\n",
-		*varName, global, len(tree.Nodes), len(tree.Maxima()), len(tree.Saddles()), len(tree.Roots))
+		*varName, global, tree.Len(), len(tree.Maxima()), len(tree.Saddles()), len(tree.Roots()))
 
 	branches := mergetree.BranchDecomposition(tree)
 	n := *maxima
@@ -91,14 +90,13 @@ func main() {
 	fmt.Printf("\ntop %d branches by persistence:\n", n)
 	for i := 0; i < n; i++ {
 		b := branches[i]
-		x, y, z := grid.GlobalPoint(global, b.Max.ID)
+		x, y, z := grid.GlobalPoint(global, tree.IDs[b.Max])
 		fmt.Printf("  max %.6g at (%d,%d,%d), persistence %.6g\n",
-			b.Max.Value, x, y, z, b.Persistence)
+			tree.Values[b.Max], x, y, z, b.Persistence)
 	}
 
 	if *threshold > 0 {
-		seg := mergetree.Segment(tree, *threshold)
-		feats := seg.Features(tree)
+		feats := mergetree.Features(tree, *threshold)
 		fmt.Printf("\n%d features above %.6g:\n", len(feats), *threshold)
 		for i, f := range feats {
 			if i >= *maxima {

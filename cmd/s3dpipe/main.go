@@ -224,7 +224,7 @@ func renderTenant(out io.Writer, t registry.BuiltTenant, tc *registry.TenantConf
 	for _, a := range t.Analyses {
 		if tr, ok := finalResult(rep, a, steps).(*core.TopologyResult); ok && tr != nil {
 			fmt.Fprintf(out, "%s (final step): %d tree nodes resident of %d streamed (peak %d), %d maxima, %d features above threshold\n",
-				a.Name(), len(tr.Tree.Nodes), tr.Stream.Declared, tr.Stream.PeakLive, len(tr.Tree.Maxima()), len(tr.Features))
+				a.Name(), tr.Tree.Len(), tr.Stream.Declared, tr.Stream.PeakLive, len(tr.Tree.Maxima()), len(tr.Features))
 		}
 	}
 	fmt.Fprintln(out)

@@ -34,7 +34,7 @@ func TestStreamingTopologyMatchesBuffered(t *testing.T) {
 	streaming := run(NewTopologyStreaming())
 
 	reduce := func(tr *mergetree.Tree) *mergetree.Tree {
-		return mergetree.Reduce(tr, func(n *mergetree.Node) bool { return false })
+		return mergetree.Reduce(tr, nil)
 	}
 	if !mergetree.Equal(reduce(buffered.Tree), reduce(streaming.Tree)) {
 		t.Fatal("streaming in-transit stage produced a different tree")

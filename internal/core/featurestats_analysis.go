@@ -74,7 +74,9 @@ func (f *FeatureStatsHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 
 // InTransit implements HybridAnalysis.
 func (f *FeatureStatsHybrid) InTransit(step int, payloads [][]byte) (any, error) {
-	subtrees := make([]*mergetree.Subtree, 0, len(payloads))
+	ts := getTransitScratch()
+	defer putTransitScratch(ts)
+	subtrees := ts.subtrees(len(payloads))
 	partials := make([][]mergetree.FeaturePartial, 0, len(payloads))
 	for i, p := range payloads {
 		if len(p) < 4 {
@@ -84,18 +86,16 @@ func (f *FeatureStatsHybrid) InTransit(step int, payloads [][]byte) (any, error)
 		if len(p) < 4+subLen {
 			return nil, fmt.Errorf("featurestats: payload %d truncated", i)
 		}
-		st, err := mergetree.UnmarshalSubtree(p[4 : 4+subLen])
-		if err != nil {
+		if err := subtrees[i].Unmarshal(p[4 : 4+subLen]); err != nil {
 			return nil, fmt.Errorf("featurestats: payload %d subtree: %w", i, err)
 		}
 		ps, err := mergetree.UnmarshalFeaturePartials(p[4+subLen:])
 		if err != nil {
 			return nil, fmt.Errorf("featurestats: payload %d partials: %w", i, err)
 		}
-		subtrees = append(subtrees, st)
 		partials = append(partials, ps)
 	}
-	tree, _, err := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: true})
+	tree, _, err := ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: true})
 	if err != nil {
 		return nil, err
 	}

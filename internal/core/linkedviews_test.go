@@ -96,7 +96,7 @@ func TestTopologyParallelWorkers(t *testing.T) {
 	serial := run(0)
 	parallel := run(4)
 	reduce := func(tr *mergetree.Tree) *mergetree.Tree {
-		return mergetree.Reduce(tr, func(n *mergetree.Node) bool { return false })
+		return mergetree.Reduce(tr, nil)
 	}
 	if !mergetree.Equal(reduce(serial.Tree), reduce(parallel.Tree)) {
 		t.Fatal("parallel hierarchical glue differs from serial through the pipeline")

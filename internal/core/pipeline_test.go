@@ -121,7 +121,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// The topology result carries the global tree and features.
 	tr := rep.Result("hybrid topology", steps).(*TopologyResult)
-	if tr.Tree == nil || len(tr.Tree.Nodes) == 0 {
+	if tr.Tree == nil || tr.Tree.Len() == 0 {
 		t.Fatal("topology returned an empty tree")
 	}
 	if tr.Stream.Declared == 0 {
@@ -174,11 +174,8 @@ func TestPipelineTopologyMatchesSerial(t *testing.T) {
 	}
 	want := globalFields(t, simCfg, steps, []string{"T"})["T"]
 	serial := mergetree.FromField(want, simCfg.Global)
-	reduce := func(tr *mergetree.Tree) *mergetree.Tree {
-		return mergetree.Reduce(tr, func(n *mergetree.Node) bool { return false })
-	}
 	got := rep.Result("hybrid topology", steps).(*TopologyResult)
-	if !mergetree.Equal(reduce(serial), reduce(got.Tree)) {
+	if !mergetree.Equal(mergetree.Reduce(serial, nil), mergetree.Reduce(got.Tree, nil)) {
 		t.Fatal("pipeline tree differs from serial merge tree of the global field")
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"insitu/internal/mergetree"
-)
+import "fmt"
 
 // TopologyStreaming is the streaming variant of the hybrid merge-tree
 // analysis: the in-transit stage starts building the global tree as
@@ -30,10 +26,13 @@ func (t *TopologyStreaming) Name() string { return "hybrid topology (streaming)"
 // InTransitStream implements StreamingHybridAnalysis: incorporate each
 // subtree the moment it arrives.
 func (t *TopologyStreaming) InTransitStream(step int, inputs <-chan StreamInput) (any, error) {
-	b := mergetree.NewBuilder(false)
+	ts := getTransitScratch()
+	defer putTransitScratch(ts)
+	b := &ts.build
+	b.Reset()
+	st := ts.subtrees(1)[0]
 	for in := range inputs {
-		st, err := mergetree.UnmarshalSubtree(in.Data)
-		if err != nil {
+		if err := st.Unmarshal(in.Data); err != nil {
 			return nil, fmt.Errorf("topology: streamed payload %d: %w", in.Index, err)
 		}
 		for _, v := range st.Verts {
@@ -51,15 +50,5 @@ func (t *TopologyStreaming) InTransitStream(step int, inputs <-chan StreamInput)
 	if err != nil {
 		return nil, err
 	}
-	res := &TopologyResult{Tree: tree, Stream: stream, arrivalOrdered: true}
-	work := tree
-	if t.SimplifyEps > 0 {
-		work = mergetree.Simplify(tree, t.SimplifyEps)
-		res.Tree = work
-	}
-	if t.FeatureThreshold > 0 {
-		seg := mergetree.Segment(work, t.FeatureThreshold)
-		res.Features = seg.Features(work)
-	}
-	return res, nil
+	return t.result(ts, tree, stream, true), nil
 }

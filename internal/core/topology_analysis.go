@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"insitu/internal/bufpool"
 	"insitu/internal/grid"
@@ -103,15 +104,15 @@ func subtreeScratch(ctx *Ctx) *mergetree.Scratch {
 // global merge tree with the streaming algorithm, then optionally
 // simplify and extract features.
 func (t *TopologyHybrid) InTransit(step int, payloads [][]byte) (any, error) {
-	subtrees := make([]*mergetree.Subtree, 0, len(payloads))
+	ts := getTransitScratch()
+	defer putTransitScratch(ts)
+	subtrees := ts.subtrees(len(payloads))
 	var globalBox grid.Box
 	for i, p := range payloads {
-		st, err := mergetree.UnmarshalSubtree(p)
-		if err != nil {
+		if err := subtrees[i].Unmarshal(p); err != nil {
 			return nil, fmt.Errorf("topology: payload %d: %w", i, err)
 		}
-		globalBox = globalBox.Union(st.Block)
-		subtrees = append(subtrees, st)
+		globalBox = globalBox.Union(subtrees[i].Block)
 	}
 	var tree *mergetree.Tree
 	var stream mergetree.StreamStats
@@ -119,22 +120,83 @@ func (t *TopologyHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 	if t.Workers > 1 {
 		tree, err = mergetree.GlueHierarchical(subtrees, globalBox, t.Workers)
 	} else {
-		tree, stream, err = mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: t.Evict})
+		tree, stream, err = ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: t.Evict})
 	}
 	if err != nil {
 		return nil, err
 	}
-	res := &TopologyResult{Tree: tree, Stream: stream}
-	work := tree
+	return t.result(ts, tree, stream, false), nil
+}
+
+// result turns a glued tree, which may live in ts, into the step's
+// result: the simplified tree or a copy of the glued one, and the
+// features of that tree. Nothing in the result points into ts.
+func (t *TopologyHybrid) result(ts *transitScratch, tree *mergetree.Tree, stream mergetree.StreamStats, arrivalOrdered bool) *TopologyResult {
 	if t.SimplifyEps > 0 {
-		work = mergetree.Simplify(tree, t.SimplifyEps)
-		res.Tree = work
+		tree = ts.work.Simplify(tree, t.SimplifyEps)
+	} else {
+		tree = tree.Clone()
 	}
+	res := &TopologyResult{Tree: tree, Stream: stream, arrivalOrdered: arrivalOrdered}
 	if t.FeatureThreshold > 0 {
-		seg := mergetree.Segment(work, t.FeatureThreshold)
-		res.Features = seg.Features(work)
+		res.Features = ts.work.Features(tree, t.FeatureThreshold)
 	}
-	return res, nil
+	return res
+}
+
+// transitScratch is the merge-tree memory of one in-transit task: the
+// subtrees it decodes, the builder that glues them and the work arrays
+// of the passes after the glue. A task takes one with
+// getTransitScratch for the length of its InTransit call and puts it
+// back before returning, so one is in use per busy staging bucket and
+// a bucket glues step after step in the same arrays. The task's result
+// never points into it.
+type transitScratch struct {
+	decoded []mergetree.Subtree
+	ptrs    []*mergetree.Subtree
+	build   mergetree.Builder
+	work    mergetree.Scratch
+}
+
+// transitScratches holds the idle transit scratches. Unlike a
+// sync.Pool it never drops one at a collection (nor, under -race, at
+// random), so the allocation guard's counts repeat; it holds at most
+// as many as in-transit tasks have ever glued at once in the process,
+// which the staging buckets bound.
+var transitScratches struct {
+	sync.Mutex
+	idle []*transitScratch
+}
+
+func getTransitScratch() *transitScratch {
+	transitScratches.Lock()
+	defer transitScratches.Unlock()
+	n := len(transitScratches.idle)
+	if n == 0 {
+		return new(transitScratch)
+	}
+	ts := transitScratches.idle[n-1]
+	transitScratches.idle = transitScratches.idle[:n-1]
+	return ts
+}
+
+func putTransitScratch(ts *transitScratch) {
+	transitScratches.Lock()
+	transitScratches.idle = append(transitScratches.idle, ts)
+	transitScratches.Unlock()
+}
+
+// subtrees returns n subtrees to decode into, reusing the ones decoded
+// before.
+func (ts *transitScratch) subtrees(n int) []*mergetree.Subtree {
+	if len(ts.decoded) < n {
+		ts.decoded = append(ts.decoded, make([]mergetree.Subtree, n-len(ts.decoded))...)
+	}
+	ts.ptrs = ts.ptrs[:0]
+	for i := range n {
+		ts.ptrs = append(ts.ptrs, &ts.decoded[i])
+	}
+	return ts.ptrs
 }
 
 // allVarNames returns the full simulation variable list.

@@ -160,7 +160,9 @@ func packTracking(st *mergetree.Subtree, reps []int64, matches []RawMatch) []byt
 	return buf.Bytes()
 }
 
-func unpackTracking(p []byte) (*mergetree.Subtree, []int64, []RawMatch, error) {
+// unpackTracking decodes a tracking payload: the subtree into st, and
+// the representatives and raw matches.
+func unpackTracking(p []byte, st *mergetree.Subtree) ([]int64, []RawMatch, error) {
 	rd := func(n int) ([]byte, error) {
 		if len(p) < n {
 			return nil, fmt.Errorf("tracking: truncated payload")
@@ -178,49 +180,48 @@ func unpackTracking(p []byte) (*mergetree.Subtree, []int64, []RawMatch, error) {
 	}
 	subLen, err := u64()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	subBytes, err := rd(int(subLen))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	st, err := mergetree.UnmarshalSubtree(subBytes)
-	if err != nil {
-		return nil, nil, nil, err
+	if err := st.Unmarshal(subBytes); err != nil {
+		return nil, nil, err
 	}
 	nreps, err := u64()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	reps := make([]int64, nreps)
 	for i := range reps {
 		v, err := u64()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		reps[i] = int64(v)
 	}
 	nm, err := u64()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	matches := make([]RawMatch, nm)
 	for i := range matches {
 		a, err := u64()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		b, err := u64()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		c, err := u64()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		matches[i] = RawMatch{PrevRep: int64(a), CurRep: int64(b), Overlap: int64(c)}
 	}
-	return st, reps, matches, nil
+	return reps, matches, nil
 }
 
 // TrackingStepResult is one step's in-transit output: the global
@@ -235,26 +236,27 @@ type TrackingStepResult struct {
 
 // InTransit implements HybridAnalysis.
 func (tr *TrackingHybrid) InTransit(step int, payloads [][]byte) (any, error) {
-	var subtrees []*mergetree.Subtree
+	ts := getTransitScratch()
+	defer putTransitScratch(ts)
+	subtrees := ts.subtrees(len(payloads))
 	var reps []int64
 	var raw []RawMatch
 	for i, p := range payloads {
-		st, rs, ms, err := unpackTracking(p)
+		rs, ms, err := unpackTracking(p, subtrees[i])
 		if err != nil {
 			return nil, fmt.Errorf("tracking: payload %d: %w", i, err)
 		}
-		subtrees = append(subtrees, st)
 		reps = append(reps, rs...)
 		raw = append(raw, ms...)
 	}
-	tree, _, err := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: true})
+	tree, _, err := ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: true})
 	if err != nil {
 		return nil, err
 	}
 	seg := mergetree.Segment(tree, tr.Threshold)
 	res := &TrackingStepResult{
 		Step:       step,
-		Features:   seg.Features(tree),
+		Features:   ts.work.Features(tree, tr.Threshold),
 		Resolution: make(map[int64]int64, len(reps)),
 		Raw:        raw,
 	}

@@ -43,10 +43,8 @@ func ExampleGlue() {
 	}
 	glued, _, _ := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: true})
 	serial := mergetree.FromField(f, b)
-	reduce := func(t *mergetree.Tree) *mergetree.Tree {
-		return mergetree.Reduce(t, func(n *mergetree.Node) bool { return false })
-	}
-	fmt.Println("distributed == serial:", mergetree.Equal(reduce(glued), reduce(serial)))
+	// Compare the critical points: Reduce with no keep function.
+	fmt.Println("distributed == serial:", mergetree.Equal(mergetree.Reduce(glued, nil), mergetree.Reduce(serial, nil)))
 	// Output:
 	// distributed == serial: true
 }

@@ -99,7 +99,7 @@ type FeatureStat struct {
 // global feature and combine.
 func GlobalFeatureStats(tree *Tree, threshold float64, partials [][]FeaturePartial) ([]FeatureStat, error) {
 	seg := Segment(tree, threshold)
-	feats := seg.Features(tree)
+	feats := Features(tree, threshold)
 	maxOf := make(map[int64]int64, len(feats))
 	for _, f := range feats {
 		maxOf[f.Label] = f.MaxID
@@ -184,16 +184,10 @@ func UnmarshalFeaturePartials(p []byte) ([]FeaturePartial, error) {
 	for i := 0; i < n; i++ {
 		out[i].Rep = int64(binary.LittleEndian.Uint64(p[:8]))
 		out[i].Moments.N = int64(binary.LittleEndian.Uint64(p[8:16]))
-		fs := make([]float64, 6)
-		for j := 0; j < 6; j++ {
-			fs[j] = math.Float64frombits(binary.LittleEndian.Uint64(p[16+8*j:]))
+		m := &out[i].Moments
+		for j, f := range []*float64{&m.Min, &m.Max, &m.Mean, &m.M2, &m.M3, &m.M4} {
+			*f = math.Float64frombits(binary.LittleEndian.Uint64(p[16+8*j:]))
 		}
-		out[i].Moments.Min = fs[0]
-		out[i].Moments.Max = fs[1]
-		out[i].Moments.Mean = fs[2]
-		out[i].Moments.M2 = fs[3]
-		out[i].Moments.M3 = fs[4]
-		out[i].Moments.M4 = fs[5]
 		p = p[rec:]
 	}
 	return out, nil

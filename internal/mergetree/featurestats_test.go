@@ -1,6 +1,9 @@
 package mergetree
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -138,6 +141,37 @@ func TestFeaturePartialsMarshalErrors(t *testing.T) {
 	if err != nil || len(got) != 1 || got[0].Rep != 3 {
 		t.Fatalf("round trip failed: %v %v", got, err)
 	}
+}
+
+// FuzzUnmarshalFeaturePartials: arbitrary bytes decode to a typed
+// error or to partials whose encoding is the bytes they were read
+// from, never a panic.
+func FuzzUnmarshalFeaturePartials(f *testing.F) {
+	global := grid.NewBox(8, 6, 4)
+	seg := smoothField(global, 0.5)
+	ps, err := LocalFeatureStats(seg, seg, global, grid.Box{Lo: [3]int{0, 0, 0}, Hi: [3]int{4, 6, 4}}, 0.2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	real := MarshalFeaturePartials(ps)
+	f.Add(real)
+	hostile := bytes.Clone(real)
+	binary.LittleEndian.PutUint32(hostile, math.MaxUint32)
+	f.Add(hostile)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		got, err := UnmarshalFeaturePartials(p)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptPayload) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		enc := MarshalFeaturePartials(got)
+		if len(enc) > len(p) || !bytes.Equal(enc, p[:len(enc)]) {
+			t.Fatalf("decoded %d partials from %d bytes, but they marshal to %d different bytes", len(got), len(p), len(enc))
+		}
+	})
 }
 
 func TestGlobalFeatureStatsUnknownRep(t *testing.T) {

@@ -136,24 +136,25 @@ func unionIsBox(a, b grid.Box, axis int) bool {
 	return a.Hi[axis] == b.Lo[axis]
 }
 
-// mergePair glues two region subtrees. For the final merge the full
-// tree is packed without reduction so no information is lost.
+// mergePair glues two region subtrees and packs the glued arrays back
+// into a subtree over the union, the way the in-situ stage packs a
+// sweep. For the final merge the full tree is packed without reduction
+// so no information is lost.
 func mergePair(a, b regionSubtree, global grid.Box, final bool) (regionSubtree, error) {
 	union := a.region.Union(b.region)
 	tree, _, err := Glue([]*Subtree{a.st, b.st}, GlueOptions{})
 	if err != nil {
 		return regionSubtree{}, err
 	}
-	var keep func(n *Node) bool
-	if final {
-		keep = func(n *Node) bool { return true }
-	} else {
-		interior := union.Grow(-1)
-		keep = func(n *Node) bool {
-			i, j, k := grid.GlobalPoint(global, n.ID)
-			return !interior.Contains(i, j, k)
-		}
+	interior := union.Grow(-1)
+	keep := func(id int64) bool {
+		i, j, k := grid.GlobalPoint(global, id)
+		return final || !interior.Contains(i, j, k)
 	}
-	red := Reduce(tree, keep)
-	return regionSubtree{region: union, st: packSubtree(red, a.st.Rank, union)}, nil
+	var s Scratch
+	st, err := s.packTree(tree, a.st.Rank, union, keep)
+	if err != nil {
+		return regionSubtree{}, err
+	}
+	return regionSubtree{region: union, st: st}, nil
 }

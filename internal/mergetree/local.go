@@ -3,7 +3,6 @@ package mergetree
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"insitu/internal/grid"
 )
@@ -26,7 +25,7 @@ func FromField(f *grid.Field, global grid.Box) *Tree {
 }
 
 // Neighbor-mask bits of Scratch.flags: the face neighbors of a cell
-// that lie inside the swept block. retainedBit is set by Subtree.
+// that lie inside the swept block. retainedBit is set by contract.
 const (
 	xLoBit uint8 = 1 << iota
 	xHiBit
@@ -177,14 +176,24 @@ func (s *Scratch) Subtree(f *grid.Field, global, owned grid.Box, rank int, polic
 	if err := s.sweepBlock(f, ext); err != nil {
 		return nil, err
 	}
-
-	// Retained vertices, still in sweep order, move to the front of
-	// order. The union-find is done with, so parent becomes each
-	// retained vertex's count of edges arriving from above.
 	keep := keeper{policy: policy, f: f, owned: owned, interior: owned.Grow(-1), ext: ext}
+	return s.pack(rank, owned, keep.retains, func(v int32) (int64, float64) {
+		i, j, k := f.Box.Point(int(v))
+		return grid.GlobalIndex(global, i, j, k), f.Data[v]
+	}), nil
+}
+
+// contract keeps the swept vertices that are critical or that retains
+// accepts and moves them, still in sweep order, to the front of order;
+// it returns them and how many arcs join them. Each kept vertex's down
+// becomes the next kept vertex below it, and parent (the union-find is
+// done with) counts the kept arcs arriving from above. Walks only
+// cross contracted vertices, whose down pointers are left alone.
+func (s *Scratch) contract(retains func(v int32) bool) (kept []int32, arcs int) {
 	m := 0
 	for _, v := range s.order {
-		if s.ups[v] == 1 && s.down[v] >= 0 && !keep.retains(v) {
+		s.flags[v] &^= retainedBit
+		if s.ups[v] == 1 && s.down[v] >= 0 && !retains(v) {
 			continue // regular and not kept: contracted
 		}
 		s.flags[v] |= retainedBit
@@ -192,12 +201,8 @@ func (s *Scratch) Subtree(f *grid.Field, global, owned grid.Box, rank int, polic
 		s.order[m] = v
 		m++
 	}
-	retained := s.order[:m]
-	// Each retained vertex's arc ends at the next retained vertex
-	// below it. Walks only cross contracted vertices, whose down
-	// pointers are left alone.
-	edges := 0
-	for _, v := range retained {
+	kept = s.order[:m]
+	for _, v := range kept {
 		d := s.down[v]
 		for d >= 0 && s.flags[d]&retainedBit == 0 {
 			d = s.down[d]
@@ -205,35 +210,57 @@ func (s *Scratch) Subtree(f *grid.Field, global, owned grid.Box, rank int, polic
 		s.down[v] = d
 		if d >= 0 {
 			s.parent[d]++
-			edges++
+			arcs++
 		}
 	}
+	return kept, arcs
+}
 
+// pack contracts the swept vertices (see contract) and packages what
+// is left as the scratch's Subtree of rank over block; vertex(v) gives
+// a vertex's id and value. Verts go out in sweep order, Edges grouped
+// by lower endpoint in sweep order and, within a group, by descending
+// sweep position of the upper endpoint, so the encoding is the same
+// every run.
+func (s *Scratch) pack(rank int, block grid.Box, retains func(v int32) bool, vertex func(v int32) (int64, float64)) *Subtree {
+	kept, edges := s.contract(retains)
 	st := &s.st
-	st.Rank, st.Block = rank, owned
-	st.Verts = slices.Grow(st.Verts[:0], m)[:m]
+	st.Rank, st.Block = rank, block
+	st.Verts = slices.Grow(st.Verts[:0], len(kept))[:len(kept)]
 	st.Edges = slices.Grow(st.Edges[:0], edges)[:edges]
-	// Vertices go out in sweep order, and each claims the run of Edges
-	// its arriving arcs fill: parent turns from a count into the run's
-	// cursor, ups into the vertex's position in Verts.
+	// Each vertex claims the run of Edges its arriving arcs fill:
+	// parent turns from a count into the run's cursor, ups into the
+	// vertex's position in Verts.
 	next := int32(0)
-	for p, v := range retained {
-		i, j, k := f.Box.Point(int(v))
+	for p, v := range kept {
+		id, val := vertex(v)
 		deg := int(s.parent[v])
 		if s.down[v] >= 0 {
 			deg++
 		}
-		st.Verts[p] = SubtreeVert{ID: grid.GlobalIndex(global, i, j, k), Value: f.Data[v], Degree: deg}
+		st.Verts[p] = SubtreeVert{ID: id, Value: val, Degree: deg}
 		s.ups[v] = int32(p)
 		s.parent[v], next = next, next+s.parent[v]
 	}
-	for p, v := range retained {
+	for p, v := range kept {
 		if d := s.down[v]; d >= 0 {
 			st.Edges[s.parent[d]] = Arc{Hi: st.Verts[p].ID, Lo: st.Verts[s.ups[d]].ID}
 			s.parent[d]++
 		}
 	}
-	return st, nil
+	return st
+}
+
+// packTree is pack over the nodes of t: the Subtree of rank over block
+// that keeps t's critical points plus the nodes whose id keep accepts.
+// Like Subtree's, the result lives in the scratch.
+func (s *Scratch) packTree(t *Tree, rank int, block grid.Box, keep func(id int64) bool) (*Subtree, error) {
+	if err := s.load(t); err != nil {
+		return nil, err
+	}
+	return s.pack(rank, block,
+		func(v int32) bool { return keep(t.IDs[v]) },
+		func(v int32) (int64, float64) { return t.IDs[v], t.Values[v] }), nil
 }
 
 // keeper evaluates a BoundaryPolicy on the cells of one swept block.
@@ -277,69 +304,27 @@ func (kp *keeper) retains(v int32) bool {
 	}
 }
 
-// Reduce contracts every regular node for which keep returns false,
-// yielding the reduced tree over critical points plus retained
-// vertices. Roots, maxima and saddles are always kept.
-func Reduce(t *Tree, keep func(n *Node) bool) *Tree {
-	retained := func(n *Node) bool {
-		return !n.IsRegular() || keep(n)
+// Reduce contracts every regular node whose id keep does not accept (a
+// nil keep accepts none), yielding a new tree over the critical points
+// plus the kept vertices. Roots, maxima and saddles are always kept. It
+// is the critical-point view the offline tools print and the tests
+// compare; the pipeline reduces with pack instead.
+func Reduce(t *Tree, keep func(id int64) bool) *Tree {
+	var s Scratch
+	if err := s.load(t); err != nil {
+		panic(err) // a tree of more than 2^31 nodes
 	}
-	out := &Tree{Nodes: make(map[int64]*Node)}
-	get := func(n *Node) *Node {
-		m, ok := out.Nodes[n.ID]
-		if !ok {
-			m = &Node{ID: n.ID, Value: n.Value}
-			out.Nodes[n.ID] = m
-		}
-		return m
+	kept, _ := s.contract(func(v int32) bool { return keep != nil && keep(t.IDs[v]) })
+	out := &Tree{IDs: make([]int64, len(kept)), Values: make([]float64, len(kept)), Down: make([]int32, len(kept))}
+	for p, v := range kept {
+		s.ups[v] = int32(p) // the node's position in out
+		out.IDs[p], out.Values[p] = t.IDs[v], t.Values[v]
 	}
-	for _, n := range t.Nodes {
-		if !retained(n) {
-			continue
-		}
-		m := get(n)
-		// Walk down to the next retained node.
-		d := n.Down
-		for d != nil && !retained(d) {
-			d = d.Down
-		}
-		if d != nil {
-			dm := get(d)
-			m.Down = dm
-			dm.Ups = append(dm.Ups, m)
-		} else if n.Down == nil {
-			out.Roots = append(out.Roots, m)
+	for p, v := range kept {
+		out.Down[p] = -1
+		if d := s.down[v]; d >= 0 {
+			out.Down[p] = s.ups[d]
 		}
 	}
-	sortNodes(out.Roots)
 	return out
-}
-
-// packSubtree converts a reduced tree into the wire-ordered Subtree.
-func packSubtree(t *Tree, rank int, block grid.Box) *Subtree {
-	st := &Subtree{Rank: rank, Block: block}
-	deg := make(map[int64]int, len(t.Nodes))
-	vals := make(map[int64]float64, len(t.Nodes))
-	for _, n := range t.Nodes {
-		vals[n.ID] = n.Value
-		if n.Down != nil {
-			st.Edges = append(st.Edges, Arc{Hi: n.ID, Lo: n.Down.ID})
-			deg[n.ID]++
-			deg[n.Down.ID]++
-		}
-	}
-	for _, n := range t.Nodes {
-		st.Verts = append(st.Verts, SubtreeVert{ID: n.ID, Value: n.Value, Degree: deg[n.ID]})
-	}
-	sort.Slice(st.Verts, func(i, j int) bool {
-		return Above(st.Verts[i].Value, st.Verts[i].ID, st.Verts[j].Value, st.Verts[j].ID)
-	})
-	sort.Slice(st.Edges, func(i, j int) bool {
-		a, b := st.Edges[i], st.Edges[j]
-		if a.Lo != b.Lo {
-			return Above(vals[a.Lo], a.Lo, vals[b.Lo], b.Lo)
-		}
-		return Above(vals[a.Hi], a.Hi, vals[b.Hi], b.Hi)
-	})
-	return st
 }

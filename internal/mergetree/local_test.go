@@ -7,31 +7,37 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"insitu/internal/grid"
 )
 
-// referenceSubtree is the in-situ stage as it was before the array
-// sweep: copy the extended block out, build the Tree, reduce it with a
-// keep function over nodes, pack. Scratch.Subtree is tested against it.
+// referenceSubtree is the in-situ stage as a chain of whole-tree
+// steps: copy the extended block out, build the Tree, reduce it with a
+// keep function over vertex ids, pack by sorting. Scratch.Subtree is
+// tested against it.
 func referenceSubtree(f *grid.Field, global, owned grid.Box, rank int, policy BoundaryPolicy) *Subtree {
 	ext := owned.Grow(1).Intersect(global)
 	t := FromField(f.Extract(ext), global)
-	var keep func(n *Node) bool
+	vals := make(map[int64]float64, t.Len())
+	for i, id := range t.IDs {
+		vals[id] = t.Values[i]
+	}
+	var keep func(id int64) bool
 	switch policy {
 	case KeepNone:
-		keep = func(n *Node) bool { return false }
+		keep = func(int64) bool { return false }
 	case KeepCornersAndBoundaryMaxima:
 		corners := map[int64]bool{}
 		for _, c := range owned.Corners() {
 			corners[grid.GlobalIndex(global, c[0], c[1], c[2])] = true
 		}
-		keep = func(n *Node) bool {
-			if corners[n.ID] {
+		keep = func(id int64) bool {
+			if corners[id] {
 				return true
 			}
-			i, j, k := grid.GlobalPoint(global, n.ID)
+			i, j, k := grid.GlobalPoint(global, id)
 			if !ext.OnBoundary(i, j, k) {
 				return false
 			}
@@ -40,8 +46,8 @@ func referenceSubtree(f *grid.Field, global, owned grid.Box, rank int, policy Bo
 				if !ext.OnBoundary(ni, nj, nk) {
 					continue
 				}
-				u := t.Nodes[grid.GlobalIndex(global, ni, nj, nk)]
-				if Above(u.Value, u.ID, n.Value, n.ID) {
+				u := grid.GlobalIndex(global, ni, nj, nk)
+				if Above(vals[u], u, vals[id], id) {
 					return false
 				}
 			}
@@ -49,12 +55,42 @@ func referenceSubtree(f *grid.Field, global, owned grid.Box, rank int, policy Bo
 		}
 	default:
 		interior := owned.Grow(-1)
-		keep = func(n *Node) bool {
-			i, j, k := grid.GlobalPoint(global, n.ID)
+		keep = func(id int64) bool {
+			i, j, k := grid.GlobalPoint(global, id)
 			return !interior.Contains(i, j, k)
 		}
 	}
 	return packSubtree(Reduce(t, keep), rank, owned)
+}
+
+// packSubtree is the reference pack: a reduced tree's vertices and
+// arcs put in wire order by sorting, independently of Scratch.pack.
+func packSubtree(t *Tree, rank int, block grid.Box) *Subtree {
+	st := &Subtree{Rank: rank, Block: block}
+	deg := make(map[int64]int, t.Len())
+	vals := make(map[int64]float64, t.Len())
+	for i, d := range t.Down {
+		vals[t.IDs[i]] = t.Values[i]
+		if d >= 0 {
+			st.Edges = append(st.Edges, Arc{Hi: t.IDs[i], Lo: t.IDs[d]})
+			deg[t.IDs[i]]++
+			deg[t.IDs[d]]++
+		}
+	}
+	for i, id := range t.IDs {
+		st.Verts = append(st.Verts, SubtreeVert{ID: id, Value: t.Values[i], Degree: deg[id]})
+	}
+	sort.Slice(st.Verts, func(i, j int) bool {
+		return Above(st.Verts[i].Value, st.Verts[i].ID, st.Verts[j].Value, st.Verts[j].ID)
+	})
+	sort.Slice(st.Edges, func(i, j int) bool {
+		a, b := st.Edges[i], st.Edges[j]
+		if a.Lo != b.Lo {
+			return Above(vals[a.Lo], a.Lo, vals[b.Lo], b.Lo)
+		}
+		return Above(vals[a.Hi], a.Hi, vals[b.Hi], b.Hi)
+	})
+	return st
 }
 
 // tiedField draws values from a handful of levels, so the sweep order

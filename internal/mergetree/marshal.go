@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"insitu/internal/grid"
 )
@@ -77,15 +78,26 @@ func (st *Subtree) Marshal() []byte {
 // not an encoding this package produced.
 var ErrCorruptPayload = errors.New("mergetree: corrupt payload")
 
-// UnmarshalSubtree reconstructs a subtree from Marshal's output. The
+// UnmarshalSubtree reconstructs a subtree from Marshal's output into a
+// new Subtree; see Subtree.Unmarshal.
+func UnmarshalSubtree(p []byte) (*Subtree, error) {
+	st := new(Subtree)
+	if err := st.Unmarshal(p); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// Unmarshal decodes Marshal's output into st, reusing the capacity of
+// its Verts and Edges, so an in-transit stage that decodes into the
+// same subtrees every step allocates nothing once they have grown. The
 // counts in the payload are bounded against the bytes that follow them
 // by division, so a hostile count cannot overflow into a huge
-// allocation.
-func UnmarshalSubtree(p []byte) (*Subtree, error) {
+// allocation. On error st's contents are unspecified.
+func (st *Subtree) Unmarshal(p []byte) error {
 	if len(p) < 4+7*8 {
-		return nil, fmt.Errorf("%w: subtree too short (%d bytes)", ErrCorruptPayload, len(p))
+		return fmt.Errorf("%w: subtree too short (%d bytes)", ErrCorruptPayload, len(p))
 	}
-	st := &Subtree{}
 	st.Rank = int(binary.LittleEndian.Uint32(p[:4]))
 	p = p[4:]
 	var box grid.Box
@@ -101,10 +113,10 @@ func UnmarshalSubtree(p []byte) (*Subtree, error) {
 	count := binary.LittleEndian.Uint64(p[:8])
 	p = p[8:]
 	if len(p) < 8 || count > uint64(len(p)-8)/20 {
-		return nil, fmt.Errorf("%w: %d subtree vertices in %d bytes", ErrCorruptPayload, count, len(p))
+		return fmt.Errorf("%w: %d subtree vertices in %d bytes", ErrCorruptPayload, count, len(p))
 	}
 	nv := int(count)
-	st.Verts = make([]SubtreeVert, nv)
+	st.Verts = slices.Grow(st.Verts[:0], nv)[:nv]
 	for i := 0; i < nv; i++ {
 		st.Verts[i].ID = int64(binary.LittleEndian.Uint64(p[:8]))
 		st.Verts[i].Value = math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
@@ -114,14 +126,14 @@ func UnmarshalSubtree(p []byte) (*Subtree, error) {
 	count = binary.LittleEndian.Uint64(p[:8])
 	p = p[8:]
 	if count > uint64(len(p))/16 {
-		return nil, fmt.Errorf("%w: %d subtree edges in %d bytes", ErrCorruptPayload, count, len(p))
+		return fmt.Errorf("%w: %d subtree edges in %d bytes", ErrCorruptPayload, count, len(p))
 	}
 	ne := int(count)
-	st.Edges = make([]Arc, ne)
+	st.Edges = slices.Grow(st.Edges[:0], ne)[:ne]
 	for i := 0; i < ne; i++ {
 		st.Edges[i].Hi = int64(binary.LittleEndian.Uint64(p[:8]))
 		st.Edges[i].Lo = int64(binary.LittleEndian.Uint64(p[8:16]))
 		p = p[16:]
 	}
-	return st, nil
+	return nil
 }

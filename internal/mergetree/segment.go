@@ -1,6 +1,8 @@
 package mergetree
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"insitu/internal/grid"
@@ -23,28 +25,34 @@ type Segmentation struct {
 // threshold. This is the "ensemble of threshold-based segmentations"
 // use of merge trees.
 func Segment(t *Tree, threshold float64) *Segmentation {
+	var s Scratch
+	label := s.labels(t, threshold)
 	seg := &Segmentation{Threshold: threshold, Labels: make(map[int64]int64)}
-	memo := make(map[*Node]int64)
-	var root func(n *Node) int64
-	root = func(n *Node) int64 {
-		if l, ok := memo[n]; ok {
-			return l
-		}
-		var l int64
-		if n.Down == nil || n.Down.Value < threshold {
-			l = n.ID
-		} else {
-			l = root(n.Down)
-		}
-		memo[n] = l
-		return l
-	}
-	for id, n := range t.Nodes {
-		if n.Value >= threshold {
-			seg.Labels[id] = root(n)
+	for i, l := range label {
+		if t.Values[i] >= threshold {
+			seg.Labels[t.IDs[i]] = t.IDs[l]
 		}
 	}
 	return seg
+}
+
+// labels returns, in s.parent, the node each node of t reaches by
+// walking down while staying at or above the threshold: its component
+// label, meaningful for the nodes at or above the threshold. Nodes are
+// in sweep order, so walking them backwards labels a node's down first.
+func (s *Scratch) labels(t *Tree, threshold float64) []int32 {
+	if err := s.grow(t.Len()); err != nil {
+		panic(err) // a tree of more than 2^31 nodes
+	}
+	label := s.parent
+	for i := t.Len() - 1; i >= 0; i-- {
+		if d := t.Down[i]; d < 0 || t.Values[d] < threshold {
+			label[i] = int32(i)
+		} else {
+			label[i] = label[d]
+		}
+	}
+	return label
 }
 
 // Feature summarizes one connected superlevel-set component.
@@ -55,31 +63,43 @@ type Feature struct {
 	MaxValue float64 // value at the highest vertex
 }
 
-// Features summarizes the segmentation's components, sorted by
-// decreasing size then label.
-func (s *Segmentation) Features(t *Tree) []Feature {
-	agg := make(map[int64]*Feature)
-	for id, label := range s.Labels {
-		f, ok := agg[label]
-		if !ok {
-			f = &Feature{Label: label, MaxID: id, MaxValue: t.Nodes[id].Value}
-			agg[label] = f
-		}
-		f.Size++
-		v := t.Nodes[id].Value
-		if Above(v, id, f.MaxValue, f.MaxID) {
-			f.MaxID, f.MaxValue = id, v
+// Features summarizes the components Segment(t, threshold) labels,
+// sorted by decreasing size then label, on a scratch of its own; see
+// Scratch.Features.
+func Features(t *Tree, threshold float64) []Feature {
+	return new(Scratch).Features(t, threshold)
+}
+
+// Features summarizes the components Segment(t, threshold) labels,
+// sorted by decreasing size then label, without building the label
+// map: only the result is allocated.
+func (s *Scratch) Features(t *Tree, threshold float64) []Feature {
+	label := s.labels(t, threshold)
+	at := s.down // a label node's position in out, -1 before its first member
+	n := 0
+	for i, l := range label {
+		at[i] = -1
+		if int(l) == i && t.Values[i] >= threshold {
+			n++ // one label node per component
 		}
 	}
-	out := make([]Feature, 0, len(agg))
-	for _, f := range agg {
-		out = append(out, *f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Size != out[j].Size {
-			return out[i].Size > out[j].Size
+	out := make([]Feature, 0, n)
+	for i, l := range label {
+		if !(t.Values[i] >= threshold) {
+			continue
 		}
-		return out[i].Label < out[j].Label
+		if at[l] < 0 {
+			// Members come in sweep order: the first is the highest.
+			at[l] = int32(len(out))
+			out = append(out, Feature{Label: t.IDs[l], MaxID: t.IDs[i], MaxValue: t.Values[i]})
+		}
+		out[at[l]].Size++
+	}
+	slices.SortFunc(out, func(a, b Feature) int {
+		if a.Size != b.Size {
+			return cmp.Compare(b.Size, a.Size)
+		}
+		return cmp.Compare(a.Label, b.Label)
 	})
 	return out
 }

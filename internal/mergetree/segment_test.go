@@ -3,6 +3,7 @@ package mergetree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -54,8 +55,7 @@ func TestSegmentMatchesSegmentField(t *testing.T) {
 func TestSegmentationFeatures(t *testing.T) {
 	f, b := threePeakField()
 	tr := FromField(f, b)
-	seg := Segment(tr, 3)
-	feats := seg.Features(tr)
+	feats := Features(tr, 3)
 	if len(feats) != 2 {
 		t.Fatalf("want 2 features, got %d", len(feats))
 	}
@@ -136,8 +136,8 @@ func TestSegmentationPartitionProperty(t *testing.T) {
 		// Every label must name a member vertex of its own component
 		// whose value is >= threshold.
 		for _, l := range seg.Labels {
-			n := tr.Node(l)
-			if n == nil || n.Value < threshold {
+			n := slices.Index(tr.IDs, l)
+			if n < 0 || tr.Values[n] < threshold {
 				return false
 			}
 			if seg.Labels[l] != l {

@@ -1,86 +1,69 @@
 package mergetree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Branch describes one branch of the branch decomposition: a maximum,
 // the saddle at which its contour merges into a contour with a higher
-// maximum, and the resulting persistence. The globally highest maximum
-// of each component is unpaired (infinite persistence, Saddle == nil).
+// maximum, and the resulting persistence. Max and Saddle are node
+// indices into the tree decomposed. The globally highest maximum of
+// each component is unpaired (infinite persistence, Saddle == -1).
 type Branch struct {
-	Max         *Node
-	Saddle      *Node // nil for the root branch
+	Max         int
+	Saddle      int // -1 for a root branch
 	Persistence float64
 }
 
 // BranchDecomposition pairs every maximum with its death saddle.
 // Branches are returned in decreasing persistence order.
 func BranchDecomposition(t *Tree) []Branch {
-	_, _, branches := decompose(t)
-	return branches
+	var s Scratch
+	bm := s.branchMax(t)
+	var out []Branch
+	for i, d := range t.Down {
+		if d < 0 {
+			out = append(out, Branch{Max: int(bm[i]), Saddle: -1, Persistence: math.Inf(1)})
+		} else if m := bm[i]; m != bm[d] {
+			out = append(out, Branch{Max: int(m), Saddle: int(d), Persistence: t.Values[m] - t.Values[d]})
+		}
+	}
+	slices.SortFunc(out, func(a, b Branch) int {
+		if a.Persistence != b.Persistence {
+			if a.Persistence > b.Persistence {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.Max, b.Max) // the higher maximum first
+	})
+	return out
 }
 
-// decompose is the one pass behind BranchDecomposition and Simplify:
-// the nodes in descending sweep order, the highest maximum above each
-// node (inclusive), and the branches in decreasing persistence order.
-func decompose(t *Tree) (order []*Node, branchMax map[*Node]*Node, branches []Branch) {
-	branchMax = make(map[*Node]*Node, len(t.Nodes))
-	order = make([]*Node, 0, len(t.Nodes))
-	for _, n := range t.Nodes {
-		order = append(order, n)
+// branchMax returns, in s.parent, the highest maximum above each node
+// of t (inclusive). Nodes are in sweep order, so a node's ups all come
+// before it and the highest of several maxima is the smallest index.
+// A maximum's branch dies at the first node below it whose branchMax
+// differs: that node is the saddle where a higher branch absorbs it.
+func (s *Scratch) branchMax(t *Tree) []int32 {
+	if err := s.grow(t.Len()); err != nil {
+		panic(err) // a tree of more than 2^31 nodes
 	}
-	sortNodes(order) // descending sweep order: ups before downs
-	for _, n := range order {
-		if n.IsMax() {
-			branchMax[n] = n
-			continue
-		}
-		var best *Node
-		for _, u := range n.Ups {
-			um := branchMax[u]
-			if best == nil || Above(um.Value, um.ID, best.Value, best.ID) {
-				best = um
-			}
-		}
-		branchMax[n] = best
+	bm := s.parent
+	for i := range bm {
+		bm[i] = -1
 	}
-
-	for _, n := range order {
-		if !n.IsSaddle() {
-			continue
+	for i, d := range t.Down {
+		if bm[i] < 0 {
+			bm[i] = int32(i) // nothing above: a maximum
 		}
-		winner := branchMax[n]
-		for _, u := range n.Ups {
-			um := branchMax[u]
-			if um == winner {
-				continue
-			}
-			branches = append(branches, Branch{Max: um, Saddle: n, Persistence: um.Value - n.Value})
-		}
-		// If several ups carry the winner (possible only with
-		// duplicate branchMax pointers), the first keeps it; the sweep
-		// order tie-break makes branchMax pointers unique per max, so
-		// each non-winning up dies exactly once.
-	}
-	// Root branches: unpaired maxima.
-	paired := make(map[*Node]bool, len(branches))
-	for _, br := range branches {
-		paired[br.Max] = true
-	}
-	for _, n := range order {
-		if n.IsMax() && !paired[n] {
-			branches = append(branches, Branch{Max: n, Persistence: math.Inf(1)})
+		if d >= 0 && (bm[d] < 0 || bm[i] < bm[d]) {
+			bm[d] = bm[i]
 		}
 	}
-	sort.Slice(branches, func(i, j int) bool {
-		if branches[i].Persistence != branches[j].Persistence {
-			return branches[i].Persistence > branches[j].Persistence
-		}
-		return Above(branches[i].Max.Value, branches[i].Max.ID, branches[j].Max.Value, branches[j].Max.ID)
-	})
-	return order, branchMax, branches
+	return bm
 }
 
 // Persistence returns the persistence of every maximum, keyed by node
@@ -88,47 +71,63 @@ func decompose(t *Tree) (order []*Node, branchMax map[*Node]*Node, branches []Br
 func Persistence(t *Tree) map[int64]float64 {
 	out := make(map[int64]float64)
 	for _, br := range BranchDecomposition(t) {
-		out[br.Max.ID] = br.Persistence
+		out[t.IDs[br.Max]] = br.Persistence
 	}
 	return out
 }
 
 // Simplify removes every branch with persistence below eps, returning
-// a new tree over the surviving nodes. Saddles that become regular are
-// retained; apply Reduce to contract them. The input tree is not
-// modified.
+// a new tree over the surviving nodes on a scratch of its own; see
+// Scratch.Simplify.
 func Simplify(t *Tree, eps float64) *Tree {
-	order, branchMax, branches := decompose(t)
-	// A node survives iff the highest maximum above it does.
-	dead := make(map[*Node]bool)
-	for _, br := range branches {
-		if !(br.Persistence >= eps) {
-			dead[br.Max] = true
-		}
-	}
+	return new(Scratch).Simplify(t, eps)
+}
 
-	out := &Tree{Nodes: make(map[int64]*Node)}
-	for _, n := range order {
-		if dead[branchMax[n]] {
+// Simplify removes every branch with persistence below eps, returning
+// a new tree over the surviving nodes: a node survives iff the highest
+// maximum above it does. Saddles that become regular are retained;
+// apply Reduce to contract them. The input tree is not modified, and
+// the result shares no memory with t or the scratch — it is the only
+// tree Simplify writes.
+func (s *Scratch) Simplify(t *Tree, eps float64) *Tree {
+	bm := s.branchMax(t)
+	dead := s.flags
+	clear(dead)
+	for i, d := range t.Down {
+		p := math.Inf(1) // a root branch
+		if d >= 0 {
+			if bm[i] == bm[d] {
+				continue // the branch goes on below i
+			}
+			p = t.Values[bm[i]] - t.Values[d]
+		}
+		if !(p >= eps) {
+			dead[bm[i]] = 1
+		}
+	}
+	// A live node's down is always live: its branch continues through
+	// it or merges into a higher, hence longer-lived, one. slot maps a
+	// live node to its position in the result.
+	slot := s.down
+	n := int32(0)
+	for i := range t.Down {
+		slot[i] = -1
+		if dead[bm[i]] == 0 {
+			slot[i] = n
+			n++
+		}
+	}
+	out := &Tree{IDs: make([]int64, 0, n), Values: make([]float64, 0, n), Down: make([]int32, 0, n)}
+	for i, d := range t.Down {
+		if slot[i] < 0 {
 			continue
 		}
-		out.Nodes[n.ID] = &Node{ID: n.ID, Value: n.Value}
-	}
-	for _, n := range order {
-		m, alive := out.Nodes[n.ID]
-		if !alive {
-			continue
+		if d >= 0 {
+			d = slot[d]
 		}
-		if n.Down != nil {
-			// A live node's down is always live: its branch continues
-			// through or merges below.
-			dm := out.Nodes[n.Down.ID]
-			m.Down = dm
-			dm.Ups = append(dm.Ups, m)
-		} else {
-			out.Roots = append(out.Roots, m)
-		}
+		out.IDs = append(out.IDs, t.IDs[i])
+		out.Values = append(out.Values, t.Values[i])
+		out.Down = append(out.Down, d)
 	}
-	sortNodes(out.Roots)
 	return out
 }

@@ -33,17 +33,17 @@ func TestBranchDecomposition(t *testing.T) {
 	if len(branches) != 3 {
 		t.Fatalf("want 3 branches, got %d", len(branches))
 	}
-	if !math.IsInf(branches[0].Persistence, 1) || branches[0].Max.Value != 5 {
+	if !math.IsInf(branches[0].Persistence, 1) || tr.Values[branches[0].Max] != 5 || branches[0].Saddle != -1 {
 		t.Fatalf("first branch should be the infinite one at value 5: %+v", branches[0])
 	}
-	if branches[1].Persistence != 2 || branches[1].Max.Value != 4 {
+	if branches[1].Persistence != 2 || tr.Values[branches[1].Max] != 4 {
 		t.Fatalf("second branch should be (max 4, pers 2): %+v", branches[1])
 	}
-	if branches[2].Persistence != 0.5 || branches[2].Max.Value != 1.5 {
+	if branches[2].Persistence != 0.5 || tr.Values[branches[2].Max] != 1.5 {
 		t.Fatalf("third branch should be (max 1.5, pers 0.5): %+v", branches[2])
 	}
-	if branches[1].Saddle.Value != 2 {
-		t.Fatalf("pers-2 branch should die at saddle value 2, got %g", branches[1].Saddle.Value)
+	if tr.Values[branches[1].Saddle] != 2 {
+		t.Fatalf("pers-2 branch should die at saddle value 2, got %g", tr.Values[branches[1].Saddle])
 	}
 }
 
@@ -61,13 +61,12 @@ func TestSimplifyThresholds(t *testing.T) {
 	if got := len(s3.Maxima()); got != 1 {
 		t.Fatalf("eps=3: want 1 maximum, got %d", got)
 	}
-	if s3.Maxima()[0].Value != 5 {
+	if s3.Values[s3.Maxima()[0]] != 5 {
 		t.Fatalf("surviving maximum should be the global max")
 	}
 	// eps=0 keeps everything.
-	s0 := Simplify(tr, 0)
-	if len(s0.Nodes) != len(tr.Nodes) {
-		t.Fatalf("eps=0 must not remove nodes")
+	if s0 := Simplify(tr, 0); !Equal(s0, tr) {
+		t.Fatalf("eps=0 must not change the tree")
 	}
 }
 
@@ -78,19 +77,19 @@ func TestSimplifyPreservesTreeInvariants(t *testing.T) {
 	tr := FromField(f, b)
 	for _, eps := range []float64{0.1, 0.3, 0.7} {
 		s := Simplify(tr, eps)
-		if len(s.Roots) != 1 {
+		if len(s.Roots()) != 1 {
 			t.Fatalf("eps=%g: simplified tree lost its root", eps)
 		}
-		for _, n := range s.Nodes {
-			if n.Down != nil && !Above(n.Value, n.ID, n.Down.Value, n.Down.ID) {
+		for i, d := range s.Down {
+			if d >= 0 && !Above(s.Values[i], s.IDs[i], s.Values[d], s.IDs[d]) {
 				t.Fatalf("eps=%g: non-descending arc after simplification", eps)
 			}
 		}
 		// Persistence of every surviving maximum must be >= eps.
 		pers := Persistence(tr)
 		for _, m := range s.Maxima() {
-			if p, ok := pers[m.ID]; ok && p < eps {
-				t.Fatalf("eps=%g: maximum %d with persistence %g survived", eps, m.ID, p)
+			if p, ok := pers[s.IDs[m]]; ok && p < eps {
+				t.Fatalf("eps=%g: maximum %d with persistence %g survived", eps, s.IDs[m], p)
 			}
 		}
 	}

@@ -1,7 +1,10 @@
 package mergetree
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -11,26 +14,14 @@ import (
 // a vertex must be declared before any edge that contains it, and a
 // vertex is *finalized* once its last incident edge has been
 // processed. Finalized vertices whose tree-position can no longer
-// change are evicted from memory and written to an output log, keeping
-// the in-memory footprint far below the total tree size.
-
-// bnode is the builder's working vertex record.
-type bnode struct {
-	id      int64
-	val     float64
-	down    *bnode
-	pending int // declared incident edges not yet processed
-	evicted bool
-}
-
-// EvictRecord is one finalized vertex written to the output log:
-// its identity, value, and final downward arc (-1 for none known at
-// eviction, which only happens for isolated vertices).
-type EvictRecord struct {
-	ID    int64
-	Value float64
-	Down  int64
-}
+// change are evicted from the resident set, keeping the working set
+// far below the total tree size.
+//
+// Vertices live in int32 slots of flat arrays, in declaration order;
+// a chain link is a slot index. The resident set is an id -> slot
+// index plus the list of resident slots an eviction sweep scans. An
+// evicted vertex leaves both and keeps its slot, whose arc the
+// watermark has frozen: the slot arrays are the output log.
 
 // StreamStats reports the memory behaviour of a streaming aggregation.
 type StreamStats struct {
@@ -42,27 +33,46 @@ type StreamStats struct {
 }
 
 // Builder incrementally constructs a merge tree from streamed
-// vertices and edges.
+// vertices and edges; the zero value is an empty builder. A Builder is
+// reusable: Reset (or Glue, which resets) empties it but keeps its
+// arrays, so a staging bucket that glues every step allocates nothing
+// in it after the first. It is not safe for concurrent use.
 type Builder struct {
-	nodes map[int64]*bnode
-	log   []EvictRecord
+	index   map[int64]int32 // resident vertex id -> slot
+	id      []int64         // per slot: vertex id
+	val     []float64       // per slot: value
+	down    []int32         // per slot: next lower slot of its chain, -1 none
+	pending []int           // per slot: declared incident edges not yet processed
+	live    []int32         // resident slots, for the eviction sweep
 
 	// watermark is the sweep position at or below which all future
-	// edge lower-endpoints are guaranteed to lie. It advances under
-	// sorted feeding in Glue.
-	wmVal   float64
-	wmID    int64
-	wmSet   bool
-	evictOn bool
+	// edge lower-endpoints are guaranteed to lie. Glue sets it as it
+	// feeds edges in sorted order; eviction needs it.
+	wmVal float64
+	wmID  int64
+	wmSet bool
 
 	stats StreamStats
+
+	cursors []cursor // Glue's per-subtree read positions
+	open    []int    // Glue's cursors with edges left
+	rank    []int32  // Finish: slot -> node
+	tree    Tree     // Finish's product, reused
 }
 
-// NewBuilder creates an empty streaming builder. evict enables
-// eviction of finalized vertices: Glue advances the watermark as it
-// feeds edges in sorted order.
-func NewBuilder(evict bool) *Builder {
-	return &Builder{nodes: make(map[int64]*bnode), evictOn: evict}
+// Reset empties the builder for a new aggregation, keeping its memory.
+// A Tree that Finish returned before is invalid afterwards.
+func (b *Builder) Reset() {
+	clear(b.index)
+	b.id, b.val, b.down, b.pending = b.id[:0], b.val[:0], b.down[:0], b.pending[:0]
+	b.live = b.live[:0]
+	b.wmVal, b.wmID, b.wmSet = 0, 0, false
+	b.stats = StreamStats{}
+}
+
+// above reports whether slot u precedes slot v in the sweep order.
+func (b *Builder) above(u, v int32) bool {
+	return Above(b.val[u], b.id[u], b.val[v], b.id[v])
 }
 
 // DeclareVertex announces a vertex with `degree` incident edges in
@@ -70,16 +80,28 @@ func NewBuilder(evict bool) *Builder {
 // producers (shared boundary vertices); degrees accumulate and values
 // must agree.
 func (b *Builder) DeclareVertex(id int64, val float64, degree int) error {
-	if n, ok := b.nodes[id]; ok {
-		if n.val != val {
-			return fmt.Errorf("mergetree: vertex %d declared with conflicting values %g and %g", id, n.val, val)
+	if b.index == nil {
+		b.index = make(map[int64]int32)
+	}
+	if s, ok := b.index[id]; ok {
+		if b.val[s] != val {
+			return fmt.Errorf("mergetree: vertex %d declared with conflicting values %g and %g", id, b.val[s], val)
 		}
-		n.pending += degree
+		b.pending[s] += degree
 		return nil
 	}
-	b.nodes[id] = &bnode{id: id, val: val, pending: degree}
+	if len(b.id) >= math.MaxInt32 {
+		return fmt.Errorf("mergetree: more than %d vertices declared", math.MaxInt32)
+	}
+	s := int32(len(b.id))
+	b.id = append(b.id, id)
+	b.val = append(b.val, val)
+	b.down = append(b.down, -1)
+	b.pending = append(b.pending, degree)
+	b.live = append(b.live, s)
+	b.index[id] = s
 	b.stats.Declared++
-	if live := len(b.nodes); live > b.stats.PeakLive {
+	if live := len(b.index); live > b.stats.PeakLive {
 		b.stats.PeakLive = live
 	}
 	return nil
@@ -87,30 +109,30 @@ func (b *Builder) DeclareVertex(id int64, val float64, degree int) error {
 
 // Evicted vertices stay linked into the chains (their downward arcs
 // are frozen by the watermark invariant, and no future splice can land
-// adjacent to them), so walks simply traverse them. Rewriting pointers
+// adjacent to them), so walks simply traverse them. Rewriting links
 // past evicted vertices would destroy true augmented-tree arcs.
 
 // AddEdge merges the chains of two declared vertices, maintaining the
-// invariant that descending down-pointer chains order all vertices
-// known to share a superlevel component.
+// invariant that descending down-link chains order all vertices known
+// to share a superlevel component.
 func (b *Builder) AddEdge(hi, lo int64) error {
-	u, ok := b.nodes[hi]
+	u, ok := b.index[hi]
 	if !ok {
 		return fmt.Errorf("mergetree: edge references undeclared or evicted vertex %d", hi)
 	}
-	v, ok := b.nodes[lo]
+	v, ok := b.index[lo]
 	if !ok {
 		return fmt.Errorf("mergetree: edge references undeclared or evicted vertex %d", lo)
 	}
-	u.pending--
-	v.pending--
-	if u.pending < 0 || v.pending < 0 {
+	b.pending[u]--
+	b.pending[v]--
+	if b.pending[u] < 0 || b.pending[v] < 0 {
 		return fmt.Errorf("mergetree: vertex finalized before its last edge (%d,%d)", hi, lo)
 	}
 	if u == v {
 		return nil
 	}
-	if !Above(u.val, u.id, v.val, v.id) {
+	if !b.above(u, v) {
 		u, v = v, u
 	}
 	// Splice v into u's chain: walk down from u until v's slot.
@@ -119,38 +141,38 @@ func (b *Builder) AddEdge(hi, lo int64) error {
 		if u == v {
 			return nil
 		}
-		d := u.down
-		if d == nil {
-			u.down = v
+		d := b.down[u]
+		if d < 0 {
+			b.down[u] = v
 			return nil
 		}
 		if d == v {
 			return nil
 		}
-		if Above(d.val, d.id, v.val, v.id) {
+		if b.above(d, v) {
 			u = d
 			continue
 		}
 		// v belongs between u and d; splice and continue merging the
 		// old tail below v.
-		u.down = v
+		b.down[u] = v
 		u = v
 		v = d
 	}
 }
 
-// evictable reports whether vertex n can no longer change: all its
-// edges are processed, and its downward arc ends at or above the
+// evictable reports whether resident slot s can no longer change: all
+// its edges are processed, and its downward arc ends at or above the
 // watermark, so no future edge can splice between them.
-func (b *Builder) evictable(n *bnode) bool {
-	if n.pending != 0 || n.evicted {
+func (b *Builder) evictable(s int32) bool {
+	if b.pending[s] != 0 {
 		return false
 	}
-	d := n.down
-	if d == nil {
+	d := b.down[s]
+	if d < 0 {
 		return false // roots stay resident until Finish
 	}
-	return !Above(b.wmVal, b.wmID, d.val, d.id)
+	return !Above(b.wmVal, b.wmID, b.val[d], b.id[d])
 }
 
 // sweep evicts every currently evictable vertex.
@@ -158,63 +180,57 @@ func (b *Builder) sweep() {
 	if !b.wmSet {
 		return
 	}
-	for id, n := range b.nodes {
-		if !b.evictable(n) {
+	resident := b.live[:0]
+	for _, s := range b.live {
+		if !b.evictable(s) {
+			resident = append(resident, s)
 			continue
 		}
-		b.log = append(b.log, EvictRecord{ID: n.id, Value: n.val, Down: n.down.id})
-		n.evicted = true
-		delete(b.nodes, id)
+		delete(b.index, b.id[s])
 		b.stats.Evicted++
 	}
+	b.live = resident
 }
 
-// Finish assembles the final merge tree from the resident vertices
-// plus the eviction log.
+// Finish assembles the final merge tree from every declared vertex,
+// resident or evicted. The tree lives in the builder: it is valid
+// until the next Reset or Glue, and a caller that keeps it clones it.
 func (b *Builder) Finish() (*Tree, StreamStats, error) {
-	for id, n := range b.nodes {
-		if n.pending != 0 {
-			return nil, b.stats, fmt.Errorf("mergetree: vertex %d still has %d unprocessed edges", id, n.pending)
+	for _, s := range b.live {
+		if b.pending[s] != 0 {
+			return nil, b.stats, fmt.Errorf("mergetree: vertex %d still has %d unprocessed edges", b.id[s], b.pending[s])
 		}
 	}
-	t := &Tree{Nodes: make(map[int64]*Node, len(b.nodes)+len(b.log))}
-	get := func(id int64, val float64) *Node {
-		n, ok := t.Nodes[id]
-		if !ok {
-			n = &Node{ID: id, Value: val}
-			t.Nodes[id] = n
-		}
-		return n
+	n := len(b.id)
+	t := &b.tree
+	t.IDs = slices.Grow(t.IDs[:0], n)[:n]
+	t.Values = slices.Grow(t.Values[:0], n)[:n]
+	t.Down = slices.Grow(t.Down[:0], n)[:n]
+	b.rank = slices.Grow(b.rank[:0], n)[:n]
+	// Node order is sweep order: sort the slots (in Down, for now).
+	order := t.Down
+	for s := range order {
+		order[s] = int32(s)
 	}
-	type link struct{ hi, lo int64 }
-	var links []link
-	for _, n := range b.nodes {
-		get(n.id, n.val)
-		if n.down != nil {
-			links = append(links, link{n.id, n.down.id})
+	slices.SortFunc(order, func(u, v int32) int {
+		if vu, vv := b.val[u], b.val[v]; vu != vv {
+			if vu > vv {
+				return -1
+			}
+			return 1
 		}
+		return cmp.Compare(b.id[u], b.id[v])
+	})
+	for r, s := range order {
+		b.rank[s] = int32(r)
+		t.IDs[r], t.Values[r] = b.id[s], b.val[s]
 	}
-	for _, r := range b.log {
-		get(r.ID, r.Value)
-		if r.Down >= 0 {
-			links = append(links, link{r.ID, r.Down})
+	for s, d := range b.down {
+		if d >= 0 {
+			d = b.rank[d]
 		}
+		t.Down[b.rank[s]] = d
 	}
-	for _, l := range links {
-		hi := t.Nodes[l.hi]
-		lo, ok := t.Nodes[l.lo]
-		if !ok {
-			return nil, b.stats, fmt.Errorf("mergetree: eviction log references missing vertex %d", l.lo)
-		}
-		hi.Down = lo
-		lo.Ups = append(lo.Ups, hi)
-	}
-	for _, n := range t.Nodes {
-		if n.Down == nil {
-			t.Roots = append(t.Roots, n)
-		}
-	}
-	sortNodes(t.Roots)
 	return t, b.stats, nil
 }
 
@@ -229,14 +245,46 @@ type GlueOptions struct {
 }
 
 // Glue aggregates the reduced subtrees of all blocks into the global
+// merge tree on a builder of its own; see Builder.Glue, which a caller
+// that glues every step uses directly.
+func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
+	return new(Builder).Glue(subtrees, opts)
+}
+
+// cursor is Glue's read position in one subtree.
+type cursor struct {
+	st   *Subtree
+	pos  int     // next edge
+	vpos int     // next undeclared vertex
+	lpos int     // the vertex the next edge's lower endpoint is
+	lo   float64 // that vertex's value
+}
+
+// seek moves lpos to the lower endpoint of edge pos. Edges are sorted
+// by descending lower endpoint, as are the vertices, so lpos only moves
+// forward; an edge whose endpoint it does not find breaks that order.
+func (c *cursor) seek() error {
+	lo := c.st.Edges[c.pos].Lo
+	for c.lpos < len(c.st.Verts) && c.st.Verts[c.lpos].ID != lo {
+		c.lpos++
+	}
+	if c.lpos == len(c.st.Verts) {
+		return fmt.Errorf("mergetree: subtree of rank %d: edge %d's lower endpoint %d is not among its later vertices (edges out of sweep order?)", c.st.Rank, c.pos, lo)
+	}
+	c.lo = c.st.Verts[c.lpos].Value
+	return nil
+}
+
+// Glue aggregates the reduced subtrees of all blocks into the global
 // merge tree — the serial in-transit stage of the hybrid topology
 // algorithm. With opts.Evict it feeds edges in globally descending
 // order of their lower endpoints (a k-way merge over the per-block
 // sorted edge lists) and advances the watermark as it goes, so the
 // builder can evict finalized vertices and keep its resident set
-// small.
-func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
-	b := NewBuilder(opts.Evict)
+// small. The builder is reset first; the tree lives in it, as
+// Finish's does.
+func (b *Builder) Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
+	b.Reset()
 
 	if !opts.Evict {
 		// Arbitrary-order mode: declare everything, then feed edges in
@@ -260,28 +308,25 @@ func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
 
 	// Streaming mode: interleave per-block vertex declarations with a
 	// k-way merge of the per-block edge lists by descending lower
-	// endpoint (packSubtree sorts both lists that way). Before an edge
-	// at sweep position L is processed, every block declares its
-	// vertices down to L, so shared vertices accumulate their full
-	// degree before their first edge and the resident set tracks the
-	// sweep front instead of the whole tree.
+	// endpoint (Subtree sorts both lists that way). Before an edge at
+	// sweep position L is processed, every block declares its vertices
+	// down to L, so shared vertices accumulate their full degree
+	// before their first edge and the resident set tracks the sweep
+	// front instead of the whole tree.
 	sweepEvery := opts.SweepEvery
 	if sweepEvery <= 0 {
 		sweepEvery = 4096
 	}
-	type cursor struct {
-		st   *Subtree
-		vals map[int64]float64
-		pos  int // next edge
-		vpos int // next undeclared vertex
-	}
-	cursors := make([]*cursor, 0, len(subtrees))
-	for _, st := range subtrees {
-		vals := make(map[int64]float64, len(st.Verts))
-		for _, v := range st.Verts {
-			vals[v.ID] = v.Value
+	b.cursors = slices.Grow(b.cursors[:0], len(subtrees))[:len(subtrees)]
+	b.open = b.open[:0]
+	for i, st := range subtrees {
+		b.cursors[i] = cursor{st: st}
+		if len(st.Edges) > 0 {
+			if err := b.cursors[i].seek(); err != nil {
+				return nil, b.stats, err
+			}
+			b.open = append(b.open, i)
 		}
-		cursors = append(cursors, &cursor{st: st, vals: vals})
 	}
 	// declareDown declares all of c's vertices at or above sweep
 	// position (val, id).
@@ -298,41 +343,34 @@ func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
 		}
 		return nil
 	}
-	loPos := func(c *cursor) (float64, int64) {
-		e := c.st.Edges[c.pos]
-		return c.vals[e.Lo], e.Lo
-	}
-	live := make([]*cursor, 0, len(cursors))
-	for _, c := range cursors {
-		if len(c.st.Edges) > 0 {
-			live = append(live, c)
-		}
-	}
 	processed := 0
-	for len(live) > 0 {
+	for len(b.open) > 0 {
 		// Pick the cursor with the highest next lower endpoint.
 		best := 0
-		bv, bi := loPos(live[0])
-		for i := 1; i < len(live); i++ {
-			v, id := loPos(live[i])
-			if Above(v, id, bv, bi) {
+		c := &b.cursors[b.open[0]]
+		bv, bi := c.lo, c.st.Edges[c.pos].Lo
+		for i := 1; i < len(b.open); i++ {
+			c := &b.cursors[b.open[i]]
+			if v, id := c.lo, c.st.Edges[c.pos].Lo; Above(v, id, bv, bi) {
 				best, bv, bi = i, v, id
 			}
 		}
 		// All blocks declare down to the new watermark first.
-		for _, c := range cursors {
-			if err := declareDown(c, bv, bi); err != nil {
+		for i := range b.cursors {
+			if err := declareDown(&b.cursors[i], bv, bi); err != nil {
 				return nil, b.stats, err
 			}
 		}
-		c := live[best]
+		c = &b.cursors[b.open[best]]
 		e := c.st.Edges[c.pos]
 		if err := b.AddEdge(e.Hi, e.Lo); err != nil {
 			return nil, b.stats, err
 		}
 		c.pos++
 		if c.pos == len(c.st.Edges) {
-			live = append(live[:best], live[best+1:]...)
+			b.open = append(b.open[:best], b.open[best+1:]...)
+		} else if err := c.seek(); err != nil {
+			return nil, b.stats, err
 		}
 		processed++
 		b.wmVal, b.wmID, b.wmSet = bv, bi, true
@@ -341,13 +379,15 @@ func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
 		}
 	}
 	// Declare any remaining (isolated) vertices and finish.
-	for _, c := range cursors {
+	for i := range b.cursors {
+		c := &b.cursors[i]
 		for ; c.vpos < len(c.st.Verts); c.vpos++ {
 			v := c.st.Verts[c.vpos]
 			if err := b.DeclareVertex(v.ID, v.Value, v.Degree); err != nil {
 				return nil, b.stats, err
 			}
 		}
+		c.st = nil // do not pin the caller's subtrees
 	}
 	b.sweep()
 	return b.Finish()

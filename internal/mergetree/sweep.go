@@ -8,12 +8,13 @@ import (
 
 // Scratch holds the flat per-vertex arrays of one descending sweep.
 // Vertices are int32 indices into a caller-defined value array (the
-// cells of a field, the sorted ids of a graph); index order must be id
-// order, so ties in value break the way Above breaks them. A Scratch
-// grows to the largest block it has swept and is reused, not freed,
-// between sweeps: an in-situ stage that sweeps the same block every
-// step allocates nothing after the first. It is not safe for
-// concurrent use.
+// cells of a field, the sorted ids of a graph, the nodes of a Tree);
+// index order must be id order, so ties in value break the way Above
+// breaks them. The same arrays are the work space of the tree passes
+// that follow a glue (Simplify, Features). A Scratch grows to the
+// largest block or tree it has seen and is reused, not freed, between
+// uses: a stage that runs every step allocates nothing in it after the
+// first. It is not safe for concurrent use.
 type Scratch struct {
 	order  []int32 // the swept vertices, in descending sweep order
 	parent []int32 // union-find over vertices; -1 marks one not yet swept
@@ -92,33 +93,39 @@ func (s *Scratch) sweep(vals []float64, neighbors func(v int32, buf []int32) []i
 	}
 }
 
-// tree materializes the swept vertices, which must be exactly the
-// indices [0, n), as a Tree: node v gets id(v) and vals[v]. Ups are
-// listed in ascending vertex order. The nodes share one backing array
-// and the Ups lists another.
+// tree materializes the swept vertices as a new Tree: the vertex at
+// sweep position r becomes node r, with id(v) and vals[v].
 func (s *Scratch) tree(vals []float64, id func(v int32) int64) *Tree {
 	n := len(s.order)
-	nodes := make([]Node, n)
-	upBuf := make([]*Node, 0, n)
-	t := &Tree{Nodes: make(map[int64]*Node, n)}
-	for v := range nodes {
-		nd := &nodes[v]
-		nd.ID, nd.Value = id(int32(v)), vals[v]
-		t.Nodes[nd.ID] = nd
-		if c := int(s.ups[v]); c > 0 {
-			nd.Ups = upBuf[len(upBuf) : len(upBuf) : len(upBuf)+c]
-			upBuf = upBuf[:len(upBuf)+c]
-		}
+	t := &Tree{IDs: make([]int64, n), Values: make([]float64, n), Down: make([]int32, n)}
+	for r, v := range s.order {
+		s.parent[v] = int32(r) // the union-find is done with
+		t.IDs[r], t.Values[r] = id(v), vals[v]
 	}
-	for v := range nodes {
-		nd := &nodes[v]
+	for r, v := range s.order {
+		t.Down[r] = -1
 		if d := s.down[v]; d >= 0 {
-			nd.Down = &nodes[d]
-			nodes[d].Ups = append(nodes[d].Ups, nd)
-		} else {
-			t.Roots = append(t.Roots, nd)
+			t.Down[r] = s.parent[d]
 		}
 	}
-	sortNodes(t.Roots)
 	return t
+}
+
+// load puts the nodes of t in the sweep, in t's order, with t's arcs:
+// afterwards down/ups describe t exactly as a sweep would have left
+// them, so what runs on a sweep runs on a tree.
+func (s *Scratch) load(t *Tree) error {
+	if err := s.grow(t.Len()); err != nil {
+		return err
+	}
+	for i := range t.Down {
+		s.admit(int32(i))
+	}
+	for i, d := range t.Down {
+		s.down[i] = d
+		if d >= 0 {
+			s.ups[d]++
+		}
+	}
+	return nil
 }

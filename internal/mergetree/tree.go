@@ -11,12 +11,16 @@
 // appear at local maxima, arcs lengthen as contours grow, and arcs
 // merge at saddles — the convention used for burning-region and
 // ignition-kernel analysis of combustion data.
+//
+// Both halves run on flat int32-indexed arrays: the in-situ sweep on a
+// Scratch, the in-transit glue on a Builder, and both produce a Tree,
+// which is itself three arrays in sweep order.
 package mergetree
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Above reports whether vertex a=(ida,va) precedes b in the descending
@@ -29,67 +33,66 @@ func Above(va float64, ida int64, vb float64, idb int64) bool {
 	return ida < idb
 }
 
-// Node is one vertex of an augmented merge tree.
-type Node struct {
-	ID    int64
-	Value float64
-	// Down points to the next lower node this vertex's contour merges
-	// into; nil at the root (global minimum of the swept region).
-	Down *Node
-	// Ups lists the nodes directly above this one. len(Ups) == 0 marks
-	// a maximum, >= 2 a merge saddle.
-	Ups []*Node
-}
-
-// IsMax reports whether the node is a leaf (local maximum).
-func (n *Node) IsMax() bool { return len(n.Ups) == 0 }
-
-// IsSaddle reports whether two or more contours merge at this node.
-func (n *Node) IsSaddle() bool { return len(n.Ups) >= 2 }
-
-// IsRegular reports whether the node lies in the interior of an arc.
-func (n *Node) IsRegular() bool { return len(n.Ups) == 1 && n.Down != nil }
-
-// Tree is an augmented merge tree: every swept vertex is a node.
+// Tree is an augmented merge tree in flat arrays. Node i is the i-th
+// vertex in descending sweep order (Above), so the nodes above a node
+// all have smaller indices and comparing two indices compares sweep
+// positions. A Tree is read-only once built.
 type Tree struct {
-	Nodes map[int64]*Node
-	// Roots are nodes with no Down pointer. A connected domain yields
-	// exactly one root (its global minimum); a forest arises when the
-	// swept region is disconnected.
-	Roots []*Node
+	IDs    []int64   // node i's vertex id
+	Values []float64 // node i's value
+	// Down[i] is the node that node i's contour merges into (always
+	// > i), or -1 at a root: the minimum of a connected component of
+	// the swept region.
+	Down []int32
 }
 
-// Node returns the node with the given id, or nil.
-func (t *Tree) Node(id int64) *Node { return t.Nodes[id] }
+// Len returns the number of nodes.
+func (t *Tree) Len() int { return len(t.IDs) }
 
-// Maxima returns all leaves in descending sweep order.
-func (t *Tree) Maxima() []*Node {
-	var out []*Node
-	for _, n := range t.Nodes {
-		if n.IsMax() {
-			out = append(out, n)
+// upCounts returns, per node, how many nodes lie directly above it:
+// 0 marks a maximum, >= 2 a merge saddle.
+func (t *Tree) upCounts() []int32 {
+	ups := make([]int32, t.Len())
+	for _, d := range t.Down {
+		if d >= 0 {
+			ups[d]++
 		}
 	}
-	sortNodes(out)
+	return ups
+}
+
+// nodes returns the indices of the nodes for which keep holds, in
+// sweep order.
+func (t *Tree) nodes(keep func(i int, ups int32) bool) []int {
+	var out []int
+	for i, c := range t.upCounts() {
+		if keep(i, c) {
+			out = append(out, i)
+		}
+	}
 	return out
 }
 
-// Saddles returns all merge saddles in descending sweep order.
-func (t *Tree) Saddles() []*Node {
-	var out []*Node
-	for _, n := range t.Nodes {
-		if n.IsSaddle() {
-			out = append(out, n)
-		}
-	}
-	sortNodes(out)
-	return out
+// Maxima returns the leaves (local maxima) in descending sweep order.
+func (t *Tree) Maxima() []int {
+	return t.nodes(func(_ int, ups int32) bool { return ups == 0 })
 }
 
-func sortNodes(ns []*Node) {
-	sort.Slice(ns, func(i, j int) bool {
-		return Above(ns[i].Value, ns[i].ID, ns[j].Value, ns[j].ID)
-	})
+// Saddles returns the merge saddles in descending sweep order.
+func (t *Tree) Saddles() []int {
+	return t.nodes(func(_ int, ups int32) bool { return ups >= 2 })
+}
+
+// Roots returns the nodes with no Down in descending sweep order. A
+// connected domain yields exactly one; a forest arises when the swept
+// region is disconnected.
+func (t *Tree) Roots() []int {
+	return t.nodes(func(i int, _ int32) bool { return t.Down[i] < 0 })
+}
+
+// Clone returns a copy of t that shares no memory with it.
+func (t *Tree) Clone() *Tree {
+	return &Tree{IDs: slices.Clone(t.IDs), Values: slices.Clone(t.Values), Down: slices.Clone(t.Down)}
 }
 
 // Arc is one edge of a (reduced) merge tree, directed downward.
@@ -97,20 +100,20 @@ type Arc struct {
 	Hi, Lo int64
 }
 
-// Arcs returns every (up, down) node pair, sorted for deterministic
+// Arcs returns every (up, down) vertex pair, sorted for deterministic
 // comparison.
 func (t *Tree) Arcs() []Arc {
-	var out []Arc
-	for _, n := range t.Nodes {
-		if n.Down != nil {
-			out = append(out, Arc{Hi: n.ID, Lo: n.Down.ID})
+	out := make([]Arc, 0, t.Len())
+	for i, d := range t.Down {
+		if d >= 0 {
+			out = append(out, Arc{Hi: t.IDs[i], Lo: t.IDs[d]})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hi != out[j].Hi {
-			return out[i].Hi < out[j].Hi
+	slices.SortFunc(out, func(a, b Arc) int {
+		if c := cmp.Compare(a.Hi, b.Hi); c != 0 {
+			return c
 		}
-		return out[i].Lo < out[j].Lo
+		return cmp.Compare(a.Lo, b.Lo)
 	})
 	return out
 }
@@ -153,26 +156,8 @@ func FromGraph(values map[int64]float64, edges [][2]int64) (*Tree, error) {
 }
 
 // Equal reports whether two trees have identical node sets, values and
-// arcs. It is used by tests to check distributed == serial.
+// arcs. It is used by tests to check distributed == serial. Both trees
+// list their nodes in sweep order, so equal trees are equal arrays.
 func Equal(a, b *Tree) bool {
-	if len(a.Nodes) != len(b.Nodes) {
-		return false
-	}
-	for id, na := range a.Nodes {
-		nb, ok := b.Nodes[id]
-		if !ok || na.Value != nb.Value {
-			return false
-		}
-		da, db := int64(-1), int64(-1)
-		if na.Down != nil {
-			da = na.Down.ID
-		}
-		if nb.Down != nil {
-			db = nb.Down.ID
-		}
-		if da != db {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.IDs, b.IDs) && slices.Equal(a.Values, b.Values) && slices.Equal(a.Down, b.Down)
 }

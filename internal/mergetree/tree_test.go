@@ -3,6 +3,7 @@ package mergetree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"insitu/internal/grid"
@@ -22,26 +23,25 @@ func TestFromGraphTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Nodes) != 4 {
-		t.Fatalf("want 4 nodes, got %d", len(tr.Nodes))
+	if tr.Len() != 4 {
+		t.Fatalf("want 4 nodes, got %d", tr.Len())
 	}
-	if len(tr.Roots) != 1 || tr.Roots[0].ID != 3 {
-		t.Fatalf("want root id 3, got %+v", tr.Roots)
+	if roots := tr.Roots(); len(roots) != 1 || tr.IDs[roots[0]] != 3 {
+		t.Fatalf("want root id 3, got %v", roots)
 	}
-	c := tr.Node(2)
-	if !c.IsSaddle() || len(c.Ups) != 2 {
-		t.Fatalf("vertex 2 should be a saddle with 2 ups, got %d ups", len(c.Ups))
+	c := slices.Index(tr.IDs, 2)
+	if saddles := tr.Saddles(); len(saddles) != 1 || saddles[0] != c {
+		t.Fatalf("vertex 2 should be the one saddle, got nodes %v", saddles)
+	}
+	if maxima := tr.Maxima(); len(maxima) != 2 || tr.IDs[maxima[0]] != 0 || tr.IDs[maxima[1]] != 1 {
+		t.Errorf("vertices 0 and 1 should be the maxima, got nodes %v", maxima)
 	}
 	for _, id := range []int64{0, 1} {
-		n := tr.Node(id)
-		if !n.IsMax() {
-			t.Errorf("vertex %d should be a maximum", id)
-		}
-		if n.Down != c {
+		if int(tr.Down[slices.Index(tr.IDs, id)]) != c {
 			t.Errorf("vertex %d should point down to 2", id)
 		}
 	}
-	if c.Down != tr.Node(3) {
+	if int(tr.Down[c]) != slices.Index(tr.IDs, 3) {
 		t.Errorf("saddle should point down to root")
 	}
 }
@@ -53,8 +53,8 @@ func TestFromGraphDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Roots) != 2 {
-		t.Fatalf("want 2 roots for disconnected graph, got %d", len(tr.Roots))
+	if len(tr.Roots()) != 2 {
+		t.Fatalf("want 2 roots for disconnected graph, got %d", len(tr.Roots()))
 	}
 }
 
@@ -79,22 +79,23 @@ func TestFromField2D(t *testing.T) {
 	if len(maxima) != 2 {
 		t.Fatalf("want 2 maxima, got %d", len(maxima))
 	}
-	if maxima[0].Value != 5 || maxima[1].Value != 4 {
-		t.Fatalf("maxima values wrong: %v %v", maxima[0].Value, maxima[1].Value)
+	if tr.Values[maxima[0]] != 5 || tr.Values[maxima[1]] != 4 {
+		t.Fatalf("maxima values wrong: %v %v", tr.Values[maxima[0]], tr.Values[maxima[1]])
 	}
 	saddles := tr.Saddles()
-	if len(saddles) != 1 || saddles[0].Value != 2 {
-		t.Fatalf("want single saddle at value 2, got %+v", saddles)
+	if len(saddles) != 1 || tr.Values[saddles[0]] != 2 {
+		t.Fatalf("want single saddle at value 2, got nodes %v", saddles)
 	}
-	if len(tr.Roots) != 1 {
-		t.Fatalf("want single root, got %d", len(tr.Roots))
+	roots := tr.Roots()
+	if len(roots) != 1 {
+		t.Fatalf("want single root, got %d", len(roots))
 	}
 	// Root is the global minimum: value 1, and by the id tie-break the
 	// later of the two 1s processed... both have value 1; the sweep
 	// order puts the smaller id first, so the root (last processed) is
 	// the larger id.
-	if tr.Roots[0].Value != 1 {
-		t.Fatalf("root value should be 1, got %g", tr.Roots[0].Value)
+	if tr.Values[roots[0]] != 1 || tr.IDs[roots[0]] != 4 {
+		t.Fatalf("root should be vertex 4 at value 1, got vertex %d at %g", tr.IDs[roots[0]], tr.Values[roots[0]])
 	}
 }
 
@@ -127,35 +128,27 @@ func TestAugmentedTreeBasicInvariants(t *testing.T) {
 	b := grid.NewBox(9, 7, 5)
 	f := randomField(rng, b)
 	tr := FromField(f, b)
-	if len(tr.Nodes) != b.Size() {
-		t.Fatalf("augmented tree must contain every vertex: %d vs %d", len(tr.Nodes), b.Size())
+	if tr.Len() != b.Size() {
+		t.Fatalf("augmented tree must contain every vertex: %d vs %d", tr.Len(), b.Size())
 	}
-	if len(tr.Roots) != 1 {
-		t.Fatalf("connected domain must give one root, got %d", len(tr.Roots))
+	if len(tr.Roots()) != 1 {
+		t.Fatalf("connected domain must give one root, got %d", len(tr.Roots()))
 	}
-	// Down pointers strictly descend in sweep order; up/down links are
-	// mutually consistent.
-	for _, n := range tr.Nodes {
-		if n.Down != nil {
-			if !Above(n.Value, n.ID, n.Down.Value, n.Down.ID) {
-				t.Fatalf("down pointer does not descend: %v -> %v", n.ID, n.Down.ID)
-			}
-			found := false
-			for _, u := range n.Down.Ups {
-				if u == n {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("down/ups inconsistency at %d", n.ID)
-			}
+	// Nodes are in strictly descending sweep order, and every down
+	// link points further down it.
+	for i, d := range tr.Down {
+		if i > 0 && !Above(tr.Values[i-1], tr.IDs[i-1], tr.Values[i], tr.IDs[i]) {
+			t.Fatalf("nodes %d and %d are not in sweep order", i-1, i)
+		}
+		if d >= 0 && int(d) <= i {
+			t.Fatalf("down link does not descend: node %d -> %d", i, d)
 		}
 	}
 	// Node count identity: every non-root node has exactly one down
 	// edge, so edges == nodes-1 for a single tree.
 	arcs := tr.Arcs()
-	if len(arcs) != len(tr.Nodes)-1 {
-		t.Fatalf("tree must have n-1 arcs: %d vs %d nodes", len(arcs), len(tr.Nodes))
+	if len(arcs) != tr.Len()-1 {
+		t.Fatalf("tree must have n-1 arcs: %d vs %d nodes", len(arcs), tr.Len())
 	}
 }
 
@@ -166,11 +159,11 @@ func TestReduceKeepsCriticals(t *testing.T) {
 	b := grid.NewBox(8, 8, 3)
 	f := randomField(rng, b)
 	tr := FromField(f, b)
-	red := Reduce(tr, func(n *Node) bool { return false })
-	for _, n := range red.Nodes {
-		full := tr.Node(n.ID)
-		if full.IsRegular() {
-			t.Fatalf("regular vertex %d survived reduction", n.ID)
+	red := Reduce(tr, nil)
+	ups := tr.upCounts()
+	for _, id := range red.IDs {
+		if i := slices.Index(tr.IDs, id); ups[i] == 1 && tr.Down[i] >= 0 {
+			t.Fatalf("regular vertex %d survived reduction", id)
 		}
 	}
 	// Maxima and saddles must be preserved with identical structure.
@@ -180,14 +173,14 @@ func TestReduceKeepsCriticals(t *testing.T) {
 	if len(red.Saddles()) != len(tr.Saddles()) {
 		t.Fatalf("saddle count changed: %d vs %d", len(red.Saddles()), len(tr.Saddles()))
 	}
-	if len(red.Roots) != len(tr.Roots) {
+	if len(red.Roots()) != len(tr.Roots()) {
 		t.Fatalf("root count changed")
 	}
 }
 
 // criticalReduce reduces a tree to critical points only.
 func criticalReduce(t *Tree) *Tree {
-	return Reduce(t, func(n *Node) bool { return false })
+	return Reduce(t, nil)
 }
 
 // glueFromDecomp runs the full hybrid pipeline in-process: local
@@ -243,7 +236,7 @@ func TestDistributedEqualsSerial(t *testing.T) {
 			glued := criticalReduce(glueFromDecomp(t, f, c.px, c.py, c.pz, KeepSharedBoundary, false))
 			if !Equal(serial, glued) {
 				t.Fatalf("case %d: distributed tree differs from serial (%d vs %d nodes)",
-					ci, len(glued.Nodes), len(serial.Nodes))
+					ci, glued.Len(), serial.Len())
 			}
 		}
 	}
@@ -335,7 +328,7 @@ func TestUnmarshalSubtreeErrors(t *testing.T) {
 }
 
 func TestBuilderErrors(t *testing.T) {
-	b := NewBuilder(false)
+	b := new(Builder)
 	if err := b.DeclareVertex(1, 2.0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +350,7 @@ func TestBuilderErrors(t *testing.T) {
 }
 
 func TestBuilderUnfinishedEdges(t *testing.T) {
-	b := NewBuilder(false)
+	b := new(Builder)
 	if err := b.DeclareVertex(1, 2.0, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +372,7 @@ func TestGlueArbitraryEdgeOrder(t *testing.T) {
 	b := grid.NewBox(10, 10, 4)
 	f := smoothField(b, 2.2)
 	tr := FromField(f, b)
-	red := Reduce(tr, func(n *Node) bool { return false })
-	st := packSubtree(red, 0, b)
+	st := packSubtree(Reduce(tr, nil), 0, b)
 
 	want, err := GlueSerial([]*Subtree{st})
 	if err != nil {

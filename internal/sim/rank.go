@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"insitu/internal/comm"
 	"insitu/internal/grid"
@@ -123,6 +124,11 @@ func exchangeTag(varIdx, axis, dir int) int {
 	return varIdx*8 + axis*2 + bit
 }
 
+// haloSlabs recycles the face slabs fullExchange sends: the receiver
+// pastes a slab into its ghost layer and hands it back, so once the
+// pool holds slabs of a face's size an exchange allocates nothing.
+var haloSlabs = sync.Pool{New: func() any { return new(grid.Field) }}
+
 // fullExchange refreshes the complete one-point ghost shell of every
 // advected variable: faces, edges and corners. It proceeds axis by
 // axis, with each phase's slabs extended into the ghost range of the
@@ -156,7 +162,7 @@ func (rk *Rank) fullExchange() {
 				} else {
 					face.Lo[axis] = face.Hi[axis] - 1
 				}
-				rk.r.Send(nb, exchangeTag(vi, axis, dir), f.Extract(face))
+				rk.r.Send(nb, exchangeTag(vi, axis, dir), f.ExtractInto(face, haloSlabs.Get().(*grid.Field)))
 			}
 			for _, dir := range []int{-1, 1} {
 				nb := rk.sim.dc.FaceNeighbor(rk.r.ID(), axis, dir)
@@ -164,7 +170,9 @@ func (rk *Rank) fullExchange() {
 					continue
 				}
 				data, _ := rk.r.Recv(nb, exchangeTag(vi, axis, -dir))
-				f.Paste(data.(*grid.Field))
+				slab := data.(*grid.Field)
+				f.Paste(slab)
+				haloSlabs.Put(slab)
 			}
 			rk.fillBoundaryPlane(name, axis)
 		}
