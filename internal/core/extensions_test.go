@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"insitu/internal/dart"
+	"insitu/internal/faults"
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 	"insitu/internal/obs"
@@ -77,6 +79,58 @@ func TestStreamingOverlapsMovement(t *testing.T) {
 	b := rep.Metrics.Total("hybrid topology (streaming)")
 	if b.MoveBytes == 0 || b.InTransit <= 0 {
 		t.Fatalf("streaming task accounting missing: %+v", b)
+	}
+}
+
+// TestStreamingRouteRetriesPullFaults: under dropped transfers a
+// streaming topology route is retried and dead-lettered like a
+// buffered one, so every step is either the fault-free tree or an
+// explicit Degraded marker — never a run error — and nothing stays
+// pinned.
+func TestStreamingRouteRetriesPullFaults(t *testing.T) {
+	const steps = 6
+	simCfg := testSimConfig(2, 2, 1)
+	run := func(inj *faults.Injector) (*Pipeline, *Report) {
+		cfg := DefaultConfig(simCfg)
+		cfg.Buckets = 2
+		p, err := NewPipeline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One transfer attempt per pull: a drop fails the pull itself.
+		p.sched.dart.SetRetryPolicy(dart.RetryPolicy{MaxAttempts: 1})
+		if inj != nil {
+			p.sched.net.SetFaults(inj)
+		}
+		p.Register(NewTopologyStreaming())
+		rep, err := p.Run(steps)
+		if err != nil {
+			t.Fatalf("streaming route under faults failed the run: %v", err)
+		}
+		return p, rep
+	}
+	_, clean := run(nil)
+	p, rep := run(faults.New(faults.Config{Seed: 11, Default: faults.Rates{Drop: 0.2}}))
+	name := NewTopologyStreaming().Name()
+	for s := 1; s <= steps; s++ {
+		switch v := rep.Result(name, s).(type) {
+		case Degraded:
+			if v.Reason == "" {
+				t.Errorf("step %d: Degraded without a reason", s)
+			}
+		case *TopologyResult:
+			if !mergetree.Equal(v.Tree, clean.Result(name, s).(*TopologyResult).Tree) {
+				t.Errorf("step %d: retried tree differs from the fault-free one", s)
+			}
+		default:
+			t.Errorf("step %d: result %T, want a tree or Degraded", s, v)
+		}
+	}
+	if rep.Resilience.Requeues == 0 {
+		t.Fatalf("no pull failure was retried: %+v", rep.Resilience)
+	}
+	if n := p.PinnedRegions(); n != 0 {
+		t.Fatalf("%d regions pinned after the drain", n)
 	}
 }
 

@@ -177,11 +177,11 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	// every registration resolves to the identity spec, which pins raw
 	// bytes exactly as RegisterMem did.
 	ds.SetCodecs(s.codecs)
-	// Pooled buffers are safe here because every in-transit handler in
-	// core decodes its payloads into private structures (Unmarshal*)
-	// and retains no input slice past its return.
+	// The buckets recycle pulled payloads once a handler returns; every
+	// in-transit handler in core decodes its payloads into private
+	// structures (Unmarshal*) and retains no input slice past its return.
 	s.area, err = staging.New(d, ds, cfg.Buckets, staging.WithRelease(s.releaseHandle),
-		staging.WithPooledBuffers(), staging.WithMaxAttempts(cfg.MaxTaskAttempts))
+		staging.WithMaxAttempts(cfg.MaxTaskAttempts))
 	if err != nil {
 		return nil, err
 	}

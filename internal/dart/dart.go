@@ -748,24 +748,3 @@ func (ep *Endpoint) getOnce(h MemHandle) ([]byte, time.Duration, error) {
 	owner.bytes.Add(int64(len(src)))
 	return data, d, nil
 }
-
-// GetResult is the outcome of an asynchronous Get.
-type GetResult struct {
-	Data     []byte
-	Duration time.Duration
-	Err      error
-}
-
-// GetAsyncDeadline launches a one-sided read under a caller deadline
-// (the zero time means none) and returns a channel that yields the
-// result when the transaction completes. This is the primitive the
-// staging buckets use to pull in-transit data while the simulation
-// proceeds.
-func (ep *Endpoint) GetAsyncDeadline(h MemHandle, deadline time.Time) <-chan GetResult {
-	ch := make(chan GetResult, 1)
-	go func() {
-		data, d, err := ep.GetDeadline(h, deadline)
-		ch <- GetResult{Data: data, Duration: d, Err: err}
-	}()
-	return ch
-}

@@ -165,8 +165,7 @@ func TestHandlerErrorFreesBucket(t *testing.T) {
 	a.Wait()
 }
 
-// TestStreamHandlerErrorFreesBucket: satellite coverage for
-// runStreamTask's error propagation — a streaming handler returning an
+// TestStreamHandlerErrorFreesBucket: a streaming handler returning an
 // error (not panicking) surfaces it and frees the bucket.
 func TestStreamHandlerErrorFreesBucket(t *testing.T) {
 	r := newRig(t)
@@ -196,9 +195,10 @@ func TestStreamHandlerErrorFreesBucket(t *testing.T) {
 	a.Wait()
 }
 
-// TestStreamPullErrorPropagates: when a streaming task's pulls fail the
-// handler still gets a cleanly closed channel and the pull error lands
-// on the Result; the bucket survives.
+// TestStreamPullErrorPropagates: when a streaming task's pulls fail on
+// every attempt the handler still gets a cleanly closed channel, the
+// task dead-letters with the pull error as its last cause, and the
+// bucket survives.
 func TestStreamPullErrorPropagates(t *testing.T) {
 	r := newRig(t)
 	net := r.fabric.Network()
@@ -217,6 +217,9 @@ func TestStreamPullErrorPropagates(t *testing.T) {
 	res := <-a.Results()
 	if res.Err == nil || !errors.Is(res.Err, dart.ErrDeadline) && !strings.Contains(res.Err.Error(), "dropped") {
 		t.Fatalf("pull failure not propagated: %v", res.Err)
+	}
+	if !res.DeadLetter {
+		t.Fatalf("a streaming task whose pulls always fail must dead-letter: %+v", res)
 	}
 	// Heal the fabric; the bucket must still be serving.
 	net.SetFaults(nil)

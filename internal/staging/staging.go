@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"insitu/internal/bufpool"
 	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
 	"insitu/internal/obs"
@@ -59,16 +58,25 @@ func (e *DeadLetterError) Error() string {
 // errors.Is/As.
 func (e *DeadLetterError) Unwrap() []error { return []error{ErrDeadLetter, e.Last} }
 
-// Handler executes the in-transit stage of one analysis. It receives
-// the task and the pulled input payloads, ordered as in Task.Inputs,
-// and returns an arbitrary result object.
+// Handler executes the in-transit stage of one analysis once every
+// input has been pulled. It receives the task and the pulled input
+// payloads, ordered as in Task.Inputs, and returns an arbitrary result
+// object.
+//
+// Both handler kinds run on one task path and differ only in when they
+// see the inputs: the pull, the crash checkpoints, requeue and
+// dead-letter, the release of producer regions and the recycling of
+// pulled buffers are the bucket's and the same for both. The bucket
+// owns every pulled payload and returns it to the shared buffer pool
+// once the handler has returned, so a handler must not retain an input
+// slice (or a sub-slice of it) past its return: it copies anything it
+// keeps, and its result must not alias an input.
 type Handler func(task dataspaces.Task, data [][]byte) (any, error)
 
 // StreamInput is one pulled payload delivered to a streaming handler
 // in arrival order, as soon as its transfer completes.
 type StreamInput struct {
 	Index int // position in Task.Inputs
-	Rank  int // producing rank
 	Data  []byte
 }
 
@@ -78,8 +86,18 @@ type StreamInput struct {
 // streaming fashion, starting as soon as the first data arrives",
 // hiding the in-transit computation behind the data movement. The
 // channel closes after the last input; the handler then returns its
-// result.
+// result. An attempt that fails (a pull error, a bucket crash) closes
+// the channel early and discards the result; the task is then retried
+// or dead-lettered exactly as a buffered one is. Handler's buffer rule
+// applies.
 type StreamHandler func(task dataspaces.Task, inputs <-chan StreamInput) (any, error)
+
+// stage is the in-transit handler registered for one route: exactly
+// one of the two kinds is set.
+type stage struct {
+	buffered Handler
+	stream   StreamHandler
+}
 
 // Result records the outcome and cost breakdown of one in-transit task.
 type Result struct {
@@ -98,7 +116,9 @@ type Result struct {
 	MoveModeledSum time.Duration
 	// MoveWall is the measured wall-clock time of the pull phase.
 	MoveWall time.Duration
-	// ComputeWall is the measured wall-clock time of the handler.
+	// ComputeWall is the measured wall-clock time of the handler. A
+	// streaming handler starts with the attempt, so its ComputeWall
+	// overlaps MoveWall.
 	ComputeWall time.Duration
 	// Start and End bound the task's execution for pipelining analysis.
 	Start, End time.Time
@@ -133,18 +153,6 @@ func WithMaxAttempts(n int) Option {
 	}
 }
 
-// WithPooledBuffers makes the buckets return pulled input payloads to
-// the shared byte-buffer pool once the handler has finished with them,
-// closing the Get-side of the zero-allocation transfer loop. It is
-// opt-in because it imposes an ownership rule on handlers: a handler
-// must not retain an input slice (or a sub-slice of it) past its
-// return — it must copy anything it keeps. Every in-transit handler in
-// core obeys this (they all decode payloads into their own structures),
-// so the standard Pipeline enables the option.
-func WithPooledBuffers() Option {
-	return func(a *Area) { a.pooled = true }
-}
-
 // routeKey scopes a handler registration to one (tenant, analysis)
 // route; single-tenant registrations use an empty tenant.
 type routeKey struct {
@@ -157,15 +165,13 @@ type Area struct {
 	svc *dart.Fabric
 	ds  *dataspaces.Service
 
-	mu       sync.Mutex
-	points   []*dart.Endpoint // grows under AddBucket
-	started  bool
-	handlers map[routeKey]Handler
-	streams  map[routeKey]StreamHandler
-	release  func(dataspaces.Descriptor)
-	busy     []int64 // per-bucket completed-task counts
+	mu      sync.Mutex
+	points  []*dart.Endpoint // grows under AddBucket
+	started bool
+	stages  map[routeKey]stage
+	release func(dataspaces.Descriptor)
+	busy    []int64 // per-bucket completed-task counts
 
-	pooled  bool
 	results chan Result
 	wg      sync.WaitGroup
 
@@ -305,8 +311,7 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, opts ...Opti
 	a := &Area{
 		svc:         fabric,
 		ds:          ds,
-		handlers:    make(map[routeKey]Handler),
-		streams:     make(map[routeKey]StreamHandler),
+		stages:      make(map[routeKey]stage),
 		busy:        make([]int64, nbuckets),
 		maxAttempts: 3,
 		kill:        make([]chan struct{}, nbuckets),
@@ -337,20 +342,23 @@ func (a *Area) ProbeHandle() dart.MemHandle { return a.probe }
 
 // HandleT registers the in-transit stage for one (tenant, analysis)
 // route, so two tenants running the same analysis name dispatch to
-// their own handlers. Handlers must be registered before Start.
+// their own handlers. A route has one handler: a later registration of
+// either kind replaces an earlier one. Handlers must be registered
+// before Start.
 func (a *Area) HandleT(tenant, analysis string, h Handler) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.handlers[routeKey{tenant, analysis}] = h
+	a.handle(tenant, analysis, stage{buffered: h})
 }
 
 // HandleStreamT registers a streaming in-transit stage for one
-// (tenant, analysis) route. A streaming handler takes precedence over
-// a buffered one registered under the same route.
+// (tenant, analysis) route, under HandleT's one-handler rule.
 func (a *Area) HandleStreamT(tenant, analysis string, h StreamHandler) {
+	a.handle(tenant, analysis, stage{stream: h})
+}
+
+func (a *Area) handle(tenant, analysis string, st stage) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.streams[routeKey{tenant, analysis}] = h
+	a.stages[routeKey{tenant, analysis}] = st
 }
 
 // ActiveBuckets returns the current bucket-pool size: started buckets
@@ -570,11 +578,7 @@ func (a *Area) failTask(id int, task dataspaces.Task, start time.Time, cause err
 	}
 	a.deadLetters.Add(1)
 	a.observeDeadLetter(task.Tenant)
-	if a.release != nil {
-		for _, in := range task.Inputs {
-			a.release(in)
-		}
-	}
+	a.releaseInputs(task)
 	return &Result{
 		Task:       task,
 		Bucket:     id,
@@ -608,204 +612,4 @@ func (a *Area) observeDeadLetter(tenant string) {
 	pl.Registry().Counter("staging_dead_letter_total",
 		"tasks that exhausted their attempt budget, by originating tenant",
 		obs.Str("tenant", tenant)).Inc()
-}
-
-// runTask executes one assigned task. It returns the Result to emit
-// (nil when the task was requeued instead) and whether the bucket
-// crashed while holding the task.
-func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dataspaces.Task) (out *Result, crashed bool) {
-	start := time.Now()
-	at := a.beginAttempt(id, task)
-	defer func() { at.end(out, crashed) }()
-	// Checkpoint: crash at assignment. The task never started; it is
-	// requeued and the replacement bucket (or a peer) picks it up.
-	if killed(kill) {
-		return a.failTask(id, task, start, fmt.Errorf("bucket %d crashed at assignment", id)), true
-	}
-	a.mu.Lock()
-	sh, streaming := a.streams[routeKey{task.Tenant, task.Analysis}]
-	a.mu.Unlock()
-	if streaming {
-		res := a.runStreamTask(id, ep, task, sh)
-		return &res, false
-	}
-	res := Result{Task: task, Bucket: id, Start: start, Attempts: task.Attempts + 1}
-
-	// Pull phase: issue all Gets asynchronously, then collect ALL of
-	// them — even after a failure — so every successfully pulled pooled
-	// buffer is owned here and can be recycled on the error path.
-	pullStart := time.Now()
-	chans := make([]<-chan dart.GetResult, len(task.Inputs))
-	for i, in := range task.Inputs {
-		chans[i] = ep.GetAsyncDeadline(in.Handle, task.Deadline)
-	}
-	data := make([][]byte, len(task.Inputs))
-	var pullErr error
-	for i, ch := range chans {
-		r := <-ch
-		if r.Err != nil {
-			if pullErr == nil {
-				pullErr = fmt.Errorf("staging: pull input %d of task %d: %w", i, task.ID, r.Err)
-			}
-			continue
-		}
-		data[i] = r.Data
-		res.BytesMoved += int64(len(r.Data))
-		res.MoveModeledSum += r.Duration
-		if r.Duration > res.MoveModeled {
-			res.MoveModeled = r.Duration
-		}
-	}
-	at.child("task.pull", pullStart, time.Now(),
-		obs.Int64("bytes", res.BytesMoved), obs.Error(pullErr))
-	recycle := func() {
-		for i, p := range data {
-			if p != nil {
-				bufpool.Put(p)
-				data[i] = nil
-			}
-		}
-	}
-	if pullErr != nil {
-		// The handler never saw these buffers, so they are recycled
-		// unconditionally (not gated on a.pooled): dart always drew
-		// them from the pool.
-		recycle()
-		return a.failTask(id, task, start, pullErr), false
-	}
-	res.MoveWall = time.Since(pullStart)
-
-	// Checkpoint: crash after the pull but before releasing the
-	// producer regions — the retry can therefore pull them again.
-	if killed(kill) {
-		recycle()
-		return a.failTask(id, task, start, fmt.Errorf("bucket %d crashed after pull", id)), true
-	}
-
-	if a.release != nil {
-		for _, in := range task.Inputs {
-			a.release(in)
-		}
-	}
-
-	a.mu.Lock()
-	h, ok := a.handlers[routeKey{task.Tenant, task.Analysis}]
-	a.mu.Unlock()
-	if !ok {
-		recycle()
-		res.Err = fmt.Errorf("staging: no handler registered for analysis %q", task.Analysis)
-		res.End = time.Now()
-		return &res, false
-	}
-	computeStart := time.Now()
-	hOut, err := safeHandler(func() (any, error) { return h(task, data) })
-	if a.pooled {
-		for _, p := range data {
-			bufpool.Put(p)
-		}
-	}
-	at.child("task.run", computeStart, time.Now(), obs.Error(err))
-	res.ComputeWall = time.Since(computeStart)
-	res.Output = hOut
-	res.Err = err
-	res.End = time.Now()
-	return &res, false
-}
-
-// safeHandler isolates handler panics: a panicking analysis yields an
-// errored result instead of killing its bucket (which would starve the
-// staging area and hang the drain).
-func safeHandler(fn func() (any, error)) (out any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = nil
-			err = fmt.Errorf("staging: handler panic: %v", r)
-		}
-	}()
-	return fn()
-}
-
-// runStreamTask executes a streaming in-transit stage: the handler
-// starts immediately and receives each input the moment its pull
-// completes, so computation overlaps the remaining transfers. Because
-// movement and compute overlap, ComputeWall here covers the whole
-// handler span and MoveWall the pull span; MoveModeled keeps the same
-// meaning as in the buffered path.
-// Streaming tasks are never requeued: the handler starts consuming
-// inputs before the pull set completes and the producer regions are
-// released unconditionally afterwards, so a pull failure surfaces as an
-// errored Result instead.
-func (a *Area) runStreamTask(id int, ep *dart.Endpoint, task dataspaces.Task, sh StreamHandler) Result {
-	res := Result{Task: task, Bucket: id, Start: time.Now(), Attempts: task.Attempts + 1}
-	inputs := make(chan StreamInput, len(task.Inputs))
-	type outcome struct {
-		out any
-		err error
-	}
-	done := make(chan outcome, 1)
-	computeStart := time.Now()
-	go func() {
-		out, err := safeHandler(func() (any, error) { return sh(task, inputs) })
-		// A panicking streaming handler stops reading; keep the pull
-		// loop from blocking by draining whatever remains.
-		if err != nil {
-			for range inputs {
-			}
-		}
-		done <- outcome{out, err}
-	}()
-
-	pullStart := time.Now()
-	type pulled struct {
-		i int
-		r dart.GetResult
-	}
-	merged := make(chan pulled, len(task.Inputs))
-	for i, in := range task.Inputs {
-		go func(i int, h dart.MemHandle) {
-			r := <-ep.GetAsyncDeadline(h, task.Deadline)
-			merged <- pulled{i, r}
-		}(i, in.Handle)
-	}
-	var pullErr error
-	var delivered [][]byte
-	for range task.Inputs {
-		m := <-merged
-		if m.r.Err != nil {
-			if pullErr == nil {
-				pullErr = fmt.Errorf("staging: pull input %d of task %d: %w", m.i, task.ID, m.r.Err)
-			}
-			continue
-		}
-		res.BytesMoved += int64(len(m.r.Data))
-		res.MoveModeledSum += m.r.Duration
-		if m.r.Duration > res.MoveModeled {
-			res.MoveModeled = m.r.Duration
-		}
-		if a.pooled {
-			delivered = append(delivered, m.r.Data)
-		}
-		inputs <- StreamInput{Index: m.i, Rank: task.Inputs[m.i].Rank, Data: m.r.Data}
-	}
-	close(inputs)
-	res.MoveWall = time.Since(pullStart)
-	if a.release != nil {
-		for _, in := range task.Inputs {
-			a.release(in)
-		}
-	}
-	oc := <-done
-	// The handler has returned, so under the ownership rule it no
-	// longer references any input; recycle the delivered buffers.
-	for _, p := range delivered {
-		bufpool.Put(p)
-	}
-	res.ComputeWall = time.Since(computeStart)
-	res.Output = oc.out
-	res.Err = oc.err
-	if pullErr != nil && res.Err == nil {
-		res.Err = pullErr
-	}
-	res.End = time.Now()
-	return res
 }

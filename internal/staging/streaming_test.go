@@ -1,6 +1,9 @@
 package staging
 
 import (
+	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,52 +111,71 @@ func TestStreamingHandlerOverlap(t *testing.T) {
 	t.Logf("buffered=%v streaming=%v", buffered, streaming)
 }
 
+// TestStreamHandlerPullError: a streaming task with an unpullable input
+// is retried and dead-lettered like a buffered one. Each attempt's
+// handler still sees the input that did arrive, but the failed attempt
+// discards its result, and the inputs are released once, at the dead
+// letter.
 func TestStreamHandlerPullError(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 1)
+	var released, calls atomic.Int64
+	a, _ := New(r.fabric, r.ds, 1, WithRelease(func(dataspaces.Descriptor) { released.Add(1) }))
 	a.HandleStreamT("", "x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+		calls.Add(1)
 		n := 0
 		for range in {
 			n++
 		}
+		if n != 1 {
+			return nil, fmt.Errorf("handler saw %d inputs, want the good one", n)
+		}
 		return n, nil
 	})
 	a.Start()
-	// One good input, one broken handle: the handler still gets the
-	// good one and the error is surfaced.
 	good := r.prod.RegisterMem([]byte("ok"))
 	r.ds.SubmitSpec(dataspaces.TaskSpec{Analysis: "x", Step: 1, Inputs: []dataspaces.Descriptor{
 		{Name: "x", Rank: 0, Handle: good},
 		{Name: "x", Rank: 1, Handle: dart.MemHandle{Endpoint: 999}},
 	}})
 	res := <-a.Results()
-	if res.Err == nil {
-		t.Fatal("broken handle must surface an error")
+	if !res.DeadLetter || !errors.Is(res.Err, ErrDeadLetter) || res.Output != nil {
+		t.Fatalf("broken handle must dead-letter the task, got %+v", res)
 	}
-	if res.Output.(int) != 1 {
-		t.Fatalf("handler should still receive the good input, got %v", res.Output)
+	if res.Attempts != 3 || calls.Load() != 3 || released.Load() != 2 {
+		t.Fatalf("attempts %d, handler calls %d, releases %d: want 3, 3, 2",
+			res.Attempts, calls.Load(), released.Load())
 	}
 	r.ds.Close()
 	a.Wait()
 }
 
-// TestStreamPrecedence: a streaming handler shadows a buffered one of
-// the same name.
-func TestStreamPrecedence(t *testing.T) {
-	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 1)
-	a.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) { return "buffered", nil })
-	a.HandleStreamT("", "x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+// TestLaterRegistrationReplaces: a route has one in-transit handler; a
+// later registration of either kind replaces the earlier one.
+func TestLaterRegistrationReplaces(t *testing.T) {
+	buffered := func(task dataspaces.Task, data [][]byte) (any, error) { return "buffered", nil }
+	streaming := func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		for range in {
 		}
 		return "streaming", nil
-	})
-	a.Start()
-	r.publish(t, "x", 1, []byte("d"))
-	res := <-a.Results()
-	if res.Output != "streaming" {
-		t.Fatalf("streaming handler must take precedence, got %v", res.Output)
 	}
-	r.ds.Close()
-	a.Wait()
+	for _, streamLast := range []bool{true, false} {
+		r := newRig(t)
+		a, _ := New(r.fabric, r.ds, 1)
+		want := "streaming"
+		if streamLast {
+			a.HandleT("", "x", buffered)
+			a.HandleStreamT("", "x", streaming)
+		} else {
+			a.HandleStreamT("", "x", streaming)
+			a.HandleT("", "x", buffered)
+			want = "buffered"
+		}
+		a.Start()
+		r.publish(t, "x", 1, []byte("d"))
+		if res := <-a.Results(); res.Output != want {
+			t.Fatalf("want the %s handler registered last, got %v", want, res.Output)
+		}
+		r.ds.Close()
+		a.Wait()
+	}
 }

@@ -1,0 +1,231 @@
+package staging
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"insitu/internal/dataspaces"
+	"insitu/internal/obs"
+)
+
+// streamOf turns a buffered handler into a streaming one that collects
+// its inputs by index and then runs the same code, so a test can hand
+// the two kinds identical work.
+func streamOf(fn Handler) StreamHandler {
+	return func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
+		data := make([][]byte, len(task.Inputs))
+		for i := range in {
+			data[i.Index] = i.Data
+		}
+		return fn(task, data)
+	}
+}
+
+func concat(task dataspaces.Task, data [][]byte) (any, error) {
+	var sb strings.Builder
+	for _, d := range data {
+		sb.Write(d)
+	}
+	return sb.String(), nil
+}
+
+// taskSummary is everything a caller can observe of one task: its
+// final Result, the area's failure counters, what was released and is
+// still pinned, and the task spans its attempts recorded.
+type taskSummary struct {
+	Output     any
+	Err        string
+	Attempts   int
+	DeadLetter bool
+	Res        ResilienceStats
+	Released   int64
+	Pinned     int
+	Spans      []string
+}
+
+// runKind runs one task through a one-bucket area whose route has fn
+// registered as the given handler kind, and summarises it.
+func runKind(t *testing.T, r *rig, streaming, crash bool, fn Handler, inputs []dataspaces.Descriptor) taskSummary {
+	t.Helper()
+	var released atomic.Int64
+	a, err := New(r.fabric, r.ds, 1, WithRelease(func(d dataspaces.Descriptor) {
+		released.Add(1)
+		r.prod.Reclaim(d.Handle)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := obs.NewPlane()
+	a.SetPlane(pl)
+	if streaming {
+		a.HandleStreamT("", "x", streamOf(fn))
+	} else {
+		a.HandleT("", "x", fn)
+	}
+	a.Start()
+	if crash {
+		a.CrashBucket(0)
+	}
+	if _, err := r.ds.SubmitSpec(dataspaces.TaskSpec{Analysis: "x", Step: 1, Inputs: inputs}); err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	select {
+	case res = <-a.Results():
+	case <-time.After(10 * time.Second):
+		t.Fatal("task never completed")
+	}
+	r.ds.Close()
+	a.Wait()
+	s := taskSummary{
+		Output:     res.Output,
+		Attempts:   res.Attempts,
+		DeadLetter: res.DeadLetter,
+		Res:        a.Resilience(),
+		Released:   released.Load(),
+		Pinned:     r.prod.Regions(),
+	}
+	if res.Err != nil {
+		s.Err = res.Err.Error()
+	}
+	for _, sp := range pl.Recorder().SpansCat(obs.CatTask) {
+		s.Spans = append(s.Spans, sp.Name)
+	}
+	sort.Strings(s.Spans)
+	return s
+}
+
+// TestHandlerKindsShareTaskPath: a buffered and a streaming handler
+// given the same work and the same failure produce the same task —
+// the same result, attempts, requeues, dead letters, releases, pinned
+// regions and attempt spans. The pull, the crash checkpoints, the
+// fault rules and the buffer rule belong to the bucket, not to the
+// handler kind.
+func TestHandlerKindsShareTaskPath(t *testing.T) {
+	fail := func(dataspaces.Task, [][]byte) (any, error) { return nil, errors.New("bad statistics") }
+	boom := func(dataspaces.Task, [][]byte) (any, error) { panic("analysis bug") }
+	good := func(r *rig) []dataspaces.Descriptor {
+		var in []dataspaces.Descriptor
+		for i, p := range []string{"in-", "tran", "sit"} {
+			in = append(in, dataspaces.Descriptor{Name: "x", Version: 1, Rank: i, Handle: r.prod.RegisterMem([]byte(p))})
+		}
+		return in
+	}
+	// One input whose region the producer already reclaimed: every
+	// pull of it fails.
+	broken := func(r *rig) []dataspaces.Descriptor {
+		bad := r.prod.RegisterMem([]byte("gone"))
+		if _, err := r.prod.Reclaim(bad); err != nil {
+			t.Fatal(err)
+		}
+		return []dataspaces.Descriptor{
+			{Name: "x", Version: 1, Rank: 0, Handle: r.prod.RegisterMem([]byte("in-"))},
+			{Name: "x", Version: 1, Rank: 1, Handle: bad},
+		}
+	}
+	ran := []string{"task.attempt", "task.done", "task.pull", "task.run"}
+	cases := []struct {
+		name   string
+		crash  bool
+		fn     Handler
+		inputs func(*rig) []dataspaces.Descriptor
+		want   taskSummary // Err and Res.Crashes aside
+	}{
+		{"ok", false, concat, good,
+			taskSummary{Output: "in-transit", Attempts: 1, Released: 3, Spans: ran}},
+		{"crash-at-assignment", true, concat, good,
+			taskSummary{Output: "in-transit", Attempts: 2, Res: ResilienceStats{Crashes: 1, Requeues: 1}, Released: 3,
+				Spans: []string{"bucket.crash", "task.attempt", "task.attempt", "task.done", "task.pull", "task.run"}}},
+		{"pull-failure", false, concat, broken,
+			taskSummary{Attempts: 3, DeadLetter: true, Res: ResilienceStats{Requeues: 2, DeadLetters: 1}, Released: 2,
+				Spans: []string{"task.attempt", "task.attempt", "task.attempt", "task.done", "task.pull", "task.pull", "task.pull"}}},
+		{"handler-error", false, fail, good,
+			taskSummary{Attempts: 1, Released: 3, Spans: ran}},
+		{"handler-panic", false, boom, good,
+			taskSummary{Attempts: 1, Released: 3, Spans: ran}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var kinds [2]taskSummary
+			for k, streaming := range []bool{false, true} {
+				r := newRig(t)
+				kinds[k] = runKind(t, r, streaming, c.crash, c.fn, c.inputs(r))
+			}
+			if !reflect.DeepEqual(kinds[0], kinds[1]) {
+				t.Fatalf("buffered and streaming differ:\nbuffered  %+v\nstreaming %+v", kinds[0], kinds[1])
+			}
+			got := kinds[0]
+			got.Err = ""
+			if !reflect.DeepEqual(got, c.want) {
+				t.Fatalf("task outcome:\n got %+v\nwant %+v", got, c.want)
+			}
+			if c.want.Output == nil && kinds[0].Err == "" {
+				t.Fatal("a failed task surfaced no error")
+			}
+		})
+	}
+}
+
+// TestCrashAfterPullRequeuesEitherKind: a bucket killed while its pull
+// is in flight hands the task back at the after-pull checkpoint, before
+// releasing the producer regions, and the retry pulls them again — for
+// a streaming handler, which has already seen every input, exactly as
+// for a buffered one.
+func TestCrashAfterPullRequeuesEitherKind(t *testing.T) {
+	payload := make([]byte, 1<<20) // ~18ms scaled transfer each
+	for _, streaming := range []bool{false, true} {
+		t.Run(fmt.Sprintf("streaming=%v", streaming), func(t *testing.T) {
+			r := slowRig(t)
+			var released atomic.Int64
+			a, _ := New(r.fabric, r.ds, 1, WithRelease(func(d dataspaces.Descriptor) {
+				released.Add(1)
+				r.prod.Reclaim(d.Handle)
+			}))
+			size := func(task dataspaces.Task, data [][]byte) (any, error) {
+				n := 0
+				for _, d := range data {
+					n += len(d)
+				}
+				return n, nil
+			}
+			if streaming {
+				a.HandleStreamT("", "x", streamOf(size))
+			} else {
+				a.HandleT("", "x", size)
+			}
+			a.Start()
+			net := r.fabric.Network()
+			before := net.Stats().BytesMoved
+			r.publish(t, "x", 1, payload, payload, payload, payload)
+			// A payload transfer is charged before its wire time, and the
+			// shared link serialises the four: once one is charged, the
+			// bucket is past the at-assignment checkpoint with the rest of
+			// the pull still to go.
+			for net.Stats().BytesMoved-before < int64(len(payload)) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			a.CrashBucket(0)
+			res := <-a.Results()
+			if res.Err != nil || res.Output != 4*len(payload) {
+				t.Fatalf("retry after the crash: output %v err %v", res.Output, res.Err)
+			}
+			if res.Attempts != 2 || len(res.Task.History) != 1 || !strings.Contains(res.Task.History[0], "crashed after pull") {
+				t.Fatalf("attempts %d, history %q: want one crash after the pull", res.Attempts, res.Task.History)
+			}
+			if st := a.Resilience(); st.Crashes != 1 || st.Requeues != 1 {
+				t.Fatalf("resilience stats %+v", st)
+			}
+			if released.Load() != 4 || r.prod.Regions() != 0 {
+				t.Fatalf("released %d inputs, %d still pinned: want 4 and 0", released.Load(), r.prod.Regions())
+			}
+			r.ds.Close()
+			a.Wait()
+		})
+	}
+}
