@@ -15,8 +15,10 @@
 #                   outside bytes: the codec frame decoder, the BP-lite
 #                   checkpoint reader, the append-only frame log under
 #                   journal.wal and index.log, the image index replay, the
-#                   pipeline config parser, and the subtree and feature-partial
-#                   payload decoders a staging bucket runs (typed errors only,
+#                   pipeline config parser, the subtree and feature-partial
+#                   payload decoders a staging bucket runs, and the statistics
+#                   payload decoders (model, contingency, covariance,
+#                   autocorrelator) it runs too (typed errors only,
 #                   never a panic; the log stays appendable, the store serves no
 #                   ref outside its segment, an accepted config survives Build,
 #                   a decoded payload marshals back to the bytes it was read
@@ -61,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 10s ./internal/registry/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalSubtree -fuzztime 10s ./internal/mergetree/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalFeaturePartials -fuzztime 10s ./internal/mergetree/
+	$(GO) test -run xxx -fuzz FuzzUnmarshalPayloads -fuzztime 10s ./internal/stats/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

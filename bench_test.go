@@ -296,30 +296,6 @@ func BenchmarkAblationBoundaryPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHierarchicalGlue compares the serial in-transit
-// aggregation with the parallel hierarchical (pairwise region merge)
-// variant at several worker counts.
-func BenchmarkAblationHierarchicalGlue(b *testing.B) {
-	benchSetup(b)
-	subtrees, _ := benchSubtrees(b, mergetree.KeepSharedBoundary)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("hierarchical-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := mergetree.GlueHierarchical(subtrees, benchGlobal, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationStreamingInTransit compares buffered vs streaming
 // in-transit execution when transfers take real time (TimeScale
 // stretches the modeled durations): streaming hides per-input compute

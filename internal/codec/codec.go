@@ -8,7 +8,7 @@
 // removes is a proportional modeled-latency win — the bandwidth
 // economy the paper's in-transit placement is built around.
 //
-// Four codecs ship:
+// Three codecs ship:
 //
 //   - Identity: no frame at all; the raw payload is registered
 //     unchanged, byte-for-byte identical to the pre-codec transport.
@@ -19,8 +19,6 @@
 //   - Quantize: bounded-error bit packing of the payload's float64
 //     tail under a per-field max-error knob; bytes before the tail
 //     travel verbatim. Falls back to literal on non-finite values.
-//   - Subsample: every Stride-th float of the tail travels (decode
-//     reconstructs by sample-and-hold).
 //
 // All scratch, frame, and decode buffers come from internal/bufpool so
 // the steady-state encode/decode path allocates nothing.
@@ -46,12 +44,10 @@ const (
 	Delta
 	// Quantize bit-packs the float64 tail under an error bound.
 	Quantize
-	// Subsample ships a coarse float tail, held between samples on decode.
-	Subsample
 
 	// NumIDs is the number of codec IDs, for per-codec instrument
 	// arrays.
-	NumIDs = 4
+	NumIDs = 3
 )
 
 // String implements fmt.Stringer.
@@ -63,8 +59,6 @@ func (id ID) String() string {
 		return "delta"
 	case Quantize:
 		return "quantize"
-	case Subsample:
-		return "subsample"
 	}
 	return fmt.Sprintf("codec(%d)", uint8(id))
 }
@@ -76,17 +70,12 @@ type Spec struct {
 	// float. Zero selects DefaultRelError times the payload's value
 	// range, recomputed per payload.
 	MaxError float64
-	// Stride is Subsample's keep-every-Nth stride (default
-	// DefaultStride).
-	Stride int
 }
 
 const (
 	// DefaultRelError is Quantize's default error bound as a fraction
 	// of the payload's value range (~13 bits per float).
 	DefaultRelError = 1e-4
-	// DefaultStride is Subsample's default coarsening stride.
-	DefaultStride = 4
 	// baseRetention bounds how many versions per key the base store
 	// retains — enough to cover every task the transit tier can hold in
 	// flight, small enough not to hoard buffers.
@@ -166,7 +155,7 @@ func NewRegistry() *Registry {
 
 // Encode encodes raw under spec for the producer stream key at the
 // given version. floatOff is the byte offset of the payload's float64
-// tail (used by Quantize and Subsample; pass 0 when unknown — Delta
+// tail (used by Quantize; pass 0 when unknown — Delta
 // ignores it). The raw slice is only read; the caller keeps ownership.
 func (r *Registry) Encode(spec Spec, key string, version int, raw []byte, floatOff int) (Result, error) {
 	switch spec.ID {
@@ -176,8 +165,6 @@ func (r *Registry) Encode(spec Spec, key string, version int, raw []byte, floatO
 		return r.encodeDelta(key, version, raw), nil
 	case Quantize:
 		return encodeQuantize(spec, raw, floatOff)
-	case Subsample:
-		return encodeSubsample(spec, key, version, raw, floatOff)
 	}
 	return Result{}, fmt.Errorf("%w: %d", ErrUnknownCodec, spec.ID)
 }
@@ -196,8 +183,6 @@ func (r *Registry) Decode(frame []byte) ([]byte, ID, error) {
 		raw, err = r.decodeDelta(rawSize, meta, body)
 	case Quantize:
 		raw, err = decodeQuantize(rawSize, meta, body)
-	case Subsample:
-		raw, err = decodeSubsample(rawSize, meta, body)
 	default:
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownCodec, id)
 	}

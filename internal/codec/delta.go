@@ -116,6 +116,15 @@ func (r *Registry) decodeDelta(rawSize int, meta, body []byte) ([]byte, error) {
 		copy(raw, body)
 		return raw, nil
 	}
+	// The header's raw size is outside input: allocate for it only once
+	// the named base is resident at that size, which bounds it by a
+	// payload this process holds. (The base may still be evicted before
+	// the XOR below, which then reports ErrNoBase too.)
+	resident := false
+	r.bases.with(string(key), int(baseVersion), func(base []byte) { resident = len(base) == rawSize })
+	if !resident {
+		return nil, fmt.Errorf("%w: %s@%d", ErrNoBase, key, baseVersion)
+	}
 	sh := bufpool.Get(rawSize)
 	if err := rleDecodeZero(sh, body); err != nil {
 		bufpool.Put(sh)

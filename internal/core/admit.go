@@ -37,7 +37,7 @@ func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
 	out := make([]admitDecision, len(p.routes))
 	stepMax := overload.LevelFull
 	credits := p.sched.ds.Credits()
-	p.est.ObserveQueue(float64(p.sched.ds.QueueDepthT(p.tenant)))
+	p.queue.Observe(float64(p.sched.ds.QueueDepthT(p.tenant)))
 	for i, rt := range p.routes {
 		if rt.stage == nil || !rt.due(step) {
 			continue
@@ -87,12 +87,10 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 	sig := overload.Signals{
 		BreakerOpen:      cur != overload.Closed,
 		CreditsExhausted: credits.Exhausted(account),
-		QueueDepth:       p.est.Queue(),
-		Latency:          p.est.Latency(),
+		QueueDepth:       p.queue.Value(),
 	}
 	level := rt.ladder.Observe(sig)
-	reason := fmt.Sprintf("%s: breaker %s, queue %.1f, latency %s",
-		level, cur, sig.QueueDepth, sig.Latency.Round(time.Microsecond))
+	reason := fmt.Sprintf("%s: breaker %s, queue %.1f", level, cur, sig.QueueDepth)
 	// Analyses whose payload exposes no float tail skip the
 	// quantized rung (the delta rung applies to every route: delta
 	// frames are exact and self-contained).

@@ -93,7 +93,7 @@ type ShapedStage interface {
 
 // QuantizableStage is an optional extension of hybrid analyses whose
 // intermediate payload carries a float64 tail the lossy transfer-path
-// codecs (quantize, subsample) can transform. PayloadFloatTail locates
+// codec (quantize) can transform. PayloadFloatTail locates
 // the tail within one payload the stage produced, returning ok false
 // when this particular payload has no transformable tail (the codec
 // layer then uses an exact encoding instead). Analyses that do not

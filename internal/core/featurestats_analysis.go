@@ -25,8 +25,6 @@ type FeatureStatsHybrid struct {
 	// Threshold is the superlevel-set threshold defining features.
 	Threshold float64
 	EveryN    int
-	// Policy is the boundary augmentation (default KeepSharedBoundary).
-	Policy mergetree.BoundaryPolicy
 }
 
 // Name implements Analysis.
@@ -56,7 +54,7 @@ func (f *FeatureStatsHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	if segF == nil || condF == nil {
 		return nil, fmt.Errorf("featurestats: unknown variable %q or %q", f.segVar(), f.condVar())
 	}
-	st, err := subtreeScratch(ctx).Subtree(segF, ctx.Global, ctx.Owned, ctx.Comm.ID(), f.Policy)
+	st, err := subtreeScratch(ctx).Subtree(segF, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepSharedBoundary)
 	if err != nil {
 		return nil, err
 	}

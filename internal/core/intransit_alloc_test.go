@@ -18,7 +18,7 @@ import (
 // it.
 func TestInTransitTopologyAllocatesFlat(t *testing.T) {
 	const step = 3
-	topo := &TopologyHybrid{Var: "T", Evict: true, SimplifyEps: 0.05}
+	topo := &TopologyHybrid{Var: "T", SimplifyEps: 0.05}
 	payloads := make([][]byte, 2)
 	driveInSitu(t, step, nil, nil, func(ctx *Ctx, s int) {
 		if s != step {

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"insitu/internal/mergetree"
 	"insitu/internal/render"
 )
 
@@ -71,34 +70,5 @@ func TestPipelineReleasesPinnedMemory(t *testing.T) {
 	}
 	if n := p.PinnedRegions(); n != 0 {
 		t.Fatalf("%d intermediate regions still pinned after drain", n)
-	}
-}
-
-// TestTopologyParallelWorkers: the Workers>1 hierarchical in-transit
-// variant must match the serial glue through the full pipeline.
-func TestTopologyParallelWorkers(t *testing.T) {
-	const steps = 2
-	simCfg := testSimConfig(2, 2, 2)
-	run := func(workers int) *TopologyResult {
-		p, err := NewPipeline(DefaultConfig(simCfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		topo := NewTopologyHybrid()
-		topo.Workers = workers
-		p.Register(topo)
-		rep, err := p.Run(steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Result(topo.Name(), steps).(*TopologyResult)
-	}
-	serial := run(0)
-	parallel := run(4)
-	reduce := func(tr *mergetree.Tree) *mergetree.Tree {
-		return mergetree.Reduce(tr, nil)
-	}
-	if !mergetree.Equal(reduce(serial.Tree), reduce(parallel.Tree)) {
-		t.Fatal("parallel hierarchical glue differs from serial through the pipeline")
 	}
 }

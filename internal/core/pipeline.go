@@ -38,9 +38,10 @@ type Pipeline struct {
 	byName map[string]*route
 
 	// Overload-control plane (nil for an unnamed tenant whose
-	// TenantConfig.Overload is nil).
-	ov  *overload.Config
-	est *overload.Estimator
+	// TenantConfig.Overload is nil); queue is the task-queue depth EWMA
+	// the admission ladder reads, observed and read by rank 0 only.
+	ov    *overload.Config
+	queue overload.EWMA
 
 	// Recovery plane (nil when TenantConfig.Recovery is nil).
 	rec *recState
@@ -329,9 +330,9 @@ func (p *Pipeline) resilience(siblings bool) metrics.Resilience {
 }
 
 // observeResult feeds one final in-transit result into the route's
-// breaker and the shared latency estimator. Only the drain goroutine
-// calls it. Task outcomes move a breaker out of Closed only — a stale
-// in-flight result cannot flip a route the prober is recovering.
+// breaker. Only the drain goroutine calls it. Task outcomes move a
+// breaker out of Closed only — a stale in-flight result cannot flip a
+// route the prober is recovering.
 func (p *Pipeline) observeResult(rt *route, res staging.Result) {
 	if rt.breaker == nil { // no admission plane
 		return
@@ -341,9 +342,7 @@ func (p *Pipeline) observeResult(rt *route, res staging.Result) {
 	if res.Err != nil {
 		rt.breaker.RecordFailure(now)
 	} else {
-		lat := res.End.Sub(res.Start)
-		rt.breaker.RecordSuccess(now, lat)
-		p.est.ObserveLatency(lat)
+		rt.breaker.RecordSuccess(now, res.End.Sub(res.Start))
 	}
 	p.markBreaker(rt.name, prev, rt.breaker.State(), res.Task.Step)
 }
@@ -376,7 +375,7 @@ func (p *Pipeline) BreakerStates() map[string]overload.BreakerState {
 // identity registrations keep the payload pinned exactly as before.
 func (p *Pipeline) registerPayload(ep *dart.Endpoint, rt *route, spec codec.Spec, key string, step int, payload []byte) (dart.MemHandle, error) {
 	floatOff := 0
-	if spec.ID == codec.Quantize || spec.ID == codec.Subsample {
+	if spec.ID == codec.Quantize {
 		ok := false
 		if rt.quant != nil {
 			floatOff, ok = rt.quant.PayloadFloatTail(payload)

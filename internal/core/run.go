@@ -95,21 +95,22 @@ func (s *Scheduler) admitRun(tenants []*Pipeline, lone *Pipeline, resume bool) e
 
 // start arms the admission policy and starts the staging buckets: the
 // one place the queue bound, the credit total, the reservations, the
-// DRR weights and the admission guard are sized, from the scheduler's
+// dequeue ring and the admission guard are sized, from the scheduler's
 // config for named tenants and from the unnamed tenant's own overload
-// block (AddTenant has the rule). The total defaults to the most work
-// the transit tier can hold, buckets draining plus every queue full. A
-// supply the floors would consume degrades to one shared pool rather
-// than failing or starving every account, and without any admission
-// plane there is no credit account at all.
+// block (AddTenant has the rule), whose routes each reserve one credit.
+// The total is the most work the transit tier can hold, buckets
+// draining plus every queue full, unless the unnamed tenant's block
+// overrides it. A supply the floors would consume degrades to one
+// shared pool rather than failing or starving every account, and
+// without any admission plane there is no credit account at all.
 func (s *Scheduler) start(tenants []*Pipeline) error {
 	s.registerRanks()
-	bound, total, floor := s.cfg.QueueBound, s.cfg.Credits, s.cfg.TenantReserve
-	weights := make(map[string]int, len(tenants))
+	bound, total, floor := s.cfg.QueueBound, 0, s.cfg.TenantReserve
+	names := make([]string, len(tenants))
 	var accounts []string
 	armed := false
-	for _, p := range tenants {
-		weights[p.tenant] = max(p.cfg.Weight, 1)
+	for i, p := range tenants {
+		names[i] = p.tenant
 		if p.ov == nil {
 			continue
 		}
@@ -123,10 +124,10 @@ func (s *Scheduler) start(tenants []*Pipeline) error {
 				accounts = append(accounts, rt.name)
 			}
 		}
-		bound, total, floor = p.ov.QueueBound, p.ov.Credits, p.ov.Reserve
+		bound, total, floor = p.ov.QueueBound, p.ov.Credits, 1
 	}
 	s.ds.SetQueueBound(bound)
-	s.ds.SetTenantWeights(weights)
+	s.ds.SetTenants(names...)
 	// The quarantine's submit-time guard; a half-open probe always
 	// passes.
 	s.ds.SetAdmissionGuard(func(tenant, analysis string, probe bool) error {

@@ -31,10 +31,6 @@ type SchedulerConfig struct {
 	// (0 = Buckets: a fixed pool).
 	MaxBuckets int
 	Net        netsim.Config
-	// Credits is the shared transit credit total. 0 derives
-	// MaxBuckets + tenants×QueueBound: the most work the transit tier
-	// can hold, buckets draining plus every queue full.
-	Credits int
 	// TenantReserve is each tenant's guaranteed credit floor — the
 	// bulkhead. Reservations degrade to one shared pool when the floors
 	// would consume the whole account.
@@ -42,9 +38,6 @@ type SchedulerConfig struct {
 	// QueueBound bounds each tenant's task queue independently
 	// (0 = unbounded).
 	QueueBound int
-	// MaxTaskAttempts bounds how many times a task is handed to a
-	// bucket before it is dead-lettered (0 = staging default of 3).
-	MaxTaskAttempts int
 	// Autoscale, when non-nil, lets the scheduler grow and shrink the
 	// bucket pool between Buckets-ish floors and MaxBuckets from live
 	// queue/ladder pressure. Nil keeps the pool fixed.
@@ -65,8 +58,8 @@ type TenantConfig struct {
 	// defaults for a named tenant; the unnamed tenant then has no plane
 	// and the StepBudget probe is its only degradation trigger — the
 	// same per-route verdicts with two rungs, full and in-situ. Its
-	// QueueBound, Credits and Reserve are read for the unnamed tenant
-	// only (see AddTenant).
+	// QueueBound and Credits are read for the unnamed tenant only (see
+	// AddTenant).
 	Overload *overload.Config
 	// Codecs selects the default transfer-path codec per hybrid route:
 	// the key is an analysis name, with "*" as the fallback for routes
@@ -82,9 +75,6 @@ type TenantConfig struct {
 	// the budget as its data-movement deadline. Zero disables probing
 	// and deadlines: steps never degrade on time.
 	StepBudget time.Duration
-	// Weight is the tenant's deficit-round-robin share (default 1): a
-	// weight-2 tenant is served twice per ring turn.
-	Weight int
 	// Recovery, when non-nil, enables durable run recovery: a
 	// write-ahead step journal, periodic bp checkpoints, and a Resume
 	// path that continues a crashed run bit-identically from its last
@@ -128,7 +118,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 // simulated interconnect, the DART transport, the DataSpaces service,
 // the staging area, the codec registry, the rank-endpoint table and the
 // observability plane — and the policy over it: credit bulkheads over
-// one account, deficit-round-robin dequeue across tenant queues, the
+// one account, round-robin dequeue across tenant queues, the
 // poison-route quarantine, and an optional bucket-pool autoscaler.
 // Everything downstream of submission exists once, here, and it is the
 // only thing that runs: a standalone pipeline is a scheduler with one
@@ -180,8 +170,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	// The buckets recycle pulled payloads once a handler returns; every
 	// in-transit handler in core decodes its payloads into private
 	// structures (Unmarshal*) and retains no input slice past its return.
-	s.area, err = staging.New(d, ds, cfg.Buckets, staging.WithRelease(s.releaseHandle),
-		staging.WithMaxAttempts(cfg.MaxTaskAttempts))
+	s.area, err = staging.New(d, ds, cfg.Buckets, staging.WithRelease(s.releaseHandle))
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +222,7 @@ func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) 
 	if ov != nil {
 		d := ov.WithDefaults()
 		p.ov = &d
-		p.est = overload.NewEstimator(d.LatencyAlpha, d.QueueAlpha)
+		p.queue = overload.NewEWMA(0.5)
 	}
 	if rc := cfg.Recovery; rc != nil {
 		if rc.Dir == "" {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"insitu/internal/bufpool"
-	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 	"insitu/internal/sim"
 )
@@ -31,29 +30,18 @@ type TopologyHybrid struct {
 	// Var is the scalar to analyze (default "T").
 	Var    string
 	EveryN int
-	// Policy selects the boundary augmentation (default
-	// KeepSharedBoundary, the provably sufficient set).
-	Policy mergetree.BoundaryPolicy
 	// SimplifyEps prunes branches below this persistence in-transit
 	// (0 keeps everything).
 	SimplifyEps float64
 	// FeatureThreshold, when > 0, extracts superlevel-set features at
 	// this threshold from the simplified tree.
 	FeatureThreshold float64
-	// Evict enables the memory-bounded streaming aggregation
-	// (default true via NewTopologyHybrid).
-	Evict bool
-	// Workers > 1 switches the in-transit stage to the parallel
-	// hierarchical glue (pairwise region merges) with that many
-	// concurrent merges — the parallel in-transit variant the paper
-	// notes "can easily be made" from the serial one.
-	Workers int
 }
 
 // NewTopologyHybrid returns the analysis with the paper's defaults:
-// temperature field, streaming eviction on.
+// the temperature field.
 func NewTopologyHybrid() *TopologyHybrid {
-	return &TopologyHybrid{Var: "T", Evict: true}
+	return &TopologyHybrid{Var: "T"}
 }
 
 // Name implements Analysis.
@@ -71,13 +59,14 @@ func (t *TopologyHybrid) varName() string {
 
 // InSituStage implements HybridAnalysis: compute the local subtree of
 // the rank's extended block where it lies in the simulation's ghosted
-// field and pack it into a pooled buffer for transfer.
+// field, boundary-augmented with KeepSharedBoundary (the provably
+// sufficient set), and pack it into a pooled buffer for transfer.
 func (t *TopologyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	f := ctx.Sim.GhostedField(t.varName())
 	if f == nil {
 		return nil, fmt.Errorf("topology: unknown variable %q", t.varName())
 	}
-	st, err := subtreeScratch(ctx).Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), t.Policy)
+	st, err := subtreeScratch(ctx).Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepSharedBoundary)
 	if err != nil {
 		return nil, err
 	}
@@ -101,27 +90,18 @@ func subtreeScratch(ctx *Ctx) *mergetree.Scratch {
 }
 
 // InTransit implements HybridAnalysis: glue the subtrees into the
-// global merge tree with the streaming algorithm, then optionally
-// simplify and extract features.
+// global merge tree with the memory-bounded streaming algorithm, then
+// optionally simplify and extract features.
 func (t *TopologyHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 	ts := getTransitScratch()
 	defer putTransitScratch(ts)
 	subtrees := ts.subtrees(len(payloads))
-	var globalBox grid.Box
 	for i, p := range payloads {
 		if err := subtrees[i].Unmarshal(p); err != nil {
 			return nil, fmt.Errorf("topology: payload %d: %w", i, err)
 		}
-		globalBox = globalBox.Union(subtrees[i].Block)
 	}
-	var tree *mergetree.Tree
-	var stream mergetree.StreamStats
-	var err error
-	if t.Workers > 1 {
-		tree, err = mergetree.GlueHierarchical(subtrees, globalBox, t.Workers)
-	} else {
-		tree, stream, err = ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: t.Evict})
-	}
+	tree, stream, err := ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: true})
 	if err != nil {
 		return nil, err
 	}

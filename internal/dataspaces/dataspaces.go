@@ -115,15 +115,12 @@ type Service struct {
 	closed  bool
 	bound   int // max queued (unassigned) tasks per tenant; 0 = unbounded
 
-	// The task queue: deficit round robin over per-tenant FIFO queues.
-	// A single-tenant run is a one-tenant ring, which is plain FCFS.
-	tq      map[string][]Task // per-tenant FIFO queues
-	order   []string          // sorted tenant names, the DRR ring
-	weights map[string]int    // DRR quantum per tenant (default 1)
-	deficit map[string]int
-	rr      int    // ring position
-	newTurn bool   // quantum not yet granted at the current position
-	head    []Task // requeued tasks, served before any tenant queue
+	// The task queue: round robin over per-tenant FIFO queues. A
+	// single-tenant run is a one-tenant ring, which is plain FCFS.
+	tq    map[string][]Task // per-tenant FIFO queues
+	order []string          // sorted tenant names, the ring
+	rr    int               // ring position: the tenant served next
+	head  []Task            // requeued tasks, served before any tenant queue
 
 	guard func(tenant, analysis string, probe bool) error
 
@@ -152,8 +149,7 @@ func New(fabric *dart.Fabric, servers int) (*Service, error) {
 	}
 	s := &Service{
 		fabric: fabric, servers: make([]*server, servers),
-		tq: make(map[string][]Task), weights: make(map[string]int), deficit: make(map[string]int),
-		newTurn: true,
+		tq: make(map[string][]Task),
 	}
 	for i := range s.servers {
 		s.servers[i] = &server{index: make(map[key][]Descriptor)}
@@ -304,28 +300,25 @@ func (s *Service) SetQueueBound(n int) {
 	s.bound = n
 }
 
-// SetTenantWeights sets the deficit-round-robin quantum of the named
-// tenants and enters them in the ring. Tasks are dequeued by DRR over
-// per-tenant queues: each tenant earns `weight` dequeue credits per
-// ring turn (default 1), so a tenant flooding the queue cannot starve
-// the others. Head-requeues stay exempt — a requeued task already held
-// queue occupancy once and is served before any tenant queue,
-// preserving the at-most-once in-flight guarantee of the crash path. A
-// queue bound applies per tenant (each tenant owns its bulkhead's
-// depth). Call before traffic starts.
-func (s *Service) SetTenantWeights(weights map[string]int) {
+// SetTenants enters the named tenants in the dequeue ring. Tasks are
+// dequeued round robin over per-tenant queues, one task per tenant per
+// ring turn, so a tenant flooding the queue cannot starve the others.
+// Head-requeues stay exempt — a requeued task already held queue
+// occupancy once and is served before any tenant queue, preserving the
+// at-most-once in-flight guarantee of the crash path. A queue bound
+// applies per tenant (each tenant owns its bulkhead's depth). Call
+// before traffic starts.
+func (s *Service) SetTenants(names ...string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for name, w := range weights {
-		s.weights[name] = w
+	for _, name := range names {
 		s.ensureTenantLocked(name)
 	}
-	// The ring starts at its first tenant whatever order the map was
-	// walked in.
+	// The ring starts at its first tenant whatever order names came in.
 	s.rr = 0
 }
 
-// ensureTenantLocked adds a tenant to the DRR ring, keeping the ring
+// ensureTenantLocked adds a tenant to the ring, keeping the ring
 // sorted so scheduling order is deterministic regardless of submission
 // interleaving.
 func (s *Service) ensureTenantLocked(name string) {
@@ -346,62 +339,24 @@ func (s *Service) ensureTenantLocked(name string) {
 	}
 }
 
-func (s *Service) weightLocked(name string) int {
-	if w := s.weights[name]; w > 0 {
-		return w
-	}
-	return 1
-}
-
-func (s *Service) advanceLocked() {
-	s.rr = (s.rr + 1) % len(s.order)
-	s.newTurn = true
-}
-
 // nextTaskLocked pops the next task to assign: head-requeues first,
-// then DRR order over the tenant queues.
+// then the head of the first non-empty tenant queue from the ring
+// position on, after which the ring moves past that tenant.
 func (s *Service) nextTaskLocked() (Task, bool) {
 	if len(s.head) > 0 {
 		t := s.head[0]
 		s.head = s.head[1:]
 		return t, true
 	}
-	total := 0
-	for _, q := range s.tq {
-		total += len(q)
-	}
-	if total == 0 {
-		return Task{}, false
-	}
-	for {
+	for range s.order {
 		name := s.order[s.rr]
-		q := s.tq[name]
-		if len(q) == 0 {
-			// An empty queue forfeits its unused deficit: DRR credit
-			// must not accumulate while a tenant is idle.
-			s.deficit[name] = 0
-			s.advanceLocked()
-			continue
+		s.rr = (s.rr + 1) % len(s.order)
+		if q := s.tq[name]; len(q) > 0 {
+			s.tq[name] = q[1:]
+			return q[0], true
 		}
-		if s.newTurn {
-			s.deficit[name] += s.weightLocked(name)
-			s.newTurn = false
-		}
-		if s.deficit[name] <= 0 {
-			s.advanceLocked()
-			continue
-		}
-		s.deficit[name]--
-		t := q[0]
-		s.tq[name] = q[1:]
-		if len(s.tq[name]) == 0 {
-			s.deficit[name] = 0
-			s.advanceLocked()
-		} else if s.deficit[name] == 0 {
-			s.advanceLocked()
-		}
-		return t, true
 	}
+	return Task{}, false
 }
 
 // SetAdmissionGuard installs a submission-time guard consulted by

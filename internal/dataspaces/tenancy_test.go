@@ -44,7 +44,7 @@ func drainOrder(t *testing.T, s *Service, n int) []string {
 
 func TestFairDequeueRoundRobin(t *testing.T) {
 	s := newTestService(t, 1)
-	s.SetTenantWeights(map[string]int{"a": 1, "b": 1, "c": 1})
+	s.SetTenants("a", "b", "c")
 
 	// Tenant a floods; b and c each submit two.
 	for i := 0; i < 6; i++ {
@@ -69,27 +69,9 @@ func TestFairDequeueRoundRobin(t *testing.T) {
 	}
 }
 
-func TestFairDequeueWeights(t *testing.T) {
-	s := newTestService(t, 1)
-	s.SetTenantWeights(map[string]int{"heavy": 2, "light": 1})
-	for i := 0; i < 6; i++ {
-		submitT(t, s, "heavy", "viz", i)
-	}
-	for i := 0; i < 3; i++ {
-		submitT(t, s, "light", "viz", i)
-	}
-	got := drainOrder(t, s, 9)
-	want := []string{"heavy", "heavy", "light", "heavy", "heavy", "light", "heavy", "heavy", "light"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dequeue order = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestFairDequeueHeadRequeueJumpsRing(t *testing.T) {
 	s := newTestService(t, 1)
-	s.SetTenantWeights(map[string]int{"a": 1, "b": 1})
+	s.SetTenants("a", "b")
 	for i := 0; i < 3; i++ {
 		submitT(t, s, "a", "viz", i)
 		submitT(t, s, "b", "viz", i)
@@ -117,7 +99,7 @@ func TestFairDequeueHeadRequeueJumpsRing(t *testing.T) {
 
 func TestFairDequeuePerTenantBound(t *testing.T) {
 	s := newTestService(t, 1)
-	s.SetTenantWeights(map[string]int{"a": 1, "b": 1})
+	s.SetTenants("a", "b")
 	s.SetQueueBound(2)
 	// Tenant a fills its own bulkhead...
 	submitT(t, s, "a", "viz", 0)
@@ -141,10 +123,10 @@ func TestFairDequeuePerTenantBound(t *testing.T) {
 
 func TestFairDequeueUnknownTenantJoinsRing(t *testing.T) {
 	s := newTestService(t, 1)
-	s.SetTenantWeights(map[string]int{"b": 1})
+	s.SetTenants("b")
 	submitT(t, s, "b", "viz", 0)
-	// A tenant never named in the weights map sorts into the ring with
-	// weight 1 instead of being dropped.
+	// A tenant never named to SetTenants sorts into the ring instead of
+	// being dropped.
 	submitT(t, s, "a", "viz", 0)
 	got := drainOrder(t, s, 2)
 	if len(got) != 2 || (got[0] == got[1]) {

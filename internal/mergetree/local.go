@@ -251,18 +251,6 @@ func (s *Scratch) pack(rank int, block grid.Box, retains func(v int32) bool, ver
 	return st
 }
 
-// packTree is pack over the nodes of t: the Subtree of rank over block
-// that keeps t's critical points plus the nodes whose id keep accepts.
-// Like Subtree's, the result lives in the scratch.
-func (s *Scratch) packTree(t *Tree, rank int, block grid.Box, keep func(id int64) bool) (*Subtree, error) {
-	if err := s.load(t); err != nil {
-		return nil, err
-	}
-	return s.pack(rank, block,
-		func(v int32) bool { return keep(t.IDs[v]) },
-		func(v int32) (int64, float64) { return t.IDs[v], t.Values[v] }), nil
-}
-
 // keeper evaluates a BoundaryPolicy on the cells of one swept block.
 type keeper struct {
 	policy               BoundaryPolicy

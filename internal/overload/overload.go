@@ -7,8 +7,8 @@
 // production in-situ stacks (ElasticBroker, Catalyst-ADIOS2) converge
 // on instead of an on/off fallback switch:
 //
-//   - Estimator: exponentially weighted moving averages of in-transit
-//     task latency and task-queue depth — the pressure signals.
+//   - EWMA: the exponentially weighted moving average core.Pipeline
+//     keeps of the task-queue depth — the ladder's pressure signal.
 //   - Breaker: a per-analysis-route circuit breaker (closed → open on
 //     consecutive failures or a latency-EWMA threshold → half-open
 //     probe → closed), gating whether the route may touch the transit
@@ -59,50 +59,6 @@ func (e *EWMA) Value() float64 { return e.v }
 
 // Reset discards the accumulated average.
 func (e *EWMA) Reset() { e.v, e.init = 0, false }
-
-// Estimator tracks the two pressure signals the admission ladder
-// consumes: the latency EWMA of completed in-transit tasks and the
-// depth EWMA of the DataSpaces task queue. It is thread-safe: the
-// drain goroutine observes latencies while rank 0 observes queue
-// depths and reads both.
-type Estimator struct {
-	mu    sync.Mutex
-	lat   EWMA // seconds
-	queue EWMA // tasks
-}
-
-// NewEstimator returns an estimator with the given smoothing factors.
-func NewEstimator(latAlpha, queueAlpha float64) *Estimator {
-	return &Estimator{lat: NewEWMA(latAlpha), queue: NewEWMA(queueAlpha)}
-}
-
-// ObserveLatency folds one completed task's wall latency in.
-func (e *Estimator) ObserveLatency(d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.lat.Observe(d.Seconds())
-}
-
-// ObserveQueue folds one task-queue depth sample in.
-func (e *Estimator) ObserveQueue(depth float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.queue.Observe(depth)
-}
-
-// Latency returns the task-latency EWMA.
-func (e *Estimator) Latency() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return time.Duration(e.lat.Value() * float64(time.Second))
-}
-
-// Queue returns the queue-depth EWMA.
-func (e *Estimator) Queue() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.queue.Value()
-}
 
 // BreakerState is a circuit breaker's position.
 type BreakerState int
@@ -378,21 +334,16 @@ type Signals struct {
 	CreditsExhausted bool
 	// QueueDepth is the task-queue depth EWMA.
 	QueueDepth float64
-	// Latency is the in-transit task latency EWMA.
-	Latency time.Duration
 }
 
 // LadderConfig tunes the admission ladder's watermarks and hysteresis.
-// The high watermarks trigger degradation, the low watermarks permit
+// The high watermark triggers degradation, the low watermark permits
 // recovery; the band between them is the hysteresis dead zone where
 // the ladder holds its level.
 type LadderConfig struct {
 	// QueueHigh/QueueLow are the queue-depth EWMA watermarks
 	// (defaults 3 / 1).
 	QueueHigh, QueueLow float64
-	// LatencyHigh/LatencyLow are the latency EWMA watermarks
-	// (0 disables latency as a ladder signal).
-	LatencyHigh, LatencyLow time.Duration
 	// DegradeAfter is the consecutive overloaded observations needed
 	// to drop one rung (default 1: degrade immediately).
 	DegradeAfter int
@@ -407,9 +358,6 @@ func (c LadderConfig) withDefaults() LadderConfig {
 	}
 	if c.QueueLow <= 0 || c.QueueLow > c.QueueHigh {
 		c.QueueLow = 1
-	}
-	if c.LatencyLow <= 0 || c.LatencyLow > c.LatencyHigh {
-		c.LatencyLow = c.LatencyHigh / 2
 	}
 	if c.DegradeAfter <= 0 {
 		c.DegradeAfter = 1
@@ -463,18 +411,14 @@ func (l *Ladder) Climbs() int64 {
 // Observe folds one step's signals into the hysteresis and returns the
 // rung to use for the step. Overloaded observations push the ladder
 // down one rung per DegradeAfter streak; fully healthy observations
-// (all signals below the low watermarks) pull it up one rung per
-// RecoverAfter streak; observations inside the hysteresis band hold
-// the level and clear both streaks.
+// (breaker closed, credits available, queue at or below the low
+// watermark) pull it up one rung per RecoverAfter streak; observations
+// inside the hysteresis band hold the level and clear both streaks.
 func (l *Ladder) Observe(sig Signals) Level {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	overloaded := sig.BreakerOpen || sig.CreditsExhausted ||
-		sig.QueueDepth > l.cfg.QueueHigh ||
-		(l.cfg.LatencyHigh > 0 && sig.Latency > l.cfg.LatencyHigh)
-	healthy := !sig.BreakerOpen && !sig.CreditsExhausted &&
-		sig.QueueDepth <= l.cfg.QueueLow &&
-		(l.cfg.LatencyHigh <= 0 || sig.Latency <= l.cfg.LatencyLow)
+	overloaded := sig.BreakerOpen || sig.CreditsExhausted || sig.QueueDepth > l.cfg.QueueHigh
+	healthy := !sig.BreakerOpen && !sig.CreditsExhausted && sig.QueueDepth <= l.cfg.QueueLow
 	switch {
 	case overloaded:
 		l.good = 0
@@ -512,19 +456,15 @@ type Config struct {
 	// QueueBound bounds the DataSpaces task-queue depth: submissions
 	// past it fail with ErrQueueFull and the step sheds (default 8).
 	QueueBound int
-	// Reserve is the per-hybrid-analysis credit reservation, so one
-	// slow analysis cannot starve the others (default 1).
-	Reserve int
 	// Credits overrides the total credit supply; 0 means
 	// buckets + QueueBound, the most work the transit tier can hold.
+	// Each hybrid analysis reserves one of them, so one slow analysis
+	// cannot starve the others.
 	Credits int
 	// ProbeLatencyMax fails a half-open probe that answers slower than
 	// this even when it succeeds, so a browned-out (slow but alive)
 	// staging tier does not close the breaker (default 5ms).
 	ProbeLatencyMax time.Duration
-	// LatencyAlpha and QueueAlpha smooth the shared estimator
-	// (defaults 0.5 / 0.5).
-	LatencyAlpha, QueueAlpha float64
 }
 
 // WithDefaults fills zero fields with the defaults used by
@@ -533,17 +473,8 @@ func (c Config) WithDefaults() Config {
 	if c.QueueBound <= 0 {
 		c.QueueBound = 8
 	}
-	if c.Reserve <= 0 {
-		c.Reserve = 1
-	}
 	if c.ProbeLatencyMax <= 0 {
 		c.ProbeLatencyMax = 5 * time.Millisecond
-	}
-	if c.LatencyAlpha <= 0 || c.LatencyAlpha > 1 {
-		c.LatencyAlpha = 0.5
-	}
-	if c.QueueAlpha <= 0 || c.QueueAlpha > 1 {
-		c.QueueAlpha = 0.5
 	}
 	return c
 }

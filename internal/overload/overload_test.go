@@ -188,26 +188,9 @@ func TestLadderBreakerAndCreditSignals(t *testing.T) {
 	}
 }
 
-func TestEstimatorSignals(t *testing.T) {
-	e := NewEstimator(0.5, 0.5)
-	e.ObserveLatency(40 * time.Millisecond)
-	e.ObserveLatency(40 * time.Millisecond)
-	if lat := e.Latency(); lat < 35*time.Millisecond || lat > 45*time.Millisecond {
-		t.Fatalf("latency EWMA = %v", lat)
-	}
-	e.ObserveQueue(6)
-	if q := e.Queue(); q != 6 {
-		t.Fatalf("queue EWMA = %v, want 6", q)
-	}
-	e.ObserveQueue(0)
-	if q := e.Queue(); q != 3 {
-		t.Fatalf("queue EWMA = %v, want 3", q)
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.QueueBound != 8 || c.Reserve != 1 || c.ProbeLatencyMax <= 0 {
+	if c.QueueBound != 8 || c.ProbeLatencyMax <= 0 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }

@@ -95,14 +95,12 @@ func Build(cfg *Config) (*Built, error) {
 		return nil, err
 	}
 	scfg := core.SchedulerConfig{
-		DSServers:       cmp.Or(cfg.Fabric.DSServers, 2),
-		Buckets:         max(1, cfg.TransitBuckets()),
-		MaxBuckets:      cfg.Fabric.MaxBuckets,
-		Net:             netConfig(cfg.Fabric.Net),
-		Credits:         cfg.Fabric.Credits,
-		TenantReserve:   cfg.Fabric.TenantReserve,
-		QueueBound:      cfg.Fabric.QueueBound,
-		MaxTaskAttempts: cfg.Fabric.MaxTaskAttempts,
+		DSServers:     cmp.Or(cfg.Fabric.DSServers, 2),
+		Buckets:       max(1, cfg.TransitBuckets()),
+		MaxBuckets:    cfg.Fabric.MaxBuckets,
+		Net:           netConfig(cfg.Fabric.Net),
+		TenantReserve: cfg.Fabric.TenantReserve,
+		QueueBound:    cfg.Fabric.QueueBound,
 	}
 	if a := cfg.Fabric.Autoscale; a != nil {
 		scfg.Autoscale = &overload.AutoscaleConfig{
@@ -141,7 +139,6 @@ func Build(cfg *Config) (*Built, error) {
 			Overload:   overloadConfig(t.Overload),
 			Codecs:     codecs,
 			StepBudget: time.Duration(t.StepBudgetMS) * time.Millisecond,
-			Weight:     t.Weight,
 		}
 		if r := cfg.Recovery; r != nil {
 			tcfg.Recovery = &core.RecoveryConfig{Dir: r.Dir, Every: r.EverySteps, Kill: r.Kill}
@@ -188,7 +185,7 @@ func buildAnalyses(t *TenantConfig) ([]core.Analysis, []string, map[string]codec
 	}
 	for ai := range t.Analyses {
 		ac := &t.Analyses[ai]
-		a, err := New(ac.Analysis, t.params(ac))
+		a, err := New(ac.Analysis, ac.params())
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("analysis %q: %w", ac.Analysis, err)
 		}

@@ -66,7 +66,7 @@ func init() {
 		Doc:        "merge-tree topology: hybrid (reduced subtrees + streaming glue) or streaming in-transit",
 		Placements: []Placement{PlaceHybrid, PlaceInTransit},
 		Params: map[Placement][]string{
-			PlaceHybrid:    {"var", "simplify_eps", "feature_threshold", "workers"},
+			PlaceHybrid:    {"var", "simplify_eps", "feature_threshold"},
 			PlaceInTransit: {"var", "simplify_eps", "feature_threshold"},
 		},
 		Check: func(p Params) error {
@@ -75,9 +75,6 @@ func init() {
 			}
 			if p.FeatureThreshold < 0 {
 				return fmt.Errorf("%w: topology: negative feature_threshold %v", ErrBadParam, p.FeatureThreshold)
-			}
-			if p.Workers < 0 {
-				return fmt.Errorf("%w: topology: negative workers %d", ErrBadParam, p.Workers)
 			}
 			return nil
 		},
@@ -89,7 +86,6 @@ func init() {
 			}
 			t := core.NewTopologyHybrid()
 			applyTopology(t, p)
-			t.Workers = p.Workers
 			return t, nil
 		},
 	})

@@ -49,7 +49,7 @@ type Config struct {
 }
 
 // FabricConfig declares the shared transit tier. The scheduler-only
-// fields (MaxBuckets, Credits, TenantReserve, Autoscale, Quarantine)
+// fields (MaxBuckets, TenantReserve, Autoscale, Quarantine)
 // are rejected by Validate in single-tenant configs, where they have
 // no carrier.
 type FabricConfig struct {
@@ -67,14 +67,9 @@ type FabricConfig struct {
 	// QueueBound bounds each tenant's task queue (multi-tenant; the
 	// single-tenant bound lives in the tenant's overload config).
 	QueueBound int `json:"queue_bound,omitempty"`
-	// Credits is the shared transit credit total (multi-tenant only).
-	Credits int `json:"credits,omitempty"`
 	// TenantReserve is each tenant's guaranteed credit floor — the
 	// bulkhead (multi-tenant only).
 	TenantReserve int `json:"tenant_reserve,omitempty"`
-	// MaxTaskAttempts bounds per-task bucket handoffs before
-	// dead-lettering (0 = staging default of 3).
-	MaxTaskAttempts int `json:"max_task_attempts,omitempty"`
 	// Autoscale, when non-nil, lets the scheduler grow/shrink the
 	// bucket pool (multi-tenant only).
 	Autoscale *AutoscaleConfig `json:"autoscale,omitempty"`
@@ -170,15 +165,9 @@ type TenantConfig struct {
 	Name string `json:"name,omitempty"`
 	// Sim sizes the proxy simulation.
 	Sim SimConfig `json:"sim"`
-	// Placement is the tenant-wide default placement for analyses that
-	// omit their own.
-	Placement Placement `json:"placement,omitempty"`
 	// StepBudgetMS bounds each step's hybrid transit path in
 	// milliseconds (0 = no budget).
 	StepBudgetMS int `json:"step_budget_ms,omitempty"`
-	// Weight is the deficit-round-robin share (multi-tenant only;
-	// 0 = 1).
-	Weight int `json:"weight,omitempty"`
 	// Overload is the graded admission plane: an unnamed tenant has
 	// one only when this is non-nil, a named tenant always, tuned by
 	// it.
@@ -226,19 +215,12 @@ type OverloadConfig struct {
 	Breaker BreakerConfig `json:"breaker,omitempty"`
 	// Ladder tunes the admission ladder.
 	Ladder LadderConfig `json:"ladder,omitempty"`
-	// QueueBound bounds the task-queue depth (0 = 8), Reserve is the
-	// per-analysis credit floor (0 = 1) and Credits overrides the
-	// credit supply (0 = buckets + QueueBound). All three are read only
+	// QueueBound bounds the task-queue depth (0 = 8). It is read only
 	// for an unnamed lone tenant; named tenants are sized by the
-	// fabric's queue_bound, tenant_reserve and credits.
+	// fabric's queue_bound and tenant_reserve.
 	QueueBound int `json:"queue_bound,omitempty"`
-	Reserve    int `json:"reserve,omitempty"`
-	Credits    int `json:"credits,omitempty"`
 	// ProbeLatencyMaxUS fails slow half-open probes (µs; 0 = 5000).
 	ProbeLatencyMaxUS int `json:"probe_latency_max_us,omitempty"`
-	// LatencyAlpha and QueueAlpha smooth the estimator (0 = 0.5).
-	LatencyAlpha float64 `json:"latency_alpha,omitempty"`
-	QueueAlpha   float64 `json:"queue_alpha,omitempty"`
 }
 
 // BreakerConfig mirrors overload.BreakerConfig in JSON form.
@@ -259,9 +241,6 @@ type LadderConfig struct {
 	// QueueHigh/QueueLow are the queue-depth EWMA watermarks.
 	QueueHigh float64 `json:"queue_high,omitempty"`
 	QueueLow  float64 `json:"queue_low,omitempty"`
-	// LatencyHighUS/LatencyLowUS are the latency watermarks (µs).
-	LatencyHighUS int `json:"latency_high_us,omitempty"`
-	LatencyLowUS  int `json:"latency_low_us,omitempty"`
 	// DegradeAfter/RecoverAfter are the rung hystereses.
 	DegradeAfter int `json:"degrade_after,omitempty"`
 	RecoverAfter int `json:"recover_after,omitempty"`
@@ -269,13 +248,10 @@ type LadderConfig struct {
 
 // CodecConfig selects a transfer-path codec.
 type CodecConfig struct {
-	// ID names the codec: "identity", "delta", "quantize", or
-	// "subsample".
+	// ID names the codec: "identity", "delta", or "quantize".
 	ID string `json:"id"`
 	// MaxError is quantize's absolute error bound (quantize only).
 	MaxError float64 `json:"max_error,omitempty"`
-	// Stride is subsample's keep-every-Nth stride (subsample only).
-	Stride int `json:"stride,omitempty"`
 }
 
 // ValidationError ties a typed registry error to the config path that
@@ -355,9 +331,6 @@ func (c *Config) Validate() error {
 		if c.Fabric.MaxBuckets != 0 {
 			fail("fabric.max_buckets", fmt.Errorf("%w: scheduler knob in a single-tenant config", ErrConflictingParams))
 		}
-		if c.Fabric.Credits != 0 {
-			fail("fabric.credits", fmt.Errorf("%w: scheduler knob in a single-tenant config", ErrConflictingParams))
-		}
 		if c.Fabric.TenantReserve != 0 {
 			fail("fabric.tenant_reserve", fmt.Errorf("%w: scheduler knob in a single-tenant config", ErrConflictingParams))
 		}
@@ -415,14 +388,8 @@ func (c *Config) Validate() error {
 			}
 			seen[t.Name] = true
 		}
-		if t.Placement != "" && !t.Placement.Valid() {
-			fail(path+".placement", fmt.Errorf("%w: %q", ErrBadPlacement, t.Placement))
-		}
 		if t.StepBudgetMS < 0 {
 			fail(path+".step_budget_ms", fmt.Errorf("%w: negative step budget", ErrBadParam))
-		}
-		if t.Weight != 0 && !multi {
-			fail(path+".weight", fmt.Errorf("%w: weight is a scheduler knob", ErrConflictingParams))
 		}
 		validateSim(t.Sim, path+".sim", fail)
 		if t.Codec != nil {
@@ -435,7 +402,7 @@ func (c *Config) Validate() error {
 		for ai := range t.Analyses {
 			a := &t.Analyses[ai]
 			apath := fmt.Sprintf("%s.analyses[%d]", path, ai)
-			p := t.params(a)
+			p := a.params()
 			an, err := New(a.Analysis, p)
 			if err != nil {
 				fail(apath, err)
@@ -478,10 +445,10 @@ func (c *Config) Validate() error {
 }
 
 // params resolves one analysis entry's placement: its own, else the
-// tenant's, else the only one the analysis supports.
-func (t *TenantConfig) params(a *AnalysisConfig) Params {
+// only one the analysis supports.
+func (a *AnalysisConfig) params() Params {
 	p := a.Params
-	p.Placement = cmp.Or(p.Placement, t.Placement, DefaultPlacement(a.Analysis))
+	p.Placement = cmp.Or(p.Placement, DefaultPlacement(a.Analysis))
 	return p
 }
 
@@ -516,9 +483,9 @@ func validateSim(s SimConfig, path string, fail func(string, error)) {
 // validateCodec checks a codec selection and its knob pairing.
 func validateCodec(cc *CodecConfig, path string, fail func(string, error)) {
 	switch cc.ID {
-	case "identity", "delta", "quantize", "subsample":
+	case "identity", "delta", "quantize":
 	default:
-		fail(path+".id", fmt.Errorf("%w: unknown codec %q (known: identity, delta, quantize, subsample)", ErrBadParam, cc.ID))
+		fail(path+".id", fmt.Errorf("%w: unknown codec %q (known: identity, delta, quantize)", ErrBadParam, cc.ID))
 		return
 	}
 	if cc.MaxError != 0 && cc.ID != "quantize" {
@@ -526,12 +493,6 @@ func validateCodec(cc *CodecConfig, path string, fail func(string, error)) {
 	}
 	if cc.MaxError < 0 {
 		fail(path+".max_error", fmt.Errorf("%w: negative max_error %v", ErrBadParam, cc.MaxError))
-	}
-	if cc.Stride != 0 && cc.ID != "subsample" {
-		fail(path+".stride", fmt.Errorf("%w: stride applies only to subsample", ErrConflictingParams))
-	}
-	if cc.Stride < 0 {
-		fail(path+".stride", fmt.Errorf("%w: negative stride %d", ErrBadParam, cc.Stride))
 	}
 }
 
@@ -545,10 +506,8 @@ func codecSpec(cc *CodecConfig) codec.Spec {
 		id = codec.Delta
 	case "quantize":
 		id = codec.Quantize
-	case "subsample":
-		id = codec.Subsample
 	}
-	return codec.Spec{ID: id, MaxError: cc.MaxError, Stride: cc.Stride}
+	return codec.Spec{ID: id, MaxError: cc.MaxError}
 }
 
 // netConfig converts a validated NetConfig to the netsim config.
@@ -578,16 +537,10 @@ func overloadConfig(oc *OverloadConfig) *overload.Config {
 		Ladder: overload.LadderConfig{
 			QueueHigh:    oc.Ladder.QueueHigh,
 			QueueLow:     oc.Ladder.QueueLow,
-			LatencyHigh:  us(oc.Ladder.LatencyHighUS),
-			LatencyLow:   us(oc.Ladder.LatencyLowUS),
 			DegradeAfter: oc.Ladder.DegradeAfter,
 			RecoverAfter: oc.Ladder.RecoverAfter,
 		},
 		QueueBound:      oc.QueueBound,
-		Reserve:         oc.Reserve,
-		Credits:         oc.Credits,
 		ProbeLatencyMax: us(oc.ProbeLatencyMaxUS),
-		LatencyAlpha:    oc.LatencyAlpha,
-		QueueAlpha:      oc.QueueAlpha,
 	}
 }

@@ -72,12 +72,6 @@ func TestParseConfigMalformed(t *testing.T) {
 			want: registry.ErrConflictingParams,
 		},
 		{
-			name: "weight in single-tenant config",
-			src: `{"tenants": [{"weight": 2, "sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
-				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
-			want: registry.ErrConflictingParams,
-		},
-		{
 			name: "recovery in multi-tenant config",
 			src: `{"recovery": {"dir": "out/j"},
 				"tenants": [
@@ -227,7 +221,7 @@ func TestDuplicateRouteRejected(t *testing.T) {
 // once, not just the first.
 func TestValidateJoinsAllErrors(t *testing.T) {
 	_, err := registry.ParseConfig([]byte(
-		`{"fabric": {"credits": 8},
+		`{"fabric": {"tenant_reserve": 8},
 			"tenants": [{"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
 			"analyses": [
 				{"analysis": "warp-drive", "placement": "hybrid"},
@@ -236,7 +230,7 @@ func TestValidateJoinsAllErrors(t *testing.T) {
 		t.Fatal("expected validation errors")
 	}
 	for _, want := range []error{
-		registry.ErrConflictingParams, // scheduler credits in a single-tenant config
+		registry.ErrConflictingParams, // a tenant reserve in a single-tenant config
 		registry.ErrUnknownAnalysis,
 		registry.ErrBadParam, // negative shaping factor
 	} {
@@ -277,11 +271,12 @@ func validatePurityConfig() *registry.Config {
 				},
 			},
 			{
-				Name:      "beta",
-				Sim:       registry.SimConfig{NX: 8, NY: 8, NZ: 8, PX: 1, PY: 1, PZ: 1},
-				Placement: registry.PlaceHybrid,
+				Name: "beta",
+				Sim:  registry.SimConfig{NX: 8, NY: 8, NZ: 8, PX: 1, PY: 1, PZ: 1},
 				Analyses: []registry.AnalysisConfig{
-					{Analysis: "stats", Params: registry.Params{Vars: []string{"T"}}},
+					{Analysis: "stats", Params: registry.Params{
+						Placement: registry.PlaceHybrid, Vars: []string{"T"},
+					}},
 				},
 			},
 		},

@@ -102,9 +102,6 @@ type Params struct {
 	SimplifyEps float64 `json:"simplify_eps,omitempty"`
 	// FeatureThreshold extracts topology features at this level.
 	FeatureThreshold float64 `json:"feature_threshold,omitempty"`
-	// Workers > 1 switches the hybrid topology in-transit stage to the
-	// parallel hierarchical glue.
-	Workers int `json:"workers,omitempty"`
 	// Lags are the auto-correlation lags in steps.
 	Lags []int `json:"lags,omitempty"`
 	// XBins and YBins size the contingency table.

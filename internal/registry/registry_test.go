@@ -165,7 +165,7 @@ func TestCheckAcceptsValidParams(t *testing.T) {
 	}{
 		{"stats", registry.Params{Placement: registry.PlaceInSitu, Vars: []string{"T"}}},
 		{"viz", registry.Params{Placement: registry.PlaceHybrid, Factor: 8, AutoRange: true}},
-		{"topology", registry.Params{Placement: registry.PlaceHybrid, Workers: 4, SimplifyEps: 0.05}},
+		{"topology", registry.Params{Placement: registry.PlaceHybrid, SimplifyEps: 0.05}},
 		{"topology", registry.Params{Placement: registry.PlaceInTransit, FeatureThreshold: 1}},
 		{"assess", registry.Params{Placement: registry.PlaceInSitu, Var: "T", Sigma: 3}},
 		{"autocorr", registry.Params{Placement: registry.PlaceHybrid, Lags: []int{1, 2, 4}}},

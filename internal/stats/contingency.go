@@ -237,11 +237,13 @@ func (c *Contingency) Marshal() []byte {
 	return c.AppendMarshal(make([]byte, 0, c.MarshalSize()))
 }
 
-// UnmarshalContingency reverses Marshal.
+// UnmarshalContingency reverses Marshal. The bin counts are bounded
+// against the bytes that follow them by division, so no pair of counts
+// can overflow their product into a table the payload does not hold.
 func UnmarshalContingency(p []byte) (*Contingency, error) {
 	const hdr = 7 * 8
 	if len(p) < hdr {
-		return nil, fmt.Errorf("stats: contingency payload too short")
+		return nil, fmt.Errorf("%w: contingency too short (%d bytes)", ErrCorruptPayload, len(p))
 	}
 	f := func(off int) float64 {
 		return math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
@@ -252,8 +254,9 @@ func UnmarshalContingency(p []byte) (*Contingency, error) {
 		YBins: int(binary.LittleEndian.Uint64(p[40:])),
 		N:     int64(binary.LittleEndian.Uint64(p[48:])),
 	}
-	if c.XBins < 1 || c.YBins < 1 || c.XBins*c.YBins > (len(p)-hdr)/8 {
-		return nil, fmt.Errorf("stats: contingency payload truncated or corrupt")
+	cells := (len(p) - hdr) / 8
+	if c.XBins < 1 || c.YBins < 1 || c.XBins > cells || c.YBins > cells/c.XBins {
+		return nil, fmt.Errorf("%w: %dx%d contingency cells in %d bytes", ErrCorruptPayload, c.XBins, c.YBins, len(p)-hdr)
 	}
 	c.Counts = make([]int64, c.XBins*c.YBins)
 	for i := range c.Counts {

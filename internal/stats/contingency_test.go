@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,7 +166,22 @@ func TestContingencyMarshalRoundTrip(t *testing.T) {
 	if _, err := UnmarshalContingency(nil); err == nil {
 		t.Fatal("empty payload must error")
 	}
-	if _, err := UnmarshalContingency(c.Marshal()[:40]); err == nil {
-		t.Fatal("truncated payload must error")
+	if _, err := UnmarshalContingency(c.Marshal()[:40]); !errors.Is(err, ErrCorruptPayload) {
+		t.Fatalf("truncated payload: error %v, want ErrCorruptPayload", err)
+	}
+}
+
+// TestUnmarshalContingencyHostileBins: bin counts whose product wraps
+// to zero used to decode as a table of no cells, whose Derive then
+// panicked allocating 2^62 marginals. They fail as a corrupt payload.
+func TestUnmarshalContingencyHostileBins(t *testing.T) {
+	for _, bins := range [][2]uint64{{4, 1 << 62}, {1 << 62, 4}, {1 << 32, 1 << 32}, {1 << 63, 1}, {2, 1}} {
+		p := make([]byte, 7*8) // header only: room for no cell
+		binary.LittleEndian.PutUint64(p[32:], bins[0])
+		binary.LittleEndian.PutUint64(p[40:], bins[1])
+		binary.LittleEndian.PutUint64(p[48:], 1) // one observation
+		if _, err := UnmarshalContingency(p); !errors.Is(err, ErrCorruptPayload) {
+			t.Errorf("bins %dx%d in a 56-byte payload: error %v, want ErrCorruptPayload", bins[0], bins[1], err)
+		}
 	}
 }

@@ -86,7 +86,7 @@ func (c *Covariance) Marshal() []byte {
 // UnmarshalCovariance reconstructs an accumulator.
 func UnmarshalCovariance(p []byte) (*Covariance, error) {
 	if len(p) < covWireSize {
-		return nil, fmt.Errorf("stats: covariance payload too short (%d bytes)", len(p))
+		return nil, fmt.Errorf("%w: covariance too short (%d bytes)", ErrCorruptPayload, len(p))
 	}
 	c := &Covariance{}
 	c.N = int64(binary.LittleEndian.Uint64(p[:8]))
@@ -202,14 +202,14 @@ func (a *AutoCorrelator) Marshal() []byte {
 // UnmarshalAutoCorrelator reconstructs the shipped accumulators.
 func UnmarshalAutoCorrelator(p []byte) (*AutoCorrelator, error) {
 	if len(p) < 4 {
-		return nil, fmt.Errorf("stats: autocorrelator payload too short")
+		return nil, fmt.Errorf("%w: autocorrelator too short (%d bytes)", ErrCorruptPayload, len(p))
 	}
 	n := int(binary.LittleEndian.Uint32(p[:4]))
 	p = p[4:]
 	a := &AutoCorrelator{}
 	for i := 0; i < n; i++ {
 		if len(p) < 4+covWireSize {
-			return nil, fmt.Errorf("stats: truncated autocorrelator record %d", i)
+			return nil, fmt.Errorf("%w: autocorrelator record %d truncated", ErrCorruptPayload, i)
 		}
 		lag := int(binary.LittleEndian.Uint32(p[:4]))
 		p = p[4:]

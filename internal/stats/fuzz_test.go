@@ -1,0 +1,85 @@
+package stats
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
+	"testing"
+)
+
+// FuzzUnmarshalPayloads asserts the contract of the four payload
+// decoders a staging bucket runs on bytes pulled from the ranks: each
+// returns an error wrapping ErrCorruptPayload or succeeds — it never
+// panics — and what it accepts derives without panicking. The
+// fixed-width encodings (contingency, covariance, autocorrelator)
+// also marshal back to the bytes they were read from.
+func FuzzUnmarshalPayloads(f *testing.F) {
+	mo := NewModel()
+	mo.Var("T").UpdateBatch([]float64{1, 2, 3.5})
+	mo.Var("Y_OH").UpdateBatch([]float64{0.25})
+	f.Add(mo.Marshal())
+
+	c, err := NewContingency(-1, 1, 4, 0, 2, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		c.Update(float64(i)/10-1, float64(i%7)/3)
+	}
+	f.Add(c.Marshal())
+	// 56 bytes declaring 4 x 2^62 cells, whose product wraps to zero,
+	// and one observation, so Derive sizes its marginals by the bins.
+	hostile := make([]byte, 7*8)
+	binary.LittleEndian.PutUint64(hostile[32:], 4)
+	binary.LittleEndian.PutUint64(hostile[40:], 1<<62)
+	binary.LittleEndian.PutUint64(hostile[48:], 1)
+	f.Add(hostile)
+
+	cv := &Covariance{}
+	for i := 0; i < 10; i++ {
+		cv.Update(float64(i), math.Sqrt(float64(i)))
+	}
+	f.Add(cv.Marshal())
+
+	ac, err := NewAutoCorrelator(1, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for step := 0; step < 5; step++ {
+		ac.Push([]float64{float64(step), float64(step * step), 1})
+	}
+	f.Add(ac.Marshal())
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		typed := func(name string, err error) bool {
+			t.Helper()
+			if err != nil && !errors.Is(err, ErrCorruptPayload) {
+				t.Fatalf("%s: untyped error %v", name, err)
+			}
+			return err == nil
+		}
+		roundTrip := func(name string, out []byte) {
+			t.Helper()
+			if !bytes.Equal(out, p[:len(out)]) {
+				t.Fatalf("%s: decoded payload marshals to different bytes", name)
+			}
+		}
+		if mo, err := UnmarshalModel(p); typed("model", err) {
+			mo.DeriveAll()
+		}
+		if c, err := UnmarshalContingency(p); typed("contingency", err) {
+			c.Derive()
+			roundTrip("contingency", c.Marshal())
+		}
+		if cv, err := UnmarshalCovariance(p); typed("covariance", err) {
+			cv.Corr()
+			roundTrip("covariance", cv.Marshal())
+		}
+		if ac, err := UnmarshalAutoCorrelator(p); typed("autocorrelator", err) {
+			ac.Corr()
+			roundTrip("autocorrelator", ac.Marshal())
+		}
+	})
+}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -130,22 +131,28 @@ func (mo *Model) Marshal() []byte {
 	return mo.AppendMarshal(make([]byte, 0, mo.MarshalSize()))
 }
 
+// ErrCorruptPayload is wrapped by every error the payload decoders
+// (UnmarshalModel, UnmarshalContingency, UnmarshalCovariance,
+// UnmarshalAutoCorrelator) return: the bytes are not an encoding this
+// package produced.
+var ErrCorruptPayload = errors.New("stats: corrupt payload")
+
 // UnmarshalModel reconstructs a model from Marshal's output.
 func UnmarshalModel(p []byte) (*Model, error) {
 	if len(p) < 4 {
-		return nil, fmt.Errorf("stats: model payload too short")
+		return nil, fmt.Errorf("%w: model too short (%d bytes)", ErrCorruptPayload, len(p))
 	}
 	nvars := int(binary.LittleEndian.Uint32(p[:4]))
 	p = p[4:]
 	mo := NewModel()
 	for v := 0; v < nvars; v++ {
 		if len(p) < 4 {
-			return nil, fmt.Errorf("stats: truncated model at variable %d", v)
+			return nil, fmt.Errorf("%w: model truncated at variable %d", ErrCorruptPayload, v)
 		}
 		nameLen := int(binary.LittleEndian.Uint32(p[:4]))
 		p = p[4:]
 		if len(p) < nameLen+momentsWireSize {
-			return nil, fmt.Errorf("stats: truncated model record %d", v)
+			return nil, fmt.Errorf("%w: model record %d truncated", ErrCorruptPayload, v)
 		}
 		name := string(p[:nameLen])
 		p = p[nameLen:]

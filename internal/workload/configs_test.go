@@ -69,7 +69,7 @@ func TestEveryAnalysisPlacementHasAnExample(t *testing.T) {
 		}
 		for _, tn := range cfg.Tenants {
 			for _, ac := range tn.Analyses {
-				pl := cmp.Or(ac.Params.Placement, tn.Placement, registry.DefaultPlacement(ac.Analysis))
+				pl := cmp.Or(ac.Params.Placement, registry.DefaultPlacement(ac.Analysis))
 				declared[ac.Analysis+" / "+string(pl)] = true
 			}
 		}
