@@ -18,11 +18,14 @@
 #                   pipeline config parser, the subtree and feature-partial
 #                   payload decoders a staging bucket runs, and the statistics
 #                   payload decoders (model, contingency, covariance,
-#                   autocorrelator) it runs too (typed errors only,
-#                   never a panic; the log stays appendable, the store serves no
-#                   ref outside its segment, an accepted config survives Build,
-#                   a decoded payload marshals back to the bytes it was read
-#                   from)
+#                   autocorrelator) it runs too, the grid field decoder
+#                   under checkpoints and render blocks, and the image-spec
+#                   key parser the serve tier routes through (typed errors
+#                   only, never a panic; the log stays appendable, the store
+#                   serves no ref outside its segment, an accepted config
+#                   survives Build, a decoded payload or field marshals back
+#                   to the bytes it was read from, an accepted spec key is
+#                   the canonical one)
 #   make chaos      the randomized-seed chaos smoke under -race (env-gated,
 #                   so `race` skips it; the fixed-seed soak runs there)
 
@@ -64,6 +67,8 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalSubtree -fuzztime 10s ./internal/mergetree/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalFeaturePartials -fuzztime 10s ./internal/mergetree/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalPayloads -fuzztime 10s ./internal/stats/
+	$(GO) test -run xxx -fuzz FuzzUnmarshalField -fuzztime 10s ./internal/grid/
+	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/imagestore/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

@@ -201,9 +201,9 @@ func ReadFile(path string) ([]*grid.Field, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bp: %s: %w", path, err)
 		}
-		f, err := grid.UnmarshalField(b)
+		f, err := decodeVar(path, name, b)
 		if err != nil {
-			return nil, fmt.Errorf("bp: %s variable %q: %w: %v", path, name, ErrCorruptCheckpoint, err)
+			return nil, err
 		}
 		out = append(out, f)
 	}
@@ -230,7 +230,18 @@ func ReadVar(path, name string) (*grid.Field, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bp: %s: %w", path, err)
 	}
-	return grid.UnmarshalField(b)
+	return decodeVar(path, name, b)
+}
+
+// decodeVar decodes one variable's field payload; a bad one is a
+// corrupt checkpoint (the error wraps ErrCorruptCheckpoint and
+// grid.ErrCorruptField).
+func decodeVar(path, name string, b []byte) (*grid.Field, error) {
+	f, err := grid.UnmarshalField(b)
+	if err != nil {
+		return nil, fmt.Errorf("bp: %s variable %q: %w: %w", path, name, ErrCorruptCheckpoint, err)
+	}
+	return f, nil
 }
 
 // IOModel models a parallel filesystem whose aggregate bandwidth is

@@ -76,6 +76,29 @@ func TestReadVar(t *testing.T) {
 	}
 }
 
+// TestReadVarCorruptField: a variable whose field payload does not
+// decode — here a box of 2^64 points that a wrapping product would
+// size at the 0 values it carries — fails ReadVar as a corrupt
+// checkpoint, as it fails ReadFile.
+func TestReadVarCorruptField(t *testing.T) {
+	field := binary.LittleEndian.AppendUint32(nil, 1)
+	field = append(field, 'T')
+	for _, v := range []uint64{0, 0, 0, 1 << 32, 1 << 32, 1, 0} {
+		field = binary.LittleEndian.AppendUint64(field, v)
+	}
+	path := filepath.Join(t.TempDir(), "v1.bp")
+	if err := os.WriteFile(path, v1File("T", field), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadVar(path, "T")
+	if !errors.Is(err, ErrCorruptCheckpoint) || !errors.Is(err, grid.ErrCorruptField) {
+		t.Fatalf("ReadVar = %v, %v; want ErrCorruptCheckpoint wrapping grid.ErrCorruptField", f, err)
+	}
+	if _, err := ReadFile(path); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("ReadFile = %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
 func TestCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.bp")

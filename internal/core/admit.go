@@ -82,7 +82,7 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 		rt.breaker.RecordProbe(time.Now(), ok)
 	}
 	cur := rt.breaker.State()
-	p.markBreaker(name, prev, cur, step)
+	p.observeBreaker(name, prev, cur, step)
 
 	sig := overload.Signals{
 		BreakerOpen:      cur != overload.Closed,
@@ -112,10 +112,6 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 			reason = "in-situ: no transit credit; " + reason
 		}
 	}
-	if level != rt.lastLevel {
-		p.sched.mark("overload", time.Now(), "%s ladder %s→%s@%d", name, rt.lastLevel, level, step)
-	}
-	rt.lastLevel = level
 	return admitDecision{Level: level, Reason: reason, Account: credited}
 }
 
@@ -146,7 +142,6 @@ func (p *Pipeline) probeStep(ep *dart.Endpoint, step int) []admitDecision {
 	data, _, err := ep.GetDeadline(p.sched.area.ProbeHandle(), time.Now().Add(p.cfg.StepBudget))
 	if err != nil {
 		level, reason = overload.LevelInSitu, fmt.Sprintf("transit probe: %v", err)
-		p.sched.mark("sim", time.Now(), "degraded@%d", step)
 	} else {
 		bufpool.Put(data)
 	}
@@ -163,38 +158,35 @@ func (p *Pipeline) probeStep(ep *dart.Endpoint, step int) []admitDecision {
 // observeAdmit records one admission verdict: the per-level counter
 // plus an admission event carrying the ladder's reasoning.
 func (p *Pipeline) observeAdmit(step int, name string, d admitDecision) {
-	pl := p.sched.plane
-	if pl == nil {
+	if p.sched.plane == nil {
 		return
 	}
 	if c := p.admitCtr[d.Level]; c != nil {
 		c.Inc()
 	}
-	attrs := append([]obs.Attr{
+	p.event(obs.CatAdmit, "overload", "admit",
 		obs.Str("analysis", name),
 		obs.Str("level", d.Level.String()),
 		obs.Int("step", step),
 		obs.Bool("credited", d.Account != ""),
-		obs.Str("reason", d.Reason),
-	}, p.labels...)
-	pl.Recorder().Event(0, obs.CatAdmit, "overload", "admit", time.Now(), attrs...)
+		obs.Str("reason", d.Reason))
 }
 
-// markBreaker records a route's breaker transition on the timeline and
-// as an admission-category event (nothing without a plane).
-func (p *Pipeline) markBreaker(name string, prev, cur overload.BreakerState, step int) {
-	if prev == cur {
-		return
+// observeBreaker records a route's breaker transition as an
+// admission-category event.
+func (p *Pipeline) observeBreaker(name string, prev, cur overload.BreakerState, step int) {
+	if prev != cur {
+		p.event(obs.CatAdmit, "overload", "breaker.transition",
+			obs.Str("analysis", name), obs.Str("from", prev.String()),
+			obs.Str("to", cur.String()), obs.Int("step", step))
 	}
+}
+
+// event records one instant event on the plane with the tenant label
+// appended (nothing without a plane).
+func (p *Pipeline) event(cat, lane, name string, attrs ...obs.Attr) {
 	if pl := p.sched.plane; pl != nil {
-		p.sched.mark("overload", time.Now(), "%s breaker %s→%s@%d", name, prev, cur, step)
-		attrs := append([]obs.Attr{
-			obs.Str("analysis", name),
-			obs.Str("from", prev.String()),
-			obs.Str("to", cur.String()),
-			obs.Int("step", step),
-		}, p.labels...)
-		pl.Recorder().Event(0, obs.CatAdmit, "overload", "breaker.transition", time.Now(), attrs...)
+		pl.Recorder().Event(0, cat, lane, name, time.Now(), append(attrs, p.labels...)...)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"insitu/internal/dart"
@@ -279,8 +280,8 @@ func TestPipelineRunsOnce(t *testing.T) {
 	}
 }
 
-// TestPipelineTrace: the execution timeline records simulation steps
-// and per-bucket task spans.
+// TestPipelineTrace: the Gantt's occupancy spans are the simulation's
+// sim.step spans and the staging buckets' task.attempt spans.
 func TestPipelineTrace(t *testing.T) {
 	simCfg := testSimConfig(2, 1, 1)
 	p, err := NewPipeline(DefaultConfig(simCfg))
@@ -297,11 +298,14 @@ func TestPipelineTrace(t *testing.T) {
 		t.Fatalf("timeline lanes wrong: %v", lanes)
 	}
 	simSpans := 0
-	taskSpans := 0
-	for _, s := range rec.SpansCat(obs.CatTimeline) {
-		if s.Lane == "sim" {
+	for _, s := range rec.SpansCat(obs.CatSim) {
+		if s.Lane == "sim" && s.Name == "sim.step" {
 			simSpans++
-		} else {
+		}
+	}
+	taskSpans := 0
+	for _, s := range rec.SpansCat(obs.CatTask) {
+		if strings.HasPrefix(s.Lane, "bucket-") && s.Name == "task.attempt" {
 			taskSpans++
 		}
 	}

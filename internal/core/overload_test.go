@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"insitu/internal/obs"
 	"insitu/internal/overload"
 )
 
@@ -62,6 +63,7 @@ func TestShedAtSubmitRecyclesInputs(t *testing.T) {
 	// running, one queued, one refused); 100ms leaves room for -race on a
 	// loaded host, where a step of this tiny grid can take ~10ms.
 	p.Register(&slowTransitAnalysis{delay: 100 * time.Millisecond})
+	rec := p.EnableObs().Recorder()
 
 	const steps = 8
 	rep, err := p.Run(steps)
@@ -92,6 +94,14 @@ func TestShedAtSubmitRecyclesInputs(t *testing.T) {
 	}
 	if rep.Overload.StepsShed != int64(shed) {
 		t.Fatalf("StepsShed = %d, want %d", rep.Overload.StepsShed, shed)
+	}
+	// Each shed is one `shed` event beside the step's one ladder verdict.
+	events := map[string]int{}
+	for _, s := range rec.SpansCat(obs.CatAdmit) {
+		events[s.Name]++
+	}
+	if events["shed"] != shed || events["admit"] != steps {
+		t.Fatalf("admit-category events %v, want %d shed and %d admit", events, shed, steps)
 	}
 	c := p.Credits()
 	if c == nil {

@@ -101,11 +101,9 @@ type route struct {
 	spec     codec.Spec // configured transfer-path codec: own entry, then "*", then identity
 
 	// Admission state of a hybrid route whose tenant has a plane (nil
-	// otherwise); lastLevel is the last ladder level marked on the
-	// timeline (rank-0 admission only).
-	breaker   *overload.Breaker
-	ladder    *overload.Ladder
-	lastLevel overload.Level
+	// otherwise).
+	breaker *overload.Breaker
+	ladder  *overload.Ladder
 
 	// results holds the stored outputs by step (nil until the first);
 	// guarded by Pipeline.mu.
@@ -233,13 +231,10 @@ func (p *Pipeline) storeResult(rt *route, step int, out any) {
 }
 
 // handleResult folds one final in-transit result into its route:
-// timeline spans, breaker/quarantine bookkeeping, result storage, transit
-// metrics, and drain accounting. Only the fabric's drain goroutine
-// calls it.
+// breaker/quarantine bookkeeping, result storage, transit metrics, and
+// drain accounting. Only the fabric's drain goroutine calls it.
 func (p *Pipeline) handleResult(res staging.Result) {
 	rt, task := p.byName[res.Task.Analysis], res.Task
-	lane := staging.Lane(res.Bucket)
-	p.sched.timeline(lane, res.Start, res.End, "%s@%d", rt.name, task.Step)
 	p.observeResult(rt, res)
 	if task.Probe {
 		p.quar.RecordProbe(p.tenant, rt.name, res.Err == nil)
@@ -253,7 +248,6 @@ func (p *Pipeline) handleResult(res staging.Result) {
 		// rather than silently missing or a hard failure.
 		p.storeResult(rt, task.Step, Degraded{Reason: res.Err.Error()})
 		p.col.AddDegradedStep()
-		p.sched.mark(lane, res.End, "dead-letter %s@%d", rt.name, task.Step)
 	case res.Err != nil:
 		p.recordErr(fmt.Errorf("core: in-transit %s step %d: %w", rt.name, task.Step, res.Err))
 	case task.Shaped > 0:
@@ -344,7 +338,7 @@ func (p *Pipeline) observeResult(rt *route, res staging.Result) {
 	} else {
 		rt.breaker.RecordSuccess(now, res.End.Sub(res.Start))
 	}
-	p.markBreaker(rt.name, prev, rt.breaker.State(), res.Task.Step)
+	p.observeBreaker(rt.name, prev, rt.breaker.State(), res.Task.Step)
 }
 
 // Credits returns the transit tier's credit account (nil unless
@@ -419,9 +413,12 @@ func (p *Pipeline) shedSubmitted(rt *route, step int, inputs []dataspaces.Descri
 	if dec.Probe {
 		p.quar.RecordProbe(p.tenant, rt.name, false)
 	}
-	p.storeResult(rt, step, Degraded{Reason: fmt.Sprintf("shed: %v", cause)})
+	reason := fmt.Sprintf("shed: %v", cause)
+	p.storeResult(rt, step, Degraded{Reason: reason})
 	p.col.AddShedStep()
-	p.sched.mark("overload", time.Now(), "%s shed at submit@%d", rt.name, step)
+	// Not a ladder verdict, so admission_decisions_total skips it.
+	p.event(obs.CatAdmit, "overload", "shed",
+		obs.Str("analysis", rt.name), obs.Int("step", step), obs.Str("reason", reason))
 	if !errors.Is(cause, dataspaces.ErrQueueFull) && !errors.Is(cause, overload.ErrQuarantined) {
 		// Backpressure and the quarantine guard are expected; anything
 		// else is a real error too.

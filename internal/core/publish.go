@@ -8,7 +8,7 @@ import (
 )
 
 // EnableObs attaches the one observability plane: a span recorder
-// shared by the timeline, the DART transport, the task lifecycle and
+// shared by the simulation loop, the DART transport, the task lifecycle and
 // every tenant's admission plane, plus a metrics registry holding the
 // fabric's and the scheduler's families once and each tenant's families
 // under its label. Tenants added later are published as they arrive.

@@ -14,6 +14,7 @@ import (
 	"insitu/internal/comm"
 	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
+	"insitu/internal/obs"
 	"insitu/internal/overload"
 	"insitu/internal/recovery"
 	"insitu/internal/sim"
@@ -170,8 +171,9 @@ func (rr *rankRun) simStep(step int) time.Time {
 	stepStart := time.Now()
 	rr.rk.Step()
 	p.col.RecordSimStep(step, time.Since(stepStart))
-	if rr.r.ID() == 0 {
-		p.sched.timeline("sim", stepStart, time.Now(), "step %d", step)
+	if pl := p.sched.plane; pl != nil && rr.r.ID() == 0 {
+		pl.Recorder().Record(0, obs.CatSim, "sim", "sim.step", stepStart, time.Now(),
+			append([]obs.Attr{obs.Int("step", step)}, p.labels...)...)
 	}
 	rr.ctx.Step = step
 	return stepStart

@@ -13,6 +13,7 @@ import (
 	"insitu/internal/dataspaces"
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
+	"insitu/internal/obs"
 	"insitu/internal/recovery"
 	"insitu/internal/render"
 	"insitu/internal/stats"
@@ -93,7 +94,7 @@ func (p *Pipeline) recKill(phase recovery.Phase, step int) {
 	}
 	if rec.kill(phase, step) {
 		rec.j.Kill()
-		p.sched.mark("recovery", time.Now(), "killed %s@%d", phase, step)
+		p.event(obs.CatSim, "recovery", "recovery.kill", obs.Str("phase", phase.String()), obs.Int("step", step))
 	}
 }
 

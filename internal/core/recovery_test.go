@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"insitu/internal/codec"
+	"insitu/internal/obs"
 	"insitu/internal/recovery"
 	"insitu/internal/render"
 	"insitu/internal/stats"
@@ -89,10 +90,20 @@ func TestObsLedgerAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
 	p1, _ := recoveryTestPipeline(t, dir, recovery.KillAt(recovery.PhaseMidSubmit, 4))
-	p1.EnableObs()
+	killed := p1.EnableObs().Recorder()
 	_, err := p1.Run(steps)
 	if !errors.Is(err, recovery.ErrKilled) {
 		t.Fatalf("crashed run: err = %v, want ErrKilled", err)
+	}
+	var kills []obs.Span
+	for _, s := range killed.SpansCat(obs.CatSim) {
+		if s.Name == "recovery.kill" {
+			kills = append(kills, s)
+		}
+	}
+	want := []obs.Attr{obs.Str("phase", recovery.PhaseMidSubmit.String()), obs.Int("step", 4)}
+	if len(kills) != 1 || !reflect.DeepEqual(kills[0].Attrs, want) {
+		t.Fatalf("recovery.kill events %+v, want one with %v", kills, want)
 	}
 
 	p2, _ := recoveryTestPipeline(t, dir, nil)

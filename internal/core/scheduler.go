@@ -336,18 +336,3 @@ func (s *Scheduler) Quarantine() *overload.Quarantine { return s.quar }
 // Autoscaler returns the bucket-pool autoscaler (nil unless
 // SchedulerConfig.Autoscale was set).
 func (s *Scheduler) Autoscaler() *overload.Autoscaler { return s.scaler }
-
-// timeline records one Gantt span (obs.CatTimeline; start == end for a
-// mark) named by format and args. Without a plane it does nothing, so
-// call sites need no guard and the name is never formatted.
-func (s *Scheduler) timeline(lane string, start, end time.Time, format string, args ...any) {
-	if s.plane != nil {
-		s.plane.Recorder().Record(0, obs.CatTimeline, lane, fmt.Sprintf(format, args...), start, end)
-	}
-}
-
-// mark records an instantaneous timeline event — a degradation, a
-// dead-letter, a breaker or ladder move.
-func (s *Scheduler) mark(lane string, at time.Time, format string, args ...any) {
-	s.timeline(lane, at, at, format, args...)
-}

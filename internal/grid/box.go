@@ -29,19 +29,34 @@ func (b Box) Dims() [3]int {
 // Size returns the number of grid points contained in the box.
 // Degenerate (inverted) boxes have size zero.
 func (b Box) Size() int {
-	n := 1
+	if b.Empty() {
+		return 0
+	}
+	return (b.Hi[0] - b.Lo[0]) * (b.Hi[1] - b.Lo[1]) * (b.Hi[2] - b.Lo[2])
+}
+
+// sizeAtMost returns Size when it is at most limit, and false when the
+// box holds more points — including boxes whose extents or point count
+// overflow int, where Size's unchecked product would wrap.
+func (b Box) sizeAtMost(limit int) (int, bool) {
+	if b.Empty() {
+		return 0, true
+	}
+	n := uint64(1)
 	for d := 0; d < 3; d++ {
-		e := b.Hi[d] - b.Lo[d]
-		if e <= 0 {
-			return 0
+		e := uint64(b.Hi[d]) - uint64(b.Lo[d]) // exact: Hi > Lo
+		if n > uint64(limit)/e {
+			return 0, false
 		}
 		n *= e
 	}
-	return n
+	return int(n), true
 }
 
 // Empty reports whether the box contains no points.
-func (b Box) Empty() bool { return b.Size() == 0 }
+func (b Box) Empty() bool {
+	return b.Hi[0] <= b.Lo[0] || b.Hi[1] <= b.Lo[1] || b.Hi[2] <= b.Lo[2]
+}
 
 // Contains reports whether the point (i,j,k) lies inside the box.
 func (b Box) Contains(i, j, k int) bool {

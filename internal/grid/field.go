@@ -2,9 +2,14 @@ package grid
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrCorruptField is wrapped by every UnmarshalField error: the payload
+// is not the output of Field.Marshal.
+var ErrCorruptField = errors.New("grid: corrupt field payload")
 
 // Field is a named scalar field sampled on the points of a Box.
 // Data is linearized x-fastest. All simulation variables are float64,
@@ -288,48 +293,31 @@ func FloatTailOffset(p []byte) (int, bool) {
 	}
 	nameLen := int(binary.LittleEndian.Uint32(p[:4]))
 	off := 4 + nameLen + 7*8
-	if nameLen < 0 || off > len(p) {
+	if off > len(p) {
 		return 0, false
 	}
-	n := int(binary.LittleEndian.Uint64(p[off-8:]))
-	if n < 0 || len(p)-off != 8*n {
+	if rest := len(p) - off; rest%8 != 0 || binary.LittleEndian.Uint64(p[off-8:]) != uint64(rest/8) {
 		return 0, false
 	}
 	return off, true
 }
 
-// UnmarshalField reconstructs a field from Marshal's output.
+// UnmarshalField reconstructs a field from Marshal's output. Every
+// error wraps ErrCorruptField.
 func UnmarshalField(p []byte) (*Field, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("grid: field payload too short (%d bytes)", len(p))
+	off, ok := FloatTailOffset(p)
+	if !ok {
+		return nil, fmt.Errorf("%w: %d bytes are not a header and the values it counts", ErrCorruptField, len(p))
 	}
-	nameLen := int(binary.LittleEndian.Uint32(p[:4]))
-	p = p[4:]
-	if len(p) < nameLen+7*8 {
-		return nil, fmt.Errorf("grid: truncated field header")
+	word := func(i int) int { return int(int64(binary.LittleEndian.Uint64(p[off-7*8+8*i:]))) }
+	box := Box{Lo: [3]int{word(0), word(1), word(2)}, Hi: [3]int{word(3), word(4), word(5)}}
+	n := (len(p) - off) / 8
+	if size, ok := box.sizeAtMost(n); !ok || size != n {
+		return nil, fmt.Errorf("%w: %d values for box %v", ErrCorruptField, n, box)
 	}
-	name := string(p[:nameLen])
-	p = p[nameLen:]
-	var box Box
-	for d := 0; d < 3; d++ {
-		box.Lo[d] = int(int64(binary.LittleEndian.Uint64(p[:8])))
-		p = p[8:]
-	}
-	for d := 0; d < 3; d++ {
-		box.Hi[d] = int(int64(binary.LittleEndian.Uint64(p[:8])))
-		p = p[8:]
-	}
-	n := int(binary.LittleEndian.Uint64(p[:8]))
-	p = p[8:]
-	if n != box.Size() {
-		return nil, fmt.Errorf("grid: field payload count %d does not match box %v", n, box)
-	}
-	if n < 0 || n > len(p)/8 {
-		return nil, fmt.Errorf("grid: truncated field data: want %d values, have %d bytes", n, len(p))
-	}
-	f := &Field{Name: name, Box: box, Data: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	f := &Field{Name: string(p[4 : off-7*8]), Box: box, Data: make([]float64, n)}
+	for i := range f.Data {
+		f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[off+8*i:]))
 	}
 	return f, nil
 }

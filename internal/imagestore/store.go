@@ -58,15 +58,17 @@ func (sp Spec) Key() string {
 	return sp.Var + "/" + strconv.Itoa(sp.Step) + "/" + sp.Cam
 }
 
-// ParseSpec parses a canonical "var/step/cam" key.
+// ParseSpec parses a canonical "var/step/cam" key: the one Key
+// renders, so "T/007/cam00" and "T/+7/cam00" are refused rather than
+// read as a second name for "T/7/cam00".
 func ParseSpec(key string) (Spec, error) {
 	parts := strings.Split(key, "/")
 	if len(parts) != 3 {
 		return Spec{}, fmt.Errorf("imagestore: spec %q is not var/step/cam", key)
 	}
 	step, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return Spec{}, fmt.Errorf("imagestore: spec %q has a non-numeric step", key)
+	if err != nil || strconv.Itoa(step) != parts[1] {
+		return Spec{}, fmt.Errorf("imagestore: spec %q has a non-canonical step", key)
 	}
 	sp := Spec{Var: parts[0], Step: step, Cam: parts[2]}
 	return sp, sp.validate()

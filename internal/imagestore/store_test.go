@@ -352,12 +352,40 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := s.Put(Spec{Var: "T", Step: 1, Cam: "cam00"}, nil); err == nil {
 		t.Fatal("empty frame accepted")
 	}
-	if _, err := ParseSpec("T/notanumber/cam00"); err == nil {
-		t.Fatal("bad step parsed")
+	for _, key := range nonCanonicalKeys {
+		if sp, err := ParseSpec(key); err == nil {
+			t.Errorf("ParseSpec(%q) = %+v, want an error", key, sp)
+		}
 	}
-	if _, err := ParseSpec("toofew/parts"); err == nil {
-		t.Fatal("two-part key parsed")
+}
+
+// nonCanonicalKeys are keys no Spec.Key renders: malformed, or another
+// spelling of a valid step ("T/007/cam00" would name step 7's frame a
+// second time).
+var nonCanonicalKeys = []string{
+	"T/notanumber/cam00", "toofew/parts", "T/007/cam00", "T/+7/cam00", "T/-0/cam00", "T/-1/cam00", "T/7/cam00/x",
+}
+
+// FuzzParseSpec: a key ParseSpec accepts is the canonical rendering of
+// a valid spec — Key gives back exactly the key, and validate passes.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("T/7/cam00")
+	f.Add("T.insitu/0/cam03")
+	for _, key := range nonCanonicalKeys {
+		f.Add(key)
 	}
+	f.Fuzz(func(t *testing.T, key string) {
+		sp, err := ParseSpec(key)
+		if err != nil {
+			return
+		}
+		if sp.Key() != key {
+			t.Fatalf("ParseSpec(%q) = %+v, whose key is %q", key, sp, sp.Key())
+		}
+		if err := sp.validate(); err != nil {
+			t.Fatalf("ParseSpec(%q) accepted an invalid spec: %v", key, err)
+		}
+	})
 }
 
 // TestConcurrentReadWrite hammers readers against a writer — run under

@@ -102,7 +102,7 @@ func TestObsEndpoint(t *testing.T) {
 			t.Errorf("/trace.json event %q has no phase", ev.Name)
 		}
 	}
-	for _, want := range []string{obs.CatTimeline, obs.CatDart, obs.CatTask} {
+	for _, want := range []string{obs.CatSim, obs.CatDart, obs.CatTask} {
 		if !cats[want] {
 			t.Errorf("/trace.json has no %q events", want)
 		}
@@ -170,20 +170,22 @@ func TestTaskLifecycleReconciles(t *testing.T) {
 	}
 }
 
-// TestLegacyViewsUnchanged checks that attaching the full plane does
-// not perturb the legacy text renderings: the Gantt over a shared
-// recorder renders exactly the timeline-category spans.
+// TestLegacyViewsUnchanged checks that the text Gantt over the full
+// plane draws the simulation and bucket occupancy rows and none of the
+// event-only lanes.
 func TestLegacyViewsUnchanged(t *testing.T) {
 	pl, p := runInstrumented(t)
 	rec := p.EnableObs().Recorder() // EnableObs is idempotent: the same plane
 	if rec != pl.Recorder() {
-		t.Fatal("timeline does not share the plane's recorder")
+		t.Fatal("EnableObs returned a second recorder")
 	}
-	for _, s := range rec.SpansCat(obs.CatTimeline) {
-		for _, lane := range []string{"queue"} {
-			if s.Lane == lane {
-				t.Fatalf("non-timeline lane %q leaked into the Gantt view", lane)
-			}
+	lanes := obs.TimelineLanes(rec)
+	if len(lanes) < 2 || lanes[0] != "sim" {
+		t.Fatalf("gantt lanes: %v, want sim then buckets", lanes)
+	}
+	for _, lane := range lanes[1:] {
+		if !strings.HasPrefix(lane, "bucket-") {
+			t.Fatalf("non-occupancy lane %q in the Gantt view", lane)
 		}
 	}
 	gantt := obs.Gantt(rec, 80)

@@ -20,7 +20,7 @@ func fixturePlane() *Plane {
 	pl := NewPlaneAt(t0)
 	rec := pl.Recorder()
 
-	rec.Record(0, CatTimeline, "sim", "step 1", t0, t0.Add(2*time.Millisecond))
+	rec.Record(0, CatSim, "sim", "sim.step", t0, t0.Add(2*time.Millisecond), Int("step", 1))
 	get := rec.Record(0, CatDart, "sim-0", "dart.get",
 		t0.Add(500*time.Microsecond), t0.Add(900*time.Microsecond),
 		Str("region", "0/1"), Int("bytes", 4096), Int("attempts", 2),

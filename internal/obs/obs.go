@@ -5,10 +5,10 @@
 // all three alongside net/http/pprof.
 //
 // The plane is the system of record the paper-facing text views render
-// from: the pipeline records its Gantt spans into a Recorder under the
-// "timeline" category (Gantt and Utilization draw them), and samples
-// its Table II ledger into a Registry, so those outputs are unchanged
-// while the same run becomes machine-consumable.
+// from: each fact is recorded once, by the layer that owns it, and the
+// Gantt and Utilization views draw the occupancy spans among them
+// (simulation steps and in-transit task attempts), while the pipeline
+// samples its Table II ledger into a Registry.
 //
 // Span identity is deterministic per run: IDs are a sequence number
 // assigned in recording order, never random or time-derived, so two
@@ -27,9 +27,10 @@ import (
 // category through (Chrome "cat", JSONL "cat"), so consumers can
 // filter one subsystem's events out of a full-run trace.
 const (
-	// CatTimeline holds the Gantt spans: simulation steps, per-bucket
-	// in-transit task occupancy, and zero-length marks.
-	CatTimeline = "timeline"
+	// CatSim holds what only the simulation loop knows: one sim.step
+	// span per step (attrs: step, tenant) and the recovery.kill event
+	// of an injected crash.
+	CatSim = "sim"
 	// CatDart holds transport-layer spans and events: one span per
 	// Get (attrs: bytes, attempts, modeled time) and one event per
 	// retry.
@@ -39,7 +40,7 @@ const (
 	// terminal done event on the bucket lanes.
 	CatTask = "task"
 	// CatAdmit holds the overload-control plane: per-step admission
-	// decisions and breaker transitions.
+	// decisions, breaker transitions and submit-time sheds.
 	CatAdmit = "admit"
 )
 
@@ -87,7 +88,7 @@ type Span struct {
 	// Lane names the resource the span occupied: "sim", "bucket-N",
 	// an endpoint name, "queue", or "overload".
 	Lane string
-	// Name is the span's display name, e.g. "step 3" or "dart.get".
+	// Name is the span's display name, e.g. "sim.step" or "dart.get".
 	Name string
 	// Start and End bound the interval; End == Start for events.
 	Start, End time.Time

@@ -11,7 +11,7 @@ import (
 func TestRecorderSequentialIDs(t *testing.T) {
 	r := NewRecorder()
 	t0 := r.Anchor()
-	id1 := r.Record(0, CatTimeline, "sim", "step 1", t0, t0.Add(time.Millisecond))
+	id1 := r.Record(0, CatSim, "sim", "step 1", t0, t0.Add(time.Millisecond))
 	id2 := r.Event(0, CatTask, "queue", "task.submit", t0.Add(time.Millisecond))
 	if id1 != 1 || id2 != 2 {
 		t.Fatalf("ids not sequential: %d, %d", id1, id2)
@@ -24,10 +24,10 @@ func TestRecorderSequentialIDs(t *testing.T) {
 func TestRecorderCategoryFilter(t *testing.T) {
 	r := NewRecorder()
 	t0 := r.Anchor()
-	r.Record(0, CatTimeline, "sim", "step 1", t0, t0.Add(time.Millisecond))
+	r.Record(0, CatSim, "sim", "step 1", t0, t0.Add(time.Millisecond))
 	r.Record(0, CatDart, "sim-0", "dart.get", t0, t0.Add(time.Microsecond))
 	r.Event(0, CatTask, "queue", "task.submit", t0)
-	if got := len(r.SpansCat(CatTimeline)); got != 1 {
+	if got := len(r.SpansCat(CatSim)); got != 1 {
 		t.Fatalf("timeline spans: want 1, got %d", got)
 	}
 	if got := len(r.SpansCat(CatDart)); got != 1 {
@@ -41,8 +41,8 @@ func TestRecorderCategoryFilter(t *testing.T) {
 func TestRecorderSpansSortedByStart(t *testing.T) {
 	r := NewRecorder()
 	t0 := r.Anchor()
-	r.Record(0, CatTimeline, "a", "later", t0.Add(time.Second), t0.Add(2*time.Second))
-	r.Record(0, CatTimeline, "b", "earlier", t0, t0.Add(time.Millisecond))
+	r.Record(0, CatSim, "a", "later", t0.Add(time.Second), t0.Add(2*time.Second))
+	r.Record(0, CatSim, "b", "earlier", t0, t0.Add(time.Millisecond))
 	spans := r.Spans()
 	if spans[0].Name != "earlier" || spans[1].Name != "later" {
 		t.Fatalf("spans not sorted by start: %q, %q", spans[0].Name, spans[1].Name)
@@ -225,7 +225,7 @@ func TestConcurrentRecordAndExport(t *testing.T) {
 
 func TestPlaneString(t *testing.T) {
 	pl := NewPlane()
-	pl.Recorder().Event(0, CatTimeline, "sim", "mark", time.Now())
+	pl.Recorder().Event(0, CatSim, "sim", "mark", time.Now())
 	pl.Registry().Counter("a_total", "help")
 	if got := pl.String(); got != "obs.Plane{1 spans, 1 metric families}" {
 		t.Fatalf("String: %q", got)

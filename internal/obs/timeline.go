@@ -7,19 +7,32 @@ import (
 	"time"
 )
 
-// The timeline views render a recorder's CatTimeline spans — when each
-// simulation step ran, when each in-transit task occupied which staging
-// bucket, and the marks the fault and overload stories leave behind —
-// as a text Gantt chart plus per-lane utilization. They make the
-// paper's temporal multiplexing directly visible: successive timesteps'
-// slow in-transit tasks overlap on different buckets while the
-// simulation marches ahead. Spans of other categories sharing the
-// recorder are never drawn.
+// The timeline views render a recorder's occupancy spans — when each
+// simulation step ran (CatSim's sim.step) and when each in-transit task
+// attempt occupied which staging bucket (CatTask's task.attempt) — as a
+// text Gantt chart plus per-lane utilization. They make the paper's
+// temporal multiplexing directly visible: successive timesteps' slow
+// in-transit tasks overlap on different buckets while the simulation
+// marches ahead. Instant events, child spans and the other categories
+// stay in the trace exports and are never drawn.
 
-// TimelineLanes returns the distinct lanes of rec's timeline spans,
+// occupancy returns rec's non-instant root spans of CatSim and CatTask,
+// sorted as in Recorder.Spans.
+func occupancy(rec *Recorder) []Span {
+	all := rec.Spans()
+	out := all[:0]
+	for _, s := range all {
+		if s.Parent == 0 && !s.Instant() && (s.Cat == CatSim || s.Cat == CatTask) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TimelineLanes returns the distinct lanes of rec's occupancy spans,
 // "sim" first, then sorted.
 func TimelineLanes(rec *Recorder) []string {
-	return timelineLanes(rec.SpansCat(CatTimeline))
+	return timelineLanes(occupancy(rec))
 }
 
 func timelineLanes(spans []Span) []string {
@@ -58,11 +71,12 @@ func timelineExtent(spans []Span) (start, end time.Time) {
 	return start, end
 }
 
-// Gantt renders rec's timeline spans as text, `width` characters
+// Gantt renders rec's occupancy spans as text, `width` characters
 // across. Each lane is one row; spans draw as runs of '#' with the
-// span's first name character where it fits.
+// span's first name character ('s' for a step, 't' for a task attempt)
+// where it starts.
 func Gantt(rec *Recorder, width int) string {
-	spans := rec.SpansCat(CatTimeline)
+	spans := occupancy(rec)
 	if len(spans) == 0 {
 		return "(empty timeline)\n"
 	}
@@ -109,7 +123,7 @@ func Gantt(rec *Recorder, width int) string {
 // Utilization returns, per timeline lane, the fraction of the
 // timeline's extent covered by work (overlapping spans merged).
 func Utilization(rec *Recorder) map[string]float64 {
-	spans := rec.SpansCat(CatTimeline)
+	spans := occupancy(rec)
 	if len(spans) == 0 {
 		return nil
 	}

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// add records one timeline span at millisecond offsets from t0.
+// add records one occupancy span at millisecond offsets from t0.
 func add(r *Recorder, t0 time.Time, lane, label string, startMs, endMs int) {
-	r.Record(0, CatTimeline, lane, label,
+	r.Record(0, CatSim, lane, label,
 		t0.Add(time.Duration(startMs)*time.Millisecond),
 		t0.Add(time.Duration(endMs)*time.Millisecond))
 }
@@ -19,7 +19,7 @@ func TestTimelineSpansSorted(t *testing.T) {
 	t0 := r.Anchor()
 	add(r, t0, "b", "later", 10, 20)
 	add(r, t0, "a", "earlier", 0, 5)
-	spans := r.SpansCat(CatTimeline)
+	spans := r.SpansCat(CatSim)
 	if len(spans) != 2 || spans[0].Name != "earlier" {
 		t.Fatalf("spans not sorted by start: %+v", spans)
 	}
@@ -62,6 +62,33 @@ func TestGanttRendering(t *testing.T) {
 	}
 }
 
+// TestGanttDrawsOccupancyOnly: the views draw root task.attempt and
+// sim.step spans; instant events, child spans and other categories
+// stay out of the chart and of its extent.
+func TestGanttDrawsOccupancyOnly(t *testing.T) {
+	r := NewRecorder()
+	t0 := r.Anchor()
+	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
+	r.Record(0, CatSim, "sim", "sim.step", ms(0), ms(10))
+	att := r.Record(0, CatTask, "bucket-0", "task.attempt", ms(10), ms(20))
+	r.Record(att, CatTask, "bucket-0", "task.pull", ms(10), ms(12))
+	r.Event(0, CatTask, "bucket-0", "task.done", ms(20))
+	r.Event(0, CatTask, "queue", "task.submit", ms(5))
+	r.Event(0, CatSim, "recovery", "recovery.kill", ms(50))
+	r.Record(0, CatDart, "bucket-1", "dart.get", ms(0), ms(100))
+	r.Event(0, CatAdmit, "overload", "admit", ms(1))
+	if lanes := TimelineLanes(r); len(lanes) != 2 || lanes[0] != "sim" || lanes[1] != "bucket-0" {
+		t.Fatalf("lanes: %v, want [sim bucket-0]", lanes)
+	}
+	u := Utilization(r)
+	if len(u) != 2 || u["sim"] < 0.49 || u["sim"] > 0.51 || u["bucket-0"] < 0.49 || u["bucket-0"] > 0.51 {
+		t.Fatalf("utilization over a 20 ms extent: %v", u)
+	}
+	if out := Gantt(r, 40); !strings.Contains(out, "20ms total") {
+		t.Fatalf("extent must span the occupancy spans only:\n%s", out)
+	}
+}
+
 func TestUtilization(t *testing.T) {
 	r := NewRecorder()
 	t0 := r.Anchor()
@@ -95,7 +122,7 @@ func TestTimelineConcurrentAdds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := len(r.SpansCat(CatTimeline)); n != 800 {
+	if n := len(r.SpansCat(CatSim)); n != 800 {
 		t.Fatalf("lost spans: %d", n)
 	}
 }

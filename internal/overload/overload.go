@@ -376,9 +376,6 @@ type Ladder struct {
 	level Level
 	bad   int
 	good  int
-
-	drops  int64
-	climbs int64
 }
 
 // NewLadder returns a ladder at LevelFull.
@@ -391,21 +388,6 @@ func (l *Ladder) Level() Level {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.level
-}
-
-// Drops and Climbs return the total rung transitions in each
-// direction.
-func (l *Ladder) Drops() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.drops
-}
-
-// Climbs returns the total upward rung transitions.
-func (l *Ladder) Climbs() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.climbs
 }
 
 // Observe folds one step's signals into the hysteresis and returns the
@@ -427,7 +409,6 @@ func (l *Ladder) Observe(sig Signals) Level {
 			l.bad = 0
 			if l.level < LevelShed {
 				l.level++
-				l.drops++
 			}
 		}
 	case healthy:
@@ -437,7 +418,6 @@ func (l *Ladder) Observe(sig Signals) Level {
 			l.good = 0
 			if l.level > LevelFull {
 				l.level--
-				l.climbs++
 			}
 		}
 	default:

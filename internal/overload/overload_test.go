@@ -170,9 +170,6 @@ func TestLadderDegradesAndRecoversWithHysteresis(t *testing.T) {
 			t.Fatalf("recovery must pass through %v, got %v", want, got)
 		}
 	}
-	if l.Drops() != 5 || l.Climbs() != 5 {
-		t.Fatalf("drops=%d climbs=%d, want 5/5", l.Drops(), l.Climbs())
-	}
 }
 
 func TestLadderBreakerAndCreditSignals(t *testing.T) {

@@ -213,12 +213,11 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	step, err := strconv.Atoi(r.PathValue("step"))
+	sp, err := imagestore.ParseSpec(r.PathValue("var") + "/" + r.PathValue("step") + "/" + r.PathValue("cam"))
 	if err != nil {
-		http.Error(w, "step must be an integer", http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sp := imagestore.Spec{Var: r.PathValue("var"), Step: step, Cam: r.PathValue("cam")}
 	data, digest, err := s.st.Frame(sp)
 	if err != nil {
 		http.NotFound(w, r)

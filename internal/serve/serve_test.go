@@ -232,6 +232,9 @@ func TestNotFoundAndBadRequest(t *testing.T) {
 		"/db/T.insitu/99/cam00":      404,
 		"/db/nosuch/1/cam00":         404,
 		"/db/T.insitu/notanum/cam00": 400,
+		"/db/T.insitu/01/cam00":      400, // step 1's frame under a second name
+		"/db/T.insitu/+1/cam00":      400,
+		"/db/T.insitu/-1/cam00":      400,
 		"/img/deadbeef":              404,
 		"/nosuch":                    404,
 	} {
@@ -240,8 +243,8 @@ func TestNotFoundAndBadRequest(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
-	if sv.Stats().Errors != 5 {
-		t.Errorf("Errors = %d, want 5", sv.Stats().Errors)
+	if sv.Stats().Errors != 8 {
+		t.Errorf("Errors = %d, want 8", sv.Stats().Errors)
 	}
 }
 

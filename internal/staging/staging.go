@@ -170,7 +170,6 @@ type Area struct {
 	started bool
 	stages  map[routeKey]stage
 	release func(dataspaces.Descriptor)
-	busy    []int64 // per-bucket completed-task counts
 
 	results chan Result
 	wg      sync.WaitGroup
@@ -214,7 +213,7 @@ func (a *Area) SetPlane(pl *obs.Plane) {
 }
 
 // Lane names a staging bucket: its DART endpoint, and the lane its
-// task spans and the pipeline's timeline spans are drawn on.
+// task spans (and so its Gantt row) are drawn on.
 func Lane(id int) string { return "bucket-" + strconv.Itoa(id) }
 
 // attempt is the open task.attempt span for one assigned task; a nil
@@ -312,7 +311,6 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, opts ...Opti
 		svc:         fabric,
 		ds:          ds,
 		stages:      make(map[routeKey]stage),
-		busy:        make([]int64, nbuckets),
 		maxAttempts: 3,
 		kill:        make([]chan struct{}, nbuckets),
 		retire:      make([]chan struct{}, nbuckets),
@@ -390,7 +388,6 @@ func (a *Area) AddBucket() int {
 	a.mu.Lock()
 	id := len(a.points)
 	a.points = append(a.points, a.svc.Register(Lane(id)))
-	a.busy = append(a.busy, 0)
 	started := a.started
 	a.mu.Unlock()
 	a.killMu.Lock()
@@ -431,16 +428,6 @@ func (a *Area) RetireBucket() bool {
 func (a *Area) Wait() {
 	a.wg.Wait()
 	close(a.results)
-}
-
-// CompletedPerBucket returns a copy of per-bucket completed-task
-// counts, used to verify FCFS load balancing.
-func (a *Area) CompletedPerBucket() []int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]int64, len(a.busy))
-	copy(out, a.busy)
-	return out
 }
 
 // CrashBucket kills the identified bucket at its next checkpoint: the
@@ -549,9 +536,6 @@ func (a *Area) bucketLoop(id int) {
 			// to re-acquire the credit for the next step it admits.
 			a.ds.FinishTask(res.Task)
 			a.observeDone(id, res)
-			a.mu.Lock()
-			a.busy[id]++
-			a.mu.Unlock()
 			a.results <- *res
 		}
 		if crashed {

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"insitu/internal/core"
+	"insitu/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from this run's result digests")
@@ -54,23 +56,28 @@ func TestExampleConfigDigestsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := reportDigests(b.Tenants[0].Analyses, rep, steps)
-
-			golden := filepath.Join("testdata", name+".golden")
-			if *updateGolden {
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("result digests drifted from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
-			}
+			checkGolden(t, name+".golden", "result digests", reportDigests(b.Tenants[0].Analyses, rep, steps))
 		})
+	}
+}
+
+// checkGolden compares got against testdata/<file>, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, file, what, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", file)
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from %s\n--- got ---\n%s--- want ---\n%s", what, golden, got, want)
 	}
 }
 
@@ -106,13 +113,32 @@ func metricFamilies(dump string, drop ...string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
+// spanTaxonomy reduces a recorder to the sorted distinct "category lane
+// name" triples it holds, with every digit run in a lane folded to N
+// (bucket-0 and bucket-1 are one lane kind).
+func spanTaxonomy(rec *obs.Recorder) string {
+	digits := regexp.MustCompile(`[0-9]+`)
+	seen := map[string]bool{}
+	for _, s := range rec.Spans() {
+		seen[s.Cat+" "+digits.ReplaceAllString(s.Lane, "N")+" "+s.Name] = true
+	}
+	lines := make([]string, 0, len(seen))
+	for l := range seen {
+		lines = append(lines, l)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
 // TestMetricFamiliesGolden pins the /metrics schema of a one-tenant and
 // a three-tenant run: every family name, its type and the label keys of
-// its samples. Dashboards and the benchmark key on these names, so a
-// change that moves where families are registered proves here that it
-// renamed nothing. The schema is stable across configurations: both
-// runs export the same families, and their label keys differ only by
-// the `tenant` key a named tenant's families carry.
+// its samples, and the one-tenant run's span taxonomy (spanTaxonomy),
+// so a second record of one fact cannot come back unseen. Dashboards
+// and the benchmark key on these names, so a change that moves where
+// families are registered proves here that it renamed nothing. The
+// schema is stable across configurations: both runs export the same
+// families, and their label keys differ only by the `tenant` key a
+// named tenant's families carry.
 func TestMetricFamiliesGolden(t *testing.T) {
 	untenanted := map[string]string{}
 	for _, name := range []string{"quickstart", "tenants"} {
@@ -126,22 +152,12 @@ func TestMetricFamiliesGolden(t *testing.T) {
 			if err := pl.Registry().WritePrometheus(&sb); err != nil {
 				t.Fatal(err)
 			}
-			got := metricFamilies(sb.String())
 			untenanted[name] = metricFamilies(sb.String(), "tenant")
-
-			golden := filepath.Join("testdata", name+".metrics.golden")
-			if *updateGolden {
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("/metrics schema drifted from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+			checkGolden(t, name+".metrics.golden", "/metrics schema", metricFamilies(sb.String()))
+			// Which of the tenants drill's events fire depends on timing,
+			// so only the one-tenant run pins its span taxonomy.
+			if name == "quickstart" {
+				checkGolden(t, name+".spans.golden", "span taxonomy", spanTaxonomy(pl.Recorder()))
 			}
 		})
 	}
