@@ -19,13 +19,14 @@
 #                   payload decoders a staging bucket runs, and the statistics
 #                   payload decoders (model, contingency, covariance,
 #                   autocorrelator) it runs too, the grid field decoder
-#                   under checkpoints and render blocks, and the image-spec
-#                   key parser the serve tier routes through (typed errors
-#                   only, never a panic; the log stays appendable, the store
-#                   serves no ref outside its segment, an accepted config
-#                   survives Build, a decoded payload or field marshals back
-#                   to the bytes it was read from, an accepted spec key is
-#                   the canonical one)
+#                   under checkpoints and render blocks, the image-spec
+#                   key parser the serve tier routes through, and its
+#                   If-None-Match header parser (typed errors only, never a
+#                   panic; the log stays appendable, the store serves no ref
+#                   outside its segment, an accepted config survives Build, a
+#                   decoded payload or field marshals back to the bytes it
+#                   was read from, an accepted spec key is the canonical one,
+#                   a header matches only by "*" or a listed tag)
 #   make chaos      the randomized-seed chaos smoke under -race (env-gated,
 #                   so `race` skips it; the fixed-seed soak runs there)
 
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalPayloads -fuzztime 10s ./internal/stats/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalField -fuzztime 10s ./internal/grid/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/imagestore/
+	$(GO) test -run xxx -fuzz FuzzEtagMatch -fuzztime 10s ./internal/serve/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

@@ -202,10 +202,10 @@ func renderTenant(out io.Writer, t registry.BuiltTenant, tc *registry.TenantConf
 	}
 	if tc.Overload != nil {
 		o, r := rep.Overload, rep.Resilience
-		fmt.Fprintf(out, "overload control: %d credits denied, %d steps shaped, %d shed, %d in-situ fallbacks, %d breaker opens in %d transitions\n",
-			o.CreditsDenied, o.StepsShaped, o.StepsShed, o.StepsFallback, o.BreakerOpens, o.BreakerTransitions)
-		fmt.Fprintf(out, "resilience: %d faults injected, %d retries, %d requeues, %d dead letters, %d degraded steps\n",
-			r.Faults, r.Retries, r.Requeues, r.DeadLetters, r.DegradedSteps)
+		fmt.Fprintf(out, "overload control: %d credits denied, %d steps delta, %d quantized, %d shaped, %d shed, %d in-situ fallbacks, %d breaker opens in %d transitions\n",
+			o.CreditsDenied, o.StepsDelta, o.StepsQuantized, o.StepsShaped, o.StepsShed, o.StepsFallback, o.BreakerOpens, o.BreakerTransitions)
+		fmt.Fprintf(out, "resilience: %d retries, %d checksum failures, %d degraded steps\n",
+			r.Retries, r.ChecksumFailures, r.DegradedSteps)
 	}
 	breakers := t.Pipeline.BreakerStates()
 	for _, route := range t.Routes {
@@ -230,15 +230,17 @@ func renderTenant(out io.Writer, t registry.BuiltTenant, tc *registry.TenantConf
 	fmt.Fprintln(out)
 }
 
-// renderFabric prints what the tenants share: network, credit account,
-// the quarantine, the autoscaler when the config arms one, and the
-// image store.
+// renderFabric prints what the tenants share: network, the faults it
+// absorbed, credit account, the quarantine, the autoscaler when the
+// config arms one, and the image store.
 func renderFabric(out io.Writer, b *registry.Built) {
 	s := b.Scheduler
-	ns := s.Network().Stats()
+	ns, as := s.Network().Stats(), s.Staging().Resilience()
 	fmt.Fprintln(out, "fabric:")
 	fmt.Fprintf(out, "  network      %d transfers, %.3f MB moved, %v modeled busy\n",
 		ns.Transfers, float64(ns.BytesMoved)/1e6, ns.ModeledBusy.Round(1e3))
+	fmt.Fprintf(out, "  faults       %d faults injected, %d requeues, %d bucket crashes, %d dead letters\n",
+		ns.Faulted, as.Requeues, as.Crashes, as.DeadLetters)
 	if c := s.Credits(); c != nil {
 		outstanding, avail, total := c.Snapshot()
 		fmt.Fprintf(out, "  credits      %d/%d available, %d outstanding\n", avail, total, outstanding)

@@ -104,6 +104,11 @@ func TestTenantsPrintsOneBlockPerTenantAndOneFabric(t *testing.T) {
 	if rows(stdout, "fabric:") != 1 || rows(stdout, "  quarantine ") != 1 || rows(stdout, "  credits ") != 1 {
 		t.Errorf("want one fabric block with quarantine and credits lines in:\n%s", stdout)
 	}
+	// Faults, requeues, crashes and dead letters are fabric-wide: printed
+	// once, not repeated under every tenant.
+	if rows(stdout, "  faults ") != 1 || strings.Count(stdout, "faults injected") != 1 {
+		t.Errorf("want the fabric-wide fault counters once, in the fabric block:\n%s", stdout)
+	}
 }
 
 func TestListPrintsEveryRegisteredAnalysis(t *testing.T) {

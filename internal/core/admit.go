@@ -155,14 +155,13 @@ func (p *Pipeline) probeStep(ep *dart.Endpoint, step int) []admitDecision {
 	return out
 }
 
-// observeAdmit records one admission verdict: the per-level counter
-// plus an admission event carrying the ladder's reasoning.
+// observeAdmit records one admission verdict: the per-level tally,
+// plus an admission event carrying the ladder's reasoning when the
+// plane is attached.
 func (p *Pipeline) observeAdmit(step int, name string, d admitDecision) {
+	p.verdicts[d.Level].Add(1)
 	if p.sched.plane == nil {
 		return
-	}
-	if c := p.admitCtr[d.Level]; c != nil {
-		c.Inc()
 	}
 	p.event(obs.CatAdmit, "overload", "admit",
 		obs.Str("analysis", name),

@@ -129,8 +129,9 @@ func runChaos(t *testing.T, seed int64, steps int) {
 	if res.DegradedSteps == 0 || degraded == 0 {
 		t.Error("partition window produced no degraded steps")
 	}
-	if int64(degraded) > res.DegradedSteps {
-		t.Errorf("stored %d degraded markers but counted %d degraded steps", degraded, res.DegradedSteps)
+	if int64(degraded) != res.DegradedSteps || res.DegradedSteps != rep.Overload.StepsFallback+res.DeadLetters {
+		t.Errorf("stored %d degraded markers but counted %d degraded steps (%d in-situ fallbacks + %d dead letters)",
+			degraded, res.DegradedSteps, rep.Overload.StepsFallback, res.DeadLetters)
 	}
 	if res.Crashes < 1 {
 		t.Errorf("bucket crash not recorded: %+v", res)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -63,7 +64,8 @@ func TestShedAtSubmitRecyclesInputs(t *testing.T) {
 	// running, one queued, one refused); 100ms leaves room for -race on a
 	// loaded host, where a step of this tiny grid can take ~10ms.
 	p.Register(&slowTransitAnalysis{delay: 100 * time.Millisecond})
-	rec := p.EnableObs().Recorder()
+	pl := p.EnableObs()
+	rec := pl.Recorder()
 
 	const steps = 8
 	rep, err := p.Run(steps)
@@ -96,12 +98,42 @@ func TestShedAtSubmitRecyclesInputs(t *testing.T) {
 		t.Fatalf("StepsShed = %d, want %d", rep.Overload.StepsShed, shed)
 	}
 	// Each shed is one `shed` event beside the step's one ladder verdict.
-	events := map[string]int{}
+	events, admits := map[string]int{}, map[string]int{}
 	for _, s := range rec.SpansCat(obs.CatAdmit) {
 		events[s.Name]++
+		for _, a := range s.Attrs {
+			if s.Name == "admit" && a.Key == "level" {
+				admits[a.Value]++
+			}
+		}
 	}
 	if events["shed"] != shed || events["admit"] != steps {
 		t.Fatalf("admit-category events %v, want %d shed and %d admit", events, shed, steps)
+	}
+	// Every count reconciles with the records it counts: per ladder
+	// level, the admit events, the admission_decisions_total sample and
+	// the Report field (none for full; StepsShed adds the submit-time
+	// sheds) agree.
+	var prom strings.Builder
+	if err := pl.Registry().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	o := rep.Overload
+	fields := map[overload.Level]int64{
+		overload.LevelDelta:     o.StepsDelta,
+		overload.LevelQuantized: o.StepsQuantized,
+		overload.LevelShaped:    o.StepsShaped,
+		overload.LevelInSitu:    o.StepsFallback,
+		overload.LevelShed:      o.StepsShed - int64(shed),
+	}
+	for lv := overload.LevelFull; lv <= overload.LevelShed; lv++ {
+		n := admits[lv.String()]
+		if got := metricValue(t, prom.String(), `admission_decisions_total{level="`+lv.String()+`"}`); got != strconv.Itoa(n) {
+			t.Errorf("level %s: %d admit events, admission_decisions_total %s", lv, n, got)
+		}
+		if f, ok := fields[lv]; ok && f != int64(n) {
+			t.Errorf("level %s: %d admit events, Report.Overload counts %d", lv, n, f)
+		}
 	}
 	c := p.Credits()
 	if c == nil {

@@ -64,11 +64,17 @@ type Pipeline struct {
 	warns   []error
 	rankEps []*dart.Endpoint // this tenant's rank endpoints, by rank
 
-	// admitCtr holds the pre-resolved admission counters, one per ladder
-	// level, and stepWall the per-step wall-latency histogram (both nil
-	// until the plane is attached).
-	admitCtr map[overload.Level]*obs.Counter
+	// stepWall is the per-step wall-latency histogram (nil until the
+	// plane is attached).
 	stepWall *obs.Histogram
+
+	// Step-outcome tallies, each counted once where it happens: rank 0's
+	// admission verdicts by level (observeAdmit), steps shed at submit
+	// (shedSubmitted) and dead-lettered tasks (handleResult). The Report,
+	// the metric families and s3dpipe all read these.
+	verdicts     [overload.LevelShed + 1]atomic.Int64
+	shedAtSubmit atomic.Int64
+	deadLetters  atomic.Int64
 
 	// Drain accounting: the queue closes once the simulation has
 	// finished AND every successfully submitted task has produced its
@@ -247,7 +253,7 @@ func (p *Pipeline) handleResult(res staging.Result) {
 		// fallback is possible; the step is explicitly degraded
 		// rather than silently missing or a hard failure.
 		p.storeResult(rt, task.Step, Degraded{Reason: res.Err.Error()})
-		p.col.AddDegradedStep()
+		p.deadLetters.Add(1)
 	case res.Err != nil:
 		p.recordErr(fmt.Errorf("core: in-transit %s step %d: %w", rt.name, task.Step, res.Err))
 	case task.Shaped > 0:
@@ -293,12 +299,24 @@ func (p *Pipeline) breakerTotals() (opens, transitions int64) {
 	return opens, transitions
 }
 
+// stepsShed counts the steps dropped with a shed marker: shed verdicts
+// plus submit-time sheds.
+func (p *Pipeline) stepsShed() int64 {
+	return p.verdicts[overload.LevelShed].Load() + p.shedAtSubmit.Load()
+}
+
+// degradedSteps counts the steps that fell back fully in-situ or
+// dead-lettered.
+func (p *Pipeline) degradedSteps() int64 {
+	return p.verdicts[overload.LevelInSitu].Load() + p.deadLetters.Load()
+}
+
 // resilience snapshots the failure counters across all layers. A lone
 // tenant owns the fabric's transport counters, its health probes'
 // included; with siblings they come from the tenant's own rank
 // endpoints (owner-attributed). Queue/bucket counters stay fabric-wide:
 // buckets are shared, so requeues and crashes are not a per-tenant
-// quantity.
+// quantity. DegradedSteps is the tenant's own tally.
 func (p *Pipeline) resilience(siblings bool) metrics.Resilience {
 	fs := p.sched.dart.Stats()
 	if siblings {
@@ -320,6 +338,7 @@ func (p *Pipeline) resilience(siblings bool) metrics.Resilience {
 		Requeues:         as.Requeues,
 		Crashes:          as.Crashes,
 		DeadLetters:      as.DeadLetters,
+		DegradedSteps:    p.degradedSteps(),
 	}
 }
 
@@ -415,7 +434,7 @@ func (p *Pipeline) shedSubmitted(rt *route, step int, inputs []dataspaces.Descri
 	}
 	reason := fmt.Sprintf("shed: %v", cause)
 	p.storeResult(rt, step, Degraded{Reason: reason})
-	p.col.AddShedStep()
+	p.shedAtSubmit.Add(1)
 	// Not a ladder verdict, so admission_decisions_total skips it.
 	p.event(obs.CatAdmit, "overload", "shed",
 		obs.Str("analysis", rt.name), obs.Int("step", step), obs.Str("reason", reason))

@@ -78,17 +78,9 @@ func (p *Pipeline) publish(reg *obs.Registry) {
 	ledger("pipeline_sim_seconds_total", "total simulation time, summed over per-step maxima across ranks",
 		func() float64 { total, _, _ := col.SimTime(); return total.Seconds() })
 	ledger("pipeline_degraded_steps_total", "analysis steps that fell back fully in-situ or dead-lettered",
-		func() float64 { return float64(col.Resilience().DegradedSteps) })
-	ledger("pipeline_delta_steps_total", "analysis steps admitted with delta-encoded payloads",
-		func() float64 { return float64(col.Overload().StepsDelta) })
-	ledger("pipeline_quantized_steps_total", "analysis steps admitted with quantized payloads",
-		func() float64 { return float64(col.Overload().StepsQuantized) })
-	ledger("pipeline_shaped_steps_total", "analysis steps admitted at a reduced (shaped) payload level",
-		func() float64 { return float64(col.Overload().StepsShaped) })
+		func() float64 { return float64(p.degradedSteps()) })
 	ledger("pipeline_shed_steps_total", "analysis steps dropped with an explicit shed marker",
-		func() float64 { return float64(col.Overload().StepsShed) })
-	ledger("pipeline_fallback_steps_total", "analysis steps the admission ladder forced in-situ",
-		func() float64 { return float64(col.Overload().StepsFallback) })
+		func() float64 { return float64(p.stepsShed()) })
 	ledger("pipeline_transit_bytes_total", "intermediate bytes moved to the staging tier, all analyses",
 		func() float64 {
 			var n int64
@@ -107,19 +99,16 @@ func (p *Pipeline) publish(reg *obs.Registry) {
 		})
 	stepWall := reg.Histogram("pipeline_step_wall_seconds",
 		"per-step simulation-side wall time (max over ranks per sample)", obs.LatencyBuckets, p.labels...)
-	// Admission counters are registered for every ladder level up front
-	// — even runs without overload control expose the same families.
-	admitCtr := make(map[overload.Level]*obs.Counter, 6)
-	for _, lv := range []overload.Level{
-		overload.LevelFull, overload.LevelDelta, overload.LevelQuantized,
-		overload.LevelShaped, overload.LevelInSitu, overload.LevelShed,
-	} {
-		admitCtr[lv] = reg.Counter("admission_decisions_total", "admission ladder verdicts by level",
-			append([]obs.Attr{obs.Str("level", lv.String())}, p.labels...)...)
-	}
 	p.mu.Lock()
-	p.admitCtr, p.stepWall = admitCtr, stepWall
+	p.stepWall = stepWall
 	p.mu.Unlock()
+	// One series per ladder level, sampling the verdict tallies — even
+	// runs without overload control expose the same families.
+	for lv := range p.verdicts {
+		reg.CounterFunc("admission_decisions_total", "admission ladder verdicts by level",
+			func() float64 { return float64(p.verdicts[lv].Load()) },
+			append([]obs.Attr{obs.Str("level", overload.Level(lv).String())}, p.labels...)...)
+	}
 	// locked samples a p.mu-guarded quantity at scrape time.
 	locked := func(name, help string, sample func() int64) {
 		reg.CounterFunc(name, help, func() float64 {
@@ -163,52 +152,33 @@ func (p *Pipeline) publish(reg *obs.Registry) {
 		}, p.labels...)
 }
 
-// Status snapshots the fabric's live state for the /status endpoint:
-// drain accounting summed over the tenants, queue and bucket occupancy,
-// breaker positions, the codec economy and the credit account, with
-// "done" once every simulation has finished and every submitted task
-// has drained. Safe to call from any goroutine while Run is in flight.
+// Status snapshots what no metric family carries for the /status
+// endpoint: the tenants, the breaker positions, "sim_done" once every
+// simulation has finished and "done" once every submitted task has
+// drained too. Task, queue, bucket, codec and credit counts are the
+// pipeline_tasks_*, dataspaces_*, staging_active_buckets, dart_codec_*
+// and credits_* families the same endpoint serves. Safe to call from
+// any goroutine while Run is in flight.
 func (s *Scheduler) Status() map[string]any {
 	s.mu.Lock()
 	tenants := append([]*Pipeline(nil), s.tenants...)
 	s.mu.Unlock()
-	var submitted, completed int64
-	simDone := true
+	simDone, drained := true, true
 	names := make([]string, len(tenants))
 	breakers := map[string]string{}
 	for i, p := range tenants {
 		names[i] = p.tenant
 		p.mu.Lock()
-		submitted, completed, simDone = submitted+p.submitted, completed+p.completed, simDone && p.simDone
+		simDone, drained = simDone && p.simDone, drained && p.completed == p.submitted
 		p.mu.Unlock()
 		for route, st := range p.BreakerStates() {
 			breakers[p.prefix+route] = st.String()
 		}
 	}
-	st := map[string]any{
-		"tenants":        names,
-		"submitted":      submitted,
-		"completed":      completed,
-		"sim_done":       simDone,
-		"done":           simDone && submitted == completed,
-		"queue_depth":    s.ds.QueueDepth(),
-		"free_buckets":   s.ds.FreeBuckets(),
-		"active_buckets": s.area.ActiveBuckets(),
-		"breakers":       breakers,
+	return map[string]any{
+		"tenants":  names,
+		"sim_done": simDone,
+		"done":     simDone && drained,
+		"breakers": breakers,
 	}
-	if cs := s.dart.CodecStats(); cs.RawBytes > 0 {
-		st["codec"] = map[string]any{
-			"raw_bytes":     cs.RawBytes,
-			"encoded_bytes": cs.EncodedBytes,
-			"ratio":         cs.Ratio(),
-			"max_error":     cs.MaxError,
-		}
-	}
-	if c := s.ds.Credits(); c != nil {
-		outstanding, available, total := c.Snapshot()
-		st["credits"] = map[string]any{
-			"total": total, "available": available, "outstanding": outstanding, "denied": c.Denied(),
-		}
-	}
-	return st
 }

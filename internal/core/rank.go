@@ -251,28 +251,11 @@ func (rr *rankRun) reduceEncodeRegister(i, step int) bool {
 		// marker so the step is never silently missing.
 		if r.ID() == 0 {
 			p.storeResult(rt, step, Degraded{Reason: dec.Reason})
-			p.col.AddShedStep()
 		}
 		return false
 	case overload.LevelInSitu:
-		if r.ID() == 0 {
-			p.col.AddOverloadFallback()
-			p.col.AddDegradedStep()
-		}
 		p.runFallback(rr.ctx, r, rt, step, dec.Reason)
 		return false
-	case overload.LevelShaped:
-		if r.ID() == 0 {
-			p.col.AddShapedStep()
-		}
-	case overload.LevelDelta:
-		if r.ID() == 0 {
-			p.col.AddDeltaStep()
-		}
-	case overload.LevelQuantized:
-		if r.ID() == 0 {
-			p.col.AddQuantizedStep()
-		}
 	}
 	t := time.Now()
 	var payload []byte

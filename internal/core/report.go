@@ -6,10 +6,15 @@ import (
 	"insitu/internal/dart"
 	"insitu/internal/metrics"
 	"insitu/internal/netsim"
+	"insitu/internal/overload"
 	"insitu/internal/recovery"
 )
 
-// Report is the outcome of a pipeline run.
+// Report is the outcome of a pipeline run. Resilience mixes scopes:
+// Faults, Requeues, Crashes and DeadLetters are fabric-wide (one network
+// and one bucket pool serve every tenant), Retries and ChecksumFailures
+// are the tenant's own once it has siblings, and DegradedSteps is always
+// the tenant's own.
 type Report struct {
 	Steps      int
 	Results    map[string]map[int]any // analysis -> step -> output
@@ -28,16 +33,22 @@ func (r *Report) Result(analysis string, step int) any {
 	return r.Results[analysis][step]
 }
 
-// finishReport folds the run's counters into the collector and builds
-// the final Report. Called once per pipeline, after its simulation has
+// finishReport builds the final Report from the run's tallies and the
+// fabric's counters. Called once per pipeline, after its simulation has
 // finished and the drain has delivered every final result.
 func (p *Pipeline) finishReport(steps int, siblings bool) *Report {
-	p.col.RecordResilience(p.resilience(siblings))
+	// resilience takes p.mu, so it runs before the lock below.
+	res := p.resilience(siblings)
+	over := metrics.Overload{
+		StepsDelta:     p.verdicts[overload.LevelDelta].Load(),
+		StepsQuantized: p.verdicts[overload.LevelQuantized].Load(),
+		StepsShaped:    p.verdicts[overload.LevelShaped].Load(),
+		StepsShed:      p.stepsShed(),
+		StepsFallback:  p.verdicts[overload.LevelInSitu].Load(),
+	}
 	if p.ov != nil {
-		var o metrics.Overload
-		o.CreditsDenied = p.sched.ds.Credits().Denied()
-		o.BreakerOpens, o.BreakerTransitions = p.breakerTotals()
-		p.col.RecordOverload(o)
+		over.CreditsDenied = p.sched.ds.Credits().Denied()
+		over.BreakerOpens, over.BreakerTransitions = p.breakerTotals()
 	}
 
 	var recRep *RecoveryReport
@@ -63,8 +74,8 @@ func (p *Pipeline) finishReport(steps int, siblings bool) *Report {
 		Results:    results,
 		Metrics:    p.col,
 		Net:        p.sched.net.Stats(),
-		Resilience: p.col.Resilience(),
-		Overload:   p.col.Overload(),
+		Resilience: res,
+		Overload:   over,
 		Codec:      p.sched.dart.CodecStats(),
 		Recovery:   recRep,
 		Warnings:   append([]error{}, p.warns...),

@@ -1,17 +1,16 @@
-// Package metrics collects a pipeline run's quantitative story: the
-// per-step timing breakdown the paper's evaluation reports (simulation
-// time, per-analysis in-situ time, data movement time and size, and
-// in-transit time — Table II and Fig. 6), plus the resilience counters
-// the chaos fabric leaves behind (retries, requeues, crashes,
-// dead-letters, degraded steps) and the overload-control counters
-// (shaped/shed/fallback steps, credit denials, breaker transitions).
-// Collection is thread-safe; simulation ranks and staging buckets
-// record concurrently.
+// Package metrics is a pipeline run's Table II ledger: the per-step
+// timing breakdown the paper's evaluation reports (simulation time,
+// per-analysis in-situ time, data movement time and size, and
+// in-transit time — Table II and Fig. 6) plus each step's
+// simulation-side wall time. Collection is thread-safe; simulation
+// ranks and staging buckets record concurrently.
 //
 // The package is a plain ledger behind core.Report and knows nothing of
 // the observability plane: core.Pipeline samples a Collector's
 // aggregates into the run's obs.Registry, and TableII is the
-// human-facing view.
+// human-facing view. It counts no step outcomes: Resilience and
+// Overload are only the shapes of the summaries core.Report carries,
+// which core fills from its own tallies and the fabric's counters.
 package metrics
 
 import (
@@ -57,7 +56,7 @@ type Resilience struct {
 	Requeues         int64 // staging task attempts pushed back FCFS
 	Crashes          int64 // bucket crashes (each respawned)
 	DeadLetters      int64 // tasks that exhausted their attempt budget
-	DegradedSteps    int64 // analysis steps that fell back fully in-situ
+	DegradedSteps    int64 // analysis steps that fell back fully in-situ or dead-lettered
 }
 
 // Overload aggregates the overload-control plane's counters: how often
@@ -84,9 +83,6 @@ type Collector struct {
 	move      map[string]*Breakdown            // movement + in-transit accumulation
 
 	stepWall map[int]time.Duration // step -> max simulation-side wall time over ranks
-
-	res  Resilience
-	over Overload
 }
 
 // NewCollector returns an empty collector.
@@ -140,75 +136,6 @@ func (c *Collector) RecordTransit(analysis string, moveModeled, moveWall time.Du
 	b.InTransit += inTransit
 }
 
-// AddDegradedStep counts one analysis step that degraded to its
-// in-situ fallback (or was dead-lettered).
-func (c *Collector) AddDegradedStep() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.res.DegradedSteps++
-}
-
-// AddDeltaStep counts one analysis step admitted with its payload
-// delta-encoded by the ladder (exact, fewer bytes on the wire).
-func (c *Collector) AddDeltaStep() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.over.StepsDelta++
-}
-
-// AddQuantizedStep counts one analysis step admitted with its payload
-// quantized under a bounded error by the ladder.
-func (c *Collector) AddQuantizedStep() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.over.StepsQuantized++
-}
-
-// AddShapedStep counts one analysis step admitted at a reduced
-// (shaped) payload level.
-func (c *Collector) AddShapedStep() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.over.StepsShaped++
-}
-
-// AddShedStep counts one analysis step dropped outright by the
-// admission ladder or submit-time backpressure.
-func (c *Collector) AddShedStep() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.over.StepsShed++
-}
-
-// AddOverloadFallback counts one analysis step an admission verdict
-// (the ladder's, or the StepBudget probe's) forced fully in-situ.
-func (c *Collector) AddOverloadFallback() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.over.StepsFallback++
-}
-
-// RecordOverload installs the end-of-run overload counters (credit
-// denials, breaker transitions), preserving the shaped/shed/fallback
-// step counts accumulated during the run.
-func (c *Collector) RecordOverload(o Overload) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	o.StepsDelta = c.over.StepsDelta
-	o.StepsQuantized = c.over.StepsQuantized
-	o.StepsShaped = c.over.StepsShaped
-	o.StepsShed = c.over.StepsShed
-	o.StepsFallback = c.over.StepsFallback
-	c.over = o
-}
-
-// Overload returns the run's overload-control counters.
-func (c *Collector) Overload() Overload {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.over
-}
-
 // RecordStepWall records one rank's total simulation-side wall time
 // for a step (solver + in-situ stages + admission + submission),
 // keeping the per-step maximum across ranks. The brownout soak bounds
@@ -244,23 +171,6 @@ func (c *Collector) MaxStepWall() time.Duration {
 		}
 	}
 	return max
-}
-
-// RecordResilience installs the transport- and staging-layer failure
-// counters snapshotted at the end of a run, preserving the degraded
-// step count accumulated during it.
-func (c *Collector) RecordResilience(r Resilience) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r.DegradedSteps = c.res.DegradedSteps
-	c.res = r
-}
-
-// Resilience returns the run's fault-handling counters.
-func (c *Collector) Resilience() Resilience {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.res
 }
 
 // SimTime returns the total and per-step average simulation time.
@@ -312,9 +222,6 @@ func (c *Collector) Total(analysis string) Breakdown {
 		b.MoveWall = mv.MoveWall
 		b.MoveBytes = mv.MoveBytes
 		b.InTransit = mv.InTransit
-		if b.Steps == 0 {
-			b.Steps = mv.Steps
-		}
 	}
 	return b
 }

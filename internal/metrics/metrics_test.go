@@ -156,22 +156,6 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 }
 
-func TestOverloadCountersMergePreservesIncrementals(t *testing.T) {
-	c := NewCollector()
-	c.AddShapedStep()
-	c.AddShapedStep()
-	c.AddShedStep()
-	c.AddOverloadFallback()
-	c.RecordOverload(Overload{CreditsDenied: 5, BreakerOpens: 2, BreakerTransitions: 7})
-	o := c.Overload()
-	if o.StepsShaped != 2 || o.StepsShed != 1 || o.StepsFallback != 1 {
-		t.Fatalf("incremental counts clobbered by merge: %+v", o)
-	}
-	if o.CreditsDenied != 5 || o.BreakerOpens != 2 || o.BreakerTransitions != 7 {
-		t.Fatalf("snapshot counts lost: %+v", o)
-	}
-}
-
 func TestStepWallKeepsMaxAcrossRanks(t *testing.T) {
 	c := NewCollector()
 	c.RecordStepWall(1, 10*time.Millisecond)

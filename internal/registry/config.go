@@ -166,7 +166,10 @@ type TenantConfig struct {
 	// Sim sizes the proxy simulation.
 	Sim SimConfig `json:"sim"`
 	// StepBudgetMS bounds each step's hybrid transit path in
-	// milliseconds (0 = no budget).
+	// milliseconds (0 = no budget): it is every submitted task's
+	// data-movement deadline and, for a tenant without an admission
+	// plane only, the budget of the staging health probe that degrades
+	// a step to the in-situ fallbacks (core.TenantConfig.StepBudget).
 	StepBudgetMS int `json:"step_budget_ms,omitempty"`
 	// Overload is the graded admission plane: an unnamed tenant has
 	// one only when this is non-nil, a named tenant always, tuned by

@@ -165,25 +165,56 @@ func TestImmutableDigestNeverReServed(t *testing.T) {
 	}
 }
 
+// ifNoneMatchVariants maps If-None-Match headers to whether they match
+// the entity tag `"abc"`.
+var ifNoneMatchVariants = map[string]bool{
+	"":                  false,
+	`"abc"`:             true,
+	`W/"abc"`:           true,
+	`"zzz", "abc"`:      true,
+	`"zzz" , W/"abc"`:   true,
+	"*":                 true,
+	`"ab"`:              false,
+	`"zzz"`:             false,
+	`"abc`:              false,
+	`"zzz", "yyy"`:      false,
+	`W/"zzz", W/"uvw" `: false,
+}
+
 func TestIfNoneMatchVariants(t *testing.T) {
-	etag := `"abc"`
-	for hdr, want := range map[string]bool{
-		"":                  false,
-		`"abc"`:             true,
-		`W/"abc"`:           true,
-		`"zzz", "abc"`:      true,
-		`"zzz" , W/"abc"`:   true,
-		"*":                 true,
-		`"ab"`:              false,
-		`"zzz"`:             false,
-		`"abc`:              false,
-		`"zzz", "yyy"`:      false,
-		`W/"zzz", W/"uvw" `: false,
-	} {
-		if got := etagMatch(hdr, etag); got != want {
+	for hdr, want := range ifNoneMatchVariants {
+		if got := etagMatch(hdr, `"abc"`); got != want {
 			t.Errorf("etagMatch(%q) = %v, want %v", hdr, got, want)
 		}
 	}
+}
+
+// FuzzEtagMatch fuzzes the If-None-Match parser, which reads a header
+// straight off the wire: it never panics, a header whose last element
+// is the tag always matches, and a header none of whose comma-separated,
+// trimmed, W/-stripped elements is "*" or the tag never does.
+func FuzzEtagMatch(f *testing.F) {
+	for hdr := range ifNoneMatchVariants {
+		f.Add(hdr, `"abc"`)
+	}
+	f.Fuzz(func(t *testing.T, header, etag string) {
+		got := etagMatch(header, etag)
+		// A tag as the server writes one: a single element, no
+		// surrounding space, no weak prefix.
+		if !strings.Contains(etag, ",") && strings.TrimSpace(etag) == etag && !strings.HasPrefix(etag, "W/") {
+			if h := header + ", " + etag; !etagMatch(h, etag) {
+				t.Fatalf("etagMatch(%q, %q) = false, want true", h, etag)
+			}
+		}
+		listed := false
+		for _, part := range strings.Split(header, ",") {
+			part = strings.TrimPrefix(strings.TrimSpace(part), "W/")
+			listed = listed || part == "*" || part == etag
+		}
+		if got && !listed {
+			t.Fatalf("etagMatch(%q, %q) = true, but no element is \"*\" or the tag", header, etag)
+		}
+	})
 }
 
 func TestLatestPointer(t *testing.T) {

@@ -133,18 +133,29 @@ func TestBrownoutSoak(t *testing.T) {
 			t.Errorf("route %q breaker finished %v, want closed", name, st)
 		}
 	}
-	// Shed markers carry the ladder reason.
-	shedMarked := 0
+	// Shed and in-situ fallback markers carry the ladder reason, one
+	// per counted step.
+	shedMarked, fallbackMarked := 0, 0
 	for _, name := range routes {
 		for step := 1; step <= steps; step++ {
-			if d, ok := rep.Result(name, step).(core.Degraded); ok &&
-				strings.HasPrefix(d.Reason, "shed") {
-				shedMarked++
+			if d, ok := rep.Result(name, step).(core.Degraded); ok {
+				switch {
+				case strings.HasPrefix(d.Reason, "shed"):
+					shedMarked++
+				case strings.HasPrefix(d.Reason, "in-situ"):
+					fallbackMarked++
+				}
 			}
 		}
 	}
 	if int64(shedMarked) != o.StepsShed {
 		t.Errorf("shed markers %d != StepsShed %d", shedMarked, o.StepsShed)
+	}
+	if int64(fallbackMarked) != o.StepsFallback {
+		t.Errorf("in-situ fallback markers %d != StepsFallback %d", fallbackMarked, o.StepsFallback)
+	}
+	if r := rep.Resilience; r.DegradedSteps != o.StepsFallback+r.DeadLetters {
+		t.Errorf("DegradedSteps %d != StepsFallback %d + DeadLetters %d", r.DegradedSteps, o.StepsFallback, r.DeadLetters)
 	}
 
 	// (5) Nothing leaked: the credit account drains to its full supply
