@@ -25,10 +25,10 @@ import (
 	"syscall"
 
 	"insitu/internal/core"
+	"insitu/internal/imagestore"
 	"insitu/internal/obs"
 	"insitu/internal/recovery"
 	"insitu/internal/registry"
-	"insitu/internal/render"
 	"insitu/internal/serve"
 	// Registers the "poison" drill analysis that
 	// examples/configs/tenants.json names.
@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.steps, "steps", 0, "simulation steps (default: the config's steps, else 5)")
 	fs.BoolVar(&o.resume, "resume", false, "continue an interrupted run from its last committed step (needs a config recovery block)")
 	fs.BoolVar(&o.timeline, "timeline", false, "print the execution Gantt chart (temporal multiplexing)")
-	fs.StringVar(&o.images, "images", "", "directory to write final-step renders to")
+	fs.StringVar(&o.images, "images", "", "directory to write the final step's frames to, read from the image store (needs a config store block)")
 	fs.StringVar(&o.obsAddr, "obs", "", "serve the live observability endpoint (/metrics, /trace.json, /events.jsonl, /status, /debug/pprof) on this address, e.g. :6060")
 	fs.StringVar(&o.obsDump, "obs-dump", "", "directory to write trace.json, events.jsonl, and metrics.prom to after the run")
 	fs.StringVar(&o.serveAddr, "serve", "", "serve the image database over HTTP on this address, overriding the config's store.serve (needs a config store block)")
@@ -82,10 +82,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := launch(o, stdout); err != nil {
 		fmt.Fprintln(stderr, "s3dpipe:", err)
+		if errors.Is(err, errImagesNeedStore) {
+			return 2 // a usage error, like a flag Parse rejects
+		}
 		return 1
 	}
 	return 0
 }
+
+var errImagesNeedStore = errors.New("-images reads the frames from the image store: it needs a config with a store block, e.g. examples/configs/store-serve.json")
 
 // launch builds the config's topology, starts the endpoints asked for, runs, and prints the report.
 func launch(o options, out io.Writer) error {
@@ -105,6 +110,8 @@ func launch(o options, out io.Writer) error {
 		o.serveAddr = cmp.Or(o.serveAddr, cfg.Store.Serve)
 	} else if o.serveAddr != "" {
 		return errors.New("-serve requires a config with a store block")
+	} else if o.images != "" {
+		return errImagesNeedStore
 	}
 	steps := b.Steps(o.steps, 5)
 
@@ -157,7 +164,7 @@ func launch(o options, out io.Writer) error {
 	for i, t := range b.Tenants {
 		renderTenant(out, t, &cfg.Tenants[i], reps[t.Name], steps, o.resume)
 		if o.images != "" {
-			if err := saveRenders(out, o.images, t, reps[t.Name], steps); err != nil {
+			if err := saveRenders(out, o.images, b.Store, t, reps[t.Name], steps); err != nil {
 				return err
 			}
 		}
@@ -261,29 +268,34 @@ func finalResult(rep *core.Report, a core.Analysis, steps int) any {
 	return rep.Result(a.Name(), steps-steps%max(a.Every(), 1))
 }
 
-// saveRenders writes the tenant's final-step frames under dir: insitu.png
-// and hybrid.png, prefixed with the tenant's name when it has one.
-func saveRenders(out io.Writer, dir string, t registry.BuiltTenant, rep *core.Report, steps int) error {
+// saveRenders writes the tenant's final-step frames, as the image store
+// holds them, under dir: one <var>-<cam>.png per camera, prefixed with
+// the tenant's name when it has one.
+func saveRenders(out io.Writer, dir string, st *imagestore.Store, t registry.BuiltTenant, rep *core.Report, steps int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, a := range t.Analyses {
-		img, ok := finalResult(rep, a, steps).(*render.Image)
-		if !ok {
-			continue
+		res := finalResult(rep, a, steps)
+		if d, ok := res.(core.Degraded); ok {
+			res = d.Value
 		}
-		file := "hybrid.png"
-		if _, insitu := a.(*core.VizInSitu); insitu {
-			file = "insitu.png"
+		refs, _ := res.([]core.FrameRef)
+		for _, ref := range refs {
+			png, _, err := st.Frame(imagestore.Spec{Var: ref.Var, Step: ref.Step, Cam: ref.Cam})
+			if err != nil {
+				return err
+			}
+			file := ref.Var + "-" + ref.Cam + ".png"
+			if t.Name != "" {
+				file = t.Name + "-" + file
+			}
+			path := filepath.Join(dir, file)
+			if err := os.WriteFile(path, png, 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintln(out, "wrote", path)
 		}
-		if t.Name != "" {
-			file = t.Name + "-" + file
-		}
-		path := filepath.Join(dir, file)
-		if err := img.SavePNG(path); err != nil {
-			return err
-		}
-		fmt.Fprintln(out, "wrote", path)
 	}
 	return nil
 }

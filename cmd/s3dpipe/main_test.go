@@ -3,17 +3,20 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"image/png"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"insitu/internal/imagestore"
 	"insitu/internal/registry"
 )
 
@@ -49,6 +52,67 @@ func TestRemovedFlagPointsAtMigrationTable(t *testing.T) {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("stderr does not mention %q:\n%s", want, stderr)
 		}
+	}
+}
+
+// TestImagesWritesTheStoredFinalFrames: -images writes the final step's
+// frames as the image store holds them, one PNG per camera.
+func TestImagesWritesTheStoredFinalFrames(t *testing.T) {
+	const steps = 4
+	cfg, err := registry.LoadConfig(examples + "store-serve.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store.Dir, cfg.Store.Serve = t.TempDir(), ""
+	data, err := cfg.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath, dir := filepath.Join(t.TempDir(), "store-serve.json"), t.TempDir()
+	if err := os.WriteFile(cfgPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := cli("-config", cfgPath, "-steps", strconv.Itoa(steps), "-images", dir); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+
+	st, err := imagestore.Open(cfg.Store.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := st.Info()
+	if len(files) != len(info.Cams) || len(info.Cams) != 4 {
+		t.Fatalf("-images wrote %d files for %d cameras, want 4", len(files), len(info.Cams))
+	}
+	for _, cam := range info.Cams {
+		want, _, err := st.Frame(imagestore.Spec{Var: info.Vars[0], Step: steps, Cam: cam})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, info.Vars[0]+"-"+cam+".png"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: written frame differs from the store's", cam)
+		}
+		if _, err := png.Decode(bytes.NewReader(got)); err != nil {
+			t.Errorf("%s: %v", cam, err)
+		}
+	}
+}
+
+// TestImagesWithoutStoreIsAUsageError: with no store there are no frame
+// bytes to write, and the error points at a config that has a store.
+func TestImagesWithoutStoreIsAUsageError(t *testing.T) {
+	code, _, stderr := cli("-config", examples+"quickstart.json", "-images", t.TempDir())
+	if code != 2 || !strings.Contains(stderr, "store-serve.json") {
+		t.Errorf("exit %d, want 2 and a pointer to store-serve.json: %s", code, stderr)
 	}
 }
 

@@ -15,9 +15,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"insitu/internal/core"
 	"insitu/internal/grid"
+	"insitu/internal/imagestore"
 	"insitu/internal/obs"
 	"insitu/internal/render"
 	"insitu/internal/sim"
@@ -29,6 +31,17 @@ func main() {
 	simCfg.KernelRate = 0.9
 	cfg := core.DefaultConfig(simCfg)
 	cfg.DSServers, cfg.Buckets = 2, 3
+	dir, err := os.MkdirTemp("", "monitoring-store")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	st, err := imagestore.Open(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer st.Close()
+	cfg.Store = st
 	p, err := core.NewPipeline(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -71,11 +84,15 @@ func main() {
 			s, derived["T"].Max, derived["T"].Mean, at.Extremes, len(tr.Features), tracked)
 	}
 
-	// The final auto-ranged frame.
-	if img, ok := rep.Result(viz.Name(), steps).(*render.Image); ok {
-		if err := img.SavePNG("monitor-final.png"); err == nil {
-			fmt.Println("\nwrote monitor-final.png (auto-ranged transfer function)")
-		}
+	// The final auto-ranged frame, as the image store filed it.
+	png, _, err := st.Frame(imagestore.Spec{Var: viz.FrameVar(), Step: steps, Cam: render.CameraName(0)})
+	if err == nil {
+		err = os.WriteFile("monitor-final.png", png, 0o644)
+	}
+	if err != nil {
+		fmt.Println("\nmonitor-final.png not written:", err)
+	} else {
+		fmt.Println("\nwrote monitor-final.png (auto-ranged transfer function)")
 	}
 
 	// Feature lineage over the whole run: kernel inception,

@@ -5,20 +5,22 @@ import (
 	"testing"
 
 	"insitu/internal/codec"
-	"insitu/internal/render"
 )
 
 // runCodecPipeline runs a 2x2-rank hybrid viz+stats pipeline with the
-// given codec config and returns the report. The viz route stages at
-// full resolution (factor 1) so the payload's float tail dominates the
-// marshal header; kernelRate damps the sim's random ignition kernels
-// so consecutive timesteps stay close (the regime delta exploits).
-func runCodecPipeline(t *testing.T, codecs map[string]codec.Spec, steps int, kernelRate float64) *Report {
+// given codec config and returns the report and the frames it rendered
+// (a pixel-keeping memSink). The viz route stages at full resolution
+// (factor 1) so the payload's float tail dominates the marshal header;
+// kernelRate damps the sim's random ignition kernels so consecutive
+// timesteps stay close (the regime delta exploits).
+func runCodecPipeline(t *testing.T, codecs map[string]codec.Spec, steps int, kernelRate float64) (*Report, *memSink) {
 	t.Helper()
 	simCfg := testSimConfig(2, 2, 1)
 	simCfg.KernelRate = kernelRate
 	cfg := DefaultConfig(simCfg)
 	cfg.Codecs = codecs
+	sink := newMemSink(true)
+	cfg.Store = sink
 	p, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +34,7 @@ func runCodecPipeline(t *testing.T, codecs map[string]codec.Spec, steps int, ker
 	if n := p.PinnedRegions(); n != 0 {
 		t.Fatalf("%d regions pinned after drain", n)
 	}
-	return rep
+	return rep, sink
 }
 
 // TestCodecIdentityMatchesLegacyPath: an explicit identity codec
@@ -41,13 +43,13 @@ func runCodecPipeline(t *testing.T, codecs map[string]codec.Spec, steps int, ker
 // a codec is selected.
 func TestCodecIdentityMatchesLegacyPath(t *testing.T) {
 	const steps = 3
-	plain := runCodecPipeline(t, nil, steps, 0.6)
-	ident := runCodecPipeline(t, map[string]codec.Spec{"*": {ID: codec.Identity}}, steps, 0.6)
+	plain, plainFrames := runCodecPipeline(t, nil, steps, 0.6)
+	ident, identFrames := runCodecPipeline(t, map[string]codec.Spec{"*": {ID: codec.Identity}}, steps, 0.6)
 	if plain.Net.BytesMoved != ident.Net.BytesMoved {
 		t.Fatalf("identity codec moved %d wire bytes, legacy moved %d",
 			ident.Net.BytesMoved, plain.Net.BytesMoved)
 	}
-	if !reflect.DeepEqual(plain.Results, ident.Results) {
+	if !reflect.DeepEqual(plain.Results, ident.Results) || !reflect.DeepEqual(plainFrames.pixels, identFrames.pixels) {
 		t.Fatal("identity codec changed analysis results")
 	}
 	if ident.Codec.RawBytes != ident.Codec.EncodedBytes {
@@ -60,9 +62,9 @@ func TestCodecIdentityMatchesLegacyPath(t *testing.T) {
 // fewer bytes over the interconnect.
 func TestCodecDeltaExact(t *testing.T) {
 	const steps = 4
-	plain := runCodecPipeline(t, nil, steps, 0.05)
-	delta := runCodecPipeline(t, map[string]codec.Spec{"*": {ID: codec.Delta}}, steps, 0.05)
-	if !reflect.DeepEqual(plain.Results, delta.Results) {
+	plain, plainFrames := runCodecPipeline(t, nil, steps, 0.05)
+	delta, deltaFrames := runCodecPipeline(t, map[string]codec.Spec{"*": {ID: codec.Delta}}, steps, 0.05)
+	if !reflect.DeepEqual(plain.Results, delta.Results) || !reflect.DeepEqual(plainFrames.pixels, deltaFrames.pixels) {
 		t.Fatal("delta-framed run must produce identical results")
 	}
 	if delta.Codec.MaxError != 0 {
@@ -84,14 +86,14 @@ func TestCodecDeltaExact(t *testing.T) {
 // and every step still renders a real image on the transit path.
 func TestCodecQuantizeVizPath(t *testing.T) {
 	const steps = 4
-	plain := runCodecPipeline(t, nil, steps, 0.6)
-	quant := runCodecPipeline(t, map[string]codec.Spec{
+	plain, _ := runCodecPipeline(t, nil, steps, 0.6)
+	quant, _ := runCodecPipeline(t, map[string]codec.Spec{
 		"hybrid visualization": {ID: codec.Quantize},
 	}, steps, 0.6)
 	for s := 1; s <= steps; s++ {
-		if _, ok := quant.Result("hybrid visualization", s).(*render.Image); !ok {
-			t.Fatalf("step %d: quantized viz did not render on the transit path: %T",
-				s, quant.Result("hybrid visualization", s))
+		out := quant.Result("hybrid visualization", s)
+		if refs, ok := out.([]FrameRef); !ok || len(refs) != 1 || refs[0].Digest == "" {
+			t.Fatalf("step %d: quantized viz did not render on the transit path: %T %v", s, out, out)
 		}
 	}
 	// Stats results are untouched (that route stayed identity).

@@ -322,8 +322,11 @@ func TestPipelineTrace(t *testing.T) {
 // remains a valid image.
 func TestVizAutoRange(t *testing.T) {
 	simCfg := testSimConfig(2, 2, 1)
-	run := func(auto bool) any {
-		p, err := NewPipeline(DefaultConfig(simCfg))
+	run := func(auto bool) *render.Image {
+		sink := newMemSink(true)
+		cfg := DefaultConfig(simCfg)
+		cfg.Store = sink
+		p, err := NewPipeline(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,10 +337,10 @@ func TestVizAutoRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.Result(v.Name(), 2)
+		return sink.image(t, rep.Result(v.Name(), 2))
 	}
-	fixed := run(false).(*render.Image)
-	adaptive := run(true).(*render.Image)
+	fixed := run(false)
+	adaptive := run(true)
 	diff, err := render.MeanAbsDiff(fixed, adaptive)
 	if err != nil {
 		t.Fatal(err)

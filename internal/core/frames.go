@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"insitu/internal/render"
@@ -9,8 +11,8 @@ import (
 // FrameSink receives rendered frames as a run produces them — the
 // pipeline's hook into the Cinema-style image database. It is
 // implemented by *imagestore.Store; core depends only on this interface
-// so the pipeline builds without the store and a nil sink keeps the
-// legacy in-memory result path byte for byte.
+// so the pipeline builds without the store. A pipeline with no store
+// uses digestSink, so every run takes the same frame path.
 //
 // PutFrames files one step's frames of one variable — a single image
 // or a whole multi-camera set — as one commit, all or none, and
@@ -21,10 +23,28 @@ type FrameSink interface {
 	PutFrames(variable string, step int, frames []render.Frame) ([]string, error)
 }
 
-// FrameRef is what replaces a raw framebuffer in Report.Results when a
-// FrameSink is attached: the Cinema spec the frame was filed under plus
-// its content digest. The pixels live in the store; the run's working
-// set no longer accumulates framebuffers.
+// digestSink is the sink of a pipeline with no image store: it files
+// nothing and returns the digests the store would assign (hex sha256 of
+// each frame's PNG), so Results do not depend on having a store.
+type digestSink struct{}
+
+func (digestSink) PutFrames(_ string, _ int, frames []render.Frame) ([]string, error) {
+	digests := make([]string, len(frames))
+	for i, fr := range frames {
+		png, err := fr.Img.PNG()
+		if err != nil {
+			return nil, err
+		}
+		sum := sha256.Sum256(png)
+		digests[i] = hex.EncodeToString(sum[:])
+	}
+	return digests, nil
+}
+
+// FrameRef is what a rendered frame becomes in Report.Results: the
+// Cinema spec the frame was filed under plus its content digest. The
+// pixels live in the store (or, with no store, nowhere); the run's
+// working set never accumulates framebuffers.
 type FrameRef struct {
 	Var    string
 	Step   int
@@ -33,60 +53,44 @@ type FrameRef struct {
 }
 
 // FrameAnalysis marks an analysis whose results are rendered frames
-// (*render.Image or *render.FrameSet) and names the store variable they
-// are filed under. Analyses that do not implement it pass through the
-// frame hook untouched.
+// (a *render.FrameSet, one frame per camera) and names the store
+// variable they are filed under. Analyses that do not implement it
+// pass through the frame hook untouched.
 type FrameAnalysis interface {
 	FrameVar() string
 }
 
-// persistFrames routes one analysis result through the configured
-// FrameSink: frames are encoded and filed under their Cinema spec, the
-// pooled framebuffers are recycled exactly once, and the stored output
-// becomes a FrameRef (or []FrameRef for a multi-camera set). Non-frame
-// results — and every result when no sink is configured — pass through
-// unchanged. Degraded wrappers are persisted by their inner value and
-// rewrapped, so a shaped or fallback frame still reaches the store.
+// persistFrames routes one analysis result through the pipeline's
+// FrameSink: a step's frames are filed under their Cinema spec as one
+// commit, the pooled framebuffers are recycled exactly once, and the
+// stored output becomes a []FrameRef, one ref per camera. Non-frame
+// results pass through unchanged. Degraded wrappers are persisted by
+// their inner value and rewrapped, so a shaped or fallback frame still
+// reaches the sink.
 //
-// On a store error the original output is returned untouched and
-// nothing is recycled: the frame stays live in Results rather than
-// risking a recycled buffer someone still references.
+// On a sink error (recorded on the run) the original output is returned
+// untouched and nothing is recycled: the frames stay live in Results
+// rather than risking a recycled buffer someone still references.
 func (p *Pipeline) persistFrames(rt *route, step int, out any) any {
-	if p.cfg.Store == nil || rt.frameVar == "" {
+	if rt.frameVar == "" {
 		return out
 	}
 	switch v := out.(type) {
-	case *render.Image:
-		if refs := p.putFrames(rt, step, []render.Frame{{Cam: render.CameraName(0), Img: v}}); refs != nil {
-			return refs[0]
-		}
 	case *render.FrameSet:
-		if refs := p.putFrames(rt, step, v.Frames); refs != nil {
-			return refs
-		}
-	case Degraded:
-		if v.Value == nil {
+		digests, err := p.cfg.Store.PutFrames(rt.frameVar, step, v.Frames)
+		if err != nil {
+			p.recordErr(fmt.Errorf("core: store frames %s step %d: %w", rt.name, step, err))
 			return out
 		}
+		refs := make([]FrameRef, len(v.Frames))
+		for i, fr := range v.Frames {
+			refs[i] = FrameRef{Var: rt.frameVar, Step: step, Cam: fr.Cam, Digest: digests[i]}
+			render.PutImage(fr.Img)
+		}
+		return refs
+	case Degraded:
 		v.Value = p.persistFrames(rt, step, v.Value)
 		return v
 	}
 	return out
-}
-
-// putFrames files one result's frames as a single store commit and
-// recycles them — only after the whole set persisted: on an error (nil
-// return, recorded on the run) every frame stays alive.
-func (p *Pipeline) putFrames(rt *route, step int, frames []render.Frame) []FrameRef {
-	digests, err := p.cfg.Store.PutFrames(rt.frameVar, step, frames)
-	if err != nil {
-		p.recordErr(fmt.Errorf("core: store frames %s step %d: %w", rt.name, step, err))
-		return nil
-	}
-	refs := make([]FrameRef, len(frames))
-	for i, fr := range frames {
-		refs[i] = FrameRef{Var: rt.frameVar, Step: step, Cam: fr.Cam, Digest: digests[i]}
-		render.PutImage(fr.Img)
-	}
-	return refs
 }

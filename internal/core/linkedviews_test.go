@@ -14,7 +14,10 @@ import (
 func TestLinkedViews(t *testing.T) {
 	const steps = 2
 	simCfg := testSimConfig(2, 2, 1)
-	p, err := NewPipeline(DefaultConfig(simCfg))
+	sink := newMemSink(true)
+	cfg := DefaultConfig(simCfg)
+	cfg.Store = sink
+	p, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestLinkedViews(t *testing.T) {
 	if front.Name() == side.Name() {
 		t.Fatal("tags must disambiguate instance names")
 	}
-	imgA, imgB := a.(*render.Image), b.(*render.Image)
+	imgA, imgB := sink.image(t, a), sink.image(t, b)
 	same := true
 	for i := range imgA.Pix {
 		if imgA.Pix[i] != imgB.Pix[i] {

@@ -185,7 +185,10 @@ func TestPipelineTopologyMatchesSerial(t *testing.T) {
 func TestPipelineVizMatchesSerial(t *testing.T) {
 	const steps = 2
 	simCfg := testSimConfig(2, 2, 1)
-	p, err := NewPipeline(DefaultConfig(simCfg))
+	sink := newMemSink(true)
+	cfg := DefaultConfig(simCfg)
+	cfg.Store = sink
+	p, err := NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +198,7 @@ func TestPipelineVizMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := rep.Result("in-situ visualization", steps).(*render.Image)
+	img := sink.image(t, rep.Result("in-situ visualization", steps))
 
 	want := globalFields(t, simCfg, steps, []string{"T"})["T"]
 	r, err := render.NewRenderer(viz.Width, viz.Height, render.HotMetal(0.2, 2.0),

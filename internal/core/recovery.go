@@ -15,7 +15,6 @@ import (
 	"insitu/internal/mergetree"
 	"insitu/internal/obs"
 	"insitu/internal/recovery"
-	"insitu/internal/render"
 	"insitu/internal/stats"
 )
 
@@ -249,8 +248,8 @@ func ResultDigest(v any) string {
 // byValue returns the form of a result that %v prints without heap
 // addresses: a top-level pointer is dereferenced, a topology result's
 // tree (a graph of node pointers) is stood in for by its sorted arc
-// list, a contingency result's table by its encoding, a multi-camera
-// frame set by its frames, and a Degraded wrapper by its value's form.
+// list, a contingency result's table by its encoding, and a Degraded
+// wrapper by its value's form.
 func byValue(v any) any {
 	switch r := v.(type) {
 	case Degraded:
@@ -275,14 +274,6 @@ func byValue(v any) any {
 				Derived    stats.ContingencyDerived
 				Table      []byte
 			}{r.VarX, r.VarY, r.Derived, r.Table.Marshal()}
-		}
-	case *render.FrameSet:
-		if r != nil {
-			frames := make([]any, 0, 2*len(r.Frames))
-			for _, fr := range r.Frames {
-				frames = append(frames, fr.Cam, byValue(fr.Img))
-			}
-			return frames
 		}
 	}
 	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Pointer && !rv.IsNil() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"insitu/internal/codec"
 	"insitu/internal/obs"
 	"insitu/internal/recovery"
-	"insitu/internal/render"
 	"insitu/internal/stats"
 )
 
@@ -230,16 +230,14 @@ func TestResultDigestByValue(t *testing.T) {
 		tab.N, tab.Counts[3] = n, n
 		return &ContingencyResult{VarX: "T", VarY: "Y_OH", Table: tab}
 	}
-	frames := func(px float64) *render.FrameSet {
-		img := render.NewImage(2, 1)
-		img.Pix[0] = px
-		return &render.FrameSet{Frames: []render.Frame{{Cam: "cam0", Img: img}}}
+	frames := func(x int) []FrameRef {
+		return []FrameRef{{Var: "T", Step: 1, Cam: "cam00", Digest: fmt.Sprint(x)}}
 	}
 	for name, mk := range map[string]func(x int) any{
 		"contingency":          func(x int) any { return table(int64(x)) },
-		"frame set":            func(x int) any { return frames(float64(x)) },
+		"frame refs":           func(x int) any { return frames(x) },
 		"degraded contingency": func(x int) any { return Degraded{Reason: "shed", Value: table(int64(x))} },
-		"degraded frame set":   func(x int) any { return Degraded{Reason: "shed", Value: frames(float64(x))} },
+		"degraded frame refs":  func(x int) any { return Degraded{Reason: "shed", Value: frames(x)} },
 	} {
 		if a, b := ResultDigest(mk(1)), ResultDigest(mk(1)); a != b {
 			t.Errorf("%s: equal results digest differently: %s vs %s", name, a, b)

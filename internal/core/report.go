@@ -17,7 +17,7 @@ import (
 // the tenant's own.
 type Report struct {
 	Steps      int
-	Results    map[string]map[int]any // analysis -> step -> output
+	Results    map[string]map[int]any // analysis -> step -> output; frames are []FrameRef
 	Metrics    *metrics.Collector
 	Net        netsim.Stats
 	Resilience metrics.Resilience

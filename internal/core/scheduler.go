@@ -82,10 +82,10 @@ type TenantConfig struct {
 	// Run refuses it when the tenant has siblings.
 	Recovery *RecoveryConfig
 	// Store, when non-nil, files every rendered frame a FrameAnalysis
-	// produces into the Cinema-style image database as the run goes:
-	// Report.Results holds FrameRefs instead of raw framebuffers, and
-	// the pooled image buffers are recycled once their pixels are
-	// encoded.
+	// produces into the Cinema-style image database as the run goes.
+	// Nil means the digest-only sink. Either way Report.Results holds
+	// FrameRefs instead of raw framebuffers, and the pooled image
+	// buffers are recycled once their pixels are encoded.
 	Store FrameSink
 }
 
@@ -200,6 +200,7 @@ func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) 
 	if err != nil {
 		return nil, err
 	}
+	cfg.Store = cmp.Or(cfg.Store, FrameSink(digestSink{}))
 	p := &Pipeline{
 		cfg:    cfg,
 		sched:  s,

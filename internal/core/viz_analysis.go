@@ -25,9 +25,8 @@ type VizInSitu struct {
 	// linked-views"); it is appended to the analysis name.
 	Tag string
 	// Cameras renders the step from an orbit of view directions
-	// (render.OrbitDirs) instead of the single Dir, producing a
-	// *render.FrameSet — the Cinema-style image database's camera axis.
-	// 0 or 1 keeps the single-Dir path byte for byte.
+	// (render.OrbitDirs) instead of the single Dir — the Cinema-style
+	// image database's camera axis. 0 or 1 renders the one Dir frame.
 	Cameras int
 }
 
@@ -77,8 +76,8 @@ func (v *VizInSitu) FrameVar() string {
 }
 
 // RunInSitu implements InSituAnalysis: render the local block, gather,
-// composite on rank 0. With Cameras > 1 the step renders once per orbit
-// direction and rank 0 returns the full *render.FrameSet.
+// composite on rank 0, once per camera; rank 0 returns the
+// *render.FrameSet.
 func (v *VizInSitu) RunInSitu(ctx *Ctx) (any, error) {
 	name := v.Var
 	if name == "" {
@@ -88,15 +87,8 @@ func (v *VizInSitu) RunInSitu(ctx *Ctx) (any, error) {
 	if f == nil {
 		return nil, fmt.Errorf("viz: unknown variable %q", name)
 	}
-	if v.Cameras <= 1 {
-		img, err := v.renderOne(ctx, f, v.Dir)
-		if err != nil || ctx.Comm.ID() != 0 {
-			return nil, err
-		}
-		return img, nil
-	}
 	fs := &render.FrameSet{}
-	for i, dir := range render.OrbitDirs(v.Cameras) {
+	for i, dir := range cameraDirs(v.Cameras, v.Dir) {
 		img, err := v.renderOne(ctx, f, dir)
 		if err != nil {
 			for _, fr := range fs.Frames {
@@ -112,6 +104,15 @@ func (v *VizInSitu) RunInSitu(ctx *Ctx) (any, error) {
 		return nil, nil
 	}
 	return fs, nil
+}
+
+// cameraDirs is the view directions a step renders from, in camera
+// order: the orbit when cameras > 1, else the one dir.
+func cameraDirs(cameras int, dir [3]float64) [][3]float64 {
+	if cameras > 1 {
+		return render.OrbitDirs(cameras)
+	}
+	return [][3]float64{dir}
 }
 
 // renderOne renders the step from one view direction: local block
@@ -159,10 +160,10 @@ type VizHybrid struct {
 	// views); it is appended to the analysis name.
 	Tag string
 	// Cameras ray-casts the down-sampled volume once per orbit
-	// direction (render.OrbitDirs) in the in-transit stage, producing a
-	// *render.FrameSet. The staged payload is unchanged — the extra
-	// views cost only in-transit compute, which is the hybrid
-	// placement's whole point. 0 or 1 keeps the single-Dir path.
+	// direction (render.OrbitDirs) in the in-transit stage. The staged
+	// payload is unchanged — the extra views cost only in-transit
+	// compute, which is the hybrid placement's whole point. 0 or 1
+	// renders the one Dir frame.
 	Cameras int
 	// AutoRange steers the transfer function per step: the in-transit
 	// stage frames HotMetal over the received blocks' global value
@@ -282,15 +283,8 @@ func (v *VizHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 			tf = render.HotMetal(0.2, 2.0)
 		}
 	}
-	if v.Cameras <= 1 {
-		r, err := render.NewRenderer(v.Width, v.Height, tf, v.Dir, [3]float64{0, 1, 0}, v.StepSize, bt.Bounds())
-		if err != nil {
-			return nil, err
-		}
-		return r.RenderTable(bt)
-	}
 	fs := &render.FrameSet{}
-	for i, dir := range render.OrbitDirs(v.Cameras) {
+	for i, dir := range cameraDirs(v.Cameras, v.Dir) {
 		r, err := render.NewRenderer(v.Width, v.Height, tf, dir, [3]float64{0, 1, 0}, v.StepSize, bt.Bounds())
 		if err == nil {
 			var img *render.Image

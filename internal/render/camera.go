@@ -42,9 +42,8 @@ type Frame struct {
 	Img *Image
 }
 
-// FrameSet is a multi-camera render of one step — what the viz
-// analyses return when an orbit (Cameras > 1) is configured. Frames
-// are ordered by camera index.
+// FrameSet is the render of one step from each of its cameras — what
+// the viz analyses return. Frames are ordered by camera index.
 type FrameSet struct {
 	Frames []Frame
 }

@@ -11,11 +11,10 @@ import (
 //
 // Ownership rule (the same linear rule as bufpool): an image obtained
 // from GetImage is owned by its holder until handed to PutImage, after
-// which it must not be touched. Frames that escape to callers (run
-// reports, returned composites) are simply never Put — the pool does
-// not require it — but the frame lifecycle under an image store
-// recycles every frame exactly once, and ImagesOutstanding lets leak
-// gates assert that the Get/Put ledger balances.
+// which it must not be touched. Every frame a pipeline run renders is
+// Put exactly once: the run hands it to its frame sink, then recycles
+// it, and ImagesOutstanding lets leak gates assert that the Get/Put
+// ledger balances.
 var (
 	imgPool        sync.Pool
 	imgOutstanding atomic.Int64
@@ -50,5 +49,5 @@ func PutImage(im *Image) {
 
 // ImagesOutstanding returns GetImage calls minus PutImage calls — the
 // number of pool-tracked frames currently alive. Leak regression tests
-// snapshot it around a store-enabled run and require a zero delta.
+// snapshot it around a run and require a zero delta.
 func ImagesOutstanding() int64 { return imgOutstanding.Load() }

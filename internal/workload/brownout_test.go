@@ -7,6 +7,7 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/overload"
+	"insitu/internal/render"
 )
 
 // TestBrownoutSoak is the overload-control acceptance soak, run on
@@ -16,7 +17,8 @@ import (
 // within 2x the unloaded baseline, (2) mark every shaped and shed step
 // with a ladder reason, (3) trip each route's breaker open and re-close
 // it through the half-open probe, (4) return to full hybrid before the
-// run ends, and (5) leak neither credits nor pinned regions.
+// run ends, and (5) leak neither credits, pinned regions nor pooled
+// framebuffers.
 //
 // The assertions lean on the file's tuning, so the reasons live here:
 //
@@ -63,6 +65,7 @@ func TestBrownoutSoak(t *testing.T) {
 
 	b := buildExample(t, cfg)
 	p, routes := b.Pipeline, b.Tenants[0].Routes
+	framesBefore := render.ImagesOutstanding()
 	rep, err := p.Run(steps)
 	if err != nil {
 		t.Fatalf("brownout run failed: %v", err)
@@ -158,8 +161,10 @@ func TestBrownoutSoak(t *testing.T) {
 		t.Errorf("DegradedSteps %d != StepsFallback %d + DeadLetters %d", r.DegradedSteps, o.StepsFallback, r.DeadLetters)
 	}
 
-	// (5) Nothing leaked: the credit account drains to its full supply
-	// and no producer region stays pinned.
+	// (5) Nothing leaked: the credit account drains to its full supply,
+	// no producer region stays pinned, and every frame the viz route
+	// rendered — full, delta, quantized, shaped or in-situ fallback —
+	// went through the frame sink and back to the pool.
 	c := p.Credits()
 	if c.Outstanding() != 0 || c.Available() != c.Total() {
 		t.Errorf("credits leaked: outstanding=%d avail=%d total=%d",
@@ -167,5 +172,8 @@ func TestBrownoutSoak(t *testing.T) {
 	}
 	if got := p.PinnedRegions(); got != 0 {
 		t.Errorf("%d pinned regions leaked", got)
+	}
+	if leaked := render.ImagesOutstanding() - framesBefore; leaked != 0 {
+		t.Errorf("%d pooled framebuffers leaked", leaked)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"sort"
@@ -12,7 +13,10 @@ import (
 	"testing"
 
 	"insitu/internal/core"
+	"insitu/internal/imagestore"
 	"insitu/internal/obs"
+	"insitu/internal/registry"
+	"insitu/internal/render"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from this run's result digests")
@@ -57,6 +61,74 @@ func TestExampleConfigDigestsGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, name+".golden", "result digests", reportDigests(b.Tenants[0].Analyses, rep, steps))
+		})
+	}
+}
+
+// TestExampleConfigFramesSameWithOrWithoutStore: every rendered frame
+// leaves a run through its frame sink — the image store when the config
+// has one, the digest-only sink otherwise — so an example's results are
+// the same either way, each frame ref names the digest the store filed
+// it under, and neither run keeps a pooled framebuffer. Results are
+// compared by ResultDigest, as the goldens are: a streaming topology's
+// work counter follows payload arrival order, so two runs' Results are
+// not DeepEqual even at one config. Frame results are compared with
+// DeepEqual.
+func TestExampleConfigFramesSameWithOrWithoutStore(t *testing.T) {
+	for _, name := range []string{"quickstart", "all-analyses", "crashmatrix", "store-serve"} {
+		t.Run(name, func(t *testing.T) {
+			run := func(store bool) (*core.Report, *registry.Built) {
+				cfg := loadExample(t, name)
+				cfg.Store = nil
+				if store {
+					cfg.Store = &registry.StoreConfig{Dir: t.TempDir()}
+				}
+				if cfg.Recovery != nil {
+					cfg.Recovery.Dir = t.TempDir()
+				}
+				b := buildExample(t, cfg)
+				before := render.ImagesOutstanding()
+				rep, err := b.Pipeline.Run(b.Steps(0, 4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if leaked := render.ImagesOutstanding() - before; leaked != 0 {
+					t.Errorf("store %v: %d pooled framebuffers outstanding after the run", store, leaked)
+				}
+				return rep, b
+			}
+			bare, _ := run(false)
+			stored, b := run(true)
+			analyses, steps := b.Tenants[0].Analyses, b.Steps(0, 4)
+			if with, without := reportDigests(analyses, stored, steps), reportDigests(analyses, bare, steps); with != without {
+				t.Fatalf("results differ with and without an image store\n--- with ---\n%s--- without ---\n%s", with, without)
+			}
+			frames := 0
+			for route, byStep := range stored.Results {
+				for step, res := range byStep {
+					out := res
+					if d, ok := out.(core.Degraded); ok {
+						out = d.Value
+					}
+					switch out.(type) {
+					case *render.Image, *render.FrameSet:
+						t.Fatalf("%s@%d kept a framebuffer: %T", route, step, out)
+					}
+					refs, _ := out.([]core.FrameRef)
+					if len(refs) > 0 && !reflect.DeepEqual(res, bare.Result(route, step)) {
+						t.Fatalf("%s@%d: %v with a store, %v without", route, step, res, bare.Result(route, step))
+					}
+					for _, ref := range refs {
+						frames++
+						if _, digest, err := b.Store.Frame(imagestore.Spec{Var: ref.Var, Step: ref.Step, Cam: ref.Cam}); err != nil || digest != ref.Digest {
+							t.Fatalf("ref %+v: store has digest %q (%v)", ref, digest, err)
+						}
+					}
+				}
+			}
+			if frames == 0 {
+				t.Fatal("the run rendered no frames")
+			}
 		})
 	}
 }
