@@ -26,7 +26,9 @@
 #                   outside its segment, an accepted config survives Build, a
 #                   decoded payload or field marshals back to the bytes it
 #                   was read from, an accepted spec key is the canonical one,
-#                   a header matches only by "*" or a listed tag)
+#                   a header matches only by "*" or a listed tag), and the
+#                   distributed merge-tree glue on fuzzed fields and
+#                   decompositions (it reproduces the serial tree)
 #   make chaos      the randomized-seed chaos smoke under -race (env-gated,
 #                   so `race` skips it; the fixed-seed soak runs there)
 
@@ -67,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 10s ./internal/registry/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalSubtree -fuzztime 10s ./internal/mergetree/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalFeaturePartials -fuzztime 10s ./internal/mergetree/
+	$(GO) test -run xxx -fuzz FuzzGlueEqualsSerial -fuzztime 10s ./internal/mergetree/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalPayloads -fuzztime 10s ./internal/stats/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalField -fuzztime 10s ./internal/grid/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/imagestore/

@@ -277,14 +277,14 @@ func BenchmarkAblationStreamingEviction(b *testing.B) {
 
 // BenchmarkAblationBoundaryPolicy reports the intermediate-data size
 // under each boundary augmentation policy (correctness differs too:
-// only KeepSharedBoundary reproduces the exact global tree — see the
-// mergetree ablation tests).
+// KeepSharedBoundary and KeepOverlapMaxima reproduce the exact global
+// tree, KeepNone does not — see the mergetree ablation tests).
 func BenchmarkAblationBoundaryPolicy(b *testing.B) {
 	benchSetup(b)
 	for policy, name := range map[mergetree.BoundaryPolicy]string{
-		mergetree.KeepSharedBoundary:           "sharedBoundary",
-		mergetree.KeepCornersAndBoundaryMaxima: "cornersAndBoundaryMaxima",
-		mergetree.KeepNone:                     "none",
+		mergetree.KeepSharedBoundary: "sharedBoundary",
+		mergetree.KeepOverlapMaxima:  "overlapMaxima",
+		mergetree.KeepNone:           "none",
 	} {
 		b.Run(name, func(b *testing.B) {
 			var moved int

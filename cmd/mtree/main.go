@@ -59,7 +59,7 @@ func main() {
 		var subtrees []*mergetree.Subtree
 		for i, f := range fields {
 			ext := f.Box.Grow(1).Intersect(global)
-			st, err := mergetree.LocalSubtree(stitched.Extract(ext), global, f.Box, i, mergetree.KeepSharedBoundary)
+			st, err := mergetree.LocalSubtree(stitched.Extract(ext), global, f.Box, i, mergetree.KeepOverlapMaxima)
 			if err != nil {
 				fail(err)
 			}

@@ -54,7 +54,7 @@ func (f *FeatureStatsHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	if segF == nil || condF == nil {
 		return nil, fmt.Errorf("featurestats: unknown variable %q or %q", f.segVar(), f.condVar())
 	}
-	st, err := subtreeScratch(ctx).Subtree(segF, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepSharedBoundary)
+	st, err := subtreeScratch(ctx).Subtree(segF, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepOverlapMaxima)
 	if err != nil {
 		return nil, err
 	}

@@ -109,7 +109,7 @@ func TestInSituStagesMatchCopies(t *testing.T) {
 			t.Error(err)
 		}
 		ext := ctx.Owned.Grow(1).Intersect(ctx.Global)
-		subtree, err := mergetree.LocalSubtree(ctx.Sim.GhostedField("T").Extract(ext), ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepSharedBoundary)
+		subtree, err := mergetree.LocalSubtree(ctx.Sim.GhostedField("T").Extract(ext), ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepOverlapMaxima)
 		if err != nil {
 			t.Error(err)
 			return

@@ -2,11 +2,12 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
-	"insitu/internal/bufpool"
+	"insitu/internal/grid"
+	"insitu/internal/mergetree"
 )
 
 // TestInTransitTopologyAllocatesFlat is the bucket-side guard of the
@@ -19,19 +20,27 @@ import (
 func TestInTransitTopologyAllocatesFlat(t *testing.T) {
 	const step = 3
 	topo := &TopologyHybrid{Var: "T", SimplifyEps: 0.05}
-	payloads := make([][]byte, 2)
-	driveInSitu(t, step, nil, nil, func(ctx *Ctx, s int) {
-		if s != step {
-			return
-		}
-		p, err := topo.InSituStage(ctx)
+	// Subtrees of a random field, cut as the in-situ stage cuts them:
+	// a critical point every few cells gives the glue a real tree.
+	global := grid.NewBox(32, 16, 12)
+	dc, err := grid.NewDecomp(global, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := grid.NewField("T", global)
+	rng := rand.New(rand.NewSource(3))
+	for i := range f.Data {
+		f.Data[i] = rng.Float64()
+	}
+	var s mergetree.Scratch
+	payloads := make([][]byte, dc.Ranks())
+	for r := range payloads {
+		st, err := s.Subtree(f, global, dc.Block(r), r, mergetree.KeepOverlapMaxima)
 		if err != nil {
-			t.Error(err)
-			return
+			t.Fatal(err)
 		}
-		payloads[ctx.Comm.ID()] = slices.Clone(p)
-		bufpool.Put(p)
-	})
+		payloads[r] = st.Marshal()
+	}
 	res, err := topo.InTransit(step, payloads)
 	if err != nil {
 		t.Fatal(err)

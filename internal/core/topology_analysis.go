@@ -59,14 +59,15 @@ func (t *TopologyHybrid) varName() string {
 
 // InSituStage implements HybridAnalysis: compute the local subtree of
 // the rank's extended block where it lies in the simulation's ghosted
-// field, boundary-augmented with KeepSharedBoundary (the provably
-// sufficient set), and pack it into a pooled buffer for transfer.
+// field, boundary-augmented with KeepOverlapMaxima (the maxima of each
+// overlap slab it shares with a neighbor, enough to glue the exact
+// global tree), and pack it into a pooled buffer for transfer.
 func (t *TopologyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	f := ctx.Sim.GhostedField(t.varName())
 	if f == nil {
 		return nil, fmt.Errorf("topology: unknown variable %q", t.varName())
 	}
-	st, err := subtreeScratch(ctx).Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepSharedBoundary)
+	st, err := subtreeScratch(ctx).Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepOverlapMaxima)
 	if err != nil {
 		return nil, err
 	}

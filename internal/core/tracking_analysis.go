@@ -129,7 +129,7 @@ func (tr *TrackingHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	// The subtree rides along so the in-transit stage can resolve
 	// representatives against the global tree.
 	f := ctx.Sim.GhostedField(tr.varName())
-	st, err := subtreeScratch(ctx).Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepSharedBoundary)
+	st, err := subtreeScratch(ctx).Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepOverlapMaxima)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func ExampleGlue() {
 	for r := 0; r < dc.Ranks(); r++ {
 		owned := dc.Block(r)
 		ext := owned.Grow(1).Intersect(b)
-		st, _ := mergetree.LocalSubtree(f.Extract(ext), b, owned, r, mergetree.KeepSharedBoundary)
+		st, _ := mergetree.LocalSubtree(f.Extract(ext), b, owned, r, mergetree.KeepOverlapMaxima)
 		subtrees = append(subtrees, st)
 	}
 	glued, _, _ := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: true})

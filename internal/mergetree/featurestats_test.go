@@ -66,7 +66,7 @@ func TestFeatureStatsHybridMatchesSerial(t *testing.T) {
 	for r := 0; r < dc.Ranks(); r++ {
 		owned := dc.Block(r)
 		ext := owned.Grow(1).Intersect(b)
-		st, err := LocalSubtree(segVar.Extract(ext), b, owned, r, KeepSharedBoundary)
+		st, err := LocalSubtree(segVar.Extract(ext), b, owned, r, KeepOverlapMaxima)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,16 +106,20 @@ type BoundaryPolicy int
 const (
 	// KeepSharedBoundary retains every vertex the block shares with a
 	// neighboring extended block (the one-point shell inside the block
-	// plus the ghost layer). This is the provably sufficient
-	// augmentation: gluing reduced subtrees reproduces the exact
-	// global merge tree.
+	// plus the ghost layer). Gluing reduced subtrees reproduces the
+	// exact global merge tree; it is the reference KeepOverlapMaxima is
+	// tested against.
 	KeepSharedBoundary BoundaryPolicy = iota
-	// KeepCornersAndBoundaryMaxima retains only the sub-domain corners
-	// and the maxima restricted to boundary components, the minimal
-	// set the paper describes. Under this library's graph-gluing
-	// scheme it is insufficient on some inputs, which the ablation
-	// tests demonstrate; it is provided for that comparison.
-	KeepCornersAndBoundaryMaxima
+	// KeepOverlapMaxima retains, for each face the block shares with a
+	// neighbor, the local maxima of the field restricted to that
+	// face's overlap slab: the extended block cut, across the face, to
+	// the owned boundary layer and the ghost layer. Both neighbors
+	// compute the same slab and pick the same vertices, and if their
+	// components at some level meet in the slab they both keep the
+	// slab component's highest vertex, so gluing still reproduces the
+	// exact global merge tree. Faces on the domain boundary keep
+	// nothing. It is the pipeline's policy.
+	KeepOverlapMaxima
 	// KeepNone performs no boundary augmentation. Gluing fails on any
 	// feature spanning a block boundary; provided for ablation.
 	KeepNone
@@ -176,7 +180,10 @@ func (s *Scratch) Subtree(f *grid.Field, global, owned grid.Box, rank int, polic
 	if err := s.sweepBlock(f, ext); err != nil {
 		return nil, err
 	}
-	keep := keeper{policy: policy, f: f, owned: owned, interior: owned.Grow(-1), ext: ext}
+	keep := keeper{policy: policy, f: f, interior: owned.Grow(-1)}
+	if policy == KeepOverlapMaxima {
+		keep.overlapSlabs(global, owned, ext)
+	}
 	return s.pack(rank, owned, keep.retains, func(v int32) (int64, float64) {
 		i, j, k := f.Box.Point(int(v))
 		return grid.GlobalIndex(global, i, j, k), f.Data[v]
@@ -253,9 +260,28 @@ func (s *Scratch) pack(rank int, block grid.Box, retains func(v int32) bool, ver
 
 // keeper evaluates a BoundaryPolicy on the cells of one swept block.
 type keeper struct {
-	policy               BoundaryPolicy
-	f                    *grid.Field
-	owned, interior, ext grid.Box
+	policy   BoundaryPolicy
+	f        *grid.Field
+	interior grid.Box
+	slabs    [6]grid.Box // KeepOverlapMaxima: one per shared face
+	nslabs   int
+}
+
+// overlapSlabs sets the overlap slab of each face of owned that a
+// neighbor shares: ext cut, across the face, to the last owned layer
+// and the ghost layer beyond it. The neighbor's slab is the same box.
+func (kp *keeper) overlapSlabs(global, owned, ext grid.Box) {
+	for d := 0; d < 3; d++ {
+		for _, at := range [2]int{owned.Lo[d], owned.Hi[d]} {
+			if at == global.Lo[d] || at == global.Hi[d] {
+				continue // a domain face: no neighbor
+			}
+			slab := ext
+			slab.Lo[d], slab.Hi[d] = at-1, at+1
+			kp.slabs[kp.nslabs] = slab
+			kp.nslabs++
+		}
+	}
 }
 
 // retains reports whether the policy keeps the vertex at offset v of
@@ -265,31 +291,36 @@ func (kp *keeper) retains(v int32) bool {
 	switch kp.policy {
 	case KeepNone:
 		return false
-	case KeepCornersAndBoundaryMaxima:
-		o := kp.owned
-		if (i == o.Lo[0] || i == o.Hi[0]-1) && (j == o.Lo[1] || j == o.Hi[1]-1) && (k == o.Lo[2] || k == o.Hi[2]-1) {
-			return true
+	case KeepOverlapMaxima:
+		if kp.interior.Contains(i, j, k) {
+			return false // every slab lies in the shell
 		}
-		// Maxima restricted to boundary components: boundary vertices
-		// all of whose boundary neighbors are lower.
-		if !kp.ext.OnBoundary(i, j, k) {
-			return false
-		}
-		val := kp.f.Data[v]
-		for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
-			ni, nj, nk := i+d[0], j+d[1], k+d[2]
-			if !kp.ext.OnBoundary(ni, nj, nk) {
-				continue
-			}
-			u := kp.f.Box.Index(ni, nj, nk)
-			if Above(kp.f.Data[u], int64(u), val, int64(v)) {
-				return false
+		for _, slab := range kp.slabs[:kp.nslabs] {
+			if slab.Contains(i, j, k) && kp.slabMax(slab, v, i, j, k) {
+				return true
 			}
 		}
-		return true
+		return false
 	default: // KeepSharedBoundary
 		return !kp.interior.Contains(i, j, k)
 	}
+}
+
+// slabMax reports whether the vertex at offset v, cell (i, j, k), is
+// above its face neighbors inside slab. Offsets ascend with global ids,
+// so the tie-break is the one a neighbor's sweep makes.
+func (kp *keeper) slabMax(slab grid.Box, v int32, i, j, k int) bool {
+	val := kp.f.Data[v]
+	for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
+		ni, nj, nk := i+d[0], j+d[1], k+d[2]
+		if !slab.Contains(ni, nj, nk) {
+			continue
+		}
+		if u := kp.f.Box.Index(ni, nj, nk); Above(kp.f.Data[u], int64(u), val, int64(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 // Reduce contracts every regular node whose id keep does not accept (a

@@ -28,30 +28,38 @@ func referenceSubtree(f *grid.Field, global, owned grid.Box, rank int, policy Bo
 	switch policy {
 	case KeepNone:
 		keep = func(int64) bool { return false }
-	case KeepCornersAndBoundaryMaxima:
-		corners := map[int64]bool{}
-		for _, c := range owned.Corners() {
-			corners[grid.GlobalIndex(global, c[0], c[1], c[2])] = true
+	case KeepOverlapMaxima:
+		var slabs []grid.Box
+		for d := 0; d < 3; d++ {
+			if owned.Lo[d] > global.Lo[d] {
+				slab := ext
+				slab.Lo[d], slab.Hi[d] = owned.Lo[d]-1, owned.Lo[d]+1
+				slabs = append(slabs, slab)
+			}
+			if owned.Hi[d] < global.Hi[d] {
+				slab := ext
+				slab.Lo[d], slab.Hi[d] = owned.Hi[d]-1, owned.Hi[d]+1
+				slabs = append(slabs, slab)
+			}
 		}
 		keep = func(id int64) bool {
-			if corners[id] {
-				return true
-			}
 			i, j, k := grid.GlobalPoint(global, id)
-			if !ext.OnBoundary(i, j, k) {
-				return false
-			}
-			for _, d := range [][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
-				ni, nj, nk := i+d[0], j+d[1], k+d[2]
-				if !ext.OnBoundary(ni, nj, nk) {
+			for _, slab := range slabs {
+				if !slab.Contains(i, j, k) {
 					continue
 				}
-				u := grid.GlobalIndex(global, ni, nj, nk)
-				if Above(vals[u], u, vals[id], id) {
-					return false
+				top := true
+				for _, d := range [][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
+					ni, nj, nk := i+d[0], j+d[1], k+d[2]
+					if u := grid.GlobalIndex(global, ni, nj, nk); slab.Contains(ni, nj, nk) && Above(vals[u], u, vals[id], id) {
+						top = false
+					}
+				}
+				if top {
+					return true
 				}
 			}
-			return true
+			return false
 		}
 	default:
 		interior := owned.Grow(-1)
@@ -152,7 +160,7 @@ func checkSubtree(t *testing.T, what string, got, want *Subtree) {
 func TestSubtreeMatchesTreeChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	decomps := [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {2, 2, 2}}
-	policies := []BoundaryPolicy{KeepSharedBoundary, KeepCornersAndBoundaryMaxima, KeepNone}
+	policies := []BoundaryPolicy{KeepSharedBoundary, KeepOverlapMaxima, KeepNone}
 	globals := []grid.Box{grid.NewBox(9, 8, 6), grid.NewBox(11, 7, 1), grid.NewBox(6, 6, 7)}
 	var shared Scratch
 	for trial := 0; trial < 6; trial++ {

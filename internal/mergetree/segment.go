@@ -55,10 +55,13 @@ func (s *Scratch) labels(t *Tree, threshold float64) []int32 {
 	return label
 }
 
-// Feature summarizes one connected superlevel-set component.
+// Feature summarizes one connected superlevel-set component of a tree.
+// Label and Size count and name tree nodes, not grid cells: on a
+// reduced or glued tree they follow the retained set (the boundary
+// policy), while MaxID and MaxValue, a critical point, do not.
 type Feature struct {
-	Label    int64
-	Size     int     // number of member vertices
+	Label    int64   // the component's lowest node at or above the threshold
+	Size     int     // number of member nodes
 	MaxID    int64   // highest vertex
 	MaxValue float64 // value at the highest vertex
 }

@@ -153,8 +153,16 @@ func TestSegmentationPartitionProperty(t *testing.T) {
 
 // TestDistributedProperty is the flagship property test: for random
 // fields, decompositions and thresholds, the hybrid in-situ/in-transit
-// pipeline reproduces the serial merge tree exactly.
+// pipeline reproduces the serial merge tree exactly under both exact
+// boundary policies.
 func TestDistributedProperty(t *testing.T) {
+	for _, policy := range []BoundaryPolicy{KeepSharedBoundary, KeepOverlapMaxima} {
+		checkDistributedProperty(t, policy)
+	}
+}
+
+func checkDistributedProperty(t *testing.T, policy BoundaryPolicy) {
+	t.Helper()
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nx, ny, nz := 4+rng.Intn(10), 4+rng.Intn(8), 1+rng.Intn(5)
@@ -171,7 +179,7 @@ func TestDistributedProperty(t *testing.T) {
 		for r := 0; r < dc.Ranks(); r++ {
 			owned := dc.Block(r)
 			ext := owned.Grow(1).Intersect(b)
-			st, err := LocalSubtree(f.Extract(ext), b, owned, r, KeepSharedBoundary)
+			st, err := LocalSubtree(f.Extract(ext), b, owned, r, policy)
 			if err != nil {
 				return false
 			}
@@ -185,6 +193,6 @@ func TestDistributedProperty(t *testing.T) {
 		return Equal(serial, criticalReduce(glued))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("policy %d: %v", policy, err)
 	}
 }

@@ -240,6 +240,63 @@ func TestDistributedEqualsSerial(t *testing.T) {
 			}
 		}
 	}
+	// The pipeline's policy, KeepOverlapMaxima, over random, tied and
+	// smooth fields, decompositions whose blocks share edges and
+	// corners, and eviction on and off.
+	rng := rand.New(rand.NewSource(35))
+	decomps := [][3]int{{2, 1, 1}, {2, 2, 1}, {2, 2, 2}, {3, 2, 1}, {4, 3, 1}, {3, 3, 2}}
+	globals := []grid.Box{grid.NewBox(12, 10, 8), grid.NewBox(9, 7, 5), grid.NewBox(14, 6, 3)}
+	for trial := 0; trial < 9; trial++ {
+		b := globals[trial%len(globals)]
+		var f *grid.Field
+		switch trial % 3 {
+		case 0:
+			f = randomField(rng, b)
+		case 1:
+			f = tiedField(rng, b)
+		default:
+			f = smoothField(b, rng.Float64()*3)
+		}
+		serial := criticalReduce(FromField(f, b))
+		for _, pd := range decomps {
+			for _, evict := range []bool{false, true} {
+				glued := criticalReduce(glueFromDecomp(t, f, pd[0], pd[1], pd[2], KeepOverlapMaxima, evict))
+				if !Equal(serial, glued) {
+					t.Fatalf("trial %d global %v decomp %v evict %v: distributed tree differs from serial (%d vs %d nodes)",
+						trial, b, pd, evict, glued.Len(), serial.Len())
+				}
+			}
+		}
+	}
+}
+
+// FuzzGlueEqualsSerial: a fuzzed field over a fuzzed box and
+// decomposition glues, from KeepOverlapMaxima subtrees, to the serial
+// tree's critical points. The first five bytes choose the box, the
+// decomposition and eviction; the rest are the values, repeated with a
+// small offset per repeat when the box has more cells.
+func FuzzGlueEqualsSerial(f *testing.F) {
+	f.Add([]byte{7, 5, 3, 1, 1, 9, 2, 200, 4, 4, 17, 3, 99, 0, 5})
+	f.Add([]byte{11, 11, 2, 3, 0, 1, 2, 1, 2, 1, 2, 1})
+	f.Add([]byte{4, 4, 4, 2, 3, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) < 6 {
+			return
+		}
+		b := grid.NewBox(2+int(p[0])%11, 2+int(p[1])%9, 1+int(p[2])%5)
+		d := b.Dims()
+		pd := [3]int{1 + int(p[3])%min(d[0], 4), 1 + int(p[3]>>2)%min(d[1], 3), 1 + int(p[3]>>4)%min(d[2], 2)}
+		evict := p[4]&1 == 1
+		vals := p[5:]
+		field := grid.NewField("f", b)
+		for i := range field.Data {
+			field.Data[i] = float64(vals[i%len(vals)]) + float64(i/len(vals))/256
+		}
+		serial := criticalReduce(FromField(field, b))
+		if glued := criticalReduce(glueFromDecomp(t, field, pd[0], pd[1], pd[2], KeepOverlapMaxima, evict)); !Equal(serial, glued) {
+			t.Fatalf("global %v decomp %v evict %v: distributed tree differs from serial (%d vs %d nodes)", b, pd, evict, glued.Len(), serial.Len())
+		}
+	})
 }
 
 func TestStreamingEvictionEqualsSerial(t *testing.T) {

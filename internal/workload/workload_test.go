@@ -2,9 +2,11 @@ package workload
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"insitu/internal/grid"
+	"insitu/internal/mergetree"
 	"insitu/internal/registry"
 	"insitu/internal/sim"
 )
@@ -84,19 +86,38 @@ func TestRunTableIIAndFig6(t *testing.T) {
 	if matched != 5 {
 		t.Fatalf("want 5 paper-matched rows, got %d", matched)
 	}
-	// Shape check: hybrid stats moves tiny data and derives almost
-	// instantly; topology's in-transit dominates its in-situ stage.
-	var topo, hstats TableIIRow
+	// Shape check: the topology route ships overlap-slab maxima, less
+	// than the whole two-layer shells (KeepSharedBoundary) of the same
+	// steps marshal to.
+	var topo TableIIRow
 	for _, row := range res.Rows {
-		switch row.Analysis {
-		case "hybrid topology":
+		if row.Analysis == "hybrid topology" {
 			topo = row
-		case "hybrid descriptive statistics":
-			hstats = row
 		}
 	}
-	if hstats.Measured.MoveBytes >= topo.Measured.MoveBytes {
-		t.Fatal("stats models must be smaller than topology subtrees")
+	sc := cfg.Tenants[0].Sim
+	global := grid.NewBox(sc.NX, sc.NY, sc.NZ)
+	s, err := sim.New(sim.DefaultConfig(global, sc.PX, sc.PY, sc.PZ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shell atomic.Int64
+	err = sim.RunAll(s, func(rk *sim.Rank) error {
+		for step := 1; step <= res.Steps; step++ {
+			rk.Step()
+			st, err := mergetree.LocalSubtree(rk.GhostedField("T"), global, rk.OwnedBox(), rk.Comm().ID(), mergetree.KeepSharedBoundary)
+			if err != nil {
+				return err
+			}
+			shell.Add(int64(st.MarshalSize()))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perStep := shell.Load() / int64(res.Steps); topo.Measured.MoveBytes <= 0 || topo.Measured.MoveBytes >= perStep {
+		t.Fatalf("topology moved %d B a step, KeepSharedBoundary subtrees of the same steps are %d B: the in-situ stage does not reduce to overlap maxima", topo.Measured.MoveBytes, perStep)
 	}
 	out := res.Format()
 	if !strings.Contains(out, "hybrid topology") {
