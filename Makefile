@@ -16,7 +16,9 @@
 #                   checkpoint reader, the append-only frame log under
 #                   journal.wal and index.log, the image index replay, the
 #                   pipeline config parser, the subtree and feature-partial
-#                   payload decoders a staging bucket runs, and the statistics
+#                   payload decoders a staging bucket runs, the in-transit
+#                   stages of the three merge-tree routes (topology, feature
+#                   statistics, tracking) on whole payloads, and the statistics
 #                   payload decoders (model, contingency, covariance,
 #                   autocorrelator) it runs too, the grid field decoder
 #                   under checkpoints and render blocks, the image-spec
@@ -70,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalSubtree -fuzztime 10s ./internal/mergetree/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalFeaturePartials -fuzztime 10s ./internal/mergetree/
 	$(GO) test -run xxx -fuzz FuzzGlueEqualsSerial -fuzztime 10s ./internal/mergetree/
+	$(GO) test -run xxx -fuzz FuzzMergeTreePayloads -fuzztime 10s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalPayloads -fuzztime 10s ./internal/stats/
 	$(GO) test -run xxx -fuzz FuzzUnmarshalField -fuzztime 10s ./internal/grid/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/imagestore/

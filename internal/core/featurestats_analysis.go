@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"insitu/internal/mergetree"
@@ -13,7 +12,7 @@ import (
 // statistics of CondVar conditioned on the superlevel-set features of
 // SegVar (for example, OH statistics per ignition kernel).
 //
-// The in-situ stage ships the rank's reduced subtree together with its
+// The in-situ stage ships the rank's reduced subtree followed by its
 // per-local-component partial moments; the in-transit stage glues the
 // global tree, resolves each local component to its global feature,
 // and combines the moments.
@@ -54,48 +53,32 @@ func (f *FeatureStatsHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	if segF == nil || condF == nil {
 		return nil, fmt.Errorf("featurestats: unknown variable %q or %q", f.segVar(), f.condVar())
 	}
-	st, err := subtreeScratch(ctx).Subtree(segF, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepOverlapMaxima)
-	if err != nil {
-		return nil, err
-	}
 	partials, err := mergetree.LocalFeatureStats(segF, condF, ctx.Global, ctx.Owned, f.Threshold)
 	if err != nil {
 		return nil, err
 	}
-	par := mergetree.MarshalFeaturePartials(partials)
-	out := make([]byte, 4, 4+st.MarshalSize()+len(par))
-	binary.LittleEndian.PutUint32(out, uint32(st.MarshalSize()))
-	out = st.AppendMarshal(out)
-	out = append(out, par...)
-	return out, nil
+	// The partials follow the subtree. Their size, a u32 count and 64
+	// bytes each, only sizes the pooled buffer: the append grows it if
+	// the encoding changes.
+	p, err := packSubtree(ctx, segF, 4+64*len(partials))
+	if err != nil {
+		return nil, err
+	}
+	return mergetree.AppendFeaturePartials(p, partials), nil
 }
 
 // InTransit implements HybridAnalysis.
 func (f *FeatureStatsHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 	ts := getTransitScratch()
 	defer putTransitScratch(ts)
-	subtrees := ts.subtrees(len(payloads))
 	partials := make([][]mergetree.FeaturePartial, 0, len(payloads))
-	for i, p := range payloads {
-		if len(p) < 4 {
-			return nil, fmt.Errorf("featurestats: payload %d too short", i)
-		}
-		subLen := int(binary.LittleEndian.Uint32(p[:4]))
-		if len(p) < 4+subLen {
-			return nil, fmt.Errorf("featurestats: payload %d truncated", i)
-		}
-		if err := subtrees[i].Unmarshal(p[4 : 4+subLen]); err != nil {
-			return nil, fmt.Errorf("featurestats: payload %d subtree: %w", i, err)
-		}
-		ps, err := mergetree.UnmarshalFeaturePartials(p[4+subLen:])
-		if err != nil {
-			return nil, fmt.Errorf("featurestats: payload %d partials: %w", i, err)
-		}
+	tree, _, err := ts.glue(payloads, func(extras []byte) error {
+		ps, err := mergetree.UnmarshalFeaturePartials(extras)
 		partials = append(partials, ps)
-	}
-	tree, _, err := ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: true})
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("featurestats: %w", err)
 	}
 	return mergetree.GlobalFeatureStats(tree, f.Threshold, partials)
 }

@@ -17,7 +17,7 @@ import (
 // every rank after every step, between two barriers — the in-situ slot
 // of the rank loop, without the transit tier behind it. before and
 // after run on rank 0 alone, outside the slot.
-func driveInSitu(t *testing.T, steps int, before, after func(step int), each func(ctx *Ctx, step int)) {
+func driveInSitu(t testing.TB, steps int, before, after func(step int), each func(ctx *Ctx, step int)) {
 	t.Helper()
 	cfg := sim.DefaultConfig(grid.NewBox(32, 16, 12), 2, 1, 1)
 	cfg.KernelRate = 0.6

@@ -32,7 +32,7 @@ func (t *TopologyStreaming) InTransitStream(step int, inputs <-chan StreamInput)
 	b.Reset()
 	st := ts.subtrees(1)[0]
 	for in := range inputs {
-		if err := st.Unmarshal(in.Data); err != nil {
+		if _, err := st.Unmarshal(in.Data); err != nil {
 			return nil, fmt.Errorf("topology: streamed payload %d: %w", in.Index, err)
 		}
 		for _, v := range st.Verts {

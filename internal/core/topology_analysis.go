@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"insitu/internal/bufpool"
+	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 	"insitu/internal/sim"
 )
@@ -67,27 +68,32 @@ func (t *TopologyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	if f == nil {
 		return nil, fmt.Errorf("topology: unknown variable %q", t.varName())
 	}
-	st, err := subtreeScratch(ctx).Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepOverlapMaxima)
-	if err != nil {
-		return nil, err
-	}
-	return st.AppendMarshal(bufpool.Get(st.MarshalSize())[:0]), nil
+	return packSubtree(ctx, f, 0)
 }
 
 const subtreeScratchKey = "mergetree.scratch"
 
-// subtreeScratch returns the rank's merge-tree sweep scratch, created
-// by the first in-situ stage that asks for it. The rank goroutine runs
-// its routes one after another, so every route that sweeps a subtree
-// shares the one scratch; the subtree a sweep returns lives in it, and
-// a stage packs it into its payload before it returns.
-func subtreeScratch(ctx *Ctx) *mergetree.Scratch {
+// packSubtree sweeps the rank's KeepOverlapMaxima subtree of f on the
+// rank's merge-tree scratch and packs it into a pooled buffer with room
+// for extra more bytes. Every merge-tree payload starts with this
+// subtree; a route appends its extras after it, and the in-transit
+// glue finds them where the subtree's encoding ends.
+//
+// The rank goroutine runs its routes one after another, so every
+// route that sweeps a subtree shares the one scratch, created by the
+// first in-situ stage that asks for it; the subtree a sweep returns
+// lives in it and is dead once it is packed.
+func packSubtree(ctx *Ctx, f *grid.Field, extra int) ([]byte, error) {
 	s, ok := ctx.State[subtreeScratchKey].(*mergetree.Scratch)
 	if !ok {
 		s = new(mergetree.Scratch)
 		ctx.State[subtreeScratchKey] = s
 	}
-	return s
+	st, err := s.Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepOverlapMaxima)
+	if err != nil {
+		return nil, err
+	}
+	return st.AppendMarshal(bufpool.Get(st.MarshalSize() + extra)[:0]), nil
 }
 
 // InTransit implements HybridAnalysis: glue the subtrees into the
@@ -96,15 +102,9 @@ func subtreeScratch(ctx *Ctx) *mergetree.Scratch {
 func (t *TopologyHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 	ts := getTransitScratch()
 	defer putTransitScratch(ts)
-	subtrees := ts.subtrees(len(payloads))
-	for i, p := range payloads {
-		if err := subtrees[i].Unmarshal(p); err != nil {
-			return nil, fmt.Errorf("topology: payload %d: %w", i, err)
-		}
-	}
-	tree, stream, err := ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: true})
+	tree, stream, err := ts.glue(payloads, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("topology: %w", err)
 	}
 	return t.result(ts, tree, stream, false), nil
 }
@@ -178,6 +178,25 @@ func (ts *transitScratch) subtrees(n int) []*mergetree.Subtree {
 		ts.ptrs = append(ts.ptrs, &ts.decoded[i])
 	}
 	return ts.ptrs
+}
+
+// glue decodes the subtree at the front of each payload, hands the
+// bytes after it to rest (nil for a route whose payload is the bare
+// subtree) and glues the subtrees into the global merge tree, which
+// lives in ts. A payload that does not decode fails with an error
+// naming it and wrapping mergetree.ErrCorruptPayload.
+func (ts *transitScratch) glue(payloads [][]byte, rest func([]byte) error) (*mergetree.Tree, mergetree.StreamStats, error) {
+	subtrees := ts.subtrees(len(payloads))
+	for i, p := range payloads {
+		extras, err := subtrees[i].Unmarshal(p)
+		if err == nil && rest != nil {
+			err = rest(extras)
+		}
+		if err != nil {
+			return nil, mergetree.StreamStats{}, fmt.Errorf("payload %d: %w", i, err)
+		}
+	}
+	return ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: true})
 }
 
 // allVarNames returns the full simulation variable list.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -126,102 +125,65 @@ func (tr *TrackingHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	}
 	ctx.State[trackingStateKey] = cur
 
-	// The subtree rides along so the in-transit stage can resolve
-	// representatives against the global tree.
+	// The subtree leads so the in-transit stage can resolve
+	// representatives against the global tree; the representatives and
+	// matches follow it, each list a u64 count and its records.
 	f := ctx.Sim.GhostedField(tr.varName())
-	st, err := subtreeScratch(ctx).Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepOverlapMaxima)
+	p, err := packSubtree(ctx, f, 16+8*len(reps)+24*len(matches))
 	if err != nil {
 		return nil, err
 	}
-	return packTracking(st, reps, matches), nil
-}
-
-// packTracking serializes subtree + reps + matches.
-func packTracking(st *mergetree.Subtree, reps []int64, matches []RawMatch) []byte {
-	sub := st.Marshal()
-	var buf bytes.Buffer
-	var b8 [8]byte
-	putU := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		buf.Write(b8[:])
-	}
-	putU(uint64(len(sub)))
-	buf.Write(sub)
-	putU(uint64(len(reps)))
+	p = binary.LittleEndian.AppendUint64(p, uint64(len(reps)))
 	for _, r := range reps {
-		putU(uint64(r))
+		p = binary.LittleEndian.AppendUint64(p, uint64(r))
 	}
-	putU(uint64(len(matches)))
+	p = binary.LittleEndian.AppendUint64(p, uint64(len(matches)))
 	for _, m := range matches {
-		putU(uint64(m.PrevRep))
-		putU(uint64(m.CurRep))
-		putU(uint64(m.Overlap))
+		p = binary.LittleEndian.AppendUint64(p, uint64(m.PrevRep))
+		p = binary.LittleEndian.AppendUint64(p, uint64(m.CurRep))
+		p = binary.LittleEndian.AppendUint64(p, uint64(m.Overlap))
 	}
-	return buf.Bytes()
+	return p, nil
 }
 
-// unpackTracking decodes a tracking payload: the subtree into st, and
-// the representatives and raw matches.
-func unpackTracking(p []byte, st *mergetree.Subtree) ([]int64, []RawMatch, error) {
-	rd := func(n int) ([]byte, error) {
-		if len(p) < n {
-			return nil, fmt.Errorf("tracking: truncated payload")
-		}
-		out := p[:n]
-		p = p[n:]
-		return out, nil
-	}
-	u64 := func() (uint64, error) {
-		b, err := rd(8)
-		if err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b), nil
-	}
-	subLen, err := u64()
+// unpackTracking decodes what a tracking payload carries after its
+// subtree, appending the representatives to reps and the raw matches
+// to raw. Bytes after the matches are ignored.
+func unpackTracking(p []byte, reps []int64, raw []RawMatch) ([]int64, []RawMatch, error) {
+	n, p, err := trackingCount(p, 8)
 	if err != nil {
 		return nil, nil, err
 	}
-	subBytes, err := rd(int(subLen))
-	if err != nil {
+	for ; n > 0; n-- {
+		reps = append(reps, int64(binary.LittleEndian.Uint64(p)))
+		p = p[8:]
+	}
+	if n, p, err = trackingCount(p, 24); err != nil {
 		return nil, nil, err
 	}
-	if err := st.Unmarshal(subBytes); err != nil {
-		return nil, nil, err
+	for ; n > 0; n-- {
+		raw = append(raw, RawMatch{
+			PrevRep: int64(binary.LittleEndian.Uint64(p)),
+			CurRep:  int64(binary.LittleEndian.Uint64(p[8:])),
+			Overlap: int64(binary.LittleEndian.Uint64(p[16:])),
+		})
+		p = p[24:]
 	}
-	nreps, err := u64()
-	if err != nil {
-		return nil, nil, err
+	return reps, raw, nil
+}
+
+// trackingCount reads the u64 count of a list of size-byte records and
+// returns it with the bytes after it, checking that the records fit in
+// those bytes before anything is allocated for them.
+func trackingCount(p []byte, size int) (int, []byte, error) {
+	if len(p) < 8 {
+		return 0, nil, fmt.Errorf("%w: tracking list count missing (%d bytes)", mergetree.ErrCorruptPayload, len(p))
 	}
-	reps := make([]int64, nreps)
-	for i := range reps {
-		v, err := u64()
-		if err != nil {
-			return nil, nil, err
-		}
-		reps[i] = int64(v)
+	n := binary.LittleEndian.Uint64(p)
+	if n > uint64(len(p)-8)/uint64(size) {
+		return 0, nil, fmt.Errorf("%w: %d tracking records of %d bytes in %d bytes", mergetree.ErrCorruptPayload, n, size, len(p)-8)
 	}
-	nm, err := u64()
-	if err != nil {
-		return nil, nil, err
-	}
-	matches := make([]RawMatch, nm)
-	for i := range matches {
-		a, err := u64()
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := u64()
-		if err != nil {
-			return nil, nil, err
-		}
-		c, err := u64()
-		if err != nil {
-			return nil, nil, err
-		}
-		matches[i] = RawMatch{PrevRep: int64(a), CurRep: int64(b), Overlap: int64(c)}
-	}
-	return reps, matches, nil
+	return int(n), p[8:], nil
 }
 
 // TrackingStepResult is one step's in-transit output: the global
@@ -238,20 +200,14 @@ type TrackingStepResult struct {
 func (tr *TrackingHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 	ts := getTransitScratch()
 	defer putTransitScratch(ts)
-	subtrees := ts.subtrees(len(payloads))
 	var reps []int64
 	var raw []RawMatch
-	for i, p := range payloads {
-		rs, ms, err := unpackTracking(p, subtrees[i])
-		if err != nil {
-			return nil, fmt.Errorf("tracking: payload %d: %w", i, err)
-		}
-		reps = append(reps, rs...)
-		raw = append(raw, ms...)
-	}
-	tree, _, err := ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: true})
+	tree, _, err := ts.glue(payloads, func(extras []byte) (err error) {
+		reps, raw, err = unpackTracking(extras, reps, raw)
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tracking: %w", err)
 	}
 	seg := mergetree.Segment(tree, tr.Threshold)
 	res := &TrackingStepResult{

@@ -9,8 +9,9 @@
 //
 // The descriptor index is sharded over a configurable number of
 // servers by hashing, as in the paper ("the hashing used to balance
-// the RPC messages ... over multiple DataSpaces servers"); per-server
-// RPC counters expose that balance to tests and benchmarks.
+// the RPC messages ... over multiple DataSpaces servers");
+// TestServerSharding checks the balance through the per-server index
+// sizes.
 package dataspaces
 
 import (
@@ -407,7 +408,7 @@ func (s *Service) FinishTask(t Task) {
 
 // shard returns the server responsible for a key. Tenant-less keys
 // hash exactly as before multi-tenancy, so single-tenant shard
-// placement (and the RPC balance tests riding on it) is unchanged.
+// placement (and the shard balance tests riding on it) is unchanged.
 func (s *Service) shard(k key) *server {
 	h := fnv.New32a()
 	if k.tenant != "" {
@@ -546,7 +547,7 @@ func (s *Service) Requeue(t Task) error {
 		return nil
 	}
 	// A dedicated head lane, so a requeue neither jumps another tenant's
-	// DRR turn nor waits behind it.
+	// round-robin turn nor waits behind it.
 	s.head = append(s.head, t)
 	s.mu.Unlock()
 	s.observeRequeue(t)

@@ -1,7 +1,6 @@
 package mergetree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -144,31 +143,26 @@ func less(a, b FeatureStat) bool {
 }
 
 // Wire format for a slice of FeaturePartial: u32 count, then per item
-// (i64 rep, i64 n, 6 x f64 moments fields).
+// (i64 rep, i64 n, 6 x f64 moments fields), 4+64*len bytes. A
+// feature-statistics payload carries it after the rank's subtree.
 
-// MarshalFeaturePartials serializes the in-situ result.
-func MarshalFeaturePartials(ps []FeaturePartial) []byte {
-	var buf bytes.Buffer
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(ps)))
-	buf.Write(b4[:])
-	var b8 [8]byte
-	putU := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		buf.Write(b8[:])
-	}
+// AppendFeaturePartials appends the encoding of the in-situ result to
+// dst and returns the extended slice.
+func AppendFeaturePartials(dst []byte, ps []FeaturePartial) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ps)))
 	for _, p := range ps {
-		putU(uint64(p.Rep))
-		putU(uint64(p.Moments.N))
-		for _, f := range []float64{p.Moments.Min, p.Moments.Max, p.Moments.Mean,
-			p.Moments.M2, p.Moments.M3, p.Moments.M4} {
-			putU(math.Float64bits(f))
+		m := p.Moments
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Rep))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(m.N))
+		for _, f := range [...]float64{m.Min, m.Max, m.Mean, m.M2, m.M3, m.M4} {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 		}
 	}
-	return buf.Bytes()
+	return dst
 }
 
-// UnmarshalFeaturePartials reverses MarshalFeaturePartials.
+// UnmarshalFeaturePartials reverses AppendFeaturePartials; bytes after
+// the partials are ignored.
 func UnmarshalFeaturePartials(p []byte) ([]FeaturePartial, error) {
 	if len(p) < 4 {
 		return nil, fmt.Errorf("%w: feature partials too short (%d bytes)", ErrCorruptPayload, len(p))

@@ -75,7 +75,7 @@ func TestFeatureStatsHybridMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Exercise the wire format too.
-		ps2, err := UnmarshalFeaturePartials(MarshalFeaturePartials(ps))
+		ps2, err := UnmarshalFeaturePartials(AppendFeaturePartials(nil, ps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestFeaturePartialsMarshalErrors(t *testing.T) {
 		t.Fatal("empty payload must error")
 	}
 	ps := []FeaturePartial{{Rep: 3}}
-	p := MarshalFeaturePartials(ps)
+	p := AppendFeaturePartials(nil, ps)
 	if _, err := UnmarshalFeaturePartials(p[:len(p)-4]); err == nil {
 		t.Fatal("truncated payload must error")
 	}
@@ -153,7 +153,7 @@ func FuzzUnmarshalFeaturePartials(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	real := MarshalFeaturePartials(ps)
+	real := AppendFeaturePartials(nil, ps)
 	f.Add(real)
 	hostile := bytes.Clone(real)
 	binary.LittleEndian.PutUint32(hostile, math.MaxUint32)
@@ -167,7 +167,7 @@ func FuzzUnmarshalFeaturePartials(f *testing.F) {
 			}
 			return
 		}
-		enc := MarshalFeaturePartials(got)
+		enc := AppendFeaturePartials(nil, got)
 		if len(enc) > len(p) || !bytes.Equal(enc, p[:len(enc)]) {
 			t.Fatalf("decoded %d partials from %d bytes, but they marshal to %d different bytes", len(got), len(p), len(enc))
 		}

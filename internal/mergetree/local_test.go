@@ -278,7 +278,7 @@ func TestUnmarshalSubtreeOverflowingCounts(t *testing.T) {
 	if _, err := UnmarshalSubtree(p); !errors.Is(err, ErrCorruptPayload) {
 		t.Errorf("edge count 1<<60: error %v, want ErrCorruptPayload", err)
 	}
-	fp := MarshalFeaturePartials(nil)
+	fp := AppendFeaturePartials(nil, nil)
 	binary.LittleEndian.PutUint32(fp, math.MaxUint32)
 	if _, err := UnmarshalFeaturePartials(fp); !errors.Is(err, ErrCorruptPayload) {
 		t.Errorf("feature partial count 2^32-1: error %v, want ErrCorruptPayload", err)
@@ -286,7 +286,8 @@ func TestUnmarshalSubtreeOverflowingCounts(t *testing.T) {
 }
 
 // FuzzUnmarshalSubtree: arbitrary bytes decode to a typed error or to a
-// subtree whose encoding is the bytes it was read from, never a panic.
+// subtree whose encoding is the bytes it was read from, followed by the
+// bytes Unmarshal returns, never a panic.
 func FuzzUnmarshalSubtree(f *testing.F) {
 	global := grid.NewBox(6, 5, 4)
 	real, err := LocalSubtree(smoothField(global, 0.2), global, global, 3, KeepSharedBoundary)
@@ -299,7 +300,8 @@ func FuzzUnmarshalSubtree(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		st, err := UnmarshalSubtree(p)
+		var st Subtree
+		rest, err := st.Unmarshal(p)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptPayload) {
 				t.Fatalf("untyped error %v", err)
@@ -309,6 +311,9 @@ func FuzzUnmarshalSubtree(f *testing.F) {
 		enc := st.Marshal()
 		if len(enc) > len(p) || !bytes.Equal(enc, p[:len(enc)]) {
 			t.Fatalf("decoded %d verts %d edges from %d bytes, but they marshal to %d different bytes", len(st.Verts), len(st.Edges), len(p), len(enc))
+		}
+		if !bytes.Equal(rest, p[len(enc):]) {
+			t.Fatalf("Unmarshal returned %d bytes after a %d-byte subtree of a %d-byte payload", len(rest), len(enc), len(p))
 		}
 	})
 }

@@ -74,29 +74,34 @@ func (st *Subtree) Marshal() []byte {
 }
 
 // ErrCorruptPayload is wrapped by every error the payload decoders
-// (UnmarshalSubtree, UnmarshalFeaturePartials) return: the bytes are
-// not an encoding this package produced.
+// (Subtree.Unmarshal, UnmarshalSubtree, UnmarshalFeaturePartials)
+// return, and by the decoders of the extras a route appends after a
+// subtree: the bytes are not an encoding the in-situ stage produced.
 var ErrCorruptPayload = errors.New("mergetree: corrupt payload")
 
 // UnmarshalSubtree reconstructs a subtree from Marshal's output into a
-// new Subtree; see Subtree.Unmarshal.
+// new Subtree; see Subtree.Unmarshal. Bytes after the subtree are
+// ignored.
 func UnmarshalSubtree(p []byte) (*Subtree, error) {
 	st := new(Subtree)
-	if err := st.Unmarshal(p); err != nil {
+	if _, err := st.Unmarshal(p); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// Unmarshal decodes Marshal's output into st, reusing the capacity of
-// its Verts and Edges, so an in-transit stage that decodes into the
-// same subtrees every step allocates nothing once they have grown. The
-// counts in the payload are bounded against the bytes that follow them
-// by division, so a hostile count cannot overflow into a huge
-// allocation. On error st's contents are unspecified.
-func (st *Subtree) Unmarshal(p []byte) error {
+// Unmarshal decodes the subtree encoded at the front of p into st and
+// returns the bytes that follow it: the encoding carries its own vertex
+// and edge counts, so a payload that appends more after the subtree
+// needs no length prefix. Unmarshal reuses the capacity of st's Verts
+// and Edges, so an in-transit stage that decodes into the same subtrees
+// every step allocates nothing once they have grown. The counts in the
+// payload are bounded against the bytes that follow them by division,
+// so a hostile count cannot overflow into a huge allocation. On error
+// st's contents are unspecified.
+func (st *Subtree) Unmarshal(p []byte) ([]byte, error) {
 	if len(p) < 4+7*8 {
-		return fmt.Errorf("%w: subtree too short (%d bytes)", ErrCorruptPayload, len(p))
+		return nil, fmt.Errorf("%w: subtree too short (%d bytes)", ErrCorruptPayload, len(p))
 	}
 	st.Rank = int(binary.LittleEndian.Uint32(p[:4]))
 	p = p[4:]
@@ -113,7 +118,7 @@ func (st *Subtree) Unmarshal(p []byte) error {
 	count := binary.LittleEndian.Uint64(p[:8])
 	p = p[8:]
 	if len(p) < 8 || count > uint64(len(p)-8)/20 {
-		return fmt.Errorf("%w: %d subtree vertices in %d bytes", ErrCorruptPayload, count, len(p))
+		return nil, fmt.Errorf("%w: %d subtree vertices in %d bytes", ErrCorruptPayload, count, len(p))
 	}
 	nv := int(count)
 	st.Verts = slices.Grow(st.Verts[:0], nv)[:nv]
@@ -126,7 +131,7 @@ func (st *Subtree) Unmarshal(p []byte) error {
 	count = binary.LittleEndian.Uint64(p[:8])
 	p = p[8:]
 	if count > uint64(len(p))/16 {
-		return fmt.Errorf("%w: %d subtree edges in %d bytes", ErrCorruptPayload, count, len(p))
+		return nil, fmt.Errorf("%w: %d subtree edges in %d bytes", ErrCorruptPayload, count, len(p))
 	}
 	ne := int(count)
 	st.Edges = slices.Grow(st.Edges[:0], ne)[:ne]
@@ -135,5 +140,5 @@ func (st *Subtree) Unmarshal(p []byte) error {
 		st.Edges[i].Lo = int64(binary.LittleEndian.Uint64(p[8:16]))
 		p = p[16:]
 	}
-	return nil
+	return p, nil
 }
