@@ -12,19 +12,22 @@ import (
 	"testing"
 )
 
-// TestExportedSymbolsDocumented is the godoc lint over the
-// public-surface packages: every exported package-level symbol —
-// function, method on an exported receiver, type, or const/var
-// declaration — must carry a doc comment. It is the registry's
-// ownership/lifecycle contract made enforceable: an analysis or config
-// knob nobody documented is one nobody can select from a pipeline
-// config. The four transit packages core drives were clean when they
-// joined the list; it pins them there.
+// TestExportedSymbolsDocumented is the godoc lint over every internal
+// package: every exported package-level symbol — function, method on
+// an exported receiver, type, or const/var declaration — must carry a
+// doc comment. It is the registry's ownership/lifecycle contract made
+// enforceable: an analysis or config knob nobody documented is one
+// nobody can select from a pipeline config. A new package joins the
+// lint by existing.
 func TestExportedSymbolsDocumented(t *testing.T) {
-	for _, dir := range []string{
-		"internal/registry", "internal/core", "internal/overload",
-		"internal/dataspaces", "internal/staging", "internal/dart",
-	} {
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			continue
+		}
 		missing, err := undocumented(dir)
 		if err != nil {
 			t.Fatal(err)

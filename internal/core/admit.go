@@ -131,30 +131,6 @@ func (p *Pipeline) probeRoute(ep *dart.Endpoint) bool {
 	return modeled <= p.ov.ProbeLatencyMax
 }
 
-// probeStep is rank 0's admission pass without overload control: one
-// pull of the staging area's tiny probe region under the step budget
-// decides every due hybrid route together. A healthy path answers in
-// microseconds; a partitioned or saturated one fails (after DART's
-// retries), which floors the routes at the in-situ rung before any
-// intermediate data is produced or pinned.
-func (p *Pipeline) probeStep(ep *dart.Endpoint, step int) []admitDecision {
-	level, reason := overload.LevelFull, ""
-	data, _, err := ep.GetDeadline(p.sched.area.ProbeHandle(), time.Now().Add(p.cfg.StepBudget))
-	if err != nil {
-		level, reason = overload.LevelInSitu, fmt.Sprintf("transit probe: %v", err)
-	} else {
-		bufpool.Put(data)
-	}
-	out := make([]admitDecision, len(p.routes))
-	for i, rt := range p.routes {
-		if rt.stage != nil && rt.due(step) {
-			out[i] = admitDecision{Level: level, Reason: reason}
-			p.observeAdmit(step, rt.name, out[i])
-		}
-	}
-	return out
-}
-
 // observeAdmit records one admission verdict: the per-level tally,
 // plus an admission event carrying the ladder's reasoning when the
 // plane is attached.

@@ -103,11 +103,11 @@ type QuantizableStage interface {
 }
 
 // InSituFallback is an optional extension of hybrid analyses: when the
-// pipeline decides the transit path is unhealthy (partition detected by
-// the health probe, or a task dead-lettered), it runs RunFallback —
-// the fully in-situ reformulation of the same analysis — on the
-// simulation ranks instead of blocking on staging. The step's stored
-// result is then a Degraded value wrapping the fallback output.
+// admission ladder floors a route at the in-situ rung (an open breaker,
+// queue pressure, no transit credit, or a quarantine), it runs
+// RunFallback — the fully in-situ reformulation of the same analysis —
+// on the simulation ranks instead of blocking on staging. The step's
+// stored result is then a Degraded value wrapping the fallback output.
 type InSituFallback interface {
 	RunFallback(ctx *Ctx) (any, error)
 }

@@ -8,6 +8,7 @@ import (
 
 	"insitu/internal/codec"
 	"insitu/internal/faults"
+	"insitu/internal/metrics"
 	"insitu/internal/stats"
 )
 
@@ -38,12 +39,13 @@ func runChaos(t *testing.T, seed int64, steps int) {
 		t.Fatal(err)
 	}
 	// Buckets register first, so endpoints 0 and 1 are the staging
-	// buckets; the partition window cuts both off, which the step
-	// probe must detect and answer with in-situ fallbacks.
+	// buckets; the partition window cuts both off. A task whose pulls
+	// land in it exhausts its attempts and dead-letters into a
+	// value-less Degraded step.
 	// The partition window is placed in decision-index space relative
-	// to the run length: each step costs at least one probe decision
-	// plus the task pulls, so [steps, steps+40) opens partway through
-	// any run and closes well before the drain.
+	// to the run length: each step costs at least one decision per
+	// task pull (one per rank), so [steps, steps+40) opens partway
+	// through any run and closes well before the drain.
 	inj := faults.New(faults.Config{
 		Seed:    seed,
 		Default: faults.Rates{Drop: 0.05, Timeout: 0.03, Corrupt: 0.05},
@@ -160,13 +162,13 @@ func runChaos(t *testing.T, seed int64, steps int) {
 	t.Logf("codec economy under chaos: %+v ratio=%.2f", rep.Codec, rep.Codec.Ratio())
 }
 
-// TestDegradedFallback: with the staging buckets partitioned for the
-// whole run, every step's probe fails and every hybrid step must run
-// its in-situ fallback — producing full-quality Degraded results with
-// no task ever submitted and nothing pinned or lost.
+// TestDegradedFallback: a tenant without an admission plane submits
+// every due step, so with the staging buckets partitioned for the whole
+// run every task dead-letters. Each step must still be accounted for —
+// a reasoned, value-less Degraded marker — with no intermediate byte
+// moved, nothing left pinned, and no admission verdict tallied.
 func TestDegradedFallback(t *testing.T) {
-	simCfg := testSimConfig(2, 1, 1)
-	cfg := DefaultConfig(simCfg)
+	cfg := DefaultConfig(testSimConfig(2, 1, 1))
 	cfg.DSServers = 2
 	cfg.Buckets = 2
 	cfg.StepBudget = 50 * time.Millisecond
@@ -185,25 +187,26 @@ func TestDegradedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	npts := int64(simCfg.Global.Size())
 	for s := 1; s <= steps; s++ {
 		dg, ok := rep.Result(sa.Name(), s).(Degraded)
 		if !ok {
 			t.Fatalf("step %d: want Degraded, got %T", s, rep.Result(sa.Name(), s))
 		}
-		m, ok := dg.Value.(map[string]stats.Derived)
-		if !ok || m["T"].N != npts {
-			t.Fatalf("step %d: fallback value wrong: %+v", s, dg.Value)
+		if dg.Reason == "" || dg.Value != nil {
+			t.Fatalf("step %d: want a reasoned dead-letter marker, got %+v", s, dg)
 		}
 	}
-	if rep.Resilience.DegradedSteps != steps {
-		t.Fatalf("degraded steps = %d, want %d", rep.Resilience.DegradedSteps, steps)
+	if res := rep.Resilience; res.DeadLetters != steps || res.DegradedSteps != steps {
+		t.Fatalf("dead letters = %d, degraded steps = %d, want %d each", res.DeadLetters, res.DegradedSteps, steps)
 	}
 	if got := rep.Metrics.Total(sa.Name()).MoveBytes; got != 0 {
-		t.Fatalf("degraded run moved %d intermediate bytes, want 0", got)
+		t.Fatalf("partitioned run moved %d intermediate bytes, want 0", got)
 	}
 	if n := p.PinnedRegions(); n != 0 {
-		t.Fatalf("%d regions pinned after fully degraded run", n)
+		t.Fatalf("%d regions pinned after fully dead-lettered run", n)
+	}
+	if rep.Overload != (metrics.Overload{}) {
+		t.Fatalf("admission ran without a plane: %+v", rep.Overload)
 	}
 }
 

@@ -180,25 +180,19 @@ func (rr *rankRun) simStep(step int) time.Time {
 }
 
 // admit decides how this step's hybrid work may use the transit tier.
-// Rank 0 reaches one verdict per due hybrid route — the breaker + ladder
-// admission pass with overload control enabled, the single StepBudget
-// probe without it — and broadcasts them so every rank takes the same
-// branch (the in-situ fallbacks use collectives). With neither trigger
-// configured every route is simply submitted.
+// With an admission plane, rank 0 runs the breaker + ladder pass to
+// reach one verdict per due hybrid route and broadcasts them so every
+// rank takes the same branch (the in-situ fallbacks use collectives).
+// Without one every due route is simply submitted.
 func (rr *rankRun) admit(step int) {
 	p, r := rr.p, rr.r
 	clear(rr.decisions)
-	hybridDue := slices.ContainsFunc(p.routes, func(rt *route) bool { return rt.stage != nil && rt.due(step) })
-	if !hybridDue || (p.ov == nil && p.cfg.StepBudget <= 0) {
+	if p.ov == nil || !slices.ContainsFunc(p.routes, func(rt *route) bool { return rt.stage != nil && rt.due(step) }) {
 		return
 	}
 	var decs []admitDecision
 	if r.ID() == 0 {
-		if p.ov != nil {
-			decs = p.admitStep(rr.ep, step)
-		} else {
-			decs = p.probeStep(rr.ep, step)
-		}
+		decs = p.admitStep(rr.ep, step)
 	}
 	copy(rr.decisions, r.Broadcast(0, decs).([]admitDecision))
 }

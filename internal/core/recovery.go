@@ -22,18 +22,20 @@ import (
 // through a write-ahead journal (admitted → submitted → committed),
 // simulation state is checkpointed to bp files every Every steps, and
 // a crashed run can be continued with Resume from the last committed
-// step, bit-identically to the uninterrupted run.
+// step, bit-identically to the uninterrupted run. It is also the
+// "recovery" block of a pipeline config, hence the json tags.
 type RecoveryConfig struct {
 	// Dir holds the journal and the per-rank checkpoint files.
-	Dir string
+	Dir string `json:"dir"`
 	// Every is the checkpoint cadence in steps (default 5).
-	Every int
+	Every int `json:"every_steps,omitempty"`
 	// Kill, when non-nil, is consulted at every journal phase boundary
 	// on rank 0; returning true freezes all durable writes from that
 	// point on, simulating a process crash for the chaos matrix. The
 	// in-memory run drains normally (its unjournaled work is discarded
-	// by Resume), and Run returns recovery.ErrKilled.
-	Kill recovery.KillFunc
+	// by Resume), and Run returns recovery.ErrKilled. It is not a config
+	// key: only Go code (the crash matrix) sets it.
+	Kill recovery.KillFunc `json:"-"`
 }
 
 // RecoveryReport summarizes the recovery plane's work during one run.

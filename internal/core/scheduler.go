@@ -56,10 +56,8 @@ type TenantConfig struct {
 	// admission, a per-route circuit breaker, and the admission ladder
 	// (full → delta → quantized → shaped → in-situ → shed). Nil means
 	// defaults for a named tenant; the unnamed tenant then has no plane
-	// and the StepBudget probe is its only degradation trigger — the
-	// same per-route verdicts with two rungs, full and in-situ. Its
-	// QueueBound and Credits are read for the unnamed tenant only (see
-	// AddTenant).
+	// and submits every due step. Its QueueBound and Credits are read
+	// for the unnamed tenant only (see AddTenant).
 	Overload *overload.Config
 	// Codecs selects the default transfer-path codec per hybrid route:
 	// the key is an analysis name, with "*" as the fallback for routes
@@ -68,12 +66,10 @@ type TenantConfig struct {
 	// ladder's delta/quantized rungs override the configured spec for
 	// the steps they govern.
 	Codecs map[string]codec.Spec
-	// StepBudget bounds each step's hybrid transit path. When set
-	// without Overload, rank 0 probes staging health within the budget
-	// before submitting hybrid work — a failed probe degrades the step
-	// to the analyses' in-situ fallbacks. Every submitted task carries
-	// the budget as its data-movement deadline. Zero disables probing
-	// and deadlines: steps never degrade on time.
+	// StepBudget is every submitted task's data-movement deadline,
+	// counted from the step's submission: a pull that misses it fails
+	// the attempt, and a task out of attempts dead-letters into a
+	// Degraded step. Zero sets no deadline.
 	StepBudget time.Duration
 	// Recovery, when non-nil, enables durable run recovery: a
 	// write-ahead step journal, periodic bp checkpoints, and a Resume

@@ -2,24 +2,27 @@ package overload
 
 import "sync"
 
-// AutoscaleConfig tunes the staging-bucket autoscaler.
+// AutoscaleConfig tunes the staging-bucket autoscaler. It is also the
+// "fabric.autoscale" block of a pipeline config, hence the json tags.
 type AutoscaleConfig struct {
 	// Min and Max bound the bucket-pool size (Min default 1; Max
 	// default Min, i.e. scaling disabled until widened).
-	Min, Max int
+	Min int `json:"min,omitempty"`
+	Max int `json:"max,omitempty"`
 	// QueueHighPerBucket marks pressure when the task-queue depth
 	// exceeds this many tasks per active bucket (default 2).
-	QueueHighPerBucket int
+	QueueHighPerBucket int `json:"queue_high_per_bucket,omitempty"`
 	// GrowAfter is the consecutive pressured observations needed to
 	// grow by one bucket (default 2).
-	GrowAfter int
+	GrowAfter int `json:"grow_after,omitempty"`
 	// ShrinkAfter is the consecutive idle observations needed to shrink
 	// by one bucket (default 4: shrink far more cautiously than grow).
-	ShrinkAfter int
-	// LadderHigh marks pressure when any tenant's worst admission-ladder
-	// rung is at or past it (default LevelShaped).
-	LadderHigh Level
+	ShrinkAfter int `json:"shrink_after,omitempty"`
 }
+
+// ladderHigh is the admission-ladder rung at or past which any
+// tenant's worst route marks the pool pressured.
+const ladderHigh = LevelShaped
 
 func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	if c.Min <= 0 {
@@ -36,9 +39,6 @@ func (c AutoscaleConfig) withDefaults() AutoscaleConfig {
 	}
 	if c.ShrinkAfter <= 0 {
 		c.ShrinkAfter = 4
-	}
-	if c.LadderHigh <= 0 {
-		c.LadderHigh = LevelShaped
 	}
 	return c
 }
@@ -80,7 +80,7 @@ func NewAutoscaler(cfg AutoscaleConfig) *Autoscaler {
 
 // Observe folds one observation in and returns the pool delta to
 // apply: +1 grow, -1 shrink, 0 hold. Pressure (deep queue per bucket,
-// or a tenant pushed to LadderHigh) grows after GrowAfter consecutive
+// or a tenant pushed to ladderHigh) grows after GrowAfter consecutive
 // observations; idleness (empty queue, spare buckets, all ladders at
 // full) shrinks after ShrinkAfter; anything else holds and clears both
 // streaks.
@@ -88,7 +88,7 @@ func (a *Autoscaler) Observe(sig AutoscaleSignals) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	pressured := sig.QueueDepth > a.cfg.QueueHighPerBucket*sig.Active ||
-		sig.MaxLevel >= a.cfg.LadderHigh
+		sig.MaxLevel >= ladderHigh
 	idle := sig.QueueDepth == 0 && sig.FreeBuckets > 1 && sig.MaxLevel == LevelFull
 	switch {
 	case pressured && sig.Active < a.cfg.Max:

@@ -339,17 +339,19 @@ type Signals struct {
 // LadderConfig tunes the admission ladder's watermarks and hysteresis.
 // The high watermark triggers degradation, the low watermark permits
 // recovery; the band between them is the hysteresis dead zone where
-// the ladder holds its level.
+// the ladder holds its level. It is also the "overload.ladder" block of
+// a pipeline config's tenant, hence the json tags.
 type LadderConfig struct {
 	// QueueHigh/QueueLow are the queue-depth EWMA watermarks
 	// (defaults 3 / 1).
-	QueueHigh, QueueLow float64
+	QueueHigh float64 `json:"queue_high,omitempty"`
+	QueueLow  float64 `json:"queue_low,omitempty"`
 	// DegradeAfter is the consecutive overloaded observations needed
 	// to drop one rung (default 1: degrade immediately).
-	DegradeAfter int
+	DegradeAfter int `json:"degrade_after,omitempty"`
 	// RecoverAfter is the consecutive healthy observations needed to
 	// climb one rung (default 2: recover cautiously).
-	RecoverAfter int
+	RecoverAfter int `json:"recover_after,omitempty"`
 }
 
 func (c LadderConfig) withDefaults() LadderConfig {

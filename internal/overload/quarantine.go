@@ -13,16 +13,17 @@ import (
 // capacity (bucket respawns, retries, credits) for every tenant.
 var ErrQuarantined = errors.New("overload: route quarantined")
 
-// QuarantineConfig tunes the poison-route quarantine.
+// QuarantineConfig tunes the poison-route quarantine. It is also the
+// "fabric.quarantine" block of a pipeline config, hence the json tags.
 type QuarantineConfig struct {
 	// Strikes is the consecutive poison-disposition count (dead-letter
 	// or errored final result) that quarantines a route (default 3).
-	Strikes int
+	Strikes int `json:"strikes,omitempty"`
 	// ProbeAfter is how many admission denials an open route absorbs
 	// before it is allowed one half-open probe (default 4). Denials are
 	// the deterministic stand-in for a cooldown clock: one denial per
 	// step the route would have submitted.
-	ProbeAfter int
+	ProbeAfter int `json:"probe_after,omitempty"`
 }
 
 func (c QuarantineConfig) withDefaults() QuarantineConfig {

@@ -10,7 +10,6 @@ import (
 	"insitu/internal/faults"
 	"insitu/internal/grid"
 	"insitu/internal/imagestore"
-	"insitu/internal/overload"
 	"insitu/internal/sim"
 )
 
@@ -101,17 +100,10 @@ func Build(cfg *Config) (*Built, error) {
 		Net:           netConfig(cfg.Fabric.Net),
 		TenantReserve: cfg.Fabric.TenantReserve,
 		QueueBound:    cfg.Fabric.QueueBound,
-	}
-	if a := cfg.Fabric.Autoscale; a != nil {
-		scfg.Autoscale = &overload.AutoscaleConfig{
-			Min: a.Min, Max: a.Max,
-			QueueHighPerBucket: a.QueueHighPerBucket,
-			GrowAfter:          a.GrowAfter,
-			ShrinkAfter:        a.ShrinkAfter,
-		}
+		Autoscale:     cfg.Fabric.Autoscale,
 	}
 	if q := cfg.Fabric.Quarantine; q != nil {
-		scfg.Quarantine = overload.QuarantineConfig{Strikes: q.Strikes, ProbeAfter: q.ProbeAfter}
+		scfg.Quarantine = *q
 	}
 	s, err := core.NewScheduler(scfg)
 	if err != nil {
@@ -139,9 +131,7 @@ func Build(cfg *Config) (*Built, error) {
 			Overload:   overloadConfig(t.Overload),
 			Codecs:     codecs,
 			StepBudget: time.Duration(t.StepBudgetMS) * time.Millisecond,
-		}
-		if r := cfg.Recovery; r != nil {
-			tcfg.Recovery = &core.RecoveryConfig{Dir: r.Dir, Every: r.EverySteps, Kill: r.Kill}
+			Recovery:   cfg.Recovery,
 		}
 		if built.Store != nil {
 			tcfg.Store = built.Store

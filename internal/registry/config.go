@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"insitu/internal/codec"
+	"insitu/internal/core"
 	"insitu/internal/netsim"
 	"insitu/internal/overload"
-	"insitu/internal/recovery"
 )
 
 // Config is one declarative pipeline run: a shared fabric, one or more
@@ -39,7 +39,7 @@ type Config struct {
 	Tenants []TenantConfig `json:"tenants"`
 	// Recovery, when non-nil, enables the durable step journal and
 	// checkpoint/restart plane (single-tenant only).
-	Recovery *RecoveryConfig `json:"recovery,omitempty"`
+	Recovery *core.RecoveryConfig `json:"recovery,omitempty"`
 	// Store, when non-nil, files rendered frames into the Cinema-style
 	// image database (single-tenant only).
 	Store *StoreConfig `json:"store,omitempty"`
@@ -72,10 +72,10 @@ type FabricConfig struct {
 	TenantReserve int `json:"tenant_reserve,omitempty"`
 	// Autoscale, when non-nil, lets the scheduler grow/shrink the
 	// bucket pool (multi-tenant only).
-	Autoscale *AutoscaleConfig `json:"autoscale,omitempty"`
+	Autoscale *overload.AutoscaleConfig `json:"autoscale,omitempty"`
 	// Quarantine tunes the poison-route quarantine (multi-tenant
 	// only).
-	Quarantine *QuarantineConfig `json:"quarantine,omitempty"`
+	Quarantine *overload.QuarantineConfig `json:"quarantine,omitempty"`
 }
 
 // NetConfig selects and scales the modeled interconnect.
@@ -88,41 +88,6 @@ type NetConfig struct {
 	// modeled at d sleeps d/TimeScale (0 = never sleep; the soak
 	// scenarios' 0.1 stretches every transfer 10x).
 	TimeScale float64 `json:"time_scale,omitempty"`
-}
-
-// AutoscaleConfig mirrors overload.AutoscaleConfig in JSON form.
-type AutoscaleConfig struct {
-	// Min and Max bound the bucket pool.
-	Min int `json:"min,omitempty"`
-	Max int `json:"max,omitempty"`
-	// QueueHighPerBucket marks pressure at this queue depth per active
-	// bucket.
-	QueueHighPerBucket int `json:"queue_high_per_bucket,omitempty"`
-	// GrowAfter / ShrinkAfter are the consecutive-observation
-	// hystereses.
-	GrowAfter   int `json:"grow_after,omitempty"`
-	ShrinkAfter int `json:"shrink_after,omitempty"`
-}
-
-// QuarantineConfig mirrors overload.QuarantineConfig in JSON form.
-type QuarantineConfig struct {
-	// Strikes quarantines a route after this many consecutive poison
-	// dispositions.
-	Strikes int `json:"strikes,omitempty"`
-	// ProbeAfter allows one half-open probe after this many denials.
-	ProbeAfter int `json:"probe_after,omitempty"`
-}
-
-// RecoveryConfig mirrors core.RecoveryConfig in JSON form.
-type RecoveryConfig struct {
-	// Dir holds the journal and checkpoints.
-	Dir string `json:"dir"`
-	// EverySteps is the checkpoint cadence (0 = 5).
-	EverySteps int `json:"every_steps,omitempty"`
-	// Kill is the injected crash handed to core.RecoveryConfig.Kill. It
-	// is not a config key — no file can set it; the crash matrix sets it
-	// on the loaded examples/configs/crashmatrix.json.
-	Kill recovery.KillFunc `json:"-"`
 }
 
 // StoreConfig declares the Cinema-style image database sink.
@@ -165,11 +130,8 @@ type TenantConfig struct {
 	Name string `json:"name,omitempty"`
 	// Sim sizes the proxy simulation.
 	Sim SimConfig `json:"sim"`
-	// StepBudgetMS bounds each step's hybrid transit path in
-	// milliseconds (0 = no budget): it is every submitted task's
-	// data-movement deadline and, for a tenant without an admission
-	// plane only, the budget of the staging health probe that degrades
-	// a step to the in-situ fallbacks (core.TenantConfig.StepBudget).
+	// StepBudgetMS is every submitted task's data-movement deadline in
+	// milliseconds (0 = none; core.TenantConfig.StepBudget).
 	StepBudgetMS int `json:"step_budget_ms,omitempty"`
 	// Overload is the graded admission plane: an unnamed tenant has
 	// one only when this is non-nil, a named tenant always, tuned by
@@ -212,12 +174,13 @@ type AnalysisConfig struct {
 }
 
 // OverloadConfig mirrors overload.Config in JSON form, with durations
-// in microseconds.
+// in microseconds (the only conversion; the ladder block decodes
+// straight into overload.LadderConfig).
 type OverloadConfig struct {
 	// Breaker tunes the per-route circuit breaker.
 	Breaker BreakerConfig `json:"breaker,omitempty"`
 	// Ladder tunes the admission ladder.
-	Ladder LadderConfig `json:"ladder,omitempty"`
+	Ladder overload.LadderConfig `json:"ladder,omitempty"`
 	// QueueBound bounds the task-queue depth (0 = 8). It is read only
 	// for an unnamed lone tenant; named tenants are sized by the
 	// fabric's queue_bound and tenant_reserve.
@@ -237,16 +200,6 @@ type BreakerConfig struct {
 	LatencyAlpha float64 `json:"latency_alpha,omitempty"`
 	// CooldownUS is the open→half-open wait (µs).
 	CooldownUS int `json:"cooldown_us,omitempty"`
-}
-
-// LadderConfig mirrors overload.LadderConfig in JSON form.
-type LadderConfig struct {
-	// QueueHigh/QueueLow are the queue-depth EWMA watermarks.
-	QueueHigh float64 `json:"queue_high,omitempty"`
-	QueueLow  float64 `json:"queue_low,omitempty"`
-	// DegradeAfter/RecoverAfter are the rung hystereses.
-	DegradeAfter int `json:"degrade_after,omitempty"`
-	RecoverAfter int `json:"recover_after,omitempty"`
 }
 
 // CodecConfig selects a transfer-path codec.
@@ -537,12 +490,7 @@ func overloadConfig(oc *OverloadConfig) *overload.Config {
 			LatencyAlpha:     oc.Breaker.LatencyAlpha,
 			Cooldown:         us(oc.Breaker.CooldownUS),
 		},
-		Ladder: overload.LadderConfig{
-			QueueHigh:    oc.Ladder.QueueHigh,
-			QueueLow:     oc.Ladder.QueueLow,
-			DegradeAfter: oc.Ladder.DegradeAfter,
-			RecoverAfter: oc.Ladder.RecoverAfter,
-		},
+		Ladder:          oc.Ladder,
 		QueueBound:      oc.QueueBound,
 		ProbeLatencyMax: us(oc.ProbeLatencyMaxUS),
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"insitu/internal/overload"
 	"insitu/internal/registry"
 )
 
@@ -254,8 +255,8 @@ func validatePurityConfig() *registry.Config {
 			Net:           registry.NetConfig{Profile: "gemini", TimeScale: 0.1},
 			QueueBound:    4,
 			TenantReserve: 2,
-			Autoscale:     &registry.AutoscaleConfig{Min: 2, Max: 4},
-			Quarantine:    &registry.QuarantineConfig{Strikes: 2, ProbeAfter: 2},
+			Autoscale:     &overload.AutoscaleConfig{Min: 2, Max: 4},
+			Quarantine:    &overload.QuarantineConfig{Strikes: 2, ProbeAfter: 2},
 		},
 		Tenants: []registry.TenantConfig{
 			{

@@ -7,7 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"insitu/internal/registry"
+	"insitu/internal/core"
 )
 
 // TestDurableFilesOpenLateAndCloseWithTheRun: building a topology with
@@ -18,7 +18,7 @@ import (
 func TestDurableFilesOpenLateAndCloseWithTheRun(t *testing.T) {
 	cfg := loadExample(t, "store-serve")
 	cfg.Store.Dir = t.TempDir()
-	cfg.Recovery = &registry.RecoveryConfig{Dir: t.TempDir(), EverySteps: 2}
+	cfg.Recovery = &core.RecoveryConfig{Dir: t.TempDir(), Every: 2}
 	journal := filepath.Join(cfg.Recovery.Dir, "journal.wal")
 	index := filepath.Join(cfg.Store.Dir, "index.log")
 	segment := filepath.Join(cfg.Store.Dir, "frames.seg")

@@ -35,6 +35,8 @@ type ViewerStats struct {
 	P50, P90, P99, Max time.Duration
 }
 
+// String renders the stats as one summary line: request outcomes, bytes
+// received, and the latency quantiles rounded to the microsecond.
 func (s ViewerStats) String() string {
 	return fmt.Sprintf("%d requests (%d ok, %d not-modified, %d errors), %d bytes, p50 %s p90 %s p99 %s max %s",
 		s.Requests, s.OK, s.NotModified, s.Errors, s.Bytes,
