@@ -169,7 +169,7 @@ func launch(o options, out io.Writer) error {
 			}
 		}
 	}
-	renderFabric(out, b)
+	renderFabric(out, b, reps)
 
 	if o.obsDump != "" {
 		if err := dumpObs(out, o.obsDump, pl); err != nil {
@@ -238,16 +238,21 @@ func renderTenant(out io.Writer, t registry.BuiltTenant, tc *registry.TenantConf
 }
 
 // renderFabric prints what the tenants share: network, the faults it
-// absorbed, credit account, the quarantine, the autoscaler when the
-// config arms one, and the image store.
-func renderFabric(out io.Writer, b *registry.Built) {
+// absorbed (dead letters summed over the tenants' reports), credit
+// account, the quarantine, the autoscaler when the config arms one, and
+// the image store.
+func renderFabric(out io.Writer, b *registry.Built, reps map[string]*core.Report) {
 	s := b.Scheduler
 	ns, as := s.Network().Stats(), s.Staging().Resilience()
+	var deadLetters int64
+	for _, rep := range reps {
+		deadLetters += rep.Resilience.DeadLetters
+	}
 	fmt.Fprintln(out, "fabric:")
 	fmt.Fprintf(out, "  network      %d transfers, %.3f MB moved, %v modeled busy\n",
 		ns.Transfers, float64(ns.BytesMoved)/1e6, ns.ModeledBusy.Round(1e3))
 	fmt.Fprintf(out, "  faults       %d faults injected, %d requeues, %d bucket crashes, %d dead letters\n",
-		ns.Faulted, as.Requeues, as.Crashes, as.DeadLetters)
+		ns.Faulted, as.Requeues, as.Crashes, deadLetters)
 	if c := s.Credits(); c != nil {
 		outstanding, avail, total := c.Snapshot()
 		fmt.Fprintf(out, "  credits      %d/%d available, %d outstanding\n", avail, total, outstanding)

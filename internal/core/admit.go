@@ -67,7 +67,7 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 	case overload.Reject:
 		return admitDecision{Level: overload.LevelInSitu, Reason: "in-situ: route quarantined"}
 	case overload.Probe:
-		if !credits.Acquire(account) {
+		if !p.acquireCredit(credits, account) {
 			// No capacity to probe with: the attempt is spent, the
 			// route stays quarantined until the next probe window.
 			p.quar.RecordProbe(p.tenant, name, false)
@@ -105,7 +105,7 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 	}
 	credited := ""
 	if level <= overload.LevelShaped {
-		if credits.Acquire(account) {
+		if p.acquireCredit(credits, account) {
 			credited = account
 		} else {
 			level = overload.LevelInSitu
@@ -113,6 +113,16 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 		}
 	}
 	return admitDecision{Level: level, Reason: reason, Account: credited}
+}
+
+// acquireCredit draws one transit credit from the account, counting a
+// refusal as the tenant's credit denial.
+func (p *Pipeline) acquireCredit(credits *dataspaces.Credits, account string) bool {
+	if credits.Acquire(account) {
+		return true
+	}
+	p.creditsDenied.Add(1)
+	return false
 }
 
 // probeRoute runs the half-open health probe: a tiny Get against the

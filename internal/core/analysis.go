@@ -83,12 +83,10 @@ type hybridStage interface {
 // admission ladder's "shaped" rung asks the in-situ stage for a
 // reduced intermediate payload (a coarser downsample, fewer bins, a
 // truncated feature set) instead of abandoning the transit path
-// entirely. Level is the shaping intensity, 1 being the ladder's
-// single shaped rung; higher levels mean coarser payloads. Analyses
-// that do not implement ShapedStage skip the rung: the ladder maps
-// shaped straight to the in-situ fallback for them.
+// entirely. Analyses that do not implement ShapedStage skip the rung:
+// the ladder maps shaped straight to the in-situ fallback for them.
 type ShapedStage interface {
-	InSituStageShaped(ctx *Ctx, level int) ([]byte, error)
+	InSituStageShaped(ctx *Ctx) ([]byte, error)
 }
 
 // QuantizableStage is an optional extension of hybrid analyses whose

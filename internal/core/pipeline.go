@@ -69,12 +69,14 @@ type Pipeline struct {
 	stepWall *obs.Histogram
 
 	// Step-outcome tallies, each counted once where it happens: rank 0's
-	// admission verdicts by level (observeAdmit), steps shed at submit
-	// (shedSubmitted) and dead-lettered tasks (handleResult). The Report,
-	// the metric families and s3dpipe all read these.
-	verdicts     [overload.LevelShed + 1]atomic.Int64
-	shedAtSubmit atomic.Int64
-	deadLetters  atomic.Int64
+	// admission verdicts by level (observeAdmit) and transit credits it
+	// was refused (acquireCredit), steps shed at submit (shedSubmitted)
+	// and dead-lettered tasks (handleResult). The Report, the metric
+	// families and s3dpipe all read these.
+	verdicts      [overload.LevelShed + 1]atomic.Int64
+	creditsDenied atomic.Int64
+	shedAtSubmit  atomic.Int64
+	deadLetters   atomic.Int64
 
 	// Drain accounting: the queue closes once the simulation has
 	// finished AND every successfully submitted task has produced its
@@ -256,14 +258,11 @@ func (p *Pipeline) handleResult(res staging.Result) {
 		p.deadLetters.Add(1)
 	case res.Err != nil:
 		p.recordErr(fmt.Errorf("core: in-transit %s step %d: %w", rt.name, task.Step, res.Err))
-	case task.Shaped > 0:
+	case task.Shaped:
 		// A shaped step completed on the transit path, but at
 		// reduced fidelity: mark it so consumers can tell it from
 		// a full-quality result.
-		p.storeResult(rt, task.Step, Degraded{
-			Reason: fmt.Sprintf("shaped: coarser payload (level %d)", task.Shaped),
-			Value:  res.Output,
-		})
+		p.storeResult(rt, task.Step, Degraded{Reason: "shaped: coarser payload", Value: res.Output})
 	default:
 		p.storeResult(rt, task.Step, res.Output)
 	}
@@ -311,33 +310,25 @@ func (p *Pipeline) degradedSteps() int64 {
 	return p.verdicts[overload.LevelInSitu].Load() + p.deadLetters.Load()
 }
 
-// resilience snapshots the failure counters across all layers. A lone
-// tenant owns the fabric's transport counters, its health probes'
-// included; with siblings they come from the tenant's own rank
-// endpoints (owner-attributed). Queue/bucket counters stay fabric-wide:
-// buckets are shared, so requeues and crashes are not a per-tenant
-// quantity. DegradedSteps is the tenant's own tally.
-func (p *Pipeline) resilience(siblings bool) metrics.Resilience {
-	fs := p.sched.dart.Stats()
-	if siblings {
-		var retries, crc int64
-		p.mu.Lock()
-		for _, ep := range p.rankEps {
-			s := ep.Stats()
-			retries += s.Retries
-			crc += s.ChecksumFailures
-		}
-		p.mu.Unlock()
-		fs.Retries, fs.ChecksumFailures = retries, crc
+// resilience snapshots the failure counters across all layers (the
+// Report doc gives each one's scope).
+func (p *Pipeline) resilience() metrics.Resilience {
+	var retries, crc int64
+	p.mu.Lock()
+	for _, ep := range p.rankEps {
+		s := ep.Stats()
+		retries += s.Retries
+		crc += s.ChecksumFailures
 	}
+	p.mu.Unlock()
 	as := p.sched.area.Resilience()
 	return metrics.Resilience{
 		Faults:           p.sched.net.Stats().Faulted,
-		Retries:          fs.Retries,
-		ChecksumFailures: fs.ChecksumFailures,
+		Retries:          retries,
+		ChecksumFailures: crc,
 		Requeues:         as.Requeues,
 		Crashes:          as.Crashes,
-		DeadLetters:      as.DeadLetters,
+		DeadLetters:      p.deadLetters.Load(),
 		DegradedSteps:    p.degradedSteps(),
 	}
 }

@@ -81,6 +81,10 @@ func (p *Pipeline) publish(reg *obs.Registry) {
 		func() float64 { return float64(p.degradedSteps()) })
 	ledger("pipeline_shed_steps_total", "analysis steps dropped with an explicit shed marker",
 		func() float64 { return float64(p.stepsShed()) })
+	ledger("staging_dead_letters_total", "in-transit tasks that exhausted their attempt budget",
+		func() float64 { return float64(p.deadLetters.Load()) })
+	ledger("credits_denied_total", "transit credits the admission pass was refused",
+		func() float64 { return float64(p.creditsDenied.Load()) })
 	ledger("pipeline_transit_bytes_total", "intermediate bytes moved to the staging tier, all analyses",
 		func() float64 {
 			var n int64

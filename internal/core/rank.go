@@ -255,7 +255,7 @@ func (rr *rankRun) reduceEncodeRegister(i, step int) bool {
 	var payload []byte
 	var err error
 	if dec.Level == overload.LevelShaped {
-		payload, err = rt.shaped.InSituStageShaped(rr.ctx, 1)
+		payload, err = rt.shaped.InSituStageShaped(rr.ctx)
 	} else {
 		payload, err = rt.stage.InSituStage(rr.ctx)
 	}
@@ -313,10 +313,7 @@ func (rr *rankRun) submitTask(rt *route, step int, dec admitDecision, deadline t
 	slices.SortStableFunc(inputs, func(a, b dataspaces.Descriptor) int { return cmp.Compare(a.Rank, b.Rank) })
 	spec := dataspaces.TaskSpec{
 		Tenant: p.tenant, Analysis: name, Step: step, Inputs: inputs, Deadline: deadline,
-		Account: dec.Account, Probe: dec.Probe,
-	}
-	if dec.Level == overload.LevelShaped {
-		spec.Shaped = 1
+		Account: dec.Account, Probe: dec.Probe, Shaped: dec.Level == overload.LevelShaped,
 	}
 	if _, err := p.sched.ds.SubmitSpec(spec); err != nil {
 		if errors.Is(err, dataspaces.ErrDuplicateTask) {

@@ -10,11 +10,14 @@ import (
 	"insitu/internal/recovery"
 )
 
-// Report is the outcome of a pipeline run. Resilience mixes scopes:
-// Faults, Requeues, Crashes and DeadLetters are fabric-wide (one network
-// and one bucket pool serve every tenant), Retries and ChecksumFailures
-// are the tenant's own once it has siblings, and DegradedSteps is always
-// the tenant's own.
+// Report is the outcome of one tenant's run. Its counts are the
+// tenant's own, alone or beside siblings, except Net, Codec and
+// Resilience.Faults, Requeues and Crashes: those are fabric-wide,
+// because every tenant shares the network and the bucket pool.
+// Resilience.Retries and ChecksumFailures are charged to the tenant's
+// rank endpoints, which own the regions its tasks pull; a retry on a
+// bucket-owned region (the transit-health probe's, the only one)
+// counts for no tenant.
 type Report struct {
 	Steps      int
 	Results    map[string]map[int]any // analysis -> step -> output; frames are []FrameRef
@@ -36,10 +39,11 @@ func (r *Report) Result(analysis string, step int) any {
 // finishReport builds the final Report from the run's tallies and the
 // fabric's counters. Called once per pipeline, after its simulation has
 // finished and the drain has delivered every final result.
-func (p *Pipeline) finishReport(steps int, siblings bool) *Report {
+func (p *Pipeline) finishReport(steps int) *Report {
 	// resilience takes p.mu, so it runs before the lock below.
-	res := p.resilience(siblings)
+	res := p.resilience()
 	over := metrics.Overload{
+		CreditsDenied:  p.creditsDenied.Load(),
 		StepsDelta:     p.verdicts[overload.LevelDelta].Load(),
 		StepsQuantized: p.verdicts[overload.LevelQuantized].Load(),
 		StepsShaped:    p.verdicts[overload.LevelShaped].Load(),
@@ -47,7 +51,6 @@ func (p *Pipeline) finishReport(steps int, siblings bool) *Report {
 		StepsFallback:  p.verdicts[overload.LevelInSitu].Load(),
 	}
 	if p.ov != nil {
-		over.CreditsDenied = p.sched.ds.Credits().Denied()
 		over.BreakerOpens, over.BreakerTransitions = p.breakerTotals()
 	}
 

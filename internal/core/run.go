@@ -52,14 +52,13 @@ func (s *Scheduler) run(steps int, lone *Pipeline, resume bool) (map[string]*Rep
 	s.drain(tenants, steps)
 
 	reports := make(map[string]*Report, len(tenants))
-	shared := len(tenants) > 1
 	var errs []error
 	for _, p := range tenants {
-		rep := p.finishReport(steps, shared)
+		rep := p.finishReport(steps)
 		reports[p.tenant] = rep
 		if len(rep.Errs) > 0 {
 			err := rep.Errs[0]
-			if shared {
+			if len(tenants) > 1 {
 				err = fmt.Errorf("tenant %s: %w", p.tenant, err)
 			}
 			errs = append(errs, err)

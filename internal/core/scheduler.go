@@ -162,7 +162,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	// The registry is attached unconditionally: with no Codecs config
 	// every registration resolves to the identity spec, which pins raw
 	// bytes exactly as RegisterMem did.
-	ds.SetCodecs(s.codecs)
+	d.SetCodecs(s.codecs)
 	// The buckets recycle pulled payloads once a handler returns; every
 	// in-transit handler in core decodes its payloads into private
 	// structures (Unmarshal*) and retains no input slice past its return.

@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"insitu/internal/codec"
+	"insitu/internal/faults"
 	"insitu/internal/netsim"
 	"insitu/internal/overload"
 	"insitu/internal/sim"
+	"insitu/internal/staging"
 	"insitu/internal/stats"
 )
 
@@ -392,5 +394,55 @@ func TestTenantEnableObsSharesSchedulerPlane(t *testing.T) {
 				t.Errorf("tenantFirst=%v: /metrics has an unlabelled tenant family %q", tenantFirst, unlabelled)
 			}
 		}
+	}
+}
+
+// TestTenantReportHoldsOnlyItsOwnFailures: a Report's retry and
+// dead-letter counts are its tenant's own. Every pull from tenant a's
+// rank endpoints drops, so a's tasks retry and dead-letter while b's
+// pulls are clean: a's report carries every retry and dead letter, b's
+// none, and the tenants' dead-letter counts sum to the dead-lettered
+// steps the reports hold.
+func TestTenantReportHoldsOnlyItsOwnFailures(t *testing.T) {
+	const steps = 6
+	s, err := NewScheduler(testSchedCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		p, err := s.AddTenant(name, TenantConfig{Sim: testSimConfig(2, 1, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Register(&StatsHybrid{Vars: []string{"T"}, EveryN: 1})
+	}
+	drop := map[int]faults.Rates{}
+	for _, ep := range s.TenantEndpoints("a") {
+		drop[ep.ID()] = faults.Rates{Drop: 1}
+	}
+	s.Network().SetFaults(faults.New(faults.Config{Seed: 1, PerEndpoint: drop}))
+	reps, err := s.Run(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := reps["a"].Resilience, reps["b"].Resilience
+	if a.DeadLetters == 0 || a.Retries == 0 {
+		t.Fatalf("tenant a: %d dead letters, %d retries; want both > 0", a.DeadLetters, a.Retries)
+	}
+	if b.DeadLetters != 0 || b.Retries != 0 {
+		t.Fatalf("tenant b: %d dead letters, %d retries; want 0 (a's failures are not b's)", b.DeadLetters, b.Retries)
+	}
+	var deadLettered int64
+	for _, rep := range reps {
+		for _, byStep := range rep.Results {
+			for _, res := range byStep {
+				if d, ok := res.(Degraded); ok && strings.Contains(d.Reason, staging.ErrDeadLetter.Error()) {
+					deadLettered++
+				}
+			}
+		}
+	}
+	if sum := a.DeadLetters + b.DeadLetters; sum != deadLettered {
+		t.Fatalf("tenants report %d dead letters in all, their results hold %d dead-lettered steps", sum, deadLettered)
 	}
 }

@@ -195,18 +195,17 @@ func (v *VizHybrid) Every() int { return v.EveryN }
 
 // InSituStage implements HybridAnalysis: down-sample and marshal.
 func (v *VizHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
-	return v.stage(ctx, 0)
+	return v.stage(ctx, false)
 }
 
 // InSituStageShaped implements ShapedStage: under overload the ladder's
-// shaped rung doubles the down-sampling factor per shaping level, so a
-// browned-out staging tier receives an eighth of the bytes per level of
-// pressure instead of nothing.
-func (v *VizHybrid) InSituStageShaped(ctx *Ctx, level int) ([]byte, error) {
-	return v.stage(ctx, level)
+// shaped rung doubles the down-sampling factor, so a browned-out
+// staging tier receives an eighth of the bytes instead of nothing.
+func (v *VizHybrid) InSituStageShaped(ctx *Ctx) ([]byte, error) {
+	return v.stage(ctx, true)
 }
 
-func (v *VizHybrid) stage(ctx *Ctx, level int) ([]byte, error) {
+func (v *VizHybrid) stage(ctx *Ctx, shaped bool) ([]byte, error) {
 	name := v.Var
 	if name == "" {
 		name = "T"
@@ -219,7 +218,7 @@ func (v *VizHybrid) stage(ctx *Ctx, level int) ([]byte, error) {
 	if factor < 1 {
 		factor = 8
 	}
-	for i := 0; i < level; i++ {
+	if shaped {
 		factor *= 2
 	}
 	payload, _ := render.DownsampleForTransit(f, ctx.Owned, factor)

@@ -127,7 +127,8 @@ type MemHandle struct {
 	Size     int // region size in bytes
 }
 
-// Stats counts the fabric's resilience activity.
+// Stats counts resilience activity: one endpoint's, charged to the
+// regions it owns, or the fabric's, summed over its endpoints.
 type Stats struct {
 	// Retries is the number of retried Get attempts.
 	Retries int64
@@ -150,10 +151,6 @@ type Fabric struct {
 
 	jmu sync.Mutex
 	jit *rand.Rand
-
-	retries   atomic.Int64
-	crcFails  atomic.Int64
-	deadlines atomic.Int64
 
 	codecs     atomic.Pointer[codec.Registry]
 	rawBytes   atomic.Int64
@@ -179,7 +176,8 @@ type fabricObs struct {
 // SetPlane attaches the observability plane: every Get records a
 // span in the transport category (attrs: region, bytes, attempts,
 // modeled duration, error), every retry records an event, and the
-// fabric's counters are published as live metric series. Call before
+// fabric's and each endpoint's counters are published as live metric
+// series. Call before
 // traffic starts; a nil plane is ignored.
 func (f *Fabric) SetPlane(pl *obs.Plane) {
 	if pl == nil {
@@ -194,12 +192,6 @@ func (f *Fabric) SetPlane(pl *obs.Plane) {
 		modeled: reg.Histogram("dart_transfer_modeled_seconds",
 			"modeled transfer duration of successful Get/Put operations", obs.LatencyBuckets),
 	}
-	reg.CounterFunc("dart_retries_total", "retried Get/Put attempts",
-		func() float64 { return float64(f.retries.Load()) })
-	reg.CounterFunc("dart_checksum_failures_total", "corrupted payloads caught by CRC32 verification",
-		func() float64 { return float64(f.crcFails.Load()) })
-	reg.CounterFunc("dart_deadline_exceeded_total", "operations abandoned at their caller deadline",
-		func() float64 { return float64(f.deadlines.Load()) })
 	for i := 0; i < codec.NumIDs; i++ {
 		id := codec.ID(i)
 		fo.encSec[i] = reg.Histogram("dart_codec_encode_seconds",
@@ -297,13 +289,20 @@ func (f *Fabric) RetryPolicy() RetryPolicy {
 	return f.policy
 }
 
-// Stats returns a snapshot of the fabric's resilience counters.
+// Stats sums the resilience counters of the registered endpoints. A
+// failure is charged to the endpoint owning the region in flight, so a
+// pull whose owner has unregistered counts nowhere.
 func (f *Fabric) Stats() Stats {
-	return Stats{
-		Retries:          f.retries.Load(),
-		ChecksumFailures: f.crcFails.Load(),
-		DeadlineExceeded: f.deadlines.Load(),
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var st Stats
+	for _, ep := range f.eps {
+		s := ep.Stats()
+		st.Retries += s.Retries
+		st.ChecksumFailures += s.ChecksumFailures
+		st.DeadlineExceeded += s.DeadlineExceeded
 	}
+	return st
 }
 
 // SetCodecs attaches the codec registry used by RegisterMemEncoded and
@@ -389,10 +388,10 @@ type Endpoint struct {
 	regions map[int]*region
 	closed  bool
 
-	// Per-endpoint resilience counters, charged to the *region owner*
-	// of each transaction: a retry against tenant X's data counts
-	// against X's series no matter which bucket issued the pull, so
-	// per-tenant dashboards do not alias into one global line.
+	// The transport's resilience counters, charged to the *region
+	// owner* of each transaction: a retry against tenant X's data
+	// counts against X's series no matter which bucket issued the pull,
+	// so per-tenant dashboards do not alias into one global line.
 	retries   atomic.Int64
 	crcFails  atomic.Int64
 	deadlines atomic.Int64
@@ -674,20 +673,17 @@ func (ep *Endpoint) getDeadline(h MemHandle, deadline time.Time) ([]byte, time.D
 	}
 }
 
-// chargeRetry and chargeDeadline tally a transfer failure both
-// fabric-wide (Fabric.Stats, unchanged) and against the endpoint that
-// owns the region in flight, so per-endpoint/tenant series attribute
-// the noise to the tenant whose data was being moved rather than to
-// whichever bucket happened to issue the RPC.
+// chargeRetry and chargeDeadline tally a transfer failure against the
+// endpoint that owns the region in flight, so per-endpoint/tenant
+// series attribute the noise to the tenant whose data was being moved
+// rather than to whichever bucket happened to issue the RPC.
 func (f *Fabric) chargeRetry(h MemHandle) {
-	f.retries.Add(1)
 	if o := f.ownerOf(h.Endpoint); o != nil {
 		o.retries.Add(1)
 	}
 }
 
 func (f *Fabric) chargeDeadline(h MemHandle) {
-	f.deadlines.Add(1)
 	if o := f.ownerOf(h.Endpoint); o != nil {
 		o.deadlines.Add(1)
 	}
@@ -721,7 +717,6 @@ func (ep *Endpoint) getOnce(h MemHandle) ([]byte, time.Duration, error) {
 	}
 	if crc32.ChecksumIEEE(data) != sum {
 		bufpool.Put(data)
-		ep.f.crcFails.Add(1)
 		owner.crcFails.Add(1)
 		return nil, d, fmt.Errorf("dart: get %+v: %w", h, ErrChecksum)
 	}

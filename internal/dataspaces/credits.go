@@ -26,7 +26,6 @@ type Credits struct {
 	shared      int
 	reserved    map[string]*reservation
 	outstanding int
-	denied      int64
 }
 
 type reservation struct {
@@ -70,7 +69,6 @@ func (c *Credits) Acquire(analysis string) bool {
 		c.outstanding++
 		return true
 	}
-	c.denied++
 	return false
 }
 
@@ -93,7 +91,7 @@ func (c *Credits) Release(analysis string) {
 }
 
 // Exhausted reports whether an Acquire for the analysis would be
-// denied right now. It does not count as a denial.
+// denied right now.
 func (c *Credits) Exhausted(analysis string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -140,11 +138,4 @@ func (c *Credits) Snapshot() (outstanding, available, total int) {
 		available += r.avail
 	}
 	return c.outstanding, available, c.total
-}
-
-// Denied returns how many Acquire calls were refused.
-func (c *Credits) Denied() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.denied
 }

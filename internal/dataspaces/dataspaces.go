@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"insitu/internal/codec"
 	"insitu/internal/dart"
 	"insitu/internal/grid"
 	"insitu/internal/obs"
@@ -84,10 +83,10 @@ type TaskSpec struct {
 	// past it fail and the task is eventually dead-lettered. It is set
 	// from the submitting step's deadline budget.
 	Deadline time.Time
-	// Shaped is the admission ladder's payload-shaping level the task
-	// was produced at (0 = full payload). The transit tier carries it
-	// through so results can be marked as reduced-fidelity.
-	Shaped int
+	// Shaped marks a task produced at the admission ladder's shaped
+	// rung (a coarser payload). The transit tier carries it through so
+	// results can be marked as reduced-fidelity.
+	Shaped bool
 	// Account names the credit account the producer drew this task's
 	// flow-control credit from (empty: the task holds none); FinishTask
 	// releases it exactly once when the task's final result settles. It
@@ -158,14 +157,6 @@ func New(fabric *dart.Fabric, servers int) (*Service, error) {
 	return s, nil
 }
 
-// SetCodecs attaches a transfer-path codec registry to the service's
-// fabric, enabling encoded registrations (dart.RegisterMemEncoded) and
-// transparent decode on Get for every endpoint. The registry holds the
-// previous-version base store the delta codec encodes against; one
-// registry serves both sides of every route. Call before traffic
-// starts.
-func (s *Service) SetCodecs(r *codec.Registry) { s.fabric.SetCodecs(r) }
-
 // SetPlane attaches the observability plane: task submissions and
 // requeues record lifecycle events on the "queue" lane, and the
 // service's live state — queue depth, free buckets, assignment and
@@ -207,13 +198,6 @@ func (s *Service) SetPlane(pl *obs.Plane) {
 			}
 			return 0
 		})
-	reg.CounterFunc("credits_denied_total", "credit acquisitions refused at saturation",
-		func() float64 {
-			if c := s.Credits(); c != nil {
-				return float64(c.Denied())
-			}
-			return 0
-		})
 	s.plane.Store(pl)
 }
 
@@ -229,7 +213,7 @@ func (s *Service) observeSubmit(t Task) {
 		obs.Int64("task", t.ID),
 		obs.Str("analysis", t.Analysis),
 		obs.Int("step", t.Step),
-		obs.Int("shaped", t.Shaped),
+		obs.Bool("shaped", t.Shaped),
 		obs.Bool("credited", t.Account != ""),
 	}
 	if t.Tenant != "" {

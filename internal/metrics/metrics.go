@@ -47,23 +47,25 @@ func (b Breakdown) PerStep() Breakdown {
 	}
 }
 
-// Resilience aggregates the run's fault-handling counters: what the
-// injector perturbed and how the stack absorbed it.
+// Resilience aggregates a tenant's fault-handling counters: what the
+// injector perturbed and how the stack absorbed it. Each count is the
+// tenant's own except those marked fabric-wide, which every tenant
+// sharing the network and the bucket pool reads alike.
 type Resilience struct {
-	Faults           int64 // transfer attempts perturbed by the injector
-	Retries          int64 // transfers retried by the DART layer
-	ChecksumFailures int64 // corrupted payloads caught by CRC framing
-	Requeues         int64 // staging task attempts pushed back FCFS
-	Crashes          int64 // bucket crashes (each respawned)
-	DeadLetters      int64 // tasks that exhausted their attempt budget
-	DegradedSteps    int64 // analysis steps that fell back fully in-situ or dead-lettered
+	Faults           int64 // transfer attempts perturbed by the injector (fabric-wide)
+	Retries          int64 // retried pulls of the tenant's regions
+	ChecksumFailures int64 // corrupted pulls of the tenant's regions caught by CRC32
+	Requeues         int64 // staging task attempts pushed back (fabric-wide)
+	Crashes          int64 // bucket crashes, each respawned (fabric-wide)
+	DeadLetters      int64 // the tenant's tasks that exhausted their attempt budget
+	DegradedSteps    int64 // the tenant's analysis steps that fell back fully in-situ or dead-lettered
 }
 
-// Overload aggregates the overload-control plane's counters: how often
-// backpressure denied admission, how the admission ladder shaped or
-// shed work, and how the per-route circuit breakers moved.
+// Overload aggregates a tenant's overload-control counters: how often
+// backpressure denied it admission, how its admission ladder shaped or
+// shed work, and how its per-route circuit breakers moved.
 type Overload struct {
-	CreditsDenied      int64 // credit acquisitions refused (account dry)
+	CreditsDenied      int64 // transit credits the tenant's admission pass was refused (account dry)
 	StepsDelta         int64 // analysis steps admitted with delta encoding
 	StepsQuantized     int64 // analysis steps admitted with quantized payload
 	StepsShaped        int64 // analysis steps admitted at reduced payload

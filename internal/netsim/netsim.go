@@ -119,8 +119,7 @@ type Network struct {
 
 	linkMu sync.Mutex // serializes sleeps under SharedLink
 
-	faulted atomic.Int64 // transfers that failed or were perturbed
-	inj     atomic.Pointer[faults.Injector]
+	inj atomic.Pointer[faults.Injector]
 }
 
 // New creates a network with the given configuration.
@@ -212,31 +211,26 @@ func (n *Network) TransferBetween(dst, src []byte, from, to int) (time.Duration,
 	case faults.Drop:
 		// The attempt occupied the wire for its full modeled duration
 		// before the loss was noticed.
-		n.faulted.Add(1)
 		n.sleepScaled(d)
 		return d, ErrDropped
 	case faults.Timeout:
-		n.faulted.Add(1)
 		n.sleepScaled(dec.Delay)
 		return dec.Delay, ErrTimeout
 	case faults.Partition:
 		// Fail fast at SMSG latency: the uGNI layer reports an
 		// unreachable peer without moving payload bytes.
-		n.faulted.Add(1)
 		return n.cfg.SMSG.Latency, ErrPartitioned
 	case faults.Corrupt:
 		copy(dst, src)
 		for _, b := range dec.FlipBits {
 			dst[b/8] ^= 1 << (b % 8)
 		}
-		n.faulted.Add(1)
 		n.account(d, p, len(src))
 		n.sleepScaled(d)
 		return d, nil
 	case faults.Slowdown:
 		copy(dst, src)
 		d = time.Duration(float64(d) * dec.Factor)
-		n.faulted.Add(1)
 		n.account(d, p, len(src))
 		n.sleepScaled(d)
 		return d, nil
@@ -277,8 +271,9 @@ type Stats struct {
 	Transfers   int64
 	ModeledBusy time.Duration
 	PerPath     map[Path]int64
-	// Faulted counts transfer attempts the injector perturbed
-	// (dropped, timed out, partitioned, corrupted, or slowed).
+	// Faulted counts transfer attempts the attached injector perturbed
+	// (dropped, timed out, partitioned, corrupted, or slowed); 0 with
+	// no injector.
 	Faulted int64
 }
 
@@ -290,11 +285,14 @@ func (n *Network) Stats() Stats {
 	for k, v := range n.perPath {
 		pp[k] = v
 	}
-	return Stats{
+	st := Stats{
 		BytesMoved:  n.bytesMoved.Load(),
 		Transfers:   n.transfers.Load(),
 		ModeledBusy: n.modeledBusy,
 		PerPath:     pp,
-		Faulted:     n.faulted.Load(),
 	}
+	if inj := n.inj.Load(); inj != nil {
+		st.Faulted = inj.Counters().Injected()
+	}
+	return st
 }

@@ -62,7 +62,7 @@ func TestObsEndpoint(t *testing.T) {
 	metrics := string(get(t, srv, "/metrics"))
 	for _, want := range []string{
 		"dart_transfer_bytes_total",
-		"dart_retries_total",
+		"dart_endpoint_retries_total",
 		"credits_available",
 		"credits_total",
 		"admission_decisions_total",

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -175,5 +176,19 @@ func TestImagePoolReuseAndLedger(t *testing.T) {
 	PutImage(nil) // must be a no-op
 	if ImagesOutstanding() != before {
 		t.Fatalf("outstanding %d after nil Put, want %d", ImagesOutstanding(), before)
+	}
+}
+
+// A recycled framebuffer outlives collections, so how many of them fall
+// inside a run does not change what the run allocates.
+func TestImagePoolKeepsFramesAcrossCollections(t *testing.T) {
+	im := GetImage(16, 8)
+	PutImage(im)
+	runtime.GC()
+	runtime.GC()
+	got := GetImage(16, 8)
+	defer PutImage(got)
+	if got != im {
+		t.Fatal("a recycled framebuffer was dropped at a collection")
 	}
 }

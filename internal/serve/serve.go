@@ -39,20 +39,20 @@ type Server struct {
 	st  *imagestore.Store
 	mux *http.ServeMux
 
-	requests atomic.Int64
+	// The lifetime counters, one per fact: Stats reads them, and
+	// PublishTo exports them as scrape-time functions.
+	requests [len(routes)]atomic.Int64 // by route
 	notMod   atomic.Int64
 	errors   atomic.Int64
 	bytes    atomic.Int64
 
-	// Optional observability families (nil until PublishTo).
-	mReq   map[string]*obs.Counter
-	m304   *obs.Counter
-	mBytes *obs.Counter
-	mLat   map[string]*obs.Histogram
+	// Per-route latency histograms (nil until PublishTo).
+	lat []*obs.Histogram
 }
 
-// routes is the label set requests are classified under.
-var routes = []string{"index", "info", "db", "img", "latest", "other"}
+// routes is the label set requests are classified under; classify
+// returns an index into it.
+var routes = [...]string{"index", "info", "db", "img", "latest", "other"}
 
 // New builds the serving tier over st.
 func New(st *imagestore.Store) *Server {
@@ -72,18 +72,18 @@ func (s *Server) PublishTo(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.mReq = make(map[string]*obs.Counter, len(routes))
-	s.mLat = make(map[string]*obs.Histogram, len(routes))
-	for _, r := range routes {
-		s.mReq[r] = reg.Counter("serve_requests_total",
-			"image-serving requests by route", obs.Str("route", r))
-		s.mLat[r] = reg.Histogram("serve_latency_seconds",
+	counter := func(name, help string, c *atomic.Int64, labels ...obs.Attr) {
+		reg.CounterFunc(name, help, func() float64 { return float64(c.Load()) }, labels...)
+	}
+	lat := make([]*obs.Histogram, len(routes))
+	for i, r := range routes {
+		counter("serve_requests_total", "image-serving requests by route", &s.requests[i], obs.Str("route", r))
+		lat[i] = reg.Histogram("serve_latency_seconds",
 			"image-serving request latency by route", obs.LatencyBuckets, obs.Str("route", r))
 	}
-	s.m304 = reg.Counter("serve_not_modified_total",
-		"conditional GETs answered 304 with zero body bytes")
-	s.mBytes = reg.Counter("serve_bytes_total",
-		"response body bytes sent by the serving tier")
+	counter("serve_not_modified_total", "conditional GETs answered 304 with zero body bytes", &s.notMod)
+	counter("serve_bytes_total", "response body bytes sent by the serving tier", &s.bytes)
+	s.lat = lat
 }
 
 // Stats are the server's lifetime counters, for gates that run without
@@ -97,41 +97,43 @@ type Stats struct {
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
-	return Stats{
-		Requests:    s.requests.Load(),
+	st := Stats{
 		NotModified: s.notMod.Load(),
 		Errors:      s.errors.Load(),
 		BytesSent:   s.bytes.Load(),
 	}
+	for i := range s.requests {
+		st.Requests += s.requests[i].Load()
+	}
+	return st
 }
 
 // ServeHTTP implements http.Handler with per-route accounting.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	s.requests.Add(1)
 	route := classify(r.URL.Path)
+	s.requests[route].Add(1)
 	s.mux.ServeHTTP(&countingWriter{ResponseWriter: w, s: s}, r)
-	if s.mReq != nil {
-		s.mReq[route].Inc()
-		s.mLat[route].Observe(time.Since(t0).Seconds())
+	if s.lat != nil {
+		s.lat[route].Observe(time.Since(t0).Seconds())
 	}
 }
 
-// classify maps a request path onto its route label.
-func classify(path string) string {
+// classify maps a request path onto its index in routes.
+func classify(path string) int {
 	switch {
 	case path == "/":
-		return "index"
+		return 0 // index
 	case path == "/db/info.json":
-		return "info"
-	case path == "/latest.json":
-		return "latest"
+		return 1 // info
 	case strings.HasPrefix(path, "/db/"):
-		return "db"
+		return 2 // db
 	case strings.HasPrefix(path, "/img/"):
-		return "img"
+		return 3 // img
+	case path == "/latest.json":
+		return 4 // latest
 	}
-	return "other"
+	return 5 // other
 }
 
 // countingWriter folds status and body bytes into the server counters.
@@ -144,9 +146,6 @@ func (c *countingWriter) WriteHeader(code int) {
 	switch {
 	case code == http.StatusNotModified:
 		c.s.notMod.Add(1)
-		if c.s.m304 != nil {
-			c.s.m304.Inc()
-		}
 	case code >= 400:
 		c.s.errors.Add(1)
 	}
@@ -156,9 +155,6 @@ func (c *countingWriter) WriteHeader(code int) {
 func (c *countingWriter) Write(b []byte) (int, error) {
 	n, err := c.ResponseWriter.Write(b)
 	c.s.bytes.Add(int64(n))
-	if c.s.mBytes != nil {
-		c.s.mBytes.Add(int64(n))
-	}
 	return n, err
 }
 

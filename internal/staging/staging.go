@@ -186,9 +186,8 @@ type Area struct {
 	retire  []chan struct{}
 	retired []bool
 
-	active      atomic.Int64 // buckets currently in (or returning to) the pool
-	crashes     atomic.Int64
-	deadLetters atomic.Int64
+	active  atomic.Int64 // buckets currently in (or returning to) the pool
+	crashes atomic.Int64
 
 	probe dart.MemHandle
 
@@ -198,17 +197,14 @@ type Area struct {
 // SetPlane attaches the observability plane: every task attempt records
 // a span on its bucket's lane (with pull and run child spans), every
 // final result records a terminal task.done event, crashes record
-// bucket.crash events, and the failure counters are published as metric
+// bucket.crash events, and the crash counter is published as a metric
 // series. A nil plane is ignored.
 func (a *Area) SetPlane(pl *obs.Plane) {
 	if pl == nil {
 		return
 	}
-	reg := pl.Registry()
-	reg.CounterFunc("staging_crashes_total", "bucket crashes, each followed by a respawn",
+	pl.Registry().CounterFunc("staging_crashes_total", "bucket crashes, each followed by a respawn",
 		func() float64 { return float64(a.crashes.Load()) })
-	reg.CounterFunc("staging_dead_letters_total", "tasks that exhausted their attempt budget",
-		func() float64 { return float64(a.deadLetters.Load()) })
 	a.plane.Store(pl)
 }
 
@@ -491,19 +487,19 @@ func killed(kill <-chan struct{}) bool {
 	}
 }
 
-// ResilienceStats snapshots the staging area's failure counters.
+// ResilienceStats snapshots the staging area's failure counters. A
+// dead letter is a Result (DeadLetter set), counted by whoever drains
+// the results.
 type ResilienceStats struct {
-	Crashes     int64 // bucket crashes (each followed by a respawn)
-	Requeues    int64 // failed task attempts pushed back to the queue
-	DeadLetters int64 // tasks that exhausted their attempt budget
+	Crashes  int64 // bucket crashes (each followed by a respawn)
+	Requeues int64 // failed task attempts pushed back to the queue
 }
 
 // Resilience returns the failure counters.
 func (a *Area) Resilience() ResilienceStats {
 	return ResilienceStats{
-		Crashes:     a.crashes.Load(),
-		Requeues:    a.ds.Requeues(),
-		DeadLetters: a.deadLetters.Load(),
+		Crashes:  a.crashes.Load(),
+		Requeues: a.ds.Requeues(),
 	}
 }
 
@@ -560,8 +556,6 @@ func (a *Area) failTask(id int, task dataspaces.Task, start time.Time, cause err
 		}
 		// Service closed mid-failure: fall through to dead-letter.
 	}
-	a.deadLetters.Add(1)
-	a.observeDeadLetter(task.Tenant)
 	a.releaseInputs(task)
 	return &Result{
 		Task:       task,
@@ -580,20 +574,4 @@ func (a *Area) failTask(id int, task dataspaces.Task, start time.Time, cause err
 			Last:     cause,
 		},
 	}
-}
-
-// observeDeadLetter bumps the per-tenant dead-letter counter. The
-// registry is idempotent by name+labels, so resolving at dead-letter
-// time (a rare event) is cheap and avoids pre-declaring tenants.
-func (a *Area) observeDeadLetter(tenant string) {
-	pl := a.plane.Load()
-	if pl == nil {
-		return
-	}
-	if tenant == "" {
-		tenant = "default"
-	}
-	pl.Registry().Counter("staging_dead_letter_total",
-		"tasks that exhausted their attempt budget, by originating tenant",
-		obs.Str("tenant", tenant)).Inc()
 }

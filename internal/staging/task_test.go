@@ -143,7 +143,7 @@ func TestHandlerKindsShareTaskPath(t *testing.T) {
 			taskSummary{Output: "in-transit", Attempts: 2, Res: ResilienceStats{Crashes: 1, Requeues: 1}, Released: 3,
 				Spans: []string{"bucket.crash", "task.attempt", "task.attempt", "task.done", "task.pull", "task.run"}}},
 		{"pull-failure", false, concat, broken,
-			taskSummary{Attempts: 3, DeadLetter: true, Res: ResilienceStats{Requeues: 2, DeadLetters: 1}, Released: 2,
+			taskSummary{Attempts: 3, DeadLetter: true, Res: ResilienceStats{Requeues: 2}, Released: 2,
 				Spans: []string{"task.attempt", "task.attempt", "task.attempt", "task.done", "task.pull", "task.pull", "task.pull"}}},
 		{"handler-error", false, fail, good,
 			taskSummary{Attempts: 1, Released: 3, Spans: ran}},

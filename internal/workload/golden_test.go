@@ -13,10 +13,12 @@ import (
 	"testing"
 
 	"insitu/internal/core"
+	"insitu/internal/faults"
 	"insitu/internal/imagestore"
 	"insitu/internal/obs"
 	"insitu/internal/registry"
 	"insitu/internal/render"
+	"insitu/internal/serve"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from this run's result digests")
@@ -202,30 +204,50 @@ func spanTaxonomy(rec *obs.Recorder) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// TestMetricFamiliesGolden pins the /metrics schema of a one-tenant and
-// a three-tenant run: every family name, its type and the label keys of
-// its samples, and the one-tenant run's span taxonomy (spanTaxonomy),
-// so a second record of one fact cannot come back unseen. Dashboards
-// and the benchmark key on these names, so a change that moves where
-// families are registered proves here that it renamed nothing. The
-// schema is stable across configurations: both runs export the same
-// families, and their label keys differ only by the `tenant` key a
-// named tenant's families carry.
+// TestMetricFamiliesGolden pins the /metrics schema of a one-tenant, a
+// three-tenant and a store-serve run: every family name, its type and
+// the label keys of its samples, and the one-tenant run's span taxonomy
+// (spanTaxonomy), so a second record of one fact cannot come back
+// unseen. Dashboards and the benchmark key on these names, so a change
+// that moves where families are registered proves here that it renamed
+// nothing. The store-serve run wires the image store and the serving
+// tier onto the plane as s3dpipe does. The schema is stable across
+// configurations and outcomes: the one- and three-tenant runs export
+// the same families, their label keys differ only by the `tenant` key a
+// named tenant's families carry, and a one-tenant run whose every task
+// dead-letters exports exactly the clean run's schema.
 func TestMetricFamiliesGolden(t *testing.T) {
+	schema := func(t *testing.T, cfg *registry.Config, wire func(*registry.Built, *obs.Plane)) (*obs.Plane, map[string]*core.Report, string) {
+		t.Helper()
+		b := buildExample(t, cfg)
+		pl := b.Scheduler.EnableObs()
+		if wire != nil {
+			wire(b, pl)
+		}
+		// The tenants drill ends with its poison route's errors; the
+		// schema is what is pinned here, not the run's outcome.
+		reps, _ := b.Run(4, false)
+		var sb strings.Builder
+		if err := pl.Registry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return pl, reps, sb.String()
+	}
 	untenanted := map[string]string{}
-	for _, name := range []string{"quickstart", "tenants"} {
+	for _, name := range []string{"quickstart", "tenants", "store-serve"} {
 		t.Run(name, func(t *testing.T) {
-			b := buildExample(t, loadExample(t, name))
-			pl := b.Scheduler.EnableObs()
-			// The tenants drill ends with its poison route's errors; the
-			// schema is what is pinned here, not the run's outcome.
-			b.Run(4, false)
-			var sb strings.Builder
-			if err := pl.Registry().WritePrometheus(&sb); err != nil {
-				t.Fatal(err)
+			cfg := loadExample(t, name)
+			var wire func(*registry.Built, *obs.Plane)
+			if cfg.Store != nil {
+				cfg.Store.Dir, cfg.Store.Serve = t.TempDir(), ""
+				wire = func(b *registry.Built, pl *obs.Plane) {
+					b.Store.PublishTo(pl.Registry())
+					serve.New(b.Store).PublishTo(pl.Registry())
+				}
 			}
-			untenanted[name] = metricFamilies(sb.String(), "tenant")
-			checkGolden(t, name+".metrics.golden", "/metrics schema", metricFamilies(sb.String()))
+			pl, _, dump := schema(t, cfg, wire)
+			untenanted[name] = metricFamilies(dump, "tenant")
+			checkGolden(t, name+".metrics.golden", "/metrics schema", metricFamilies(dump))
 			// Which of the tenants drill's events fire depends on timing,
 			// so only the one-tenant run pins its span taxonomy.
 			if name == "quickstart" {
@@ -238,4 +260,22 @@ func TestMetricFamiliesGolden(t *testing.T) {
 	if one, many := untenanted["quickstart"], untenanted["tenants"]; one != many {
 		t.Errorf("the one-tenant and three-tenant /metrics schemas differ by more than the tenant label\n--- quickstart ---\n%s--- tenants ---\n%s", one, many)
 	}
+	// A run whose every pull drops dead-letters every task; its schema
+	// is still the clean run's.
+	t.Run("quickstart-dead-letters", func(t *testing.T) {
+		cfg := loadExample(t, "quickstart")
+		_, reps, dump := schema(t, cfg, func(b *registry.Built, _ *obs.Plane) {
+			b.Scheduler.Network().SetFaults(faults.New(faults.Config{Default: faults.Rates{Drop: 1}}))
+		})
+		if n := reps[""].Resilience.DeadLetters; n == 0 {
+			t.Fatal("no task dead-lettered under a fabric that drops every pull")
+		}
+		clean, err := os.ReadFile(filepath.Join("testdata", "quickstart.metrics.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := metricFamilies(dump); got != string(clean) {
+			t.Errorf("dead letters changed the /metrics schema\n--- got ---\n%s--- clean run ---\n%s", got, clean)
+		}
+	})
 }
