@@ -21,7 +21,9 @@
 #                   statistics, tracking) on whole payloads, and the statistics
 #                   payload decoders (model, contingency, covariance,
 #                   autocorrelator) it runs too, the grid field decoder
-#                   under checkpoints and render blocks, the image-spec
+#                   under checkpoints and render blocks (fresh, and into a
+#                   reused, already decoded field, as a bucket's block
+#                   table decodes), the image-spec
 #                   key parser the serve tier routes through, and its
 #                   If-None-Match header parser (typed errors only, never a
 #                   panic; the log stays appendable, the store serves no ref

@@ -37,14 +37,15 @@ func (a *AutoCorrHybrid) lags() []int {
 
 const autoCorrStateKey = "autocorr"
 
-// InSituStage implements HybridAnalysis: push the current snapshot
-// into the per-rank correlator and ship the accumulators.
+// InSituStage implements HybridAnalysis: push the current snapshot,
+// read from the simulation's storage over the owned block, into the
+// per-rank correlator and ship the accumulators.
 func (a *AutoCorrHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	name := a.Var
 	if name == "" {
 		name = "T"
 	}
-	f := ctx.Sim.Field(name)
+	f := ctx.Sim.GhostedField(name)
 	if f == nil {
 		return nil, fmt.Errorf("autocorr: unknown variable %q", name)
 	}
@@ -57,7 +58,7 @@ func (a *AutoCorrHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 		}
 		ctx.State[autoCorrStateKey] = ac
 	}
-	ac.Push(f.Data)
+	ac.PushBox(f, ctx.Owned)
 	return ac.Marshal(), nil
 }
 

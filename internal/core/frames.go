@@ -25,21 +25,28 @@ type FrameSink interface {
 
 // digestSink is the sink of a pipeline with no image store: it files
 // nothing and returns the digests the store would assign (hex sha256 of
-// each frame's PNG), so Results do not depend on having a store.
+// each frame's PNG), so Results do not depend on having a store. It
+// only hashes the bytes, so it encodes into a reused buffer.
 type digestSink struct{}
 
 func (digestSink) PutFrames(_ string, _ int, frames []render.Frame) ([]string, error) {
+	buf := pngBufs.get()
+	defer func() { pngBufs.put(buf) }()
 	digests := make([]string, len(frames))
 	for i, fr := range frames {
-		png, err := fr.Img.PNG()
-		if err != nil {
+		var err error
+		if buf, err = fr.Img.AppendPNG(buf[:0]); err != nil {
 			return nil, err
 		}
-		sum := sha256.Sum256(png)
+		sum := sha256.Sum256(buf)
 		digests[i] = hex.EncodeToString(sum[:])
 	}
 	return digests, nil
 }
+
+// pngBufs holds the digest sink's idle encode buffers, at most as many
+// as frame sets were ever hashed at once.
+var pngBufs freeList[[]byte]
 
 // FrameRef is what a rendered frame becomes in Report.Results: the
 // Cinema spec the frame was filed under plus its content digest. The

@@ -50,15 +50,17 @@ func driveInSitu(t testing.TB, steps int, before, after func(step int), each fun
 }
 
 // TestInSituStagesAllocateFlat is the O(1) guard of the in-situ read
-// path: the hybrid stats and topology stages of both ranks together
-// allocate no more at step 30 than at step 5, and less than one copy
-// of one rank's block — they read the simulation's memory, they do not
-// extract it. Before, the statistics stage alone copied 14 blocks per
-// rank per step and the subtree sweep built a node and a map entry per
-// cell. Payloads go back to the pool as the DART reclaim returns them.
+// path: the hybrid stats, topology, viz and auto-correlation stages of
+// both ranks together allocate no more at step 30 than at step 5, and
+// less than one copy of one rank's block — they read the simulation's
+// memory, they do not extract it. Before, the statistics stage alone
+// copied 14 blocks per rank per step, the subtree sweep built a node
+// and a map entry per cell, the viz stage built the down-sampled block
+// before marshalling it and the auto-correlation stage copied the block
+// twice. Payloads go back to the pool as the DART reclaim returns them.
 func TestInSituStagesAllocateFlat(t *testing.T) {
 	const steps = 32
-	st, topo := &StatsHybrid{}, NewTopologyHybrid()
+	stages := []hybridStage{&StatsHybrid{}, NewTopologyHybrid(), NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8), &AutoCorrHybrid{Lags: []int{1, 2}}}
 	deltas := make([]uint64, steps+1)
 	var blockBytes uint64
 	var m0, m1 runtime.MemStats
@@ -72,7 +74,7 @@ func TestInSituStagesAllocateFlat(t *testing.T) {
 			if ctx.Comm.ID() == 0 {
 				blockBytes = uint64(8 * ctx.Owned.Size())
 			}
-			for _, stage := range []hybridStage{st, topo} {
+			for _, stage := range stages {
 				payload, err := stage.InSituStage(ctx)
 				if err != nil {
 					t.Error(err)
@@ -94,11 +96,14 @@ func TestInSituStagesAllocateFlat(t *testing.T) {
 	}
 }
 
-// TestInSituStagesMatchCopies: what the stages learn and sweep in place
-// is, byte for byte, what they produced from rk.Field copies and a
-// fresh tree per step.
+// TestInSituStagesMatchCopies: what the stages learn, sweep, sample
+// and correlate in place is, byte for byte, what they produced from
+// rk.Field copies, a fresh tree per step, a down-sampled field and a
+// correlator whose ring holds its own copies.
 func TestInSituStagesMatchCopies(t *testing.T) {
 	st, cont, topo := &StatsHybrid{}, &ContingencyHybrid{}, NewTopologyHybrid()
+	viz1, viz8 := NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8)
+	ac := &AutoCorrHybrid{Lags: []int{1, 2}}
 	driveInSitu(t, 4, nil, nil, func(ctx *Ctx, step int) {
 		model := stats.NewModel()
 		for _, v := range sim.VarNames {
@@ -114,10 +119,21 @@ func TestInSituStagesMatchCopies(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		ref, ok := ctx.State["autocorr-ref"].(*stats.AutoCorrelator)
+		if !ok {
+			ref, _ = stats.NewAutoCorrelator(ac.Lags...)
+			ctx.State["autocorr-ref"] = ref
+		}
+		ref.Push(ctx.Sim.Field("T").Data)
+		owned := ctx.Sim.GhostedField("T").Extract(ctx.Owned)
 		for _, c := range []struct {
 			stage hybridStage
 			want  []byte
-		}{{st, model.Marshal()}, {cont, table.Marshal()}, {topo, subtree.Marshal()}} {
+		}{
+			{st, model.Marshal()}, {cont, table.Marshal()}, {topo, subtree.Marshal()},
+			{viz1, downsampled(owned, 1).Marshal()}, {viz8, downsampled(owned, 8).Marshal()},
+			{ac, ref.Marshal()},
+		} {
 			got, err := c.stage.InSituStage(ctx)
 			if err != nil {
 				t.Error(err)
@@ -129,4 +145,23 @@ func TestInSituStagesMatchCopies(t *testing.T) {
 			bufpool.Put(got)
 		}
 	})
+}
+
+// downsampled is f at every factor-th global grid point, as a field on
+// the down-sampled index space, by a plain loop over At.
+func downsampled(f *grid.Field, factor int) *grid.Field {
+	var sub grid.Box
+	for d := 0; d < 3; d++ {
+		sub.Lo[d] = (f.Box.Lo[d] + factor - 1) / factor
+		sub.Hi[d] = (f.Box.Hi[d] + factor - 1) / factor
+	}
+	g := grid.NewField(f.Name, sub)
+	for k := sub.Lo[2]; k < sub.Hi[2]; k++ {
+		for j := sub.Lo[1]; j < sub.Hi[1]; j++ {
+			for i := sub.Lo[0]; i < sub.Hi[0]; i++ {
+				g.Set(i, j, k, f.At(i*factor, j*factor, k*factor))
+			}
+		}
+	}
+	return g
 }

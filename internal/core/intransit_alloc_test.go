@@ -8,6 +8,8 @@ import (
 
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
+	"insitu/internal/parallel"
+	"insitu/internal/render"
 )
 
 // TestInTransitTopologyAllocatesFlat is the bucket-side guard of the
@@ -86,5 +88,72 @@ func TestInTransitTopologyAllocatesFlat(t *testing.T) {
 	t.Logf("%d vertices glued, %d kept: %v objects and %d B a call", tr.Stream.Declared, tr.Tree.Len(), allocs, perCall)
 	if perCall > kept+kept/4 {
 		t.Errorf("the in-transit stage allocates %d B a call, its result holds %d B: it allocates more than what it keeps", perCall, kept)
+	}
+}
+
+// TestInTransitVizAllocatesFlat is the bucket-side guard of the hybrid
+// viz route: once a transit scratch has grown, the in-transit stage
+// decodes every block into the scratch's block table and renders into
+// pooled frames, so a call allocates a fixed handful of objects (the
+// frame set, the transfer function, the renderer and a cursor per row
+// band) however large the blocks, whose bytes are a small fraction of
+// the blocks it decodes. A fresh table or a freshly allocated block per
+// call fails it.
+func TestInTransitVizAllocatesFlat(t *testing.T) {
+	const step, width, height = 3, 32, 24
+	global := grid.NewBox(32, 16, 12)
+	dc, err := grid.NewDecomp(global, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := grid.NewField("T", global)
+	rng := rand.New(rand.NewSource(5))
+	for i := range f.Data {
+		f.Data[i] = 0.2 + 1.8*rng.Float64()
+	}
+	maxAllocs := float64(12 + 4*parallel.Default.Blocks(height))
+	var allocs []float64
+	for _, factor := range []int{1, 2} {
+		viz := NewVizHybrid(width, height, factor)
+		payloads := make([][]byte, dc.Ranks())
+		payloadBytes := 0
+		for r := range payloads {
+			payloads[r], _ = render.DownsampleForTransit(f, dc.Block(r), factor)
+			payloadBytes += len(payloads[r])
+		}
+		call := func() {
+			res, err := viz.InTransit(step, payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fr := range res.(*render.FrameSet).Frames {
+				render.PutImage(fr.Img)
+			}
+		}
+		call()
+		allocs = append(allocs, testing.AllocsPerRun(20, call))
+
+		// The cheapest of three batches, as in the topology guard.
+		const calls = 10
+		perCall := uint64(math.MaxUint64)
+		for range 3 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for range calls {
+				call()
+			}
+			runtime.ReadMemStats(&m1)
+			perCall = min(perCall, (m1.TotalAlloc-m0.TotalAlloc)/calls)
+		}
+		t.Logf("factor %d: %d payload bytes, %v objects and %d B a call", factor, payloadBytes, allocs[len(allocs)-1], perCall)
+		if a := allocs[len(allocs)-1]; a > maxAllocs {
+			t.Errorf("factor %d: the in-transit stage allocates %v objects a call on a warm scratch, want <= %v", factor, a, maxAllocs)
+		}
+		if factor == 1 && perCall >= uint64(payloadBytes/16) {
+			t.Errorf("factor %d: the in-transit stage allocates %d B a call for %d payload bytes: it copies what it decodes", factor, perCall, payloadBytes)
+		}
+	}
+	if math.Abs(allocs[0]-allocs[1]) > 0.5 {
+		t.Errorf("the in-transit stage allocates %v objects a call at factor 1, %v at factor 2: the count depends on the blocks", allocs[0], allocs[1])
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"insitu/internal/bufpool"
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
+	"insitu/internal/render"
 	"insitu/internal/sim"
 )
 
@@ -125,46 +126,62 @@ func (t *TopologyHybrid) result(ts *transitScratch, tree *mergetree.Tree, stream
 	return res
 }
 
-// transitScratch is the merge-tree memory of one in-transit task: the
-// subtrees it decodes, the builder that glues them and the work arrays
-// of the passes after the glue. A task takes one with
-// getTransitScratch for the length of its InTransit call and puts it
-// back before returning, so one is in use per busy staging bucket and
-// a bucket glues step after step in the same arrays. The task's result
-// never points into it.
+// transitScratch is the memory of one in-transit task: for the
+// merge-tree routes the subtrees it decodes, the builder that glues
+// them and the work arrays of the passes after the glue; for the hybrid
+// viz route the block table it decodes the down-sampled blocks into. A
+// task takes one with getTransitScratch for the length of its InTransit
+// call and puts it back before returning, so one is in use per busy
+// staging bucket and a bucket works step after step in the same
+// arrays. The task's result never points into it.
 type transitScratch struct {
 	decoded []mergetree.Subtree
 	ptrs    []*mergetree.Subtree
 	build   mergetree.Builder
 	work    mergetree.Scratch
+	table   render.BlockTable
 }
 
-// transitScratches holds the idle transit scratches. Unlike a
-// sync.Pool it never drops one at a collection (nor, under -race, at
-// random), so the allocation guard's counts repeat; it holds at most
-// as many as in-transit tasks have ever glued at once in the process,
-// which the staging buckets bound.
-var transitScratches struct {
-	sync.Mutex
-	idle []*transitScratch
-}
+// transitScratches holds the idle transit scratches: at most as many
+// as in-transit tasks have ever run at once in the process, which the
+// staging buckets bound.
+var transitScratches freeList[*transitScratch]
 
 func getTransitScratch() *transitScratch {
-	transitScratches.Lock()
-	defer transitScratches.Unlock()
-	n := len(transitScratches.idle)
-	if n == 0 {
-		return new(transitScratch)
+	if ts := transitScratches.get(); ts != nil {
+		return ts
 	}
-	ts := transitScratches.idle[n-1]
-	transitScratches.idle = transitScratches.idle[:n-1]
-	return ts
+	return new(transitScratch)
 }
 
-func putTransitScratch(ts *transitScratch) {
-	transitScratches.Lock()
-	transitScratches.idle = append(transitScratches.idle, ts)
-	transitScratches.Unlock()
+func putTransitScratch(ts *transitScratch) { transitScratches.put(ts) }
+
+// freeList is a mutex-guarded stack of idle objects. Unlike a sync.Pool
+// it never drops one at a collection (nor, under -race, at random), so
+// the allocation guards' counts repeat; it holds at most as many as
+// were ever in use at once.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []T
+}
+
+// get pops the most recently put object, or returns T's zero value
+// when none is idle.
+func (l *freeList[T]) get() T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var v T
+	if n := len(l.idle); n > 0 {
+		v = l.idle[n-1]
+		l.idle = l.idle[:n-1]
+	}
+	return v
+}
+
+func (l *freeList[T]) put(v T) {
+	l.mu.Lock()
+	l.idle = append(l.idle, v)
+	l.mu.Unlock()
 }
 
 // subtrees returns n subtrees to decode into, reusing the ones decoded

@@ -262,9 +262,14 @@ func (v *VizHybrid) RunFallback(ctx *Ctx) (any, error) {
 }
 
 // InTransit implements HybridAnalysis: assemble the lookup table and
-// render serially.
+// render serially. The table is the transit scratch's, so a bucket
+// decodes step after step into the same blocks; the frames it returns
+// are pooled images that point into none of them.
 func (v *VizHybrid) InTransit(step int, payloads [][]byte) (any, error) {
-	bt := render.NewBlockTable()
+	ts := getTransitScratch()
+	defer putTransitScratch(ts)
+	bt := &ts.table
+	bt.Reset()
 	for i, p := range payloads {
 		if err := bt.AddMarshalled(p); err != nil {
 			return nil, fmt.Errorf("viz: payload %d: %w", i, err)

@@ -138,75 +138,6 @@ func (f *Field) MinMax() (lo, hi float64) {
 	return
 }
 
-// Downsample returns the field restricted to every factor-th grid point
-// in each dimension (the paper's hybrid visualization down-samples at
-// every 8th grid point in-situ). The resulting box has coordinates in
-// the down-sampled index space: point (i,j,k) of the result corresponds
-// to point (i*factor, j*factor, k*factor) of the original global grid.
-func (f *Field) Downsample(factor int) *Field {
-	if factor < 1 {
-		panic("grid: downsample factor must be >= 1")
-	}
-	var sub Box
-	for d := 0; d < 3; d++ {
-		sub.Lo[d] = ceilDiv(f.Box.Lo[d], factor)
-		sub.Hi[d] = ceilDiv(f.Box.Hi[d], factor)
-	}
-	g := NewField(f.Name, sub)
-	for k := sub.Lo[2]; k < sub.Hi[2]; k++ {
-		for j := sub.Lo[1]; j < sub.Hi[1]; j++ {
-			for i := sub.Lo[0]; i < sub.Hi[0]; i++ {
-				g.Set(i, j, k, f.At(i*factor, j*factor, k*factor))
-			}
-		}
-	}
-	return g
-}
-
-// DownsampleBox returns region (which must be contained in f.Box)
-// restricted to every factor-th global grid point, without
-// materializing the intermediate Extract — the single-pass form of
-// Extract(region).Downsample(factor) on the per-timestep hybrid
-// visualization path. The inner loop walks running source offsets
-// instead of calling Box.Index per point.
-func (f *Field) DownsampleBox(region Box, factor int) *Field {
-	if factor < 1 {
-		panic("grid: downsample factor must be >= 1")
-	}
-	if !f.Box.ContainsBox(region) {
-		panic(fmt.Sprintf("grid: downsample region %v outside field box %v", region, f.Box))
-	}
-	var sub Box
-	for d := 0; d < 3; d++ {
-		sub.Lo[d] = ceilDiv(region.Lo[d], factor)
-		sub.Hi[d] = ceilDiv(region.Hi[d], factor)
-	}
-	g := NewField(f.Name, sub)
-	sd := f.Box.Dims()
-	xStride := factor
-	yStride := factor * sd[0]
-	zStride := factor * sd[0] * sd[1]
-	dstOff := 0
-	if sub.Empty() {
-		return g
-	}
-	srcPlane := f.Box.Index(sub.Lo[0]*factor, sub.Lo[1]*factor, sub.Lo[2]*factor)
-	for k := sub.Lo[2]; k < sub.Hi[2]; k++ {
-		srcRow := srcPlane
-		for j := sub.Lo[1]; j < sub.Hi[1]; j++ {
-			srcOff := srcRow
-			for i := sub.Lo[0]; i < sub.Hi[0]; i++ {
-				g.Data[dstOff] = f.Data[srcOff]
-				dstOff++
-				srcOff += xStride
-			}
-			srcRow += yStride
-		}
-		srcPlane += zStride
-	}
-	return g
-}
-
 // Sample returns the trilinearly interpolated value at the continuous
 // position (x,y,z) in the field's global index space. Positions outside
 // the box are clamped to it.
@@ -237,9 +168,9 @@ func (f *Field) Sample(x, y, z float64) float64 {
 
 // MarshalSize returns the exact encoded size of the field, so callers
 // can size destination buffers (typically from bufpool) up front.
-func (f *Field) MarshalSize() int {
-	return 4 + len(f.Name) + 7*8 + 8*len(f.Data)
-}
+func (f *Field) MarshalSize() int { return marshalSize(f.Name, len(f.Data)) }
+
+func marshalSize(name string, n int) int { return 4 + len(name) + 7*8 + 8*n }
 
 // AppendMarshal appends the field's encoding (name, box, data) to dst
 // and returns the extended slice. The float64 payload is encoded by
@@ -247,31 +178,99 @@ func (f *Field) MarshalSize() int {
 // intermediate bytes.Buffer, no per-value staging array — so a
 // preallocated dst makes the pack a single pass with zero allocations.
 func (f *Field) AppendMarshal(dst []byte) []byte {
+	dst, off := appendHeader(dst, f.Name, f.Box, len(f.Data))
+	for _, v := range f.Data {
+		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(v))
+		off += 8
+	}
+	return dst
+}
+
+// appendHeader extends dst by the encoding of a field named name with n
+// values on box, growing it only when its capacity falls short, and
+// writes the header (name, box, count). It returns the extended slice
+// and the offset of the n float64 words the caller writes.
+func appendHeader(dst []byte, name string, box Box, n int) ([]byte, int) {
 	off := len(dst)
-	need := f.MarshalSize()
+	need := marshalSize(name, n)
 	if cap(dst)-off < need {
 		grown := make([]byte, off, off+need)
 		copy(grown, dst)
 		dst = grown
 	}
 	dst = dst[:off+need]
-	binary.LittleEndian.PutUint32(dst[off:], uint32(len(f.Name)))
+	binary.LittleEndian.PutUint32(dst[off:], uint32(len(name)))
 	off += 4
-	copy(dst[off:], f.Name)
-	off += len(f.Name)
+	copy(dst[off:], name)
+	off += len(name)
 	for d := 0; d < 3; d++ {
-		binary.LittleEndian.PutUint64(dst[off:], uint64(int64(f.Box.Lo[d])))
+		binary.LittleEndian.PutUint64(dst[off:], uint64(int64(box.Lo[d])))
 		off += 8
 	}
 	for d := 0; d < 3; d++ {
-		binary.LittleEndian.PutUint64(dst[off:], uint64(int64(f.Box.Hi[d])))
+		binary.LittleEndian.PutUint64(dst[off:], uint64(int64(box.Hi[d])))
 		off += 8
 	}
-	binary.LittleEndian.PutUint64(dst[off:], uint64(len(f.Data)))
-	off += 8
-	for _, v := range f.Data {
-		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(v))
-		off += 8
+	binary.LittleEndian.PutUint64(dst[off:], uint64(n))
+	return dst, off + 8
+}
+
+// downsampled returns the box of region (which must be contained in
+// f.Box) restricted to every factor-th global grid point, in the
+// down-sampled index space: point (i,j,k) of it is point
+// (i*factor, j*factor, k*factor) of the global grid.
+func (f *Field) downsampled(region Box, factor int) Box {
+	if factor < 1 {
+		panic("grid: downsample factor must be >= 1")
+	}
+	if !f.Box.ContainsBox(region) {
+		panic(fmt.Sprintf("grid: downsample region %v outside field box %v", region, f.Box))
+	}
+	var sub Box
+	for d := 0; d < 3; d++ {
+		sub.Lo[d] = ceilDiv(region.Lo[d], factor)
+		sub.Hi[d] = ceilDiv(region.Hi[d], factor)
+	}
+	return sub
+}
+
+// DownsampleMarshalSize returns the exact size AppendDownsampleMarshal
+// appends for region and factor.
+func (f *Field) DownsampleMarshalSize(region Box, factor int) int {
+	return marshalSize(f.Name, f.downsampled(region, factor).Size())
+}
+
+// AppendDownsampleMarshal appends to dst the encoding of region (which
+// must be contained in f.Box) restricted to every factor-th global grid
+// point — the paper's hybrid visualization down-samples at every 8th
+// point in situ — and returns the extended slice. The bytes are those
+// of Extract(region) down-sampled and then marshalled, with the box in
+// the down-sampled index space, but the samples go from the field's
+// storage straight into dst: no down-sampled field is built, so the
+// in-situ stage costs only the bytes it ships.
+func (f *Field) AppendDownsampleMarshal(dst []byte, region Box, factor int) []byte {
+	sub := f.downsampled(region, factor)
+	dst, off := appendHeader(dst, f.Name, sub, sub.Size())
+	if sub.Empty() {
+		return dst
+	}
+	sd := f.Box.Dims()
+	xStride := factor
+	yStride := factor * sd[0]
+	zStride := factor * sd[0] * sd[1]
+	srcPlane := f.Box.Index(sub.Lo[0]*factor, sub.Lo[1]*factor, sub.Lo[2]*factor)
+	for k := sub.Lo[2]; k < sub.Hi[2]; k++ {
+		srcRow := srcPlane
+		for j := sub.Lo[1]; j < sub.Hi[1]; j++ {
+			srcOff := srcRow
+			for i := sub.Lo[0]; i < sub.Hi[0]; i++ {
+				binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(f.Data[srcOff]))
+				off += 8
+				srcOff += xStride
+			}
+			srcRow += yStride
+		}
+		srcPlane += zStride
 	}
 	return dst
 }
@@ -305,21 +304,41 @@ func FloatTailOffset(p []byte) (int, bool) {
 // UnmarshalField reconstructs a field from Marshal's output. Every
 // error wraps ErrCorruptField.
 func UnmarshalField(p []byte) (*Field, error) {
+	f := new(Field)
+	if err := UnmarshalFieldInto(p, f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// UnmarshalFieldInto decodes Marshal's output into dst, reusing dst's
+// Data when its capacity suffices and its Name when the names match, so
+// a destination decoded into step after step allocates nothing. On an
+// error, which wraps ErrCorruptField, dst is left as it was.
+func UnmarshalFieldInto(p []byte, dst *Field) error {
 	off, ok := FloatTailOffset(p)
 	if !ok {
-		return nil, fmt.Errorf("%w: %d bytes are not a header and the values it counts", ErrCorruptField, len(p))
+		return fmt.Errorf("%w: %d bytes are not a header and the values it counts", ErrCorruptField, len(p))
 	}
 	word := func(i int) int { return int(int64(binary.LittleEndian.Uint64(p[off-7*8+8*i:]))) }
 	box := Box{Lo: [3]int{word(0), word(1), word(2)}, Hi: [3]int{word(3), word(4), word(5)}}
 	n := (len(p) - off) / 8
 	if size, ok := box.sizeAtMost(n); !ok || size != n {
-		return nil, fmt.Errorf("%w: %d values for box %v", ErrCorruptField, n, box)
+		return fmt.Errorf("%w: %d values for box %v", ErrCorruptField, n, box)
 	}
-	f := &Field{Name: string(p[4 : off-7*8]), Box: box, Data: make([]float64, n)}
-	for i := range f.Data {
-		f.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[off+8*i:]))
+	if name := p[4 : off-7*8]; dst.Name != string(name) {
+		dst.Name = string(name)
 	}
-	return f, nil
+	dst.Box = box
+	if cap(dst.Data) >= n {
+		dst.Data = dst.Data[:n]
+	} else {
+		dst.Data = make([]float64, n)
+	}
+	for i := range dst.Data {
+		dst.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[off+8*i:]))
+	}
+	return nil
 }
 
 func ceilDiv(a, b int) int {

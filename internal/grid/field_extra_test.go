@@ -46,24 +46,52 @@ func TestExtractIntoReusesDestination(t *testing.T) {
 	}
 }
 
-func TestDownsampleBoxMatchesExtractThenDownsample(t *testing.T) {
+// downsampleRef is what AppendDownsampleMarshal ships, by definition:
+// the points of region whose global coordinates are all multiples of
+// factor, as a field on the down-sampled index space, read with At.
+// region must lie in the non-negative octant.
+func downsampleRef(f *Field, region Box, factor int) *Field {
+	var sub Box
+	for d := 0; d < 3; d++ {
+		sub.Lo[d] = (region.Lo[d] + factor - 1) / factor
+		sub.Hi[d] = (region.Hi[d] + factor - 1) / factor
+	}
+	g := NewField(f.Name, sub)
+	for k := sub.Lo[2]; k < sub.Hi[2]; k++ {
+		for j := sub.Lo[1]; j < sub.Hi[1]; j++ {
+			for i := sub.Lo[0]; i < sub.Hi[0]; i++ {
+				g.Set(i, j, k, f.At(i*factor, j*factor, k*factor))
+			}
+		}
+	}
+	return g
+}
+
+// TestAppendDownsampleMarshalMatchesReference: the single pass from the
+// field's storage into the wire bytes ships exactly the reference
+// down-sample's marshal, after a prefix it leaves intact, sized by
+// DownsampleMarshalSize, into a sufficient buffer without growing it.
+func TestAppendDownsampleMarshalMatchesReference(t *testing.T) {
 	b := NewBox(16, 12, 9)
 	f := NewField("T", b)
 	rng := rand.New(rand.NewSource(7))
 	for idx := range f.Data {
 		f.Data[idx] = rng.NormFloat64()
 	}
+	region := Box{Lo: [3]int{3, 1, 2}, Hi: [3]int{14, 11, 8}}
 	for _, factor := range []int{1, 2, 3} {
-		region := Box{Lo: [3]int{3, 1, 2}, Hi: [3]int{14, 11, 8}}
-		want := f.Extract(region).Downsample(factor)
-		got := f.DownsampleBox(region, factor)
-		if got.Box != want.Box {
-			t.Fatalf("factor %d: box %v, want %v", factor, got.Box, want.Box)
+		want := downsampleRef(f, region, factor).Marshal()
+		if n := f.DownsampleMarshalSize(region, factor); n != len(want) {
+			t.Fatalf("factor %d: DownsampleMarshalSize %d, the marshal is %d bytes", factor, n, len(want))
 		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("factor %d: data mismatch at %d", factor, i)
-			}
+		prefix := []byte("HDR!")
+		got := f.AppendDownsampleMarshal(append([]byte{}, prefix...), region, factor)
+		if !bytes.Equal(got[:4], prefix) || !bytes.Equal(got[4:], want) {
+			t.Fatalf("factor %d: the shipped bytes differ from the reference down-sample's marshal", factor)
+		}
+		dst := make([]byte, 0, len(want))
+		if out := f.AppendDownsampleMarshal(dst, region, factor); &out[0] != &dst[:1][0] {
+			t.Fatalf("factor %d: a sufficient buffer was reallocated", factor)
 		}
 	}
 }

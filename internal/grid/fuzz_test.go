@@ -41,7 +41,9 @@ func TestUnmarshalFieldRejectsOverflowingBox(t *testing.T) {
 // FuzzUnmarshalField asserts the field decoder's contract on arbitrary
 // bytes: UnmarshalField returns an error wrapping ErrCorruptField, or a
 // field holding exactly its box's points that marshals back to the
-// bytes it was read from.
+// bytes it was read from. UnmarshalFieldInto, decoding into a dirty
+// destination with another name and size, agrees with it: the same
+// field, or an error wrapping ErrCorruptField.
 func FuzzUnmarshalField(f *testing.F) {
 	sample := NewField("temperature", Box{Lo: [3]int{2, 3, 4}, Hi: [3]int{7, 6, 6}})
 	for i := range sample.Data {
@@ -53,11 +55,24 @@ func FuzzUnmarshalField(f *testing.F) {
 	for _, p := range overflowingFields {
 		f.Add(p)
 	}
+	dirty := NewField("dirty", NewBox(3, 2, 2))
+	for i := range dirty.Data {
+		dirty.Data[i] = -float64(i)
+	}
+	dirtyBytes := dirty.Marshal()
 	f.Fuzz(func(t *testing.T, p []byte) {
 		fl, err := UnmarshalField(p)
+		var reused Field
+		if err := UnmarshalFieldInto(dirtyBytes, &reused); err != nil {
+			t.Fatal(err)
+		}
+		intoErr := UnmarshalFieldInto(p, &reused)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptField) {
 				t.Fatalf("untyped error: %v", err)
+			}
+			if !errors.Is(intoErr, ErrCorruptField) {
+				t.Fatalf("fresh decode failed with %v, decode into a used field with %v", err, intoErr)
 			}
 			return
 		}
@@ -66,6 +81,13 @@ func FuzzUnmarshalField(f *testing.F) {
 		}
 		if !bytes.Equal(fl.Marshal(), p) {
 			t.Fatalf("decoded field does not marshal back to its input")
+		}
+		if intoErr != nil {
+			t.Fatalf("fresh decode succeeded, decode into a used field failed: %v", intoErr)
+		}
+		if !bytes.Equal(reused.Marshal(), p) {
+			t.Fatalf("decode into a used field gave %q %v (%d values), the fresh decode %q %v (%d values)",
+				reused.Name, reused.Box, len(reused.Data), fl.Name, fl.Box, len(fl.Data))
 		}
 	})
 }

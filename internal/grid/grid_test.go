@@ -141,6 +141,16 @@ func TestExtractOutsidePanics(t *testing.T) {
 	f.Extract(NewBox(3, 3, 3))
 }
 
+// downsample decodes what AppendDownsampleMarshal ships for region.
+func downsample(t *testing.T, f *Field, region Box, factor int) *Field {
+	t.Helper()
+	d, err := UnmarshalField(f.AppendDownsampleMarshal(nil, region, factor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDownsample(t *testing.T) {
 	b := NewBox(16, 8, 8)
 	f := NewField("T", b)
@@ -148,7 +158,7 @@ func TestDownsample(t *testing.T) {
 		i, j, k := b.Point(idx)
 		f.Data[idx] = float64(i + 100*j + 10000*k)
 	}
-	d := f.Downsample(8)
+	d := downsample(t, f, b, 8)
 	if d.Box.Dims() != [3]int{2, 1, 1} {
 		t.Fatalf("downsampled dims wrong: %v", d.Box.Dims())
 	}
@@ -157,8 +167,7 @@ func TestDownsample(t *testing.T) {
 	}
 	// Offset blocks: a block starting at 3 with factor 2 holds global
 	// down-sampled indices ceil(3/2)=2 onward.
-	sub := f.Extract(Box{Lo: [3]int{3, 0, 0}, Hi: [3]int{9, 8, 8}})
-	d2 := sub.Downsample(2)
+	d2 := downsample(t, f, Box{Lo: [3]int{3, 0, 0}, Hi: [3]int{9, 8, 8}}, 2)
 	if d2.Box.Lo[0] != 2 || d2.Box.Hi[0] != 5 {
 		t.Fatalf("offset downsample box wrong: %v", d2.Box)
 	}
@@ -171,7 +180,7 @@ func TestDownsampleFactorOne(t *testing.T) {
 	b := NewBox(3, 3, 1)
 	f := NewField("T", b)
 	f.Set(1, 2, 0, 7)
-	d := f.Downsample(1)
+	d := downsample(t, f, b, 1)
 	if d.Box != b || d.At(1, 2, 0) != 7 {
 		t.Fatal("factor-1 downsample must be identity")
 	}

@@ -14,10 +14,18 @@ import (
 // upper and lower bounds of each block to encode their spatial
 // relationship", used to identify voxel positions during ray casting
 // without a visibility sort or volume reconstruction.
+//
+// The zero BlockTable is an empty table. Reset empties it for the next
+// step but keeps the fields AddMarshalled decoded into, so a table
+// reused step after step decodes every block into the same arrays.
 type BlockTable struct {
 	entries []tableEntry
 	bounds  grid.Box
 	last    int // cache of the most recently hit block (ray locality)
+	// decoded holds the fields AddMarshalled decodes into, the first
+	// nDecoded of them registered since the last Reset.
+	decoded  []*grid.Field
+	nDecoded int
 }
 
 // tableEntry is one received down-sampled block: its spatial bounds
@@ -30,7 +38,18 @@ type tableEntry struct {
 }
 
 // NewBlockTable creates an empty table.
-func NewBlockTable() *BlockTable { return &BlockTable{last: -1} }
+func NewBlockTable() *BlockTable { return new(BlockTable) }
+
+// Reset empties the table, keeping the decoded fields' storage for the
+// blocks AddMarshalled registers next. Fields registered with Add are
+// dropped, not reused.
+func (bt *BlockTable) Reset() {
+	clear(bt.entries)
+	bt.entries = bt.entries[:0]
+	bt.bounds = grid.Box{}
+	bt.last = 0
+	bt.nDecoded = 0
+}
 
 // Add registers one rank's down-sampled block.
 func (bt *BlockTable) Add(f *grid.Field) {
@@ -39,12 +58,18 @@ func (bt *BlockTable) Add(f *grid.Field) {
 	bt.bounds = bt.bounds.Union(f.Box)
 }
 
-// AddMarshalled decodes and registers a block transported as bytes.
+// AddMarshalled decodes and registers a block transported as bytes,
+// decoding into a field kept from before the last Reset when there is
+// one.
 func (bt *BlockTable) AddMarshalled(p []byte) error {
-	f, err := grid.UnmarshalField(p)
-	if err != nil {
+	if bt.nDecoded == len(bt.decoded) {
+		bt.decoded = append(bt.decoded, new(grid.Field))
+	}
+	f := bt.decoded[bt.nDecoded]
+	if err := grid.UnmarshalFieldInto(p, f); err != nil {
 		return fmt.Errorf("render: block table: %w", err)
 	}
+	bt.nDecoded++
 	bt.Add(f)
 	return nil
 }
@@ -77,8 +102,8 @@ func (bt *BlockTable) ValueRange() (lo, hi float64) {
 // spatially coherent.
 func (bt *BlockTable) locate(last *int, x, y, z float64) int {
 	p := [3]float64{x, y, z}
-	if *last >= 0 && contains(bt.entries[*last].box, p) {
-		return *last
+	if i := *last; i < len(bt.entries) && contains(bt.entries[i].box, p) {
+		return i
 	}
 	for i := range bt.entries {
 		if contains(bt.entries[i].box, p) {
@@ -121,7 +146,7 @@ func (c *tableCursor) Sample(x, y, z float64) float64 {
 }
 
 // bandSampler hands each rendering row band an independent cursor.
-func (bt *BlockTable) bandSampler() sampler { return &tableCursor{bt: bt, last: -1} }
+func (bt *BlockTable) bandSampler() sampler { return &tableCursor{bt: bt} }
 
 // RenderTable runs the serial in-transit ray caster over the assembled
 // table. The caller passes a Renderer framed for the *down-sampled*
@@ -138,9 +163,8 @@ func (r *Renderer) RenderTable(bt *BlockTable) (*Image, error) {
 // marshal it for the staging transfer. It returns the payload and its
 // size in bytes. The payload buffer comes from bufpool (the transfer
 // path recycles it once the staging bucket has pulled the data) and
-// the down-sample runs in one pass without the intermediate Extract.
+// the samples go from the simulation's storage straight into it.
 func DownsampleForTransit(f *grid.Field, owned grid.Box, factor int) ([]byte, int) {
-	ds := f.DownsampleBox(owned, factor)
-	p := ds.AppendMarshal(bufpool.Get(ds.MarshalSize())[:0])
+	p := f.AppendDownsampleMarshal(bufpool.Get(f.DownsampleMarshalSize(owned, factor))[:0], owned, factor)
 	return p, len(p)
 }

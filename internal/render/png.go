@@ -24,15 +24,26 @@ const maxStored = 0xffff
 // Nothing is compressed, so the size is known up front and the file is
 // written straight into the one exact-size slice returned — the slice
 // the image store keeps.
-func (im *Image) PNG() ([]byte, error) {
+func (im *Image) PNG() ([]byte, error) { return im.AppendPNG(nil) }
+
+// AppendPNG appends the image's PNG encoding (the bytes PNG returns) to
+// dst and returns the extended slice. It grows dst, to exactly the size
+// needed, only when dst's capacity falls short, so a caller that only
+// hashes the bytes can encode frame after frame into one buffer. On an
+// error dst is returned unchanged.
+func (im *Image) AppendPNG(dst []byte) ([]byte, error) {
 	if im.W < 1 || im.H < 1 {
-		return nil, fmt.Errorf("render: cannot encode empty %dx%d image", im.W, im.H)
+		return dst, fmt.Errorf("render: cannot encode empty %dx%d image", im.W, im.H)
 	}
 	stride := 1 + 4*im.W // filter byte + RGBA
 	raw := im.H * stride
 	nBlocks := (raw + maxStored - 1) / maxStored
 	idat := 2 + 5*nBlocks + raw + 4 // zlib header, block headers, scanlines, adler32
-	out := make([]byte, 0, 8+(12+13)+(12+idat)+12)
+	out := dst
+	if need := 8 + (12 + 13) + (12 + idat) + 12; cap(out)-len(out) < need {
+		out = make([]byte, len(dst), len(dst)+need)
+		copy(out, dst)
+	}
 
 	out = append(out, 137, 'P', 'N', 'G', '\r', '\n', 26, '\n')
 	out, ihdr := beginChunk(out, "IHDR", 13)

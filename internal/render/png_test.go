@@ -114,6 +114,46 @@ func TestEncodePNGDecodes(t *testing.T) {
 	}
 }
 
+// TestAppendPNGExactSizeAndPrefix: appending after a prefix leaves the
+// prefix intact and encodes PNG's bytes, a sufficient buffer is written
+// in place, and PNG is AppendPNG into nothing.
+func TestAppendPNGExactSizeAndPrefix(t *testing.T) {
+	im := testImage(33, 9)
+	plain, err := im.PNG()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("HDR!")
+	out, err := im.AppendPNG(append([]byte{}, prefix...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[:4], prefix) {
+		t.Fatal("AppendPNG clobbered the prefix")
+	}
+	if !bytes.Equal(out[4:], plain) {
+		t.Fatal("AppendPNG encoding differs from PNG")
+	}
+	dst := make([]byte, 0, len(plain))
+	out2, err := im.AppendPNG(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out2[0] != &dst[:1][0] {
+		t.Fatal("AppendPNG must not reallocate a sufficient buffer")
+	}
+	nilOut, err := im.AppendPNG(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(nilOut, plain) || cap(nilOut) != len(plain) {
+		t.Fatalf("AppendPNG(nil) gave %d bytes in cap %d, PNG %d bytes", len(nilOut), cap(nilOut), len(plain))
+	}
+	if kept, err := (&Image{}).AppendPNG(prefix); err == nil || !bytes.Equal(kept, prefix) {
+		t.Fatalf("an empty image must fail and hand dst back: got %q, %v", kept, err)
+	}
+}
+
 func TestEncodePNGEmpty(t *testing.T) {
 	im := &Image{}
 	if _, err := im.PNG(); err == nil {

@@ -225,6 +225,47 @@ func TestBlockTableSampleOutside(t *testing.T) {
 	}
 }
 
+// TestBlockTableResetReusesDecodedBlocks: the zero table is usable, and
+// after Reset the table holds only the blocks added since, decoded into
+// the storage of the ones before.
+func TestBlockTableResetReusesDecodedBlocks(t *testing.T) {
+	block := func(box grid.Box, v float64) []byte {
+		f := grid.NewField("T", box)
+		for i := range f.Data {
+			f.Data[i] = v
+		}
+		return f.Marshal()
+	}
+	var bt BlockTable
+	if err := bt.AddMarshalled(block(grid.NewBox(4, 4, 4), 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if v := bt.Sample(1.5, 1.5, 1.5); v != 0.5 {
+		t.Fatalf("zero table: inside sample %g, want 0.5", v)
+	}
+	backing := &bt.decoded[0].Data[0]
+	bt.Reset()
+	small := grid.Box{Lo: [3]int{6, 0, 0}, Hi: [3]int{8, 2, 2}}
+	if err := bt.AddMarshalled(block(small, 0.25)); err != nil {
+		t.Fatal(err)
+	}
+	if bt.Len() != 1 || bt.Bounds() != small {
+		t.Fatalf("after Reset: %d blocks on %v, want 1 on %v", bt.Len(), bt.Bounds(), small)
+	}
+	if lo, hi := bt.ValueRange(); lo != 0.25 || hi != 0.25 {
+		t.Fatalf("after Reset: value range [%g, %g], want the new block's 0.25", lo, hi)
+	}
+	if v := bt.Sample(1.5, 1.5, 1.5); !math.IsInf(v, -1) {
+		t.Fatalf("after Reset the old block still samples: %g", v)
+	}
+	if v := bt.Sample(6.5, 0.5, 0.5); v != 0.25 {
+		t.Fatalf("new block samples %g, want 0.25", v)
+	}
+	if &bt.decoded[0].Data[0] != backing {
+		t.Fatal("Reset dropped the decoded block's storage")
+	}
+}
+
 func TestCompositeErrors(t *testing.T) {
 	if _, err := CompositeFrontToBack(nil); err == nil {
 		t.Fatal("empty composite must error")

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"insitu/internal/grid"
 )
 
 // Covariance is a single-pass bivariate accumulator: means and centered
@@ -141,19 +143,42 @@ func NewAutoCorrelator(lags ...int) (*AutoCorrelator, error) {
 // Push folds the next timestep's local snapshot into the per-lag
 // accumulators. Snapshots must all have the same length.
 func (a *AutoCorrelator) Push(snapshot []float64) {
+	box := grid.NewBox(len(snapshot), 1, 1)
+	a.PushBox(&grid.Field{Box: box, Data: snapshot}, box)
+}
+
+// PushBox folds the next timestep's snapshot, sub's cells of f (sub
+// must be contained in f.Box), into the per-lag accumulators. It reads
+// f in place, lag by lag and cell by cell in sub's x-fastest order, and
+// then copies the snapshot into the ring slot it evicts, so once the
+// ring is full a push allocates nothing. Every push must cover the
+// same number of cells.
+func (a *AutoCorrelator) PushBox(f *grid.Field, sub grid.Box) {
+	n := sub.Size()
 	for li, lag := range a.Lags {
-		if a.seen >= lag {
-			prev := a.ring[(a.head-lag+len(a.ring)+len(a.ring))%len(a.ring)]
-			acc := a.accs[li]
-			for i, x := range snapshot {
-				acc.Update(x, prev[i])
+		if a.seen < lag {
+			continue
+		}
+		prev := a.ring[(a.head-lag+len(a.ring)+len(a.ring))%len(a.ring)]
+		acc := a.accs[li]
+		for at := 0; at < n; {
+			row := f.Row(sub, at, n)
+			for i, x := range row {
+				acc.Update(x, prev[at+i])
 			}
+			at += len(row)
 		}
 	}
-	// Store a copy in the ring.
-	cp := make([]float64, len(snapshot))
-	copy(cp, snapshot)
-	a.ring[a.head] = cp
+	slot := a.ring[a.head][:0]
+	if cap(slot) < n {
+		slot = make([]float64, 0, n)
+	}
+	for at := 0; at < n; {
+		row := f.Row(sub, at, n)
+		slot = append(slot, row...)
+		at += len(row)
+	}
+	a.ring[a.head] = slot
 	a.head = (a.head + 1) % len(a.ring)
 	a.seen++
 }

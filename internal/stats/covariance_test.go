@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"insitu/internal/grid"
 )
 
 func naiveCov(xs, ys []float64) (cov, corr float64) {
@@ -169,6 +171,35 @@ func TestAutoCorrelatorCombineAndMarshal(t *testing.T) {
 	bad, _ := NewAutoCorrelator(2)
 	if err := a.Combine(bad); err == nil {
 		t.Fatal("mismatched lags must error")
+	}
+}
+
+// TestAutoCorrelatorPushBoxInPlace: pushing a sub-box read in place
+// accumulates bit for bit what pushing its copy does, and once the ring
+// is full a push allocates nothing.
+func TestAutoCorrelatorPushBoxInPlace(t *testing.T) {
+	f := grid.NewField("T", grid.Box{Lo: [3]int{-1, -1, -1}, Hi: [3]int{9, 7, 5}})
+	sub := grid.Box{Lo: [3]int{0, 0, 0}, Hi: [3]int{8, 6, 4}}
+	inPlace, _ := NewAutoCorrelator(1, 3)
+	copies, _ := NewAutoCorrelator(1, 3)
+	rng := rand.New(rand.NewSource(4))
+	step := func() {
+		for i := range f.Data {
+			f.Data[i] = 0.8*f.Data[i] + rng.NormFloat64()
+		}
+		inPlace.PushBox(f, sub)
+	}
+	for range 12 {
+		step()
+		copies.Push(f.Extract(sub).Data)
+	}
+	for i := range inPlace.Lags {
+		if *inPlace.Acc(i) != *copies.Acc(i) {
+			t.Fatalf("lag %d: in place %+v, from copies %+v", inPlace.Lags[i], *inPlace.Acc(i), *copies.Acc(i))
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Fatalf("a push into a full ring allocates %v objects", allocs)
 	}
 }
 
