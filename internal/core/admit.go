@@ -36,7 +36,7 @@ type admitDecision struct {
 func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
 	out := make([]admitDecision, len(p.routes))
 	stepMax := overload.LevelFull
-	credits := p.sched.ds.Credits()
+	credits := p.sched.Credits()
 	p.queue.Observe(float64(p.sched.ds.QueueDepthT(p.tenant)))
 	for i, rt := range p.routes {
 		if rt.stage == nil || !rt.due(step) {
@@ -116,13 +116,25 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 }
 
 // acquireCredit draws one transit credit from the account, counting a
-// refusal as the tenant's credit denial.
+// refusal as the tenant's credit denial. Each credit it grants comes
+// back once, through releaseCredit.
 func (p *Pipeline) acquireCredit(credits *dataspaces.Credits, account string) bool {
 	if credits.Acquire(account) {
 		return true
 	}
 	p.creditsDenied.Add(1)
 	return false
+}
+
+// releaseCredit returns the transit credit a task drew from account
+// (empty: it holds none). It has two callers: handleResult, for a
+// task's one final result, and discardStaged, for a task that never
+// reached the queue. A requeue is neither, so a retried task keeps its
+// credit.
+func (p *Pipeline) releaseCredit(account string) {
+	if account != "" {
+		p.sched.Credits().Release(account)
+	}
 }
 
 // probeRoute runs the half-open health probe: a tiny Get against the

@@ -239,9 +239,13 @@ func (p *Pipeline) storeResult(rt *route, step int, out any) {
 }
 
 // handleResult folds one final in-transit result into its route:
-// breaker/quarantine bookkeeping, result storage, transit metrics, and
-// drain accounting. Only the fabric's drain goroutine calls it.
+// credit settlement, breaker/quarantine bookkeeping, result storage,
+// transit metrics, and drain accounting. Only the fabric's drain
+// goroutine calls it.
 func (p *Pipeline) handleResult(res staging.Result) {
+	// Every final result (success, handler error, dead letter) passes
+	// here once, so the task's credit settles exactly once.
+	p.releaseCredit(res.Task.Account)
 	rt, task := p.byName[res.Task.Analysis], res.Task
 	p.observeResult(rt, res)
 	if task.Probe {
@@ -353,7 +357,7 @@ func (p *Pipeline) observeResult(rt *route, res staging.Result) {
 
 // Credits returns the transit tier's credit account (nil unless
 // overload control is enabled).
-func (p *Pipeline) Credits() *dataspaces.Credits { return p.sched.ds.Credits() }
+func (p *Pipeline) Credits() *dataspaces.Credits { return p.sched.Credits() }
 
 // BreakerStates returns each hybrid route's current breaker position
 // (empty unless overload control is enabled).
@@ -406,14 +410,13 @@ func (p *Pipeline) discardStaged(inputs []dataspaces.Descriptor, dec admitDecisi
 	for _, in := range inputs {
 		p.sched.releaseHandle(in)
 	}
-	if dec.Account != "" {
-		p.sched.ds.Credits().Release(dec.Account)
-	}
+	p.releaseCredit(dec.Account)
 }
 
 // shedSubmitted disposes of a step whose intermediate payloads were
 // already produced and pinned when submission failed: the transit tier
-// refused the task (bounded queue full) or the service was gone. The
+// refused the task (bounded queue full), the service was gone, or rank
+// 0's submit-time re-check found the route quarantined. The
 // staged inputs are discarded and the step is stored as an explicit
 // shed marker instead of leaking regions and vanishing.
 func (p *Pipeline) shedSubmitted(rt *route, step int, inputs []dataspaces.Descriptor, dec admitDecision, cause error) {
@@ -430,8 +433,8 @@ func (p *Pipeline) shedSubmitted(rt *route, step int, inputs []dataspaces.Descri
 	p.event(obs.CatAdmit, "overload", "shed",
 		obs.Str("analysis", rt.name), obs.Int("step", step), obs.Str("reason", reason))
 	if !errors.Is(cause, dataspaces.ErrQueueFull) && !errors.Is(cause, overload.ErrQuarantined) {
-		// Backpressure and the quarantine guard are expected; anything
-		// else is a real error too.
+		// Backpressure and the quarantine re-check are expected;
+		// anything else is a real error too.
 		p.recordErr(fmt.Errorf("core: submit %s step %d: %w", rt.name, step, cause))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"insitu/internal/dataspaces"
 	"insitu/internal/obs"
 	"insitu/internal/overload"
 )
@@ -56,6 +57,19 @@ func (s *Scheduler) EnableObs() *obs.Plane {
 		func() float64 { return float64(s.quar.Opens()) })
 	reg.CounterFunc("quarantine_releases_total", "quarantined routes released by a successful probe",
 		func() float64 { return float64(s.quar.Releases()) })
+	// The credit families read zero without an account, so every run
+	// exposes the same families.
+	credit := func(name, help string, sample func(*dataspaces.Credits) int) {
+		reg.GaugeFunc(name, help, func() float64 {
+			if c := s.Credits(); c != nil {
+				return float64(sample(c))
+			}
+			return 0
+		})
+	}
+	credit("credits_total", "fixed flow-control credit supply (0 when credits are disabled)", (*dataspaces.Credits).Total)
+	credit("credits_available", "flow-control credits currently grantable", (*dataspaces.Credits).Available)
+	credit("credits_outstanding", "flow-control credits held by producers", (*dataspaces.Credits).Outstanding)
 	for _, p := range tenants {
 		p.publish(reg)
 	}

@@ -102,9 +102,9 @@ func (p *Pipeline) newRankRun(r *comm.Rank) (*rankRun, error) {
 }
 
 // resumePrologue returns the first live step. On Resume it first
-// rehydrates simulation state from the restored checkpoint, replays the
-// gap up to the last committed step silently (committed steps' tasks
-// are deduped, so nothing is re-submitted) and re-seeds the delta
+// rehydrates simulation state from the restored checkpoint, re-steps
+// the simulation up to the last committed step without submitting
+// anything (so no committed task runs twice) and re-seeds the delta
 // codec's base state with the payloads the committed boundary step
 // produced, so live stepping starts just past the commit line.
 func (rr *rankRun) resumePrologue() (start int, err error) {
@@ -303,8 +303,7 @@ func (rr *rankRun) submit(step int) {
 // submitTask hands one route's registered blocks to the transit tier
 // as a task and journals the submission. A refused task is disposed of
 // on the spot: its inputs are unpinned, its credit returned, and the
-// step stored as shed (or nothing stored, when the journal proves the
-// task already committed in a previous life).
+// step stored as shed.
 func (rr *rankRun) submitTask(rt *route, step int, dec admitDecision, deadline time.Time) {
 	p, name := rr.p, rt.name
 	// Ordered by producing rank, so in-transit payload slices are
@@ -315,14 +314,16 @@ func (rr *rankRun) submitTask(rt *route, step int, dec admitDecision, deadline t
 		Tenant: p.tenant, Analysis: name, Step: step, Inputs: inputs, Deadline: deadline,
 		Account: dec.Account, Probe: dec.Probe, Shaped: dec.Level == overload.LevelShaped,
 	}
-	if _, err := p.sched.ds.SubmitSpec(spec); err != nil {
-		if errors.Is(err, dataspaces.ErrDuplicateTask) {
-			// Already durably submitted and committed in a previous
-			// life: the committed digest covers it, store nothing.
-			p.discardStaged(inputs, dec)
-		} else {
-			p.shedSubmitted(rt, step, inputs, dec, err)
-		}
+	var err error
+	if !dec.Probe && p.quar.Barred(p.tenant, name) {
+		// The drain goroutine quarantined the route after this step's
+		// admission pass; only a half-open probe may reach the queue.
+		err = fmt.Errorf("core: submit %s/%s: %w", p.tenant, name, overload.ErrQuarantined)
+	} else {
+		_, err = p.sched.ds.SubmitSpec(spec)
+	}
+	if err != nil {
+		p.shedSubmitted(rt, step, inputs, dec, err)
 	} else {
 		p.mu.Lock()
 		p.submitted++

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"insitu/internal/bp"
-	"insitu/internal/dataspaces"
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 	"insitu/internal/obs"
@@ -102,9 +101,10 @@ func (p *Pipeline) recKill(phase recovery.Phase, step int) {
 // planResume reads the journal back and fixes the resume plan: the
 // last contiguously committed step, the newest checkpoint at or below
 // it whose every rank file passes its CRCs (corrupt or missing files
-// fall back to the next older checkpoint), the dedup seed for already
-// committed tasks, and the set of journaled-but-uncommitted submits
-// whose resubmission is counted as a replay.
+// fall back to the next older checkpoint), and the set of
+// journaled-but-uncommitted submits whose resubmission is counted as a
+// replay. Committed steps need no guard: resumePrologue re-steps them
+// without submitting, so none of their tasks reaches the queue again.
 func (p *Pipeline) planResume(steps int) {
 	rec := p.rec
 	st := recovery.Analyze(rec.j.Records())
@@ -136,16 +136,6 @@ func (p *Pipeline) planResume(steps int) {
 	rec.lastCkpt = rec.ckptStep
 	rec.nextCommit = rec.resumeFrom + 1
 	rec.prevSubmitted = st.Submitted
-	var seed []dataspaces.TaskKey
-	for _, rt := range p.routes {
-		if rt.stage == nil {
-			continue
-		}
-		for s := rt.every; s <= rec.resumeFrom; s += rt.every {
-			seed = append(seed, dataspaces.TaskKey{Analysis: rt.name, Step: s})
-		}
-	}
-	p.sched.ds.EnableDedup(seed)
 }
 
 // recordWarn files a non-fatal condition the report should surface.

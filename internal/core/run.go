@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"insitu/internal/comm"
+	"insitu/internal/dataspaces"
 	"insitu/internal/overload"
 )
 
@@ -93,8 +94,8 @@ func (s *Scheduler) admitRun(tenants []*Pipeline, lone *Pipeline, resume bool) e
 }
 
 // start arms the admission policy and starts the staging buckets: the
-// one place the queue bound, the credit total, the reservations, the
-// dequeue ring and the admission guard are sized, from the scheduler's
+// one place the queue bound, the credit account and its reservations
+// and the dequeue ring are sized, from the scheduler's
 // config for named tenants and from the unnamed tenant's own overload
 // block (AddTenant has the rule), whose routes each reserve one credit.
 // The total is the most work the transit tier can hold, buckets
@@ -127,14 +128,6 @@ func (s *Scheduler) start(tenants []*Pipeline) error {
 	}
 	s.ds.SetQueueBound(bound)
 	s.ds.SetTenants(names...)
-	// The quarantine's submit-time guard; a half-open probe always
-	// passes.
-	s.ds.SetAdmissionGuard(func(tenant, analysis string, probe bool) error {
-		if probe || !s.quar.Barred(tenant, analysis) {
-			return nil
-		}
-		return fmt.Errorf("dataspaces: submit %s/%s: %w", tenant, analysis, overload.ErrQuarantined)
-	})
 	if armed {
 		if total <= 0 {
 			total = max(s.cfg.MaxBuckets, s.cfg.Buckets) + len(tenants)*cmp.Or(max(bound, 0), 2)
@@ -145,9 +138,13 @@ func (s *Scheduler) start(tenants []*Pipeline) error {
 				reservations[a] = floor
 			}
 		}
-		if err := s.ds.EnableCredits(total, reservations); err != nil {
+		c, err := dataspaces.NewCredits(total, reservations)
+		if err != nil {
 			return err
 		}
+		s.mu.Lock()
+		s.credits = c
+		s.mu.Unlock()
 	}
 	s.area.Start()
 	return nil

@@ -136,6 +136,9 @@ type Scheduler struct {
 	tenants []*Pipeline
 	eps     map[int]*dart.Endpoint // endpoint id -> rank endpoint, every tenant (for release)
 	ran     bool
+	// credits is the transit credit account: nil until start, and for a
+	// run without any admission plane.
+	credits *dataspaces.Credits
 
 	// Observability plane (nil until EnableObs). Written once, before
 	// run; the step loops and the drain read it unlocked.
@@ -325,7 +328,11 @@ func (s *Scheduler) Staging() *staging.Area { return s.area }
 
 // Credits returns the shared transit credit account (nil before Run,
 // and for an unnamed tenant without overload control).
-func (s *Scheduler) Credits() *dataspaces.Credits { return s.ds.Credits() }
+func (s *Scheduler) Credits() *dataspaces.Credits {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.credits
+}
 
 // Quarantine returns the shared poison-route quarantine.
 func (s *Scheduler) Quarantine() *overload.Quarantine { return s.quar }

@@ -12,7 +12,10 @@ import (
 // until the task's final Result (success, handler error, or
 // dead-letter) settles it — so the simulation never submits work the
 // transit tier cannot absorb, and backpressure surfaces as an instant,
-// non-blocking denial instead of unbounded queue growth.
+// non-blocking denial instead of unbounded queue growth. The service
+// holds no account: the producer owns it and settles it, and a task
+// only carries the name of the account its credit came from
+// (TaskSpec.Account).
 //
 // Per-analysis reservations carve a guaranteed minimum out of the
 // supply so one slow analysis cannot starve the others; the remainder

@@ -142,31 +142,30 @@ func TestQueueBoundRejectsSubmissions(t *testing.T) {
 	}
 }
 
+// TestSubmitSpecThreadsShapedAndCredited: the producer's labels ride
+// the task to the bucket and survive a requeue unchanged — Shaped, the
+// credit Account and the quarantine Probe mark are carried, never
+// interpreted.
 func TestSubmitSpecThreadsShapedAndCredited(t *testing.T) {
 	s := newService(t, 1)
-	if err := s.EnableCredits(2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Credits().Acquire("a") {
-		t.Fatal("acquire must succeed")
-	}
-	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Shaped: true, Account: "a"}); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Shaped: true, Account: "a", Probe: true}); err != nil {
 		t.Fatal(err)
 	}
 	task, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !task.Shaped || task.Account != "a" {
+	if !task.Shaped || task.Account != "a" || !task.Probe {
 		t.Fatalf("spec fields lost: %+v", task)
 	}
-	s.FinishTask(task)
-	if got := s.Credits().Outstanding(); got != 0 {
-		t.Fatalf("FinishTask must settle the credit, outstanding=%d", got)
+	if err := s.Requeue(task); err != nil {
+		t.Fatal(err)
 	}
-	// FinishTask on an uncredited task is a no-op.
-	s.FinishTask(Task{TaskSpec: TaskSpec{Analysis: "a"}})
-	if s.Credits().Available() != s.Credits().Total() {
-		t.Fatal("uncredited FinishTask must not mint credits")
+	task, err = s.BucketReadyCancel(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !task.Shaped || task.Account != "a" || !task.Probe || task.Attempts != 1 {
+		t.Fatalf("spec fields lost across requeue: %+v", task)
 	}
 }

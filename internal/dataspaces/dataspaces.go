@@ -88,9 +88,9 @@ type TaskSpec struct {
 	// results can be marked as reduced-fidelity.
 	Shaped bool
 	// Account names the credit account the producer drew this task's
-	// flow-control credit from (empty: the task holds none); FinishTask
-	// releases it exactly once when the task's final result settles. It
-	// survives requeues.
+	// flow-control credit from (empty: the task holds none). The
+	// service only carries it, across requeues too: the producer settles
+	// the credit when the task's final result comes back.
 	Account string
 	// Tenant names the submitting pipeline in a multi-tenant fabric;
 	// empty for single-tenant runs. It selects the per-tenant queue the
@@ -98,8 +98,8 @@ type TaskSpec struct {
 	Tenant string
 	// Probe marks a quarantine half-open probe: the one task a
 	// quarantined (tenant, analysis) route is allowed to submit so its
-	// disposition can decide between release and re-open. Probes pass
-	// the admission guard.
+	// disposition can decide between release and re-open. The service
+	// only carries it back to the producer with the result.
 	Probe bool
 }
 
@@ -121,11 +121,6 @@ type Service struct {
 	order []string          // sorted tenant names, the ring
 	rr    int               // ring position: the tenant served next
 	head  []Task            // requeued tasks, served before any tenant queue
-
-	guard func(tenant, analysis string, probe bool) error
-
-	credits *Credits
-	dedup   map[TaskKey]bool // accepted (analysis, step) pairs; nil = dedup off
 
 	assigned int64 // tasks handed to buckets
 	requeues int64 // failed tasks pushed back for another attempt
@@ -160,10 +155,8 @@ func New(fabric *dart.Fabric, servers int) (*Service, error) {
 // SetPlane attaches the observability plane: task submissions and
 // requeues record lifecycle events on the "queue" lane, and the
 // service's live state — queue depth, free buckets, assignment and
-// requeue totals, and the credit account — is published as metric
-// series sampled at scrape time. The credit series are registered even
-// when credits are disabled (they read zero), so every run exposes the
-// same metric families. A nil plane is ignored.
+// requeue totals — is published as metric series sampled at scrape
+// time. A nil plane is ignored.
 func (s *Service) SetPlane(pl *obs.Plane) {
 	if pl == nil {
 		return
@@ -177,27 +170,6 @@ func (s *Service) SetPlane(pl *obs.Plane) {
 		func() float64 { return float64(s.Assigned()) })
 	reg.CounterFunc("dataspaces_requeues_total", "failed tasks pushed back for another attempt",
 		func() float64 { return float64(s.Requeues()) })
-	reg.GaugeFunc("credits_total", "fixed flow-control credit supply (0 when credits are disabled)",
-		func() float64 {
-			if c := s.Credits(); c != nil {
-				return float64(c.Total())
-			}
-			return 0
-		})
-	reg.GaugeFunc("credits_available", "flow-control credits currently grantable",
-		func() float64 {
-			if c := s.Credits(); c != nil {
-				return float64(c.Available())
-			}
-			return 0
-		})
-	reg.GaugeFunc("credits_outstanding", "flow-control credits held by producers",
-		func() float64 {
-			if c := s.Credits(); c != nil {
-				return float64(c.Outstanding())
-			}
-			return 0
-		})
 	s.plane.Store(pl)
 }
 
@@ -245,33 +217,6 @@ var ErrCancelled = errors.New("dataspaces: bucket wait cancelled")
 // at capacity and no bucket is waiting — the backpressure signal the
 // admission ladder reacts to instead of letting the queue grow.
 var ErrQueueFull = errors.New("dataspaces: task queue full")
-
-// ErrDuplicateTask is returned by SubmitSpec, with dedup enabled, for
-// a second submission of an (analysis, step) pair — the idempotency
-// guard of journal replay: a resumed run re-submitting work the dead
-// process already ran (or that was seeded as committed) must not run
-// it twice or double-settle its credit.
-var ErrDuplicateTask = errors.New("dataspaces: duplicate task submission")
-
-// TaskKey identifies one logical in-transit task for replay dedup.
-type TaskKey struct {
-	Analysis string
-	Step     int
-}
-
-// EnableDedup turns on (analysis, step) submission dedup: SubmitSpec
-// refuses a key it has already accepted with ErrDuplicateTask. seed
-// pre-marks keys as already done — the resume path seeds it with every
-// pair the journal shows committed, so a replayed step can never
-// re-enter the transit tier. Call before traffic starts.
-func (s *Service) EnableDedup(seed []TaskKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dedup = make(map[TaskKey]bool, len(seed))
-	for _, k := range seed {
-		s.dedup[k] = true
-	}
-}
 
 // SetQueueBound bounds the number of *queued* (submitted but not yet
 // assigned) tasks of each tenant; submissions beyond it fail with
@@ -342,52 +287,6 @@ func (s *Service) nextTaskLocked() (Task, bool) {
 		}
 	}
 	return Task{}, false
-}
-
-// SetAdmissionGuard installs a submission-time guard consulted by
-// SubmitSpec before a task enters the queue; a non-nil return rejects
-// the submission with that error. The scheduler wires the poison-route
-// quarantine through this hook (probe-marked submissions are the
-// quarantine's own half-open probes and must pass), keeping dataspaces
-// free of a policy-package dependency. Call before traffic starts.
-func (s *Service) SetAdmissionGuard(fn func(tenant, analysis string, probe bool) error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.guard = fn
-}
-
-// EnableCredits attaches a credit account to the service, sized to
-// `total` credits with the given per-analysis reservations. Producers
-// acquire credits before submitting; the staging tier settles them via
-// FinishTask as final results drain.
-func (s *Service) EnableCredits(total int, reservations map[string]int) error {
-	c, err := NewCredits(total, reservations)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.credits = c
-	return nil
-}
-
-// Credits returns the service's credit account, or nil if credits are
-// not enabled.
-func (s *Service) Credits() *Credits {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.credits
-}
-
-// FinishTask settles a task whose final result (success, handler
-// error, or dead-letter) has been produced, releasing its flow-control
-// credit if it holds one. It is idempotent per task only in the sense
-// that callers must invoke it exactly once per final result — the
-// staging tier does so at its single result-emission point.
-func (s *Service) FinishTask(t Task) {
-	if c := s.Credits(); t.Account != "" && c != nil {
-		c.Release(t.Account)
-	}
 }
 
 // shard returns the server responsible for a key. Tenant-less keys
@@ -471,23 +370,9 @@ func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if s.guard != nil {
-		if err := s.guard(spec.Tenant, spec.Analysis, spec.Probe); err != nil {
-			s.mu.Unlock()
-			return 0, err
-		}
-	}
-	dk := TaskKey{Analysis: spec.Analysis, Step: spec.Step}
-	if s.dedup != nil && s.dedup[dk] {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s@%d", ErrDuplicateTask, spec.Analysis, spec.Step)
-	}
 	if len(s.waiting) == 0 && s.bound > 0 && len(s.tq[spec.Tenant]) >= s.bound {
 		s.mu.Unlock()
 		return 0, ErrQueueFull
-	}
-	if s.dedup != nil {
-		s.dedup[dk] = true
 	}
 	s.nextID++
 	t := Task{ID: s.nextID, TaskSpec: spec}

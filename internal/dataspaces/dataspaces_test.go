@@ -105,6 +105,26 @@ func TestBucketReadyBlocksUntilTask(t *testing.T) {
 	}
 }
 
+// TestPutReplacesSameRank: re-registering a (Name, Version, Rank)
+// descriptor — the journal-replay case — replaces the stale handle
+// instead of doubling the task's inputs.
+func TestPutReplacesSameRank(t *testing.T) {
+	s := newService(t, 2)
+	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 0, Box: grid.NewBox(4, 4, 4)})
+	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 1, Box: grid.NewBox(4, 4, 4)})
+	// Replay of rank 0's registration with a new handle.
+	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 0, Box: grid.NewBox(8, 4, 4)})
+	got := s.QueryT("", "viz", 7)
+	if len(got) != 2 {
+		t.Fatalf("want 2 descriptors after replayed Put, got %d", len(got))
+	}
+	for _, d := range got {
+		if d.Rank == 0 && d.Box != grid.NewBox(8, 4, 4) {
+			t.Fatalf("rank 0 descriptor not replaced: %+v", d)
+		}
+	}
+}
+
 func TestCloseUnblocksBuckets(t *testing.T) {
 	s := newService(t, 1)
 	errs := make(chan error, 3)

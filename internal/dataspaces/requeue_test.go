@@ -158,43 +158,6 @@ func TestConcurrentRequeueOrdering(t *testing.T) {
 	}
 }
 
-// TestRequeueKeepsCredit: the flow-control credit rides the task across
-// requeues — a requeue must NOT release it (the work is still in the
-// transit tier) and the eventual FinishTask settles it exactly once.
-func TestRequeueKeepsCredit(t *testing.T) {
-	s := newService(t, 1)
-	if err := s.EnableCredits(2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Credits().Acquire("a") {
-		t.Fatal("acquire must succeed")
-	}
-	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Account: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	task, err := s.BucketReadyCancel(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Requeue(task); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Credits().Outstanding(); got != 1 {
-		t.Fatalf("requeue must not settle the credit, outstanding=%d", got)
-	}
-	task, err = s.BucketReadyCancel(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if task.Account != "a" {
-		t.Fatal("credit account lost across requeue")
-	}
-	s.FinishTask(task)
-	if got := s.Credits().Outstanding(); got != 0 {
-		t.Fatalf("outstanding=%d after FinishTask, want 0", got)
-	}
-}
-
 // TestSubmitTaskDeadline threads the deadline through to the bucket.
 func TestSubmitTaskDeadline(t *testing.T) {
 	s := newService(t, 1)

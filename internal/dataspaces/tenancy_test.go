@@ -203,27 +203,6 @@ func TestBucketReadyCancelAssignmentWins(t *testing.T) {
 	}
 }
 
-func TestAdmissionGuard(t *testing.T) {
-	s := newTestService(t, 1)
-	guardErr := errors.New("quarantined")
-	s.SetAdmissionGuard(func(tenant, analysis string, probe bool) error {
-		if tenant == "noisy" && analysis == "poison" && !probe {
-			return guardErr
-		}
-		return nil
-	})
-	if _, err := s.SubmitSpec(TaskSpec{Tenant: "noisy", Analysis: "poison"}); !errors.Is(err, guardErr) {
-		t.Fatalf("guarded submit err = %v, want guard error", err)
-	}
-	// Probes and other routes pass.
-	if _, err := s.SubmitSpec(TaskSpec{Tenant: "noisy", Analysis: "poison", Probe: true}); err != nil {
-		t.Fatalf("probe submit err = %v", err)
-	}
-	if _, err := s.SubmitSpec(TaskSpec{Tenant: "noisy", Analysis: "viz"}); err != nil {
-		t.Fatalf("other-analysis submit err = %v", err)
-	}
-}
-
 func TestTenantDescriptorNamespaces(t *testing.T) {
 	s := newTestService(t, 4)
 	for _, tn := range []string{"a", "b"} {
@@ -245,21 +224,36 @@ func TestTenantDescriptorNamespaces(t *testing.T) {
 	}
 }
 
+// TestTenantCreditAccountSettlement: a credited task carries the
+// account it was charged to through the queue, whatever its tenant and
+// analysis, so the consumer of its final result settles against that
+// account and the tenant's reservation refills.
 func TestTenantCreditAccountSettlement(t *testing.T) {
 	s := newTestService(t, 1)
-	if err := s.EnableCredits(4, map[string]int{"a": 1, "b": 1}); err != nil {
+	c, err := NewCredits(4, map[string]int{"a": 1, "b": 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := s.Credits()
 	if !c.Acquire("a") {
 		t.Fatal("acquire a")
 	}
-	// A credited task settles against the account it names, whatever
-	// its tenant and analysis.
-	s.FinishTask(Task{TaskSpec: TaskSpec{Tenant: "a", Analysis: "viz", Account: "a"}})
+	if _, err := s.SubmitSpec(TaskSpec{Tenant: "a", Analysis: "viz", Step: 1, Account: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	task, err := s.BucketReadyCancel(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if task.Tenant != "a" || task.Analysis != "viz" || task.Account != "a" {
+		t.Fatalf("pulled task lost its labels: %+v", task.TaskSpec)
+	}
+	c.Release(task.Account)
 	out, avail, total := c.Snapshot()
 	if out != 0 || avail != total {
 		t.Fatalf("after settle: outstanding %d available %d total %d", out, avail, total)
+	}
+	if c.Exhausted("a") {
+		t.Fatal("settling must refill tenant a's reservation")
 	}
 }
 

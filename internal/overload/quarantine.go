@@ -117,8 +117,9 @@ func (q *Quarantine) RecordProbe(tenant, analysis string, ok bool) {
 }
 
 // Barred reports whether the route is currently quarantined (open or
-// half-open) — the cheap check dataspaces' admission guard uses to
-// fail-fast submissions that bypassed the admission pass.
+// half-open) — the cheap check rank 0 repeats just before it submits,
+// to fail fast a task whose route was quarantined after its admission
+// pass.
 func (q *Quarantine) Barred(tenant, analysis string) bool {
 	return q.State(tenant, analysis) != Closed
 }

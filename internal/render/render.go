@@ -20,11 +20,6 @@ type Renderer struct {
 	Up            [3]float64 // up hint
 	Step          float64    // sampling distance along the ray
 	Global        grid.Box   // full domain, defines the camera framing
-	// Workers bounds the ray-casting worker pool: 0 selects
-	// GOMAXPROCS, 1 forces the serial path. Every pixel is an
-	// independent ray, so the parallel render is bitwise identical to
-	// the serial one at any width.
-	Workers int
 }
 
 // NewRenderer validates and normalizes the configuration.
@@ -114,14 +109,6 @@ type bandSampler interface {
 	bandSampler() sampler
 }
 
-// pool returns the worker pool the renderer casts rays with.
-func (r *Renderer) pool() *parallel.Pool {
-	if r.Workers == 0 {
-		return parallel.Default
-	}
-	return parallel.New(r.Workers)
-}
-
 // renderWith casts all rays, accumulating only samples whose position
 // lies inside clip. Sample positions along a ray are t = k*Step from
 // the globally anchored ray origin, identical regardless of clip, so
@@ -139,7 +126,7 @@ func (r *Renderer) renderWith(src sampler, clip grid.Box) *Image {
 	img := GetImage(r.Width, r.Height)
 	right, up, center, radius := r.camera()
 	tMax := 2 * radius
-	r.pool().ForBlocks(r.Height, func(_, loRow, hiRow int) {
+	parallel.Default.ForBlocks(r.Height, func(_, loRow, hiRow int) {
 		band := src
 		if bs, ok := src.(bandSampler); ok {
 			band = bs.bandSampler()

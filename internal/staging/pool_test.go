@@ -83,11 +83,12 @@ func TestAddAndRetireBuckets(t *testing.T) {
 	a.Wait()
 }
 
+// TestRetireMidTaskFinishesAndSettles: a bucket retired while it holds
+// a task finishes that task and emits its one final result before it
+// leaves the pool — the producer settles every task exactly once, so a
+// retire must neither lose a result nor emit one twice.
 func TestRetireMidTaskFinishesAndSettles(t *testing.T) {
 	r := newRig(t)
-	if err := r.ds.EnableCredits(2, nil); err != nil {
-		t.Fatal(err)
-	}
 	a, err := New(r.fabric, r.ds, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -99,16 +100,12 @@ func TestRetireMidTaskFinishesAndSettles(t *testing.T) {
 	})
 	a.Start()
 
-	c := r.ds.Credits()
 	// Occupy BOTH buckets with blocked tasks so the retired one is
 	// guaranteed to be mid-task.
 	for s := 1; s <= 2; s++ {
-		if !c.Acquire("slow") {
-			t.Fatal("acquire")
-		}
 		h := r.prod.RegisterMem([]byte("payload"))
 		if _, err := r.ds.SubmitSpec(dataspaces.TaskSpec{
-			Analysis: "slow", Step: s, Account: "slow",
+			Analysis: "slow", Step: s,
 			Inputs: []dataspaces.Descriptor{{Name: "slow", Version: s, Rank: 0, Handle: h}},
 		}); err != nil {
 			t.Fatal(err)
@@ -123,24 +120,28 @@ func TestRetireMidTaskFinishesAndSettles(t *testing.T) {
 	a.RetireBucket()
 	close(gate)
 
+	seen := map[int]bool{}
 	for i := 0; i < 2; i++ {
 		select {
 		case res := <-a.Results():
 			if res.Err != nil {
 				t.Fatalf("task err: %v", res.Err)
 			}
+			seen[res.Task.Step] = true
 		case <-time.After(5 * time.Second):
 			t.Fatal("task held by retiring bucket was lost")
 		}
 	}
-	// Credit settled exactly once.
-	out, avail, total := c.Snapshot()
-	if out != 0 || avail != total {
-		t.Fatalf("credits after drain: outstanding %d available %d total %d", out, avail, total)
+	if !seen[1] || !seen[2] {
+		t.Fatalf("results for steps %v, want one each for 1 and 2", seen)
 	}
 	waitActive(t, a, 1)
 	r.ds.Close()
 	a.Wait()
+	// Exactly one result per task: nothing is left once the pool drains.
+	for res := range a.Results() {
+		t.Fatalf("extra result after drain: step %d", res.Task.Step)
+	}
 }
 
 func TestTenantScopedHandlers(t *testing.T) {

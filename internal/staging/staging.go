@@ -401,8 +401,8 @@ func (a *Area) AddBucket() int {
 
 // RetireBucket shrinks the pool by one bucket, choosing the
 // highest-numbered live bucket and draining it gracefully: a retiring
-// bucket finishes (and settles) the task it holds, then exits instead
-// of asking for more work — no task is lost and no credit settles
+// bucket finishes the task it holds and emits its one result, then
+// exits instead of asking for more work — no task is lost or finished
 // twice. Bucket 0 is never retired (it hosts the transit-health probe
 // region). It returns false when no bucket is eligible.
 func (a *Area) RetireBucket() bool {
@@ -526,11 +526,7 @@ func (a *Area) bucketLoop(id int) {
 		}
 		res, crashed := a.runTask(id, ep, kill, task)
 		if res != nil {
-			// This is the task's final result (requeues return nil), so
-			// settle its flow-control credit exactly once, before the
-			// result is visible to the drain: the producer must be able
-			// to re-acquire the credit for the next step it admits.
-			a.ds.FinishTask(res.Task)
+			// The task's one final result (requeues return nil).
 			a.observeDone(id, res)
 			a.results <- *res
 		}
