@@ -13,7 +13,8 @@
 #                   module, so tier-1 `go test ./...` does not reach them)
 #   make fuzz-smoke 10s coverage-guided fuzz of each decoder that reads
 #                   outside bytes: the codec frame decoder, the BP-lite
-#                   checkpoint reader, the append-only frame log under
+#                   checkpoint reader (and its writer over a region, read
+#                   back against a copy of the region), the append-only frame log under
 #                   journal.wal and index.log, the image index replay, the
 #                   pipeline config parser, the subtree and feature-partial
 #                   payload decoders a staging bucket runs, the in-transit
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshalField -fuzztime 10s ./internal/grid/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/imagestore/
 	$(GO) test -run xxx -fuzz FuzzEtagMatch -fuzztime 10s ./internal/serve/
+	$(GO) test -run xxx -fuzz FuzzWriteFileRegion -fuzztime 10s ./internal/bp/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

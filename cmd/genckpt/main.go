@@ -37,12 +37,8 @@ func main() {
 	}
 	err = sim.RunAll(s, func(rk *sim.Rank) error {
 		rk.RunSteps(*steps)
-		var fields []*grid.Field
-		for _, name := range sim.VarNames {
-			fields = append(fields, rk.Field(name))
-		}
 		path := filepath.Join(*outdir, fmt.Sprintf("rank-%04d.bp", rk.Comm().ID()))
-		n, err := bp.WriteFile(path, fields)
+		n, err := bp.WriteFile(path, rk.CheckpointFields())
 		if err != nil {
 			return err
 		}

@@ -43,64 +43,52 @@ const (
 // can treat any bit-flipped checkpoint uniformly.
 var ErrCorruptCheckpoint = errors.New("bp: corrupt checkpoint")
 
-// WriteFile writes the fields to path and returns the byte count. The
-// whole file is packed into one pool-recycled buffer sized exactly up
-// front — each field marshals straight into its final position with no
-// intermediate per-field allocations — so repeated checkpoints reuse
-// one buffer instead of regrowing a bytes.Buffer every step. The file
-// lands via atomic temp-file+rename: a crash mid-checkpoint leaves the
-// previous file (or nothing), never a truncated one.
-func WriteFile(path string, fields []*grid.Field) (int64, error) {
+// WriteFile writes the fields to path and returns the byte count: each
+// field over region, when one is given (at most one, inside every
+// field's box), and over its own box otherwise. The bytes are those of
+// writing Extract(region) copies, but each field marshals straight from
+// its storage — a rank checkpoints its owned block from the live
+// ghosted fields — into its final position in one pool-recycled
+// buffer sized exactly up front. The file lands via atomic
+// temp-file+rename: a crash mid-checkpoint leaves the previous file (or
+// nothing), never a truncated one.
+func WriteFile(path string, fields []*grid.Field, region ...grid.Box) (int64, error) {
+	if len(region) > 1 {
+		return 0, fmt.Errorf("bp: write %s: %d regions, want at most one", path, len(region))
+	}
+	over := func(f *grid.Field) grid.Box {
+		if len(region) == 1 {
+			return region[0]
+		}
+		return f.Box
+	}
 	total := 12 // magic + version + nvars
 	for _, f := range fields {
-		total += f.MarshalSize()      // payload
-		total += 4 + len(f.Name) + 20 // index entry (incl. CRC32)
+		total += f.DownsampleMarshalSize(over(f), 1) // payload
+		total += 4 + len(f.Name) + 20                // index entry (incl. CRC32)
 	}
 	total += 8 + 4 // footer offset + trailing magic
 	buf := bufpool.Get(total)[:0]
 	defer bufpool.Put(buf)
+	le := binary.LittleEndian
 	buf = append(buf, magic[:]...)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], version)
-	buf = append(buf, b4[:]...)
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(fields)))
-	buf = append(buf, b4[:]...)
-	// Payloads, recording offsets and payload CRCs for the footer
-	// index.
-	type entry struct {
-		name   string
-		offset uint64
-		length uint64
-		sum    uint32
-	}
-	index := make([]entry, 0, len(fields))
+	buf = le.AppendUint32(buf, version)
+	buf = le.AppendUint32(buf, uint32(len(fields)))
 	for _, f := range fields {
-		off := len(buf)
-		buf = f.AppendMarshal(buf)
-		index = append(index, entry{
-			name:   f.Name,
-			offset: uint64(off),
-			length: uint64(len(buf) - off),
-			sum:    crc32.ChecksumIEEE(buf[off:]),
-		})
+		buf = f.AppendDownsampleMarshal(buf, over(f), 1)
 	}
-	// Footer: per-variable (nameLen, name, offset, length, crc32),
-	// then the footer offset and magic again for validity checking.
-	footerOff := uint64(len(buf))
-	var b8 [8]byte
-	for _, e := range index {
-		binary.LittleEndian.PutUint32(b4[:], uint32(len(e.name)))
-		buf = append(buf, b4[:]...)
-		buf = append(buf, e.name...)
-		binary.LittleEndian.PutUint64(b8[:], e.offset)
-		buf = append(buf, b8[:]...)
-		binary.LittleEndian.PutUint64(b8[:], e.length)
-		buf = append(buf, b8[:]...)
-		binary.LittleEndian.PutUint32(b4[:], e.sum)
-		buf = append(buf, b4[:]...)
+	// Footer: per-variable (nameLen, name, offset, length, crc32) over
+	// the payloads just written, then the footer offset and magic again
+	// for validity checking.
+	footerOff, off := len(buf), 12
+	for _, f := range fields {
+		n := f.DownsampleMarshalSize(over(f), 1)
+		buf = append(le.AppendUint32(buf, uint32(len(f.Name))), f.Name...)
+		buf = le.AppendUint64(le.AppendUint64(buf, uint64(off)), uint64(n))
+		buf = le.AppendUint32(buf, crc32.ChecksumIEEE(buf[off:off+n]))
+		off += n
 	}
-	binary.LittleEndian.PutUint64(b8[:], footerOff)
-	buf = append(buf, b8[:]...)
+	buf = le.AppendUint64(buf, uint64(footerOff))
 	buf = append(buf, magic[:]...)
 	if err := recovery.WriteFileAtomic(path, buf, 0o644); err != nil {
 		return 0, fmt.Errorf("bp: write %s: %w", path, err)

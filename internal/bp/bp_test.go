@@ -1,8 +1,10 @@
 package bp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"insitu/internal/grid"
+	"insitu/internal/sim"
 )
 
 func sampleFields(rng *rand.Rand) []*grid.Field {
@@ -247,5 +250,46 @@ func TestReadVersion1(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].Name != f.Name || got[0].Data[3] != f.Data[3] {
 		t.Fatal("version-1 file did not round-trip")
+	}
+}
+
+// TestCheckpointFromLiveFieldsMatchesCopies: a rank's checkpoint
+// written over its owned box straight from the live ghosted fields, as
+// a pipeline writes it, is byte for byte the file written from
+// CheckpointFields' Extract(owned) copies — the form checkpoints took
+// before, kept here as the oracle.
+func TestCheckpointFromLiveFieldsMatchesCopies(t *testing.T) {
+	s, err := sim.New(sim.DefaultConfig(grid.NewBox(16, 12, 8), 2, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	err = sim.RunAll(s, func(rk *sim.Rank) error {
+		rk.RunSteps(3)
+		live := make([]*grid.Field, len(sim.VarNames))
+		for i, name := range sim.VarNames {
+			live[i] = rk.GhostedField(name)
+		}
+		id := rk.Comm().ID()
+		got := filepath.Join(dir, fmt.Sprintf("live-%d.bp", id))
+		want := filepath.Join(dir, fmt.Sprintf("copies-%d.bp", id))
+		if _, err := WriteFile(got, live, rk.OwnedBox()); err != nil {
+			return err
+		}
+		if _, err := WriteFile(want, rk.CheckpointFields()); err != nil {
+			return err
+		}
+		a, errA := os.ReadFile(got)
+		b, errB := os.ReadFile(want)
+		if err := errors.Join(errA, errB); err != nil {
+			return err
+		}
+		if !bytes.Equal(a, b) {
+			return fmt.Errorf("rank %d: the checkpoint from live fields (%d B) differs from the one from copies (%d B)", id, len(a), len(b))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

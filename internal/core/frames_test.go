@@ -35,7 +35,7 @@ func (m *memSink) PutFrames(variable string, step int, frames []render.Frame) ([
 	}
 	digests := make([]string, len(frames))
 	for i, fr := range frames {
-		png, err := fr.Img.PNG()
+		png, err := fr.Img.AppendPNG(nil)
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"insitu/internal/comm"
 	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
+	"insitu/internal/grid"
 	"insitu/internal/obs"
 	"insitu/internal/overload"
 	"insitu/internal/recovery"
@@ -367,7 +368,13 @@ func (rr *rankRun) writeCheckpoint(step int) {
 	p, r, rec := rr.p, rr.r, rr.p.rec
 	if !rec.j.Killed() {
 		path := filepath.Join(rec.j.Dir(), recovery.CheckpointFile(step, r.ID()))
-		if _, err := bp.WriteFile(path, rr.rk.CheckpointFields()); err != nil {
+		// Each variable's owned block, straight from the live field: the
+		// bytes of CheckpointFields' copies, without the copies.
+		fields := make([]*grid.Field, len(sim.VarNames))
+		for i, name := range sim.VarNames {
+			fields[i] = rr.rk.GhostedField(name)
+		}
+		if _, err := bp.WriteFile(path, fields, rr.rk.OwnedBox()); err != nil {
 			p.recordErr(fmt.Errorf("core: checkpoint step %d rank %d: %w", step, r.ID(), err))
 		}
 	}

@@ -2,12 +2,16 @@ package imagestore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"insitu/internal/render"
@@ -37,7 +41,7 @@ func failingIndex(t *testing.T, dir string) (s *Store, sp Spec, png []byte, heal
 		t.Fatal(err)
 	}
 	sp = Spec{Var: "T", Step: 1, Cam: "cam00"}
-	png, _ = frame(1).PNG()
+	png, _ = frame(1).AppendPNG(nil)
 	digest, err := s.Put(sp, png)
 	if err == nil {
 		t.Fatal("put with an unwritable index succeeded")
@@ -45,11 +49,8 @@ func failingIndex(t *testing.T, dir string) (s *Store, sp Spec, png []byte, heal
 
 	// Nothing of the failed put is visible: not the frame, not the blob
 	// (from the maps or the cache), not Latest, not a counter.
-	if _, _, err := s.Frame(sp); err == nil {
-		t.Error("failed put: Frame serves it")
-	}
-	if _, ok := s.Digest(sp); ok || digest != "" {
-		t.Error("failed put: a digest is indexed or returned")
+	if _, d, err := s.Frame(sp); err == nil || d != "" || digest != "" {
+		t.Error("failed put: Frame serves it, or a digest is indexed or returned")
 	}
 	if _, ok := s.Latest(); ok {
 		t.Error("failed put: Latest moved")
@@ -114,7 +115,7 @@ func TestCrashAfterSegmentSync(t *testing.T) {
 		t.Fatalf("reopen over an orphan tail: %+v, want no frames and the tail counted as segment bytes", st)
 	}
 	sp := Spec{Var: "T", Step: 2, Cam: "cam00"}
-	png, _ := frame(2).PNG()
+	png, _ := frame(2).AppendPNG(nil)
 	digest, err := r.Put(sp, png)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +183,7 @@ func TestFrameSetIsOneCommit(t *testing.T) {
 		t.Fatalf("re-putting a whole set wrote: segment %d -> %d, index %d -> %d, fsyncs %d", seg, s2, idx, i2, s.idx.Fsyncs())
 	}
 	for i, cam := range []string{"cam00", "cam01", "cam02"} {
-		want, _ := set(1)[i].Img.PNG()
+		want, _ := set(1)[i].Img.AppendPNG(nil)
 		if got, _, err := s.Frame(Spec{Var: "T", Step: 1, Cam: cam}); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: stored bytes differ from a fresh encode (%v)", cam, err)
 		}
@@ -235,7 +236,7 @@ func FuzzOpenIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	for step := 1; step <= 2; step++ {
-		if _, err := s.PutFrame("T", step, "cam00", frame(step)); err != nil {
+		if _, err := putFrame(s, "T", step, "cam00", frame(step)); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -286,4 +287,129 @@ func FuzzOpenIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// frameSet returns cams frames of w×h pixels whose bytes differ by
+// step and camera, so no frame of one set dedups against another.
+func frameSet(step, cams, w, h int) []render.Frame {
+	set := make([]render.Frame, cams)
+	for c := range set {
+		im := render.NewImage(w, h)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				v := float64((x+3*y+5*c+7*step)%32) / 32
+				im.Set(x, y, v, 1-v, v/2, 1)
+			}
+		}
+		im.Set(0, 0, float64(step%251)/251, float64(c)/float64(cams), 0, 1)
+		set[c] = render.Frame{Cam: render.CameraName(c), Img: im}
+	}
+	return set
+}
+
+// TestPutFramesAllocatesFlat is the O(1) guard of the frame write
+// path: a step of eight 80×60 frames is encoded into the store's
+// reused commit buffer, so a late step allocates less than one frame's
+// PNG. Each frame used to get its own exact-size slice for the cache
+// to keep: eight PNGs a step.
+func TestPutFramesAllocatesFlat(t *testing.T) {
+	const steps, cams, w, h = 32, 8, 80, 60
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	png, err := frameSet(0, 1, w, h)[0].Img.AppendPNG(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := make([]uint64, steps)
+	var m0, m1 runtime.MemStats
+	for step := range deltas {
+		set := frameSet(step, cams, w, h)
+		runtime.ReadMemStats(&m0)
+		_, err := s.PutFrames("T", step, set)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas[step] = m1.TotalAlloc - m0.TotalAlloc
+	}
+	if st := s.Stats(); st.BlobsStored != steps*cams {
+		t.Fatalf("%d blobs stored, want %d distinct frames", st.BlobsStored, steps*cams)
+	}
+	// The cheapest step of a late window, as in core's in-situ guard: a
+	// map growth lands on single steps and is not what this is about.
+	if late := slices.Min(deltas[steps-10:]); late >= uint64(len(png)) {
+		t.Errorf("a step of %d frames allocates %d B, one frame's PNG is %d B: each frame is encoded into a buffer of its own", cams, late, len(png))
+	}
+}
+
+// TestCacheFillsOnReadAndNeverAliasesTheCommitBuffer: a put leaves the
+// read cache alone, the first read of a frame misses and fills it, the
+// second hits; and while a writer keeps committing, every slice a
+// reader gets hashes to its digest — no read is served from the commit
+// buffer the next commit overwrites. Run under -race it is also the
+// gate on that buffer's sharing.
+func TestCacheFillsOnReadAndNeverAliasesTheCommitBuffer(t *testing.T) {
+	const cams, w, h, base, steps = 4, 40, 30, 1, 20
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	digests, err := s.PutFrames("T", base, frameSet(base, cams, w, h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Fatalf("a put moved the read cache: %d hits, %d misses", st.CacheHits, st.CacheMisses)
+	}
+	sp := Spec{Var: "T", Step: base, Cam: render.CameraName(0)}
+	for i, want := range [][2]int64{{0, 1}, {1, 1}} {
+		if _, _, err := s.Frame(sp); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.CacheHits != want[0] || st.CacheMisses != want[1] {
+			t.Fatalf("read %d: %d hits, %d misses, want %d and %d", i+1, st.CacheHits, st.CacheMisses, want[0], want[1])
+		}
+	}
+
+	// Room for about one frame, so the readers keep missing, filling
+	// and evicting while the writer commits.
+	png, _ := frameSet(base, 1, w, h)[0].Img.AppendPNG(nil)
+	s.cache.resize(int64(len(png)) + 16)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				c := (i + r) % cams
+				data, digest, err := s.Frame(Spec{Var: "T", Step: base, Cam: render.CameraName(c)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if sum := sha256.Sum256(data); digest != digests[c] || hex.EncodeToString(sum[:]) != digest {
+					t.Errorf("reader %d: step %d %s read bytes that do not hash to its digest", r, base, render.CameraName(c))
+					return
+				}
+			}
+		}(r)
+	}
+	for step := base + 1; step <= base+steps; step++ {
+		if _, err := s.PutFrames("T", step, frameSet(step, cams, w, h)); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -24,6 +24,11 @@
 // addressed by the SHA-256 of their bytes; identical frames (a
 // steady-state field rendering identically two steps running) are
 // stored once and indexed many times.
+// A put encodes each PNG into a reused commit buffer and caches
+// nothing: filling the LRU read cache on a put would take a per-frame
+// copy of that buffer, the allocation the reuse removes. The cache
+// fills on a read miss instead, with a fresh copy from the segment, so
+// a frame's first read is a miss and pays for that copy.
 package imagestore
 
 import (
@@ -34,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,7 +61,14 @@ type Spec struct {
 // Key renders the spec as its canonical "var/step/cam" path form —
 // the shape the serving tier's /db/<var>/<step>/<cam> URLs use.
 func (sp Spec) Key() string {
-	return sp.Var + "/" + strconv.Itoa(sp.Step) + "/" + sp.Cam
+	var buf [64]byte
+	return string(sp.appendKey(buf[:0]))
+}
+
+func (sp Spec) appendKey(dst []byte) []byte {
+	dst = append(append(dst, sp.Var...), '/')
+	dst = append(strconv.AppendInt(dst, int64(sp.Step), 10), '/')
+	return append(dst, sp.Cam...)
 }
 
 // ParseSpec parses a canonical "var/step/cam" key: the one Key
@@ -114,7 +127,7 @@ func appendPutRecord(dst []byte, sp Spec, sum [sha256.Size]byte, ref blobRef) []
 	dst = append(dst, sum[:]...)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(ref.Off))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(ref.Len))
-	return append(dst, sp.Key()...)
+	return sp.appendKey(dst)
 }
 
 func decodePutRecord(p []byte) (sp Spec, digest string, ref blobRef, err error) {
@@ -134,9 +147,13 @@ func decodePutRecord(p []byte) (sp Spec, digest string, ref blobRef, err error) 
 type Store struct {
 	dir string
 
-	wmu    sync.Mutex    // one put (or frame-set commit) at a time; guards idx and segBuf
-	idx    *recovery.Log // index.log
-	segBuf []byte        // a commit's new blobs, gathered for one segment write
+	wmu       sync.Mutex         // one commit at a time; guards idx and the commit scratch below
+	idx       *recovery.Log      // index.log
+	segBuf    []byte             // the commit buffer: a commit's new blobs, for one segment write
+	recBuf    []byte             // its index records, back to back
+	records   [][]byte           // the same records (and the header), as idx.Append takes them
+	newFrames map[Spec]string    // its frames, not yet published
+	newBlobs  map[string]blobRef // its new blobs, not yet published
 
 	mu      sync.RWMutex
 	seg     *os.File
@@ -164,10 +181,12 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("imagestore: %w", err)
 	}
 	s := &Store{
-		dir:    dir,
-		frames: make(map[Spec]string),
-		blobs:  make(map[string]blobRef),
-		cache:  newLRUCache(64 << 20),
+		dir:       dir,
+		frames:    make(map[Spec]string),
+		blobs:     make(map[string]blobRef),
+		newFrames: make(map[Spec]string),
+		newBlobs:  make(map[string]blobRef),
+		cache:     newLRUCache(64 << 20),
 	}
 	switch seg, err := os.OpenFile(filepath.Join(dir, segmentFile), os.O_RDWR, 0o644); {
 	case err == nil:
@@ -221,104 +240,107 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// SetCacheBytes resizes the in-memory LRU read cache (default 64 MiB).
-func (s *Store) SetCacheBytes(n int64) { s.cache.resize(n) }
-
 // PutFrames encodes one step's rendered frames to PNG and stores each
 // under (variable, step, its camera) as one group commit, returning the
 // content digests in frame order. The frames' pixels are read but not
 // retained; the caller keeps ownership of the images.
 func (s *Store) PutFrames(variable string, step int, frames []render.Frame) ([]string, error) {
-	specs := make([]Spec, len(frames))
-	pngs := make([][]byte, len(frames))
-	for i, fr := range frames {
-		png, err := fr.Img.PNG()
-		if err != nil {
-			return nil, err
-		}
-		specs[i], pngs[i] = Spec{Var: variable, Step: step, Cam: fr.Cam}, png
-	}
-	return s.commit(specs, pngs)
+	return s.commit(len(frames), func(dst []byte, i int) (Spec, []byte, error) {
+		dst, err := frames[i].Img.AppendPNG(dst)
+		return Spec{Var: variable, Step: step, Cam: frames[i].Cam}, dst, err
+	})
 }
 
-// PutFrame is PutFrames for a single camera.
-func (s *Store) PutFrame(variable string, step int, cam string, img *render.Image) (string, error) {
-	return only(s.PutFrames(variable, step, []render.Frame{{Cam: cam, Img: img}}))
-}
-
-// Put stores png under sp and returns its content digest. The store
-// takes ownership of png: the bytes may be retained by the read cache,
-// so the caller must not modify them afterwards. A blob already
-// present (same digest) is indexed without a second append; re-putting
-// an identical frame under the same spec is an idempotent no-op.
+// Put stores png under sp and returns its content digest. The bytes
+// are copied: the caller keeps ownership of png and may reuse it as
+// soon as Put returns. A blob already present (same digest) is indexed
+// without a second append; re-putting an identical frame under the
+// same spec is an idempotent no-op.
 func (s *Store) Put(sp Spec, png []byte) (string, error) {
-	return only(s.commit([]Spec{sp}, [][]byte{png}))
-}
-
-// only unwraps the digest of a one-frame commit.
-func only(digests []string, err error) (string, error) {
+	digests, err := s.commit(1, func(dst []byte, _ int) (Spec, []byte, error) {
+		return sp, append(dst, png...), nil
+	})
 	if err != nil {
 		return "", err
 	}
 	return digests[0], nil
 }
 
-// commit is the one write path: it makes pngs[i] the frame under
-// specs[i], all or none. New blobs go to the segment in one write and
-// one fsync, then the index records in one log append and one fsync,
-// and only then — every byte durable — are the frames published to the
-// maps, the cache, Latest and the counters. On an error nothing was
+// commit is the one write path. frame(dst, i) appends frame i's PNG to
+// dst and names its spec; commit makes it the frame under that spec,
+// for every i < n, all or none. Each PNG is hashed where it lands in
+// segBuf, and cut back off if already stored. New blobs go to the
+// segment in one write and one fsync, the index records in one log
+// append and one fsync, and only then — every byte durable — are the
+// frames published to the maps, Latest and the counters (not to the
+// cache, which fills on reads). The scratch is the store's, so only
+// the returned digests are allocated. On an error nothing was
 // published and the segment offset did not advance, so the call can be
 // retried as is.
-func (s *Store) commit(specs []Spec, pngs [][]byte) ([]string, error) {
-	sums := make([][sha256.Size]byte, len(specs))
-	digests := make([]string, len(specs))
-	for i, sp := range specs {
-		if err := sp.validate(); err != nil {
-			return nil, err
-		}
-		if len(pngs[i]) == 0 {
-			return nil, fmt.Errorf("imagestore: empty frame for %s", sp.Key())
-		}
-		sums[i] = sha256.Sum256(pngs[i])
-		digests[i] = hex.EncodeToString(sums[i][:])
-	}
-
+func (s *Store) commit(n int, frame func(dst []byte, i int) (Spec, []byte, error)) ([]string, error) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	// What this commit adds on top of the published maps. Only writers
 	// change those and wmu admits one writer, so they are read here
 	// without mu and stay as read until the publish below.
-	newFrames := make(map[Spec]string, len(specs))
-	newBlobs := make(map[string]blobRef)
-	var records [][]byte
+	clear(s.newFrames)
+	clear(s.newBlobs)
+	s.segBuf, s.recBuf, s.records = s.segBuf[:0], s.recBuf[:0], s.records[:0]
+	if s.idx.Size() == 0 {
+		s.records = append(s.records, []byte(indexHeader))
+	}
+	header := len(s.records)
+	digests := make([]string, n)
 	var puts, dedups int64
-	segEnd := s.segSize
-	s.segBuf = s.segBuf[:0]
-	for i, sp := range specs {
-		prev, ok := newFrames[sp]
+	for i := range digests {
+		off := len(s.segBuf)
+		sp, buf, err := frame(s.segBuf, i)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			// A set's frames share one size: room for the rest at once,
+			// not a regrow per frame, the first time the buffer is short.
+			buf = slices.Grow(buf, (n-1)*len(buf))
+		}
+		s.segBuf = buf
+		png := buf[off:]
+		if err := sp.validate(); err != nil {
+			return nil, err
+		}
+		if len(png) == 0 {
+			return nil, fmt.Errorf("imagestore: empty frame for %s", sp.Key())
+		}
+		sum := sha256.Sum256(png)
+		digest := hex.EncodeToString(sum[:])
+		digests[i] = digest
+		prev, ok := s.newFrames[sp]
 		if !ok {
 			prev, ok = s.frames[sp]
 		}
-		if ok && prev == digests[i] {
+		if ok && prev == digest {
 			dedups++
+			s.segBuf = buf[:off]
 			continue
 		}
-		ref, ok := newBlobs[digests[i]]
+		ref, ok := s.newBlobs[digest]
 		if !ok {
-			ref, ok = s.blobs[digests[i]]
+			ref, ok = s.blobs[digest]
 		}
 		if ok {
 			dedups++
+			s.segBuf = buf[:off]
 		} else {
-			ref = blobRef{Off: segEnd, Len: int64(len(pngs[i]))}
-			newBlobs[digests[i]] = ref
-			s.segBuf = append(s.segBuf, pngs[i]...)
-			segEnd += ref.Len
+			ref = blobRef{Off: s.segSize + int64(off), Len: int64(len(png))}
+			s.newBlobs[digest] = ref
 		}
 		puts++
-		newFrames[sp] = digests[i]
-		records = append(records, appendPutRecord(nil, sp, sums[i], ref))
+		s.newFrames[sp] = digest
+		// A record's bytes stay put when recBuf outgrows its array: the
+		// next append copies them and writes only past them.
+		rec := len(s.recBuf)
+		s.recBuf = appendPutRecord(s.recBuf, sp, sum, ref)
+		s.records = append(s.records, s.recBuf[rec:])
 	}
 
 	if len(s.segBuf) > 0 {
@@ -340,32 +362,24 @@ func (s *Store) commit(specs []Spec, pngs [][]byte) ([]string, error) {
 			return nil, fmt.Errorf("imagestore: sync segment: %w", err)
 		}
 	}
-	if len(records) > 0 {
-		if s.idx.Size() == 0 {
-			records = append([][]byte{[]byte(indexHeader)}, records...)
-		}
-		if err := s.idx.Append(records...); err != nil {
+	if len(s.records) > header {
+		if err := s.idx.Append(s.records...); err != nil {
 			return nil, fmt.Errorf("imagestore: append index: %w", err)
 		}
 	}
 
 	s.mu.Lock()
-	for digest, ref := range newBlobs {
+	for digest, ref := range s.newBlobs {
 		s.blobs[digest] = ref
 	}
-	for sp, digest := range newFrames {
+	for sp, digest := range s.newFrames {
 		s.frames[sp] = digest
 		if sp.Step > s.latest {
 			s.latest = sp.Step
 		}
 	}
-	s.segSize = segEnd
+	s.segSize += int64(len(s.segBuf))
 	s.mu.Unlock()
-	for i, digest := range digests {
-		if _, ok := newBlobs[digest]; ok {
-			s.cache.add(digest, pngs[i])
-		}
-	}
 	s.puts.Add(puts)
 	s.dedups.Add(dedups)
 	return digests, nil
@@ -386,7 +400,8 @@ func (s *Store) Frame(sp Spec) ([]byte, string, error) {
 }
 
 // Blob returns a blob's bytes by content digest, serving from the LRU
-// read cache when possible. The returned slice must be treated as
+// read cache when possible; a miss reads the segment into a fresh
+// slice and caches that. The returned slice must be treated as
 // read-only.
 func (s *Store) Blob(digest string) ([]byte, error) {
 	if data, ok := s.cache.get(digest); ok {
@@ -406,14 +421,6 @@ func (s *Store) Blob(digest string) ([]byte, error) {
 	}
 	s.cache.add(digest, data)
 	return data, nil
-}
-
-// Digest returns the content digest indexed under sp, if any.
-func (s *Store) Digest(sp Spec) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.frames[sp]
-	return d, ok
 }
 
 // Latest returns the highest step any frame is indexed under, and

@@ -12,25 +12,19 @@ import (
 // holds.
 const maxStored = 0xffff
 
-// PNG returns the image as a PNG (8-bit RGBA over a black background,
-// like SavePNG) with a fully deterministic byte layout: filter type
-// None on every scanline and a zlib stream of stored (uncompressed)
-// deflate blocks. Unlike image/png, whose compressed output may change
-// between Go releases, this encoder's bytes depend only on the pixel
-// values — so the content digests the image store derives from encoded
-// frames are stable across builds, re-encodes, and machines, and a
-// re-run of a deterministic pipeline reproduces them bit for bit.
-//
-// Nothing is compressed, so the size is known up front and the file is
-// written straight into the one exact-size slice returned — the slice
-// the image store keeps.
-func (im *Image) PNG() ([]byte, error) { return im.AppendPNG(nil) }
-
-// AppendPNG appends the image's PNG encoding (the bytes PNG returns) to
-// dst and returns the extended slice. It grows dst, to exactly the size
-// needed, only when dst's capacity falls short, so a caller that only
-// hashes the bytes can encode frame after frame into one buffer. On an
-// error dst is returned unchanged.
+// AppendPNG appends the image as a PNG (8-bit RGBA over a black
+// background, like SavePNG) to dst and returns the extended slice. The
+// byte layout is fully deterministic: filter type None on every
+// scanline and a zlib stream of stored (uncompressed) deflate blocks.
+// Unlike image/png, whose compressed output may change between Go
+// releases, this encoder's bytes depend only on the pixel values — so
+// the content digests the image store derives from encoded frames are
+// stable across builds, re-encodes, and machines, and a re-run of a
+// deterministic pipeline reproduces them bit for bit. Nothing is
+// compressed, so the size is known up front: dst grows, to exactly the
+// size needed, only when its capacity falls short, and a caller can
+// encode frame after frame into one buffer. On an error dst is
+// returned unchanged.
 func (im *Image) AppendPNG(dst []byte) ([]byte, error) {
 	if im.W < 1 || im.H < 1 {
 		return dst, fmt.Errorf("render: cannot encode empty %dx%d image", im.W, im.H)

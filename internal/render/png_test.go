@@ -33,7 +33,7 @@ func testImage(w, h int) *Image {
 // invalidate every previously stored frame address.
 func TestEncodePNGGolden(t *testing.T) {
 	im := testImage(31, 17) // odd sizes exercise row stride edges
-	got, err := im.PNG()
+	got, err := im.AppendPNG(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func digest(b []byte) string {
 // identical bytes (and so an identical content digest).
 func TestEncodePNGDeterministic(t *testing.T) {
 	im := testImage(64, 48)
-	a, err := im.PNG()
+	a, err := im.AppendPNG(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := im.PNG()
+	b, err := im.AppendPNG(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestEncodePNGDeterministic(t *testing.T) {
 func TestEncodePNGDecodes(t *testing.T) {
 	for _, size := range [][2]int{{33, 9}, {200, 100}, {1 + maxStored/4, 3}, {1, 2 * maxStored / 5}} {
 		im := testImage(size[0], size[1])
-		raw, err := im.PNG()
+		raw, err := im.AppendPNG(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +115,12 @@ func TestEncodePNGDecodes(t *testing.T) {
 }
 
 // TestAppendPNGExactSizeAndPrefix: appending after a prefix leaves the
-// prefix intact and encodes PNG's bytes, a sufficient buffer is written
-// in place, and PNG is AppendPNG into nothing.
+// prefix intact and encodes the same bytes as into nothing, a
+// sufficient buffer is written in place, and nil grows to the exact
+// size.
 func TestAppendPNGExactSizeAndPrefix(t *testing.T) {
 	im := testImage(33, 9)
-	plain, err := im.PNG()
+	plain, err := im.AppendPNG(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestAppendPNGExactSizeAndPrefix(t *testing.T) {
 		t.Fatal("AppendPNG clobbered the prefix")
 	}
 	if !bytes.Equal(out[4:], plain) {
-		t.Fatal("AppendPNG encoding differs from PNG")
+		t.Fatal("AppendPNG after a prefix encodes differently")
 	}
 	dst := make([]byte, 0, len(plain))
 	out2, err := im.AppendPNG(dst)
@@ -147,7 +148,7 @@ func TestAppendPNGExactSizeAndPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(nilOut, plain) || cap(nilOut) != len(plain) {
-		t.Fatalf("AppendPNG(nil) gave %d bytes in cap %d, PNG %d bytes", len(nilOut), cap(nilOut), len(plain))
+		t.Fatalf("AppendPNG(nil) gave %d bytes in cap %d, want exactly %d", len(nilOut), cap(nilOut), len(plain))
 	}
 	if kept, err := (&Image{}).AppendPNG(prefix); err == nil || !bytes.Equal(kept, prefix) {
 		t.Fatalf("an empty image must fail and hand dst back: got %q, %v", kept, err)
@@ -156,7 +157,7 @@ func TestAppendPNGExactSizeAndPrefix(t *testing.T) {
 
 func TestEncodePNGEmpty(t *testing.T) {
 	im := &Image{}
-	if _, err := im.PNG(); err == nil {
+	if _, err := im.AppendPNG(nil); err == nil {
 		t.Fatal("expected error for empty image")
 	}
 }

@@ -27,6 +27,15 @@ func frame(seed int) *render.Image {
 	return im
 }
 
+// putFrame files one camera's frame as a one-frame set.
+func putFrame(st *imagestore.Store, variable string, step int, cam string, img *render.Image) (string, error) {
+	digests, err := st.PutFrames(variable, step, []render.Frame{{Cam: cam, Img: img}})
+	if err != nil {
+		return "", err
+	}
+	return digests[0], nil
+}
+
 // newServer builds a store with a few frames and a test server over it.
 func newServer(t *testing.T) (*imagestore.Store, *Server, *httptest.Server) {
 	t.Helper()
@@ -37,7 +46,7 @@ func newServer(t *testing.T) (*imagestore.Store, *Server, *httptest.Server) {
 	t.Cleanup(func() { st.Close() })
 	for step := 0; step < 3; step++ {
 		for _, cam := range []string{"cam00", "cam01"} {
-			if _, err := st.PutFrame("T.insitu", step, cam, frame(step*2+len(cam)%3)); err != nil {
+			if _, err := putFrame(st, "T.insitu", step, cam, frame(step*2+len(cam)%3)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,9 +89,9 @@ func TestSpecRouteServesPNGWithETag(t *testing.T) {
 	if !bytes.HasPrefix(body, pngMagic) {
 		t.Fatal("body is not a PNG")
 	}
-	digest, ok := st.Digest(imagestore.Spec{Var: "T.insitu", Step: 1, Cam: "cam00"})
-	if !ok {
-		t.Fatal("store lost the spec")
+	_, digest, err := st.Frame(imagestore.Spec{Var: "T.insitu", Step: 1, Cam: "cam00"})
+	if err != nil {
+		t.Fatalf("store lost the spec: %v", err)
 	}
 	if got := resp.Header.Get("ETag"); got != `"`+digest+`"` {
 		t.Fatalf("ETag %s, want quoted %s", got, digest)
@@ -137,9 +146,9 @@ func TestConditionalGet304ZeroBody(t *testing.T) {
 // without consulting the store (no cache traffic).
 func TestImmutableDigestNeverReServed(t *testing.T) {
 	st, _, ts := newServer(t)
-	digest, ok := st.Digest(imagestore.Spec{Var: "T.insitu", Step: 2, Cam: "cam01"})
-	if !ok {
-		t.Fatal("store lost the spec")
+	_, digest, err := st.Frame(imagestore.Spec{Var: "T.insitu", Step: 2, Cam: "cam01"})
+	if err != nil {
+		t.Fatalf("store lost the spec: %v", err)
 	}
 	resp, body := get(t, ts.URL+"/img/"+digest, nil)
 	if resp.StatusCode != 200 || !bytes.HasPrefix(body, pngMagic) {
@@ -245,7 +254,7 @@ func TestLatestPointer(t *testing.T) {
 	}
 
 	// A new step must churn the pointer's ETag so pollers see it.
-	if _, err := st.PutFrame("T.insitu", 3, "cam00", frame(9)); err != nil {
+	if _, err := putFrame(st, "T.insitu", 3, "cam00", frame(9)); err != nil {
 		t.Fatal(err)
 	}
 	resp4, _ := get(t, ts.URL+"/latest.json", map[string]string{"If-None-Match": etag})
@@ -314,7 +323,7 @@ func TestConcurrentServeWhileWriting(t *testing.T) {
 	go func() { // the live run
 		defer wg.Done()
 		for step := 3; step < 15; step++ {
-			if _, err := st.PutFrame("T.insitu", step, "cam00", frame(step)); err != nil {
+			if _, err := putFrame(st, "T.insitu", step, "cam00", frame(step)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -127,9 +127,9 @@ func TestStoreServeGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		digest, ok := b.Store.Digest(sp)
-		if d2, ok2 := b2.Store.Digest(sp); !ok || !ok2 || digest != d2 {
-			t.Errorf("digest for %s not stable across re-runs: %q vs %q", key, digest, d2)
+		_, digest, err := b.Store.Frame(sp)
+		if _, d2, err2 := b2.Store.Frame(sp); err != nil || err2 != nil || digest != d2 {
+			t.Errorf("digest for %s not stable across re-runs: %q vs %q (%v, %v)", key, digest, d2, err, err2)
 		}
 		etag := `"` + digest + `"`
 		url := ts.URL + "/db/" + key

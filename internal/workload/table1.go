@@ -55,11 +55,7 @@ func RunTableI(sc Scenario, steps int, dir string) (*TableIRow, error) {
 			return
 		}
 		rk.RunSteps(steps)
-		var fields []*grid.Field
-		for _, name := range sim.VarNames {
-			fields = append(fields, rk.Field(name))
-		}
-		outs[r.ID()].fields = fields
+		outs[r.ID()].fields = rk.CheckpointFields()
 	})
 	row.MeasuredStep = time.Since(start) / time.Duration(steps)
 	for _, o := range outs {

@@ -30,7 +30,7 @@ func viewerServer(t *testing.T) (*imagestore.Store, *serve.Server, *httptest.Ser
 	t.Cleanup(func() { st.Close() })
 	for step := 0; step < 4; step++ {
 		for _, cam := range []string{"cam00", "cam01"} {
-			if _, err := st.PutFrame("T.insitu", step, cam, viewerFrame(step)); err != nil {
+			if _, err := st.PutFrames("T.insitu", step, []render.Frame{{Cam: cam, Img: viewerFrame(step)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
