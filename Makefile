@@ -20,8 +20,10 @@
 #                   payload decoders a staging bucket runs, the in-transit
 #                   stages of the three merge-tree routes (topology, feature
 #                   statistics, tracking) on whole payloads, and the statistics
-#                   payload decoders (model, contingency, covariance,
-#                   autocorrelator) it runs too, the grid field decoder
+#                   payload decoders it runs too (the model decoder
+#                   Model.CombineMarshalled, into a fresh model and into a
+#                   reused, Reset one; contingency, covariance,
+#                   autocorrelator), the grid field decoder
 #                   under checkpoints and render blocks (fresh, and into a
 #                   reused, already decoded field, as a bucket's block
 #                   table decodes), the image-spec

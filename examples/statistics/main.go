@@ -62,8 +62,8 @@ func main() {
 	}
 
 	// DERIVE in-transit (hybrid): a single serial aggregation.
-	hybridModel, err := stats.AggregateSerial(partials)
-	if err != nil {
+	hybridModel := stats.NewModel()
+	if err := stats.AggregateSerial(hybridModel, partials); err != nil {
 		log.Fatal(err)
 	}
 	hybrid := stats.Derive(hybridModel.Var("T"))

@@ -15,9 +15,8 @@ import (
 
 // driveInSitu steps a 2-rank simulation and calls each(ctx, step) on
 // every rank after every step, between two barriers — the in-situ slot
-// of the rank loop, without the transit tier behind it. before and
-// after run on rank 0 alone, outside the slot.
-func driveInSitu(t testing.TB, steps int, before, after func(step int), each func(ctx *Ctx, step int)) {
+// of the rank loop, without the transit tier behind it.
+func driveInSitu(t testing.TB, steps int, each func(ctx *Ctx, step int)) {
 	t.Helper()
 	cfg := sim.DefaultConfig(grid.NewBox(32, 16, 12), 2, 1, 1)
 	cfg.KernelRate = 0.6
@@ -32,21 +31,51 @@ func driveInSitu(t testing.TB, steps int, before, after func(step int), each fun
 			rk.Step()
 			ctx.Step = step
 			r.Barrier()
-			if r.ID() == 0 && before != nil {
-				before(step)
-			}
-			r.Barrier()
 			each(ctx, step)
 			r.Barrier()
-			if r.ID() == 0 && after != nil {
-				after(step)
-			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// inSituStageAllocs steps a 2-rank simulation for steps steps and runs
+// the stages in the in-situ slot, each alone between barriers, with
+// the payloads going back to the pool as the DART reclaim returns
+// them. It returns, per stage and step, the bytes and objects that
+// stage allocated on both ranks, and the size of one rank's block.
+func inSituStageAllocs(t *testing.T, steps int, stages []hybridStage) (allocBytes, allocObjs [][]uint64, blockBytes uint64) {
+	allocBytes, allocObjs = make([][]uint64, len(stages)), make([][]uint64, len(stages))
+	for i := range stages {
+		allocBytes[i], allocObjs[i] = make([]uint64, steps+1), make([]uint64, steps+1)
+	}
+	var m0, m1 runtime.MemStats
+	driveInSitu(t, steps, func(ctx *Ctx, step int) {
+		rank0 := ctx.Comm.ID() == 0
+		if rank0 {
+			blockBytes = uint64(8 * ctx.Owned.Size())
+		}
+		for i, stage := range stages {
+			if rank0 {
+				runtime.ReadMemStats(&m0)
+			}
+			ctx.Comm.Barrier()
+			payload, err := stage.InSituStage(ctx)
+			if err != nil {
+				t.Error(err)
+			}
+			bufpool.Put(payload)
+			ctx.Comm.Barrier()
+			if rank0 {
+				runtime.ReadMemStats(&m1)
+				allocBytes[i][step] = m1.TotalAlloc - m0.TotalAlloc
+				allocObjs[i][step] = m1.Mallocs - m0.Mallocs
+			}
+		}
+	})
+	return allocBytes, allocObjs, blockBytes
 }
 
 // TestInSituStagesAllocateFlat is the O(1) guard of the in-situ read
@@ -57,42 +86,48 @@ func driveInSitu(t testing.TB, steps int, before, after func(step int), each fun
 // copied 14 blocks per rank per step, the subtree sweep built a node
 // and a map entry per cell, the viz stage built the down-sampled block
 // before marshalling it and the auto-correlation stage copied the block
-// twice. Payloads go back to the pool as the DART reclaim returns them.
+// twice. Once warm, the statistics stage allocates nothing but pool
+// refills: it learns into the rank's model in Ctx.State and packs into
+// a pooled buffer (before, it built a model, an accumulator per
+// variable and a payload every step, some 30 objects a rank).
+//
+// A step's cost is what all stages allocate in it, taken at the
+// cheapest step of a window: a buffer-pool refill after a collection
+// (or after the race detector's sync.Pool drops a Put, as it does at
+// random) lands on single steps and is not what the guard is about.
+// Under -race a quarter of the Puts are dropped, so a window can hold
+// no step without a refill, and the whole cost of a step is now small
+// enough for one refill to break the growth ratio. A cost that grows
+// does so in every measurement, so that bound alone is measured again,
+// up to five times, before it fails.
 func TestInSituStagesAllocateFlat(t *testing.T) {
-	const steps = 32
-	stages := []hybridStage{&StatsHybrid{}, NewTopologyHybrid(), NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8), &AutoCorrHybrid{Lags: []int{1, 2}}}
-	deltas := make([]uint64, steps+1)
-	var blockBytes uint64
-	var m0, m1 runtime.MemStats
-	driveInSitu(t, steps,
-		func(int) { runtime.ReadMemStats(&m0) },
-		func(step int) {
-			runtime.ReadMemStats(&m1)
-			deltas[step] = m1.TotalAlloc - m0.TotalAlloc
-		},
-		func(ctx *Ctx, step int) {
-			if ctx.Comm.ID() == 0 {
-				blockBytes = uint64(8 * ctx.Owned.Size())
+	const steps, tries = 32, 5
+	for try := 1; ; try++ {
+		stages := []hybridStage{&StatsHybrid{}, NewTopologyHybrid(), NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8), &AutoCorrHybrid{Lags: []int{1, 2}}}
+		allocBytes, allocObjs, blockBytes := inSituStageAllocs(t, steps, stages)
+		totals := make([]uint64, steps+1) // [step], all stages
+		for i := range stages {
+			for step, b := range allocBytes[i] {
+				totals[step] += b
 			}
-			for _, stage := range stages {
-				payload, err := stage.InSituStage(ctx)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				bufpool.Put(payload)
-			}
-		})
-	// The cheapest step of a window, not one step: a buffer-pool refill
-	// after a collection (or after the race detector's sync.Pool drops
-	// a Put, as it does at random) lands on single steps and is not
-	// what the guard is about.
-	early, late := slices.Min(deltas[3:13]), slices.Min(deltas[23:33])
-	if float64(late) > 1.25*float64(early) {
-		t.Errorf("in-situ stages allocate %d B around step 30, %d B around step 5: the cost of a step grows", late, early)
-	}
-	if late >= blockBytes {
-		t.Errorf("in-situ stages allocate %d B a step, a copy of one rank's block is %d B: they are copying what they only read", late, blockBytes)
+		}
+		early, late := slices.Min(totals[3:13]), slices.Min(totals[23:33])
+		if late >= blockBytes {
+			t.Errorf("in-situ stages allocate %d B a step, a copy of one rank's block is %d B: they are copying what they only read", late, blockBytes)
+		}
+		// A refill is the payload buffer and, on Put, its pool wrapper:
+		// at most 2 objects a rank.
+		if warm := allocObjs[0][3:]; slices.Min(warm) != 0 || slices.Max(warm) > 2*2 {
+			t.Errorf("the warm statistics stage allocates %v objects a step on two ranks, want 0 but for pool refills (at most 4)", warm)
+		}
+		if t.Failed() || float64(late) <= 1.25*float64(early) {
+			return
+		}
+		if try == tries {
+			t.Errorf("in-situ stages allocate %d B around step 30, %d B around step 5: the cost of a step grows", late, early)
+			return
+		}
+		t.Logf("measurement %d: %d B around step 30, %d B around step 5; measuring again", try, late, early)
 	}
 }
 
@@ -104,7 +139,7 @@ func TestInSituStagesMatchCopies(t *testing.T) {
 	st, cont, topo := &StatsHybrid{}, &ContingencyHybrid{}, NewTopologyHybrid()
 	viz1, viz8 := NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8)
 	ac := &AutoCorrHybrid{Lags: []int{1, 2}}
-	driveInSitu(t, 4, nil, nil, func(ctx *Ctx, step int) {
+	driveInSitu(t, 4, func(ctx *Ctx, step int) {
 		model := stats.NewModel()
 		for _, v := range sim.VarNames {
 			model.LearnFieldParallel(ctx.Sim.Field(v))

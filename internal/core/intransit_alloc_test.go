@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -10,6 +11,8 @@ import (
 	"insitu/internal/mergetree"
 	"insitu/internal/parallel"
 	"insitu/internal/render"
+	"insitu/internal/sim"
+	"insitu/internal/stats"
 )
 
 // TestInTransitTopologyAllocatesFlat is the bucket-side guard of the
@@ -155,5 +158,54 @@ func TestInTransitVizAllocatesFlat(t *testing.T) {
 	}
 	if math.Abs(allocs[0]-allocs[1]) > 0.5 {
 		t.Errorf("the in-transit stage allocates %v objects a call at factor 1, %v at factor 2: the count depends on the blocks", allocs[0], allocs[1])
+	}
+}
+
+// TestInTransitStatsAllocatesFlat is the bucket-side guard of the
+// hybrid statistics route: once a transit scratch has grown, the
+// in-transit stage folds every partial model into the scratch's model
+// and allocates only the derived map it returns. Before, it decoded
+// each payload into a fresh model and combined it into another.
+func TestInTransitStatsAllocatesFlat(t *testing.T) {
+	const step = 3
+	st := &StatsHybrid{}
+	rng := rand.New(rand.NewSource(7))
+	payloads := make([][]byte, 4)
+	for r := range payloads {
+		mo := stats.NewModel()
+		for _, name := range sim.VarNames {
+			for range 50 {
+				mo.Var(name).Update(rng.NormFloat64())
+			}
+		}
+		payloads[r] = mo.Marshal()
+	}
+	want := stats.NewModel()
+	if err := stats.AggregateSerial(want, payloads); err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.InTransit(step, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want.DeriveAll()) {
+		t.Fatal("the in-transit stage derives differently from stats.AggregateSerial")
+	}
+
+	var sink map[string]stats.Derived
+	resultAllocs := testing.AllocsPerRun(20, func() {
+		sink = make(map[string]stats.Derived, len(sim.VarNames))
+		for _, name := range sim.VarNames {
+			sink[name] = stats.Derived{}
+		}
+	})
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := st.InTransit(step, payloads); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%v objects a call; the derived map alone is %v", allocs, resultAllocs)
+	if allocs > resultAllocs {
+		t.Errorf("the in-transit stage allocates %v objects a call on a warm scratch, its derived map %v", allocs, resultAllocs)
 	}
 }

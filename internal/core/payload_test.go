@@ -27,7 +27,7 @@ func mergeTreeRoutes() []HybridAnalysis {
 func mergeTreePayloads(t testing.TB, routes []HybridAnalysis) [][2][]byte {
 	t.Helper()
 	out := make([][2][]byte, len(routes))
-	driveInSitu(t, 2, nil, nil, func(ctx *Ctx, step int) {
+	driveInSitu(t, 2, func(ctx *Ctx, step int) {
 		for i, r := range routes {
 			p, err := r.InSituStage(ctx)
 			if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/stats"
 )
 
@@ -25,31 +26,30 @@ func (s *StatsInSitu) Every() int { return s.EveryN }
 
 // RunInSitu implements InSituAnalysis.
 func (s *StatsInSitu) RunInSitu(ctx *Ctx) (any, error) {
-	local, err := learnOwned(ctx, s.Vars)
-	if err != nil {
+	local := stats.NewModel()
+	if err := learnOwned(ctx, s.Vars, local); err != nil {
 		return nil, err
 	}
 	global := stats.ParallelLearn(ctx.Comm, local)
 	return global.DeriveAll(), nil
 }
 
-// learnOwned is the learn stage of both statistics variants: the
-// rank's partial model of the named variables (default: all 14), read
-// from the simulation's ghosted fields restricted to the owned block —
-// the analysis shares the simulation's memory, it copies nothing.
-func learnOwned(ctx *Ctx, vars []string) (*stats.Model, error) {
+// learnOwned is the learn stage of both statistics variants: it folds
+// the named variables (default: all 14) into local, read from the
+// simulation's ghosted fields restricted to the owned block — the
+// analysis shares the simulation's memory, it copies nothing.
+func learnOwned(ctx *Ctx, vars []string, local *stats.Model) error {
 	if len(vars) == 0 {
 		vars = allVarNames()
 	}
-	local := stats.NewModel()
 	for _, v := range vars {
 		f := ctx.Sim.GhostedField(v)
 		if f == nil {
-			return nil, fmt.Errorf("stats: unknown variable %q", v)
+			return fmt.Errorf("stats: unknown variable %q", v)
 		}
 		local.LearnBoxParallel(f, ctx.Owned)
 	}
-	return local, nil
+	return nil
 }
 
 // StatsHybrid is the hybrid variant: learn runs in-situ per rank with
@@ -67,13 +67,22 @@ func (s *StatsHybrid) Name() string { return "hybrid descriptive statistics" }
 // Every implements Analysis.
 func (s *StatsHybrid) Every() int { return s.EveryN }
 
-// InSituStage implements HybridAnalysis: the learn stage.
+const statsModelKey = "stats.model"
+
+// InSituStage implements HybridAnalysis: the learn stage, into the
+// rank's model in Ctx.State (Reset first, so no other route's variables
+// stay), packed into a pooled buffer.
 func (s *StatsHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
-	local, err := learnOwned(ctx, s.Vars)
-	if err != nil {
+	local, ok := ctx.State[statsModelKey].(*stats.Model)
+	if !ok {
+		local = stats.NewModel()
+		ctx.State[statsModelKey] = local
+	}
+	local.Reset()
+	if err := learnOwned(ctx, s.Vars, local); err != nil {
 		return nil, err
 	}
-	return local.Marshal(), nil
+	return local.AppendMarshal(bufpool.Get(local.MarshalSize())[:0]), nil
 }
 
 // RunFallback implements InSituFallback: when the transit path is
@@ -85,13 +94,15 @@ func (s *StatsHybrid) RunFallback(ctx *Ctx) (any, error) {
 }
 
 // InTransit implements HybridAnalysis: the derive stage — aggregate
-// all partial models and derive, serially.
+// all partial models into the transit scratch's model and derive,
+// serially.
 func (s *StatsHybrid) InTransit(step int, payloads [][]byte) (any, error) {
-	global, err := stats.AggregateSerial(payloads)
-	if err != nil {
+	ts := getTransitScratch()
+	defer putTransitScratch(ts)
+	if err := stats.AggregateSerial(&ts.model, payloads); err != nil {
 		return nil, err
 	}
-	return global.DeriveAll(), nil
+	return ts.model.DeriveAll(), nil
 }
 
 // AssessTestResult is the output of the assess and test stages.

@@ -9,6 +9,7 @@ import (
 	"insitu/internal/mergetree"
 	"insitu/internal/render"
 	"insitu/internal/sim"
+	"insitu/internal/stats"
 )
 
 // TopologyResult is the in-transit output of the hybrid merge-tree
@@ -129,17 +130,19 @@ func (t *TopologyHybrid) result(ts *transitScratch, tree *mergetree.Tree, stream
 // transitScratch is the memory of one in-transit task: for the
 // merge-tree routes the subtrees it decodes, the builder that glues
 // them and the work arrays of the passes after the glue; for the hybrid
-// viz route the block table it decodes the down-sampled blocks into. A
-// task takes one with getTransitScratch for the length of its InTransit
-// call and puts it back before returning, so one is in use per busy
-// staging bucket and a bucket works step after step in the same
-// arrays. The task's result never points into it.
+// viz route the block table it decodes blocks into; for the hybrid
+// statistics route the model it aggregates into. A task takes one with
+// getTransitScratch for the length of its InTransit call and puts it
+// back before returning, so one is in use per busy staging bucket and a
+// bucket works step after step in the same arrays. The task's result
+// never points into it.
 type transitScratch struct {
 	decoded []mergetree.Subtree
 	ptrs    []*mergetree.Subtree
 	build   mergetree.Builder
 	work    mergetree.Scratch
 	table   render.BlockTable
+	model   stats.Model
 }
 
 // transitScratches holds the idle transit scratches: at most as many

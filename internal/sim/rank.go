@@ -22,7 +22,7 @@ type Rank struct {
 	ghost grid.Box // owned grown by one in every direction
 
 	fields  map[string]*grid.Field // storage over the ghost box
-	scratch map[string]*grid.Field
+	scratch *grid.Field            // advanceScalars' one spare ghost-box field
 	step    int
 
 	// The ignition-kernel generator and its output buffer. They belong
@@ -44,14 +44,11 @@ func (s *Sim) NewRank(r *comm.Rank) (*Rank, error) {
 		owned:   owned,
 		ghost:   owned.Grow(1),
 		fields:  make(map[string]*grid.Field, len(VarNames)),
-		scratch: make(map[string]*grid.Field, len(advected)),
+		scratch: grid.NewField("", owned.Grow(1)),
 		rng:     rand.New(rand.NewSource(0)),
 	}
 	for _, name := range VarNames {
 		rk.fields[name] = grid.NewField(name, rk.ghost)
-	}
-	for _, name := range advected {
-		rk.scratch[name] = grid.NewField(name, rk.ghost)
 	}
 	rk.initialize()
 	return rk, nil
@@ -248,13 +245,17 @@ func clampI(v, lo, hi int) int {
 
 // advanceScalars applies one explicit step of upwind advection and
 // central diffusion to every advected variable on the owned block,
-// with time step dt.
+// with time step dt. A variable's update reads only its own old values
+// and the velocity, so it is written into the one scratch and swapped
+// in, and the old field is the next variable's scratch. Only owned
+// cells are written: until the step's fullExchange rewrites it, a fresh
+// field's ghost shell holds another variable's stale values.
 func (rk *Rank) advanceScalars(dt float64) {
 	cfg := rk.sim.cfg
 	u, v, w := rk.fields["u"], rk.fields["v"], rk.fields["w"]
 	for _, name := range advected {
 		f := rk.fields[name]
-		out := rk.scratch[name]
+		out := rk.scratch
 		for k := rk.owned.Lo[2]; k < rk.owned.Hi[2]; k++ {
 			for j := rk.owned.Lo[1]; j < rk.owned.Hi[1]; j++ {
 				for i := rk.owned.Lo[0]; i < rk.owned.Hi[0]; i++ {
@@ -288,11 +289,8 @@ func (rk *Rank) advanceScalars(dt float64) {
 				}
 			}
 		}
-	}
-	for _, name := range advected {
-		rk.fields[name], rk.scratch[name] = rk.scratch[name], rk.fields[name]
-		rk.fields[name].Name = name
-		rk.scratch[name].Name = name
+		out.Name = name
+		rk.fields[name], rk.scratch = out, f
 	}
 }
 
@@ -425,7 +423,9 @@ func (rk *Rank) updateN2() {
 // world must call Step collectively. On entry the ghost shell is
 // consistent (established by initialization and by the previous
 // step's trailing exchange); on exit it is consistent again, so
-// in-situ analyses may read the ghosted fields directly.
+// in-situ analyses may read the ghosted fields directly. In between,
+// nothing reads the ghost shells advanceScalars leaves stale: react and
+// injectKernels touch owned cells only.
 func (rk *Rank) Step() {
 	cfg := rk.sim.cfg
 	sub := cfg.SubSteps

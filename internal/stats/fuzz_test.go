@@ -11,8 +11,12 @@ import (
 // FuzzUnmarshalPayloads asserts the contract of the four payload
 // decoders a staging bucket runs on bytes pulled from the ranks: each
 // returns an error wrapping ErrCorruptPayload or succeeds — it never
-// panics — and what it accepts derives without panicking. The
-// fixed-width encodings (contingency, covariance, autocorrelator)
+// panics — and what it accepts derives without panicking. The model
+// decoder, Model.CombineMarshalled, folds the bytes into a fresh model
+// and into a reused one that held other variables and was Reset: both
+// accept or both refuse, and on accepted bytes their DeriveAll agree
+// bit for bit, so nothing a reused model held leaks into its result.
+// The fixed-width encodings (contingency, covariance, autocorrelator)
 // also marshal back to the bytes they were read from.
 func FuzzUnmarshalPayloads(f *testing.F) {
 	mo := NewModel()
@@ -66,8 +70,27 @@ func FuzzUnmarshalPayloads(f *testing.F) {
 				t.Fatalf("%s: decoded payload marshals to different bytes", name)
 			}
 		}
-		if mo, err := UnmarshalModel(p); typed("model", err) {
-			mo.DeriveAll()
+		fresh, reused := NewModel(), NewModel()
+		reused.Var("T").UpdateBatch([]float64{7, 8})
+		reused.Var("u").Update(-1)
+		reused.Reset()
+		reused.Var("T").Update(9)
+		reused.Var("P").Update(0.5)
+		reused.Reset()
+		freshErr, reusedErr := fresh.CombineMarshalled(p), reused.CombineMarshalled(p)
+		if typed("model", freshErr) != typed("model (reused)", reusedErr) {
+			t.Fatalf("model: a fresh model returns %v, a reused one %v", freshErr, reusedErr)
+		}
+		if freshErr == nil {
+			want, got := fresh.DeriveAll(), reused.DeriveAll()
+			if len(got) != len(want) {
+				t.Fatalf("model: a reused model derives %d variables, a fresh one %d", len(got), len(want))
+			}
+			for name, w := range want {
+				if g, ok := got[name]; !ok || derivedBits(g) != derivedBits(w) {
+					t.Fatalf("model: %q derives %+v in a reused model, %+v in a fresh one", name, g, w)
+				}
+			}
 		}
 		if c, err := UnmarshalContingency(p); typed("contingency", err) {
 			c.Derive()
@@ -82,4 +105,11 @@ func FuzzUnmarshalPayloads(f *testing.F) {
 			roundTrip("autocorrelator", ac.Marshal())
 		}
 	})
+}
+
+// derivedBits is d with every float as its bits, comparable with ==
+// whatever NaNs a hostile payload decodes to.
+func derivedBits(d Derived) [8]uint64 {
+	return [8]uint64{uint64(d.N), math.Float64bits(d.Min), math.Float64bits(d.Max), math.Float64bits(d.Mean),
+		math.Float64bits(d.Variance), math.Float64bits(d.StdDev), math.Float64bits(d.Skewness), math.Float64bits(d.Kurtosis)}
 }

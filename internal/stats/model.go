@@ -5,41 +5,64 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"insitu/internal/comm"
 	"insitu/internal/grid"
 )
 
 // Model is a multi-variable primary model: one Moments accumulator per
-// simulation variable (the paper's runs track 14 variables).
+// simulation variable (the paper's runs track 14 variables). The zero
+// value is an empty model ready for use.
 type Model struct {
-	vars  map[string]*Moments
-	order []string // registration order, for deterministic iteration
+	vars  map[string]*variable // the variables held, and those Reset emptied
+	names []string             // the held variables, sorted
+}
+
+// variable is a named accumulator; held is false from a Reset until the
+// name is used again.
+type variable struct {
+	Moments
+	name string
+	held bool
 }
 
 // NewModel returns an empty multi-variable model.
-func NewModel() *Model {
-	return &Model{vars: make(map[string]*Moments)}
-}
+func NewModel() *Model { return &Model{} }
 
 // Var returns the accumulator for name, creating it on first use.
 func (mo *Model) Var(name string) *Moments {
-	m, ok := mo.vars[name]
+	v, ok := mo.vars[name]
 	if !ok {
-		m = NewMoments()
-		mo.vars[name] = m
-		mo.order = append(mo.order, name)
+		if mo.vars == nil {
+			mo.vars = make(map[string]*variable)
+		}
+		v = &variable{name: name}
+		mo.vars[name] = v
 	}
-	return m
+	if !v.held {
+		v.Moments, v.held = *NewMoments(), true
+		i, _ := slices.BinarySearch(mo.names, name)
+		mo.names = slices.Insert(mo.names, i, v.name)
+	}
+	return &v.Moments
+}
+
+// Reset empties the model but keeps its accumulators for reuse by the
+// same names, so a warm model allocates nothing and a reuse with other
+// variables sees none of the old. Those unused a whole cycle are dropped.
+func (mo *Model) Reset() {
+	for name, v := range mo.vars {
+		if !v.held {
+			delete(mo.vars, name)
+		}
+		v.held = false
+	}
+	mo.names = mo.names[:0]
 }
 
 // Names returns the variable names in deterministic (sorted) order.
-func (mo *Model) Names() []string {
-	out := append([]string{}, mo.order...)
-	sort.Strings(out)
-	return out
-}
+func (mo *Model) Names() []string { return slices.Clone(mo.names) }
 
 // LearnField folds every point of a field into the variable named by
 // the field.
@@ -63,18 +86,19 @@ func (mo *Model) LearnFieldParallel(f *grid.Field) {
 	mo.LearnBoxParallel(f, f.Box)
 }
 
-// Combine merges another multi-variable model into mo.
+// Combine merges another multi-variable model into mo, variable by
+// variable in sorted order.
 func (mo *Model) Combine(o *Model) {
-	for _, name := range o.Names() {
-		mo.Var(name).Combine(o.vars[name])
+	for _, name := range o.names {
+		mo.Var(name).Combine(&o.vars[name].Moments)
 	}
 }
 
 // DeriveAll computes the detailed model per variable.
 func (mo *Model) DeriveAll() map[string]Derived {
-	out := make(map[string]Derived, len(mo.vars))
-	for name, m := range mo.vars {
-		out[name] = Derive(m)
+	out := make(map[string]Derived, len(mo.names))
+	for _, name := range mo.names {
+		out[name] = Derive(&mo.vars[name].Moments)
 	}
 	return out
 }
@@ -85,7 +109,7 @@ const momentsWireSize = 7 * 8
 // MarshalSize returns the exact encoded size of the model.
 func (mo *Model) MarshalSize() int {
 	n := 4
-	for _, name := range mo.order {
+	for _, name := range mo.names {
 		n += 4 + len(name) + momentsWireSize
 	}
 	return n
@@ -93,26 +117,18 @@ func (mo *Model) MarshalSize() int {
 
 // AppendMarshal appends the model's encoding to dst and returns the
 // extended slice. Encoding writes Float64bits words directly into the
-// destination; with a preallocated dst the pack is allocation-free
-// apart from the sorted name list.
+// destination, so with a preallocated dst the pack allocates nothing.
 func (mo *Model) AppendMarshal(dst []byte) []byte {
-	names := mo.Names()
-	off := len(dst)
-	need := mo.MarshalSize()
-	if cap(dst)-off < need {
-		grown := make([]byte, off, off+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:off+need]
-	binary.LittleEndian.PutUint32(dst[off:], uint32(len(names)))
+	off, need := len(dst), mo.MarshalSize()
+	dst = slices.Grow(dst, need)[:off+need]
+	binary.LittleEndian.PutUint32(dst[off:], uint32(len(mo.names)))
 	off += 4
-	for _, name := range names {
+	for _, name := range mo.names {
 		binary.LittleEndian.PutUint32(dst[off:], uint32(len(name)))
 		off += 4
 		copy(dst[off:], name)
 		off += len(name)
-		m := mo.vars[name]
+		m := &mo.vars[name].Moments
 		binary.LittleEndian.PutUint64(dst[off:], uint64(m.N))
 		off += 8
 		for _, v := range []float64{m.Min, m.Max, m.Mean, m.M2, m.M3, m.M4} {
@@ -132,41 +148,46 @@ func (mo *Model) Marshal() []byte {
 }
 
 // ErrCorruptPayload is wrapped by every error the payload decoders
-// (UnmarshalModel, UnmarshalContingency, UnmarshalCovariance,
+// (Model.CombineMarshalled, UnmarshalContingency, UnmarshalCovariance,
 // UnmarshalAutoCorrelator) return: the bytes are not an encoding this
 // package produced.
 var ErrCorruptPayload = errors.New("stats: corrupt payload")
 
-// UnmarshalModel reconstructs a model from Marshal's output.
-func UnmarshalModel(p []byte) (*Model, error) {
+// CombineMarshalled folds an encoded model (Marshal's output) into mo:
+// each record decodes into a Moments on the stack and combines in
+// encoded order, the sorted order Combine uses, so the result is
+// bitwise Combine's. Other bytes fail with an error wrapping
+// ErrCorruptPayload, the records before the damaged one folded in.
+func (mo *Model) CombineMarshalled(p []byte) error {
 	if len(p) < 4 {
-		return nil, fmt.Errorf("%w: model too short (%d bytes)", ErrCorruptPayload, len(p))
+		return fmt.Errorf("%w: model too short (%d bytes)", ErrCorruptPayload, len(p))
 	}
 	nvars := int(binary.LittleEndian.Uint32(p[:4]))
 	p = p[4:]
-	mo := NewModel()
 	for v := 0; v < nvars; v++ {
 		if len(p) < 4 {
-			return nil, fmt.Errorf("%w: model truncated at variable %d", ErrCorruptPayload, v)
+			return fmt.Errorf("%w: model truncated at variable %d", ErrCorruptPayload, v)
 		}
 		nameLen := int(binary.LittleEndian.Uint32(p[:4]))
 		p = p[4:]
 		if len(p) < nameLen+momentsWireSize {
-			return nil, fmt.Errorf("%w: model record %d truncated", ErrCorruptPayload, v)
+			return fmt.Errorf("%w: model record %d truncated", ErrCorruptPayload, v)
 		}
-		name := string(p[:nameLen])
+		var name string
+		if owned, ok := mo.vars[string(p[:nameLen])]; ok {
+			name = owned.name // no copy of a name the model owns
+		} else {
+			name = string(p[:nameLen])
+		}
 		p = p[nameLen:]
-		m := mo.Var(name)
-		m.N = int64(binary.LittleEndian.Uint64(p[:8]))
-		m.Min = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
-		m.Max = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
-		m.Mean = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
-		m.M2 = math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
-		m.M3 = math.Float64frombits(binary.LittleEndian.Uint64(p[40:]))
-		m.M4 = math.Float64frombits(binary.LittleEndian.Uint64(p[48:]))
+		m := Moments{N: int64(binary.LittleEndian.Uint64(p))}
+		for i, w := range []*float64{&m.Min, &m.Max, &m.Mean, &m.M2, &m.M3, &m.M4} {
+			*w = math.Float64frombits(binary.LittleEndian.Uint64(p[8+8*i:]))
+		}
+		mo.Var(name).Combine(&m)
 		p = p[momentsWireSize:]
 	}
-	return mo, nil
+	return nil
 }
 
 // ParallelLearn performs the fully in-situ variant's learn stage: an
@@ -186,15 +207,14 @@ func ParallelLearn(r *comm.Rank, local *Model) *Model {
 
 // AggregateSerial performs the hybrid variant's in-transit derive-side
 // aggregation: the single serial staging process combines all partial
-// models it pulled from the in-situ ranks.
-func AggregateSerial(partials [][]byte) (*Model, error) {
-	global := NewModel()
+// models it pulled from the in-situ ranks. It Resets global and folds
+// every partial into it, so a staging bucket reuses one model.
+func AggregateSerial(global *Model, partials [][]byte) error {
+	global.Reset()
 	for i, p := range partials {
-		mo, err := UnmarshalModel(p)
-		if err != nil {
-			return nil, fmt.Errorf("stats: partial model %d: %w", i, err)
+		if err := global.CombineMarshalled(p); err != nil {
+			return fmt.Errorf("stats: partial model %d: %w", i, err)
 		}
-		global.Combine(mo)
 	}
-	return global, nil
+	return nil
 }

@@ -1,7 +1,12 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"insitu/internal/comm"
@@ -47,8 +52,8 @@ func TestModelMarshalRoundTrip(t *testing.T) {
 			m.Update(rng.NormFloat64())
 		}
 	}
-	got, err := UnmarshalModel(mo.Marshal())
-	if err != nil {
+	got := NewModel()
+	if err := got.CombineMarshalled(mo.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range mo.Names() {
@@ -57,10 +62,10 @@ func TestModelMarshalRoundTrip(t *testing.T) {
 			t.Fatalf("variable %s: %+v vs %+v", name, a, b)
 		}
 	}
-	if _, err := UnmarshalModel(nil); err == nil {
+	if err := NewModel().CombineMarshalled(nil); err == nil {
 		t.Fatal("empty payload must error")
 	}
-	if _, err := UnmarshalModel(mo.Marshal()[:9]); err == nil {
+	if err := NewModel().CombineMarshalled(mo.Marshal()[:9]); err == nil {
 		t.Fatal("truncated payload must error")
 	}
 }
@@ -124,8 +129,8 @@ func TestHybridEqualsInSitu(t *testing.T) {
 		local.LearnField(full.Extract(dc.Block(r)))
 		partials = append(partials, local.Marshal())
 	}
-	global, err := AggregateSerial(partials)
-	if err != nil {
+	global := NewModel()
+	if err := AggregateSerial(global, partials); err != nil {
 		t.Fatal(err)
 	}
 	serial := NewModel()
@@ -136,8 +141,136 @@ func TestHybridEqualsInSitu(t *testing.T) {
 	}
 }
 
+// unmarshalModel is the model decoder AggregateSerial used before it
+// folded encodings with CombineMarshalled: decode a whole partial model,
+// then Combine it. It is the oracle of TestAggregateSerialMatchesOracle.
+func unmarshalModel(p []byte) (*Model, error) {
+	if len(p) < 4 {
+		return nil, fmt.Errorf("%w: model too short (%d bytes)", ErrCorruptPayload, len(p))
+	}
+	nvars := int(binary.LittleEndian.Uint32(p[:4]))
+	p = p[4:]
+	mo := NewModel()
+	for v := 0; v < nvars; v++ {
+		if len(p) < 4 {
+			return nil, fmt.Errorf("%w: model truncated at variable %d", ErrCorruptPayload, v)
+		}
+		nameLen := int(binary.LittleEndian.Uint32(p[:4]))
+		p = p[4:]
+		if len(p) < nameLen+momentsWireSize {
+			return nil, fmt.Errorf("%w: model record %d truncated", ErrCorruptPayload, v)
+		}
+		name := string(p[:nameLen])
+		p = p[nameLen:]
+		m := mo.Var(name)
+		m.N = int64(binary.LittleEndian.Uint64(p[:8]))
+		m.Min = math.Float64frombits(binary.LittleEndian.Uint64(p[8:]))
+		m.Max = math.Float64frombits(binary.LittleEndian.Uint64(p[16:]))
+		m.Mean = math.Float64frombits(binary.LittleEndian.Uint64(p[24:]))
+		m.M2 = math.Float64frombits(binary.LittleEndian.Uint64(p[32:]))
+		m.M3 = math.Float64frombits(binary.LittleEndian.Uint64(p[40:]))
+		m.M4 = math.Float64frombits(binary.LittleEndian.Uint64(p[48:]))
+		p = p[momentsWireSize:]
+	}
+	return mo, nil
+}
+
+// TestAggregateSerialMatchesOracle: folding the encodings record by
+// record gives, bit for bit, the model that decoding each partial model
+// whole and combining it gave — on random partial models over random
+// variable subsets, some variables empty, aggregated into one reused
+// model.
+func TestAggregateSerialMatchesOracle(t *testing.T) {
+	names := []string{"T", "u", "P", "Y_H2", "Y_OH", "Y_N2"}
+	rng := rand.New(rand.NewSource(42))
+	got := NewModel()
+	for trial := 0; trial < 50; trial++ {
+		partials := make([][]byte, 1+rng.Intn(8))
+		for i := range partials {
+			mo := NewModel()
+			for _, name := range names {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				m := mo.Var(name)
+				for n := rng.Intn(40); n > 0; n-- {
+					m.Update(rng.NormFloat64()*10 + float64(trial))
+				}
+			}
+			partials[i] = mo.Marshal()
+		}
+		want := NewModel()
+		for _, p := range partials {
+			mo, err := unmarshalModel(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Combine(mo)
+		}
+		if err := AggregateSerial(got, partials); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Names(), want.Names()) {
+			t.Fatalf("trial %d: variables %v, oracle %v", trial, got.Names(), want.Names())
+		}
+		for _, name := range want.Names() {
+			if a, b := *got.Var(name), *want.Var(name); a != b {
+				t.Fatalf("trial %d %s: %+v, oracle %+v", trial, name, a, b)
+			}
+		}
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("trial %d: encodings differ", trial)
+		}
+	}
+}
+
+// TestModelResetReuses: a Reset model holds none of its old variables,
+// learns and encodes exactly as a fresh one, and once warm neither
+// learning and packing nor folding encodings allocates.
+func TestModelResetReuses(t *testing.T) {
+	b := grid.NewBox(6, 5, 4)
+	fields := map[string]*grid.Field{}
+	for _, name := range []string{"T", "Y_OH", "P"} {
+		fields[name] = fieldOf(name, b, func(i, j, k int) float64 { return float64(i*j) - float64(k) + float64(len(name)) })
+	}
+	mo := NewModel()
+	for _, name := range []string{"T", "Y_OH"} {
+		mo.LearnField(fields[name])
+	}
+	mo.Reset()
+	mo.LearnField(fields["P"])
+	mo.LearnField(fields["T"])
+	fresh := NewModel()
+	fresh.LearnField(fields["P"])
+	fresh.LearnField(fields["T"])
+	if got := mo.Names(); !slices.Equal(got, []string{"P", "T"}) {
+		t.Fatalf("a Reset model holds %v, want [P T]", got)
+	}
+	if !bytes.Equal(mo.Marshal(), fresh.Marshal()) {
+		t.Fatal("a Reset model encodes differently from a fresh one")
+	}
+
+	buf := make([]byte, 0, 1024)
+	learn := testing.AllocsPerRun(20, func() {
+		mo.Reset()
+		mo.LearnField(fields["T"])
+		mo.LearnField(fields["P"])
+		buf = mo.AppendMarshal(buf[:0])
+	})
+	encoded := fresh.Marshal()
+	fold := testing.AllocsPerRun(20, func() {
+		mo.Reset()
+		if err := mo.CombineMarshalled(encoded); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if learn != 0 || fold != 0 {
+		t.Errorf("a warm model allocates %v objects to learn and pack, %v to fold an encoding, want 0 and 0", learn, fold)
+	}
+}
+
 func TestAggregateSerialError(t *testing.T) {
-	if _, err := AggregateSerial([][]byte{{1, 2}}); err == nil {
+	if err := AggregateSerial(NewModel(), [][]byte{{1, 2}}); err == nil {
 		t.Fatal("malformed partial must error")
 	}
 }
