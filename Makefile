@@ -4,7 +4,15 @@
 # and all of them run in `test` and `race`.
 #   make tier1      fmt + vet + build + full test suite + race suite (the CI gate);
 #                   vet also vets the nested benchmark module, so an internal/
-#                   signature change that breaks it fails here
+#                   signature change that breaks it fails here. The suite
+#                   includes the reachability gate (TestEveryInternalFunctionIsReached,
+#                   reach_test.go): it builds every cmd/ and examples/ binary and
+#                   the benchmark with inlining off and fails on any internal/
+#                   function none of them links, except String/Error methods and
+#                   the entries of unreachedAllowList (one reason each; an entry
+#                   a binary reaches or that is gone fails too). A test-only
+#                   helper belongs in a _test.go file; allow-list only a hook or
+#                   oracle another package's tests need
 #   make test       fast inner loop (tests, no race)
 #   make bench      the end-to-end benchmark declared by BENCHMARK.json
 #                   (bash benchmark/run.sh: all four workloads, full report;

@@ -71,7 +71,7 @@ func benchSubtrees(b *testing.B, policy mergetree.BoundaryPolicy) ([]*mergetree.
 		if err != nil {
 			b.Fatal(err)
 		}
-		moved += len(st.Marshal())
+		moved += st.MarshalSize()
 		subtrees = append(subtrees, st)
 	}
 	return subtrees, moved
@@ -170,7 +170,7 @@ func BenchmarkAblationBuckets(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			area, err := staging.New(fabric, ds, buckets)
+			area, err := staging.New(fabric, ds, buckets, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -213,11 +213,11 @@ func BenchmarkAblationBuckets(b *testing.B) {
 func BenchmarkAblationMsgPath(b *testing.B) {
 	net := netsim.New(netsim.Gemini())
 	for _, size := range []int{256, 4 << 10, 256 << 10, 8 << 20} {
-		buf := make([]byte, size)
+		src, dst := make([]byte, size), make([]byte, size)
 		d, path := net.Cost(size)
 		b.Run(fmt.Sprintf("%s_%dB", path, size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				net.Transfer(buf)
+				net.TransferInto(dst, src)
 			}
 			b.ReportMetric(float64(d.Nanoseconds()), "modeled_ns")
 		})
@@ -312,7 +312,7 @@ func BenchmarkAblationStreamingInTransit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		area, err := staging.New(fabric, ds, 1)
+		area, err := staging.New(fabric, ds, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

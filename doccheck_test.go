@@ -42,10 +42,7 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 // returns a sorted list of "file:line: symbol" strings for exported
 // symbols without a doc comment.
 func undocumented(dir string) ([]string, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+	fset, files, err := parseSources(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -55,20 +52,37 @@ func undocumented(dir string) ([]string, error) {
 		missing = append(missing, fmt.Sprintf("%s:%d: undocumented exported %s",
 			filepath.Join(dir, filepath.Base(p.Filename)), p.Line, what))
 	}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					checkFunc(d, report)
-				case *ast.GenDecl:
-					checkGen(d, report)
-				}
+	for _, file := range files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				checkFunc(d, report)
+			case *ast.GenDecl:
+				checkGen(d, report)
 			}
 		}
 	}
 	sort.Strings(missing)
 	return missing, nil
+}
+
+// parseSources parses the non-test Go files of one package directory,
+// with their comments.
+func parseSources(dir string) (*token.FileSet, []*ast.File, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		return nil, nil, err
+	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			files = append(files, file)
+		}
+	}
+	return fset, files, nil
 }
 
 // checkFunc flags exported functions and exported methods on exported

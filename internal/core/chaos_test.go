@@ -123,7 +123,7 @@ func runChaos(t *testing.T, seed int64, steps int) {
 	}
 
 	res := rep.Resilience
-	counts := inj.CounterMap()
+	counts := inj.Counters().ByKind
 	t.Logf("seed %d: faults=%+v injected=%v degraded=%d", seed, res, counts, degraded)
 
 	// The partition window must have forced at least one degraded step,
@@ -144,8 +144,8 @@ func runChaos(t *testing.T, seed int64, steps int) {
 
 	// Checksum framing must catch 100% of injected corruptions: no
 	// corrupted payload is ever delivered to a handler.
-	if res.ChecksumFailures != counts["corrupt"] {
-		t.Errorf("caught %d corruptions, injector produced %d", res.ChecksumFailures, counts["corrupt"])
+	if res.ChecksumFailures != counts[faults.Corrupt] {
+		t.Errorf("caught %d corruptions, injector produced %d", res.ChecksumFailures, counts[faults.Corrupt])
 	}
 
 	// No pinned-region leaks: requeues re-pull before release,

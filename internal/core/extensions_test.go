@@ -39,12 +39,12 @@ func TestStreamingTopologyMatchesBuffered(t *testing.T) {
 	reduce := func(tr *mergetree.Tree) *mergetree.Tree {
 		return mergetree.Reduce(tr, nil)
 	}
-	if !mergetree.Equal(reduce(buffered.Tree), reduce(streaming.Tree)) {
+	if !sameTree(reduce(buffered.Tree), reduce(streaming.Tree)) {
 		t.Fatal("streaming in-transit stage produced a different tree")
 	}
 	want := globalFields(t, simCfg, steps, []string{"T"})["T"]
 	serial := reduce(mergetree.FromField(want, simCfg.Global))
-	if !mergetree.Equal(serial, reduce(streaming.Tree)) {
+	if !sameTree(serial, reduce(streaming.Tree)) {
 		t.Fatal("streaming tree differs from serial reference")
 	}
 	if streaming.Stream.Declared == 0 {
@@ -120,7 +120,7 @@ func TestStreamingRouteRetriesPullFaults(t *testing.T) {
 				t.Errorf("step %d: Degraded without a reason", s)
 			}
 		case *TopologyResult:
-			if !mergetree.Equal(v.Tree, clean.Result(name, s).(*TopologyResult).Tree) {
+			if !sameTree(v.Tree, clean.Result(name, s).(*TopologyResult).Tree) {
 				t.Errorf("step %d: retried tree differs from the fault-free one", s)
 			}
 		default:

@@ -44,7 +44,7 @@ func TestInTransitTopologyAllocatesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payloads[r] = st.Marshal()
+		payloads[r] = st.AppendMarshal(nil)
 	}
 	res, err := topo.InTransit(step, payloads)
 	if err != nil {

@@ -49,7 +49,7 @@ func withCounts(t testing.TB, p []byte, counts ...uint64) []byte {
 	if _, err := st.Unmarshal(p); err != nil {
 		t.Fatal(err)
 	}
-	out := st.Marshal()
+	out := st.AppendMarshal(nil)
 	for _, n := range counts {
 		out = binary.LittleEndian.AppendUint64(out, n)
 	}

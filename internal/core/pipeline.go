@@ -64,8 +64,8 @@ type Pipeline struct {
 	warns   []error
 	rankEps []*dart.Endpoint // this tenant's rank endpoints, by rank
 
-	// stepWall is the per-step wall-latency histogram (nil until the
-	// plane is attached).
+	// stepWall is the step wall-latency histogram, one sample per rank
+	// per step (nil until the plane is attached).
 	stepWall *obs.Histogram
 
 	// Step-outcome tallies, each counted once where it happens: rank 0's

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"insitu/internal/comm"
@@ -175,7 +176,7 @@ func TestPipelineTopologyMatchesSerial(t *testing.T) {
 	want := globalFields(t, simCfg, steps, []string{"T"})["T"]
 	serial := mergetree.FromField(want, simCfg.Global)
 	got := rep.Result("hybrid topology", steps).(*TopologyResult)
-	if !mergetree.Equal(mergetree.Reduce(serial, nil), mergetree.Reduce(got.Tree, nil)) {
+	if !sameTree(mergetree.Reduce(serial, nil), mergetree.Reduce(got.Tree, nil)) {
 		t.Fatal("pipeline tree differs from serial merge tree of the global field")
 	}
 }
@@ -306,4 +307,11 @@ func TestHybridStagesReduceData(t *testing.T) {
 			t.Fatalf("%s moved %d bytes of %d raw — not a significant reduction", name, b.MoveBytes, rawPerStep)
 		}
 	}
+}
+
+// sameTree reports whether two merge trees hold the same nodes, values
+// and arcs: trees list their nodes in sweep order, so equal trees are
+// equal arrays.
+func sameTree(a, b *mergetree.Tree) bool {
+	return slices.Equal(a.IDs, b.IDs) && slices.Equal(a.Values, b.Values) && slices.Equal(a.Down, b.Down)
 }

@@ -83,8 +83,9 @@ func (p *Pipeline) EnableObs() *obs.Plane { return p.sched.EnableObs() }
 // unnamed tenant, under tenant=<name> otherwise.
 func (p *Pipeline) publish(reg *obs.Registry) {
 	// The Table II ledger's aggregates: monotonic totals sampled at
-	// export time, and the per-step wall latency as a histogram that
-	// rankLoop feeds beside RecordStepWall.
+	// export time, and the step wall latency as a histogram that
+	// rankLoop feeds with every rank's own wall time of every step,
+	// beside RecordStepWall (which keeps the per-step maximum).
 	col := p.col
 	ledger := func(name, help string, sample func() float64) {
 		reg.CounterFunc(name, help, sample, p.labels...)
@@ -116,7 +117,7 @@ func (p *Pipeline) publish(reg *obs.Registry) {
 			return d.Seconds()
 		})
 	stepWall := reg.Histogram("pipeline_step_wall_seconds",
-		"per-step simulation-side wall time (max over ranks per sample)", obs.LatencyBuckets, p.labels...)
+		"simulation-side wall time of one step on one rank (one sample per rank per step)", obs.LatencyBuckets, p.labels...)
 	p.mu.Lock()
 	p.stepWall = stepWall
 	p.mu.Unlock()

@@ -169,7 +169,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	// The buckets recycle pulled payloads once a handler returns; every
 	// in-transit handler in core decodes its payloads into private
 	// structures (Unmarshal*) and retains no input slice past its return.
-	s.area, err = staging.New(d, ds, cfg.Buckets, staging.WithRelease(s.releaseHandle))
+	s.area, err = staging.New(d, ds, cfg.Buckets, s.releaseHandle)
 	if err != nil {
 		return nil, err
 	}

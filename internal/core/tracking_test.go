@@ -125,8 +125,17 @@ func TestBuildTrackGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Steps()) != steps {
-		t.Fatalf("graph covers %d steps, want %d", len(g.Steps()), steps)
+	// The graph holds every feature of every step as a node.
+	nodes := g.Events(false)
+	for step := 1; step <= steps; step++ {
+		for _, f := range rep.Result(track.Name(), step).(*TrackingStepResult).Features {
+			if _, ok := nodes[mergetree.TrackNode{Step: step, Feature: f.Label}]; !ok {
+				t.Fatalf("graph lacks step %d feature %d", step, f.Label)
+			}
+		}
+	}
+	if len(nodes) == 0 {
+		t.Fatal("graph holds no feature")
 	}
 	s := g.Summarize(true)
 	if s.Tracks == 0 || s.LongestTrack < 2 {

@@ -184,7 +184,7 @@ func TestCorruptedFramesCaughtBeforeDecode(t *testing.T) {
 	if injected == 0 {
 		t.Fatal("schedule injected no corruption — test is vacuous")
 	}
-	if caught := f.Stats().ChecksumFailures; caught != injected {
+	if caught := fabricStats(f).ChecksumFailures; caught != injected {
 		t.Fatalf("checksum caught %d of %d corrupted encoded frames", caught, injected)
 	}
 }

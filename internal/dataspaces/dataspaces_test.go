@@ -2,6 +2,8 @@ package dataspaces
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +183,39 @@ func TestServerSharding(t *testing.T) {
 		if len(sv.index) > 200 {
 			t.Fatalf("server %d is a hotspot with %d of 400 keys", i, len(sv.index))
 		}
+	}
+}
+
+// TestShardPlacementPinned: shard hashes the bytes the fmt form
+// "tenant/name/version" (no tenant prefix for a tenant-less key) wrote,
+// so a key lands on the same server it always did. Random keys include
+// negative versions, empty names and long tenants.
+func TestShardPlacementPinned(t *testing.T) {
+	s := newService(t, 7)
+	rng := rand.New(rand.NewSource(1))
+	word := func() string {
+		b := make([]byte, rng.Intn(40))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		return string(b)
+	}
+	for i := 0; i < 2000; i++ {
+		k := key{name: word(), version: rng.Intn(1<<20) - 1<<19}
+		if i%2 == 0 {
+			k.tenant = word()
+		}
+		h := fnv.New32a()
+		if k.tenant != "" {
+			fmt.Fprintf(h, "%s/", k.tenant)
+		}
+		fmt.Fprintf(h, "%s/%d", k.name, k.version)
+		if want := s.servers[int(h.Sum32())%len(s.servers)]; s.shard(k) != want {
+			t.Fatalf("key %+v moved shard", k)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.shard(key{tenant: "alpha", name: "subtree", version: 42}) }); n != 0 {
+		t.Errorf("shard allocates %.0f objects per call, want 0", n)
 	}
 }
 

@@ -294,16 +294,3 @@ func (inj *Injector) Counters() Counters {
 	}
 	return out
 }
-
-// CounterMap returns the non-None injected-fault counts keyed by kind
-// name, for metrics reporting without a package dependency.
-func (inj *Injector) CounterMap() map[string]int64 {
-	c := inj.Counters()
-	out := make(map[string]int64, len(c.ByKind))
-	for k, v := range c.ByKind {
-		if k != None {
-			out[k.String()] = v
-		}
-	}
-	return out
-}

@@ -133,19 +133,6 @@ func TestCorruptDecisionShape(t *testing.T) {
 	}
 }
 
-// TestCounterMap: only injected (non-None) kinds appear.
-func TestCounterMap(t *testing.T) {
-	inj := New(Config{Seed: 5, Default: Rates{Drop: 1}})
-	inj.Decide(0, 1, 0, 64)
-	m := inj.CounterMap()
-	if m["drop"] != 1 || len(m) != 1 {
-		t.Fatalf("counter map %v, want {drop:1}", m)
-	}
-	if inj.Counters().Injected() != 1 {
-		t.Fatalf("injected count %d, want 1", inj.Counters().Injected())
-	}
-}
-
 // TestSlowdownWindow: inside the window every covered attempt is
 // slowed with the window's factor (falling back to SlowdownFactor);
 // an empty endpoint list covers every transfer; outside the window

@@ -153,43 +153,6 @@ func GlobalPoint(g Box, id int64) (i, j, k int) {
 	return
 }
 
-// OnBoundary reports whether (i,j,k) lies on the boundary of the box,
-// that is, inside b but touching at least one face.
-func (b Box) OnBoundary(i, j, k int) bool {
-	if !b.Contains(i, j, k) {
-		return false
-	}
-	return i == b.Lo[0] || i == b.Hi[0]-1 ||
-		j == b.Lo[1] || j == b.Hi[1]-1 ||
-		k == b.Lo[2] || k == b.Hi[2]-1
-}
-
-// Corners returns the up-to-8 corner points of the box (4 in 2-D,
-// where the z extent is 1). The paper's boundary augmentation requires
-// the sub-domain corners to be retained in every subtree.
-func (b Box) Corners() [][3]int {
-	if b.Empty() {
-		return nil
-	}
-	xs := []int{b.Lo[0], b.Hi[0] - 1}
-	ys := []int{b.Lo[1], b.Hi[1] - 1}
-	zs := []int{b.Lo[2], b.Hi[2] - 1}
-	var out [][3]int
-	seen := map[[3]int]bool{}
-	for _, k := range zs {
-		for _, j := range ys {
-			for _, i := range xs {
-				p := [3]int{i, j, k}
-				if !seen[p] {
-					seen[p] = true
-					out = append(out, p)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // String implements fmt.Stringer.
 func (b Box) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)x[%d,%d)",

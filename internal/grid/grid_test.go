@@ -82,22 +82,6 @@ func TestGlobalIndexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCorners(t *testing.T) {
-	b := NewBox(4, 4, 4)
-	if got := len(b.Corners()); got != 8 {
-		t.Fatalf("3-D box must have 8 corners, got %d", got)
-	}
-	b2 := NewBox(4, 4, 1)
-	if got := len(b2.Corners()); got != 4 {
-		t.Fatalf("2-D box must have 4 corners, got %d", got)
-	}
-	for _, c := range b.Corners() {
-		if !b.OnBoundary(c[0], c[1], c[2]) {
-			t.Fatalf("corner %v not on boundary", c)
-		}
-	}
-}
-
 func TestFieldExtractPaste(t *testing.T) {
 	b := NewBox(6, 5, 4)
 	f := NewField("T", b)

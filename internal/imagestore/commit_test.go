@@ -378,7 +378,7 @@ func TestCacheFillsOnReadAndNeverAliasesTheCommitBuffer(t *testing.T) {
 	// Room for about one frame, so the readers keep missing, filling
 	// and evicting while the writer commits.
 	png, _ := frameSet(base, 1, w, h)[0].Img.AppendPNG(nil)
-	s.cache.resize(int64(len(png)) + 16)
+	s.cache = newLRUCache(int64(len(png)) + 16)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {

@@ -580,13 +580,6 @@ func newLRUCache(capBytes int64) *lruCache {
 	return &lruCache{cap: capBytes, items: make(map[string]*lruItem)}
 }
 
-func (c *lruCache) resize(capBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = capBytes
-	c.evictLocked()
-}
-
 func (c *lruCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -318,7 +318,7 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 	defer s.Close()
 	png1, _ := frame(1).AppendPNG(nil)
-	s.cache.resize(int64(len(png1)) + 16) // room for roughly one frame
+	s.cache = newLRUCache(int64(len(png1)) + 16) // room for roughly one frame
 	d1, _ := s.Put(Spec{Var: "T", Step: 1, Cam: "cam00"}, png1)
 	png2, _ := frame(2).AppendPNG(nil)
 	d2, _ := s.Put(Spec{Var: "T", Step: 2, Cam: "cam00"}, png2)

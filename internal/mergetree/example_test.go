@@ -2,6 +2,7 @@ package mergetree_test
 
 import (
 	"fmt"
+	"slices"
 
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
@@ -44,7 +45,7 @@ func ExampleGlue() {
 	glued, _, _ := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: true})
 	serial := mergetree.FromField(f, b)
 	// Compare the critical points: Reduce with no keep function.
-	fmt.Println("distributed == serial:", mergetree.Equal(mergetree.Reduce(glued, nil), mergetree.Reduce(serial, nil)))
+	fmt.Println("distributed == serial:", sameTree(mergetree.Reduce(glued, nil), mergetree.Reduce(serial, nil)))
 	// Output:
 	// distributed == serial: true
 }
@@ -67,4 +68,11 @@ func ExampleTrack() {
 	fmt.Printf("matches=%d overlap=%d\n", len(matches), matches[0].Overlap)
 	// Output:
 	// matches=1 overlap=2
+}
+
+// sameTree reports whether two trees hold the same nodes, values and
+// arcs: trees list their nodes in sweep order, so equal trees are
+// equal arrays.
+func sameTree(a, b *mergetree.Tree) bool {
+	return slices.Equal(a.IDs, b.IDs) && slices.Equal(a.Values, b.Values) && slices.Equal(a.Down, b.Down)
 }

@@ -177,7 +177,7 @@ func FuzzUnmarshalFeaturePartials(f *testing.F) {
 func TestGlobalFeatureStatsUnknownRep(t *testing.T) {
 	values := map[int64]float64{0: 5, 1: 4, 2: 3}
 	edges := [][2]int64{{0, 1}, {1, 2}}
-	tree, err := FromGraph(values, edges)
+	tree, err := fromGraph(values, edges)
 	if err != nil {
 		t.Fatal(err)
 	}

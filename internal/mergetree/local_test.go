@@ -193,19 +193,19 @@ func TestSubtreeMatchesTreeChain(t *testing.T) {
 							t.Fatal(err)
 						}
 						checkSubtree(t, what+" (in place)", got, want)
-						first := got.Marshal()
+						first := got.AppendMarshal(nil)
 						again, err := shared.Subtree(f, global, owned, rank, policy)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !bytes.Equal(first, again.Marshal()) {
+						if !bytes.Equal(first, again.AppendMarshal(nil)) {
 							t.Fatalf("%s: two sweeps on one scratch marshal differently", what)
 						}
 						fresh, err := LocalSubtree(ghosted, global, owned, rank, policy)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !bytes.Equal(first, fresh.Marshal()) {
+						if !bytes.Equal(first, fresh.AppendMarshal(nil)) {
 							t.Fatalf("%s: the ghosted block on a fresh scratch marshals differently from the global field on a used one", what)
 						}
 					}
@@ -257,7 +257,7 @@ func TestSubtreeRejectsUncoveredBlock(t *testing.T) {
 // replaced by nv.
 func hostileCount(nv uint64) []byte {
 	st := &Subtree{Verts: make([]SubtreeVert, 3), Edges: []Arc{{Hi: 1, Lo: 2}}}
-	p := st.Marshal() // 124 bytes
+	p := st.AppendMarshal(nil) // 124 bytes
 	binary.LittleEndian.PutUint64(p[4+6*8:], nv)
 	return p
 }
@@ -268,14 +268,14 @@ var overflowCounts = []uint64{0x0CCCCCCCCCCCCCCD, 1 << 63, math.MaxUint64}
 
 func TestUnmarshalSubtreeOverflowingCounts(t *testing.T) {
 	for _, nv := range overflowCounts {
-		if _, err := UnmarshalSubtree(hostileCount(nv)); !errors.Is(err, ErrCorruptPayload) {
+		if _, err := new(Subtree).Unmarshal(hostileCount(nv)); !errors.Is(err, ErrCorruptPayload) {
 			t.Errorf("vertex count %#x: error %v, want ErrCorruptPayload", nv, err)
 		}
 	}
 	st := &Subtree{Verts: make([]SubtreeVert, 1)}
-	p := st.Marshal()
+	p := st.AppendMarshal(nil)
 	binary.LittleEndian.PutUint64(p[len(p)-8:], 1<<60) // the edge count
-	if _, err := UnmarshalSubtree(p); !errors.Is(err, ErrCorruptPayload) {
+	if _, err := new(Subtree).Unmarshal(p); !errors.Is(err, ErrCorruptPayload) {
 		t.Errorf("edge count 1<<60: error %v, want ErrCorruptPayload", err)
 	}
 	fp := AppendFeaturePartials(nil, nil)
@@ -294,7 +294,7 @@ func FuzzUnmarshalSubtree(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(real.Marshal())
+	f.Add(real.AppendMarshal(nil))
 	for _, nv := range overflowCounts {
 		f.Add(hostileCount(nv))
 	}
@@ -308,7 +308,7 @@ func FuzzUnmarshalSubtree(f *testing.F) {
 			}
 			return
 		}
-		enc := st.Marshal()
+		enc := st.AppendMarshal(nil)
 		if len(enc) > len(p) || !bytes.Equal(enc, p[:len(enc)]) {
 			t.Fatalf("decoded %d verts %d edges from %d bytes, but they marshal to %d different bytes", len(st.Verts), len(st.Edges), len(p), len(enc))
 		}

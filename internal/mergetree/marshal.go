@@ -68,27 +68,11 @@ func (st *Subtree) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-// Marshal serializes the subtree.
-func (st *Subtree) Marshal() []byte {
-	return st.AppendMarshal(make([]byte, 0, st.MarshalSize()))
-}
-
 // ErrCorruptPayload is wrapped by every error the payload decoders
-// (Subtree.Unmarshal, UnmarshalSubtree, UnmarshalFeaturePartials)
+// (Subtree.Unmarshal, UnmarshalFeaturePartials)
 // return, and by the decoders of the extras a route appends after a
 // subtree: the bytes are not an encoding the in-situ stage produced.
 var ErrCorruptPayload = errors.New("mergetree: corrupt payload")
-
-// UnmarshalSubtree reconstructs a subtree from Marshal's output into a
-// new Subtree; see Subtree.Unmarshal. Bytes after the subtree are
-// ignored.
-func UnmarshalSubtree(p []byte) (*Subtree, error) {
-	st := new(Subtree)
-	if _, err := st.Unmarshal(p); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
 
 // Unmarshal decodes the subtree encoded at the front of p into st and
 // returns the bytes that follow it: the encoding carries its own vertex

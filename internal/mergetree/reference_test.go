@@ -385,12 +385,12 @@ func TestArrayEngineMatchesPointerEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !Equal(got, want) || gotStats != wantStats {
+			if !equalTrees(got, want) || gotStats != wantStats {
 				t.Fatalf("trial %d %+v: glue gives %d nodes %+v, the reference %d nodes %+v",
 					trial, opts, got.Len(), gotStats, want.Len(), wantStats)
 			}
 			for _, eps := range []float64{0, 0.05, 0.3, math.Inf(1)} {
-				if simp := s.Simplify(got, eps); !Equal(simp, refSimplify(want, eps)) {
+				if simp := s.Simplify(got, eps); !equalTrees(simp, refSimplify(want, eps)) {
 					t.Fatalf("trial %d %+v eps %g: Simplify differs from the reference", trial, opts, eps)
 				}
 			}

@@ -190,7 +190,7 @@ func checkDistributedProperty(t *testing.T, policy BoundaryPolicy) {
 			return false
 		}
 		serial := criticalReduce(FromField(f, b))
-		return Equal(serial, criticalReduce(glued))
+		return equalTrees(serial, criticalReduce(glued))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatalf("policy %d: %v", policy, err)

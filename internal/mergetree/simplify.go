@@ -66,16 +66,6 @@ func (s *Scratch) branchMax(t *Tree) []int32 {
 	return bm
 }
 
-// Persistence returns the persistence of every maximum, keyed by node
-// id.
-func Persistence(t *Tree) map[int64]float64 {
-	out := make(map[int64]float64)
-	for _, br := range BranchDecomposition(t) {
-		out[t.IDs[br.Max]] = br.Persistence
-	}
-	return out
-}
-
 // Simplify removes every branch with persistence below eps, returning
 // a new tree over the surviving nodes on a scratch of its own; see
 // Scratch.Simplify.

@@ -65,7 +65,7 @@ func TestSimplifyThresholds(t *testing.T) {
 		t.Fatalf("surviving maximum should be the global max")
 	}
 	// eps=0 keeps everything.
-	if s0 := Simplify(tr, 0); !Equal(s0, tr) {
+	if s0 := Simplify(tr, 0); !equalTrees(s0, tr) {
 		t.Fatalf("eps=0 must not change the tree")
 	}
 }
@@ -86,7 +86,10 @@ func TestSimplifyPreservesTreeInvariants(t *testing.T) {
 			}
 		}
 		// Persistence of every surviving maximum must be >= eps.
-		pers := Persistence(tr)
+		pers := make(map[int64]float64)
+		for _, br := range BranchDecomposition(tr) {
+			pers[tr.IDs[br.Max]] = br.Persistence
+		}
 		for _, m := range s.Maxima() {
 			if p, ok := pers[s.IDs[m]]; ok && p < eps {
 				t.Fatalf("eps=%g: maximum %d with persistence %g survived", eps, s.IDs[m], p)

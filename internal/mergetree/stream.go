@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // The streaming builder implements the in-transit stage: it aggregates
@@ -391,31 +390,4 @@ func (b *Builder) Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStat
 	}
 	b.sweep()
 	return b.Finish()
-}
-
-// GlueSerial aggregates subtrees by collecting all vertices and edges
-// and running the reference graph sweep — the non-streaming baseline
-// the streaming aggregation is validated against.
-func GlueSerial(subtrees []*Subtree) (*Tree, error) {
-	values := make(map[int64]float64)
-	var edges [][2]int64
-	for _, st := range subtrees {
-		for _, v := range st.Verts {
-			if old, ok := values[v.ID]; ok && old != v.Value {
-				return nil, fmt.Errorf("mergetree: vertex %d has conflicting values %g and %g", v.ID, old, v.Value)
-			}
-			values[v.ID] = v.Value
-		}
-		for _, e := range st.Edges {
-			edges = append(edges, [2]int64{e.Hi, e.Lo})
-		}
-	}
-	// Deterministic edge order.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	return FromGraph(values, edges)
 }

@@ -102,9 +102,6 @@ func (g *TrackGraph) AddMatches(prev, cur int, matches []Match) error {
 	return nil
 }
 
-// Steps returns the recorded analysis steps.
-func (g *TrackGraph) Steps() []int { return append([]int{}, g.steps...) }
-
 // Events classifies every node. A node can carry several events (for
 // example a merge that also splits); births/deaths at the run's first
 // and last steps are suppressed for interior-only analyses when

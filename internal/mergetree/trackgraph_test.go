@@ -112,7 +112,7 @@ func TestTrackGraphValidation(t *testing.T) {
 	if err := g.AddMatches(1, 2, nil); err == nil {
 		t.Fatal("unknown step must error")
 	}
-	if len(g.Steps()) != 1 {
+	if len(g.steps) != 1 {
 		t.Fatal("steps accessor wrong")
 	}
 	if s := NewTrackGraph().Summarize(true); s.Tracks != 0 {

@@ -19,7 +19,6 @@ package mergetree
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 )
 
@@ -116,48 +115,4 @@ func (t *Tree) Arcs() []Arc {
 		return cmp.Compare(a.Lo, b.Lo)
 	})
 	return out
-}
-
-// FromGraph computes the augmented merge tree of an arbitrary graph
-// given vertex values and undirected edges. It is the reference
-// construction the distributed pipeline is validated against.
-func FromGraph(values map[int64]float64, edges [][2]int64) (*Tree, error) {
-	ids := make([]int64, 0, len(values))
-	for id := range values {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	var s Scratch
-	if err := s.grow(len(ids)); err != nil {
-		return nil, err
-	}
-	vals := make([]float64, len(ids))
-	index := make(map[int64]int32, len(ids))
-	for i, id := range ids {
-		index[id] = int32(i)
-		vals[i] = values[id]
-		s.admit(int32(i))
-	}
-	adj := make([][]int32, len(ids))
-	for _, e := range edges {
-		a, oka := index[e[0]]
-		b, okb := index[e[1]]
-		if !oka || !okb {
-			return nil, fmt.Errorf("mergetree: edge (%d,%d) references undeclared vertex", e[0], e[1])
-		}
-		if a == b {
-			continue
-		}
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
-	}
-	s.sweep(vals, func(v int32, _ []int32) []int32 { return adj[v] })
-	return s.tree(vals, func(v int32) int64 { return ids[v] }), nil
-}
-
-// Equal reports whether two trees have identical node sets, values and
-// arcs. It is used by tests to check distributed == serial. Both trees
-// list their nodes in sweep order, so equal trees are equal arrays.
-func Equal(a, b *Tree) bool {
-	return slices.Equal(a.IDs, b.IDs) && slices.Equal(a.Values, b.Values) && slices.Equal(a.Down, b.Down)
 }

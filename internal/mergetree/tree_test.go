@@ -19,7 +19,7 @@ func tinyGraph() (map[int64]float64, [][2]int64) {
 
 func TestFromGraphTiny(t *testing.T) {
 	values, edges := tinyGraph()
-	tr, err := FromGraph(values, edges)
+	tr, err := fromGraph(values, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestFromGraphTiny(t *testing.T) {
 func TestFromGraphDisconnected(t *testing.T) {
 	values := map[int64]float64{0: 5, 1: 4, 2: 3, 3: 2}
 	edges := [][2]int64{{0, 1}, {2, 3}}
-	tr, err := FromGraph(values, edges)
+	tr, err := fromGraph(values, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFromGraphDisconnected(t *testing.T) {
 }
 
 func TestFromGraphUndeclaredVertex(t *testing.T) {
-	if _, err := FromGraph(map[int64]float64{0: 1}, [][2]int64{{0, 9}}); err == nil {
+	if _, err := fromGraph(map[int64]float64{0: 1}, [][2]int64{{0, 9}}); err == nil {
 		t.Fatal("want error for edge referencing undeclared vertex")
 	}
 }
@@ -202,8 +202,8 @@ func glueFromDecomp(t *testing.T, f *grid.Field, px, py, pz int, policy Boundary
 			t.Fatal(err)
 		}
 		// Round-trip the wire format while we are at it.
-		st2, err := UnmarshalSubtree(st.Marshal())
-		if err != nil {
+		st2 := new(Subtree)
+		if _, err := st2.Unmarshal(st.AppendMarshal(nil)); err != nil {
 			t.Fatal(err)
 		}
 		subtrees = append(subtrees, st2)
@@ -234,7 +234,7 @@ func TestDistributedEqualsSerial(t *testing.T) {
 			f := mk()
 			serial := criticalReduce(FromField(f, b))
 			glued := criticalReduce(glueFromDecomp(t, f, c.px, c.py, c.pz, KeepSharedBoundary, false))
-			if !Equal(serial, glued) {
+			if !equalTrees(serial, glued) {
 				t.Fatalf("case %d: distributed tree differs from serial (%d vs %d nodes)",
 					ci, glued.Len(), serial.Len())
 			}
@@ -261,7 +261,7 @@ func TestDistributedEqualsSerial(t *testing.T) {
 		for _, pd := range decomps {
 			for _, evict := range []bool{false, true} {
 				glued := criticalReduce(glueFromDecomp(t, f, pd[0], pd[1], pd[2], KeepOverlapMaxima, evict))
-				if !Equal(serial, glued) {
+				if !equalTrees(serial, glued) {
 					t.Fatalf("trial %d global %v decomp %v evict %v: distributed tree differs from serial (%d vs %d nodes)",
 						trial, b, pd, evict, glued.Len(), serial.Len())
 				}
@@ -293,7 +293,7 @@ func FuzzGlueEqualsSerial(f *testing.F) {
 			field.Data[i] = float64(vals[i%len(vals)]) + float64(i/len(vals))/256
 		}
 		serial := criticalReduce(FromField(field, b))
-		if glued := criticalReduce(glueFromDecomp(t, field, pd[0], pd[1], pd[2], KeepOverlapMaxima, evict)); !Equal(serial, glued) {
+		if glued := criticalReduce(glueFromDecomp(t, field, pd[0], pd[1], pd[2], KeepOverlapMaxima, evict)); !equalTrees(serial, glued) {
 			t.Fatalf("global %v decomp %v evict %v: distributed tree differs from serial (%d vs %d nodes)", b, pd, evict, glued.Len(), serial.Len())
 		}
 	})
@@ -304,7 +304,7 @@ func TestStreamingEvictionEqualsSerial(t *testing.T) {
 	f := smoothField(b, 0.4)
 	serial := criticalReduce(FromField(f, b))
 	glued := glueFromDecomp(t, f, 3, 2, 2, KeepSharedBoundary, true)
-	if !Equal(serial, criticalReduce(glued)) {
+	if !equalTrees(serial, criticalReduce(glued)) {
 		t.Fatal("streaming eviction changed the tree")
 	}
 }
@@ -350,7 +350,7 @@ func TestBoundaryAblation(t *testing.T) {
 	f := smoothField(b, 0.9)
 	serial := criticalReduce(FromField(f, b))
 	broken := criticalReduce(glueFromDecomp(t, f, 4, 2, 1, KeepNone, false))
-	if Equal(serial, broken) {
+	if equalTrees(serial, broken) {
 		t.Fatal("KeepNone unexpectedly produced the correct tree; ablation field too simple")
 	}
 }
@@ -362,8 +362,8 @@ func TestSubtreeMarshalRoundTrip(t *testing.T) {
 		Verts: []SubtreeVert{{ID: 10, Value: 3.5}, {ID: 4, Value: -1.25}},
 		Edges: []Arc{{Hi: 10, Lo: 4}},
 	}
-	got, err := UnmarshalSubtree(st.Marshal())
-	if err != nil {
+	got := new(Subtree)
+	if _, err := got.Unmarshal(st.AppendMarshal(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Rank != st.Rank || got.Block != st.Block ||
@@ -374,12 +374,12 @@ func TestSubtreeMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalSubtreeErrors(t *testing.T) {
-	if _, err := UnmarshalSubtree(nil); err == nil {
+	if _, err := new(Subtree).Unmarshal(nil); err == nil {
 		t.Fatal("want error for empty payload")
 	}
 	st := &Subtree{Verts: []SubtreeVert{{ID: 1, Value: 2}}}
-	p := st.Marshal()
-	if _, err := UnmarshalSubtree(p[:len(p)-4]); err == nil {
+	p := st.AppendMarshal(nil)
+	if _, err := new(Subtree).Unmarshal(p[:len(p)-4]); err == nil {
 		t.Fatal("want error for truncated payload")
 	}
 }
@@ -431,7 +431,7 @@ func TestGlueArbitraryEdgeOrder(t *testing.T) {
 	tr := FromField(f, b)
 	st := packSubtree(Reduce(tr, nil), 0, b)
 
-	want, err := GlueSerial([]*Subtree{st})
+	want, err := glueSerial([]*Subtree{st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestGlueArbitraryEdgeOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Equal(want, got) {
+		if !equalTrees(want, got) {
 			t.Fatalf("trial %d: edge order changed the result", trial)
 		}
 	}

@@ -129,7 +129,7 @@ func New(cfg Config) *Network {
 
 // SetFaults attaches (or, with nil, detaches) a fault injector. Every
 // endpoint-attributed transfer then consults the injector; plain
-// Transfer/TransferInto control traffic stays fault-free so the
+// TransferInto/Charge traffic stays fault-free so the
 // coordination RPC path cannot wedge the scheduler.
 func (n *Network) SetFaults(inj *faults.Injector) { n.inj.Store(inj) }
 
@@ -169,27 +169,24 @@ func (n *Network) Cost(size int) (time.Duration, Path) {
 	return d, p
 }
 
-// Transfer copies src into a freshly allocated buffer, accounts the
-// modeled cost, optionally sleeps the scaled duration, and returns the
-// copy together with the modeled duration. It is the single choke
-// point all simulated RDMA traffic flows through.
-func (n *Network) Transfer(src []byte) ([]byte, time.Duration) {
-	dst := make([]byte, len(src))
-	return dst, n.TransferInto(dst, src)
+// Charge accounts one size-byte message on the network without moving
+// any bytes: it adds the modeled cost to the counters, optionally
+// sleeps the scaled duration, and returns the modeled duration. A
+// control RPC, whose payload nothing reads, is charged this way.
+func (n *Network) Charge(size int) time.Duration {
+	d, p := n.Cost(size)
+	n.account(d, p, size)
+	n.sleepScaled(d)
+	return d
 }
 
 // TransferInto copies src into the caller-provided dst (whose length
-// must be at least len(src)), accounts the modeled cost, optionally
-// sleeps the scaled duration, and returns the modeled duration. This
-// is the zero-allocation variant DART's pooled Get path uses: the
-// destination comes from the byte-buffer pool instead of a fresh
-// allocation per transfer.
+// must be at least len(src)) and charges the copy as a len(src)-byte
+// message; see Charge. DART's pooled Get path takes dst from the
+// byte-buffer pool, so a transfer allocates nothing.
 func (n *Network) TransferInto(dst, src []byte) time.Duration {
 	copy(dst, src)
-	d, p := n.Cost(len(src))
-	n.account(d, p, len(src))
-	n.sleepScaled(d)
-	return d
+	return n.Charge(len(src))
 }
 
 // TransferBetween is the endpoint-attributed, fault-injectable variant

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -56,7 +57,8 @@ func TestCostModel(t *testing.T) {
 func TestTransferCopiesAndAccounts(t *testing.T) {
 	n := New(Gemini())
 	src := []byte{1, 2, 3, 4, 5}
-	dst, d := n.Transfer(src)
+	dst := make([]byte, len(src))
+	d := n.TransferInto(dst, src)
 	if !bytes.Equal(src, dst) {
 		t.Fatal("transfer must copy the payload")
 	}
@@ -76,6 +78,21 @@ func TestTransferCopiesAndAccounts(t *testing.T) {
 	}
 }
 
+// TestChargeAccountsLikeTransfer: charging a size moves the counters,
+// per-path bytes and modeled busy time exactly as transferring that
+// many bytes does.
+func TestChargeAccountsLikeTransfer(t *testing.T) {
+	charged, moved := New(Gemini()), New(Gemini())
+	for _, size := range []int{0, 100, 4 << 10, 1 << 20} {
+		if c, m := charged.Charge(size), moved.TransferInto(make([]byte, size), make([]byte, size)); c != m {
+			t.Fatalf("size %d: charged %v, transfer took %v", size, c, m)
+		}
+	}
+	if c, m := charged.Stats(), moved.Stats(); !reflect.DeepEqual(c, m) {
+		t.Fatalf("charge accounting %+v, transfer accounting %+v", c, m)
+	}
+}
+
 func TestTransferConcurrentAccounting(t *testing.T) {
 	n := New(Gemini())
 	const workers, each = 8, 50
@@ -84,9 +101,9 @@ func TestTransferConcurrentAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, 100)
+			src, dst := make([]byte, 100), make([]byte, 100)
 			for i := 0; i < each; i++ {
-				n.Transfer(buf)
+				n.TransferInto(dst, src)
 			}
 		}()
 	}
@@ -102,7 +119,7 @@ func TestTimeScaleSleep(t *testing.T) {
 	cfg.TimeScale = 0.001 // sleep 1000x the modeled duration
 	n := New(cfg)
 	start := time.Now()
-	n.Transfer(make([]byte, 8)) // ~1.5us modeled -> ~1.5ms wall
+	n.TransferInto(make([]byte, 8), make([]byte, 8)) // ~1.5us modeled -> ~1.5ms wall
 	if time.Since(start) < time.Millisecond {
 		t.Fatal("TimeScale should stretch the transfer into wall time")
 	}
@@ -133,7 +150,7 @@ func TestSharedLinkSerializes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n.Transfer(buf)
+			n.TransferInto(make([]byte, len(buf)), buf)
 		}()
 	}
 	wg.Wait()

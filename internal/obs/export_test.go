@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite the exporter golden files")
 // pair, an instant event, and one instrument of each kind.
 func fixturePlane() *Plane {
 	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	pl := NewPlaneAt(t0)
+	pl := &Plane{rec: NewRecorderAt(t0), reg: NewRegistry()}
 	rec := pl.Recorder()
 
 	rec.Record(0, CatSim, "sim", "sim.step", t0, t0.Add(2*time.Millisecond), Int("step", 1))

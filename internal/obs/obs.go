@@ -244,10 +244,6 @@ type Plane struct {
 // empty registry.
 func NewPlane() *Plane { return &Plane{rec: NewRecorder(), reg: NewRegistry()} }
 
-// NewPlaneAt returns a plane whose recorder is anchored at t0, for
-// deterministic tests.
-func NewPlaneAt(t0 time.Time) *Plane { return &Plane{rec: NewRecorderAt(t0), reg: NewRegistry()} }
-
 // Recorder returns the plane's span recorder.
 func (p *Plane) Recorder() *Recorder { return p.rec }
 

@@ -385,13 +385,6 @@ func NewLadder(cfg LadderConfig) *Ladder {
 	return &Ladder{cfg: cfg.withDefaults()}
 }
 
-// Level returns the current rung without advancing the hysteresis.
-func (l *Ladder) Level() Level {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.level
-}
-
 // Observe folds one step's signals into the hysteresis and returns the
 // rung to use for the step. Overloaded observations push the ladder
 // down one rung per DegradeAfter streak; fully healthy observations

@@ -127,7 +127,7 @@ func TestLadderDegradesAndRecoversWithHysteresis(t *testing.T) {
 		QueueHigh: 4, QueueLow: 1,
 		DegradeAfter: 1, RecoverAfter: 2,
 	})
-	if l.Level() != LevelFull {
+	if l.level != LevelFull {
 		t.Fatal("ladder must start at full")
 	}
 	over := Signals{QueueDepth: 10}

@@ -253,23 +253,3 @@ func (r *Renderer) BlockOrder(dc *grid.Decomp) []int {
 	sort.SliceStable(ranks, func(a, b int) bool { return keys[ranks[a]] < keys[ranks[b]] })
 	return ranks
 }
-
-// RenderInSitu runs the complete fully in-situ algorithm serially over
-// the per-rank ghosted fields: each block renders its partial image,
-// then the images composite in visibility order. fields[i] must cover
-// dc.Block(i) plus a ghost layer.
-func (r *Renderer) RenderInSitu(dc *grid.Decomp, fields []*grid.Field) (*Image, error) {
-	if len(fields) != dc.Ranks() {
-		return nil, fmt.Errorf("render: %d fields for %d ranks", len(fields), dc.Ranks())
-	}
-	parts := make([]*Image, dc.Ranks())
-	for i, f := range fields {
-		parts[i] = r.RenderBlock(f, dc.Block(i))
-	}
-	order := r.BlockOrder(dc)
-	ordered := make([]*Image, 0, len(parts))
-	for _, rank := range order {
-		ordered = append(ordered, parts[rank])
-	}
-	return CompositeFrontToBack(ordered)
-}

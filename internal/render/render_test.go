@@ -131,7 +131,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := r.RenderSerial(f)
-			got, err := r.RenderInSitu(dc, fields)
+			got, err := renderInSitu(r, dc, fields)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,4 +351,16 @@ func TestRaySlab(t *testing.T) {
 	if _, _, hit := raySlab([3]float64{0, 0, 4}, dir, b, 0, 100); hit {
 		t.Fatal("parallel ray outside the slab must miss")
 	}
+}
+
+// renderInSitu runs the fully in-situ algorithm serially over the
+// per-rank ghosted fields: each block renders its partial image, then
+// the images composite in visibility order. fields[i] must cover
+// dc.Block(i) plus a ghost layer.
+func renderInSitu(r *Renderer, dc *grid.Decomp, fields []*grid.Field) (*Image, error) {
+	ordered := make([]*Image, 0, len(fields))
+	for _, rank := range r.BlockOrder(dc) {
+		ordered = append(ordered, r.RenderBlock(fields[rank], dc.Block(rank)))
+	}
+	return CompositeFrontToBack(ordered)
 }

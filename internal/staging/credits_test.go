@@ -17,7 +17,7 @@ func TestCreditSettledOnSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(r.fabric, r.ds, 1)
+	a, err := New(r.fabric, r.ds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func waitActive(t *testing.T, a *Area, want int) {
 
 func TestAddAndRetireBuckets(t *testing.T) {
 	r := newRig(t)
-	a, err := New(r.fabric, r.ds, 2)
+	a, err := New(r.fabric, r.ds, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAddAndRetireBuckets(t *testing.T) {
 // retire must neither lose a result nor emit one twice.
 func TestRetireMidTaskFinishesAndSettles(t *testing.T) {
 	r := newRig(t)
-	a, err := New(r.fabric, r.ds, 2)
+	a, err := New(r.fabric, r.ds, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRetireMidTaskFinishesAndSettles(t *testing.T) {
 
 func TestTenantScopedHandlers(t *testing.T) {
 	r := newRig(t)
-	a, err := New(r.fabric, r.ds, 1)
+	a, err := New(r.fabric, r.ds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +181,11 @@ func TestTenantScopedHandlers(t *testing.T) {
 
 func TestDeadLetterErrorCarriesTenantAndHistory(t *testing.T) {
 	r := newRig(t)
-	a, err := New(r.fabric, r.ds, 1, WithMaxAttempts(2))
+	a, err := New(r.fabric, r.ds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.maxAttempts = 2
 	a.Start()
 	// A task whose inputs reference an unregistered handle fails its
 	// pulls on every attempt and dead-letters.

@@ -17,7 +17,7 @@ import (
 // the work with the attempt recorded.
 func TestCrashedBucketRequeuesTask(t *testing.T) {
 	r := newRig(t)
-	a, err := New(r.fabric, r.ds, 1)
+	a, err := New(r.fabric, r.ds, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +62,11 @@ func TestCrashedBucketRequeuesTask(t *testing.T) {
 func TestDeadLetterAfterMaxAttempts(t *testing.T) {
 	r := newRig(t)
 	var released atomic.Int64
-	a, err := New(r.fabric, r.ds, 1,
-		WithMaxAttempts(1),
-		WithRelease(func(d dataspaces.Descriptor) { released.Add(1) }))
+	a, err := New(r.fabric, r.ds, 1, func(d dataspaces.Descriptor) { released.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.maxAttempts = 1
 	a.HandleT("", "work", func(task dataspaces.Task, data [][]byte) (any, error) {
 		return nil, nil
 	})
@@ -101,8 +100,7 @@ func TestPullFailureRequeuesThenDeadLetters(t *testing.T) {
 	r.fabric.Network().SetFaults(faults.New(faults.Config{Seed: 3, Default: faults.Rates{Drop: 1}}))
 	r.fabric.SetRetryPolicy(dart.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond})
 	var released atomic.Int64
-	a, err := New(r.fabric, r.ds, 1,
-		WithRelease(func(d dataspaces.Descriptor) { released.Add(1) }))
+	a, err := New(r.fabric, r.ds, 1, func(d dataspaces.Descriptor) { released.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +133,7 @@ func TestPullFailureRequeuesThenDeadLetters(t *testing.T) {
 // bucket keeps serving.
 func TestHandlerErrorFreesBucket(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 1)
+	a, _ := New(r.fabric, r.ds, 1, nil)
 	calls := 0
 	a.HandleT("", "flaky", func(task dataspaces.Task, data [][]byte) (any, error) {
 		calls++
@@ -169,7 +167,7 @@ func TestHandlerErrorFreesBucket(t *testing.T) {
 // error (not panicking) surfaces it and frees the bucket.
 func TestStreamHandlerErrorFreesBucket(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 1)
+	a, _ := New(r.fabric, r.ds, 1, nil)
 	calls := 0
 	a.HandleStreamT("", "stream", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		calls++
@@ -203,7 +201,7 @@ func TestStreamPullErrorPropagates(t *testing.T) {
 	r := newRig(t)
 	net := r.fabric.Network()
 	r.fabric.SetRetryPolicy(dart.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond})
-	a, _ := New(r.fabric, r.ds, 1)
+	a, _ := New(r.fabric, r.ds, 1, nil)
 	a.HandleStreamT("", "stream", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		n := 0
 		for range in {
@@ -235,7 +233,7 @@ func TestStreamPullErrorPropagates(t *testing.T) {
 // TestProbeHandle: the health-probe region is pullable.
 func TestProbeHandle(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 2)
+	a, _ := New(r.fabric, r.ds, 2, nil)
 	h := a.ProbeHandle()
 	if _, _, err := r.prod.Get(h); err != nil {
 		t.Fatalf("probe region not pullable: %v", err)

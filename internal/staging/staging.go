@@ -130,29 +130,6 @@ type Result struct {
 	DeadLetter bool
 }
 
-// Option configures an Area.
-type Option func(*Area)
-
-// WithRelease installs a callback invoked with each input descriptor
-// after its data has been pulled, letting the producer release the
-// pinned region.
-func WithRelease(fn func(dataspaces.Descriptor)) Option {
-	return func(a *Area) { a.release = fn }
-}
-
-// WithMaxAttempts bounds how many times a task may be handed to a
-// bucket before it is dead-lettered (default 3). Attempts are consumed
-// by bucket crashes and by failed pulls; handler errors and panics do
-// not requeue, because re-running a deterministic analysis on the same
-// inputs would fail the same way.
-func WithMaxAttempts(n int) Option {
-	return func(a *Area) {
-		if n > 0 {
-			a.maxAttempts = n
-		}
-	}
-}
-
 // routeKey scopes a handler registration to one (tenant, analysis)
 // route; single-tenant registrations use an empty tenant.
 type routeKey struct {
@@ -174,6 +151,11 @@ type Area struct {
 	results chan Result
 	wg      sync.WaitGroup
 
+	// maxAttempts bounds how many times a task may be handed to a
+	// bucket before it is dead-lettered (3). Attempts are consumed by
+	// bucket crashes and by failed pulls; handler errors and panics do
+	// not requeue, because re-running a deterministic analysis on the
+	// same inputs would fail the same way.
 	maxAttempts int
 
 	// kill holds one channel per bucket, replaced on every respawn:
@@ -297,9 +279,11 @@ func (a *Area) observeCrash(id int) {
 }
 
 // New creates a staging area with nbuckets bucket cores attached to
-// the fabric, pulling work from ds. Start must be called to launch the
-// bucket loops.
-func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, opts ...Option) (*Area, error) {
+// the fabric, pulling work from ds. release, if not nil, is called with
+// each input descriptor after its data has been pulled, letting the
+// producer release the pinned region. Start must be called to launch
+// the bucket loops.
+func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, release func(dataspaces.Descriptor)) (*Area, error) {
 	if nbuckets < 1 {
 		return nil, fmt.Errorf("staging: need at least one bucket, got %d", nbuckets)
 	}
@@ -307,13 +291,11 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, opts ...Opti
 		svc:         fabric,
 		ds:          ds,
 		stages:      make(map[routeKey]stage),
+		release:     release,
 		maxAttempts: 3,
 		kill:        make([]chan struct{}, nbuckets),
 		retire:      make([]chan struct{}, nbuckets),
 		retired:     make([]bool, nbuckets),
-	}
-	for _, o := range opts {
-		o(a)
 	}
 	// Deep enough that buckets rarely stall on a slow drain.
 	a.results = make(chan Result, 1024)

@@ -45,7 +45,7 @@ func (r *rig) publish(t *testing.T, analysis string, step int, payloads ...[]byt
 
 func TestSingleTaskRoundTrip(t *testing.T) {
 	r := newRig(t)
-	a, err := New(r.fabric, r.ds, 2)
+	a, err := New(r.fabric, r.ds, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSingleTaskRoundTrip(t *testing.T) {
 
 func TestMissingHandler(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 1)
+	a, _ := New(r.fabric, r.ds, 1, nil)
 	a.Start()
 	r.publish(t, "unknown", 1, []byte("x"))
 	res := <-a.Results()
@@ -90,7 +90,7 @@ func TestMissingHandler(t *testing.T) {
 
 func TestPullErrorSurfaces(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 1)
+	a, _ := New(r.fabric, r.ds, 1, nil)
 	a.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) { return nil, nil })
 	a.Start()
 	// Submit a task whose handle points nowhere.
@@ -109,12 +109,12 @@ func TestReleaseCallback(t *testing.T) {
 	r := newRig(t)
 	var mu sync.Mutex
 	released := 0
-	a, _ := New(r.fabric, r.ds, 1, WithRelease(func(d dataspaces.Descriptor) {
+	a, _ := New(r.fabric, r.ds, 1, func(d dataspaces.Descriptor) {
 		mu.Lock()
 		released++
 		mu.Unlock()
 		r.prod.Reclaim(d.Handle)
-	}))
+	})
 	a.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) { return nil, nil })
 	a.Start()
 	r.publish(t, "x", 1, []byte("a"), []byte("b"))
@@ -137,7 +137,7 @@ func TestTemporalMultiplexing(t *testing.T) {
 	const buckets = 4
 	const steps = 8
 	const workT = 50 * time.Millisecond
-	a, _ := New(r.fabric, r.ds, buckets)
+	a, _ := New(r.fabric, r.ds, buckets, nil)
 	var mu sync.Mutex
 	bucketSeen := map[int]bool{}
 	a.HandleT("", "slow", func(task dataspaces.Task, data [][]byte) (any, error) {
@@ -172,7 +172,7 @@ func TestTemporalMultiplexing(t *testing.T) {
 
 func TestResultsClosedAfterWait(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 2)
+	a, _ := New(r.fabric, r.ds, 2, nil)
 	a.Start()
 	r.ds.Close()
 	a.Wait()
@@ -183,7 +183,7 @@ func TestResultsClosedAfterWait(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	r := newRig(t)
-	if _, err := New(r.fabric, r.ds, 0); err == nil {
+	if _, err := New(r.fabric, r.ds, 0, nil); err == nil {
 		t.Fatal("zero buckets must error")
 	}
 }
@@ -192,7 +192,7 @@ func TestNewValidation(t *testing.T) {
 // result; the bucket survives and processes subsequent tasks.
 func TestHandlerPanicIsolated(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 1)
+	a, _ := New(r.fabric, r.ds, 1, nil)
 	calls := 0
 	a.HandleT("", "flaky", func(task dataspaces.Task, data [][]byte) (any, error) {
 		calls++
@@ -220,7 +220,7 @@ func TestHandlerPanicIsolated(t *testing.T) {
 // handlers, including the pull-drain so nothing leaks.
 func TestStreamHandlerPanicIsolated(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 1)
+	a, _ := New(r.fabric, r.ds, 1, nil)
 	a.HandleStreamT("", "boom", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		<-in
 		panic("mid-stream bug")

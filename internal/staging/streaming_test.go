@@ -33,7 +33,7 @@ func slowRig(t *testing.T) *rig {
 
 func TestStreamHandlerReceivesAllInputs(t *testing.T) {
 	r := newRig(t)
-	a, _ := New(r.fabric, r.ds, 1)
+	a, _ := New(r.fabric, r.ds, 1, nil)
 	seen := map[int]string{}
 	a.HandleStreamT("", "s", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		for i := range in {
@@ -69,7 +69,7 @@ func TestStreamingHandlerOverlap(t *testing.T) {
 
 	run := func(streaming bool) time.Duration {
 		r := slowRig(t)
-		a, _ := New(r.fabric, r.ds, 1)
+		a, _ := New(r.fabric, r.ds, 1, nil)
 		work := func() { time.Sleep(perInputWork) }
 		if streaming {
 			a.HandleStreamT("", "x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
@@ -119,7 +119,7 @@ func TestStreamingHandlerOverlap(t *testing.T) {
 func TestStreamHandlerPullError(t *testing.T) {
 	r := newRig(t)
 	var released, calls atomic.Int64
-	a, _ := New(r.fabric, r.ds, 1, WithRelease(func(dataspaces.Descriptor) { released.Add(1) }))
+	a, _ := New(r.fabric, r.ds, 1, func(dataspaces.Descriptor) { released.Add(1) })
 	a.HandleStreamT("", "x", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
 		calls.Add(1)
 		n := 0
@@ -160,7 +160,7 @@ func TestLaterRegistrationReplaces(t *testing.T) {
 	}
 	for _, streamLast := range []bool{true, false} {
 		r := newRig(t)
-		a, _ := New(r.fabric, r.ds, 1)
+		a, _ := New(r.fabric, r.ds, 1, nil)
 		want := "streaming"
 		if streamLast {
 			a.HandleT("", "x", buffered)

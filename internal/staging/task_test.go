@@ -54,10 +54,10 @@ type taskSummary struct {
 func runKind(t *testing.T, r *rig, streaming, crash bool, fn Handler, inputs []dataspaces.Descriptor) taskSummary {
 	t.Helper()
 	var released atomic.Int64
-	a, err := New(r.fabric, r.ds, 1, WithRelease(func(d dataspaces.Descriptor) {
+	a, err := New(r.fabric, r.ds, 1, func(d dataspaces.Descriptor) {
 		released.Add(1)
 		r.prod.Reclaim(d.Handle)
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestCrashAfterPullRequeuesEitherKind(t *testing.T) {
 		t.Run(fmt.Sprintf("streaming=%v", streaming), func(t *testing.T) {
 			r := slowRig(t)
 			var released atomic.Int64
-			a, _ := New(r.fabric, r.ds, 1, WithRelease(func(d dataspaces.Descriptor) {
+			a, _ := New(r.fabric, r.ds, 1, func(d dataspaces.Descriptor) {
 				released.Add(1)
 				r.prod.Reclaim(d.Handle)
-			}))
+			})
 			size := func(task dataspaces.Task, data [][]byte) (any, error) {
 				n := 0
 				for _, d := range data {

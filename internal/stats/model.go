@@ -61,9 +61,6 @@ func (mo *Model) Reset() {
 	mo.names = mo.names[:0]
 }
 
-// Names returns the variable names in deterministic (sorted) order.
-func (mo *Model) Names() []string { return slices.Clone(mo.names) }
-
 // LearnField folds every point of a field into the variable named by
 // the field.
 func (mo *Model) LearnField(f *grid.Field) {

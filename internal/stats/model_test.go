@@ -37,7 +37,7 @@ func TestModelLearnFields(t *testing.T) {
 	if d["T"].Mean != 1.5 {
 		t.Fatalf("T mean: want 1.5, got %g", d["T"].Mean)
 	}
-	names := mo.Names()
+	names := mo.names
 	if len(names) != 2 || names[0] != "P" || names[1] != "T" {
 		t.Fatalf("names wrong: %v", names)
 	}
@@ -56,7 +56,7 @@ func TestModelMarshalRoundTrip(t *testing.T) {
 	if err := got.CombineMarshalled(mo.Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range mo.Names() {
+	for _, name := range mo.names {
 		a, b := *mo.Var(name), *got.Var(name)
 		if a != b {
 			t.Fatalf("variable %s: %+v vs %+v", name, a, b)
@@ -210,10 +210,10 @@ func TestAggregateSerialMatchesOracle(t *testing.T) {
 		if err := AggregateSerial(got, partials); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Names(), want.Names()) {
-			t.Fatalf("trial %d: variables %v, oracle %v", trial, got.Names(), want.Names())
+		if !slices.Equal(got.names, want.names) {
+			t.Fatalf("trial %d: variables %v, oracle %v", trial, got.names, want.names)
 		}
-		for _, name := range want.Names() {
+		for _, name := range want.names {
 			if a, b := *got.Var(name), *want.Var(name); a != b {
 				t.Fatalf("trial %d %s: %+v, oracle %+v", trial, name, a, b)
 			}
@@ -243,7 +243,7 @@ func TestModelResetReuses(t *testing.T) {
 	fresh := NewModel()
 	fresh.LearnField(fields["P"])
 	fresh.LearnField(fields["T"])
-	if got := mo.Names(); !slices.Equal(got, []string{"P", "T"}) {
+	if got := mo.names; !slices.Equal(got, []string{"P", "T"}) {
 		t.Fatalf("a Reset model holds %v, want [P T]", got)
 	}
 	if !bytes.Equal(mo.Marshal(), fresh.Marshal()) {
