@@ -12,7 +12,17 @@
 #                   the entries of unreachedAllowList (one reason each; an entry
 #                   a binary reaches or that is gone fails too). A test-only
 #                   helper belongs in a _test.go file; allow-list only a hook or
-#                   oracle another package's tests need
+#                   oracle another package's tests need. It also includes the
+#                   option gate (TestEveryGoOptionIsSet, options_test.go, ~5 s
+#                   on 2 cores): it type-checks this module and the benchmark
+#                   from source and fails on an exported field of an internal/
+#                   *Config, *Options or *Policy struct (no JSON key: config
+#                   keys have their own gate in internal/registry) that no
+#                   non-test code writes from another package or with a
+#                   non-constant value, except the entries of
+#                   singleValueAllowList, each naming a field or a type with a
+#                   reason (a stale entry fails too). Fold such a field into a
+#                   constant; allow-list only a fault hook or a fault model
 #   make test       fast inner loop (tests, no race)
 #   make bench      the end-to-end benchmark declared by BENCHMARK.json
 #                   (bash benchmark/run.sh: all four workloads, full report;

@@ -264,7 +264,7 @@ func BenchmarkAblationStreamingEviction(b *testing.B) {
 		b.Run(fmt.Sprintf("evict=%v", evict), func(b *testing.B) {
 			var peak int
 			for i := 0; i < b.N; i++ {
-				_, st, err := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: evict, SweepEvery: 512})
+				_, st, err := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: evict})
 				if err != nil {
 					b.Fatal(err)
 				}

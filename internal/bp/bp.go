@@ -232,50 +232,33 @@ func decodeVar(path, name string, b []byte) (*grid.Field, error) {
 	return f, nil
 }
 
-// IOModel models a parallel filesystem whose aggregate bandwidth is
-// capped by its object storage targets (Lustre OSTs in the paper).
-type IOModel struct {
-	ReadBandwidth  float64 // aggregate bytes/s
-	WriteBandwidth float64 // aggregate bytes/s
-	PerFileLatency time.Duration
-	// Files opened concurrently; per-file latency amortizes across
-	// this many simultaneous opens.
-	ParallelFiles int
-}
-
-// JaguarLustre returns the model calibrated to the paper's Table I:
+// The Lustre model of the paper's Table I: a parallel filesystem whose
+// aggregate bandwidth is capped by its object storage targets (OSTs).
 // 98.5 GB read in 6.56 s (~15 GB/s) and written in 3.28 s (~30 GB/s),
 // independent of core count because the OSTs are the bottleneck.
-func JaguarLustre() IOModel {
-	return IOModel{
-		ReadBandwidth:  15.0e9,
-		WriteBandwidth: 30.0e9,
-		PerFileLatency: 2 * time.Millisecond,
-		ParallelFiles:  512,
-	}
+const (
+	lustreReadBandwidth  = 15.0e9 // aggregate bytes/s
+	lustreWriteBandwidth = 30.0e9 // aggregate bytes/s
+	lustrePerFileLatency = 2 * time.Millisecond
+	// lustreParallelFiles files are opened concurrently; the per-file
+	// latency amortizes across this many simultaneous opens.
+	lustreParallelFiles = 512
+)
+
+// LustreReadTime returns the modeled wall time to read totalBytes
+// spread over nfiles files from the Table I filesystem.
+func LustreReadTime(totalBytes int64, nfiles int) time.Duration {
+	return lustreTime(totalBytes, nfiles, lustreReadBandwidth)
 }
 
-// ReadTime returns the modeled wall time to read totalBytes spread
-// over nfiles files.
-func (m IOModel) ReadTime(totalBytes int64, nfiles int) time.Duration {
-	return m.ioTime(totalBytes, nfiles, m.ReadBandwidth)
+// LustreWriteTime returns the modeled wall time to write totalBytes
+// spread over nfiles files to the Table I filesystem.
+func LustreWriteTime(totalBytes int64, nfiles int) time.Duration {
+	return lustreTime(totalBytes, nfiles, lustreWriteBandwidth)
 }
 
-// WriteTime returns the modeled wall time to write totalBytes spread
-// over nfiles files.
-func (m IOModel) WriteTime(totalBytes int64, nfiles int) time.Duration {
-	return m.ioTime(totalBytes, nfiles, m.WriteBandwidth)
-}
-
-func (m IOModel) ioTime(totalBytes int64, nfiles int, bw float64) time.Duration {
-	if bw <= 0 {
-		return 0
-	}
+func lustreTime(totalBytes int64, nfiles int, bw float64) time.Duration {
 	d := time.Duration(float64(totalBytes) / bw * float64(time.Second))
-	pf := m.ParallelFiles
-	if pf < 1 {
-		pf = 1
-	}
-	waves := (nfiles + pf - 1) / pf
-	return d + time.Duration(waves)*m.PerFileLatency
+	waves := (nfiles + lustreParallelFiles - 1) / lustreParallelFiles
+	return d + time.Duration(waves)*lustrePerFileLatency
 }

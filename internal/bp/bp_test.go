@@ -147,11 +147,10 @@ func TestEmptyFile(t *testing.T) {
 // paper's I/O rows: 98.5 GB at both core counts gives ~6.56 s reads
 // and ~3.28 s writes, independent of the file count.
 func TestIOModelMatchesTableI(t *testing.T) {
-	m := JaguarLustre()
 	total := int64(98.5e9)
 	for _, nfiles := range []int{4480, 8960} {
-		r := m.ReadTime(total, nfiles)
-		w := m.WriteTime(total, nfiles)
+		r := LustreReadTime(total, nfiles)
+		w := LustreWriteTime(total, nfiles)
 		if r < 6300*time.Millisecond || r > 6900*time.Millisecond {
 			t.Fatalf("nfiles=%d: read time %v outside Table I's ~6.56 s", nfiles, r)
 		}
@@ -161,26 +160,14 @@ func TestIOModelMatchesTableI(t *testing.T) {
 	}
 	// I/O time must be (nearly) independent of the writer count — the
 	// OSTs are the bottleneck.
-	r1 := m.ReadTime(total, 4480)
-	r2 := m.ReadTime(total, 8960)
+	r1 := LustreReadTime(total, 4480)
+	r2 := LustreReadTime(total, 8960)
 	diff := r2 - r1
 	if diff < 0 {
 		diff = -diff
 	}
 	if diff > 100*time.Millisecond {
 		t.Fatalf("read time should not depend on file count: %v vs %v", r1, r2)
-	}
-}
-
-func TestIOModelDegenerate(t *testing.T) {
-	var m IOModel // zero bandwidths
-	if m.ReadTime(1e9, 10) != 0 || m.WriteTime(1e9, 10) != 0 {
-		t.Fatal("zero-bandwidth model must return 0")
-	}
-	m2 := IOModel{ReadBandwidth: 1e9, WriteBandwidth: 1e9, PerFileLatency: time.Millisecond}
-	// ParallelFiles unset defaults to serial waves.
-	if m2.ReadTime(0, 3) != 3*time.Millisecond {
-		t.Fatalf("per-file latency waves wrong: %v", m2.ReadTime(0, 3))
 	}
 }
 

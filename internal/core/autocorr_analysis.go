@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/stats"
 )
 
@@ -59,7 +60,7 @@ func (a *AutoCorrHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 		ctx.State[autoCorrStateKey] = ac
 	}
 	ac.PushBox(f, ctx.Owned)
-	return ac.Marshal(), nil
+	return ac.AppendMarshal(bufpool.Get(ac.MarshalSize())[:0]), nil
 }
 
 // AutoCorrResult is the in-transit output: the global per-lag

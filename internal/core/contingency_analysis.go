@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/stats"
 )
 
@@ -69,7 +70,7 @@ func (c *ContingencyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	if err := tab.UpdateBoxParallel(fx, fy, ctx.Owned); err != nil {
 		return nil, err
 	}
-	return tab.Marshal(), nil
+	return tab.AppendMarshal(bufpool.Get(tab.MarshalSize())[:0]), nil
 }
 
 // ContingencyResult is the in-transit output.

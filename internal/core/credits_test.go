@@ -114,15 +114,14 @@ func (c *creditWatch) InTransit(step int, payloads [][]byte) (any, error) {
 	return step, nil
 }
 
-// creditPipeline builds a one-bucket standalone pipeline with a
-// one-credit account whose breaker and ladder never move, running a
-// creditWatch route.
+// creditPipeline builds a one-bucket standalone pipeline with a credit
+// account whose breaker and ladder never move, running a creditWatch
+// route.
 func creditPipeline(t *testing.T) (*Pipeline, *creditWatch) {
 	t.Helper()
 	cfg := DefaultConfig(testSimConfig(2, 1, 1))
 	cfg.Buckets, cfg.DSServers = 1, 1
 	cfg.Overload = &overload.Config{
-		Credits: 1,
 		Breaker: overload.BreakerConfig{FailureThreshold: 1 << 20, Cooldown: time.Hour},
 		Ladder: overload.LadderConfig{
 			QueueHigh: 1 << 20, QueueLow: 1 << 19,

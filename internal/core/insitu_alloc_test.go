@@ -110,10 +110,13 @@ func inSituStageAllocs(t *testing.T, steps int, stages []hybridStage) (allocByte
 // a window (steps 3-12 and 23-32), so a stage that copies on one step
 // and another stage that copies on the next still fail.
 //
-// Once warm, the statistics stage allocates exactly its payload buffer,
-// one object a rank on every step: it learns into the rank's model in
-// Ctx.State (before, it built a model, an accumulator per variable and
-// a payload every step, some 30 objects a rank).
+// Once warm, the statistics and auto-correlation stages allocate
+// exactly their payload buffers, one object a rank on every step: the
+// statistics stage learns into the rank's model in Ctx.State (before,
+// it built a model, an accumulator per variable and a payload every
+// step, some 30 objects a rank), and the auto-correlation stage packs
+// its accumulators straight into the pooled buffer (before, a
+// bytes.Buffer and a slice per lag, 4 objects on two ranks).
 func TestInSituStagesAllocateFlat(t *testing.T) {
 	const steps = 32
 	stages := []hybridStage{&StatsHybrid{}, NewTopologyHybrid(), NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8), &AutoCorrHybrid{Lags: []int{1, 2}}}
@@ -131,9 +134,11 @@ func TestInSituStagesAllocateFlat(t *testing.T) {
 	if float64(late) > 1.25*float64(early) {
 		t.Errorf("in-situ stages allocate %d B around step 30, %d B around step 5: the cost of a step grows", late, early)
 	}
-	for step, objs := range allocObjs[0][3:] {
-		if objs != 2 {
-			t.Errorf("the warm statistics stage allocates %d objects at step %d on two ranks, want 2 (one payload buffer a rank)", objs, step+3)
+	for _, i := range []int{0, 4} {
+		for step, objs := range allocObjs[i][3:] {
+			if objs != 2 {
+				t.Errorf("the warm %s stage allocates %d objects at step %d on two ranks, want 2 (one payload buffer a rank)", stages[i].Name(), objs, step+3)
+			}
 		}
 	}
 }
@@ -172,9 +177,9 @@ func TestInSituStagesMatchCopies(t *testing.T) {
 			stage hybridStage
 			want  []byte
 		}{
-			{st, model.Marshal()}, {cont, table.Marshal()}, {topo, subtree.AppendMarshal(nil)},
+			{st, model.Marshal()}, {cont, table.AppendMarshal(nil)}, {topo, subtree.AppendMarshal(nil)},
 			{viz1, downsampled(owned, 1).Marshal()}, {viz8, downsampled(owned, 8).Marshal()},
-			{ac, ref.Marshal()},
+			{ac, ref.AppendMarshal(nil)},
 		} {
 			got, err := c.stage.InSituStage(ctx)
 			if err != nil {

@@ -98,8 +98,8 @@ func TestInTransitTopologyAllocatesFlat(t *testing.T) {
 // viz route: once a transit scratch has grown, the in-transit stage
 // decodes every block into the scratch's block table and renders into
 // pooled frames, so a call allocates a fixed handful of objects (the
-// frame set, the transfer function, the renderer and a cursor per row
-// band) however large the blocks, whose bytes are a small fraction of
+// frame set, the renderer and a cursor per row band) however large the
+// blocks, whose bytes are a small fraction of
 // the blocks it decodes. A fresh table or a freshly allocated block per
 // call fails it.
 func TestInTransitVizAllocatesFlat(t *testing.T) {

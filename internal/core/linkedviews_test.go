@@ -1,13 +1,9 @@
 package core
 
-import (
-	"testing"
-
-	"insitu/internal/render"
-)
+import "testing"
 
 // TestLinkedViews runs two simultaneous hybrid visualization instances
-// with different variables and view directions — the paper's "multiple
+// with different variables and transfer functions — the paper's "multiple
 // instances of each visualization mode ... enabling scientists to
 // explore different aspects of simulation and analysis data in
 // linked-views".
@@ -26,8 +22,7 @@ func TestLinkedViews(t *testing.T) {
 	side := NewVizHybrid(16, 12, 2)
 	side.Tag = "OH-side"
 	side.Var = "Y_OH"
-	side.Dir = [3]float64{1, 0.1, 0}
-	side.TF = render.HotMetal(0, 0.25)
+	side.AutoRange = true // the fixed window covers temperatures, not OH
 	p.Register(front)
 	p.Register(side)
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"insitu/internal/netsim"
 	"insitu/internal/obs"
 	"insitu/internal/overload"
 )
@@ -38,40 +39,47 @@ func (s *slowTransitAnalysis) InTransit(step int, payloads [][]byte) (any, error
 // The credit account must also drain: credits held by refused steps
 // are returned at the shed, not leaked.
 func TestShedAtSubmitRecyclesInputs(t *testing.T) {
-	cfg := DefaultConfig(testSimConfig(2, 1, 1))
-	cfg.Buckets = 1
-	cfg.DSServers = 1
-	// A queue bound of 1 with a big credit override guarantees the
-	// admission pass keeps granting credits while the queue is already
-	// full, forcing the submit-time ErrQueueFull shed path (rather than
-	// the credit floor hiding it).
-	cfg.Overload = &overload.Config{
-		QueueBound: 1,
-		Credits:    64,
+	// One bucket and one-deep queues size the shared supply at
+	// 1 + 2*1 = 3 credits with no floors. The idle tenant "b" lends its
+	// share, so "a" keeps being granted credits while its own queue is
+	// already full: one task running, one queued, the third refused at
+	// submit with ErrQueueFull (rather than the credit account hiding
+	// the shed path).
+	s, err := NewScheduler(SchedulerConfig{DSServers: 1, Buckets: 1, Net: netsim.Gemini(), QueueBound: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.AddTenant("a", TenantConfig{
+		Sim: testSimConfig(2, 1, 1),
 		// Keep the breaker and ladder out of the way: this test is about
 		// submit-time backpressure only.
-		Breaker: overload.BreakerConfig{FailureThreshold: 1 << 20, Cooldown: time.Hour},
-		Ladder: overload.LadderConfig{
-			QueueHigh: 1 << 20, QueueLow: 1 << 19,
-			DegradeAfter: 1 << 20, RecoverAfter: 1,
+		Overload: &overload.Config{
+			Breaker: overload.BreakerConfig{FailureThreshold: 1 << 20, Cooldown: time.Hour},
+			Ladder: overload.LadderConfig{
+				QueueHigh: 1 << 20, QueueLow: 1 << 19,
+				DegradeAfter: 1 << 20, RecoverAfter: 1,
+			},
 		},
-	}
-	p, err := NewPipeline(cfg)
+	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddTenant("b", TenantConfig{Sim: testSimConfig(2, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	// The bucket must stay busy for three simulation steps (one task
 	// running, one queued, one refused); 100ms leaves room for -race on a
 	// loaded host, where a step of this tiny grid can take ~10ms.
 	p.Register(&slowTransitAnalysis{delay: 100 * time.Millisecond})
-	pl := p.EnableObs()
+	pl := s.EnableObs()
 	rec := pl.Recorder()
 
 	const steps = 8
-	rep, err := p.Run(steps)
+	reps, err := s.Run(steps)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
+	rep := reps["a"]
 	if got := p.PinnedRegions(); got != 0 {
 		t.Fatalf("shed path leaked %d pinned regions", got)
 	}
@@ -128,7 +136,7 @@ func TestShedAtSubmitRecyclesInputs(t *testing.T) {
 	}
 	for lv := overload.LevelFull; lv <= overload.LevelShed; lv++ {
 		n := admits[lv.String()]
-		if got := metricValue(t, prom.String(), `admission_decisions_total{level="`+lv.String()+`"}`); got != strconv.Itoa(n) {
+		if got := metricValue(t, prom.String(), `admission_decisions_total{level="`+lv.String()+`",tenant="a"}`); got != strconv.Itoa(n) {
 			t.Errorf("level %s: %d admit events, admission_decisions_total %s", lv, n, got)
 		}
 		if f, ok := fields[lv]; ok && f != int64(n) {
@@ -154,9 +162,10 @@ func TestOverloadCreditFloorFallsBackInSitu(t *testing.T) {
 	cfg := DefaultConfig(testSimConfig(2, 1, 1))
 	cfg.Buckets = 1
 	cfg.DSServers = 1
+	// One bucket and a one-deep queue derive a two-credit supply, which
+	// the two routes share as one pool.
 	cfg.Overload = &overload.Config{
 		QueueBound: 1,
-		Credits:    1, // one task in flight, ever
 		Breaker:    overload.BreakerConfig{FailureThreshold: 1 << 20, Cooldown: time.Hour},
 		Ladder: overload.LadderConfig{
 			QueueHigh: 1 << 20, QueueLow: 1 << 19,
@@ -177,7 +186,7 @@ func TestOverloadCreditFloorFallsBackInSitu(t *testing.T) {
 		t.Fatalf("run failed: %v", err)
 	}
 	if rep.Overload.CreditsDenied == 0 {
-		t.Fatal("a 1-credit account under steady submission must deny some acquisitions")
+		t.Fatal("a 2-credit account under steady submission must deny some acquisitions")
 	}
 	if got := p.PinnedRegions(); got != 0 {
 		t.Fatalf("%d pinned regions leaked", got)

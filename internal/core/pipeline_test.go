@@ -203,7 +203,7 @@ func TestPipelineVizMatchesSerial(t *testing.T) {
 
 	want := globalFields(t, simCfg, steps, []string{"T"})["T"]
 	r, err := render.NewRenderer(viz.Width, viz.Height, render.HotMetal(0.2, 2.0),
-		viz.Dir, [3]float64{0, 1, 0}, viz.StepSize, simCfg.Global)
+		render.DefaultDir, [3]float64{0, 1, 0}, 0.5, simCfg.Global)
 	if err != nil {
 		t.Fatal(err)
 	}

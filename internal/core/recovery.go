@@ -265,7 +265,7 @@ func byValue(v any) any {
 				VarX, VarY string
 				Derived    stats.ContingencyDerived
 				Table      []byte
-			}{r.VarX, r.VarY, r.Derived, r.Table.Marshal()}
+			}{r.VarX, r.VarY, r.Derived, r.Table.AppendMarshal(nil)}
 		}
 	}
 	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Pointer && !rv.IsNil() {

@@ -99,13 +99,13 @@ func (s *Scheduler) admitRun(tenants []*Pipeline, lone *Pipeline, resume bool) e
 // config for named tenants and from the unnamed tenant's own overload
 // block (AddTenant has the rule), whose routes each reserve one credit.
 // The total is the most work the transit tier can hold, buckets
-// draining plus every queue full, unless the unnamed tenant's block
-// overrides it. A supply the floors would consume degrades to one
-// shared pool rather than failing or starving every account, and
-// without any admission plane there is no credit account at all.
+// draining plus every queue full. A supply the floors would consume
+// degrades to one shared pool rather than failing or starving every
+// account, and without any admission plane there is no credit account
+// at all.
 func (s *Scheduler) start(tenants []*Pipeline) error {
 	s.registerRanks()
-	bound, total, floor := s.cfg.QueueBound, 0, s.cfg.TenantReserve
+	bound, floor := s.cfg.QueueBound, s.cfg.TenantReserve
 	names := make([]string, len(tenants))
 	var accounts []string
 	armed := false
@@ -124,14 +124,12 @@ func (s *Scheduler) start(tenants []*Pipeline) error {
 				accounts = append(accounts, rt.name)
 			}
 		}
-		bound, total, floor = p.ov.QueueBound, p.ov.Credits, 1
+		bound, floor = p.ov.QueueBound, 1
 	}
 	s.ds.SetQueueBound(bound)
 	s.ds.SetTenants(names...)
 	if armed {
-		if total <= 0 {
-			total = max(s.cfg.MaxBuckets, s.cfg.Buckets) + len(tenants)*cmp.Or(max(bound, 0), 2)
-		}
+		total := max(s.cfg.MaxBuckets, s.cfg.Buckets) + len(tenants)*cmp.Or(max(bound, 0), 2)
 		reservations := make(map[string]int, len(accounts))
 		if floor*len(accounts) < total {
 			for _, a := range accounts {

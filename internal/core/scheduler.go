@@ -56,8 +56,8 @@ type TenantConfig struct {
 	// admission, a per-route circuit breaker, and the admission ladder
 	// (full → delta → quantized → shaped → in-situ → shed). Nil means
 	// defaults for a named tenant; the unnamed tenant then has no plane
-	// and submits every due step. Its QueueBound and Credits are read
-	// for the unnamed tenant only (see AddTenant).
+	// and submits every due step. Its QueueBound is read for the
+	// unnamed tenant only (see AddTenant).
 	Overload *overload.Config
 	// Codecs selects the default transfer-path codec per hybrid route:
 	// the key is an analysis name, with "*" as the fallback for routes

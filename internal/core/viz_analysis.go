@@ -12,31 +12,36 @@ import (
 // partial images are gathered to rank 0 and composited in visibility
 // order. The result (on rank 0) is the full-quality frame.
 type VizInSitu struct {
-	Var      string // scalar to render (default "T")
-	EveryN   int
-	Width    int
-	Height   int
-	Dir      [3]float64
-	TF       *render.TransferFunc
-	StepSize float64
+	Var    string // scalar to render (default "T")
+	EveryN int
+	Width  int
+	Height int
 	// Tag distinguishes multiple simultaneous instances ("multiple
 	// instances of each visualization mode can be dynamically created
 	// ... enabling scientists to explore different aspects ... in
 	// linked-views"); it is appended to the analysis name.
 	Tag string
 	// Cameras renders the step from an orbit of view directions
-	// (render.OrbitDirs) instead of the single Dir — the Cinema-style
-	// image database's camera axis. 0 or 1 renders the one Dir frame.
+	// (render.OrbitDirs) instead of the single render.DefaultDir — the
+	// Cinema-style image database's camera axis. 0 or 1 renders the one
+	// default frame.
 	Cameras int
 }
 
-// NewVizInSitu returns an in-situ renderer with sensible defaults for
-// the temperature field.
+// vizTF is the transfer function of every frame but an AutoRange
+// hybrid route's: a fixed window covering the proxy's temperature
+// range. It must be identical on every rank (a per-rank range would
+// break compositing); a TransferFunc is immutable, so all routes share
+// this one.
+var vizTF = render.HotMetal(0.2, 2.0)
+
+// vizStep is the ray-marching step, in grid points (in down-sampled
+// index space for the hybrid route).
+const vizStep = 0.5
+
+// NewVizInSitu returns an in-situ renderer of the temperature field.
 func NewVizInSitu(w, h int) *VizInSitu {
-	return &VizInSitu{
-		Var: "T", Width: w, Height: h,
-		Dir: [3]float64{0.45, 0.3, 1}, StepSize: 0.5,
-	}
+	return &VizInSitu{Var: "T", Width: w, Height: h}
 }
 
 // Name implements Analysis.
@@ -49,17 +54,6 @@ func (v *VizInSitu) Name() string {
 
 // Every implements Analysis.
 func (v *VizInSitu) Every() int { return v.EveryN }
-
-func (v *VizInSitu) renderer(global grid.Box, dir [3]float64) (*render.Renderer, error) {
-	tf := v.TF
-	if tf == nil {
-		// The default must be identical on every rank (a per-rank
-		// range would break compositing), so use a fixed window
-		// covering the proxy's temperature range.
-		tf = render.HotMetal(0.2, 2.0)
-	}
-	return render.NewRenderer(v.Width, v.Height, tf, dir, [3]float64{0, 1, 0}, v.StepSize, global)
-}
 
 // FrameVar implements FrameAnalysis: the store variable in-situ frames
 // are filed under.
@@ -88,7 +82,7 @@ func (v *VizInSitu) RunInSitu(ctx *Ctx) (any, error) {
 		return nil, fmt.Errorf("viz: unknown variable %q", name)
 	}
 	fs := &render.FrameSet{}
-	for i, dir := range cameraDirs(v.Cameras, v.Dir) {
+	for i, dir := range cameraDirs(v.Cameras) {
 		img, err := v.renderOne(ctx, f, dir)
 		if err != nil {
 			for _, fr := range fs.Frames {
@@ -107,12 +101,12 @@ func (v *VizInSitu) RunInSitu(ctx *Ctx) (any, error) {
 }
 
 // cameraDirs is the view directions a step renders from, in camera
-// order: the orbit when cameras > 1, else the one dir.
-func cameraDirs(cameras int, dir [3]float64) [][3]float64 {
+// order: the orbit when cameras > 1, else the default direction.
+func cameraDirs(cameras int) [][3]float64 {
 	if cameras > 1 {
 		return render.OrbitDirs(cameras)
 	}
-	return [][3]float64{dir}
+	return [][3]float64{render.DefaultDir}
 }
 
 // renderOne renders the step from one view direction: local block
@@ -121,7 +115,7 @@ func cameraDirs(cameras int, dir [3]float64) [][3]float64 {
 // in-process and no producer touches its partial after the gather, so
 // rank 0 owns all of them here.
 func (v *VizInSitu) renderOne(ctx *Ctx, f *grid.Field, dir [3]float64) (*render.Image, error) {
-	r, err := v.renderer(ctx.Global, dir)
+	r, err := render.NewRenderer(v.Width, v.Height, vizTF, dir, [3]float64{0, 1, 0}, vizStep, ctx.Global)
 	if err != nil {
 		return nil, err
 	}
@@ -148,14 +142,11 @@ func (v *VizInSitu) renderOne(ctx *Ctx, f *grid.Field, dir [3]float64) (*render.
 // in-transit stage builds the block lookup table and ray-casts the
 // down-sampled volume.
 type VizHybrid struct {
-	Var      string
-	EveryN   int
-	Factor   int // down-sampling factor (the paper uses 8)
-	Width    int
-	Height   int
-	Dir      [3]float64
-	TF       *render.TransferFunc
-	StepSize float64 // in down-sampled index space
+	Var    string
+	EveryN int
+	Factor int // down-sampling factor (the paper uses 8)
+	Width  int
+	Height int
 	// Tag distinguishes multiple simultaneous instances (linked
 	// views); it is appended to the analysis name.
 	Tag string
@@ -163,23 +154,20 @@ type VizHybrid struct {
 	// direction (render.OrbitDirs) in the in-transit stage. The staged
 	// payload is unchanged — the extra views cost only in-transit
 	// compute, which is the hybrid placement's whole point. 0 or 1
-	// renders the one Dir frame.
+	// renders the one default frame.
 	Cameras int
 	// AutoRange steers the transfer function per step: the in-transit
 	// stage frames HotMetal over the received blocks' global value
 	// range, so the rendering adapts as the flame evolves — the
 	// on-the-fly visualization-parameter steering a concurrent
-	// approach enables. Ignored when TF is set explicitly.
+	// approach enables.
 	AutoRange bool
 }
 
 // NewVizHybrid returns the hybrid renderer with the paper's 8x
 // down-sampling.
 func NewVizHybrid(w, h int, factor int) *VizHybrid {
-	return &VizHybrid{
-		Var: "T", Width: w, Height: h, Factor: factor,
-		Dir: [3]float64{0.45, 0.3, 1}, StepSize: 0.5,
-	}
+	return &VizHybrid{Var: "T", Width: w, Height: h, Factor: factor}
 }
 
 // Name implements Analysis.
@@ -253,11 +241,7 @@ func (v *VizHybrid) FrameVar() string {
 // blocks. The camera count carries over so a degraded step still fills
 // every cell of its image-database row.
 func (v *VizHybrid) RunFallback(ctx *Ctx) (any, error) {
-	in := &VizInSitu{
-		Var: v.Var, Width: v.Width, Height: v.Height,
-		Dir: v.Dir, TF: v.TF, StepSize: v.StepSize, Tag: v.Tag,
-		Cameras: v.Cameras,
-	}
+	in := &VizInSitu{Var: v.Var, Width: v.Width, Height: v.Height, Tag: v.Tag, Cameras: v.Cameras}
 	return in.RunInSitu(ctx)
 }
 
@@ -275,21 +259,17 @@ func (v *VizHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 			return nil, fmt.Errorf("viz: payload %d: %w", i, err)
 		}
 	}
-	tf := v.TF
-	if tf == nil {
-		if v.AutoRange {
-			lo, hi := bt.ValueRange()
-			if hi <= lo {
-				hi = lo + 1
-			}
-			tf = render.HotMetal(lo, hi)
-		} else {
-			tf = render.HotMetal(0.2, 2.0)
+	tf := vizTF
+	if v.AutoRange {
+		lo, hi := bt.ValueRange()
+		if hi <= lo {
+			hi = lo + 1
 		}
+		tf = render.HotMetal(lo, hi)
 	}
 	fs := &render.FrameSet{}
-	for i, dir := range cameraDirs(v.Cameras, v.Dir) {
-		r, err := render.NewRenderer(v.Width, v.Height, tf, dir, [3]float64{0, 1, 0}, v.StepSize, bt.Bounds())
+	for i, dir := range cameraDirs(v.Cameras) {
+		r, err := render.NewRenderer(v.Width, v.Height, tf, dir, [3]float64{0, 1, 0}, vizStep, bt.Bounds())
 		if err == nil {
 			var img *render.Image
 			img, err = r.RenderTable(bt)

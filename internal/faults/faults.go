@@ -157,10 +157,10 @@ type Config struct {
 	// SlowdownFactor multiplies the modeled duration of a
 	// bandwidth-collapsed transfer (default 10).
 	SlowdownFactor float64
-	// TimeoutDelay is the modeled stall before a timed-out transfer
-	// fails (default 500µs).
-	TimeoutDelay time.Duration
 }
+
+// timeoutDelay is the modeled stall before a timed-out transfer fails.
+const timeoutDelay = 500 * time.Microsecond
 
 // Decision is the injector's verdict for one transfer attempt.
 type Decision struct {
@@ -206,9 +206,6 @@ func New(cfg Config) *Injector {
 	}
 	if cfg.SlowdownFactor <= 1 {
 		cfg.SlowdownFactor = 10
-	}
-	if cfg.TimeoutDelay <= 0 {
-		cfg.TimeoutDelay = 500 * time.Microsecond
 	}
 	return &Injector{rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
 }
@@ -266,7 +263,7 @@ func (inj *Injector) decideLocked(idx, from, to, path, size int) Decision {
 	case u < r.Drop:
 		return Decision{Kind: Drop}
 	case u < r.Drop+r.Timeout:
-		return Decision{Kind: Timeout, Delay: inj.cfg.TimeoutDelay}
+		return Decision{Kind: Timeout, Delay: timeoutDelay}
 	case u < r.Drop+r.Timeout+r.Corrupt:
 		if size <= 0 {
 			return Decision{Kind: None}

@@ -140,7 +140,7 @@ func triplesTree(ids []int64, vals map[int64]float64, downs map[int64]int64) *Tr
 
 // refGlue is Glue on the reference builder: the same declaration,
 // k-way edge merge, watermark and sweep schedule.
-func refGlue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, bool) {
+func refGlue(subtrees []*Subtree, opts GlueOptions, sweepEvery int) (*Tree, StreamStats, bool) {
 	b := &refBuilder{nodes: map[int64]*refNode{}}
 	if !opts.Evict {
 		for _, st := range subtrees {
@@ -159,7 +159,6 @@ func refGlue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, bool) {
 		}
 		return b.finish()
 	}
-	sweepEvery := opts.SweepEvery
 	if sweepEvery <= 0 {
 		sweepEvery = 4096
 	}
@@ -376,8 +375,13 @@ func TestArrayEngineMatchesPointerEngine(t *testing.T) {
 			}
 			subtrees = append(subtrees, st)
 		}
-		for _, opts := range []GlueOptions{{}, {Evict: true}, {Evict: true, SweepEvery: 1 + rng.Intn(40)}} {
-			want, wantStats, ok := refGlue(subtrees, opts)
+		for _, c := range []struct {
+			opts       GlueOptions
+			sweepEvery int
+		}{{}, {opts: GlueOptions{Evict: true}}, {opts: GlueOptions{Evict: true}, sweepEvery: 1 + rng.Intn(40)}} {
+			opts := c.opts
+			b.sweepEvery = c.sweepEvery
+			want, wantStats, ok := refGlue(subtrees, opts, c.sweepEvery)
 			if !ok {
 				t.Fatalf("trial %d %+v: reference glue failed", trial, opts)
 			}

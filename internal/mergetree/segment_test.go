@@ -185,7 +185,7 @@ func checkDistributedProperty(t *testing.T, policy BoundaryPolicy) {
 			}
 			subtrees = append(subtrees, st)
 		}
-		glued, _, err := Glue(subtrees, GlueOptions{Evict: seed%2 == 0, SweepEvery: 32})
+		glued, _, err := (&Builder{sweepEvery: 32}).Glue(subtrees, GlueOptions{Evict: seed%2 == 0})
 		if err != nil {
 			return false
 		}

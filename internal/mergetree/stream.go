@@ -57,6 +57,11 @@ type Builder struct {
 	open    []int    // Glue's cursors with edges left
 	rank    []int32  // Finish: slot -> node
 	tree    Tree     // Finish's product, reused
+
+	// sweepEvery triggers an eviction sweep in Glue after this many
+	// edges in addition to watermark advances (0 means 4096; the
+	// package's stress tests sweep far more often).
+	sweepEvery int
 }
 
 // Reset empties the builder for a new aggregation, keeping its memory.
@@ -238,9 +243,6 @@ type GlueOptions struct {
 	// Evict enables memory-bounded streaming with the sorted-edge
 	// protocol. With eviction off, edges may be processed in any order.
 	Evict bool
-	// SweepEvery triggers an eviction sweep after this many edges
-	// (default 4096) in addition to watermark advances.
-	SweepEvery int
 }
 
 // Glue aggregates the reduced subtrees of all blocks into the global
@@ -312,7 +314,7 @@ func (b *Builder) Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStat
 	// down to L, so shared vertices accumulate their full degree
 	// before their first edge and the resident set tracks the sweep
 	// front instead of the whole tree.
-	sweepEvery := opts.SweepEvery
+	sweepEvery := b.sweepEvery
 	if sweepEvery <= 0 {
 		sweepEvery = 4096
 	}

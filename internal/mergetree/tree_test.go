@@ -208,7 +208,7 @@ func glueFromDecomp(t *testing.T, f *grid.Field, px, py, pz int, policy Boundary
 		}
 		subtrees = append(subtrees, st2)
 	}
-	glued, _, err := Glue(subtrees, GlueOptions{Evict: evict, SweepEvery: 64})
+	glued, _, err := (&Builder{sweepEvery: 64}).Glue(subtrees, GlueOptions{Evict: evict})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestStreamingEvictionBoundsMemory(t *testing.T) {
 		}
 		subtrees = append(subtrees, st)
 	}
-	_, stats, err := Glue(subtrees, GlueOptions{Evict: true, SweepEvery: 128})
+	_, stats, err := (&Builder{sweepEvery: 128}).Glue(subtrees, GlueOptions{Evict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

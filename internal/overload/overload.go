@@ -430,12 +430,10 @@ type Config struct {
 	Ladder LadderConfig
 	// QueueBound bounds the DataSpaces task-queue depth: submissions
 	// past it fail with ErrQueueFull and the step sheds (default 8).
+	// It also sizes the credit supply: buckets + QueueBound, the most
+	// work the transit tier can hold, of which each hybrid analysis
+	// reserves one, so one slow analysis cannot starve the others.
 	QueueBound int
-	// Credits overrides the total credit supply; 0 means
-	// buckets + QueueBound, the most work the transit tier can hold.
-	// Each hybrid analysis reserves one of them, so one slow analysis
-	// cannot starve the others.
-	Credits int
 	// ProbeLatencyMax fails a half-open probe that answers slower than
 	// this even when it succeeds, so a browned-out (slow but alive)
 	// staging tier does not close the breaker (default 5ms).

@@ -306,6 +306,15 @@ func (c *Config) Validate() error {
 		if c.Store != nil {
 			fail("store", fmt.Errorf("%w: the image store is single-tenant only", ErrConflictingParams))
 		}
+		if m := c.Fabric.MaxBuckets; m < 0 || (m > 0 && m < c.TransitBuckets()) {
+			fail("fabric.max_buckets", fmt.Errorf("%w: bucket cap %d is negative or below fabric.buckets %d", ErrBadParam, m, c.TransitBuckets()))
+		}
+		if c.Fabric.TenantReserve < 0 {
+			fail("fabric.tenant_reserve", fmt.Errorf("%w: negative credit floor %d", ErrBadParam, c.Fabric.TenantReserve))
+		}
+		if c.Fabric.QueueBound < 0 {
+			fail("fabric.queue_bound", fmt.Errorf("%w: negative queue bound %d", ErrBadParam, c.Fabric.QueueBound))
+		}
 	}
 
 	if c.Fabric.DSServers < 0 {

@@ -14,10 +14,20 @@ import (
 // declarative pipeline can be wrong maps to one typed sentinel error,
 // matchable with errors.Is through the ValidationError wrapping.
 func TestParseConfigMalformed(t *testing.T) {
+	// two is a fabric block with two one-analysis tenants, where the
+	// scheduler's knobs apply.
+	two := func(fabric string) string {
+		return `{"fabric": ` + fabric + `, "tenants": [
+			{"name": "a", "sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+			 "analyses": [{"analysis": "stats", "placement": "hybrid"}]},
+			{"name": "b", "sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+			 "analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`
+	}
 	cases := []struct {
 		name string
 		src  string
 		want error
+		path string // the failing key, where the case checks it
 	}{
 		{
 			name: "unknown analysis",
@@ -130,6 +140,30 @@ func TestParseConfigMalformed(t *testing.T) {
 				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
 			want: registry.ErrConflictingParams,
 		},
+		{
+			name: "bucket cap below the resolved bucket count",
+			src:  two(`{"max_buckets": 2}`),
+			want: registry.ErrBadParam,
+			path: "fabric.max_buckets",
+		},
+		{
+			name: "negative bucket cap",
+			src:  two(`{"max_buckets": -1}`),
+			want: registry.ErrBadParam,
+			path: "fabric.max_buckets",
+		},
+		{
+			name: "negative tenant reserve",
+			src:  two(`{"tenant_reserve": -1}`),
+			want: registry.ErrBadParam,
+			path: "fabric.tenant_reserve",
+		},
+		{
+			name: "negative queue bound",
+			src:  two(`{"queue_bound": -1}`),
+			want: registry.ErrBadParam,
+			path: "fabric.queue_bound",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,6 +173,10 @@ func TestParseConfigMalformed(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("error = %v, want errors.Is %v", err, tc.want)
+			}
+			var verr *registry.ValidationError
+			if tc.path != "" && (!errors.As(err, &verr) || verr.Path != tc.path) {
+				t.Fatalf("error = %v, want a ValidationError at %s", err, tc.path)
 			}
 		})
 	}

@@ -57,7 +57,7 @@ func (rk *Rank) Restore(step int, fields []*grid.Field) error {
 	if sub == 0 {
 		sub = 1
 	}
-	tLast := (float64(step-1) + float64(sub-1)/float64(sub)) * rk.sim.cfg.Dt
+	tLast := (float64(step-1) + float64(sub-1)/float64(sub)) * rk.sim.phys.dt
 	rk.fillVelocity(tLast)
 	rk.updateN2()
 	return nil

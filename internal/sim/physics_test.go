@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"insitu/internal/comm"
@@ -12,11 +13,11 @@ import (
 // average).
 func TestJetVelocityProfile(t *testing.T) {
 	cfg := smallConfig(1, 1, 1)
-	cfg.TurbAmp = 0 // isolate the mean profile
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.phys.turbAmp = 0 // isolate the mean profile
 	d := cfg.Global.Dims()
 	cy, cz := float64(d[1])/2, float64(d[2])/2
 	uCore, _, _ := s.velocity(5, cy, cz, 0)
@@ -24,11 +25,11 @@ func TestJetVelocityProfile(t *testing.T) {
 	if uCore <= uEdge {
 		t.Fatalf("jet core (%g) must be faster than coflow (%g)", uCore, uEdge)
 	}
-	if uEdge < cfg.CoflowV*0.9 {
+	if uEdge < s.phys.coflowV*0.9 {
 		t.Fatalf("coflow velocity too small: %g", uEdge)
 	}
-	if diff := uCore - cfg.JetVelocity; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("centerline velocity %g != configured %g", uCore, cfg.JetVelocity)
+	if diff := uCore - s.phys.jetVelocity; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("centerline velocity %g != configured %g", uCore, s.phys.jetVelocity)
 	}
 }
 
@@ -40,15 +41,16 @@ func TestTurbulenceBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := New(func() Config { c := cfg; c.TurbAmp = 0; return c }())
+	base, _ := New(cfg)
+	base.phys.turbAmp = 0
 	for i := 0; i < 200; i++ {
 		x, y, z := float64(i%24), float64((i*7)%12), float64((i*3)%8)
 		tt := float64(i) * 0.37
 		u1, v1, w1 := s.velocity(x, y, z, tt)
 		u0, v0, w0 := base.velocity(x, y, z, tt)
 		for _, dv := range []float64{u1 - u0, v1 - v0, w1 - w0} {
-			if dv > cfg.TurbAmp+1e-12 || dv < -cfg.TurbAmp-1e-12 {
-				t.Fatalf("turbulent component %g exceeds bound %g", dv, cfg.TurbAmp)
+			if dv > s.phys.turbAmp+1e-12 || dv < -s.phys.turbAmp-1e-12 {
+				t.Fatalf("turbulent component %g exceeds bound %g", dv, s.phys.turbAmp)
 			}
 		}
 	}
@@ -168,5 +170,29 @@ func TestPressureField(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPhysicsIsStable: the fixed physics keeps the explicit scheme
+// stable at any SubSteps >= 1 (the worst case is one substep of the
+// whole dt). Upwind advection-diffusion needs dt*(|u|+|v|+|w|) + 6 D dt
+// <= 1, kept at 0.9; the turbulence adds at most turbAmp per component
+// (TestTurbulenceBounded). Diffusion alone needs D dt <= 1/6, and a
+// kernel must live at least one step. A retune that breaks any of these
+// fails here.
+func TestPhysicsIsStable(t *testing.T) {
+	ph := proxyPhysics
+	if ph.dt <= 0 {
+		t.Fatalf("time step %g must be positive", ph.dt)
+	}
+	vmax := math.Abs(ph.jetVelocity) + 3*ph.turbAmp
+	if cfl := ph.dt*vmax + 6*ph.diffusivity*ph.dt; cfl > 0.9 {
+		t.Fatalf("CFL violation: dt=%g with velocity bound %g gives %g > 0.9", ph.dt, vmax, cfl)
+	}
+	if ph.diffusivity*ph.dt > 1.0/6 {
+		t.Fatalf("diffusive stability violated: D*dt=%g > 1/6", ph.diffusivity*ph.dt)
+	}
+	if KernelLifetime < 1 {
+		t.Fatalf("kernel lifetime %d must be >= 1", KernelLifetime)
 	}
 }

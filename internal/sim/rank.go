@@ -251,7 +251,7 @@ func clampI(v, lo, hi int) int {
 // cells are written: until the step's fullExchange rewrites it, a fresh
 // field's ghost shell holds another variable's stale values.
 func (rk *Rank) advanceScalars(dt float64) {
-	cfg := rk.sim.cfg
+	ph := rk.sim.phys
 	u, v, w := rk.fields["u"], rk.fields["v"], rk.fields["w"]
 	for _, name := range advected {
 		f := rk.fields[name]
@@ -285,7 +285,7 @@ func (rk *Rank) advanceScalars(dt float64) {
 						adv += ww * (zp - c)
 					}
 					lap := xm + xp + ym + yp + zm + zp - 6*c
-					out.Set(i, j, k, c+dt*(-adv+cfg.Diffusivity*lap))
+					out.Set(i, j, k, c+dt*(-adv+ph.diffusivity*lap))
 				}
 			}
 		}
@@ -299,7 +299,7 @@ func (rk *Rank) advanceScalars(dt float64) {
 // minor radicals as fast intermediates relaxing toward the reaction
 // rate.
 func (rk *Rank) react(dt float64) {
-	cfg := rk.sim.cfg
+	ph := rk.sim.phys
 	T := rk.fields["T"]
 	h2 := rk.fields["Y_H2"]
 	o2 := rk.fields["Y_O2"]
@@ -314,7 +314,7 @@ func (rk *Rank) react(dt float64) {
 			for i := rk.owned.Lo[0]; i < rk.owned.Hi[0]; i++ {
 				t := T.At(i, j, k)
 				yh2, yo2 := h2.At(i, j, k), o2.At(i, j, k)
-				rate := cfg.ReactA * yh2 * yo2 * math.Exp(-cfg.ReactTa/math.Max(t, 0.05))
+				rate := ph.reactA * yh2 * yo2 * math.Exp(-ph.reactTa/math.Max(t, 0.05))
 				c := rate * dt
 				if c > yh2 {
 					c = yh2
@@ -325,7 +325,7 @@ func (rk *Rank) react(dt float64) {
 				h2.Set(i, j, k, yh2-c)
 				o2.Set(i, j, k, yo2-8*c)
 				h2o.Set(i, j, k, h2o.At(i, j, k)+9*c)
-				T.Set(i, j, k, t+cfg.HeatRelease*c)
+				T.Set(i, j, k, t+ph.heatRelease*c)
 				oh.Set(i, j, k, oh.At(i, j, k)+0.30*c-0.5*dt*oh.At(i, j, k))
 				ho2.Set(i, j, k, ho2.At(i, j, k)+0.10*c-0.8*dt*ho2.At(i, j, k))
 				h2o2.Set(i, j, k, h2o2.At(i, j, k)+0.05*c-0.3*dt*h2o2.At(i, j, k))
@@ -347,11 +347,11 @@ func (rk *Rank) injectKernels(step int) {
 
 // injectOne applies a single kernel's source at the given step.
 func (rk *Rank) injectOne(kn Kernel, step int) {
-	cfg := rk.sim.cfg
+	ph := rk.sim.phys
 	T := rk.fields["T"]
 	oh := rk.fields["Y_OH"]
 	age := step - kn.Birth
-	shape := math.Sin(math.Pi * (float64(age) + 0.5) / float64(cfg.KernelLifetime))
+	shape := math.Sin(math.Pi * (float64(age) + 0.5) / KernelLifetime)
 	// Only touch points within 3 radii.
 	r3 := 3 * kn.Radius
 	lo := [3]int{int(kn.X - r3), int(kn.Y - r3), int(kn.Z - r3)}
@@ -365,7 +365,7 @@ func (rk *Rank) injectOne(kn Kernel, step int) {
 	// (hot spot with elevated radicals) rather than adding heat
 	// unboundedly: overlapping kernels then saturate instead of
 	// stacking, keeping temperatures physical.
-	tTarget := cfg.CoflowT + kn.Amp
+	tTarget := ph.coflowT + kn.Amp
 	const relaxRate = 2.0
 	for k := box.Lo[2]; k < box.Hi[2]; k++ {
 		for j := box.Lo[1]; j < box.Hi[1]; j++ {
@@ -374,7 +374,7 @@ func (rk *Rank) injectOne(kn Kernel, step int) {
 				dy := float64(j) - kn.Y
 				dz := float64(k) - kn.Z
 				g := math.Exp(-(dx*dx + dy*dy + dz*dz) / s2)
-				r := relaxRate * shape * g * cfg.Dt
+				r := relaxRate * shape * g * ph.dt
 				if r > 1 {
 					r = 1
 				}
@@ -432,9 +432,9 @@ func (rk *Rank) Step() {
 	if sub == 0 {
 		sub = 1
 	}
-	dtSub := cfg.Dt / float64(sub)
+	dtSub := rk.sim.phys.dt / float64(sub)
 	for s := 0; s < sub; s++ {
-		t := (float64(rk.step) + float64(s)/float64(sub)) * cfg.Dt
+		t := (float64(rk.step) + float64(s)/float64(sub)) * rk.sim.phys.dt
 		rk.fillVelocity(t)
 		rk.advanceScalars(dtSub)
 		rk.react(dtSub)

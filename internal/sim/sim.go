@@ -37,13 +37,13 @@ var VarNames = []string{
 // velocity and pressure are prescribed analytically.
 var advected = []string{"T", "Y_H2", "Y_O2", "Y_H2O", "Y_OH", "Y_HO2", "Y_H2O2", "Y_H", "Y_O"}
 
-// Config holds the proxy's physical and numerical parameters.
+// Config holds what a run varies: the grid, its decomposition, the
+// chemistry cost per step and the ignition-kernel rate. The physics is
+// fixed (see physics).
 type Config struct {
 	Global     grid.Box // global grid
 	Px, Py, Pz int      // domain decomposition
 
-	Dt          float64 // time step (grid spacing is 1)
-	Diffusivity float64 // scalar diffusivity
 	// SubSteps subdivides each Step into explicit sub-iterations of
 	// dt/SubSteps (default 1). S3D advances with many small RK
 	// substeps dominated by chemistry; raising SubSteps reproduces
@@ -51,62 +51,83 @@ type Config struct {
 	// the paper's Table II keep their shape.
 	SubSteps int
 
-	// Jet parameters: the jet flows in +x, centered in (y,z).
-	JetVelocity float64 // centerline velocity
-	CoflowV     float64 // coflow velocity
-	JetRadius   float64 // jet half-width in grid points
-	CoflowT     float64 // heated-coflow temperature
-	FuelT       float64 // cold fuel temperature
-
-	// Turbulence: amplitude and number of vortical modes.
-	TurbAmp   float64
-	TurbModes int
-
-	// Single-step H2 chemistry.
-	ReactA      float64 // pre-exponential factor
-	ReactTa     float64 // activation temperature
-	HeatRelease float64 // temperature rise per unit reaction
-
-	// Ignition kernels.
-	KernelRate     float64 // expected births per step
-	KernelLifetime int     // steps a kernel persists
-	KernelAmp      float64 // peak temperature bump
-	KernelRadius   float64 // gaussian radius in grid points
+	// KernelRate is the expected number of ignition kernels born per
+	// step.
+	KernelRate float64
 
 	Seed int64
 }
 
-// DefaultConfig returns parameters tuned for laptop-scale grids: a
-// lifted jet with visible flame-base intermittency.
+// KernelLifetime is the number of steps an ignition kernel persists.
+const KernelLifetime = 10
+
+// physics holds the proxy's physical and numerical parameters, tuned
+// for laptop-scale grids: a lifted jet with visible flame-base
+// intermittency. They are run-time values rather than untyped
+// constants so that expressions over them (jetVelocity-coflowV, ...)
+// round as they are written. Each Sim keeps its own copy.
+type physics struct {
+	dt          float64 // time step (grid spacing is 1)
+	diffusivity float64 // scalar diffusivity
+
+	// Jet parameters: the jet flows in +x, centered in (y,z).
+	jetVelocity float64 // centerline velocity
+	coflowV     float64 // coflow velocity
+	jetRadius   float64 // jet half-width in grid points (a sixth of the y extent)
+	coflowT     float64 // heated-coflow temperature
+	fuelT       float64 // cold fuel temperature
+
+	// Turbulence: amplitude and number of vortical modes.
+	turbAmp   float64
+	turbModes int
+
+	// Single-step H2 chemistry.
+	reactA      float64 // pre-exponential factor
+	reactTa     float64 // activation temperature
+	heatRelease float64 // temperature rise per unit reaction
+
+	// Ignition kernels.
+	kernelAmp    float64 // peak temperature bump
+	kernelRadius float64 // gaussian radius in grid points
+}
+
+// proxyPhysics is every run's physics but the grid-derived jetRadius.
+// Upwind stability needs dt*(|u|+|v|+|w|) + 6 D dt <= 1 at any
+// SubSteps >= 1, where the turbulence adds at most turbAmp per
+// component; TestPhysicsIsStable holds these values to it.
+var proxyPhysics = physics{
+	dt:           0.2,
+	diffusivity:  0.08,
+	jetVelocity:  1.2,
+	coflowV:      0.3,
+	coflowT:      0.65,
+	fuelT:        0.3,
+	turbAmp:      0.35,
+	turbModes:    5,
+	reactA:       4.0,
+	reactTa:      6.0,
+	heatRelease:  2.2,
+	kernelAmp:    1.1,
+	kernelRadius: 2.5,
+}
+
+// DefaultConfig returns a run of the given grid and decomposition with
+// the default kernel rate and seed.
 func DefaultConfig(global grid.Box, px, py, pz int) Config {
 	return Config{
-		Global:         global,
-		Px:             px,
-		Py:             py,
-		Pz:             pz,
-		Dt:             0.2,
-		Diffusivity:    0.08,
-		JetVelocity:    1.2,
-		CoflowV:        0.3,
-		JetRadius:      float64(global.Dims()[1]) / 6,
-		CoflowT:        0.65,
-		FuelT:          0.3,
-		TurbAmp:        0.35,
-		TurbModes:      5,
-		ReactA:         4.0,
-		ReactTa:        6.0,
-		HeatRelease:    2.2,
-		KernelRate:     0.4,
-		KernelLifetime: 10,
-		KernelAmp:      1.1,
-		KernelRadius:   2.5,
-		Seed:           1,
+		Global:     global,
+		Px:         px,
+		Py:         py,
+		Pz:         pz,
+		KernelRate: 0.4,
+		Seed:       1,
 	}
 }
 
 // Sim is the shared, immutable description of one simulation run.
 type Sim struct {
 	cfg   Config
+	phys  physics
 	dc    *grid.Decomp
 	modes []turbMode
 }
@@ -122,41 +143,22 @@ type turbMode struct {
 // New validates the configuration and precomputes the turbulence
 // modes.
 func New(cfg Config) (*Sim, error) {
-	if cfg.Dt <= 0 {
-		return nil, fmt.Errorf("sim: time step must be positive")
-	}
 	if cfg.SubSteps < 0 {
 		return nil, fmt.Errorf("sim: SubSteps must be >= 0 (0 means 1)")
-	}
-	sub := cfg.SubSteps
-	if sub == 0 {
-		sub = 1
-	}
-	dtSub := cfg.Dt / float64(sub)
-	// Upwind stability needs dt*(|u|+|v|+|w|) + 6 D dt <= 1; the
-	// turbulence adds at most TurbAmp per component.
-	vmax := math.Abs(cfg.JetVelocity) + 3*cfg.TurbAmp
-	if dtSub*vmax+6*cfg.Diffusivity*dtSub > 0.9 {
-		return nil, fmt.Errorf("sim: CFL violation: dt=%g too large for velocity bound %g",
-			dtSub, vmax)
-	}
-	if cfg.Diffusivity*cfg.Dt > 1.0/6 {
-		return nil, fmt.Errorf("sim: diffusive stability violated: D*dt=%g > 1/6", cfg.Diffusivity*cfg.Dt)
-	}
-	if cfg.KernelLifetime < 1 {
-		return nil, fmt.Errorf("sim: kernel lifetime must be >= 1")
 	}
 	dc, err := grid.NewDecomp(cfg.Global, cfg.Px, cfg.Py, cfg.Pz)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim{cfg: cfg, dc: dc}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	s := &Sim{cfg: cfg, phys: proxyPhysics, dc: dc}
 	d := cfg.Global.Dims()
+	s.phys.jetRadius = float64(d[1]) / 6
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Per-mode amplitudes are bounded to [-1,1] and normalized by the
 	// mode count at evaluation, so the total turbulent velocity never
-	// exceeds TurbAmp per component — keeping the CFL check honest.
-	for m := 0; m < cfg.TurbModes; m++ {
+	// exceeds turbAmp per component — the bound the stability
+	// condition assumes.
+	for m := 0; m < s.phys.turbModes; m++ {
 		k := [3]float64{
 			2 * math.Pi * float64(1+rng.Intn(3)) / float64(d[0]),
 			2 * math.Pi * float64(1+rng.Intn(3)) / float64(max(d[1], 2)),
@@ -217,10 +219,10 @@ func (s *Sim) appendKernelsBorn(out []Kernel, rng *rand.Rand, step int) []Kernel
 			// Flame base: 15-30% downstream.
 			X: (0.15 + 0.15*rng.Float64()) * float64(d[0]),
 			// Within the jet shear layer.
-			Y:      float64(d[1])/2 + (rng.Float64()-0.5)*2*s.cfg.JetRadius,
-			Z:      float64(d[2])/2 + (rng.Float64()-0.5)*2*s.cfg.JetRadius,
-			Amp:    s.cfg.KernelAmp * (0.7 + 0.6*rng.Float64()),
-			Radius: s.cfg.KernelRadius * (0.8 + 0.4*rng.Float64()),
+			Y:      float64(d[1])/2 + (rng.Float64()-0.5)*2*s.phys.jetRadius,
+			Z:      float64(d[2])/2 + (rng.Float64()-0.5)*2*s.phys.jetRadius,
+			Amp:    s.phys.kernelAmp * (0.7 + 0.6*rng.Float64()),
+			Radius: s.phys.kernelRadius * (0.8 + 0.4*rng.Float64()),
 		})
 	}
 	return out
@@ -235,7 +237,7 @@ func (s *Sim) ActiveKernels(step int) []Kernel {
 // drawing them from rng (reseeded per birth step). A rank passes its
 // own generator and buffer, so a step builds neither.
 func (s *Sim) appendActiveKernels(out []Kernel, rng *rand.Rand, step int) []Kernel {
-	for b := max(step-s.cfg.KernelLifetime+1, 0); b <= step; b++ {
+	for b := max(step-KernelLifetime+1, 0); b <= step; b++ {
 		out = s.appendKernelsBorn(out, rng, b)
 	}
 	return out
@@ -246,12 +248,12 @@ func (s *Sim) appendActiveKernels(out []Kernel, rng *rand.Rand, step int) []Kern
 func (s *Sim) velocity(x, y, z, t float64) (u, v, w float64) {
 	d := s.cfg.Global.Dims()
 	cy, cz := float64(d[1])/2, float64(d[2])/2
-	r2 := ((y-cy)*(y-cy) + (z-cz)*(z-cz)) / (s.cfg.JetRadius * s.cfg.JetRadius)
-	u = s.cfg.CoflowV + (s.cfg.JetVelocity-s.cfg.CoflowV)*math.Exp(-r2)
+	r2 := ((y-cy)*(y-cy) + (z-cz)*(z-cz)) / (s.phys.jetRadius * s.phys.jetRadius)
+	u = s.phys.coflowV + (s.phys.jetVelocity-s.phys.coflowV)*math.Exp(-r2)
 	if len(s.modes) == 0 {
 		return
 	}
-	amp := s.cfg.TurbAmp / float64(len(s.modes))
+	amp := s.phys.turbAmp / float64(len(s.modes))
 	for _, m := range s.modes {
 		ph := m.kx*x + m.ky*y + m.kz*z + m.phase + m.omega*t
 		u += amp * m.ax * math.Sin(ph)
@@ -266,7 +268,7 @@ func (s *Sim) velocity(x, y, z, t float64) (u, v, w float64) {
 func (s *Sim) inflowJet(y, z float64) float64 {
 	d := s.cfg.Global.Dims()
 	cy, cz := float64(d[1])/2, float64(d[2])/2
-	r2 := ((y-cy)*(y-cy) + (z-cz)*(z-cz)) / (s.cfg.JetRadius * s.cfg.JetRadius)
+	r2 := ((y-cy)*(y-cy) + (z-cz)*(z-cz)) / (s.phys.jetRadius * s.phys.jetRadius)
 	return math.Exp(-r2)
 }
 
@@ -275,7 +277,7 @@ func (s *Sim) inflowJet(y, z float64) float64 {
 func (s *Sim) inflow(name string, jet float64) float64 {
 	switch name {
 	case "T":
-		return s.cfg.FuelT*jet + s.cfg.CoflowT*(1-jet)
+		return s.phys.fuelT*jet + s.phys.coflowT*(1-jet)
 	case "Y_H2":
 		return 0.9 * jet
 	case "Y_O2":

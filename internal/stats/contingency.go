@@ -232,12 +232,7 @@ func (c *Contingency) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-// Marshal serializes the table.
-func (c *Contingency) Marshal() []byte {
-	return c.AppendMarshal(make([]byte, 0, c.MarshalSize()))
-}
-
-// UnmarshalContingency reverses Marshal. The bin counts are bounded
+// UnmarshalContingency reverses AppendMarshal. The bin counts are bounded
 // against the bytes that follow them by division, so no pair of counts
 // can overflow their product into a table the payload does not hold.
 func UnmarshalContingency(p []byte) (*Contingency, error) {

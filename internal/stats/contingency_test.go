@@ -151,7 +151,7 @@ func TestContingencyMarshalRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Update(rng.NormFloat64(), rng.Float64()*2)
 	}
-	got, err := UnmarshalContingency(c.Marshal())
+	got, err := UnmarshalContingency(c.AppendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestContingencyMarshalRoundTrip(t *testing.T) {
 	if _, err := UnmarshalContingency(nil); err == nil {
 		t.Fatal("empty payload must error")
 	}
-	if _, err := UnmarshalContingency(c.Marshal()[:40]); !errors.Is(err, ErrCorruptPayload) {
+	if _, err := UnmarshalContingency(c.AppendMarshal(nil)[:40]); !errors.Is(err, ErrCorruptPayload) {
 		t.Fatalf("truncated payload: error %v, want ErrCorruptPayload", err)
 	}
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -73,16 +72,14 @@ func (c *Covariance) Corr() float64 {
 // covWireSize is the encoded size of one Covariance record.
 const covWireSize = 6 * 8
 
-// Marshal serializes the accumulator.
-func (c *Covariance) Marshal() []byte {
-	out := make([]byte, covWireSize)
-	binary.LittleEndian.PutUint64(out, uint64(c.N))
-	off := 8
-	for _, v := range []float64{c.MeanX, c.MeanY, c.M2X, c.M2Y, c.CXY} {
-		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(v))
-		off += 8
+// appendMarshal appends the accumulator's covWireSize-byte encoding
+// to dst.
+func (c *Covariance) appendMarshal(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.N))
+	for _, v := range [...]float64{c.MeanX, c.MeanY, c.M2X, c.M2Y, c.CXY} {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 	}
-	return out
+	return dst
 }
 
 // UnmarshalCovariance reconstructs an accumulator.
@@ -209,19 +206,20 @@ func (a *AutoCorrelator) Corr() []float64 {
 	return out
 }
 
-// Marshal serializes the per-lag accumulators (ring buffers are local
-// state and are not shipped).
-func (a *AutoCorrelator) Marshal() []byte {
-	var buf bytes.Buffer
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(a.Lags)))
-	buf.Write(b4[:])
+// MarshalSize returns the exact encoded size of the accumulators.
+func (a *AutoCorrelator) MarshalSize() int { return 4 + len(a.Lags)*(4+covWireSize) }
+
+// AppendMarshal appends the per-lag accumulators' encoding to dst and
+// returns the extended slice (ring buffers are local state and are not
+// shipped); with MarshalSize bytes of room in dst the pack is
+// allocation-free.
+func (a *AutoCorrelator) AppendMarshal(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(a.Lags)))
 	for i, l := range a.Lags {
-		binary.LittleEndian.PutUint32(b4[:], uint32(l))
-		buf.Write(b4[:])
-		buf.Write(a.accs[i].Marshal())
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(l))
+		dst = a.accs[i].appendMarshal(dst)
 	}
-	return buf.Bytes()
+	return dst
 }
 
 // UnmarshalAutoCorrelator reconstructs the shipped accumulators.

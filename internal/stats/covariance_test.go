@@ -103,7 +103,7 @@ func TestCovarianceMarshalRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Update(float64(i), float64(i*i))
 	}
-	got, err := UnmarshalCovariance(c.Marshal())
+	got, err := UnmarshalCovariance(c.appendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAutoCorrelatorCombineAndMarshal(t *testing.T) {
 	if a.Acc(0).N != 199*2 {
 		t.Fatalf("combined count wrong: %d", a.Acc(0).N)
 	}
-	got, err := UnmarshalAutoCorrelator(a.Marshal())
+	got, err := UnmarshalAutoCorrelator(a.AppendMarshal(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func FuzzUnmarshalPayloads(f *testing.F) {
 	for i := 0; i < 20; i++ {
 		c.Update(float64(i)/10-1, float64(i%7)/3)
 	}
-	f.Add(c.Marshal())
+	f.Add(c.AppendMarshal(nil))
 	// 56 bytes declaring 4 x 2^62 cells, whose product wraps to zero,
 	// and one observation, so Derive sizes its marginals by the bins.
 	hostile := make([]byte, 7*8)
@@ -44,7 +44,7 @@ func FuzzUnmarshalPayloads(f *testing.F) {
 	for i := 0; i < 10; i++ {
 		cv.Update(float64(i), math.Sqrt(float64(i)))
 	}
-	f.Add(cv.Marshal())
+	f.Add(cv.appendMarshal(nil))
 
 	ac, err := NewAutoCorrelator(1, 3)
 	if err != nil {
@@ -53,7 +53,7 @@ func FuzzUnmarshalPayloads(f *testing.F) {
 	for step := 0; step < 5; step++ {
 		ac.Push([]float64{float64(step), float64(step * step), 1})
 	}
-	f.Add(ac.Marshal())
+	f.Add(ac.AppendMarshal(nil))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, p []byte) {
@@ -94,15 +94,15 @@ func FuzzUnmarshalPayloads(f *testing.F) {
 		}
 		if c, err := UnmarshalContingency(p); typed("contingency", err) {
 			c.Derive()
-			roundTrip("contingency", c.Marshal())
+			roundTrip("contingency", c.AppendMarshal(nil))
 		}
 		if cv, err := UnmarshalCovariance(p); typed("covariance", err) {
 			cv.Corr()
-			roundTrip("covariance", cv.Marshal())
+			roundTrip("covariance", cv.appendMarshal(nil))
 		}
 		if ac, err := UnmarshalAutoCorrelator(p); typed("autocorrelator", err) {
 			ac.Corr()
-			roundTrip("autocorrelator", ac.Marshal())
+			roundTrip("autocorrelator", ac.AppendMarshal(nil))
 		}
 	})
 }

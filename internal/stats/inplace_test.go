@@ -80,7 +80,7 @@ func TestContingencyInPlaceIsTheCopy(t *testing.T) {
 		if err := got.UpdateBoxParallel(fx, fy, owned); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+		if !bytes.Equal(got.AppendMarshal(nil), want.AppendMarshal(nil)) {
 			t.Errorf("%v: the table binned in place differs from the table of the copies", owned)
 		}
 	}

@@ -97,7 +97,7 @@ func RunFig1(simCfg sim.Config, steps int, threshold float64, cadences []int) (*
 		}
 	}
 
-	res := &Fig1Result{Steps: steps, KernelLifetime: simCfg.KernelLifetime, Threshold: threshold}
+	res := &Fig1Result{Steps: steps, KernelLifetime: sim.KernelLifetime, Threshold: threshold}
 	for _, c := range cadences {
 		if c < 1 {
 			return nil, fmt.Errorf("workload: cadence must be >= 1, got %d", c)
@@ -112,7 +112,7 @@ func RunFig1(simCfg sim.Config, steps int, threshold float64, cadences []int) (*
 		// inside its lifetime.
 		for _, k := range kernels {
 			for _, st := range sampled {
-				if st >= k.Birth && st < k.Birth+simCfg.KernelLifetime {
+				if st >= k.Birth && st < k.Birth+sim.KernelLifetime {
 					row.KernelsCaptured++
 					break
 				}

@@ -9,7 +9,8 @@
 // ratios preserved: the 9440-core configuration doubles the x-split of
 // the simulation decomposition exactly as the paper does (16x28x10 ->
 // 32x28x10), halving each rank's block, while the I/O rows are
-// regenerated through the calibrated Lustre model (bp.JaguarLustre).
+// regenerated through the calibrated Lustre model (bp.LustreReadTime
+// and bp.LustreWriteTime).
 package workload
 
 import (

@@ -87,10 +87,9 @@ func RunTableI(sc Scenario, steps int, dir string) (*TableIRow, error) {
 	row.MeasuredRead = time.Since(rStart)
 
 	// Paper-scale I/O through the Lustre model.
-	m := bp.JaguarLustre()
 	paperBytes := int64(sc.Paper.DataGB * 1e9)
-	row.ModeledPaperRead = m.ReadTime(paperBytes, sc.Paper.SimRanks)
-	row.ModeledPaperWrite = m.WriteTime(paperBytes, sc.Paper.SimRanks)
+	row.ModeledPaperRead = bp.LustreReadTime(paperBytes, sc.Paper.SimRanks)
+	row.ModeledPaperWrite = bp.LustreWriteTime(paperBytes, sc.Paper.SimRanks)
 	return row, nil
 }
 

@@ -16,12 +16,14 @@ import (
 // path (polling latest.json with a remembered ETag, the live-dashboard
 // pattern) with cold random walks over the database's spec cells.
 type ViewerConfig struct {
-	Viewers  int           // concurrent pollers
-	Requests int           // requests per viewer
-	Seed     int64         // per-viewer streams derive from Seed+index
-	HotFrac  float64       // probability a request polls latest.json (default 0.5)
-	Timeout  time.Duration // per-request timeout (default 10s)
+	Viewers  int     // concurrent pollers
+	Requests int     // requests per viewer
+	Seed     int64   // per-viewer streams derive from Seed+index
+	HotFrac  float64 // probability a request polls latest.json (default 0.5)
 }
+
+// viewerTimeout bounds each viewer request.
+const viewerTimeout = 10 * time.Second
 
 // ViewerStats aggregates the fleet's outcome: request counters and the
 // latency distribution the serving tier is benchmarked on.
@@ -66,9 +68,6 @@ func RunViewers(base string, cfg ViewerConfig) (ViewerStats, error) {
 	if cfg.HotFrac <= 0 || cfg.HotFrac > 1 {
 		cfg.HotFrac = 0.5
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
 
 	// One transport sized for the fleet: per-viewer clients would
 	// benchmark connection setup, not the serving tier.
@@ -77,7 +76,7 @@ func RunViewers(base string, cfg ViewerConfig) (ViewerStats, error) {
 		MaxIdleConnsPerHost: cfg.Viewers,
 	}
 	defer tr.CloseIdleConnections()
-	client := &http.Client{Transport: tr, Timeout: cfg.Timeout}
+	client := &http.Client{Transport: tr, Timeout: viewerTimeout}
 
 	specs, err := fetchSpecs(client, base)
 	if err != nil {

@@ -3,7 +3,6 @@ package workload
 import (
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"insitu/internal/imagestore"
 	"insitu/internal/render"
@@ -112,7 +111,7 @@ func TestRunViewersServerGone(t *testing.T) {
 	ts := httptest.NewServer(nil)
 	url := ts.URL
 	ts.Close()
-	if _, err := RunViewers(url, ViewerConfig{Viewers: 1, Requests: 1, Timeout: time.Second}); err == nil {
+	if _, err := RunViewers(url, ViewerConfig{Viewers: 1, Requests: 1}); err == nil {
 		t.Fatal("expected an error when the tier is unreachable")
 	}
 }
