@@ -55,7 +55,11 @@ func (c *ContingencyHybrid) params() (string, string, int, int, [2]float64, [2]f
 	return vx, vy, xb, yb, xr, yr
 }
 
-// InSituStage implements HybridAnalysis: the communication-free learn.
+const contingencyTableKey = "contingency.table"
+
+// InSituStage implements HybridAnalysis: the communication-free learn,
+// into the rank's table in Ctx.State (Reset first), packed into a
+// pooled buffer.
 func (c *ContingencyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	vx, vy, xb, yb, xr, yr := c.params()
 	fx := ctx.Sim.GhostedField(vx)
@@ -63,10 +67,15 @@ func (c *ContingencyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	if fx == nil || fy == nil {
 		return nil, fmt.Errorf("contingency: unknown variable %q or %q", vx, vy)
 	}
-	tab, err := stats.NewContingency(xr[0], xr[1], xb, yr[0], yr[1], yb)
-	if err != nil {
-		return nil, err
+	tab, ok := ctx.State[contingencyTableKey].(*stats.Contingency)
+	if !ok {
+		var err error
+		if tab, err = stats.NewContingency(xr[0], xr[1], xb, yr[0], yr[1], yb); err != nil {
+			return nil, err
+		}
+		ctx.State[contingencyTableKey] = tab
 	}
+	tab.Reset()
 	if err := tab.UpdateBoxParallel(fx, fy, ctx.Owned); err != nil {
 		return nil, err
 	}

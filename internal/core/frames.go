@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/render"
 )
 
@@ -30,8 +31,8 @@ type FrameSink interface {
 type digestSink struct{}
 
 func (digestSink) PutFrames(_ string, _ int, frames []render.Frame) ([]string, error) {
-	buf := pngBufs.get()
-	defer func() { pngBufs.put(buf) }()
+	buf := pngBufs.Get()
+	defer func() { pngBufs.Put(buf) }()
 	digests := make([]string, len(frames))
 	for i, fr := range frames {
 		var err error
@@ -46,7 +47,7 @@ func (digestSink) PutFrames(_ string, _ int, frames []render.Frame) ([]string, e
 
 // pngBufs holds the digest sink's idle encode buffers, at most as many
 // as frame sets were ever hashed at once.
-var pngBufs freeList[[]byte]
+var pngBufs bufpool.List[[]byte]
 
 // FrameRef is what a rendered frame becomes in Report.Results: the
 // Cinema spec the frame was filed under plus its content digest. The

@@ -47,16 +47,17 @@ func driveInSitu(t testing.TB, steps int, each func(ctx *Ctx, step int)) {
 // returns, per stage and step, the bytes and objects that stage
 // allocated on both ranks, and the size of one rank's block.
 //
-// The measurement is the same on every step of every run. Two
-// collections before the first step empty the buffer pool, and the
-// payloads are dropped rather than put back, so every pooled Get misses
-// on every step. (Under -race, sync.Pool drops a quarter of all Puts at
-// random, so a pool that holds buffers hits on some steps and misses on
-// others.) A missed Get allocates one buffer of its class, a power of
-// two the allocator accounts exactly, so each rank's cap(payload) is
-// taken off the stage's bytes: what is left is what the stage itself
-// allocates. The collector is off while the ranks run, and they run on
-// one P: a collection empties the runtime's caches of blocked-goroutine
+// Each payload goes back to the buffer pool once every stage of the
+// step has been measured, as the pipeline recycles it after the pull.
+// Before the first step every class up to 64 KiB is given one idle
+// buffer per payload a step can hold, the slack a running pipeline's
+// pool keeps: a stage whose payload changes class (the subtree shrinks
+// as the field smooths) then takes no buffer another stage's payload
+// came back in, and each stage's count is its own. The pool's free
+// lists never drop a buffer at a collection, so the measurement is the
+// same on every run, under -race too. The
+// collector is off while the ranks run, and they run on one P: a
+// collection empties the runtime's caches of blocked-goroutine
 // records, and with two Ps those records drift from one P's cache to
 // the other's, so a barrier would allocate one now and then. (The
 // worker pool keeps the width it was sized to at start-up.)
@@ -66,11 +67,18 @@ func inSituStageAllocs(t *testing.T, steps int, stages []hybridStage) (allocByte
 		allocBytes[i], allocObjs[i] = make([]uint64, steps+1), make([]uint64, steps+1)
 	}
 	var m0, m1 runtime.MemStats
-	var payloadCap [2]uint64 // [rank]
+	payloads := [2][][]byte{make([][]byte, len(stages)), make([][]byte, len(stages))} // [rank][stage]
+	for n := 256; n <= 64<<10; n *= 2 {
+		spare := make([][]byte, 2*len(stages))
+		for i := range spare {
+			spare[i] = bufpool.Get(n)
+		}
+		for _, b := range spare {
+			bufpool.Put(b)
+		}
+	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	runtime.GC()
 	driveInSitu(t, steps, func(ctx *Ctx, step int) {
 		rank0 := ctx.Comm.ID() == 0
 		if rank0 {
@@ -85,21 +93,25 @@ func inSituStageAllocs(t *testing.T, steps int, stages []hybridStage) (allocByte
 			if err != nil {
 				t.Error(err)
 			}
-			payloadCap[ctx.Comm.ID()] = uint64(cap(payload))
+			payloads[ctx.Comm.ID()][i] = payload
 			ctx.Comm.Barrier()
 			if rank0 {
 				runtime.ReadMemStats(&m1)
-				allocBytes[i][step] = m1.TotalAlloc - m0.TotalAlloc - payloadCap[0] - payloadCap[1]
+				allocBytes[i][step] = m1.TotalAlloc - m0.TotalAlloc
 				allocObjs[i][step] = m1.Mallocs - m0.Mallocs
 			}
+		}
+		ctx.Comm.Barrier()
+		for _, p := range payloads[ctx.Comm.ID()] {
+			bufpool.Put(p)
 		}
 	})
 	return allocBytes, allocObjs, blockBytes
 }
 
 // TestInSituStagesAllocateFlat is the O(1) guard of the in-situ read
-// path: the hybrid stats, topology, viz and auto-correlation stages of
-// both ranks together allocate, besides their payloads, no more around
+// path: the hybrid stats, topology, viz, auto-correlation and
+// contingency stages of both ranks together allocate no more around
 // step 30 than around step 5 (at most 1.25x), and less than one copy of
 // one rank's block — they read the simulation's memory, they do not
 // extract it. Before, the statistics stage alone copied 14 blocks per
@@ -110,16 +122,18 @@ func inSituStageAllocs(t *testing.T, steps int, stages []hybridStage) (allocByte
 // a window (steps 3-12 and 23-32), so a stage that copies on one step
 // and another stage that copies on the next still fail.
 //
-// Once warm, the statistics and auto-correlation stages allocate
-// exactly their payload buffers, one object a rank on every step: the
-// statistics stage learns into the rank's model in Ctx.State (before,
-// it built a model, an accumulator per variable and a payload every
-// step, some 30 objects a rank), and the auto-correlation stage packs
-// its accumulators straight into the pooled buffer (before, a
-// bytes.Buffer and a slice per lag, 4 objects on two ranks).
+// Once warm, the statistics, auto-correlation and contingency stages
+// allocate nothing at all: the statistics stage learns into the rank's
+// model in Ctx.State (before, it built a model, an accumulator per
+// variable and a payload every step, some 30 objects a rank), the
+// auto-correlation stage packs its accumulators straight into the
+// pooled buffer (before, a bytes.Buffer and a slice per lag, 4 objects
+// on two ranks), the contingency stage bins into the rank's table in
+// Ctx.State (before, a table every step, 4 objects on two ranks), and
+// each payload buffer is the one the last payload came back in.
 func TestInSituStagesAllocateFlat(t *testing.T) {
 	const steps = 32
-	stages := []hybridStage{&StatsHybrid{}, NewTopologyHybrid(), NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8), &AutoCorrHybrid{Lags: []int{1, 2}}}
+	stages := []hybridStage{&StatsHybrid{}, NewTopologyHybrid(), NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8), &AutoCorrHybrid{Lags: []int{1, 2}}, &ContingencyHybrid{}}
 	allocBytes, allocObjs, blockBytes := inSituStageAllocs(t, steps, stages)
 	totals := make([]uint64, steps+1) // [step], all stages
 	for i := range stages {
@@ -134,10 +148,10 @@ func TestInSituStagesAllocateFlat(t *testing.T) {
 	if float64(late) > 1.25*float64(early) {
 		t.Errorf("in-situ stages allocate %d B around step 30, %d B around step 5: the cost of a step grows", late, early)
 	}
-	for _, i := range []int{0, 4} {
+	for _, i := range []int{0, 4, 5} {
 		for step, objs := range allocObjs[i][3:] {
-			if objs != 2 {
-				t.Errorf("the warm %s stage allocates %d objects at step %d on two ranks, want 2 (one payload buffer a rank)", stages[i].Name(), objs, step+3)
+			if objs != 0 {
+				t.Errorf("the warm %s stage allocates %d objects at step %d on two ranks, want 0", stages[i].Name(), objs, step+3)
 			}
 		}
 	}

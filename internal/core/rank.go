@@ -274,7 +274,6 @@ func (rr *rankRun) reduceEncodeRegister(i, step int) bool {
 		Tenant:  p.tenant,
 		Name:    rt.name,
 		Version: step,
-		Box:     rr.rk.OwnedBox(),
 		Rank:    r.ID(),
 		Handle:  h,
 	})

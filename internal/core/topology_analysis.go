@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"insitu/internal/bufpool"
 	"insitu/internal/grid"
@@ -148,44 +147,16 @@ type transitScratch struct {
 // transitScratches holds the idle transit scratches: at most as many
 // as in-transit tasks have ever run at once in the process, which the
 // staging buckets bound.
-var transitScratches freeList[*transitScratch]
+var transitScratches bufpool.List[*transitScratch]
 
 func getTransitScratch() *transitScratch {
-	if ts := transitScratches.get(); ts != nil {
+	if ts := transitScratches.Get(); ts != nil {
 		return ts
 	}
 	return new(transitScratch)
 }
 
-func putTransitScratch(ts *transitScratch) { transitScratches.put(ts) }
-
-// freeList is a mutex-guarded stack of idle objects. Unlike a sync.Pool
-// it never drops one at a collection (nor, under -race, at random), so
-// the allocation guards' counts repeat; it holds at most as many as
-// were ever in use at once.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	idle []T
-}
-
-// get pops the most recently put object, or returns T's zero value
-// when none is idle.
-func (l *freeList[T]) get() T {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var v T
-	if n := len(l.idle); n > 0 {
-		v = l.idle[n-1]
-		l.idle = l.idle[:n-1]
-	}
-	return v
-}
-
-func (l *freeList[T]) put(v T) {
-	l.mu.Lock()
-	l.idle = append(l.idle, v)
-	l.mu.Unlock()
-}
+func putTransitScratch(ts *transitScratch) { transitScratches.Put(ts) }
 
 // subtrees returns n subtrees to decode into, reusing the ones decoded
 // before.

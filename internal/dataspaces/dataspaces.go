@@ -25,17 +25,15 @@ import (
 	"time"
 
 	"insitu/internal/dart"
-	"insitu/internal/grid"
 	"insitu/internal/obs"
 )
 
 // Descriptor names one RDMA-enabled data block produced by an in-situ
-// stage: which analysis produced it, for which timestep, covering which
-// region, and the DART handle a bucket can pull it with.
+// stage: which analysis produced it, for which timestep, on which rank,
+// and the DART handle a bucket can pull it with.
 type Descriptor struct {
 	Name    string         // variable or intermediate-product name
 	Version int            // simulation timestep
-	Box     grid.Box       // spatial region covered
 	Rank    int            // producing simulation rank
 	Handle  dart.MemHandle // where the bytes live
 	// Tenant scopes the descriptor to one pipeline in a multi-tenant

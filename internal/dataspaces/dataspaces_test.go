@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"insitu/internal/dart"
-	"insitu/internal/grid"
 	"insitu/internal/netsim"
 )
 
@@ -25,10 +24,8 @@ func newService(t *testing.T, servers int) *Service {
 
 func TestPutQuery(t *testing.T) {
 	s := newService(t, 4)
-	d1 := Descriptor{Name: "subtree", Version: 3, Rank: 0,
-		Box: grid.NewBox(4, 4, 4)}
-	d2 := Descriptor{Name: "subtree", Version: 3, Rank: 1,
-		Box: grid.Box{Lo: [3]int{4, 0, 0}, Hi: [3]int{8, 4, 4}}}
+	d1 := Descriptor{Name: "subtree", Version: 3, Rank: 0}
+	d2 := Descriptor{Name: "subtree", Version: 3, Rank: 1}
 	s.Put(d1)
 	s.Put(d2)
 	got := s.QueryT("", "subtree", 3)
@@ -112,16 +109,16 @@ func TestBucketReadyBlocksUntilTask(t *testing.T) {
 // instead of doubling the task's inputs.
 func TestPutReplacesSameRank(t *testing.T) {
 	s := newService(t, 2)
-	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 0, Box: grid.NewBox(4, 4, 4)})
-	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 1, Box: grid.NewBox(4, 4, 4)})
+	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 0, Handle: dart.MemHandle{Region: 1}})
+	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 1, Handle: dart.MemHandle{Region: 2}})
 	// Replay of rank 0's registration with a new handle.
-	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 0, Box: grid.NewBox(8, 4, 4)})
+	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 0, Handle: dart.MemHandle{Region: 3}})
 	got := s.QueryT("", "viz", 7)
 	if len(got) != 2 {
 		t.Fatalf("want 2 descriptors after replayed Put, got %d", len(got))
 	}
 	for _, d := range got {
-		if d.Rank == 0 && d.Box != grid.NewBox(8, 4, 4) {
+		if d.Rank == 0 && d.Handle.Region != 3 {
 			t.Fatalf("rank 0 descriptor not replaced: %+v", d)
 		}
 	}

@@ -1,8 +1,10 @@
 package render
 
 import (
-	"sync"
+	"slices"
 	"sync/atomic"
+
+	"insitu/internal/bufpool"
 )
 
 // Framebuffer pool: every render allocates its *Image here, so
@@ -16,42 +18,25 @@ import (
 // it, and ImagesOutstanding lets leak gates assert that the Get/Put
 // ledger balances.
 //
-// Unlike a sync.Pool the idle list never drops a frame at a
-// collection (nor, under -race, at random), so a run's allocation does
-// not depend on how many collections fall inside it; it holds at most
-// as many frames as were ever outstanding at once in the process.
+// The idle frames wait on a bufpool.List, which no collection empties
+// and which holds at most as many frames as were ever outstanding at
+// once in the process.
 var (
-	imgIdle struct {
-		sync.Mutex
-		list []*Image
-	}
+	imgIdle        bufpool.List[*Image]
 	imgOutstanding atomic.Int64
 )
 
-// GetImage returns a transparent (zeroed) framebuffer, reusing an idle
-// buffer when the most recently recycled one has sufficient capacity.
+// GetImage returns a transparent (zeroed) framebuffer, reusing the most
+// recently recycled one and growing its pixels when they are too few.
 func GetImage(w, h int) *Image {
 	imgOutstanding.Add(1)
-	n := 4 * w * h
-	if im := popIdleImage(); im != nil && cap(im.Pix) >= n {
-		im.W, im.H = w, h
-		im.Pix = im.Pix[:n]
-		clear(im.Pix)
-		return im
+	im := imgIdle.Get()
+	if im == nil {
+		im = new(Image)
 	}
-	return &Image{W: w, H: h, Pix: make([]float64, n)}
-}
-
-func popIdleImage() *Image {
-	imgIdle.Lock()
-	defer imgIdle.Unlock()
-	n := len(imgIdle.list)
-	if n == 0 {
-		return nil
-	}
-	im := imgIdle.list[n-1]
-	imgIdle.list[n-1] = nil
-	imgIdle.list = imgIdle.list[:n-1]
+	im.W, im.H = w, h
+	im.Pix = slices.Grow(im.Pix[:0], 4*w*h)[:4*w*h]
+	clear(im.Pix)
 	return im
 }
 
@@ -62,9 +47,7 @@ func PutImage(im *Image) {
 		return
 	}
 	imgOutstanding.Add(-1)
-	imgIdle.Lock()
-	imgIdle.list = append(imgIdle.list, im)
-	imgIdle.Unlock()
+	imgIdle.Put(im)
 }
 
 // ImagesOutstanding returns GetImage calls minus PutImage calls — the

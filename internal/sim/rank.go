@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/comm"
 	"insitu/internal/grid"
 )
@@ -123,8 +123,8 @@ func exchangeTag(varIdx, axis, dir int) int {
 
 // haloSlabs recycles the face slabs fullExchange sends: the receiver
 // pastes a slab into its ghost layer and hands it back, so once the
-// pool holds slabs of a face's size an exchange allocates nothing.
-var haloSlabs = sync.Pool{New: func() any { return new(grid.Field) }}
+// list holds slabs of a face's size an exchange allocates nothing.
+var haloSlabs bufpool.List[*grid.Field]
 
 // fullExchange refreshes the complete one-point ghost shell of every
 // advected variable: faces, edges and corners. It proceeds axis by
@@ -159,7 +159,7 @@ func (rk *Rank) fullExchange() {
 				} else {
 					face.Lo[axis] = face.Hi[axis] - 1
 				}
-				rk.r.Send(nb, exchangeTag(vi, axis, dir), f.ExtractInto(face, haloSlabs.Get().(*grid.Field)))
+				rk.r.Send(nb, exchangeTag(vi, axis, dir), f.ExtractInto(face, haloSlabs.Get()))
 			}
 			for _, dir := range []int{-1, 1} {
 				nb := rk.sim.dc.FaceNeighbor(rk.r.ID(), axis, dir)

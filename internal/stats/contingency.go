@@ -42,6 +42,13 @@ func NewContingency(xlo, xhi float64, xbins int, ylo, yhi float64, ybins int) (*
 	}, nil
 }
 
+// Reset empties the table and keeps its binning and counts' storage, so
+// a table reused from step to step allocates nothing.
+func (c *Contingency) Reset() {
+	clear(c.Counts)
+	c.N = 0
+}
+
 func (c *Contingency) bin(v, lo, hi float64, bins int) int {
 	i := int(float64(bins) * (v - lo) / (hi - lo))
 	if i < 0 {
