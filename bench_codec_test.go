@@ -33,16 +33,18 @@ func benchEvolve(rng *rand.Rand, p []byte, off int) {
 }
 
 // benchCheckpointPayload marshals rank 0's full-resolution block — the
-// checkpoint-path payload shape.
-func benchCheckpointPayload(b *testing.B) ([]byte, int) {
+// checkpoint-path payload shape — and returns it with its float tail's
+// offset and the quantize spec the viz path gives it: the tail's shape,
+// at the default error bound.
+func benchCheckpointPayload(b *testing.B) ([]byte, int, codec.Spec) {
 	benchSetup(b)
 	block := benchField.Extract(benchDecomp.Block(0))
 	payload := block.Marshal()
-	off, ok := grid.FloatTailOffset(payload)
+	off, nx, ny, ok := grid.FloatTail(payload)
 	if !ok {
 		b.Fatal("checkpoint payload has no float tail")
 	}
-	return payload, off
+	return payload, off, codec.Spec{ID: codec.Quantize, NX: nx, NY: ny}
 }
 
 // BenchmarkCodecDeltaCheckpoint measures steady-state delta encoding
@@ -50,7 +52,7 @@ func benchCheckpointPayload(b *testing.B) ([]byte, int) {
 // x-compression is raw/encoded over the timed loop; reconstruction is
 // exact, so max-err is identically zero.
 func BenchmarkCodecDeltaCheckpoint(b *testing.B) {
-	payload, off := benchCheckpointPayload(b)
+	payload, off, _ := benchCheckpointPayload(b)
 	reg := codec.NewRegistry()
 	spec := codec.Spec{ID: codec.Delta}
 	key := codec.Key("checkpoint", 0)
@@ -87,9 +89,8 @@ func BenchmarkCodecDeltaCheckpoint(b *testing.B) {
 // range). Reports x-compression and the worst observed reconstruction
 // error across the run.
 func BenchmarkCodecQuantizeViz(b *testing.B) {
-	payload, off := benchCheckpointPayload(b)
+	payload, off, spec := benchCheckpointPayload(b)
 	reg := codec.NewRegistry()
-	spec := codec.Spec{ID: codec.Quantize}
 	key := codec.Key("viz", 0)
 	var raw, enc int64
 	maxErr := 0.0
@@ -118,12 +119,12 @@ func BenchmarkCodecQuantizeViz(b *testing.B) {
 // out. After warm-up the loop runs allocation-free (compare allocs/op
 // with BenchmarkPooledTransferGet, the identity reference).
 func BenchmarkCodecFramedGet(b *testing.B) {
-	payload, off := benchCheckpointPayload(b)
+	payload, off, spec := benchCheckpointPayload(b)
 	fabric := dart.NewFabric(netsim.New(netsim.Gemini()))
 	fabric.SetCodecs(codec.NewRegistry())
 	prod := fabric.Register("sim")
 	cons := fabric.Register("bucket")
-	er, err := prod.RegisterMemEncoded(codec.Spec{ID: codec.Quantize}, codec.Key("viz", 0), 0, payload, off)
+	er, err := prod.RegisterMemEncoded(spec, codec.Key("viz", 0), 0, payload, off)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,9 +16,11 @@
 //     the registry's base store), byte-plane shuffled and zero-run
 //     length encoded. Exact reconstruction; falls back to a
 //     self-contained literal frame when no usable base exists.
-//   - Quantize: bounded-error bit packing of the payload's float64
-//     tail under a per-field max-error knob; bytes before the tail
-//     travel verbatim. Falls back to literal on non-finite values.
+//   - Quantize: bounded-error quantization of the payload's float64
+//     tail under a per-field max-error knob; the levels travel as 3-D
+//     Lorenzo residuals packed in blocks of their own bit width, and
+//     bytes before the tail travel verbatim. Falls back to literal on
+//     non-finite values.
 //
 // All scratch, frame, and decode buffers come from internal/bufpool so
 // the steady-state encode/decode path allocates nothing.
@@ -42,7 +44,7 @@ const (
 	Identity ID = iota
 	// Delta encodes against the previous version's payload.
 	Delta
-	// Quantize bit-packs the float64 tail under an error bound.
+	// Quantize packs the float64 tail's levels under an error bound.
 	Quantize
 
 	// NumIDs is the number of codec IDs, for per-codec instrument
@@ -70,6 +72,11 @@ type Spec struct {
 	// float. Zero selects DefaultRelError times the payload's value
 	// range, recomputed per payload.
 	MaxError float64
+	// NX and NY are the x and y extents of the float tail, which runs x
+	// fastest, then y, then z: Quantize predicts each value from its
+	// neighbours along all three. The caller sets them per payload;
+	// both zero means unknown, and the tail is then one row.
+	NX, NY int
 }
 
 const (
@@ -118,7 +125,7 @@ var (
 const (
 	magic0       = 0xDC
 	magic1       = 0xF0
-	frameVersion = 1
+	frameVersion = 2
 	headerSize   = 12
 )
 
@@ -201,6 +208,31 @@ func (r *Registry) Decode(frame []byte) ([]byte, ID, error) {
 // keeps ownership.
 func (r *Registry) SeedBase(key string, version int, raw []byte) {
 	r.bases.put(key, version, raw)
+}
+
+// ReleaseBases hands every retained base payload back to bufpool and
+// empties the base store. Call it once no frame will be encoded or
+// decoded against a base again: a scheduler's one run has drained.
+func (r *Registry) ReleaseBases() {
+	r.bases.mu.Lock()
+	defer r.bases.mu.Unlock()
+	for _, entries := range r.bases.m {
+		for _, e := range entries {
+			bufpool.Put(e.buf)
+		}
+	}
+	clear(r.bases.m)
+}
+
+// Bases returns how many base payloads the store retains.
+func (r *Registry) Bases() int {
+	r.bases.mu.Lock()
+	defer r.bases.mu.Unlock()
+	n := 0
+	for _, entries := range r.bases.m {
+		n += len(entries)
+	}
+	return n
 }
 
 // splitFrame validates the header and returns (id, rawSize, meta,

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"insitu/internal/bufpool"
 )
 
 // fieldLike builds a payload shaped like a grid.Field marshal: a small
@@ -378,6 +380,100 @@ func TestDecodeTypedErrors(t *testing.T) {
 			t.Errorf("%s: decode = %v, want %v", tc.name, err, tc.want)
 		}
 	}
+
+	// The residual stream's own defects, on a shaped 4x4x4 frame and on
+	// hand-packed ones.
+	res, err = r.Encode(Spec{ID: Quantize, NX: 4, NY: 4}, "k", 2, p, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shaped := append([]byte(nil), res.Frame...)
+	meta := headerSize
+	stream := headerSize + quantMetaLen + 16
+	nbits := int(shaped[meta+5])
+	setWidth := func(width int) func([]byte) []byte {
+		return func(f []byte) []byte {
+			f[stream] = f[stream]&^(predictedFlag-1) | byte(width)
+			return f
+		}
+	}
+	setShape := func(nx, ny uint32) func([]byte) []byte {
+		return func(f []byte) []byte {
+			binary.LittleEndian.PutUint32(f[meta+22:], nx)
+			binary.LittleEndian.PutUint32(f[meta+26:], ny)
+			return f
+		}
+	}
+	streamCases := []struct {
+		name string
+		mut  func([]byte) []byte
+		want error
+	}{
+		{"width-over-bits", setWidth(nbits + 1), ErrBadMeta},
+		{"width-over-bits+4", setWidth(nbits + 5), ErrBadMeta},
+		{"width-63", setWidth(63), ErrBadMeta},
+		{"ends-mid-block", func(f []byte) []byte { return f[:stream+2] }, ErrTruncated},
+		{"ends-before-header", func(f []byte) []byte { return f[:stream] }, ErrTruncated},
+		{"trailing-bytes", func(f []byte) []byte { return append(f, 0) }, ErrSizeMismatch},
+		{"shape-not-dividing", setShape(3, 4), ErrBadMeta},
+		{"shape-zero", setShape(0, 4), ErrBadMeta},
+		{"shape-overflow", setShape(math.MaxUint32, math.MaxUint32), ErrBadMeta},
+		{"shape-beyond-count", setShape(128, 1), ErrBadMeta},
+		{"residual-level-high", func([]byte) []byte {
+			return packedFrame(4, 16, 1, 16, func(w *bitWriter) {
+				w.write(4|predictedFlag, blockHeaderBits)
+				for i := 0; i < 16; i++ {
+					w.write(14, 4) // zigzag 14: +7 on the previous level, 21 by the third
+				}
+			})
+		}, ErrBadMeta},
+		{"residual-level-negative", func([]byte) []byte {
+			return packedFrame(4, 16, 1, 16, func(w *bitWriter) {
+				w.write(1|predictedFlag, blockHeaderBits)
+				w.write(1, 1) // zigzag 1: residual -1 against a prediction of 0
+				for i := 1; i < 16; i++ {
+					w.write(0, 1)
+				}
+			})
+		}, ErrBadMeta},
+	}
+	for _, tc := range streamCases {
+		f := tc.mut(append([]byte(nil), shaped...))
+		if _, _, err := r.Decode(f); !errors.Is(err, tc.want) {
+			t.Errorf("%s: decode = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	// The hand packer itself makes decodable frames.
+	ok := packedFrame(4, 16, 1, 16, func(w *bitWriter) {
+		w.write(4, blockHeaderBits)
+		for i := 0; i < 16; i++ {
+			w.write(uint64(i), 4)
+		}
+	})
+	if _, _, err := r.Decode(ok); err != nil {
+		t.Fatalf("hand-packed frame: %v", err)
+	}
+}
+
+// packedFrame builds a packed quantize frame of count levels with no
+// bytes before the tail, grid [0, 1] in 2^nbits levels, whose stream
+// fill writes.
+func packedFrame(nbits, nx, ny, count int, fill func(*bitWriter)) []byte {
+	w := bitWriter{buf: make([]byte, 8*count+8)}
+	fill(&w)
+	n := w.finish()
+	f := make([]byte, headerSize+quantMetaLen+n)
+	f[0], f[1], f[2], f[3] = magic0, magic1, frameVersion, byte(Quantize)
+	binary.LittleEndian.PutUint32(f[4:8], uint32(8*count))
+	binary.LittleEndian.PutUint32(f[8:12], quantMetaLen)
+	meta := f[headerSize:]
+	meta[0] = quantPacked
+	meta[5] = byte(nbits)
+	binary.LittleEndian.PutUint64(meta[14:22], math.Float64bits(1/float64(uint64(1)<<nbits-1)))
+	binary.LittleEndian.PutUint32(meta[22:26], uint32(nx))
+	binary.LittleEndian.PutUint32(meta[26:30], uint32(ny))
+	copy(f[headerSize+quantMetaLen:], w.buf[:n])
+	return f
 }
 
 // TestStoreRetention: the base store keeps the newest baseRetention
@@ -435,6 +531,259 @@ func TestRLEZeroRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(out, src) {
 			t.Fatalf("shape %d: round trip broken", i)
+		}
+	}
+}
+
+// oracleQuantize is the fixed-width packer the residual stream
+// replaced, kept as the reference: the same grid (origin, step, bits)
+// and levels, every level written in bits bits, LSB-first, after the
+// verbatim header bytes. It returns that frame and the reported error;
+// all payloads it is given are finite and need at most 32 bits.
+func oracleQuantize(spec Spec, raw []byte, floatOff int) ([]byte, float64) {
+	count := (len(raw) - floatOff) / 8
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := 0; i < count; i++ {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[floatOff+8*i:]))
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	rng := hi - lo
+	maxErr := spec.MaxError
+	if maxErr <= 0 {
+		maxErr = DefaultRelError * rng
+	}
+	nbits := 1
+	for ; nbits <= maxQuantBits; nbits++ {
+		if levels := float64(uint64(1)<<uint(nbits) - 1); rng == 0 || rng/levels/2 <= maxErr {
+			break
+		}
+	}
+	levels := uint64(1)<<uint(nbits) - 1
+	step := 0.0
+	if rng > 0 {
+		step = rng / float64(levels)
+	}
+	frame := make([]byte, 22+floatOff+(count*nbits+7)/8)
+	frame[5] = byte(nbits)
+	binary.LittleEndian.PutUint32(frame[1:5], uint32(floatOff))
+	binary.LittleEndian.PutUint64(frame[6:14], math.Float64bits(lo))
+	binary.LittleEndian.PutUint64(frame[14:22], math.Float64bits(step))
+	copy(frame[22:], raw[:floatOff])
+	pk := frame[22+floatOff:]
+	var acc uint64
+	accBits, out := 0, 0
+	actualErr := 0.0
+	for i := 0; i < count; i++ {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[floatOff+8*i:]))
+		var q uint64
+		if step > 0 {
+			q = min(uint64(math.Round((v-lo)/step)), levels)
+		}
+		actualErr = math.Max(actualErr, math.Abs(v-(lo+float64(q)*step)))
+		acc |= q << uint(accBits)
+		for accBits += nbits; accBits >= 8; accBits -= 8 {
+			pk[out] = byte(acc)
+			out++
+			acc >>= 8
+		}
+	}
+	if accBits > 0 {
+		pk[out] = byte(acc)
+	}
+	return frame, actualErr
+}
+
+// oracleUnquantize decodes oracleQuantize's frame of a rawSize payload.
+func oracleUnquantize(frame []byte, rawSize int) []byte {
+	floatOff := int(binary.LittleEndian.Uint32(frame[1:5]))
+	nbits := int(frame[5])
+	lo := math.Float64frombits(binary.LittleEndian.Uint64(frame[6:14]))
+	step := math.Float64frombits(binary.LittleEndian.Uint64(frame[14:22]))
+	raw := make([]byte, rawSize)
+	copy(raw, frame[22:22+floatOff])
+	pk := frame[22+floatOff:]
+	mask := uint64(1)<<uint(nbits) - 1
+	var acc uint64
+	accBits, in := 0, 0
+	for i := 0; i < (rawSize-floatOff)/8; i++ {
+		for ; accBits < nbits; accBits += 8 {
+			acc |= uint64(pk[in]) << uint(accBits)
+			in++
+		}
+		q := acc & mask
+		acc >>= uint(nbits)
+		accBits -= nbits
+		binary.LittleEndian.PutUint64(raw[floatOff+8*i:], math.Float64bits(lo+float64(q)*step))
+	}
+	return raw
+}
+
+// TestQuantizeMatchesFixedWidthOracle: over shapes (a z column, an x
+// row, a y column, a box and an unknown shape), fields (constant,
+// smooth, white noise) and error bounds (the relative default, one bit,
+// 32 bits, a typical absolute bound), the residual decoder returns the
+// fixed-width oracle's bytes exactly and reports the same error; on
+// white noise the frame is at most the oracle's plus a 7-bit header per
+// block and the 8 bytes of shape.
+func TestQuantizeMatchesFixedWidthOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	r := NewRegistry()
+	shapes := []struct {
+		name       string
+		nx, ny, nz int
+		unknown    bool
+	}{
+		{"1x1xn", 1, 1, 300, false},
+		{"nx1x1", 300, 1, 1, false},
+		{"1xnx1", 1, 300, 1, false},
+		{"nxmxk", 9, 7, 5, false},
+		{"unknown", 11, 6, 4, true},
+	}
+	fields := map[string]func(x, y, z int) float64{
+		"constant": func(int, int, int) float64 { return -2.5 },
+		"smooth": func(x, y, z int) float64 {
+			return 300 + 40*math.Sin(float64(x)/4)*math.Cos(float64(y)/5) + 20*math.Sin(float64(y)/6) + 7*float64(z)
+		},
+		"noise": func(int, int, int) float64 { return rng.NormFloat64() },
+	}
+	bounds := map[string]func(rng float64) float64{
+		"default": func(float64) float64 { return 0 },
+		"1-bit":   func(r float64) float64 { return r },
+		"32-bit":  func(r float64) float64 { return r / float64(uint64(1)<<32-1) / 2 },
+		"1e-4":    func(float64) float64 { return 1e-4 },
+	}
+	for _, sh := range shapes {
+		for fname, gen := range fields {
+			for bname, bound := range bounds {
+				count := sh.nx * sh.ny * sh.nz
+				const header = 40
+				p := fieldLike(rng, header, count, func(i int) float64 {
+					return gen(i%sh.nx, i/sh.nx%sh.ny, i/(sh.nx*sh.ny))
+				})
+				lo, hi := math.Inf(1), math.Inf(-1)
+				for i := 0; i < count; i++ {
+					v := math.Float64frombits(binary.LittleEndian.Uint64(p[header+8*i:]))
+					lo, hi = math.Min(lo, v), math.Max(hi, v)
+				}
+				spec := Spec{ID: Quantize, MaxError: bound(hi - lo), NX: sh.nx, NY: sh.ny}
+				if sh.unknown {
+					spec.NX, spec.NY = 0, 0
+				}
+				name := sh.name + "/" + fname + "/" + bname
+				res, err := r.Encode(spec, "q", 1, p, header)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want, wantErr := oracleQuantize(spec, p, header)
+				if bname == "1-bit" && want[5] != 1 || bname == "32-bit" && hi > lo && want[5] != 32 {
+					t.Fatalf("%s: oracle packed %d bits", name, want[5])
+				}
+				got := decodeOK(t, r, res, Quantize)
+				if !bytes.Equal(got, oracleUnquantize(want, len(p))) {
+					t.Fatalf("%s: decoded bytes differ from the fixed-width oracle", name)
+				}
+				if res.MaxError != wantErr {
+					t.Fatalf("%s: max error %g, oracle %g", name, res.MaxError, wantErr)
+				}
+				oracleLen := headerSize + len(want)
+				if fname == "noise" {
+					blocks := (count + quantBlock - 1) / quantBlock
+					if limit := oracleLen + (blockHeaderBits*blocks+7)/8 + 8; len(res.Frame) > limit {
+						t.Fatalf("%s: noise frame %d bytes, over the oracle's %d plus headers and shape (%d)",
+							name, len(res.Frame), oracleLen, limit)
+					}
+				}
+				t.Logf("%-26s %6d -> %6d bytes (fixed width %6d)", name, len(p), len(res.Frame), oracleLen)
+			}
+		}
+	}
+}
+
+// TestQuantizePredictsAlongShape: on a smooth 3-D field the shaped
+// predictor packs smaller than one row of previous-value prediction,
+// and both pack smaller than fixed width.
+func TestQuantizePredictsAlongShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	r := NewRegistry()
+	const nx, ny, nz, header = 16, 32, 16, 76
+	p := fieldLike(rng, header, nx*ny*nz, func(i int) float64 {
+		x, y, z := float64(i%nx), float64(i/nx%ny), float64(i/(nx*ny))
+		return 900 + 300*math.Exp(-((x-8)*(x-8)+(y-16)*(y-16)+(z-8)*(z-8))/60)
+	})
+	size := func(nx, ny int) int {
+		res, err := r.Encode(Spec{ID: Quantize, MaxError: 1e-4, NX: nx, NY: ny}, "q", 1, p, header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Frame)
+	}
+	shaped, row := size(nx, ny), size(0, 0)
+	fixed, _ := oracleQuantize(Spec{ID: Quantize, MaxError: 1e-4}, p, header)
+	t.Logf("3-D %d, one row %d, fixed width %d bytes", shaped, row, headerSize+len(fixed))
+	if shaped >= row || row >= headerSize+len(fixed) {
+		t.Fatalf("3-D %d, one row %d, fixed width %d: want strictly smaller in that order", shaped, row, headerSize+len(fixed))
+	}
+}
+
+// TestQuantizeRoundTripAllocatesNothing: once warm, a quantize encode
+// and the decode of its frame draw every buffer from a pool.
+func TestQuantizeRoundTripAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	r := NewRegistry()
+	const nx, ny, nz, header = 16, 32, 16, 76
+	p := fieldLike(rng, header, nx*ny*nz, func(i int) float64 {
+		return math.Sin(float64(i%nx)/3) + math.Cos(float64(i/nx%ny)/4) + float64(i/(nx*ny))/8
+	})
+	spec := Spec{ID: Quantize, MaxError: 1e-4, NX: nx, NY: ny}
+	roundTrip := func() {
+		res, err := r.Encode(spec, "viz/0", 1, p, header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _, err := r.Decode(res.Frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufpool.Put(res.Frame)
+		bufpool.Put(raw)
+	}
+	roundTrip()
+	if n := testing.AllocsPerRun(20, roundTrip); n != 0 {
+		t.Fatalf("warm quantize encode+decode allocates %.1f times per round trip, want 0", n)
+	}
+}
+
+// TestReleaseBasesRecyclesEveryBase: ReleaseBases empties the base
+// store and hands each retained copy back to bufpool, so the next Gets
+// of that size take those very buffers instead of new ones.
+func TestReleaseBasesRecyclesEveryBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	r := NewRegistry()
+	p := fieldLike(rng, 24, 600, func(i int) float64 { return float64(i) })
+	for _, key := range []string{"a/0", "a/1", "b/0"} {
+		for v := 1; v <= 3; v++ {
+			if _, err := r.Encode(Spec{ID: Delta}, key, v, p, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := r.Bases(); n != 9 {
+		t.Fatalf("store retains %d bases, want 9", n)
+	}
+	held := map[*byte]bool{}
+	for _, entries := range r.bases.m {
+		for _, e := range entries {
+			held[&e.buf[:1][0]] = true
+		}
+	}
+	r.ReleaseBases()
+	if n := r.Bases(); n != 0 {
+		t.Fatalf("store retains %d bases after ReleaseBases", n)
+	}
+	for range held {
+		b := bufpool.Get(len(p))
+		if !held[&b[0]] {
+			t.Fatal("a Get after ReleaseBases took a new buffer while released bases were idle")
 		}
 	}
 }

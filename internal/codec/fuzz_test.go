@@ -31,6 +31,23 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), qz.Frame...))
+	// ...a residual frame over a 4x4x4 shape, and tampered copies of it:
+	// a block width past the residual bound, a stream ending mid-block,
+	// trailing bytes, a shape that does not divide the count...
+	shaped, err := r.Encode(Spec{ID: Quantize, NX: 4, NY: 4}, "fz", 1, payload, 20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), shaped.Frame...))
+	stream := headerSize + quantMetaLen + 20
+	wide := append([]byte(nil), shaped.Frame...)
+	wide[stream] |= predictedFlag - 1
+	f.Add(wide)
+	f.Add(append([]byte(nil), shaped.Frame[:stream+3]...))
+	f.Add(append(append([]byte(nil), shaped.Frame...), 0, 0))
+	badShape := append([]byte(nil), shaped.Frame...)
+	binary.LittleEndian.PutUint32(badShape[headerSize+22:], 5)
+	f.Add(badShape)
 
 	// ...and with the malformed shapes the typed errors name.
 	f.Add([]byte{})

@@ -94,10 +94,12 @@ type ShapedStage interface {
 // codec (quantize) can transform. PayloadFloatTail locates
 // the tail within one payload the stage produced, returning ok false
 // when this particular payload has no transformable tail (the codec
-// layer then uses an exact encoding instead). Analyses that do not
+// layer then uses an exact encoding instead). It also reports the
+// tail's x and y extents, x fastest, which the codec predicts along;
+// 0, 0 when the tail has no known shape. Analyses that do not
 // implement QuantizableStage skip the ladder's quantized rung.
 type QuantizableStage interface {
-	PayloadFloatTail(payload []byte) (int, bool)
+	PayloadFloatTail(payload []byte) (off, nx, ny int, ok bool)
 }
 
 // InSituFallback is an optional extension of hybrid analyses: when the

@@ -375,10 +375,10 @@ func (p *Pipeline) BreakerStates() map[string]overload.BreakerState {
 
 // registerPayload encodes one intermediate payload under spec and pins
 // the result for the staging tier to pull. Lossy codecs need the
-// payload's float-tail offset from the analysis; when the analysis
-// cannot provide one for this payload, the spec downgrades to delta —
-// exact and self-contained — rather than reinterpreting opaque bytes
-// as floats. When the encode produced a frame, the producer's marshal
+// payload's float-tail offset and shape from the analysis; when the
+// analysis cannot provide them for this payload, the spec downgrades
+// to delta — exact and self-contained — rather than reinterpreting
+// opaque bytes as floats. When the encode produced a frame, the producer's marshal
 // buffer is recycled immediately (the frame is what stays pinned);
 // identity registrations keep the payload pinned exactly as before.
 func (p *Pipeline) registerPayload(ep *dart.Endpoint, rt *route, spec codec.Spec, key string, step int, payload []byte) (dart.MemHandle, error) {
@@ -386,7 +386,7 @@ func (p *Pipeline) registerPayload(ep *dart.Endpoint, rt *route, spec codec.Spec
 	if spec.ID == codec.Quantize {
 		ok := false
 		if rt.quant != nil {
-			floatOff, ok = rt.quant.PayloadFloatTail(payload)
+			floatOff, spec.NX, spec.NY, ok = rt.quant.PayloadFloatTail(payload)
 		}
 		if !ok {
 			spec, floatOff = codec.Spec{ID: codec.Delta}, 0

@@ -51,6 +51,8 @@ func (s *Scheduler) run(steps int, lone *Pipeline, resume bool) (map[string]*Rep
 		return nil, err
 	}
 	s.drain(tenants, steps)
+	// Nothing encodes or decodes against a delta base after the drain.
+	s.codecs.ReleaseBases()
 
 	reports := make(map[string]*Report, len(tenants))
 	var errs []error

@@ -216,9 +216,9 @@ func (v *VizHybrid) stage(ctx *Ctx, shaped bool) ([]byte, error) {
 // PayloadFloatTail implements QuantizableStage: the staged payload is
 // one field marshal (name, box, count, then the float64 tail), so the
 // lossy transfer-path codecs can transform the sample data while the
-// header travels verbatim.
-func (v *VizHybrid) PayloadFloatTail(payload []byte) (int, bool) {
-	return grid.FloatTailOffset(payload)
+// header travels verbatim; the box gives the tail's shape.
+func (v *VizHybrid) PayloadFloatTail(payload []byte) (off, nx, ny int, ok bool) {
+	return grid.FloatTail(payload)
 }
 
 // FrameVar implements FrameAnalysis: the store variable hybrid frames

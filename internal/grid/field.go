@@ -287,18 +287,47 @@ func (f *Field) Marshal() []byte {
 // false when p is not a plausible field marshal (too short, or the
 // declared count does not fill the remaining bytes exactly).
 func FloatTailOffset(p []byte) (int, bool) {
+	off, _, ok := parseHeader(p)
+	return off, ok
+}
+
+// FloatTail is FloatTailOffset plus the tail's x and y extents: the
+// values run x fastest over the header's box, so a codec can predict
+// each one from its neighbours along x, y and z. nx and ny are 0 when
+// the box does not hold exactly the tail's values.
+func FloatTail(p []byte) (off, nx, ny int, ok bool) {
+	off, box, ok := parseHeader(p)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	count := (len(p) - off) / 8
+	if n, fits := box.sizeAtMost(count); fits && n == count && n > 0 {
+		d := box.Dims()
+		nx, ny = d[0], d[1]
+	}
+	return off, nx, ny, true
+}
+
+// parseHeader is the one parser of a field marshal's header (name
+// length, name, box, count): it returns the offset of the float64 tail
+// and the box, with ok false when the declared count does not fill the
+// bytes after the header exactly. The box is not checked against the
+// count.
+func parseHeader(p []byte) (int, Box, bool) {
 	if len(p) < 4 {
-		return 0, false
+		return 0, Box{}, false
 	}
 	nameLen := int(binary.LittleEndian.Uint32(p[:4]))
 	off := 4 + nameLen + 7*8
 	if off > len(p) {
-		return 0, false
+		return 0, Box{}, false
 	}
 	if rest := len(p) - off; rest%8 != 0 || binary.LittleEndian.Uint64(p[off-8:]) != uint64(rest/8) {
-		return 0, false
+		return 0, Box{}, false
 	}
-	return off, true
+	word := func(i int) int { return int(int64(binary.LittleEndian.Uint64(p[off-7*8+8*i:]))) }
+	box := Box{Lo: [3]int{word(0), word(1), word(2)}, Hi: [3]int{word(3), word(4), word(5)}}
+	return off, box, true
 }
 
 // UnmarshalField reconstructs a field from Marshal's output. Every
@@ -316,12 +345,10 @@ func UnmarshalField(p []byte) (*Field, error) {
 // a destination decoded into step after step allocates nothing. On an
 // error, which wraps ErrCorruptField, dst is left as it was.
 func UnmarshalFieldInto(p []byte, dst *Field) error {
-	off, ok := FloatTailOffset(p)
+	off, box, ok := parseHeader(p)
 	if !ok {
 		return fmt.Errorf("%w: %d bytes are not a header and the values it counts", ErrCorruptField, len(p))
 	}
-	word := func(i int) int { return int(int64(binary.LittleEndian.Uint64(p[off-7*8+8*i:]))) }
-	box := Box{Lo: [3]int{word(0), word(1), word(2)}, Hi: [3]int{word(3), word(4), word(5)}}
 	n := (len(p) - off) / 8
 	if size, ok := box.sizeAtMost(n); !ok || size != n {
 		return fmt.Errorf("%w: %d values for box %v", ErrCorruptField, n, box)

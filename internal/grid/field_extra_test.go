@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -177,4 +178,23 @@ func TestRowWalksSubBoxInExtractOrder(t *testing.T) {
 		}
 	}()
 	f.Row(box.Grow(1), 0, 1)
+}
+
+// TestFloatTailReportsShape: FloatTail reports the same offset as
+// FloatTailOffset and the box's x and y extents, or no shape when the
+// box does not hold exactly the counted values.
+func TestFloatTailReportsShape(t *testing.T) {
+	f := NewField("T", Box{Lo: [3]int{1, 2, 3}, Hi: [3]int{4, 6, 8}})
+	p := f.Marshal()
+	off, nx, ny, ok := FloatTail(p)
+	if want, _ := FloatTailOffset(p); !ok || off != want || nx != 3 || ny != 4 {
+		t.Fatalf("FloatTail = %d, %dx%d, %v; want %d, 3x4, true", off, nx, ny, ok, want)
+	}
+	binary.LittleEndian.PutUint64(p[off-2*8:], 7) // Hi[2]: the box now holds 48 points, the tail 60
+	if _, nx, ny, ok := FloatTail(p); !ok || nx != 0 || ny != 0 {
+		t.Fatalf("box of the wrong size: FloatTail = %dx%d, %v; want no shape, true", nx, ny, ok)
+	}
+	if _, _, _, ok := FloatTail(p[:len(p)-8]); ok {
+		t.Fatal("a tail one value short of its count must not parse")
+	}
 }
