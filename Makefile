@@ -16,13 +16,17 @@
 #                   option gate (TestEveryGoOptionIsSet, options_test.go, ~5 s
 #                   on 2 cores): it type-checks this module and the benchmark
 #                   from source and fails on an exported field of an internal/
-#                   *Config, *Options or *Policy struct (no JSON key: config
-#                   keys have their own gate in internal/registry) that no
-#                   non-test code writes from another package or with a
-#                   non-constant value, except the entries of
-#                   singleValueAllowList, each naming a field or a type with a
-#                   reason (a stale entry fails too). Fold such a field into a
-#                   constant; allow-list only a fault hook or a fault model
+#                   *Config, *Options or *Policy struct or of an analysis
+#                   struct (its pointer has Name and Every methods; no JSON
+#                   key: config keys have their own gate in internal/registry)
+#                   whose non-test writes show fewer than two values, from any
+#                   package: each distinct constant is a value, a non-constant
+#                   write is a second value, and a keyed literal of the struct
+#                   that leaves the field out writes its zero value. Only the
+#                   entries of singleValueAllowList pass otherwise, each naming
+#                   a field or a type with a reason (a stale entry fails too).
+#                   Fold such a field into a constant; allow-list only a fault
+#                   hook, a fault model or a field only benchmark/ writes
 #   make test       fast inner loop (tests, no race)
 #   make bench      the end-to-end benchmark declared by BENCHMARK.json
 #                   (bash benchmark/run.sh: all four workloads, full report;

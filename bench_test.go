@@ -256,15 +256,29 @@ func BenchmarkAblationDownsample(b *testing.B) {
 
 // BenchmarkAblationStreamingEviction contrasts the in-transit
 // aggregation with and without eviction: identical trees, very
-// different peak memory.
+// different peak memory. Without eviction is the streaming route's
+// arrival-order Builder.Add per subtree; with it is Builder.Glue.
 func BenchmarkAblationStreamingEviction(b *testing.B) {
 	benchSetup(b)
 	subtrees, _ := benchSubtrees(b, mergetree.KeepSharedBoundary)
 	for _, evict := range []bool{false, true} {
 		b.Run(fmt.Sprintf("evict=%v", evict), func(b *testing.B) {
 			var peak int
+			var bld mergetree.Builder
 			for i := 0; i < b.N; i++ {
-				_, st, err := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: evict})
+				var st mergetree.StreamStats
+				var err error
+				if evict {
+					_, st, err = bld.Glue(subtrees)
+				} else {
+					bld.Reset()
+					for _, sub := range subtrees {
+						if err = bld.Add(sub); err != nil {
+							b.Fatal(err)
+						}
+					}
+					_, st, err = bld.Finish()
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -67,7 +67,7 @@ func main() {
 		}
 		var stats mergetree.StreamStats
 		var err error
-		tree, stats, err = mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: true})
+		tree, stats, err = new(mergetree.Builder).Glue(subtrees)
 		if err != nil {
 			fail(err)
 		}

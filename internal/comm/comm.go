@@ -143,8 +143,8 @@ const (
 // implemented as a reduce-to-root followed by a broadcast along a
 // binomial tree, giving O(log n) depth.
 func (r *Rank) Barrier() {
-	r.reduceUp(tagBarrier, nil, func(a, b any) any { return nil })
-	r.bcastDown(tagBarrier, nil)
+	r.reduceUpRooted(tagBarrier, 0, nil, func(a, b any) any { return nil })
+	r.bcastDownRooted(tagBarrier, 0, nil)
 }
 
 // Allreduce combines per-rank values with op and returns the combined
@@ -211,11 +211,6 @@ func (r *Rank) reduceUpRooted(tag, root int, value any, op func(a, b any) any) a
 	return value
 }
 
-// reduceUp is reduceUpRooted with root 0 (used by Barrier).
-func (r *Rank) reduceUp(tag int, value any, op func(a, b any) any) any {
-	return r.reduceUpRooted(tag, 0, value, op)
-}
-
 // bcastDownRooted distributes root's value along the binomial tree and
 // returns it on every rank.
 func (r *Rank) bcastDownRooted(tag, root int, value any) any {
@@ -243,9 +238,4 @@ func (r *Rank) bcastDownRooted(tag, root int, value any) any {
 		}
 	}
 	return value
-}
-
-// bcastDown is bcastDownRooted with root 0.
-func (r *Rank) bcastDown(tag int, value any) any {
-	return r.bcastDownRooted(tag, 0, value)
 }

@@ -17,12 +17,18 @@ import (
 type ContingencyHybrid struct {
 	// VarX and VarY are the paired variables (defaults "T", "Y_OH").
 	VarX, VarY string
-	// XBins x YBins cells over [XRange, YRange) (defaults 16x16 over
-	// the proxy's physical ranges).
-	XBins, YBins   int
-	XRange, YRange [2]float64
-	EveryN         int
+	// XBins x YBins cells (default 16x16) over contingencyXRange x
+	// contingencyYRange.
+	XBins, YBins int
+	EveryN       int
 }
+
+// contingencyXRange and contingencyYRange are the value ranges the
+// table's cells cover: the proxy's physical ranges of T and Y_OH.
+var (
+	contingencyXRange = [2]float64{0, 2.5}
+	contingencyYRange = [2]float64{0, 0.3}
+)
 
 // Name implements Analysis.
 func (c *ContingencyHybrid) Name() string { return "hybrid contingency statistics" }
@@ -30,7 +36,7 @@ func (c *ContingencyHybrid) Name() string { return "hybrid contingency statistic
 // Every implements Analysis.
 func (c *ContingencyHybrid) Every() int { return c.EveryN }
 
-func (c *ContingencyHybrid) params() (string, string, int, int, [2]float64, [2]float64) {
+func (c *ContingencyHybrid) params() (string, string, int, int) {
 	vx, vy := c.VarX, c.VarY
 	if vx == "" {
 		vx = "T"
@@ -45,14 +51,7 @@ func (c *ContingencyHybrid) params() (string, string, int, int, [2]float64, [2]f
 	if yb < 1 {
 		yb = 16
 	}
-	xr, yr := c.XRange, c.YRange
-	if xr == ([2]float64{}) {
-		xr = [2]float64{0, 2.5}
-	}
-	if yr == ([2]float64{}) {
-		yr = [2]float64{0, 0.3}
-	}
-	return vx, vy, xb, yb, xr, yr
+	return vx, vy, xb, yb
 }
 
 const contingencyTableKey = "contingency.table"
@@ -61,7 +60,8 @@ const contingencyTableKey = "contingency.table"
 // into the rank's table in Ctx.State (Reset first), packed into a
 // pooled buffer.
 func (c *ContingencyHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
-	vx, vy, xb, yb, xr, yr := c.params()
+	vx, vy, xb, yb := c.params()
+	xr, yr := contingencyXRange, contingencyYRange
 	fx := ctx.Sim.GhostedField(vx)
 	fy := ctx.Sim.GhostedField(vy)
 	if fx == nil || fy == nil {
@@ -108,6 +108,6 @@ func (c *ContingencyHybrid) InTransit(step int, payloads [][]byte) (any, error) 
 	if global == nil {
 		return nil, fmt.Errorf("contingency: no payloads")
 	}
-	vx, vy, _, _, _, _ := c.params()
+	vx, vy, _, _ := c.params()
 	return &ContingencyResult{VarX: vx, VarY: vy, Derived: global.Derive(), Table: global}, nil
 }

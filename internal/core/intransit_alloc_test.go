@@ -9,7 +9,6 @@ import (
 
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
-	"insitu/internal/parallel"
 	"insitu/internal/render"
 	"insitu/internal/sim"
 	"insitu/internal/stats"
@@ -114,7 +113,7 @@ func TestInTransitVizAllocatesFlat(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = 0.2 + 1.8*rng.Float64()
 	}
-	maxAllocs := float64(12 + 4*parallel.Default.Blocks(height))
+	maxAllocs := float64(12 + 4*min(runtime.GOMAXPROCS(0), height)) // at most one row band per worker
 	var allocs []float64
 	for _, factor := range []int{1, 2} {
 		viz := NewVizHybrid(width, height, factor)

@@ -386,14 +386,9 @@ func (rr *rankRun) writeCheckpoint(step int) {
 	for i := range files {
 		files[i] = recovery.CheckpointFile(step, i)
 	}
-	ckpt := recovery.Record{Kind: recovery.KindCheckpoint, Step: step, CkptStep: step, Epoch: step, Files: files}
+	ckpt := recovery.Record{Kind: recovery.KindCheckpoint, Step: step, Files: files}
 	if err := rec.j.Append(ckpt); err != nil {
 		return
 	}
 	rec.ckpts.Add(1)
-	rec.mu.Lock()
-	if step > rec.lastCkpt {
-		rec.lastCkpt = step
-	}
-	rec.mu.Unlock()
 }

@@ -69,7 +69,6 @@ type recState struct {
 	mu            sync.Mutex
 	nextCommit    int // lowest uncommitted step
 	maxStepped    int // highest step whose submissions are all in
-	lastCkpt      int // newest durably journaled checkpoint step
 	resumeSeconds float64
 	resumeOnce    sync.Once
 
@@ -133,7 +132,6 @@ func (p *Pipeline) planResume(steps int) {
 			break
 		}
 	}
-	rec.lastCkpt = rec.ckptStep
 	rec.nextCommit = rec.resumeFrom + 1
 	rec.prevSubmitted = st.Submitted
 }
@@ -176,7 +174,6 @@ func (p *Pipeline) maybeCommitSteps() {
 		rec.mu.Lock()
 		s := rec.nextCommit
 		stepped := s <= rec.maxStepped
-		lastCkpt := rec.lastCkpt
 		rec.mu.Unlock()
 		if !stepped {
 			return
@@ -185,7 +182,7 @@ func (p *Pipeline) maybeCommitSteps() {
 		if !ready {
 			return
 		}
-		r := recovery.Record{Kind: recovery.KindCommit, Step: s, CkptStep: lastCkpt, Digests: digests}
+		r := recovery.Record{Kind: recovery.KindCommit, Step: s, Digests: digests}
 		if err := rec.j.Append(r); err != nil {
 			return // journal dead: nothing after this point is durable
 		}

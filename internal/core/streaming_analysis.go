@@ -7,9 +7,9 @@ import "fmt"
 // soon as the first subtree arrives instead of buffering all of them —
 // the improvement the paper's conclusion proposes to "hide much of the
 // in-transit computational costs". Subtrees are incorporated in
-// arrival order, which the arbitrary-order streaming construction
-// supports directly (eviction requires the sorted-edge protocol and is
-// therefore only available in the buffered TopologyHybrid).
+// arrival order by mergetree.Builder.Add (eviction requires the
+// sorted-edge protocol and is therefore only available in the buffered
+// TopologyHybrid's Builder.Glue).
 type TopologyStreaming struct {
 	TopologyHybrid
 }
@@ -35,15 +35,8 @@ func (t *TopologyStreaming) InTransitStream(step int, inputs <-chan StreamInput)
 		if _, err := st.Unmarshal(in.Data); err != nil {
 			return nil, fmt.Errorf("topology: streamed payload %d: %w", in.Index, err)
 		}
-		for _, v := range st.Verts {
-			if err := b.DeclareVertex(v.ID, v.Value, v.Degree); err != nil {
-				return nil, err
-			}
-		}
-		for _, e := range st.Edges {
-			if err := b.AddEdge(e.Hi, e.Lo); err != nil {
-				return nil, err
-			}
+		if err := b.Add(st); err != nil {
+			return nil, err
 		}
 	}
 	tree, stream, err := b.Finish()

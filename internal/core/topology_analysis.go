@@ -187,7 +187,7 @@ func (ts *transitScratch) glue(payloads [][]byte, rest func([]byte) error) (*mer
 			return nil, mergetree.StreamStats{}, fmt.Errorf("payload %d: %w", i, err)
 		}
 	}
-	return ts.build.Glue(subtrees, mergetree.GlueOptions{Evict: true})
+	return ts.build.Glue(subtrees)
 }
 
 // allVarNames returns the full simulation variable list.

@@ -3,9 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
-	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 )
 
@@ -56,46 +56,24 @@ type RawMatch struct {
 
 const trackingStateKey = "tracking-prev-labels"
 
-// localLabels segments the rank's extended block and returns
-// owned-voxel labels keyed by voxel id, labeled by the component's
-// sweep-highest member, plus the sorted list of representatives.
+// localLabels returns the rank's owned-voxel labels keyed by voxel id,
+// each its component's sweep-highest member
+// (mergetree.LocalComponents), plus the sorted representatives.
 func (tr *TrackingHybrid) localLabels(ctx *Ctx) (map[int64]int64, []int64, error) {
 	f := ctx.Sim.GhostedField(tr.varName())
 	if f == nil {
 		return nil, nil, fmt.Errorf("tracking: unknown variable %q", tr.varName())
 	}
-	ext := ctx.Owned.Grow(1).Intersect(ctx.Global)
-	block := f.Extract(ext)
-	seg := mergetree.SegmentField(block, ctx.Global, tr.Threshold)
-
-	// Sweep-highest member per component.
-	rep := make(map[int64]int64)
-	repVal := make(map[int64]float64)
-	for id, label := range seg.Labels {
-		i, j, k := grid.GlobalPoint(ctx.Global, id)
-		v := block.At(i, j, k)
-		if cur, ok := rep[label]; !ok || mergetree.Above(v, id, repVal[label], cur) {
-			rep[label] = id
-			repVal[label] = v
-		}
+	labels, err := mergetree.LocalComponents(f, ctx.Global, ctx.Owned, tr.Threshold)
+	if err != nil {
+		return nil, nil, err
 	}
-	out := make(map[int64]int64)
-	repSet := make(map[int64]bool)
-	for id, label := range seg.Labels {
-		i, j, k := grid.GlobalPoint(ctx.Global, id)
-		if !ctx.Owned.Contains(i, j, k) {
-			continue
-		}
-		r := rep[label]
-		out[id] = r
-		repSet[r] = true
-	}
-	reps := make([]int64, 0, len(repSet))
-	for r := range repSet {
+	reps := make([]int64, 0, len(labels))
+	for _, r := range labels {
 		reps = append(reps, r)
 	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
-	return out, reps, nil
+	slices.Sort(reps)
+	return labels, slices.Compact(reps), nil
 }
 
 // InSituStage implements HybridAnalysis.

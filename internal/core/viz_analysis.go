@@ -82,7 +82,7 @@ func (v *VizInSitu) RunInSitu(ctx *Ctx) (any, error) {
 		return nil, fmt.Errorf("viz: unknown variable %q", name)
 	}
 	fs := &render.FrameSet{}
-	for i, dir := range cameraDirs(v.Cameras) {
+	for i, dir := range render.OrbitDirs(v.Cameras) {
 		img, err := v.renderOne(ctx, f, dir)
 		if err != nil {
 			for _, fr := range fs.Frames {
@@ -98,15 +98,6 @@ func (v *VizInSitu) RunInSitu(ctx *Ctx) (any, error) {
 		return nil, nil
 	}
 	return fs, nil
-}
-
-// cameraDirs is the view directions a step renders from, in camera
-// order: the orbit when cameras > 1, else the default direction.
-func cameraDirs(cameras int) [][3]float64 {
-	if cameras > 1 {
-		return render.OrbitDirs(cameras)
-	}
-	return [][3]float64{render.DefaultDir}
 }
 
 // renderOne renders the step from one view direction: local block
@@ -268,7 +259,7 @@ func (v *VizHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 		tf = render.HotMetal(lo, hi)
 	}
 	fs := &render.FrameSet{}
-	for i, dir := range cameraDirs(v.Cameras) {
+	for i, dir := range render.OrbitDirs(v.Cameras) {
 		r, err := render.NewRenderer(v.Width, v.Height, tf, dir, [3]float64{0, 1, 0}, vizStep, bt.Bounds())
 		if err == nil {
 			var img *render.Image

@@ -27,7 +27,7 @@ func ExampleFromField() {
 
 // The hybrid decomposition: per-block boundary-augmented subtrees glue
 // into exactly the serial tree.
-func ExampleGlue() {
+func ExampleBuilder_Glue() {
 	b := grid.NewBox(8, 4, 1)
 	f := grid.NewField("f", b)
 	for idx := range f.Data {
@@ -42,7 +42,7 @@ func ExampleGlue() {
 		st, _ := mergetree.LocalSubtree(f.Extract(ext), b, owned, r, mergetree.KeepOverlapMaxima)
 		subtrees = append(subtrees, st)
 	}
-	glued, _, _ := mergetree.Glue(subtrees, mergetree.GlueOptions{Evict: true})
+	glued, _, _ := new(mergetree.Builder).Glue(subtrees)
 	serial := mergetree.FromField(f, b)
 	// Compare the critical points: Reduce with no keep function.
 	fmt.Println("distributed == serial:", sameTree(mergetree.Reduce(glued, nil), mergetree.Reduce(serial, nil)))

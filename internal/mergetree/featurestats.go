@@ -19,8 +19,8 @@ import (
 // In-situ, each rank segments its extended block, picks each local
 // component's sweep-highest member as its representative (always a
 // local maximum of the block, hence always retained in the reduced
-// subtree), and accumulates the conditioned variable's moments over
-// the component's *owned* voxels. In-transit, the representative is
+// subtree; LocalComponents), and accumulates the conditioned
+// variable's moments over the component's *owned* voxels. In-transit, the representative is
 // mapped to its global feature through the glued tree's segmentation,
 // and partial moments with the same global feature combine.
 
@@ -31,18 +31,22 @@ type FeaturePartial struct {
 	Moments stats.Moments
 }
 
-// LocalFeatureStats runs the in-situ side for one rank: segment the
-// extended block of `seg` at the threshold and accumulate `cond` over
-// each component's voxels inside the owned box. Both fields must cover
-// the extended block.
-func LocalFeatureStats(segVar, cond *grid.Field, global, owned grid.Box, threshold float64) ([]FeaturePartial, error) {
+// LocalComponents segments the extended block of f — the owned box
+// grown by one cell, clipped to global — at the threshold and maps
+// every owned voxel of a superlevel component to the component's
+// representative: its sweep-highest member, a local maximum of the
+// block and so a vertex of the rank's KeepOverlapMaxima subtree, which
+// the in-transit stage resolves against the glued tree. f must cover
+// the extended block. Feature statistics and feature tracking label
+// their local components through it.
+func LocalComponents(f *grid.Field, global, owned grid.Box, threshold float64) (map[int64]int64, error) {
 	ext := owned.Grow(1).Intersect(global)
-	if !segVar.Box.ContainsBox(ext) || !cond.Box.ContainsBox(ext) {
-		return nil, fmt.Errorf("mergetree: fields do not cover extended block %v", ext)
+	if !f.Box.ContainsBox(ext) {
+		return nil, fmt.Errorf("mergetree: field does not cover extended block %v", ext)
 	}
-	block := segVar
-	if segVar.Box != ext {
-		block = segVar.Extract(ext)
+	block := f
+	if f.Box != ext {
+		block = f.Extract(ext)
 	}
 	s := SegmentField(block, global, threshold)
 
@@ -57,6 +61,27 @@ func LocalFeatureStats(segVar, cond *grid.Field, global, owned grid.Box, thresho
 			repVal[label] = v
 		}
 	}
+	out := make(map[int64]int64)
+	for id, label := range s.Labels {
+		if i, j, k := grid.GlobalPoint(global, id); owned.Contains(i, j, k) {
+			out[id] = rep[label]
+		}
+	}
+	return out, nil
+}
+
+// LocalFeatureStats runs the in-situ side for one rank: label the
+// owned voxels of `segVar`'s superlevel components at the threshold
+// (LocalComponents) and accumulate `cond` over each component's owned
+// voxels. segVar must cover the extended block, cond the owned box.
+func LocalFeatureStats(segVar, cond *grid.Field, global, owned grid.Box, threshold float64) ([]FeaturePartial, error) {
+	if !cond.Box.ContainsBox(owned) {
+		return nil, fmt.Errorf("mergetree: conditioned field does not cover owned block %v", owned)
+	}
+	reps, err := LocalComponents(segVar, global, owned, threshold)
+	if err != nil {
+		return nil, err
+	}
 	// Owned-voxel moments per component, accumulated in grid order and
 	// emitted in first-seen order — never map order — so the
 	// floating-point sums and the payload bytes are the same every run.
@@ -65,23 +90,23 @@ func LocalFeatureStats(segVar, cond *grid.Field, global, owned grid.Box, thresho
 	for k := owned.Lo[2]; k < owned.Hi[2]; k++ {
 		for j := owned.Lo[1]; j < owned.Hi[1]; j++ {
 			for i := owned.Lo[0]; i < owned.Hi[0]; i++ {
-				label, ok := s.Labels[grid.GlobalIndex(global, i, j, k)]
+				rep, ok := reps[grid.GlobalIndex(global, i, j, k)]
 				if !ok {
 					continue
 				}
-				m, seen := acc[label]
+				m, seen := acc[rep]
 				if !seen {
 					m = stats.NewMoments()
-					acc[label] = m
-					order = append(order, label)
+					acc[rep] = m
+					order = append(order, rep)
 				}
 				m.Update(cond.At(i, j, k))
 			}
 		}
 	}
 	out := make([]FeaturePartial, 0, len(order))
-	for _, label := range order {
-		out = append(out, FeaturePartial{Rep: rep[label], Moments: *acc[label]})
+	for _, rep := range order {
+		out = append(out, FeaturePartial{Rep: rep, Moments: *acc[rep]})
 	}
 	return out, nil
 }

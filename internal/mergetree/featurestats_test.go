@@ -82,7 +82,7 @@ func TestFeatureStatsHybridMatchesSerial(t *testing.T) {
 		subtrees = append(subtrees, st)
 		partials = append(partials, ps2)
 	}
-	tree, _, err := Glue(subtrees, GlueOptions{Evict: true})
+	tree, _, err := new(Builder).Glue(subtrees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +116,81 @@ func TestFeatureStatsHybridMatchesSerial(t *testing.T) {
 		return got[i].Feature < got[j].Feature
 	}) {
 		t.Fatal("feature stats not sorted")
+	}
+}
+
+// TestRepresentativesAreSubtreeVertices is the property in-transit
+// tracking and feature statistics rest on: over random, tied and
+// smooth fields and decompositions down to 1-cell-thick blocks, every
+// owned voxel at or above the threshold gets a representative from
+// LocalComponents, and that representative is the highest member of
+// the voxel's component in the extended block and a vertex of the
+// rank's KeepOverlapMaxima subtree, so the glued tree resolves it.
+func TestRepresentativesAreSubtreeVertices(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	decomps := [][3]int{{1, 1, 1}, {2, 2, 1}, {3, 2, 2}, {6, 1, 1}, {1, 5, 2}, {6, 5, 3}}
+	for trial := 0; trial < 18; trial++ {
+		global := grid.NewBox(6+rng.Intn(5), 5+rng.Intn(4), 3+rng.Intn(3))
+		var f *grid.Field
+		switch trial % 3 {
+		case 0:
+			f = randomField(rng, global)
+		case 1:
+			f = tiedField(rng, global)
+		default:
+			f = smoothField(global, rng.Float64()*3)
+		}
+		val := func(id int64) float64 { return f.At(grid.GlobalPoint(global, id)) }
+		threshold := f.Data[rng.Intn(len(f.Data))]
+		pd := decomps[trial%len(decomps)]
+		dc, err := grid.NewDecomp(global, pd[0], pd[1], pd[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < dc.Ranks(); r++ {
+			owned := dc.Block(r)
+			block := f.Extract(owned.Grow(1).Intersect(global))
+			reps, err := LocalComponents(block, global, owned, threshold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := LocalSubtree(block, global, owned, r, KeepOverlapMaxima)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inSubtree := map[int64]bool{}
+			for _, v := range st.Verts {
+				inSubtree[v.ID] = true
+			}
+			seg := SegmentField(block, global, threshold)
+			highest := map[int64]int64{} // component label -> highest member
+			for id, label := range seg.Labels {
+				h, ok := highest[label]
+				if !ok || Above(val(id), id, val(h), h) {
+					highest[label] = id
+				}
+			}
+			for k := owned.Lo[2]; k < owned.Hi[2]; k++ {
+				for j := owned.Lo[1]; j < owned.Hi[1]; j++ {
+					for i := owned.Lo[0]; i < owned.Hi[0]; i++ {
+						id := grid.GlobalIndex(global, i, j, k)
+						rep, ok := reps[id]
+						if ok != (val(id) >= threshold) {
+							t.Fatalf("trial %d rank %d voxel %d (value %g, threshold %g): labeled %v", trial, r, id, val(id), threshold, ok)
+						}
+						if !ok {
+							continue
+						}
+						if want := highest[seg.Labels[id]]; rep != want {
+							t.Fatalf("trial %d rank %d voxel %d: representative %d, the component's highest member is %d", trial, r, id, rep, want)
+						}
+						if !inSubtree[rep] {
+							t.Fatalf("trial %d decomp %v rank %d: representative %d is not a vertex of the rank's subtree", trial, pd, r, rep)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -185,7 +185,13 @@ func checkDistributedProperty(t *testing.T, policy BoundaryPolicy) {
 			}
 			subtrees = append(subtrees, st)
 		}
-		glued, _, err := (&Builder{sweepEvery: 32}).Glue(subtrees, GlueOptions{Evict: seed%2 == 0})
+		bld := &Builder{sweepEvery: 32}
+		var glued *Tree
+		if seed%2 == 0 {
+			glued, _, err = bld.Glue(subtrees)
+		} else {
+			glued, _, err = addAll(bld, subtrees)
+		}
 		if err != nil {
 			return false
 		}

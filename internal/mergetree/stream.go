@@ -31,11 +31,12 @@ type StreamStats struct {
 	SpliceOps int // chain-walk steps, the algorithm's work measure
 }
 
-// Builder incrementally constructs a merge tree from streamed
-// vertices and edges; the zero value is an empty builder. A Builder is
-// reusable: Reset (or Glue, which resets) empties it but keeps its
-// arrays, so a staging bucket that glues every step allocates nothing
-// in it after the first. It is not safe for concurrent use.
+// Builder incrementally constructs a merge tree from subtrees, glued
+// all at once (Glue) or added one by one in arrival order (Add); the
+// zero value is an empty builder. A Builder is reusable: Reset (or
+// Glue, which resets) empties it but keeps its arrays, so a staging
+// bucket that glues every step allocates nothing in it after the
+// first. It is not safe for concurrent use.
 type Builder struct {
 	index   map[int64]int32 // resident vertex id -> slot
 	id      []int64         // per slot: vertex id
@@ -79,11 +80,11 @@ func (b *Builder) above(u, v int32) bool {
 	return Above(b.val[u], b.id[u], b.val[v], b.id[v])
 }
 
-// DeclareVertex announces a vertex with `degree` incident edges in
+// declareVertex announces a vertex with `degree` incident edges in
 // this producer's stream. The same vertex may be declared by several
 // producers (shared boundary vertices); degrees accumulate and values
 // must agree.
-func (b *Builder) DeclareVertex(id int64, val float64, degree int) error {
+func (b *Builder) declareVertex(id int64, val float64, degree int) error {
 	if b.index == nil {
 		b.index = make(map[int64]int32)
 	}
@@ -116,10 +117,10 @@ func (b *Builder) DeclareVertex(id int64, val float64, degree int) error {
 // adjacent to them), so walks simply traverse them. Rewriting links
 // past evicted vertices would destroy true augmented-tree arcs.
 
-// AddEdge merges the chains of two declared vertices, maintaining the
+// addEdge merges the chains of two declared vertices, maintaining the
 // invariant that descending down-link chains order all vertices known
 // to share a superlevel component.
-func (b *Builder) AddEdge(hi, lo int64) error {
+func (b *Builder) addEdge(hi, lo int64) error {
 	u, ok := b.index[hi]
 	if !ok {
 		return fmt.Errorf("mergetree: edge references undeclared or evicted vertex %d", hi)
@@ -238,18 +239,25 @@ func (b *Builder) Finish() (*Tree, StreamStats, error) {
 	return t, b.stats, nil
 }
 
-// GlueOptions configures the in-transit aggregation driver.
-type GlueOptions struct {
-	// Evict enables memory-bounded streaming with the sorted-edge
-	// protocol. With eviction off, edges may be processed in any order.
-	Evict bool
-}
-
-// Glue aggregates the reduced subtrees of all blocks into the global
-// merge tree on a builder of its own; see Builder.Glue, which a caller
-// that glues every step uses directly.
-func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
-	return new(Builder).Glue(subtrees, opts)
+// Add incorporates one subtree in arrival order: it declares the
+// subtree's vertices, then merges its edges. Subtrees may arrive in any
+// order; a vertex shared with a subtree added later accumulates that
+// subtree's degree when it is declared again. Add never evicts, so the
+// resident set grows to every vertex added; Glue, which sees all
+// subtrees at once, is the memory-bounded form. Reset before the first
+// Add of an aggregation and Finish after the last.
+func (b *Builder) Add(st *Subtree) error {
+	for _, v := range st.Verts {
+		if err := b.declareVertex(v.ID, v.Value, v.Degree); err != nil {
+			return err
+		}
+	}
+	for _, e := range st.Edges {
+		if err := b.addEdge(e.Hi, e.Lo); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cursor is Glue's read position in one subtree.
@@ -278,42 +286,19 @@ func (c *cursor) seek() error {
 
 // Glue aggregates the reduced subtrees of all blocks into the global
 // merge tree — the serial in-transit stage of the hybrid topology
-// algorithm. With opts.Evict it feeds edges in globally descending
-// order of their lower endpoints (a k-way merge over the per-block
-// sorted edge lists) and advances the watermark as it goes, so the
-// builder can evict finalized vertices and keep its resident set
-// small. The builder is reset first; the tree lives in it, as
-// Finish's does.
-func (b *Builder) Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
+// algorithm. It feeds edges in globally descending order of their
+// lower endpoints (a k-way merge over the per-block sorted edge lists)
+// and advances the watermark as it goes, so the builder can evict
+// finalized vertices and keep its resident set small. The builder is
+// reset first; the tree lives in it, as Finish's does.
+func (b *Builder) Glue(subtrees []*Subtree) (*Tree, StreamStats, error) {
 	b.Reset()
-
-	if !opts.Evict {
-		// Arbitrary-order mode: declare everything, then feed edges in
-		// whatever order the subtrees carry them.
-		for _, st := range subtrees {
-			for _, v := range st.Verts {
-				if err := b.DeclareVertex(v.ID, v.Value, v.Degree); err != nil {
-					return nil, b.stats, err
-				}
-			}
-		}
-		for _, st := range subtrees {
-			for _, e := range st.Edges {
-				if err := b.AddEdge(e.Hi, e.Lo); err != nil {
-					return nil, b.stats, err
-				}
-			}
-		}
-		return b.Finish()
-	}
-
-	// Streaming mode: interleave per-block vertex declarations with a
-	// k-way merge of the per-block edge lists by descending lower
-	// endpoint (Subtree sorts both lists that way). Before an edge at
-	// sweep position L is processed, every block declares its vertices
-	// down to L, so shared vertices accumulate their full degree
-	// before their first edge and the resident set tracks the sweep
-	// front instead of the whole tree.
+	// Interleave per-block vertex declarations with a k-way merge of
+	// the per-block edge lists by descending lower endpoint (Subtree
+	// sorts both lists that way). Before an edge at sweep position L is
+	// processed, every block declares its vertices down to L, so shared
+	// vertices accumulate their full degree before their first edge and
+	// the resident set tracks the sweep front instead of the whole tree.
 	sweepEvery := b.sweepEvery
 	if sweepEvery <= 0 {
 		sweepEvery = 4096
@@ -337,7 +322,7 @@ func (b *Builder) Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStat
 			if Above(val, id, v.Value, v.ID) {
 				break
 			}
-			if err := b.DeclareVertex(v.ID, v.Value, v.Degree); err != nil {
+			if err := b.declareVertex(v.ID, v.Value, v.Degree); err != nil {
 				return err
 			}
 			c.vpos++
@@ -364,7 +349,7 @@ func (b *Builder) Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStat
 		}
 		c = &b.cursors[b.open[best]]
 		e := c.st.Edges[c.pos]
-		if err := b.AddEdge(e.Hi, e.Lo); err != nil {
+		if err := b.addEdge(e.Hi, e.Lo); err != nil {
 			return nil, b.stats, err
 		}
 		c.pos++
@@ -384,7 +369,7 @@ func (b *Builder) Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStat
 		c := &b.cursors[i]
 		for ; c.vpos < len(c.st.Verts); c.vpos++ {
 			v := c.st.Verts[c.vpos]
-			if err := b.DeclareVertex(v.ID, v.Value, v.Degree); err != nil {
+			if err := b.declareVertex(v.ID, v.Value, v.Degree); err != nil {
 				return nil, b.stats, err
 			}
 		}

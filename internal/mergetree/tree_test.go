@@ -183,9 +183,21 @@ func criticalReduce(t *Tree) *Tree {
 	return Reduce(t, nil)
 }
 
+// addAll aggregates subtrees with Builder.Add in the order given — the
+// arrival-order path of the streaming topology route.
+func addAll(b *Builder, subtrees []*Subtree) (*Tree, StreamStats, error) {
+	b.Reset()
+	for _, st := range subtrees {
+		if err := b.Add(st); err != nil {
+			return nil, b.stats, err
+		}
+	}
+	return b.Finish()
+}
+
 // glueFromDecomp runs the full hybrid pipeline in-process: local
-// subtrees per block, then gluing; policy selects the boundary
-// augmentation.
+// subtrees per block, then gluing, with the evicting Glue or with
+// arrival-order Adds; policy selects the boundary augmentation.
 func glueFromDecomp(t *testing.T, f *grid.Field, px, py, pz int, policy BoundaryPolicy, evict bool) *Tree {
 	t.Helper()
 	dc, err := grid.NewDecomp(f.Box, px, py, pz)
@@ -208,7 +220,12 @@ func glueFromDecomp(t *testing.T, f *grid.Field, px, py, pz int, policy Boundary
 		}
 		subtrees = append(subtrees, st2)
 	}
-	glued, _, err := (&Builder{sweepEvery: 64}).Glue(subtrees, GlueOptions{Evict: evict})
+	b := &Builder{sweepEvery: 64}
+	glue := b.Glue
+	if !evict {
+		glue = func(subtrees []*Subtree) (*Tree, StreamStats, error) { return addAll(b, subtrees) }
+	}
+	glued, _, err := glue(subtrees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +346,7 @@ func TestStreamingEvictionBoundsMemory(t *testing.T) {
 		}
 		subtrees = append(subtrees, st)
 	}
-	_, stats, err := (&Builder{sweepEvery: 128}).Glue(subtrees, GlueOptions{Evict: true})
+	_, stats, err := (&Builder{sweepEvery: 128}).Glue(subtrees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,35 +403,35 @@ func TestUnmarshalSubtreeErrors(t *testing.T) {
 
 func TestBuilderErrors(t *testing.T) {
 	b := new(Builder)
-	if err := b.DeclareVertex(1, 2.0, 1); err != nil {
+	if err := b.declareVertex(1, 2.0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddEdge(1, 99); err == nil {
+	if err := b.addEdge(1, 99); err == nil {
 		t.Fatal("want error for undeclared endpoint")
 	}
-	if err := b.DeclareVertex(1, 3.0, 1); err == nil {
+	if err := b.declareVertex(1, 3.0, 1); err == nil {
 		t.Fatal("want error for conflicting redeclaration")
 	}
-	if err := b.DeclareVertex(2, 1.0, 1); err != nil {
+	if err := b.declareVertex(2, 1.0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddEdge(1, 2); err != nil {
+	if err := b.addEdge(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddEdge(1, 2); err == nil {
+	if err := b.addEdge(1, 2); err == nil {
 		t.Fatal("want error for exceeding declared degree")
 	}
 }
 
 func TestBuilderUnfinishedEdges(t *testing.T) {
 	b := new(Builder)
-	if err := b.DeclareVertex(1, 2.0, 2); err != nil {
+	if err := b.declareVertex(1, 2.0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DeclareVertex(2, 1.0, 1); err != nil {
+	if err := b.declareVertex(2, 1.0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AddEdge(1, 2); err != nil {
+	if err := b.addEdge(1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := b.Finish(); err == nil {
@@ -423,8 +440,9 @@ func TestBuilderUnfinishedEdges(t *testing.T) {
 }
 
 // TestGlueArbitraryEdgeOrder verifies the arbitrary-order property the
-// paper requires of the in-transit algorithm: without eviction, any
-// permutation of edge processing yields the same tree.
+// paper requires of the in-transit algorithm: without eviction
+// (Builder.Add), any permutation of edge processing yields the same
+// tree.
 func TestGlueArbitraryEdgeOrder(t *testing.T) {
 	b := grid.NewBox(10, 10, 4)
 	f := smoothField(b, 2.2)
@@ -442,7 +460,7 @@ func TestGlueArbitraryEdgeOrder(t *testing.T) {
 		rng.Shuffle(len(shuffled.Edges), func(i, j int) {
 			shuffled.Edges[i], shuffled.Edges[j] = shuffled.Edges[j], shuffled.Edges[i]
 		})
-		got, _, err := Glue([]*Subtree{shuffled}, GlueOptions{Evict: false})
+		got, _, err := addAll(new(Builder), []*Subtree{shuffled})
 		if err != nil {
 			t.Fatal(err)
 		}

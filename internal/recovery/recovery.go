@@ -10,8 +10,9 @@
 //
 // The journal records the step commit protocol — step admitted → tasks
 // submitted → checkpoint bound → step committed — and a resumed
-// pipeline replays it to find the last committed step, the checkpoint
-// files that cover it, and the codec base-state epoch to re-seed.
+// pipeline replays it to find the last committed step and the
+// checkpoint files that cover it, whose step is the codec base-state
+// epoch to re-seed.
 //
 // The package also hosts the crash-injection plumbing the crash-matrix
 // soak drives: a KillFunc evaluated at every journal phase boundary
@@ -109,13 +110,6 @@ type Record struct {
 	// Files lists the per-rank checkpoint file names, relative to the
 	// journal directory (KindCheckpoint).
 	Files []string `json:"files,omitempty"`
-	// Epoch is the codec base-state epoch the checkpoint corresponds
-	// to: the version the delta base stores must be re-seeded at
-	// (KindCheckpoint; equals Step for per-step payload streams).
-	Epoch int `json:"epoch,omitempty"`
-	// CkptStep is the latest checkpointed step at commit time
-	// (KindCommit).
-	CkptStep int `json:"ckpt_step,omitempty"`
 	// Digests maps analysis name to the hex digest of its stored
 	// result for the step (KindCommit), so two journals' views of a
 	// step can be compared without the results themselves.

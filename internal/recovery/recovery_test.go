@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,8 +18,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Kind: KindAdmit, Step: 1},
 		{Kind: KindSubmit, Step: 1, Analysis: "hybrid visualization"},
-		{Kind: KindCheckpoint, Step: 1, Epoch: 1, Files: []string{"ckpt-00001-r000.bp"}},
-		{Kind: KindCommit, Step: 1, CkptStep: 1, Digests: map[string]string{"hybrid visualization": "aa"}},
+		{Kind: KindCheckpoint, Step: 1, Files: []string{"ckpt-00001-r000.bp"}},
+		{Kind: KindCommit, Step: 1, Digests: map[string]string{"hybrid visualization": "aa"}},
 	}
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
@@ -46,8 +47,47 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("commit digests lost: %+v", got[3])
 	}
 	// The ckpt record is the checkpoint binding Resume replays.
-	if got[2].Epoch != 1 || len(got[2].Files) != 1 || got[2].Files[0] != recs[2].Files[0] {
+	if got[2].Step != 1 || len(got[2].Files) != 1 || got[2].Files[0] != recs[2].Files[0] {
 		t.Fatalf("checkpoint binding lost: %+v", got[2])
+	}
+}
+
+// TestJournalWithRetiredKeysStillOpens: journals written before the
+// write-only "epoch" and "ckpt_step" keys were dropped open to the same
+// records — the unknown keys are ignored — and resume from them.
+func TestJournalWithRetiredKeysStillOpens(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(filepath.Join(dir, journalFile), func([]byte) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(
+		[]byte(`{"kind":"admit","step":1}`),
+		[]byte(`{"kind":"ckpt","step":1,"files":["ckpt-00001-r000.bp"],"epoch":1}`),
+		[]byte(`{"kind":"commit","step":1,"ckpt_step":1,"digests":{"stats":"aa"}}`),
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	got := j.Records()
+	want := []Record{
+		{Kind: KindAdmit, Step: 1},
+		{Kind: KindCheckpoint, Step: 1, Files: []string{"ckpt-00001-r000.bp"}},
+		{Kind: KindCommit, Step: 1, Digests: map[string]string{"stats": "aa"}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("old journal opens to %+v, want %+v", got, want)
+	}
+	st := Analyze(got)
+	if cks := st.CheckpointsFor(st.LastCommit); st.LastCommit != 1 || len(cks) != 1 || cks[0].Files[0] != "ckpt-00001-r000.bp" {
+		t.Fatalf("old journal resumes at step %d from %+v", st.LastCommit, cks)
 	}
 }
 
@@ -135,11 +175,11 @@ func TestAnalyze(t *testing.T) {
 	recs := []Record{
 		{Kind: KindAdmit, Step: 1},
 		{Kind: KindCommit, Step: 1},
-		{Kind: KindCheckpoint, Step: 2, Epoch: 2, Files: []string{"a"}},
+		{Kind: KindCheckpoint, Step: 2, Files: []string{"a"}},
 		{Kind: KindCommit, Step: 2},
 		{Kind: KindAdmit, Step: 3},
 		{Kind: KindSubmit, Step: 3, Analysis: "stats"},
-		{Kind: KindCheckpoint, Step: 4, Epoch: 4, Files: []string{"b"}},
+		{Kind: KindCheckpoint, Step: 4, Files: []string{"b"}},
 		// Step 4 committed but 3 is not: LastCommit must stop at 2.
 		{Kind: KindCommit, Step: 4},
 	}

@@ -10,9 +10,7 @@ package render
 
 import (
 	"fmt"
-	"image"
 	"image/color"
-	"image/png"
 	"os"
 )
 
@@ -73,15 +71,6 @@ func CompositeFrontToBack(parts []*Image) (*Image, error) {
 	return out, nil
 }
 
-// ToNRGBA converts to an 8-bit image over a background color.
-func (im *Image) ToNRGBA(bg color.NRGBA) *image.NRGBA {
-	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		im.nrgbaRow(out.Pix[y*out.Stride:], y, bg)
-	}
-	return out
-}
-
 // nrgbaRow writes row y as opaque 8-bit RGBA over bg into dst[:4*im.W].
 func (im *Image) nrgbaRow(dst []byte, y int, bg color.NRGBA) {
 	br := float64(bg.R) / 255
@@ -106,15 +95,14 @@ func to8(v float64) uint8 {
 	return uint8(v*255 + 0.5)
 }
 
-// SavePNG writes the image to path over a black background.
+// SavePNG writes the image to path as AppendPNG encodes it.
 func (im *Image) SavePNG(path string) error {
-	f, err := os.Create(path)
+	data, err := im.AppendPNG(nil)
 	if err != nil {
-		return fmt.Errorf("render: create %s: %w", path, err)
+		return err
 	}
-	defer f.Close()
-	if err := png.Encode(f, im.ToNRGBA(color.NRGBA{A: 255})); err != nil {
-		return fmt.Errorf("render: encode %s: %w", path, err)
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		return fmt.Errorf("render: %w", err)
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 const maxStored = 0xffff
 
 // AppendPNG appends the image as a PNG (8-bit RGBA over a black
-// background, like SavePNG) to dst and returns the extended slice. The
+// background) to dst and returns the extended slice. The
 // byte layout is fully deterministic: filter type None on every
 // scanline and a zlib stream of stored (uncompressed) deflate blocks.
 // Unlike image/png, whose compressed output may change between Go

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
+	"image"
 	"image/color"
 	"image/png"
 	"math"
@@ -78,8 +79,18 @@ func TestEncodePNGDeterministic(t *testing.T) {
 	}
 }
 
+// toNRGBA converts im to an 8-bit image over a background color: the
+// pixels the stdlib decoder must read back from AppendPNG's stream.
+func toNRGBA(im *Image, bg color.NRGBA) *image.NRGBA {
+	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
+	for y := 0; y < im.H; y++ {
+		im.nrgbaRow(out.Pix[y*out.Stride:], y, bg)
+	}
+	return out
+}
+
 // TestEncodePNGDecodes: the hand-rolled stream must be a valid PNG
-// whose pixels match ToNRGBA — decoded by the stdlib as a cross-check,
+// whose pixels match toNRGBA — decoded by the stdlib as a cross-check,
 // for one stored block, for two, and for scanlines that fill their
 // blocks exactly — in one slice with no spare capacity.
 func TestEncodePNGDecodes(t *testing.T) {
@@ -100,7 +111,7 @@ func TestEncodePNGDecodes(t *testing.T) {
 		if b.Dx() != im.W || b.Dy() != im.H {
 			t.Fatalf("decoded size %dx%d, want %dx%d", b.Dx(), b.Dy(), im.W, im.H)
 		}
-		want := im.ToNRGBA(color.NRGBA{A: 255})
+		want := toNRGBA(im, color.NRGBA{A: 255})
 		for y := 0; y < im.H; y++ {
 			for x := 0; x < im.W; x++ {
 				r1, g1, b1, a1 := dec.At(x, y).RGBA()

@@ -3,6 +3,7 @@ package render
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"insitu/internal/grid"
@@ -117,16 +118,17 @@ type bandSampler interface {
 // half-open containment check still guards every sample, so clipping
 // is purely an optimization.
 //
-// The image is split into contiguous row bands casted concurrently by
-// the worker pool. Rays are mutually independent and each band writes
-// a disjoint pixel range, so the result is bitwise identical to the
-// serial render at any pool width; compositing order is untouched
-// because parallelism never crosses an image boundary.
+// The image is split into one contiguous row band per GOMAXPROCS
+// worker, cast concurrently. Rays are mutually independent and each
+// band writes a disjoint pixel range, so the result is bitwise
+// identical to the serial render at any width; compositing order is
+// untouched because parallelism never crosses an image boundary.
 func (r *Renderer) renderWith(src sampler, clip grid.Box) *Image {
 	img := GetImage(r.Width, r.Height)
 	right, up, center, radius := r.camera()
 	tMax := 2 * radius
-	parallel.Default.ForBlocks(r.Height, func(_, loRow, hiRow int) {
+	procs := runtime.GOMAXPROCS(0)
+	parallel.ForChunks(r.Height, (r.Height+procs-1)/procs, func(_, loRow, hiRow int) {
 		band := src
 		if bs, ok := src.(bandSampler); ok {
 			band = bs.bandSampler()

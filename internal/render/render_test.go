@@ -1,10 +1,13 @@
 package render
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"insitu/internal/grid"
@@ -190,6 +193,47 @@ func TestHybridApproximatesSerial(t *testing.T) {
 	}
 }
 
+// TestFramesDoNotDependOnWidth: renderWith casts one row band per
+// GOMAXPROCS worker, each with its own block-table cursor, so a frame
+// cast at any width is the same, pixel for pixel and bit for bit.
+func TestFramesDoNotDependOnWidth(t *testing.T) {
+	g := grid.NewBox(32, 24, 16)
+	f := testField(g, 4)
+	dc, err := grid.NewDecomp(g, 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt := NewBlockTable()
+	for i := 0; i < dc.Ranks(); i++ {
+		payload, _ := DownsampleForTransit(f, dc.Block(i), 2)
+		if err := bt.AddMarshalled(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewRenderer(37, 23, HotMetal(0, 1), [3]float64{0.4, 0.25, 1}, [3]float64{0, 1, 0}, 0.25, bt.Bounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []float64
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		img, err := r.RenderTable(bt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = slices.Clone(img.Pix)
+		}
+		for i, v := range img.Pix {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("GOMAXPROCS %d: pixel %d channel %d is %v, %v at GOMAXPROCS 1", procs, i/4, i%4, v, want[i])
+			}
+		}
+		PutImage(img)
+	}
+}
+
 func TestDataReductionFromDownsampling(t *testing.T) {
 	g := grid.NewBox(32, 32, 32)
 	f := testField(g, 4)
@@ -299,9 +343,12 @@ func TestSavePNG(t *testing.T) {
 	if err := img.SavePNG(path); err != nil {
 		t.Fatal(err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil || fi.Size() == 0 {
-		t.Fatal("png not written")
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := img.AppendPNG(nil); !bytes.Equal(got, want) {
+		t.Fatalf("the file holds %d bytes, not AppendPNG's %d", len(got), len(want))
 	}
 	if err := img.SavePNG(filepath.Join(dir, "missing", "out.png")); err == nil {
 		t.Fatal("bad path must error")

@@ -38,7 +38,6 @@ type PaperRef struct {
 // whose shape mirrors one of the paper's runs. (Table II's pipeline is
 // declared by examples/configs/table2-4896.json.)
 type Scenario struct {
-	Name      string
 	Sim       sim.Config
 	DSServers int
 	Buckets   int
@@ -79,7 +78,6 @@ func Scenario4896() Scenario {
 	cfg := sim.DefaultConfig(baseGrid(), 4, 4, 2)
 	cfg.SubSteps = simSubSteps
 	return Scenario{
-		Name:      "4896-core (scaled 1/140)",
 		Sim:       cfg,
 		DSServers: 2,
 		Buckets:   2,
@@ -94,7 +92,6 @@ func Scenario9440() Scenario {
 	cfg := sim.DefaultConfig(baseGrid(), 8, 4, 2)
 	cfg.SubSteps = simSubSteps
 	return Scenario{
-		Name:      "9440-core (scaled 1/140)",
 		Sim:       cfg,
 		DSServers: 2,
 		Buckets:   2,

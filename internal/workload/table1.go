@@ -20,7 +20,6 @@ type TableIRow struct {
 
 	// Measured at laptop scale.
 	SimRanks       int
-	BlockDims      [3]int
 	MeasuredStep   time.Duration // wall time per simulation step
 	MeasuredWrite  time.Duration // file-per-process checkpoint write
 	MeasuredRead   time.Duration // checkpoint read-back
@@ -40,7 +39,6 @@ func RunTableI(sc Scenario, steps int, dir string) (*TableIRow, error) {
 		return nil, err
 	}
 	row := &TableIRow{Scenario: sc, SimRanks: s.Ranks()}
-	row.BlockDims = s.Decomp().Block(0).Dims()
 
 	type rankOut struct {
 		fields []*grid.Field

@@ -19,29 +19,32 @@ import (
 // may stay anyway, each with its reason. An entry names a field
 // ("pkg.Type.Field") or a whole type ("pkg.Type").
 var singleValueAllowList = map[string]string{
-	"dart.RetryPolicy":         "fault hook: fault tests shorten the retry backoff through Fabric.SetRetryPolicy; every run keeps the default policy",
-	"faults.Config":            "the fault model the chaos soaks and fault tests drive: rates, partitions and corruption that no config key sets",
-	"netsim.Config":            "the gemini profile's path thresholds; fabric.net.profile picks that profile or the zero one, where every message takes one free path",
-	"netsim.Config.SharedLink": "only the netsim and streaming tests serialize the sleeps; it goes with TimeScale when the clock is modeled (ROADMAP item 5)",
-	"core.RecoveryConfig.Kill": "fault hook: the crash matrix builds each cell's kill point; no config kills a run",
+	"dart.RetryPolicy":              "fault hook: fault tests shorten the retry backoff through Fabric.SetRetryPolicy; every run keeps the default policy",
+	"faults.Config":                 "the fault model the chaos soaks and fault tests drive: rates, partitions and corruption that no config key sets",
+	"netsim.Config":                 "the gemini profile's path thresholds; fabric.net.profile picks that profile or the zero one, where every message takes one free path",
+	"netsim.Config.SharedLink":      "only the netsim and streaming tests serialize the sleeps; it goes with TimeScale when the clock is modeled (ROADMAP item 5)",
+	"core.RecoveryConfig.Kill":      "fault hook: the crash matrix builds each cell's kill point; no config kills a run",
+	"workload.ViewerConfig.HotFrac": "benchmark/workload.go passes the default 0.5, and the benchmark module is frozen against its parent's runs; fold it once the benchmark may change",
 }
 
 // TestEveryGoOptionIsSet: a Go option is a dimension every test and
-// benchmark must cover, so a field that only its own package's default
-// fills with a constant, or that only a test sets, is a constant under
-// another name. The test type-checks every package of this module and
-// of the benchmark module from source and scopes the exported fields of
-// exported struct types named *Config, *Options or *Policy in non-test
-// files under internal/; a field with a JSON key belongs to
+// benchmark must cover, so a field that non-test code only ever sets to
+// one value is a constant under another name. The test type-checks
+// every package of this module and of the benchmark module from source
+// and scopes the exported fields of two kinds of exported struct types
+// in non-test files under internal/: those named *Config, *Options or
+// *Policy, and analysis structs, whose pointer has Name and Every
+// methods (core.VizHybrid, ...). A field with a JSON key belongs to
 // TestEveryConfigKeyIsSetByACommittedConfig, and json:"-" is not a key.
-// Analysis structs such as core.VizHybrid carry option-like fields too
-// but are out of scope: their names do not say they are options, so
-// they are audited by hand. A field passes when non-test code under
-// cmd/, examples/, internal/ or benchmark/ writes it, as a keyed
-// composite-literal element or by assignment, from another package or
-// with an expression that is not a constant. Every other field fails
-// unless singleValueAllowList names it or its type; an allow-list entry
-// that names nothing in scope, or whose fields all pass, fails too.
+// A field passes when non-test code under cmd/, examples/, internal/ or
+// benchmark/ shows two values for it, whichever package writes them:
+// each distinct constant it is written with (a keyed or positional
+// composite-literal element, or an assignment) is a value, a
+// non-constant write (or ++, or op=) is a second value, and a keyed
+// composite literal of its struct that leaves it out writes its zero
+// value. Every other field fails unless singleValueAllowList names it
+// or its type with a reason; an allow-list entry that names nothing in
+// scope, or whose fields all pass, fails too.
 func TestEveryGoOptionIsSet(t *testing.T) {
 	fset := token.NewFileSet()
 	ld := &sourceLoader{
@@ -68,7 +71,8 @@ func TestEveryGoOptionIsSet(t *testing.T) {
 	// The options in scope.
 	type option struct {
 		key, pos string
-		passed   bool
+		values   map[string]bool // the distinct constant values written
+		varies   bool            // a non-constant write
 	}
 	options := map[*types.Var]*option{}
 	inScope := map[string]bool{} // allow-list keys that name an option or its type
@@ -79,12 +83,15 @@ func TestEveryGoOptionIsSet(t *testing.T) {
 		scope := lp.pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || !tn.Exported() || tn.IsAlias() ||
-				!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+			if !ok || !tn.Exported() || tn.IsAlias() {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
 			if !ok {
+				continue
+			}
+			named := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")
+			if !named && !isAnalysis(tn.Type()) {
 				continue
 			}
 			typeKey := lp.pkg.Name() + "." + name
@@ -97,7 +104,7 @@ func TestEveryGoOptionIsSet(t *testing.T) {
 					continue
 				}
 				inScope[typeKey] = true
-				o := &option{key: typeKey + "." + f.Name(), pos: fset.Position(f.Pos()).String()}
+				o := &option{key: typeKey + "." + f.Name(), pos: fset.Position(f.Pos()).String(), values: map[string]bool{}}
 				inScope[o.key] = true
 				options[f] = o
 			}
@@ -106,46 +113,71 @@ func TestEveryGoOptionIsSet(t *testing.T) {
 
 	// The writes.
 	for _, lp := range ld.pkgs {
+		// write records that field is set to value; a nil value is a
+		// write that is not one constant (x.F++, x.F op= v).
 		write := func(field types.Object, value ast.Expr) {
 			f, ok := field.(*types.Var)
-			if !ok {
+			if !ok || options[f] == nil {
 				return
 			}
 			o := options[f]
-			if o == nil || o.passed {
+			if value == nil {
+				o.varies = true
 				return
 			}
-			if f.Pkg() != lp.pkg || value == nil { // value is nil for x.F op= v
-				o.passed = true
-				return
-			}
-			if tv := lp.info.Types[value]; tv.Value == nil && !tv.IsNil() {
-				o.passed = true
+			switch tv := lp.info.Types[value]; {
+			case tv.Value != nil:
+				o.values[tv.Value.ExactString()] = true
+			case tv.IsNil():
+				o.values["nil"] = true
+			default:
+				o.varies = true
 			}
 		}
 		for _, file := range lp.files {
 			ast.Inspect(file, func(n ast.Node) bool {
 				switch n := n.(type) {
-				case *ast.KeyValueExpr:
-					// A struct literal's key resolves to its field.
-					if id, ok := n.Key.(*ast.Ident); ok {
-						write(lp.info.Uses[id], n.Value)
+				case *ast.CompositeLit:
+					tv, ok := lp.info.Types[n]
+					if !ok {
+						return true
+					}
+					st, ok := tv.Type.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					keyed := map[types.Object]bool{}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								keyed[lp.info.Uses[id]] = true
+								write(lp.info.Uses[id], kv.Value)
+							}
+							continue
+						}
+						write(st.Field(i), elt)
+					}
+					if len(n.Elts) > 0 && len(keyed) == 0 {
+						return true // positional: every field is written
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if f := st.Field(i); !keyed[f] && options[f] != nil {
+							options[f].values[zeroValue(f.Type())] = true
+						}
 					}
 				case *ast.AssignStmt:
 					for i, lhs := range n.Lhs {
-						sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-						if !ok {
-							continue
-						}
-						s := lp.info.Selections[sel]
-						if s == nil || s.Kind() != types.FieldVal {
-							continue
-						}
 						var value ast.Expr
 						if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
 							value = n.Rhs[i]
 						}
-						write(s.Obj(), value)
+						if f := lp.fieldOf(lhs); f != nil {
+							write(f, value)
+						}
+					}
+				case *ast.IncDecStmt:
+					if f := lp.fieldOf(n.X); f != nil {
+						write(f, nil)
 					}
 				}
 				return true
@@ -157,7 +189,7 @@ func TestEveryGoOptionIsSet(t *testing.T) {
 	allowed := map[string]bool{} // allow-list keys that excuse a failing option
 	passed := 0
 	for _, o := range options {
-		if o.passed {
+		if o.varies || len(o.values) >= 2 {
 			passed++
 			continue
 		}
@@ -175,17 +207,58 @@ func TestEveryGoOptionIsSet(t *testing.T) {
 	t.Logf("%d packages type-checked; %d Go options in scope, %d set with a second value; allow-list of %d",
 		len(ld.pkgs), len(options), passed, len(singleValueAllowList))
 	if len(failing) > 0 {
-		t.Errorf("%d Go options have one value in use: only their own package's defaults set them with a constant, or only tests set them (fold each into a constant, or allow-list it with a reason):\n  %s",
+		t.Errorf("%d Go options have fewer than two values in use: non-test code sets each to one constant, or leaves it at its zero value (fold each into a constant, or allow-list it with a reason):\n  %s",
 			len(failing), strings.Join(failing, "\n  "))
 	}
 	for key, reason := range singleValueAllowList {
 		switch {
 		case !inScope[key]:
-			t.Errorf("allow-listed option %s is not an exported field or type of an internal *Config, *Options or *Policy struct", key)
+			t.Errorf("allow-listed option %s is not an exported field or type of an internal *Config, *Options, *Policy or analysis struct", key)
 		case !allowed[key]:
 			t.Errorf("allow-listed option %s has a second value in use; drop it from the allow-list (%s)", key, reason)
 		}
 	}
+}
+
+// isAnalysis reports whether *typ has Name and Every methods: the mark
+// of an analysis struct.
+func isAnalysis(typ types.Type) bool {
+	ms := types.NewMethodSet(types.NewPointer(typ))
+	return ms.Lookup(nil, "Name") != nil && ms.Lookup(nil, "Every") != nil
+}
+
+// zeroValue is how a write of typ's zero value reads among a field's
+// values: the constant's exact string for a basic type, as a written
+// constant reads, nil for a nillable type, and {} for the rest.
+func zeroValue(typ types.Type) string {
+	switch u := typ.Underlying().(type) {
+	case *types.Basic:
+		switch {
+		case u.Info()&types.IsBoolean != 0:
+			return "false"
+		case u.Info()&types.IsString != 0:
+			return `""`
+		case u.Info()&types.IsNumeric != 0:
+			return "0"
+		}
+		return "nil"
+	case *types.Struct, *types.Array:
+		return "{}"
+	}
+	return "nil"
+}
+
+// fieldOf returns the struct field an assignment's left side selects,
+// or nil.
+func (lp *loadedPackage) fieldOf(lhs ast.Expr) types.Object {
+	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s := lp.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		return s.Obj()
+	}
+	return nil
 }
 
 // loadedPackage is one type-checked package of this module or of the
