@@ -21,7 +21,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
@@ -205,67 +204,16 @@ func runFig1(steps int) {
 
 func runFig2(outdir string) {
 	fmt.Println("=== Figure 2: in-situ full-resolution vs hybrid down-sampled rendering ===")
-	g := grid.NewBox(64, 48, 24)
-	cfg := sim.DefaultConfig(g, 2, 2, 1)
-	s, err := sim.New(cfg)
+	cfg := sim.DefaultConfig(grid.NewBox(64, 48, 24), 2, 2, 1)
+	res, err := workload.RunFig2(cfg, 12, 480, 360, []int{2, 8})
 	if err != nil {
 		fatal(err)
 	}
-	// Advance the simulation serially on one goroutine per rank via
-	// the workload Fig. 1 helper pattern: reuse RunTableI's machinery
-	// indirectly by running the field stitcher here.
-	field, err := stitchedField(s, 12, "T")
-	if err != nil {
-		fatal(err)
+	fmt.Println(res.Format())
+	mustSave(res.InSitu, filepath.Join(outdir, "fig2-insitu-full.png"))
+	for _, row := range res.Rows {
+		mustSave(row.Frame, filepath.Join(outdir, fmt.Sprintf("fig2-hybrid-%dx.png", row.Factor)))
 	}
-	tf := render.HotMetal(0.3, 2.0)
-	full, err := render.NewRenderer(480, 360, tf, [3]float64{0.45, 0.3, 1}, [3]float64{0, 1, 0}, 0.4, g)
-	if err != nil {
-		fatal(err)
-	}
-	img := full.RenderSerial(field)
-	mustSave(img, filepath.Join(outdir, "fig2-insitu-full.png"))
-
-	dc := s.Decomp()
-	for _, factor := range []int{2, 8} {
-		bt := render.NewBlockTable()
-		for r := 0; r < dc.Ranks(); r++ {
-			payload, _ := render.DownsampleForTransit(field, dc.Block(r), factor)
-			if err := bt.AddMarshalled(payload); err != nil {
-				fatal(err)
-			}
-		}
-		hy, err := render.NewRenderer(480, 360, tf, full.Dir, full.Up, full.Step/float64(factor), bt.Bounds())
-		if err != nil {
-			fatal(err)
-		}
-		himg, err := hy.RenderTable(bt)
-		if err != nil {
-			fatal(err)
-		}
-		mustSave(himg, filepath.Join(outdir, fmt.Sprintf("fig2-hybrid-%dx.png", factor)))
-		diff, _ := render.MeanAbsDiff(img, himg)
-		fmt.Printf("hybrid %dx down-sampled: mean abs pixel difference %.5f, payload reduction ~%dx\n",
-			factor, diff, factor*factor*factor)
-	}
-	fmt.Printf("images written to %s\n", outdir)
-}
-
-func stitchedField(s *sim.Sim, steps int, name string) (*grid.Field, error) {
-	out := grid.NewField(name, s.Config().Global)
-	var mu sync.Mutex
-	err := sim.RunAll(s, func(rk *sim.Rank) error {
-		rk.RunSteps(steps)
-		f := rk.Field(name)
-		mu.Lock()
-		out.Paste(f)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func mustSave(img *render.Image, path string) {

@@ -28,13 +28,14 @@ import (
 // magic identifies BP-lite files.
 var magic = [4]byte{'B', 'P', 'L', 'T'}
 
-// Format versions. Version 2 adds a CRC32 of each variable's payload
-// to its index entry, verified on every read; version 1 files (no
-// per-record CRC) are still readable.
-const (
-	version1 = 1
-	version  = 2
-)
+// version is the one format version: each variable's index entry
+// carries a CRC32 of its payload, verified on every read. Version 1
+// (no CRC) is refused, so no checkpoint is read unchecked.
+const version = 2
+
+// entrySize is an index entry's fixed part after its name: offset,
+// length and CRC32.
+const entrySize = 20
 
 // ErrCorruptCheckpoint is returned when a variable's payload fails its
 // recorded CRC32 — the on-disk analogue of the transport's in-flight
@@ -65,7 +66,7 @@ func WriteFile(path string, fields []*grid.Field, region ...grid.Box) (int64, er
 	total := 12 // magic + version + nvars
 	for _, f := range fields {
 		total += f.DownsampleMarshalSize(over(f), 1) // payload
-		total += 4 + len(f.Name) + 20                // index entry (incl. CRC32)
+		total += 4 + len(f.Name) + entrySize         // index entry
 	}
 	total += 8 + 4 // footer offset + trailing magic
 	buf := bufpool.Get(total)[:0]
@@ -96,12 +97,10 @@ func WriteFile(path string, fields []*grid.Field, region ...grid.Box) (int64, er
 	return int64(len(buf)), nil
 }
 
-// idxEntry locates one variable's payload; sum is its CRC32 (version 2
-// files only, hasSum false for version 1).
+// idxEntry locates one variable's payload; sum is its CRC32.
 type idxEntry struct {
 	off, length uint64
 	sum         uint32
-	hasSum      bool
 }
 
 // readIndex parses the footer and returns name -> payload location.
@@ -112,13 +111,8 @@ func readIndex(data []byte) (map[string]idxEntry, []string, error) {
 	if !bytes.Equal(data[len(data)-4:], magic[:]) {
 		return nil, nil, fmt.Errorf("%w: truncated file (footer magic missing)", ErrCorruptCheckpoint)
 	}
-	v := binary.LittleEndian.Uint32(data[4:8])
-	if v != version1 && v != version {
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
 		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptCheckpoint, v)
-	}
-	entrySize := 16
-	if v == version {
-		entrySize = 20
 	}
 	nvars := int(binary.LittleEndian.Uint32(data[8:12]))
 	footerOff := binary.LittleEndian.Uint64(data[len(data)-12 : len(data)-4])
@@ -147,10 +141,7 @@ func readIndex(data []byte) (map[string]idxEntry, []string, error) {
 		e := idxEntry{
 			off:    binary.LittleEndian.Uint64(p[:8]),
 			length: binary.LittleEndian.Uint64(p[8:16]),
-		}
-		if v == version {
-			e.sum = binary.LittleEndian.Uint32(p[16:20])
-			e.hasSum = true
+			sum:    binary.LittleEndian.Uint32(p[16:20]),
 		}
 		p = p[entrySize:]
 		if e.off > uint64(len(data)) || e.length > uint64(len(data))-e.off {
@@ -162,11 +153,11 @@ func readIndex(data []byte) (map[string]idxEntry, []string, error) {
 	return idx, order, nil
 }
 
-// payload returns a variable's verified byte range: version 2 entries
-// are checked against their recorded CRC32 first.
+// payload returns a variable's byte range, checked against its
+// recorded CRC32.
 func payload(data []byte, name string, e idxEntry) ([]byte, error) {
 	b := data[e.off : e.off+e.length]
-	if e.hasSum && crc32.ChecksumIEEE(b) != e.sum {
+	if crc32.ChecksumIEEE(b) != e.sum {
 		return nil, fmt.Errorf("%w: variable %q CRC mismatch", ErrCorruptCheckpoint, name)
 	}
 	return b, nil

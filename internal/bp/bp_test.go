@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -89,8 +90,8 @@ func TestReadVarCorruptField(t *testing.T) {
 	for _, v := range []uint64{0, 0, 0, 1 << 32, 1 << 32, 1, 0} {
 		field = binary.LittleEndian.AppendUint64(field, v)
 	}
-	path := filepath.Join(t.TempDir(), "v1.bp")
-	if err := os.WriteFile(path, v1File("T", field), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "huge.bp")
+	if err := os.WriteFile(path, oneVarFile("T", field), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadVar(path, "T")
@@ -202,12 +203,12 @@ func TestBitFlipCaught(t *testing.T) {
 	}
 }
 
-// v1File lays one variable's payload out as a version-1 file (index
-// entries without the per-variable CRC32), which WriteFile no longer
-// produces.
-func v1File(name string, payload []byte) []byte {
+// oneVarFile lays one variable's payload out as a file with a correct
+// CRC32, whether or not the payload decodes: what WriteFile would
+// write for a field that marshals to those bytes.
+func oneVarFile(name string, payload []byte) []byte {
 	buf := append([]byte(nil), magic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, version1)
+	buf = binary.LittleEndian.AppendUint32(buf, version)
 	buf = binary.LittleEndian.AppendUint32(buf, 1)
 	off := len(buf)
 	buf = append(buf, payload...)
@@ -216,27 +217,30 @@ func v1File(name string, payload []byte) []byte {
 	buf = append(buf, name...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(footerOff-off))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(footerOff))
 	return append(buf, magic[:]...)
 }
 
-// TestReadVersion1 keeps backward compatibility: a hand-built version-1
-// file (16-byte index entries, no CRC) still loads.
-func TestReadVersion1(t *testing.T) {
+// TestReadVersion1Refused: a version-1 file (16-byte index entries, no
+// CRC) is refused as a corrupt checkpoint, so Resume falls back past it
+// rather than trusting bytes nothing checks.
+func TestReadVersion1Refused(t *testing.T) {
 	f := sampleFields(rand.New(rand.NewSource(6)))[0]
-	buf := v1File(f.Name, f.Marshal())
+	buf := oneVarFile(f.Name, f.Marshal())
+	binary.LittleEndian.PutUint32(buf[4:], 1)
+	entry := len(buf) - 12 - 20
+	buf = append(buf[:entry+16], buf[entry+20:]...) // drop the CRC32
 
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v1.bp")
+	path := filepath.Join(t.TempDir(), "v1.bp")
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ReadFile(path); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("ReadFile = %v, want ErrCorruptCheckpoint", err)
 	}
-	if len(got) != 1 || got[0].Name != f.Name || got[0].Data[3] != f.Data[3] {
-		t.Fatal("version-1 file did not round-trip")
+	if _, err := ReadVar(path, f.Name); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("ReadVar = %v, want ErrCorruptCheckpoint", err)
 	}
 }
 

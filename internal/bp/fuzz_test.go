@@ -22,7 +22,7 @@ import (
 func FuzzReadFile(f *testing.F) {
 	fields := sampleFields(rand.New(rand.NewSource(11)))
 
-	// Seed with one valid file per format version...
+	// Seed with a valid file, one written by hand...
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.bp")
 	if _, err := WriteFile(path, fields); err != nil {
@@ -33,7 +33,7 @@ func FuzzReadFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v2)
-	f.Add(v1File(fields[0].Name, fields[0].Marshal()))
+	f.Add(oneVarFile(fields[0].Name, fields[0].Marshal()))
 
 	// ...and with the shapes that used to get past readIndex: a footer
 	// offset inside the trailer,
@@ -59,7 +59,7 @@ func FuzzReadFile(f *testing.F) {
 	for _, v := range []uint64{0, 0, 0, 1 << 61, 1, 1, 1 << 61} {
 		hugeField = binary.LittleEndian.AppendUint64(hugeField, v)
 	}
-	f.Add(v1File("T", hugeField))
+	f.Add(oneVarFile("T", hugeField))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(dir, "fuzz.bp")

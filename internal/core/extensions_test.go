@@ -212,7 +212,7 @@ func TestFeatureStatsPipelineMatchesSerial(t *testing.T) {
 		t.Fatal("no features found; threshold too high for this run")
 	}
 	gf := globalFields(t, simCfg, steps, []string{"T", "Y_OH"})
-	seg := mergetree.SegmentField(gf["T"], simCfg.Global, threshold)
+	seg := mergetree.Segment(mergetree.FromField(gf["T"], simCfg.Global), threshold)
 	perLabel := map[int64]*stats.Moments{}
 	for id, label := range seg.Labels {
 		m, ok := perLabel[label]

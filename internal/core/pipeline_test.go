@@ -207,7 +207,7 @@ func TestPipelineVizMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := r.RenderSerial(want)
+	ref := r.RenderBlock(want, want.Box)
 	diff, err := render.MeanAbsDiff(ref, img)
 	if err != nil {
 		t.Fatal(err)

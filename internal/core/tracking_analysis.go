@@ -246,7 +246,9 @@ func BuildTrackGraph(rep *Report, track *TrackingHybrid, steps int) (*mergetree.
 // overlap matches: each raw match's previous-side representative is
 // resolved against the earlier step, its current side against the
 // later one, and counts aggregate per global feature pair. The result
-// equals serial whole-field tracking (mergetree.Track) exactly.
+// equals the voxel overlaps of the two steps' whole-field
+// segmentations exactly; TestTrackingHybridMatchesSerial checks it
+// against that oracle.
 func JoinTracking(prev, cur *TrackingStepResult) ([]mergetree.Match, error) {
 	counts := make(map[[2]int64]int64)
 	for _, m := range cur.Raw {

@@ -28,11 +28,12 @@ func TestTrackingHybridMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serial reference: segment the global OH field at every step.
+	// Serial reference: segment the global OH field's merge tree at
+	// every step.
 	var serialSegs []*mergetree.Segmentation
 	for s := 1; s <= steps; s++ {
 		gf := globalFields(t, simCfg, s, []string{"Y_OH"})
-		serialSegs = append(serialSegs, mergetree.SegmentField(gf["Y_OH"], simCfg.Global, threshold))
+		serialSegs = append(serialSegs, mergetree.Segment(mergetree.FromField(gf["Y_OH"], simCfg.Global), threshold))
 	}
 
 	// maxOf maps a segmentation's labels to each component's highest
@@ -73,9 +74,12 @@ func TestTrackingHybridMatchesSerial(t *testing.T) {
 		}
 		prevMax := maxOf(serialSegs[s-2], valsPrev)
 		curMax := maxOf(serialSegs[s-1], valsCur)
+		// Serial overlaps: the voxels labeled at both steps.
 		want := make(map[[2]int64]int)
-		for _, m := range mergetree.Track(serialSegs[s-2], serialSegs[s-1]) {
-			want[[2]int64{prevMax[m.PrevLabel], curMax[m.NextLabel]}] = m.Overlap
+		for id, pl := range serialSegs[s-2].Labels {
+			if cl, ok := serialSegs[s-1].Labels[id]; ok {
+				want[[2]int64{prevMax[pl], curMax[cl]}]++
+			}
 		}
 
 		// Pipeline matches, canonicalized via each step's feature list.

@@ -50,24 +50,25 @@ func ExampleBuilder_Glue() {
 	// distributed == serial: true
 }
 
-// Threshold segmentation and overlap tracking between two steps.
-func ExampleTrack() {
-	b := grid.NewBox(8, 1, 1)
-	mk := func(center int) *mergetree.Segmentation {
-		f := grid.NewField("f", b)
-		for i := 0; i < 8; i++ {
-			d := i - center
-			if d < 0 {
-				d = -d
-			}
-			f.Set(i, 0, 0, 1-float64(d)/4)
-		}
-		return mergetree.SegmentField(f, b, 0.7)
+// Feature lineage from per-step overlaps: a feature splits, and its
+// track follows the part it overlaps most.
+func ExampleTrackGraph() {
+	g := mergetree.NewTrackGraph()
+	g.AddStep(1, []int64{10})
+	g.AddStep(2, []int64{20, 21})
+	g.AddMatches(1, 2, []mergetree.Match{
+		{PrevLabel: 10, NextLabel: 21, Overlap: 9},
+		{PrevLabel: 10, NextLabel: 20, Overlap: 2},
+	})
+	g.AddStep(3, []int64{30})
+	g.AddMatches(2, 3, []mergetree.Match{{PrevLabel: 21, NextLabel: 30, Overlap: 7}})
+	for _, tr := range g.Tracks() {
+		fmt.Println(tr.Nodes)
 	}
-	matches := mergetree.Track(mk(3), mk(4)) // feature moved one cell
-	fmt.Printf("matches=%d overlap=%d\n", len(matches), matches[0].Overlap)
+	fmt.Println(g.Summarize(false).Format())
 	// Output:
-	// matches=1 overlap=2
+	// [{1 10} {2 21} {3 30}]
+	// tracks=1 longest=3 mean-lifetime=3.0 births=1 deaths=2 merges=0 splits=1
 }
 
 // sameTree reports whether two trees hold the same nodes, values and

@@ -44,27 +44,31 @@ func LocalComponents(f *grid.Field, global, owned grid.Box, threshold float64) (
 	if !f.Box.ContainsBox(ext) {
 		return nil, fmt.Errorf("mergetree: field does not cover extended block %v", ext)
 	}
-	block := f
-	if f.Box != ext {
-		block = f.Extract(ext)
+	var s Scratch
+	if err := s.sweepBlock(f, ext); err != nil {
+		return nil, err
 	}
-	s := SegmentField(block, global, threshold)
-
-	// Highest member per component.
-	rep := make(map[int64]int64)
-	repVal := make(map[int64]float64)
-	for id, label := range s.Labels {
-		i, j, k := grid.GlobalPoint(global, id)
-		v := block.At(i, j, k)
-		if cur, ok := rep[label]; !ok || Above(v, id, repVal[label], cur) {
-			rep[label] = id
-			repVal[label] = v
+	// Walking the sweep up labels each vertex with its component's
+	// lowest member at or above the threshold, as Segment does; the
+	// last member it meets is the component's highest.
+	label, rep := s.parent, s.ups // the union-find is done with
+	for r := len(s.order) - 1; r >= 0; r-- {
+		v := s.order[r]
+		if d := s.down[v]; d < 0 || !(f.Data[d] >= threshold) {
+			label[v] = v
+		} else {
+			label[v] = label[d]
 		}
+		rep[label[v]] = v
+	}
+	id := func(v int32) int64 {
+		i, j, k := f.Box.Point(int(v))
+		return grid.GlobalIndex(global, i, j, k)
 	}
 	out := make(map[int64]int64)
-	for id, label := range s.Labels {
-		if i, j, k := grid.GlobalPoint(global, id); owned.Contains(i, j, k) {
-			out[id] = rep[label]
+	for _, v := range s.order {
+		if f.Data[v] >= threshold && owned.Contains(f.Box.Point(int(v))) {
+			out[id(v)] = id(rep[label[v]])
 		}
 	}
 	return out, nil

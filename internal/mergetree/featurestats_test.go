@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -17,7 +18,7 @@ import (
 // accumulate cond per component, keyed by the component's highest
 // vertex.
 func serialFeatureStats(segVar, cond *grid.Field, global grid.Box, threshold float64) map[int64]stats.Derived {
-	s := SegmentField(segVar, global, threshold)
+	s := segmentField(segVar, global, threshold)
 	rep := make(map[int64]int64)
 	repVal := make(map[int64]float64)
 	acc := make(map[int64]*stats.Moments)
@@ -123,9 +124,10 @@ func TestFeatureStatsHybridMatchesSerial(t *testing.T) {
 // tracking and feature statistics rest on: over random, tied and
 // smooth fields and decompositions down to 1-cell-thick blocks, every
 // owned voxel at or above the threshold gets a representative from
-// LocalComponents, and that representative is the highest member of
-// the voxel's component in the extended block and a vertex of the
-// rank's KeepOverlapMaxima subtree, so the glued tree resolves it.
+// LocalComponents, from the extended block or the whole field alike,
+// and that representative is the highest member of the voxel's
+// component in the extended block and a vertex of the rank's
+// KeepOverlapMaxima subtree, so the glued tree resolves it.
 func TestRepresentativesAreSubtreeVertices(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	decomps := [][3]int{{1, 1, 1}, {2, 2, 1}, {3, 2, 2}, {6, 1, 1}, {1, 5, 2}, {6, 5, 3}}
@@ -154,6 +156,11 @@ func TestRepresentativesAreSubtreeVertices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A field wider than the extended block, as a rank's ghosted
+			// field is at a domain face, labels the same.
+			if whole, err := LocalComponents(f, global, owned, threshold); err != nil || !maps.Equal(whole, reps) {
+				t.Fatalf("trial %d rank %d: the whole field labels differently from the extended block (%v)", trial, r, err)
+			}
 			st, err := LocalSubtree(block, global, owned, r, KeepOverlapMaxima)
 			if err != nil {
 				t.Fatal(err)
@@ -162,7 +169,7 @@ func TestRepresentativesAreSubtreeVertices(t *testing.T) {
 			for _, v := range st.Verts {
 				inSubtree[v.ID] = true
 			}
-			seg := SegmentField(block, global, threshold)
+			seg := segmentField(block, global, threshold)
 			highest := map[int64]int64{} // component label -> highest member
 			for id, label := range seg.Labels {
 				h, ok := highest[label]

@@ -4,11 +4,122 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"insitu/internal/grid"
 )
+
+// segmentField computes Segment's threshold segmentation straight from
+// a field with union-find over 6-neighbor adjacency, labeling each
+// component by its sweep-lowest member: the oracle the tree-based
+// segmentation is checked against.
+func segmentField(f *grid.Field, global grid.Box, threshold float64) *Segmentation {
+	b := f.Box
+	d := b.Dims()
+	parent := make([]int, b.Size())
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(x, y int) {
+		if parent[y] >= 0 {
+			parent[find(x)] = find(y)
+		}
+	}
+	for idx := range parent {
+		parent[idx] = -1
+		if !(f.Data[idx] >= threshold) {
+			continue
+		}
+		parent[idx] = idx
+		i, j, k := b.Point(idx)
+		if i > b.Lo[0] {
+			union(idx, idx-1)
+		}
+		if j > b.Lo[1] {
+			union(idx, idx-d[0])
+		}
+		if k > b.Lo[2] {
+			union(idx, idx-d[0]*d[1])
+		}
+	}
+	id := func(idx int) int64 {
+		i, j, k := b.Point(idx)
+		return grid.GlobalIndex(global, i, j, k)
+	}
+	lowest := make(map[int]int) // root -> sweep-lowest member
+	for idx := range parent {
+		if parent[idx] < 0 {
+			continue
+		}
+		r := find(idx)
+		if low, ok := lowest[r]; !ok || Above(f.Data[low], id(low), f.Data[idx], id(idx)) {
+			lowest[r] = idx
+		}
+	}
+	seg := &Segmentation{Threshold: threshold, Labels: make(map[int64]int64)}
+	for idx := range parent {
+		if parent[idx] >= 0 {
+			seg.Labels[id(idx)] = id(lowest[find(idx)])
+		}
+	}
+	return seg
+}
+
+// track counts the voxel overlaps between two segmentations of one
+// domain, sorted by decreasing overlap then labels: what
+// core.JoinTracking assembles from per-rank counts.
+func track(prev, next *Segmentation) []Match {
+	counts := make(map[[2]int64]int)
+	for id, pl := range prev.Labels {
+		if nl, ok := next.Labels[id]; ok {
+			counts[[2]int64{pl, nl}]++
+		}
+	}
+	out := make([]Match, 0, len(counts))
+	for k, c := range counts {
+		out = append(out, Match{PrevLabel: k[0], NextLabel: k[1], Overlap: c})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Overlap != out[j].Overlap {
+			return out[i].Overlap > out[j].Overlap
+		}
+		if out[i].PrevLabel != out[j].PrevLabel {
+			return out[i].PrevLabel < out[j].PrevLabel
+		}
+		return out[i].NextLabel < out[j].NextLabel
+	})
+	return out
+}
+
+// lineage assembles segmentations of consecutive steps 1, 2, ... into
+// a TrackGraph linked by their overlaps.
+func lineage(t *testing.T, segs []*Segmentation) *TrackGraph {
+	t.Helper()
+	g := NewTrackGraph()
+	for i, seg := range segs {
+		var feats []int64
+		for _, l := range seg.Labels {
+			if !slices.Contains(feats, l) {
+				feats = append(feats, l)
+			}
+		}
+		if err := g.AddStep(i+1, feats); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := g.AddMatches(i, i+1, track(segs[i-1], seg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return g
+}
 
 func TestSegmentTiny(t *testing.T) {
 	f, b := threePeakField() // 1 5 2 4 1 1.5 1 0
@@ -40,7 +151,7 @@ func TestSegmentMatchesSegmentField(t *testing.T) {
 		tr := FromField(f, b)
 		threshold := 0.2 + 0.6*rng.Float64()
 		a := Segment(tr, threshold)
-		c := SegmentField(f, b, threshold)
+		c := segmentField(f, b, threshold)
 		if len(a.Labels) != len(c.Labels) {
 			t.Fatalf("trial %d: label counts differ: %d vs %d", trial, len(a.Labels), len(c.Labels))
 		}
@@ -82,38 +193,26 @@ func blobField(b grid.Box, cx, cy float64) *grid.Field {
 }
 
 // TestTrackMovingBlob reproduces the Fig. 1 scenario in miniature: a
-// feature moving one grid point per step is trackable via overlap at
-// cadence 1, and lost at a cadence larger than its footprint.
+// feature moving two grid points per step is one track across every
+// step at cadence 1, and lost at a cadence larger than its footprint.
 func TestTrackMovingBlob(t *testing.T) {
 	b := grid.NewBox(40, 12, 1)
 	var segs []*Segmentation
 	for s := 0; s < 12; s++ {
 		f := blobField(b, 4+float64(s)*2, 6)
-		segs = append(segs, SegmentField(f, b, 0.5))
+		segs = append(segs, segmentField(f, b, 0.5))
 	}
-	// Consecutive steps overlap.
-	for s := 1; s < len(segs); s++ {
-		if len(Track(segs[s-1], segs[s])) == 0 {
-			t.Fatalf("step %d: lost the blob at cadence 1", s)
-		}
-	}
-	chain := TrackChain(segs, firstLabel(segs[0]))
-	if len(chain) != len(segs) {
-		t.Fatalf("chain should span all %d steps, got %d", len(segs), len(chain))
+	sum := lineage(t, segs).Summarize(false)
+	if sum.Tracks != 1 || sum.LongestTrack != len(segs) || sum.Births != 1 || sum.Deaths != 1 {
+		t.Fatalf("one blob over %d steps should be one track from one birth to one death: %+v", len(segs), sum)
 	}
 	// At cadence 4 (blob moves 8 points, footprint ~ +/-3), overlap is
 	// lost: connectivity indicators vanish, as the paper's Fig. 1
 	// caption describes for coarse output cadences.
-	if ms := Track(segs[0], segs[4]); len(ms) != 0 {
-		t.Fatalf("expected no overlap at cadence 4, got %d matches", len(ms))
+	sum = lineage(t, []*Segmentation{segs[0], segs[4], segs[8]}).Summarize(false)
+	if sum.Tracks != 3 || sum.LongestTrack != 1 {
+		t.Fatalf("at cadence 4 every output should start a track of its own: %+v", sum)
 	}
-}
-
-func firstLabel(s *Segmentation) int64 {
-	for _, l := range s.Labels {
-		return l
-	}
-	return -1
 }
 
 func TestSegmentationPartitionProperty(t *testing.T) {

@@ -13,6 +13,15 @@ import (
 // each feature's fate — birth, death, continuation, merge, split —
 // and extracts whole tracks with their lifetimes.
 
+// Match records the voxel overlap between a feature at one timestep
+// and a feature at the next — the connectivity indicator of Fig. 1
+// that is lost when the output cadence exceeds the feature lifetime.
+type Match struct {
+	PrevLabel int64
+	NextLabel int64
+	Overlap   int
+}
+
 // TrackNode identifies one feature at one step.
 type TrackNode struct {
 	Step    int
@@ -58,16 +67,24 @@ type TrackGraph struct {
 	steps []int // analysis steps in order
 	// features per step.
 	features map[int][]int64
-	// forward[node] lists successor features, backward predecessors.
-	forward  map[TrackNode][]TrackNode
+	// forward[node] lists successor features with their overlaps,
+	// backward predecessors.
+	forward  map[TrackNode][]trackLink
 	backward map[TrackNode][]TrackNode
+}
+
+// trackLink is one forward edge: a successor and the voxel overlap
+// that links to it.
+type trackLink struct {
+	to      TrackNode
+	overlap int
 }
 
 // NewTrackGraph creates an empty graph.
 func NewTrackGraph() *TrackGraph {
 	return &TrackGraph{
 		features: make(map[int][]int64),
-		forward:  make(map[TrackNode][]TrackNode),
+		forward:  make(map[TrackNode][]trackLink),
 		backward: make(map[TrackNode][]TrackNode),
 	}
 }
@@ -96,7 +113,7 @@ func (g *TrackGraph) AddMatches(prev, cur int, matches []Match) error {
 	for _, m := range matches {
 		a := TrackNode{Step: prev, Feature: m.PrevLabel}
 		b := TrackNode{Step: cur, Feature: m.NextLabel}
-		g.forward[a] = append(g.forward[a], b)
+		g.forward[a] = append(g.forward[a], trackLink{to: b, overlap: m.Overlap})
 		g.backward[b] = append(g.backward[b], a)
 	}
 	return nil
@@ -149,10 +166,10 @@ type FeatureTrack struct {
 func (t FeatureTrack) Lifetime() int { return len(t.Nodes) }
 
 // Tracks extracts maximal tracks: starting from every birth (or
-// first-step feature), follow forward links; at splits follow the
-// first successor; a node already claimed by an earlier track starts
-// no new one but may terminate others. Tracks are returned longest
-// first.
+// first-step feature), follow forward links; at a split follow the
+// unclaimed successor of greatest overlap, the smaller label on a tie;
+// a node already claimed by an earlier track starts no new one but may
+// terminate others. Tracks are returned longest first.
 func (g *TrackGraph) Tracks() []FeatureTrack {
 	claimed := make(map[TrackNode]bool)
 	var tracks []FeatureTrack
@@ -185,15 +202,16 @@ func (g *TrackGraph) Tracks() []FeatureTrack {
 	return tracks
 }
 
+// firstSuccessor returns n's unclaimed successor of greatest overlap,
+// the smaller label on a tie.
 func (g *TrackGraph) firstSuccessor(n TrackNode, claimed map[TrackNode]bool) (TrackNode, bool) {
-	succs := append([]TrackNode{}, g.forward[n]...)
-	sort.Slice(succs, func(i, j int) bool { return succs[i].Feature < succs[j].Feature })
-	for _, s := range succs {
-		if !claimed[s] {
-			return s, true
+	best := trackLink{overlap: -1}
+	for _, l := range g.forward[n] {
+		if !claimed[l.to] && (l.overlap > best.overlap || l.overlap == best.overlap && l.to.Feature < best.to.Feature) {
+			best = l
 		}
 	}
-	return TrackNode{}, false
+	return best.to, best.overlap >= 0
 }
 
 // Summary counts events over the run.

@@ -1,6 +1,7 @@
 package mergetree
 
 import (
+	"slices"
 	"testing"
 
 	"insitu/internal/grid"
@@ -101,6 +102,29 @@ func TestTrackGraphTracks(t *testing.T) {
 	}
 }
 
+// TestTrackFollowsGreatestOverlap: at a split the track follows the
+// successor it overlaps most, here the one with the larger label, and
+// a tie goes to the smaller label.
+func TestTrackFollowsGreatestOverlap(t *testing.T) {
+	g := buildGraph(t,
+		[][]int64{{1}, {4, 6}, {4, 6}},
+		[][]Match{
+			{{PrevLabel: 1, NextLabel: 6, Overlap: 9}, {PrevLabel: 1, NextLabel: 4, Overlap: 2}},
+			{{PrevLabel: 6, NextLabel: 6, Overlap: 8}},
+		})
+	tracks := g.Tracks()
+	want := []TrackNode{{1, 1}, {2, 6}, {3, 6}}
+	if len(tracks) == 0 || !slices.Equal(tracks[0].Nodes, want) {
+		t.Fatalf("tracks %v, want the longest to follow the larger overlap: %v", tracks, want)
+	}
+	tie := buildGraph(t,
+		[][]int64{{1}, {4, 6}},
+		[][]Match{{{PrevLabel: 1, NextLabel: 6, Overlap: 3}, {PrevLabel: 1, NextLabel: 4, Overlap: 3}}})
+	if got := tie.Tracks()[0].Nodes; !slices.Equal(got, []TrackNode{{1, 1}, {2, 4}}) {
+		t.Fatalf("tied split followed %v, want the smaller label", got)
+	}
+}
+
 func TestTrackGraphValidation(t *testing.T) {
 	g := NewTrackGraph()
 	if err := g.AddStep(2, nil); err != nil {
@@ -144,30 +168,13 @@ func TestTrackGraphFromSegmentations(t *testing.T) {
 		if step == 3 || step == 4 {
 			add(30, 6)
 		}
-		return SegmentField(f, b, 0.5)
+		return segmentField(f, b, 0.5)
 	}
-	g := NewTrackGraph()
-	var prev *Segmentation
+	var segs []*Segmentation
 	for step := 1; step <= 6; step++ {
-		seg := segAt(step)
-		var feats []int64
-		seen := map[int64]bool{}
-		for _, l := range seg.Labels {
-			if !seen[l] {
-				seen[l] = true
-				feats = append(feats, l)
-			}
-		}
-		if err := g.AddStep(step, feats); err != nil {
-			t.Fatal(err)
-		}
-		if prev != nil {
-			if err := g.AddMatches(step-1, step, Track(prev, seg)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		prev = seg
+		segs = append(segs, segAt(step))
 	}
+	g := lineage(t, segs)
 	s := g.Summarize(true)
 	if s.Births != 1 || s.Deaths != 1 {
 		t.Fatalf("expected exactly the transient blob's birth and death: %+v", s)

@@ -68,7 +68,7 @@ type Params struct {
 	Placement Placement `json:"placement,omitempty"`
 	// Every is the cadence in steps (0 = every step).
 	Every int `json:"every,omitempty"`
-	// Var is the primary variable (renderered scalar, tracked field,
+	// Var is the primary variable (rendered scalar, tracked field,
 	// contingency X, ...).
 	Var string `json:"var,omitempty"`
 	// VarY is the secondary variable (conditioned variable, contingency

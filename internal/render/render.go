@@ -218,17 +218,11 @@ func raySlab(origin, dir [3]float64, b grid.Box, tLo, tHi float64) (float64, flo
 	return tLo, tHi, true
 }
 
-// RenderSerial renders the full field in one pass — the reference
-// image and the post-processing baseline.
-func (r *Renderer) RenderSerial(f *grid.Field) *Image {
-	return r.renderWith(f, f.Box)
-}
-
 // RenderBlock performs one rank's in-situ stage of the fully in-situ
 // algorithm: ray-cast the rank's full-resolution block into a partial
 // frame. The field must cover owned plus one ghost layer (clipped to
 // the domain) so trilinear samples at block faces match the serial
-// render.
+// render, RenderBlock(f, f.Box) of the whole field.
 func (r *Renderer) RenderBlock(f *grid.Field, owned grid.Box) *Image {
 	return r.renderWith(f, owned)
 }

@@ -97,7 +97,7 @@ func TestSerialRenderProducesContent(t *testing.T) {
 	g := grid.NewBox(16, 12, 10)
 	f := testField(g, 1)
 	r := testRenderer(t, g, 32, 24)
-	img := r.RenderSerial(f)
+	img := r.RenderBlock(f, f.Box)
 	var sum float64
 	for i := 3; i < len(img.Pix); i += 4 {
 		sum += img.Pix[i]
@@ -133,7 +133,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := r.RenderSerial(f)
+			want := r.RenderBlock(f, f.Box)
 			got, err := renderInSitu(r, dc, fields)
 			if err != nil {
 				t.Fatal(err)
@@ -160,7 +160,7 @@ func TestHybridApproximatesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := testRenderer(t, g, 24, 20)
-	want := full.RenderSerial(f)
+	want := full.RenderBlock(f, f.Box)
 
 	renderAt := func(factor int) *Image {
 		bt := NewBlockTable()
@@ -338,7 +338,7 @@ func TestCompositeOpaqueFrontWins(t *testing.T) {
 func TestSavePNG(t *testing.T) {
 	dir := t.TempDir()
 	g := grid.NewBox(8, 8, 8)
-	img := testRenderer(t, g, 16, 16).RenderSerial(testField(g, 5))
+	img := testRenderer(t, g, 16, 16).RenderBlock(testField(g, 5), g)
 	path := filepath.Join(dir, "out.png")
 	if err := img.SavePNG(path); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,11 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
-	"insitu/internal/comm"
-	"insitu/internal/grid"
-	"insitu/internal/mergetree"
+	"insitu/internal/core"
 	"insitu/internal/sim"
 )
 
@@ -42,56 +41,21 @@ type Fig1Result struct {
 	Rows           []CadenceRow
 }
 
-// RunFig1 runs the proxy simulation for `steps` steps, segments the
-// OH field (the ignition-kernel marker) at every step, and evaluates
-// tracking at each cadence.
+// RunFig1 runs the pipeline for `steps` steps once per cadence, with
+// one hybrid feature tracker on the OH field (the ignition-kernel
+// marker) due every cadence-th step, and reports the tracker's
+// matches and longest track beside the kernels its steps saw.
 func RunFig1(simCfg sim.Config, steps int, threshold float64, cadences []int) (*Fig1Result, error) {
 	s, err := sim.New(simCfg)
 	if err != nil {
 		return nil, err
 	}
-	// Segment every step. The simulation runs decomposed; fields are
-	// stitched to the global domain for segmentation (bitwise equal to
-	// a serial run by the decomposition-independence property).
-	segs := make([]*mergetree.Segmentation, steps)
-	fields := make([]*grid.Field, steps)
-	for i := range fields {
-		fields[i] = grid.NewField("Y_OH", simCfg.Global)
-	}
-	gate := make(chan struct{}, 1)
-	gate <- struct{}{}
-	var rankErr error
-	comm.Run(s.Ranks(), func(r *comm.Rank) {
-		rk, err := s.NewRank(r)
-		if err != nil {
-			<-gate
-			rankErr = err
-			gate <- struct{}{}
-			return
-		}
-		for step := 0; step < steps; step++ {
-			rk.Step()
-			f := rk.Field("Y_OH")
-			<-gate
-			fields[step].Paste(f)
-			gate <- struct{}{}
-			r.Barrier()
-		}
-	})
-	if rankErr != nil {
-		return nil, rankErr
-	}
-	for step := 0; step < steps; step++ {
-		segs[step] = mergetree.SegmentField(fields[step], simCfg.Global, threshold)
-	}
-
-	// Ground truth: every kernel born in [0, steps).
+	// Ground truth: every kernel born in [0, steps), each met at its
+	// birth step.
 	var kernels []sim.Kernel
-	seen := map[sim.Kernel]bool{}
 	for step := 0; step < steps; step++ {
 		for _, k := range s.ActiveKernels(step) {
-			if !seen[k] {
-				seen[k] = true
+			if k.Birth == step {
 				kernels = append(kernels, k)
 			}
 		}
@@ -103,53 +67,62 @@ func RunFig1(simCfg sim.Config, steps int, threshold float64, cadences []int) (*
 			return nil, fmt.Errorf("workload: cadence must be >= 1, got %d", c)
 		}
 		row := CadenceRow{Cadence: c, KernelsTotal: len(kernels)}
-		// Which analysis steps run at this cadence? Steps c-1, 2c-1...
-		var sampled []int
-		for st := c - 1; st < steps; st += c {
-			sampled = append(sampled, st)
-		}
-		// Kernel capture: an event is seen if any sampled step falls
-		// inside its lifetime.
+		// Kernel capture: an event is seen if an analysis step falls
+		// inside its lifetime. Pipeline step c is the sim's step c-1.
 		for _, k := range kernels {
-			for _, st := range sampled {
+			for st := c - 1; st < steps; st += c {
 				if st >= k.Birth && st < k.Birth+sim.KernelLifetime {
 					row.KernelsCaptured++
 					break
 				}
 			}
 		}
-		// Connectivity between consecutive sampled outputs.
-		var sub []*mergetree.Segmentation
-		for _, st := range sampled {
-			sub = append(sub, segs[st])
-		}
-		total := 0
-		for i := 1; i < len(sub); i++ {
-			total += len(mergetree.Track(sub[i-1], sub[i]))
-		}
-		if len(sub) > 1 {
-			row.MeanMatches = float64(total) / float64(len(sub)-1)
-		}
-		// Longest chain from any feature of any output (features need a
-		// few steps to grow past the threshold, so chains may start
-		// mid-run).
-		for s0 := 0; s0 < len(sub); s0++ {
-			if len(sub)-s0 <= row.LongestChain {
-				break // no remaining window can beat the best chain
-			}
-			labels := map[int64]bool{}
-			for _, l := range sub[s0].Labels {
-				labels[l] = true
-			}
-			for l := range labels {
-				if n := len(mergetree.TrackChain(sub[s0:], l)); n > row.LongestChain {
-					row.LongestChain = n
-				}
-			}
+		if row.MeanMatches, row.LongestChain, err = trackAtCadence(simCfg, steps, threshold, c); err != nil {
+			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// trackAtCadence runs one pipeline with a hybrid tracker due every
+// cadence-th step and returns the mean number of overlap matches
+// between consecutive results and the longest track of their lineage.
+func trackAtCadence(simCfg sim.Config, steps int, threshold float64, cadence int) (float64, int, error) {
+	p, err := core.NewPipeline(core.DefaultConfig(simCfg))
+	if err != nil {
+		return 0, 0, err
+	}
+	track := &core.TrackingHybrid{Var: "Y_OH", Threshold: threshold, EveryN: cadence}
+	if err := p.Register(track); err != nil {
+		return 0, 0, err
+	}
+	rep, err := p.Run(steps)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := errors.Join(rep.Errs...); err != nil {
+		return 0, 0, err
+	}
+	g, err := core.BuildTrackGraph(rep, track, steps)
+	if err != nil {
+		return 0, 0, err
+	}
+	total, joins := 0, 0
+	for st := 2 * cadence; st <= steps; st += cadence {
+		prev := rep.Result(track.Name(), st-cadence).(*core.TrackingStepResult)
+		matches, err := core.JoinTracking(prev, rep.Result(track.Name(), st).(*core.TrackingStepResult))
+		if err != nil {
+			return 0, 0, err
+		}
+		total += len(matches)
+		joins++
+	}
+	mean := 0.0
+	if joins > 0 {
+		mean = float64(total) / float64(joins)
+	}
+	return mean, g.Summarize(false).LongestTrack, nil
 }
 
 // Format renders the cadence sweep.

@@ -99,7 +99,7 @@ func Scenario9440() Scenario {
 	}
 }
 
-// PaperTableII holds the published Table II rows (4896 cores, per
+// TableIIRef holds one published Table II row (4896 cores, per
 // simulation time step) for shape comparison.
 type TableIIRef struct {
 	InSitu     time.Duration

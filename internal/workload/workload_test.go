@@ -8,6 +8,7 @@ import (
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 	"insitu/internal/registry"
+	"insitu/internal/render"
 	"insitu/internal/sim"
 )
 
@@ -129,6 +130,31 @@ func TestRunTableIIAndFig6(t *testing.T) {
 	}
 	if !strings.Contains(FormatFig6(bars), "% of sim") {
 		t.Fatal("Fig 6 output malformed")
+	}
+}
+
+// TestRunFig2: on the pipeline's own routes, the in-transit frame
+// drifts further from the in-situ one as the down-sampling factor
+// grows while the route moves fewer bytes, and the sink's copies leave
+// no pooled framebuffer out.
+func TestRunFig2(t *testing.T) {
+	before := render.ImagesOutstanding()
+	res, err := RunFig2(sim.DefaultConfig(grid.NewBox(32, 24, 12), 2, 2, 1), 4, 64, 48, []int{2, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := render.ImagesOutstanding(); got != before {
+		t.Fatalf("%d pooled frames outstanding after the run, %d before", got, before)
+	}
+	d2, d8 := res.Rows[0], res.Rows[1]
+	if !(d8.MeanAbsDiff > d2.MeanAbsDiff && d2.MeanAbsDiff > 0) {
+		t.Fatalf("mean abs diff 2x %g, 8x %g: want 8x > 2x > 0", d2.MeanAbsDiff, d8.MeanAbsDiff)
+	}
+	if !(d8.MoveBytes < d2.MoveBytes && d8.MoveBytes > 0) {
+		t.Fatalf("moved 2x %d B, 8x %d B: want 2x > 8x > 0", d2.MoveBytes, d8.MoveBytes)
+	}
+	if !strings.Contains(res.Format(), "mean abs diff") {
+		t.Fatal("Fig 2 output malformed")
 	}
 }
 

@@ -23,7 +23,6 @@ var unreachedAllowList = map[string]string{
 	"grid.Field.MarshalSize":        "reference encoder of the field wire format, which DownsampleForTransit and bp write in place",
 	"stats.Contingency.UpdateBatch": "oracle: core's in-situ tests build the contingency payload the row-wise kernel must match",
 	"stats.AutoCorrelator.Push":     "oracle: core's in-situ tests build the auto-correlation payload the in-place ring must match",
-	"render.NewImage":               "fixture: tests build images outside the framebuffer free list every run draws from",
 	"netsim.Network.Faults":         "registry's tests read the injector Build installed; no run reads it back",
 	"codec.Registry.Bases":          "core's run test reads that the base store is empty after Run; no run reads it back",
 }
