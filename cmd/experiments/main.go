@@ -6,6 +6,7 @@
 //	experiments -fig1     feature tracking vs analysis cadence
 //	experiments -fig2     in-situ vs hybrid rendering (writes PNGs)
 //	experiments -fig3     merge-tree/segmentation correspondence
+//	experiments -fig4     learn/derive/assess/test statistics, in situ and hybrid
 //	experiments -fig6     per-step timing breakdown
 //	experiments -all      everything
 //
@@ -37,6 +38,7 @@ func main() {
 		fig1   = flag.Bool("fig1", false, "reproduce the Fig. 1 tracking experiment")
 		fig2   = flag.Bool("fig2", false, "reproduce the Fig. 2 rendering comparison")
 		fig3   = flag.Bool("fig3", false, "reproduce the Fig. 3 merge-tree/segmentation example")
+		fig4   = flag.Bool("fig4", false, "reproduce the Fig. 4 four-stage statistics")
 		fig6   = flag.Bool("fig6", false, "reproduce the Fig. 6 breakdown")
 		all    = flag.Bool("all", false, "run everything")
 		steps  = flag.Int("steps", 4, "simulation steps per measurement")
@@ -44,14 +46,14 @@ func main() {
 	)
 	flag.Parse()
 	if *all {
-		*table1, *table2, *fig1, *fig2, *fig3, *fig6 = true, true, true, true, true, true
+		*table1, *table2, *fig1, *fig2, *fig3, *fig4, *fig6 = true, true, true, true, true, true, true
 	}
-	if !*table1 && !*table2 && !*fig1 && !*fig2 && !*fig3 && !*fig6 {
+	if !*table1 && !*table2 && !*fig1 && !*fig2 && !*fig3 && !*fig4 && !*fig6 {
 		flag.Usage()
 		os.Exit(2)
 	}
 	if *table1 {
-		runTable1(*steps, *outdir)
+		runTable1(*steps)
 	}
 	var t2 *workload.TableIIResult
 	if *table2 || *fig6 {
@@ -69,6 +71,9 @@ func main() {
 	}
 	if *fig3 {
 		runFig3()
+	}
+	if *fig4 {
+		runFig4()
 	}
 }
 
@@ -113,10 +118,8 @@ func runFig3() {
 
 func gauss(x, y, cx, cy, s float64) float64 {
 	dx, dy := x-cx, y-cy
-	return mexp(-(dx*dx + dy*dy) / (2 * s * s))
+	return math.Exp(-(dx*dx + dy*dy) / (2 * s * s))
 }
-
-func mexp(v float64) float64 { return math.Exp(v) }
 
 // printSegRow draws the 2-D segmentation as ASCII, one glyph per
 // component.
@@ -149,34 +152,32 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func runTable1(steps int, outdir string) {
+// loadConfig loads one of the table2 configs that declare the Table I,
+// Table II and Fig. 6 pipelines; the path is relative to the
+// repository root, where the binary is run from.
+func loadConfig(name string) *registry.Config {
+	cfg, err := registry.LoadConfig(filepath.Join("examples", "configs", name+".json"))
+	if err != nil {
+		fatal(fmt.Errorf("%w (run experiments from the repository root)", err))
+	}
+	return cfg
+}
+
+func runTable1(steps int) {
 	fmt.Println("=== Table I: core allocations, data sizes, timings ===")
 	var rows []*workload.TableIRow
-	for _, sc := range []workload.Scenario{workload.Scenario4896(), workload.Scenario9440()} {
-		dir := filepath.Join(outdir, "checkpoints")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fatal(err)
-		}
-		row, err := workload.RunTableI(sc, steps, dir)
+	for _, name := range []string{"table2-4896", "table2-9440"} {
+		row, err := workload.RunTableI(loadConfig(name), steps)
 		if err != nil {
 			fatal(err)
 		}
 		rows = append(rows, row)
-		workload.CleanDir(dir)
 	}
 	fmt.Println(workload.FormatTableI(rows))
 }
 
-// table2Config declares the Table II / Fig. 6 pipeline; the path is
-// relative to the repository root, where the binary is run from.
-const table2Config = "examples/configs/table2-4896.json"
-
 func runTable2(steps int, print bool) *workload.TableIIResult {
-	cfg, err := registry.LoadConfig(table2Config)
-	if err != nil {
-		fatal(fmt.Errorf("%w (run experiments from the repository root)", err))
-	}
-	res, err := workload.RunTableII(cfg, steps)
+	res, err := workload.RunTableII(loadConfig("table2-4896"), steps)
 	if err != nil {
 		fatal(err)
 	}
@@ -214,6 +215,17 @@ func runFig2(outdir string) {
 	for _, row := range res.Rows {
 		mustSave(row.Frame, filepath.Join(outdir, fmt.Sprintf("fig2-hybrid-%dx.png", row.Factor)))
 	}
+}
+
+func runFig4() {
+	fmt.Println("=== Figure 4: learn / derive / assess / test, in situ and hybrid ===")
+	cfg := sim.DefaultConfig(grid.NewBox(40, 28, 12), 2, 2, 1)
+	cfg.KernelRate = 1.0
+	res, err := workload.RunFig4(cfg, 15)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println(res.Format())
 }
 
 func mustSave(img *render.Image, path string) {

@@ -2,16 +2,21 @@
 // BP-lite checkpoint file, optionally simplifying by persistence and
 // extracting superlevel-set features:
 //
-//	mtree -var T -simplify 0.1 -threshold 1.2 rank-0000.bp
+//	mtree -var T -simplify 0.1 -threshold 1.2 ckpt-00008-r000.bp
 //
 // With several input files (one per rank) it exercises the hybrid
 // pipeline offline: per-file subtrees are glued with the streaming
-// in-transit algorithm, exactly as the live framework does.
+// in-transit algorithm, exactly as the live framework does. The inputs
+// are the checkpoints a run with a recovery block writes:
+//
+//	s3dpipe -config examples/configs/recovery.json
+//	mtree -var T -threshold 1.2 out/s3d-journal/ckpt-00008-r*.bp
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"insitu/internal/bp"
@@ -19,25 +24,37 @@ import (
 	"insitu/internal/mergetree"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams as parameters, so tests
+// drive it in-process. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mtree", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		varName   = flag.String("var", "T", "variable to analyze")
-		simplify  = flag.Float64("simplify", 0, "prune branches below this persistence")
-		threshold = flag.Float64("threshold", 0, "extract features above this value (0 = off)")
-		maxima    = flag.Int("print", 10, "print the top N maxima by persistence")
+		varName   = fs.String("var", "T", "variable to analyze")
+		simplify  = fs.Float64("simplify", 0, "prune branches below this persistence")
+		threshold = fs.Float64("threshold", 0, "extract features above this value (0 = off)")
+		maxima    = fs.Int("print", 10, "print the top N maxima by persistence")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: mtree [flags] file.bp [file.bp ...]")
-		os.Exit(2)
+	if fs.Parse(args) != nil {
+		return 2 // Parse has printed the error and the usage
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: mtree [flags] file.bp [file.bp ...]")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mtree:", err)
+		return 1
 	}
 
-	fields := make([]*grid.Field, 0, flag.NArg())
+	fields := make([]*grid.Field, 0, fs.NArg())
 	global := grid.Box{}
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		f, err := bp.ReadVar(path, *varName)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fields = append(fields, f)
 		global = global.Union(f.Box)
@@ -61,7 +78,7 @@ func main() {
 			ext := f.Box.Grow(1).Intersect(global)
 			st, err := mergetree.LocalSubtree(stitched.Extract(ext), global, f.Box, i, mergetree.KeepOverlapMaxima)
 			if err != nil {
-				fail(err)
+				return fail(err)
 			}
 			subtrees = append(subtrees, st)
 		}
@@ -69,9 +86,9 @@ func main() {
 		var err error
 		tree, stats, err = new(mergetree.Builder).Glue(subtrees)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Printf("streamed %d vertices, peak resident %d, evicted %d\n",
+		fmt.Fprintf(stdout, "streamed %d vertices, peak resident %d, evicted %d\n",
 			stats.Declared, stats.PeakLive, stats.Evicted)
 		tree = mergetree.Reduce(tree, nil)
 	}
@@ -79,38 +96,31 @@ func main() {
 	if *simplify > 0 {
 		tree = mergetree.Simplify(tree, *simplify)
 	}
-	fmt.Printf("variable %s over %v: %d nodes, %d maxima, %d saddles, %d roots\n",
+	fmt.Fprintf(stdout, "variable %s over %v: %d nodes, %d maxima, %d saddles, %d roots\n",
 		*varName, global, tree.Len(), len(tree.Maxima()), len(tree.Saddles()), len(tree.Roots()))
 
 	branches := mergetree.BranchDecomposition(tree)
-	n := *maxima
-	if n > len(branches) {
-		n = len(branches)
-	}
-	fmt.Printf("\ntop %d branches by persistence:\n", n)
+	n := min(*maxima, len(branches))
+	fmt.Fprintf(stdout, "\ntop %d branches by persistence:\n", n)
 	for i := 0; i < n; i++ {
 		b := branches[i]
 		x, y, z := grid.GlobalPoint(global, tree.IDs[b.Max])
-		fmt.Printf("  max %.6g at (%d,%d,%d), persistence %.6g\n",
+		fmt.Fprintf(stdout, "  max %.6g at (%d,%d,%d), persistence %.6g\n",
 			tree.Values[b.Max], x, y, z, b.Persistence)
 	}
 
 	if *threshold > 0 {
 		feats := mergetree.Features(tree, *threshold)
-		fmt.Printf("\n%d features above %.6g:\n", len(feats), *threshold)
+		fmt.Fprintf(stdout, "\n%d features above %.6g:\n", len(feats), *threshold)
 		for i, f := range feats {
 			if i >= *maxima {
-				fmt.Printf("  ... and %d more\n", len(feats)-i)
+				fmt.Fprintf(stdout, "  ... and %d more\n", len(feats)-i)
 				break
 			}
 			x, y, z := grid.GlobalPoint(global, f.MaxID)
-			fmt.Printf("  feature %d: %d retained vertices, peak %.6g at (%d,%d,%d)\n",
+			fmt.Fprintf(stdout, "  feature %d: %d retained vertices, peak %.6g at (%d,%d,%d)\n",
 				i, f.Size, f.MaxValue, x, y, z)
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "mtree:", err)
-	os.Exit(1)
+	return 0
 }

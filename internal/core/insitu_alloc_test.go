@@ -191,7 +191,7 @@ func TestInSituStagesMatchCopies(t *testing.T) {
 			stage hybridStage
 			want  []byte
 		}{
-			{st, model.Marshal()}, {cont, table.AppendMarshal(nil)}, {topo, subtree.AppendMarshal(nil)},
+			{st, model.AppendMarshal(nil)}, {cont, table.AppendMarshal(nil)}, {topo, subtree.AppendMarshal(nil)},
 			{viz1, downsampled(owned, 1).Marshal()}, {viz8, downsampled(owned, 8).Marshal()},
 			{ac, ref.AppendMarshal(nil)},
 		} {

@@ -183,7 +183,7 @@ func TestInTransitStatsAllocatesFlat(t *testing.T) {
 				mo.Var(name).Update(rng.NormFloat64())
 			}
 		}
-		payloads[r] = mo.Marshal()
+		payloads[r] = mo.AppendMarshal(nil)
 	}
 	want := stats.NewModel()
 	if err := stats.AggregateSerial(want, payloads); err != nil {

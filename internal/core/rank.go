@@ -360,11 +360,12 @@ func (rr *rankRun) checkpointCommit(step int) {
 }
 
 // writeCheckpoint writes this rank's bp checkpoint file for step and,
-// on rank 0 after the barrier, journals the checkpoint record. A dead
-// journal writes nothing: a crash earlier in the step must not leave
-// newer durable state behind it.
+// on rank 0 after the barrier, times the collective write and journals
+// the checkpoint record. A dead journal writes nothing: a crash earlier
+// in the step must not leave newer durable state behind it.
 func (rr *rankRun) writeCheckpoint(step int) {
 	p, r, rec := rr.p, rr.r, rr.p.rec
+	start := time.Now()
 	if !rec.j.Killed() {
 		path := filepath.Join(rec.j.Dir(), recovery.CheckpointFile(step, r.ID()))
 		// Each variable's owned block, straight from the live field: the
@@ -373,14 +374,20 @@ func (rr *rankRun) writeCheckpoint(step int) {
 		for i, name := range sim.VarNames {
 			fields[i] = rr.rk.GhostedField(name)
 		}
-		if _, err := bp.WriteFile(path, fields, rr.rk.OwnedBox()); err != nil {
+		n, err := bp.WriteFile(path, fields, rr.rk.OwnedBox())
+		if err != nil {
 			p.recordErr(fmt.Errorf("core: checkpoint step %d rank %d: %w", step, r.ID(), err))
 		}
+		rec.ckptBytes.Add(n)
 	}
 	r.Barrier()
 	if r.ID() != 0 {
 		return
 	}
+	d := time.Since(start).Seconds()
+	rec.mu.Lock()
+	rec.writeSeconds += d
+	rec.mu.Unlock()
 	p.recKill(recovery.PhaseMidCheckpoint, step)
 	files := make([]string, r.Size())
 	for i := range files {

@@ -46,6 +46,16 @@ type RecoveryReport struct {
 	Checkpoints    int64   // checkpoint records appended this run
 	JournalFsyncs  int64   // fsync calls issued by the journal
 	ResumeSeconds  float64 // wall time from Resume to first live step
+
+	// CheckpointBytes sums the bp files every rank wrote this run.
+	CheckpointBytes int64
+	// CheckpointWriteSeconds is rank 0's wall time from the start of
+	// its checkpoint write to the checkpoint barrier, summed over this
+	// run's checkpoints: the collective file-per-process write.
+	CheckpointWriteSeconds float64
+	// CheckpointReadSeconds is the wall time Resume spent reading
+	// checkpoint files back (0 on a fresh run).
+	CheckpointReadSeconds float64
 }
 
 // recState is the pipeline's recovery plane: the journal, the
@@ -71,15 +81,18 @@ type recState struct {
 	maxStepped    int // highest step whose submissions are all in
 	resumeSeconds float64
 	resumeOnce    sync.Once
+	writeSeconds  float64 // rank 0's checkpoint writes, to the barrier
+	readSeconds   float64 // planResume's checkpoint reads
 
 	// commitMu makes the commit loop single-flight: the step loop and
 	// the drain goroutine may both observe a step become commit-ready,
 	// and without it both would journal a commit record for it.
 	commitMu sync.Mutex
 
-	replayed atomic.Int64
-	commits  atomic.Int64
-	ckpts    atomic.Int64
+	replayed  atomic.Int64
+	commits   atomic.Int64
+	ckpts     atomic.Int64
+	ckptBytes atomic.Int64
 }
 
 // recKill consults the injected kill function at one phase boundary
@@ -111,6 +124,7 @@ func (p *Pipeline) planResume(steps int) {
 	if rec.resumeFrom > steps {
 		rec.resumeFrom = steps
 	}
+	start := time.Now()
 	for _, cand := range st.CheckpointsFor(rec.resumeFrom) {
 		if len(cand.Files) != p.sim.Ranks() {
 			continue
@@ -132,6 +146,7 @@ func (p *Pipeline) planResume(steps int) {
 			break
 		}
 	}
+	rec.readSeconds = time.Since(start).Seconds()
 	rec.nextCommit = rec.resumeFrom + 1
 	rec.prevSubmitted = st.Submitted
 }
@@ -274,16 +289,19 @@ func byValue(v any) any {
 // recoveryReport snapshots the plane for the run report.
 func (rec *recState) report() *RecoveryReport {
 	rec.mu.Lock()
-	rs := rec.resumeSeconds
+	rs, ws := rec.resumeSeconds, rec.writeSeconds
 	rec.mu.Unlock()
 	return &RecoveryReport{
-		ResumedFrom:    rec.resumeFrom,
-		CheckpointStep: rec.ckptStep,
-		ReplayedTasks:  rec.replayed.Load(),
-		Commits:        rec.commits.Load(),
-		Checkpoints:    rec.ckpts.Load(),
-		JournalFsyncs:  rec.j.Fsyncs(),
-		ResumeSeconds:  rs,
+		ResumedFrom:            rec.resumeFrom,
+		CheckpointStep:         rec.ckptStep,
+		ReplayedTasks:          rec.replayed.Load(),
+		Commits:                rec.commits.Load(),
+		Checkpoints:            rec.ckpts.Load(),
+		JournalFsyncs:          rec.j.Fsyncs(),
+		ResumeSeconds:          rs,
+		CheckpointBytes:        rec.ckptBytes.Load(),
+		CheckpointWriteSeconds: ws,
+		CheckpointReadSeconds:  rec.readSeconds,
 	}
 }
 

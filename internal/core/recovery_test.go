@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -168,6 +170,52 @@ func TestRunRefusesDirtyJournal(t *testing.T) {
 	p2, _ := recoveryTestPipeline(t, dir, nil)
 	if _, err := p2.Run(steps); err == nil || !strings.Contains(err.Error(), "Resume") {
 		t.Fatalf("Run on dirty journal: err = %v, want a use-Resume error", err)
+	}
+}
+
+// TestRecoveryReportCheckpointIO: a run reports the checkpoint bytes
+// it left on disk and the time its collective writes took; a fresh run
+// reads no checkpoint back, and a resume that restored one reports the
+// read and writes nothing more.
+func TestRecoveryReportCheckpointIO(t *testing.T) {
+	const steps = 4
+	dir := t.TempDir()
+	p1, _ := recoveryTestPipeline(t, dir, nil)
+	fresh, err := p1.Run(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.bp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	for _, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	r := fresh.Recovery
+	if len(files) != 4 || r.CheckpointBytes != onDisk {
+		t.Fatalf("report counts %d checkpoint bytes, the run's %d bp files hold %d", r.CheckpointBytes, len(files), onDisk)
+	}
+	if r.CheckpointWriteSeconds <= 0 || r.CheckpointReadSeconds != 0 {
+		t.Fatalf("fresh run: write %gs, read %gs; want > 0 and 0", r.CheckpointWriteSeconds, r.CheckpointReadSeconds)
+	}
+
+	p2, _ := recoveryTestPipeline(t, dir, nil)
+	resumed, err := p2.Resume(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = resumed.Recovery
+	if r.CheckpointStep != steps || r.CheckpointReadSeconds <= 0 {
+		t.Fatalf("resume restored checkpoint %d in %gs; want %d and > 0", r.CheckpointStep, r.CheckpointReadSeconds, steps)
+	}
+	if r.CheckpointBytes != 0 || r.CheckpointWriteSeconds != 0 {
+		t.Fatalf("a resume with no live step wrote %d checkpoint bytes in %gs", r.CheckpointBytes, r.CheckpointWriteSeconds)
 	}
 }
 

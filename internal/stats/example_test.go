@@ -31,8 +31,8 @@ func ExampleDerive() {
 		m.Update(float64(i))
 	}
 	d := stats.Derive(m)
-	as := stats.Assess([]float64{3}, d, 2)
-	fmt.Printf("mean=%.0f variance=%.1f deviation(3)=%.0f\n", d.Mean, d.Variance, as[0].Deviation)
+	a := stats.AssessOne(3, d, 2)
+	fmt.Printf("mean=%.0f variance=%.1f deviation(3)=%.0f\n", d.Mean, d.Variance, a.Deviation)
 	// Output:
 	// mean=3 variance=2.5 deviation(3)=0
 }

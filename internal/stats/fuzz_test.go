@@ -22,7 +22,7 @@ func FuzzUnmarshalPayloads(f *testing.F) {
 	mo := NewModel()
 	mo.Var("T").UpdateBatch([]float64{1, 2, 3.5})
 	mo.Var("Y_OH").UpdateBatch([]float64{0.25})
-	f.Add(mo.Marshal())
+	f.Add(marshal(mo))
 
 	c, err := NewContingency(-1, 1, 4, 0, 2, 3)
 	if err != nil {

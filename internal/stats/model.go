@@ -61,12 +61,6 @@ func (mo *Model) Reset() {
 	mo.names = mo.names[:0]
 }
 
-// LearnField folds every point of a field into the variable named by
-// the field.
-func (mo *Model) LearnField(f *grid.Field) {
-	mo.Var(f.Name).UpdateBatch(f.Data)
-}
-
 // LearnBoxParallel folds the points of a field inside sub into the
 // variable named by the field, in place, using the chunk-parallel
 // moment kernel (Moments.UpdateBoxParallel). An in-situ stage learns
@@ -76,9 +70,9 @@ func (mo *Model) LearnBoxParallel(f *grid.Field, sub grid.Box) {
 }
 
 // LearnFieldParallel folds every point of a field: LearnBoxParallel
-// over the field's whole box. It matches LearnField bitwise for fields
-// of at most one chunk; larger fields agree to floating-point
-// reassociation.
+// over the field's whole box. It matches a serial UpdateBatch over the
+// field's data bitwise for fields of at most one chunk; larger fields
+// agree to floating-point reassociation.
 func (mo *Model) LearnFieldParallel(f *grid.Field) {
 	mo.LearnBoxParallel(f, f.Box)
 }
@@ -112,9 +106,13 @@ func (mo *Model) MarshalSize() int {
 	return n
 }
 
-// AppendMarshal appends the model's encoding to dst and returns the
-// extended slice. Encoding writes Float64bits words directly into the
-// destination, so with a preallocated dst the pack allocates nothing.
+// AppendMarshal appends the model's encoding — the compact binary form
+// shipped to the in-transit derive stage — to dst and returns the
+// extended slice. The encoded size for 14 variables is a few hundred
+// bytes per rank: the data reduction that makes the hybrid statistics
+// variant nearly free to move. Encoding writes Float64bits words
+// directly into the destination, so with a preallocated dst the pack
+// allocates nothing.
 func (mo *Model) AppendMarshal(dst []byte) []byte {
 	off, need := len(dst), mo.MarshalSize()
 	dst = slices.Grow(dst, need)[:off+need]
@@ -136,21 +134,13 @@ func (mo *Model) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-// Marshal serializes the model into the compact binary form shipped to
-// the in-transit derive stage. The encoded size for 14 variables is a
-// few hundred bytes per rank — the data reduction that makes the
-// hybrid statistics variant nearly free to move.
-func (mo *Model) Marshal() []byte {
-	return mo.AppendMarshal(make([]byte, 0, mo.MarshalSize()))
-}
-
 // ErrCorruptPayload is wrapped by every error the payload decoders
 // (Model.CombineMarshalled, UnmarshalContingency, UnmarshalCovariance,
 // UnmarshalAutoCorrelator) return: the bytes are not an encoding this
 // package produced.
 var ErrCorruptPayload = errors.New("stats: corrupt payload")
 
-// CombineMarshalled folds an encoded model (Marshal's output) into mo:
+// CombineMarshalled folds an encoded model (AppendMarshal's output) into mo:
 // each record decodes into a Moments on the stack and combines in
 // encoded order, the sorted order Combine uses, so the result is
 // bitwise Combine's. Other bytes fail with an error wrapping

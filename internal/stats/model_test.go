@@ -22,11 +22,18 @@ func fieldOf(name string, b grid.Box, fn func(i, j, k int) float64) *grid.Field 
 	return f
 }
 
+// learnField folds every point of a field into the variable named by
+// the field, serially.
+func learnField(mo *Model, f *grid.Field) { mo.Var(f.Name).UpdateBatch(f.Data) }
+
+// marshal is a model's encoding in a buffer of its own.
+func marshal(mo *Model) []byte { return mo.AppendMarshal(nil) }
+
 func TestModelLearnFields(t *testing.T) {
 	b := grid.NewBox(4, 4, 4)
 	mo := NewModel()
-	mo.LearnField(fieldOf("T", b, func(i, j, k int) float64 { return float64(i) }))
-	mo.LearnField(fieldOf("P", b, func(i, j, k int) float64 { return 2 }))
+	learnField(mo, fieldOf("T", b, func(i, j, k int) float64 { return float64(i) }))
+	learnField(mo, fieldOf("P", b, func(i, j, k int) float64 { return 2 }))
 	if got := mo.Var("T").N; got != 64 {
 		t.Fatalf("T count: want 64, got %d", got)
 	}
@@ -53,7 +60,7 @@ func TestModelMarshalRoundTrip(t *testing.T) {
 		}
 	}
 	got := NewModel()
-	if err := got.CombineMarshalled(mo.Marshal()); err != nil {
+	if err := got.CombineMarshalled(marshal(mo)); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range mo.names {
@@ -65,7 +72,7 @@ func TestModelMarshalRoundTrip(t *testing.T) {
 	if err := NewModel().CombineMarshalled(nil); err == nil {
 		t.Fatal("empty payload must error")
 	}
-	if err := NewModel().CombineMarshalled(mo.Marshal()[:9]); err == nil {
+	if err := NewModel().CombineMarshalled(marshal(mo)[:9]); err == nil {
 		t.Fatal("truncated payload must error")
 	}
 }
@@ -83,12 +90,12 @@ func TestParallelLearnConsistency(t *testing.T) {
 		return float64(i*i) - 0.3*float64(j) + 0.01*float64(k*k*k)
 	})
 	serial := NewModel()
-	serial.LearnField(full)
+	learnField(serial, full)
 
 	results := make([]*Model, ranks)
 	comm.Run(ranks, func(r *comm.Rank) {
 		local := NewModel()
-		local.LearnField(full.Extract(dc.Block(r.ID())))
+		learnField(local, full.Extract(dc.Block(r.ID())))
 		results[r.ID()] = ParallelLearn(r, local)
 	})
 	want := Derive(serial.Var("T"))
@@ -126,15 +133,15 @@ func TestHybridEqualsInSitu(t *testing.T) {
 	var partials [][]byte
 	for r := 0; r < dc.Ranks(); r++ {
 		local := NewModel()
-		local.LearnField(full.Extract(dc.Block(r)))
-		partials = append(partials, local.Marshal())
+		learnField(local, full.Extract(dc.Block(r)))
+		partials = append(partials, marshal(local))
 	}
 	global := NewModel()
 	if err := AggregateSerial(global, partials); err != nil {
 		t.Fatal(err)
 	}
 	serial := NewModel()
-	serial.LearnField(full)
+	learnField(serial, full)
 	g, s := Derive(global.Var("OH")), Derive(serial.Var("OH"))
 	if g.N != s.N || !approxEq(g.Mean, s.Mean, 1e-12) || !approxEq(g.Variance, s.Variance, 1e-9) {
 		t.Fatalf("hybrid aggregation differs: %+v vs %+v", g, s)
@@ -197,7 +204,7 @@ func TestAggregateSerialMatchesOracle(t *testing.T) {
 					m.Update(rng.NormFloat64()*10 + float64(trial))
 				}
 			}
-			partials[i] = mo.Marshal()
+			partials[i] = marshal(mo)
 		}
 		want := NewModel()
 		for _, p := range partials {
@@ -218,7 +225,7 @@ func TestAggregateSerialMatchesOracle(t *testing.T) {
 				t.Fatalf("trial %d %s: %+v, oracle %+v", trial, name, a, b)
 			}
 		}
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+		if !bytes.Equal(marshal(got), marshal(want)) {
 			t.Fatalf("trial %d: encodings differ", trial)
 		}
 	}
@@ -235,29 +242,29 @@ func TestModelResetReuses(t *testing.T) {
 	}
 	mo := NewModel()
 	for _, name := range []string{"T", "Y_OH"} {
-		mo.LearnField(fields[name])
+		learnField(mo, fields[name])
 	}
 	mo.Reset()
-	mo.LearnField(fields["P"])
-	mo.LearnField(fields["T"])
+	learnField(mo, fields["P"])
+	learnField(mo, fields["T"])
 	fresh := NewModel()
-	fresh.LearnField(fields["P"])
-	fresh.LearnField(fields["T"])
+	learnField(fresh, fields["P"])
+	learnField(fresh, fields["T"])
 	if got := mo.names; !slices.Equal(got, []string{"P", "T"}) {
 		t.Fatalf("a Reset model holds %v, want [P T]", got)
 	}
-	if !bytes.Equal(mo.Marshal(), fresh.Marshal()) {
+	if !bytes.Equal(marshal(mo), marshal(fresh)) {
 		t.Fatal("a Reset model encodes differently from a fresh one")
 	}
 
 	buf := make([]byte, 0, 1024)
 	learn := testing.AllocsPerRun(20, func() {
 		mo.Reset()
-		mo.LearnField(fields["T"])
-		mo.LearnField(fields["P"])
+		learnField(mo, fields["T"])
+		learnField(mo, fields["P"])
 		buf = mo.AppendMarshal(buf[:0])
 	})
-	encoded := fresh.Marshal()
+	encoded := marshal(fresh)
 	fold := testing.AllocsPerRun(20, func() {
 		mo.Reset()
 		if err := mo.CombineMarshalled(encoded); err != nil {
@@ -283,9 +290,9 @@ func TestDataReductionRatio(t *testing.T) {
 	vars := []string{"T", "u", "v", "w", "P", "Y_H2", "Y_O2", "Y_H2O", "Y_OH",
 		"Y_HO2", "Y_H2O2", "Y_H", "Y_O", "Y_N2"}
 	for _, name := range vars {
-		mo.LearnField(fieldOf(name, b, func(i, j, k int) float64 { return float64(i + j + k) }))
+		learnField(mo, fieldOf(name, b, func(i, j, k int) float64 { return float64(i + j + k) }))
 	}
-	payload := len(mo.Marshal())
+	payload := len(marshal(mo))
 	raw := len(vars) * b.Size() * 8
 	if payload >= raw/1000 {
 		t.Fatalf("model payload %d bytes is not a >1000x reduction of %d raw bytes", payload, raw)

@@ -194,23 +194,13 @@ func Derive(m *Moments) Derived {
 type Assessment struct {
 	Value     float64
 	Deviation float64 // (x - mean) / stddev, 0 when stddev == 0
-	Extreme   bool    // |deviation| > threshold used in Assess
+	Extreme   bool    // |deviation| > the threshold AssessOne was given
 }
 
-// Assess annotates each observation with its standardized deviation
-// from the model, marking values beyond extremeSigma standard
+// AssessOne annotates an observation with its standardized deviation
+// from the model, marking a value beyond extremeSigma standard
 // deviations — the assess stage of the four-stage pattern. It is
-// embarrassingly parallel.
-func Assess(xs []float64, d Derived, extremeSigma float64) []Assessment {
-	out := make([]Assessment, len(xs))
-	for i, x := range xs {
-		out[i] = AssessOne(x, d, extremeSigma)
-	}
-	return out
-}
-
-// AssessOne annotates a single observation, for callers that assess
-// data in place and keep a count, not the annotations.
+// embarrassingly parallel: each observation is assessed alone.
 func AssessOne(x float64, d Derived, extremeSigma float64) Assessment {
 	a := Assessment{Value: x}
 	if d.StdDev > 0 {

@@ -190,7 +190,7 @@ func TestAssess(t *testing.T) {
 	m := NewMoments()
 	m.UpdateBatch([]float64{0, 0, 0, 0, 0, 0, 0, 0, 0, 10})
 	d := Derive(m)
-	as := Assess([]float64{0, 10, d.Mean}, d, 2)
+	as := []Assessment{AssessOne(0, d, 2), AssessOne(10, d, 2), AssessOne(d.Mean, d, 2)}
 	if as[2].Deviation != 0 {
 		t.Fatalf("mean must deviate 0, got %g", as[2].Deviation)
 	}
@@ -202,7 +202,7 @@ func TestAssess(t *testing.T) {
 	}
 	// Degenerate model: no flags.
 	zero := Derive(NewMoments())
-	for _, a := range Assess([]float64{1, 2}, zero, 2) {
+	for _, a := range []Assessment{AssessOne(1, zero, 2), AssessOne(2, zero, 2)} {
 		if a.Extreme || a.Deviation != 0 {
 			t.Fatal("degenerate model must not flag anything")
 		}

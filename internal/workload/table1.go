@@ -1,93 +1,94 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"insitu/internal/bp"
-	"insitu/internal/comm"
-	"insitu/internal/grid"
-	"insitu/internal/sim"
+	"insitu/internal/core"
+	"insitu/internal/registry"
 )
 
-// TableIRow is one column of the paper's Table I, with measured
-// laptop-scale values and modeled paper-scale values side by side.
+// TableIRow is one column of the paper's Table I: a pipeline run of a
+// table2 config, measured at laptop scale, beside its paper-scale I/O
+// modeled through the calibrated Lustre model.
 type TableIRow struct {
-	Scenario Scenario
+	Paper     PaperRef // the column the config's name keys
+	SimRanks  int
+	DSServers int
+	Buckets   int
+	Volume    [3]int
 
-	// Measured at laptop scale.
-	SimRanks       int
-	MeasuredStep   time.Duration // wall time per simulation step
-	MeasuredWrite  time.Duration // file-per-process checkpoint write
-	MeasuredRead   time.Duration // checkpoint read-back
-	CheckpointByte int64
+	// Measured at laptop scale: the sim's time per step with the
+	// config's analyses running, and the recovery reports of the run
+	// that wrote the checkpoint and of the resume that read it back.
+	SimStep time.Duration
+	Fresh   core.RecoveryReport
+	Resumed core.RecoveryReport
 
 	// Modeled at paper scale through the calibrated Lustre model.
 	ModeledPaperRead  time.Duration
 	ModeledPaperWrite time.Duration
 }
 
-// RunTableI executes one scenario's Table I measurement: advance the
-// simulation `steps` steps timing each, then write and read back a
-// file-per-process checkpoint in dir.
-func RunTableI(sc Scenario, steps int, dir string) (*TableIRow, error) {
-	s, err := sim.New(sc.Sim)
+// RunTableI measures one Table I column on the pipeline: it runs cfg
+// for `steps` steps with a recovery block that checkpoints at the last
+// step, into a temporary directory, then builds cfg again and resumes,
+// which reads that checkpoint back. cfg's name selects the paper
+// column; cfg itself is left unchanged.
+func RunTableI(cfg *registry.Config, steps int) (*TableIRow, error) {
+	paper, ok := paperTableI[cfg.Name]
+	if !ok {
+		return nil, fmt.Errorf("workload: no Table I column for config %q", cfg.Name)
+	}
+	dir, err := os.MkdirTemp("", "table1-")
 	if err != nil {
 		return nil, err
 	}
-	row := &TableIRow{Scenario: sc, SimRanks: s.Ranks()}
-
-	type rankOut struct {
-		fields []*grid.Field
-		err    error
-	}
-	outs := make([]rankOut, s.Ranks())
-	start := time.Now()
-	comm.Run(s.Ranks(), func(r *comm.Rank) {
-		rk, err := s.NewRank(r)
-		if err != nil {
-			outs[r.ID()].err = err
-			return
-		}
-		rk.RunSteps(steps)
-		outs[r.ID()].fields = rk.CheckpointFields()
-	})
-	row.MeasuredStep = time.Since(start) / time.Duration(steps)
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-	}
-
-	// File-per-process checkpoint write.
-	wStart := time.Now()
-	var total int64
-	for rank, o := range outs {
-		n, err := bp.WriteFile(filepath.Join(dir, fmt.Sprintf("rank-%04d.bp", rank)), o.fields)
+	defer os.RemoveAll(dir)
+	c := *cfg
+	c.Recovery = &core.RecoveryConfig{Dir: dir, Every: steps}
+	run := func(resume bool) (*core.Report, error) {
+		b, err := registry.Build(&c)
 		if err != nil {
 			return nil, err
 		}
-		total += n
-	}
-	row.MeasuredWrite = time.Since(wStart)
-	row.CheckpointByte = total
-
-	// Read-back.
-	rStart := time.Now()
-	for rank := range outs {
-		if _, err := bp.ReadFile(filepath.Join(dir, fmt.Sprintf("rank-%04d.bp", rank))); err != nil {
+		defer b.Close()
+		reps, err := b.Run(steps, resume)
+		if err != nil {
 			return nil, err
 		}
+		return reps[b.Tenants[0].Name], nil
 	}
-	row.MeasuredRead = time.Since(rStart)
+	fresh, err := run(false)
+	if err != nil {
+		return nil, err
+	}
+	resumed, err := run(true)
+	if err != nil {
+		return nil, err
+	}
+	if got := resumed.Recovery.CheckpointStep; got != steps {
+		return nil, fmt.Errorf("workload: resume restored checkpoint %d, want %d", got, steps)
+	}
 
-	// Paper-scale I/O through the Lustre model.
-	paperBytes := int64(sc.Paper.DataGB * 1e9)
-	row.ModeledPaperRead = bp.LustreReadTime(paperBytes, sc.Paper.SimRanks)
-	row.ModeledPaperWrite = bp.LustreWriteTime(paperBytes, sc.Paper.SimRanks)
+	sc := c.Tenants[0].Sim
+	row := &TableIRow{
+		Paper:     paper,
+		SimRanks:  sc.PX * sc.PY * sc.PZ,
+		DSServers: cmp.Or(c.Fabric.DSServers, 2),
+		Buckets:   c.TransitBuckets(),
+		Volume:    [3]int{sc.NX, sc.NY, sc.NZ},
+		Fresh:     *fresh.Recovery,
+		Resumed:   *resumed.Recovery,
+	}
+	_, row.SimStep, _ = fresh.Metrics.SimTime()
+	paperBytes := int64(paper.DataGB * 1e9)
+	row.ModeledPaperRead = bp.LustreReadTime(paperBytes, paper.SimRanks)
+	row.ModeledPaperWrite = bp.LustreWriteTime(paperBytes, paper.SimRanks)
 	return row, nil
 }
 
@@ -112,23 +113,22 @@ func FormatTableI(rows []*TableIRow) string {
 	ioR := []string{"I/O read time (sec.)"}
 	ioW := []string{"I/O write time (sec.)"}
 	for _, r := range rows {
-		p := r.Scenario.Paper
+		p, d := r.Paper, r.Volume
 		names = append(names, fmt.Sprintf("%d [scaled: %d ranks]", p.Cores, r.SimRanks))
 		simCores = append(simCores, fmt.Sprintf("%d [paper %d]", r.SimRanks, p.SimRanks))
-		dsCores = append(dsCores, fmt.Sprintf("%d [paper %d]", r.Scenario.DSServers, p.DSCores))
-		trCores = append(trCores, fmt.Sprintf("%d [paper %d]", r.Scenario.Buckets, p.TransitCores))
-		d := r.Scenario.Sim.Global.Dims()
+		dsCores = append(dsCores, fmt.Sprintf("%d [paper %d]", r.DSServers, p.DSCores))
+		trCores = append(trCores, fmt.Sprintf("%d [paper %d]", r.Buckets, p.TransitCores))
 		vol = append(vol, fmt.Sprintf("%dx%dx%d [paper %dx%dx%d]",
 			d[0], d[1], d[2], p.Volume[0], p.Volume[1], p.Volume[2]))
 		vars = append(vars, fmt.Sprintf("%d", p.Variables))
 		data = append(data, fmt.Sprintf("%.4f [paper %.1f]",
-			float64(r.CheckpointByte)/1e9, p.DataGB))
+			float64(r.Fresh.CheckpointBytes)/1e9, p.DataGB))
 		simT = append(simT, fmt.Sprintf("%.3f [paper %.2f]",
-			r.MeasuredStep.Seconds(), p.SimTime.Seconds()))
+			r.SimStep.Seconds(), p.SimTime.Seconds()))
 		ioR = append(ioR, fmt.Sprintf("%.3f [model %.2f, paper %.2f]",
-			r.MeasuredRead.Seconds(), r.ModeledPaperRead.Seconds(), p.IORead.Seconds()))
+			r.Resumed.CheckpointReadSeconds, r.ModeledPaperRead.Seconds(), p.IORead.Seconds()))
 		ioW = append(ioW, fmt.Sprintf("%.3f [model %.2f, paper %.2f]",
-			r.MeasuredWrite.Seconds(), r.ModeledPaperWrite.Seconds(), p.IOWrite.Seconds()))
+			r.Fresh.CheckpointWriteSeconds, r.ModeledPaperWrite.Seconds(), p.IOWrite.Seconds()))
 	}
 	col(names...)
 	col(simCores...)
@@ -141,17 +141,4 @@ func FormatTableI(rows []*TableIRow) string {
 	col(ioR...)
 	col(ioW...)
 	return sb.String()
-}
-
-// CleanDir removes the checkpoint files RunTableI produced.
-func CleanDir(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".bp") {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
 }

@@ -28,10 +28,11 @@ type TableIIResult struct {
 	PaperSim   time.Duration
 }
 
-// RunTableII runs the loaded examples/configs/table2-4896.json — the
-// five paper analyses plus the three extensions on the 4896-core
-// scenario's decomposition — for the given number of steps and collects
-// the Table II breakdown of its first tenant.
+// RunTableII runs a loaded table2 config (examples/configs/
+// table2-4896.json: the five paper analyses plus the three extensions
+// on the 4896-core run's decomposition) for the given number of steps
+// and collects the Table II breakdown of its first tenant, beside the
+// paper's sim time for the Table I column the config's name keys.
 func RunTableII(cfg *registry.Config, steps int) (*TableIIResult, error) {
 	b, err := registry.Build(cfg)
 	if err != nil {
@@ -43,12 +44,11 @@ func RunTableII(cfg *registry.Config, steps int) (*TableIIResult, error) {
 		return nil, err
 	}
 	rep := reps[b.Tenants[0].Name]
-	res := &TableIIResult{Steps: steps, PaperSim: paper4896.SimTime}
+	res := &TableIIResult{Steps: steps, PaperSim: paperTableI[cfg.Name].SimTime}
 	_, res.SimPerStep, _ = rep.Metrics.SimTime()
-	paper := PaperTableIIRows()
 	for _, name := range rep.Metrics.Analyses() {
 		row := TableIIRow{Analysis: name, Measured: rep.Metrics.Total(name).PerStep()}
-		if ref, ok := paper[name]; ok {
+		if ref, ok := paperTableII[name]; ok {
 			row.Paper = ref
 			row.HasPaper = true
 		}

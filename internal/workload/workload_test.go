@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,37 +14,53 @@ import (
 	"insitu/internal/sim"
 )
 
+// TestScenarioShapes: table2-9440.json doubles table2-4896.json's x
+// split, exactly like the paper (16x28x10 -> 32x28x10), and changes
+// nothing else a Table I or II column reads.
 func TestScenarioShapes(t *testing.T) {
-	a, b := Scenario4896(), Scenario9440()
-	// The 9440-core run doubles the x split, exactly like the paper
-	// (16x28x10 -> 32x28x10).
-	if b.Sim.Px != 2*a.Sim.Px || b.Sim.Py != a.Sim.Py || b.Sim.Pz != a.Sim.Pz {
-		t.Fatalf("9440 scenario must double the x split: %dx%dx%d vs %dx%dx%d",
-			a.Sim.Px, a.Sim.Py, a.Sim.Pz, b.Sim.Px, b.Sim.Py, b.Sim.Pz)
+	a, b := loadExample(t, "table2-4896"), loadExample(t, "table2-9440")
+	sa, sb := a.Tenants[0].Sim, b.Tenants[0].Sim
+	if sb.PX != 2*sa.PX {
+		t.Fatalf("9440 config must double the x split: px %d vs %d", sb.PX, sa.PX)
 	}
-	if a.Sim.Global != b.Sim.Global {
-		t.Fatal("both scenarios must share the global grid")
+	sb.PX = sa.PX
+	if sa != sb {
+		t.Fatalf("the configs differ beyond px: %+v vs %+v", sa, sb)
 	}
-	if a.Paper.SimTime <= b.Paper.SimTime {
+	if !reflect.DeepEqual(a.Fabric, b.Fabric) || !reflect.DeepEqual(a.Tenants[0].Analyses, b.Tenants[0].Analyses) {
+		t.Fatal("the configs must share the fabric and the analysis list")
+	}
+	if pa, pb := paperTableI[a.Name], paperTableI[b.Name]; pa.SimTime <= pb.SimTime {
 		t.Fatal("paper reference: doubling cores must halve sim time")
 	}
 }
 
+// TestRunTableI: a Table I column comes from a pipeline run that wrote
+// a checkpoint at its last step and a resume that read it back.
 func TestRunTableI(t *testing.T) {
-	sc := Scenario4896()
+	cfg := loadExample(t, "table2-4896")
 	// Shrink for test speed.
-	sc.Sim = sim.DefaultConfig(grid.NewBox(24, 16, 8), 2, 2, 1)
-	dir := t.TempDir()
-	row, err := RunTableI(sc, 2, dir)
+	cfg.Tenants[0].Sim = registry.SimConfig{NX: 24, NY: 16, NZ: 8, PX: 2, PY: 2, PZ: 1}
+	const steps = 2
+	row, err := RunTableI(cfg, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.MeasuredStep <= 0 || row.MeasuredWrite <= 0 || row.MeasuredRead <= 0 {
+	if cfg.Recovery != nil {
+		t.Fatal("RunTableI must leave its config unchanged")
+	}
+	if row.SimStep <= 0 || row.Fresh.CheckpointWriteSeconds <= 0 || row.Resumed.CheckpointReadSeconds <= 0 {
 		t.Fatalf("timings not measured: %+v", row)
 	}
-	wantBytes := int64(sc.Sim.Global.Size() * 8 * len(sim.VarNames)) // payload lower bound
-	if row.CheckpointByte < wantBytes {
-		t.Fatalf("checkpoint too small: %d < %d", row.CheckpointByte, wantBytes)
+	if r := row.Resumed; r.ResumedFrom != steps || r.CheckpointStep != steps {
+		t.Fatalf("resume continued from %d off checkpoint %d, want both %d", r.ResumedFrom, r.CheckpointStep, steps)
+	}
+	wantBytes := int64(24 * 16 * 8 * 8 * len(sim.VarNames)) // payload lower bound
+	if row.Fresh.CheckpointBytes < wantBytes {
+		t.Fatalf("checkpoint too small: %d < %d", row.Fresh.CheckpointBytes, wantBytes)
+	}
+	if row.SimRanks != 4 || row.Volume != [3]int{24, 16, 8} || row.DSServers != 2 || row.Buckets != 2 {
+		t.Fatalf("row does not describe its config: %+v", row)
 	}
 	// Modeled paper I/O must land on Table I's values.
 	if s := row.ModeledPaperRead.Seconds(); s < 6.3 || s > 6.9 {
@@ -57,7 +75,43 @@ func TestRunTableI(t *testing.T) {
 			t.Fatalf("Table I output missing %q:\n%s", want, out)
 		}
 	}
-	CleanDir(dir)
+	cfg.Name = "quickstart"
+	if _, err := RunTableI(cfg, steps); err == nil {
+		t.Fatal("a config with no paper column must error")
+	}
+}
+
+// TestRunFig4: on the pipeline's own routes, the in-situ and hybrid
+// statistics derive the same model, the hybrid route moves a fraction
+// of the raw fields, and the flame's temperature is not normal.
+func TestRunFig4(t *testing.T) {
+	cfg := sim.DefaultConfig(grid.NewBox(24, 16, 8), 2, 2, 1)
+	cfg.KernelRate = 1.0
+	res, err := RunFig4(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range fig4Vars {
+		a, b := res.InSitu[v], res.Hybrid[v]
+		if a.N != int64(cfg.Global.Size()) || a.N != b.N || !approxEq(a.Mean, b.Mean, 1e-12) || !approxEq(a.Variance, b.Variance, 1e-9) {
+			t.Fatalf("%s: in-situ %+v, hybrid %+v", v, a, b)
+		}
+	}
+	if res.MoveBytes <= 0 || res.MoveBytes >= res.RawBytes {
+		t.Fatalf("hybrid route moved %d B of %d raw", res.MoveBytes, res.RawBytes)
+	}
+	if a := res.Assess; a.Assessed != int64(cfg.Global.Size()) || a.Extremes <= 0 || !a.Test.Reject {
+		t.Fatalf("assess & test: %+v", a)
+	}
+	if !strings.Contains(res.Format(), "Jarque-Bera") {
+		t.Fatal("Fig 4 output malformed")
+	}
+}
+
+// approxEq compares within tol relative to the larger magnitude (at
+// least 1).
+func approxEq(a, b, tol float64) bool {
+	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
 func TestRunTableIIAndFig6(t *testing.T) {
