@@ -30,6 +30,7 @@ var (
 	benchDecomp  *grid.Decomp
 	benchGhosted []*grid.Field // per-rank ghosted temperature blocks
 	benchField   *grid.Field   // stitched global temperature
+	benchNext    *grid.Field   // the same, one step later
 )
 
 func benchSetup(b *testing.B) {
@@ -45,6 +46,7 @@ func benchSetup(b *testing.B) {
 		benchDecomp = s.Decomp()
 		benchGhosted = make([]*grid.Field, s.Ranks())
 		benchField = grid.NewField("T", benchGlobal)
+		benchNext = grid.NewField("T", benchGlobal)
 		var mu sync.Mutex
 		err = sim.RunAll(s, func(rk *sim.Rank) error {
 			rk.RunSteps(15)
@@ -53,6 +55,10 @@ func benchSetup(b *testing.B) {
 			mu.Lock()
 			benchGhosted[rk.Comm().ID()] = g
 			benchField.Paste(rk.Field("T"))
+			mu.Unlock()
+			rk.RunSteps(1)
+			mu.Lock()
+			benchNext.Paste(rk.Field("T"))
 			mu.Unlock()
 			return nil
 		})

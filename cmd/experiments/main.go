@@ -42,7 +42,7 @@ func main() {
 		fig6   = flag.Bool("fig6", false, "reproduce the Fig. 6 breakdown")
 		all    = flag.Bool("all", false, "run everything")
 		steps  = flag.Int("steps", 4, "simulation steps per measurement")
-		outdir = flag.String("outdir", ".", "directory for generated files")
+		outdir = flag.String("outdir", "", "directory for generated files (default: a new temporary directory)")
 	)
 	flag.Parse()
 	if *all {
@@ -67,6 +67,14 @@ func main() {
 		runFig1(*steps)
 	}
 	if *fig2 {
+		if *outdir == "" {
+			dir, err := os.MkdirTemp("", "experiments-")
+			if err != nil {
+				fatal(err)
+			}
+			*outdir = dir
+		}
+		fmt.Println("writing figures to", *outdir)
 		runFig2(*outdir)
 	}
 	if *fig3 {

@@ -12,24 +12,38 @@
 //
 //   - Identity: no frame at all; the raw payload is registered
 //     unchanged, byte-for-byte identical to the pre-codec transport.
-//   - Delta: XOR against the previous timestep's payload (resident in
+//   - Delta: XOR against the stream's previous version (resident in
 //     the registry's base store), byte-plane shuffled and zero-run
-//     length encoded. Exact reconstruction; falls back to a
-//     self-contained literal frame when no usable base exists.
+//     length encoded. Exact reconstruction.
 //   - Quantize: bounded-error quantization of the payload's float64
-//     tail under a per-field max-error knob; the levels travel as 3-D
-//     Lorenzo residuals packed in blocks of their own bit width, and
-//     bytes before the tail travel verbatim. Falls back to literal on
-//     non-finite values.
+//     tail under a per-field max-error knob; each level is predicted
+//     from the previous version's reconstruction, re-quantized onto
+//     this payload's grid, and from its 3-D Lorenzo neighbours, and the
+//     residuals travel Rice-coded in blocks; bytes before the tail
+//     travel verbatim.
 //
-// All scratch, frame, and decode buffers come from internal/bufpool so
-// the steady-state encode/decode path allocates nothing.
+// A frame is shipped only when it is smaller than the raw payload;
+// otherwise (no usable base, non-finite values, incompressible bytes)
+// the encode reports identity and the raw payload travels unchanged.
+//
+// Every encode retains a base for the stream's next version: what the
+// consumer holds once it has decoded this one. That is the payload
+// itself for delta and identity, and the levels plus their grid for a
+// quantize frame, never the producer's raw floats, so a consumer in
+// another address space could retain the same base from what it
+// decoded. A frame's metadata names its base by version and stream
+// key.
+//
+// All scratch, frame, decode and base buffers come from
+// internal/bufpool so the steady-state encode/decode path allocates
+// nothing.
 package codec
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 
@@ -42,7 +56,7 @@ type ID uint8
 const (
 	// Identity ships raw bytes with no frame.
 	Identity ID = iota
-	// Delta encodes against the previous version's payload.
+	// Delta encodes against the stream's previous version.
 	Delta
 	// Quantize packs the float64 tail's levels under an error bound.
 	Quantize
@@ -106,9 +120,9 @@ var (
 	// ErrBadMeta is returned when a codec's metadata block is
 	// internally inconsistent.
 	ErrBadMeta = errors.New("codec: malformed codec metadata")
-	// ErrNoBase is returned when a delta frame's base version is no
-	// longer resident in the registry.
-	ErrNoBase = errors.New("codec: delta base unavailable")
+	// ErrNoBase is returned when the base version a frame names is not
+	// resident in the registry, or not in the form the frame needs.
+	ErrNoBase = errors.New("codec: base unavailable")
 	// ErrBadInput is returned by Encode for an impossible float-tail
 	// offset or payload shape.
 	ErrBadInput = errors.New("codec: bad encode input")
@@ -122,11 +136,24 @@ var (
 //	[4:8]   raw (decoded) size, uint32
 //	[8:12]  codec metadata length, uint32
 //	[12:..] codec metadata, then the encoded body
+//
+// The codec metadata starts with the stream fields, the same for every
+// codec:
+//
+//	[0]     predictor: 0 none, 1 the base named below
+//	[1:9]   base version, int64 (-1 with no predictor)
+//	[9:11]  key length, uint16
+//	[11:..] key bytes
+//
+// and the codec's own fields follow the key.
 const (
 	magic0       = 0xDC
 	magic1       = 0xF0
-	frameVersion = 2
+	frameVersion = 3
 	headerSize   = 12
+
+	predictNone = 0
+	predictBase = 1
 )
 
 // Key builds the base-store key for one producer stream: an analysis
@@ -143,12 +170,12 @@ type Result struct {
 	// unchanged. Ownership of a non-nil Frame passes to the caller.
 	Frame []byte
 	// MaxError bounds the reconstruction error this encoding
-	// introduced (0 for Delta, Identity, and literal fallbacks).
+	// introduced (0 for Delta and Identity).
 	MaxError float64
 }
 
 // Registry holds the codec state shared between producers and
-// consumers: the previous-version base store delta encodes against.
+// consumers: the base store frames are predicted from.
 // One registry is shared by the DataSpaces service and the DART fabric
 // of a pipeline.
 type Registry struct {
@@ -162,8 +189,10 @@ func NewRegistry() *Registry {
 
 // Encode encodes raw under spec for the producer stream key at the
 // given version. floatOff is the byte offset of the payload's float64
-// tail (used by Quantize; pass 0 when unknown — Delta
-// ignores it). The raw slice is only read; the caller keeps ownership.
+// tail (used by Quantize; pass 0 when unknown — Delta ignores it). The
+// raw slice is only read; the caller keeps ownership. A nil Frame
+// means the raw payload ships unchanged: the spec is identity, or no
+// frame would be smaller than raw.
 func (r *Registry) Encode(spec Spec, key string, version int, raw []byte, floatOff int) (Result, error) {
 	switch spec.ID {
 	case Identity:
@@ -171,7 +200,7 @@ func (r *Registry) Encode(spec Spec, key string, version int, raw []byte, floatO
 	case Delta:
 		return r.encodeDelta(key, version, raw), nil
 	case Quantize:
-		return encodeQuantize(spec, raw, floatOff)
+		return r.encodeQuantize(spec, key, version, raw, floatOff)
 	}
 	return Result{}, fmt.Errorf("%w: %d", ErrUnknownCodec, spec.ID)
 }
@@ -189,7 +218,7 @@ func (r *Registry) Decode(frame []byte) ([]byte, ID, error) {
 	case Delta:
 		raw, err = r.decodeDelta(rawSize, meta, body)
 	case Quantize:
-		raw, err = decodeQuantize(rawSize, meta, body)
+		raw, err = r.decodeQuantize(rawSize, meta, body)
 	default:
 		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownCodec, id)
 	}
@@ -204,10 +233,9 @@ func (r *Registry) Decode(frame []byte) ([]byte, ID, error) {
 // in-memory base store is empty, so the pipeline recomputes the last
 // committed step's payload from restored simulation state and seeds it
 // here, letting the first live step delta-encode against it instead of
-// falling back to a literal frame. The raw slice is copied; the caller
-// keeps ownership.
+// shipping raw. The raw slice is copied; the caller keeps ownership.
 func (r *Registry) SeedBase(key string, version int, raw []byte) {
-	r.bases.put(key, version, raw)
+	r.bases.putExact(key, version, raw)
 }
 
 // ReleaseBases hands every retained base payload back to bufpool and
@@ -218,7 +246,7 @@ func (r *Registry) ReleaseBases() {
 	defer r.bases.mu.Unlock()
 	for _, entries := range r.bases.m {
 		for _, e := range entries {
-			bufpool.Put(e.buf)
+			e.recycle()
 		}
 	}
 	clear(r.bases.m)
@@ -276,51 +304,146 @@ func checkTail(raw []byte, floatOff int) (count int, err error) {
 	return (len(raw) - floatOff) / 8, nil
 }
 
-// storeEntry is one retained payload version.
-type storeEntry struct {
-	version int
-	buf     []byte
+// streamMetaLen is the length of the stream fields for key.
+func streamMetaLen(key string) int { return 1 + 8 + 2 + len(key) }
+
+// putStreamMeta writes the stream fields: no predictor when
+// baseVersion is negative, otherwise that base.
+func putStreamMeta(meta []byte, baseVersion int, key string) {
+	meta[0] = predictNone
+	if baseVersion >= 0 {
+		meta[0] = predictBase
+	}
+	binary.LittleEndian.PutUint64(meta[1:9], uint64(int64(baseVersion)))
+	binary.LittleEndian.PutUint16(meta[9:11], uint16(len(key)))
+	copy(meta[11:], key)
 }
 
-// store is a keyed ring of retained payload copies (bufpool-backed).
-// Readers borrow entries under the lock via with, so eviction can
-// safely recycle buffers.
+// parseStreamMeta reads the stream fields and returns the base the
+// frame names (ok false with no predictor) and the codec's own fields
+// after the key.
+func parseStreamMeta(meta []byte) (key []byte, baseVersion int, ok bool, rest []byte, err error) {
+	if len(meta) < 11 {
+		return nil, 0, false, nil, fmt.Errorf("%w: stream meta %d bytes", ErrBadMeta, len(meta))
+	}
+	keyLen := int(binary.LittleEndian.Uint16(meta[9:11]))
+	if len(meta) < 11+keyLen {
+		return nil, 0, false, nil, fmt.Errorf("%w: key %d bytes in %d-byte meta", ErrBadMeta, keyLen, len(meta))
+	}
+	v := int64(binary.LittleEndian.Uint64(meta[1:9]))
+	switch meta[0] {
+	case predictNone:
+		if v != -1 {
+			return nil, 0, false, nil, fmt.Errorf("%w: base version %d with no predictor", ErrBadMeta, v)
+		}
+	case predictBase:
+		if v < 0 || v > math.MaxInt32 {
+			return nil, 0, false, nil, fmt.Errorf("%w: base version %d", ErrBadMeta, v)
+		}
+		ok = true
+	default:
+		return nil, 0, false, nil, fmt.Errorf("%w: predictor %d", ErrBadMeta, meta[0])
+	}
+	return meta[11 : 11+keyLen], int(v), ok, meta[11+keyLen:], nil
+}
+
+// storeEntry is one retained base: what the consumer of that version
+// reconstructed. An exact base is the payload's bytes; a levels base is
+// a quantize frame's levels (4 bytes each, little-endian), the bytes
+// before its float tail and its grid.
+type storeEntry struct {
+	version  int
+	buf      []byte
+	levels   bool
+	head     []byte
+	lo, step float64
+}
+
+// recycle hands the entry's buffers back to bufpool.
+func (e *storeEntry) recycle() {
+	bufpool.Put(e.buf)
+	if e.levels {
+		bufpool.Put(e.head)
+	}
+}
+
+// store is a keyed ring of retained bases (bufpool-backed). Readers
+// borrow entries under the lock via with and newestBelow, so eviction
+// can safely recycle buffers.
 type store struct {
 	mu sync.Mutex
 	m  map[string][]storeEntry
 }
 
-// put retains a copy of raw as (key, version), evicting the oldest
-// entry beyond the retention window.
-func (s *store) put(key string, version int, raw []byte) {
+// putExact retains a copy of raw as the exact base (key, version).
+func (s *store) putExact(key string, version int, raw []byte) {
 	cp := bufpool.Get(len(raw))
 	copy(cp, raw)
+	s.put(key, storeEntry{version: version, buf: cp})
+}
+
+// putLevels retains copies of a quantize frame's levels, the bytes
+// before its tail and its grid as the levels base (key, version).
+func (s *store) putLevels(key string, version int, lv []uint32, head []byte, lo, step float64) {
+	buf := bufpool.Get(4 * len(lv))
+	for i, q := range lv {
+		binary.LittleEndian.PutUint32(buf[4*i:], q)
+	}
+	hd := bufpool.Get(len(head))
+	copy(hd, head)
+	s.put(key, storeEntry{version: version, buf: buf, levels: true, head: hd, lo: lo, step: step})
+}
+
+// put appends e to key's ring, evicting the oldest entry beyond the
+// retention window. A ring is allocated once, at its full size.
+func (s *store) put(key string, e storeEntry) {
 	s.mu.Lock()
-	entries := append(s.m[key], storeEntry{version: version, buf: cp})
-	var evicted []byte
+	entries := s.m[key]
+	if entries == nil {
+		entries = make([]storeEntry, 0, baseRetention+1)
+	}
+	entries = append(entries, e)
+	var evicted storeEntry
 	if len(entries) > baseRetention {
-		evicted = entries[0].buf
+		evicted = entries[0]
 		copy(entries, entries[1:])
 		entries = entries[:len(entries)-1]
 	}
 	s.m[key] = entries
 	s.mu.Unlock()
-	if evicted != nil {
-		bufpool.Put(evicted)
+	if evicted.buf != nil {
+		evicted.recycle()
 	}
 }
 
-// with invokes fn with the retained payload for (key, version) under
-// the store lock, returning whether it was resident.
-func (s *store) with(key string, version int, fn func(raw []byte)) bool {
+// with invokes fn with the retained base (key, version) under the store
+// lock, returning whether it was resident.
+func (s *store) with(key string, version int, fn func(e *storeEntry)) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	entries := s.m[key]
 	for i := len(entries) - 1; i >= 0; i-- {
 		if entries[i].version == version {
-			fn(entries[i].buf)
+			fn(&entries[i])
 			return true
 		}
 	}
 	return false
+}
+
+// newestBelow invokes fn under the store lock with key's newest
+// retained base below version — the stream's previous encode, whatever
+// the route's cadence — and returns its version, or -1 when key has
+// none.
+func (s *store) newestBelow(key string, version int, fn func(e *storeEntry)) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	entries := s.m[key]
+	for i := len(entries) - 1; i >= 0; i-- {
+		if entries[i].version < version {
+			fn(&entries[i])
+			return entries[i].version
+		}
+	}
+	return -1
 }

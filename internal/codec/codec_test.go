@@ -74,6 +74,14 @@ func TestDeltaRoundTripExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("v%d: %v", v, err)
 		}
+		if v == 1 {
+			// Version 1 has no base: the payload ships raw.
+			if res.Frame != nil {
+				t.Fatalf("v1 has no base but framed %d bytes", len(res.Frame))
+			}
+			p = evolve(rng, p, 76)
+			continue
+		}
 		got := decodeOK(t, r, res, Delta)
 		if !bytes.Equal(got, p) {
 			t.Fatalf("v%d: delta round trip not bit-exact", v)
@@ -81,14 +89,8 @@ func TestDeltaRoundTripExact(t *testing.T) {
 		if res.MaxError != 0 {
 			t.Fatalf("v%d: delta reported max error %g, want 0", v, res.MaxError)
 		}
-		if v > 1 {
-			wire += len(res.Frame)
-			raw += len(p)
-		} else if len(res.Frame) < len(p) {
-			// Version 1 has no base: a literal frame, slightly larger
-			// than raw.
-			t.Fatalf("v1 must be literal, frame %d < raw %d", len(res.Frame), len(p))
-		}
+		wire += len(res.Frame)
+		raw += len(p)
 		p = evolve(rng, p, 76)
 	}
 	ratio := float64(raw) / float64(wire)
@@ -121,7 +123,8 @@ func TestDeltaIdenticalPayloadCollapses(t *testing.T) {
 }
 
 // TestDeltaRandomPayloadsStayLiteral: incompressible random bytes must
-// not inflate — the encoder falls back to a literal frame.
+// not inflate — the payload ships raw (identity), and each version is
+// still retained as the next one's base.
 func TestDeltaRandomPayloadsStayLiteral(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := NewRegistry()
@@ -133,17 +136,18 @@ func TestDeltaRandomPayloadsStayLiteral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Frame) > len(p)+headerSize+deltaMetaLen(key)+16 {
-			t.Fatalf("random payload inflated to %d bytes from %d", len(res.Frame), len(p))
+		if res.Frame != nil {
+			t.Fatalf("v%d: random payload framed to %d bytes from %d, want raw", v, len(res.Frame), len(p))
 		}
-		if got := decodeOK(t, r, res, Delta); !bytes.Equal(got, p) {
-			t.Fatalf("v%d: round trip broken", v)
-		}
+	}
+	if n := r.Bases(); n != 3 {
+		t.Fatalf("store retains %d bases, want 3", n)
 	}
 }
 
 // TestDeltaSizeChangeFallsBackToLiteral: a payload whose size differs
-// from its base (a shaped step) still round-trips via literal mode.
+// from its base (a shaped step) ships raw, and the version after it
+// delta-encodes against it.
 func TestDeltaSizeChangeFallsBackToLiteral(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	r := NewRegistry()
@@ -157,9 +161,55 @@ func TestDeltaSizeChangeFallsBackToLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decodeOK(t, r, res, Delta); !bytes.Equal(got, p2) {
-		t.Fatal("size-changed payload must round trip via literal mode")
+	if res.Frame != nil {
+		t.Fatalf("size-changed payload framed to %d bytes, want raw", len(res.Frame))
 	}
+	res, err = r.Encode(Spec{ID: Delta}, key, 3, p2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decodeOK(t, r, res, Delta); !bytes.Equal(got, p2) {
+		t.Fatal("the version after a size change must delta-encode against it")
+	}
+}
+
+// TestEncodeShipsIdentityWhenNotSmaller: a frame that would not be
+// smaller than its payload is not shipped — a 108 B payload whose delta
+// would cost more encodes to no frame, which the fabric registers as
+// Identity — yet the payload is still retained, so the next version
+// delta-encodes against it.
+func TestEncodeShipsIdentityWhenNotSmaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	r := NewRegistry()
+	key := Key("autocorr", 0)
+	p1, p2 := make([]byte, 108), make([]byte, 108)
+	rng.Read(p1)
+	rng.Read(p2)
+	for v, p := range [][]byte{p1, p2} {
+		res, err := r.Encode(Spec{ID: Delta}, key, v+1, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Frame != nil {
+			t.Fatalf("v%d: framed %d bytes for a %d-byte payload, want Identity", v+1, len(res.Frame), len(p))
+		}
+	}
+	res, err := r.Encode(Spec{ID: Delta}, key, 3, p2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decodeOK(t, r, res, Delta); !bytes.Equal(got, p2) {
+		t.Fatal("round trip broken")
+	}
+	if _, base, _, _, _ := parseStreamMeta(frameMeta(res.Frame)); base != 2 {
+		t.Fatalf("v3 names base %d, want the identity-shipped v2", base)
+	}
+}
+
+// frameMeta returns a well-formed frame's codec metadata.
+func frameMeta(frame []byte) []byte {
+	_, _, meta, _, _ := splitFrame(frame)
+	return meta
 }
 
 // TestDeltaEvictedBase: decoding a frame whose base fell out of the
@@ -293,8 +343,8 @@ func TestQuantizeDefaultBound(t *testing.T) {
 	}
 }
 
-// TestQuantizeNonFiniteFallsBackLiteral: NaN/Inf payloads round-trip
-// bit-exactly through the literal fallback.
+// TestQuantizeNonFiniteFallsBackLiteral: NaN/Inf payloads ship raw
+// (identity), so they arrive bit-exactly.
 func TestQuantizeNonFiniteFallsBackLiteral(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	r := NewRegistry()
@@ -308,11 +358,8 @@ func TestQuantizeNonFiniteFallsBackLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxError != 0 {
-		t.Fatalf("literal fallback reported error %g", res.MaxError)
-	}
-	if got := decodeOK(t, r, res, Quantize); !bytes.Equal(got, p) {
-		t.Fatal("literal fallback not bit-exact")
+	if res.Frame != nil || res.MaxError != 0 {
+		t.Fatalf("non-finite payload framed %d bytes at error %g, want raw", len(res.Frame), res.MaxError)
 	}
 }
 
@@ -368,6 +415,11 @@ func TestDecodeTypedErrors(t *testing.T) {
 			binary.LittleEndian.PutUint32(f[8:12], uint32(len(f)))
 			return f
 		}, ErrTruncated},
+		{"key-overrun", func(f []byte) []byte {
+			binary.LittleEndian.PutUint16(f[headerSize+9:], 200)
+			return f
+		}, ErrBadMeta},
+		{"predictor", func(f []byte) []byte { f[headerSize] = 2; return f }, ErrBadMeta},
 		{"truncated-body", func(f []byte) []byte { return f[:len(f)-3] }, ErrTruncated},
 		{"raw-size", func(f []byte) []byte {
 			binary.LittleEndian.PutUint32(f[4:8], uint32(len(p)+8))
@@ -383,24 +435,24 @@ func TestDecodeTypedErrors(t *testing.T) {
 
 	// The residual stream's own defects, on a shaped 4x4x4 frame and on
 	// hand-packed ones.
-	res, err = r.Encode(Spec{ID: Quantize, NX: 4, NY: 4}, "k", 2, p, 16)
+	res, err = r.Encode(Spec{ID: Quantize, NX: 4, NY: 4}, "s", 1, p, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shaped := append([]byte(nil), res.Frame...)
-	meta := headerSize
-	stream := headerSize + quantMetaLen + 16
-	nbits := int(shaped[meta+5])
-	setWidth := func(width int) func([]byte) []byte {
+	qm := headerSize + streamMetaLen("s")
+	stream := qm + quantMetaLen + 16
+	nbits := int(shaped[qm+4])
+	setHeader := func(h int) func([]byte) []byte {
 		return func(f []byte) []byte {
-			f[stream] = f[stream]&^(predictedFlag-1) | byte(width)
+			f[stream] = f[stream]&^(1<<blockHeaderBits-1) | byte(h)
 			return f
 		}
 	}
 	setShape := func(nx, ny uint32) func([]byte) []byte {
 		return func(f []byte) []byte {
-			binary.LittleEndian.PutUint32(f[meta+22:], nx)
-			binary.LittleEndian.PutUint32(f[meta+26:], ny)
+			binary.LittleEndian.PutUint32(f[qm+21:], nx)
+			binary.LittleEndian.PutUint32(f[qm+25:], ny)
 			return f
 		}
 	}
@@ -409,9 +461,11 @@ func TestDecodeTypedErrors(t *testing.T) {
 		mut  func([]byte) []byte
 		want error
 	}{
-		{"width-over-bits", setWidth(nbits + 1), ErrBadMeta},
-		{"width-over-bits+4", setWidth(nbits + 5), ErrBadMeta},
-		{"width-63", setWidth(63), ErrBadMeta},
+		{"width-over-bits", setHeader(nbits + 1), ErrBadMeta},
+		{"width-over-bits+4", setHeader(nbits + 5), ErrBadMeta},
+		{"width-63", setHeader(63), ErrBadMeta},
+		{"rice-parameter-at-bits", setHeader(residualFlag | (nbits + 1)), ErrBadMeta},
+		{"rice-parameter-63", setHeader(residualFlag | 63), ErrBadMeta},
 		{"ends-mid-block", func(f []byte) []byte { return f[:stream+2] }, ErrTruncated},
 		{"ends-before-header", func(f []byte) []byte { return f[:stream] }, ErrTruncated},
 		{"trailing-bytes", func(f []byte) []byte { return append(f, 0) }, ErrSizeMismatch},
@@ -421,21 +475,40 @@ func TestDecodeTypedErrors(t *testing.T) {
 		{"shape-beyond-count", setShape(128, 1), ErrBadMeta},
 		{"residual-level-high", func([]byte) []byte {
 			return packedFrame(4, 16, 1, 16, func(w *bitWriter) {
-				w.write(4|predictedFlag, blockHeaderBits)
+				w.write(residualFlag|3, blockHeaderBits) // Rice, k = 2
 				for i := 0; i < 16; i++ {
-					w.write(14, 4) // zigzag 14: +7 on the previous level, 21 by the third
+					v := uint32(0)
+					if i < 3 {
+						v = 14 // zigzag 14: +7 on the previous level, 21 by the third
+					}
+					writeRice(w, v, 2)
 				}
 			})
 		}, ErrBadMeta},
 		{"residual-level-negative", func([]byte) []byte {
 			return packedFrame(4, 16, 1, 16, func(w *bitWriter) {
-				w.write(1|predictedFlag, blockHeaderBits)
-				w.write(1, 1) // zigzag 1: residual -1 against a prediction of 0
+				w.write(residualFlag|1, blockHeaderBits) // Rice, k = 0
+				writeRice(w, 1, 0)                       // zigzag 1: residual -1 against a prediction of 0
 				for i := 1; i < 16; i++ {
-					w.write(0, 1)
+					writeRice(w, 0, 0)
 				}
 			})
 		}, ErrBadMeta},
+		{"unary-over-budget", func([]byte) []byte {
+			// 70 zeros: one quotient over the block's 16x4-bit budget.
+			return packedFrame(4, 16, 1, 16, func(w *bitWriter) {
+				w.write(residualFlag|1, blockHeaderBits)
+				w.write(0, 32)
+				w.write(0, 32)
+				w.write(1<<6, 7)
+			})
+		}, ErrBadMeta},
+		{"unary-past-stream", func([]byte) []byte {
+			return packedFrame(4, 16, 1, 16, func(w *bitWriter) {
+				w.write(residualFlag|1, blockHeaderBits)
+				w.write(0, 20)
+			})
+		}, ErrTruncated},
 	}
 	for _, tc := range streamCases {
 		f := tc.mut(append([]byte(nil), shaped...))
@@ -443,36 +516,115 @@ func TestDecodeTypedErrors(t *testing.T) {
 			t.Errorf("%s: decode = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	// The hand packer itself makes decodable frames.
-	ok := packedFrame(4, 16, 1, 16, func(w *bitWriter) {
-		w.write(4, blockHeaderBits)
-		for i := 0; i < 16; i++ {
-			w.write(uint64(i), 4)
+	// The hand packer itself makes decodable frames, raw and Rice-coded.
+	for name, fill := range map[string]func(*bitWriter){
+		"raw": func(w *bitWriter) {
+			w.write(4, blockHeaderBits)
+			for i := 0; i < 16; i++ {
+				w.write(uint64(i), 4)
+			}
+		},
+		"rice": func(w *bitWriter) {
+			w.write(residualFlag|1, blockHeaderBits)
+			for i := 0; i < 16; i++ {
+				writeRice(w, uint32(min(i, 1)*2), 0) // 0, then +1 a value
+			}
+		},
+	} {
+		raw, _, err := r.Decode(packedFrame(4, 16, 1, 16, fill))
+		if err != nil {
+			t.Fatalf("hand-packed %s frame: %v", name, err)
 		}
-	})
-	if _, _, err := r.Decode(ok); err != nil {
-		t.Fatalf("hand-packed frame: %v", err)
+		for i := 0; i < 16; i++ {
+			if got := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])); got != float64(i)/15 {
+				t.Fatalf("hand-packed %s frame: value %d is %g, want %g", name, i, got, float64(i)/15)
+			}
+		}
 	}
 }
 
-// packedFrame builds a packed quantize frame of count levels with no
-// bytes before the tail, grid [0, 1] in 2^nbits levels, whose stream
-// fill writes.
+// TestDecodeTemporalTypedErrors: a temporal frame whose base is gone,
+// or resident in another form, fails with ErrNoBase — before anything
+// is allocated for a hostile raw size.
+func TestDecodeTemporalTypedErrors(t *testing.T) {
+	const nx, ny, nz, header = 8, 8, 4, 24
+	p1 := fieldLike(rand.New(rand.NewSource(18)), header, nx*ny*nz, func(i int) float64 { return math.Sin(float64(i) / 9) })
+	p2 := withTail(p1, header, func(i int) float64 { return math.Sin(float64(i)/9 + 0.01) })
+	spec := Spec{ID: Quantize, MaxError: 1e-4, NX: nx, NY: ny}
+	r := NewRegistry()
+	var temporal []byte
+	for v, p := range [][]byte{p1, p2} {
+		res, err := r.Encode(spec, "t", v+1, p, header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		temporal = res.Frame
+	}
+	if _, base, ok, _, _ := parseStreamMeta(frameMeta(temporal)); !ok || base != 1 {
+		t.Fatalf("v2 names base %d (predictor %v), want temporal on v1", base, ok)
+	}
+	if _, _, err := r.Decode(temporal); err != nil {
+		t.Fatalf("temporal frame with its base resident: %v", err)
+	}
+
+	if _, _, err := NewRegistry().Decode(temporal); !errors.Is(err, ErrNoBase) {
+		t.Errorf("missing base: decode = %v, want ErrNoBase", err)
+	}
+	hostile := append([]byte(nil), temporal...)
+	binary.LittleEndian.PutUint32(hostile[4:8], 64<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := r.Decode(hostile)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrNoBase) {
+		t.Errorf("64 MB raw size: decode = %v, want ErrNoBase", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("decode allocated %d bytes for a raw size no base has", grew)
+	}
+	// Version 1 retained again, now as an exact base (a delta rung).
+	r.SeedBase("t", 1, p1)
+	if _, _, err := r.Decode(temporal); !errors.Is(err, ErrNoBase) {
+		t.Errorf("base in the exact form: decode = %v, want ErrNoBase", err)
+	}
+}
+
+// withTail returns a copy of p whose float tail after header holds
+// gen's values: the next version of the same stream.
+func withTail(p []byte, header int, gen func(i int) float64) []byte {
+	q := append([]byte(nil), p...)
+	for i := 0; header+8*i < len(q); i++ {
+		binary.LittleEndian.PutUint64(q[header+8*i:], math.Float64bits(gen(i)))
+	}
+	return q
+}
+
+// writeRice writes v Rice-coded with parameter k, as bitWriter.block
+// does.
+func writeRice(w *bitWriter, v uint32, k int) {
+	w.write(1<<(v>>k), int(v>>k)+1)
+	w.write(uint64(v)&(1<<k-1), k)
+}
+
+// packedFrame builds a spatial quantize frame of count levels with no
+// bytes before the tail and an empty key, grid [0, 1] in 2^nbits
+// levels, whose stream fill writes.
 func packedFrame(nbits, nx, ny, count int, fill func(*bitWriter)) []byte {
 	w := bitWriter{buf: make([]byte, 8*count+8)}
 	fill(&w)
 	n := w.finish()
-	f := make([]byte, headerSize+quantMetaLen+n)
+	metaLen := streamMetaLen("") + quantMetaLen
+	f := make([]byte, headerSize+metaLen+n)
 	f[0], f[1], f[2], f[3] = magic0, magic1, frameVersion, byte(Quantize)
 	binary.LittleEndian.PutUint32(f[4:8], uint32(8*count))
-	binary.LittleEndian.PutUint32(f[8:12], quantMetaLen)
-	meta := f[headerSize:]
-	meta[0] = quantPacked
-	meta[5] = byte(nbits)
-	binary.LittleEndian.PutUint64(meta[14:22], math.Float64bits(1/float64(uint64(1)<<nbits-1)))
-	binary.LittleEndian.PutUint32(meta[22:26], uint32(nx))
-	binary.LittleEndian.PutUint32(meta[26:30], uint32(ny))
-	copy(f[headerSize+quantMetaLen:], w.buf[:n])
+	binary.LittleEndian.PutUint32(f[8:12], uint32(metaLen))
+	putStreamMeta(f[headerSize:], -1, "")
+	meta := f[headerSize+streamMetaLen(""):]
+	meta[4] = byte(nbits)
+	binary.LittleEndian.PutUint64(meta[13:21], math.Float64bits(1/float64(uint64(1)<<nbits-1)))
+	binary.LittleEndian.PutUint32(meta[21:25], uint32(nx))
+	binary.LittleEndian.PutUint32(meta[25:29], uint32(ny))
+	copy(f[headerSize+metaLen:], w.buf[:n])
 	return f
 }
 
@@ -481,13 +633,13 @@ func packedFrame(nbits, nx, ny, count int, fill func(*bitWriter)) []byte {
 func TestStoreRetention(t *testing.T) {
 	s := store{m: make(map[string][]storeEntry)}
 	for v := 1; v <= baseRetention+5; v++ {
-		s.put("k", v, []byte{byte(v)})
+		s.putExact("k", v, []byte{byte(v)})
 	}
-	if s.with("k", 1, func([]byte) {}) {
+	if s.with("k", 1, func(*storeEntry) {}) {
 		t.Fatal("version 1 must be evicted")
 	}
-	ok := s.with("k", baseRetention+5, func(b []byte) {
-		if b[0] != byte(baseRetention+5) {
+	ok := s.with("k", baseRetention+5, func(e *storeEntry) {
+		if e.buf[0] != byte(baseRetention+5) {
 			t.Fatal("wrong payload retained")
 		}
 	})
@@ -496,6 +648,15 @@ func TestStoreRetention(t *testing.T) {
 	}
 	if len(s.m["k"]) != baseRetention {
 		t.Fatalf("retained %d entries, want %d", len(s.m["k"]), baseRetention)
+	}
+	if v := s.newestBelow("k", 100, func(*storeEntry) {}); v != baseRetention+5 {
+		t.Fatalf("newest below 100 is %d, want %d", v, baseRetention+5)
+	}
+	if v := s.newestBelow("k", 7, func(*storeEntry) {}); v != 6 {
+		t.Fatalf("newest below 7 is %d, want 6", v)
+	}
+	if v := s.newestBelow("k", 6, func(*storeEntry) {}); v != -1 {
+		t.Fatalf("newest below the evicted 5 is %d, want -1", v)
 	}
 }
 
@@ -624,7 +785,9 @@ func oracleUnquantize(frame []byte, rawSize int) []byte {
 // 32 bits, a typical absolute bound), the residual decoder returns the
 // fixed-width oracle's bytes exactly and reports the same error; on
 // white noise the frame is at most the oracle's plus a 7-bit header per
-// block and the 8 bytes of shape.
+// block, the stream fields and the 8 bytes of shape. Every frame here
+// is spatial-only: each encode is version 1 of its key, so no base
+// precedes it.
 func TestQuantizeMatchesFixedWidthOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	r := NewRegistry()
@@ -687,9 +850,11 @@ func TestQuantizeMatchesFixedWidthOracle(t *testing.T) {
 				}
 				oracleLen := headerSize + len(want)
 				if fname == "noise" {
+					// The stream fields and the shape are the meta's growth
+					// over the oracle's 22 bytes.
 					blocks := (count + quantBlock - 1) / quantBlock
-					if limit := oracleLen + (blockHeaderBits*blocks+7)/8 + 8; len(res.Frame) > limit {
-						t.Fatalf("%s: noise frame %d bytes, over the oracle's %d plus headers and shape (%d)",
+					if limit := oracleLen + (blockHeaderBits*blocks+7)/8 + streamMetaLen("q") + quantMetaLen - 22; len(res.Frame) > limit {
+						t.Fatalf("%s: noise frame %d bytes, over the oracle's %d plus headers, stream fields and shape (%d)",
 							name, len(res.Frame), oracleLen, limit)
 					}
 				}
@@ -726,7 +891,9 @@ func TestQuantizePredictsAlongShape(t *testing.T) {
 }
 
 // TestQuantizeRoundTripAllocatesNothing: once warm, a quantize encode
-// and the decode of its frame draw every buffer from a pool.
+// of the stream's next version — temporal, against the levels base the
+// previous one retained — and the decode of its frame draw every buffer
+// from a pool, base copies included.
 func TestQuantizeRoundTripAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	r := NewRegistry()
@@ -735,10 +902,16 @@ func TestQuantizeRoundTripAllocatesNothing(t *testing.T) {
 		return math.Sin(float64(i%nx)/3) + math.Cos(float64(i/nx%ny)/4) + float64(i/(nx*ny))/8
 	})
 	spec := Spec{ID: Quantize, MaxError: 1e-4, NX: nx, NY: ny}
+	version := 0
 	roundTrip := func() {
-		res, err := r.Encode(spec, "viz/0", 1, p, header)
+		version++
+		shiftTail(p, header, version)
+		res, err := r.Encode(spec, "viz/0", version, p, header)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, _, ok, _, _ := parseStreamMeta(frameMeta(res.Frame)); !ok && version > 1 {
+			t.Fatalf("v%d is not predicted from its predecessor", version)
 		}
 		raw, _, err := r.Decode(res.Frame)
 		if err != nil {
@@ -747,9 +920,21 @@ func TestQuantizeRoundTripAllocatesNothing(t *testing.T) {
 		bufpool.Put(res.Frame)
 		bufpool.Put(raw)
 	}
-	roundTrip()
+	// Fill the base ring, so later encodes recycle what they evict.
+	for i := 0; i <= baseRetention; i++ {
+		roundTrip()
+	}
 	if n := testing.AllocsPerRun(20, roundTrip); n != 0 {
 		t.Fatalf("warm quantize encode+decode allocates %.1f times per round trip, want 0", n)
+	}
+}
+
+// shiftTail moves every eighth value of p's float tail a little,
+// a different eighth each version.
+func shiftTail(p []byte, header, version int) {
+	for i := header + 8*(version%8); i+8 <= len(p); i += 64 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(p[i:]))
+		binary.LittleEndian.PutUint64(p[i:], math.Float64bits(v+1e-3))
 	}
 }
 
@@ -784,6 +969,145 @@ func TestReleaseBasesRecyclesEveryBase(t *testing.T) {
 		b := bufpool.Get(len(p))
 		if !held[&b[0]] {
 			t.Fatal("a Get after ReleaseBases took a new buffer while released bases were idle")
+		}
+	}
+}
+
+// TestQuantizeSequencesMatchOracle: over multi-version streams, every
+// frame names the base the stream's history allows — its newest
+// retained version when that is a quantize base of the same size and
+// header bytes, none otherwise — and decodes to the fixed-width
+// oracle's bytes with the oracle's error; a delta frame decodes
+// exactly. The streams cover a missing base, a size change, changed
+// header bytes, a changing grid, a NaN step, a route due every second
+// step, and delta and quantize rungs taking turns on one key.
+func TestQuantizeSequencesMatchOracle(t *testing.T) {
+	const nx, ny, header = 8, 6, 40
+	rng := rand.New(rand.NewSource(19))
+	hdr, other := make([]byte, header), make([]byte, header)
+	rng.Read(hdr)
+	rng.Read(other)
+	field := func(h []byte, nz int, phase, scale float64) []byte {
+		p := append([]byte(nil), h...)
+		return withTail(append(p, make([]byte, 8*nx*ny*nz)...), header, func(i int) float64 {
+			x, y, z := float64(i%nx), float64(i/nx%ny), float64(i/(nx*ny))
+			return scale * (300 + 40*math.Sin(x/4+phase)*math.Cos(y/5) + 7*z)
+		})
+	}
+	nan := field(hdr, 5, 0.3, 1)
+	binary.LittleEndian.PutUint64(nan[header+8*17:], math.Float64bits(math.NaN()))
+	const raw = -2 // the payload ships unframed
+	type step struct {
+		id   ID
+		v    int
+		p    []byte
+		base int // the base the frame names, -1 for none
+	}
+	streams := map[string][]step{
+		"consecutive": {
+			{Quantize, 1, field(hdr, 5, 0, 1), -1},
+			{Quantize, 2, field(hdr, 5, 0.02, 1), 1},
+			{Quantize, 3, field(hdr, 5, 0.04, 1), 2},
+			{Quantize, 4, field(hdr, 5, 0.06, 1), 3},
+		},
+		"every-2": {
+			{Quantize, 2, field(hdr, 5, 0, 1), -1},
+			{Quantize, 4, field(hdr, 5, 0.04, 1), 2},
+			{Quantize, 6, field(hdr, 5, 0.08, 1), 4},
+		},
+		"size-and-header": {
+			{Quantize, 1, field(hdr, 5, 0, 1), -1},
+			{Quantize, 2, field(hdr, 2, 0.02, 1), -1},
+			{Quantize, 3, field(hdr, 2, 0.04, 1), 2},
+			{Quantize, 4, field(other, 2, 0.06, 1), -1},
+			{Quantize, 5, field(other, 2, 0.08, 1), 4},
+		},
+		"grid-changes": {
+			{Quantize, 1, field(hdr, 5, 0, 1), -1},
+			{Quantize, 2, field(hdr, 5, 0.02, 3), 1},
+			{Quantize, 3, field(hdr, 5, 0.04, 0.5), 2},
+			{Quantize, 4, field(hdr, 5, 0.06, 1e-3), 3},
+		},
+		"nan": {
+			{Quantize, 1, field(hdr, 5, 0, 1), -1},
+			{Quantize, 2, nan, raw},
+			{Quantize, 3, field(hdr, 5, 0.04, 1), -1},
+			{Quantize, 4, field(hdr, 5, 0.06, 1), 3},
+		},
+		"delta-quantize-switch": {
+			{Quantize, 1, field(hdr, 5, 0, 1), -1},
+			{Delta, 2, field(hdr, 5, 0.02, 1), raw},
+			{Delta, 3, field(hdr, 5, 0.02, 1), 2},
+			{Quantize, 4, field(hdr, 5, 0.06, 1), -1},
+			{Quantize, 5, field(hdr, 5, 0.08, 1), 4},
+			{Delta, 6, field(hdr, 5, 0.08, 1), raw},
+		},
+	}
+	for name, steps := range streams {
+		r := NewRegistry()
+		for _, st := range steps {
+			spec := Spec{ID: st.id, MaxError: 1e-3, NX: nx, NY: ny}
+			res, err := r.Encode(spec, "s", st.v, st.p, header)
+			if err != nil {
+				t.Fatalf("%s v%d: %v", name, st.v, err)
+			}
+			if st.base == raw {
+				if res.Frame != nil {
+					t.Fatalf("%s v%d: framed %d bytes, want the payload unframed", name, st.v, len(res.Frame))
+				}
+				continue
+			}
+			if _, base, ok, _, _ := parseStreamMeta(frameMeta(res.Frame)); !ok && st.base != -1 || ok && base != st.base {
+				t.Fatalf("%s v%d: frame names base %d (predictor %v), want %d", name, st.v, base, ok, st.base)
+			}
+			got := decodeOK(t, r, res, st.id)
+			want, wantErr := st.p, 0.0
+			if st.id == Quantize {
+				var frame []byte
+				frame, wantErr = oracleQuantize(spec, st.p, header)
+				want = oracleUnquantize(frame, len(st.p))
+			}
+			if !bytes.Equal(got, want) || res.MaxError != wantErr {
+				t.Fatalf("%s v%d: decoded bytes or error %g differ from the oracle's (error %g)", name, st.v, res.MaxError, wantErr)
+			}
+			t.Logf("%-22s v%d %v base %2d: %5d -> %4d bytes", name, st.v, st.id, st.base, len(st.p), len(res.Frame))
+		}
+	}
+}
+
+// TestQuantizeEvictedBaseFailsTyped: frames decoded long after they
+// were encoded decode to the oracle's bytes while their bases are
+// retained, and fail with ErrNoBase once the ring has evicted them.
+func TestQuantizeEvictedBaseFailsTyped(t *testing.T) {
+	const nx, ny, nz, header = 8, 8, 4, 24
+	p := fieldLike(rand.New(rand.NewSource(20)), header, nx*ny*nz, func(i int) float64 { return math.Cos(float64(i) / 11) })
+	spec := Spec{ID: Quantize, NX: nx, NY: ny}
+	r := NewRegistry()
+	const versions = baseRetention + 8
+	frames := make([][]byte, versions+1)
+	payloads := make([][]byte, versions+1)
+	for v := 1; v <= versions; v++ {
+		p = withTail(p, header, func(i int) float64 { return math.Cos(float64(i)/11 + float64(v)/50) })
+		res, err := r.Encode(spec, "e", v, p, header)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[v], payloads[v] = res.Frame, p
+	}
+	for v := 2; v <= versions; v++ {
+		got, _, err := r.Decode(frames[v])
+		if base := v - 1; base <= versions-baseRetention {
+			if !errors.Is(err, ErrNoBase) {
+				t.Fatalf("v%d on evicted base %d: decode = %v, want ErrNoBase", v, base, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("v%d: %v", v, err)
+		}
+		want, _ := oracleQuantize(spec, payloads[v], header)
+		if !bytes.Equal(got, oracleUnquantize(want, len(payloads[v]))) {
+			t.Fatalf("v%d: decoded bytes differ from the oracle's", v)
 		}
 	}
 }

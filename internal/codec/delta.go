@@ -7,9 +7,9 @@ import (
 	"insitu/internal/bufpool"
 )
 
-// The delta codec encodes a payload against the previous version of
-// the same producer stream (analysis route × rank), which the registry
-// retains in its base store. The transform is three cheap passes:
+// The delta codec encodes a payload against the stream's (analysis
+// route × rank) newest retained version, an exact base in the
+// registry's base store. The transform is three cheap passes:
 //
 //  1. XOR against the base — successive timesteps of a smoothly
 //     evolving field agree in their float64 sign/exponent/high-mantissa
@@ -21,107 +21,61 @@ import (
 //     varint lengths.
 //
 // Reconstruction is bit-exact. When no usable base exists (first
-// version, evicted base, or a shaped payload whose size changed) or
-// the transform does not actually shrink the payload, the frame
-// carries the payload verbatim in literal mode and stays
-// self-contained.
+// version, evicted base, a quantized previous version, or a shaped
+// payload whose size changed) or the frame would not be smaller than
+// the payload, the encode ships raw (identity).
 //
-// Delta metadata:
+// Delta metadata is the stream fields alone, always naming a base.
 //
-//	[0]    mode: 0 literal, 1 xor+shuffle+rle
-//	[1:9]  base version, int64 (-1 in literal mode)
-//	[9:11] key length, uint16
-//	[11:]  key bytes
-const (
-	deltaLiteral = 0
-	deltaXOR     = 1
-)
-
-func deltaMetaLen(key string) int { return 1 + 8 + 2 + len(key) }
-
-func putDeltaMeta(meta []byte, mode byte, baseVersion int64, key string) {
-	meta[0] = mode
-	binary.LittleEndian.PutUint64(meta[1:9], uint64(baseVersion))
-	binary.LittleEndian.PutUint16(meta[9:11], uint16(len(key)))
-	copy(meta[11:], key)
-}
-
-func parseDeltaMeta(meta []byte) (mode byte, baseVersion int64, key []byte, err error) {
-	if len(meta) < 11 {
-		return 0, 0, nil, fmt.Errorf("%w: delta meta %d bytes", ErrBadMeta, len(meta))
-	}
-	mode = meta[0]
-	if mode != deltaLiteral && mode != deltaXOR {
-		return 0, 0, nil, fmt.Errorf("%w: delta mode %d", ErrBadMeta, mode)
-	}
-	baseVersion = int64(binary.LittleEndian.Uint64(meta[1:9]))
-	keyLen := int(binary.LittleEndian.Uint16(meta[9:11]))
-	if len(meta) != 11+keyLen {
-		return 0, 0, nil, fmt.Errorf("%w: delta key %d bytes in %d-byte meta", ErrBadMeta, keyLen, len(meta))
-	}
-	return mode, baseVersion, meta[11:], nil
-}
-
-// encodeDelta never fails: absent or mismatched bases degrade to
-// literal mode. The raw payload is always retained as the base for the
-// next version — the producer is sequential per stream, so the base is
-// resident before any consumer can decode against it.
+// The raw payload is always retained as the base for the next version
+// — the producer is sequential per stream, so the base is resident
+// before any consumer can decode against it.
 func (r *Registry) encodeDelta(key string, version int, raw []byte) Result {
 	n := len(raw)
-	metaLen := deltaMetaLen(key)
-	frame := newFrame(Delta, n, metaLen, n)
+	metaLen := streamMetaLen(key)
 	bodyOff := headerSize + metaLen
-
-	mode := byte(deltaLiteral)
-	baseVersion := int64(-1)
-	encLen := 0
-	if n >= 8 {
+	// The largest body a frame smaller than the payload can carry.
+	bodyCap := n - bodyOff - 1
+	var frame []byte
+	if bodyCap > 0 {
 		sh := bufpool.Get(n)
 		haveBase := false
-		r.bases.with(key, version-1, func(base []byte) {
-			if len(base) != n {
-				return
+		baseVersion := r.bases.newestBelow(key, version, func(e *storeEntry) {
+			if !e.levels && len(e.buf) == n {
+				xorShuffle(sh, raw, e.buf)
+				haveBase = true
 			}
-			xorShuffle(sh, raw, base)
-			haveBase = true
 		})
 		if haveBase {
-			if m, ok := rleEncodeZero(frame[bodyOff:bodyOff+n], sh); ok {
-				mode = deltaXOR
-				baseVersion = int64(version - 1)
-				encLen = m
+			frame = newFrame(Delta, n, metaLen, bodyCap)
+			if m, ok := rleEncodeZero(frame[bodyOff:bodyOff+bodyCap], sh); ok {
+				putStreamMeta(frame[headerSize:bodyOff], baseVersion, key)
+				frame = frame[:bodyOff+m]
+			} else {
+				bufpool.Put(frame)
+				frame = nil
 			}
 		}
 		bufpool.Put(sh)
 	}
-	if mode == deltaLiteral {
-		copy(frame[bodyOff:], raw)
-		encLen = n
-	}
-	putDeltaMeta(frame[headerSize:bodyOff], mode, baseVersion, key)
-	r.bases.put(key, version, raw)
-	return Result{Frame: frame[:bodyOff+encLen]}
+	r.bases.putExact(key, version, raw)
+	return Result{Frame: frame}
 }
 
 func (r *Registry) decodeDelta(rawSize int, meta, body []byte) ([]byte, error) {
-	mode, baseVersion, key, err := parseDeltaMeta(meta)
+	key, baseVersion, ok, rest, err := parseStreamMeta(meta)
 	if err != nil {
 		return nil, err
 	}
-	if mode == deltaLiteral {
-		if len(body) != rawSize {
-			return nil, fmt.Errorf("%w: literal body %d bytes, raw size %d", ErrSizeMismatch, len(body), rawSize)
-		}
-		raw := bufpool.Get(rawSize)
-		copy(raw, body)
-		return raw, nil
+	if !ok || len(rest) != 0 {
+		return nil, fmt.Errorf("%w: delta frame without a base or with %d extra meta bytes", ErrBadMeta, len(rest))
 	}
 	// The header's raw size is outside input: allocate for it only once
 	// the named base is resident at that size, which bounds it by a
 	// payload this process holds. (The base may still be evicted before
 	// the XOR below, which then reports ErrNoBase too.)
 	resident := false
-	r.bases.with(string(key), int(baseVersion), func(base []byte) { resident = len(base) == rawSize })
+	r.bases.with(string(key), baseVersion, func(e *storeEntry) { resident = !e.levels && len(e.buf) == rawSize })
 	if !resident {
 		return nil, fmt.Errorf("%w: %s@%d", ErrNoBase, key, baseVersion)
 	}
@@ -132,11 +86,11 @@ func (r *Registry) decodeDelta(rawSize int, meta, body []byte) ([]byte, error) {
 	}
 	raw := bufpool.Get(rawSize)
 	reconstructed := false
-	r.bases.with(string(key), int(baseVersion), func(base []byte) {
-		if len(base) != rawSize {
+	r.bases.with(string(key), baseVersion, func(e *storeEntry) {
+		if e.levels || len(e.buf) != rawSize {
 			return
 		}
-		unshuffleXOR(raw, sh, base)
+		unshuffleXOR(raw, sh, e.buf)
 		reconstructed = true
 	})
 	bufpool.Put(sh)
@@ -180,7 +134,7 @@ func unshuffleXOR(dst, enc, base []byte) {
 // rleEncodeZero writes alternating (zero-run, literal-run) tokens —
 // each a uvarint length, literals followed by their bytes — into dst.
 // It reports the encoded length and whether src fit within len(dst)
-// (when it does not, the caller uses literal mode instead).
+// (when it does not, the caller ships the payload raw instead).
 func rleEncodeZero(dst, src []byte) (int, bool) {
 	out := 0
 	i := 0

@@ -11,43 +11,60 @@ import (
 // FuzzDecodeFrame asserts the frame decoder's contract on arbitrary
 // bytes: it returns one of the typed codec errors or succeeds — it
 // never panics, and a successful decode returns exactly the declared
-// raw size.
+// raw size. The registry holds the bases the seed frames name, so
+// mutants reach the XOR, Rice and temporal residual walks, not only
+// ErrNoBase.
 func FuzzDecodeFrame(f *testing.F) {
-	rng := rand.New(rand.NewSource(99))
-	r := NewRegistry()
-	payload := fieldLike(rng, 20, 64, func(i int) float64 { return math.Sqrt(float64(i)) })
+	r, v1, v2 := reg(f)
 
-	// Seed with one valid frame per codec...
-	if _, err := r.Encode(Spec{ID: Delta}, "fz", 1, payload, 0); err != nil {
-		f.Fatal(err)
-	}
-	dl, err := r.Encode(Spec{ID: Delta}, "fz", 2, payload, 0)
+	// Seed with one valid frame per codec and predictor...
+	dl, err := r.Encode(Spec{ID: Delta}, "fz", 2, v1, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), dl.Frame...))
-	qz, err := r.Encode(Spec{ID: Quantize}, "fz", 1, payload, 20)
+	qz, err := r.Encode(Spec{ID: Quantize}, "fq", 1, v1, 20)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), qz.Frame...))
-	// ...a residual frame over a 4x4x4 shape, and tampered copies of it:
-	// a block width past the residual bound, a stream ending mid-block,
-	// trailing bytes, a shape that does not divide the count...
-	shaped, err := r.Encode(Spec{ID: Quantize, NX: 4, NY: 4}, "fz", 1, payload, 20)
+	shaped, err := r.Encode(Spec{ID: Quantize, NX: 4, NY: 4}, "fq", 1, v1, 20)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), shaped.Frame...))
-	stream := headerSize + quantMetaLen + 20
-	wide := append([]byte(nil), shaped.Frame...)
-	wide[stream] |= predictedFlag - 1
+	tm, err := r.Encode(Spec{ID: Quantize, NX: 4, NY: 4}, "ft", 2, v2, 20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	temporal := append([]byte(nil), tm.Frame...)
+	if _, base, ok, _, _ := parseStreamMeta(frameMeta(temporal)); !ok || base != 1 {
+		f.Fatalf("seed frame names base %d (predictor %v), want ft@1", base, ok)
+	}
+	if _, _, err := r.Decode(temporal); err != nil {
+		f.Fatalf("temporal seed frame: %v", err)
+	}
+	f.Add(temporal)
+	// ...and tampered copies of the temporal frame: a block parameter
+	// past the bits, a stream ending mid-block, trailing bytes, a shape
+	// that does not divide the count, a base that is not resident, no
+	// predictor.
+	qm := headerSize + streamMetaLen("ft")
+	stream := qm + quantMetaLen + 20
+	wide := append([]byte(nil), temporal...)
+	wide[stream] |= residualFlag - 1
 	f.Add(wide)
-	f.Add(append([]byte(nil), shaped.Frame[:stream+3]...))
-	f.Add(append(append([]byte(nil), shaped.Frame...), 0, 0))
-	badShape := append([]byte(nil), shaped.Frame...)
-	binary.LittleEndian.PutUint32(badShape[headerSize+22:], 5)
+	f.Add(append([]byte(nil), temporal[:stream+3]...))
+	f.Add(append(append([]byte(nil), temporal...), 0, 0))
+	badShape := append([]byte(nil), temporal...)
+	binary.LittleEndian.PutUint32(badShape[qm+21:], 5)
 	f.Add(badShape)
+	otherBase := append([]byte(nil), temporal...)
+	otherBase[headerSize+1] = 7
+	f.Add(otherBase)
+	spatial := append([]byte(nil), temporal...)
+	spatial[headerSize] = predictNone
+	f.Add(spatial)
 
 	// ...and with the malformed shapes the typed errors name.
 	f.Add([]byte{})
@@ -69,7 +86,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		ErrSizeMismatch, ErrBadMeta, ErrNoBase,
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		raw, _, err := reg(t).Decode(frame)
+		r, _, _ := reg(t)
+		raw, _, err := r.Decode(frame)
 		if err != nil {
 			for _, sentinel := range typed {
 				if errors.Is(err, sentinel) {
@@ -88,15 +106,21 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// reg rebuilds the registry state the seed frames reference, so
-// fuzzing can reach the base-resident delta decode path too.
-func reg(t *testing.T) *Registry {
-	t.Helper()
+// reg rebuilds the registry state the seed frames reference — the
+// delta stream's first version and the quantize stream's levels base —
+// so fuzzing reaches the base-resident decode paths too. It returns the
+// stream's two versions: the same header bytes, a moved tail.
+func reg(tb testing.TB) (r *Registry, v1, v2 []byte) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(99))
-	r := NewRegistry()
-	payload := fieldLike(rng, 20, 64, func(i int) float64 { return math.Sqrt(float64(i)) })
-	if _, err := r.Encode(Spec{ID: Delta}, "fz", 1, payload, 0); err != nil {
-		t.Fatal(err)
+	r = NewRegistry()
+	v1 = fieldLike(rng, 20, 64, func(i int) float64 { return math.Sqrt(float64(i)) })
+	v2 = withTail(v1, 20, func(i int) float64 { return math.Sqrt(float64(i) + 0.05) })
+	if _, err := r.Encode(Spec{ID: Delta}, "fz", 1, v1, 0); err != nil {
+		tb.Fatal(err)
 	}
-	return r
+	if _, err := r.Encode(Spec{ID: Quantize, NX: 4, NY: 4}, "ft", 1, v1, 20); err != nil {
+		tb.Fatal(err)
+	}
+	return r, v1, v2
 }

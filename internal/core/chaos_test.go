@@ -55,7 +55,9 @@ func runChaos(t *testing.T, seed int64, steps int) {
 	})
 	p.sched.net.SetFaults(inj)
 
-	sa := &StatsHybrid{Vars: []string{"T"}, EveryN: 1}
+	// All 14 variables: a payload large enough that its delta frames
+	// are smaller than it, so frames, not raw payloads, cross the wire.
+	sa := &StatsHybrid{EveryN: 1}
 	p.Register(sa)
 
 	// One deterministic bucket crash: the closed kill channel fires at
@@ -156,8 +158,8 @@ func runChaos(t *testing.T, seed int64, steps int) {
 
 	// The codec layer was live under the storm: payloads were framed
 	// and every delivered result above decoded correctly.
-	if rep.Codec.RawBytes == 0 {
-		t.Error("delta framing recorded no registrations")
+	if rep.Codec.RawBytes == 0 || rep.Codec.EncodedBytes >= rep.Codec.RawBytes {
+		t.Errorf("delta framing shipped no frame smaller than its payload: %+v", rep.Codec)
 	}
 	t.Logf("codec economy under chaos: %+v ratio=%.2f", rep.Codec, rep.Codec.Ratio())
 }
@@ -180,7 +182,9 @@ func TestDegradedFallback(t *testing.T) {
 		Seed:       7,
 		Partitions: []faults.Window{{From: 0, Until: 1 << 30, Endpoints: []int{0, 1}}},
 	}))
-	sa := &StatsHybrid{Vars: []string{"T"}, EveryN: 1}
+	// All 14 variables: a payload large enough that its delta frames
+	// are smaller than it, so frames, not raw payloads, cross the wire.
+	sa := &StatsHybrid{EveryN: 1}
 	p.Register(sa)
 	const steps = 4
 	rep, err := p.Run(steps)

@@ -137,3 +137,35 @@ func TestRunReleasesDeltaBases(t *testing.T) {
 		}
 	}
 }
+
+// TestCodecDeltaEveryOtherStep: a delta route due every second step
+// encodes each payload against the stream's previous encode, two steps
+// back, so it ships XOR frames smaller than its payloads (ratio above
+// 1) and its results equal the plain run's.
+func TestCodecDeltaEveryOtherStep(t *testing.T) {
+	const steps = 8
+	run := func(codecs map[string]codec.Spec) *Report {
+		simCfg := testSimConfig(2, 1, 1)
+		simCfg.KernelRate = 0.05
+		cfg := DefaultConfig(simCfg)
+		cfg.Codecs = codecs
+		p, err := NewPipeline(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Register(&StatsHybrid{EveryN: 2}) // all 14 variables
+		rep, err := p.Run(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	plain, delta := run(nil), run(map[string]codec.Spec{"*": {ID: codec.Delta}})
+	if !reflect.DeepEqual(plain.Results, delta.Results) {
+		t.Fatal("delta-framed run must produce identical results")
+	}
+	if r := delta.Codec.Ratio(); r <= 1 {
+		t.Fatalf("delta at every 2 steps: codec ratio %.3f (%+v), want above 1", r, delta.Codec)
+	}
+	t.Logf("delta at every 2 steps: ratio %.3f, wire %d -> %d bytes", delta.Codec.Ratio(), plain.Net.BytesMoved, delta.Net.BytesMoved)
+}

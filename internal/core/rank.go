@@ -52,7 +52,7 @@ func (p *Pipeline) rankLoop(r *comm.Rank, steps int) error {
 	if err != nil {
 		return err
 	}
-	start, err := rr.resumePrologue()
+	start, err := rr.resumePrologue(steps)
 	if err != nil {
 		return err
 	}
@@ -103,12 +103,15 @@ func (p *Pipeline) newRankRun(r *comm.Rank) (*rankRun, error) {
 }
 
 // resumePrologue returns the first live step. On Resume it first
-// rehydrates simulation state from the restored checkpoint, re-steps
+// rehydrates simulation state from the restored checkpoint and re-steps
 // the simulation up to the last committed step without submitting
-// anything (so no committed task runs twice) and re-seeds the delta
-// codec's base state with the payloads the committed boundary step
-// produced, so live stepping starts just past the commit line.
-func (rr *rankRun) resumePrologue() (start int, err error) {
+// anything (so no committed task runs twice), so live stepping starts
+// just past the commit line. When a live step follows, it re-seeds the
+// base of every route configured for the delta codec with the payload
+// the committed boundary step produced. Only delta needs it: a
+// quantize route's consumer never held the raw values, so its first
+// live frame is spatial-only, and its levels are the same either way.
+func (rr *rankRun) resumePrologue(steps int) (start int, err error) {
 	p, rec := rr.p, rr.p.rec
 	if rec == nil || !rec.resume {
 		return 1, nil
@@ -121,10 +124,10 @@ func (rr *rankRun) resumePrologue() (start int, err error) {
 	for s := rec.ckptStep + 1; s <= rec.resumeFrom; s++ {
 		rr.rk.Step()
 	}
-	if rec.resumeFrom >= 1 {
+	if rec.resumeFrom >= 1 && rec.resumeFrom < steps {
 		rr.ctx.Step = rec.resumeFrom
 		for i, rt := range p.routes {
-			if rt.stage == nil || !rt.due(rec.resumeFrom) {
+			if rt.stage == nil || rt.spec.ID != codec.Delta || !rt.due(rec.resumeFrom) {
 				continue
 			}
 			payload, err := rt.stage.InSituStage(rr.ctx)

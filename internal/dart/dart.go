@@ -494,7 +494,7 @@ type EncodedRegion struct {
 	// modeled transfer latency scales with WireSize.
 	RawSize, WireSize int
 	// MaxError bounds the reconstruction error this encoding introduced
-	// (0 for exact codecs and literal fallbacks).
+	// (0 for exact codecs and raw payloads).
 	MaxError float64
 }
 
