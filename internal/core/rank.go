@@ -46,12 +46,17 @@ type rankRun struct {
 }
 
 // rankLoop is one rank's simulation + in-situ schedule: the stages of
-// Fig. 5, once per step.
+// Fig. 5, once per step. However it ends, killed too, it hands the
+// rank's sim storage and in-situ merge-tree scratch back for reuse.
 func (p *Pipeline) rankLoop(r *comm.Rank, steps int) error {
 	rr, err := p.newRankRun(r)
 	if err != nil {
 		return err
 	}
+	defer func() {
+		rr.rk.Release()
+		putSubtreeScratch(rr.ctx)
+	}()
 	start, err := rr.resumePrologue(steps)
 	if err != nil {
 		return err

@@ -81,13 +81,15 @@ const subtreeScratchKey = "mergetree.scratch"
 // glue finds them where the subtree's encoding ends.
 //
 // The rank goroutine runs its routes one after another, so every
-// route that sweeps a subtree shares the one scratch, created by the
+// route that sweeps a subtree shares the one scratch, drawn by the
 // first in-situ stage that asks for it; the subtree a sweep returns
 // lives in it and is dead once it is packed.
 func packSubtree(ctx *Ctx, f *grid.Field, extra int) ([]byte, error) {
 	s, ok := ctx.State[subtreeScratchKey].(*mergetree.Scratch)
 	if !ok {
-		s = new(mergetree.Scratch)
+		if s = subtreeScratches.Get(); s == nil {
+			s = new(mergetree.Scratch)
+		}
 		ctx.State[subtreeScratchKey] = s
 	}
 	st, err := s.Subtree(f, ctx.Global, ctx.Owned, ctx.Comm.ID(), mergetree.KeepOverlapMaxima)
@@ -95,6 +97,18 @@ func packSubtree(ctx *Ctx, f *grid.Field, extra int) ([]byte, error) {
 		return nil, err
 	}
 	return st.AppendMarshal(bufpool.Get(st.MarshalSize() + extra)[:0]), nil
+}
+
+// subtreeScratches holds the in-situ scratches of ranks whose loops
+// have ended: at most as many as ranks ever swept subtrees at once.
+var subtreeScratches bufpool.List[*mergetree.Scratch]
+
+// putSubtreeScratch hands the rank's in-situ scratch, if a stage drew
+// one, back for the next run's ranks.
+func putSubtreeScratch(ctx *Ctx) {
+	if s, ok := ctx.State[subtreeScratchKey].(*mergetree.Scratch); ok {
+		subtreeScratches.Put(s)
+	}
 }
 
 // InTransit implements HybridAnalysis: glue the subtrees into the

@@ -125,6 +125,13 @@ func (b Box) Index(i, j, k int) int {
 	return (i - b.Lo[0]) + d[0]*((j-b.Lo[1])+d[1]*(k-b.Lo[2]))
 }
 
+// Strides returns the offset steps along x, y and z: Index(i, j+1, k)
+// is Index(i, j, k) + Strides()[1], in every field over the box.
+func (b Box) Strides() [3]int {
+	d := b.Dims()
+	return [3]int{1, d[0], d[0] * d[1]}
+}
+
 // Point returns the global coordinates of the linear offset idx.
 func (b Box) Point(idx int) (i, j, k int) {
 	d := b.Dims()

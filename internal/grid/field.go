@@ -60,10 +60,9 @@ func (f *Field) ExtractInto(sub Box, dst *Field) *Field {
 	}
 	dst.Name = f.Name
 	dst.Box = sub
-	sd := f.Box.Dims()
+	st := f.Box.Strides()
 	rowLen := sub.Hi[0] - sub.Lo[0]
-	srcYStride := sd[0]
-	srcZStride := sd[0] * sd[1]
+	srcYStride, srcZStride := st[1], st[2]
 	srcPlane := f.Box.Index(sub.Lo[0], sub.Lo[1], sub.Lo[2])
 	dstOff := 0
 	for k := sub.Lo[2]; k < sub.Hi[2]; k++ {
@@ -104,11 +103,10 @@ func (f *Field) Paste(src *Field) {
 	if ov.Empty() {
 		return
 	}
-	sd := src.Box.Dims()
-	dd := f.Box.Dims()
+	ss, ds := src.Box.Strides(), f.Box.Strides()
 	rowLen := ov.Hi[0] - ov.Lo[0]
-	srcYStride, srcZStride := sd[0], sd[0]*sd[1]
-	dstYStride, dstZStride := dd[0], dd[0]*dd[1]
+	srcYStride, srcZStride := ss[1], ss[2]
+	dstYStride, dstZStride := ds[1], ds[2]
 	srcPlane := src.Box.Index(ov.Lo[0], ov.Lo[1], ov.Lo[2])
 	dstPlane := f.Box.Index(ov.Lo[0], ov.Lo[1], ov.Lo[2])
 	for k := ov.Lo[2]; k < ov.Hi[2]; k++ {
@@ -254,10 +252,8 @@ func (f *Field) AppendDownsampleMarshal(dst []byte, region Box, factor int) []by
 	if sub.Empty() {
 		return dst
 	}
-	sd := f.Box.Dims()
-	xStride := factor
-	yStride := factor * sd[0]
-	zStride := factor * sd[0] * sd[1]
+	st := f.Box.Strides()
+	xStride, yStride, zStride := factor*st[0], factor*st[1], factor*st[2]
 	srcPlane := f.Box.Index(sub.Lo[0]*factor, sub.Lo[1]*factor, sub.Lo[2]*factor)
 	for k := sub.Lo[2]; k < sub.Hi[2]; k++ {
 		srcRow := srcPlane

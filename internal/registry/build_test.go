@@ -340,3 +340,58 @@ func TestBuildRejectsInvalidConfig(t *testing.T) {
 		t.Fatalf("Build = %v, want ErrUnknownAnalysis", err)
 	}
 }
+
+// TestResultsNeverAliasSimStorage: a run's stored results are copies,
+// never views of the simulation state the ranks release when their
+// loops end. Run A stores every registered analysis at every placement
+// it supports; run B, a fresh build of the same grid with another seed,
+// then draws and overwrites A's released rank storage. Every result A
+// stored must digest as it did before B ran.
+func TestResultsNeverAliasSimStorage(t *testing.T) {
+	params := map[string]registry.Params{
+		"viz":          {Width: 40, Height: 30},
+		"topology":     {SimplifyEps: 0.05, FeatureThreshold: 1},
+		"featurestats": {Threshold: 1},
+		"tracking":     {Threshold: 0.05},
+	}
+	var analyses []registry.AnalysisConfig
+	for _, name := range registry.Names() {
+		info, _ := registry.Lookup(name)
+		for _, placement := range info.Placements {
+			p := params[name]
+			p.Placement = placement
+			analyses = append(analyses, registry.AnalysisConfig{Analysis: name, Params: p})
+		}
+	}
+	run := func(seed int64) *core.Report {
+		cfg := smallConfig(analyses...)
+		cfg.Tenants[0].Sim.Seed = seed
+		b, err := registry.Build(cfg)
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		defer b.Close()
+		reps, err := b.Run(b.Steps(0, 4), false)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return reps[b.Tenants[0].Name]
+	}
+	digests := func(rep *core.Report) map[string]string {
+		out := make(map[string]string)
+		for name, byStep := range rep.Results {
+			for step, v := range byStep {
+				out[fmt.Sprintf("%s@%d", name, step)] = core.ResultDigest(v)
+			}
+		}
+		return out
+	}
+	a := run(1)
+	before := digests(a)
+	if len(before) < len(analyses) {
+		t.Fatalf("run A stored %d results for %d analyses", len(before), len(analyses))
+	}
+	t.Logf("%d analyses, %d results", len(analyses), len(before))
+	run(2)
+	sameDigests(t, "run A before and after run B", before, digests(a))
+}

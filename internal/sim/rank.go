@@ -21,37 +21,64 @@ type Rank struct {
 	owned grid.Box // block owned by this rank
 	ghost grid.Box // owned grown by one in every direction
 
-	fields  map[string]*grid.Field // storage over the ghost box
-	scratch *grid.Field            // advanceScalars' one spare ghost-box field
+	// Storage over the ghost box, all carved from mem.slab: every
+	// variable, and advanceScalars' one spare. One offset indexes them all.
+	fields  map[string]*grid.Field
+	scratch *grid.Field
 	step    int
+	mem     *rankMem
+}
 
-	// The ignition-kernel generator and its output buffer. They belong
-	// to the rank, not the Sim: every rank goroutine shares one Sim.
+// rankMem is what a Rank draws at NewRank and hands back at Release:
+// the slab its fields are carved from, and the ignition-kernel
+// generator and its output buffer (the rank's, not the Sim's: every
+// rank goroutine shares one Sim).
+type rankMem struct {
+	slab    []float64
 	rng     *rand.Rand
 	kernels []Kernel
 }
 
+// rankMems holds released ranks' storage, at most as many as ranks ever
+// lived at once in the process.
+var rankMems bufpool.List[*rankMem]
+
 // NewRank creates the state for comm rank r. The comm world size must
-// equal the decomposition's rank count.
+// equal the decomposition's rank count. Its slab is a released rank's,
+// grown when too short and cleared, or a new one.
 func (s *Sim) NewRank(r *comm.Rank) (*Rank, error) {
 	if r.Size() != s.dc.Ranks() {
 		return nil, fmt.Errorf("sim: world size %d != decomposition ranks %d", r.Size(), s.dc.Ranks())
 	}
+	m := rankMems.Get()
+	if m == nil {
+		m = &rankMem{rng: rand.New(rand.NewSource(0))}
+	}
 	owned := s.dc.Block(r.ID())
-	rk := &Rank{
-		sim:     s,
-		r:       r,
-		owned:   owned,
-		ghost:   owned.Grow(1),
-		fields:  make(map[string]*grid.Field, len(VarNames)),
-		scratch: grid.NewField("", owned.Grow(1)),
-		rng:     rand.New(rand.NewSource(0)),
+	rk := &Rank{sim: s, r: r, owned: owned, ghost: owned.Grow(1), mem: m, fields: make(map[string]*grid.Field, len(VarNames))}
+	n, all := rk.ghost.Size(), len(VarNames)+1
+	if cap(m.slab) >= all*n {
+		m.slab = m.slab[:all*n]
+		clear(m.slab)
+	} else {
+		m.slab = make([]float64, all*n)
 	}
-	for _, name := range VarNames {
-		rk.fields[name] = grid.NewField(name, rk.ghost)
+	// Full slice expressions: no field can grow into the next.
+	for i, name := range VarNames {
+		rk.fields[name] = &grid.Field{Name: name, Box: rk.ghost, Data: m.slab[i*n : (i+1)*n : (i+1)*n]}
 	}
+	rk.scratch = &grid.Field{Box: rk.ghost, Data: m.slab[(all-1)*n : all*n : all*n]}
 	rk.initialize()
 	return rk, nil
+}
+
+// Release hands the rank's storage back for a later NewRank; the rank
+// must not be used afterwards. Releasing twice is a no-op.
+func (rk *Rank) Release() {
+	if rk.mem != nil {
+		rankMems.Put(rk.mem)
+	}
+	rk.mem, rk.fields, rk.scratch = nil, nil, nil
 }
 
 // OwnedBox returns the rank's block (without ghosts).
@@ -70,7 +97,8 @@ func (rk *Rank) Field(name string) *grid.Field {
 // GhostedField returns the live storage of the named variable over the
 // ghost box. In-situ analyses access simulation state through this,
 // "sharing the native simulation data structures" as in the paper;
-// callers must not retain it across steps.
+// callers must not retain it across steps. Its storage dies at Release,
+// after which a later NewRank may overwrite it.
 func (rk *Rank) GhostedField(name string) *grid.Field { return rk.fields[name] }
 
 // initialize seeds every column with its inflow profile, so the run
@@ -93,19 +121,29 @@ func (rk *Rank) initialize() {
 }
 
 // fillVelocity evaluates the prescribed velocity and pressure over the
-// ghost box at simulation time t.
+// ghost box at simulation time t: the jet profile, which depends only
+// on (y,z), plus the vortical modes.
 func (rk *Rank) fillVelocity(t float64) {
-	u, v, w, p := rk.fields["u"], rk.fields["v"], rk.fields["w"], rk.fields["P"]
-	b := rk.ghost
+	s, b := rk.sim, rk.ghost
+	u, v, w, p := rk.fields["u"].Data, rk.fields["v"].Data, rk.fields["w"].Data, rk.fields["P"].Data
+	amp := s.phys.turbAmp / float64(len(s.modes))
 	idx := 0
 	for k := b.Lo[2]; k < b.Hi[2]; k++ {
+		z := float64(k)
 		for j := b.Lo[1]; j < b.Hi[1]; j++ {
+			y := float64(j)
+			jet := s.phys.coflowV + (s.phys.jetVelocity-s.phys.coflowV)*s.inflowJet(y, z)
 			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				uu, vv, ww := rk.sim.velocity(float64(i), float64(j), float64(k), t)
-				u.Data[idx] = uu
-				v.Data[idx] = vv
-				w.Data[idx] = ww
-				p.Data[idx] = 1 - 0.5*(uu*uu+vv*vv+ww*ww)
+				x := float64(i)
+				uu, vv, ww := jet, 0.0, 0.0
+				for _, m := range s.modes {
+					ph := m.kx*x + m.ky*y + m.kz*z + m.phase + m.omega*t
+					uu += amp * m.ax * math.Sin(ph)
+					vv += amp * m.ay * math.Sin(ph+1.0)
+					ww += amp * m.az * math.Cos(ph)
+				}
+				u[idx], v[idx], w[idx] = uu, vv, ww
+				p[idx] = 1 - 0.5*(uu*uu+vv*vv+ww*ww)
 				idx++
 			}
 		}
@@ -249,25 +287,24 @@ func clampI(v, lo, hi int) int {
 // and the velocity, so it is written into the one scratch and swapped
 // in, and the old field is the next variable's scratch. Only owned
 // cells are written: until the step's fullExchange rewrites it, a fresh
-// field's ghost shell holds another variable's stale values.
+// field's ghost shell holds another variable's stale values. Each row
+// is walked from one offset, with the ghost box's strides to the
+// neighbours.
 func (rk *Rank) advanceScalars(dt float64) {
-	ph := rk.sim.phys
-	u, v, w := rk.fields["u"], rk.fields["v"], rk.fields["w"]
+	ph, o, st := rk.sim.phys, rk.owned, rk.ghost.Strides()
+	u, v, w := rk.fields["u"].Data, rk.fields["v"].Data, rk.fields["w"].Data
 	for _, name := range advected {
-		f := rk.fields[name]
-		out := rk.scratch
-		for k := rk.owned.Lo[2]; k < rk.owned.Hi[2]; k++ {
-			for j := rk.owned.Lo[1]; j < rk.owned.Hi[1]; j++ {
-				for i := rk.owned.Lo[0]; i < rk.owned.Hi[0]; i++ {
-					c := f.At(i, j, k)
-					xm := f.At(i-1, j, k)
-					xp := f.At(i+1, j, k)
-					ym := f.At(i, j-1, k)
-					yp := f.At(i, j+1, k)
-					zm := f.At(i, j, k-1)
-					zp := f.At(i, j, k+1)
+		f, out := rk.fields[name].Data, rk.scratch.Data
+		for k := o.Lo[2]; k < o.Hi[2]; k++ {
+			for j := o.Lo[1]; j < o.Hi[1]; j++ {
+				row := rk.ghost.Index(o.Lo[0], j, k)
+				for idx := row; idx < row+o.Hi[0]-o.Lo[0]; idx++ {
+					c := f[idx]
+					xm, xp := f[idx-1], f[idx+1]
+					ym, yp := f[idx-st[1]], f[idx+st[1]]
+					zm, zp := f[idx-st[2]], f[idx+st[2]]
 
-					uu, vv, ww := u.At(i, j, k), v.At(i, j, k), w.At(i, j, k)
+					uu, vv, ww := u[idx], v[idx], w[idx]
 					var adv float64
 					if uu >= 0 {
 						adv += uu * (c - xm)
@@ -285,12 +322,12 @@ func (rk *Rank) advanceScalars(dt float64) {
 						adv += ww * (zp - c)
 					}
 					lap := xm + xp + ym + yp + zm + zp - 6*c
-					out.Set(i, j, k, c+dt*(-adv+ph.diffusivity*lap))
+					out[idx] = c + dt*(-adv+ph.diffusivity*lap)
 				}
 			}
 		}
-		out.Name = name
-		rk.fields[name], rk.scratch = out, f
+		rk.scratch.Name = name
+		rk.fields[name], rk.scratch = rk.scratch, rk.fields[name]
 	}
 }
 
@@ -299,21 +336,15 @@ func (rk *Rank) advanceScalars(dt float64) {
 // minor radicals as fast intermediates relaxing toward the reaction
 // rate.
 func (rk *Rank) react(dt float64) {
-	ph := rk.sim.phys
-	T := rk.fields["T"]
-	h2 := rk.fields["Y_H2"]
-	o2 := rk.fields["Y_O2"]
-	h2o := rk.fields["Y_H2O"]
-	oh := rk.fields["Y_OH"]
-	ho2 := rk.fields["Y_HO2"]
-	h2o2 := rk.fields["Y_H2O2"]
-	hr := rk.fields["Y_H"]
-	or := rk.fields["Y_O"]
-	for k := rk.owned.Lo[2]; k < rk.owned.Hi[2]; k++ {
-		for j := rk.owned.Lo[1]; j < rk.owned.Hi[1]; j++ {
-			for i := rk.owned.Lo[0]; i < rk.owned.Hi[0]; i++ {
-				t := T.At(i, j, k)
-				yh2, yo2 := h2.At(i, j, k), o2.At(i, j, k)
+	ph, o, fs := rk.sim.phys, rk.owned, rk.fields
+	T, h2, o2, h2o := fs["T"].Data, fs["Y_H2"].Data, fs["Y_O2"].Data, fs["Y_H2O"].Data
+	oh, ho2, h2o2, hr, or := fs["Y_OH"].Data, fs["Y_HO2"].Data, fs["Y_H2O2"].Data, fs["Y_H"].Data, fs["Y_O"].Data
+	for k := o.Lo[2]; k < o.Hi[2]; k++ {
+		for j := o.Lo[1]; j < o.Hi[1]; j++ {
+			row := rk.ghost.Index(o.Lo[0], j, k)
+			for idx := row; idx < row+o.Hi[0]-o.Lo[0]; idx++ {
+				t := T[idx]
+				yh2, yo2 := h2[idx], o2[idx]
 				rate := ph.reactA * yh2 * yo2 * math.Exp(-ph.reactTa/math.Max(t, 0.05))
 				c := rate * dt
 				if c > yh2 {
@@ -322,15 +353,15 @@ func (rk *Rank) react(dt float64) {
 				if 8*c > yo2 {
 					c = yo2 / 8
 				}
-				h2.Set(i, j, k, yh2-c)
-				o2.Set(i, j, k, yo2-8*c)
-				h2o.Set(i, j, k, h2o.At(i, j, k)+9*c)
-				T.Set(i, j, k, t+ph.heatRelease*c)
-				oh.Set(i, j, k, oh.At(i, j, k)+0.30*c-0.5*dt*oh.At(i, j, k))
-				ho2.Set(i, j, k, ho2.At(i, j, k)+0.10*c-0.8*dt*ho2.At(i, j, k))
-				h2o2.Set(i, j, k, h2o2.At(i, j, k)+0.05*c-0.3*dt*h2o2.At(i, j, k))
-				hr.Set(i, j, k, hr.At(i, j, k)+0.08*c-1.0*dt*hr.At(i, j, k))
-				or.Set(i, j, k, or.At(i, j, k)+0.06*c-1.0*dt*or.At(i, j, k))
+				h2[idx] = yh2 - c
+				o2[idx] = yo2 - 8*c
+				h2o[idx] = h2o[idx] + 9*c
+				T[idx] = t + ph.heatRelease*c
+				oh[idx] = oh[idx] + 0.30*c - 0.5*dt*oh[idx]
+				ho2[idx] = ho2[idx] + 0.10*c - 0.8*dt*ho2[idx]
+				h2o2[idx] = h2o2[idx] + 0.05*c - 0.3*dt*h2o2[idx]
+				hr[idx] = hr[idx] + 0.08*c - 1.0*dt*hr[idx]
+				or[idx] = or[idx] + 0.06*c - 1.0*dt*or[idx]
 			}
 		}
 	}
@@ -339,8 +370,9 @@ func (rk *Rank) react(dt float64) {
 // injectKernels adds the active ignition kernels' temperature and
 // radical sources on the owned block.
 func (rk *Rank) injectKernels(step int) {
-	rk.kernels = rk.sim.appendActiveKernels(rk.kernels[:0], rk.rng, step)
-	for _, kn := range rk.kernels {
+	m := rk.mem
+	m.kernels = rk.sim.appendActiveKernels(m.kernels[:0], m.rng, step)
+	for _, kn := range m.kernels {
 		rk.injectOne(kn, step)
 	}
 }
@@ -394,18 +426,21 @@ func (rk *Rank) injectOne(kn Kernel, step int) {
 // updateN2 clamps every species mass fraction to [0,1] and closes the
 // balance: Y_N2 = 1 - sum of the others, clamped to [0,1].
 func (rk *Rank) updateN2() {
-	n2 := rk.fields["Y_N2"]
-	species := []string{"Y_H2", "Y_O2", "Y_H2O", "Y_OH", "Y_HO2", "Y_H2O2", "Y_H", "Y_O"}
-	for idx := range n2.Data {
+	var species [8][]float64
+	for i, name := range advected[1:] { // every species but Y_N2
+		species[i] = rk.fields[name].Data
+	}
+	n2 := rk.fields["Y_N2"].Data
+	for idx := range n2 {
 		sum := 0.0
 		for _, sp := range species {
-			y := rk.fields[sp].Data[idx]
+			y := sp[idx]
 			if y < 0 {
 				y = 0
-				rk.fields[sp].Data[idx] = y
+				sp[idx] = y
 			} else if y > 1 {
 				y = 1
-				rk.fields[sp].Data[idx] = y
+				sp[idx] = y
 			}
 			sum += y
 		}
@@ -415,7 +450,7 @@ func (rk *Rank) updateN2() {
 		} else if v > 1 {
 			v = 1
 		}
-		n2.Data[idx] = v
+		n2[idx] = v
 	}
 }
 
@@ -462,6 +497,7 @@ func (rk *Rank) RunSteps(n int) {
 // RunAll launches one goroutine per rank of the decomposition, calls
 // fn on each, and returns the first error. It is the convenience
 // entry point for drivers that do not need the full core.Pipeline.
+// Each rank is released when fn returns.
 func RunAll(s *Sim, fn func(rk *Rank) error) error {
 	errs := make([]error, s.Ranks())
 	comm.Run(s.Ranks(), func(r *comm.Rank) {
@@ -470,6 +506,7 @@ func RunAll(s *Sim, fn func(rk *Rank) error) error {
 			errs[r.ID()] = err
 			return
 		}
+		defer rk.Release()
 		errs[r.ID()] = fn(rk)
 	})
 	for _, err := range errs {

@@ -78,9 +78,10 @@ func TestGhostShellRewrittenEveryStep(t *testing.T) {
 
 // TestNewRankHoldsOneScratch: a rank holds its 14 variables and one
 // advection scratch over the ghost box, not a scratch per advected
-// variable. Besides those 15 fields and its ignition-kernel generator
-// (a 607-word source), NewRank allocates under 4 KB: the field map and
-// the headers.
+// variable. Besides the slab of those 15 fields and its ignition-kernel
+// generator (a 607-word source), NewRank allocates under 4 KB: the
+// field map and the headers. Once a rank is released, the next NewRank
+// draws its slab and generator again and allocates only that 4 KB.
 func TestNewRankHoldsOneScratch(t *testing.T) {
 	// A 16^3 ghost box: a field's 32 KiB fill their size class exactly.
 	cfg := DefaultConfig(grid.NewBox(14, 14, 14), 1, 1, 1)
@@ -105,18 +106,27 @@ func TestNewRankHoldsOneScratch(t *testing.T) {
 	var gen *rand.Rand
 	generator := cheapest(func() { gen = rand.New(rand.NewSource(0)) })
 	_ = gen
-	var alloc uint64
+	var alloc, reused uint64
 	comm.Run(1, func(r *comm.Rank) {
 		alloc = cheapest(func() {
 			if _, err := s.NewRank(r); err != nil {
 				t.Error(err)
 			}
 		})
+		rk, _ := s.NewRank(r)
+		rk.Release()
+		reused = cheapest(func() {
+			rk, _ := s.NewRank(r)
+			rk.Release()
+		})
 	})
 	limit := uint64(len(VarNames)+1)*fieldBytes + generator + 4<<10
-	t.Logf("NewRank allocates %d B; a ghost-box field is %d B, the kernel generator %d B", alloc, fieldBytes, generator)
+	t.Logf("NewRank allocates %d B, %d B after a Release; a ghost-box field is %d B, the kernel generator %d B", alloc, reused, fieldBytes, generator)
 	if alloc > limit {
 		t.Errorf("NewRank allocates %d B, want <= %d: %d ghost-box fields, the generator and 4 KB",
 			alloc, limit, len(VarNames)+1)
+	}
+	if reused > 4<<10 {
+		t.Errorf("NewRank after a Release allocates %d B, want <= 4 KB", reused)
 	}
 }

@@ -243,26 +243,6 @@ func (s *Sim) appendActiveKernels(out []Kernel, rng *rand.Rand, step int) []Kern
 	return out
 }
 
-// velocity returns the prescribed velocity at continuous position
-// (x,y,z) and time t: jet profile plus vortical modes.
-func (s *Sim) velocity(x, y, z, t float64) (u, v, w float64) {
-	d := s.cfg.Global.Dims()
-	cy, cz := float64(d[1])/2, float64(d[2])/2
-	r2 := ((y-cy)*(y-cy) + (z-cz)*(z-cz)) / (s.phys.jetRadius * s.phys.jetRadius)
-	u = s.phys.coflowV + (s.phys.jetVelocity-s.phys.coflowV)*math.Exp(-r2)
-	if len(s.modes) == 0 {
-		return
-	}
-	amp := s.phys.turbAmp / float64(len(s.modes))
-	for _, m := range s.modes {
-		ph := m.kx*x + m.ky*y + m.kz*z + m.phase + m.omega*t
-		u += amp * m.ax * math.Sin(ph)
-		v += amp * m.ay * math.Sin(ph+1.0)
-		w += amp * m.az * math.Cos(ph)
-	}
-	return
-}
-
 // inflowJet returns the inlet (x=0) jet weight at (y,z): 1 in the cold
 // fuel jet's core, 0 in the heated air coflow.
 func (s *Sim) inflowJet(y, z float64) float64 {
