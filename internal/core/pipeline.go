@@ -9,7 +9,6 @@ import (
 
 	"insitu/internal/bufpool"
 	"insitu/internal/codec"
-	"insitu/internal/comm"
 	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
 	"insitu/internal/metrics"
@@ -93,17 +92,19 @@ type Pipeline struct {
 // in-transit stage joined by DART/DataSpaces. Register resolves
 // everything the Analysis value and the tenant's config say about it
 // once, so the Fig. 5 stages are loops over routes with no name lookup
-// and no type assertion. A route is in-situ (insitu set) or hybrid
+// and no type assertion. A route is in-situ (stage nil) or hybrid
 // (stage set, plus whichever optional faces the analysis implements).
 type route struct {
 	name  string
 	every int // cadence in steps, >= 1
 
-	insitu   InSituAnalysis   // completes on the ranks; nil for a hybrid route
-	stage    hybridStage      // the in-situ half of a hybrid route
-	shaped   ShapedStage      // the ladder's shaped rung, when implemented
-	quant    QuantizableStage // lossy codecs and the quantized rung, when implemented
-	fallback InSituFallback   // the in-situ rung, when implemented
+	// inSitu completes a step on the ranks: an in-situ route's
+	// RunInSitu, or a hybrid route's RunFallback (its in-situ rung)
+	// when implemented.
+	inSitu func(*Ctx) (any, error)
+	stage  hybridStage      // the in-situ half of a hybrid route; nil for an in-situ route
+	shaped ShapedStage      // the ladder's shaped rung, when implemented
+	quant  QuantizableStage // lossy codecs and the quantized rung, when implemented
 
 	frameVar string     // store variable of a FrameAnalysis ("": results are not frames)
 	spec     codec.Spec // configured transfer-path codec: own entry, then "*", then identity
@@ -137,12 +138,14 @@ func (p *Pipeline) Register(a Analysis) error {
 	}
 	switch an := a.(type) {
 	case InSituAnalysis:
-		rt.insitu = an
+		rt.inSitu = an.RunInSitu
 	case hybridStage:
 		rt.stage = an
 		rt.shaped, _ = a.(ShapedStage)
 		rt.quant, _ = a.(QuantizableStage)
-		rt.fallback, _ = a.(InSituFallback)
+		if fb, ok := a.(InSituFallback); ok {
+			rt.inSitu = fb.RunFallback
+		}
 		var ok bool
 		if rt.spec, ok = p.cfg.Codecs[rt.name]; !ok {
 			rt.spec = p.cfg.Codecs["*"]
@@ -270,9 +273,6 @@ func (p *Pipeline) handleResult(res staging.Result) {
 	default:
 		p.storeResult(rt, task.Step, res.Output)
 	}
-	// The serialized (sum) modeled pull time is the right
-	// "data movement time": a single bucket's ingress link
-	// admits one RDMA stream's worth of bandwidth at a time.
 	p.col.RecordTransit(rt.name, res.MoveModeledSum, res.MoveWall,
 		res.BytesMoved, res.ComputeWall)
 	p.mu.Lock()
@@ -436,25 +436,5 @@ func (p *Pipeline) shedSubmitted(rt *route, step int, inputs []dataspaces.Descri
 		// Backpressure and the quarantine re-check are expected;
 		// anything else is a real error too.
 		p.recordErr(fmt.Errorf("core: submit %s step %d: %w", rt.name, step, cause))
-	}
-}
-
-// runFallback executes one degraded hybrid analysis step fully
-// in-situ. Analyses without a fallback still get an explicit Degraded
-// marker so the step is never silently lost.
-func (p *Pipeline) runFallback(ctx *Ctx, r *comm.Rank, rt *route, step int, reason string) {
-	var out any
-	var err error
-	t := time.Now()
-	if rt.fallback != nil {
-		out, err = rt.fallback.RunFallback(ctx)
-	}
-	p.col.RecordInSitu(rt.name, step, time.Since(t))
-	if err != nil {
-		p.recordErr(fmt.Errorf("core: in-situ fallback %s step %d rank %d: %w", rt.name, step, r.ID(), err))
-		return
-	}
-	if r.ID() == 0 {
-		p.storeResult(rt, step, Degraded{Reason: reason, Value: out})
 	}
 }

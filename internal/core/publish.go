@@ -83,9 +83,9 @@ func (p *Pipeline) EnableObs() *obs.Plane { return p.sched.EnableObs() }
 // unnamed tenant, under tenant=<name> otherwise.
 func (p *Pipeline) publish(reg *obs.Registry) {
 	// The Table II ledger's aggregates: monotonic totals sampled at
-	// export time, and the step wall latency as a histogram that
-	// rankLoop feeds with every rank's own wall time of every step,
-	// beside RecordStepWall (which keeps the per-step maximum).
+	// export time, and the step wall latency as a histogram that the
+	// rank's stage seam feeds with every rank's own wall time of every
+	// step, beside RecordStepWall (which keeps the per-step maximum).
 	col := p.col
 	ledger := func(name, help string, sample func() float64) {
 		reg.CounterFunc(name, help, sample, p.labels...)
@@ -165,9 +165,7 @@ func (p *Pipeline) publish(reg *obs.Registry) {
 			if p.rec == nil {
 				return 0
 			}
-			p.rec.mu.Lock()
-			defer p.rec.mu.Unlock()
-			return p.rec.resumeSeconds
+			return time.Duration(p.rec.resumeWall.Load()).Seconds()
 		}, p.labels...)
 }
 

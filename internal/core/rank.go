@@ -65,19 +65,66 @@ func (p *Pipeline) rankLoop(r *comm.Rank, steps int) error {
 		if killed := rr.journalAdmit(step); killed {
 			return nil
 		}
-		stepStart := rr.simStep(step)
+		whole := rr.begin(stageStep, "", step)
+		solver := rr.begin(stageSim, "", step)
+		rr.rk.Step()
+		rr.end(solver)
+		rr.ctx.Step = step
 		rr.admit(step)
 		if staged := rr.inSitu(step); staged {
 			rr.submit(step)
 		}
 		rr.checkpointCommit(step)
-		wall := time.Since(stepStart)
-		p.col.RecordStepWall(step, wall)
-		if p.stepWall != nil {
-			p.stepWall.Observe(wall.Seconds())
-		}
+		rr.end(whole)
 	}
 	return nil
+}
+
+// A stage is one timed part of a rank's step. begin and end are the
+// rank's stage seam: the only clock reads that time a stage, and the
+// only writers of the sinks its kind feeds (DESIGN.md §5d).
+type stage struct {
+	kind  stageKind
+	route string
+	step  int
+	start time.Time
+}
+
+type stageKind uint8
+
+const (
+	stageSim        stageKind = iota // rk.Step: the collector's sim time, rank 0's sim.step span
+	stageInSitu                      // an in-situ route, a hybrid reduction or fallback: the collector's in-situ time
+	stageStep                        // the whole step: the collector's step wall, the step-wall histogram
+	stageCheckpoint                  // the checkpoint write, to rank 0's barrier: the recovery report's write time
+)
+
+// begin opens a stage of a kind, for a route ("" for none) and a step.
+func (rr *rankRun) begin(kind stageKind, route string, step int) stage {
+	return stage{kind, route, step, time.Now()}
+}
+
+// end closes s and writes its record to every sink of its kind.
+func (rr *rankRun) end(s stage) {
+	p, end := rr.p, time.Now()
+	d := end.Sub(s.start)
+	switch s.kind {
+	case stageSim:
+		p.col.RecordSimStep(s.step, d)
+		if pl := p.sched.plane; pl != nil && rr.r.ID() == 0 {
+			pl.Recorder().Record(0, obs.CatSim, "sim", "sim.step", s.start, end,
+				append([]obs.Attr{obs.Int("step", s.step)}, p.labels...)...)
+		}
+	case stageInSitu:
+		p.col.RecordInSitu(s.route, s.step, d)
+	case stageStep:
+		p.col.RecordStepWall(s.step, d)
+		if p.stepWall != nil {
+			p.stepWall.Observe(d.Seconds())
+		}
+	case stageCheckpoint:
+		p.rec.writeWall.Add(int64(d))
+	}
 }
 
 func (p *Pipeline) newRankRun(r *comm.Rank) (*rankRun, error) {
@@ -174,20 +221,6 @@ func (rr *rankRun) journalAdmit(step int) (killed bool) {
 	return false
 }
 
-// simStep advances the simulation one step and returns when it began.
-func (rr *rankRun) simStep(step int) time.Time {
-	p := rr.p
-	stepStart := time.Now()
-	rr.rk.Step()
-	p.col.RecordSimStep(step, time.Since(stepStart))
-	if pl := p.sched.plane; pl != nil && rr.r.ID() == 0 {
-		pl.Recorder().Record(0, obs.CatSim, "sim", "sim.step", stepStart, time.Now(),
-			append([]obs.Attr{obs.Int("step", step)}, p.labels...)...)
-	}
-	rr.ctx.Step = step
-	return stepStart
-}
-
 // admit decides how this step's hybrid work may use the transit tier.
 // With an admission plane, rank 0 runs the breaker + ladder pass to
 // reach one verdict per due hybrid route and broadcasts them so every
@@ -209,33 +242,37 @@ func (rr *rankRun) admit(step int) {
 // inSitu runs every analysis due at this step on the rank: in-situ
 // analyses to completion, hybrid ones through reduceEncodeRegister. It
 // reports whether any hybrid route staged data for the transit tier.
-// Analysis errors are recorded but never abort the rank: a rank that
-// stops stepping would deadlock the others' collectives, so the loop
-// always keeps participating.
 func (rr *rankRun) inSitu(step int) (staged bool) {
-	p, r := rr.p, rr.r
-	for i, rt := range p.routes {
+	for i, rt := range rr.p.routes {
 		if !rt.due(step) {
 			continue
 		}
 		if rt.stage != nil {
-			if rr.reduceEncodeRegister(i, step) {
-				staged = true
-			}
-			continue
-		}
-		t := time.Now()
-		out, err := rt.insitu.RunInSitu(rr.ctx)
-		p.col.RecordInSitu(rt.name, step, time.Since(t))
-		if err != nil {
-			p.recordErr(fmt.Errorf("core: in-situ %s step %d rank %d: %w", rt.name, step, r.ID(), err))
-			continue
-		}
-		if r.ID() == 0 && out != nil {
-			p.storeResult(rt, step, out)
+			staged = rr.reduceEncodeRegister(i, step) || staged
+		} else if out, store := rr.runInSitu(rt, step, "in-situ"); store && out != nil {
+			rr.p.storeResult(rt, step, out)
 		}
 	}
 	return staged
+}
+
+// runInSitu runs one route's step to completion on the ranks: an
+// in-situ route, or a hybrid route's in-situ rung (RunFallback, when
+// the analysis has one). It reports whether rank 0 should store the
+// output. Analysis errors are recorded but never abort the rank: a rank
+// that stops stepping would deadlock the others' collectives, so the
+// loop always keeps participating.
+func (rr *rankRun) runInSitu(rt *route, step int, what string) (out any, store bool) {
+	var err error
+	s := rr.begin(stageInSitu, rt.name, step)
+	if rt.inSitu != nil {
+		out, err = rt.inSitu(rr.ctx)
+	}
+	rr.end(s)
+	if err != nil {
+		rr.p.recordErr(fmt.Errorf("core: %s %s step %d rank %d: %w", what, rt.name, step, rr.r.ID(), err))
+	}
+	return out, err == nil && rr.r.ID() == 0
 }
 
 // reduceEncodeRegister is one hybrid route's in-situ half for a step:
@@ -257,10 +294,14 @@ func (rr *rankRun) reduceEncodeRegister(i, step int) bool {
 		}
 		return false
 	case overload.LevelInSitu:
-		p.runFallback(rr.ctx, r, rt, step, dec.Reason)
+		// An analysis without a fallback still stores an explicit
+		// Degraded marker, so the step is never silently lost.
+		if out, store := rr.runInSitu(rt, step, "in-situ fallback"); store {
+			p.storeResult(rt, step, Degraded{Reason: dec.Reason, Value: out})
+		}
 		return false
 	}
-	t := time.Now()
+	s := rr.begin(stageInSitu, rt.name, step)
 	var payload []byte
 	var err error
 	if dec.Level == overload.LevelShaped {
@@ -268,7 +309,7 @@ func (rr *rankRun) reduceEncodeRegister(i, step int) bool {
 	} else {
 		payload, err = rt.stage.InSituStage(rr.ctx)
 	}
-	p.col.RecordInSitu(rt.name, step, time.Since(t))
+	rr.end(s)
 	if err != nil {
 		p.recordErr(fmt.Errorf("core: in-situ stage %s step %d rank %d: %w", rt.name, step, r.ID(), err))
 		return true
@@ -373,7 +414,7 @@ func (rr *rankRun) checkpointCommit(step int) {
 // in the step must not leave newer durable state behind it.
 func (rr *rankRun) writeCheckpoint(step int) {
 	p, r, rec := rr.p, rr.r, rr.p.rec
-	start := time.Now()
+	s := rr.begin(stageCheckpoint, "", step)
 	if !rec.j.Killed() {
 		path := filepath.Join(rec.j.Dir(), recovery.CheckpointFile(step, r.ID()))
 		// Each variable's owned block, straight from the live field: the
@@ -392,10 +433,7 @@ func (rr *rankRun) writeCheckpoint(step int) {
 	if r.ID() != 0 {
 		return
 	}
-	d := time.Since(start).Seconds()
-	rec.mu.Lock()
-	rec.writeSeconds += d
-	rec.mu.Unlock()
+	rr.end(s)
 	p.recKill(recovery.PhaseMidCheckpoint, step)
 	files := make([]string, r.Size())
 	for i := range files {

@@ -76,18 +76,20 @@ type recState struct {
 	prevSubmitted map[int]map[string]bool
 	t0            time.Time
 
-	mu            sync.Mutex
-	nextCommit    int // lowest uncommitted step
-	maxStepped    int // highest step whose submissions are all in
-	resumeSeconds float64
-	resumeOnce    sync.Once
-	writeSeconds  float64 // rank 0's checkpoint writes, to the barrier
-	readSeconds   float64 // planResume's checkpoint reads
+	mu          sync.Mutex
+	nextCommit  int     // lowest uncommitted step
+	maxStepped  int     // highest step whose submissions are all in
+	readSeconds float64 // planResume's checkpoint reads
 
 	// commitMu makes the commit loop single-flight: the step loop and
 	// the drain goroutine may both observe a step become commit-ready,
 	// and without it both would journal a commit record for it.
 	commitMu sync.Mutex
+
+	// Wall times in ns: from Resume to rank 0's first live step, and
+	// rank 0's checkpoint writes to the barrier.
+	resumeWall atomic.Int64
+	writeWall  atomic.Int64
 
 	replayed  atomic.Int64
 	commits   atomic.Int64
@@ -288,9 +290,6 @@ func byValue(v any) any {
 
 // recoveryReport snapshots the plane for the run report.
 func (rec *recState) report() *RecoveryReport {
-	rec.mu.Lock()
-	rs, ws := rec.resumeSeconds, rec.writeSeconds
-	rec.mu.Unlock()
 	return &RecoveryReport{
 		ResumedFrom:            rec.resumeFrom,
 		CheckpointStep:         rec.ckptStep,
@@ -298,20 +297,13 @@ func (rec *recState) report() *RecoveryReport {
 		Commits:                rec.commits.Load(),
 		Checkpoints:            rec.ckpts.Load(),
 		JournalFsyncs:          rec.j.Fsyncs(),
-		ResumeSeconds:          rs,
+		ResumeSeconds:          time.Duration(rec.resumeWall.Load()).Seconds(),
 		CheckpointBytes:        rec.ckptBytes.Load(),
-		CheckpointWriteSeconds: ws,
+		CheckpointWriteSeconds: time.Duration(rec.writeWall.Load()).Seconds(),
 		CheckpointReadSeconds:  rec.readSeconds,
 	}
 }
 
-// markResumed records the resume latency exactly once, when rank 0
-// reaches its first live step.
-func (rec *recState) markResumed() {
-	rec.resumeOnce.Do(func() {
-		d := time.Since(rec.t0).Seconds()
-		rec.mu.Lock()
-		rec.resumeSeconds = d
-		rec.mu.Unlock()
-	})
-}
+// markResumed records the resume latency when rank 0 reaches its first
+// live step.
+func (rec *recState) markResumed() { rec.resumeWall.Store(int64(time.Since(rec.t0))) }

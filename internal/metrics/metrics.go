@@ -3,7 +3,10 @@
 // per-analysis in-situ time, data movement time and size, and
 // in-transit time — Table II and Fig. 6) plus each step's
 // simulation-side wall time. Collection is thread-safe; simulation
-// ranks and staging buckets record concurrently.
+// ranks and staging buckets record concurrently. On the rank side the
+// ledger has one writer, core's stage seam (rankRun.end), which records
+// the sim, in-situ and step-wall stages; the staging side reaches it
+// only through core.Pipeline.handleResult's RecordTransit.
 //
 // The package is a plain ledger behind core.Report and knows nothing of
 // the observability plane: core.Pipeline samples a Collector's

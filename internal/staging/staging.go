@@ -108,11 +108,9 @@ type Result struct {
 
 	// BytesMoved is the total intermediate data pulled for this task.
 	BytesMoved int64
-	// MoveModeled is the modeled duration of the data movement assuming
-	// all pulls proceed concurrently (max over inputs), matching the
-	// paper's per-step "data movement time".
-	MoveModeled time.Duration
-	// MoveModeledSum is the serialized (sum) modeled movement time.
+	// MoveModeledSum is the modeled movement time summed over inputs —
+	// the paper's per-step "data movement time": a bucket's ingress link
+	// admits one RDMA stream's worth of bandwidth at a time.
 	MoveModeledSum time.Duration
 	// MoveWall is the measured wall-clock time of the pull phase.
 	MoveWall time.Duration
@@ -194,43 +192,72 @@ func (a *Area) SetPlane(pl *obs.Plane) {
 // task spans (and so its Gantt row) are drawn on.
 func Lane(id int) string { return "bucket-" + strconv.Itoa(id) }
 
-// attempt is the open task.attempt span for one assigned task; a nil
-// attempt (observability disabled) swallows all recording.
+// attempt is one task's run on a bucket: when the bucket took it, and
+// its open task.attempt span (a nil act: no plane attached, and no
+// span is recorded). now, phase and end are the bucket's stage seam:
+// the only clock reads of an attempt and the only writers of its
+// records.
 type attempt struct {
-	act  *obs.Active
-	rec  *obs.Recorder
-	lane string
+	start time.Time
+	act   *obs.Active
+	rec   *obs.Recorder
+	lane  string
 }
 
-// beginAttempt opens the task.attempt span on the bucket's lane.
-func (a *Area) beginAttempt(id int, task dataspaces.Task) *attempt {
-	pl := a.plane.Load()
-	if pl == nil {
-		return nil
+// beginAttempt starts the attempt and, with a plane attached, opens its
+// task.attempt span on the bucket's lane.
+func (a *Area) beginAttempt(id int, task dataspaces.Task) attempt {
+	var at attempt
+	at.start = at.now()
+	if pl := a.plane.Load(); pl != nil {
+		at.rec, at.lane = pl.Recorder(), Lane(id)
+		at.act = at.rec.Begin(0, obs.CatTask, at.lane, "task.attempt",
+			obs.Int64("task", task.ID),
+			obs.Str("analysis", task.Analysis),
+			obs.Int("step", task.Step),
+			obs.Int("attempt", task.Attempts+1))
 	}
-	rec := pl.Recorder()
-	lane := Lane(id)
-	act := rec.Begin(0, obs.CatTask, lane, "task.attempt",
-		obs.Int64("task", task.ID),
-		obs.Str("analysis", task.Analysis),
-		obs.Int("step", task.Step),
-		obs.Int("attempt", task.Attempts+1))
-	return &attempt{act: act, rec: rec, lane: lane}
+	return at
 }
 
-// child records a completed child span under the attempt.
-func (at *attempt) child(name string, start, end time.Time, attrs ...obs.Attr) {
-	if at == nil {
+// now reads the clock where a phase of the attempt starts or ends.
+func (at *attempt) now() time.Time { return time.Now() }
+
+// phase is one timed part of an attempt.
+type phase uint8
+
+const (
+	phasePull phase = iota // the inputs' pull: Result.MoveWall, the task.pull span (bytes, error)
+	phaseRun               // the handler: Result.ComputeWall and End, the task.run span (error)
+)
+
+// phase closes phase ph of the attempt, begun at start: it reads the
+// clock once, fills res's fields of that phase and, with a plane
+// attached, records the phase's child span carrying err.
+func (at *attempt) phase(ph phase, start time.Time, res *Result, err error) {
+	end := at.now()
+	if ph == phasePull {
+		res.MoveWall = end.Sub(start)
+		if at.act != nil {
+			at.rec.Record(at.act.ID(), obs.CatTask, at.lane, "task.pull", start, end,
+				obs.Int64("bytes", res.BytesMoved), obs.Error(err))
+		}
 		return
 	}
-	at.rec.Record(at.act.ID(), obs.CatTask, at.lane, name, start, end, attrs...)
+	res.ComputeWall, res.End = end.Sub(start), end
+	if at.act != nil {
+		at.rec.Record(at.act.ID(), obs.CatTask, at.lane, "task.run", start, end, obs.Error(err))
+	}
 }
 
 // end closes the attempt span with its outcome: "ok", "error",
 // "requeue", or "dead-letter", plus whether the bucket crashed while
-// holding the task.
+// holding the task. A final result also records the terminal task.done
+// event — with dataspaces' task.submit events this forms the lifecycle
+// ledger: every submitted task id pairs with exactly one task.done —
+// and a crash records a bucket.crash event on the bucket's lane.
 func (at *attempt) end(res *Result, crashed bool) {
-	if at == nil {
+	if at.act == nil {
 		return
 	}
 	outcome := "ok"
@@ -244,38 +271,18 @@ func (at *attempt) end(res *Result, crashed bool) {
 		outcome, err = "error", res.Err
 	}
 	at.act.End(obs.Str("outcome", outcome), obs.Bool("crashed", crashed), obs.Error(err))
-}
-
-// observeDone records the terminal task.done event for a final result.
-// Together with dataspaces' task.submit events this forms the lifecycle
-// ledger: every submitted task id pairs with exactly one task.done.
-func (a *Area) observeDone(id int, res *Result) {
-	pl := a.plane.Load()
-	if pl == nil {
-		return
+	now := at.now()
+	if res != nil {
+		at.rec.Event(0, obs.CatTask, at.lane, "task.done", now,
+			obs.Int64("task", res.Task.ID),
+			obs.Str("analysis", res.Task.Analysis),
+			obs.Int("step", res.Task.Step),
+			obs.Str("outcome", outcome),
+			obs.Int("attempts", res.Attempts))
 	}
-	outcome := "ok"
-	switch {
-	case res.DeadLetter:
-		outcome = "dead-letter"
-	case res.Err != nil:
-		outcome = "error"
+	if crashed {
+		at.rec.Event(0, obs.CatTask, at.lane, "bucket.crash", now)
 	}
-	pl.Recorder().Event(0, obs.CatTask, Lane(id), "task.done", time.Now(),
-		obs.Int64("task", res.Task.ID),
-		obs.Str("analysis", res.Task.Analysis),
-		obs.Int("step", res.Task.Step),
-		obs.Str("outcome", outcome),
-		obs.Int("attempts", res.Attempts))
-}
-
-// observeCrash records a bucket.crash event on the bucket's lane.
-func (a *Area) observeCrash(id int) {
-	pl := a.plane.Load()
-	if pl == nil {
-		return
-	}
-	pl.Recorder().Event(0, obs.CatTask, Lane(id), "bucket.crash", time.Now())
 }
 
 // New creates a staging area with nbuckets bucket cores attached to
@@ -429,20 +436,6 @@ func (a *Area) CrashBucket(id int) bool {
 	return true
 }
 
-// killCh returns the current generation's kill channel for a bucket.
-func (a *Area) killCh(id int) chan struct{} {
-	a.killMu.Lock()
-	defer a.killMu.Unlock()
-	return a.kill[id]
-}
-
-// retireCh returns the bucket's retire channel (never replaced).
-func (a *Area) retireCh(id int) chan struct{} {
-	a.killMu.Lock()
-	defer a.killMu.Unlock()
-	return a.retire[id]
-}
-
 // respawn installs a fresh kill channel and launches a replacement
 // bucket goroutine after a crash — unless the bucket was retired while
 // (or before) crashing, in which case it simply leaves the pool.
@@ -490,8 +483,10 @@ func (a *Area) bucketLoop(id int) {
 	a.mu.Lock()
 	ep := a.points[id]
 	a.mu.Unlock()
-	kill := a.killCh(id)
-	retire := a.retireCh(id)
+	// This generation's kill channel, and the never-replaced retire one.
+	a.killMu.Lock()
+	kill, retire := a.kill[id], a.retire[id]
+	a.killMu.Unlock()
 	for {
 		select {
 		case <-retire:
@@ -509,12 +504,10 @@ func (a *Area) bucketLoop(id int) {
 		res, crashed := a.runTask(id, ep, kill, task)
 		if res != nil {
 			// The task's one final result (requeues return nil).
-			a.observeDone(id, res)
 			a.results <- *res
 		}
 		if crashed {
 			a.crashes.Add(1)
-			a.observeCrash(id)
 			a.respawn(id)
 			return
 		}
@@ -526,7 +519,7 @@ func (a *Area) bucketLoop(id int) {
 // no Result is emitted yet); otherwise it is dead-lettered — inputs
 // are released so producer regions do not leak, and an errored Result
 // wrapping ErrDeadLetter is returned.
-func (a *Area) failTask(id int, task dataspaces.Task, start time.Time, cause error) *Result {
+func (a *Area) failTask(at *attempt, id int, task dataspaces.Task, cause error) *Result {
 	task.History = append(task.History, fmt.Sprintf("attempt %d on bucket %d: %v", task.Attempts+1, id, cause))
 	if task.Attempts+1 < a.maxAttempts {
 		if a.ds.Requeue(task) == nil {
@@ -538,8 +531,8 @@ func (a *Area) failTask(id int, task dataspaces.Task, start time.Time, cause err
 	return &Result{
 		Task:       task,
 		Bucket:     id,
-		Start:      start,
-		End:        time.Now(),
+		Start:      at.start,
+		End:        at.now(),
 		Attempts:   task.Attempts + 1,
 		DeadLetter: true,
 		Err: &DeadLetterError{

@@ -7,7 +7,6 @@ import (
 	"insitu/internal/bufpool"
 	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
-	"insitu/internal/obs"
 )
 
 // runTask executes one attempt at an assigned task: the one task path
@@ -15,25 +14,22 @@ import (
 // the task was requeued instead) and whether the bucket crashed while
 // holding the task.
 func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dataspaces.Task) (out *Result, crashed bool) {
-	start := time.Now()
 	at := a.beginAttempt(id, task)
 	defer func() { at.end(out, crashed) }()
 	// Checkpoint: crash at assignment. The task never started; it is
 	// requeued and the replacement bucket (or a peer) picks it up.
 	if killed(kill) {
-		return a.failTask(id, task, start, fmt.Errorf("bucket %d crashed at assignment", id)), true
+		return a.failTask(&at, id, task, fmt.Errorf("bucket %d crashed at assignment", id)), true
 	}
 	a.mu.Lock()
 	st := a.stages[routeKey{task.Tenant, task.Analysis}]
 	a.mu.Unlock()
-	c := st.begin(task)
-	res := Result{Task: task, Bucket: id, Start: start, Attempts: task.Attempts + 1}
+	c := st.begin(&at, task)
+	res := Result{Task: task, Bucket: id, Start: at.start, Attempts: task.Attempts + 1}
 
-	pullStart := time.Now()
+	pullStart := at.now()
 	data, err := pull(ep, task, &res, &c)
-	res.MoveWall = time.Since(pullStart)
-	at.child("task.pull", pullStart, pullStart.Add(res.MoveWall),
-		obs.Int64("bytes", res.BytesMoved), obs.Error(err))
+	at.phase(phasePull, pullStart, &res, err)
 	// The bucket owns every pulled buffer: they go back to the pool once
 	// the handler has returned, or as soon as the attempt fails.
 	defer func() {
@@ -50,13 +46,11 @@ func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dat
 	}
 	if err != nil {
 		c.abort()
-		return a.failTask(id, task, start, err), crashed
+		return a.failTask(&at, id, task, err), crashed
 	}
 	a.releaseInputs(task)
-	res.Output, res.Err = c.finish(task, data)
-	res.End = time.Now()
-	res.ComputeWall = res.End.Sub(c.start)
-	at.child("task.run", c.start, res.End, obs.Error(res.Err))
+	res.Output, res.Err = c.finish(&at, task, data)
+	at.phase(phaseRun, c.start, &res, res.Err)
 	return &res, false
 }
 
@@ -93,7 +87,6 @@ func pull(ep *dart.Endpoint, task dataspaces.Task, res *Result, c *consumer) ([]
 		data[p.i] = p.data
 		res.BytesMoved += int64(len(p.data))
 		res.MoveModeledSum += p.d
-		res.MoveModeled = max(res.MoveModeled, p.d)
 		if c.inputs != nil {
 			c.inputs <- StreamInput{Index: p.i, Data: p.data}
 		}
@@ -118,10 +111,10 @@ type outcome struct {
 }
 
 // begin opens the attempt's consumer, starting a streaming handler.
-func (st stage) begin(task dataspaces.Task) consumer {
+func (st stage) begin(at *attempt, task dataspaces.Task) consumer {
 	c := consumer{st: st}
 	if st.stream != nil {
-		c.start = time.Now()
+		c.start = at.now()
 		// Buffered to the input count, so the pull never blocks on a
 		// handler that stopped reading.
 		c.inputs = make(chan StreamInput, len(task.Inputs))
@@ -140,13 +133,13 @@ func runStream(sh StreamHandler, task dataspaces.Task, inputs <-chan StreamInput
 // finish completes the handler over the whole pulled set: it closes a
 // streaming handler's channel and waits for its result, or runs a
 // buffered handler.
-func (c *consumer) finish(task dataspaces.Task, data [][]byte) (any, error) {
+func (c *consumer) finish(at *attempt, task dataspaces.Task, data [][]byte) (any, error) {
 	if c.inputs != nil {
 		close(c.inputs)
 		oc := <-c.done
 		return oc.out, oc.err
 	}
-	c.start = time.Now()
+	c.start = at.now()
 	if c.st.buffered == nil {
 		return nil, fmt.Errorf("staging: no handler registered for analysis %q", task.Analysis)
 	}
