@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the
 // paper's evaluation section at laptop scale:
 //
-//	experiments -table1   core allocations, data size, sim + I/O times
+//	experiments -table1   core allocations, data size, sim + I/O times, post-processing
 //	experiments -table2   per-analysis in-situ/movement/in-transit costs
 //	experiments -fig1     feature tracking vs analysis cadence
 //	experiments -fig2     in-situ vs hybrid rendering (writes PNGs)
@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -31,65 +32,60 @@ import (
 	"insitu/internal/workload"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments and streams as parameters, so tests
+// drive it in-process. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table1 = flag.Bool("table1", false, "reproduce Table I")
-		table2 = flag.Bool("table2", false, "reproduce Table II")
-		fig1   = flag.Bool("fig1", false, "reproduce the Fig. 1 tracking experiment")
-		fig2   = flag.Bool("fig2", false, "reproduce the Fig. 2 rendering comparison")
-		fig3   = flag.Bool("fig3", false, "reproduce the Fig. 3 merge-tree/segmentation example")
-		fig4   = flag.Bool("fig4", false, "reproduce the Fig. 4 four-stage statistics")
-		fig6   = flag.Bool("fig6", false, "reproduce the Fig. 6 breakdown")
-		all    = flag.Bool("all", false, "run everything")
-		steps  = flag.Int("steps", 4, "simulation steps per measurement")
-		outdir = flag.String("outdir", "", "directory for generated files (default: a new temporary directory)")
+		table1 = fs.Bool("table1", false, "reproduce Table I")
+		table2 = fs.Bool("table2", false, "reproduce Table II")
+		fig1   = fs.Bool("fig1", false, "reproduce the Fig. 1 tracking experiment")
+		fig2   = fs.Bool("fig2", false, "reproduce the Fig. 2 rendering comparison")
+		fig3   = fs.Bool("fig3", false, "reproduce the Fig. 3 merge-tree/segmentation example")
+		fig4   = fs.Bool("fig4", false, "reproduce the Fig. 4 four-stage statistics")
+		fig6   = fs.Bool("fig6", false, "reproduce the Fig. 6 breakdown")
+		all    = fs.Bool("all", false, "run everything")
+		steps  = fs.Int("steps", 4, "simulation steps per measurement")
+		outdir = fs.String("outdir", "", "directory for generated files (default: a new temporary directory)")
 	)
-	flag.Parse()
+	if fs.Parse(args) != nil {
+		return 2 // Parse has printed the error and the usage
+	}
 	if *all {
 		*table1, *table2, *fig1, *fig2, *fig3, *fig4, *fig6 = true, true, true, true, true, true, true
 	}
 	if !*table1 && !*table2 && !*fig1 && !*fig2 && !*fig3 && !*fig4 && !*fig6 {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
-	if *table1 {
-		runTable1(*steps)
-	}
-	var t2 *workload.TableIIResult
-	if *table2 || *fig6 {
-		t2 = runTable2(*steps, *table2)
-	}
-	if *fig6 {
-		fmt.Println("=== Figure 6: per-step timing breakdown (4896-core scenario) ===")
-		fmt.Println(workload.FormatFig6(t2.Fig6Series()))
-	}
-	if *fig1 {
-		runFig1(*steps)
-	}
-	if *fig2 {
-		if *outdir == "" {
-			dir, err := os.MkdirTemp("", "experiments-")
-			if err != nil {
-				fatal(err)
-			}
-			*outdir = dir
+	// In the paper's order; the first failure stops the rest.
+	var err error
+	do := func(on bool, experiment func() error) {
+		if on && err == nil {
+			err = experiment()
 		}
-		fmt.Println("writing figures to", *outdir)
-		runFig2(*outdir)
 	}
-	if *fig3 {
-		runFig3()
+	do(*table1, func() error { return runTable1(stdout, *steps, *outdir) })
+	do(*table2 || *fig6, func() error { return runTable2(stdout, *steps, *table2, *fig6) })
+	do(*fig1, func() error { return runFig1(stdout, *steps) })
+	do(*fig2, func() error { return runFig2(stdout, *outdir) })
+	do(*fig3, func() error { runFig3(stdout); return nil })
+	do(*fig4, func() error { return runFig4(stdout) })
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
 	}
-	if *fig4 {
-		runFig4()
-	}
+	return 0
 }
 
 // runFig3 reproduces the paper's Fig. 3: a 2-D function whose merge
 // tree encodes the merging of contours as the isovalue is lowered,
 // with branches corresponding to regions in the domain.
-func runFig3() {
-	fmt.Println("=== Figure 3: merge tree <-> segmentation correspondence (2-D example) ===")
+func runFig3(out io.Writer) {
+	fmt.Fprintln(out, "=== Figure 3: merge tree <-> segmentation correspondence (2-D example) ===")
 	b := grid.NewBox(24, 12, 1)
 	f := grid.NewField("h", b)
 	// Two hills of different heights over a sloping plain.
@@ -104,14 +100,14 @@ func runFig3() {
 	tr := mergetree.FromField(f, b)
 	red := mergetree.Reduce(tr, nil)
 	branches := mergetree.BranchDecomposition(red)
-	fmt.Printf("merge tree: %d maxima, %d saddles\n", len(tr.Maxima()), len(tr.Saddles()))
+	fmt.Fprintf(out, "merge tree: %d maxima, %d saddles\n", len(tr.Maxima()), len(tr.Saddles()))
 	for _, br := range branches {
 		x, y, _ := grid.GlobalPoint(b, red.IDs[br.Max])
 		if br.Saddle >= 0 {
-			fmt.Printf("  branch: max %.3f at (%d,%d) merges at saddle %.3f (persistence %.3f)\n",
+			fmt.Fprintf(out, "  branch: max %.3f at (%d,%d) merges at saddle %.3f (persistence %.3f)\n",
 				red.Values[br.Max], x, y, red.Values[br.Saddle], br.Persistence)
 		} else {
-			fmt.Printf("  branch: max %.3f at (%d,%d) — root branch (infinite persistence)\n",
+			fmt.Fprintf(out, "  branch: max %.3f at (%d,%d) — root branch (infinite persistence)\n",
 				red.Values[br.Max], x, y)
 		}
 	}
@@ -119,8 +115,8 @@ func runFig3() {
 	for _, iso := range []float64{0.8, 0.5, 0.2} {
 		seg := mergetree.Segment(tr, iso)
 		feats := mergetree.Features(tr, iso)
-		fmt.Printf("\nisovalue %.2f: %d contour component(s)\n", iso, len(feats))
-		printSegRow(f, seg, b)
+		fmt.Fprintf(out, "\nisovalue %.2f: %d contour component(s)\n", iso, len(feats))
+		printSegRow(out, seg, b)
 	}
 }
 
@@ -131,7 +127,7 @@ func gauss(x, y, cx, cy, s float64) float64 {
 
 // printSegRow draws the 2-D segmentation as ASCII, one glyph per
 // component.
-func printSegRow(f *grid.Field, seg *mergetree.Segmentation, b grid.Box) {
+func printSegRow(out io.Writer, seg *mergetree.Segmentation, b grid.Box) {
 	glyphs := map[int64]byte{}
 	next := byte('A')
 	for j := b.Hi[1] - 1; j >= b.Lo[1]; j-- {
@@ -151,94 +147,112 @@ func printSegRow(f *grid.Field, seg *mergetree.Segmentation, b grid.Box) {
 			}
 			line = append(line, g)
 		}
-		fmt.Printf("  %s\n", line)
+		fmt.Fprintf(out, "  %s\n", line)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }
 
 // loadConfig loads one of the table2 configs that declare the Table I,
 // Table II and Fig. 6 pipelines; the path is relative to the
 // repository root, where the binary is run from.
-func loadConfig(name string) *registry.Config {
+func loadConfig(name string) (*registry.Config, error) {
 	cfg, err := registry.LoadConfig(filepath.Join("examples", "configs", name+".json"))
 	if err != nil {
-		fatal(fmt.Errorf("%w (run experiments from the repository root)", err))
+		return nil, fmt.Errorf("%w (run experiments from the repository root)", err)
 	}
-	return cfg
+	return cfg, nil
 }
 
-func runTable1(steps int) {
-	fmt.Println("=== Table I: core allocations, data sizes, timings ===")
+// runTable1 measures both Table I columns, checkpointing under outdir.
+func runTable1(out io.Writer, steps int, outdir string) error {
+	fmt.Fprintln(out, "=== Table I: core allocations, data sizes, timings ===")
 	var rows []*workload.TableIRow
 	for _, name := range []string{"table2-4896", "table2-9440"} {
-		row, err := workload.RunTableI(loadConfig(name), steps)
+		cfg, err := loadConfig(name)
 		if err != nil {
-			fatal(err)
+			return err
+		}
+		row, err := workload.RunTableI(cfg, steps, outdir)
+		if err != nil {
+			return err
 		}
 		rows = append(rows, row)
 	}
-	fmt.Println(workload.FormatTableI(rows))
+	fmt.Fprintln(out, workload.FormatTableI(rows))
+	return nil
 }
 
-func runTable2(steps int, print bool) *workload.TableIIResult {
-	res, err := workload.RunTableII(loadConfig("table2-4896"), steps)
+// runTable2 prints Table II, Fig. 6 or both from one Table II run.
+func runTable2(out io.Writer, steps int, table2, fig6 bool) error {
+	cfg, err := loadConfig("table2-4896")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if print {
-		fmt.Println("=== Table II: analysis cost breakdown (4896-core scenario, paper values bracketed) ===")
-		fmt.Println(res.Format())
+	res, err := workload.RunTableII(cfg, steps)
+	if err != nil {
+		return err
 	}
-	return res
+	if table2 {
+		fmt.Fprintln(out, "=== Table II: analysis cost breakdown (4896-core scenario, paper values bracketed) ===")
+		fmt.Fprintln(out, res.Format())
+	}
+	if fig6 {
+		fmt.Fprintln(out, "=== Figure 6: per-step timing breakdown (4896-core scenario) ===")
+		fmt.Fprintln(out, workload.FormatFig6(res.Fig6Series()))
+	}
+	return nil
 }
 
-func runFig1(steps int) {
-	fmt.Println("=== Figure 1: ignition-kernel tracking vs analysis cadence ===")
+func runFig1(out io.Writer, steps int) error {
+	fmt.Fprintln(out, "=== Figure 1: ignition-kernel tracking vs analysis cadence ===")
 	cfg := sim.DefaultConfig(grid.NewBox(48, 24, 12), 2, 2, 1)
 	cfg.KernelRate = 0.8
-	n := steps * 10
-	if n < 40 {
-		n = 40
-	}
-	res, err := workload.RunFig1(cfg, n, 0.1, []int{1, 5, 10, 40})
+	res, err := workload.RunFig1(cfg, max(steps*10, 40), 0.1, []int{1, 5, 10, 40})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(res.Format())
+	fmt.Fprintln(out, res.Format())
+	return nil
 }
 
-func runFig2(outdir string) {
-	fmt.Println("=== Figure 2: in-situ full-resolution vs hybrid down-sampled rendering ===")
+// runFig2 writes its PNGs into outdir ("": a new temporary directory).
+func runFig2(out io.Writer, outdir string) error {
+	if outdir == "" {
+		dir, err := os.MkdirTemp("", "experiments-")
+		if err != nil {
+			return err
+		}
+		outdir = dir
+	}
+	fmt.Fprintln(out, "writing figures to", outdir)
+	fmt.Fprintln(out, "=== Figure 2: in-situ full-resolution vs hybrid down-sampled rendering ===")
 	cfg := sim.DefaultConfig(grid.NewBox(64, 48, 24), 2, 2, 1)
 	res, err := workload.RunFig2(cfg, 12, 480, 360, []int{2, 8})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(res.Format())
-	mustSave(res.InSitu, filepath.Join(outdir, "fig2-insitu-full.png"))
+	fmt.Fprintln(out, res.Format())
+	imgs, names := []*render.Image{res.InSitu}, []string{"fig2-insitu-full.png"}
 	for _, row := range res.Rows {
-		mustSave(row.Frame, filepath.Join(outdir, fmt.Sprintf("fig2-hybrid-%dx.png", row.Factor)))
+		imgs, names = append(imgs, row.Frame), append(names, fmt.Sprintf("fig2-hybrid-%dx.png", row.Factor))
 	}
+	for i, img := range imgs {
+		path := filepath.Join(outdir, names[i])
+		if err := img.SavePNG(path); err != nil {
+			return err
+		}
+		fmt.Fprintln(out, "wrote", path)
+	}
+	return nil
 }
 
-func runFig4() {
-	fmt.Println("=== Figure 4: learn / derive / assess / test, in situ and hybrid ===")
+func runFig4(out io.Writer) error {
+	fmt.Fprintln(out, "=== Figure 4: learn / derive / assess / test, in situ and hybrid ===")
 	cfg := sim.DefaultConfig(grid.NewBox(40, 28, 12), 2, 2, 1)
 	cfg.KernelRate = 1.0
 	res, err := workload.RunFig4(cfg, 15)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(res.Format())
-}
-
-func mustSave(img *render.Image, path string) {
-	if err := img.SavePNG(path); err != nil {
-		fatal(err)
-	}
-	fmt.Println("wrote", path)
+	fmt.Fprintln(out, res.Format())
+	return nil
 }

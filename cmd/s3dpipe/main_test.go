@@ -116,6 +116,61 @@ func TestImagesWithoutStoreIsAUsageError(t *testing.T) {
 	}
 }
 
+// TestReplayRerunsTheRecoveryRun: -replay on recovery.json after its
+// run visits the run's two checkpoints, prints the same final-step
+// topology line and leaves journal.wal as it was.
+func TestReplayRerunsTheRecoveryRun(t *testing.T) {
+	cfg, err := registry.LoadConfig(examples + "recovery.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Recovery.Dir = t.TempDir()
+	data, err := cfg.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgPath := filepath.Join(t.TempDir(), "recovery.json")
+	if err := os.WriteFile(cfgPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, fresh, stderr := cli("-config", cfgPath)
+	if code != 0 {
+		t.Fatalf("run: exit %d: %s", code, stderr)
+	}
+	wal := filepath.Join(cfg.Recovery.Dir, "journal.wal")
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, replay, stderr := cli("-config", cfgPath, "-replay")
+	if code != 0 {
+		t.Fatalf("replay: exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{"simulation: 2 steps", "recovery: 0 commits, 0 checkpoints, 0 journal fsyncs", "replayed 2 checkpoint steps"} {
+		if !strings.Contains(replay, want) {
+			t.Errorf("replay output lacks %q:\n%s", want, replay)
+		}
+	}
+	topo := regexp.MustCompile(`hybrid topology \(final step\): .*`)
+	if got, want := topo.FindString(replay), topo.FindString(fresh); got == "" || got != want {
+		t.Errorf("replay printed %q, the run %q", got, want)
+	}
+	if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("journal.wal changed by the replay (%v)", err)
+	}
+}
+
+// TestReplayFlagErrors: -replay beside -resume is a usage error, and
+// -replay on a config without a recovery block fails naming the block.
+func TestReplayFlagErrors(t *testing.T) {
+	if code, _, stderr := cli("-config", examples+"recovery.json", "-replay", "-resume"); code != 2 || !strings.Contains(stderr, "mutually exclusive") {
+		t.Errorf("-replay -resume: exit %d, stderr %q", code, stderr)
+	}
+	if code, _, stderr := cli("-config", examples+"quickstart.json", "-replay"); code != 1 || !strings.Contains(stderr, "recovery block") {
+		t.Errorf("-replay without recovery: exit %d, stderr %q", code, stderr)
+	}
+}
+
 // rows counts the lines of out that start with prefix.
 func rows(out, prefix string) int {
 	return strings.Count("\n"+out, "\n"+prefix)

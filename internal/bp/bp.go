@@ -3,7 +3,7 @@
 // Table I measures ("data read/write is done on a single-file-per-
 // process basis, which achieves near peak I/O bandwidths"). Files hold
 // a magic header, a variable count, and the concatenated field
-// payloads, with a variable index in the footer for selective reads.
+// payloads, with a variable index (offset, length, CRC32) in the footer.
 //
 // The package also carries the Lustre I/O model used to regenerate
 // Table I's read/write rows: aggregate bandwidth is capped by the
@@ -99,128 +99,87 @@ func WriteFile(path string, fields []*grid.Field, region ...grid.Box) (int64, er
 
 // idxEntry locates one variable's payload; sum is its CRC32.
 type idxEntry struct {
+	name        string
 	off, length uint64
 	sum         uint32
 }
 
-// readIndex parses the footer and returns name -> payload location.
-func readIndex(data []byte) (map[string]idxEntry, []string, error) {
+// readIndex parses the footer and returns the payload locations in
+// file order.
+func readIndex(data []byte) ([]idxEntry, error) {
 	if len(data) < 12+12 || !bytes.Equal(data[:4], magic[:]) {
-		return nil, nil, fmt.Errorf("%w: not a BP-lite file", ErrCorruptCheckpoint)
+		return nil, fmt.Errorf("%w: not a BP-lite file", ErrCorruptCheckpoint)
 	}
 	if !bytes.Equal(data[len(data)-4:], magic[:]) {
-		return nil, nil, fmt.Errorf("%w: truncated file (footer magic missing)", ErrCorruptCheckpoint)
+		return nil, fmt.Errorf("%w: truncated file (footer magic missing)", ErrCorruptCheckpoint)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
-		return nil, nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptCheckpoint, v)
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptCheckpoint, v)
 	}
 	nvars := int(binary.LittleEndian.Uint32(data[8:12]))
 	footerOff := binary.LittleEndian.Uint64(data[len(data)-12 : len(data)-4])
 	if footerOff < 12 || footerOff > uint64(len(data)-12) {
-		return nil, nil, fmt.Errorf("%w: bad footer offset", ErrCorruptCheckpoint)
+		return nil, fmt.Errorf("%w: bad footer offset", ErrCorruptCheckpoint)
 	}
 	p := data[footerOff : len(data)-12]
 	// An entry is at least its name length and its fixed part, so the
-	// footer bounds the count: nvars never sizes the map on its own.
+	// footer bounds the count: nvars never sizes the index on its own.
 	if nvars > len(p)/(4+entrySize) {
-		return nil, nil, fmt.Errorf("%w: %d variables cannot fit a %d-byte index", ErrCorruptCheckpoint, nvars, len(p))
+		return nil, fmt.Errorf("%w: %d variables cannot fit a %d-byte index", ErrCorruptCheckpoint, nvars, len(p))
 	}
-	idx := make(map[string]idxEntry, nvars)
-	var order []string
+	idx := make([]idxEntry, 0, nvars)
 	for vi := 0; vi < nvars; vi++ {
 		if len(p) < 4 {
-			return nil, nil, fmt.Errorf("%w: truncated index entry %d", ErrCorruptCheckpoint, vi)
+			return nil, fmt.Errorf("%w: truncated index entry %d", ErrCorruptCheckpoint, vi)
 		}
 		nameLen := int(binary.LittleEndian.Uint32(p[:4]))
 		p = p[4:]
 		if len(p) < nameLen+entrySize {
-			return nil, nil, fmt.Errorf("%w: truncated index entry %d", ErrCorruptCheckpoint, vi)
+			return nil, fmt.Errorf("%w: truncated index entry %d", ErrCorruptCheckpoint, vi)
 		}
 		name := string(p[:nameLen])
 		p = p[nameLen:]
 		e := idxEntry{
+			name:   name,
 			off:    binary.LittleEndian.Uint64(p[:8]),
 			length: binary.LittleEndian.Uint64(p[8:16]),
 			sum:    binary.LittleEndian.Uint32(p[16:20]),
 		}
 		p = p[entrySize:]
 		if e.off > uint64(len(data)) || e.length > uint64(len(data))-e.off {
-			return nil, nil, fmt.Errorf("%w: variable %q extends past end of file", ErrCorruptCheckpoint, name)
+			return nil, fmt.Errorf("%w: variable %q extends past end of file", ErrCorruptCheckpoint, name)
 		}
-		idx[name] = e
-		order = append(order, name)
+		idx = append(idx, e)
 	}
-	return idx, order, nil
-}
-
-// payload returns a variable's byte range, checked against its
-// recorded CRC32.
-func payload(data []byte, name string, e idxEntry) ([]byte, error) {
-	b := data[e.off : e.off+e.length]
-	if crc32.ChecksumIEEE(b) != e.sum {
-		return nil, fmt.Errorf("%w: variable %q CRC mismatch", ErrCorruptCheckpoint, name)
-	}
-	return b, nil
+	return idx, nil
 }
 
 // ReadFile loads every field from a BP-lite file, verifying each
-// variable's CRC32.
+// variable's CRC32. A payload that fails it or does not decode is a
+// corrupt checkpoint (the error wraps ErrCorruptCheckpoint, and
+// grid.ErrCorruptField for the latter).
 func ReadFile(path string) ([]*grid.Field, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("bp: read %s: %w", path, err)
 	}
-	idx, order, err := readIndex(data)
+	idx, err := readIndex(data)
 	if err != nil {
 		return nil, fmt.Errorf("bp: %s: %w", path, err)
 	}
-	var out []*grid.Field
-	for _, name := range order {
-		b, err := payload(data, name, idx[name])
-		if err != nil {
-			return nil, fmt.Errorf("bp: %s: %w", path, err)
+	out := make([]*grid.Field, 0, len(idx))
+	for _, e := range idx {
+		b := data[e.off : e.off+e.length]
+		if crc32.ChecksumIEEE(b) != e.sum {
+			return nil, fmt.Errorf("bp: %s: %w: variable %q CRC mismatch", path, ErrCorruptCheckpoint, e.name)
 		}
-		f, err := decodeVar(path, name, b)
+		f, err := grid.UnmarshalField(b)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("bp: %s variable %q: %w: %w", path, e.name, ErrCorruptCheckpoint, err)
 		}
 		out = append(out, f)
 	}
 	return out, nil
-}
-
-// ReadVar loads a single variable by name, touching only its byte
-// range after the index — the selective-read capability BP provides —
-// and verifying that range's CRC32.
-func ReadVar(path, name string) (*grid.Field, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bp: read %s: %w", path, err)
-	}
-	idx, _, err := readIndex(data)
-	if err != nil {
-		return nil, fmt.Errorf("bp: %s: %w", path, err)
-	}
-	e, ok := idx[name]
-	if !ok {
-		return nil, fmt.Errorf("bp: %s: variable %q not found", path, name)
-	}
-	b, err := payload(data, name, e)
-	if err != nil {
-		return nil, fmt.Errorf("bp: %s: %w", path, err)
-	}
-	return decodeVar(path, name, b)
-}
-
-// decodeVar decodes one variable's field payload; a bad one is a
-// corrupt checkpoint (the error wraps ErrCorruptCheckpoint and
-// grid.ErrCorruptField).
-func decodeVar(path, name string, b []byte) (*grid.Field, error) {
-	f, err := grid.UnmarshalField(b)
-	if err != nil {
-		return nil, fmt.Errorf("bp: %s variable %q: %w: %w", path, name, ErrCorruptCheckpoint, err)
-	}
-	return f, nil
 }
 
 // The Lustre model of the paper's Table I: a parallel filesystem whose

@@ -61,30 +61,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadVar(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "rank0.bp")
-	fields := sampleFields(rand.New(rand.NewSource(3)))
-	if _, err := WriteFile(path, fields); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadVar(path, "Y_OH")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Name != "Y_OH" || f.Data[0] != fields[2].Data[0] {
-		t.Fatal("selective read returned wrong variable")
-	}
-	if _, err := ReadVar(path, "missing"); err == nil {
-		t.Fatal("missing variable must error")
-	}
-}
-
-// TestReadVarCorruptField: a variable whose field payload does not
+// TestReadFileCorruptField: a variable whose field payload does not
 // decode — here a box of 2^64 points that a wrapping product would
-// size at the 0 values it carries — fails ReadVar as a corrupt
-// checkpoint, as it fails ReadFile.
-func TestReadVarCorruptField(t *testing.T) {
+// size at the 0 values it carries — fails ReadFile as a corrupt
+// checkpoint, wrapping the field decoder's error.
+func TestReadFileCorruptField(t *testing.T) {
 	field := binary.LittleEndian.AppendUint32(nil, 1)
 	field = append(field, 'T')
 	for _, v := range []uint64{0, 0, 0, 1 << 32, 1 << 32, 1, 0} {
@@ -94,12 +75,9 @@ func TestReadVarCorruptField(t *testing.T) {
 	if err := os.WriteFile(path, oneVarFile("T", field), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadVar(path, "T")
+	fields, err := ReadFile(path)
 	if !errors.Is(err, ErrCorruptCheckpoint) || !errors.Is(err, grid.ErrCorruptField) {
-		t.Fatalf("ReadVar = %v, %v; want ErrCorruptCheckpoint wrapping grid.ErrCorruptField", f, err)
-	}
-	if _, err := ReadFile(path); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("ReadFile = %v, want ErrCorruptCheckpoint", err)
+		t.Fatalf("ReadFile = %v, %v; want ErrCorruptCheckpoint wrapping grid.ErrCorruptField", fields, err)
 	}
 }
 
@@ -194,13 +172,6 @@ func TestBitFlipCaught(t *testing.T) {
 	if _, err := ReadFile(path); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("ReadFile on bit-flipped payload: err = %v, want ErrCorruptCheckpoint", err)
 	}
-	if _, err := ReadVar(path, fields[0].Name); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("ReadVar on bit-flipped payload: err = %v, want ErrCorruptCheckpoint", err)
-	}
-	// Unaffected variables still read cleanly via the selective path.
-	if _, err := ReadVar(path, fields[2].Name); err != nil {
-		t.Fatalf("ReadVar on intact variable: %v", err)
-	}
 }
 
 // oneVarFile lays one variable's payload out as a file with a correct
@@ -238,9 +209,6 @@ func TestReadVersion1Refused(t *testing.T) {
 	}
 	if _, err := ReadFile(path); !errors.Is(err, ErrCorruptCheckpoint) {
 		t.Fatalf("ReadFile = %v, want ErrCorruptCheckpoint", err)
-	}
-	if _, err := ReadVar(path, f.Name); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("ReadVar = %v, want ErrCorruptCheckpoint", err)
 	}
 }
 

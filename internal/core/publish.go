@@ -13,12 +13,16 @@ import (
 // every tenant's admission plane, plus a metrics registry holding the
 // fabric's and the scheduler's families once and each tenant's families
 // under its label. Tenants added later are published as they arrive.
-// Idempotent; call before Run. The returned plane's exporters (Chrome
-// trace, JSONL, Prometheus text) and the obs.Handler HTTP endpoint
-// render it live or after the run.
+// Idempotent. Call it before Run: the step loops read the plane
+// unlocked, so once a run has begun it attaches nothing and returns the
+// plane attached before the run, or nil. The returned plane's exporters
+// (Chrome trace, JSONL, Prometheus text) and the obs.Handler HTTP
+// endpoint render it live or after the run.
 func (s *Scheduler) EnableObs() *obs.Plane {
+	s.attachMu.Lock()
+	defer s.attachMu.Unlock()
 	s.mu.Lock()
-	if s.plane != nil {
+	if s.plane != nil || s.ran {
 		defer s.mu.Unlock()
 		return s.plane
 	}

@@ -18,39 +18,72 @@ import (
 // Steps are numbered 1..steps. Returns one Report per tenant, keyed by
 // tenant name. A tenant with recovery enabled must be alone and its
 // journal empty (a fresh run); its pipeline's Resume continues an
-// interrupted one.
-func (s *Scheduler) Run(steps int) (map[string]*Report, error) { return s.run(steps, nil, false) }
+// interrupted one and its Replay reruns the routes over the saved
+// checkpoints.
+func (s *Scheduler) Run(steps int) (map[string]*Report, error) { return s.run(steps, nil, RunFresh) }
+
+// RunMode says where a run's steps come from.
+type RunMode uint8
+
+const (
+	RunFresh  RunMode = iota // the simulation, 1..steps
+	RunResume                // an interrupted journaled run, past its last commit (Pipeline.Resume)
+	RunReplay                // the journal's checkpoints (Pipeline.Replay)
+)
+
+// A run refused before any step runs returns one of these, wrapped: a
+// Pipeline.Run, Resume or Replay on a tenant with siblings, a Resume or
+// Replay without TenantConfig.Recovery, and a Replay over a journal with
+// no readable checkpoint or one cut for another decomposition.
+var (
+	ErrNotAlone       = errors.New("core: the tenant shares its fabric; call Scheduler.Run")
+	ErrNoRecovery     = errors.New("core: Resume and Replay need TenantConfig.Recovery")
+	ErrNoCheckpoint   = errors.New("core: the journal holds no checkpoint to replay")
+	ErrDecompMismatch = errors.New("core: the checkpoint's decomposition differs from the config's")
+)
 
 // run is the single run function. lone, when non-nil, is the tenant
-// whose Pipeline.Run or Resume called: it must have the fabric to
-// itself.
-func (s *Scheduler) run(steps int, lone *Pipeline, resume bool) (map[string]*Report, error) {
+// whose Pipeline.Run, Resume or Replay called: it must have the fabric
+// to itself.
+func (s *Scheduler) run(steps int, lone *Pipeline, mode RunMode) (map[string]*Report, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("core: steps must be >= 1")
 	}
+	s.attachMu.Lock()
 	s.mu.Lock()
 	tenants := append([]*Pipeline(nil), s.tenants...)
-	err := s.admitRun(tenants, lone, resume)
+	err := s.admitRun(tenants, lone, mode)
 	s.ran = s.ran || err == nil
 	s.mu.Unlock()
+	s.attachMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	for _, p := range tenants {
+		p.walk = make([]int, steps)
+		for i := range p.walk {
+			p.walk[i] = i + 1
+		}
+	}
 	// admitRun left a journal only to a lone tenant.
-	if rec := tenants[0].rec; rec != nil {
+	if p := tenants[0]; p.rec != nil {
 		// Every record was fsynced by its Append; Close only releases
 		// journal.wal's descriptor, so its error changes nothing.
-		defer rec.j.Close()
-		rec.resume, rec.t0 = resume, time.Now()
-		if resume {
-			tenants[0].planResume(steps)
+		defer p.rec.j.Close()
+		p.rec.resume, p.rec.t0 = mode == RunResume, time.Now()
+		if mode == RunResume {
+			p.planResume(steps)
+		} else if mode == RunReplay {
+			if err := p.planReplay(steps); err != nil {
+				return nil, err
+			}
 		}
 	}
 
 	if err := s.start(tenants); err != nil {
 		return nil, err
 	}
-	s.drain(tenants, steps)
+	s.drain(tenants)
 	// Nothing encodes or decodes against a delta base after the drain.
 	s.codecs.ReleaseBases()
 
@@ -72,23 +105,23 @@ func (s *Scheduler) run(steps int, lone *Pipeline, resume bool) (map[string]*Rep
 
 // admitRun decides whether this run may claim the scheduler's single
 // run. The caller holds s.mu.
-func (s *Scheduler) admitRun(tenants []*Pipeline, lone *Pipeline, resume bool) error {
+func (s *Scheduler) admitRun(tenants []*Pipeline, lone *Pipeline, mode RunMode) error {
 	switch {
 	case s.ran:
 		return fmt.Errorf("core: a scheduler runs once; build a new one to run again")
 	case len(tenants) == 0:
 		return fmt.Errorf("core: scheduler has no tenants")
 	case lone != nil && len(tenants) > 1:
-		return fmt.Errorf("core: tenant %q shares its fabric with %d others; call Scheduler.Run", lone.tenant, len(tenants)-1)
-	case resume && lone.rec == nil:
-		return fmt.Errorf("core: Resume requires Config.Recovery")
+		return fmt.Errorf("%w: tenant %q has %d siblings", ErrNotAlone, lone.tenant, len(tenants)-1)
+	case mode != RunFresh && lone.rec == nil:
+		return ErrNoRecovery
 	}
 	for _, p := range tenants {
 		switch {
 		case p.rec == nil:
 		case len(tenants) > 1:
 			return fmt.Errorf("core: tenant %q has a journal, which must own the task queue; recovery needs a lone tenant", p.tenant)
-		case !resume && len(p.rec.j.Records()) > 0:
+		case mode == RunFresh && len(p.rec.j.Records()) > 0:
 			return fmt.Errorf("core: journal %s is not empty; use Resume to continue the interrupted run", p.rec.j.Dir())
 		}
 	}
@@ -157,7 +190,7 @@ func (s *Scheduler) start(tenants []*Pipeline) error {
 // tenant's SPMD simulation + in-situ loop runs concurrently, the task
 // queue closes once every tenant has finished stepping and drained, and
 // the call returns when the tier is empty.
-func (s *Scheduler) drain(tenants []*Pipeline, steps int) {
+func (s *Scheduler) drain(tenants []*Pipeline) {
 	// Close is idempotent, so racing calls are harmless.
 	closeWhenDrained := func() {
 		for _, p := range tenants {
@@ -186,7 +219,7 @@ func (s *Scheduler) drain(tenants []*Pipeline, steps int) {
 		go func() {
 			defer wg.Done()
 			comm.Run(p.sim.Ranks(), func(r *comm.Rank) {
-				if err := p.rankLoop(r, steps); err != nil {
+				if err := p.rankLoop(r); err != nil {
 					p.recordErr(err)
 				}
 			})

@@ -140,9 +140,11 @@ type Scheduler struct {
 	// run without any admission plane.
 	credits *dataspaces.Credits
 
-	// Observability plane (nil until EnableObs). Written once, before
-	// run; the step loops and the drain read it unlocked.
-	plane *obs.Plane
+	// Observability plane (nil until EnableObs). attachMu (taken before
+	// mu) orders its one write before run's claim, so the step loops and
+	// the drain read it unlocked.
+	plane    *obs.Plane
+	attachMu sync.Mutex
 }
 
 // NewScheduler validates the sizing and builds the shared subsystems.

@@ -18,7 +18,7 @@ func ExampleFromField() {
 	}
 	tree := mergetree.FromField(f, b)
 	fmt.Printf("maxima=%d saddles=%d\n", len(tree.Maxima()), len(tree.Saddles()))
-	simplified := mergetree.Simplify(tree, 2.5) // peak 4 has persistence 2
+	simplified := new(mergetree.Scratch).Simplify(tree, 2.5) // peak 4 has persistence 2
 	fmt.Printf("after eps=2.5: maxima=%d\n", len(simplified.Maxima()))
 	// Output:
 	// maxima=2 saddles=1

@@ -67,13 +67,6 @@ func (s *Scratch) branchMax(t *Tree) []int32 {
 }
 
 // Simplify removes every branch with persistence below eps, returning
-// a new tree over the surviving nodes on a scratch of its own; see
-// Scratch.Simplify.
-func Simplify(t *Tree, eps float64) *Tree {
-	return new(Scratch).Simplify(t, eps)
-}
-
-// Simplify removes every branch with persistence below eps, returning
 // a new tree over the surviving nodes: a node survives iff the highest
 // maximum above it does. Saddles that become regular are retained;
 // apply Reduce to contract them. The input tree is not modified, and

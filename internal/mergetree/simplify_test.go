@@ -52,12 +52,12 @@ func TestSimplifyThresholds(t *testing.T) {
 	tr := FromField(f, b)
 
 	// eps=1 prunes only the pers-0.5 branch.
-	s1 := Simplify(tr, 1)
+	s1 := new(Scratch).Simplify(tr, 1)
 	if got := len(s1.Maxima()); got != 2 {
 		t.Fatalf("eps=1: want 2 maxima, got %d", got)
 	}
 	// eps=3 prunes both finite branches.
-	s3 := Simplify(tr, 3)
+	s3 := new(Scratch).Simplify(tr, 3)
 	if got := len(s3.Maxima()); got != 1 {
 		t.Fatalf("eps=3: want 1 maximum, got %d", got)
 	}
@@ -65,7 +65,7 @@ func TestSimplifyThresholds(t *testing.T) {
 		t.Fatalf("surviving maximum should be the global max")
 	}
 	// eps=0 keeps everything.
-	if s0 := Simplify(tr, 0); !equalTrees(s0, tr) {
+	if s0 := new(Scratch).Simplify(tr, 0); !equalTrees(s0, tr) {
 		t.Fatalf("eps=0 must not change the tree")
 	}
 }
@@ -76,8 +76,8 @@ func TestSimplifyPreservesTreeInvariants(t *testing.T) {
 	f := randomField(rng, b)
 	tr := FromField(f, b)
 	for _, eps := range []float64{0.1, 0.3, 0.7} {
-		s := Simplify(tr, eps)
-		if len(s.Roots()) != 1 {
+		s := new(Scratch).Simplify(tr, eps)
+		if len(roots(s)) != 1 {
 			t.Fatalf("eps=%g: simplified tree lost its root", eps)
 		}
 		for i, d := range s.Down {
@@ -105,7 +105,7 @@ func TestSimplifyMonotone(t *testing.T) {
 	tr := FromField(f, b)
 	prev := len(tr.Maxima())
 	for _, eps := range []float64{0.05, 0.1, 0.2, 0.4, 0.8} {
-		n := len(Simplify(tr, eps).Maxima())
+		n := len(new(Scratch).Simplify(tr, eps).Maxima())
 		if n > prev {
 			t.Fatalf("maxima count must be monotone non-increasing in eps")
 		}

@@ -82,13 +82,6 @@ func (t *Tree) Saddles() []int {
 	return t.nodes(func(_ int, ups int32) bool { return ups >= 2 })
 }
 
-// Roots returns the nodes with no Down in descending sweep order. A
-// connected domain yields exactly one; a forest arises when the swept
-// region is disconnected.
-func (t *Tree) Roots() []int {
-	return t.nodes(func(i int, _ int32) bool { return t.Down[i] < 0 })
-}
-
 // Clone returns a copy of t that shares no memory with it.
 func (t *Tree) Clone() *Tree {
 	return &Tree{IDs: slices.Clone(t.IDs), Values: slices.Clone(t.Values), Down: slices.Clone(t.Down)}

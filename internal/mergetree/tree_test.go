@@ -17,6 +17,12 @@ func tinyGraph() (map[int64]float64, [][2]int64) {
 	return values, edges
 }
 
+// roots returns the nodes of tr with no Down in descending sweep
+// order: one for a connected domain, a forest for a disconnected one.
+func roots(tr *Tree) []int {
+	return tr.nodes(func(i int, _ int32) bool { return tr.Down[i] < 0 })
+}
+
 func TestFromGraphTiny(t *testing.T) {
 	values, edges := tinyGraph()
 	tr, err := fromGraph(values, edges)
@@ -26,8 +32,8 @@ func TestFromGraphTiny(t *testing.T) {
 	if tr.Len() != 4 {
 		t.Fatalf("want 4 nodes, got %d", tr.Len())
 	}
-	if roots := tr.Roots(); len(roots) != 1 || tr.IDs[roots[0]] != 3 {
-		t.Fatalf("want root id 3, got %v", roots)
+	if rs := roots(tr); len(rs) != 1 || tr.IDs[rs[0]] != 3 {
+		t.Fatalf("want root id 3, got %v", roots(tr))
 	}
 	c := slices.Index(tr.IDs, 2)
 	if saddles := tr.Saddles(); len(saddles) != 1 || saddles[0] != c {
@@ -53,8 +59,8 @@ func TestFromGraphDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Roots()) != 2 {
-		t.Fatalf("want 2 roots for disconnected graph, got %d", len(tr.Roots()))
+	if len(roots(tr)) != 2 {
+		t.Fatalf("want 2 roots for disconnected graph, got %d", len(roots(tr)))
 	}
 }
 
@@ -86,16 +92,16 @@ func TestFromField2D(t *testing.T) {
 	if len(saddles) != 1 || tr.Values[saddles[0]] != 2 {
 		t.Fatalf("want single saddle at value 2, got nodes %v", saddles)
 	}
-	roots := tr.Roots()
-	if len(roots) != 1 {
-		t.Fatalf("want single root, got %d", len(roots))
+	rs := roots(tr)
+	if len(rs) != 1 {
+		t.Fatalf("want single root, got %d", len(rs))
 	}
 	// Root is the global minimum: value 1, and by the id tie-break the
 	// later of the two 1s processed... both have value 1; the sweep
 	// order puts the smaller id first, so the root (last processed) is
 	// the larger id.
-	if tr.Values[roots[0]] != 1 || tr.IDs[roots[0]] != 4 {
-		t.Fatalf("root should be vertex 4 at value 1, got vertex %d at %g", tr.IDs[roots[0]], tr.Values[roots[0]])
+	if tr.Values[rs[0]] != 1 || tr.IDs[rs[0]] != 4 {
+		t.Fatalf("root should be vertex 4 at value 1, got vertex %d at %g", tr.IDs[rs[0]], tr.Values[rs[0]])
 	}
 }
 
@@ -131,8 +137,8 @@ func TestAugmentedTreeBasicInvariants(t *testing.T) {
 	if tr.Len() != b.Size() {
 		t.Fatalf("augmented tree must contain every vertex: %d vs %d", tr.Len(), b.Size())
 	}
-	if len(tr.Roots()) != 1 {
-		t.Fatalf("connected domain must give one root, got %d", len(tr.Roots()))
+	if len(roots(tr)) != 1 {
+		t.Fatalf("connected domain must give one root, got %d", len(roots(tr)))
 	}
 	// Nodes are in strictly descending sweep order, and every down
 	// link points further down it.
@@ -173,7 +179,7 @@ func TestReduceKeepsCriticals(t *testing.T) {
 	if len(red.Saddles()) != len(tr.Saddles()) {
 		t.Fatalf("saddle count changed: %d vs %d", len(red.Saddles()), len(tr.Saddles()))
 	}
-	if len(red.Roots()) != len(tr.Roots()) {
+	if len(roots(red)) != len(roots(tr)) {
 		t.Fatalf("root count changed")
 	}
 }

@@ -29,7 +29,7 @@ func runInstrumented(t *testing.T) (*obs.Plane, *core.Scheduler) {
 	}
 	t.Cleanup(func() { b.Close() })
 	pl := b.Scheduler.EnableObs()
-	if _, err := b.Run(cfg.Steps, false); err != nil {
+	if _, err := b.Run(cfg.Steps, core.RunFresh); err != nil {
 		t.Fatal(err)
 	}
 	return pl, b.Scheduler

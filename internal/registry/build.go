@@ -22,7 +22,7 @@ type Built struct {
 	// Scheduler owns the fabric and runs every tenant.
 	Scheduler *core.Scheduler
 	// Pipeline is the lone tenant's pipeline (nil when the config
-	// declares several): its Run and Resume are the scheduler's.
+	// declares several): its Run, Resume and Replay are the scheduler's.
 	Pipeline *core.Pipeline
 	// Store is the opened image store, when the config declared one.
 	Store *imagestore.Store
@@ -67,16 +67,19 @@ func (b *Built) Steps(explicit, def int) int {
 }
 
 // Run runs the topology once and returns one report per tenant keyed
-// by tenant name (the empty name for an unnamed lone tenant). resume
-// continues an interrupted journaled run (single-tenant configs with a
-// recovery block). A non-nil error beside non-empty reports means
-// analysis routes failed while the run itself completed.
-func (b *Built) Run(steps int, resume bool) (map[string]*core.Report, error) {
-	if !resume {
+// by tenant name (the empty name for an unnamed lone tenant). Modes
+// other than core.RunFresh need a single-tenant config with a recovery
+// block. A non-nil error beside non-empty reports means analysis
+// routes failed while the run itself completed.
+func (b *Built) Run(steps int, mode core.RunMode) (map[string]*core.Report, error) {
+	if mode == core.RunFresh {
 		return b.Scheduler.Run(steps)
 	}
-	t := b.Tenants[0]
-	rep, err := t.Pipeline.Resume(steps)
+	t, run := b.Tenants[0], b.Tenants[0].Pipeline.Resume
+	if mode == core.RunReplay {
+		run = t.Pipeline.Replay
+	}
+	rep, err := run(steps)
 	if rep == nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func runDigests(t *testing.T, cfg *registry.Config) map[string]string {
 	}
 	defer b.Close()
 	steps := b.Steps(0, 4)
-	reps, err := b.Run(steps, false)
+	reps, err := b.Run(steps, core.RunFresh)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestBuildMultiTenantShape(t *testing.T) {
 		t.Fatalf("Tenants = %+v, want a then b", b.Tenants)
 	}
 
-	reps, err := b.Run(b.Steps(0, 2), false)
+	reps, err := b.Run(b.Steps(0, 2), core.RunFresh)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -270,7 +270,7 @@ func TestBuildRegistersNoRankEndpoint(t *testing.T) {
 		if n := rankSeries(); n != 0 {
 			t.Fatalf("%s: Build registered %d rank endpoints before Run", name, n)
 		}
-		b.Run(1, false) // the tenants drill's poison route fails by design
+		b.Run(1, core.RunFresh) // the tenants drill's poison route fails by design
 		want := 0
 		for _, tn := range b.Tenants {
 			want += tn.Pipeline.Sim().Ranks()
@@ -371,7 +371,7 @@ func TestResultsNeverAliasSimStorage(t *testing.T) {
 			t.Fatalf("Build: %v", err)
 		}
 		defer b.Close()
-		reps, err := b.Run(b.Steps(0, 4), false)
+		reps, err := b.Run(b.Steps(0, 4), core.RunFresh)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}

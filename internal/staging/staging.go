@@ -102,7 +102,6 @@ type stage struct {
 // Result records the outcome and cost breakdown of one in-transit task.
 type Result struct {
 	Task   dataspaces.Task
-	Bucket int
 	Output any
 	Err    error
 
@@ -530,7 +529,6 @@ func (a *Area) failTask(at *attempt, id int, task dataspaces.Task, cause error) 
 	a.releaseInputs(task)
 	return &Result{
 		Task:       task,
-		Bucket:     id,
 		Start:      at.start,
 		End:        at.now(),
 		Attempts:   task.Attempts + 1,

@@ -3,6 +3,7 @@ package staging
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,17 +131,21 @@ func TestReleaseCallback(t *testing.T) {
 
 // TestTemporalMultiplexing is the core pipelining property: with
 // in-transit work slower than the submission cadence, successive
-// timesteps run on different buckets concurrently, so total wall time
-// is far below the serial sum.
+// timesteps run on different buckets concurrently — at some instant at
+// least two handlers are in flight — so total wall time is far below
+// the serial sum.
 func TestTemporalMultiplexing(t *testing.T) {
 	r := newRig(t)
 	const buckets = 4
 	const steps = 8
 	const workT = 50 * time.Millisecond
 	a, _ := New(r.fabric, r.ds, buckets, nil)
-	var mu sync.Mutex
-	bucketSeen := map[int]bool{}
+	var inFlight, peak atomic.Int32
 	a.HandleT("", "slow", func(task dataspaces.Task, data [][]byte) (any, error) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
 		time.Sleep(workT)
 		return task.Step, nil
 	})
@@ -150,21 +155,17 @@ func TestTemporalMultiplexing(t *testing.T) {
 		r.publish(t, "slow", s, []byte("d"))
 	}
 	for s := 0; s < steps; s++ {
-		res := <-a.Results()
-		if res.Err != nil {
+		if res := <-a.Results(); res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		mu.Lock()
-		bucketSeen[res.Bucket] = true
-		mu.Unlock()
 	}
 	elapsed := time.Since(start)
 	serial := time.Duration(steps) * workT
 	if elapsed > serial*3/4 {
 		t.Fatalf("no pipelining: %v elapsed for %v serial work on %d buckets", elapsed, serial, buckets)
 	}
-	if len(bucketSeen) < 2 {
-		t.Fatalf("timesteps were not multiplexed across buckets: %v", bucketSeen)
+	if p := peak.Load(); p < 2 {
+		t.Fatalf("timesteps were not multiplexed across buckets: at most %d handler in flight", p)
 	}
 	r.ds.Close()
 	a.Wait()

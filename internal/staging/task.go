@@ -25,7 +25,7 @@ func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dat
 	st := a.stages[routeKey{task.Tenant, task.Analysis}]
 	a.mu.Unlock()
 	c := st.begin(&at, task)
-	res := Result{Task: task, Bucket: id, Start: at.start, Attempts: task.Attempts + 1}
+	res := Result{Task: task, Start: at.start, Attempts: task.Attempts + 1}
 
 	pullStart := at.now()
 	data, err := pull(ep, task, &res, &c)

@@ -30,7 +30,7 @@ func TestDurableFilesOpenLateAndCloseWithTheRun(t *testing.T) {
 			t.Errorf("built, never run: %s exists (stat err %v)", path, err)
 		}
 	}
-	if _, err := b.Run(3, false); err != nil {
+	if _, err := b.Run(3, core.RunFresh); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Close(); err != nil {

@@ -226,7 +226,7 @@ func TestMetricFamiliesGolden(t *testing.T) {
 		}
 		// The tenants drill ends with its poison route's errors; the
 		// schema is what is pinned here, not the run's outcome.
-		reps, _ := b.Run(4, false)
+		reps, _ := b.Run(4, core.RunFresh)
 		var sb strings.Builder
 		if err := pl.Registry().WritePrometheus(&sb); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"insitu/internal/core"
 	"insitu/internal/metrics"
 	"insitu/internal/registry"
 )
@@ -39,7 +40,7 @@ func RunTableII(cfg *registry.Config, steps int) (*TableIIResult, error) {
 		return nil, err
 	}
 	defer b.Close()
-	reps, err := b.Run(steps, false)
+	reps, err := b.Run(steps, core.RunFresh)
 	if err != nil {
 		return nil, err
 	}

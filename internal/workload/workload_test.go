@@ -36,20 +36,22 @@ func TestScenarioShapes(t *testing.T) {
 }
 
 // TestRunTableI: a Table I column comes from a pipeline run that wrote
-// a checkpoint at its last step and a resume that read it back.
+// a checkpoint at its last step, a resume that read it back and a
+// replay that reran the routes on it.
 func TestRunTableI(t *testing.T) {
 	cfg := loadExample(t, "table2-4896")
 	// Shrink for test speed.
 	cfg.Tenants[0].Sim = registry.SimConfig{NX: 24, NY: 16, NZ: 8, PX: 2, PY: 2, PZ: 1}
 	const steps = 2
-	row, err := RunTableI(cfg, steps)
+	row, err := RunTableI(cfg, steps, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Recovery != nil {
 		t.Fatal("RunTableI must leave its config unchanged")
 	}
-	if row.SimStep <= 0 || row.Fresh.CheckpointWriteSeconds <= 0 || row.Resumed.CheckpointReadSeconds <= 0 {
+	if row.SimStep <= 0 || row.Fresh.CheckpointWriteSeconds <= 0 || row.Resumed.CheckpointReadSeconds <= 0 ||
+		row.ReplayRead <= 0 || row.ReplayAnalysis <= 0 || row.CoupledAnalysis <= 0 {
 		t.Fatalf("timings not measured: %+v", row)
 	}
 	if r := row.Resumed; r.ResumedFrom != steps || r.CheckpointStep != steps {
@@ -70,13 +72,13 @@ func TestRunTableI(t *testing.T) {
 		t.Fatalf("modeled paper write %.2fs not ~3.28s", s)
 	}
 	out := FormatTableI([]*TableIRow{row})
-	for _, want := range []string{"Simulation time", "I/O read time", "DataSpaces"} {
+	for _, want := range []string{"Simulation time", "I/O read time", "DataSpaces", "Analysis, coupled", "Post-processing"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table I output missing %q:\n%s", want, out)
 		}
 	}
 	cfg.Name = "quickstart"
-	if _, err := RunTableI(cfg, steps); err == nil {
+	if _, err := RunTableI(cfg, steps, t.TempDir()); err == nil {
 		t.Fatal("a config with no paper column must error")
 	}
 }
