@@ -154,7 +154,11 @@ func launch(o options, out io.Writer) error {
 		defer stop()
 	}
 
-	fmt.Fprintf(out, "s3dpipe: %s: %d tenant(s), %d buckets, %d steps\n\n", cfg.Name, len(b.Tenants), cfg.TransitBuckets(), steps)
+	span := fmt.Sprintf("%d steps", steps)
+	if mode == core.RunReplay {
+		span = fmt.Sprintf("a replay of the checkpoints at or below step %d", steps)
+	}
+	fmt.Fprintf(out, "s3dpipe: %s: %d tenant(s), %d buckets, %s\n\n", cfg.Name, len(b.Tenants), cfg.TransitBuckets(), span)
 	reps, err := b.Run(steps, mode)
 	if len(reps) == 0 {
 		return err

@@ -117,8 +117,9 @@ func TestImagesWithoutStoreIsAUsageError(t *testing.T) {
 }
 
 // TestReplayRerunsTheRecoveryRun: -replay on recovery.json after its
-// run visits the run's two checkpoints, prints the same final-step
-// topology line and leaves journal.wal as it was.
+// run visits the run's two checkpoints, says in its header that it
+// replays the checkpoints up to the resolved step, prints the same
+// final-step topology line and leaves journal.wal as it was.
 func TestReplayRerunsTheRecoveryRun(t *testing.T) {
 	cfg, err := registry.LoadConfig(examples + "recovery.json")
 	if err != nil {
@@ -146,7 +147,7 @@ func TestReplayRerunsTheRecoveryRun(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("replay: exit %d: %s", code, stderr)
 	}
-	for _, want := range []string{"simulation: 2 steps", "recovery: 0 commits, 0 checkpoints, 0 journal fsyncs", "replayed 2 checkpoint steps"} {
+	for _, want := range []string{"s3dpipe: recovery: 1 tenant(s), 2 buckets, a replay of the checkpoints at or below step 8\n", "simulation: 2 steps", "recovery: 0 commits, 0 checkpoints, 0 journal fsyncs", "replayed 2 checkpoint steps"} {
 		if !strings.Contains(replay, want) {
 			t.Errorf("replay output lacks %q:\n%s", want, replay)
 		}

@@ -41,8 +41,9 @@ const entrySize = 20
 // recorded CRC32 — the on-disk analogue of the transport's in-flight
 // CRC framing. Structural damage (torn index, bad magic, unknown
 // version, a payload that does not decode) also wraps it, so callers
-// can treat any bit-flipped checkpoint uniformly.
-var ErrCorruptCheckpoint = errors.New("bp: corrupt checkpoint")
+// can treat any bit-flipped checkpoint uniformly. ReadFile's error
+// names the package and the file before it.
+var ErrCorruptCheckpoint = errors.New("corrupt checkpoint")
 
 // WriteFile writes the fields to path and returns the byte count: each
 // field over region, when one is given (at most one, inside every
@@ -161,21 +162,21 @@ func readIndex(data []byte) ([]idxEntry, error) {
 func ReadFile(path string) ([]*grid.Field, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("bp: read %s: %w", path, err)
+		return nil, fmt.Errorf("bp: %w", err) // an *fs.PathError, which names the file
 	}
 	idx, err := readIndex(data)
 	if err != nil {
-		return nil, fmt.Errorf("bp: %s: %w", path, err)
+		return nil, fmt.Errorf("bp: %q: %w", path, err)
 	}
 	out := make([]*grid.Field, 0, len(idx))
 	for _, e := range idx {
 		b := data[e.off : e.off+e.length]
 		if crc32.ChecksumIEEE(b) != e.sum {
-			return nil, fmt.Errorf("bp: %s: %w: variable %q CRC mismatch", path, ErrCorruptCheckpoint, e.name)
+			return nil, fmt.Errorf("bp: %q: %w: variable %q CRC mismatch", path, ErrCorruptCheckpoint, e.name)
 		}
 		f, err := grid.UnmarshalField(b)
 		if err != nil {
-			return nil, fmt.Errorf("bp: %s variable %q: %w: %w", path, e.name, ErrCorruptCheckpoint, err)
+			return nil, fmt.Errorf("bp: %q variable %q: %w: %w", path, e.name, ErrCorruptCheckpoint, err)
 		}
 		out = append(out, f)
 	}

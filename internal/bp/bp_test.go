@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,7 +153,9 @@ func TestIOModelMatchesTableI(t *testing.T) {
 
 // TestBitFlipCaught verifies the per-variable CRC32: flipping one bit
 // inside a payload is caught on both read paths with the typed
-// ErrCorruptCheckpoint, while index/footer structure stays intact.
+// ErrCorruptCheckpoint, while index/footer structure stays intact. A
+// truncated file is refused the same way, and either error carries the
+// package's "bp:" prefix once.
 func TestBitFlipCaught(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rank0.bp")
@@ -164,13 +167,20 @@ func TestBitFlipCaught(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flipped := append([]byte(nil), data...)
 	// Flip a bit well inside the first payload (past the header).
-	data[64] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("ReadFile on bit-flipped payload: err = %v, want ErrCorruptCheckpoint", err)
+	flipped[64] ^= 0x01
+	for name, damaged := range map[string][]byte{"bit-flipped payload": flipped, "truncated file": data[:len(data)-3]} {
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadFile(path)
+		if !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Fatalf("ReadFile on %s: err = %v, want ErrCorruptCheckpoint", name, err)
+		}
+		if n := strings.Count(err.Error(), "bp:"); n != 1 {
+			t.Errorf("ReadFile on %s: %q carries the bp: prefix %d times, want once", name, err, n)
+		}
 	}
 }
 

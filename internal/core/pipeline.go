@@ -45,8 +45,10 @@ type Pipeline struct {
 	// Recovery plane (nil when TenantConfig.Recovery is nil).
 	rec *recState
 
-	// walk is the run's step list, fixed before the rank loops start.
-	walk []int
+	// walk is the run's step list and warns the checkpoints its plan
+	// passed over, with why: both fixed before the rank loops start.
+	walk  []int
+	warns []error
 
 	// What AddTenant derives from the tenant's name: prefix qualifies
 	// its endpoint names and codec keys, labels is the tenant=<name>
@@ -63,7 +65,6 @@ type Pipeline struct {
 
 	mu      sync.Mutex
 	runErrs []error
-	warns   []error
 	rankEps []*dart.Endpoint // this tenant's rank endpoints, by rank
 
 	// stepWall is the step wall-latency histogram, one sample per rank
@@ -198,24 +199,26 @@ func (p *Pipeline) Sim() *sim.Sim { return p.sim }
 func (p *Pipeline) Run(steps int) (*Report, error) { return p.run(steps, RunFresh) }
 
 // Resume continues an interrupted recovery-enabled run: simulation
-// state is rehydrated from the newest intact checkpoint at or below
-// the last committed step, the gap is replayed silently, transfer-path
-// codec base state is re-seeded, and live stepping restarts at the
-// first uncommitted step — producing results bit-identical to the run
-// that never crashed. Already committed tasks are never resubmitted;
-// journaled-but-uncommitted ones are replayed exactly once.
+// state is restored from the newest usable checkpoint at or below the
+// last committed step (a checkpoint passed over is a Report warning),
+// the gap is re-stepped silently, codec base state is re-seeded, and
+// live stepping restarts at the first uncommitted step — producing
+// results bit-identical to the run that never crashed. Already
+// committed tasks are never resubmitted; journaled-but-uncommitted ones
+// are replayed exactly once.
 func (p *Pipeline) Resume(steps int) (*Report, error) { return p.run(steps, RunResume) }
 
 // Replay runs the registered routes over the checkpoints a
 // recovery-enabled run left in its journal (post-hoc analysis), in step
-// order, skipping with a Report warning any whose files fail their
-// CRCs. It reads every checkpoint before the first step and holds each
-// until its step, whose sim stage restores it on every rank bit for bit
-// instead of stepping; Replay writes nothing. Routes that
-// read only the step's fields (statistics, topology, viz) reproduce
-// the coupled run's results; stateful ones (tracking,
-// auto-correlation) start from empty per-rank state. It refuses with
-// ErrNoRecovery, ErrNotAlone, ErrNoCheckpoint or ErrDecompMismatch.
+// order, passing over with a Report warning any that Resume would. It
+// reads and checks every checkpoint before the first step and holds
+// each until its step, whose sim stage restores it on every rank bit
+// for bit instead of stepping; Replay writes nothing. Routes that read
+// only the step's fields (statistics, topology, viz) reproduce the
+// coupled run's results; stateful ones (tracking, auto-correlation)
+// start from empty per-rank state. It refuses with ErrNoRecovery,
+// ErrNotAlone or ErrNoCheckpoint (matching ErrDecompMismatch too for
+// checkpoints cut for another decomposition).
 func (p *Pipeline) Replay(steps int) (*Report, error) { return p.run(steps, RunReplay) }
 
 func (p *Pipeline) run(steps int, mode RunMode) (*Report, error) {

@@ -57,23 +57,19 @@ func (p *Pipeline) rankLoop(r *comm.Rank) error {
 		rr.rk.Release()
 		putSubtreeScratch(rr.ctx)
 	}()
-	if err := rr.resumePrologue(); err != nil {
-		return err
-	}
+	rr.resumePrologue()
 	for _, step := range p.walk {
 		if killed := rr.journalAdmit(step); killed {
 			return nil
 		}
 		whole := rr.begin(stageStep, "", step)
 		solver := rr.begin(stageSim, "", step)
-		restored := rr.simStep(step)
+		rr.simStep(step)
 		rr.end(solver)
 		rr.ctx.Step = step
-		if restored {
-			rr.admit(step)
-			if staged := rr.inSitu(step); staged {
-				rr.submit(step)
-			}
+		rr.admit(step)
+		if staged := rr.inSitu(step); staged {
+			rr.submit(step)
 		}
 		rr.checkpointCommit(step)
 		rr.end(whole)
@@ -156,26 +152,22 @@ func (p *Pipeline) newRankRun(r *comm.Rank) (*rankRun, error) {
 }
 
 // resumePrologue brings a Resume's ranks to the first live step: it
-// rehydrates simulation state from the restored checkpoint and re-steps
-// the simulation up to the last committed step without submitting
-// anything (so no committed task runs twice), so live stepping starts
-// just past the commit line. When a live step follows, it re-seeds the
-// base of every route configured for the delta codec with the payload
-// the committed boundary step produced. Only delta needs it: a
-// quantize route's consumer never held the raw values, so its first
-// live frame is spatial-only, and its levels are the same either way.
-func (rr *rankRun) resumePrologue() error {
+// runs the sim stage from the checkpoint step K through the last
+// committed step C (at K the restore of the planned checkpoint, then
+// the solver's steps) without submitting anything (so no committed
+// task runs twice), so live stepping starts just past the commit line.
+// When a live step follows, it re-seeds the base of every route
+// configured for the delta codec with the payload the committed
+// boundary step produced. Only delta needs it: a quantize route's
+// consumer never held the raw values, so its first live frame is
+// spatial-only, and its levels are the same either way.
+func (rr *rankRun) resumePrologue() {
 	p, rec := rr.p, rr.p.rec
-	if rec == nil || !rec.resume {
-		return nil
+	if rec == nil || rec.mode != RunResume {
+		return
 	}
-	if rec.ckptStep > 0 {
-		if err := rr.rk.Restore(rec.ckptStep, rec.ckptFields[rr.r.ID()]); err != nil {
-			return fmt.Errorf("core: resume restore rank %d: %w", rr.r.ID(), err)
-		}
-	}
-	for s := rec.ckptStep + 1; s <= rec.resumeFrom; s++ {
-		rr.rk.Step()
+	for s := max(rec.ckptStep, 1); s <= rec.resumeFrom; s++ {
+		rr.simStep(s)
 	}
 	if rec.resumeFrom >= 1 && len(p.walk) > 0 {
 		rr.ctx.Step = rec.resumeFrom
@@ -195,26 +187,23 @@ func (rr *rankRun) resumePrologue() error {
 	if rr.r.ID() == 0 {
 		rec.markResumed()
 	}
-	return nil
 }
 
-// simStep is the sim stage: the solver's step or, in a replay, the
-// restore of the rank's checkpoint the plan read. It reports whether
-// every rank restored it: one that could not restores its own state, as
-// Restore's halo exchange is collective, and no route runs on the mix.
-func (rr *rankRun) simStep(step int) (restored bool) {
-	rec, id := rr.p.rec, rr.r.ID()
-	if rec == nil || rec.replay == nil {
-		rr.rk.Step()
-		return true
+// simStep is the sim stage: the restore of the rank's checkpoint the
+// plan holds for step (every step of a Replay, the checkpoint step of
+// a Resume), else the solver's step. The plan checked the checkpoint,
+// so every rank restores it and meets the others in Restore's halo
+// exchange.
+func (rr *rankRun) simStep(step int) {
+	if rec := rr.p.rec; rec != nil {
+		if cks, ok := rec.restore[step]; ok {
+			id := rr.r.ID()
+			rr.rk.Restore(cks[id])
+			cks[id] = sim.Checkpoint{} // pasted: the fields can go
+			return
+		}
 	}
-	err := rr.rk.Restore(step, rec.replay[step][id])
-	rec.replay[step][id] = nil // Restore pasted it
-	if err != nil {
-		rr.p.recordErr(fmt.Errorf("core: replay step %d rank %d: %w", step, id, err))
-		rr.rk.Restore(step, rr.rk.CheckpointFields())
-	}
-	return !rr.r.Allreduce(err != nil, func(a, b any) any { return a.(bool) || b.(bool) }).(bool)
+	rr.rk.Step()
 }
 
 // journalAdmit is the journal phase boundary at the top of a step. A

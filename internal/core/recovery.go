@@ -12,10 +12,10 @@ import (
 	"time"
 
 	"insitu/internal/bp"
-	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 	"insitu/internal/obs"
 	"insitu/internal/recovery"
+	"insitu/internal/sim"
 	"insitu/internal/stats"
 )
 
@@ -67,12 +67,11 @@ type recState struct {
 	every int
 	kill  recovery.KillFunc
 
-	// Resume and Replay plans, fixed before the SPMD loop starts.
-	resume     bool
-	resumeFrom int                     // last contiguously committed step (≤ steps)
-	ckptStep   int                     // checkpoint the ranks restore at (0 = from scratch)
-	ckptFields [][]*grid.Field         // restored fields, by rank
-	replay     map[int][][]*grid.Field // a Replay's steps -> checkpoint fields by rank, dropped once restored (nil: not replaying)
+	// The run's plan, fixed before the SPMD loop starts.
+	mode       RunMode
+	resumeFrom int                      // last contiguously committed step (≤ steps)
+	ckptStep   int                      // checkpoint a Resume's ranks restore at (0 = from scratch)
+	restore    map[int][]sim.Checkpoint // step -> checkpoint by rank, each dropped once its rank restored it
 	// prevSubmitted holds the (step, analysis) pairs the dead process
 	// journaled a submit for. Live steps start beyond resumeFrom, so
 	// submitting one of them again is a replayed task.
@@ -115,105 +114,90 @@ func (p *Pipeline) recKill(phase recovery.Phase, step int) {
 	}
 }
 
-// planResume reads the journal back and fixes the resume plan: the
-// last contiguously committed step, the newest checkpoint at or below
-// it whose every rank file passes its CRCs (corrupt or missing files
-// fall back to the next older checkpoint), and the set of
-// journaled-but-uncommitted submits whose resubmission is counted as a
-// replay. Committed steps need no guard: resumePrologue re-steps them
-// without submitting, so none of their tasks reaches the queue again.
-func (p *Pipeline) planResume(steps int) {
+// plan fixes, before the rank loops start, where a Resume's or a
+// Replay's steps come from. It reads the checkpoints at or below its
+// last step back, newest first, each once (readCheckpoint), and passes
+// over with a warning one that fails its CRCs or its check. A Resume
+// restores the newest usable checkpoint K at or below the last
+// contiguously committed step C (none: from scratch) and re-steps to C
+// without submitting, so no committed task reaches the queue again; a
+// resubmitted journaled-but-uncommitted submit counts as replayed. A
+// Replay walks every usable checkpoint in step order, and is refused
+// with ErrNoCheckpoint when none is left.
+func (p *Pipeline) plan(steps int, mode RunMode) error {
 	rec := p.rec
-	st := recovery.Analyze(rec.j.Records())
-	rec.resumeFrom = st.LastCommit
-	if rec.resumeFrom > steps {
-		rec.resumeFrom = steps
+	rec.mode, rec.t0 = mode, time.Now()
+	if mode == RunFresh {
+		return nil
 	}
-	for _, cand := range st.CheckpointsFor(rec.resumeFrom) {
-		if len(cand.Files) != p.sim.Ranks() {
+	st := recovery.Analyze(rec.j.Records())
+	last, move := steps, "replay skips"
+	if mode == RunResume {
+		rec.resumeFrom = min(st.LastCommit, steps)
+		last, move = rec.resumeFrom, "resume falls back past"
+		rec.nextCommit = rec.resumeFrom + 1
+		rec.prevSubmitted = st.Submitted
+		p.walk = p.walk[rec.resumeFrom:]
+	}
+	rec.restore = make(map[int][]sim.Checkpoint)
+	var planned []int
+	for _, cand := range st.CheckpointsFor(last) {
+		if _, seen := rec.restore[cand.Step]; seen {
 			continue
 		}
-		if fields, err := p.readCheckpoint(cand, "resume falls back past"); err == nil {
-			rec.ckptStep, rec.ckptFields = cand.Step, fields
+		cks, err := p.readCheckpoint(cand, move)
+		if err != nil {
+			p.warns = append(p.warns, err)
+			continue
+		}
+		rec.restore[cand.Step] = cks
+		if mode == RunResume {
+			rec.ckptStep = cand.Step
 			break
 		}
+		planned = append(planned, cand.Step)
 	}
-	rec.nextCommit = rec.resumeFrom + 1
-	rec.prevSubmitted = st.Submitted
-	p.walk = p.walk[rec.resumeFrom:]
-}
-
-// planReplay makes the readable checkpoints at or below steps, in step
-// order, the replay's step list and keeps their fields for the ranks.
-// It refuses one cut for another decomposition and a journal with none.
-func (p *Pipeline) planReplay(steps int) error {
-	rec, dc := p.rec, p.sim.Decomp()
-	cands := recovery.Analyze(rec.j.Records()).CheckpointsFor(steps)
-	slices.Reverse(cands) // oldest first; of two records for one step, the newer
-	rec.replay = make(map[int][][]*grid.Field, len(cands))
-	p.walk = p.walk[:0]
-	var skipped []error
-	for _, cand := range cands {
-		if _, seen := rec.replay[cand.Step]; seen {
-			continue
-		}
-		if len(cand.Files) != dc.Ranks() {
-			return fmt.Errorf("%w: checkpoint %d has %d rank files for %d ranks", ErrDecompMismatch, cand.Step, len(cand.Files), dc.Ranks())
-		}
-		fields, err := p.readCheckpoint(cand, "replay skips")
-		if err != nil {
-			skipped = append(skipped, err)
-			continue
-		}
-		for rank, fl := range fields {
-			for _, f := range fl {
-				if f.Box != dc.Block(rank) {
-					return fmt.Errorf("%w: checkpoint %d rank %d holds %v, the rank owns %v", ErrDecompMismatch, cand.Step, rank, f.Box, dc.Block(rank))
-				}
-			}
-		}
-		rec.replay[cand.Step] = fields
-		p.walk = append(p.walk, cand.Step)
+	if mode == RunResume {
+		return nil
 	}
-	if len(p.walk) == 0 {
-		return errors.Join(fmt.Errorf("%w: %s, steps 1..%d", ErrNoCheckpoint, rec.j.Dir(), steps), errors.Join(skipped...))
+	if len(planned) == 0 {
+		return errors.Join(fmt.Errorf("%w: %s, steps 1..%d", ErrNoCheckpoint, rec.j.Dir(), steps), errors.Join(p.warns...))
 	}
+	slices.Reverse(planned)
+	p.walk = planned
 	return nil
 }
 
 // readCheckpoint reads a checkpoint's rank files back, timed, CRCs
-// checked; a file that does not read is a warning naming the plan's move.
-func (p *Pipeline) readCheckpoint(cand recovery.Record, plan string) ([][]*grid.Field, error) {
+// checked, and runs sim.CheckCheckpoint on each rank's fields, so every
+// rank restores a checkpoint it returns. Its error names the plan's
+// move, and wraps ErrDecompMismatch for another decomposition.
+func (p *Pipeline) readCheckpoint(cand recovery.Record, move string) ([]sim.Checkpoint, error) {
 	start := time.Now()
 	defer func() { p.rec.readSeconds += time.Since(start).Seconds() }()
-	fields := make([][]*grid.Field, len(cand.Files))
+	if n := p.sim.Ranks(); len(cand.Files) != n {
+		return nil, fmt.Errorf("core: %s checkpoint %d: %w: %d rank files for %d ranks", move, cand.Step, ErrDecompMismatch, len(cand.Files), n)
+	}
+	cks := make([]sim.Checkpoint, len(cand.Files))
 	for rank, name := range cand.Files {
-		var err error
-		if fields[rank], err = bp.ReadFile(filepath.Join(p.rec.j.Dir(), name)); err != nil {
-			err = fmt.Errorf("core: %s checkpoint %d: rank %d unusable: %w", plan, cand.Step, rank, err)
-			p.recordWarn(err)
-			return nil, err
+		fields, err := bp.ReadFile(filepath.Join(p.rec.j.Dir(), name))
+		if err == nil {
+			cks[rank], err = p.sim.CheckCheckpoint(rank, cand.Step, fields)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: %s checkpoint %d: rank %d unusable: %w", move, cand.Step, rank, err)
 		}
 	}
-	return fields, nil
+	return cks, nil
 }
 
 // journaling returns the recovery plane the run writes to: nil without
 // one and in a replay, which writes nothing.
 func (p *Pipeline) journaling() *recState {
-	if p.rec == nil || p.rec.replay != nil {
+	if p.rec == nil || p.rec.mode == RunReplay {
 		return nil
 	}
 	return p.rec
-}
-
-// recordWarn files a non-fatal condition the report should surface.
-// Resume-time checkpoint fallbacks land here: the run still succeeds
-// off an older checkpoint, but the corruption is never silent.
-func (p *Pipeline) recordWarn(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.warns = append(p.warns, err)
 }
 
 // noteStepped tells the committer every submission for step is in, and

@@ -142,31 +142,99 @@ func TestReplaySkipsABadCheckpoint(t *testing.T) {
 	}
 }
 
-// TestReplayRunsNoRouteOnAFailedRestore: a checkpoint that reads back
-// with good CRCs but that Restore refuses on one rank (a variable is
-// missing) leaves that step with no result on any rank, the run's
-// error naming the rank, and the next checkpoint replayed as usual.
-func TestReplayRunsNoRouteOnAFailedRestore(t *testing.T) {
-	dir := t.TempDir()
-	p1, sa := replayTestPipeline(t, dir, 2, 1)
-	if _, err := p1.Run(4); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, recovery.CheckpointFile(2, 1))
+// dropT rewrites a checkpoint's rank file without its T field: its
+// CRCs pass, and sim.CheckCheckpoint refuses it.
+func dropT(t *testing.T, dir string, step, rank int) {
+	t.Helper()
+	path := filepath.Join(dir, recovery.CheckpointFile(step, rank))
 	fields, err := bp.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.WriteFile(path, fields[1:]); err != nil { // without T
+	if fields[0].Name != "T" {
+		t.Fatalf("%s starts with %q, want T", path, fields[0].Name)
+	}
+	if _, err := bp.WriteFile(path, fields[1:]); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReplayRunsNoRouteOnAFailedRestore: a checkpoint that reads back
+// with good CRCs but that one rank could not restore (a variable is
+// missing) is skipped by the plan with a warning, as a corrupt one is:
+// no route runs at its step, the replay returns no error, and the next
+// checkpoint replays the coupled run's result.
+func TestReplayRunsNoRouteOnAFailedRestore(t *testing.T) {
+	dir := t.TempDir()
+	p1, sa := replayTestPipeline(t, dir, 2, 1)
+	coupled, err := p1.Run(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropT(t, dir, 2, 1)
 	p2, _ := replayTestPipeline(t, dir, 2, 1)
 	rep, err := p2.Replay(4)
-	if err == nil || !strings.Contains(err.Error(), "replay step 2 rank 1") {
-		t.Fatalf("Replay = %v, want the error of step 2's restore on rank 1", err)
+	if err != nil {
+		t.Fatalf("Replay = %v, want the bad checkpoint skipped", err)
 	}
-	if rep.Result(sa.Name(), 2) != nil || rep.Result(sa.Name(), 4) == nil {
-		t.Fatalf("replay results %v, want step 4 only", rep.Results)
+	if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0].Error(), "checkpoint 2: rank 1") {
+		t.Fatalf("warnings %v, want one naming checkpoint 2 rank 1", rep.Warnings)
+	}
+	if rep.Result(sa.Name(), 2) != nil {
+		t.Fatalf("replay stored %v at step 2, want no result", rep.Result(sa.Name(), 2))
+	}
+	if got, want := ResultDigest(rep.Result(sa.Name(), 4)), ResultDigest(coupled.Result(sa.Name(), 4)); got != want {
+		t.Fatalf("step 4: replay digest %s, coupled %s", got, want)
+	}
+}
+
+// TestResumeFallsBackPastARefusedCheckpoint: a Resume whose newest
+// checkpoint reads back with good CRCs but lacks a variable on one rank
+// falls back to the older checkpoint with a warning, and its live steps
+// equal the uninterrupted run's. The wait is bounded, so a rank that
+// leaves the others blocked in a collective fails the test in seconds.
+func TestResumeFallsBackPastARefusedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	p1, _ := replayTestPipeline(t, dir, 2, 1)
+	if _, err := p1.Run(4); err != nil {
+		t.Fatal(err)
+	}
+	dropT(t, dir, 4, 1)
+	p2, sa := replayTestPipeline(t, dir, 2, 1)
+	type outcome struct {
+		rep *Report
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rep, err := p2.Resume(6)
+		done <- outcome{rep, err}
+	}()
+	var got outcome
+	select {
+	case got = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Resume(6) had not returned after 30 s")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	rep := got.rep
+	if r := rep.Recovery; r.CheckpointStep != 2 || r.ResumedFrom != 4 {
+		t.Fatalf("resumed from step %d at checkpoint %d, want step 4 at checkpoint 2", r.ResumedFrom, r.CheckpointStep)
+	}
+	if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0].Error(), "checkpoint 4: rank 1") {
+		t.Fatalf("warnings %v, want one naming checkpoint 4 rank 1", rep.Warnings)
+	}
+	p3, _ := replayTestPipeline(t, t.TempDir(), 2, 1)
+	whole, err := p3.Run(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 5; step <= 6; step++ {
+		if got, want := ResultDigest(rep.Result(sa.Name(), step)), ResultDigest(whole.Result(sa.Name(), step)); got != want {
+			t.Errorf("step %d: resumed digest %s, uninterrupted %s", step, got, want)
+		}
 	}
 }
 

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"insitu/internal/comm"
 	"insitu/internal/dataspaces"
 	"insitu/internal/overload"
+	"insitu/internal/sim"
 )
 
 // Run executes every tenant's simulation concurrently over the shared
@@ -34,12 +34,13 @@ const (
 // A run refused before any step runs returns one of these, wrapped: a
 // Pipeline.Run, Resume or Replay on a tenant with siblings, a Resume or
 // Replay without TenantConfig.Recovery, and a Replay over a journal with
-// no readable checkpoint or one cut for another decomposition.
+// no usable checkpoint; when its checkpoints were cut for another
+// decomposition, the refusal matches ErrDecompMismatch too.
 var (
 	ErrNotAlone       = errors.New("core: the tenant shares its fabric; call Scheduler.Run")
 	ErrNoRecovery     = errors.New("core: Resume and Replay need TenantConfig.Recovery")
 	ErrNoCheckpoint   = errors.New("core: the journal holds no checkpoint to replay")
-	ErrDecompMismatch = errors.New("core: the checkpoint's decomposition differs from the config's")
+	ErrDecompMismatch = sim.ErrDecompMismatch
 )
 
 // run is the single run function. lone, when non-nil, is the tenant
@@ -70,13 +71,8 @@ func (s *Scheduler) run(steps int, lone *Pipeline, mode RunMode) (map[string]*Re
 		// Every record was fsynced by its Append; Close only releases
 		// journal.wal's descriptor, so its error changes nothing.
 		defer p.rec.j.Close()
-		p.rec.resume, p.rec.t0 = mode == RunResume, time.Now()
-		if mode == RunResume {
-			p.planResume(steps)
-		} else if mode == RunReplay {
-			if err := p.planReplay(steps); err != nil {
-				return nil, err
-			}
+		if err := p.plan(steps, mode); err != nil {
+			return nil, err
 		}
 	}
 

@@ -56,7 +56,7 @@ func init() {
 		Placements: []Placement{PlaceInSitu, PlaceHybrid},
 		Params: map[Placement][]string{
 			PlaceInSitu: {"var", "tag", "width", "height", "cameras"},
-			PlaceHybrid: {"var", "tag", "width", "height", "factor", "cameras", "auto_range"},
+			PlaceHybrid: {"var", "tag", "width", "height", "factor", "cameras"},
 		},
 		Check: checkViz,
 		Build: buildViz,
@@ -199,7 +199,6 @@ func buildViz(p Params) (core.Analysis, error) {
 	}
 	v.Tag = p.Tag
 	v.Cameras = p.Cameras
-	v.AutoRange = p.AutoRange
 	v.EveryN = p.Every
 	return v, nil
 }

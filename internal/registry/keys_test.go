@@ -21,11 +21,10 @@ var committedConfigDirs = []string{"../../examples/configs", "../../benchmark/co
 // least one committed config, so each one selects behaviour something
 // runs.
 var unsetKeyAllowList = map[string]string{
-	"tenants[].analyses[].var_y":      "picks an analysis's input (the conditioned or Y variable), not a tuning knob",
-	"tenants[].analyses[].x_bins":     "sizes the contingency table over its inputs, not a tuning knob",
-	"tenants[].analyses[].y_bins":     "sizes the contingency table over its inputs, not a tuning knob",
-	"tenants[].analyses[].auto_range": "examples/monitoring turns it on in Go",
-	"tenants[].codec.max_error":       "shares the CodecConfig type with analyses[].codec, which sets it",
+	"tenants[].analyses[].var_y":  "picks an analysis's input (the conditioned or Y variable), not a tuning knob",
+	"tenants[].analyses[].x_bins": "sizes the contingency table over its inputs, not a tuning knob",
+	"tenants[].analyses[].y_bins": "sizes the contingency table over its inputs, not a tuning knob",
+	"tenants[].codec.max_error":   "shares the CodecConfig type with analyses[].codec, which sets it",
 }
 
 // TestEveryConfigKeyIsSetByACommittedConfig: a config key is a

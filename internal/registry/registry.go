@@ -89,9 +89,6 @@ type Params struct {
 	// (the image database's camera axis; 0/1 = the single default
 	// view).
 	Cameras int `json:"cameras,omitempty"`
-	// AutoRange lets the hybrid renderer steer its transfer function
-	// per step from the received blocks' global value range.
-	AutoRange bool `json:"auto_range,omitempty"`
 	// Threshold defines superlevel-set features (feature statistics,
 	// tracking) or the outlier sigma replacement (assess uses Sigma).
 	Threshold float64 `json:"threshold,omitempty"`

@@ -164,7 +164,7 @@ func TestCheckAcceptsValidParams(t *testing.T) {
 		params   registry.Params
 	}{
 		{"stats", registry.Params{Placement: registry.PlaceInSitu, Vars: []string{"T"}}},
-		{"viz", registry.Params{Placement: registry.PlaceHybrid, Factor: 8, AutoRange: true}},
+		{"viz", registry.Params{Placement: registry.PlaceHybrid, Factor: 8}},
 		{"topology", registry.Params{Placement: registry.PlaceHybrid, SimplifyEps: 0.05}},
 		{"topology", registry.Params{Placement: registry.PlaceInTransit, FeatureThreshold: 1}},
 		{"assess", registry.Params{Placement: registry.PlaceInSitu, Var: "T", Sigma: 3}},

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"insitu/internal/comm"
@@ -42,10 +43,12 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := rk.Restore(ckptAt, snaps[r.ID()]); err != nil {
+		ck, err := s.CheckCheckpoint(r.ID(), ckptAt, snaps[r.ID()])
+		if err != nil {
 			t.Error(err)
 			return
 		}
+		rk.Restore(ck)
 		if rk.step != ckptAt {
 			t.Errorf("rank %d: step = %d after restore, want %d", r.ID(), rk.step, ckptAt)
 		}
@@ -69,25 +72,42 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRestoreValidation: CheckCheckpoint, the check Restore's argument
+// has passed, refuses step 0, a missing variable and a field over
+// another block than the rank owns; only the last is a decomposition
+// mismatch.
 func TestRestoreValidation(t *testing.T) {
-	cfg := DefaultConfig(grid.NewBox(8, 6, 4), 1, 1, 1)
+	cfg := DefaultConfig(grid.NewBox(8, 6, 4), 2, 1, 1)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comm.Run(1, func(r *comm.Rank) {
+	snaps := make([][]*grid.Field, s.Ranks())
+	comm.Run(s.Ranks(), func(r *comm.Rank) {
 		rk, err := s.NewRank(r)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		rk.RunSteps(1)
-		snap := rk.CheckpointFields()
-		if err := rk.Restore(0, snap); err == nil {
-			t.Error("step 0 restore must fail")
-		}
-		if err := rk.Restore(1, snap[:2]); err == nil {
-			t.Error("missing variables must fail")
-		}
+		snaps[r.ID()] = rk.CheckpointFields()
 	})
+	if _, err := s.CheckCheckpoint(0, 1, snaps[0]); err != nil {
+		t.Fatalf("rank 0's own checkpoint: %v", err)
+	}
+	for _, c := range []struct {
+		name       string
+		rank, step int
+		fields     []*grid.Field
+		decomp     bool
+	}{
+		{"step 0", 0, 0, snaps[0], false},
+		{"missing variables", 0, 1, snaps[0][:2], false},
+		{"another rank's block", 0, 1, snaps[1], true},
+	} {
+		_, err := s.CheckCheckpoint(c.rank, c.step, c.fields)
+		if err == nil || errors.Is(err, ErrDecompMismatch) != c.decomp {
+			t.Errorf("%s: CheckCheckpoint = %v, want a refusal (decomposition mismatch: %v)", c.name, err, c.decomp)
+		}
+	}
 }
