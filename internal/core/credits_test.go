@@ -74,7 +74,7 @@ func TestCreditSettlesOnEveryFinalResult(t *testing.T) {
 			if tc.tenant != "" && !c.Acquire("b") {
 				t.Fatal("acquire b must succeed")
 			}
-			p.handleResult(res)
+			p.handleResult(&res)
 			if tc.tenant != "" {
 				if !c.Exhausted("b") {
 					t.Fatal("tenant a's credit went to the shared pool, not back to a's reservation")

@@ -263,7 +263,7 @@ func (p *Pipeline) storeResult(rt *route, step int, out any) {
 // credit settlement, breaker/quarantine bookkeeping, result storage,
 // transit metrics, and drain accounting. Only the fabric's drain
 // goroutine calls it.
-func (p *Pipeline) handleResult(res staging.Result) {
+func (p *Pipeline) handleResult(res *staging.Result) {
 	// Every final result (success, handler error, dead letter) passes
 	// here once, so the task's credit settles exactly once.
 	p.releaseCredit(res.Task.Account)
@@ -359,7 +359,7 @@ func (p *Pipeline) resilience() metrics.Resilience {
 // breaker. Only the drain goroutine calls it. Task outcomes move a
 // breaker out of Closed only — a stale in-flight result cannot flip a
 // route the prober is recovering.
-func (p *Pipeline) observeResult(rt *route, res staging.Result) {
+func (p *Pipeline) observeResult(rt *route, res *staging.Result) {
 	if rt.breaker == nil { // no admission plane
 		return
 	}
@@ -422,13 +422,15 @@ func (p *Pipeline) registerPayload(ep *dart.Endpoint, rt *route, spec codec.Spec
 
 // discardStaged disposes of a task the transit tier did not take: the
 // pinned regions are reclaimed and their buffers recycled exactly once
-// — the same linear-ownership rule as the dead-letter path — and the
-// flow-control credit is returned.
+// — the same linear-ownership rule as the dead-letter path — the
+// flow-control credit is returned, and the inputs slice goes back to
+// the service.
 func (p *Pipeline) discardStaged(inputs []dataspaces.Descriptor, dec admitDecision) {
 	for _, in := range inputs {
 		p.sched.releaseHandle(in)
 	}
 	p.releaseCredit(dec.Account)
+	p.sched.ds.RecycleInputs(inputs)
 }
 
 // shedSubmitted disposes of a step whose intermediate payloads were

@@ -366,7 +366,7 @@ func (rr *rankRun) submitTask(rt *route, step int, dec admitDecision, deadline t
 	p, name := rr.p, rt.name
 	// Ordered by producing rank, so in-transit payload slices are
 	// deterministic.
-	inputs := p.sched.ds.QueryT(p.tenant, name, step)
+	inputs := p.sched.ds.TakeT(p.tenant, name, step)
 	slices.SortStableFunc(inputs, func(a, b dataspaces.Descriptor) int { return cmp.Compare(a.Rank, b.Rank) })
 	spec := dataspaces.TaskSpec{
 		Tenant: p.tenant, Analysis: name, Step: step, Inputs: inputs, Deadline: deadline,
@@ -397,7 +397,6 @@ func (rr *rankRun) submitTask(rt *route, step int, dec admitDecision, deadline t
 			p.recKill(recovery.PhaseMidSubmit, step)
 		}
 	}
-	p.sched.ds.RemoveT(p.tenant, name, step)
 }
 
 // checkpointCommit closes the step on the recovery plane: the

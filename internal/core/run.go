@@ -204,6 +204,7 @@ func (s *Scheduler) drain(tenants []*Pipeline) {
 			if p := s.Tenant(res.Task.Tenant); p != nil {
 				p.handleResult(res)
 			}
+			s.area.Recycle(res)
 			closeWhenDrained()
 			s.autoscaleTick(tenants)
 		}

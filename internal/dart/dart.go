@@ -267,7 +267,6 @@ func NewFabric(net *netsim.Network) *Fabric {
 		net:    net,
 		eps:    make(map[int]*Endpoint),
 		policy: DefaultRetryPolicy(),
-		jit:    rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -344,9 +343,14 @@ func (f *Fabric) noteMaxError(e float64) {
 }
 
 // jitter returns a uniform draw in [0,1) for backoff decorrelation.
+// The source is seeded on the first retry, not at NewFabric: most
+// fabrics never retry.
 func (f *Fabric) jitter() float64 {
 	f.jmu.Lock()
 	defer f.jmu.Unlock()
+	if f.jit == nil {
+		f.jit = rand.New(rand.NewSource(1))
+	}
 	return f.jit.Float64()
 }
 
@@ -369,7 +373,7 @@ type Endpoint struct {
 
 	mu      sync.Mutex
 	nextReg int
-	regions map[int]*region
+	regions map[int]region
 
 	// The transport's resilience counters, charged to the *region
 	// owner* of each transaction: a retry against tenant X's data
@@ -407,7 +411,7 @@ func (f *Fabric) RegisterT(name, tenant string) *Endpoint {
 		id:      f.next,
 		name:    name,
 		tenant:  tenant,
-		regions: make(map[int]*region),
+		regions: make(map[int]region),
 	}
 	f.next++
 	f.eps[ep.id] = ep
@@ -479,7 +483,7 @@ func (ep *Endpoint) registerMem(data []byte, framed bool) MemHandle {
 	defer ep.mu.Unlock()
 	id := ep.nextReg
 	ep.nextReg++
-	ep.regions[id] = &region{data: data, crc: sum, framed: framed}
+	ep.regions[id] = region{data: data, crc: sum, framed: framed}
 	return MemHandle{Endpoint: ep.id, Region: id, Size: len(data)}
 }
 

@@ -3,6 +3,7 @@ package dart
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -142,3 +143,19 @@ var errMismatch = &mismatchError{}
 type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "data mismatch" }
+
+// TestJitterSeededOnFirstDraw: NewFabric seeds no random source; the
+// first backoff jitter does, with seed 1, so a retrying fabric draws
+// the same sequence an eagerly seeded one did.
+func TestJitterSeededOnFirstDraw(t *testing.T) {
+	f := newFabric()
+	if f.jit != nil {
+		t.Fatal("NewFabric seeded the jitter source")
+	}
+	want := rand.New(rand.NewSource(1))
+	for i := range 8 {
+		if got, w := f.jitter(), want.Float64(); got != w {
+			t.Fatalf("draw %d: %v, want %v", i, got, w)
+		}
+	}
+}

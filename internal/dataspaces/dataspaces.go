@@ -2,8 +2,8 @@
 // of the hybrid framework, modeled on DataSpaces (Docan et al.,
 // HPDC'10): a semantically specialized shared-space abstraction in
 // which in-situ producers insert descriptors for RDMA-enabled data
-// blocks, consumers query them by name, version (timestep), and
-// n-dimensional bounding box, and an in-transit task queue matches
+// blocks, a consumer takes them by name and version (timestep) as the
+// inputs of one task, and an in-transit task queue matches
 // data-ready events against bucket-ready requests in first-come
 // first-served order.
 //
@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/dart"
 	"insitu/internal/obs"
 )
@@ -107,6 +108,8 @@ type TaskSpec struct {
 type Service struct {
 	servers []*server
 	fabric  *dart.Fabric
+	inputs  bufpool.List[[]Descriptor] // index slices handed back by RecycleInputs
+	waiters bufpool.List[*waiter]      // waiters no bucket is blocked on
 
 	mu      sync.Mutex
 	nextID  int64
@@ -116,10 +119,10 @@ type Service struct {
 
 	// The task queue: round robin over per-tenant FIFO queues. A
 	// single-tenant run is a one-tenant ring, which is plain FCFS.
-	tq    map[string][]Task // per-tenant FIFO queues
-	order []string          // sorted tenant names, the ring
-	rr    int               // ring position: the tenant served next
-	head  []Task            // requeued tasks, served before any tenant queue
+	tq    map[string]*fifo // per-tenant FIFO queues
+	order []string         // sorted tenant names, the ring
+	rr    int              // ring position: the tenant served next
+	head  fifo             // requeued tasks, served before any tenant queue
 
 	assigned int64 // tasks handed to buckets
 	requeues int64 // failed tasks pushed back for another attempt
@@ -134,6 +137,38 @@ type waiter struct {
 	ch chan Task
 }
 
+// fifo is a task queue that reuses its array: a pop advances the head,
+// and a push into a full array first slides the queued tasks down over
+// the popped ones.
+type fifo struct {
+	q []Task
+	h int
+}
+
+func (f *fifo) len() int {
+	if f == nil {
+		return 0
+	}
+	return len(f.q) - f.h
+}
+
+func (f *fifo) push(t Task) {
+	if len(f.q) == cap(f.q) && f.h > 0 {
+		n := copy(f.q, f.q[f.h:])
+		clear(f.q[n:])
+		f.q, f.h = f.q[:n], 0
+	}
+	f.q = append(f.q, t)
+}
+
+func (f *fifo) pop() (t Task, ok bool) {
+	if ok = f.len() > 0; ok {
+		t, f.q[f.h] = f.q[f.h], Task{}
+		f.h++
+	}
+	return t, ok
+}
+
 // New creates a service with the given number of index servers
 // attached to fabric. The paper's runs used 160 and 256
 // DataSpaces-service cores; here each server is a shard.
@@ -143,7 +178,7 @@ func New(fabric *dart.Fabric, servers int) (*Service, error) {
 	}
 	s := &Service{
 		fabric: fabric, servers: make([]*server, servers),
-		tq: make(map[string][]Task),
+		tq: make(map[string]*fifo),
 	}
 	for i := range s.servers {
 		s.servers[i] = &server{index: make(map[key][]Descriptor)}
@@ -259,7 +294,7 @@ func (s *Service) ensureTenantLocked(name string) {
 	copy(s.order[i+1:], s.order[i:])
 	s.order[i] = name
 	if _, ok := s.tq[name]; !ok {
-		s.tq[name] = nil
+		s.tq[name] = new(fifo)
 	}
 	// Keep the ring position pointing at the same tenant across the
 	// insertion.
@@ -272,17 +307,14 @@ func (s *Service) ensureTenantLocked(name string) {
 // then the head of the first non-empty tenant queue from the ring
 // position on, after which the ring moves past that tenant.
 func (s *Service) nextTaskLocked() (Task, bool) {
-	if len(s.head) > 0 {
-		t := s.head[0]
-		s.head = s.head[1:]
+	if t, ok := s.head.pop(); ok {
 		return t, true
 	}
 	for range s.order {
 		name := s.order[s.rr]
 		s.rr = (s.rr + 1) % len(s.order)
-		if q := s.tq[name]; len(q) > 0 {
-			s.tq[name] = q[1:]
-			return q[0], true
+		if t, ok := s.tq[name].pop(); ok {
+			return t, true
 		}
 	}
 	return Task{}, false
@@ -318,47 +350,48 @@ func (s *Service) rpcCost(d Descriptor) {
 // after registering their intermediate data with DART. A descriptor
 // with the same (Name, Version, Rank) as an existing one replaces it —
 // re-registration during journal replay is idempotent instead of
-// doubling a task's inputs.
+// doubling a task's inputs. A key's first descriptor starts a slice
+// drawn from the ones RecycleInputs handed back.
 func (s *Service) Put(d Descriptor) {
 	k := key{d.Tenant, d.Name, d.Version}
 	sv := s.shard(k)
 	s.rpcCost(d)
 	sv.mu.Lock()
-	replaced := false
-	for i, old := range sv.index[k] {
-		if old.Rank == d.Rank {
-			sv.index[k][i] = d
-			replaced = true
-			break
+	defer sv.mu.Unlock()
+	ds := sv.index[k]
+	for i := range ds {
+		if ds[i].Rank == d.Rank {
+			ds[i] = d
+			return
 		}
 	}
-	if !replaced {
-		sv.index[k] = append(sv.index[k], d)
+	if ds == nil {
+		ds = s.inputs.Get()
 	}
-	sv.mu.Unlock()
+	sv.index[k] = append(ds, d)
 }
 
-// QueryT returns all descriptors registered under (tenant, name,
-// version).
-func (s *Service) QueryT(tenant, name string, version int) []Descriptor {
+// TakeT removes every descriptor registered under (tenant, name,
+// version) and returns them, in registration order, as one task's
+// Inputs. The slice is the index's own, not a copy: the caller owns it
+// until it hands it to RecycleInputs.
+func (s *Service) TakeT(tenant, name string, version int) []Descriptor {
 	k := key{tenant, name, version}
 	sv := s.shard(k)
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	out := make([]Descriptor, len(sv.index[k]))
-	copy(out, sv.index[k])
-	return out
-}
-
-// RemoveT deletes all descriptors under (tenant, name, version),
-// typically after the consuming in-transit task has pulled the data
-// and released the regions.
-func (s *Service) RemoveT(tenant, name string, version int) {
-	k := key{tenant, name, version}
-	sv := s.shard(k)
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
+	ds := sv.index[k]
 	delete(sv.index, k)
+	return ds
+}
+
+// RecycleInputs hands back a slice TakeT returned once the task it
+// became the Inputs of is done with it: its final result handled, or
+// its submission refused. Put draws the next key's slice from it; the
+// caller must not touch it again.
+func (s *Service) RecycleInputs(ds []Descriptor) {
+	clear(ds)
+	s.inputs.Put(ds[:0])
 }
 
 // SubmitSpec records a data-ready event: the in-transit task and its
@@ -372,7 +405,7 @@ func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if len(s.waiting) == 0 && s.bound > 0 && len(s.tq[spec.Tenant]) >= s.bound {
+	if len(s.waiting) == 0 && s.bound > 0 && s.tq[spec.Tenant].len() >= s.bound {
 		s.mu.Unlock()
 		return 0, ErrQueueFull
 	}
@@ -380,7 +413,7 @@ func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 	t := Task{ID: s.nextID, TaskSpec: spec}
 	if len(s.waiting) > 0 {
 		w := s.waiting[0]
-		s.waiting = s.waiting[1:]
+		s.waiting = append(s.waiting[:0], s.waiting[1:]...)
 		s.assigned++
 		s.mu.Unlock()
 		s.observeSubmit(t)
@@ -388,7 +421,7 @@ func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 		return t.ID, nil
 	}
 	s.ensureTenantLocked(t.Tenant)
-	s.tq[t.Tenant] = append(s.tq[t.Tenant], t)
+	s.tq[t.Tenant].push(t)
 	s.mu.Unlock()
 	s.observeSubmit(t)
 	return t.ID, nil
@@ -410,7 +443,7 @@ func (s *Service) Requeue(t Task) error {
 	s.requeues++
 	if len(s.waiting) > 0 {
 		w := s.waiting[0]
-		s.waiting = s.waiting[1:]
+		s.waiting = append(s.waiting[:0], s.waiting[1:]...)
 		s.assigned++
 		s.mu.Unlock()
 		s.observeRequeue(t)
@@ -419,7 +452,7 @@ func (s *Service) Requeue(t Task) error {
 	}
 	// A dedicated head lane, so a requeue neither jumps another tenant's
 	// round-robin turn nor waits behind it.
-	s.head = append(s.head, t)
+	s.head.push(t)
 	s.mu.Unlock()
 	s.observeRequeue(t)
 	return nil
@@ -450,40 +483,36 @@ func (s *Service) BucketReadyCancel(cancel <-chan struct{}) (Task, error) {
 		s.mu.Unlock()
 		return t, nil
 	}
-	w := &waiter{ch: make(chan Task, 1)}
+	w := s.waiters.Get()
+	if w == nil {
+		w = &waiter{ch: make(chan Task, 1)}
+	}
 	s.waiting = append(s.waiting, w)
 	s.mu.Unlock()
-	if cancel == nil {
-		t, ok := <-w.ch
-		if !ok {
-			return Task{}, ErrClosed
-		}
-		return t, nil
-	}
-	select {
-	case t, ok := <-w.ch:
-		if !ok {
-			return Task{}, ErrClosed
-		}
-		return t, nil
+	var t Task
+	var ok bool
+	select { // a nil cancel never fires
+	case t, ok = <-w.ch:
 	case <-cancel:
 		s.mu.Lock()
 		for i, o := range s.waiting {
 			if o == w {
 				s.waiting = append(s.waiting[:i], s.waiting[i+1:]...)
 				s.mu.Unlock()
+				s.waiters.Put(w)
 				return Task{}, ErrCancelled
 			}
 		}
 		s.mu.Unlock()
 		// Not on the list: an assignment or Close raced the cancel and
 		// already owns this waiter — honour whichever arrives.
-		t, ok := <-w.ch
-		if !ok {
-			return Task{}, ErrClosed
-		}
-		return t, nil
+		t, ok = <-w.ch
 	}
+	if !ok {
+		return Task{}, ErrClosed // Close closed w's channel for good
+	}
+	s.waiters.Put(w)
+	return t, nil
 }
 
 // QueueDepth returns the number of tasks waiting for a bucket, all
@@ -491,9 +520,9 @@ func (s *Service) BucketReadyCancel(cancel <-chan struct{}) (Task, error) {
 func (s *Service) QueueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.head)
+	n := s.head.len()
 	for _, q := range s.tq {
-		n += len(q)
+		n += q.len()
 	}
 	return n
 }
@@ -505,7 +534,7 @@ func (s *Service) QueueDepth() int {
 func (s *Service) QueueDepthT(tenant string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.tq[tenant])
+	return s.tq[tenant].len()
 }
 
 // FreeBuckets returns the number of buckets currently waiting for work.

@@ -28,24 +28,37 @@ func TestPutQuery(t *testing.T) {
 	d2 := Descriptor{Name: "subtree", Version: 3, Rank: 1}
 	s.Put(d1)
 	s.Put(d2)
-	got := s.QueryT("", "subtree", 3)
-	if len(got) != 2 {
-		t.Fatalf("want 2 descriptors, got %d", len(got))
-	}
-	if len(s.QueryT("", "subtree", 4)) != 0 {
+	if len(s.TakeT("", "subtree", 4)) != 0 {
 		t.Fatal("wrong version must return nothing")
 	}
-	if len(s.QueryT("", "other", 3)) != 0 {
+	if len(s.TakeT("", "other", 3)) != 0 {
 		t.Fatal("wrong name must return nothing")
+	}
+	got := s.TakeT("", "subtree", 3)
+	if len(got) != 2 || got[0] != d1 || got[1] != d2 {
+		t.Fatalf("want [%+v %+v] in registration order, got %+v", d1, d2, got)
 	}
 }
 
+// TestRemove: TakeT removes what it returns, and a recycled slice is
+// what the next key's Put fills.
 func TestRemove(t *testing.T) {
 	s := newService(t, 2)
 	s.Put(Descriptor{Name: "T", Version: 1})
-	s.RemoveT("", "T", 1)
-	if len(s.QueryT("", "T", 1)) != 0 {
-		t.Fatal("descriptors must be gone after remove")
+	got := s.TakeT("", "T", 1)
+	if len(got) != 1 {
+		t.Fatalf("want 1 descriptor, got %d", len(got))
+	}
+	if len(s.TakeT("", "T", 1)) != 0 {
+		t.Fatal("descriptors must be gone after take")
+	}
+	s.RecycleInputs(got)
+	if got[:1][0] != (Descriptor{}) {
+		t.Fatal("a recycled slice must hold no descriptor")
+	}
+	s.Put(Descriptor{Name: "T", Version: 2})
+	if next := s.TakeT("", "T", 2); &next[0] != &got[:1][0] {
+		t.Fatal("Put did not reuse the recycled slice")
 	}
 }
 
@@ -72,6 +85,27 @@ func TestTaskQueueFCFS(t *testing.T) {
 	}
 	if s.Assigned() != 3 {
 		t.Fatalf("assigned count: want 3, got %d", s.Assigned())
+	}
+	// Interleaved submits and takes keep the order while the queue
+	// reuses its array: a take advances the head, and a submit into a
+	// full array slides the queued tasks down first.
+	submitted, taken := 3, 3
+	for round := range 30 {
+		for range round%4 + 1 {
+			submitted++
+			if _, err := s.SubmitSpec(TaskSpec{Analysis: "topology", Step: submitted}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range round%5 + 1 {
+			if taken == submitted {
+				break
+			}
+			taken++
+			if task, err := s.BucketReadyCancel(nil); err != nil || task.Step != taken {
+				t.Fatalf("round %d: FCFS violated: want step %d, got %d (err %v)", round, taken, task.Step, err)
+			}
+		}
 	}
 }
 
@@ -113,7 +147,7 @@ func TestPutReplacesSameRank(t *testing.T) {
 	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 1, Handle: dart.MemHandle{Region: 2}})
 	// Replay of rank 0's registration with a new handle.
 	s.Put(Descriptor{Name: "viz", Version: 7, Rank: 0, Handle: dart.MemHandle{Region: 3}})
-	got := s.QueryT("", "viz", 7)
+	got := s.TakeT("", "viz", 7)
 	if len(got) != 2 {
 		t.Fatalf("want 2 descriptors after replayed Put, got %d", len(got))
 	}
@@ -221,7 +255,7 @@ func TestSameKeySameShard(t *testing.T) {
 	s.Put(Descriptor{Name: "T", Version: 5, Rank: 0})
 	s.Put(Descriptor{Name: "T", Version: 5, Rank: 1})
 	// Both descriptors must be retrievable together (same shard).
-	if got := s.QueryT("", "T", 5); len(got) != 2 {
+	if got := s.TakeT("", "T", 5); len(got) != 2 {
 		t.Fatalf("want 2, got %d", len(got))
 	}
 }
@@ -239,7 +273,7 @@ func TestNilFabricAllowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Put(Descriptor{Name: "x", Version: 1}) // must not panic on rpcCost
-	if len(s.QueryT("", "x", 1)) != 1 {
+	if len(s.TakeT("", "x", 1)) != 1 {
 		t.Fatal("query failed without fabric")
 	}
 }

@@ -208,19 +208,18 @@ func TestTenantDescriptorNamespaces(t *testing.T) {
 	for _, tn := range []string{"a", "b"} {
 		s.Put(Descriptor{Tenant: tn, Name: "viz", Version: 3, Rank: 0})
 	}
-	if got := len(s.QueryT("a", "viz", 3)); got != 1 {
-		t.Fatalf("QueryT(a) = %d descriptors, want 1", got)
-	}
 	// Tenant-less namespace is untouched by tenant puts.
-	if got := len(s.QueryT("", "viz", 3)); got != 0 {
-		t.Fatalf("Query(tenantless) = %d descriptors, want 0", got)
+	if got := len(s.TakeT("", "viz", 3)); got != 0 {
+		t.Fatalf("TakeT(tenantless) = %d descriptors, want 0", got)
 	}
-	s.RemoveT("a", "viz", 3)
-	if got := len(s.QueryT("a", "viz", 3)); got != 0 {
-		t.Fatalf("after RemoveT(a): %d descriptors", got)
+	if got := len(s.TakeT("a", "viz", 3)); got != 1 {
+		t.Fatalf("TakeT(a) = %d descriptors, want 1", got)
 	}
-	if got := len(s.QueryT("b", "viz", 3)); got != 1 {
-		t.Fatalf("RemoveT(a) touched tenant b: %d descriptors, want 1", got)
+	if got := len(s.TakeT("a", "viz", 3)); got != 0 {
+		t.Fatalf("after TakeT(a): %d descriptors", got)
+	}
+	if got := len(s.TakeT("b", "viz", 3)); got != 1 {
+		t.Fatalf("TakeT(a) touched tenant b: %d descriptors, want 1", got)
 	}
 }
 

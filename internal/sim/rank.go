@@ -138,9 +138,10 @@ func (rk *Rank) fillVelocity(t float64) {
 				uu, vv, ww := jet, 0.0, 0.0
 				for _, m := range s.modes {
 					ph := m.kx*x + m.ky*y + m.kz*z + m.phase + m.omega*t
-					uu += amp * m.ax * math.Sin(ph)
+					sin, cos := math.Sincos(ph)
+					uu += amp * m.ax * sin
 					vv += amp * m.ay * math.Sin(ph+1.0)
-					ww += amp * m.az * math.Cos(ph)
+					ww += amp * m.az * cos
 				}
 				u[idx], v[idx], w[idx] = uu, vv, ww
 				p[idx] = 1 - 0.5*(uu*uu+vv*vv+ww*ww)
@@ -216,10 +217,16 @@ func (rk *Rank) fullExchange() {
 
 // fillBoundaryPlane applies boundary conditions on the ghost planes of
 // one axis (extended into the ghost range of lower axes), for points
-// outside the global domain in that axis.
+// outside the global domain in that axis. It walks each plane row by
+// row at the ghost box's strides; a copied value's source, clamped into
+// the domain along the plane's axis, never lies in the plane.
 func (rk *Rank) fillBoundaryPlane(name string, axis int) {
-	g := rk.sim.cfg.Global
-	f := rk.fields[name]
+	g, gb := rk.sim.cfg.Global, rk.ghost
+	f, st := rk.fields[name], gb.Strides()
+	// clamp maps coordinate v on axis a to its source: into the domain,
+	// then into the ghost box — for lower axes the clamped source may
+	// be a ghost value exchanged in an earlier phase.
+	clamp := func(v, a int) int { return clampI(clampI(v, g.Lo[a], g.Hi[a]-1), gb.Lo[a], gb.Hi[a]-1) }
 	for _, dir := range []int{-1, 1} {
 		// Plane outside the domain?
 		var plane grid.Box
@@ -248,23 +255,21 @@ func (rk *Rank) fillBoundaryPlane(name string, axis int) {
 			}
 		}
 		inflow := axis == 0 && dir < 0
+		n := plane.Hi[0] - plane.Lo[0]
 		for k := plane.Lo[2]; k < plane.Hi[2]; k++ {
-			for j := plane.Lo[1]; j < plane.Hi[1]; j++ {
-				for i := plane.Lo[0]; i < plane.Hi[0]; i++ {
-					if inflow {
-						f.Set(i, j, k, rk.sim.inflow(name, rk.sim.inflowJet(float64(j), float64(k))))
-						continue
+			row := gb.Index(plane.Lo[0], plane.Lo[1], k)
+			for j := plane.Lo[1]; j < plane.Hi[1]; j, row = j+1, row+st[1] {
+				dst := f.Data[row : row+n]
+				if inflow {
+					v := rk.sim.inflow(name, rk.sim.inflowJet(float64(j), float64(k)))
+					for i := range dst {
+						dst[i] = v
 					}
-					ci := clampI(i, g.Lo[0], g.Hi[0]-1)
-					cj := clampI(j, g.Lo[1], g.Hi[1]-1)
-					ck := clampI(k, g.Lo[2], g.Hi[2]-1)
-					// Clamp into the ghost box as well: for lower
-					// axes the clamped source may be a ghost value
-					// exchanged in an earlier phase.
-					ci = clampI(ci, rk.ghost.Lo[0], rk.ghost.Hi[0]-1)
-					cj = clampI(cj, rk.ghost.Lo[1], rk.ghost.Hi[1]-1)
-					ck = clampI(ck, rk.ghost.Lo[2], rk.ghost.Hi[2]-1)
-					f.Set(i, j, k, f.At(ci, cj, ck))
+					continue
+				}
+				src := gb.Index(gb.Lo[0], clamp(j, 1), clamp(k, 2)) - gb.Lo[0]
+				for i := range dst {
+					dst[i] = f.Data[src+clamp(plane.Lo[0]+i, 0)]
 				}
 			}
 		}

@@ -263,3 +263,28 @@ func TestVarNamesComplete(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkRankStep times one step of the hybrid-compute benchmark's
+// grid, 48×32×16 over two ranks that step together: the velocity
+// modes, the advection, the ghost exchange and the boundary fill.
+func BenchmarkRankStep(b *testing.B) {
+	s, err := New(DefaultConfig(grid.NewBox(48, 32, 16), 2, 1, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	comm.Run(s.Ranks(), func(r *comm.Rank) {
+		rk, err := s.NewRank(r)
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		rk.Step()
+		r.Barrier()
+		if r.ID() == 0 {
+			b.ResetTimer()
+		}
+		for range b.N {
+			rk.Step()
+		}
+	})
+}

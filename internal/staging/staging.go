@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
 	"insitu/internal/obs"
@@ -70,7 +71,8 @@ func (e *DeadLetterError) Unwrap() []error { return []error{ErrDeadLetter, e.Las
 // owns every pulled payload and returns it to the shared buffer pool
 // once the handler has returned, so a handler must not retain an input
 // slice (or a sub-slice of it) past its return: it copies anything it
-// keeps, and its result must not alias an input.
+// keeps, and its result must not alias an input. Nor may it keep data
+// itself, which the bucket reuses for its next task.
 type Handler func(task dataspaces.Task, data [][]byte) (any, error)
 
 // StreamInput is one pulled payload delivered to a streaming handler
@@ -145,7 +147,8 @@ type Area struct {
 	stages  map[routeKey]stage
 	release func(dataspaces.Descriptor)
 
-	results chan Result
+	results chan *Result
+	free    bufpool.List[*Result] // drained results, handed back by Recycle
 	wg      sync.WaitGroup
 
 	// maxAttempts bounds how many times a task may be handed to a
@@ -304,7 +307,7 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, release func
 		retired:     make([]bool, nbuckets),
 	}
 	// Deep enough that buckets rarely stall on a slow drain.
-	a.results = make(chan Result, 1024)
+	a.results = make(chan *Result, 1024)
 	for i := 0; i < nbuckets; i++ {
 		a.points = append(a.points, fabric.Register(Lane(i)))
 		a.kill[i] = make(chan struct{})
@@ -348,8 +351,19 @@ func (a *Area) handle(tenant, analysis string, st stage) {
 // its respawn is part of the pool.
 func (a *Area) ActiveBuckets() int { return int(a.active.Load()) }
 
-// Results returns the stream of completed in-transit tasks.
-func (a *Area) Results() <-chan Result { return a.results }
+// Results returns the stream of completed in-transit tasks. Each
+// Result, and its task's Inputs slice, belongs to the receiver until it
+// hands them back with Recycle.
+func (a *Area) Results() <-chan *Result { return a.results }
+
+// Recycle hands back a Result received from Results once the caller is
+// done with it: the Result to the area's free list and its task's
+// Inputs to the service's. Neither may be touched afterwards.
+func (a *Area) Recycle(res *Result) {
+	a.ds.RecycleInputs(res.Task.Inputs)
+	*res = Result{}
+	a.free.Put(res)
+}
 
 // Start launches one goroutine per bucket. Each loops: bucket-ready →
 // assigned task → pull inputs asynchronously → run handler → emit
@@ -480,8 +494,9 @@ func (a *Area) Resilience() ResilienceStats {
 func (a *Area) bucketLoop(id int) {
 	defer a.wg.Done()
 	a.mu.Lock()
-	ep := a.points[id]
+	pl := &puller{ep: a.points[id]}
 	a.mu.Unlock()
+	defer pl.stop()
 	// This generation's kill channel, and the never-replaced retire one.
 	a.killMu.Lock()
 	kill, retire := a.kill[id], a.retire[id]
@@ -500,10 +515,10 @@ func (a *Area) bucketLoop(id int) {
 			}
 			return
 		}
-		res, crashed := a.runTask(id, ep, kill, task)
+		res, crashed := a.runTask(id, pl, kill, task)
 		if res != nil {
 			// The task's one final result (requeues return nil).
-			a.results <- *res
+			a.results <- res
 		}
 		if crashed {
 			a.crashes.Add(1)

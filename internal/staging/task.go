@@ -13,7 +13,7 @@ import (
 // both handler kinds run on. It returns the Result to emit (nil when
 // the task was requeued instead) and whether the bucket crashed while
 // holding the task.
-func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dataspaces.Task) (out *Result, crashed bool) {
+func (a *Area) runTask(id int, pl *puller, kill <-chan struct{}, task dataspaces.Task) (out *Result, crashed bool) {
 	at := a.beginAttempt(id, task)
 	defer func() { at.end(out, crashed) }()
 	// Checkpoint: crash at assignment. The task never started; it is
@@ -28,7 +28,7 @@ func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dat
 	res := Result{Task: task, Start: at.start, Attempts: task.Attempts + 1}
 
 	pullStart := at.now()
-	data, err := pull(ep, task, &res, &c)
+	data, err := pl.pull(task, &res, &c)
 	at.phase(phasePull, pullStart, &res, err)
 	// The bucket owns every pulled buffer: they go back to the pool once
 	// the handler has returned, or as soon as the attempt fails.
@@ -36,6 +36,7 @@ func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dat
 		for _, p := range data {
 			bufpool.Put(p) // a failed pull left nil, which Put ignores
 		}
+		clear(data) // so the next task's failed pulls leave nil too
 	}()
 
 	// Checkpoint: crash after the pull but before releasing the
@@ -51,33 +52,72 @@ func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dat
 	a.releaseInputs(task)
 	res.Output, res.Err = c.finish(&at, task, data)
 	at.phase(phaseRun, c.start, &res, res.Err)
-	return &res, false
+	// A drained Result, handed back by Recycle, carries this one.
+	if out = a.free.Get(); out == nil {
+		out = new(Result)
+	}
+	*out = res
+	return out, false
 }
 
-// pull issues every input's Get at once and collects all of them — even
-// after a failure, so every pulled buffer has an owner to recycle it.
-// Each input goes to a streaming handler as its transfer lands; the
-// payloads come back ordered as in Task.Inputs (nil where a pull
-// failed) with the first failure.
-func pull(ep *dart.Endpoint, task dataspaces.Task, res *Result, c *consumer) ([][]byte, error) {
-	type pulled struct {
-		i    int
-		data []byte
-		d    time.Duration
-		err  error
+// puller is one bucket's pull scratch, reused by every task it runs: a
+// worker goroutine per input of the widest task so far, each fed on its
+// own channel, the channel they answer on and the slice the payloads
+// are gathered in.
+type puller struct {
+	ep      *dart.Endpoint
+	gets    []chan xfer
+	arrived chan xfer
+	data    [][]byte
+}
+
+// xfer is one input's transfer: what a worker is asked to Get and,
+// filled in, its answer.
+type xfer struct {
+	i        int
+	h        dart.MemHandle
+	deadline time.Time
+	data     []byte
+	d        time.Duration
+	err      error
+}
+
+func (pl *puller) work(gets <-chan xfer) {
+	for x := range gets {
+		x.data, x.d, x.err = pl.ep.GetDeadline(x.h, x.deadline)
+		pl.arrived <- x
 	}
-	arrived := make(chan pulled, len(task.Inputs))
-	deadline := task.Deadline
+}
+
+// stop ends the workers, idle between tasks, as the bucket leaves.
+func (pl *puller) stop() {
+	for _, g := range pl.gets {
+		close(g)
+	}
+}
+
+// pull issues every input's Get at once, one per worker, and collects
+// all of them — even after a failure, so every pulled buffer has an
+// owner to recycle it. Each input goes to a streaming handler as its
+// transfer lands; the payloads come back in the bucket's scratch slice,
+// ordered as in Task.Inputs (nil where a pull failed), with the first
+// failure.
+func (pl *puller) pull(task dataspaces.Task, res *Result, c *consumer) ([][]byte, error) {
+	n := len(task.Inputs)
+	if n > len(pl.gets) {
+		pl.arrived, pl.data = make(chan xfer, n), make([][]byte, n)
+		for len(pl.gets) < n {
+			pl.gets = append(pl.gets, make(chan xfer, 1))
+			go pl.work(pl.gets[len(pl.gets)-1])
+		}
+	}
 	for i, in := range task.Inputs {
-		go func(i int, h dart.MemHandle) {
-			data, d, err := ep.GetDeadline(h, deadline)
-			arrived <- pulled{i, data, d, err}
-		}(i, in.Handle)
+		pl.gets[i] <- xfer{i: i, h: in.Handle, deadline: task.Deadline}
 	}
-	data := make([][]byte, len(task.Inputs))
+	data := pl.data[:n]
 	var err error
-	for range task.Inputs {
-		p := <-arrived
+	for range n {
+		p := <-pl.arrived
 		if p.err != nil {
 			if err == nil {
 				err = fmt.Errorf("staging: pull input %d of task %d: %w", p.i, task.ID, p.err)

@@ -75,7 +75,7 @@ func runKind(t *testing.T, r *rig, streaming, crash bool, fn Handler, inputs []d
 	if _, err := r.ds.SubmitSpec(dataspaces.TaskSpec{Analysis: "x", Step: 1, Inputs: inputs}); err != nil {
 		t.Fatal(err)
 	}
-	var res Result
+	var res *Result
 	select {
 	case res = <-a.Results():
 	case <-time.After(10 * time.Second):
