@@ -24,11 +24,10 @@ var clockSeamFiles = []string{
 // clockReadAllowList names the functions in clockSeamFiles that may
 // read the clock, each with its reason.
 var clockReadAllowList = map[string]string{
-	"core.rankRun.begin":          "the rank's stage seam: where a stage starts",
-	"core.rankRun.end":            "the rank's stage seam: where a stage ends",
-	"staging.attempt.now":         "the bucket's stage seam: every clock read of a task attempt",
-	"core.rankRun.submit":         "the StepBudget deadline of the step's tasks, not a stage's timing",
-	"core.Pipeline.observeResult": "the breaker's now, not a stage's timing",
+	"core.rankRun.begin":  "the rank's stage seam: where a stage starts",
+	"core.rankRun.end":    "the rank's stage seam: where a stage ends",
+	"staging.attempt.now": "the bucket's stage seam: every clock read of a task attempt",
+	"core.rankRun.submit": "the StepBudget deadline of the step's tasks, not a stage's timing",
 }
 
 // TestStagesReadTheClockOnlyAtTheSeam keeps each stage timed at one

@@ -275,7 +275,8 @@ func renderFabric(out io.Writer, b *registry.Built, reps map[string]*core.Report
 		outstanding, avail, total := c.Snapshot()
 		fmt.Fprintf(out, "  credits      %d/%d available, %d outstanding\n", avail, total, outstanding)
 	}
-	fmt.Fprintf(out, "  quarantine   %d opens, %d releases\n", s.Quarantine().Opens(), s.Quarantine().Releases())
+	opens, releases := s.QuarantineCounts()
+	fmt.Fprintf(out, "  quarantine   %d opens, %d releases\n", opens, releases)
 	if a := s.Autoscaler(); a != nil {
 		fmt.Fprintf(out, "  bucket pool  %d grows, %d shrinks, %d active\n", a.Grows(), a.Shrinks(), s.Staging().ActiveBuckets())
 	}

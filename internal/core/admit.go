@@ -58,23 +58,28 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 	// Every route of a named tenant draws on the tenant's account (the
 	// bulkhead); the unnamed tenant's routes each have their own.
 	account := cmp.Or(p.tenant, name)
-	// Quarantine outranks the breaker: a poisoned (tenant, analysis)
-	// route fails in the handler, not in transit, so transit-health
-	// probing cannot clear it. A rejected route floors at the
-	// in-situ rung without touching breaker, ladder, or credits; a
-	// half-open route sends exactly one full-fidelity probe task.
-	switch p.quar.Allow(p.tenant, name) {
-	case overload.Reject:
-		return admitDecision{Level: overload.LevelInSitu, Reason: "in-situ: route quarantined"}
-	case overload.Probe:
-		if !p.acquireCredit(credits, account) {
-			// No capacity to probe with: the attempt is spent, the
-			// route stays quarantined until the next probe window.
-			p.quar.RecordProbe(p.tenant, name, false)
-			return admitDecision{Level: overload.LevelInSitu, Reason: "in-situ: quarantine probe denied credit"}
+	// Quarantine outranks the breaker: a poisoned route fails in the
+	// handler, not in transit, so transit-health probing cannot clear
+	// it. A rejected route floors at the in-situ rung without touching
+	// breaker, ladder, or credits; a half-open route sends exactly one
+	// full-fidelity probe task.
+	if q := rt.poison; q != nil {
+		prev := q.State()
+		v := q.Allow(time.Time{})
+		p.observeBreaker("quarantine.transition", name, prev, q.State(), step)
+		switch v {
+		case overload.Reject:
+			return admitDecision{Level: overload.LevelInSitu, Reason: "in-situ: route quarantined"}
+		case overload.Probe:
+			if !p.acquireCredit(credits, account) {
+				// No capacity to probe with: the attempt is spent, the
+				// route stays quarantined until the next probe window.
+				p.failProbe(rt, step)
+				return admitDecision{Level: overload.LevelInSitu, Reason: "in-situ: quarantine probe denied credit"}
+			}
+			return admitDecision{Level: overload.LevelFull,
+				Reason: "full: quarantine half-open probe", Account: account, Probe: true}
 		}
-		return admitDecision{Level: overload.LevelFull,
-			Reason: "full: quarantine half-open probe", Account: account, Probe: true}
 	}
 	prev := rt.breaker.State()
 	if rt.breaker.Allow(time.Now()) == overload.Probe {
@@ -82,7 +87,7 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 		rt.breaker.RecordProbe(time.Now(), ok)
 	}
 	cur := rt.breaker.State()
-	p.observeBreaker(name, prev, cur, step)
+	p.observeBreaker("breaker.transition", name, prev, cur, step)
 
 	sig := overload.Signals{
 		BreakerOpen:      cur != overload.Closed,
@@ -169,14 +174,23 @@ func (p *Pipeline) observeAdmit(step int, name string, d admitDecision) {
 		obs.Str("reason", d.Reason))
 }
 
-// observeBreaker records a route's breaker transition as an
-// admission-category event.
-func (p *Pipeline) observeBreaker(name string, prev, cur overload.BreakerState, step int) {
+// observeBreaker records a transition of a route's breaker as an
+// admission-category event: a "breaker.transition" of its transit
+// breaker, a "quarantine.transition" of its poison breaker.
+func (p *Pipeline) observeBreaker(kind, name string, prev, cur overload.BreakerState, step int) {
 	if prev != cur {
-		p.event(obs.CatAdmit, "overload", "breaker.transition",
+		p.event(obs.CatAdmit, "overload", kind,
 			obs.Str("analysis", name), obs.Str("from", prev.String()),
 			obs.Str("to", cur.String()), obs.Int("step", step))
 	}
+}
+
+// failProbe spends a quarantine probe that never reached the queue as
+// a failed one: the route re-opens until its next probe window.
+func (p *Pipeline) failProbe(rt *route, step int) {
+	prev := rt.poison.State()
+	rt.poison.RecordProbe(time.Time{}, false)
+	p.observeBreaker("quarantine.transition", rt.name, prev, rt.poison.State(), step)
 }
 
 // event records one instant event on the plane with the tenant label

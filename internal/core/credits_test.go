@@ -11,6 +11,7 @@ import (
 
 	"insitu/internal/dataspaces"
 	"insitu/internal/faults"
+	"insitu/internal/obs"
 	"insitu/internal/overload"
 	"insitu/internal/staging"
 )
@@ -283,11 +284,11 @@ func TestRetiredBucketStillSettles(t *testing.T) {
 }
 
 // quarantineMidStep is a hybrid analysis whose in-situ stage, on rank 0
-// at step `at`, strikes its own route into quarantine: the route opens
-// after rank 0's admission pass granted the step and before its submit.
+// at step `at`, strikes its own route's poison breaker into quarantine:
+// the route opens after rank 0's admission pass granted the step and
+// before its submit.
 type quarantineMidStep struct {
-	s       *Scheduler
-	tenant  string
+	p       *Pipeline
 	at      int
 	strikes int
 }
@@ -297,9 +298,13 @@ func (q *quarantineMidStep) Every() int   { return 1 }
 
 func (q *quarantineMidStep) InSituStage(ctx *Ctx) ([]byte, error) {
 	if ctx.Step == q.at && ctx.Comm.ID() == 0 {
+		rt := q.p.byName[q.Name()]
+		prev := rt.poison.State()
 		for range q.strikes {
-			q.s.Quarantine().Settle(q.tenant, q.Name(), false)
+			rt.poison.RecordFailure(time.Time{})
 		}
+		// Record the trip as the drain records a result's.
+		q.p.observeBreaker("quarantine.transition", rt.name, prev, rt.poison.State(), ctx.Step)
 	}
 	return []byte{byte(ctx.Step), byte(ctx.Comm.ID())}, nil
 }
@@ -327,10 +332,11 @@ func TestQuarantineRecheckAtSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &quarantineMidStep{s: s, tenant: "noisy", at: 1, strikes: strikes}
+	a := &quarantineMidStep{p: p, at: 1, strikes: strikes}
 	if err := p.Register(a); err != nil {
 		t.Fatal(err)
 	}
+	rec := s.EnableObs().Recorder()
 	reps, err := s.Run(steps)
 	if err != nil {
 		t.Fatal(err)
@@ -347,9 +353,19 @@ func TestQuarantineRecheckAtSubmit(t *testing.T) {
 		t.Fatalf("%d pinned regions leaked", got)
 	}
 	checkDrained(t, s.Credits())
-	q := s.Quarantine()
-	if q.Opens() != 1 || q.Releases() != 1 {
-		t.Fatalf("quarantine opened %d and released %d times, want 1 and 1 (a probe reached the queue)", q.Opens(), q.Releases())
+	if opens, releases := s.QuarantineCounts(); opens != 1 || releases != 1 {
+		t.Fatalf("quarantine opened %d and released %d times, want 1 and 1 (a probe reached the queue)", opens, releases)
+	}
+	// The poison breaker's transitions are events: one trip, and the
+	// probe result's one release.
+	moves := map[string]int{}
+	for _, sp := range rec.SpansCat(obs.CatAdmit) {
+		if sp.Name == "quarantine.transition" && attr(sp, "analysis") == a.Name() && attr(sp, "tenant") == "noisy" {
+			moves[attr(sp, "from")+"->"+attr(sp, "to")]++
+		}
+	}
+	if moves["closed->open"] != 1 || moves["half-open->closed"] != 1 {
+		t.Fatalf("quarantine.transition events %v, want one closed->open and one half-open->closed", moves)
 	}
 	if out, ok := rep.Result(a.Name(), steps).(int); !ok || out != steps {
 		t.Fatalf("final step = %v, want full-transit %d", rep.Result(a.Name(), steps), steps)

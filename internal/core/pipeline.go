@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"insitu/internal/bufpool"
 	"insitu/internal/codec"
@@ -53,12 +52,10 @@ type Pipeline struct {
 	// What AddTenant derives from the tenant's name: prefix qualifies
 	// its endpoint names and codec keys, labels is the tenant=<name>
 	// attribute its metric families and admission events carry (both
-	// empty for the unnamed tenant), and quar is the scheduler's
-	// poison-route quarantine or, unnamed, one that never trips.
+	// empty for the unnamed tenant).
 	tenant string
 	prefix string
 	labels []obs.Attr
-	quar   *overload.Quarantine
 	// curLevel is the worst ladder level of the latest admission pass,
 	// exported for the autoscaler.
 	curLevel atomic.Int64
@@ -114,9 +111,11 @@ type route struct {
 	spec     codec.Spec // configured transfer-path codec: own entry, then "*", then identity
 
 	// Admission state of a hybrid route whose tenant has a plane (nil
-	// otherwise).
+	// otherwise), and the route's quarantine: the poison breaker of a
+	// named tenant's hybrid route (nil otherwise).
 	breaker *overload.Breaker
 	ladder  *overload.Ladder
+	poison  *overload.Breaker
 
 	// results holds the stored outputs by step (nil until the first);
 	// guarded by Pipeline.mu.
@@ -157,6 +156,9 @@ func (p *Pipeline) Register(a Analysis) error {
 		if p.ov != nil {
 			rt.breaker = overload.NewBreaker(p.ov.Breaker)
 			rt.ladder = overload.NewLadder(p.ov.Ladder)
+		}
+		if p.tenant != "" {
+			rt.poison = overload.NewPoisonBreaker(p.sched.cfg.Quarantine)
 		}
 		if sh, ok := a.(StreamingHybridAnalysis); ok {
 			p.sched.area.HandleStreamT(p.tenant, rt.name, func(task dataspaces.Task, in <-chan staging.StreamInput) (any, error) {
@@ -260,7 +262,7 @@ func (p *Pipeline) storeResult(rt *route, step int, out any) {
 }
 
 // handleResult folds one final in-transit result into its route:
-// credit settlement, breaker/quarantine bookkeeping, result storage,
+// credit settlement, both breakers' bookkeeping, result storage,
 // transit metrics, and drain accounting. Only the fabric's drain
 // goroutine calls it.
 func (p *Pipeline) handleResult(res *staging.Result) {
@@ -269,11 +271,6 @@ func (p *Pipeline) handleResult(res *staging.Result) {
 	p.releaseCredit(res.Task.Account)
 	rt, task := p.byName[res.Task.Analysis], res.Task
 	p.observeResult(rt, res)
-	if task.Probe {
-		p.quar.RecordProbe(p.tenant, rt.name, res.Err == nil)
-	} else {
-		p.quar.Settle(p.tenant, rt.name, res.Err == nil)
-	}
 	switch {
 	case res.DeadLetter:
 		// The task's data already left the ranks, so no in-situ
@@ -356,21 +353,34 @@ func (p *Pipeline) resilience() metrics.Resilience {
 }
 
 // observeResult feeds one final in-transit result into the route's
-// breaker. Only the drain goroutine calls it. Task outcomes move a
-// breaker out of Closed only — a stale in-flight result cannot flip a
-// route the prober is recovering.
+// breakers, at the time the result's last attempt ended: the transit
+// breaker, and the poison breaker, to which a probe task's result is
+// its probe's outcome. Only the drain goroutine calls it. Task outcomes
+// move a breaker out of Closed only — a stale in-flight result cannot
+// flip a route the prober is recovering.
 func (p *Pipeline) observeResult(rt *route, res *staging.Result) {
-	if rt.breaker == nil { // no admission plane
-		return
+	ok, now, step := res.Err == nil, res.End, res.Task.Step
+	if b := rt.breaker; b != nil {
+		prev := b.State()
+		if ok {
+			b.RecordSuccess(now, res.End.Sub(res.Start))
+		} else {
+			b.RecordFailure(now)
+		}
+		p.observeBreaker("breaker.transition", rt.name, prev, b.State(), step)
 	}
-	now := time.Now()
-	prev := rt.breaker.State()
-	if res.Err != nil {
-		rt.breaker.RecordFailure(now)
-	} else {
-		rt.breaker.RecordSuccess(now, res.End.Sub(res.Start))
+	if q := rt.poison; q != nil {
+		prev := q.State()
+		switch {
+		case res.Task.Probe:
+			q.RecordProbe(now, ok)
+		case ok:
+			q.RecordSuccess(now, 0)
+		default:
+			q.RecordFailure(now)
+		}
+		p.observeBreaker("quarantine.transition", rt.name, prev, q.State(), step)
 	}
-	p.observeBreaker(rt.name, prev, rt.breaker.State(), res.Task.Step)
 }
 
 // Credits returns the transit tier's credit account (nil unless
@@ -444,7 +454,7 @@ func (p *Pipeline) shedSubmitted(rt *route, step int, inputs []dataspaces.Descri
 	// A credited quarantine probe that never reached the queue is a
 	// failed probe: the route stays quarantined until the next window.
 	if dec.Probe {
-		p.quar.RecordProbe(p.tenant, rt.name, false)
+		p.failProbe(rt, step)
 	}
 	reason := fmt.Sprintf("shed: %v", cause)
 	p.storeResult(rt, step, Degraded{Reason: reason})

@@ -58,9 +58,9 @@ func (s *Scheduler) EnableObs() *obs.Plane {
 	scaled("scheduler_bucket_grows_total", "bucket-pool grow decisions applied by the autoscaler", (*overload.Autoscaler).Grows)
 	scaled("scheduler_bucket_shrinks_total", "bucket-pool shrink decisions applied by the autoscaler", (*overload.Autoscaler).Shrinks)
 	reg.CounterFunc("quarantine_opens_total", "poison-route quarantine trips across all tenants",
-		func() float64 { return float64(s.quar.Opens()) })
+		func() float64 { opens, _ := s.QuarantineCounts(); return float64(opens) })
 	reg.CounterFunc("quarantine_releases_total", "quarantined routes released by a successful probe",
-		func() float64 { return float64(s.quar.Releases()) })
+		func() float64 { _, releases := s.QuarantineCounts(); return float64(releases) })
 	// The credit families read zero without an account, so every run
 	// exposes the same families.
 	credit := func(name, help string, sample func(*dataspaces.Credits) int) {
@@ -140,7 +140,7 @@ func (p *Pipeline) publish(reg *obs.Registry) {
 			return float64(sample())
 		}, p.labels...)
 	}
-	locked("breaker_opens_total", "circuit-breaker trips across hybrid routes",
+	locked("breaker_opens_total", "circuit-breaker entries into open across hybrid routes: every trip and every failed probe's re-open",
 		func() int64 { opens, _ := p.breakerTotals(); return opens })
 	locked("breaker_transitions_total", "circuit-breaker state transitions across hybrid routes",
 		func() int64 { _, transitions := p.breakerTotals(); return transitions })

@@ -373,7 +373,7 @@ func (rr *rankRun) submitTask(rt *route, step int, dec admitDecision, deadline t
 		Account: dec.Account, Probe: dec.Probe, Shaped: dec.Level == overload.LevelShaped,
 	}
 	var err error
-	if !dec.Probe && p.quar.Barred(p.tenant, name) {
+	if !dec.Probe && rt.poison != nil && rt.poison.State() != overload.Closed {
 		// The drain goroutine quarantined the route after this step's
 		// admission pass; only a half-open probe may reach the queue.
 		err = fmt.Errorf("core: submit %s/%s: %w", p.tenant, name, overload.ErrQuarantined)

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -129,7 +128,6 @@ type Scheduler struct {
 	area   *staging.Area
 	codecs *codec.Registry
 
-	quar   *overload.Quarantine
 	scaler *overload.Autoscaler
 
 	mu      sync.Mutex
@@ -161,8 +159,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		cfg: cfg, net: net, dart: d, ds: ds, codecs: codec.NewRegistry(),
-		quar: overload.NewQuarantine(cfg.Quarantine),
-		eps:  make(map[int]*dart.Endpoint),
+		eps: make(map[int]*dart.Endpoint),
 	}
 	// The registry is attached unconditionally: with no Codecs config
 	// every registration resolves to the identity spec, which pins raw
@@ -191,11 +188,11 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 // The name carries the one rule of tenancy. A named tenant has
 // shared-fabric semantics: its endpoints, codec streams and metric
 // families are qualified by the name, all its routes draw on one credit
-// account (the bulkhead) sized by SchedulerConfig, the poison-route
-// quarantine watches it, and it always has an admission plane. The
-// unnamed tenant must be alone: bare names, one credit account per
-// route sized by its own overload block, and no quarantine — a poison
-// route there burns nobody else's buckets.
+// account (the bulkhead) sized by SchedulerConfig, each hybrid route
+// gets a poison breaker (its quarantine, built by Register), and it
+// always has an admission plane. The unnamed tenant must be alone: bare
+// names, one credit account per route sized by its own overload block,
+// and no quarantine — a poison route there burns nobody else's buckets.
 func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) {
 	sm, err := sim.New(cfg.Sim)
 	if err != nil {
@@ -214,12 +211,9 @@ func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) 
 	if name != "" {
 		p.prefix = name + "/"
 		p.labels = []obs.Attr{obs.Str("tenant", name)}
-		p.quar = s.quar
 		if ov == nil {
 			ov = &overload.Config{}
 		}
-	} else {
-		p.quar = overload.NewQuarantine(overload.QuarantineConfig{Strikes: math.MaxInt})
 	}
 	if ov != nil {
 		d := ov.WithDefaults()
@@ -336,8 +330,24 @@ func (s *Scheduler) Credits() *dataspaces.Credits {
 	return s.credits
 }
 
-// Quarantine returns the shared poison-route quarantine.
-func (s *Scheduler) Quarantine() *overload.Quarantine { return s.quar }
+// QuarantineCounts sums Breaker.Trips over every route's poison
+// breaker: routes quarantined and routes a probe released, so their
+// difference is the routes quarantined now. Safe to call during Run.
+func (s *Scheduler) QuarantineCounts() (opens, releases int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.tenants {
+		p.mu.Lock()
+		for _, rt := range p.routes {
+			if rt.poison != nil {
+				o, r := rt.poison.Trips()
+				opens, releases = opens+o, releases+r
+			}
+		}
+		p.mu.Unlock()
+	}
+	return opens, releases
+}
 
 // Autoscaler returns the bucket-pool autoscaler (nil unless
 // SchedulerConfig.Autoscale was set).

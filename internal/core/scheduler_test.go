@@ -189,7 +189,7 @@ func TestSchedulerMultiTenantEndToEnd(t *testing.T) {
 	if out, avail, total := c.Snapshot(); out != 0 || avail != total {
 		t.Fatalf("credits leaked: outstanding=%d avail=%d total=%d", out, avail, total)
 	}
-	if s.Quarantine().Opens() != 0 {
+	if opens, _ := s.QuarantineCounts(); opens != 0 {
 		t.Fatal("healthy tenants must not trip the quarantine")
 	}
 }
@@ -303,14 +303,14 @@ func TestSchedulerQuarantineOpensAndReleases(t *testing.T) {
 	if rep == nil {
 		t.Fatal("missing report")
 	}
-	q := s.Quarantine()
-	if q.Opens() == 0 {
+	opens, releases := s.QuarantineCounts()
+	if opens == 0 {
 		t.Fatal("repeated handler failures must trip the quarantine")
 	}
-	if q.Releases() == 0 {
+	if releases == 0 {
 		t.Fatal("a healed route must be released by a half-open probe")
 	}
-	if got := q.State("noisy", "poison"); got != overload.Closed {
+	if got := p.byName["poison"].poison.State(); got != overload.Closed {
 		t.Fatalf("route must end closed, got %v", got)
 	}
 	// The tail of the run flows at full fidelity again.
@@ -334,6 +334,76 @@ func TestSchedulerQuarantineOpensAndReleases(t *testing.T) {
 	}
 	if got := p.PinnedRegions(); got != 0 {
 		t.Fatalf("%d pinned regions leaked", got)
+	}
+}
+
+// TestQuarantineRoutesAreIndependent: each route has its own poison
+// breaker, so the strikes of tenant a's poison route neither open nor
+// release a's other route, nor the route of the same name on tenant b,
+// and the scheduler's counts are that one route's.
+func TestQuarantineRoutesAreIndependent(t *testing.T) {
+	const steps = 30
+	cfg := testSchedCfg()
+	cfg.Quarantine = overload.QuarantineConfig{Strikes: 2, ProbeAfter: 2}
+	s, err := NewScheduler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.AddTenant("a", TenantConfig{Sim: testSimConfig(2, 1, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.AddTenant("b", TenantConfig{Sim: testSimConfig(2, 1, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Register(&poisonHybrid{FailAttempts: 2})
+	a.Register(&StatsHybrid{Vars: []string{"T"}, EveryN: 1})
+	b.Register(&poisonHybrid{})
+	s.Run(steps) // the poison route's errors are expected in Errs
+	trips, releases := a.byName["poison"].poison.Trips()
+	if trips != 1 || releases != 1 {
+		t.Fatalf("a/poison tripped %d and was released %d times, want 1 and 1", trips, releases)
+	}
+	for _, rt := range []*route{a.routes[1], b.byName["poison"]} {
+		if trips, releases := rt.poison.Trips(); trips != 0 || releases != 0 {
+			t.Errorf("route %s shares a/poison's quarantine: %d trips, %d releases", rt.name, trips, releases)
+		}
+	}
+	if opens, rel := s.QuarantineCounts(); opens != trips || rel != releases {
+		t.Errorf("scheduler counts %d opens, %d releases, want a/poison's %d and %d", opens, rel, trips, releases)
+	}
+}
+
+// TestUnnamedTenantIsNeverQuarantined pins the unnamed tenant's rule: a
+// lone unnamed tenant's routes have no poison breaker, so an
+// always-failing route under an admission plane is never quarantined —
+// its transit breaker is what acts on it.
+func TestUnnamedTenantIsNeverQuarantined(t *testing.T) {
+	const steps = 12
+	s, err := NewScheduler(testSchedCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.AddTenant("", TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: &overload.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Register(&poisonHybrid{FailAttempts: steps})
+	rep, _ := p.Run(steps) // every in-transit attempt fails on purpose
+	if rep == nil {
+		t.Fatal("missing report")
+	}
+	for step := 1; step <= steps; step++ {
+		if d, ok := rep.Result("poison", step).(Degraded); ok && strings.Contains(d.Reason, "quarantin") {
+			t.Fatalf("step %d = %q: the unnamed tenant was quarantined", step, d.Reason)
+		}
+	}
+	if opens, releases := s.QuarantineCounts(); opens != 0 || releases != 0 {
+		t.Fatalf("quarantine opened %d and released %d times, want 0 and 0", opens, releases)
+	}
+	if rep.Overload.BreakerOpens == 0 {
+		t.Fatal("the route's transit breaker never opened on an always-failing route")
 	}
 }
 

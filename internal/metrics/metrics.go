@@ -74,7 +74,7 @@ type Overload struct {
 	StepsShaped        int64 // analysis steps admitted at reduced payload
 	StepsShed          int64 // analysis steps dropped with a shed marker
 	StepsFallback      int64 // analysis steps forced in-situ by an admission verdict
-	BreakerOpens       int64 // closed->open trips across all routes
+	BreakerOpens       int64 // entries into open across all routes: trips and failed probes' re-opens
 	BreakerTransitions int64 // all breaker state transitions
 }
 

@@ -12,8 +12,8 @@
 //   - Breaker: a per-analysis-route circuit breaker (closed → open on
 //     consecutive failures or a latency-EWMA threshold → half-open
 //     probe → closed), gating whether the route may touch the transit
-//     tier at all. Quarantine is a set of the same breakers keyed by
-//     (tenant, analysis) and fed task dispositions.
+//     tier at all. The poison-route quarantine is the same breaker, one
+//     per named tenant's route, fed task dispositions (NewPoisonBreaker).
 //   - Ladder: the admission ladder, a hysteretic policy that maps the
 //     pressure signals onto graded degradation levels — full hybrid,
 //     shaped (reduced payload), in-situ fallback, shed — dropping fast
@@ -135,14 +135,15 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 //
 // It has two cooldowns. A route's transit-health breaker waits
 // BreakerConfig.Cooldown of wall time and then asks for a probe on every
-// step until an outcome arrives. A Quarantine's breaker counts denials
-// instead of reading a clock, so chaos gates replay exactly, and admits
-// one probe at a time, because its probe is a real task.
+// step until an outcome arrives. A poison breaker (NewPoisonBreaker)
+// counts denials instead of reading a clock, so chaos gates replay
+// exactly, and admits one probe at a time, because its probe is a real
+// task.
 type Breaker struct {
 	cfg BreakerConfig
-	// Set by Quarantine only: probeAfter > 0 makes the cooldown that many
-	// denied Allow calls, oneProbe makes a half-open breaker reject until
-	// its single outstanding probe is recorded.
+	// Set by NewPoisonBreaker only: probeAfter > 0 makes the cooldown
+	// that many denied Allow calls, oneProbe makes a half-open breaker
+	// reject until its single outstanding probe is recorded.
 	probeAfter int
 	oneProbe   bool
 
@@ -155,12 +156,23 @@ type Breaker struct {
 
 	transitions int64
 	opens       int64
+	releases    int64
 }
 
 // NewBreaker returns a closed breaker.
 func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
 	return &Breaker{cfg: cfg, lat: NewEWMA(cfg.LatencyAlpha)}
+}
+
+// NewPoisonBreaker returns a closed breaker for one route's quarantine:
+// Strikes failed results open it, ProbeAfter denied Allow calls cool it
+// down, and it admits one probe at a time.
+func NewPoisonBreaker(cfg QuarantineConfig) *Breaker {
+	cfg = cfg.withDefaults()
+	b := NewBreaker(BreakerConfig{FailureThreshold: cfg.Strikes})
+	b.probeAfter, b.oneProbe = cfg.ProbeAfter, true
+	return b
 }
 
 // State returns the current position.
@@ -177,11 +189,25 @@ func (b *Breaker) Transitions() int64 {
 	return b.transitions
 }
 
-// Opens returns how many times the breaker tripped open.
+// Opens returns how many times the breaker entered Open: every trip,
+// and every failed probe's re-open.
 func (b *Breaker) Opens() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.opens
+}
+
+// Trips returns how many times the breaker tripped out of Closed (a
+// failed probe's re-open continues a trip) and how many times a probe
+// closed it again: every trip but a still-open last one ends in one.
+func (b *Breaker) Trips() (trips, releases int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	trips = b.releases
+	if b.state != Closed {
+		trips++
+	}
+	return trips, b.releases
 }
 
 func (b *Breaker) toLocked(s BreakerState, now time.Time) {
@@ -196,6 +222,7 @@ func (b *Breaker) toLocked(s BreakerState, now time.Time) {
 		b.openedAt = now
 		b.denials = 0
 	case Closed:
+		b.releases++
 		b.fails = 0
 		// A fresh start: the latency EWMA accumulated during the
 		// brownout must not instantly re-trip the breaker.

@@ -4,129 +4,120 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
+// settle feeds a normally admitted task's disposition into a poison
+// breaker the way core's drain does.
+func settle(b *Breaker, ok bool) {
+	if ok {
+		b.RecordSuccess(time.Time{}, 0)
+	} else {
+		b.RecordFailure(time.Time{})
+	}
+}
+
 func TestQuarantineStrikesOpenAndProbeRelease(t *testing.T) {
-	q := NewQuarantine(QuarantineConfig{Strikes: 3, ProbeAfter: 2})
+	b := NewPoisonBreaker(QuarantineConfig{Strikes: 3, ProbeAfter: 2})
+	var zero time.Time
 
 	// Healthy route admits forever.
 	for i := 0; i < 5; i++ {
-		if v := q.Allow("a", "viz"); v != Admit {
+		if v := b.Allow(zero); v != Admit {
 			t.Fatalf("healthy allow %d = %v, want admit", i, v)
 		}
-		q.Settle("a", "viz", true)
+		settle(b, true)
 	}
 
 	// Two strikes then a success: streak resets, still closed.
-	q.Settle("a", "viz", false)
-	q.Settle("a", "viz", false)
-	q.Settle("a", "viz", true)
-	if st := q.State("a", "viz"); st != Closed {
+	settle(b, false)
+	settle(b, false)
+	settle(b, true)
+	if st := b.State(); st != Closed {
 		t.Fatalf("state after reset = %v, want closed", st)
 	}
 
 	// Three consecutive strikes open the quarantine.
 	for i := 0; i < 3; i++ {
-		q.Settle("a", "viz", false)
+		settle(b, false)
 	}
-	if st := q.State("a", "viz"); st != Open {
+	if st := b.State(); st != Open {
 		t.Fatalf("state after 3 strikes = %v, want open", st)
 	}
-	if q.Opens() != 1 {
-		t.Fatalf("opens = %d, want 1", q.Opens())
-	}
-	if !q.Barred("a", "viz") {
-		t.Fatal("open route not barred")
+	if trips, _ := b.Trips(); trips != 1 {
+		t.Fatalf("trips = %d, want 1", trips)
 	}
 
 	// Denials accumulate: first rejected, second converts to a probe.
-	if v := q.Allow("a", "viz"); v != Reject {
+	if v := b.Allow(zero); v != Reject {
 		t.Fatalf("first open allow = %v, want reject", v)
 	}
-	if v := q.Allow("a", "viz"); v != Probe {
+	if v := b.Allow(zero); v != Probe {
 		t.Fatalf("second open allow = %v, want probe", v)
 	}
 	// Only one probe in flight at a time.
-	if v := q.Allow("a", "viz"); v != Reject {
+	if v := b.Allow(zero); v != Reject {
 		t.Fatalf("allow during in-flight probe = %v, want reject", v)
 	}
 
 	// Failed probe re-opens; the denial clock restarts.
-	q.RecordProbe("a", "viz", false)
-	if st := q.State("a", "viz"); st != Open {
+	b.RecordProbe(zero, false)
+	if st := b.State(); st != Open {
 		t.Fatalf("state after failed probe = %v, want open", st)
 	}
-	if v := q.Allow("a", "viz"); v != Reject {
+	if v := b.Allow(zero); v != Reject {
 		t.Fatalf("allow after failed probe = %v, want reject", v)
 	}
-	if v := q.Allow("a", "viz"); v != Probe {
+	if v := b.Allow(zero); v != Probe {
 		t.Fatalf("second allow after failed probe = %v, want probe", v)
 	}
 
 	// Successful probe releases the route.
-	q.RecordProbe("a", "viz", true)
-	if st := q.State("a", "viz"); st != Closed {
+	b.RecordProbe(zero, true)
+	if st := b.State(); st != Closed {
 		t.Fatalf("state after good probe = %v, want closed", st)
 	}
-	if q.Releases() != 1 {
-		t.Fatalf("releases = %d, want 1", q.Releases())
+	if trips, releases := b.Trips(); trips != 1 || releases != 1 {
+		t.Fatalf("trips/releases = %d/%d, want 1/1 (a re-open is no new trip)", trips, releases)
 	}
-	if v := q.Allow("a", "viz"); v != Admit {
+	if v := b.Allow(zero); v != Admit {
 		t.Fatalf("allow after release = %v, want admit", v)
 	}
 }
 
-func TestQuarantineRoutesAreIndependent(t *testing.T) {
-	q := NewQuarantine(QuarantineConfig{Strikes: 2, ProbeAfter: 3})
-	for i := 0; i < 2; i++ {
-		q.Settle("noisy", "poison", false)
-	}
-	if st := q.State("noisy", "poison"); st != Open {
-		t.Fatalf("poison route = %v, want open", st)
-	}
-	// Same analysis under a different tenant, and a different analysis
-	// under the same tenant, both stay closed.
-	if q.Barred("victim", "poison") || q.Barred("noisy", "viz") {
-		t.Fatal("quarantine leaked across routes")
-	}
-	if v := q.Allow("victim", "poison"); v != Admit {
-		t.Fatalf("victim allow = %v, want admit", v)
-	}
-}
-
 func TestQuarantineStaleResultsIgnoredWhileOpen(t *testing.T) {
-	q := NewQuarantine(QuarantineConfig{Strikes: 1, ProbeAfter: 2})
-	q.Settle("t", "a", false)
-	if st := q.State("t", "a"); st != Open {
+	b := NewPoisonBreaker(QuarantineConfig{Strikes: 1, ProbeAfter: 2})
+	settle(b, false)
+	if st := b.State(); st != Open {
 		t.Fatalf("state = %v, want open", st)
 	}
 	// In-flight results from before the open must not move the state.
-	q.Settle("t", "a", true)
-	q.Settle("t", "a", false)
-	if st := q.State("t", "a"); st != Open {
+	settle(b, true)
+	settle(b, false)
+	if st := b.State(); st != Open {
 		t.Fatalf("state after stale settles = %v, want open", st)
 	}
 	// A probe outcome reported while not probing is ignored too.
-	q.RecordProbe("t", "a", true)
-	if st := q.State("t", "a"); st != Open {
+	b.RecordProbe(time.Time{}, true)
+	if st := b.State(); st != Open {
 		t.Fatalf("state after stray probe record = %v, want open", st)
 	}
 }
 
 func TestQuarantineConcurrentAccess(t *testing.T) {
-	q := NewQuarantine(QuarantineConfig{})
+	routes := []*Breaker{NewPoisonBreaker(QuarantineConfig{}), NewPoisonBreaker(QuarantineConfig{})}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tenant := []string{"a", "b"}[g%2]
+			b := routes[g%2]
 			for i := 0; i < 200; i++ {
-				switch q.Allow(tenant, "viz") {
+				switch b.Allow(time.Time{}) {
 				case Admit:
-					q.Settle(tenant, "viz", i%7 != 0)
+					settle(b, i%7 != 0)
 				case Probe:
-					q.RecordProbe(tenant, "viz", i%2 == 0)
+					b.RecordProbe(time.Time{}, i%2 == 0)
 				}
 			}
 		}(g)
@@ -137,12 +128,16 @@ func TestQuarantineConcurrentAccess(t *testing.T) {
 // The parent commit's quarantine state machine, frozen as the reference
 // for TestQuarantineMatchesFrozenReference: Quarantine used to carry
 // this private copy of the breaker (QState/QVerdict/qroute) before it
-// became a keyed set of Breakers. The enums share Breaker's numbering
-// (closed/open/probing = 0/1/2, admit/probe/reject = 0/1/2).
+// became a keyed set of Breakers, and then one poison Breaker per
+// route. The enums share Breaker's numbering (closed/open/probing =
+// 0/1/2, admit/probe/reject = 0/1/2).
 type (
 	QState   int
 	QVerdict int
 )
+
+// qkey names a route of the frozen reference: a tenant and an analysis.
+type qkey struct{ tenant, analysis string }
 
 type qroute struct {
 	state    QState
@@ -223,17 +218,21 @@ func (q *refQuarantine) State(tenant, analysis string) QState {
 	return 0
 }
 
-// TestQuarantineMatchesFrozenReference drives the Breaker-backed
-// Quarantine and the frozen machine with the same seeded random calls
-// over a few routes and requires them to agree after every call:
-// verdict, state, Barred, and the Opens/Releases counters (Opens counts
-// first trips only; a failed probe's re-open is not one).
+// TestQuarantineMatchesFrozenReference drives one poison breaker per
+// route and the frozen machine with the same seeded random calls over a
+// few routes and requires them to agree after every call: verdict,
+// state, and the opens/releases counters summed over the routes the way
+// the scheduler sums them (a route's trips count first trips only; a
+// failed probe's re-open is not one).
 func TestQuarantineMatchesFrozenReference(t *testing.T) {
 	routes := []qkey{{"a", "viz"}, {"a", "stats"}, {"b", "viz"}}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := QuarantineConfig{Strikes: 1 + rng.Intn(4), ProbeAfter: 1 + rng.Intn(5)}
-		got := NewQuarantine(cfg)
+		got := make(map[qkey]*Breaker, len(routes))
+		for _, k := range routes {
+			got[k] = NewPoisonBreaker(cfg)
+		}
 		want := &refQuarantine{cfg: cfg, routes: make(map[qkey]*qroute)}
 		for i := 0; i < 2000; i++ {
 			k := routes[rng.Intn(len(routes))]
@@ -243,28 +242,31 @@ func TestQuarantineMatchesFrozenReference(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0, 1:
 				op = "Allow"
-				if g, w := got.Allow(k.tenant, k.analysis), want.Allow(k.tenant, k.analysis); int(g) != int(w) {
+				if g, w := got[k].Allow(time.Time{}), want.Allow(k.tenant, k.analysis); int(g) != int(w) {
 					t.Fatalf("seed %d call %d: Allow(%v) = %d, reference %d", seed, i, k, g, w)
 				}
 			case 2:
 				op = "Settle"
-				got.Settle(k.tenant, k.analysis, ok)
+				settle(got[k], ok)
 				want.Settle(k.tenant, k.analysis, ok)
 			case 3:
 				op = "RecordProbe"
-				got.RecordProbe(k.tenant, k.analysis, ok)
+				got[k].RecordProbe(time.Time{}, ok)
 				want.RecordProbe(k.tenant, k.analysis, ok)
 			}
+			var opens, releases int64
 			for _, r := range routes {
-				g, w := got.State(r.tenant, r.analysis), want.State(r.tenant, r.analysis)
-				if int(g) != int(w) || got.Barred(r.tenant, r.analysis) != (w != 0) {
-					t.Fatalf("seed %d call %d after %s(%v, %v): route %v state %v barred %v, reference state %d",
-						seed, i, op, k, ok, r, g, got.Barred(r.tenant, r.analysis), w)
+				g, w := got[r].State(), want.State(r.tenant, r.analysis)
+				if int(g) != int(w) {
+					t.Fatalf("seed %d call %d after %s(%v, %v): route %v state %v, reference state %d",
+						seed, i, op, k, ok, r, g, w)
 				}
+				o, rel := got[r].Trips()
+				opens, releases = opens+o, releases+rel
 			}
-			if got.Opens() != want.opens || got.Releases() != want.releases {
+			if opens != want.opens || releases != want.releases {
 				t.Fatalf("seed %d call %d after %s: opens/releases %d/%d, reference %d/%d",
-					seed, i, op, got.Opens(), got.Releases(), want.opens, want.releases)
+					seed, i, op, opens, releases, want.opens, want.releases)
 			}
 		}
 		if want.opens == 0 || want.releases == 0 {

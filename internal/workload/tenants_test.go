@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"insitu/internal/core"
-	"insitu/internal/overload"
 )
 
 // TestNoisyNeighborSoak is the multi-tenant acceptance soak: three
@@ -129,16 +128,17 @@ func TestNoisyNeighborSoak(t *testing.T) {
 
 	// (3) The poison route was quarantined, failed fast with explicit
 	// markers, and was released by a half-open probe once healed.
-	q := s.Quarantine()
+	opens, releases := s.QuarantineCounts()
 	noisyRep := reps[noisy]
-	if q.Opens() < 1 {
+	if opens < 1 {
 		t.Error("poison route never tripped the quarantine")
 	}
-	if q.Releases() < 1 {
+	if releases < 1 {
 		t.Error("healed poison route was never released by a probe")
 	}
-	if got := q.State(noisy, PoisonRouteName); got != overload.Closed {
-		t.Errorf("poison route finished %v, want closed", got)
+	// Opens minus releases is the number of routes quarantined now.
+	if opens != releases {
+		t.Errorf("%d routes finished quarantined (%d opens, %d releases); the poison route must end closed", opens-releases, opens, releases)
 	}
 	// Early poison steps whose handler crashed have no stored result —
 	// their failures live in Errs — so only non-nil results are walked.
