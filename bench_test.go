@@ -261,38 +261,22 @@ func BenchmarkAblationDownsample(b *testing.B) {
 }
 
 // BenchmarkAblationStreamingEviction contrasts the in-transit
-// aggregation with and without eviction: identical trees, very
-// different peak memory. Without eviction is the streaming route's
-// arrival-order Builder.Add per subtree; with it is Builder.Glue.
+// aggregation with and without eviction: Builder.Glue's peak resident
+// set against the vertices it declares, every one of which would stay
+// resident without eviction.
 func BenchmarkAblationStreamingEviction(b *testing.B) {
 	benchSetup(b)
 	subtrees, _ := benchSubtrees(b, mergetree.KeepSharedBoundary)
-	for _, evict := range []bool{false, true} {
-		b.Run(fmt.Sprintf("evict=%v", evict), func(b *testing.B) {
-			var peak int
-			var bld mergetree.Builder
-			for i := 0; i < b.N; i++ {
-				var st mergetree.StreamStats
-				var err error
-				if evict {
-					_, st, err = bld.Glue(subtrees)
-				} else {
-					bld.Reset()
-					for _, sub := range subtrees {
-						if err = bld.Add(sub); err != nil {
-							b.Fatal(err)
-						}
-					}
-					_, st, err = bld.Finish()
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				peak = st.PeakLive
-			}
-			b.ReportMetric(float64(peak), "peakResidentVerts")
-		})
+	var bld mergetree.Builder
+	var st mergetree.StreamStats
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, st, err = bld.Glue(subtrees); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(st.PeakLive), "peakResidentVerts")
+	b.ReportMetric(float64(st.Declared), "declaredVerts")
 }
 
 // BenchmarkAblationBoundaryPolicy reports the intermediate-data size
@@ -314,67 +298,4 @@ func BenchmarkAblationBoundaryPolicy(b *testing.B) {
 			b.ReportMetric(float64(moved), "movedBytes")
 		})
 	}
-}
-
-// BenchmarkAblationStreamingInTransit compares buffered vs streaming
-// in-transit execution when transfers take real time (TimeScale
-// stretches the modeled durations): streaming hides per-input compute
-// behind the remaining transfers.
-func BenchmarkAblationStreamingInTransit(b *testing.B) {
-	const inputs = 4
-	payload := make([]byte, 1<<20)
-	run := func(b *testing.B, streamMode bool) {
-		cfg := netsim.Gemini()
-		cfg.TimeScale = 0.05  // ~3.5ms per 1MB pull
-		cfg.SharedLink = true // bucket ingress: pulls arrive staggered
-		fabric := dart.NewFabric(netsim.New(cfg))
-		ds, err := dataspaces.New(fabric, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		area, err := staging.New(fabric, ds, 1, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		work := func() { time.Sleep(2 * time.Millisecond) }
-		if streamMode {
-			area.HandleStreamT("", "x", func(task dataspaces.Task, in <-chan staging.StreamInput) (any, error) {
-				for range in {
-					work()
-				}
-				return nil, nil
-			})
-		} else {
-			area.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) {
-				for range data {
-					work()
-				}
-				return nil, nil
-			})
-		}
-		area.Start()
-		prod := fabric.Register("sim")
-		results := area.Results()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var descs []dataspaces.Descriptor
-			for j := 0; j < inputs; j++ {
-				descs = append(descs, dataspaces.Descriptor{
-					Name: "x", Version: i, Rank: j, Handle: prod.RegisterMem(payload),
-				})
-			}
-			if _, err := ds.SubmitSpec(dataspaces.TaskSpec{Analysis: "x", Step: i, Inputs: descs}); err != nil {
-				b.Fatal(err)
-			}
-			res := <-results
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-		b.StopTimer()
-		ds.Close()
-		area.Wait()
-	}
-	b.Run("buffered", func(b *testing.B) { run(b, false) })
-	b.Run("streaming", func(b *testing.B) { run(b, true) })
 }

@@ -15,7 +15,6 @@ import (
 	"insitu/internal/comm"
 	"insitu/internal/grid"
 	"insitu/internal/sim"
-	"insitu/internal/staging"
 )
 
 // Ctx is the per-rank, per-step context handed to in-situ stages.
@@ -55,28 +54,6 @@ type HybridAnalysis interface {
 	Analysis
 	InSituStage(ctx *Ctx) ([]byte, error)
 	InTransit(step int, payloads [][]byte) (any, error)
-}
-
-// StreamInput is one payload delivered to a streaming in-transit
-// stage in arrival order.
-type StreamInput = staging.StreamInput
-
-// StreamingHybridAnalysis is a hybrid analysis whose in-transit stage
-// consumes payloads as their transfers complete instead of waiting for
-// the full set — the paper's proposed streaming improvement, hiding
-// in-transit compute behind data movement. When an analysis implements
-// both InTransit and InTransitStream, the streaming stage is used.
-type StreamingHybridAnalysis interface {
-	Analysis
-	InSituStage(ctx *Ctx) ([]byte, error)
-	InTransitStream(step int, inputs <-chan StreamInput) (any, error)
-}
-
-// hybridStage is the producer-side contract shared by both hybrid
-// kinds.
-type hybridStage interface {
-	Analysis
-	InSituStage(ctx *Ctx) ([]byte, error)
 }
 
 // ShapedStage is an optional extension of hybrid analyses: the

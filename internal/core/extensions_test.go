@@ -5,135 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"insitu/internal/dart"
-	"insitu/internal/faults"
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
 	"insitu/internal/obs"
 	"insitu/internal/render"
 	"insitu/internal/stats"
 )
-
-// TestStreamingTopologyMatchesBuffered: the streaming in-transit
-// variant must produce exactly the same global tree as the buffered
-// one, and both must match the serial reference.
-func TestStreamingTopologyMatchesBuffered(t *testing.T) {
-	const steps = 3
-	simCfg := testSimConfig(2, 2, 2)
-
-	run := func(a Analysis) *TopologyResult {
-		p, err := NewPipeline(DefaultConfig(simCfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Register(a)
-		rep, err := p.Run(steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Result(a.Name(), steps).(*TopologyResult)
-	}
-	buffered := run(NewTopologyHybrid())
-	streaming := run(NewTopologyStreaming())
-
-	reduce := func(tr *mergetree.Tree) *mergetree.Tree {
-		return mergetree.Reduce(tr, nil)
-	}
-	if !sameTree(reduce(buffered.Tree), reduce(streaming.Tree)) {
-		t.Fatal("streaming in-transit stage produced a different tree")
-	}
-	want := globalFields(t, simCfg, steps, []string{"T"})["T"]
-	serial := reduce(mergetree.FromField(want, simCfg.Global))
-	if !sameTree(serial, reduce(streaming.Tree)) {
-		t.Fatal("streaming tree differs from serial reference")
-	}
-	if streaming.Stream.Declared == 0 {
-		t.Fatal("streaming stats missing")
-	}
-}
-
-// TestStreamingOverlapsMovement: with transfers stretched into real
-// time, the streaming handler finishes soon after the last transfer,
-// while the buffered handler only *starts* then. We assert the
-// streaming task's total span is well below pull+compute serialized.
-func TestStreamingOverlapsMovement(t *testing.T) {
-	// This behaviour is exercised at the staging layer where timing is
-	// controllable; see staging's TestStreamingHandlerOverlap. Here we
-	// just confirm the pipeline wires a streaming handler end to end
-	// with results intact (done above) and that the buffered path is
-	// untouched by the new registration logic.
-	simCfg := testSimConfig(2, 1, 1)
-	p, err := NewPipeline(DefaultConfig(simCfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Register(NewTopologyStreaming())
-	p.Register(&StatsHybrid{})
-	rep, err := p.Run(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Result("hybrid topology (streaming)", 2) == nil ||
-		rep.Result("hybrid descriptive statistics", 2) == nil {
-		t.Fatal("mixed streaming/buffered registration lost results")
-	}
-	b := rep.Metrics.Total("hybrid topology (streaming)")
-	if b.MoveBytes == 0 || b.InTransit <= 0 {
-		t.Fatalf("streaming task accounting missing: %+v", b)
-	}
-}
-
-// TestStreamingRouteRetriesPullFaults: under dropped transfers a
-// streaming topology route is retried and dead-lettered like a
-// buffered one, so every step is either the fault-free tree or an
-// explicit Degraded marker — never a run error — and nothing stays
-// pinned.
-func TestStreamingRouteRetriesPullFaults(t *testing.T) {
-	const steps = 6
-	simCfg := testSimConfig(2, 2, 1)
-	run := func(inj *faults.Injector) (*Pipeline, *Report) {
-		cfg := DefaultConfig(simCfg)
-		cfg.Buckets = 2
-		p, err := NewPipeline(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One transfer attempt per pull: a drop fails the pull itself.
-		p.sched.dart.SetRetryPolicy(dart.RetryPolicy{MaxAttempts: 1})
-		if inj != nil {
-			p.sched.net.SetFaults(inj)
-		}
-		p.Register(NewTopologyStreaming())
-		rep, err := p.Run(steps)
-		if err != nil {
-			t.Fatalf("streaming route under faults failed the run: %v", err)
-		}
-		return p, rep
-	}
-	_, clean := run(nil)
-	p, rep := run(faults.New(faults.Config{Seed: 11, Default: faults.Rates{Drop: 0.2}}))
-	name := NewTopologyStreaming().Name()
-	for s := 1; s <= steps; s++ {
-		switch v := rep.Result(name, s).(type) {
-		case Degraded:
-			if v.Reason == "" {
-				t.Errorf("step %d: Degraded without a reason", s)
-			}
-		case *TopologyResult:
-			if !sameTree(v.Tree, clean.Result(name, s).(*TopologyResult).Tree) {
-				t.Errorf("step %d: retried tree differs from the fault-free one", s)
-			}
-		default:
-			t.Errorf("step %d: result %T, want a tree or Degraded", s, v)
-		}
-	}
-	if rep.Resilience.Requeues == 0 {
-		t.Fatalf("no pull failure was retried: %+v", rep.Resilience)
-	}
-	if n := p.PinnedRegions(); n != 0 {
-		t.Fatalf("%d regions pinned after the drain", n)
-	}
-}
 
 // TestContingencyHybridPipeline validates the contingency analysis
 // end to end: T and OH in a flame are strongly dependent, T and a

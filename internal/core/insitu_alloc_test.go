@@ -61,7 +61,7 @@ func driveInSitu(t testing.TB, steps int, each func(ctx *Ctx, step int)) {
 // records, and with two Ps those records drift from one P's cache to
 // the other's, so a barrier would allocate one now and then. (The
 // worker pool keeps the width it was sized to at start-up.)
-func inSituStageAllocs(t *testing.T, steps int, stages []hybridStage) (allocBytes, allocObjs [][]uint64, blockBytes uint64) {
+func inSituStageAllocs(t *testing.T, steps int, stages []HybridAnalysis) (allocBytes, allocObjs [][]uint64, blockBytes uint64) {
 	allocBytes, allocObjs = make([][]uint64, len(stages)), make([][]uint64, len(stages))
 	for i := range stages {
 		allocBytes[i], allocObjs[i] = make([]uint64, steps+1), make([]uint64, steps+1)
@@ -133,7 +133,7 @@ func inSituStageAllocs(t *testing.T, steps int, stages []hybridStage) (allocByte
 // each payload buffer is the one the last payload came back in.
 func TestInSituStagesAllocateFlat(t *testing.T) {
 	const steps = 32
-	stages := []hybridStage{&StatsHybrid{}, NewTopologyHybrid(), NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8), &AutoCorrHybrid{Lags: []int{1, 2}}, &ContingencyHybrid{}}
+	stages := []HybridAnalysis{&StatsHybrid{}, NewTopologyHybrid(), NewVizHybrid(64, 48, 1), NewVizHybrid(64, 48, 8), &AutoCorrHybrid{Lags: []int{1, 2}}, &ContingencyHybrid{}}
 	allocBytes, allocObjs, blockBytes := inSituStageAllocs(t, steps, stages)
 	totals := make([]uint64, steps+1) // [step], all stages
 	for i := range stages {
@@ -188,7 +188,7 @@ func TestInSituStagesMatchCopies(t *testing.T) {
 		ref.Push(ctx.Sim.Field("T").Data)
 		owned := ctx.Sim.GhostedField("T").Extract(ctx.Owned)
 		for _, c := range []struct {
-			stage hybridStage
+			stage HybridAnalysis
 			want  []byte
 		}{
 			{st, model.AppendMarshal(nil)}, {cont, table.AppendMarshal(nil)}, {topo, subtree.AppendMarshal(nil)},

@@ -103,7 +103,7 @@ type route struct {
 	// RunInSitu, or a hybrid route's RunFallback (its in-situ rung)
 	// when implemented.
 	inSitu func(*Ctx) (any, error)
-	stage  hybridStage      // the in-situ half of a hybrid route; nil for an in-situ route
+	stage  HybridAnalysis   // the in-situ half of a hybrid route; nil for an in-situ route
 	shaped ShapedStage      // the ladder's shaped rung, when implemented
 	quant  QuantizableStage // lossy codecs and the quantized rung, when implemented
 
@@ -128,12 +128,11 @@ func (rt *route) due(step int) bool { return step%rt.every == 0 }
 
 // Register adds an analysis; all registrations must happen before Run.
 // It resolves the analysis into the pipeline's route record and installs
-// a hybrid analysis's in-transit handler on the staging area (the
-// streaming stage when it implements both kinds). The name keys the
-// route's results, descriptors, tasks and codec streams, so a second
-// analysis with the same Name() is refused, as is one that is neither
-// in-situ nor hybrid. The error is returned and also filed on the run:
-// a caller that drops it still sees Run fail.
+// a hybrid analysis's in-transit handler on the staging area. The name
+// keys the route's results, descriptors, tasks and codec streams, so a
+// second analysis with the same Name() is refused, as is one that is
+// neither in-situ nor hybrid. The error is returned and also filed on
+// the run: a caller that drops it still sees Run fail.
 func (p *Pipeline) Register(a Analysis) error {
 	rt := &route{name: a.Name(), every: max(a.Every(), 1)}
 	if _, dup := p.byName[rt.name]; dup {
@@ -142,7 +141,7 @@ func (p *Pipeline) Register(a Analysis) error {
 	switch an := a.(type) {
 	case InSituAnalysis:
 		rt.inSitu = an.RunInSitu
-	case hybridStage:
+	case HybridAnalysis:
 		rt.stage = an
 		rt.shaped, _ = a.(ShapedStage)
 		rt.quant, _ = a.(QuantizableStage)
@@ -160,15 +159,9 @@ func (p *Pipeline) Register(a Analysis) error {
 		if p.tenant != "" {
 			rt.poison = overload.NewPoisonBreaker(p.sched.cfg.Quarantine)
 		}
-		if sh, ok := a.(StreamingHybridAnalysis); ok {
-			p.sched.area.HandleStreamT(p.tenant, rt.name, func(task dataspaces.Task, in <-chan staging.StreamInput) (any, error) {
-				return sh.InTransitStream(task.Step, in)
-			})
-		} else if h, ok := a.(HybridAnalysis); ok {
-			p.sched.area.HandleT(p.tenant, rt.name, func(task dataspaces.Task, data [][]byte) (any, error) {
-				return h.InTransit(task.Step, data)
-			})
-		}
+		p.sched.area.HandleT(p.tenant, rt.name, func(task dataspaces.Task, data [][]byte) (any, error) {
+			return an.InTransit(task.Step, data)
+		})
 	default:
 		return p.refuse(fmt.Errorf("core: analysis %s implements neither InSituAnalysis nor HybridAnalysis", rt.name))
 	}

@@ -279,10 +279,7 @@ func (p *Pipeline) commitDigests(s int) (map[string]string, bool) {
 // two runs of one config agree digest for digest. %v formatting
 // is deterministic for the value shapes analyses store (fmt sorts map
 // keys), and byValue first replaces what %v would print as a heap
-// address. One field stays out of the digest because it is not a
-// function of the config: the streaming topology incorporates subtrees
-// in payload arrival order, so its Stream.SpliceOps work counter
-// differs from run to run while the tree it builds does not.
+// address.
 func ResultDigest(v any) string {
 	h := crc64.New(crc64.MakeTable(crc64.ECMA))
 	fmt.Fprintf(h, "%v", byValue(v))
@@ -301,15 +298,11 @@ func byValue(v any) any {
 		return r
 	case *TopologyResult:
 		if r != nil && r.Tree != nil {
-			stream := r.Stream
-			if r.arrivalOrdered {
-				stream.SpliceOps = 0
-			}
 			return struct {
 				Arcs     []mergetree.Arc
 				Stream   mergetree.StreamStats
 				Features []mergetree.Feature
-			}{r.Tree.Arcs(), stream, r.Features}
+			}{r.Tree.Arcs(), r.Stream, r.Features}
 		}
 	case *ContingencyResult:
 		if r != nil && r.Table != nil {

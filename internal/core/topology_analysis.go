@@ -18,10 +18,6 @@ type TopologyResult struct {
 	Tree     *mergetree.Tree
 	Stream   mergetree.StreamStats
 	Features []mergetree.Feature
-	// arrivalOrdered marks a result whose subtrees were incorporated in
-	// payload arrival order (TopologyStreaming): its tree is the same
-	// every run, its Stream.SpliceOps work counter is not.
-	arrivalOrdered bool
 }
 
 // TopologyHybrid is the hybrid merge-tree analysis: each rank computes
@@ -113,7 +109,9 @@ func putSubtreeScratch(ctx *Ctx) {
 
 // InTransit implements HybridAnalysis: glue the subtrees into the
 // global merge tree with the memory-bounded streaming algorithm, then
-// optionally simplify and extract features.
+// optionally simplify and extract features. The glued tree lives in the
+// task's scratch; the result holds the simplified tree or a copy of the
+// glued one, and nothing in it points into the scratch.
 func (t *TopologyHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 	ts := getTransitScratch()
 	defer putTransitScratch(ts)
@@ -121,23 +119,16 @@ func (t *TopologyHybrid) InTransit(step int, payloads [][]byte) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("topology: %w", err)
 	}
-	return t.result(ts, tree, stream, false), nil
-}
-
-// result turns a glued tree, which may live in ts, into the step's
-// result: the simplified tree or a copy of the glued one, and the
-// features of that tree. Nothing in the result points into ts.
-func (t *TopologyHybrid) result(ts *transitScratch, tree *mergetree.Tree, stream mergetree.StreamStats, arrivalOrdered bool) *TopologyResult {
 	if t.SimplifyEps > 0 {
 		tree = ts.work.Simplify(tree, t.SimplifyEps)
 	} else {
 		tree = tree.Clone()
 	}
-	res := &TopologyResult{Tree: tree, Stream: stream, arrivalOrdered: arrivalOrdered}
+	res := &TopologyResult{Tree: tree, Stream: stream}
 	if t.FeatureThreshold > 0 {
 		res.Features = ts.work.Features(tree, t.FeatureThreshold)
 	}
-	return res
+	return res, nil
 }
 
 // transitScratch is the memory of one in-transit task: for the

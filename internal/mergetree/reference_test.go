@@ -138,25 +138,6 @@ func triplesTree(ids []int64, vals map[int64]float64, downs map[int64]int64) *Tr
 	return t
 }
 
-// refAdd is a sequence of Builder.Add calls on the reference builder:
-// subtree by subtree, its vertices declared, then its edges merged.
-func refAdd(subtrees []*Subtree) (*Tree, StreamStats, bool) {
-	b := &refBuilder{nodes: map[int64]*refNode{}}
-	for _, st := range subtrees {
-		for _, v := range st.Verts {
-			if !b.declare(v.ID, v.Value, v.Degree) {
-				return nil, b.stats, false
-			}
-		}
-		for _, e := range st.Edges {
-			if !b.addEdge(e.Hi, e.Lo) {
-				return nil, b.stats, false
-			}
-		}
-	}
-	return b.finish()
-}
-
 // refGlue is Glue on the reference builder: the same declaration,
 // k-way edge merge, watermark and sweep schedule.
 func refGlue(subtrees []*Subtree, sweepEvery int) (*Tree, StreamStats, bool) {
@@ -377,35 +358,24 @@ func TestArrayEngineMatchesPointerEngine(t *testing.T) {
 			}
 			subtrees = append(subtrees, st)
 		}
-		for _, c := range []struct {
-			add        bool // Builder.Add per subtree instead of Glue
-			sweepEvery int
-		}{{add: true}, {}, {sweepEvery: 1 + rng.Intn(40)}} {
-			b.sweepEvery = c.sweepEvery
-			var want, got *Tree
-			var wantStats, gotStats StreamStats
-			var ok bool
-			var err error
-			if c.add {
-				want, wantStats, ok = refAdd(subtrees)
-				got, gotStats, err = addAll(&b, subtrees)
-			} else {
-				want, wantStats, ok = refGlue(subtrees, c.sweepEvery)
-				got, gotStats, err = b.Glue(subtrees)
-			}
+		// Sweep after the last edge only, at the default cadence, often.
+		for _, every := range []int{math.MaxInt, 0, 1 + rng.Intn(40)} {
+			b.sweepEvery = every
+			want, wantStats, ok := refGlue(subtrees, every)
+			got, gotStats, err := b.Glue(subtrees)
 			if !ok {
-				t.Fatalf("trial %d %+v: reference glue failed", trial, c)
+				t.Fatalf("trial %d sweep every %d: reference glue failed", trial, every)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !equalTrees(got, want) || gotStats != wantStats {
-				t.Fatalf("trial %d %+v: glue gives %d nodes %+v, the reference %d nodes %+v",
-					trial, c, got.Len(), gotStats, want.Len(), wantStats)
+				t.Fatalf("trial %d sweep every %d: glue gives %d nodes %+v, the reference %d nodes %+v",
+					trial, every, got.Len(), gotStats, want.Len(), wantStats)
 			}
 			for _, eps := range []float64{0, 0.05, 0.3, math.Inf(1)} {
 				if simp := s.Simplify(got, eps); !equalTrees(simp, refSimplify(want, eps)) {
-					t.Fatalf("trial %d %+v eps %g: Simplify differs from the reference", trial, c, eps)
+					t.Fatalf("trial %d sweep every %d eps %g: Simplify differs from the reference", trial, every, eps)
 				}
 			}
 			thr := f.Data[rng.Intn(len(f.Data))]

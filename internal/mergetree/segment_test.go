@@ -285,12 +285,10 @@ func checkDistributedProperty(t *testing.T, policy BoundaryPolicy) {
 			subtrees = append(subtrees, st)
 		}
 		bld := &Builder{sweepEvery: 32}
-		var glued *Tree
-		if seed%2 == 0 {
-			glued, _, err = bld.Glue(subtrees)
-		} else {
-			glued, _, err = addAll(bld, subtrees)
+		if seed%2 != 0 {
+			bld.sweepEvery = math.MaxInt // no eviction before the last edge
 		}
+		glued, _, err := bld.Glue(subtrees)
 		if err != nil {
 			return false
 		}

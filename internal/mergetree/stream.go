@@ -26,17 +26,16 @@ import (
 type StreamStats struct {
 	Declared  int // total vertices declared
 	Edges     int // total edges processed
-	Evicted   int // vertices evicted before Finish
+	Evicted   int // vertices evicted from the resident set
 	PeakLive  int // maximum simultaneously resident vertices
 	SpliceOps int // chain-walk steps, the algorithm's work measure
 }
 
-// Builder incrementally constructs a merge tree from subtrees, glued
-// all at once (Glue) or added one by one in arrival order (Add); the
-// zero value is an empty builder. A Builder is reusable: Reset (or
-// Glue, which resets) empties it but keeps its arrays, so a staging
-// bucket that glues every step allocates nothing in it after the
-// first. It is not safe for concurrent use.
+// Builder constructs a merge tree from subtrees with Glue; the zero
+// value is an empty builder. A Builder is reusable: each Glue empties
+// it but keeps its arrays, so a staging bucket that glues every step
+// allocates nothing in it after the first. It is not safe for
+// concurrent use.
 type Builder struct {
 	index   map[int64]int32 // resident vertex id -> slot
 	id      []int64         // per slot: vertex id
@@ -56,8 +55,8 @@ type Builder struct {
 
 	cursors []cursor // Glue's per-subtree read positions
 	open    []int    // Glue's cursors with edges left
-	rank    []int32  // Finish: slot -> node
-	tree    Tree     // Finish's product, reused
+	rank    []int32  // finish: slot -> node
+	tree    Tree     // finish's product, reused
 
 	// sweepEvery triggers an eviction sweep in Glue after this many
 	// edges in addition to watermark advances (0 means 4096; the
@@ -65,9 +64,9 @@ type Builder struct {
 	sweepEvery int
 }
 
-// Reset empties the builder for a new aggregation, keeping its memory.
-// A Tree that Finish returned before is invalid afterwards.
-func (b *Builder) Reset() {
+// reset empties the builder for a new aggregation, keeping its memory.
+// A Tree that finish returned before is invalid afterwards.
+func (b *Builder) reset() {
 	clear(b.index)
 	b.id, b.val, b.down, b.pending = b.id[:0], b.val[:0], b.down[:0], b.pending[:0]
 	b.live = b.live[:0]
@@ -175,7 +174,7 @@ func (b *Builder) evictable(s int32) bool {
 	}
 	d := b.down[s]
 	if d < 0 {
-		return false // roots stay resident until Finish
+		return false // roots stay resident until finish
 	}
 	return !Above(b.wmVal, b.wmID, b.val[d], b.id[d])
 }
@@ -197,10 +196,10 @@ func (b *Builder) sweep() {
 	b.live = resident
 }
 
-// Finish assembles the final merge tree from every declared vertex,
+// finish assembles the final merge tree from every declared vertex,
 // resident or evicted. The tree lives in the builder: it is valid
-// until the next Reset or Glue, and a caller that keeps it clones it.
-func (b *Builder) Finish() (*Tree, StreamStats, error) {
+// until the next Glue, and a caller that keeps it clones it.
+func (b *Builder) finish() (*Tree, StreamStats, error) {
 	for _, s := range b.live {
 		if b.pending[s] != 0 {
 			return nil, b.stats, fmt.Errorf("mergetree: vertex %d still has %d unprocessed edges", b.id[s], b.pending[s])
@@ -239,27 +238,6 @@ func (b *Builder) Finish() (*Tree, StreamStats, error) {
 	return t, b.stats, nil
 }
 
-// Add incorporates one subtree in arrival order: it declares the
-// subtree's vertices, then merges its edges. Subtrees may arrive in any
-// order; a vertex shared with a subtree added later accumulates that
-// subtree's degree when it is declared again. Add never evicts, so the
-// resident set grows to every vertex added; Glue, which sees all
-// subtrees at once, is the memory-bounded form. Reset before the first
-// Add of an aggregation and Finish after the last.
-func (b *Builder) Add(st *Subtree) error {
-	for _, v := range st.Verts {
-		if err := b.declareVertex(v.ID, v.Value, v.Degree); err != nil {
-			return err
-		}
-	}
-	for _, e := range st.Edges {
-		if err := b.addEdge(e.Hi, e.Lo); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // cursor is Glue's read position in one subtree.
 type cursor struct {
 	st   *Subtree
@@ -290,9 +268,10 @@ func (c *cursor) seek() error {
 // lower endpoints (a k-way merge over the per-block sorted edge lists)
 // and advances the watermark as it goes, so the builder can evict
 // finalized vertices and keep its resident set small. The builder is
-// reset first; the tree lives in it, as Finish's does.
+// reset first; the tree lives in it until the next Glue, and a caller
+// that keeps it clones it.
 func (b *Builder) Glue(subtrees []*Subtree) (*Tree, StreamStats, error) {
-	b.Reset()
+	b.reset()
 	// Interleave per-block vertex declarations with a k-way merge of
 	// the per-block edge lists by descending lower endpoint (Subtree
 	// sorts both lists that way). Before an edge at sweep position L is
@@ -376,5 +355,5 @@ func (b *Builder) Glue(subtrees []*Subtree) (*Tree, StreamStats, error) {
 		c.st = nil // do not pin the caller's subtrees
 	}
 	b.sweep()
-	return b.Finish()
+	return b.finish()
 }

@@ -189,21 +189,10 @@ func criticalReduce(t *Tree) *Tree {
 	return Reduce(t, nil)
 }
 
-// addAll aggregates subtrees with Builder.Add in the order given — the
-// arrival-order path of the streaming topology route.
-func addAll(b *Builder, subtrees []*Subtree) (*Tree, StreamStats, error) {
-	b.Reset()
-	for _, st := range subtrees {
-		if err := b.Add(st); err != nil {
-			return nil, b.stats, err
-		}
-	}
-	return b.Finish()
-}
-
 // glueFromDecomp runs the full hybrid pipeline in-process: local
-// subtrees per block, then gluing, with the evicting Glue or with
-// arrival-order Adds; policy selects the boundary augmentation.
+// subtrees per block, then Glue, sweeping for eviction every 64 edges
+// or (evict false) only once, after the last edge; policy selects the
+// boundary augmentation.
 func glueFromDecomp(t *testing.T, f *grid.Field, px, py, pz int, policy BoundaryPolicy, evict bool) *Tree {
 	t.Helper()
 	dc, err := grid.NewDecomp(f.Box, px, py, pz)
@@ -227,11 +216,10 @@ func glueFromDecomp(t *testing.T, f *grid.Field, px, py, pz int, policy Boundary
 		subtrees = append(subtrees, st2)
 	}
 	b := &Builder{sweepEvery: 64}
-	glue := b.Glue
 	if !evict {
-		glue = func(subtrees []*Subtree) (*Tree, StreamStats, error) { return addAll(b, subtrees) }
+		b.sweepEvery = math.MaxInt
 	}
-	glued, _, err := glue(subtrees)
+	glued, _, err := b.Glue(subtrees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,15 +428,15 @@ func TestBuilderUnfinishedEdges(t *testing.T) {
 	if err := b.addEdge(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Finish(); err == nil {
+	if _, _, err := b.finish(); err == nil {
 		t.Fatal("want error when declared edges remain unprocessed")
 	}
 }
 
 // TestGlueArbitraryEdgeOrder verifies the arbitrary-order property the
-// paper requires of the in-transit algorithm: without eviction
-// (Builder.Add), any permutation of edge processing yields the same
-// tree.
+// paper requires of the in-transit algorithm: without eviction, any
+// permutation of edge processing yields the same tree. Glue feeds edges
+// in sorted order, so the test drives the builder's primitives.
 func TestGlueArbitraryEdgeOrder(t *testing.T) {
 	b := grid.NewBox(10, 10, 4)
 	f := smoothField(b, 2.2)
@@ -466,7 +454,18 @@ func TestGlueArbitraryEdgeOrder(t *testing.T) {
 		rng.Shuffle(len(shuffled.Edges), func(i, j int) {
 			shuffled.Edges[i], shuffled.Edges[j] = shuffled.Edges[j], shuffled.Edges[i]
 		})
-		got, _, err := addAll(new(Builder), []*Subtree{shuffled})
+		b := new(Builder)
+		for _, v := range shuffled.Verts {
+			if err := b.declareVertex(v.ID, v.Value, v.Degree); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range shuffled.Edges {
+			if err := b.addEdge(e.Hi, e.Lo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, _, err := b.finish()
 		if err != nil {
 			t.Fatal(err)
 		}

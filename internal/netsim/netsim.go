@@ -85,11 +85,6 @@ type Config struct {
 	// so pipelining is exercised in wall-clock time: a transfer whose
 	// modeled duration is d sleeps d/TimeScale. Zero disables sleeping.
 	TimeScale float64
-	// SharedLink additionally serializes the sleeps, modeling a single
-	// shared link (for example one staging bucket's ingress NIC):
-	// concurrent transfers then complete one after another instead of
-	// overlapping. Only meaningful with TimeScale > 0.
-	SharedLink bool
 }
 
 // Gemini returns parameters approximating the Cray XK6 Gemini
@@ -116,8 +111,6 @@ type Network struct {
 	mu          sync.Mutex
 	modeledBusy time.Duration
 	perPath     map[Path]int64 // bytes per path
-
-	linkMu sync.Mutex // serializes sleeps under SharedLink
 
 	inj atomic.Pointer[faults.Injector]
 }
@@ -253,13 +246,7 @@ func (n *Network) sleepScaled(d time.Duration) {
 	if n.cfg.TimeScale <= 0 {
 		return
 	}
-	if n.cfg.SharedLink {
-		n.linkMu.Lock()
-		time.Sleep(time.Duration(float64(d) / n.cfg.TimeScale))
-		n.linkMu.Unlock()
-	} else {
-		time.Sleep(time.Duration(float64(d) / n.cfg.TimeScale))
-	}
+	time.Sleep(time.Duration(float64(d) / n.cfg.TimeScale))
 }
 
 // Stats is a snapshot of fabric counters.

@@ -133,31 +133,3 @@ func TestPathString(t *testing.T) {
 		t.Fatal("unknown path must still format")
 	}
 }
-
-// TestSharedLinkSerializes: with a shared link, concurrent transfers
-// complete one after another, so total wall time is ~the sum of the
-// scaled durations rather than their max.
-func TestSharedLinkSerializes(t *testing.T) {
-	cfg := Gemini()
-	cfg.TimeScale = 0.001 // 1.5us SMSG -> 1.5ms sleeps
-	cfg.SharedLink = true
-	n := New(cfg)
-	const workers = 4
-	buf := make([]byte, 8)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n.TransferInto(make([]byte, len(buf)), buf)
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	per, _ := n.Cost(8)
-	scaled := time.Duration(float64(per) / cfg.TimeScale)
-	if elapsed < time.Duration(workers-1)*scaled {
-		t.Fatalf("shared link did not serialize: %v for %d transfers of %v", elapsed, workers, scaled)
-	}
-}

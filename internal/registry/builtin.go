@@ -63,11 +63,10 @@ func init() {
 	})
 
 	Register("topology", Info{
-		Doc:        "merge-tree topology: hybrid (reduced subtrees + streaming glue) or streaming in-transit",
-		Placements: []Placement{PlaceHybrid, PlaceInTransit},
+		Doc:        "merge-tree topology: reduced subtrees in situ, memory-bounded streaming glue in transit",
+		Placements: []Placement{PlaceHybrid},
 		Params: map[Placement][]string{
-			PlaceHybrid:    {"var", "simplify_eps", "feature_threshold"},
-			PlaceInTransit: {"var", "simplify_eps", "feature_threshold"},
+			PlaceHybrid: {"var", "simplify_eps", "feature_threshold"},
 		},
 		Check: func(p Params) error {
 			if p.SimplifyEps < 0 {
@@ -79,13 +78,13 @@ func init() {
 			return nil
 		},
 		Build: func(p Params) (core.Analysis, error) {
-			if p.Placement == PlaceInTransit {
-				t := core.NewTopologyStreaming()
-				applyTopology(&t.TopologyHybrid, p)
-				return t, nil
-			}
 			t := core.NewTopologyHybrid()
-			applyTopology(t, p)
+			if p.Var != "" {
+				t.Var = p.Var
+			}
+			t.SimplifyEps = p.SimplifyEps
+			t.FeatureThreshold = p.FeatureThreshold
+			t.EveryN = p.Every
 			return t, nil
 		},
 	})
@@ -201,15 +200,4 @@ func buildViz(p Params) (core.Analysis, error) {
 	v.Cameras = p.Cameras
 	v.EveryN = p.Every
 	return v, nil
-}
-
-// applyTopology copies the shared topology params onto a hybrid (or
-// embedded streaming) merge-tree analysis.
-func applyTopology(t *core.TopologyHybrid, p Params) {
-	if p.Var != "" {
-		t.Var = p.Var
-	}
-	t.SimplifyEps = p.SimplifyEps
-	t.FeatureThreshold = p.FeatureThreshold
-	t.EveryN = p.Every
 }

@@ -70,6 +70,13 @@ func TestParseConfigMalformed(t *testing.T) {
 			want: registry.ErrBadPlacement,
 		},
 		{
+			name: "retired in-transit topology placement",
+			src: `{"fabric": {"buckets": 1},
+				"tenants": [{"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+				"analyses": [{"analysis": "topology", "placement": "in-transit"}]}]}`,
+			want: registry.ErrBadPlacement,
+		},
+		{
 			name: "omitted placement where the analysis supports several",
 			src: `{"tenants": [{"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
 				"analyses": [{"analysis": "viz"}]}]}`,

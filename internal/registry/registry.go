@@ -32,25 +32,23 @@ import (
 )
 
 // Placement selects where an analysis runs, the paper's central axis:
-// fully on the simulation ranks, split across ranks and staging
-// buckets, or consumed on the transit tier as payloads stream in.
+// fully on the simulation ranks, or split across ranks and staging
+// buckets.
 type Placement string
 
-// The three placements a pipeline config can declare per analysis.
+// The two placements a pipeline config can declare per analysis.
 // PlaceHybrid is the paper's default decomposition (a massively
 // parallel in-situ stage plus a small in-transit stage); PlaceInSitu
-// completes on the primary resource; PlaceInTransit selects streaming
-// in-transit variants that consume payloads as transfers complete.
+// completes on the primary resource.
 const (
-	PlaceInSitu    Placement = "in-situ"
-	PlaceHybrid    Placement = "hybrid"
-	PlaceInTransit Placement = "in-transit"
+	PlaceInSitu Placement = "in-situ"
+	PlaceHybrid Placement = "hybrid"
 )
 
-// Valid reports whether p is one of the three declared placements.
+// Valid reports whether p is one of the two declared placements.
 func (p Placement) Valid() bool {
 	switch p {
-	case PlaceInSitu, PlaceHybrid, PlaceInTransit:
+	case PlaceInSitu, PlaceHybrid:
 		return true
 	}
 	return false
@@ -140,7 +138,7 @@ var (
 	// ErrUnknownAnalysis means the config names an analysis nothing
 	// registered.
 	ErrUnknownAnalysis = errors.New("registry: unknown analysis")
-	// ErrBadPlacement means the placement is not one of the three
+	// ErrBadPlacement means the placement is not one of the two
 	// declared ones, is unsupported by the analysis, or was omitted
 	// where the analysis supports more than one.
 	ErrBadPlacement = errors.New("registry: bad placement")

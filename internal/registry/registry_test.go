@@ -100,6 +100,10 @@ func TestDefaultPlacement(t *testing.T) {
 	if got := registry.DefaultPlacement("assess"); got != registry.PlaceInSitu {
 		t.Errorf("DefaultPlacement(assess) = %q, want %q", got, registry.PlaceInSitu)
 	}
+	// topology has one placement, hybrid.
+	if got := registry.DefaultPlacement("topology"); got != registry.PlaceHybrid {
+		t.Errorf("DefaultPlacement(topology) = %q, want %q", got, registry.PlaceHybrid)
+	}
 	// viz supports two: the config must choose.
 	if got := registry.DefaultPlacement("viz"); got != "" {
 		t.Errorf("DefaultPlacement(viz) = %q, want \"\"", got)
@@ -124,6 +128,9 @@ func TestCheckTypedErrors(t *testing.T) {
 			registry.ErrBadPlacement},
 		{"unsupported placement", "topology",
 			registry.Params{Placement: registry.PlaceInSitu},
+			registry.ErrBadPlacement},
+		{"retired in-transit placement", "topology",
+			registry.Params{Placement: "in-transit"},
 			registry.ErrBadPlacement},
 		{"omitted placement with several supported", "viz",
 			registry.Params{},
@@ -165,8 +172,7 @@ func TestCheckAcceptsValidParams(t *testing.T) {
 	}{
 		{"stats", registry.Params{Placement: registry.PlaceInSitu, Vars: []string{"T"}}},
 		{"viz", registry.Params{Placement: registry.PlaceHybrid, Factor: 8}},
-		{"topology", registry.Params{Placement: registry.PlaceHybrid, SimplifyEps: 0.05}},
-		{"topology", registry.Params{Placement: registry.PlaceInTransit, FeatureThreshold: 1}},
+		{"topology", registry.Params{Placement: registry.PlaceHybrid, SimplifyEps: 0.05, FeatureThreshold: 1}},
 		{"assess", registry.Params{Placement: registry.PlaceInSitu, Var: "T", Sigma: 3}},
 		{"autocorr", registry.Params{Placement: registry.PlaceHybrid, Lags: []int{1, 2, 4}}},
 		{"contingency", registry.Params{Placement: registry.PlaceHybrid, Var: "T", VarY: "P", XBins: 8, YBins: 8}},
@@ -204,9 +210,6 @@ func TestNewBuildsConfiguredVariants(t *testing.T) {
 	}
 	if _, ok := build("topology", registry.Params{Placement: registry.PlaceHybrid}).(*core.TopologyHybrid); !ok {
 		t.Error("topology hybrid did not build *core.TopologyHybrid")
-	}
-	if _, ok := build("topology", registry.Params{Placement: registry.PlaceInTransit}).(*core.TopologyStreaming); !ok {
-		t.Error("topology in-transit did not build *core.TopologyStreaming")
 	}
 
 	// The cadence threads through every factory.

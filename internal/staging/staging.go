@@ -64,42 +64,13 @@ func (e *DeadLetterError) Unwrap() []error { return []error{ErrDeadLetter, e.Las
 // payloads, ordered as in Task.Inputs, and returns an arbitrary result
 // object.
 //
-// Both handler kinds run on one task path and differ only in when they
-// see the inputs: the pull, the crash checkpoints, requeue and
-// dead-letter, the release of producer regions and the recycling of
-// pulled buffers are the bucket's and the same for both. The bucket
-// owns every pulled payload and returns it to the shared buffer pool
-// once the handler has returned, so a handler must not retain an input
-// slice (or a sub-slice of it) past its return: it copies anything it
-// keeps, and its result must not alias an input. Nor may it keep data
-// itself, which the bucket reuses for its next task.
+// The bucket owns every pulled payload and returns it to the shared
+// buffer pool once the handler has returned, so a handler must not
+// retain an input slice (or a sub-slice of it) past its return: it
+// copies anything it keeps, and its result must not alias an input.
+// Nor may it keep data itself, which the bucket reuses for its next
+// task.
 type Handler func(task dataspaces.Task, data [][]byte) (any, error)
-
-// StreamInput is one pulled payload delivered to a streaming handler
-// in arrival order, as soon as its transfer completes.
-type StreamInput struct {
-	Index int // position in Task.Inputs
-	Data  []byte
-}
-
-// StreamHandler executes a *streaming* in-transit stage: it consumes
-// inputs as they arrive instead of waiting for the full set — the
-// paper's proposed improvement of "processing in-transit data in a
-// streaming fashion, starting as soon as the first data arrives",
-// hiding the in-transit computation behind the data movement. The
-// channel closes after the last input; the handler then returns its
-// result. An attempt that fails (a pull error, a bucket crash) closes
-// the channel early and discards the result; the task is then retried
-// or dead-lettered exactly as a buffered one is. Handler's buffer rule
-// applies.
-type StreamHandler func(task dataspaces.Task, inputs <-chan StreamInput) (any, error)
-
-// stage is the in-transit handler registered for one route: exactly
-// one of the two kinds is set.
-type stage struct {
-	buffered Handler
-	stream   StreamHandler
-}
 
 // Result records the outcome and cost breakdown of one in-transit task.
 type Result struct {
@@ -115,9 +86,8 @@ type Result struct {
 	MoveModeledSum time.Duration
 	// MoveWall is the measured wall-clock time of the pull phase.
 	MoveWall time.Duration
-	// ComputeWall is the measured wall-clock time of the handler. A
-	// streaming handler starts with the attempt, so its ComputeWall
-	// overlaps MoveWall.
+	// ComputeWall is the measured wall-clock time of the handler, which
+	// starts once the pull phase has ended.
 	ComputeWall time.Duration
 	// Start and End bound the task's execution for pipelining analysis.
 	Start, End time.Time
@@ -144,7 +114,7 @@ type Area struct {
 	mu      sync.Mutex
 	points  []*dart.Endpoint // grows under AddBucket
 	started bool
-	stages  map[routeKey]stage
+	stages  map[routeKey]Handler
 	release func(dataspaces.Descriptor)
 
 	results chan *Result
@@ -299,7 +269,7 @@ func New(fabric *dart.Fabric, ds *dataspaces.Service, nbuckets int, release func
 	a := &Area{
 		svc:         fabric,
 		ds:          ds,
-		stages:      make(map[routeKey]stage),
+		stages:      make(map[routeKey]Handler),
 		release:     release,
 		maxAttempts: 3,
 		kill:        make([]chan struct{}, nbuckets),
@@ -327,23 +297,12 @@ func (a *Area) ProbeHandle() dart.MemHandle { return a.probe }
 
 // HandleT registers the in-transit stage for one (tenant, analysis)
 // route, so two tenants running the same analysis name dispatch to
-// their own handlers. A route has one handler: a later registration of
-// either kind replaces an earlier one. Handlers must be registered
-// before Start.
+// their own handlers. A route has one handler: a later registration
+// replaces an earlier one. Handlers must be registered before Start.
 func (a *Area) HandleT(tenant, analysis string, h Handler) {
-	a.handle(tenant, analysis, stage{buffered: h})
-}
-
-// HandleStreamT registers a streaming in-transit stage for one
-// (tenant, analysis) route, under HandleT's one-handler rule.
-func (a *Area) HandleStreamT(tenant, analysis string, h StreamHandler) {
-	a.handle(tenant, analysis, stage{stream: h})
-}
-
-func (a *Area) handle(tenant, analysis string, st stage) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.stages[routeKey{tenant, analysis}] = st
+	a.stages[routeKey{tenant, analysis}] = h
 }
 
 // ActiveBuckets returns the current bucket-pool size: started buckets

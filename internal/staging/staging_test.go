@@ -217,20 +217,17 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	a.Wait()
 }
 
-// TestStreamHandlerPanicIsolated: same guarantee for streaming
-// handlers, including the pull-drain so nothing leaks.
-func TestStreamHandlerPanicIsolated(t *testing.T) {
+// TestLaterRegistrationReplaces: a route has one in-transit handler; a
+// later registration replaces the earlier one.
+func TestLaterRegistrationReplaces(t *testing.T) {
 	r := newRig(t)
 	a, _ := New(r.fabric, r.ds, 1, nil)
-	a.HandleStreamT("", "boom", func(task dataspaces.Task, in <-chan StreamInput) (any, error) {
-		<-in
-		panic("mid-stream bug")
-	})
+	a.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) { return "first", nil })
+	a.HandleT("", "x", func(task dataspaces.Task, data [][]byte) (any, error) { return "last", nil })
 	a.Start()
-	r.publish(t, "boom", 1, []byte("a"), []byte("b"), []byte("c"))
-	res := <-a.Results()
-	if res.Err == nil || !strings.Contains(res.Err.Error(), "panic") {
-		t.Fatalf("want panic error, got %v", res.Err)
+	r.publish(t, "x", 1, []byte("d"))
+	if res := <-a.Results(); res.Output != "last" {
+		t.Fatalf("want the handler registered last, got %v", res.Output)
 	}
 	r.ds.Close()
 	a.Wait()

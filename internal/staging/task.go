@@ -9,10 +9,11 @@ import (
 	"insitu/internal/dataspaces"
 )
 
-// runTask executes one attempt at an assigned task: the one task path
-// both handler kinds run on. It returns the Result to emit (nil when
-// the task was requeued instead) and whether the bucket crashed while
-// holding the task.
+// runTask executes one attempt at an assigned task: it pulls every
+// input, releases the producer regions and runs the route's handler
+// over the pulled set. It returns the Result to emit (nil when the task
+// was requeued instead) and whether the bucket crashed while holding
+// the task.
 func (a *Area) runTask(id int, pl *puller, kill <-chan struct{}, task dataspaces.Task) (out *Result, crashed bool) {
 	at := a.beginAttempt(id, task)
 	defer func() { at.end(out, crashed) }()
@@ -22,13 +23,12 @@ func (a *Area) runTask(id int, pl *puller, kill <-chan struct{}, task dataspaces
 		return a.failTask(&at, id, task, fmt.Errorf("bucket %d crashed at assignment", id)), true
 	}
 	a.mu.Lock()
-	st := a.stages[routeKey{task.Tenant, task.Analysis}]
+	h := a.stages[routeKey{task.Tenant, task.Analysis}]
 	a.mu.Unlock()
-	c := st.begin(&at, task)
 	res := Result{Task: task, Start: at.start, Attempts: task.Attempts + 1}
 
 	pullStart := at.now()
-	data, err := pl.pull(task, &res, &c)
+	data, err := pl.pull(task, &res)
 	at.phase(phasePull, pullStart, &res, err)
 	// The bucket owns every pulled buffer: they go back to the pool once
 	// the handler has returned, or as soon as the attempt fails.
@@ -46,12 +46,16 @@ func (a *Area) runTask(id int, pl *puller, kill <-chan struct{}, task dataspaces
 		err, crashed = fmt.Errorf("bucket %d crashed after pull", id), true
 	}
 	if err != nil {
-		c.abort()
 		return a.failTask(&at, id, task, err), crashed
 	}
 	a.releaseInputs(task)
-	res.Output, res.Err = c.finish(&at, task, data)
-	at.phase(phaseRun, c.start, &res, res.Err)
+	runStart := at.now()
+	if h == nil {
+		res.Err = fmt.Errorf("staging: no handler registered for analysis %q", task.Analysis)
+	} else {
+		res.Output, res.Err = safeHandler(h, task, data)
+	}
+	at.phase(phaseRun, runStart, &res, res.Err)
 	// A drained Result, handed back by Recycle, carries this one.
 	if out = a.free.Get(); out == nil {
 		out = new(Result)
@@ -98,11 +102,10 @@ func (pl *puller) stop() {
 
 // pull issues every input's Get at once, one per worker, and collects
 // all of them — even after a failure, so every pulled buffer has an
-// owner to recycle it. Each input goes to a streaming handler as its
-// transfer lands; the payloads come back in the bucket's scratch slice,
-// ordered as in Task.Inputs (nil where a pull failed), with the first
-// failure.
-func (pl *puller) pull(task dataspaces.Task, res *Result, c *consumer) ([][]byte, error) {
+// owner to recycle it. The payloads come back in the bucket's scratch
+// slice, ordered as in Task.Inputs (nil where a pull failed), with the
+// first failure.
+func (pl *puller) pull(task dataspaces.Task, res *Result) ([][]byte, error) {
 	n := len(task.Inputs)
 	if n > len(pl.gets) {
 		pl.arrived, pl.data = make(chan xfer, n), make([][]byte, n)
@@ -127,73 +130,8 @@ func (pl *puller) pull(task dataspaces.Task, res *Result, c *consumer) ([][]byte
 		data[p.i] = p.data
 		res.BytesMoved += int64(len(p.data))
 		res.MoveModeledSum += p.d
-		if c.inputs != nil {
-			c.inputs <- StreamInput{Index: p.i, Data: p.data}
-		}
 	}
 	return data, err
-}
-
-// consumer is the handler side of one attempt, and the only place the
-// two handler kinds differ: a streaming handler starts with the attempt
-// and receives each input as its pull lands; a buffered one runs over
-// the whole set once the pulls are done.
-type consumer struct {
-	st     stage
-	inputs chan StreamInput // streaming only
-	done   chan outcome     // streaming only
-	start  time.Time        // when the handler started running
-}
-
-type outcome struct {
-	out any
-	err error
-}
-
-// begin opens the attempt's consumer, starting a streaming handler.
-func (st stage) begin(at *attempt, task dataspaces.Task) consumer {
-	c := consumer{st: st}
-	if st.stream != nil {
-		c.start = at.now()
-		// Buffered to the input count, so the pull never blocks on a
-		// handler that stopped reading.
-		c.inputs = make(chan StreamInput, len(task.Inputs))
-		c.done = make(chan outcome, 1)
-		go runStream(st.stream, task, c.inputs, c.done)
-	}
-	return c
-}
-
-// runStream is a streaming handler's goroutine.
-func runStream(sh StreamHandler, task dataspaces.Task, inputs <-chan StreamInput, done chan<- outcome) {
-	out, err := safeHandler(func() (any, error) { return sh(task, inputs) })
-	done <- outcome{out, err}
-}
-
-// finish completes the handler over the whole pulled set: it closes a
-// streaming handler's channel and waits for its result, or runs a
-// buffered handler.
-func (c *consumer) finish(at *attempt, task dataspaces.Task, data [][]byte) (any, error) {
-	if c.inputs != nil {
-		close(c.inputs)
-		oc := <-c.done
-		return oc.out, oc.err
-	}
-	c.start = at.now()
-	if c.st.buffered == nil {
-		return nil, fmt.Errorf("staging: no handler registered for analysis %q", task.Analysis)
-	}
-	return safeHandler(func() (any, error) { return c.st.buffered(task, data) })
-}
-
-// abort ends a failed attempt. A streaming handler sees its channel
-// close early; its result is discarded once it returns, so it no longer
-// holds any input when the bucket recycles them.
-func (c *consumer) abort() {
-	if c.inputs != nil {
-		close(c.inputs)
-		<-c.done
-	}
 }
 
 // releaseInputs hands every input descriptor to the release callback,
@@ -209,12 +147,12 @@ func (a *Area) releaseInputs(task dataspaces.Task) {
 // safeHandler isolates handler panics: a panicking analysis yields an
 // errored result instead of killing its bucket (which would starve the
 // staging area and hang the drain).
-func safeHandler(fn func() (any, error)) (out any, err error) {
+func safeHandler(h Handler, task dataspaces.Task, data [][]byte) (out any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = nil
 			err = fmt.Errorf("staging: handler panic: %v", r)
 		}
 	}()
-	return fn()
+	return h(task, data)
 }

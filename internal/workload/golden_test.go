@@ -72,10 +72,9 @@ func TestExampleConfigDigestsGolden(t *testing.T) {
 // has one, the digest-only sink otherwise — so an example's results are
 // the same either way, each frame ref names the digest the store filed
 // it under, and neither run keeps a pooled framebuffer. Results are
-// compared by ResultDigest, as the goldens are: a streaming topology's
-// work counter follows payload arrival order, so two runs' Results are
-// not DeepEqual even at one config. Frame results are compared with
-// DeepEqual.
+// compared by ResultDigest, as the goldens are: every digest is a
+// function of the config, and it compares what a result holds behind
+// its pointers by value. Frame results are compared with DeepEqual.
 func TestExampleConfigFramesSameWithOrWithoutStore(t *testing.T) {
 	for _, name := range []string{"quickstart", "all-analyses", "crashmatrix", "store-serve"} {
 		t.Run(name, func(t *testing.T) {

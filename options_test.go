@@ -22,7 +22,6 @@ var singleValueAllowList = map[string]string{
 	"dart.RetryPolicy":              "fault hook: fault tests shorten the retry backoff through Fabric.SetRetryPolicy; every run keeps the default policy",
 	"faults.Config":                 "the fault model the chaos soaks and fault tests drive: rates, partitions and corruption that no config key sets",
 	"netsim.Config":                 "the gemini profile's path thresholds; fabric.net.profile picks that profile or the zero one, where every message takes one free path",
-	"netsim.Config.SharedLink":      "only the netsim and streaming tests serialize the sleeps; it goes with TimeScale when the clock is modeled (ROADMAP item 10)",
 	"core.RecoveryConfig.Kill":      "fault hook: the crash matrix builds each cell's kill point; no config kills a run",
 	"workload.ViewerConfig.HotFrac": "benchmark/workload.go passes the default 0.5, and the benchmark module is frozen against its parent's runs; fold it once the benchmark may change",
 }
