@@ -57,7 +57,9 @@
 #                   was read from, an accepted spec key is the canonical one,
 #                   a header matches only by "*" or a listed tag), and the
 #                   distributed merge-tree glue on fuzzed fields and
-#                   decompositions (it reproduces the serial tree)
+#                   decompositions (it reproduces the serial tree), and the
+#                   typed writers of the commit digest's text (they print
+#                   what fmt's %v prints)
 #   make chaos      the randomized-seed chaos smoke under -race (env-gated,
 #                   so `race` skips it; the fixed-seed soak runs there)
 
@@ -105,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/imagestore/
 	$(GO) test -run xxx -fuzz FuzzEtagMatch -fuzztime 10s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzWriteFileRegion -fuzztime 10s ./internal/bp/
+	$(GO) test -run xxx -fuzz FuzzDigestTextMatchesFmt -fuzztime 10s ./internal/core/
 
 chaos:
 	CHAOS_SMOKE=1 $(GO) test -race -run TestChaosSmoke -count=1 -v ./internal/core/

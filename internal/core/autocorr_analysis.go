@@ -63,6 +63,14 @@ func (a *AutoCorrHybrid) InSituStage(ctx *Ctx) ([]byte, error) {
 	return ac.AppendMarshal(bufpool.Get(ac.MarshalSize())[:0]), nil
 }
 
+// releaseAutoCorr hands the rank's correlator's ring slots, if a stage
+// made one, back for the next run's ranks.
+func releaseAutoCorr(ctx *Ctx) {
+	if ac, ok := ctx.State[autoCorrStateKey].(*stats.AutoCorrelator); ok {
+		ac.Release()
+	}
+}
+
 // AutoCorrResult is the in-transit output: the global per-lag
 // autocorrelation estimates.
 type AutoCorrResult struct {

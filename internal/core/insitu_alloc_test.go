@@ -226,3 +226,48 @@ func downsampled(f *grid.Field, factor int) *grid.Field {
 	}
 	return g
 }
+
+// TestAutoCorrRingRecycledAcrossRuns: the ring slots of a pipeline
+// run's auto-correlation route go back when its rank loops end, and a
+// second run of the stage fills its ring with them: over the steps
+// that fill the ring both ranks together allocate less than one slot.
+func TestAutoCorrRingRecycledAcrossRuns(t *testing.T) {
+	const steps = 3
+	ac := &AutoCorrHybrid{Lags: []int{1, 2}}
+	simCfg := sim.DefaultConfig(grid.NewBox(32, 16, 12), 2, 1, 1) // driveInSitu's decomposition
+	simCfg.KernelRate = 0.6
+	p, err := NewPipeline(DefaultConfig(simCfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Register(ac)
+	if _, err := p.Run(steps); err != nil {
+		t.Fatal(err)
+	}
+
+	var m0, m1 runtime.MemStats
+	var allocBytes, slotBytes uint64
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	driveInSitu(t, len(ac.Lags), func(ctx *Ctx, step int) {
+		rank0 := ctx.Comm.ID() == 0
+		if rank0 {
+			slotBytes = uint64(8 * ctx.Owned.Size())
+			runtime.ReadMemStats(&m0)
+		}
+		ctx.Comm.Barrier()
+		payload, err := ac.InSituStage(ctx)
+		if err != nil {
+			t.Error(err)
+		}
+		ctx.Comm.Barrier()
+		if rank0 {
+			runtime.ReadMemStats(&m1)
+			allocBytes += m1.TotalAlloc - m0.TotalAlloc
+		}
+		bufpool.Put(payload)
+	})
+	if allocBytes >= slotBytes {
+		t.Errorf("after a pipeline run, the auto-correlation stage allocates %d B filling its ring, one ring slot is %d B: the run's slots were not handed back", allocBytes, slotBytes)
+	}
+}

@@ -47,7 +47,8 @@ type rankRun struct {
 
 // rankLoop is one rank's simulation + in-situ schedule: the stages of
 // Fig. 5, once per step of p.walk. However it ends, killed too, it
-// hands the rank's sim storage and in-situ merge-tree scratch back.
+// hands the rank's sim storage, in-situ merge-tree scratch and
+// auto-correlation ring back.
 func (p *Pipeline) rankLoop(r *comm.Rank) error {
 	rr, err := p.newRankRun(r)
 	if err != nil {
@@ -56,6 +57,7 @@ func (p *Pipeline) rankLoop(r *comm.Rank) error {
 	defer func() {
 		rr.rk.Release()
 		putSubtreeScratch(rr.ctx)
+		releaseAutoCorr(rr.ctx)
 	}()
 	rr.resumePrologue()
 	for _, step := range p.walk {

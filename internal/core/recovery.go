@@ -1,12 +1,15 @@
 package core
 
 import (
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc64"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,6 +90,7 @@ type recState struct {
 	// the drain goroutine may both observe a step become commit-ready,
 	// and without it both would journal a commit record for it.
 	commitMu sync.Mutex
+	dig      digester // the commit loop's, under commitMu
 
 	// Wall times in ns: from Resume to rank 0's first live step, and
 	// rank 0's checkpoint writes to the barrier.
@@ -252,22 +256,23 @@ func (p *Pipeline) maybeCommitSteps() {
 }
 
 // commitDigests reports whether step s is commit-ready — every due
-// hybrid analysis has drained to a stored result — and digests every
-// due analysis result present at s.
+// hybrid analysis has drained to a stored result — and, once it is,
+// digests every due analysis result present at s. Readiness is checked
+// before anything is digested, so a step that is not ready costs no
+// digest and no allocation, and a committed step digests each result
+// exactly once, in rec's reused digester.
 func (p *Pipeline) commitDigests(s int) (map[string]string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	digests := make(map[string]string)
 	for _, rt := range p.routes {
-		if !rt.due(s) {
-			continue
-		}
-		out, ok := rt.results[s]
-		if rt.stage != nil && !ok {
+		if _, ok := rt.results[s]; rt.stage != nil && rt.due(s) && !ok {
 			return nil, false
 		}
-		if ok {
-			digests[rt.name] = ResultDigest(out)
+	}
+	digests := make(map[string]string)
+	for _, rt := range p.routes {
+		if out, ok := rt.results[s]; ok && rt.due(s) {
+			digests[rt.name] = p.rec.dig.digest(out)
 		}
 	}
 	return digests, true
@@ -276,14 +281,99 @@ func (p *Pipeline) commitDigests(s int) (map[string]string, bool) {
 // ResultDigest hashes a stored analysis result into the short stable
 // token the recovery journal commits — exported so equivalence tests can
 // compare whole runs result by result without depending on the journal:
-// two runs of one config agree digest for digest. %v formatting
+// two runs of one config agree digest for digest. The token is the
+// crc64 (ECMA) of the result's %v text, in 16 hex digits. %v formatting
 // is deterministic for the value shapes analyses store (fmt sorts map
 // keys), and byValue first replaces what %v would print as a heap
-// address.
+// address. The two shapes a journaled step commits most, a statistics
+// route's map[string]stats.Derived and a frame route's []FrameRef, are
+// written byte for byte as %v prints them, without reflection; fmt
+// stays the definition of the text, and the test oracle of the typed
+// writers.
 func ResultDigest(v any) string {
-	h := crc64.New(crc64.MakeTable(crc64.ECMA))
-	fmt.Fprintf(h, "%v", byValue(v))
-	return fmt.Sprintf("%016x", h.Sum64())
+	var d digester
+	return d.digest(v)
+}
+
+// crcECMA is the digest's crc64 table.
+var crcECMA = crc64.MakeTable(crc64.ECMA)
+
+// A digester renders results into their digest text and hashes it. buf
+// holds the text and keys a statistics map's sorted keys; both are
+// reused from one digest to the next, so a warm digester of a typed
+// shape allocates only the token it returns.
+type digester struct {
+	buf  []byte
+	keys []string
+}
+
+// digest returns v's digest token.
+func (d *digester) digest(v any) string {
+	d.buf = d.appendText(d.buf[:0], v)
+	var sum [8]byte
+	binary.BigEndian.PutUint64(sum[:], crc64.Update(0, crcECMA, d.buf))
+	var tok [16]byte
+	hex.Encode(tok[:], sum[:])
+	return string(tok[:])
+}
+
+// appendText appends the %v text of byValue(v) to dst.
+func (d *digester) appendText(dst []byte, v any) []byte {
+	switch r := v.(type) {
+	case map[string]stats.Derived:
+		return d.appendDerivedMap(dst, r)
+	case []FrameRef:
+		return appendFrameRefs(dst, r)
+	}
+	return fmt.Appendf(dst, "%v", byValue(v))
+}
+
+// appendDerivedMap appends m as %v prints it: "map[" and the entries
+// in sorted key order, each "key:{N Min Max ...}", separated by spaces,
+// then "]".
+func (d *digester) appendDerivedMap(dst []byte, m map[string]stats.Derived) []byte {
+	d.keys = d.keys[:0]
+	for k := range m {
+		d.keys = append(d.keys, k)
+	}
+	slices.Sort(d.keys)
+	dst = append(dst, "map["...)
+	for i, k := range d.keys {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(append(dst, k...), ':')
+		dst = appendDerived(dst, m[k])
+	}
+	return append(dst, ']')
+}
+
+// appendDerived appends a stats.Derived as %v prints it: its fields in
+// order, space-separated, in braces; a float is strconv's shortest 'g'
+// form, as fmt's %v.
+func appendDerived(dst []byte, x stats.Derived) []byte {
+	dst = strconv.AppendInt(append(dst, '{'), x.N, 10)
+	for _, f := range [...]float64{x.Min, x.Max, x.Mean, x.Variance, x.StdDev, x.Skewness, x.Kurtosis} {
+		dst = strconv.AppendFloat(append(dst, ' '), f, 'g', -1, 64)
+	}
+	return append(dst, '}')
+}
+
+// appendFrameRefs appends refs as %v prints them: "[{Var Step Cam
+// Digest} ...]".
+func appendFrameRefs(dst []byte, refs []FrameRef) []byte {
+	dst = append(dst, '[')
+	for i, r := range refs {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(append(dst, '{'), r.Var...)
+		dst = strconv.AppendInt(append(dst, ' '), int64(r.Step), 10)
+		dst = append(append(dst, ' '), r.Cam...)
+		dst = append(append(dst, ' '), r.Digest...)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
 }
 
 // byValue returns the form of a result that %v prints without heap

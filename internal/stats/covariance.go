@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"insitu/internal/bufpool"
 	"insitu/internal/grid"
 )
 
@@ -148,8 +149,10 @@ func (a *AutoCorrelator) Push(snapshot []float64) {
 // must be contained in f.Box), into the per-lag accumulators. It reads
 // f in place, lag by lag and cell by cell in sub's x-fastest order, and
 // then copies the snapshot into the ring slot it evicts, so once the
-// ring is full a push allocates nothing. Every push must cover the
-// same number of cells.
+// ring is full a push allocates nothing. An empty slot is drawn from
+// the slots released correlators handed back, so a warm run's ring
+// allocates nothing either. Every push must cover the same number of
+// cells.
 func (a *AutoCorrelator) PushBox(f *grid.Field, sub grid.Box) {
 	n := sub.Size()
 	for li, lag := range a.Lags {
@@ -168,7 +171,9 @@ func (a *AutoCorrelator) PushBox(f *grid.Field, sub grid.Box) {
 	}
 	slot := a.ring[a.head][:0]
 	if cap(slot) < n {
-		slot = make([]float64, 0, n)
+		if slot = ringSlots.Get(); cap(slot) < n {
+			slot = make([]float64, 0, n)
+		}
 	}
 	for at := 0; at < n; {
 		row := f.Row(sub, at, n)
@@ -178,6 +183,23 @@ func (a *AutoCorrelator) PushBox(f *grid.Field, sub grid.Box) {
 	a.ring[a.head] = slot
 	a.head = (a.head + 1) % len(a.ring)
 	a.seen++
+}
+
+// ringSlots holds the ring slots of released correlators: at most as
+// many as pushes ever had to make.
+var ringSlots bufpool.List[[]float64]
+
+// Release hands the ring's slots back for later correlators' pushes and
+// empties the ring, as before the first push; the accumulators keep
+// what they learned.
+func (a *AutoCorrelator) Release() {
+	for i, slot := range a.ring {
+		if slot != nil {
+			ringSlots.Put(slot[:0])
+		}
+		a.ring[i] = nil
+	}
+	a.head, a.seen = 0, 0
 }
 
 // Acc returns the accumulator for the i-th registered lag.
