@@ -26,7 +26,19 @@
 #                   entries of singleValueAllowList pass otherwise, each naming
 #                   a field or a type with a reason (a stale entry fails too).
 #                   Fold such a field into a constant; allow-list only a fault
-#                   hook, a fault model or a field only benchmark/ writes
+#                   hook, a fault model or a field only benchmark/ writes.
+#                   The field gate (TestEveryFieldIsRead, fields_test.go) shares
+#                   that one type-check: it fails on a field of an internal/
+#                   struct (embedded, _ and JSON-keyed fields aside) that
+#                   non-test code writes and never reads by selector. A write
+#                   is the left side of =, := or op= (x.f[k] = too), ++/--, a
+#                   keyed-literal key, x.f = append(x.f, ...) or an atomic
+#                   Add/Store/Swap/CompareAndSwap whose result is dropped;
+#                   &x.f and every other use read. Only the entries of
+#                   unreadAllowList pass otherwise (a stale entry fails too).
+#                   Delete such a field with the code that fills it; allow-list
+#                   only a type core.ResultDigest prints whole with %v or a
+#                   fault count
 #   make test       fast inner loop (tests, no race)
 #   make bench      the end-to-end benchmark declared by BENCHMARK.json
 #                   (bash benchmark/run.sh: all four workloads, full report;

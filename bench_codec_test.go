@@ -153,5 +153,5 @@ func BenchmarkCodecFramedGet(b *testing.B) {
 		}
 		bufpool.Put(data)
 	}
-	b.ReportMetric(float64(er.RawSize)/float64(er.WireSize), "x-compression")
+	b.ReportMetric(fabric.CodecStats().Ratio(), "x-compression")
 }

@@ -137,11 +137,11 @@ func runChaos(t *testing.T, seed int64, steps int) {
 		t.Errorf("stored %d degraded markers but counted %d degraded steps (%d in-situ fallbacks + %d dead letters)",
 			degraded, res.DegradedSteps, rep.Overload.StepsFallback, res.DeadLetters)
 	}
-	if res.Crashes < 1 {
-		t.Errorf("bucket crash not recorded: %+v", res)
+	if crashes := p.sched.Staging().Resilience().Crashes; crashes < 1 {
+		t.Errorf("bucket crash not recorded: %d crashes", crashes)
 	}
-	if res.Faults == 0 || res.Retries == 0 {
-		t.Errorf("fault storm did not exercise the retry path: %+v", res)
+	if faulted := p.sched.Network().Stats().Faulted; faulted == 0 || res.Retries == 0 {
+		t.Errorf("fault storm did not exercise the retry path: %d faulted, %+v", faulted, res)
 	}
 
 	// Checksum framing must catch 100% of injected corruptions: no

@@ -85,7 +85,7 @@ func TestCreditSettlesOnEveryFinalResult(t *testing.T) {
 			if out, avail, total := c.Snapshot(); out != 0 || avail != total {
 				t.Fatalf("after one final result: outstanding %d available %d total %d", out, avail, total)
 			}
-			if rep := p.finishReport(1); rep.Result(a.Name(), 1) == nil && len(rep.Errs) == 0 {
+			if rep := p.finishReport(); rep.Result(a.Name(), 1) == nil && len(rep.Errs) == 0 {
 				t.Fatal("the final result left neither a stored value nor an error")
 			}
 		})

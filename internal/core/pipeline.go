@@ -335,11 +335,9 @@ func (p *Pipeline) resilience() metrics.Resilience {
 	p.mu.Unlock()
 	as := p.sched.area.Resilience()
 	return metrics.Resilience{
-		Faults:           p.sched.net.Stats().Faulted,
 		Retries:          retries,
 		ChecksumFailures: crc,
 		Requeues:         as.Requeues,
-		Crashes:          as.Crashes,
 		DeadLetters:      p.deadLetters.Load(),
 		DegradedSteps:    p.degradedSteps(),
 	}

@@ -44,7 +44,7 @@ func recoveryTestPipeline(t *testing.T, dir string, kill recovery.KillFunc) (*Pi
 func TestBucketRespawnDeltaCodec(t *testing.T) {
 	const steps = 8
 
-	run := func(crash bool) *Report {
+	run := func(crash bool) (*Report, int64) {
 		p, sa := recoveryTestPipeline(t, "", nil)
 		if crash {
 			p.sched.area.CrashBucket(0)
@@ -61,14 +61,14 @@ func TestBucketRespawnDeltaCodec(t *testing.T) {
 				t.Fatalf("run (crash=%v): step %d result missing", crash, s)
 			}
 		}
-		return rep
+		return rep, p.sched.Staging().Resilience().Crashes
 	}
 
-	golden := run(false)
-	crashed := run(true)
+	golden, _ := run(false)
+	crashed, crashes := run(true)
 
-	if crashed.Resilience.Crashes != 1 {
-		t.Errorf("crashes = %d, want 1", crashed.Resilience.Crashes)
+	if crashes != 1 {
+		t.Errorf("crashes = %d, want 1", crashes)
 	}
 	if crashed.Resilience.Requeues < 1 {
 		t.Errorf("requeues = %d, want >= 1", crashed.Resilience.Requeues)

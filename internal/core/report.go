@@ -12,14 +12,15 @@ import (
 
 // Report is the outcome of one tenant's run. Its counts are the
 // tenant's own, alone or beside siblings, except Net, Codec and
-// Resilience.Faults, Requeues and Crashes: those are fabric-wide,
-// because every tenant shares the network and the bucket pool.
+// Resilience.Requeues: those are fabric-wide, because every tenant
+// shares the network and the bucket pool. The fabric's fault and
+// bucket-crash counts are read from the fabric itself
+// (Network().Stats().Faulted, Staging().Resilience().Crashes).
 // Resilience.Retries and ChecksumFailures are charged to the tenant's
 // rank endpoints, which own the regions its tasks pull; a retry on a
 // bucket-owned region (the transit-health probe's, the only one)
 // counts for no tenant.
 type Report struct {
-	Steps      int
 	Results    map[string]map[int]any // analysis -> step -> output; frames are []FrameRef
 	Metrics    *metrics.Collector
 	Net        netsim.Stats
@@ -39,7 +40,7 @@ func (r *Report) Result(analysis string, step int) any {
 // finishReport builds the final Report from the run's tallies and the
 // fabric's counters. Called once per pipeline, after its simulation has
 // finished and the drain has delivered every final result.
-func (p *Pipeline) finishReport(steps int) *Report {
+func (p *Pipeline) finishReport() *Report {
 	// resilience takes p.mu, so it runs before the lock below.
 	res := p.resilience()
 	over := metrics.Overload{
@@ -73,7 +74,6 @@ func (p *Pipeline) finishReport(steps int) *Report {
 		}
 	}
 	return &Report{
-		Steps:      steps,
 		Results:    results,
 		Metrics:    p.col,
 		Net:        p.sched.net.Stats(),

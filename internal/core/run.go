@@ -86,7 +86,7 @@ func (s *Scheduler) run(steps int, lone *Pipeline, mode RunMode) (map[string]*Re
 	reports := make(map[string]*Report, len(tenants))
 	var errs []error
 	for _, p := range tenants {
-		rep := p.finishReport(steps)
+		rep := p.finishReport()
 		reports[p.tenant] = rep
 		if len(rep.Errs) > 0 {
 			err := rep.Errs[0]

@@ -46,17 +46,18 @@ func TestRegisterMemEncodedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cs1 := f.CodecStats()
 	er2, err := p.RegisterMemEncoded(codec.Spec{ID: codec.Delta}, "viz/0", 2, payload, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if er2.WireSize >= er2.RawSize {
-		t.Fatalf("identical-payload delta pinned %d bytes for %d raw", er2.WireSize, er2.RawSize)
+	cs := f.CodecStats()
+	wire1, wire2 := cs1.EncodedBytes, cs.EncodedBytes-cs1.EncodedBytes
+	if raw2 := cs.RawBytes - cs1.RawBytes; wire2 >= raw2 {
+		t.Fatalf("identical-payload delta pinned %d bytes for %d raw", wire2, raw2)
 	}
-	if er2.Handle.Size != er2.WireSize {
-		t.Fatalf("handle size %d, wire size %d — modeled latency must scale with encoded bytes", er2.Handle.Size, er2.WireSize)
-	}
-	for _, er := range []EncodedRegion{er1, er2} {
+	for i, er := range []EncodedRegion{er1, er2} {
+		before := f.Network().Stats().BytesMoved
 		got, _, err := c.Get(er.Handle)
 		if err != nil {
 			t.Fatal(err)
@@ -65,9 +66,12 @@ func TestRegisterMemEncodedRoundTrip(t *testing.T) {
 			t.Fatal("framed Get did not reconstruct the raw payload")
 		}
 		bufpool.Put(got)
+		// Modeled latency scales with the encoded bytes the pull moves.
+		if moved, wire := f.Network().Stats().BytesMoved-before, []int64{wire1, wire2}[i]; moved != wire {
+			t.Fatalf("version %d: the pull moved %d bytes, the pinned frame is %d", i+1, moved, wire)
+		}
 	}
-	cs := f.CodecStats()
-	if cs.RawBytes != int64(2*len(payload)) || cs.EncodedBytes != int64(er1.WireSize+er2.WireSize) {
+	if cs.RawBytes != int64(2*len(payload)) {
 		t.Fatalf("codec stats %+v inconsistent with registrations", cs)
 	}
 	if cs.Ratio() <= 1 {
@@ -90,10 +94,11 @@ func TestRegisterMemEncodedQuantize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ratio := float64(er.RawSize) / float64(er.WireSize); ratio < 3 {
+	cs := f.CodecStats()
+	if ratio := cs.Ratio(); ratio < 3 {
 		t.Fatalf("quantize wire ratio %.2fx, want >= 3x", ratio)
 	}
-	if er.MaxError <= 0 {
+	if cs.MaxError <= 0 {
 		t.Fatal("quantize must report a nonzero bounded error on a varying field")
 	}
 	got, _, err := c.Get(er.Handle)
@@ -104,12 +109,9 @@ func TestRegisterMemEncodedQuantize(t *testing.T) {
 	for i := 0; i < 2048; i++ {
 		a := math.Float64frombits(binary.LittleEndian.Uint64(payload[76+8*i:]))
 		b := math.Float64frombits(binary.LittleEndian.Uint64(got[76+8*i:]))
-		if math.Abs(a-b) > er.MaxError {
-			t.Fatalf("value %d off by %g, reported bound %g", i, math.Abs(a-b), er.MaxError)
+		if math.Abs(a-b) > cs.MaxError {
+			t.Fatalf("value %d off by %g, reported bound %g", i, math.Abs(a-b), cs.MaxError)
 		}
-	}
-	if cs := f.CodecStats(); cs.MaxError != er.MaxError {
-		t.Fatalf("fabric max error %g, registration reported %g", cs.MaxError, er.MaxError)
 	}
 }
 
@@ -124,8 +126,8 @@ func TestRegisterMemEncodedIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if er.Codec != codec.Identity || er.WireSize != len(payload) {
-		t.Fatalf("identity registration = %+v", er)
+	if cs := f.CodecStats(); er.Codec != codec.Identity || cs.EncodedBytes != int64(len(payload)) {
+		t.Fatalf("identity registration = %+v, codec stats %+v", er, cs)
 	}
 	got, _, err := c.Get(er.Handle)
 	if err != nil {

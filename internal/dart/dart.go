@@ -124,7 +124,6 @@ func (p RetryPolicy) backoff(attempt int, rng func() float64) time.Duration {
 type MemHandle struct {
 	Endpoint int // owning endpoint id
 	Region   int // region id within the endpoint
-	Size     int // region size in bytes
 }
 
 // Stats counts resilience activity: one endpoint's, charged to the
@@ -135,8 +134,6 @@ type Stats struct {
 	// ChecksumFailures is the number of corrupted payloads caught by
 	// CRC32 verification.
 	ChecksumFailures int64
-	// DeadlineExceeded counts operations abandoned at their deadline.
-	DeadlineExceeded int64
 }
 
 // Fabric is the shared transport instance: a set of endpoints attached
@@ -392,7 +389,6 @@ func (ep *Endpoint) Stats() Stats {
 	return Stats{
 		Retries:          ep.retries.Load(),
 		ChecksumFailures: ep.crcFails.Load(),
-		DeadlineExceeded: ep.deadlines.Load(),
 	}
 }
 
@@ -484,7 +480,7 @@ func (ep *Endpoint) registerMem(data []byte, framed bool) MemHandle {
 	id := ep.nextReg
 	ep.nextReg++
 	ep.regions[id] = region{data: data, crc: sum, framed: framed}
-	return MemHandle{Endpoint: ep.id, Region: id, Size: len(data)}
+	return MemHandle{Endpoint: ep.id, Region: id}
 }
 
 // EncodedRegion describes one codec-framed registration.
@@ -494,12 +490,6 @@ type EncodedRegion struct {
 	// payload was pinned unframed (the spec asked for identity, or the
 	// codec chose to ship raw).
 	Codec codec.ID
-	// RawSize and WireSize are the payload's decoded and pinned sizes;
-	// modeled transfer latency scales with WireSize.
-	RawSize, WireSize int
-	// MaxError bounds the reconstruction error this encoding introduced
-	// (0 for exact codecs and raw payloads).
-	MaxError float64
 }
 
 // RegisterMemEncoded encodes raw under spec (via the fabric's codec
@@ -531,7 +521,7 @@ func (ep *Endpoint) RegisterMemEncoded(spec codec.Spec, key string, version int,
 		if fo := ep.f.obs.Load(); fo != nil {
 			fo.encSec[codec.Identity].Observe(time.Since(start).Seconds())
 		}
-		return EncodedRegion{Handle: h, Codec: codec.Identity, RawSize: len(raw), WireSize: len(raw)}, nil
+		return EncodedRegion{Handle: h, Codec: codec.Identity}, nil
 	}
 	h := ep.registerMem(res.Frame, true)
 	ep.f.rawBytes.Add(int64(len(raw)))
@@ -540,7 +530,7 @@ func (ep *Endpoint) RegisterMemEncoded(spec codec.Spec, key string, version int,
 	if fo := ep.f.obs.Load(); fo != nil {
 		fo.encSec[spec.ID].Observe(time.Since(start).Seconds())
 	}
-	return EncodedRegion{Handle: h, Codec: spec.ID, RawSize: len(raw), WireSize: len(res.Frame), MaxError: res.MaxError}, nil
+	return EncodedRegion{Handle: h, Codec: spec.ID}, nil
 }
 
 // Regions returns the number of currently pinned regions, used by

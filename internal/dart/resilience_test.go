@@ -3,12 +3,14 @@ package dart
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"insitu/internal/bufpool"
 	"insitu/internal/faults"
 	"insitu/internal/netsim"
+	"insitu/internal/obs"
 )
 
 // faultyFabric returns a fabric whose network injects the given
@@ -36,7 +38,6 @@ func fabricStats(f *Fabric) Stats {
 		s := ep.Stats()
 		st.Retries += s.Retries
 		st.ChecksumFailures += s.ChecksumFailures
-		st.DeadlineExceeded += s.DeadlineExceeded
 	}
 	return st
 }
@@ -121,6 +122,8 @@ func TestChecksumCatchesEveryCorruption(t *testing.T) {
 // deadline yields ErrDeadline instead of spinning.
 func TestDeadlineExceededTyped(t *testing.T) {
 	f := faultyFabric(faults.Config{Seed: 1, Default: faults.Rates{Drop: 1}}, 1<<20)
+	pl := obs.NewPlane()
+	f.SetPlane(pl)
 	p := f.Register("p")
 	c := f.Register("c")
 	h := p.RegisterMem(make([]byte, 64))
@@ -128,8 +131,12 @@ func TestDeadlineExceededTyped(t *testing.T) {
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}
-	if fabricStats(f).DeadlineExceeded < 1 {
-		t.Fatalf("deadline counter %d, want >= 1", fabricStats(f).DeadlineExceeded)
+	var buf bytes.Buffer
+	if err := pl.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `dart_endpoint_deadline_exceeded_total{endpoint="p",tenant="default"} 1` + "\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("deadline counter: exposition lacks %q", want)
 	}
 }
 

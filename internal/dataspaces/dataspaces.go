@@ -60,7 +60,7 @@ type server struct {
 // for one timestep over the given input blocks. Tasks are created by
 // data-ready events and drained by bucket-ready requests. It is the
 // submitted TaskSpec plus what the service adds: the id, and the
-// attempt ledger that survives requeues.
+// attempt count that survives requeues.
 type Task struct {
 	ID int64
 	TaskSpec
@@ -68,10 +68,6 @@ type Task struct {
 	// bucket and failed (bucket crash or transfer failure); it starts
 	// at 0 and is incremented by Requeue.
 	Attempts int
-	// History accumulates one line per failed attempt (cause summaries)
-	// so a dead-letter report can show how the task died, not just that
-	// it did. It survives requeues.
-	History []string
 }
 
 // TaskSpec describes a task submission.

@@ -175,8 +175,7 @@ type Decision struct {
 
 // Counters is a snapshot of injected-fault counts.
 type Counters struct {
-	Decisions int64
-	ByKind    map[Kind]int64
+	ByKind map[Kind]int64
 }
 
 // Injected returns the total number of non-None faults injected.
@@ -283,7 +282,7 @@ func (inj *Injector) decideLocked(idx, from, to, path, size int) Decision {
 func (inj *Injector) Counters() Counters {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	out := Counters{Decisions: int64(inj.n), ByKind: make(map[Kind]int64)}
+	out := Counters{ByKind: make(map[Kind]int64)}
 	for k := Kind(0); k < numKinds; k++ {
 		if inj.counts[k] != 0 {
 			out.ByKind[k] = inj.counts[k]

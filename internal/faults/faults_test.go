@@ -56,7 +56,7 @@ func TestRatesRoughlyHonored(t *testing.T) {
 		t.Fatalf("50%% drop rate produced %d/2000 drops", drops)
 	}
 	c := inj.Counters()
-	if c.ByKind[Drop] != int64(drops) || c.Decisions != 2000 {
+	if c.ByKind[Drop] != int64(drops) || c.ByKind[Drop]+c.ByKind[None] != 2000 {
 		t.Fatalf("counters %+v inconsistent with observed %d drops", c, drops)
 	}
 }

@@ -55,8 +55,8 @@ func failingIndex(t *testing.T, dir string) (s *Store, sp Spec, png []byte, heal
 	if _, ok := s.Latest(); ok {
 		t.Error("failed put: Latest moved")
 	}
-	if st := s.Stats(); st.Puts != 0 || st.Dedups != 0 || st.Frames != 0 || st.BlobsStored != 0 || st.SegmentBytes != 0 {
-		t.Errorf("failed put: stats moved: %+v", st)
+	if st, info := s.Stats(), s.Info(); st.Puts != 0 || st.Dedups != 0 || info.Frames != 0 || info.Blobs != 0 || info.Bytes != 0 {
+		t.Errorf("failed put: stats moved: %+v, info %+v", st, info)
 	}
 	// Durability order: the blob was in the segment before the index
 	// append was even attempted.
@@ -82,8 +82,8 @@ func TestFailedPutIsRetryable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}
-	if st := s.Stats(); st.Puts != 1 || st.Dedups != 0 || st.SegmentBytes != int64(len(png)) {
-		t.Errorf("retry: stats %+v, want one put of one blob written where the failed one was", st)
+	if st, info := s.Stats(), s.Info(); st.Puts != 1 || st.Dedups != 0 || info.Bytes != int64(len(png)) {
+		t.Errorf("retry: stats %+v, %d segment bytes: want one put of one blob written where the failed one was", st, info.Bytes)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -111,8 +111,8 @@ func TestCrashAfterSegmentSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats(); st.Frames != 0 || st.SegmentBytes != int64(len(orphan)) {
-		t.Fatalf("reopen over an orphan tail: %+v, want no frames and the tail counted as segment bytes", st)
+	if info := r.Info(); info.Frames != 0 || info.Bytes != int64(len(orphan)) {
+		t.Fatalf("reopen over an orphan tail: %+v, want no frames and the tail counted as segment bytes", info)
 	}
 	sp := Spec{Var: "T", Step: 2, Cam: "cam00"}
 	png, _ := frame(2).AppendPNG(nil)
@@ -158,8 +158,8 @@ func TestFrameSetIsOneCommit(t *testing.T) {
 	if len(digests) != 3 || digests[0] != digests[1] || digests[0] == digests[2] {
 		t.Fatalf("digests %v: want cam00 == cam01 != cam02", digests)
 	}
-	if st := s.Stats(); st.Frames != 3 || st.BlobsStored != 2 || st.Puts != 3 || st.Dedups != 1 {
-		t.Fatalf("identical images in one set: %+v, want 3 specs over 2 blobs", st)
+	if st, info := s.Stats(), s.Info(); info.Frames != 3 || info.Blobs != 2 || st.Puts != 3 || st.Dedups != 1 {
+		t.Fatalf("identical images in one set: %+v, %d specs over %d blobs: want 3 specs over 2 blobs", st, info.Frames, info.Blobs)
 	}
 	if got := s.idx.Fsyncs(); got != 2 {
 		t.Fatalf("first set issued %d index fsyncs, want 2 (the new file's directory + one append)", got)
@@ -311,7 +311,9 @@ func frameSet(step, cams, w, h int) []render.Frame {
 // path: a step of eight 80×60 frames is encoded into the store's
 // reused commit buffer, so a late step allocates less than one frame's
 // PNG. Each frame used to get its own exact-size slice for the cache
-// to keep: eight PNGs a step.
+// to keep: eight PNGs a step. Nor does a late step allocate more than
+// the digests it returns: one string per frame and their slice. Each
+// digest used to be hex-encoded through a scratch slice of its own.
 func TestPutFramesAllocatesFlat(t *testing.T) {
 	const steps, cams, w, h = 32, 8, 80, 60
 	s, err := Open(t.TempDir())
@@ -323,7 +325,7 @@ func TestPutFramesAllocatesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas := make([]uint64, steps)
+	deltas, mallocs := make([]uint64, steps), make([]uint64, steps)
 	var m0, m1 runtime.MemStats
 	for step := range deltas {
 		set := frameSet(step, cams, w, h)
@@ -334,14 +336,18 @@ func TestPutFramesAllocatesFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		deltas[step] = m1.TotalAlloc - m0.TotalAlloc
+		mallocs[step] = m1.Mallocs - m0.Mallocs
 	}
-	if st := s.Stats(); st.BlobsStored != steps*cams {
-		t.Fatalf("%d blobs stored, want %d distinct frames", st.BlobsStored, steps*cams)
+	if blobs := s.Info().Blobs; blobs != steps*cams {
+		t.Fatalf("%d blobs stored, want %d distinct frames", blobs, steps*cams)
 	}
 	// The cheapest step of a late window, as in core's in-situ guard: a
 	// map growth lands on single steps and is not what this is about.
 	if late := slices.Min(deltas[steps-10:]); late >= uint64(len(png)) {
 		t.Errorf("a step of %d frames allocates %d B, one frame's PNG is %d B: each frame is encoded into a buffer of its own", cams, late, len(png))
+	}
+	if late := slices.Min(mallocs[steps-10:]); late > cams+1 {
+		t.Errorf("a step of %d frames makes %d allocations, want at most %d: its digest strings and their slice", cams, late, cams+1)
 	}
 }
 

@@ -137,7 +137,16 @@ func decodePutRecord(p []byte) (sp Spec, digest string, ref blobRef, err error) 
 	ref.Off = int64(binary.LittleEndian.Uint64(p[sha256.Size:]))
 	ref.Len = int64(binary.LittleEndian.Uint64(p[sha256.Size+8:]))
 	sp, err = ParseSpec(string(p[putRecordFixed:]))
-	return sp, hex.EncodeToString(p[:sha256.Size]), ref, err
+	return sp, digestString(p[:sha256.Size]), ref, err
+}
+
+// digestString returns a sha256 sum's hex text, the frame's digest,
+// with one allocation: the string. hex.EncodeToString would allocate
+// a scratch slice first.
+func digestString(sum []byte) string {
+	var text [2 * sha256.Size]byte
+	hex.Encode(text[:], sum)
+	return string(text[:])
 }
 
 // Store is the image database. All methods are safe for concurrent
@@ -312,7 +321,7 @@ func (s *Store) commit(n int, frame func(dst []byte, i int) (Spec, []byte, error
 			return nil, fmt.Errorf("imagestore: empty frame for %s", sp.Key())
 		}
 		sum := sha256.Sum256(png)
-		digest := hex.EncodeToString(sum[:])
+		digest := digestString(sum[:])
 		digests[i] = digest
 		prev, ok := s.newFrames[sp]
 		if !ok {
@@ -488,32 +497,24 @@ func (s *Store) StepFrames(step int) map[string]string {
 	return out
 }
 
-// Stats are the store's lifetime counters.
+// Stats are the store's lifetime counters. Info carries its frames,
+// blobs and segment bytes.
 type Stats struct {
-	Puts         int64 // frames indexed
-	Dedups       int64 // puts served by an existing blob
-	Dropped      int64 // index entries dropped at open (torn segment)
-	CacheHits    int64
-	CacheMisses  int64
-	SegmentBytes int64
-	Frames       int
-	BlobsStored  int
+	Puts        int64 // frames indexed
+	Dedups      int64 // puts served by an existing blob
+	Dropped     int64 // index entries dropped at open (torn segment)
+	CacheHits   int64
+	CacheMisses int64
 }
 
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	frames, blobs, segSize := len(s.frames), len(s.blobs), s.segSize
-	s.mu.RUnlock()
 	return Stats{
-		Puts:         s.puts.Load(),
-		Dedups:       s.dedups.Load(),
-		Dropped:      s.dropped.Load(),
-		CacheHits:    s.cacheHits.Load(),
-		CacheMisses:  s.cacheMiss.Load(),
-		SegmentBytes: segSize,
-		Frames:       frames,
-		BlobsStored:  blobs,
+		Puts:        s.puts.Load(),
+		Dedups:      s.dedups.Load(),
+		Dropped:     s.dropped.Load(),
+		CacheHits:   s.cacheHits.Load(),
+		CacheMisses: s.cacheMiss.Load(),
 	}
 }
 

@@ -85,9 +85,9 @@ func TestDigestStableAcrossReencode(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("re-encode changed the digest: %s vs %s", d1, d2)
 	}
-	st := s.Stats()
-	if st.BlobsStored != 1 || st.Dedups != 1 || st.Frames != 2 {
-		t.Fatalf("dedup accounting: %+v", st)
+	st, info := s.Stats(), s.Info()
+	if info.Blobs != 1 || st.Dedups != 1 || info.Frames != 2 {
+		t.Fatalf("dedup accounting: %+v, %d frames over %d blobs", st, info.Frames, info.Blobs)
 	}
 }
 
@@ -102,11 +102,11 @@ func TestIdempotentPut(t *testing.T) {
 	if _, err := s.Put(sp, png); err != nil {
 		t.Fatal(err)
 	}
-	size1 := s.Stats().SegmentBytes
+	size1 := s.Info().Bytes
 	if _, err := s.Put(sp, append([]byte(nil), png...)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats().SegmentBytes != size1 {
+	if s.Info().Bytes != size1 {
 		t.Fatal("idempotent put appended bytes")
 	}
 }
@@ -444,7 +444,7 @@ func TestConcurrentReadWrite(t *testing.T) {
 		}(v)
 	}
 	wg.Wait()
-	if got := s.Stats().Frames; got != 2*steps+1 {
+	if got := s.Info().Frames; got != 2*steps+1 {
 		t.Fatalf("frames %d, want %d", got, 2*steps+1)
 	}
 }

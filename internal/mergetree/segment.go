@@ -10,7 +10,6 @@ import (
 // Labels are the node id of the component's lowest vertex above the
 // threshold, so they are stable across equivalent constructions.
 type Segmentation struct {
-	Threshold float64
 	// Labels maps vertex id -> component label. Vertices below the
 	// threshold are absent.
 	Labels map[int64]int64
@@ -24,7 +23,7 @@ type Segmentation struct {
 func Segment(t *Tree, threshold float64) *Segmentation {
 	var s Scratch
 	label := s.labels(t, threshold)
-	seg := &Segmentation{Threshold: threshold, Labels: make(map[int64]int64)}
+	seg := &Segmentation{Labels: make(map[int64]int64)}
 	for i, l := range label {
 		if t.Values[i] >= threshold {
 			seg.Labels[t.IDs[i]] = t.IDs[l]

@@ -62,7 +62,7 @@ func segmentField(f *grid.Field, global grid.Box, threshold float64) *Segmentati
 			lowest[r] = idx
 		}
 	}
-	seg := &Segmentation{Threshold: threshold, Labels: make(map[int64]int64)}
+	seg := &Segmentation{Labels: make(map[int64]int64)}
 	for idx := range parent {
 		if parent[idx] >= 0 {
 			seg.Labels[id(idx)] = id(lowest[find(idx)])

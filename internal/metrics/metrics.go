@@ -50,16 +50,14 @@ func (b Breakdown) PerStep() Breakdown {
 	}
 }
 
-// Resilience aggregates a tenant's fault-handling counters: what the
-// injector perturbed and how the stack absorbed it. Each count is the
-// tenant's own except those marked fabric-wide, which every tenant
-// sharing the network and the bucket pool reads alike.
+// Resilience aggregates a tenant's fault-handling counters: how the
+// stack absorbed what the injector perturbed. Each count is the
+// tenant's own except Requeues, which every tenant sharing the bucket
+// pool reads alike.
 type Resilience struct {
-	Faults           int64 // transfer attempts perturbed by the injector (fabric-wide)
 	Retries          int64 // retried pulls of the tenant's regions
 	ChecksumFailures int64 // corrupted pulls of the tenant's regions caught by CRC32
 	Requeues         int64 // staging task attempts pushed back (fabric-wide)
-	Crashes          int64 // bucket crashes, each respawned (fabric-wide)
 	DeadLetters      int64 // the tenant's tasks that exhausted their attempt budget
 	DegradedSteps    int64 // the tenant's analysis steps that fell back fully in-situ or dead-lettered
 }

@@ -15,7 +15,6 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -105,19 +104,16 @@ func Gemini() Config {
 type Network struct {
 	cfg Config
 
-	bytesMoved atomic.Int64
-	transfers  atomic.Int64
-
-	mu          sync.Mutex
-	modeledBusy time.Duration
-	perPath     map[Path]int64 // bytes per path
+	bytesMoved  atomic.Int64
+	transfers   atomic.Int64
+	modeledBusy atomic.Int64 // nanoseconds
 
 	inj atomic.Pointer[faults.Injector]
 }
 
 // New creates a network with the given configuration.
 func New(cfg Config) *Network {
-	return &Network{cfg: cfg, perPath: make(map[Path]int64)}
+	return &Network{cfg: cfg}
 }
 
 // SetFaults attaches (or, with nil, detaches) a fault injector. Every
@@ -167,8 +163,8 @@ func (n *Network) Cost(size int) (time.Duration, Path) {
 // sleeps the scaled duration, and returns the modeled duration. A
 // control RPC, whose payload nothing reads, is charged this way.
 func (n *Network) Charge(size int) time.Duration {
-	d, p := n.Cost(size)
-	n.account(d, p, size)
+	d, _ := n.Cost(size)
+	n.account(d, size)
 	n.sleepScaled(d)
 	return d
 }
@@ -215,30 +211,27 @@ func (n *Network) TransferBetween(dst, src []byte, from, to int) (time.Duration,
 		for _, b := range dec.FlipBits {
 			dst[b/8] ^= 1 << (b % 8)
 		}
-		n.account(d, p, len(src))
+		n.account(d, len(src))
 		n.sleepScaled(d)
 		return d, nil
 	case faults.Slowdown:
 		copy(dst, src)
 		d = time.Duration(float64(d) * dec.Factor)
-		n.account(d, p, len(src))
+		n.account(d, len(src))
 		n.sleepScaled(d)
 		return d, nil
 	}
 	copy(dst, src)
-	n.account(d, p, len(src))
+	n.account(d, len(src))
 	n.sleepScaled(d)
 	return d, nil
 }
 
 // account records a completed transfer's cost against the counters.
-func (n *Network) account(d time.Duration, p Path, size int) {
+func (n *Network) account(d time.Duration, size int) {
 	n.bytesMoved.Add(int64(size))
 	n.transfers.Add(1)
-	n.mu.Lock()
-	n.modeledBusy += d
-	n.perPath[p] += int64(size)
-	n.mu.Unlock()
+	n.modeledBusy.Add(int64(d))
 }
 
 // sleepScaled optionally converts a modeled duration into a real sleep.
@@ -254,7 +247,6 @@ type Stats struct {
 	BytesMoved  int64
 	Transfers   int64
 	ModeledBusy time.Duration
-	PerPath     map[Path]int64
 	// Faulted counts transfer attempts the attached injector perturbed
 	// (dropped, timed out, partitioned, corrupted, or slowed); 0 with
 	// no injector.
@@ -263,17 +255,10 @@ type Stats struct {
 
 // Stats returns a snapshot of the accounting counters.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	pp := make(map[Path]int64, len(n.perPath))
-	for k, v := range n.perPath {
-		pp[k] = v
-	}
 	st := Stats{
 		BytesMoved:  n.bytesMoved.Load(),
 		Transfers:   n.transfers.Load(),
-		ModeledBusy: n.modeledBusy,
-		PerPath:     pp,
+		ModeledBusy: time.Duration(n.modeledBusy.Load()),
 	}
 	if inj := n.inj.Load(); inj != nil {
 		st.Faulted = inj.Counters().Injected()

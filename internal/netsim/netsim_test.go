@@ -73,14 +73,10 @@ func TestTransferCopiesAndAccounts(t *testing.T) {
 	if st.BytesMoved != 5 || st.Transfers != 1 || st.ModeledBusy != d {
 		t.Fatalf("accounting wrong: %+v", st)
 	}
-	if st.PerPath[SMSG] != 5 {
-		t.Fatalf("per-path accounting wrong: %+v", st.PerPath)
-	}
 }
 
-// TestChargeAccountsLikeTransfer: charging a size moves the counters,
-// per-path bytes and modeled busy time exactly as transferring that
-// many bytes does.
+// TestChargeAccountsLikeTransfer: charging a size moves the counters
+// and modeled busy time exactly as transferring that many bytes does.
 func TestChargeAccountsLikeTransfer(t *testing.T) {
 	charged, moved := New(Gemini()), New(Gemini())
 	for _, size := range []int{0, 100, 4 << 10, 1 << 20} {

@@ -269,7 +269,7 @@ func (c *Config) Marshal() ([]byte, error) {
 // anything: every analysis resolves through the registry with its
 // placement and params (it is constructed, to learn its route name),
 // tenant names and each tenant's route names are unique, scheduler-only knobs
-// appear only in multi-tenant configs, and every cross-reference
+// and tenant names appear only in multi-tenant configs, and every cross-reference
 // (slowdown tenant scopes, codec IDs) lands. Errors are
 // *ValidationError values aggregated with errors.Join; match them
 // with errors.Is against the Err* sentinels.
@@ -298,6 +298,12 @@ func (c *Config) Validate() error {
 		}
 		if c.Fabric.Quarantine != nil {
 			fail("fabric.quarantine", fmt.Errorf("%w: scheduler knob in a single-tenant config", ErrConflictingParams))
+		}
+		if c.Tenants[0].Name != "" {
+			// A named tenant runs with the multi-tenant semantics, which
+			// read the scheduler knobs refused above: its own
+			// overload.queue_bound would be accepted and ignored.
+			fail("tenants[0].name", fmt.Errorf("%w: a lone tenant is unnamed; a name gives it the multi-tenant semantics", ErrConflictingParams))
 		}
 	} else {
 		if c.Recovery != nil {

@@ -90,6 +90,14 @@ func TestParseConfigMalformed(t *testing.T) {
 			want: registry.ErrConflictingParams,
 		},
 		{
+			name: "named lone tenant",
+			src: `{"tenants": [{"name": "solo", "overload": {"queue_bound": 4},
+				"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
+			want: registry.ErrConflictingParams,
+			path: "tenants[0].name",
+		},
+		{
 			name: "recovery in multi-tenant config",
 			src: `{"recovery": {"dir": "out/j"},
 				"tenants": [

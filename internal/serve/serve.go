@@ -92,7 +92,6 @@ type Stats struct {
 	Requests    int64
 	NotModified int64
 	Errors      int64 // 4xx responses
-	BytesSent   int64
 }
 
 // Stats snapshots the counters.
@@ -100,7 +99,6 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		NotModified: s.notMod.Load(),
 		Errors:      s.errors.Load(),
-		BytesSent:   s.bytes.Load(),
 	}
 	for i := range s.requests {
 		st.Requests += s.requests[i].Load()

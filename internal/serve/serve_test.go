@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -108,6 +109,8 @@ func TestSpecRouteServesPNGWithETag(t *testing.T) {
 // must answer 304 with zero body bytes on the wire.
 func TestConditionalGet304ZeroBody(t *testing.T) {
 	_, sv, ts := newServer(t)
+	reg := obs.NewRegistry()
+	sv.PublishTo(reg)
 	for _, path := range []string{
 		"/db/T.insitu/1/cam00",
 		"/db/info.json",
@@ -121,7 +124,7 @@ func TestConditionalGet304ZeroBody(t *testing.T) {
 		if etag == "" {
 			t.Fatalf("%s: no ETag", path)
 		}
-		sent := sv.Stats().BytesSent
+		sent := bytesSent(t, reg)
 		resp2, body2 := get(t, ts.URL+path, map[string]string{"If-None-Match": etag})
 		if resp2.StatusCode != http.StatusNotModified {
 			t.Fatalf("%s: revalidation status %d, want 304", path, resp2.StatusCode)
@@ -129,7 +132,7 @@ func TestConditionalGet304ZeroBody(t *testing.T) {
 		if len(body2) != 0 {
 			t.Fatalf("%s: 304 carried %d body bytes", path, len(body2))
 		}
-		if sv.Stats().BytesSent != sent {
+		if bytesSent(t, reg) != sent {
 			t.Fatalf("%s: 304 moved the bytes-sent counter", path)
 		}
 		if len(body) == 0 {
@@ -318,6 +321,8 @@ func TestIndexPage(t *testing.T) {
 // viewers hammer every route while a run keeps appending frames.
 func TestConcurrentServeWhileWriting(t *testing.T) {
 	st, sv, ts := newServer(t)
+	reg := obs.NewRegistry()
+	sv.PublishTo(reg)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // the live run
@@ -365,9 +370,29 @@ func TestConcurrentServeWhileWriting(t *testing.T) {
 		}(v)
 	}
 	wg.Wait()
-	if sv.Stats().Requests == 0 || sv.Stats().BytesSent == 0 {
-		t.Fatalf("counters did not move: %+v", sv.Stats())
+	if sv.Stats().Requests == 0 || bytesSent(t, reg) == 0 {
+		t.Fatalf("counters did not move: %+v, %d bytes sent", sv.Stats(), bytesSent(t, reg))
 	}
+}
+
+// bytesSent scrapes the serve_bytes_total sample from reg.
+func bytesSent(t *testing.T, reg *obs.Registry) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "serve_bytes_total "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("serve_bytes_total %q: %v", v, err)
+			}
+			return int64(n)
+		}
+	}
+	t.Fatal("serve_bytes_total missing from the exposition")
+	return 0
 }
 
 func TestPublishTo(t *testing.T) {

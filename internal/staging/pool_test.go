@@ -2,10 +2,10 @@ package staging
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
+	"insitu/internal/dart"
 	"insitu/internal/dataspaces"
 )
 
@@ -179,7 +179,11 @@ func TestTenantScopedHandlers(t *testing.T) {
 	a.Wait()
 }
 
-func TestDeadLetterErrorCarriesTenantAndHistory(t *testing.T) {
+// TestDeadLetterErrorCarriesTaskAndLastCause: a task that fails every
+// attempt surfaces a DeadLetterError that names the task and its
+// attempt count and unwraps to both ErrDeadLetter and the failure that
+// exhausted the budget.
+func TestDeadLetterErrorCarriesTaskAndLastCause(t *testing.T) {
 	r := newRig(t)
 	a, err := New(r.fabric, r.ds, 1, nil)
 	if err != nil {
@@ -211,16 +215,14 @@ func TestDeadLetterErrorCarriesTenantAndHistory(t *testing.T) {
 		if !errors.Is(res.Err, ErrDeadLetter) {
 			t.Fatal("err does not unwrap to ErrDeadLetter")
 		}
-		if dl.Tenant != "noisy" || dl.Analysis != "poison" || dl.Step != 3 {
-			t.Fatalf("dead-letter identity = %+v", dl)
+		if !errors.Is(res.Err, dart.ErrRegionNotFound) || !errors.Is(dl.Last, dart.ErrRegionNotFound) {
+			t.Fatalf("err %v does not unwrap to the last cause, an unregistered region", res.Err)
 		}
-		if len(dl.History) != 2 {
-			t.Fatalf("attempt history = %v, want 2 entries", dl.History)
+		if dl.Analysis != "poison" || dl.Step != 3 || dl.TaskID != res.Task.ID || res.Task.Tenant != "noisy" {
+			t.Fatalf("dead-letter identity = %+v (task %+v)", dl, res.Task)
 		}
-		for i, line := range dl.History {
-			if want := fmt.Sprintf("attempt %d", i+1); len(line) == 0 || line[:9] != want {
-				t.Fatalf("history[%d] = %q, want prefix %q", i, line, want)
-			}
+		if dl.Attempts != 2 || res.Attempts != 2 {
+			t.Fatalf("dead-letter after %d attempts (result %d), want 2", dl.Attempts, res.Attempts)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("dead-letter never surfaced")

@@ -32,19 +32,14 @@ import (
 // silently losing it.
 var ErrDeadLetter = errors.New("staging: task dead-lettered")
 
-// DeadLetterError is the typed dead-letter report: it names the
-// originating tenant and carries the task's full attempt history so a
-// multi-tenant operator can see whose task died and how, instead of
-// one anonymous global counter line. It unwraps to both ErrDeadLetter
-// and the last underlying cause.
+// DeadLetterError is the typed dead-letter report: it names the task,
+// its analysis and step and how many attempts it took. It unwraps to
+// both ErrDeadLetter and the last underlying cause.
 type DeadLetterError struct {
-	Tenant   string
 	Analysis string
 	Step     int
 	TaskID   int64
 	Attempts int
-	// History is one line per failed attempt, oldest first.
-	History []string
 	// Last is the failure that exhausted the attempt budget.
 	Last error
 }
@@ -492,8 +487,7 @@ func (a *Area) bucketLoop(id int) {
 // no Result is emitted yet); otherwise it is dead-lettered — inputs
 // are released so producer regions do not leak, and an errored Result
 // wrapping ErrDeadLetter is returned.
-func (a *Area) failTask(at *attempt, id int, task dataspaces.Task, cause error) *Result {
-	task.History = append(task.History, fmt.Sprintf("attempt %d on bucket %d: %v", task.Attempts+1, id, cause))
+func (a *Area) failTask(at *attempt, task dataspaces.Task, cause error) *Result {
 	if task.Attempts+1 < a.maxAttempts {
 		if a.ds.Requeue(task) == nil {
 			return nil
@@ -508,12 +502,10 @@ func (a *Area) failTask(at *attempt, id int, task dataspaces.Task, cause error) 
 		Attempts:   task.Attempts + 1,
 		DeadLetter: true,
 		Err: &DeadLetterError{
-			Tenant:   task.Tenant,
 			Analysis: task.Analysis,
 			Step:     task.Step,
 			TaskID:   task.ID,
 			Attempts: task.Attempts + 1,
-			History:  append([]string(nil), task.History...),
 			Last:     cause,
 		},
 	}

@@ -20,7 +20,7 @@ func (a *Area) runTask(id int, pl *puller, kill <-chan struct{}, task dataspaces
 	// Checkpoint: crash at assignment. The task never started; it is
 	// requeued and the replacement bucket (or a peer) picks it up.
 	if killed(kill) {
-		return a.failTask(&at, id, task, fmt.Errorf("bucket %d crashed at assignment", id)), true
+		return a.failTask(&at, task, fmt.Errorf("bucket %d crashed at assignment", id)), true
 	}
 	a.mu.Lock()
 	h := a.stages[routeKey{task.Tenant, task.Analysis}]
@@ -46,7 +46,7 @@ func (a *Area) runTask(id int, pl *puller, kill <-chan struct{}, task dataspaces
 		err, crashed = fmt.Errorf("bucket %d crashed after pull", id), true
 	}
 	if err != nil {
-		return a.failTask(&at, id, task, err), crashed
+		return a.failTask(&at, task, err), crashed
 	}
 	a.releaseInputs(task)
 	runStart := at.now()

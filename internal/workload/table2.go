@@ -25,7 +25,6 @@ type TableIIRow struct {
 type TableIIResult struct {
 	Rows       []TableIIRow
 	SimPerStep time.Duration
-	Steps      int
 	PaperSim   time.Duration
 }
 
@@ -45,7 +44,7 @@ func RunTableII(cfg *registry.Config, steps int) (*TableIIResult, error) {
 		return nil, err
 	}
 	rep := reps[b.Tenants[0].Name]
-	res := &TableIIResult{Steps: steps, PaperSim: paperTableI[cfg.Name].SimTime}
+	res := &TableIIResult{PaperSim: paperTableI[cfg.Name].SimTime}
 	_, res.SimPerStep, _ = rep.Metrics.SimTime()
 	for _, name := range rep.Metrics.Analyses() {
 		row := TableIIRow{Analysis: name, Measured: rep.Metrics.Total(name).PerStep()}

@@ -120,7 +120,8 @@ func TestRunTableIIAndFig6(t *testing.T) {
 	cfg := loadExample(t, "table2-4896")
 	// Shrink for test speed.
 	cfg.Tenants[0].Sim = registry.SimConfig{NX: 20, NY: 12, NZ: 8, PX: 2, PY: 2, PZ: 1}
-	res, err := RunTableII(cfg, 2)
+	const steps = 2
+	res, err := RunTableII(cfg, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestRunTableIIAndFig6(t *testing.T) {
 	}
 	var shell atomic.Int64
 	err = sim.RunAll(s, func(rk *sim.Rank) error {
-		for step := 1; step <= res.Steps; step++ {
+		for step := 1; step <= steps; step++ {
 			rk.Step()
 			st, err := mergetree.LocalSubtree(rk.GhostedField("T"), global, rk.OwnedBox(), rk.Comm().ID(), mergetree.KeepSharedBoundary)
 			if err != nil {
@@ -173,7 +174,7 @@ func TestRunTableIIAndFig6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perStep := shell.Load() / int64(res.Steps); topo.Measured.MoveBytes <= 0 || topo.Measured.MoveBytes >= perStep {
+	if perStep := shell.Load() / steps; topo.Measured.MoveBytes <= 0 || topo.Measured.MoveBytes >= perStep {
 		t.Fatalf("topology moved %d B a step, KeepSharedBoundary subtrees of the same steps are %d B: the in-situ stage does not reduce to overlap maxima", topo.Measured.MoveBytes, perStep)
 	}
 	out := res.Format()

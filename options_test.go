@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -45,27 +46,7 @@ var singleValueAllowList = map[string]string{
 // or its type with a reason; an allow-list entry that names nothing in
 // scope, or whose fields all pass, fails too.
 func TestEveryGoOptionIsSet(t *testing.T) {
-	fset := token.NewFileSet()
-	ld := &sourceLoader{
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil),
-		pkgs:  map[string]*loadedPackage{},
-		types: map[string]*types.Package{},
-	}
-	for _, root := range []string{"cmd", "examples", "internal", "benchmark"} {
-		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if matches, _ := filepath.Glob(filepath.Join(path, "*.go")); len(matches) > 0 {
-				_, err = ld.load(path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	ld := loadSources(t)
 
 	// The options in scope.
 	type option struct {
@@ -103,7 +84,7 @@ func TestEveryGoOptionIsSet(t *testing.T) {
 					continue
 				}
 				inScope[typeKey] = true
-				o := &option{key: typeKey + "." + f.Name(), pos: fset.Position(f.Pos()).String(), values: map[string]bool{}}
+				o := &option{key: typeKey + "." + f.Name(), pos: ld.fset.Position(f.Pos()).String(), values: map[string]bool{}}
 				inScope[o.key] = true
 				options[f] = o
 			}
@@ -247,10 +228,10 @@ func zeroValue(typ types.Type) string {
 	return "nil"
 }
 
-// fieldOf returns the struct field an assignment's left side selects,
-// or nil.
-func (lp *loadedPackage) fieldOf(lhs ast.Expr) types.Object {
-	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+// fieldOf returns the struct field that e, a selector, selects, or
+// nil.
+func (lp *loadedPackage) fieldOf(e ast.Expr) types.Object {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
@@ -258,6 +239,48 @@ func (lp *loadedPackage) fieldOf(lhs ast.Expr) types.Object {
 		return s.Obj()
 	}
 	return nil
+}
+
+var (
+	sourcesOnce sync.Once
+	sources     *sourceLoader
+	sourcesErr  error
+)
+
+// loadSources type-checks every package under cmd/, examples/,
+// internal/ and benchmark/ once per test binary: the option gate and
+// the field gate share the one load.
+func loadSources(t *testing.T) *sourceLoader {
+	t.Helper()
+	sourcesOnce.Do(func() {
+		fset := token.NewFileSet()
+		ld := &sourceLoader{
+			fset:  fset,
+			std:   importer.ForCompiler(fset, "source", nil),
+			pkgs:  map[string]*loadedPackage{},
+			types: map[string]*types.Package{},
+		}
+		for _, root := range []string{"cmd", "examples", "internal", "benchmark"} {
+			err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+				if err != nil || !d.IsDir() {
+					return err
+				}
+				if matches, _ := filepath.Glob(filepath.Join(path, "*.go")); len(matches) > 0 {
+					_, err = ld.load(path)
+				}
+				return err
+			})
+			if err != nil {
+				sourcesErr = err
+				return
+			}
+		}
+		sources = ld
+	})
+	if sourcesErr != nil {
+		t.Fatal(sourcesErr)
+	}
+	return sources
 }
 
 // loadedPackage is one type-checked package of this module or of the
