@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fig6   = fs.Bool("fig6", false, "reproduce the Fig. 6 breakdown")
 		all    = fs.Bool("all", false, "run everything")
 		steps  = fs.Int("steps", 4, "simulation steps per measurement")
-		outdir = fs.String("outdir", "", "directory for generated files (default: a new temporary directory)")
+		outdir = fs.String("outdir", "", "directory for generated files, created if missing (default: a new temporary directory)")
 	)
 	if fs.Parse(args) != nil {
 		return 2 // Parse has printed the error and the usage
@@ -63,6 +63,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// In the paper's order; the first failure stops the rest.
 	var err error
+	if *outdir != "" {
+		err = os.MkdirAll(*outdir, 0o755)
+	}
 	do := func(on bool, experiment func() error) {
 		if on && err == nil {
 			err = experiment()

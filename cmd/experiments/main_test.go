@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,36 @@ func TestTable1PrintsThePostProcessingRow(t *testing.T) {
 	}
 	if left, err := os.ReadDir(outdir); err != nil || len(left) != 0 {
 		t.Fatalf("-outdir holds %v after the run (%v)", left, err)
+	}
+}
+
+// TestOutdirIsCreated: -outdir names a directory that need not exist
+// yet; -table1 and -fig2 both create it, nested, and -fig2 writes its
+// PNGs there.
+func TestOutdirIsCreated(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir("../.."); err != nil { // the configs load from the repository root
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	for _, tc := range []struct {
+		args []string
+		file string // a file the run leaves in -outdir ("": none)
+	}{
+		{[]string{"-table1", "-steps", "1"}, ""},
+		{[]string{"-fig2"}, "fig2-insitu-full.png"},
+	} {
+		outdir := filepath.Join(t.TempDir(), "figures", "run")
+		var stdout, stderr bytes.Buffer
+		if code := run(append(tc.args, "-outdir", outdir), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", tc.args, code, stderr.String())
+		}
+		if fi, err := os.Stat(filepath.Join(outdir, tc.file)); err != nil || fi.IsDir() != (tc.file == "") {
+			t.Fatalf("%v: -outdir %s lacks %q (%v)", tc.args, outdir, tc.file, err)
+		}
 	}
 }
 

@@ -42,6 +42,7 @@ var unreadAllowList = map[string]string{
 // with a reason; an allow-list entry that excuses no such field fails
 // too.
 func TestEveryFieldIsRead(t *testing.T) {
+	t.Parallel()
 	ld := loadSources(t)
 
 	type field struct {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 
@@ -21,10 +20,10 @@ import (
 type admitDecision struct {
 	Level  overload.Level
 	Reason string
-	// Account is the credit account the route's transit credit was
-	// drawn from; empty when the step holds none.
-	Account string
-	Probe   bool
+	// Credited marks a step that drew a transit credit from the
+	// tenant's account.
+	Credited bool
+	Probe    bool
 }
 
 // admitStep is rank 0's admission pass for one step: for every hybrid
@@ -55,9 +54,6 @@ func (p *Pipeline) admitStep(ep *dart.Endpoint, step int) []admitDecision {
 // admitRoute reaches one due hybrid route's verdict for the step.
 func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.Credits, step int) admitDecision {
 	name := rt.name
-	// Every route of a named tenant draws on the tenant's account (the
-	// bulkhead); the unnamed tenant's routes each have their own.
-	account := cmp.Or(p.tenant, name)
 	// Quarantine outranks the breaker: a poisoned route fails in the
 	// handler, not in transit, so transit-health probing cannot clear
 	// it. A rejected route floors at the in-situ rung without touching
@@ -71,14 +67,14 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 		case overload.Reject:
 			return admitDecision{Level: overload.LevelInSitu, Reason: "in-situ: route quarantined"}
 		case overload.Probe:
-			if !p.acquireCredit(credits, account) {
+			if !p.acquireCredit(credits) {
 				// No capacity to probe with: the attempt is spent, the
 				// route stays quarantined until the next probe window.
 				p.failProbe(rt, step)
 				return admitDecision{Level: overload.LevelInSitu, Reason: "in-situ: quarantine probe denied credit"}
 			}
 			return admitDecision{Level: overload.LevelFull,
-				Reason: "full: quarantine half-open probe", Account: account, Probe: true}
+				Reason: "full: quarantine half-open probe", Credited: true, Probe: true}
 		}
 	}
 	prev := rt.breaker.State()
@@ -91,7 +87,7 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 
 	sig := overload.Signals{
 		BreakerOpen:      cur != overload.Closed,
-		CreditsExhausted: credits.Exhausted(account),
+		CreditsExhausted: credits.Exhausted(p.tenant),
 		QueueDepth:       p.queue.Value(),
 	}
 	level := rt.ladder.Observe(sig)
@@ -108,37 +104,34 @@ func (p *Pipeline) admitRoute(ep *dart.Endpoint, rt *route, credits *dataspaces.
 		level = overload.LevelInSitu
 		reason = "in-situ: no shaped stage; " + reason
 	}
-	credited := ""
+	credited := false
 	if level <= overload.LevelShaped {
-		if p.acquireCredit(credits, account) {
-			credited = account
-		} else {
+		if credited = p.acquireCredit(credits); !credited {
 			level = overload.LevelInSitu
 			reason = "in-situ: no transit credit; " + reason
 		}
 	}
-	return admitDecision{Level: level, Reason: reason, Account: credited}
+	return admitDecision{Level: level, Reason: reason, Credited: credited}
 }
 
-// acquireCredit draws one transit credit from the account, counting a
-// refusal as the tenant's credit denial. Each credit it grants comes
-// back once, through releaseCredit.
-func (p *Pipeline) acquireCredit(credits *dataspaces.Credits, account string) bool {
-	if credits.Acquire(account) {
+// acquireCredit draws one transit credit from the tenant's account,
+// counting a refusal as the tenant's credit denial. Each credit it
+// grants comes back once, through releaseCredit.
+func (p *Pipeline) acquireCredit(credits *dataspaces.Credits) bool {
+	if credits.Acquire(p.tenant) {
 		return true
 	}
 	p.creditsDenied.Add(1)
 	return false
 }
 
-// releaseCredit returns the transit credit a task drew from account
-// (empty: it holds none). It has two callers: handleResult, for a
-// task's one final result, and discardStaged, for a task that never
-// reached the queue. A requeue is neither, so a retried task keeps its
-// credit.
-func (p *Pipeline) releaseCredit(account string) {
-	if account != "" {
-		p.sched.Credits().Release(account)
+// releaseCredit returns a credited task's transit credit to the
+// tenant's account. It has two callers: handleResult, for a task's one
+// final result, and discardStaged, for a task that never reached the
+// queue. A requeue is neither, so a retried task keeps its credit.
+func (p *Pipeline) releaseCredit(credited bool) {
+	if credited {
+		p.sched.Credits().Release(p.tenant)
 	}
 }
 
@@ -170,7 +163,7 @@ func (p *Pipeline) observeAdmit(step int, name string, d admitDecision) {
 		obs.Str("analysis", name),
 		obs.Str("level", d.Level.String()),
 		obs.Int("step", step),
-		obs.Bool("credited", d.Account != ""),
+		obs.Bool("credited", d.Credited),
 		obs.Str("reason", d.Reason))
 }
 

@@ -17,11 +17,12 @@ import (
 )
 
 // TestCreditSettlesOnEveryFinalResult: handleResult settles a task's
-// credit once, against the account the task names, for every kind of
-// final result; a task that holds no credit settles nothing. The
-// named-tenant case uses a supply the two bulkhead reservations consume
-// whole, so the credit must refill tenant a's reservation rather than
-// the shared pool or an account named after the analysis.
+// credit once, against its tenant's account, for every kind of final
+// result; a task that holds no credit settles nothing. The supply is
+// one the two bulkhead reservations (the tenant's and a sibling's)
+// consume whole, so the credit must refill the tenant's reservation
+// rather than the shared pool or an account named after the analysis,
+// whether or not the tenant is named.
 func TestCreditSettlesOnEveryFinalResult(t *testing.T) {
 	handlerErr := errors.New("handler crash")
 	deadLetter := fmt.Errorf("%w: pulls dropped", staging.ErrDeadLetter)
@@ -50,12 +51,7 @@ func TestCreditSettlesOnEveryFinalResult(t *testing.T) {
 			if err := p.Register(a); err != nil {
 				t.Fatal(err)
 			}
-			account := a.Name()
-			reservations := map[string]int{account: 1}
-			if tc.tenant != "" {
-				account, reservations = tc.tenant, map[string]int{"a": 1, "b": 1}
-			}
-			c, err := dataspaces.NewCredits(2, reservations)
+			c, err := dataspaces.NewCredits(2, map[string]int{tc.tenant: 1, "b": 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,21 +63,19 @@ func TestCreditSettlesOnEveryFinalResult(t *testing.T) {
 				Tenant: tc.tenant, Analysis: a.Name(), Step: 1, Shaped: tc.name == "shaped",
 			}}
 			if !tc.uncredited {
-				if !c.Acquire(account) {
+				if !c.Acquire(tc.tenant) {
 					t.Fatal("acquire must succeed")
 				}
-				res.Task.Account = account
+				res.Task.Credited = true
 			}
-			if tc.tenant != "" && !c.Acquire("b") {
+			if !c.Acquire("b") {
 				t.Fatal("acquire b must succeed")
 			}
 			p.handleResult(&res)
-			if tc.tenant != "" {
-				if !c.Exhausted("b") {
-					t.Fatal("tenant a's credit went to the shared pool, not back to a's reservation")
-				}
-				c.Release("b")
+			if !c.Exhausted("b") {
+				t.Fatal("the tenant's credit went to the shared pool, not back to its reservation")
 			}
+			c.Release("b")
 			if out, avail, total := c.Snapshot(); out != 0 || avail != total {
 				t.Fatalf("after one final result: outstanding %d available %d total %d", out, avail, total)
 			}
@@ -255,7 +249,7 @@ func TestRetiredBucketStillSettles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.AddTenant("t", TenantConfig{Sim: testSimConfig(2, 1, 1)})
+	p, err := s.AddTenant("t", TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: &overload.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +322,7 @@ func TestQuarantineRecheckAtSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.AddTenant("noisy", TenantConfig{Sim: testSimConfig(2, 1, 1)})
+	p, err := s.AddTenant("noisy", TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: &overload.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +377,7 @@ func TestScrapeDuringMultiTenantRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a", "b", "c"} {
-		p, err := s.AddTenant(name, TenantConfig{Sim: testSimConfig(2, 1, 1)})
+		p, err := s.AddTenant(name, TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: &overload.Config{}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
+	"maps"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,6 +154,99 @@ func TestShedAtSubmitRecyclesInputs(t *testing.T) {
 		t.Fatalf("credits leaked: outstanding=%d avail=%d total=%d",
 			c.Outstanding(), c.Available(), c.Total())
 	}
+}
+
+// boundProbe is a hybrid analysis whose first in-transit attempt holds
+// the only bucket until every tenant's simulation has finished, then
+// reads each tenant's queue depth. Nothing is dequeued meanwhile, so
+// each queue is as full as its own bound lets it be.
+type boundProbe struct {
+	s      *Scheduler
+	first  atomic.Bool
+	depths map[string]int // written by the first attempt, read after Run
+}
+
+func (b *boundProbe) Name() string { return "bound probe" }
+func (b *boundProbe) Every() int   { return 1 }
+
+func (b *boundProbe) InSituStage(ctx *Ctx) ([]byte, error) {
+	return []byte{byte(ctx.Step), byte(ctx.Comm.ID())}, nil
+}
+
+func (b *boundProbe) InTransit(step int, payloads [][]byte) (any, error) {
+	if !b.first.CompareAndSwap(false, true) {
+		return step, nil
+	}
+	for deadline := time.Now().Add(10 * time.Second); !b.simsDone(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return nil, errors.New("bound probe: the simulations never finished")
+		}
+	}
+	b.depths = map[string]int{}
+	for _, p := range b.s.tenants {
+		b.depths[p.tenant] = b.s.ds.QueueDepthT(p.tenant)
+	}
+	return step, nil
+}
+
+func (b *boundProbe) simsDone() bool {
+	for _, p := range b.s.tenants {
+		p.mu.Lock()
+		done := p.simDone
+		p.mu.Unlock()
+		if !done {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTenantQueueBoundIsItsOwn: a tenant's overload block bounds its
+// own task queue, below the fabric's queue_bound, while a sibling with
+// no bound of its own keeps the fabric's. The one bucket is held until
+// both simulations have stepped to the end, so each queue fills to its
+// bound and the submissions past it shed.
+func TestTenantQueueBoundIsItsOwn(t *testing.T) {
+	const steps = 8
+	s, err := NewScheduler(SchedulerConfig{DSServers: 1, Buckets: 1, Net: netsim.Gemini(), QueueBound: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &boundProbe{s: s}
+	for name, ov := range map[string]*overload.Config{
+		"tight": {
+			QueueBound: 1,
+			// Keep the breaker and ladder out of the way: only the
+			// queue bound may refuse a step.
+			Breaker: overload.BreakerConfig{FailureThreshold: 1 << 20, Cooldown: time.Hour},
+			Ladder:  overload.LadderConfig{QueueHigh: 1 << 20, QueueLow: 1 << 19, DegradeAfter: 1 << 20, RecoverAfter: 1},
+		},
+		"wide": nil,
+	} {
+		p, err := s.AddTenant(name, TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: ov})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Register(probe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reps, err := s.Run(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"tight": 1, "wide": 3}; !maps.Equal(probe.depths, want) {
+		t.Fatalf("queue depths with the bucket held = %v, want %v (each tenant's own bound)", probe.depths, want)
+	}
+	for name, rep := range reps {
+		if rep.Overload.StepsShed == 0 {
+			t.Errorf("tenant %s shed no step past its bound", name)
+		}
+		if got := s.Tenant(name).PinnedRegions(); got != 0 {
+			t.Errorf("tenant %s leaked %d pinned regions", name, got)
+		}
+	}
+	checkDrained(t, s.Credits())
 }
 
 // TestOverloadLadderShedsViaCredits: with a tiny credit supply and no

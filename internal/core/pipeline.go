@@ -35,9 +35,9 @@ type Pipeline struct {
 	routes []*route
 	byName map[string]*route
 
-	// Overload-control plane (nil for an unnamed tenant whose
-	// TenantConfig.Overload is nil); queue is the task-queue depth EWMA
-	// the admission ladder reads, observed and read by rank 0 only.
+	// Overload-control plane (nil when TenantConfig.Overload is nil);
+	// queue is the task-queue depth EWMA the admission ladder reads,
+	// observed and read by rank 0 only.
 	ov    *overload.Config
 	queue overload.EWMA
 
@@ -49,10 +49,11 @@ type Pipeline struct {
 	walk  []int
 	warns []error
 
-	// What AddTenant derives from the tenant's name: prefix qualifies
-	// its endpoint names and codec keys, labels is the tenant=<name>
-	// attribute its metric families and admission events carry (both
-	// empty for the unnamed tenant).
+	// The tenant's name and the labels AddTenant derives from it: prefix
+	// qualifies its endpoint names and codec keys, labels is the
+	// tenant=<name> attribute its metric families and admission events
+	// carry (both empty for the unnamed tenant). The name keys the
+	// tenant's queue, credit account and DataSpaces entries.
 	tenant string
 	prefix string
 	labels []obs.Attr
@@ -111,8 +112,8 @@ type route struct {
 	spec     codec.Spec // configured transfer-path codec: own entry, then "*", then identity
 
 	// Admission state of a hybrid route whose tenant has a plane (nil
-	// otherwise), and the route's quarantine: the poison breaker of a
-	// named tenant's hybrid route (nil otherwise).
+	// otherwise): the transit breaker, the ladder, and the route's
+	// quarantine, its poison breaker.
 	breaker *overload.Breaker
 	ladder  *overload.Ladder
 	poison  *overload.Breaker
@@ -155,8 +156,6 @@ func (p *Pipeline) Register(a Analysis) error {
 		if p.ov != nil {
 			rt.breaker = overload.NewBreaker(p.ov.Breaker)
 			rt.ladder = overload.NewLadder(p.ov.Ladder)
-		}
-		if p.tenant != "" {
 			rt.poison = overload.NewPoisonBreaker(p.sched.cfg.Quarantine)
 		}
 		p.sched.area.HandleT(p.tenant, rt.name, func(task dataspaces.Task, data [][]byte) (any, error) {
@@ -261,7 +260,7 @@ func (p *Pipeline) storeResult(rt *route, step int, out any) {
 func (p *Pipeline) handleResult(res *staging.Result) {
 	// Every final result (success, handler error, dead letter) passes
 	// here once, so the task's credit settles exactly once.
-	p.releaseCredit(res.Task.Account)
+	p.releaseCredit(res.Task.Credited)
 	rt, task := p.byName[res.Task.Analysis], res.Task
 	p.observeResult(rt, res)
 	switch {
@@ -430,7 +429,7 @@ func (p *Pipeline) discardStaged(inputs []dataspaces.Descriptor, dec admitDecisi
 	for _, in := range inputs {
 		p.sched.releaseHandle(in)
 	}
-	p.releaseCredit(dec.Account)
+	p.releaseCredit(dec.Credited)
 	p.sched.ds.RecycleInputs(inputs)
 }
 

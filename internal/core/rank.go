@@ -372,7 +372,7 @@ func (rr *rankRun) submitTask(rt *route, step int, dec admitDecision, deadline t
 	slices.SortStableFunc(inputs, func(a, b dataspaces.Descriptor) int { return cmp.Compare(a.Rank, b.Rank) })
 	spec := dataspaces.TaskSpec{
 		Tenant: p.tenant, Analysis: name, Step: step, Inputs: inputs, Deadline: deadline,
-		Account: dec.Account, Probe: dec.Probe, Shaped: dec.Level == overload.LevelShaped,
+		Credited: dec.Credited, Probe: dec.Probe, Shaped: dec.Level == overload.LevelShaped,
 	}
 	var err error
 	if !dec.Probe && rt.poison != nil && rt.poison.State() != overload.Closed {

@@ -125,42 +125,33 @@ func (s *Scheduler) admitRun(tenants []*Pipeline, lone *Pipeline, mode RunMode) 
 }
 
 // start arms the admission policy and starts the staging buckets: the
-// one place the queue bound, the credit account and its reservations
-// and the dequeue ring are sized, from the scheduler's
-// config for named tenants and from the unnamed tenant's own overload
-// block (AddTenant has the rule), whose routes each reserve one credit.
-// The total is the most work the transit tier can hold, buckets
-// draining plus every queue full. A supply the floors would consume
-// degrades to one shared pool rather than failing or starving every
-// account, and without any admission plane there is no credit account
-// at all.
+// one place the tenants' queue bounds, the credit account and its
+// reservations and the dequeue ring are sized, by one rule for every
+// tenant. A tenant's queue is bounded by its overload block's
+// QueueBound, else by SchedulerConfig.QueueBound, and a tenant with an
+// admission plane holds one credit account with the TenantReserve
+// floor. The credit total is the most work the transit tier can hold:
+// buckets draining plus every tenant's queue full (an unbounded queue
+// counts 2). A supply the floors would consume degrades to one shared
+// pool rather than failing or starving every account, and without any
+// admission plane there is no credit account at all.
 func (s *Scheduler) start(tenants []*Pipeline) error {
 	s.registerRanks()
-	bound, floor := s.cfg.QueueBound, s.cfg.TenantReserve
-	names := make([]string, len(tenants))
+	bounds := make(map[string]int, len(tenants))
+	total := max(s.cfg.MaxBuckets, s.cfg.Buckets)
 	var accounts []string
-	armed := false
-	for i, p := range tenants {
-		names[i] = p.tenant
-		if p.ov == nil {
-			continue
-		}
-		armed = true
-		if p.tenant != "" {
+	for _, p := range tenants {
+		bound := s.cfg.QueueBound
+		if p.ov != nil {
+			bound = cmp.Or(p.ov.QueueBound, bound)
 			accounts = append(accounts, p.tenant)
-			continue
 		}
-		for _, rt := range p.routes {
-			if rt.stage != nil {
-				accounts = append(accounts, rt.name)
-			}
-		}
-		bound, floor = p.ov.QueueBound, 1
+		bounds[p.tenant] = bound
+		total += cmp.Or(max(bound, 0), 2)
 	}
-	s.ds.SetQueueBound(bound)
-	s.ds.SetTenants(names...)
-	if armed {
-		total := max(s.cfg.MaxBuckets, s.cfg.Buckets) + len(tenants)*cmp.Or(max(bound, 0), 2)
+	s.ds.SetTenants(bounds)
+	if len(accounts) > 0 {
+		floor := s.cfg.TenantReserve
 		reservations := make(map[string]int, len(accounts))
 		if floor*len(accounts) < total {
 			for _, a := range accounts {

@@ -34,8 +34,8 @@ type SchedulerConfig struct {
 	// bulkhead. Reservations degrade to one shared pool when the floors
 	// would consume the whole account.
 	TenantReserve int
-	// QueueBound bounds each tenant's task queue independently
-	// (0 = unbounded).
+	// QueueBound bounds the task queue of each tenant whose overload
+	// block sets no bound of its own (0 = unbounded).
 	QueueBound int
 	// Autoscale, when non-nil, lets the scheduler grow and shrink the
 	// bucket pool between Buckets-ish floors and MaxBuckets from live
@@ -51,12 +51,12 @@ type SchedulerConfig struct {
 // Everything downstream of submission is shared.
 type TenantConfig struct {
 	Sim sim.Config
-	// Overload tunes the tenant's admission plane: credit-based
-	// admission, a per-route circuit breaker, and the admission ladder
-	// (full → delta → quantized → shaped → in-situ → shed). Nil means
-	// defaults for a named tenant; the unnamed tenant then has no plane
-	// and submits every due step. Its QueueBound is read for the
-	// unnamed tenant only (see AddTenant).
+	// Overload, when non-nil, arms the tenant's admission plane:
+	// credit-based admission from the tenant's one account, a
+	// per-route circuit breaker and poison breaker, the admission
+	// ladder (full → delta → quantized → shaped → in-situ → shed), and
+	// its own queue bound. Nil means no plane: the tenant submits every
+	// due step.
 	Overload *overload.Config
 	// Codecs selects the default transfer-path codec per hybrid route:
 	// the key is an analysis name, with "*" as the fallback for routes
@@ -185,14 +185,14 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 // AddTenant builds a tenant pipeline over the fabric; it is the one
 // place a Pipeline is made. Register analyses on it before Run.
 //
-// The name carries the one rule of tenancy. A named tenant has
-// shared-fabric semantics: its endpoints, codec streams and metric
-// families are qualified by the name, all its routes draw on one credit
-// account (the bulkhead) sized by SchedulerConfig, each hybrid route
-// gets a poison breaker (its quarantine, built by Register), and it
-// always has an admission plane. The unnamed tenant must be alone: bare
-// names, one credit account per route sized by its own overload block,
-// and no quarantine — a poison route there burns nobody else's buckets.
+// Every tenant follows one rule, whatever its name and however many
+// share the fabric: it has an admission plane exactly when cfg.Overload
+// is set, and with one all its routes draw on one credit account (the
+// bulkhead) and each hybrid route gets a poison breaker (its
+// quarantine, built by Register). The name only labels: it qualifies
+// the tenant's endpoints, codec streams and DataSpaces keys and labels
+// its metric families and spans. Tenants sharing a fabric need
+// distinct, non-empty names; the unnamed tenant must be alone.
 func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) {
 	sm, err := sim.New(cfg.Sim)
 	if err != nil {
@@ -207,15 +207,11 @@ func (s *Scheduler) AddTenant(name string, cfg TenantConfig) (*Pipeline, error) 
 		tenant: name,
 		byName: make(map[string]*route),
 	}
-	ov := cfg.Overload
 	if name != "" {
 		p.prefix = name + "/"
 		p.labels = []obs.Attr{obs.Str("tenant", name)}
-		if ov == nil {
-			ov = &overload.Config{}
-		}
 	}
-	if ov != nil {
+	if ov := cfg.Overload; ov != nil {
 		d := ov.WithDefaults()
 		p.ov = &d
 		p.queue = overload.NewEWMA(0.5)
@@ -323,7 +319,7 @@ func (s *Scheduler) Network() *netsim.Network { return s.net }
 func (s *Scheduler) Staging() *staging.Area { return s.area }
 
 // Credits returns the shared transit credit account (nil before Run,
-// and for an unnamed tenant without overload control).
+// and for a run in which no tenant has an admission plane).
 func (s *Scheduler) Credits() *dataspaces.Credits {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 
 	"insitu/internal/codec"
 	"insitu/internal/faults"
+	"insitu/internal/metrics"
 	"insitu/internal/netsim"
 	"insitu/internal/overload"
 	"insitu/internal/sim"
@@ -142,7 +143,7 @@ func TestSchedulerMultiTenantEndToEnd(t *testing.T) {
 		"beta":  testSimConfig(1, 2, 1),
 	}
 	for name, sc := range simCfgs {
-		p, err := s.AddTenant(name, TenantConfig{Sim: sc})
+		p, err := s.AddTenant(name, TenantConfig{Sim: sc, Overload: &overload.Config{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,12 +196,12 @@ func TestSchedulerMultiTenantEndToEnd(t *testing.T) {
 }
 
 // TestNamedLoneTenantMatchesUnnamed pins the one rule of tenancy: the
-// name changes how a lone tenant is accounted — endpoint and codec-key
-// prefix, metric label, one tenant-level credit account instead of one
-// per route, the quarantine — and nothing it computes. The same
-// simulation and hybrid routes, with the same armed overload plane
-// (thresholds high enough that it never trips), produce equal result
-// digests as NewPipeline's unnamed tenant and as a scheduler's named
+// name only labels a lone tenant — endpoint and codec-key prefix,
+// metric label — and changes nothing it computes or how it is
+// admitted. The same simulation and hybrid routes, with the same armed
+// overload plane (thresholds high enough that it never trips), produce
+// equal result digests, equal overload counters and an equal credit
+// supply as NewPipeline's unnamed tenant and as a scheduler's named
 // one.
 func TestNamedLoneTenantMatchesUnnamed(t *testing.T) {
 	const steps = 6
@@ -218,7 +219,12 @@ func TestNamedLoneTenantMatchesUnnamed(t *testing.T) {
 	}
 	scfg := testSchedCfg()
 	scfg.QueueBound, scfg.TenantReserve = 64, 2
-	digests := func(name string) string {
+	type outcome struct {
+		digests  string
+		overload metrics.Overload
+		credits  int
+	}
+	run := func(name string) outcome {
 		s, err := NewScheduler(scfg)
 		if err != nil {
 			t.Fatal(err)
@@ -248,10 +254,17 @@ func TestNamedLoneTenantMatchesUnnamed(t *testing.T) {
 				fmt.Fprintf(&b, "%s@%d %s\n", a.Name(), step, ResultDigest(res))
 			}
 		}
-		return b.String()
+		return outcome{b.String(), rep.Overload, s.Credits().Total()}
 	}
-	if unnamed, named := digests(""), digests("solo"); named != unnamed {
-		t.Errorf("a named lone tenant's digests differ from the unnamed one's\n--- unnamed ---\n%s--- named ---\n%s", unnamed, named)
+	unnamed, named := run(""), run("solo")
+	if named.digests != unnamed.digests {
+		t.Errorf("a named lone tenant's digests differ from the unnamed one's\n--- unnamed ---\n%s--- named ---\n%s", unnamed.digests, named.digests)
+	}
+	if named.overload != unnamed.overload {
+		t.Errorf("overload counters: unnamed %+v, named %+v", unnamed.overload, named.overload)
+	}
+	if named.credits != unnamed.credits {
+		t.Errorf("credit supply: unnamed %d, named %d", unnamed.credits, named.credits)
 	}
 }
 
@@ -293,7 +306,7 @@ func TestSchedulerQuarantineOpensAndReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.AddTenant("noisy", TenantConfig{Sim: testSimConfig(2, 1, 1)})
+	p, err := s.AddTenant("noisy", TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: &overload.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,11 +362,11 @@ func TestQuarantineRoutesAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.AddTenant("a", TenantConfig{Sim: testSimConfig(2, 1, 1)})
+	a, err := s.AddTenant("a", TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: &overload.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.AddTenant("b", TenantConfig{Sim: testSimConfig(2, 1, 1)})
+	b, err := s.AddTenant("b", TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: &overload.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,35 +388,49 @@ func TestQuarantineRoutesAreIndependent(t *testing.T) {
 	}
 }
 
-// TestUnnamedTenantIsNeverQuarantined pins the unnamed tenant's rule: a
-// lone unnamed tenant's routes have no poison breaker, so an
-// always-failing route under an admission plane is never quarantined —
-// its transit breaker is what acts on it.
-func TestUnnamedTenantIsNeverQuarantined(t *testing.T) {
-	const steps = 12
-	s, err := NewScheduler(testSchedCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := s.AddTenant("", TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: &overload.Config{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Register(&poisonHybrid{FailAttempts: steps})
-	rep, _ := p.Run(steps) // every in-transit attempt fails on purpose
-	if rep == nil {
-		t.Fatal("missing report")
-	}
-	for step := 1; step <= steps; step++ {
-		if d, ok := rep.Result("poison", step).(Degraded); ok && strings.Contains(d.Reason, "quarantin") {
-			t.Fatalf("step %d = %q: the unnamed tenant was quarantined", step, d.Reason)
+// TestLoneTenantIsQuarantined: the quarantine belongs to every
+// admission plane, whatever the tenant's name and however many tenants
+// share the fabric, so a lone tenant's poison route is quarantined and
+// released exactly as a named one's. With FailAttempts == Strikes the
+// route opens once and the first half-open probe releases it, and a
+// step in between carries the fail-fast marker, unnamed or named.
+func TestLoneTenantIsQuarantined(t *testing.T) {
+	const steps = 30
+	cfg := testSchedCfg()
+	cfg.Quarantine = overload.QuarantineConfig{Strikes: 2, ProbeAfter: 2}
+	type counts struct{ opens, releases int64 }
+	got := map[string]counts{}
+	for _, name := range []string{"", "solo"} {
+		s, err := NewScheduler(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		p, err := s.AddTenant(name, TenantConfig{Sim: testSimConfig(2, 1, 1), Overload: &overload.Config{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Register(&poisonHybrid{FailAttempts: 2})
+		rep, _ := p.Run(steps) // the poison route's errors are expected in Errs
+		if rep == nil {
+			t.Fatalf("tenant %q: missing report", name)
+		}
+		var c counts
+		c.opens, c.releases = s.QuarantineCounts()
+		got[name] = c
+		marked := false
+		for step := 1; step <= steps; step++ {
+			if d, ok := rep.Result("poison", step).(Degraded); ok && strings.Contains(d.Reason, "quarantined") {
+				marked = true
+				break
+			}
+		}
+		if !marked {
+			t.Errorf("tenant %q: no step carries a quarantine fail-fast marker", name)
+		}
+		checkDrained(t, s.Credits())
 	}
-	if opens, releases := s.QuarantineCounts(); opens != 0 || releases != 0 {
-		t.Fatalf("quarantine opened %d and released %d times, want 0 and 0", opens, releases)
-	}
-	if rep.Overload.BreakerOpens == 0 {
-		t.Fatal("the route's transit breaker never opened on an always-failing route")
+	if got[""] != (counts{1, 1}) || got["solo"] != got[""] {
+		t.Fatalf("quarantine opens and releases %+v, want {1 1} for the unnamed and the named lone tenant", got)
 	}
 }
 

@@ -14,11 +14,10 @@ import (
 // transit tier cannot absorb, and backpressure surfaces as an instant,
 // non-blocking denial instead of unbounded queue growth. The service
 // holds no account: the producer owns it and settles it, and a task
-// only carries the name of the account its credit came from
-// (TaskSpec.Account).
+// only carries whether it holds a credit (TaskSpec.Credited).
 //
-// Per-analysis reservations carve a guaranteed minimum out of the
-// supply so one slow analysis cannot starve the others; the remainder
+// Per-account reservations carve a guaranteed minimum out of the
+// supply so one busy tenant cannot starve the others; the remainder
 // is a shared pool. Acquire draws from the caller's reservation first,
 // then the shared pool; Release refills in the same order. The
 // invariant Outstanding() + Available() == Total() holds at all times,
@@ -37,7 +36,7 @@ type reservation struct {
 }
 
 // NewCredits creates an account of `total` credits with the given
-// per-analysis reservations (which must sum to at most total).
+// per-account reservations (which must sum to at most total).
 func NewCredits(total int, reservations map[string]int) (*Credits, error) {
 	if total < 1 {
 		return nil, fmt.Errorf("dataspaces: need at least one credit, got %d", total)

@@ -110,7 +110,7 @@ func TestCreditsConcurrentInvariant(t *testing.T) {
 
 func TestQueueBoundRejectsSubmissions(t *testing.T) {
 	s := newService(t, 1)
-	s.SetQueueBound(2)
+	s.SetTenants(map[string]int{"": 2})
 	for i := 0; i < 2; i++ {
 		if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: i}); err != nil {
 			t.Fatal(err)
@@ -144,18 +144,18 @@ func TestQueueBoundRejectsSubmissions(t *testing.T) {
 
 // TestSubmitSpecThreadsShapedAndCredited: the producer's labels ride
 // the task to the bucket and survive a requeue unchanged — Shaped, the
-// credit Account and the quarantine Probe mark are carried, never
+// Credited mark and the quarantine Probe mark are carried, never
 // interpreted.
 func TestSubmitSpecThreadsShapedAndCredited(t *testing.T) {
 	s := newService(t, 1)
-	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Shaped: true, Account: "a", Probe: true}); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Analysis: "a", Step: 1, Shaped: true, Credited: true, Probe: true}); err != nil {
 		t.Fatal(err)
 	}
 	task, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !task.Shaped || task.Account != "a" || !task.Probe {
+	if !task.Shaped || !task.Credited || !task.Probe {
 		t.Fatalf("spec fields lost: %+v", task)
 	}
 	if err := s.Requeue(task); err != nil {
@@ -165,7 +165,7 @@ func TestSubmitSpecThreadsShapedAndCredited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !task.Shaped || task.Account != "a" || !task.Probe || task.Attempts != 1 {
+	if !task.Shaped || !task.Credited || !task.Probe || task.Attempts != 1 {
 		t.Fatalf("spec fields lost across requeue: %+v", task)
 	}
 }

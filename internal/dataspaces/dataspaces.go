@@ -37,9 +37,8 @@ type Descriptor struct {
 	Version int            // simulation timestep
 	Rank    int            // producing simulation rank
 	Handle  dart.MemHandle // where the bytes live
-	// Tenant scopes the descriptor to one pipeline in a multi-tenant
-	// fabric; empty for single-tenant runs (whose index keys and shard
-	// hashes are unchanged).
+	// Tenant scopes the descriptor to one pipeline; empty for the
+	// unnamed one (whose index keys and shard hashes are tenant-less).
 	Tenant string
 }
 
@@ -83,14 +82,14 @@ type TaskSpec struct {
 	// rung (a coarser payload). The transit tier carries it through so
 	// results can be marked as reduced-fidelity.
 	Shaped bool
-	// Account names the credit account the producer drew this task's
-	// flow-control credit from (empty: the task holds none). The
-	// service only carries it, across requeues too: the producer settles
-	// the credit when the task's final result comes back.
-	Account string
-	// Tenant names the submitting pipeline in a multi-tenant fabric;
-	// empty for single-tenant runs. It selects the per-tenant queue the
-	// task is scheduled from.
+	// Credited marks a task that holds a flow-control credit drawn
+	// from its tenant's account. The service only carries it, across
+	// requeues too: the producer settles the credit when the task's
+	// final result comes back.
+	Credited bool
+	// Tenant names the submitting pipeline (empty for an unnamed one).
+	// It selects the per-tenant queue the task is scheduled from and
+	// its queue bound.
 	Tenant string
 	// Probe marks a quarantine half-open probe: the one task a
 	// quarantined (tenant, analysis) route is allowed to submit so its
@@ -111,7 +110,7 @@ type Service struct {
 	nextID  int64
 	waiting []*waiter // free buckets, FIFO
 	closed  bool
-	bound   int // max queued (unassigned) tasks per tenant; 0 = unbounded
+	bound   map[string]int // each tenant's max queued (unassigned) tasks; 0 or absent = unbounded
 
 	// The task queue: round robin over per-tenant FIFO queues. A
 	// single-tenant run is a one-tenant ring, which is plain FCFS.
@@ -216,7 +215,7 @@ func (s *Service) observeSubmit(t Task) {
 		obs.Str("analysis", t.Analysis),
 		obs.Int("step", t.Step),
 		obs.Bool("shaped", t.Shaped),
-		obs.Bool("credited", t.Account != ""),
+		obs.Bool("credited", t.Credited),
 	}
 	if t.Tenant != "" {
 		attrs = append(attrs, obs.Str("tenant", t.Tenant))
@@ -248,30 +247,23 @@ var ErrCancelled = errors.New("dataspaces: bucket wait cancelled")
 // admission ladder reacts to instead of letting the queue grow.
 var ErrQueueFull = errors.New("dataspaces: task queue full")
 
-// SetQueueBound bounds the number of *queued* (submitted but not yet
-// assigned) tasks of each tenant; submissions beyond it fail with
-// ErrQueueFull. Zero removes the bound. Tasks handed directly to a
-// waiting bucket never count against it, and Requeue is exempt: a
-// requeued task already held queue occupancy once and must not be lost
-// to backpressure.
-func (s *Service) SetQueueBound(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bound = n
-}
-
-// SetTenants enters the named tenants in the dequeue ring. Tasks are
+// SetTenants enters each tenant of bounds in the dequeue ring, with the
+// number of its *queued* (submitted but not yet assigned) tasks that
+// bound allows: submissions beyond it fail with ErrQueueFull, and zero
+// leaves the queue unbounded. Each tenant owns its bulkhead's depth.
+// Tasks handed directly to a waiting bucket never count against a
+// bound, and Requeue is exempt: a requeued task already held queue
+// occupancy once and must not be lost to backpressure. Tasks are
 // dequeued round robin over per-tenant queues, one task per tenant per
-// ring turn, so a tenant flooding the queue cannot starve the others.
-// Head-requeues stay exempt — a requeued task already held queue
-// occupancy once and is served before any tenant queue, preserving the
-// at-most-once in-flight guarantee of the crash path. A queue bound
-// applies per tenant (each tenant owns its bulkhead's depth). Call
-// before traffic starts.
-func (s *Service) SetTenants(names ...string) {
+// ring turn, so a tenant flooding the queue cannot starve the others;
+// head-requeues are served before any tenant queue, preserving the
+// at-most-once in-flight guarantee of the crash path. Call before
+// traffic starts; the service keeps bounds, so do not change it after.
+func (s *Service) SetTenants(bounds map[string]int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, name := range names {
+	s.bound = bounds
+	for name := range bounds {
 		s.ensureTenantLocked(name)
 	}
 	// The ring starts at its first tenant whatever order names came in.
@@ -393,15 +385,16 @@ func (s *Service) RecycleInputs(ds []Descriptor) {
 // SubmitSpec records a data-ready event: the in-transit task and its
 // data descriptors are pushed into the task queue. If a bucket is
 // already waiting, the task is handed over immediately (FCFS on both
-// sides); otherwise it joins the queue, failing with ErrQueueFull when
-// a queue bound is set and reached. The assigned task id is returned.
+// sides); otherwise it joins its tenant's queue, failing with
+// ErrQueueFull when that queue's bound is set and reached. The assigned
+// task id is returned.
 func (s *Service) SubmitSpec(spec TaskSpec) (int64, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if len(s.waiting) == 0 && s.bound > 0 && s.tq[spec.Tenant].len() >= s.bound {
+	if b := s.bound[spec.Tenant]; len(s.waiting) == 0 && b > 0 && s.tq[spec.Tenant].len() >= b {
 		s.mu.Unlock()
 		return 0, ErrQueueFull
 	}

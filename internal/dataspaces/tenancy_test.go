@@ -44,7 +44,7 @@ func drainOrder(t *testing.T, s *Service, n int) []string {
 
 func TestFairDequeueRoundRobin(t *testing.T) {
 	s := newTestService(t, 1)
-	s.SetTenants("a", "b", "c")
+	s.SetTenants(map[string]int{"a": 0, "b": 0, "c": 0})
 
 	// Tenant a floods; b and c each submit two.
 	for i := 0; i < 6; i++ {
@@ -71,7 +71,7 @@ func TestFairDequeueRoundRobin(t *testing.T) {
 
 func TestFairDequeueHeadRequeueJumpsRing(t *testing.T) {
 	s := newTestService(t, 1)
-	s.SetTenants("a", "b")
+	s.SetTenants(map[string]int{"a": 0, "b": 0})
 	for i := 0; i < 3; i++ {
 		submitT(t, s, "a", "viz", i)
 		submitT(t, s, "b", "viz", i)
@@ -99,31 +99,34 @@ func TestFairDequeueHeadRequeueJumpsRing(t *testing.T) {
 
 func TestFairDequeuePerTenantBound(t *testing.T) {
 	s := newTestService(t, 1)
-	s.SetTenants("a", "b")
-	s.SetQueueBound(2)
+	s.SetTenants(map[string]int{"a": 2, "b": 3})
 	// Tenant a fills its own bulkhead...
 	submitT(t, s, "a", "viz", 0)
 	submitT(t, s, "a", "viz", 1)
 	if _, err := s.SubmitSpec(TaskSpec{Tenant: "a", Analysis: "viz", Step: 2}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("over-bound submit err = %v, want ErrQueueFull", err)
 	}
-	// ...but b's bulkhead is unaffected.
-	submitT(t, s, "b", "viz", 0)
-	submitT(t, s, "b", "viz", 1)
+	// ...but b's bulkhead is unaffected, and holds b's own bound.
+	for i := 0; i < 3; i++ {
+		submitT(t, s, "b", "viz", i)
+	}
+	if _, err := s.SubmitSpec(TaskSpec{Tenant: "b", Analysis: "viz", Step: 3}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("over-bound submit of b err = %v, want ErrQueueFull", err)
+	}
 	if got := s.QueueDepthT("a"); got != 2 {
 		t.Fatalf("QueueDepthT(a) = %d, want 2", got)
 	}
-	if got := s.QueueDepthT("b"); got != 2 {
-		t.Fatalf("QueueDepthT(b) = %d, want 2", got)
+	if got := s.QueueDepthT("b"); got != 3 {
+		t.Fatalf("QueueDepthT(b) = %d, want 3", got)
 	}
-	if got := s.QueueDepth(); got != 4 {
-		t.Fatalf("QueueDepth = %d, want 4", got)
+	if got := s.QueueDepth(); got != 5 {
+		t.Fatalf("QueueDepth = %d, want 5", got)
 	}
 }
 
 func TestFairDequeueUnknownTenantJoinsRing(t *testing.T) {
 	s := newTestService(t, 1)
-	s.SetTenants("b")
+	s.SetTenants(map[string]int{"b": 0})
 	submitT(t, s, "b", "viz", 0)
 	// A tenant never named to SetTenants sorts into the ring instead of
 	// being dropped.
@@ -223,10 +226,10 @@ func TestTenantDescriptorNamespaces(t *testing.T) {
 	}
 }
 
-// TestTenantCreditAccountSettlement: a credited task carries the
-// account it was charged to through the queue, whatever its tenant and
-// analysis, so the consumer of its final result settles against that
-// account and the tenant's reservation refills.
+// TestTenantCreditAccountSettlement: a credited task carries its
+// tenant, whose account it was charged to, through the queue, so the
+// consumer of its final result settles against that account and the
+// tenant's reservation refills.
 func TestTenantCreditAccountSettlement(t *testing.T) {
 	s := newTestService(t, 1)
 	c, err := NewCredits(4, map[string]int{"a": 1, "b": 1})
@@ -236,17 +239,17 @@ func TestTenantCreditAccountSettlement(t *testing.T) {
 	if !c.Acquire("a") {
 		t.Fatal("acquire a")
 	}
-	if _, err := s.SubmitSpec(TaskSpec{Tenant: "a", Analysis: "viz", Step: 1, Account: "a"}); err != nil {
+	if _, err := s.SubmitSpec(TaskSpec{Tenant: "a", Analysis: "viz", Step: 1, Credited: true}); err != nil {
 		t.Fatal(err)
 	}
 	task, err := s.BucketReadyCancel(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if task.Tenant != "a" || task.Analysis != "viz" || task.Account != "a" {
+	if task.Tenant != "a" || task.Analysis != "viz" || !task.Credited {
 		t.Fatalf("pulled task lost its labels: %+v", task.TaskSpec)
 	}
-	c.Release(task.Account)
+	c.Release(task.Tenant)
 	out, avail, total := c.Snapshot()
 	if out != 0 || avail != total {
 		t.Fatalf("after settle: outstanding %d available %d total %d", out, avail, total)

@@ -455,11 +455,11 @@ type Config struct {
 	Breaker BreakerConfig
 	// Ladder tunes every route's admission ladder.
 	Ladder LadderConfig
-	// QueueBound bounds the DataSpaces task-queue depth: submissions
-	// past it fail with ErrQueueFull and the step sheds (default 8).
-	// It also sizes the credit supply: buckets + QueueBound, the most
-	// work the transit tier can hold, of which each hybrid analysis
-	// reserves one, so one slow analysis cannot starve the others.
+	// QueueBound bounds the tenant's DataSpaces task-queue depth:
+	// submissions past it fail with ErrQueueFull and the step sheds
+	// (0 = the fabric's queue bound, core.SchedulerConfig.QueueBound).
+	// With the other tenants' bounds it also sizes the credit supply,
+	// the most work the transit tier can hold.
 	QueueBound int
 	// ProbeLatencyMax fails a half-open probe that answers slower than
 	// this even when it succeeds, so a browned-out (slow but alive)
@@ -470,9 +470,6 @@ type Config struct {
 // WithDefaults fills zero fields with the defaults used by
 // core.Pipeline.
 func (c Config) WithDefaults() Config {
-	if c.QueueBound <= 0 {
-		c.QueueBound = 8
-	}
 	if c.ProbeLatencyMax <= 0 {
 		c.ProbeLatencyMax = 5 * time.Millisecond
 	}

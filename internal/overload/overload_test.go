@@ -185,9 +185,12 @@ func TestLadderBreakerAndCreditSignals(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults: WithDefaults fills the probe latency and leaves
+// a zero QueueBound zero, which the scheduler reads as the fabric's
+// queue bound.
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.QueueBound != 8 || c.ProbeLatencyMax <= 0 {
+	if c.QueueBound != 0 || c.ProbeLatencyMax != 5*time.Millisecond {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }

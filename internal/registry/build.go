@@ -89,9 +89,8 @@ func (b *Built) Run(steps int, mode core.RunMode) (map[string]*core.Report, erro
 // Build validates cfg and constructs the declared topology, routing
 // every analysis through the registry. It is the single construction
 // path for config-declared runs: one scheduler, one AddTenant per
-// config tenant, in order. Validate has already confined the
-// scheduler's keys to multi-tenant configs and recovery and the store
-// to single-tenant ones.
+// config tenant, in order. Validate has already confined recovery and
+// the store to single-tenant configs; the fabric's keys apply to any.
 func Build(cfg *Config) (*Built, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 
 	"insitu/internal/core"
 	"insitu/internal/faults"
+	"insitu/internal/overload"
 	"insitu/internal/registry"
 	// Registers the "poison" drill analysis that
 	// examples/configs/tenants.json names.
@@ -228,6 +229,54 @@ func TestBuildMultiTenantShape(t *testing.T) {
 		if rep.Result(b.Tenants[0].Analyses[0].Name(), 2) == nil {
 			t.Errorf("tenant %q has no stats result at step 2", name)
 		}
+	}
+}
+
+// TestLoneNamedTenantUsesTheFabricKnobs: a fabric of one tenant is a
+// fabric like any other. A lone named tenant under fabric.queue_bound,
+// tenant_reserve and quarantine gets the credit supply those size
+// (buckets plus its queue bound), its poison route is quarantined on
+// the configured strikes and released by a probe, and every credit it
+// drew comes back.
+func TestLoneNamedTenantUsesTheFabricKnobs(t *testing.T) {
+	buckets := 2
+	cfg := &registry.Config{
+		Steps: 20,
+		Fabric: registry.FabricConfig{
+			Buckets: &buckets, QueueBound: 3, TenantReserve: 2,
+			Quarantine: &overload.QuarantineConfig{Strikes: 2, ProbeAfter: 2},
+		},
+		Tenants: []registry.TenantConfig{{
+			Name:     "solo",
+			Sim:      registry.SimConfig{NX: 8, NY: 8, NZ: 8, PX: 2, PY: 1, PZ: 1},
+			Overload: &registry.OverloadConfig{},
+			Analyses: []registry.AnalysisConfig{
+				{Analysis: "stats", Params: registry.Params{Placement: registry.PlaceHybrid}},
+				{Analysis: "poison", Params: registry.Params{Placement: registry.PlaceHybrid, FailAttempts: 2}},
+			},
+		}},
+	}
+	b, err := registry.Build(cfg)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	defer b.Close()
+	if b.Pipeline == nil || b.Tenants[0].Name != "solo" {
+		t.Fatalf("Pipeline=%p Tenants=%+v, want the lone tenant solo", b.Pipeline, b.Tenants)
+	}
+	reps, _ := b.Run(b.Steps(0, 0), core.RunFresh) // the poison route fails by design
+	if reps["solo"] == nil {
+		t.Fatal("tenant solo produced no report")
+	}
+	if opens, releases := b.Scheduler.QuarantineCounts(); opens != 1 || releases != 1 {
+		t.Errorf("quarantine opened %d and released %d times, want 1 and 1", opens, releases)
+	}
+	c := b.Scheduler.Credits()
+	if c == nil {
+		t.Fatal("the overload plane has no credit account")
+	}
+	if out, avail, total := c.Snapshot(); out != 0 || avail != total || total != buckets+3 {
+		t.Fatalf("credits: outstanding %d available %d total %d, want 0, %d, %d", out, avail, total, buckets+3, buckets+3)
 	}
 }
 

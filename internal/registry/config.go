@@ -30,8 +30,8 @@ type Config struct {
 	// is not given (0 = launcher default).
 	Steps int `json:"steps,omitempty"`
 	// Fabric configures the shared transit tier: DataSpaces shards,
-	// staging buckets, the modeled interconnect, and the scheduler-
-	// level knobs for multi-tenant runs.
+	// staging buckets, the modeled interconnect, and the scheduler's
+	// knobs, which every tenant is subject to.
 	Fabric FabricConfig `json:"fabric"`
 	// Tenants declares the pipelines sharing the fabric, each a tenant
 	// of the one core.Scheduler; names are required (and must be
@@ -48,10 +48,8 @@ type Config struct {
 	Faults *FaultsConfig `json:"faults,omitempty"`
 }
 
-// FabricConfig declares the shared transit tier. The scheduler-only
-// fields (MaxBuckets, TenantReserve, Autoscale, Quarantine)
-// are rejected by Validate in single-tenant configs, where they have
-// no carrier.
+// FabricConfig declares the transit tier the tenants share. Its knobs
+// mean the same for a fabric of one tenant as for several.
 type FabricConfig struct {
 	// DSServers is the DataSpaces service shard count (0 = 2).
 	DSServers int `json:"ds_servers,omitempty"`
@@ -60,21 +58,21 @@ type FabricConfig struct {
 	// with no transit tier at all, so hybrid/in-transit analyses fail
 	// validation with ErrNoTransitFabric.
 	Buckets *int `json:"buckets,omitempty"`
-	// MaxBuckets caps the autoscaled pool (multi-tenant only).
+	// MaxBuckets caps the autoscaled pool.
 	MaxBuckets int `json:"max_buckets,omitempty"`
 	// Net selects the modeled interconnect.
 	Net NetConfig `json:"net,omitempty"`
-	// QueueBound bounds each tenant's task queue (multi-tenant; the
-	// single-tenant bound lives in the tenant's overload config).
+	// QueueBound bounds the task queue of each tenant whose overload
+	// block sets no queue_bound (0 = unbounded).
 	QueueBound int `json:"queue_bound,omitempty"`
-	// TenantReserve is each tenant's guaranteed credit floor — the
-	// bulkhead (multi-tenant only).
+	// TenantReserve is each overload-controlled tenant's guaranteed
+	// credit floor — the bulkhead.
 	TenantReserve int `json:"tenant_reserve,omitempty"`
 	// Autoscale, when non-nil, lets the scheduler grow/shrink the
-	// bucket pool (multi-tenant only).
+	// bucket pool.
 	Autoscale *overload.AutoscaleConfig `json:"autoscale,omitempty"`
-	// Quarantine tunes the poison-route quarantine (multi-tenant
-	// only).
+	// Quarantine tunes the poison-route quarantine of every
+	// overload-controlled tenant.
 	Quarantine *overload.QuarantineConfig `json:"quarantine,omitempty"`
 }
 
@@ -115,9 +113,9 @@ type SlowdownConfig struct {
 	// From/Until bound the window in transfer indices.
 	From  int `json:"from"`
 	Until int `json:"until"`
-	// Tenant scopes the window to one tenant's rank endpoints
-	// (multi-tenant configs; resolved to endpoint IDs at Build time).
-	// Empty hits every transfer in the window.
+	// Tenant scopes the window to the rank endpoints of the tenant of
+	// that name (resolved to endpoint IDs at Build time). Empty hits
+	// every transfer in the window.
 	Tenant string `json:"tenant,omitempty"`
 	// Factor multiplies the modeled duration of covered transfers.
 	Factor float64 `json:"factor,omitempty"`
@@ -126,16 +124,16 @@ type SlowdownConfig struct {
 // TenantConfig declares one pipeline: its simulation, its analysis
 // list, and its admission/codec tuning.
 type TenantConfig struct {
-	// Name identifies the tenant (required in multi-tenant configs).
+	// Name labels the tenant's endpoints, metrics, spans and DataSpaces
+	// keys (required, and unique, in multi-tenant configs).
 	Name string `json:"name,omitempty"`
 	// Sim sizes the proxy simulation.
 	Sim SimConfig `json:"sim"`
 	// StepBudgetMS is every submitted task's data-movement deadline in
 	// milliseconds (0 = none; core.TenantConfig.StepBudget).
 	StepBudgetMS int `json:"step_budget_ms,omitempty"`
-	// Overload is the graded admission plane: an unnamed tenant has
-	// one only when this is non-nil, a named tenant always, tuned by
-	// it.
+	// Overload, when non-nil, arms the tenant's graded admission
+	// plane: its credit account, breakers, quarantine and ladder.
 	Overload *OverloadConfig `json:"overload,omitempty"`
 	// Codec is the default transfer-path codec for every hybrid route
 	// ("*" in core terms); per-analysis codecs override it.
@@ -181,9 +179,8 @@ type OverloadConfig struct {
 	Breaker BreakerConfig `json:"breaker,omitempty"`
 	// Ladder tunes the admission ladder.
 	Ladder overload.LadderConfig `json:"ladder,omitempty"`
-	// QueueBound bounds the task-queue depth (0 = 8). It is read only
-	// for an unnamed lone tenant; named tenants are sized by the
-	// fabric's queue_bound and tenant_reserve.
+	// QueueBound bounds the tenant's task-queue depth (0 = the
+	// fabric's queue_bound).
 	QueueBound int `json:"queue_bound,omitempty"`
 	// ProbeLatencyMaxUS fails slow half-open probes (µs; 0 = 5000).
 	ProbeLatencyMaxUS int `json:"probe_latency_max_us,omitempty"`
@@ -268,9 +265,10 @@ func (c *Config) Marshal() ([]byte, error) {
 // Validate checks the whole config without executing or mutating
 // anything: every analysis resolves through the registry with its
 // placement and params (it is constructed, to learn its route name),
-// tenant names and each tenant's route names are unique, scheduler-only knobs
-// and tenant names appear only in multi-tenant configs, and every cross-reference
-// (slowdown tenant scopes, codec IDs) lands. Errors are
+// tenant names and each tenant's route names are unique, several
+// tenants are all named and declare no recovery or store, and every
+// cross-reference (slowdown tenant scopes, codec IDs) lands. The fabric
+// knobs apply to a fabric of one tenant as to a shared one. Errors are
 // *ValidationError values aggregated with errors.Join; match them
 // with errors.Is against the Err* sentinels.
 func (c *Config) Validate() error {
@@ -283,46 +281,23 @@ func (c *Config) Validate() error {
 	}
 	multi := len(c.Tenants) > 1
 
-	if !multi {
-		if c.Fabric.MaxBuckets != 0 {
-			fail("fabric.max_buckets", fmt.Errorf("%w: scheduler knob in a single-tenant config", ErrConflictingParams))
-		}
-		if c.Fabric.TenantReserve != 0 {
-			fail("fabric.tenant_reserve", fmt.Errorf("%w: scheduler knob in a single-tenant config", ErrConflictingParams))
-		}
-		if c.Fabric.QueueBound != 0 {
-			fail("fabric.queue_bound", fmt.Errorf("%w: scheduler knob in a single-tenant config (use the tenant's overload.queue_bound)", ErrConflictingParams))
-		}
-		if c.Fabric.Autoscale != nil {
-			fail("fabric.autoscale", fmt.Errorf("%w: scheduler knob in a single-tenant config", ErrConflictingParams))
-		}
-		if c.Fabric.Quarantine != nil {
-			fail("fabric.quarantine", fmt.Errorf("%w: scheduler knob in a single-tenant config", ErrConflictingParams))
-		}
-		if c.Tenants[0].Name != "" {
-			// A named tenant runs with the multi-tenant semantics, which
-			// read the scheduler knobs refused above: its own
-			// overload.queue_bound would be accepted and ignored.
-			fail("tenants[0].name", fmt.Errorf("%w: a lone tenant is unnamed; a name gives it the multi-tenant semantics", ErrConflictingParams))
-		}
-	} else {
+	if multi {
 		if c.Recovery != nil {
 			fail("recovery", fmt.Errorf("%w: recovery is single-tenant only (the journal must own the task queue)", ErrConflictingParams))
 		}
 		if c.Store != nil {
 			fail("store", fmt.Errorf("%w: the image store is single-tenant only", ErrConflictingParams))
 		}
-		if m := c.Fabric.MaxBuckets; m < 0 || (m > 0 && m < c.TransitBuckets()) {
-			fail("fabric.max_buckets", fmt.Errorf("%w: bucket cap %d is negative or below fabric.buckets %d", ErrBadParam, m, c.TransitBuckets()))
-		}
-		if c.Fabric.TenantReserve < 0 {
-			fail("fabric.tenant_reserve", fmt.Errorf("%w: negative credit floor %d", ErrBadParam, c.Fabric.TenantReserve))
-		}
-		if c.Fabric.QueueBound < 0 {
-			fail("fabric.queue_bound", fmt.Errorf("%w: negative queue bound %d", ErrBadParam, c.Fabric.QueueBound))
-		}
 	}
-
+	if m := c.Fabric.MaxBuckets; m < 0 || (m > 0 && m < c.TransitBuckets()) {
+		fail("fabric.max_buckets", fmt.Errorf("%w: bucket cap %d is negative or below fabric.buckets %d", ErrBadParam, m, c.TransitBuckets()))
+	}
+	if c.Fabric.TenantReserve < 0 {
+		fail("fabric.tenant_reserve", fmt.Errorf("%w: negative credit floor %d", ErrBadParam, c.Fabric.TenantReserve))
+	}
+	if c.Fabric.QueueBound < 0 {
+		fail("fabric.queue_bound", fmt.Errorf("%w: negative queue bound %d", ErrBadParam, c.Fabric.QueueBound))
+	}
 	if c.Fabric.DSServers < 0 {
 		fail("fabric.ds_servers", fmt.Errorf("%w: negative shard count %d", ErrBadParam, c.Fabric.DSServers))
 	}
@@ -361,6 +336,9 @@ func (c *Config) Validate() error {
 		}
 		if t.StepBudgetMS < 0 {
 			fail(path+".step_budget_ms", fmt.Errorf("%w: negative step budget", ErrBadParam))
+		}
+		if t.Overload != nil && t.Overload.QueueBound < 0 {
+			fail(path+".overload.queue_bound", fmt.Errorf("%w: negative queue bound %d", ErrBadParam, t.Overload.QueueBound))
 		}
 		validateSim(t.Sim, path+".sim", fail)
 		if t.Codec != nil {
@@ -402,12 +380,8 @@ func (c *Config) Validate() error {
 			if s.Factor < 0 {
 				fail(spath+".factor", fmt.Errorf("%w: negative factor %v", ErrBadParam, s.Factor))
 			}
-			if s.Tenant != "" {
-				if !multi {
-					fail(spath+".tenant", fmt.Errorf("%w: tenant-scoped slowdown in a single-tenant config", ErrConflictingParams))
-				} else if !seen[s.Tenant] {
-					fail(spath+".tenant", fmt.Errorf("%w: unknown tenant %q", ErrBadParam, s.Tenant))
-				}
+			if s.Tenant != "" && !seen[s.Tenant] {
+				fail(spath+".tenant", fmt.Errorf("%w: unknown tenant %q", ErrBadParam, s.Tenant))
 			}
 		}
 	}

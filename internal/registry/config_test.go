@@ -10,12 +10,19 @@ import (
 	"insitu/internal/registry"
 )
 
+// lone is a fabric block with one one-analysis tenant, whose entry
+// starts with tenant (keys and their trailing commas, or "").
+func lone(fabric, tenant string) string {
+	return `{"fabric": ` + fabric + `, "tenants": [{` + tenant + `
+		"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+		"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`
+}
+
 // TestParseConfigMalformed is the malformed-config table: every way a
 // declarative pipeline can be wrong maps to one typed sentinel error,
 // matchable with errors.Is through the ValidationError wrapping.
 func TestParseConfigMalformed(t *testing.T) {
-	// two is a fabric block with two one-analysis tenants, where the
-	// scheduler's knobs apply.
+	// two is a fabric block with two one-analysis tenants.
 	two := func(fabric string) string {
 		return `{"fabric": ` + fabric + `, "tenants": [
 			{"name": "a", "sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
@@ -83,21 +90,6 @@ func TestParseConfigMalformed(t *testing.T) {
 			want: registry.ErrBadPlacement,
 		},
 		{
-			name: "scheduler knob in single-tenant config",
-			src: `{"fabric": {"autoscale": {"min": 2, "max": 4}},
-				"tenants": [{"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
-				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
-			want: registry.ErrConflictingParams,
-		},
-		{
-			name: "named lone tenant",
-			src: `{"tenants": [{"name": "solo", "overload": {"queue_bound": 4},
-				"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
-				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
-			want: registry.ErrConflictingParams,
-			path: "tenants[0].name",
-		},
-		{
 			name: "recovery in multi-tenant config",
 			src: `{"recovery": {"dir": "out/j"},
 				"tenants": [
@@ -149,13 +141,6 @@ func TestParseConfigMalformed(t *testing.T) {
 			want: registry.ErrBadParam,
 		},
 		{
-			name: "tenant-scoped slowdown in single-tenant config",
-			src: `{"faults": {"slowdowns": [{"from": 1, "until": 5, "tenant": "a", "factor": 10}]},
-				"tenants": [{"name": "a", "sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
-				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
-			want: registry.ErrConflictingParams,
-		},
-		{
 			name: "bucket cap below the resolved bucket count",
 			src:  two(`{"max_buckets": 2}`),
 			want: registry.ErrBadParam,
@@ -179,6 +164,32 @@ func TestParseConfigMalformed(t *testing.T) {
 			want: registry.ErrBadParam,
 			path: "fabric.queue_bound",
 		},
+		{
+			name: "bucket cap below the bucket count of a lone tenant's fabric",
+			src:  lone(`{"max_buckets": 2}`, ""),
+			want: registry.ErrBadParam,
+			path: "fabric.max_buckets",
+		},
+		{
+			name: "negative queue bound on a lone tenant's fabric",
+			src:  lone(`{"queue_bound": -1}`, ""),
+			want: registry.ErrBadParam,
+			path: "fabric.queue_bound",
+		},
+		{
+			name: "negative tenant queue bound",
+			src:  lone(`{}`, `"overload": {"queue_bound": -1},`),
+			want: registry.ErrBadParam,
+			path: "tenants[0].overload.queue_bound",
+		},
+		{
+			name: "slowdown scoped to a tenant a lone-tenant config does not name",
+			src: `{"faults": {"slowdowns": [{"from": 1, "until": 5, "tenant": "a", "factor": 10}]},
+				"tenants": [{"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
+			want: registry.ErrBadParam,
+			path: "faults.slowdowns[0].tenant",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -192,6 +203,29 @@ func TestParseConfigMalformed(t *testing.T) {
 			var verr *registry.ValidationError
 			if tc.path != "" && (!errors.As(err, &verr) || verr.Path != tc.path) {
 				t.Fatalf("error = %v, want a ValidationError at %s", err, tc.path)
+			}
+		})
+	}
+}
+
+// TestParseConfigAcceptsAFabricOfOne: the fabric's knobs, a tenant name
+// and a tenant-scoped slowdown mean the same for one tenant as for
+// several, so a lone-tenant config may set each of them.
+func TestParseConfigAcceptsAFabricOfOne(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"bucket cap", lone(`{"max_buckets": 6}`, "")},
+		{"tenant reserve", lone(`{"tenant_reserve": 2}`, `"overload": {},`)},
+		{"queue bound", lone(`{"queue_bound": 4}`, "")},
+		{"autoscale", lone(`{"max_buckets": 4, "autoscale": {"min": 2, "max": 4}}`, "")},
+		{"quarantine", lone(`{"quarantine": {"strikes": 2}}`, `"overload": {},`)},
+		{"named tenant", lone(`{}`, `"name": "solo", "overload": {"queue_bound": 4},`)},
+		{"tenant-scoped slowdown", `{"faults": {"slowdowns": [{"from": 1, "until": 5, "tenant": "a", "factor": 10}]},
+			"tenants": [{"name": "a", "sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+			"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := registry.ParseConfig([]byte(tc.src)); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -275,8 +309,8 @@ func TestDuplicateRouteRejected(t *testing.T) {
 // once, not just the first.
 func TestValidateJoinsAllErrors(t *testing.T) {
 	_, err := registry.ParseConfig([]byte(
-		`{"fabric": {"tenant_reserve": 8},
-			"tenants": [{"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+		`{"tenants": [{"codec": {"id": "delta", "max_error": 0.5},
+			"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
 			"analyses": [
 				{"analysis": "warp-drive", "placement": "hybrid"},
 				{"analysis": "viz", "placement": "hybrid", "factor": -1}]}]}`))
@@ -284,7 +318,7 @@ func TestValidateJoinsAllErrors(t *testing.T) {
 		t.Fatal("expected validation errors")
 	}
 	for _, want := range []error{
-		registry.ErrConflictingParams, // a tenant reserve in a single-tenant config
+		registry.ErrConflictingParams, // a quantize knob on the delta codec
 		registry.ErrUnknownAnalysis,
 		registry.ErrBadParam, // negative shaping factor
 	} {

@@ -7,8 +7,9 @@ import (
 )
 
 // TestCreditSettledOnSuccess: the normal path — a credited task yields
-// exactly one successful Result that still names the account it was
-// charged to, so the result's consumer settles the credit and it is
+// exactly one successful Result that is still marked credited and names
+// the tenant whose account it was charged to, so the result's consumer
+// settles the credit and it is
 // re-acquirable for the next admitted step. Staging itself never
 // touches the account.
 func TestCreditSettledOnSuccess(t *testing.T) {
@@ -21,11 +22,11 @@ func TestCreditSettledOnSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.HandleT("", "work", func(task dataspaces.Task, data [][]byte) (any, error) {
+	a.HandleT("t", "work", func(task dataspaces.Task, data [][]byte) (any, error) {
 		return string(data[0]), nil
 	})
 	a.Start()
-	if !c.Acquire("work") {
+	if !c.Acquire("t") {
 		t.Fatal("acquire must succeed")
 	}
 	h := r.prod.RegisterMem([]byte("payload"))
@@ -33,7 +34,8 @@ func TestCreditSettledOnSuccess(t *testing.T) {
 		Analysis: "work",
 		Step:     1,
 		Inputs:   []dataspaces.Descriptor{{Name: "work", Version: 1, Handle: h}},
-		Account:  "work",
+		Tenant:   "t",
+		Credited: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,20 +44,20 @@ func TestCreditSettledOnSuccess(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Task.Account != "work" {
-		t.Fatalf("result lost its account: %q", res.Task.Account)
+	if !res.Task.Credited || res.Task.Tenant != "t" {
+		t.Fatalf("result lost its credit mark or tenant: %+v", res.Task.TaskSpec)
 	}
 	if got := c.Outstanding(); got != 1 {
 		t.Fatalf("staging must not settle the credit itself, outstanding=%d", got)
 	}
-	c.Release(res.Task.Account)
+	c.Release(res.Task.Tenant)
 	if got := c.Outstanding(); got != 0 {
 		t.Fatalf("settling the result's account must drain it, outstanding=%d", got)
 	}
-	if !c.Acquire("work") {
+	if !c.Acquire("t") {
 		t.Fatal("settled credit must be re-acquirable")
 	}
-	c.Release("work")
+	c.Release("t")
 	r.ds.Close()
 	a.Wait()
 	select {

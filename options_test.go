@@ -46,6 +46,7 @@ var singleValueAllowList = map[string]string{
 // or its type with a reason; an allow-list entry that names nothing in
 // scope, or whose fields all pass, fails too.
 func TestEveryGoOptionIsSet(t *testing.T) {
+	t.Parallel()
 	ld := loadSources(t)
 
 	// The options in scope.

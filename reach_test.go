@@ -38,6 +38,7 @@ var unreachedAllowList = map[string]string{
 // String or Error method or unreachedAllowList names it; an allow-list
 // entry that a binary now reaches, or that no longer exists, fails too.
 func TestEveryInternalFunctionIsReached(t *testing.T) {
+	t.Parallel()
 	reached := map[string]bool{}
 	for _, bin := range buildBinaries(t) {
 		out, err := exec.Command("go", "tool", "nm", bin).Output()
